@@ -105,7 +105,7 @@ def measure_ship_row(size: str, shape: dict, repeats: int = 3) -> dict:
 
         with SharedArena() as arena:
             t0 = time.perf_counter()
-            shipment = _ShmYet(yet.to_shared(arena), local=bundle)
+            shipment = _ShmYet(yet.to_shared(arena), local=yet)
             small = pickle.dumps(shipment, protocol=pickle.HIGHEST_PROTOCOL)
             for _w in range(N_WORKERS):
                 pickle.loads(small).__shm_resolve__()

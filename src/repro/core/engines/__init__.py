@@ -23,15 +23,24 @@ The portfolio hot path is the shared
 :class:`~repro.core.kernels.PortfolioKernel`: per-layer lookups are
 stacked once per (portfolio, ``dense_max_entries``) — dense layers as
 one ``(D, width)`` matrix, sparse layers as a unified CSR structure,
-terms as ``(L,)`` vectors — and the YET is swept in cache-sized
-occurrence blocks with one shared trial-boundary scan and an
-``np.add.reduceat`` folding all layers into the whole ``(L, n_trials)``
-annual matrix (unsorted streams get a block-local stable sort first).
+terms as ``(L,)`` vectors.  Lane rows price **on the table, not the
+stream**: occurrence terms are applied once per table entry into a
+per-row net table, and a sweep is, per row, one gather from it into a
+reused row buffer (``block_occurrences`` bounds that buffer, in whole
+trials) plus one ``np.add.reduceat`` over whole-trial segments.  The
+segments are derived once per ``YetTable`` (once per worker for an
+attached copy) and handed to the sweep by every driver that holds a
+YET; raw ``(trial, event)`` columns derive them per call, after one
+stable sort if unsorted.  Bit-identity rule: each trial is summed whole
+by one ``reduceat``, so lane rows give ``np.array_equal`` answers
+whole-YET, blocked, pooled or degraded-serial.
 Same-book layer groups whose occurrence terms reduce to
-``clip(g, lo, hi)`` additionally price **sublinearly in lanes** through
+``clip(g, lo, hi)`` — the shifted-clip identity, which now applies to
+these groups only — additionally price **sublinearly in lanes** through
 the kernel's sorted-threshold histogram path (see the group-detection
 rule and exact-fallback conditions in :mod:`repro.core.kernels`); rows
-that don't factor fall back to the exact ``(L, block)`` lane sweep.
+that don't factor take the lane path, and a group's answer is
+bit-stable per (stack, decomposition) only.
 The vectorized, multicore, and
 out-of-core engines are thin drivers of that sweep (whole-array,
 per-trial-block, and per-stored-chunk respectively); the device engine

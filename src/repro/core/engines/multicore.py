@@ -12,7 +12,7 @@ Payload transport is the zero-copy shared-memory data plane
 placed in shared segments once per (kernel, trial set) and workers
 receive ~1 KB of handles through the pool initializer, attaching the
 payload as read-only views on first touch.  Tasks then carry only
-``(row_start, row_stop, trial_start, trial_stop)`` index tuples.  Repeat
+``(trial_start, trial_stop)`` index pairs.  Repeat
 runs with an unchanged kernel and YET ship *nothing* — not even on
 executor cycling or broken-pool recovery, which re-send handles alone.
 Where shared memory is unavailable (``transport="pickle"``, or hosts
@@ -58,11 +58,13 @@ def _run_portfolio_block(kernel: PortfolioKernel, trials_block, events_block,
     return kernel.apply_aggregate(annual)
 
 
-def _run_block_shared(shared, r0: int, r1: int, t0: int, t1: int) -> np.ndarray:
-    """Worker: fused sweep over YET rows ``[r0, r1)`` covering trials
-    ``[t0, t1)``, read from the shared-memory plane (picklable task)."""
+def _run_block_shared(shared, t0: int, t1: int) -> np.ndarray:
+    """Worker: fused sweep over trials ``[t0, t1)`` of the YET on the
+    shared-memory plane (picklable task).  The block is offset
+    arithmetic over the trial index the worker's ``YetTable`` derives
+    once, not a re-scan of the trial column per run."""
     kernel, yet = shared
-    annual = kernel.sweep(yet.trials[r0:r1] - t0, yet.event_ids[r0:r1], t1 - t0)
+    annual = kernel.sweep_segments(*yet.trial_block(t0, t1))
     return kernel.apply_aggregate(annual)
 
 
@@ -186,14 +188,13 @@ class MulticoreEngine(Engine):
             # many consecutive times (see WorkPool's failure semantics),
             # so the sweep runs serial on the calling thread — through
             # the SAME trial-block decomposition the workers would have
-            # executed (a whole-YET sweep can differ by ulps from the
-            # blockwise one), keeping answers bit-identical — instead
-            # of betting on dead workers.
+            # executed (a tail group's answer can differ by ulps between
+            # a whole-YET sweep and a blockwise one; lane rows are
+            # bit-identical either way), keeping answers bit-identical —
+            # instead of betting on dead workers.
             self.pool.health.degraded_calls += 1
-            offsets = yet.trial_offsets
             final = np.concatenate(
-                [_run_block_shared((kernel, yet), int(offsets[b0]),
-                                   int(offsets[b1]), b0, b1)
+                [_run_block_shared((kernel, yet), b0, b1)
                  for b0, b1 in spans], axis=1)
             ylt_by_layer = {
                 lid: YltTable(final[row])
@@ -212,12 +213,8 @@ class MulticoreEngine(Engine):
         use_shm = n_workers > 1 and shm.resolve_transport(self.transport,
                                                           EngineError)
         if use_shm:
-            shipment = self._stage(kernel, yet)
-            offsets = yet.trial_offsets
             partials = self.pool.starmap_shared(
-                _run_block_shared, shipment,
-                [(int(offsets[b0]), int(offsets[b1]), b0, b1)
-                 for b0, b1 in spans],
+                _run_block_shared, self._stage(kernel, yet), spans,
             )
         else:
             blocks = [yet.slice_trials(b0, b1) for b0, b1 in spans]

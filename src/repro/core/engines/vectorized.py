@@ -2,11 +2,11 @@
 
 This is the "GPU with everything in global memory" model of DESIGN.md,
 now executed as **one fused sweep for the whole portfolio**: the shared
-:class:`~repro.core.kernels.PortfolioKernel` gathers each occurrence
-block once for every layer, broadcasts the occurrence terms over the
-``(L, block)`` loss matrix, and reduces all layers through one shared
-trial-boundary ``reduceat`` — replacing the former L per-layer passes
-over the same YET arrays.  One occurrence is one array lane, exactly as
+:class:`~repro.core.kernels.PortfolioKernel` prices every layer row
+with one gather from its net table (occurrence terms pre-applied per
+table entry) and one ``reduceat`` over the YET's cached whole-trial
+segments — the trial column is decoded once per ``YetTable``, not once
+per layer or per sweep.  One occurrence is one array lane, exactly as
 one CUDA thread handles one occurrence in the companion study.
 """
 
@@ -47,11 +47,11 @@ class VectorizedEngine(Engine):
         n_trials = yet.n_trials
 
         kernel = portfolio.kernel(dense_max_entries=self.dense_max_entries)
-        final = kernel.run(
-            trials, event_ids, n_trials,
+        final = kernel.apply_aggregate(kernel.sweep_segments(
+            *yet.trial_block(),
             block_occurrences=self.block_occurrences,
             sublinear=self.sublinear_tail,
-        )
+        ))
         ylt_by_layer = {
             lid: YltTable(final[row]) for row, lid in enumerate(kernel.layer_ids)
         }

@@ -15,21 +15,28 @@ says dominates the ~10⁹ event-loss lookups of one aggregate run.
 - a **unified CSR sparse lookup**: the sparse layers' sorted ids/values
   concatenated with an offsets vector;
 - ``(L,)`` **term vectors** (``occ_retention``, ``occ_limit``,
-  ``agg_retention``, ``agg_limit``, ``participation``) broadcast over
-  the loss matrix instead of re-read per layer.
+  ``agg_retention``, ``agg_limit``, ``participation``).
 
-The :meth:`sweep` then streams the YET in cache-sized occurrence blocks:
-each block's event ids are gathered once per layer row while the block
-(and its out-of-bounds mask) is hot in cache, sparse layers gather
-through the same :func:`~repro.core.lookup.sparse_gather_into` the
-scalar path uses, occurrence terms broadcast over the ``(L, block)``
-matrix in place, and one **shared segment reduction** accumulates the
-full ``(L, n_trials)`` annual matrix: because YET rows are sorted by
-trial, the per-trial boundaries are computed once per block and
-``np.add.reduceat`` folds all L layers over them — the trial index
-stream is decoded once instead of L times.  Unsorted inputs get a
-block-local stable sort first and take the same reduction.  Either way,
-L passes collapse into one.
+**The lane path** moves the occurrence terms from the occurrence stream
+to the lookup.  Every row has its own ``(retention, limit)`` and reads
+one stored table, so ``clip(table[e] - r, 0, c)`` is a function of the
+*table entry*: a per-row **net table** is built once per kernel (see
+:meth:`PortfolioKernel._net_gathers`) and a sweep is, per row, one
+gather from it into a single reused row buffer plus one
+``np.add.reduceat`` over whole-trial segment starts — no ``(L, block)``
+lane matrix, no clip pass over the stream, no post-reduction
+correction.  What a sweep needs from the trial column is a
+:class:`~repro.core.tables.TrialSegments`, derived once per ``YetTable``
+and handed over by :meth:`YetTable.trial_block`; the raw-array
+:meth:`sweep` derives the same structure per call (after one stable
+sort if the stream is unsorted) and runs the same core.
+``block_occurrences`` bounds the row buffer: the stream is chunked at
+trial boundaries, as many whole trials as fit the bound (at least one).
+**Bit-identity rule:** every trial is therefore summed whole, by one
+``reduceat``, whatever the chunking or trial-block decomposition — lane
+rows of whole-YET, blocked, pooled and degraded-serial sweeps are
+``np.array_equal`` (only chunk-*accumulating* ``out=`` sweeps, which
+split trials across calls, add partials and differ by ulps).
 
 Kernel rows are ordered dense-first; :attr:`layer_ids` maps row → layer.
 The kernel holds only plain arrays, so it pickles whole — the multicore
@@ -38,10 +45,11 @@ arrays per layer per block.
 
 **Sublinear tail groups.**  Batches of tail-attaching layers over one
 shared book — the serving layer's many-quotes-one-book shape — do not
-even need the ``(L, block)`` lane matrix.  Rows that (a) share a stored
-lookup and (b) price through the one-clip window ``clip(g, lo, hi)``
-(every row whose shifted-clip error bound passes — see
-:meth:`_shift_mask`) form a *tail group*: the group's block is priced by
+even need one gather per row.  Rows that (a) share a stored lookup and
+(b) price through the one-clip window ``clip(g, lo, hi) - lo`` (the
+shifted-clip identity, which now applies on this path only: every row
+whose error bound passes — see :meth:`_shift_mask`) form a *tail
+group*: the group's block is priced by
 bucketing each gathered loss against the sorted union of the group's
 ``lo``/``hi`` thresholds (one ``searchsorted`` over ≤ 2·Lg cut points),
 building a per-trial histogram + weighted histogram with ``bincount``,
@@ -51,20 +59,23 @@ a lane of width ``block``.  Work per block is ``O(block · log Lg +
 trials_in_block · Lg)`` instead of ``O(block · Lg)``: sublinear in lanes
 whenever trials hold more than a couple of occurrences.  Rows that don't
 qualify (occurrence terms at extreme retention scales, accumulating
-chunk sweeps, unsorted trial streams, groups below
-:data:`MIN_TAIL_GROUP` lanes) take the exact lane path via a
-:meth:`subset` kernel — answers stay within the library's cross-engine
-tolerance either way, and ``sweep(..., sublinear=False)`` forces the
-lane path outright.
+chunk sweeps, groups below :data:`MIN_TAIL_GROUP` lanes) take the exact
+lane path via a :meth:`subset` kernel — answers stay within the
+library's cross-engine tolerance either way, and ``sweep(...,
+sublinear=False)`` forces the lane path outright.  A group's prefix
+sums depend on its composition and on the trials it sees, so tail-group
+answers are bit-stable only per (stack, decomposition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core.lookup import sparse_gather_into
+from repro.core.tables import TrialSegments
 from repro.errors import ConfigurationError
 
 __all__ = ["KernelHandles", "PortfolioKernel", "DEFAULT_BLOCK_OCCURRENCES",
@@ -100,10 +111,11 @@ class KernelHandles:
         """Payload bytes the handles point at."""
         return sum(h.nbytes for h in self.arrays.values())
 
-#: Occurrence-block width of the fused sweep.  Sized so the ``(L, block)``
-#: loss matrix of a mid-sized portfolio stays cache-resident (16 layers ×
-#: 32k lanes × 8 B = 4 MiB) — the CPU analogue of the paper's "chunk to
-#: fit the fast memory" rule.
+#: Bound on the lane path's row buffer, in occurrences (whole trials, so
+#: one longer trial exceeds it).  Sized so the buffer (256 KiB), its id
+#: slice and one net-table row stay cache-resident together; smaller
+#: chunks lose to per-call overhead — the CPU analogue of the paper's
+#: "chunk to fit the fast memory" rule.
 DEFAULT_BLOCK_OCCURRENCES = 32_768
 
 #: Minimum lanes sharing one stored lookup before the sublinear group
@@ -114,7 +126,7 @@ MIN_TAIL_GROUP = 16
 
 #: Caches derived lazily per instance — never pickled or shipped through
 #: shared memory (workers rebuild them on first use).
-_CACHE_SLOTS = ("_mask_cache", "_subset_cache", "_tail_index")
+_CACHE_SLOTS = ("_mask_cache", "_subset_cache", "_tail_index", "_net")
 
 
 class PortfolioKernel:
@@ -130,7 +142,7 @@ class PortfolioKernel:
         "agg_limit", "participation", "dense_stack", "sparse_ids",
         "sparse_values", "sparse_offsets", "dense_source", "sparse_source",
         "occ_floor", "occ_ceiling", "block_occurrences",
-        "_mask_cache", "_subset_cache", "_tail_index",
+        *_CACHE_SLOTS,
     )
 
     def __init__(
@@ -203,15 +215,11 @@ class PortfolioKernel:
         self.sparse_offsets = sparse_offsets
         self.dense_source = dense_source
         self.sparse_source = sparse_source
-        # The sweep applies occurrence terms through the identity
-        #   clip(g - r, 0, c)  ==  clip(g, r, r + c) - r
-        # one fused clip per row instead of subtract + clip, with the
-        # "- r × (occurrences in trial)" term folded in after the trial
-        # reduction, where it is an (L, n_trials) operation instead of
-        # an (L, n_occurrences) one.  An *infinite* retention would turn
-        # that correction into inf - inf = NaN, so such rows (result
-        # identically zero) clip through a degenerate [0, 0] window and
-        # contribute nothing to the correction instead.
+        # Tail groups price through the one-clip window of the identity
+        #   clip(g - r, 0, c)  ==  clip(g, r, r + c) - r.
+        # An *infinite* retention would turn the "- r" into inf - inf =
+        # NaN, so such rows (result identically zero) get a degenerate
+        # [0, 0] window instead.
         infinite_ret = np.isinf(occ_retention)
         self.occ_floor = np.where(infinite_ret, 0.0, occ_retention)
         self.occ_ceiling = np.where(
@@ -224,6 +232,7 @@ class PortfolioKernel:
         self._mask_cache: dict[int, np.ndarray] = {}
         self._subset_cache: dict[bytes, "PortfolioKernel"] = {}
         self._tail_index = None
+        self._net = None
 
     def __getstate__(self):
         # Derived caches stay host-local: a pickled kernel (the multicore
@@ -439,59 +448,10 @@ class PortfolioKernel:
 
     # -- gathers -----------------------------------------------------------
 
-    def _gather_unique(self, event_ids: np.ndarray, out: np.ndarray):
-        """Gather each *stored* lookup once into its first row.
-
-        Returns ``(firsts, duplicates)``: the rows that now hold fresh
-        gathers, and ``(row, source_row)`` pairs for rows sharing a
-        stored lookup with an earlier one — the caller decides whether
-        to copy the raw losses or fold terms in directly.
-        """
-        n_dense = self.n_dense
-        firsts: list[int] = []
-        duplicates: list[tuple[int, int]] = []
-        first_of: dict[int, int] = {}
-        if n_dense:
-            # Row-wise takes beat a two-axis gather: each is a contiguous
-            # write, and the ids slice stays cache-hot across rows.  The
-            # out-of-bounds fixup is skipped entirely in the common case
-            # of ids inside the table.
-            width = self.dense_stack.shape[1]
-            for row in range(n_dense):
-                u = int(self.dense_source[row])
-                held = first_of.get(u)
-                if held is None:
-                    np.take(self.dense_stack[u], event_ids, mode="clip",
-                            out=out[row])
-                    first_of[u] = row
-                    firsts.append(row)
-                else:
-                    duplicates.append((row, held))
-            oob = event_ids >= width
-            if oob.any():
-                for row in firsts:
-                    out[row][oob] = 0.0
-        offsets = self.sparse_offsets
-        first_seg: dict[int, int] = {}
-        for i in range(self.n_sparse):
-            row = n_dense + i
-            seg = int(self.sparse_source[i])
-            held = first_seg.get(seg)
-            if held is None:
-                lo, hi = offsets[seg], offsets[seg + 1]
-                sparse_gather_into(
-                    self.sparse_ids[lo:hi], self.sparse_values[lo:hi],
-                    event_ids, out[row],
-                )
-                first_seg[seg] = row
-                firsts.append(row)
-            else:
-                duplicates.append((row, held))
-        return firsts, duplicates
-
     def gather_block(self, event_ids: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
-        """Losses for one occurrence block, all layers: ``(L, block)``.
+        """Ground-up losses for one occurrence block, all layers:
+        ``(L, block)``.
 
         Each *stored* lookup is gathered exactly once per block; rows
         sharing a lookup (same book, different terms) receive a plain
@@ -501,23 +461,29 @@ class PortfolioKernel:
         event_ids = np.asarray(event_ids, dtype=np.int64)
         if out is None:
             out = np.empty((self.n_layers, event_ids.size), dtype=np.float64)
-        _, duplicates = self._gather_unique(event_ids, out)
-        for row, src in duplicates:
-            np.copyto(out[row], out[src])
+        stores = ([("dense", int(u)) for u in self.dense_source]
+                  + [("sparse", int(s)) for s in self.sparse_source])
+        first_row: dict = {}
+        for row, store in enumerate(stores):
+            held = first_row.setdefault(store, row)
+            if held == row:
+                self._gather_store(*store, event_ids, out[row])
+            else:
+                np.copyto(out[row], out[held])
         return out
 
     def _shift_mask(self, max_trial_count: int) -> np.ndarray:
-        """Rows safe for the shifted-clip identity (see :meth:`sweep`).
+        """Rows safe for the shifted-clip identity (tail groups only).
 
-        The post-reduction ``- r × count`` correction is a difference of
+        A group's ``- lo × count`` term is a difference of
         ``~count·r``-magnitude sums, so its absolute rounding error is
         roughly ``count · r · 2⁻⁵²``.  ``max_trial_count`` is the exact
         maximum occurrences of any trial in this sweep (not a mean-based
         estimate — clustered trial sets would blow through one): rows
         whose worst case stays under the library's cross-engine
-        tolerance (1e-6, with 2x margin for the partial-sum ulps) take
-        the one-pass identity; rows attaching at extreme retention
-        scales fall back to exact subtract-then-clip.
+        tolerance (1e-6, with 2x margin for the partial-sum ulps) may
+        join a tail group; rows attaching at extreme retention scales
+        stay on the exact lane path.
 
         Memoised per ``max_trial_count``: fixed-shape serving batches
         (same YET, fresh quote stacks) hit the same count every sweep.
@@ -529,35 +495,6 @@ class PortfolioKernel:
             mask = worst_err <= 1e-6
             self._mask_cache[key] = mask
         return mask
-
-    def _gather_clip_block(self, event_ids: np.ndarray, out: np.ndarray,
-                           shifted: np.ndarray) -> np.ndarray:
-        """Fused gather + occurrence terms for one sweep block.
-
-        Rows flagged in ``shifted`` write ``clip(g, r, r + c)`` — the
-        occurrence result shifted up by the retention, corrected after
-        the trial reduction — in one clip pass; the rest take the exact
-        subtract + clip.  Rows sharing a stored lookup fold either form
-        straight off the shared gather without materialising a copy.
-        Order matters: duplicates read their source row *before* the
-        source row's own in-place terms overwrite it.
-        """
-        firsts, duplicates = self._gather_unique(event_ids, out)
-        for row, src in duplicates:
-            if shifted[row]:
-                np.clip(out[src], self.occ_floor[row], self.occ_ceiling[row],
-                        out=out[row])
-            else:
-                np.subtract(out[src], self.occ_retention[row], out=out[row])
-                np.clip(out[row], 0.0, self.occ_limit[row], out=out[row])
-        for row in firsts:
-            if shifted[row]:
-                np.clip(out[row], self.occ_floor[row], self.occ_ceiling[row],
-                        out=out[row])
-            else:
-                np.subtract(out[row], self.occ_retention[row], out=out[row])
-                np.clip(out[row], 0.0, self.occ_limit[row], out=out[row])
-        return out
 
     def gather_layer(self, row: int, event_ids: np.ndarray) -> np.ndarray:
         """Losses for one kernel row over an id array (YELT emission path)."""
@@ -627,11 +564,11 @@ class PortfolioKernel:
         """A compact kernel over a sorted subset of this kernel's rows.
 
         Used as the exact-lane fallback when a sweep prices most rows
-        through the group path: the leftover rows re-enter :meth:`sweep`
-        as a small kernel of their own instead of dragging a full-width
-        lane matrix along.  Stored lookups are re-deduplicated, so
-        subset rows sharing a book still share one gather.  Cached per
-        row set — serving batches ask for the same split every flush.
+        through the group path: the leftover rows re-enter
+        :meth:`sweep_segments` as a small kernel of their own, whose net
+        table covers only them.  Stored lookups are re-deduplicated.
+        Cached per row set — serving batches ask for the same split
+        every flush.
         """
         rows = np.asarray(rows, dtype=np.int64)
         key = rows.tobytes()
@@ -678,7 +615,7 @@ class PortfolioKernel:
         self._subset_cache[key] = sub
         return sub
 
-    def _sweep_tail_groups(self, trials, event_ids, out, groups) -> None:
+    def _sweep_tail_groups(self, segments, event_ids, out, groups) -> None:
         """Price tail groups via per-trial threshold histograms.
 
         For each group the sorted union of its ``[lo, hi)`` cut points is
@@ -698,29 +635,21 @@ class PortfolioKernel:
         special casing.  Each block partial is clamped at zero — the
         exact value of a partial sum of clipped losses is never negative,
         and the ``lo``-anchored subtraction can leave a −ulp residue on
-        trials priced entirely below attachment (same budget as the
-        shifted-clip identity, which is what gates rows into groups).
+        trials priced entirely below attachment (the budget
+        :meth:`_shift_mask` gates rows into groups by).
 
         Two further tricks keep the constant small: dense stores
         pre-bucket their *table entries* once per sweep, so bucketing the
         stream is a gather instead of per-occurrence binary search; and
         chunking follows the histogram budget (active trials × cut
-        points), not the lane path's cache-sized occurrence blocks — the
-        group path holds no ``(L, block)`` matrix to keep resident.
+        points), not the lane path's cache-sized row buffer.
         """
         n = event_ids.size
-        # Compact the (sorted) trial stream once for every group: `inv`
-        # ranks each occurrence's trial among trials-present, so the
-        # histogram width is active trials, not trial-id span.
-        starts = np.concatenate(
-            ([0], np.flatnonzero(trials[1:] != trials[:-1]) + 1)
-        )
-        utr = trials[starts]
+        # `inv` ranks each occurrence's trial among trials-present, so
+        # the histogram width is active trials, not trial-id span.
+        starts, utr = segments.bounds, segments.trial_ids
         n_active = utr.size
-        inv = np.repeat(
-            np.arange(n_active, dtype=np.int64),
-            np.diff(np.concatenate((starts, [n]))),
-        )
+        inv = np.repeat(np.arange(n_active, dtype=np.int64), np.diff(starts))
         for kind, store, rows in groups:
             lo_vec = self.occ_floor[rows]
             hi_vec = self.occ_ceiling[rows]
@@ -746,8 +675,7 @@ class PortfolioKernel:
             max_span = max(1, 4_000_000 // (m + 1))
             for a in range(0, n_active, max_span):
                 b = min(a + max_span, n_active)
-                s = int(starts[a])
-                e = int(starts[b]) if b < n_active else n
+                s, e = int(starts[a]), int(starts[b])
                 span = b - a
                 ev = event_ids[s:e]
                 g = self._gather_store(kind, store, ev,
@@ -801,6 +729,37 @@ class PortfolioKernel:
         out *= self.participation[:, None]
         return out
 
+    def _net_gathers(self) -> list:
+        """Per-row ``gather(event_ids, out=)`` over the row's **net table**.
+
+        ``clip(table[e] - r, 0, c)`` is a function of the table *entry*,
+        so a row's occurrence terms are applied once to its stored
+        lookup instead of once per occurrence.  Dense rows form an
+        ``(n_dense, width + 1)`` matrix whose zero last column is where
+        ``mode="clip"`` lands every id past the table (unknown event →
+        0, no fix-up pass); sparse rows pre-clip their CSR values (a
+        miss gathers 0, which the terms map to 0 anyway).  Built on the
+        first lane sweep; host-local like every cache slot, never
+        shipped.
+        """
+        if self._net is None:
+            n_dense, width = self.n_dense, self.dense_stack.shape[1]
+            net = np.zeros((n_dense, width + 1), dtype=np.float64)
+            body = net[:, :width]
+            for row in range(n_dense):
+                np.subtract(self.dense_stack[self.dense_source[row]],
+                            self.occ_retention[row], out=body[row])
+            np.clip(body, 0.0, self.occ_limit[:n_dense, None], out=body)
+            gathers = [partial(np.take, table, mode="clip") for table in net]
+            for row, seg in enumerate(self.sparse_source, start=n_dense):
+                lo, hi = self.sparse_offsets[seg], self.sparse_offsets[seg + 1]
+                values = self.sparse_values[lo:hi] - self.occ_retention[row]
+                np.clip(values, 0.0, self.occ_limit[row], out=values)
+                gathers.append(partial(sparse_gather_into,
+                                       self.sparse_ids[lo:hi], values))
+            self._net = gathers
+        return self._net
+
     # -- the fused sweep ---------------------------------------------------
 
     def sweep(
@@ -813,26 +772,47 @@ class PortfolioKernel:
         block_occurrences: int | None = None,
         sublinear: bool | None = None,
     ) -> np.ndarray:
-        """One fused pass: pre-aggregate ``(L, n_trials)`` annual matrix.
+        """One fused pass over raw ``(trial, event)`` columns.
 
-        ``out`` (C-contiguous, ``(L, n_trials)``, float64) is accumulated
-        into when given — the out-of-core engine calls sweep once per YET
-        chunk against one running matrix.  Aggregate terms are *not*
-        applied; compose with :meth:`apply_aggregate`.
-
-        ``sublinear`` controls the tail-group fast path (see the module
-        docstring): the default (``None``/``True``) prices qualifying
-        same-book row groups via per-trial threshold histograms and
-        everything else through the lane path; ``False`` forces the lane
-        path for every row.  Accumulating (``out=``) and unsorted sweeps
-        always take the lane path — the group histogram needs whole
-        sorted trial streams.
+        Derives the stream's :class:`~repro.core.tables.TrialSegments` —
+        after one stable sort when the trials arrive unsorted — and runs
+        :meth:`sweep_segments`.  Callers holding a ``YetTable`` skip the
+        derivation: ``sweep_segments(*yet.trial_block())``.
         """
         trials = np.asarray(trials, dtype=np.int64)
         event_ids = np.asarray(event_ids, dtype=np.int64)
         if trials.shape != event_ids.shape:
             raise ConfigurationError("trials and event_ids must be equal-length")
-        n_layers = self.n_layers
+        if np.any(trials[1:] < trials[:-1]):
+            order = np.argsort(trials, kind="stable")
+            trials, event_ids = trials[order], event_ids[order]
+        segments = TrialSegments.from_sorted_trials(trials, n_trials)
+        return self.sweep_segments(segments, event_ids, out=out,
+                                   block_occurrences=block_occurrences,
+                                   sublinear=sublinear)
+
+    def sweep_segments(self, segments: TrialSegments, event_ids: np.ndarray,
+                       *, out: np.ndarray | None = None,
+                       block_occurrences: int | None = None,
+                       sublinear: bool | None = None) -> np.ndarray:
+        """Pre-aggregate ``(L, n_trials)`` annual matrix of one stream.
+
+        ``segments`` describes the trial column of ``event_ids`` (see
+        :meth:`YetTable.trial_block`), so the column itself is never
+        read.  ``out`` (C-contiguous, ``(L, n_trials)``, float64) is
+        accumulated into when given — the out-of-core engine sweeps once
+        per YET chunk against one running matrix.  Aggregate terms are
+        *not* applied; compose with :meth:`apply_aggregate`.
+
+        ``sublinear`` controls the tail-group fast path (see the module
+        docstring): the default (``None``/``True``) prices qualifying
+        same-book row groups via per-trial threshold histograms and
+        everything else through the lane path; ``False`` forces the lane
+        path for every row.  Accumulating (``out=``) sweeps always take
+        the lane path: the groups' error budget is per whole trial, and
+        such a call sees only a slice of each trial's occurrences.
+        """
+        n_layers, n_trials = self.n_layers, segments.n_trials
         accumulating = out is not None
         if out is None:
             out = np.zeros((n_layers, n_trials), dtype=np.float64)
@@ -841,88 +821,63 @@ class PortfolioKernel:
             raise ConfigurationError(
                 f"out must be C-contiguous float64 of shape ({n_layers}, {n_trials})"
             )
-        n = event_ids.size
+        n = segments.n_occurrences
+        if event_ids.shape != (n,):
+            raise ConfigurationError(
+                f"segments describe {n} occurrences, got {event_ids.shape}")
         if n == 0:
             return out
         block = block_occurrences or self.block_occurrences
-        block = min(block, n)
-        # YET rows are sorted by trial, which lets the segment reduction
-        # decode the trial stream once per block for all L layers.
-        # Unsorted streams get a block-local stable sort first, keeping
-        # the reduction O(n log block) without any n_trials-sized
-        # temporaries per block.
-        sorted_trials = bool(np.all(trials[1:] >= trials[:-1]))
-        # The shifted-clip error budget is per *trial stream*.  When the
-        # caller accumulates chunk-by-chunk into one running matrix (the
-        # out-of-core path), this call sees only a slice of each trial's
-        # occurrences — the budget would be spent once per chunk and the
-        # shifted/exact decision could diverge from a single-pass run —
-        # so accumulation takes the exact subtract-then-clip throughout.
-        if accumulating:
-            counts = None
-            shifted = np.zeros(n_layers, dtype=bool)
-        else:
-            counts = np.bincount(trials, minlength=n_trials)
-            shifted = self._shift_mask(int(counts.max()))
         # Tail-group selection happens per sweep: a row goes sublinear
-        # only when its group survives the same error bound that gates
-        # the shifted-clip identity AND the stream is dense enough
-        # (≥ 2 occurrences per active trial on average) for the
-        # histogram to beat the lanes it replaces.
+        # only when its group survives the shifted-clip error bound AND
+        # the stream is dense enough (≥ 2 occurrences per active trial
+        # on average) for the histogram to beat the lanes it replaces.
         groups = []
-        lane_mask = None
-        if sublinear is not False and not accumulating and sorted_trials:
-            n_active = int(np.count_nonzero(counts))
-            if n >= 2 * n_active:
+        if sublinear is not False and not accumulating:
+            shifted = self._shift_mask(segments.max_count)
+            if n >= 2 * segments.trial_ids.size:
                 lane_mask = np.ones(n_layers, dtype=bool)
                 for kind, store, rows in self._tail_group_index():
                     ok = rows[shifted[rows]]
                     if ok.size >= MIN_TAIL_GROUP:
                         groups.append((kind, store, ok))
                         lane_mask[ok] = False
-        if groups:
-            self._sweep_tail_groups(trials, event_ids, out, groups)
-            lane_rows = np.flatnonzero(lane_mask)
-            if lane_rows.size:
-                # The leftover rows sweep as a compact kernel of their
-                # own — exact lane arithmetic, no full-width lane matrix.
-                out[lane_rows, :] += self.subset(lane_rows).sweep(
-                    trials, event_ids, n_trials,
-                    block_occurrences=block, sublinear=False,
-                )
+        if not groups:
+            self._sweep_lanes(segments, event_ids, out, block)
             return out
-        loss_buf = np.empty((n_layers, block), dtype=np.float64)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            lanes = loss_buf[:, :stop - start]
-            self._gather_clip_block(event_ids[start:stop], out=lanes,
-                                    shifted=shifted)
-            tr = trials[start:stop]
-            if not sorted_trials:
-                order = np.argsort(tr, kind="stable")
-                tr = tr[order]
-                lanes = lanes[:, order]
-            # One boundary scan shared by every layer, then a fused
-            # per-segment sum; a trial split across blocks just adds
-            # its partials in order.
-            starts = np.concatenate(
-                ([0], np.flatnonzero(tr[1:] != tr[:-1]) + 1)
+        self._sweep_tail_groups(segments, event_ids, out, groups)
+        lane_rows = np.flatnonzero(lane_mask)
+        if lane_rows.size:
+            # The leftover rows sweep as a compact kernel of their own.
+            out[lane_rows, :] += self.subset(lane_rows).sweep_segments(
+                segments, event_ids, block_occurrences=block, sublinear=False,
             )
-            sums = np.add.reduceat(lanes, starts, axis=1)
-            out[:, tr[starts]] += sums
-        # The clip identity leaves every shifted row's occurrences up by
-        # its retention; undo it at trial granularity — an (L, n_trials)
-        # rank-one update instead of an (L, n) pass.  The cancellation
-        # can leave a ±ulp residue on trials whose every occurrence sat
-        # below retention, so clamp: the true per-trial sum of clipped
-        # occurrence losses is never negative.  (The exact path needs
-        # neither, so all-exact sweeps — every accumulating call — skip
-        # both passes.)
-        if shifted.any():
-            out -= (np.where(shifted, self.occ_floor, 0.0)[:, None]
-                    * counts[None, :])
-            np.maximum(out, 0.0, out=out)
         return out
+
+    def _sweep_lanes(self, segments: TrialSegments, event_ids: np.ndarray,
+                     out: np.ndarray, block: int) -> None:
+        """The lane path: per row, one gather from its net table into a
+        reused row buffer and one ``reduceat`` over whole-trial starts."""
+        bounds, trial_ids = segments.bounds, segments.trial_ids
+        # Chunk the row buffer by whole trials — as many as fit ``block``
+        # occurrences, at least one — so each trial is summed by a single
+        # reduceat however the stream is chunked or decomposed.
+        chunks = []
+        a = 0
+        while a < trial_ids.size:
+            s0 = int(bounds[a])
+            b = max(int(np.searchsorted(bounds, s0 + block, side="right")) - 1,
+                    a + 1)
+            t_lo, t_hi = int(trial_ids[a]), int(trial_ids[b - 1]) + 1
+            # Trial ids without a gap are a plain slice of the output row.
+            cols = slice(t_lo, t_hi) if t_hi - t_lo == b - a else trial_ids[a:b]
+            chunks.append((s0, int(bounds[b]), bounds[a:b] - s0, cols))
+            a = b
+        buf = np.empty(max(s1 - s0 for s0, s1, _, _ in chunks))
+        for gather, out_row in zip(self._net_gathers(), out):
+            for s0, s1, starts, cols in chunks:
+                lane = gather(event_ids[s0:s1], out=buf[:s1 - s0])
+                out_row[cols] += np.add.reduceat(lane, starts)
 
     def run(
         self,
@@ -934,8 +889,7 @@ class PortfolioKernel:
         sublinear: bool | None = None,
     ) -> np.ndarray:
         """Sweep + aggregate terms: the final ``(L, n_trials)`` YLT matrix."""
-        annual = self.sweep(
+        return self.apply_aggregate(self.sweep(
             trials, event_ids, n_trials, block_occurrences=block_occurrences,
             sublinear=sublinear,
-        )
-        return self.apply_aggregate(annual)
+        ))

@@ -35,6 +35,7 @@ __all__ = [
     "YELT_SCHEMA",
     "YLT_SCHEMA",
     "EltTable",
+    "TrialSegments",
     "YetHandles",
     "YetTable",
     "YeltTable",
@@ -149,6 +150,57 @@ class EltTable:
 # YET
 # ---------------------------------------------------------------------------
 
+class TrialSegments:
+    """Whole-trial segments of a trial-sorted occurrence stream.
+
+    Everything a kernel sweep needs from the trial column, so a sweep
+    handed one never reads the column: the ``k``-th non-empty trial (id
+    ``trial_ids[k]``) occupies stream rows ``[bounds[k], bounds[k+1])``.
+    Empty trials have no segment: ``np.add.reduceat`` returns ``a[i]``
+    (not 0) for an empty segment and raises on a start index == n, so
+    it is only ever fed these non-empty starts and its sums scattered to
+    ``trial_ids``.  ``max_count`` is the longest segment (the exact
+    bound the kernel's shifted-clip gate needs).
+
+    Built from trial offsets (trial ``t`` occupies rows ``[offsets[t],
+    offsets[t+1])``, any base), so a trial range of a YET is the same
+    constructor over a slice of :attr:`YetTable.trial_offsets`.
+    """
+
+    __slots__ = ("bounds", "trial_ids", "n_trials", "max_count")
+
+    def __init__(self, offsets: np.ndarray) -> None:
+        counts = np.diff(offsets)
+        self.trial_ids = np.flatnonzero(counts)
+        self.bounds = np.append(offsets[self.trial_ids], offsets[-1])
+        self.bounds -= offsets[0]
+        self.n_trials = counts.size
+        self.max_count = int(counts.max(initial=0))
+
+    @classmethod
+    def from_sorted_trials(cls, trials: np.ndarray,
+                           n_trials: int) -> "TrialSegments":
+        """Segments of a raw trial column sorted ascending.
+
+        Only the trial range present is searched, so a short chunk of a
+        long YET (the out-of-core sweep) costs its own span of trials,
+        not ``n_trials``.
+        """
+        if trials.size == 0:
+            return cls(np.zeros(n_trials + 1, dtype=np.int64))
+        first, last = int(trials[0]), int(trials[-1])
+        if first < 0 or last >= n_trials:
+            raise ConfigurationError(f"trial indices outside [0, {n_trials})")
+        segments = cls(np.searchsorted(trials, np.arange(first, last + 2)))
+        segments.trial_ids += first
+        segments.n_trials = n_trials
+        return segments
+
+    @property
+    def n_occurrences(self) -> int:
+        return int(self.bounds[-1])
+
+
 @dataclass(frozen=True)
 class YetHandles:
     """Shared-memory descriptor of one YET (the zero-copy wire format).
@@ -176,7 +228,8 @@ class YetTable:
     round-trips (their annual loss is zero, which matters for quantiles).
     """
 
-    __slots__ = ("table", "n_trials", "_offsets", "_fingerprint")
+    __slots__ = ("table", "n_trials", "_offsets", "_segments",
+                 "_fingerprint", "index_builds")
 
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
@@ -191,8 +244,15 @@ class YetTable:
                 raise ConfigurationError("YET rows must be sorted by trial")
         self.table = table
         self.n_trials = int(n_trials)
+        self._init_caches()
+
+    def _init_caches(self, fingerprint: str | None = None) -> None:
         self._offsets: np.ndarray | None = None
-        self._fingerprint: str | None = None
+        self._segments: TrialSegments | None = None
+        self._fingerprint = fingerprint
+        #: Times the trial column was read to derive the trial index —
+        #: stays at 1 however many sweeps (or workers' tasks) use it.
+        self.index_builds = 0
 
     @classmethod
     def simulate(
@@ -261,7 +321,33 @@ class YetTable:
             self._offsets = np.searchsorted(
                 self.table["trial"], np.arange(self.n_trials + 1)
             )
+            self.index_builds += 1
         return self._offsets
+
+    def trial_block(self, t_start: int = 0, t_stop: int | None = None
+                    ) -> tuple[TrialSegments, np.ndarray]:
+        """``(segments, event_ids)`` of trials ``[t_start, t_stop)``,
+        renumbered block-local: the arguments of
+        :meth:`PortfolioKernel.sweep_segments`.
+
+        The trial index (offsets, whole-table segments) is derived once
+        per table — once per worker for a :meth:`from_handles` copy —
+        and a sub-range is offset arithmetic over it, so no sweep
+        re-scans the trial column.
+        """
+        offsets = self.trial_offsets
+        if t_stop is None:
+            t_stop = self.n_trials
+        if not (0 <= t_start < t_stop <= self.n_trials):
+            raise ConfigurationError(
+                f"invalid trial range [{t_start}, {t_stop}) for {self.n_trials} trials"
+            )
+        if t_start == 0 and t_stop == self.n_trials:
+            if self._segments is None:
+                self._segments = TrialSegments(offsets)
+            return self._segments, self.event_ids
+        return (TrialSegments(offsets[t_start:t_stop + 1]),
+                self.event_ids[int(offsets[t_start]):int(offsets[t_stop])])
 
     def fingerprint(self) -> str:
         """Content hash of the trial set (hex), computed once and cached.
@@ -325,8 +411,7 @@ class YetTable:
         yet = cls.__new__(cls)
         yet.table = table
         yet.n_trials = int(handles.n_trials)
-        yet._offsets = None
-        yet._fingerprint = handles.fingerprint
+        yet._init_caches(handles.fingerprint)
         return yet
 
     def slice_trials(self, t_start: int, t_stop: int) -> "YetTable":

@@ -11,7 +11,8 @@ private enabled plane of their own.
 ``Telemetry(enabled=False)`` is the no-op mode: metric handles become a
 shared do-nothing singleton, spans skip the clock reads, events return
 ``None`` — the hot path pays one attribute call per touch point, which
-the tier-1 overhead guard holds to within 5% of uninstrumented.
+the tier-1 overhead guard holds to an absolute per-call budget (in
+microseconds; ``tests/test_obs.py``).
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ When a flushed batch is the many-quotes-one-book shape (≥16 stacked
 rows sharing one merged lookup, occurrence terms reducing to
 ``clip(g, lo, hi)``), the stacked kernel's sweep routes those rows
 through the **sublinear tail-group path** automatically (E18): the batch
-prices via per-trial sorted-threshold histograms instead of an
-``(L, block)`` lane matrix, so throughput grows sublinearly in batch
-size.  Rows that don't factor fall back to exact lanes;
+prices via per-trial sorted-threshold histograms instead of one
+gather per row, so throughput grows sublinearly in batch size.  Rows that don't factor fall back to exact lanes;
 ``ServeStats.sublinear_batches``/``sublinear_rows`` count how often
 flushes qualified.
 

@@ -115,47 +115,45 @@ class InlineDispatcher(Dispatcher):
 
     def run(self, kernel: PortfolioKernel, yet: YetTable,
             policy: TaskPolicy | None = None) -> np.ndarray:
-        return kernel.run(
-            yet.trials, yet.event_ids, yet.n_trials,
-            block_occurrences=self.block_occurrences,
-        )
+        return kernel.apply_aggregate(kernel.sweep_segments(
+            *yet.trial_block(), block_occurrences=self.block_occurrences,
+        ))
 
 
-def _sweep_rows(shared, kernel: PortfolioKernel, r0: int, r1: int,
-                t0: int, t1: int) -> np.ndarray:
-    """Worker: fused sweep over YET rows ``[r0, r1)`` covering trials
-    ``[t0, t1)``, renumbered block-local (picklable top-level task)."""
-    trials, event_ids = shared
-    annual = kernel.sweep(trials[r0:r1] - t0, event_ids[r0:r1], t1 - t0)
+def _sweep_trials(yet: YetTable, kernel: PortfolioKernel,
+                  t0: int, t1: int) -> np.ndarray:
+    """Worker: fused sweep over trials ``[t0, t1)`` of the shared YET,
+    renumbered block-local (picklable top-level task).  The block is
+    offset arithmetic over the trial index the worker's ``YetTable``
+    derives once, not a re-scan of the trial column per batch."""
+    annual = kernel.sweep_segments(*yet.trial_block(t0, t1))
     return kernel.apply_aggregate(annual)
 
 
-def _sweep_rows_handles(shared, kernel_handles, r0: int, r1: int,
-                        t0: int, t1: int) -> np.ndarray:
-    """Worker: like :func:`_sweep_rows` but the batch kernel arrives as
+def _sweep_trials_handles(yet: YetTable, kernel_handles,
+                          t0: int, t1: int) -> np.ndarray:
+    """Worker: like :func:`_sweep_trials` but the batch kernel arrives as
     slab handles and is attached as zero-copy views (picklable task)."""
-    trials, event_ids = shared
-    kernel = PortfolioKernel.from_handles(kernel_handles)
-    annual = kernel.sweep(trials[r0:r1] - t0, event_ids[r0:r1], t1 - t0)
-    return kernel.apply_aggregate(annual)
+    return _sweep_trials(yet, PortfolioKernel.from_handles(kernel_handles),
+                         t0, t1)
 
 
 class _ShmYet(shm.HandleShipment):
-    """Handle-backed shipment of the YET's (trials, event_ids) arrays;
-    workers attach the columns as read-only views once, on first touch."""
+    """Handle-backed shipment of the YET; workers attach the columns as
+    read-only views once, on first touch, and keep the ``YetTable`` (so
+    its trial index is derived once per worker too)."""
 
     __slots__ = ()
 
     def _materialise(self, handles):
-        yet = YetTable.from_handles(handles)
-        return (yet.trials, yet.event_ids)
+        return YetTable.from_handles(handles)
 
 
 class PooledDispatcher(Dispatcher):
     """Trial-block decomposition over a persistent worker pool.
 
-    The YET's ``trials``/``event_ids`` arrays are installed as the
-    pool's shared object on first use and reused across batches.  The
+    The YET is installed as the pool's shared object on first use and
+    reused across batches.  The
     bundle is keyed by :meth:`YetTable.fingerprint`, so only a trial set
     with *different content* forces a re-ship — swapping in an equal
     re-simulated YET costs nothing.  On shared-memory hosts the bundle
@@ -228,12 +226,9 @@ class PooledDispatcher(Dispatcher):
                         self._yet_arenas.pop(0).close()
                     arena = shm.SharedArena()
                     self._yet_arenas.append(arena)
-                    self._shared = _ShmYet(
-                        yet.to_shared(arena),
-                        local=(yet.trials, yet.event_ids),
-                    )
+                    self._shared = _ShmYet(yet.to_shared(arena), local=yet)
                 else:
-                    self._shared = (yet.trials, yet.event_ids)
+                    self._shared = yet
                 self._shared_fp = fp
             return self._shared
 
@@ -242,18 +237,13 @@ class PooledDispatcher(Dispatcher):
         with self._lock:
             self.pool.ensure_started(shared)
 
-    def _spans(self, yet: YetTable) -> list[tuple[int, int, int, int]]:
-        """The batch's trial-block decomposition: ``(r0, r1, t0, t1)``
-        row/trial spans, one per worker (capped by trial count)."""
-        n_trials = yet.n_trials
-        offsets = yet.trial_offsets
-        n_blocks = min(self.pool.n_workers, n_trials)
-        bounds = np.linspace(0, n_trials, n_blocks + 1).astype(int)
-        return [
-            (int(offsets[b0]), int(offsets[b1]), int(b0), int(b1))
-            for b0, b1 in zip(bounds[:-1], bounds[1:])
-            if b1 > b0
-        ]
+    def _spans(self, yet: YetTable) -> list[tuple[int, int]]:
+        """The batch's trial-block decomposition: ``(t0, t1)`` trial
+        spans, one per worker (capped by trial count)."""
+        n_blocks = min(self.pool.n_workers, yet.n_trials)
+        bounds = np.linspace(0, yet.n_trials, n_blocks + 1).astype(int)
+        return [(int(b0), int(b1))
+                for b0, b1 in zip(bounds[:-1], bounds[1:]) if b1 > b0]
 
     def run(self, kernel: PortfolioKernel, yet: YetTable,
             policy: TaskPolicy | None = None) -> np.ndarray:
@@ -266,16 +256,16 @@ class PooledDispatcher(Dispatcher):
         if self.pool.health.degraded:
             # Graceful degradation: the pool has failed terminally too
             # many consecutive times, so the batch runs on the calling
-            # thread — but through the SAME trial-block decomposition
-            # the workers would have executed (a whole-YET sweep can
-            # differ by ulps from the blockwise one), so degraded
+            # thread — through the SAME trial-block decomposition the
+            # workers would have executed (a tail group's answer can
+            # differ by ulps between a whole-YET sweep and a blockwise
+            # one; lane rows are bit-identical either way), so degraded
             # answers stay bit-identical to pooled ones.  No slab
             # packing, no handle ships, nothing left to break.
             self.pool.health.degraded_calls += 1
-            shared = (yet.trials, yet.event_ids)
             return np.concatenate(
-                [_sweep_rows(shared, kernel, r0, r1, t0, t1)
-                 for r0, r1, t0, t1 in self._spans(yet)], axis=1)
+                [_sweep_trials(yet, kernel, t0, t1)
+                 for t0, t1 in self._spans(yet)], axis=1)
         shared = self._bundle(yet)
         spans = self._spans(yet)
         if self._shm_active() and len(spans) > 1:
@@ -288,8 +278,8 @@ class PooledDispatcher(Dispatcher):
                 handles = kernel.export_handles(self._slab)
                 self._m_slab_generations.set(self._slab.generations)
                 partials = self.pool.starmap_shared(
-                    _sweep_rows_handles, shared,
-                    [(handles, r0, r1, t0, t1) for r0, r1, t0, t1 in spans],
+                    _sweep_trials_handles, shared,
+                    [(handles, t0, t1) for t0, t1 in spans],
                     policy=policy,
                 )
         else:
@@ -298,8 +288,8 @@ class PooledDispatcher(Dispatcher):
             # in-flight batch's submissions.
             with self._lock:
                 partials = self.pool.starmap_shared(
-                    _sweep_rows, shared,
-                    [(kernel, r0, r1, t0, t1) for r0, r1, t0, t1 in spans],
+                    _sweep_trials, shared,
+                    [(kernel, t0, t1) for t0, t1 in spans],
                     policy=policy,
                 )
         return np.concatenate(partials, axis=1)

@@ -224,7 +224,7 @@ class TestTransportParity:
         with PricingService(wl.yet) as svc:
             inline = svc.quote_many(layers)
         for a, b in zip(pooled, inline):
-            assert a.premium == pytest.approx(b.premium, rel=1e-9)
+            assert a.premium == b.premium      # lane rows: bit-identical
 
     def test_explicit_shm_transport_unavailable_raises(self, monkeypatch,
                                                        tiny_workload):
@@ -267,8 +267,8 @@ class TestTransportParity:
             assert len(d._yet_arenas) == 2
             # the first shipment's segments must still attach
             assert isinstance(first, _ShmYet)
-            trials, _ = pickle.loads(pickle.dumps(first)).__shm_resolve__()
-            np.testing.assert_array_equal(trials, wl.yet.trials)
+            attached = pickle.loads(pickle.dumps(first)).__shm_resolve__()
+            np.testing.assert_array_equal(attached.trials, wl.yet.trials)
             # a third trial set frees the oldest retiree: the held
             # footprint is bounded at current + one predecessor
             third = YetTable.simulate(ids, np.full(500, 1 / 500), 100, rng,
