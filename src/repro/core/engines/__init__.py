@@ -35,12 +35,15 @@ stable sort if unsorted.  Bit-identity rule: each trial is summed whole
 by one ``reduceat``, so lane rows give ``np.array_equal`` answers
 whole-YET, blocked, pooled or degraded-serial.
 Same-book layer groups whose occurrence terms reduce to
-``clip(g, lo, hi)`` — the shifted-clip identity, which now applies to
-these groups only — additionally price **sublinearly in lanes** through
-the kernel's sorted-threshold histogram path (see the group-detection
-rule and exact-fallback conditions in :mod:`repro.core.kernels`); rows
-that don't factor take the lane path, and a group's answer is
-bit-stable per (stack, decomposition) only.
+``clip(g, lo, hi)`` — the shifted-clip identity, which applies to
+these groups only — price **without the stream**: off a per-(YET, book)
+profile of the book's sorted positive losses per trial, kept by the
+``YetTable`` and built once per book (once per worker for an attached
+copy), two searches per (row, trial) — see the routing rule and the
+counted lane fallbacks in :mod:`repro.core.kernels`.  Rows that don't
+qualify take the lane path in the same sweep, and a profile answer is
+a function of the trial and the row alone, so the bit-identity rule
+covers tail rows too.
 The vectorized, multicore, and
 out-of-core engines are thin drivers of that sweep (whole-array,
 per-trial-block, and per-stored-chunk respectively); the device engine
@@ -54,7 +57,7 @@ measured against.
 
 Numerical equivalence across all six is a tested invariant; their
 relative wall-clock behaviour is experiments E3-E5, E7, E13 (the
-fused-vs-per-layer sweep), and E18 (the sublinear tail-group path).
+fused-vs-per-layer sweep), and E18 (the same-book tail-group path).
 
 ``engine="auto"`` resolution: the planner prices the vectorized,
 multicore, device, and distributed specs below through the HPC cost

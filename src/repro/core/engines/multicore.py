@@ -186,12 +186,10 @@ class MulticoreEngine(Engine):
         if self.pool.health.degraded:
             # Graceful degradation: the pool has terminally failed too
             # many consecutive times (see WorkPool's failure semantics),
-            # so the sweep runs serial on the calling thread — through
-            # the SAME trial-block decomposition the workers would have
-            # executed (a tail group's answer can differ by ulps between
-            # a whole-YET sweep and a blockwise one; lane rows are
-            # bit-identical either way), keeping answers bit-identical —
-            # instead of betting on dead workers.
+            # so the sweep runs serial on the calling thread, over the
+            # trial blocks the workers would have executed (every row's
+            # answer is a function of the trial alone, so the result is
+            # bit-identical), instead of betting on dead workers.
             self.pool.health.degraded_calls += 1
             final = np.concatenate(
                 [_run_block_shared((kernel, yet), b0, b1)

@@ -32,9 +32,9 @@ class VectorizedEngine(Engine):
                  sublinear_tail: bool = True) -> None:
         self.dense_max_entries = dense_max_entries
         self.block_occurrences = block_occurrences
-        # Tail-attaching same-book row groups price through the kernel's
-        # sublinear histogram path by default; ``False`` forces the lane
-        # path (the A/B knob the e18 bench and parity tests drive).
+        # Tail-attaching same-book row groups price off their book's
+        # profile by default; ``False`` forces the lane path (the A/B
+        # knob the e18 bench and parity tests drive).
         self.sublinear_tail = sublinear_tail
 
     def run(self, portfolio: Portfolio, yet: YetTable, *,
@@ -47,6 +47,7 @@ class VectorizedEngine(Engine):
         n_trials = yet.n_trials
 
         kernel = portfolio.kernel(dense_max_entries=self.dense_max_entries)
+        routed_before = dict(kernel.routed)
         final = kernel.apply_aggregate(kernel.sweep_segments(
             *yet.trial_block(),
             block_occurrences=self.block_occurrences,
@@ -88,5 +89,9 @@ class VectorizedEngine(Engine):
                 or kernel.block_occurrences,
                 "sublinear_tail": self.sublinear_tail,
                 "tail_group_rows": kernel.tail_group_rows,
+                # Where this run's structural tail-group rows went
+                # (the kernel is the portfolio's, shared across runs).
+                "routed": {name: rows - routed_before[name]
+                           for name, rows in kernel.routed.items()},
             },
         )

@@ -35,7 +35,7 @@ trial boundaries, as many whole trials as fit the bound (at least one).
 **Bit-identity rule:** every trial is therefore summed whole, by one
 ``reduceat``, whatever the chunking or trial-block decomposition — lane
 rows of whole-YET, blocked, pooled and degraded-serial sweeps are
-``np.array_equal`` (only chunk-*accumulating* ``out=`` sweeps, which
+``np.array_equal`` (only *chunked* ``out=`` sweeps, which
 split trials across calls, add partials and differ by ulps).
 
 Kernel rows are ordered dense-first; :attr:`layer_ids` maps row → layer.
@@ -45,41 +45,44 @@ arrays per layer per block.
 
 **Sublinear tail groups.**  Batches of tail-attaching layers over one
 shared book — the serving layer's many-quotes-one-book shape — do not
-even need one gather per row.  Rows that (a) share a stored lookup and
-(b) price through the one-clip window ``clip(g, lo, hi) - lo`` (the
-shifted-clip identity, which now applies on this path only: every row
-whose error bound passes — see :meth:`_shift_mask`) form a *tail
-group*: the group's block is priced by
-bucketing each gathered loss against the sorted union of the group's
-``lo``/``hi`` thresholds (one ``searchsorted`` over ≤ 2·Lg cut points),
-building a per-trial histogram + weighted histogram with ``bincount``,
-and resolving every layer from the two cumulative-sum arrays —
-``sum(clip(g - lo, 0, cap))`` is two lookups into prefix sums instead of
-a lane of width ``block``.  Work per block is ``O(block · log Lg +
-trials_in_block · Lg)`` instead of ``O(block · Lg)``: sublinear in lanes
-whenever trials hold more than a couple of occurrences.  Rows that don't
-qualify (occurrence terms at extreme retention scales, accumulating
-chunk sweeps, groups below :data:`MIN_TAIL_GROUP` lanes) take the exact
-lane path via a :meth:`subset` kernel — answers stay within the
-library's cross-engine tolerance either way, and ``sweep(...,
-sublinear=False)`` forces the lane path outright.  A group's prefix
-sums depend on its composition and on the trials it sees, so tail-group
-answers are bit-stable only per (stack, decomposition).
+need the occurrence stream at all.  Rows that (a) share a stored lookup
+and (b) price through the one-clip window ``clip(g, lo, hi) - lo``
+within the error bound of :meth:`PortfolioKernel._shift_mask` form a
+*tail group*, and a group is priced off its book's
+:class:`~repro.core.tables.BookProfile`: per trial, the book's positive
+losses in sorted order with their running sum, built once per (YET,
+book) and kept by the ``YetTable`` (it reaches the sweep through the
+``TrialSegments``; a raw-array :meth:`PortfolioKernel.sweep` builds one
+for the call).  A row is then two searches per trial and
+``(S[j] - S[i]) - lo·(j - i) + cap·(k - j)`` — ``O(trials · log k)``
+per row against the lane path's ``O(occurrences)``, no gather, no pass
+over the stream.  **Routing:** structural groups of at least
+:data:`MIN_TAIL_GROUP` rows whose rows pass the error bound take the
+profile; everything else — rows outside groups, rows attaching at
+extreme retention scales (and what is left of their group when fewer
+than :data:`MIN_TAIL_GROUP` remain), chunked ``out=`` sweeps, and
+``sublinear=False`` — takes the exact lane path in the same sweep, and
+every structural-group row that does is counted by reason in
+:attr:`PortfolioKernel.routed`.  **Invariance:** a profile answer is a
+function of the trial and the row alone, so tail rows, like lane rows,
+are ``np.array_equal`` across whole-YET, blocked, pooled and
+degraded-serial sweeps and whatever other rows share the group.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from repro.core.lookup import sparse_gather_into
-from repro.core.tables import TrialSegments
+from repro.core.tables import BookProfile, TrialSegments
 from repro.errors import ConfigurationError
 
 __all__ = ["KernelHandles", "PortfolioKernel", "DEFAULT_BLOCK_OCCURRENCES",
-           "MIN_TAIL_GROUP"]
+           "MIN_TAIL_GROUP", "ROUTING_COUNTERS"]
 
 #: Kernel array attributes that travel through the shared-memory plane,
 #: in the positional order of :meth:`PortfolioKernel.__init__`'s vector
@@ -118,15 +121,22 @@ class KernelHandles:
 #: "chunk to fit the fast memory" rule.
 DEFAULT_BLOCK_OCCURRENCES = 32_768
 
-#: Minimum lanes sharing one stored lookup before the sublinear group
-#: path pays for its histogram: the measured crossover against the lane
-#: path sits between 16 and 32 lanes on dense streams, so below this the
-#: threshold bookkeeping would cost more than the lanes it replaces.
+#: Minimum rows sharing one stored lookup before a group prices off its
+#: book profile: enough rows to amortise one profile build inside the
+#: very sweep that triggers it (≈ 9 ms to build at the benchmark's base
+#: shape against ≈ 0.55 ms saved per row over the lane path).
 MIN_TAIL_GROUP = 16
 
-#: Caches derived lazily per instance — never pickled or shipped through
-#: shared memory (workers rebuild them on first use).
-_CACHE_SLOTS = ("_mask_cache", "_subset_cache", "_tail_index", "_net")
+#: :attr:`PortfolioKernel.routed` keys, in the :mod:`repro.obs` naming
+#: convention: structural tail-group rows priced off a profile, and the
+#: ones sent to lanes instead, by reason.
+ROUTING_COUNTERS = ("kernel.profile_rows", "kernel.fallback.error_bound",
+                    "kernel.fallback.chunked_out",
+                    "kernel.fallback.sublinear_off")
+
+#: State derived or counted per instance — never pickled or shipped
+#: through shared memory (workers rebuild caches on first use).
+_CACHE_SLOTS = ("_mask_cache", "_tail_index", "_net", "routed")
 
 
 class PortfolioKernel:
@@ -230,14 +240,16 @@ class PortfolioKernel:
 
     def _init_caches(self) -> None:
         self._mask_cache: dict[int, np.ndarray] = {}
-        self._subset_cache: dict[bytes, "PortfolioKernel"] = {}
         self._tail_index = None
-        self._net = None
+        self._net: list = [None] * len(self.layer_ids)
+        #: Structural tail-group rows by the path they took, summed over
+        #: this instance's sweeps (plain counts; see ROUTING_COUNTERS).
+        self.routed = dict.fromkeys(ROUTING_COUNTERS, 0)
 
     def __getstate__(self):
         # Derived caches stay host-local: a pickled kernel (the multicore
         # ship path) carries only the stacked arrays, and the receiving
-        # worker rebuilds masks/subsets lazily on first use.
+        # worker rebuilds masks/net tables lazily on first use.
         return {name: getattr(self, name) for name in self.__slots__
                 if name not in _CACHE_SLOTS}
 
@@ -475,7 +487,7 @@ class PortfolioKernel:
     def _shift_mask(self, max_trial_count: int) -> np.ndarray:
         """Rows safe for the shifted-clip identity (tail groups only).
 
-        A group's ``- lo × count`` term is a difference of
+        A profile's ``(S[j] - S[i]) - lo·(j - i)`` is a difference of
         ``~count·r``-magnitude sums, so its absolute rounding error is
         roughly ``count · r · 2⁻⁵²``.  ``max_trial_count`` is the exact
         maximum occurrences of any trial in this sweep (not a mean-based
@@ -483,7 +495,8 @@ class PortfolioKernel:
         whose worst case stays under the library's cross-engine
         tolerance (1e-6, with 2x margin for the partial-sum ulps) may
         join a tail group; rows attaching at extreme retention scales
-        stay on the exact lane path.
+        stay on the exact lane path (as would a negative retention,
+        under which the zero losses a profile leaves out would price).
 
         Memoised per ``max_trial_count``: fixed-shape serving batches
         (same YET, fresh quote stacks) hit the same count every sweep.
@@ -492,7 +505,7 @@ class PortfolioKernel:
         mask = self._mask_cache.get(key)
         if mask is None:
             worst_err = self.occ_floor * float(key) * 2.0 ** -51
-            mask = worst_err <= 1e-6
+            mask = (worst_err >= 0.0) & (worst_err <= 1e-6)
             self._mask_cache[key] = mask
         return mask
 
@@ -515,28 +528,41 @@ class PortfolioKernel:
 
     # -- sublinear tail groups ---------------------------------------------
 
-    def _gather_store(self, kind: str, store: int, event_ids: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-        """Ground-up losses of ONE stored lookup (not a row) for a block."""
+    def _store_values(self, kind: str, store: int) -> np.ndarray:
+        """The loss values ONE stored lookup holds (table row, without
+        its zero padding, or CSR values)."""
         if kind == "dense":
             table = self.dense_stack[store]
+            return table[:np.flatnonzero(table).max(initial=0) + 1]
+        lo, hi = self.sparse_offsets[store], self.sparse_offsets[store + 1]
+        return self.sparse_values[lo:hi]
+
+    def _gather_store(self, kind: str, store: int, event_ids: np.ndarray,
+                      out: np.ndarray, values: np.ndarray | None = None
+                      ) -> np.ndarray:
+        """Ground-up losses of ONE stored lookup (not a row) for a block
+        — or, given ``values``, whatever that array (laid out like
+        :meth:`_store_values`) holds in the losses' place."""
+        if kind == "dense":
+            table = self.dense_stack[store] if values is None else values
             np.take(table, event_ids, mode="clip", out=out)
             oob = event_ids >= table.size
             if oob.any():
                 out[oob] = 0.0
             return out
         lo, hi = self.sparse_offsets[store], self.sparse_offsets[store + 1]
-        return sparse_gather_into(
-            self.sparse_ids[lo:hi], self.sparse_values[lo:hi], event_ids, out
-        )
+        if values is None:
+            values = self.sparse_values[lo:hi]
+        return sparse_gather_into(self.sparse_ids[lo:hi], values, event_ids,
+                                  out)
 
     def _tail_group_index(self):
         """Structural tail groups: ``(kind, store, rows)`` triples.
 
         Rows sharing one stored lookup — same book, different terms —
         form a group when at least :data:`MIN_TAIL_GROUP` of them do;
-        whether a given *sweep* actually prices a group sublinearly is
-        decided per call (error bound, sortedness, stream density).
+        whether a given *sweep* actually prices a group off its profile
+        is decided per call (error bound, ``out=``, ``sublinear``).
         Cached: the grouping is a pure function of the source vectors.
         """
         if self._tail_index is None:
@@ -557,162 +583,30 @@ class PortfolioKernel:
 
     @property
     def tail_group_rows(self) -> int:
-        """Rows structurally eligible for the sublinear group path."""
+        """Rows structurally eligible for the book-profile path."""
         return sum(rows.size for _, _, rows in self._tail_group_index())
 
-    def subset(self, rows: np.ndarray) -> "PortfolioKernel":
-        """A compact kernel over a sorted subset of this kernel's rows.
-
-        Used as the exact-lane fallback when a sweep prices most rows
-        through the group path: the leftover rows re-enter
-        :meth:`sweep_segments` as a small kernel of their own, whose net
-        table covers only them.  Stored lookups are re-deduplicated.
-        Cached per row set — serving batches ask for the same split
-        every flush.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        key = rows.tobytes()
-        cached = self._subset_cache.get(key)
-        if cached is not None:
-            return cached
-        n_dense = self.n_dense
-        dense_rows = rows[rows < n_dense]
-        sparse_rows = rows[rows >= n_dense] - n_dense
-        d_uniq, d_inv = np.unique(self.dense_source[dense_rows],
-                                  return_inverse=True)
-        dense_stack = (self.dense_stack[d_uniq] if d_uniq.size
-                       else self.dense_stack[:0])
-        s_uniq, s_inv = np.unique(self.sparse_source[sparse_rows],
-                                  return_inverse=True)
-        ids_parts, val_parts, lengths = [], [], []
-        for seg in s_uniq:
-            a, b = self.sparse_offsets[seg], self.sparse_offsets[seg + 1]
-            ids_parts.append(self.sparse_ids[a:b])
-            val_parts.append(self.sparse_values[a:b])
-            lengths.append(int(b - a))
-        sparse_ids = (np.concatenate(ids_parts) if ids_parts
-                      else np.empty(0, dtype=np.int64))
-        sparse_values = (np.concatenate(val_parts) if val_parts
-                         else np.empty(0, dtype=np.float64))
-        sparse_offsets = np.concatenate(
-            ([0], np.cumsum(lengths, dtype=np.int64))
-        ).astype(np.int64)
-        sub = PortfolioKernel(
-            layer_ids=tuple(self.layer_ids[int(r)] for r in rows),
-            occ_retention=self.occ_retention[rows],
-            occ_limit=self.occ_limit[rows],
-            agg_retention=self.agg_retention[rows],
-            agg_limit=self.agg_limit[rows],
-            participation=self.participation[rows],
-            dense_stack=dense_stack,
-            sparse_ids=sparse_ids,
-            sparse_values=sparse_values,
-            sparse_offsets=sparse_offsets,
-            dense_source=d_inv.astype(np.int64),
-            sparse_source=s_inv.astype(np.int64),
-            block_occurrences=self.block_occurrences,
-        )
-        self._subset_cache[key] = sub
-        return sub
-
     def _sweep_tail_groups(self, segments, event_ids, out, groups) -> None:
-        """Price tail groups via per-trial threshold histograms.
+        """Price tail groups off their books' profiles (module docstring).
 
-        For each group the sorted union of its ``[lo, hi)`` cut points is
-        built once; per block, every gathered loss is bucketed with one
-        ``searchsorted``, a per-(trial, bucket) count + weighted-sum
-        histogram is accumulated with ``bincount``, and each layer's
-        ``sum(clip(g - lo, 0, cap))`` falls out of the cumulative sums:
-
-        ``mid  = (S[k_hi] - S[k_lo]) - lo · (C[k_hi] - C[k_lo])``
-          (occurrences inside the window, measured from the attachment)
-        ``top  = cap · (n_t - C[k_hi])``  (occurrences at/above the cap)
-
-        with ``C[k] = #{g < T[k]}`` and ``S[k] = Σ{g : g < T[k]}``.
-        ``lo == hi`` windows collapse to zero (k_lo == k_hi, cap 0) and
-        an infinite ``hi`` never produces a ``top`` term (C[k_hi] == n_t
-        for finite losses), so degenerate and uncapped rows need no
-        special casing.  Each block partial is clamped at zero — the
-        exact value of a partial sum of clipped losses is never negative,
-        and the ``lo``-anchored subtraction can leave a −ulp residue on
-        trials priced entirely below attachment (the budget
-        :meth:`_shift_mask` gates rows into groups by).
-
-        Two further tricks keep the constant small: dense stores
-        pre-bucket their *table entries* once per sweep, so bucketing the
-        stream is a gather instead of per-occurrence binary search; and
-        chunking follows the histogram budget (active trials × cut
-        points), not the lane path's cache-sized row buffer.
+        A profile is keyed by the stored book's content, so equal books
+        behind distinct lookup objects and kernels share one; an
+        infinite-retention row arrives as the ``[0, 0]`` window and
+        prices to exactly 0.
         """
-        n = event_ids.size
-        # `inv` ranks each occurrence's trial among trials-present, so
-        # the histogram width is active trials, not trial-id span.
-        starts, utr = segments.bounds, segments.trial_ids
-        n_active = utr.size
-        inv = np.repeat(np.arange(n_active, dtype=np.int64), np.diff(starts))
         for kind, store, rows in groups:
-            lo_vec = self.occ_floor[rows]
-            hi_vec = self.occ_ceiling[rows]
-            cap = hi_vec - lo_vec
-            thresholds = np.unique(np.concatenate((lo_vec, hi_vec)))
-            m = thresholds.size
-            k_lo = np.searchsorted(thresholds, lo_vec, side="left")
-            k_hi = np.searchsorted(thresholds, hi_vec, side="left")
-            # bucket(g) = #{thresholds ≤ g}: g < T[k]  ⟺  bucket ≤ k.
-            # A dense store's gathered losses can only be table entries
-            # (or 0 for unknown events), so bucket the table once and
-            # bucket the stream by gather.
-            table_buckets = None
-            if kind == "dense":
-                table = self.dense_stack[store]
-                if table.size < n:
-                    table_buckets = np.searchsorted(thresholds, table,
-                                                    side="right")
-                    zero_bucket = int(np.searchsorted(thresholds, 0.0,
-                                                      side="right"))
-            # Chunk by active trials so the (m + 1, span) histograms stay
-            # within a fixed element budget however long the sweep is.
-            max_span = max(1, 4_000_000 // (m + 1))
-            for a in range(0, n_active, max_span):
-                b = min(a + max_span, n_active)
-                s, e = int(starts[a]), int(starts[b])
-                span = b - a
-                ev = event_ids[s:e]
-                g = self._gather_store(kind, store, ev,
-                                       np.empty(e - s, dtype=np.float64))
-                if table_buckets is not None:
-                    bucket = np.take(table_buckets, ev, mode="clip")
-                    oob = ev >= table_buckets.size
-                    if oob.any():
-                        bucket[oob] = zero_bucket
-                else:
-                    bucket = np.searchsorted(thresholds, g, side="right")
-                # (m + 1, span) layout: the cumulative sum runs down the
-                # bucket axis in contiguous span-wide strides, and each
-                # layer's resolution is a row gather, not a column one.
-                key = bucket * span
-                key += inv[s:e]
-                key -= a
-                size = (m + 1) * span
-                ccum = np.bincount(key, minlength=size).reshape(m + 1, span)
-                scum = np.bincount(key, weights=g,
-                                   minlength=size).reshape(m + 1, span)
-                # In-place running sums down the bucket axis: span-wide
-                # contiguous adds beat np.cumsum's pairwise machinery.
-                for row in range(1, m + 1):
-                    ccum[row] += ccum[row - 1]
-                    scum[row] += scum[row - 1]
-                res = scum[k_hi]
-                res -= scum[k_lo]
-                c_hi = ccum[k_hi]
-                res -= lo_vec[:, None] * (c_hi - ccum[k_lo])
-                tail = ccum[-1][None, :] - c_hi
-                with np.errstate(invalid="ignore"):
-                    top = cap[:, None] * tail
-                np.copyto(top, 0.0, where=tail == 0)
-                res += top
-                np.maximum(res, 0.0, out=res)
-                out[rows[:, None], utr[a:b][None, :]] += res
+            values = self._store_values(kind, store)
+            digest = hashlib.blake2b(kind.encode(), digest_size=16)
+            digest.update(np.ascontiguousarray(values).data)
+            if kind == "sparse":
+                a, b = self.sparse_offsets[store], self.sparse_offsets[store + 1]
+                digest.update(np.ascontiguousarray(self.sparse_ids[a:b]).data)
+            profile = segments.book_profile(
+                digest.digest(), event_ids,
+                partial(BookProfile.build, values=values,
+                        gather=partial(self._gather_store, kind, store)))
+            out[rows] = profile.resolve(self.occ_floor[rows],
+                                        self.occ_ceiling[rows])
 
     # -- terms -------------------------------------------------------------
 
@@ -729,36 +623,41 @@ class PortfolioKernel:
         out *= self.participation[:, None]
         return out
 
-    def _net_gathers(self) -> list:
-        """Per-row ``gather(event_ids, out=)`` over the row's **net table**.
+    def _net_gathers(self, rows=None) -> list:
+        """``gather(event_ids, out=)`` over the **net table** of each of
+        ``rows`` (default: every row).
 
         ``clip(table[e] - r, 0, c)`` is a function of the table *entry*,
         so a row's occurrence terms are applied once to its stored
-        lookup instead of once per occurrence.  Dense rows form an
-        ``(n_dense, width + 1)`` matrix whose zero last column is where
+        lookup instead of once per occurrence.  A dense row's net table
+        is ``width + 1`` long: the zero last entry is where
         ``mode="clip"`` lands every id past the table (unknown event →
         0, no fix-up pass); sparse rows pre-clip their CSR values (a
-        miss gathers 0, which the terms map to 0 anyway).  Built on the
-        first lane sweep; host-local like every cache slot, never
+        miss gathers 0, which the terms map to 0 anyway).  Built per
+        row on the first lane sweep that prices it — a tail group's
+        rows never pay for one; host-local like every cache slot, never
         shipped.
         """
-        if self._net is None:
-            n_dense, width = self.n_dense, self.dense_stack.shape[1]
-            net = np.zeros((n_dense, width + 1), dtype=np.float64)
-            body = net[:, :width]
-            for row in range(n_dense):
-                np.subtract(self.dense_stack[self.dense_source[row]],
-                            self.occ_retention[row], out=body[row])
-            np.clip(body, 0.0, self.occ_limit[:n_dense, None], out=body)
-            gathers = [partial(np.take, table, mode="clip") for table in net]
-            for row, seg in enumerate(self.sparse_source, start=n_dense):
+        rows = range(self.n_layers) if rows is None else rows
+        net, n_dense = self._net, self.n_dense
+        for row in rows:
+            if net[row] is not None:
+                continue
+            r, c = self.occ_retention[row], self.occ_limit[row]
+            if row < n_dense:
+                table = np.zeros(self.dense_stack.shape[1] + 1)
+                np.subtract(self.dense_stack[self.dense_source[row]], r,
+                            out=table[:-1])
+                np.clip(table[:-1], 0.0, c, out=table[:-1])
+                net[row] = partial(np.take, table, mode="clip")
+            else:
+                seg = self.sparse_source[row - n_dense]
                 lo, hi = self.sparse_offsets[seg], self.sparse_offsets[seg + 1]
-                values = self.sparse_values[lo:hi] - self.occ_retention[row]
-                np.clip(values, 0.0, self.occ_limit[row], out=values)
-                gathers.append(partial(sparse_gather_into,
-                                       self.sparse_ids[lo:hi], values))
-            self._net = gathers
-        return self._net
+                values = self.sparse_values[lo:hi] - r
+                np.clip(values, 0.0, c, out=values)
+                net[row] = partial(sparse_gather_into, self.sparse_ids[lo:hi],
+                                   values)
+        return [net[row] for row in rows]
 
     # -- the fused sweep ---------------------------------------------------
 
@@ -800,20 +699,20 @@ class PortfolioKernel:
         ``segments`` describes the trial column of ``event_ids`` (see
         :meth:`YetTable.trial_block`), so the column itself is never
         read.  ``out`` (C-contiguous, ``(L, n_trials)``, float64) is
-        accumulated into when given — the out-of-core engine sweeps once
+        added into when given — the out-of-core engine sweeps once
         per YET chunk against one running matrix.  Aggregate terms are
         *not* applied; compose with :meth:`apply_aggregate`.
 
-        ``sublinear`` controls the tail-group fast path (see the module
+        ``sublinear`` controls the tail-group path (see the module
         docstring): the default (``None``/``True``) prices qualifying
-        same-book row groups via per-trial threshold histograms and
-        everything else through the lane path; ``False`` forces the lane
-        path for every row.  Accumulating (``out=``) sweeps always take
-        the lane path: the groups' error budget is per whole trial, and
-        such a call sees only a slice of each trial's occurrences.
+        same-book row groups off their book profile and everything else
+        through the lane path; ``False`` forces the lane path for every
+        row.  Sweeps into a given ``out=`` always take the lane path:
+        the groups' error budget is per whole trial, and such a call
+        sees only a slice of each trial's occurrences.
         """
         n_layers, n_trials = self.n_layers, segments.n_trials
-        accumulating = out is not None
+        chunked_out = out is not None
         if out is None:
             out = np.zeros((n_layers, n_trials), dtype=np.float64)
         elif (out.shape != (n_layers, n_trials) or out.dtype != np.float64
@@ -827,37 +726,36 @@ class PortfolioKernel:
                 f"segments describe {n} occurrences, got {event_ids.shape}")
         if n == 0:
             return out
-        block = block_occurrences or self.block_occurrences
-        # Tail-group selection happens per sweep: a row goes sublinear
-        # only when its group survives the shifted-clip error bound AND
-        # the stream is dense enough (≥ 2 occurrences per active trial
-        # on average) for the histogram to beat the lanes it replaces.
+        # Routing happens per sweep: a structural group's rows take the
+        # profile when they pass the error bound for this stream and
+        # enough of them do; the rest are counted by why they did not.
+        fallback = ("sublinear_off" if sublinear is False
+                    else "chunked_out" if chunked_out else "error_bound")
         groups = []
-        if sublinear is not False and not accumulating:
-            shifted = self._shift_mask(segments.max_count)
-            if n >= 2 * segments.trial_ids.size:
-                lane_mask = np.ones(n_layers, dtype=bool)
-                for kind, store, rows in self._tail_group_index():
-                    ok = rows[shifted[rows]]
-                    if ok.size >= MIN_TAIL_GROUP:
-                        groups.append((kind, store, ok))
-                        lane_mask[ok] = False
-        if not groups:
-            self._sweep_lanes(segments, event_ids, out, block)
-            return out
-        self._sweep_tail_groups(segments, event_ids, out, groups)
+        lane_mask = np.ones(n_layers, dtype=bool)
+        for kind, store, rows in self._tail_group_index():
+            ok = rows[:0]
+            if fallback == "error_bound":
+                ok = rows[self._shift_mask(segments.max_count)[rows]]
+            if ok.size >= MIN_TAIL_GROUP:
+                groups.append((kind, store, ok))
+                lane_mask[ok] = False
+                self.routed["kernel.profile_rows"] += ok.size
+                rows = rows[lane_mask[rows]]
+            self.routed["kernel.fallback." + fallback] += rows.size
+        if groups:
+            self._sweep_tail_groups(segments, event_ids, out, groups)
         lane_rows = np.flatnonzero(lane_mask)
         if lane_rows.size:
-            # The leftover rows sweep as a compact kernel of their own.
-            out[lane_rows, :] += self.subset(lane_rows).sweep_segments(
-                segments, event_ids, block_occurrences=block, sublinear=False,
-            )
+            self._sweep_lanes(segments, event_ids, out, lane_rows.tolist(),
+                              block_occurrences or self.block_occurrences)
         return out
 
     def _sweep_lanes(self, segments: TrialSegments, event_ids: np.ndarray,
-                     out: np.ndarray, block: int) -> None:
-        """The lane path: per row, one gather from its net table into a
-        reused row buffer and one ``reduceat`` over whole-trial starts."""
+                     out: np.ndarray, rows: list, block: int) -> None:
+        """The lane path over ``rows``: per row, one gather from its net
+        table into a reused row buffer and one ``reduceat`` over
+        whole-trial starts."""
         bounds, trial_ids = segments.bounds, segments.trial_ids
         # Chunk the row buffer by whole trials — as many as fit ``block``
         # occurrences, at least one — so each trial is summed by a single
@@ -874,7 +772,8 @@ class PortfolioKernel:
             chunks.append((s0, int(bounds[b]), bounds[a:b] - s0, cols))
             a = b
         buf = np.empty(max(s1 - s0 for s0, s1, _, _ in chunks))
-        for gather, out_row in zip(self._net_gathers(), out):
+        for row, gather in zip(rows, self._net_gathers(rows)):
+            out_row = out[row]
             for s0, s1, starts, cols in chunks:
                 lane = gather(event_ids[s0:s1], out=buf[:s1 - s0])
                 out_row[cols] += np.add.reduceat(lane, starts)

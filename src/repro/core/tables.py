@@ -21,6 +21,8 @@ with its schema, validation, and the accessors the engines need:
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,9 @@ __all__ = [
     "YELT_SCHEMA",
     "YLT_SCHEMA",
     "EltTable",
+    "BookProfile",
+    "BookProfiles",
+    "MAX_BOOK_PROFILES",
     "TrialSegments",
     "YetHandles",
     "YetTable",
@@ -150,6 +155,168 @@ class EltTable:
 # YET
 # ---------------------------------------------------------------------------
 
+class BookProfile:
+    """One stored book's positive losses over a trial-sorted stream,
+    sorted within each trial, with a per-trial-restarting running sum.
+
+    Everything a same-book row needs from the stream: with ``k`` positive
+    losses in a trial, ``i`` of them ``<= lo`` and ``j`` of them ``< hi``,
+
+        ``sum(clip(g - lo, 0, hi - lo)) = (S[j] - S[i]) - lo*(j - i)
+        + (hi - lo)*(k - j)``
+
+    — two searches per (row, trial), no gather, no pass over the stream.
+    Zero losses (and unknown events) are not stored: they price to 0
+    under every retention ``>= 0``.  Each occurrence is held as one
+    integer ``trial * stride + rank`` (``rank`` = position of its loss
+    among the book's sorted positive stored values, from 1), so the
+    whole profile is one ascending array, a threshold becomes a rank,
+    and all trials of a row are searched by one ``searchsorted``.  Trial
+    ``t``'s running sums sit at ``prefix[offsets[t] + t:]``, led by
+    their own 0.0 and summed by one ``cumsum`` over that trial alone —
+    so an answer is a function of the trial and the row, whatever the
+    trial range (:meth:`trial_range` is a view) or the other rows.
+    """
+
+    __slots__ = ("keys", "prefix", "offsets", "base", "thresholds")
+
+    def __init__(self, keys, prefix, offsets, base, thresholds) -> None:
+        self.keys = keys
+        self.prefix = prefix
+        self.offsets = offsets
+        self.base = base
+        self.thresholds = thresholds
+
+    @classmethod
+    def build(cls, segments: "TrialSegments", event_ids: np.ndarray,
+              values: np.ndarray, gather) -> "BookProfile":
+        """Profile of the book storing ``values`` over one whole stream.
+
+        ``gather(event_ids, out, values=v)`` looks the stream up in any
+        array ``v`` laid out like the book's ``values`` (misses read 0).
+        The stored values are ranked once and the stream gathers those
+        *ranks*, so the per-trial sort is one integer sort.
+        """
+        order = np.argsort(values, kind="stable")
+        order = order[np.searchsorted(values[order], 0.0, side="right"):]
+        thresholds = values[order]
+        stride = thresholds.size + 1
+        rank = np.zeros(values.size)
+        rank[order] = np.arange(1, stride)
+        ranks = gather(event_ids, np.empty(event_ids.size), values=rank)
+        positive = np.flatnonzero(ranks)
+        keys = np.repeat(segments.trial_ids, np.diff(segments.bounds))[positive]
+        keys *= stride
+        keys += ranks[positive].astype(np.int64)
+        keys.sort()
+        n_trials = segments.n_trials
+        base = np.arange(n_trials + 1, dtype=np.int64) * stride
+        offsets = np.searchsorted(keys, base)
+        losses = thresholds[keys % stride - 1]
+        prefix = np.zeros(keys.size + n_trials)
+        bounds = offsets.tolist()
+        for t in np.flatnonzero(np.diff(offsets)).tolist():
+            a, b = bounds[t], bounds[t + 1]
+            np.add.accumulate(losses[a:b], out=prefix[a + t + 1:b + t + 1])
+        return cls(keys, prefix, offsets, base[:-1], thresholds)
+
+    @property
+    def n_trials(self) -> int:
+        return self.base.size
+
+    def trial_range(self, t0: int, t1: int) -> "BookProfile":
+        """The profile of trials ``[t0, t1)``, renumbered from 0 (views)."""
+        if t0 == 0 and t1 == self.n_trials:
+            return self
+        a, b = int(self.offsets[t0]), int(self.offsets[t1])
+        return BookProfile(self.keys[a:b], self.prefix[a + t0:b + t1],
+                           self.offsets[t0:t1 + 1] - a, self.base[t0:t1],
+                           self.thresholds)
+
+    def resolve(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``(rows, n_trials)`` sums of ``clip(g - lo, 0, hi - lo)`` for
+        windows ``0 <= lo <= hi`` (``lo`` finite).
+
+        A loss equal to ``lo`` counts below the window and one equal to
+        ``hi`` above it, so both contribute exactly; ``lo == hi`` rows
+        are exactly 0.  An infinite ``hi`` has nothing above it, which
+        is what keeps ``inf * 0`` out of the last term.  The difference
+        of running sums can leave a -ulp residue on a trial priced
+        entirely below the window, hence the clamp (the error budget
+        the kernel's shift mask admits rows by).
+        """
+        below = np.searchsorted(self.thresholds, lo, side="right")
+        inside = np.maximum(
+            np.searchsorted(self.thresholds, hi, side="left"), below)
+        # One search for every (trial, threshold): trial-major queries
+        # over the distinct ranks ascend, which is the order
+        # ``searchsorted`` walks the keys fastest in.
+        ranks, column = np.unique(np.concatenate((below, inside)),
+                                  return_inverse=True)
+        pos = np.searchsorted(self.keys, self.base[:, None] + ranks,
+                              side="right")
+        shift = np.arange(self.n_trials)[:, None]
+        pos += shift                      # → index into ``prefix``
+        i, j = pos[:, column[:lo.size]], pos[:, column[lo.size:]]
+        res = self.prefix[j] - self.prefix[i]
+        res -= lo * (j - i)
+        cap = hi - lo
+        res += (np.where(np.isinf(cap), 0.0, cap)
+                * (self.offsets[1:, None] + shift - j))
+        return np.maximum(res, 0.0, out=res).T
+
+
+#: Book profiles one YET keeps (least recently used beyond that is
+#: dropped): a serving YET quotes a handful of books at a time, and a
+#: profile is ~16 bytes per positive occurrence.
+MAX_BOOK_PROFILES = 8
+
+
+class BookProfiles:
+    """The bounded per-book :class:`BookProfile` cache of one YET.
+
+    Keyed by the stored book's *content* (every batch stacks a fresh
+    kernel over equal-but-distinct lookup objects).  Owned by — and
+    dropped with — its :class:`YetTable`, so a re-simulated YET starts
+    empty; pickles as a fresh empty cache, so profiles are never
+    shipped and an attached copy builds its own once per worker.
+    Builds run under the lock: concurrent same-book batches (the
+    batcher's broker thread beside callers) share one build.
+    """
+
+    __slots__ = ("_lock", "_profiles", "builds", "hits", "evictions")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._profiles: OrderedDict = OrderedDict()
+        self.builds = self.hits = self.evictions = 0
+
+    def __reduce__(self):
+        return (BookProfiles, ())
+
+    def get(self, key: bytes, build) -> BookProfile:
+        """The profile under ``key``, built by ``build()`` on a miss."""
+        with self._lock:
+            profile = self._profiles.get(key)
+            if profile is not None:
+                self._profiles.move_to_end(key)
+                self.hits += 1
+                return profile
+            profile = self._profiles[key] = build()
+            self.builds += 1
+            while len(self._profiles) > MAX_BOOK_PROFILES:
+                self._profiles.popitem(last=False)
+                self.evictions += 1
+            return profile
+
+    def snapshot(self) -> dict:
+        """Flat ``yet.profile.*`` levels (the :mod:`repro.obs` schema)."""
+        return {"yet.profile.builds": self.builds,
+                "yet.profile.hits": self.hits,
+                "yet.profile.evictions": self.evictions,
+                "yet.profile.resident": len(self._profiles)}
+
+
 class TrialSegments:
     """Whole-trial segments of a trial-sorted occurrence stream.
 
@@ -165,17 +332,28 @@ class TrialSegments:
     Built from trial offsets (trial ``t`` occupies rows ``[offsets[t],
     offsets[t+1])``, any base), so a trial range of a YET is the same
     constructor over a slice of :attr:`YetTable.trial_offsets`.
+
+    Segments handed out by :meth:`YetTable.trial_block` also carry the
+    way to the YET's :class:`BookProfiles` (``profiles``, and for a
+    trial range ``within`` = the whole table's ``(segments, event_ids,
+    t_start)``), so :meth:`book_profile` serves a slice of the cached
+    whole-YET profile; segments of a raw stream build one per call.
     """
 
-    __slots__ = ("bounds", "trial_ids", "n_trials", "max_count")
+    __slots__ = ("bounds", "trial_ids", "n_trials", "max_count",
+                 "_profiles", "_within")
 
-    def __init__(self, offsets: np.ndarray) -> None:
+    def __init__(self, offsets: np.ndarray,
+                 profiles: BookProfiles | None = None,
+                 within: tuple | None = None) -> None:
         counts = np.diff(offsets)
         self.trial_ids = np.flatnonzero(counts)
         self.bounds = np.append(offsets[self.trial_ids], offsets[-1])
         self.bounds -= offsets[0]
         self.n_trials = counts.size
         self.max_count = int(counts.max(initial=0))
+        self._profiles = profiles
+        self._within = within
 
     @classmethod
     def from_sorted_trials(cls, trials: np.ndarray,
@@ -199,6 +377,20 @@ class TrialSegments:
     @property
     def n_occurrences(self) -> int:
         return int(self.bounds[-1])
+
+    def book_profile(self, key: bytes, event_ids: np.ndarray,
+                     build) -> BookProfile:
+        """The profile of the book ``key`` over this stream.
+
+        ``build(segments, event_ids)`` is :meth:`BookProfile.build` with
+        the book bound; it runs at most once per (YET, book) when the
+        segments came from a ``YetTable``, and once per call otherwise.
+        """
+        if self._profiles is None:
+            return build(self, event_ids)
+        whole, whole_ids, t0 = self._within or (self, event_ids, 0)
+        profile = self._profiles.get(key, lambda: build(whole, whole_ids))
+        return profile.trial_range(t0, t0 + self.n_trials)
 
 
 @dataclass(frozen=True)
@@ -229,7 +421,7 @@ class YetTable:
     """
 
     __slots__ = ("table", "n_trials", "_offsets", "_segments",
-                 "_fingerprint", "index_builds")
+                 "_fingerprint", "index_builds", "profiles")
 
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
@@ -253,6 +445,9 @@ class YetTable:
         #: Times the trial column was read to derive the trial index —
         #: stays at 1 however many sweeps (or workers' tasks) use it.
         self.index_builds = 0
+        #: Book profiles of same-book quote groups (see
+        #: :class:`BookProfiles`): live and die with this table.
+        self.profiles = BookProfiles()
 
     @classmethod
     def simulate(
@@ -333,7 +528,9 @@ class YetTable:
         The trial index (offsets, whole-table segments) is derived once
         per table — once per worker for a :meth:`from_handles` copy —
         and a sub-range is offset arithmetic over it, so no sweep
-        re-scans the trial column.
+        re-scans the trial column.  The segments lead back to
+        :attr:`profiles`, so same-book groups of any trial range price
+        off one whole-table profile per book.
         """
         offsets = self.trial_offsets
         if t_stop is None:
@@ -342,11 +539,13 @@ class YetTable:
             raise ConfigurationError(
                 f"invalid trial range [{t_start}, {t_stop}) for {self.n_trials} trials"
             )
+        if self._segments is None:
+            self._segments = TrialSegments(offsets, self.profiles)
         if t_start == 0 and t_stop == self.n_trials:
-            if self._segments is None:
-                self._segments = TrialSegments(offsets)
             return self._segments, self.event_ids
-        return (TrialSegments(offsets[t_start:t_stop + 1]),
+        within = (self._segments, self.event_ids, t_start)
+        return (TrialSegments(offsets[t_start:t_stop + 1], self.profiles,
+                              within),
                 self.event_ids[int(offsets[t_start]):int(offsets[t_stop])])
 
     def fingerprint(self) -> str:

@@ -11,9 +11,12 @@ load into nearly-free extra kernel rows instead of N full sweeps.
 When a flushed batch is the many-quotes-one-book shape (≥16 stacked
 rows sharing one merged lookup, occurrence terms reducing to
 ``clip(g, lo, hi)``), the stacked kernel's sweep routes those rows
-through the **sublinear tail-group path** automatically (E18): the batch
-prices via per-trial sorted-threshold histograms instead of one
-gather per row, so throughput grows sublinearly in batch size.  Rows that don't factor fall back to exact lanes;
+through the **sublinear tail-group path** automatically (E18): they
+price off the book's profile kept beside the YET — two searches per
+(row, trial), no pass over the occurrence stream — so a burst costs one
+profile build per (YET, book), ever, plus a per-row cost that does not
+grow with the stream.  Rows that don't qualify take exact lanes in the
+same sweep (counted: ``kernel.fallback.*``);
 ``ServeStats.sublinear_batches``/``sublinear_rows`` count how often
 flushes qualified.
 

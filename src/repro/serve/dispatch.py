@@ -256,12 +256,11 @@ class PooledDispatcher(Dispatcher):
         if self.pool.health.degraded:
             # Graceful degradation: the pool has failed terminally too
             # many consecutive times, so the batch runs on the calling
-            # thread — through the SAME trial-block decomposition the
-            # workers would have executed (a tail group's answer can
-            # differ by ulps between a whole-YET sweep and a blockwise
-            # one; lane rows are bit-identical either way), so degraded
-            # answers stay bit-identical to pooled ones.  No slab
-            # packing, no handle ships, nothing left to break.
+            # thread, over the trial blocks the workers would have
+            # executed (every row's answer is a function of the trial
+            # alone, so degraded answers are bit-identical to pooled
+            # and inline ones).  No slab packing, no handle ships,
+            # nothing left to break.
             self.pool.health.degraded_calls += 1
             return np.concatenate(
                 [_sweep_trials(yet, kernel, t0, t1)

@@ -49,7 +49,7 @@ import time
 from concurrent.futures import Future
 
 from repro.analytics.ep_curves import EpCurve
-from repro.core.kernels import PortfolioKernel
+from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.tables import YetTable, YltTable
 from repro.dfa.quote import PricingQuote, premium_components
@@ -79,10 +79,16 @@ class ServeStats:
     compatibility but **deprecated** — new code should scrape
     :attr:`PricingService.telemetry` (or :meth:`snapshot`) instead of
     poking fields.  ``sublinear_batches``/``sublinear_rows`` count
-    batches whose stacked kernel qualified for the sublinear tail-group
-    sweep (same-book rows, terms reducing to ``clip(g, lo, hi)``) and
-    the rows that priced through it — the many-quotes-one-book shape
-    ``quote_many`` produces.
+    batches whose stacked kernel held a structural tail group (≥ 16
+    same-book rows — the many-quotes-one-book shape ``quote_many``
+    produces) and the rows in such groups.  Where those rows actually
+    priced is counted beside them on the same plane, from the batch
+    kernel and the YET an in-process sweep ran on:
+    ``kernel.profile_rows`` (off the book's profile),
+    ``kernel.fallback.<reason>`` (sent to lanes: ``error_bound``,
+    ``chunked_out``, ``sublinear_off``) and the ``yet.profile.*``
+    levels (builds, hits, evictions, resident).  Pool workers' counts
+    are not returned yet (ROADMAP item 3).
     """
 
     #: Attribute → counter metric name (the flat dot-key convention of
@@ -302,6 +308,10 @@ class PricingService:
         self._m_sweep_seconds = tel.counter("serve.sweep_seconds")
         self._m_sublinear_batches = tel.counter("serve.sublinear.batches")
         self._m_sublinear_rows = tel.counter("serve.sublinear.rows")
+        self._m_routed = {name: tel.counter(name)
+                          for name in ROUTING_COUNTERS}
+        self._m_profiles = {name: tel.gauge(name)
+                            for name in yet.profiles.snapshot()}
         self._m_largest_batch = tel.gauge("serve.largest_batch",
                                           track_max=True)
         self._m_queue_depth = tel.gauge("serve.queue.depth", track_max=True)
@@ -457,6 +467,10 @@ class PricingService:
         self.drain()
         old_fp = self._yet_fp
         self.yet = yet
+        if self._owned_session is not None:
+            # The private session follows, so nothing of this service
+            # keeps the old trial set (and its book profiles) alive.
+            self._owned_session.yet = yet
         self._yet_fp = yet.fingerprint()
         return self.cache.invalidate_yet(old_fp)
 
@@ -528,8 +542,8 @@ class PricingService:
         )
         self._m_lanes_per_s.set(self.admission.lanes_per_second or 0.0)
         # Structural property of the stacked batch: rows in same-lookup
-        # groups whose terms factor price through the kernel's sublinear
-        # histogram path (the routing itself is inside kernel.run).
+        # groups of >= MIN_TAIL_GROUP.  Where the sweep sent them (book
+        # profile, or lanes and why) is the kernel's own count.
         tail_rows = kernel.tail_group_rows
         self._m_batches.inc()
         self._m_batched_requests.inc(len(requests))
@@ -539,6 +553,10 @@ class PricingService:
         if tail_rows:
             self._m_sublinear_batches.inc()
             self._m_sublinear_rows.inc(tail_rows)
+            for name, rows in kernel.routed.items():
+                self._m_routed[name].inc(rows)
+            for name, level in yet.profiles.snapshot().items():
+                self._m_profiles[name].set(level)
 
         # One payload per (digest, metric) actually requested, cached
         # and fanned back out to every request that asked for it.

@@ -429,6 +429,13 @@ class RiskSession:
             value = details.get(key)
             if value:
                 tel.counter(f"{prefix}.{key}").inc(value)
+        if details.get("tail_group_rows"):
+            # Where the structural tail-group rows priced (kernel
+            # counts) and the book-profile cache of the YET they ran on.
+            for name, rows in details.get("routed", {}).items():
+                tel.counter(name).inc(rows)
+            for name, level in self.yet.profiles.snapshot().items():
+                tel.gauge(name).set(level)
         try:
             spec = engine_spec(res.engine)
         except EngineError:

@@ -2,11 +2,35 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.bench.workloads import build_layer_workload, build_portfolio_workload
 from repro.util.rng import RngHierarchy
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle-seed", type=int, default=None, metavar="N",
+        help="run the collected tests in a pseudo-random order seeded by N "
+             "(the order-independence audit; pytest-randomly is not "
+             "installed here)")
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        # From the sorted node ids, so a seed names one order whatever
+        # the collection order was.
+        items.sort(key=lambda item: item.nodeid)
+        random.Random(seed).shuffle(items)
+
+
+def pytest_report_header(config):
+    seed = config.getoption("--shuffle-seed")
+    return None if seed is None else f"shuffle-seed: {seed}"
 
 
 @pytest.fixture()

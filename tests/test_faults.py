@@ -291,8 +291,8 @@ class TestServingChaos:
         """A killed worker inside a pooled quote batch is invisible in
         the quotes: supervision resubmits the lost trial blocks and the
         batch prices bit-identical to a fault-free pooled service (and
-        to the inline one: distinct books are lane rows, whose answers
-        do not depend on the trial decomposition)."""
+        to the inline one: no row's answer depends on the trial
+        decomposition)."""
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
 

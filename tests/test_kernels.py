@@ -316,6 +316,10 @@ def test_sublinear_group_path_matches_lane_path(ts):
     ref = kernel.run(trials, events, n_trials, sublinear=False)
     sub = kernel.run(trials, events, n_trials)
     np.testing.assert_allclose(sub, ref, rtol=RTOL, atol=ATOL)
+    # two paths were compared: every row left the lanes on the second run
+    assert kernel.routed["kernel.fallback.sublinear_off"] == lo.size * (
+        trials.size > 0)
+    assert kernel.routed["kernel.profile_rows"] == lo.size * (trials.size > 0)
 
 
 class TestSublinearTailGroups:
@@ -330,17 +334,17 @@ class TestSublinearTailGroups:
         events = np.tile(np.arange(1, 3, dtype=np.int64), 20)
         sub = kernel.run(trials, events, 4)
         ref = kernel.run(trials, events, 4, sublinear=False)
-        # (the lane path clips each table entry exactly; the group
-        # path's lo-anchored subtraction may leave ~1e-12 residue, so
-        # its "zero" means within library tolerance)
+        # (exactly, on both: the lane path clips each table entry to
+        # [0, 0], and a profile window with lo == hi is empty — no
+        # difference of running sums is ever taken)
         np.testing.assert_array_equal(ref, 0.0)
-        np.testing.assert_allclose(sub, 0.0, atol=ATOL)
-        np.testing.assert_allclose(sub, ref, rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(sub, 0.0)
+        assert kernel.routed["kernel.profile_rows"] == n
 
     def test_all_zero_loss_trials(self):
-        # Every gathered loss is zero (zeroed book): the histogram path
-        # must produce exact zeros, not -0.0 residue or NaN from its
-        # cap x tail term on inf-capped rows.
+        # Every gathered loss is zero (zeroed book): the profile holds
+        # no occurrence at all and must produce exact zeros, not NaN
+        # from its cap x count term on inf-capped rows.
         n = MIN_TAIL_GROUP
         cap = np.full(n, np.inf)
         cap[: n // 2] = 1e4
@@ -350,6 +354,7 @@ class TestSublinearTailGroups:
         events = np.tile(np.arange(4, dtype=np.int64), 6)
         sub = kernel.run(trials, events, 3)
         np.testing.assert_array_equal(sub, 0.0)
+        assert kernel.routed["kernel.profile_rows"] == n
 
     def test_sparse_store_groups_match_lane_path(self, tiny_workload):
         # Same-book stacks dedupe to one CSR segment under
@@ -371,9 +376,9 @@ class TestSublinearTailGroups:
 
     def test_mixed_group_and_lane_rows(self, tiny_workload):
         # A stack with one shared-book tail group plus an odd-book row:
-        # the group prices sublinearly, the leftover row goes through
-        # the exact lane fallback, and the union matches the all-lane
-        # sweep row for row.
+        # the group prices off its profile, the leftover row on the
+        # lane path of the same sweep, and the union matches the
+        # all-lane sweep row for row.
         elts = tiny_workload.portfolio.layers[0].elts
         other = EltTable.from_arrays([1, 2, 3], [111.0, 222.0, 333.0],
                                      contract_id=9)
@@ -392,8 +397,12 @@ class TestSublinearTailGroups:
         np.testing.assert_allclose(sub, ref, rtol=RTOL, atol=ATOL)
 
     def test_shift_mask_is_cached_per_count_key(self, tiny_workload):
-        # Satellite: repeated fixed-shape sweeps reuse the memoised mask.
-        kernel = tiny_workload.portfolio.kernel()
+        # Satellite: repeated fixed-shape sweeps reuse the memoised mask
+        # (only a kernel with a structural tail group ever asks for one).
+        elts = tiny_workload.portfolio.layers[0].elts
+        kernel = PortfolioKernel.from_layers([
+            Layer(i, elts, LayerTerms(occ_retention=1e3 * i))
+            for i in range(MIN_TAIL_GROUP)])
         yet = tiny_workload.yet
         kernel.run(yet.trials, yet.event_ids, yet.n_trials)
         cached = dict(kernel._mask_cache)

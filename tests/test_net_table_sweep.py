@@ -238,7 +238,7 @@ def test_net_table_sweep_matches_sequential_oracle(case):
 
 
 def test_net_tables_pre_apply_the_terms():
-    """Dense rows: ``(n_dense, width + 1)`` with a zero last column that
+    """Dense rows: ``width + 1`` long with a zero last entry that
     out-of-table ids clip to; sparse rows: pre-clipped CSR values."""
     compact = EltTable.from_arrays([1, 2, 3], [100.0, 200.0, 300.0])
     huge = EltTable.from_arrays([2, 10**9], [50.0, 75.0], contract_id=1)

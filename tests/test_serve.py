@@ -117,6 +117,10 @@ class TestBatcherParity:
             assert svc.stats.batches == 1
             assert svc.stats.sublinear_batches == 1
             assert svc.stats.sublinear_rows >= 16
+            # ... and the rows really priced off the book's profile
+            metrics = svc.telemetry.snapshot()["metrics"]
+            assert metrics["kernel.profile_rows"] == 20
+            assert metrics["yet.profile.resident"] == 1
         for layer, q in zip(layers[:3], quotes[:3]):
             losses = direct_layer_pricing(layer, wl.yet)
             np.testing.assert_allclose(q.expected_loss, losses.mean(),
