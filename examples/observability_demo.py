@@ -44,8 +44,7 @@ with repro.RiskSession(workload.yet, workload.portfolio) as session:
     # A planned aggregate (emits a plan.decision event), a quote burst
     # with duplicates (cache hits), and an EP curve — one substrate.
     session.aggregate()
-    svc = session.pricing_service(
-        batch=BatchPolicy(max_batch=16, window_seconds=0.002))
+    svc = session.pricing_service(batch=BatchPolicy(max_batch=16))
     svc.quote_many(candidates)
     # Repeats of already-priced structures come straight from the
     # content-addressed cache — no sweep, just a hit counter bump.

@@ -2,11 +2,12 @@
 
 Four "underwriter" threads hammer one shared :class:`PricingService`
 with candidate excess-of-loss structures — some unique, some duplicates
-of structures a colleague already asked about.  The broker thread holds
-each request for a few milliseconds of batch window, stacks everything
-in flight into one ephemeral portfolio kernel, and prices the batch in
-a single YET pass; repeat structures come straight from the
-content-addressed cache without any sweep at all.
+of structures a colleague already asked about.  The broker thread takes
+whatever is queued the moment it is free — the first request is priced
+at once, and everything that arrives while that sweep runs is stacked
+into one ephemeral portfolio kernel and priced in a single YET pass;
+repeat structures come straight from the content-addressed cache
+without any sweep at all.
 
 Run:  python examples/serving_demo.py
 """
@@ -46,9 +47,11 @@ menu = [
     for i in range(12)
 ]
 
+# Batches form from load, not from a timer: the broker takes what is
+# queued the moment it is free, so no window is configured.
 service = repro.PricingService(
     workload.yet,
-    batch=BatchPolicy(max_batch=64, window_seconds=0.005, auto_flush=True),
+    batch=BatchPolicy(max_batch=64, auto_flush=True),
     slo_seconds=30.0,
 )
 # One warm quote calibrates the admission controller's throughput

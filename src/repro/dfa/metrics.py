@@ -46,7 +46,11 @@ def value_at_risk(ylt, q: float) -> float:
 
 
 def tail_value_at_risk(ylt, q: float) -> float:
-    """Conditional expectation of annual loss beyond VaR(q)."""
+    """Conditional expectation of annual loss beyond VaR(q).
+
+    A quote's ``tail_load`` (:mod:`repro.dfa.quote`) sums the same tail
+    row-wise in another order: the two agree to rtol 1e-12, not ``==``.
+    """
     return stats_utils.tail_expectation(_losses(ylt), q)
 
 

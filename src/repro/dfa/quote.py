@@ -3,18 +3,59 @@
 A leaf module: :mod:`repro.dfa.pricing` (the classic synchronous
 pricer) and :mod:`repro.serve.service` (the batched service) both
 produce :class:`PricingQuote` values from the same
-:func:`premium_components` arithmetic, so they live below both — one
-formula, one place, and the two paths cannot silently diverge.
+:func:`premium_components_rows` arithmetic (:func:`premium_components`
+is its one-row case), so they live below both — one formula, one place,
+and the two paths cannot silently diverge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.tables import YltTable
-from repro.dfa.metrics import tail_value_at_risk
+import numpy as np
 
-__all__ = ["PricingQuote", "premium_components"]
+from repro.core.tables import YltTable
+from repro.util.stats_utils import tail_expectation_rows
+
+__all__ = ["PricingQuote", "premium_components", "premium_components_rows"]
+
+
+def premium_components_rows(
+    losses,
+    occ_limits,
+    volatility_loading: float,
+    tail_loading: float,
+) -> list[tuple[float, float, float, float, float]]:
+    """Technical-premium decomposition of every row of an ``(L, n_trials)``
+    matrix of annual layer losses, in one pass over axis 1.
+
+    Returns one ``(expected_loss, volatility_load, tail_load, premium,
+    rate_on_line)`` tuple per row — the latency-free fields of a
+    :class:`PricingQuote`, and exactly what the serving layer caches.
+    Expected loss is the row mean, the volatility load scales
+    ``std(ddof=1)`` (0 for a single trial), the tail load scales
+    TVaR₉₉ with ties at the VaR included
+    (:func:`~repro.util.stats_utils.tail_expectation_rows`), and the rate
+    on line is ``nan`` for a zero or infinite occurrence limit.  Rows
+    are reduced independently, so a row's numbers do not depend on which
+    rows share its batch.  The tail load agrees with ``tail_loading *
+    dfa.metrics.tail_value_at_risk(ylt, 0.99)`` to rtol 1e-12, not
+    ``==``: the two sum the same tail in a different order.
+    """
+    losses = np.ascontiguousarray(losses, dtype=np.float64)
+    tvar = tail_expectation_rows(losses, 0.99)
+    expected = losses.mean(axis=1)
+    std = (losses.std(axis=1, ddof=1) if losses.shape[1] > 1
+           else np.zeros(len(losses)))
+    vol_load = volatility_loading * std
+    tail = tail_loading * tvar
+    premium = expected + vol_load + tail
+    limits = np.asarray(occ_limits, dtype=np.float64)
+    on_line = np.isfinite(limits) & (limits != 0.0)
+    rol = np.divide(premium, limits, out=np.full(len(losses), np.nan),
+                    where=on_line)
+    return list(zip(expected.tolist(), vol_load.tolist(), tail.tolist(),
+                    premium.tolist(), rol.tolist()))
 
 
 def premium_components(
@@ -23,20 +64,13 @@ def premium_components(
     volatility_loading: float,
     tail_loading: float,
 ) -> tuple[float, float, float, float, float]:
-    """Technical-premium decomposition of one layer YLT.
-
-    Returns ``(expected_loss, volatility_load, tail_load, premium,
-    rate_on_line)`` — the latency-free fields of a
-    :class:`PricingQuote`, and exactly what the serving layer caches.
-    """
-    expected = ylt.mean()
-    std = float(ylt.losses.std(ddof=1)) if ylt.n_trials > 1 else 0.0
-    vol_load = volatility_loading * std
-    tail = tail_loading * tail_value_at_risk(ylt, 0.99)
-    premium = expected + vol_load + tail
-    rol = (premium / occ_limit
-           if occ_limit not in (0.0, float("inf")) else float("nan"))
-    return expected, vol_load, tail, premium, rol
+    """Technical-premium decomposition of one layer YLT: the one-row
+    case of :func:`premium_components_rows`, so a quote priced alone and
+    the same quote priced inside a batch are the same numbers (and its
+    ``tail_load`` matches ``tail_value_at_risk`` to rtol 1e-12 only)."""
+    return premium_components_rows(
+        ylt.losses[None, :], [occ_limit], volatility_loading, tail_loading,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -58,7 +92,7 @@ class PricingQuote:
         quoting convention), when the limit is finite.
     latency_seconds:
         Wall time to produce the quote (for batched quotes: submission
-        to resolution, including any batch-window wait).
+        to resolution, including the wait for the sweep in flight).
     trials_per_second:
         Simulation throughput of the sweep that produced this number —
         for a cached quote, the throughput of the original sweep, not

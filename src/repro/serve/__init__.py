@@ -13,8 +13,9 @@ This package turns concurrent requests into few fused sweeps:
 ===========  ============================================================
 module       responsibility
 ===========  ============================================================
-batcher      request broker + micro-batcher: coalesce every request in a
-             short window into one stacked-kernel sweep
+batcher      request broker + micro-batcher: take what is queued the
+             moment the broker is free (the sweep in flight is the
+             window) and coalesce it into one stacked-kernel sweep
 cache        content-addressed results keyed by (YET fingerprint, layer
              digest, metric), LRU-evicted, invalidated on re-simulation
 admission    SLO-aware accept/shed decisions driven by the HPC cost

@@ -37,8 +37,9 @@ class AdmissionDecision:
     accepted:
         Whether the request may join the queue.
     estimated_seconds:
-        Modelled time to clear the queue including this request (batch
-        window wait + sweep time at the dispatcher's parallelism).
+        Modelled time to clear the queue including this request (sweep
+        time at the dispatcher's parallelism, plus any fixed wait the
+        caller declared).
     reason:
         Human-readable grounds for the decision.
     retry_after_seconds:
@@ -143,8 +144,11 @@ class AdmissionController:
         ``n_pending`` is the queue depth before this request,
         ``lanes_per_request`` the sweep lanes one request adds (the
         YET's occurrence count), ``n_procs`` the dispatcher's
-        parallelism, and ``window_seconds`` the batch window the request
-        will wait out before any sweep starts.
+        parallelism, and ``window_seconds`` a fixed wait the caller
+        knows the request will sit out before any sweep starts, added to
+        the modelled latency as is.  The pricing service passes none:
+        its batcher takes what is queued the moment it is free, so an
+        idle service waits out no window.
         """
         backlog_seconds = self._queue_seconds(
             n_pending, lanes_per_request, n_procs

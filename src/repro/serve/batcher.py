@@ -1,12 +1,20 @@
 """Request broker and micro-batcher: N in-flight requests, one sweep.
 
-The serving layer's central trade: hold each quote request for at most a
-short batch window, coalesce everything that arrived in that window into
-one stacked :class:`~repro.core.kernels.PortfolioKernel`, and amortise
-the YET pass — the dominant cost of a quote — across the whole batch.
-The fused-kernel measurements (E13/E14) put a batch of L requests at a
-small multiple of one request's cost, so coalescing converts concurrent
-load into nearly-free extra kernel rows instead of N full sweeps.
+The serving layer's central trade: coalesce the quote requests that are
+waiting into one stacked :class:`~repro.core.kernels.PortfolioKernel`
+and amortise the per-batch costs — stacking, dispatch, the quote
+metrics — across the whole batch.  The fused-kernel measurements
+(E13/E14) put a batch of L requests at a small multiple of one
+request's cost, so coalescing converts concurrent load into nearly-free
+extra kernel rows instead of N full sweeps.
+
+Batches form from load, not from a timer (**natural batching**): the
+broker takes whatever is queued, up to ``max_batch``, the moment it is
+free.  An idle service therefore prices a lone request at once, and the
+requests that arrive while a sweep runs are the next batch — the sweep
+in flight *is* the window.  A stacked lane sweep is linear in its rows,
+so below the saturation knee a timer would buy only latency; above it
+the queue fills ``max_batch`` by itself.
 
 When a flushed batch is the many-quotes-one-book shape (≥16 stacked
 rows sharing one merged lookup, occurrence terms reducing to
@@ -27,9 +35,14 @@ the service.  It runs in two modes:
 - **manual** — callers enqueue with :meth:`submit` and drive execution
   with :meth:`flush`/:meth:`drain`.  Deterministic; what the synchronous
   facade and the benchmarks use.
-- **auto-flush** — :meth:`start` spawns a broker thread that flushes a
-  batch when the first-queued request's window expires or the batch is
-  full, whichever comes first.  What a many-user deployment runs.
+- **auto-flush** — :meth:`start` spawns a broker thread that prices
+  batch after batch as described above.  What a many-user deployment
+  runs.
+
+The one rule of record for the broker: *wait until something is queued
+(or the batcher is stopped), then take up to* ``max_batch`` *of it.*  No
+timer is consulted; ``BatchPolicy.window_seconds`` is accepted and
+ignored.
 
 Failures in ``flush_fn`` propagate to every future in the failed batch;
 the batcher itself stays usable.  Under the serving layer's failure
@@ -63,10 +76,15 @@ class BatchPolicy:
         stacked loss matrix starts spilling cache (see
         ``DEFAULT_BLOCK_OCCURRENCES``), so bigger batches buy little.
     window_seconds:
-        How long the broker thread holds the first request of a batch
-        waiting for company.  The latency floor of the async mode.
+        Unused: batches form from load, so nothing reads it.  The
+        field keeps its name and positional slot only because callers
+        (``benchmarks/e2e``) construct
+        ``BatchPolicy(64, 0.002, auto_flush=True)``; it is validated
+        non-negative and otherwise ignored.
     auto_flush:
-        Start the broker thread (async mode) when the service is built.
+        Start the broker thread (async mode) when the service is built;
+        without it callers drive batches with ``flush()``/``drain()``
+        (manual mode).
     """
 
     max_batch: int = 64
@@ -118,7 +136,7 @@ class MicroBatcher:
         receives the :class:`_Pending` entries (item + enqueue time) and
         must return one result per entry, in order.
     policy:
-        The :class:`BatchPolicy` (window, batch cap, async mode).
+        The :class:`BatchPolicy` (batch cap, async mode).
     """
 
     def __init__(self, flush_fn, policy: BatchPolicy | None = None) -> None:
@@ -260,21 +278,11 @@ class MicroBatcher:
             pass
 
     def _broker_loop(self) -> None:
-        window = self.policy.window_seconds
         while True:
             with self._wake:
                 while not self._pending and not self._stop:
                     self._wake.wait()
-                if not self._pending and self._stop:
-                    return
-                # Hold the batch open until the window of its oldest
-                # request expires or the batch fills.
-                deadline = self._pending[0].enqueued_at + window
-                while (len(self._pending) < self.policy.max_batch
-                       and not self._stop):
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._wake.wait(timeout=remaining)
+                if not self._pending:
+                    return  # stopped, and nothing left to price
                 batch = self._take_batch()
             self._execute(batch)

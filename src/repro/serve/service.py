@@ -6,16 +6,23 @@ through which to view results", §II) and turns concurrent ad-hoc
 requests — each a candidate :class:`~repro.core.layer.Layer` — into as
 few fused kernel sweeps as possible:
 
-1. :meth:`submit` runs admission control (SLO-aware shedding), consults
-   the content-addressed :class:`~repro.serve.cache.ResultCache`, and on
-   a miss queues the request with the
-   :class:`~repro.serve.batcher.MicroBatcher`;
-2. the batcher coalesces every request in flight into one ephemeral
+1. :meth:`submit` consults the content-addressed
+   :class:`~repro.serve.cache.ResultCache`, and on a miss runs
+   admission control (SLO-aware shedding) and queues the request with
+   the :class:`~repro.serve.batcher.MicroBatcher`;
+2. the batcher takes whatever is queued the moment it is free — an idle
+   service prices a lone request at once, and the requests that arrive
+   during a sweep form the next batch — and coalesces it into one
+   ephemeral
    :meth:`PortfolioKernel.from_layers <repro.core.kernels.PortfolioKernel.from_layers>`
    stack (duplicate layers collapse to one kernel row);
 3. a :class:`~repro.serve.dispatch.Dispatcher` executes the batch —
-   inline vectorized or over pool workers — and every ticket resolves
-   with its own metric and an honest per-request latency.
+   inline vectorized or over pool workers; the batch's quote metrics
+   (expected loss, volatility and tail loads) are computed for all of
+   its quote rows in one pass
+   (:func:`~repro.dfa.quote.premium_components_rows`), and every ticket
+   resolves with its own metric and an honest per-request latency,
+   counted from submission for hits and misses alike.
 
 The synchronous helpers (:meth:`quote`, :meth:`quote_many`,
 :meth:`ep_curve`) wrap that flow for library callers;
@@ -44,7 +51,6 @@ operator resets the pool's health.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future
 
@@ -52,7 +58,7 @@ from repro.analytics.ep_curves import EpCurve
 from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.tables import YetTable, YltTable
-from repro.dfa.quote import PricingQuote, premium_components
+from repro.dfa.quote import PricingQuote, premium_components_rows
 from repro.errors import (AdmissionError, AnalysisError, ConfigurationError,
                           ExecutionError, ReproError)
 from repro.hpc.pool import TaskPolicy
@@ -162,12 +168,16 @@ class _Request:
     was actually swept against.
     """
 
-    __slots__ = ("layer", "metric", "digest")
+    __slots__ = ("layer", "metric", "digest", "submitted")
 
-    def __init__(self, layer: Layer, metric: str, digest: str) -> None:
+    def __init__(self, layer: Layer, metric: str, digest: str,
+                 submitted: float) -> None:
         self.layer = layer
         self.metric = metric
         self.digest = digest
+        #: ``perf_counter`` at :meth:`PricingService.submit` entry — the
+        #: request's latency starts here, before digest and admission.
+        self.submitted = submitted
 
 
 class PricingService:
@@ -184,8 +194,8 @@ class PricingService:
     volatility_loading / tail_loading:
         Premium loadings, as in :class:`~repro.dfa.pricing.RealTimePricer`.
     batch:
-        :class:`~repro.serve.batcher.BatchPolicy` — window, batch cap,
-        and whether a broker thread auto-flushes.
+        :class:`~repro.serve.batcher.BatchPolicy` — batch cap and
+        whether a broker thread auto-flushes.
     cache:
         :class:`~repro.serve.cache.CachePolicy` (or a ready
         :class:`~repro.serve.cache.ResultCache`) for result reuse.
@@ -325,9 +335,6 @@ class PricingService:
         #: Eviction watermark for the delta-based ``serve.cache.evictions``
         #: counter (the cache keeps its own plain stats).
         self._evictions_seen = self.cache.stats.evictions
-        #: Legacy lock kept for API compatibility; counter updates now
-        #: synchronise inside the registry metrics themselves.
-        self._stats_lock = threading.Lock()
         self._yet_fp = yet.fingerprint()
         self._closed = False
         if self.batcher.policy.auto_flush:
@@ -400,14 +407,13 @@ class PricingService:
             self.batcher.n_pending,
             lanes_per_request=max(self.yet.n_occurrences, 1),
             n_procs=self.dispatcher.n_procs,
-            window_seconds=self.batcher.policy.window_seconds,
         )
         if not decision.accepted:
             self._m_shed.inc()
             self.telemetry.event("serve.shed", reason=decision.reason,
                                  queue_depth=self.batcher.n_pending)
             raise AdmissionError(decision.reason)
-        request = _Request(layer, metric, digest)
+        request = _Request(layer, metric, digest, submitted)
         future = self.batcher.submit(request)
         self._m_queue_depth.set(self.batcher.n_pending)
         return Ticket(future, submitted)
@@ -499,7 +505,7 @@ class PricingService:
         yet = self.yet
         yet_fp = yet.fingerprint()
         with self.telemetry.span("serve.stack"):
-            # Duplicate submissions inside one window collapse to one
+            # Duplicate submissions inside one batch collapse to one
             # kernel row; rows are keyed by first-seen digest order.
             row_ids: dict[str, int] = {}
             unique_layers: list[Layer] = []
@@ -561,27 +567,43 @@ class PricingService:
         # One payload per (digest, metric) actually requested, cached
         # and fanned back out to every request that asked for it.
         with self.telemetry.span("serve.merge"):
-            payloads: dict[tuple[str, str], object] = {}
-            results = []
-            for p in pendings:
-                req = p.item
-                pkey = (req.digest, req.metric)
+            wanted: dict[tuple[str, str], _Request] = {}
+            for req in requests:
+                wanted.setdefault((req.digest, req.metric), req)
+
+            def row_of(req: _Request) -> int:
+                return kernel.row_of(row_ids[req.digest])
+
+            # The batch's quote metrics, all quote rows in one pass.  No
+            # ``YltTable`` is built for them: of its checks on kernel
+            # output, non-empty and finite are repeated there, and
+            # non-negative is not — nothing relied on it for quotes (a
+            # kernel row is a sum of clipped, non-negative terms).
+            quoted = [req for req in wanted.values()
+                      if req.metric == "quote"]
+            payloads: dict[tuple[str, str], object] = {
+                (req.digest, "quote"): (*components, sim_tps)
+                for req, components in zip(quoted, premium_components_rows(
+                    final[[row_of(req) for req in quoted]],
+                    [req.layer.terms.occ_limit for req in quoted],
+                    self.volatility_loading, self.tail_loading,
+                ))
+            } if quoted else {}
+            for pkey, req in wanted.items():
                 payload = payloads.get(pkey)
                 if payload is None:
-                    row = kernel.row_of(row_ids[req.digest])
-                    payload = self._build_payload(final[row], req.metric,
-                                                  req.layer)
-                    if req.metric == "quote":
-                        payload = (*payload, sim_tps)
-                    payloads[pkey] = payload
-                    self._m_cache_miss_bytes.inc(payload_nbytes(payload))
-                    self.cache.put(
-                        (yet_fp, req.digest, self._metric_keys[req.metric]),
-                        payload,
-                    )
-                results.append(
-                    self._materialise(payload, req.metric, p.enqueued_at)
+                    payload = payloads[pkey] = self._build_payload(
+                        final[row_of(req)], req.metric)
+                self._m_cache_miss_bytes.inc(payload_nbytes(payload))
+                self.cache.put(
+                    (yet_fp, req.digest, self._metric_keys[req.metric]),
+                    payload,
                 )
+            results = [
+                self._materialise(payloads[req.digest, req.metric],
+                                  req.metric, req.submitted)
+                for req in requests
+            ]
             evictions = self.cache.stats.evictions
             if evictions > self._evictions_seen:
                 freed = evictions - self._evictions_seen
@@ -592,17 +614,12 @@ class PricingService:
 
     # -- payloads ----------------------------------------------------------
 
-    def _build_payload(self, losses, metric: str, layer: Layer):
-        """The cacheable, latency-free value of one (layer, metric)."""
+    @staticmethod
+    def _build_payload(losses, metric: str):
+        """The cacheable value of one ``ylt`` / ``ep_curve`` request
+        (quote payloads are computed for the whole batch at once)."""
         ylt = YltTable(losses.copy())
-        if metric == "ylt":
-            return ylt
-        if metric == "ep_curve":
-            return EpCurve(ylt.losses)
-        return premium_components(
-            ylt, layer.terms.occ_limit,
-            self.volatility_loading, self.tail_loading,
-        )
+        return ylt if metric == "ylt" else EpCurve(ylt.losses)
 
     def _materialise(self, payload, metric: str, submitted_at: float):
         """Stamp a cached payload into a per-request result.
