@@ -20,23 +20,53 @@ says dominates the ~10⁹ event-loss lookups of one aggregate run.
 **The lane path** moves the occurrence terms from the occurrence stream
 to the lookup.  Every row has its own ``(retention, limit)`` and reads
 one stored table, so ``clip(table[e] - r, 0, c)`` is a function of the
-*table entry*: a per-row **net table** is built once per kernel (see
-:meth:`PortfolioKernel._net_gathers`) and a sweep is, per row, one
-gather from it into a single reused row buffer plus one
-``np.add.reduceat`` over whole-trial segment starts — no ``(L, block)``
-lane matrix, no clip pass over the stream, no post-reduction
-correction.  What a sweep needs from the trial column is a
+*table entry* — and for a row that attaches high, most entries are 0
+and most of the stream cannot matter.  A lane row therefore prices one
+of two ways, **by a rule that reads the row alone** (its own stored
+book and terms; :meth:`PortfolioKernel._pierced_entries`):
+
+- **by events** — a dense row whose entries above its retention are at
+  most :data:`BY_EVENT_MAX_FILL` (1/16) of its own table width, and
+  every CSR row.  The row keeps just those entries, ``(events,
+  clip(loss - r, 0, c))``, taken from the stored lookup; the stream's
+  :class:`~repro.core.tables.EventIndex` (the occurrences as one sorted
+  key per occurrence, event-major) turns each event into its occurrence
+  range inside the trial block with two ``searchsorted`` calls, and one
+  ``bincount`` over the touched occurrences is the row — work
+  proportional to the occurrences that pierce the retention, not to the
+  stream.
+- **on the stream** — every other row.  A per-row **net table** is
+  built once per kernel (:meth:`PortfolioKernel._net_gathers`) and a
+  sweep is one gather from it into a single reused row buffer plus one
+  ``np.add.reduceat`` over whole-trial segment starts — no ``(L,
+  block)`` lane matrix, no clip pass over the stream.
+  ``block_occurrences`` bounds the row buffer: the stream is chunked at
+  trial boundaries, as many whole trials as fit the bound (at least
+  one).  Chunk-accumulating ``out=`` sweeps, which see partial trials,
+  keep every row here.
+
+What a sweep needs from the trial column is a
 :class:`~repro.core.tables.TrialSegments`, derived once per ``YetTable``
-and handed over by :meth:`YetTable.trial_block`; the raw-array
-:meth:`sweep` derives the same structure per call (after one stable
-sort if the stream is unsorted) and runs the same core.
-``block_occurrences`` bounds the row buffer: the stream is chunked at
-trial boundaries, as many whole trials as fit the bound (at least one).
-**Bit-identity rule:** every trial is therefore summed whole, by one
-``reduceat``, whatever the chunking or trial-block decomposition — lane
-rows of whole-YET, blocked, pooled and degraded-serial sweeps are
-``np.array_equal`` (only *chunked* ``out=`` sweeps, which
-split trials across calls, add partials and differ by ulps).
+and handed over by :meth:`YetTable.trial_block` together with the way
+to the table's event index (built on the first by-event row, once per
+table — once per worker for an attached copy).  The raw-array
+:meth:`sweep` derives the segments per call (after one stable sort if
+the stream is unsorted), builds an index *for the call* if a row
+routes to it, and runs the same core — so does any sweep over
+segments that did not come from a ``YetTable``.  Every row's path is
+counted in :attr:`PortfolioKernel.routed` (``kernel.lane_rows.*``).
+
+**Bit-identity rule:** a lane row's answer is a function of the trial
+and the row.  A stream row sums every trial whole, in stream order, by
+one ``reduceat``, whatever the chunking or trial-block decomposition; a
+by-event row sums a trial's piercing occurrences in (event, stream
+position) order, which no decomposition changes either.  The two orders
+differ by ulps, so every entry point must route a row the same way —
+which is why routing reads nothing but the row: not the stream, the
+block, the kernel's other rows, nor an option.  Lane rows of whole-YET,
+blocked, pooled, degraded-serial and raw-``sweep()`` pricing are then
+``np.array_equal`` (only *chunked* ``out=`` sweeps, which split trials
+across calls and add partials, differ by ulps).
 
 Kernel rows are ordered dense-first; :attr:`layer_ids` maps row → layer.
 The kernel holds only plain arrays, so it pickles whole — the multicore
@@ -82,7 +112,7 @@ from repro.core.tables import BookProfile, TrialSegments
 from repro.errors import ConfigurationError
 
 __all__ = ["KernelHandles", "PortfolioKernel", "DEFAULT_BLOCK_OCCURRENCES",
-           "MIN_TAIL_GROUP", "ROUTING_COUNTERS"]
+           "MIN_TAIL_GROUP", "BY_EVENT_MAX_FILL", "ROUTING_COUNTERS"]
 
 #: Kernel array attributes that travel through the shared-memory plane,
 #: in the positional order of :meth:`PortfolioKernel.__init__`'s vector
@@ -127,16 +157,29 @@ DEFAULT_BLOCK_OCCURRENCES = 32_768
 #: shape against ≈ 0.55 ms saved per row over the lane path).
 MIN_TAIL_GROUP = 16
 
+#: A dense lane row is priced by events when the table entries above
+#: its retention are at most this share of its own table width (the
+#: stored book up to its last non-zero loss); a CSR row always is.  The
+#: share of *occurrences* that pierce follows the share of entries, and
+#: the by-event path (≈ 30 ns per piercing occurrence) crosses the
+#: stream's flat ≈ 2.3 ns per occurrence near 7 % at the benchmark's
+#: base shape (measured: 0.23 ms at 1.4 %, 1.06 ms at 6.3 %, 1.46 ms at
+#: 10 %, against 1.15 ms).  A constant of the rule of record, not an
+#: option: see the bit-identity rule in the module docstring.
+BY_EVENT_MAX_FILL = 1 / 16
+
 #: :attr:`PortfolioKernel.routed` keys, in the :mod:`repro.obs` naming
-#: convention: structural tail-group rows priced off a profile, and the
-#: ones sent to lanes instead, by reason.
+#: convention: structural tail-group rows priced off a profile, the ones
+#: sent to lanes instead, by reason, and every lane row by the path
+#: that priced it.
 ROUTING_COUNTERS = ("kernel.profile_rows", "kernel.fallback.error_bound",
                     "kernel.fallback.chunked_out",
-                    "kernel.fallback.sublinear_off")
+                    "kernel.fallback.sublinear_off",
+                    "kernel.lane_rows.by_event", "kernel.lane_rows.by_stream")
 
 #: State derived or counted per instance — never pickled or shipped
 #: through shared memory (workers rebuild caches on first use).
-_CACHE_SLOTS = ("_mask_cache", "_tail_index", "_net", "routed")
+_CACHE_SLOTS = ("_mask_cache", "_tail_index", "_net", "_pierced", "routed")
 
 
 class PortfolioKernel:
@@ -242,8 +285,9 @@ class PortfolioKernel:
         self._mask_cache: dict[int, np.ndarray] = {}
         self._tail_index = None
         self._net: list = [None] * len(self.layer_ids)
-        #: Structural tail-group rows by the path they took, summed over
-        #: this instance's sweeps (plain counts; see ROUTING_COUNTERS).
+        self._pierced: list = [None] * len(self.layer_ids)
+        #: Rows by the path that priced them, summed over this
+        #: instance's sweeps (plain counts; see ROUTING_COUNTERS).
         self.routed = dict.fromkeys(ROUTING_COUNTERS, 0)
 
     def __getstate__(self):
@@ -533,7 +577,7 @@ class PortfolioKernel:
         its zero padding, or CSR values)."""
         if kind == "dense":
             table = self.dense_stack[store]
-            return table[:np.flatnonzero(table).max(initial=0) + 1]
+            return table[:np.flatnonzero(table != 0.0).max(initial=0) + 1]
         lo, hi = self.sparse_offsets[store], self.sparse_offsets[store + 1]
         return self.sparse_values[lo:hi]
 
@@ -634,9 +678,10 @@ class PortfolioKernel:
         ``mode="clip"`` lands every id past the table (unknown event →
         0, no fix-up pass); sparse rows pre-clip their CSR values (a
         miss gathers 0, which the terms map to 0 anyway).  Built per
-        row on the first lane sweep that prices it — a tail group's
-        rows never pay for one; host-local like every cache slot, never
-        shipped.
+        row on the first sweep that prices it on the stream — a tail
+        group's rows never pay for one, a by-event row (every CSR row
+        among them) only under a chunk-accumulating ``out=``;
+        host-local like every cache slot, never shipped.
         """
         rows = range(self.n_layers) if rows is None else rows
         net, n_dense = self._net, self.n_dense
@@ -659,6 +704,35 @@ class PortfolioKernel:
                                    values)
         return [net[row] for row in rows]
 
+    def _pierced_entries(self, row: int):
+        """``(events, net)`` when the rule of record prices ``row`` by
+        events, else ``None``: the stored entries above the row's
+        retention — ascending event ids and their
+        ``clip(loss - r, 0, c)`` — taken from the stored lookup, so a
+        by-event row never builds a net table.  The decision reads the
+        row's own book and terms only (:data:`BY_EVENT_MAX_FILL`; never
+        the stacked width, which other rows set), cached per row.
+        """
+        entry = self._pierced[row]
+        if entry is None:
+            r, c = self.occ_retention[row], self.occ_limit[row]
+            if row < self.n_dense:
+                losses = self._store_values(
+                    "dense", int(self.dense_source[row]))
+                events = np.flatnonzero(losses > r)
+                sparse = events.size <= BY_EVENT_MAX_FILL * losses.size
+                losses = losses[events]
+            else:
+                seg = self.sparse_source[row - self.n_dense]
+                lo, hi = self.sparse_offsets[seg], self.sparse_offsets[seg + 1]
+                pierced = self.sparse_values[lo:hi] > r
+                events = self.sparse_ids[lo:hi][pierced]
+                losses = self.sparse_values[lo:hi][pierced]
+                sparse = True
+            entry = self._pierced[row] = (
+                (events, np.clip(losses - r, 0.0, c)) if sparse else False)
+        return entry or None
+
     # -- the fused sweep ---------------------------------------------------
 
     def sweep(
@@ -675,13 +749,17 @@ class PortfolioKernel:
 
         Derives the stream's :class:`~repro.core.tables.TrialSegments` —
         after one stable sort when the trials arrive unsorted — and runs
-        :meth:`sweep_segments`.  Callers holding a ``YetTable`` skip the
-        derivation: ``sweep_segments(*yet.trial_block())``.
+        :meth:`sweep_segments`, which builds an event index (and a book
+        profile) for this call alone if a row routes to one.  Callers
+        holding a ``YetTable`` skip all three:
+        ``sweep_segments(*yet.trial_block())``.
         """
         trials = np.asarray(trials, dtype=np.int64)
         event_ids = np.asarray(event_ids, dtype=np.int64)
         if trials.shape != event_ids.shape:
             raise ConfigurationError("trials and event_ids must be equal-length")
+        if event_ids.size and event_ids.min() < 0:
+            raise ConfigurationError("event ids must be non-negative")
         if np.any(trials[1:] < trials[:-1]):
             order = np.argsort(trials, kind="stable")
             trials, event_ids = trials[order], event_ids[order]
@@ -707,9 +785,9 @@ class PortfolioKernel:
         docstring): the default (``None``/``True``) prices qualifying
         same-book row groups off their book profile and everything else
         through the lane path; ``False`` forces the lane path for every
-        row.  Sweeps into a given ``out=`` always take the lane path:
-        the groups' error budget is per whole trial, and such a call
-        sees only a slice of each trial's occurrences.
+        row.  Sweeps into a given ``out=`` always take the lane path,
+        on the stream: the groups' error budget is per whole trial, and
+        such a call sees only a slice of each trial's occurrences.
         """
         n_layers, n_trials = self.n_layers, segments.n_trials
         chunked_out = out is not None
@@ -745,15 +823,30 @@ class PortfolioKernel:
             self.routed["kernel.fallback." + fallback] += rows.size
         if groups:
             self._sweep_tail_groups(segments, event_ids, out, groups)
-        lane_rows = np.flatnonzero(lane_mask)
-        if lane_rows.size:
-            self._sweep_lanes(segments, event_ids, out, lane_rows.tolist(),
-                              block_occurrences or self.block_occurrences)
+        # Lane rows: by events where the rule of record says so (never
+        # into a given ``out=``, which holds partial trials), the rest
+        # on the stream.
+        lanes = np.flatnonzero(lane_mask).tolist()
+        by_event = {} if chunked_out else {
+            row: entry for row in lanes
+            if (entry := self._pierced_entries(row)) is not None}
+        by_stream = [row for row in lanes if row not in by_event]
+        self.routed["kernel.lane_rows.by_event"] += len(by_event)
+        self.routed["kernel.lane_rows.by_stream"] += len(by_stream)
+        if by_event:
+            index, t0 = segments.event_index(event_ids)
+            for row, (events, net) in by_event.items():
+                which, trial = index.occurrences(events, t0, t0 + n_trials)
+                out[row] = np.bincount(trial, weights=net[which],
+                                       minlength=n_trials)
+        if by_stream:
+            self._sweep_stream(segments, event_ids, out, by_stream,
+                               block_occurrences or self.block_occurrences)
         return out
 
-    def _sweep_lanes(self, segments: TrialSegments, event_ids: np.ndarray,
-                     out: np.ndarray, rows: list, block: int) -> None:
-        """The lane path over ``rows``: per row, one gather from its net
+    def _sweep_stream(self, segments: TrialSegments, event_ids: np.ndarray,
+                      out: np.ndarray, rows: list, block: int) -> None:
+        """Lane ``rows`` on the stream: per row, one gather from its net
         table into a reused row buffer and one ``reduceat`` over
         whole-trial starts."""
         bounds, trial_ids = segments.bounds, segments.trial_ids

@@ -37,6 +37,7 @@ __all__ = [
     "YELT_SCHEMA",
     "YLT_SCHEMA",
     "EltTable",
+    "EventIndex",
     "BookProfile",
     "BookProfiles",
     "MAX_BOOK_PROFILES",
@@ -205,7 +206,7 @@ class BookProfile:
         rank[order] = np.arange(1, stride)
         ranks = gather(event_ids, np.empty(event_ids.size), values=rank)
         positive = np.flatnonzero(ranks)
-        keys = np.repeat(segments.trial_ids, np.diff(segments.bounds))[positive]
+        keys = segments.trial_column()[positive]
         keys *= stride
         keys += ranks[positive].astype(np.int64)
         keys.sort()
@@ -317,6 +318,103 @@ class BookProfiles:
                 "yet.profile.resident": len(self._profiles)}
 
 
+class EventIndex:
+    """The occurrence stream of one trial-sorted table, event-major.
+
+    One ascending ``int64`` key per occurrence, ``event * n_trials +
+    trial``: the stream ordered by (event, trial), equal keys being
+    interchangeable (same event, same trial, hence the same loss under
+    any row).  The occurrences of event ``e`` in trials ``[t0, t1)`` are
+    then the keys in ``[e * n_trials + t0, e * n_trials + t1)`` — two
+    binary searches, whatever the trial range — which is what lets a
+    kernel row visit only the occurrences of the events that pierce its
+    retention (:meth:`occurrences`).  Where ``event * n_trials`` could
+    overflow (CSR-scale ids) the key is built on the event's *rank*
+    among the stream's distinct ids instead; the order is the same.
+
+    Built lazily, under a lock, on the first lookup — 8 bytes per
+    occurrence, the product taken straight into the key array, the
+    trial column added and the keys sorted in place, so nothing else
+    occurrence-sized is allocated (rank keys, the rare case, pay one
+    ``np.unique``).  A :class:`YetTable` owns one over its own columns
+    (``yet.event_index``: it dies with the table, and pickles as an
+    unbuilt index over the pickled columns, so it is never shipped and
+    an attached copy builds its own once per worker).
+    """
+
+    __slots__ = ("_lock", "_trials", "_event_ids", "n_trials", "_keys",
+                 "_events", "_top", "builds")
+
+    def __init__(self, trials: np.ndarray, event_ids: np.ndarray,
+                 n_trials: int) -> None:
+        self._lock = threading.Lock()
+        self._trials = trials
+        self._event_ids = event_ids
+        self.n_trials = int(n_trials)
+        self._keys: np.ndarray | None = None
+        self._events: np.ndarray | None = None
+        self._top = 0
+        #: Times the stream was sorted into keys — stays at 1 however
+        #: many sweeps (or workers' tasks) look events up.
+        self.builds = 0
+
+    def __reduce__(self):
+        return (EventIndex, (self._trials, self._event_ids, self.n_trials))
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The sorted keys (built on first use)."""
+        with self._lock:
+            if self._keys is None:
+                self._build()
+            return self._keys
+
+    def _build(self) -> None:
+        event_ids, n_trials = self._event_ids, self.n_trials
+        # ``top`` is the first event rank with no occurrence: what an
+        # id the stream does not hold is mapped to (an empty key range).
+        top = int(event_ids.max(initial=-1)) + 1
+        if (top + 1) * n_trials <= np.iinfo(np.int64).max:
+            keys = event_ids * n_trials
+        else:
+            self._events, keys = np.unique(event_ids, return_inverse=True)
+            top = self._events.size
+            keys *= n_trials
+        keys += self._trials
+        keys.sort()
+        self._top, self._keys = top, keys
+        self.builds += 1
+
+    def occurrences(self, events: np.ndarray, t0: int,
+                    t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The occurrences of ``events`` (non-negative ids) in trials
+        ``[t0, t1)``: ``(which, trial)``, one entry per occurrence in
+        (position in ``events``, trial) order — the index into
+        ``events`` and the trial renumbered from ``t0``."""
+        keys = self.keys
+        if self._events is None:
+            rank = np.minimum(events, self._top)
+        else:
+            rank = np.searchsorted(self._events, events)
+            held = self._events[np.minimum(rank, self._top - 1)] == events
+            rank[~held] = self._top
+        base = rank * self.n_trials + t0
+        lo = np.searchsorted(keys, base)
+        counts = np.searchsorted(keys, base + (t1 - t0)) - lo
+        which = np.repeat(np.arange(events.size), counts)
+        lo -= np.cumsum(counts) - counts
+        return which, keys[np.arange(which.size) + lo[which]] - base[which]
+
+    def snapshot(self) -> dict:
+        """Flat ``yet.event_index.*`` levels (the :mod:`repro.obs`
+        schema)."""
+        keys, events = self._keys, self._events
+        return {"yet.event_index.builds": self.builds,
+                "yet.event_index.bytes":
+                    (0 if keys is None else keys.nbytes)
+                    + (0 if events is None else events.nbytes)}
+
+
 class TrialSegments:
     """Whole-trial segments of a trial-sorted occurrence stream.
 
@@ -334,17 +432,21 @@ class TrialSegments:
     constructor over a slice of :attr:`YetTable.trial_offsets`.
 
     Segments handed out by :meth:`YetTable.trial_block` also carry the
-    way to the YET's :class:`BookProfiles` (``profiles``, and for a
-    trial range ``within`` = the whole table's ``(segments, event_ids,
-    t_start)``), so :meth:`book_profile` serves a slice of the cached
-    whole-YET profile; segments of a raw stream build one per call.
+    way to what the YET keeps about its whole stream — its
+    :class:`BookProfiles` (``profiles``) and its :class:`EventIndex`
+    (``events``), and for a trial range ``within`` = the whole table's
+    ``(segments, event_ids, t_start)`` — so :meth:`book_profile` serves
+    a slice of the cached whole-YET profile and :meth:`event_index` the
+    whole-YET index with the block's first trial.  Segments of a raw
+    stream carry neither: each call builds its own.
     """
 
     __slots__ = ("bounds", "trial_ids", "n_trials", "max_count",
-                 "_profiles", "_within")
+                 "_profiles", "_events", "_within")
 
     def __init__(self, offsets: np.ndarray,
                  profiles: BookProfiles | None = None,
+                 events: EventIndex | None = None,
                  within: tuple | None = None) -> None:
         counts = np.diff(offsets)
         self.trial_ids = np.flatnonzero(counts)
@@ -353,6 +455,7 @@ class TrialSegments:
         self.n_trials = counts.size
         self.max_count = int(counts.max(initial=0))
         self._profiles = profiles
+        self._events = events
         self._within = within
 
     @classmethod
@@ -378,6 +481,10 @@ class TrialSegments:
     def n_occurrences(self) -> int:
         return int(self.bounds[-1])
 
+    def trial_column(self) -> np.ndarray:
+        """The trial column these segments describe, re-expanded."""
+        return np.repeat(self.trial_ids, np.diff(self.bounds))
+
     def book_profile(self, key: bytes, event_ids: np.ndarray,
                      build) -> BookProfile:
         """The profile of the book ``key`` over this stream.
@@ -391,6 +498,16 @@ class TrialSegments:
         whole, whole_ids, t0 = self._within or (self, event_ids, 0)
         profile = self._profiles.get(key, lambda: build(whole, whole_ids))
         return profile.trial_range(t0, t0 + self.n_trials)
+
+    def event_index(self, event_ids: np.ndarray) -> tuple[EventIndex, int]:
+        """``(index, t0)``: the event-major index this stream is part of
+        and the index's trial that trial 0 here is — the owning YET's
+        whole-table index, or one over this stream alone (built for the
+        call)."""
+        if self._events is None:
+            return EventIndex(self.trial_column(), event_ids,
+                              self.n_trials), 0
+        return self._events, self._within[2] if self._within else 0
 
 
 @dataclass(frozen=True)
@@ -415,13 +532,23 @@ class YetHandles:
 class YetTable:
     """Pre-simulated year-event table.
 
-    Rows are sorted by ``(trial, seq)``; ``n_trials`` is explicit because
-    trial years with zero occurrences are legal and must survive
-    round-trips (their annual loss is zero, which matters for quantiles).
+    Rows are sorted by ``(trial, seq)`` and event ids are non-negative;
+    ``n_trials`` is explicit because trial years with zero occurrences
+    are legal and must survive round-trips (their annual loss is zero,
+    which matters for quantiles).
+
+    Beyond its columns a table keeps three things about its stream,
+    each derived lazily, once per table (once per worker for a
+    :meth:`from_handles` copy), never pickled or shipped, and dropped
+    with it: the trial index (:attr:`trial_offsets` and the whole-table
+    :class:`TrialSegments`), the book profiles of same-book quote groups
+    (:attr:`profiles`), and the event-major index that high-attaching
+    lane rows price by (:attr:`event_index`).  :meth:`trial_block` hands
+    a sweep all three; :meth:`cache_levels` reports them.
     """
 
     __slots__ = ("table", "n_trials", "_offsets", "_segments",
-                 "_fingerprint", "index_builds", "profiles")
+                 "_fingerprint", "index_builds", "profiles", "event_index")
 
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
@@ -434,6 +561,10 @@ class YetTable:
                 raise ConfigurationError("YET trial indices out of range")
             if (np.diff(trials) < 0).any():
                 raise ConfigurationError("YET rows must be sorted by trial")
+            # Every dense gather clips ids into the table, which would
+            # price a negative id as event 0; the event index keys on it.
+            if table["event_id"].min() < 0:
+                raise ConfigurationError("YET event ids must be non-negative")
         self.table = table
         self.n_trials = int(n_trials)
         self._init_caches()
@@ -448,6 +579,10 @@ class YetTable:
         #: Book profiles of same-book quote groups (see
         #: :class:`BookProfiles`): live and die with this table.
         self.profiles = BookProfiles()
+        #: The stream event-major, for lane rows priced by events (see
+        #: :class:`EventIndex`): built on first use, dies with this table.
+        self.event_index = EventIndex(self.table["trial"],
+                                      self.table["event_id"], self.n_trials)
 
     @classmethod
     def simulate(
@@ -529,8 +664,9 @@ class YetTable:
         per table — once per worker for a :meth:`from_handles` copy —
         and a sub-range is offset arithmetic over it, so no sweep
         re-scans the trial column.  The segments lead back to
-        :attr:`profiles`, so same-book groups of any trial range price
-        off one whole-table profile per book.
+        :attr:`profiles` and :attr:`event_index`, so same-book groups
+        and by-event rows of any trial range price off one whole-table
+        profile per book and one whole-table index.
         """
         offsets = self.trial_offsets
         if t_stop is None:
@@ -540,12 +676,13 @@ class YetTable:
                 f"invalid trial range [{t_start}, {t_stop}) for {self.n_trials} trials"
             )
         if self._segments is None:
-            self._segments = TrialSegments(offsets, self.profiles)
+            self._segments = TrialSegments(offsets, self.profiles,
+                                           self.event_index)
         if t_start == 0 and t_stop == self.n_trials:
             return self._segments, self.event_ids
         within = (self._segments, self.event_ids, t_start)
         return (TrialSegments(offsets[t_start:t_stop + 1], self.profiles,
-                              within),
+                              self.event_index, within),
                 self.event_ids[int(offsets[t_start]):int(offsets[t_stop])])
 
     def fingerprint(self) -> str:
@@ -568,6 +705,11 @@ class YetTable:
 
     def mean_events_per_trial(self) -> float:
         return self.n_occurrences / self.n_trials
+
+    def cache_levels(self) -> dict:
+        """Flat ``yet.profile.*`` / ``yet.event_index.*`` levels: what
+        this table keeps about its stream beyond the columns."""
+        return {**self.profiles.snapshot(), **self.event_index.snapshot()}
 
     # -- shared-memory transport -------------------------------------------
 

@@ -87,13 +87,15 @@ class ServeStats:
     poking fields.  ``sublinear_batches``/``sublinear_rows`` count
     batches whose stacked kernel held a structural tail group (≥ 16
     same-book rows — the many-quotes-one-book shape ``quote_many``
-    produces) and the rows in such groups.  Where those rows actually
-    priced is counted beside them on the same plane, from the batch
-    kernel and the YET an in-process sweep ran on:
-    ``kernel.profile_rows`` (off the book's profile),
+    produces) and the rows in such groups.  Where a batch's rows
+    actually priced is counted beside them on the same plane, from the
+    batch kernel and the YET an in-process sweep ran on, whenever a
+    count moved: ``kernel.profile_rows`` (off the book's profile),
     ``kernel.fallback.<reason>`` (sent to lanes: ``error_bound``,
-    ``chunked_out``, ``sublinear_off``) and the ``yet.profile.*``
-    levels (builds, hits, evictions, resident).  Pool workers' counts
+    ``chunked_out``, ``sublinear_off``), ``kernel.lane_rows.by_event`` /
+    ``kernel.lane_rows.by_stream`` (every lane row by its path), and
+    the ``yet.profile.*`` (builds, hits, evictions, resident) and
+    ``yet.event_index.*`` (builds, bytes) levels.  Pool workers' counts
     are not returned yet (ROADMAP item 3).
     """
 
@@ -320,8 +322,8 @@ class PricingService:
         self._m_sublinear_rows = tel.counter("serve.sublinear.rows")
         self._m_routed = {name: tel.counter(name)
                           for name in ROUTING_COUNTERS}
-        self._m_profiles = {name: tel.gauge(name)
-                            for name in yet.profiles.snapshot()}
+        self._m_yet_levels = {name: tel.gauge(name)
+                              for name in yet.cache_levels()}
         self._m_largest_batch = tel.gauge("serve.largest_batch",
                                           track_max=True)
         self._m_queue_depth = tel.gauge("serve.queue.depth", track_max=True)
@@ -559,10 +561,14 @@ class PricingService:
         if tail_rows:
             self._m_sublinear_batches.inc()
             self._m_sublinear_rows.inc(tail_rows)
-            for name, rows in kernel.routed.items():
-                self._m_routed[name].inc(rows)
-            for name, level in yet.profiles.snapshot().items():
-                self._m_profiles[name].set(level)
+        # An in-process sweep leaves its routing on the batch's kernel
+        # (a pooled one counts in the workers): export what moved.
+        routed = {name: rows for name, rows in kernel.routed.items() if rows}
+        for name, rows in routed.items():
+            self._m_routed[name].inc(rows)
+        if routed:
+            for name, level in yet.cache_levels().items():
+                self._m_yet_levels[name].set(level)
 
         # One payload per (digest, metric) actually requested, cached
         # and fanned back out to every request that asked for it.

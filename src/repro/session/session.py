@@ -429,12 +429,16 @@ class RiskSession:
             value = details.get(key)
             if value:
                 tel.counter(f"{prefix}.{key}").inc(value)
-        if details.get("tail_group_rows"):
-            # Where the structural tail-group rows priced (kernel
-            # counts) and the book-profile cache of the YET they ran on.
-            for name, rows in details.get("routed", {}).items():
-                tel.counter(name).inc(rows)
-            for name, level in self.yet.profiles.snapshot().items():
+        # Where the kernel's rows priced (its own counts: lane rows by
+        # path, tail-group rows by profile or fallback reason) and what
+        # the YET they ran on keeps for them — whenever a count moved,
+        # so a distinct-book aggregate exports its lane routing too.
+        routed = {name: rows
+                  for name, rows in details.get("routed", {}).items() if rows}
+        for name, rows in routed.items():
+            tel.counter(name).inc(rows)
+        if routed:
+            for name, level in self.yet.cache_levels().items():
                 tel.gauge(name).set(level)
         try:
             spec = engine_spec(res.engine)

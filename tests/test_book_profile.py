@@ -507,10 +507,16 @@ class TestCountedRouting:
         self.elt = book(rng)
 
     def routed(self, kernel, **counts):
-        expected = dict.fromkeys(ROUTING_COUNTERS, 0)
+        """Where the kernel's rows (all in one structural group) went;
+        every fallback row is a lane row, by whichever lane path."""
+        lanes = ("kernel.lane_rows.by_event", "kernel.lane_rows.by_stream")
+        expected = dict.fromkeys(set(ROUTING_COUNTERS) - set(lanes), 0)
         expected.update({f"kernel.{k.replace('__', '.')}": v
                          for k, v in counts.items()})
-        assert kernel.routed == expected
+        routed = dict(kernel.routed)
+        assert sum(routed.pop(name) for name in lanes) == sum(
+            v for k, v in counts.items() if k.startswith("fallback"))
+        assert routed == expected
 
     def test_rows_past_the_error_bound_go_to_lanes_counted(self):
         layers = tail_layers(self.elt, MIN_TAIL_GROUP + 2)

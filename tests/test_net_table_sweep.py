@@ -6,8 +6,9 @@ Three contracts:
   raw columns, unsorted columns, chunk-accumulating ``out=``, small row
   buffers, trial-block decompositions) reproduces the scalar
   ``sequential`` oracle across empty trials, unknown event ids,
-  infinite retentions and zero limits — and each is *proved* to have
-  gathered from the net tables, so a silent fallback cannot pass;
+  infinite retentions and zero limits — and each row is *proved* to
+  have priced by the path the rule of record assigns it (its net table
+  on the stream, or the event index), so a silent fallback cannot pass;
 - **decomposition invariance**: lane rows are ``np.array_equal`` however
   the trials are decomposed (whole, blocked, pooled, degraded serial);
 - **one trial index per table**: sweeps read the index a ``YetTable``
@@ -29,7 +30,13 @@ from repro.core.engines import (
 from repro.core.kernels import _HANDLE_FIELDS, PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.tables import YET_SCHEMA, EltTable, TrialSegments, YetTable
+from repro.core.tables import (
+    YET_SCHEMA,
+    EltTable,
+    EventIndex,
+    TrialSegments,
+    YetTable,
+)
 from repro.core.terms import LayerTerms
 from repro.data.columnar import ColumnTable
 from repro.hpc import shm
@@ -48,30 +55,63 @@ def make_yet(trials, event_ids, n_trials):
 
 
 class NetGatherProof:
-    """Counts the gathers a kernel makes from its net tables.
+    """Proves every lane row priced by the path the rule of record
+    assigns it: the net table on the stream, or the event index.
 
-    The lane path has exactly one implementation, and it gathers through
-    ``kernel._net``; wrapping those callables makes "this sweep priced
-    on the net tables" an observable instead of an assumption.
+    Each path has exactly one implementation.  Stream rows gather
+    through ``kernel._net`` and by-event rows look their events up
+    through ``EventIndex.occurrences``; wrapping both makes "this row
+    priced on its net table" / "this row priced by events" an
+    observable instead of an assumption, and the kernel's own
+    ``kernel.lane_rows.*`` counts must agree with what was observed.
     """
 
     def __init__(self, kernel: PortfolioKernel) -> None:
         self.kernel = kernel
-        self.calls = 0
-        kernel._net = [self._counting(g) for g in kernel._net_gathers()]
+        self.gathers = [0] * kernel.n_layers
+        kernel._net = [self._counting(row, g)
+                       for row, g in enumerate(kernel._net_gathers())]
+        self.by_event = {row for row in range(kernel.n_layers)
+                         if kernel._pierced_entries(row) is not None}
 
-    def _counting(self, gather):
+    def _counting(self, row, gather):
         def counted(event_ids, out):
-            self.calls += 1
+            self.gathers[row] += 1
             return gather(event_ids, out=out)
         return counted
 
-    def ran(self, sweep):
-        """Run ``sweep()``; assert every row gathered from its net table."""
-        before = self.calls
-        result = sweep()
-        assert self.calls - before >= self.kernel.n_layers, (
-            "sweep did not price every row on the net tables")
+    def ran(self, sweep, chunked_out=False):
+        """Run ``sweep()``; assert each row took its assigned path (a
+        chunk-accumulating ``out=`` sweep assigns every row the stream).
+        """
+        by_event = set() if chunked_out else self.by_event
+        before, routed = list(self.gathers), dict(self.kernel.routed)
+        lookups = []
+        occurrences = EventIndex.occurrences
+
+        def counted(index, events, t0, t1):
+            lookups.append(events)
+            return occurrences(index, events, t0, t1)
+
+        EventIndex.occurrences = counted
+        try:
+            result = sweep()
+        finally:
+            EventIndex.occurrences = occurrences
+        for row in range(self.kernel.n_layers):
+            gathered = self.gathers[row] - before[row]
+            if row in by_event:
+                assert gathered == 0, f"by-event row {row} read the stream"
+            else:
+                assert gathered >= 1, f"row {row} skipped its net table"
+        assert len(lookups) == len(by_event), "one index lookup per by-event row"
+        moved = {name: self.kernel.routed[name] - routed[name]
+                 for name in ("kernel.lane_rows.by_event",
+                              "kernel.lane_rows.by_stream")}
+        assert moved == {
+            "kernel.lane_rows.by_event": len(by_event),
+            "kernel.lane_rows.by_stream": self.kernel.n_layers - len(by_event),
+        }
         return result
 
 
@@ -233,7 +273,7 @@ def test_net_table_sweep_matches_sequential_oracle(case):
     for start in range(0, yet.n_occurrences, chunk):
         rows = slice(start, start + chunk)
         proof.ran(lambda: kernel.sweep(yet.trials[rows], yet.event_ids[rows],
-                                       n_trials, out=acc))
+                                       n_trials, out=acc), chunked_out=True)
     check(acc)
 
 
