@@ -13,8 +13,9 @@ vectorized  whole-array NumPy over the fused portfolio kernel — the
 device      :class:`~repro.hpc.device.SimulatedGpu` with chunking and
             constant-memory lookup placement — the paper's optimised GPU;
             each YET chunk is uploaded once and consumed by every layer
-multicore   trial-block decomposition over a (lazily spawned) process
-            pool; the stacked kernel ships to each worker once per run
+multicore   trial-block decomposition over a process pool: a driver of
+            :class:`~repro.serve.dispatch.PooledDispatcher` (a private
+            one, or the session's), the one pooled execution path
 mapreduce   a MapReduce job over the simulated DFS (large file space path)
 distributed trial-scatter / lookup-broadcast / YLT-gather over SimCluster
 ========== ===============================================================
@@ -46,7 +47,8 @@ a function of the trial and the row alone, so the bit-identity rule
 covers tail rows too.
 The vectorized, multicore, and
 out-of-core engines are thin drivers of that sweep (whole-array,
-per-trial-block, and per-stored-chunk respectively); the device engine
+per-trial-block through the pooled dispatcher, and per-stored-chunk
+respectively); the device engine
 mirrors the same fusion on the simulated GPU — per resident batch it
 ships ONE stacked ``dense_stack`` upload (row offsets resolved
 in-kernel) plus one CSR pair, packs the constant bank greedily by

@@ -69,9 +69,9 @@ blocked, pooled, degraded-serial and raw-``sweep()`` pricing are then
 across calls and add partials, differ by ulps).
 
 Kernel rows are ordered dense-first; :attr:`layer_ids` maps row → layer.
-The kernel holds only plain arrays, so it pickles whole — the multicore
-engine ships it to each worker once per run instead of re-sending lookup
-arrays per layer per block.
+The kernel holds only plain arrays, so it pickles whole — the pooled
+dispatcher's pickle transport ships it per block task instead of
+re-sending lookup arrays per layer.
 
 **Sublinear tail groups.**  Batches of tail-attaching layers over one
 shared book — the serving layer's many-quotes-one-book shape — do not
@@ -291,9 +291,10 @@ class PortfolioKernel:
         self.routed = dict.fromkeys(ROUTING_COUNTERS, 0)
 
     def __getstate__(self):
-        # Derived caches stay host-local: a pickled kernel (the multicore
-        # ship path) carries only the stacked arrays, and the receiving
-        # worker rebuilds masks/net tables lazily on first use.
+        # Derived caches stay host-local: a pickled kernel (the pooled
+        # dispatcher's pickle transport) carries only the stacked arrays,
+        # and the receiving worker rebuilds masks/net tables lazily on
+        # first use.
         return {name: getattr(self, name) for name in self.__slots__
                 if name not in _CACHE_SLOTS}
 

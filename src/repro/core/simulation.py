@@ -12,15 +12,16 @@ Since the session layer landed it is a veneer over
 staged substrate (worker pool, shared-memory arena) with other entry
 points, and :meth:`AggregateAnalysis.run_all` always sweeps through one
 session so pooled engines stage the (kernel, YET) payload once for the
-whole sweep.  Standalone ``run()`` keeps its historical lifecycle —
+whole sweep.  Standalone ``run()`` goes through an ephemeral session —
 engines it constructs are torn down before it returns.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.core.engines import Engine, EngineResult, get_engine
+from repro.core.engines import Engine, EngineResult
 from repro.core.portfolio import Portfolio
 from repro.core.tables import YeltTable, YetTable, YltTable
 from repro.errors import EngineError
@@ -92,9 +93,20 @@ class AggregateAnalysis:
             )
         self.portfolio = portfolio
         self.yet = yet
-        #: Borrowed staged substrate; ``None`` keeps the classic
-        #: construct-per-run lifecycle.
+        #: Borrowed staged substrate; ``None`` runs each call through
+        #: an ephemeral session.
         self.session = session
+
+    @contextmanager
+    def _session(self):
+        """The bound session, or an ephemeral one closed on exit."""
+        if self.session is not None:
+            yield self.session
+            return
+        from repro.session import RiskSession
+
+        with RiskSession(self.yet) as session:
+            yield session
 
     def run(self, engine: str | Engine = "vectorized", *,
             emit_yelt: bool = False, **engine_kwargs) -> AnalysisResult:
@@ -105,52 +117,18 @@ class AggregateAnalysis:
         ``"distributed"``), ``"auto"`` to let the planner price the
         substrates against the data shape, or a pre-built
         :class:`Engine` instance; ``engine_kwargs`` are passed to the
-        registry constructor.  With a bound session the run reuses its
-        staged engines; standalone runs keep the historical lifecycle
-        (engines constructed here are torn down here).
+        registry constructor.  The run is
+        :meth:`RiskSession.aggregate <repro.session.RiskSession.aggregate>`
+        on the bound session (reusing its staged engines) or on an
+        ephemeral one, so engines constructed for a standalone run are
+        torn down before it returns; caller-built instances keep their
+        own lifecycle either way.
         """
-        if isinstance(engine, str) and self.session is not None:
-            return self.session.aggregate(
+        with self._session() as session:
+            return session.aggregate(
                 self.portfolio, engine=engine, emit_yelt=emit_yelt,
                 **engine_kwargs,
             )
-        plan = None
-        owned = isinstance(engine, str)
-        if owned and engine == "auto":
-            if engine_kwargs:
-                # Constructor kwargs are engine-specific; forwarding them
-                # to whichever engine the planner happens to pick would
-                # either crash or silently misconfigure.  Parallelism is
-                # capped at the session level (RiskSession(n_workers=...)).
-                raise EngineError(
-                    "engine_kwargs require an explicit engine name; "
-                    "engine='auto' chooses its own configuration"
-                )
-            from repro.session.planner import plan_workload
-
-            # The plan constraint set must match this run's request —
-            # emit_yelt excludes engines that cannot emit.
-            plan = plan_workload(
-                self.yet, n_layers=self.portfolio.n_layers,
-                require_emit_yelt=emit_yelt,
-            )
-            engine = plan.engine
-        if owned:
-            engine = get_engine(engine, **engine_kwargs)
-        elif engine_kwargs:
-            raise EngineError("engine_kwargs only apply when engine is a name")
-        try:
-            res = engine.run(self.portfolio, self.yet, emit_yelt=emit_yelt)
-        finally:
-            # Engines constructed here are also torn down here (worker
-            # pools and the like); caller-provided instances keep their
-            # resources for reuse and close themselves.
-            if owned and hasattr(engine, "close"):
-                engine.close()
-        result = AnalysisResult.from_engine(res)
-        if plan is not None:
-            result.details["plan"] = plan
-        return result
 
     def run_all(self, names: list[str] | None = None) -> dict[str, AnalysisResult]:
         """Run several engines on the same inputs (cross-validation aid).
@@ -161,9 +139,5 @@ class AggregateAnalysis:
         engines stage their (kernel, YET) payload once for the sweep
         instead of once per engine.
         """
-        if self.session is not None:
-            return self.session.run_all(names, self.portfolio)
-        from repro.session import RiskSession
-
-        with RiskSession(self.yet, portfolio=self.portfolio) as session:
-            return session.run_all(names)
+        with self._session() as session:
+            return session.run_all(names, self.portfolio)

@@ -1,15 +1,16 @@
 """Supervised work-pool wrapper (real processes when available, serial otherwise).
 
-The multicore engine and the MapReduce runtime can execute tasks through
-this wrapper.  On single-core or fork-restricted hosts the pool degrades
-to serial execution with identical results — parallelism in this library
-never changes answers, only wall time.
+The pooled dispatcher (hence the multicore engine and serving) and the
+MapReduce runtime execute tasks through this wrapper.  On single-core or
+fork-restricted hosts the pool degrades to serial execution with
+identical results — parallelism in this library never changes answers,
+only wall time.
 
 Worker processes are spawned lazily on first parallel use and reused
 across calls; :meth:`WorkPool.close` (or the context manager) is the
 shutdown path.  :meth:`WorkPool.starmap_shared` ships one large shared
-object (e.g. a stacked portfolio kernel) to each worker exactly once per
-call via the pool initializer instead of re-pickling it per task.
+object (e.g. the YET) to each worker exactly once per call via the pool
+initializer instead of re-pickling it per task.
 
 **Shared-memory transport.**  The shared object may instead be a tiny
 *shipment*: any object exposing ``__shm_resolve__()`` (see
@@ -450,9 +451,8 @@ class WorkPool:
         ``shared`` is delivered to each worker once through the pool
         initializer — not serialised per task — which is the right
         transport for a large read-only object fanned out over many small
-        tasks (the multicore engine ships its stacked portfolio kernel
-        this way: once per run at most, and zero times on repeat runs
-        with the same cached kernel).  A ``shared`` exposing
+        tasks (the pooled dispatcher ships the YET this way: once per
+        trial set, and zero times on repeat runs).  A ``shared`` exposing
         ``__shm_resolve__()`` is a shared-memory shipment: the
         initializer delivers only its handles and workers attach the
         payload as zero-copy views on first touch (serial pools resolve

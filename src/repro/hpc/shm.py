@@ -94,29 +94,28 @@ def shm_available() -> bool:
     return _AVAILABLE
 
 
-def validate_transport(transport: str, exc_type: type = ConfigurationError) -> None:
+def validate_transport(transport: str) -> None:
     """Reject unknown transport names at construction time."""
     if transport not in TRANSPORTS:
-        raise exc_type(
+        raise ConfigurationError(
             f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
         )
 
 
-def resolve_transport(transport: str, exc_type: type = ConfigurationError) -> bool:
+def resolve_transport(transport: str) -> bool:
     """Whether a consumer configured with ``transport`` should use shm.
 
     ``"pickle"`` is an explicit opt-out; ``"shm"`` demands the plane and
-    raises ``exc_type`` on hosts without it; ``"auto"`` takes whatever
-    the availability probe reports.  One rule, shared by the multicore
-    engine and the pooled dispatcher, so the fallback semantics cannot
-    drift apart.
+    raises :class:`~repro.errors.ConfigurationError` on hosts without
+    it; ``"auto"`` takes whatever the availability probe reports.  One
+    rule for the pooled dispatcher and the session's planner label.
     """
-    validate_transport(transport, exc_type)
+    validate_transport(transport)
     if transport == "pickle":
         return False
     available = shm_available()
     if transport == "shm" and not available:
-        raise exc_type(
+        raise ConfigurationError(
             "transport='shm' requested but shared memory is unavailable "
             "on this host"
         )

@@ -44,7 +44,6 @@ from repro.serve.dispatch import (
     Dispatcher,
     InlineDispatcher,
     PooledDispatcher,
-    make_dispatcher,
 )
 from repro.serve.service import PricingService, ServeStats
 
@@ -61,7 +60,6 @@ __all__ = [
     "Dispatcher",
     "InlineDispatcher",
     "PooledDispatcher",
-    "make_dispatcher",
     "PricingService",
     "ServeStats",
 ]

@@ -8,9 +8,10 @@ substrates are provided, mirroring the engine family:
 - :class:`InlineDispatcher` — the vectorized path: one fused sweep on
   the calling thread.  Lowest latency; what a single-node service runs.
 - :class:`PooledDispatcher` — trial-block decomposition over
-  :class:`~repro.hpc.pool.WorkPool` workers, exactly like the multicore
-  engine.  Both sides of its payload ride the zero-copy shared-memory
-  data plane (:mod:`repro.hpc.shm`) when the host supports it:
+  :class:`~repro.hpc.pool.WorkPool` workers; the one pooled execution
+  path (the multicore engine is a driver of it).  Both sides of its
+  payload ride the zero-copy shared-memory data plane
+  (:mod:`repro.hpc.shm`) when the host supports it:
 
   * the *YET arrays* (the stable side of a serving workload) are placed
     in a shared arena keyed by content fingerprint — workers attach once
@@ -54,13 +55,11 @@ import numpy as np
 
 from repro.core.kernels import PortfolioKernel
 from repro.core.tables import YetTable
-from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
 from repro.obs import Telemetry, as_telemetry
 
-__all__ = ["Dispatcher", "InlineDispatcher", "PooledDispatcher",
-           "make_dispatcher"]
+__all__ = ["Dispatcher", "InlineDispatcher", "PooledDispatcher"]
 
 
 class Dispatcher(abc.ABC):
@@ -167,7 +166,7 @@ class PooledDispatcher(Dispatcher):
     def __init__(self, n_workers: int | None = None,
                  transport: str = "auto",
                  telemetry: Telemetry | bool | None = None) -> None:
-        shm.validate_transport(transport, ConfigurationError)
+        shm.validate_transport(transport)
         #: The dispatcher's telemetry plane, shared with its pool (a
         #: session passes its own so one scrape covers the stack).
         self.telemetry = as_telemetry(telemetry)
@@ -214,7 +213,7 @@ class PooledDispatcher(Dispatcher):
     def _shm_active(self) -> bool:
         if self.pool.n_workers <= 1 or self.pool.health.degraded:
             return False
-        return shm.resolve_transport(self.transport, ConfigurationError)
+        return shm.resolve_transport(self.transport)
 
     def _bundle(self, yet: YetTable):
         """The shared-object bundle, keyed by YET content fingerprint."""
@@ -237,9 +236,10 @@ class PooledDispatcher(Dispatcher):
         with self._lock:
             self.pool.ensure_started(shared)
 
-    def _spans(self, yet: YetTable) -> list[tuple[int, int]]:
-        """The batch's trial-block decomposition: ``(t0, t1)`` trial
-        spans, one per worker (capped by trial count)."""
+    def spans(self, yet: YetTable) -> list[tuple[int, int]]:
+        """The trial-block decomposition a run over ``yet`` executes,
+        pooled or degraded: ``(t0, t1)`` trial spans, one per worker
+        (capped by trial count)."""
         n_blocks = min(self.pool.n_workers, yet.n_trials)
         bounds = np.linspace(0, yet.n_trials, n_blocks + 1).astype(int)
         return [(int(b0), int(b1))
@@ -264,9 +264,9 @@ class PooledDispatcher(Dispatcher):
             self.pool.health.degraded_calls += 1
             return np.concatenate(
                 [_sweep_trials(yet, kernel, t0, t1)
-                 for t0, t1 in self._spans(yet)], axis=1)
+                 for t0, t1 in self.spans(yet)], axis=1)
         shared = self._bundle(yet)
-        spans = self._spans(yet)
+        spans = self.spans(yet)
         if self._shm_active() and len(spans) > 1:
             # The batch kernel rides the reusable slab: one memcpy here,
             # ~1 KB of handles per task, no per-task unpickle of the
@@ -304,22 +304,3 @@ class PooledDispatcher(Dispatcher):
             self._yet_arenas.clear()
             self._shared = None
             self._shared_fp = None
-
-
-def make_dispatcher(spec) -> Dispatcher:
-    """Resolve a dispatcher from a name, engine alias, or instance.
-
-    Accepts ``"inline"``/``"vectorized"`` (inline sweep),
-    ``"pooled"``/``"multicore"`` (worker pool), or a ready
-    :class:`Dispatcher`.
-    """
-    if isinstance(spec, Dispatcher):
-        return spec
-    if spec in ("inline", "vectorized"):
-        return InlineDispatcher()
-    if spec in ("pooled", "multicore"):
-        return PooledDispatcher()
-    raise ConfigurationError(
-        f"unknown dispatcher {spec!r}; expected 'inline', 'pooled', or a "
-        "Dispatcher instance"
-    )

@@ -67,7 +67,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Ticket
 from repro.serve.cache import (CachePolicy, ResultCache, layer_digest,
                                payload_nbytes)
-from repro.serve.dispatch import Dispatcher, make_dispatcher
+from repro.serve.dispatch import Dispatcher
 
 __all__ = ["PricingService", "ServeStats"]
 
@@ -252,7 +252,7 @@ class PricingService:
                 )
             # A caller-built dispatcher keeps the historical contract:
             # the service adopts and closes it.
-            self.dispatcher = make_dispatcher(engine)
+            self.dispatcher = engine
             self._owns_dispatch = True
             #: The service's telemetry plane — shares the dispatcher's
             #: when it has one (pooled), else a private plane.

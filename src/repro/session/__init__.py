@@ -30,7 +30,6 @@ from repro.session.planner import (
     EngineEstimate,
     EnginePlanner,
     ExecutionPlan,
-    plan_workload,
 )
 from repro.session.session import RiskSession, SessionStats
 
@@ -38,7 +37,6 @@ __all__ = [
     "EngineEstimate",
     "EnginePlanner",
     "ExecutionPlan",
-    "plan_workload",
     "RiskSession",
     "SessionStats",
 ]

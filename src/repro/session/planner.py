@@ -32,7 +32,7 @@ from repro.hpc.cost_model import ThroughputEstimate
 from repro.hpc.pool import available_parallelism
 from repro.obs import Telemetry
 
-__all__ = ["EngineEstimate", "ExecutionPlan", "EnginePlanner", "plan_workload"]
+__all__ = ["EngineEstimate", "ExecutionPlan", "EnginePlanner"]
 
 #: Workload kinds the planner understands.
 _WORKLOADS = ("aggregate", "serving", "sensitivity")
@@ -305,27 +305,3 @@ class EnginePlanner:
             work_items=lanes,
             estimates=tuple(estimates),
         )
-
-
-def plan_workload(yet, *, workload: str = "aggregate", n_layers: int = 1,
-                  n_workers: int | None = None,
-                  pool_warm: bool = False,
-                  require_emit_yelt: bool = False) -> ExecutionPlan:
-    """One-shot plan for callers without a session (uncalibrated seeds).
-
-    The classic entry points use this for ``engine="auto"``; a
-    :class:`~repro.session.RiskSession` plans through its own calibrated
-    :class:`EnginePlanner` instead.
-    """
-    from repro.hpc import shm
-
-    transport = "shm" if shm.shm_available() else "pickle"
-    return EnginePlanner(n_workers=n_workers).plan(
-        workload,
-        n_trials=yet.n_trials,
-        n_occurrences=yet.n_occurrences,
-        n_layers=n_layers,
-        pool_warm=pool_warm,
-        transport=transport,
-        require_emit_yelt=require_emit_yelt,
-    )

@@ -43,16 +43,15 @@ from __future__ import annotations
 
 import inspect
 import threading
-import time
 
 from repro.analytics.ep_curves import EpCurve, aep_curve, portfolio_ep_curves
 from repro.analytics.sensitivity import term_sensitivities
-from repro.core.engines import Engine, EngineResult
+from repro.core.engines import Engine, EngineResult, MulticoreEngine
 from repro.core.engines.registry import available_engines, engine_spec
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.simulation import AnalysisResult
-from repro.core.tables import YetTable, YltTable
+from repro.core.tables import YetTable
 from repro.errors import ConfigurationError, EngineError
 from repro.hpc import shm
 from repro.hpc.pool import available_parallelism
@@ -64,94 +63,22 @@ __all__ = ["RiskSession", "SessionStats"]
 
 
 class SessionStats:
-    """Bounded workload counters for one session.
+    """Bounded workload counters for one session: a snapshot view over
+    the ``session.*`` counters of the session's
+    :class:`~repro.obs.Telemetry` plane."""
 
-    A *view over the session's* :class:`~repro.obs.Telemetry` plane:
-    each attribute reads a ``session.*`` registry counter.  Attribute
-    access is kept for compatibility but **deprecated** — scrape
-    ``session.telemetry`` (or :meth:`snapshot`) instead.
-    """
-
-    _COUNTER_FIELDS = {
-        "aggregates": "session.aggregates",
-        "quotes": "session.quotes",
-        "ep_curves": "session.ep_curves",
-        "sensitivity_sweeps": "session.sensitivity_sweeps",
-        "plans": "session.plans",
-    }
+    _COUNTERS = ("session.aggregates", "session.quotes", "session.ep_curves",
+                 "session.sensitivity_sweeps", "session.plans")
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
-        self._tel = telemetry if telemetry is not None else Telemetry()
-        self._counters = {attr: self._tel.counter(name)
-                          for attr, name in self._COUNTER_FIELDS.items()}
+        tel = telemetry if telemetry is not None else Telemetry()
+        self._counters = {name: tel.counter(name) for name in self._COUNTERS}
 
     def snapshot(self) -> dict:
         """JSON-ready flat dict in the ``session.*`` dot-key convention
         of :mod:`repro.obs`."""
-        return {name: getattr(self, attr)
-                for attr, name in self._COUNTER_FIELDS.items()}
-
-
-def _session_counter_view(attr: str, name: str) -> property:
-    def fget(self: SessionStats) -> int:
-        return int(self._counters[attr].value)
-
-    return property(fget, doc=f"Counter view of {name} (deprecated "
-                              "attribute access; scrape telemetry).")
-
-
-for _attr, _name in SessionStats._COUNTER_FIELDS.items():
-    setattr(SessionStats, _attr, _session_counter_view(_attr, _name))
-del _attr, _name
-
-
-class _StagedMulticore(Engine):
-    """The session-staged multicore substrate.
-
-    Runs the fused portfolio sweep as trial blocks over the *session's*
-    shared :class:`~repro.serve.dispatch.PooledDispatcher` instead of a
-    private :class:`~repro.core.engines.multicore.MulticoreEngine` pool.
-    Numerically identical (same block decomposition, same kernel sweep,
-    block-local aggregate terms), but the YET rides the session's one
-    staged arena — so an aggregate run followed by quote batches ships
-    the trial set zero additional times.
-    """
-
-    name = "multicore"
-
-    def __init__(self, session: "RiskSession") -> None:
-        self._session = session
-
-    def run(self, portfolio: Portfolio, yet: YetTable, *,
-            emit_yelt: bool = False) -> EngineResult:
-        self._validate(portfolio, yet)
-        if emit_yelt:
-            raise EngineError(
-                "multicore engine does not emit YELTs; use the vectorized "
-                "engine for event-granularity output"
-            )
-        t0 = time.perf_counter()
-        sess = self._session
-        kernel = portfolio.kernel(dense_max_entries=sess.dense_max_entries)
-        dispatcher = sess.dispatcher("pooled")
-        final = dispatcher.run(kernel, yet)
-        ylt_by_layer = {
-            lid: YltTable(final[row]) for row, lid in enumerate(kernel.layer_ids)
-        }
-        portfolio_ylt = YltTable.sum(list(ylt_by_layer.values()))
-        return EngineResult(
-            engine=self.name,
-            ylt_by_layer=ylt_by_layer,
-            portfolio_ylt=portfolio_ylt,
-            seconds=time.perf_counter() - t0,
-            details={"n_workers": dispatcher.n_procs,
-                     "n_blocks": min(dispatcher.n_procs, yet.n_trials),
-                     "fused_layers": kernel.n_layers,
-                     "transport": dispatcher.transport_active,
-                     "degraded": bool(dispatcher.health is not None
-                                      and dispatcher.health.degraded),
-                     "session_staged": True},
-        )
+        return {name: int(counter.value)
+                for name, counter in self._counters.items()}
 
 
 class RiskSession:
@@ -190,7 +117,7 @@ class RiskSession:
             raise ConfigurationError(
                 f"expected Portfolio, got {type(portfolio).__name__}"
             )
-        shm.validate_transport(transport, ConfigurationError)
+        shm.validate_transport(transport)
         self.yet = yet
         self.portfolio = portfolio
         self.n_workers = n_workers
@@ -220,7 +147,6 @@ class RiskSession:
         # workload actually needs it.
         self._inline: InlineDispatcher | None = None
         self._pooled: PooledDispatcher | None = None
-        self._staged_multicore: _StagedMulticore | None = None
         self._engines: dict[tuple, Engine] = {}
         self._extra_engines: list[Engine] = []
         self._services: list = []
@@ -267,7 +193,6 @@ class RiskSession:
             self._pooled.close()
             self._pooled = None
         self._inline = None
-        self._staged_multicore = None
 
     def __enter__(self) -> "RiskSession":
         return self
@@ -346,9 +271,14 @@ class RiskSession:
             name = self.plan("aggregate").engine
         spec = engine_spec(name)
         if name == "multicore" and not kwargs:
-            if self._staged_multicore is None:
-                self._staged_multicore = _StagedMulticore(self)
-            return self._staged_multicore
+            # The session-staged substrate: the engine looks the shared
+            # dispatcher up per run and owns nothing, so an aggregate
+            # run followed by quote batches ships the YET zero more times.
+            eng = self._engines.get((name, ()))
+            if eng is None:
+                eng = self._engines[name, ()] = MulticoreEngine.on_dispatcher(
+                    lambda: self.dispatcher("pooled"), self.dense_max_entries)
+            return eng
         params = inspect.signature(spec.factory).parameters
         if "dense_max_entries" in params:
             kwargs.setdefault("dense_max_entries", self.dense_max_entries)
@@ -405,8 +335,7 @@ class RiskSession:
         return plan
 
     def _transport_label(self) -> str:
-        if self._n_procs > 1 and shm.resolve_transport(self.transport,
-                                                       ConfigurationError):
+        if self._n_procs > 1 and shm.resolve_transport(self.transport):
             return "shm"
         return "pickle"
 

@@ -215,9 +215,8 @@ class TestDeviceEngine:
 class TestMulticore:
     @pytest.mark.parametrize("n_workers", [1, 2, 5])
     def test_worker_count_invariant(self, tiny_workload, n_workers):
-        res = MulticoreEngine(n_workers=n_workers).run(
-            tiny_workload.portfolio, tiny_workload.yet
-        )
+        with MulticoreEngine(n_workers=n_workers) as engine:
+            res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
         ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
         assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
 
@@ -230,7 +229,9 @@ class TestMulticore:
         )
         yet = YetTable(table, n_trials=2)
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
-        res = MulticoreEngine(n_workers=16).run(pf, yet)
+        with MulticoreEngine(n_workers=16) as engine:
+            res = engine.run(pf, yet)
+        assert res.details["n_blocks"] == 2
         np.testing.assert_allclose(res.portfolio_ylt.losses, [10.0, 10.0])
 
     def test_emit_yelt_unsupported(self, tiny_workload):
@@ -239,11 +240,11 @@ class TestMulticore:
                                   emit_yelt=True)
 
     def test_pool_is_lazy(self):
-        """Constructing the engine must not spawn a pool."""
+        """Constructing the engine (or reading its pool) must not spawn
+        workers; the first parallel run does."""
         engine = MulticoreEngine(n_workers=4)
-        assert engine._pool is None
         assert engine.pool.n_workers == 4
-        assert engine._pool is not None
+        assert not engine.pool.started
         engine.close()
 
     def test_close_idempotent_and_reusable(self, tiny_workload):
@@ -251,7 +252,7 @@ class TestMulticore:
         res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
         engine.close()
         engine.close()  # idempotent
-        assert engine._pool is None
+        assert not engine.pool.started
         # The engine stays usable: a fresh pool is built on demand.
         again = engine.run(tiny_workload.portfolio, tiny_workload.yet)
         assert res.portfolio_ylt.allclose(again.portfolio_ylt)
@@ -260,8 +261,52 @@ class TestMulticore:
     def test_context_manager_closes(self, tiny_workload):
         with MulticoreEngine(n_workers=2) as engine:
             engine.run(tiny_workload.portfolio, tiny_workload.yet)
-            assert engine._pool is not None
-        assert engine._pool is None
+            pool = engine.pool
+            assert pool.started
+        assert not pool.started
+        assert engine.pool is not pool      # a closed substrate is gone
+
+    @pytest.mark.parametrize("mode", ["shm", "pickle", "degraded"])
+    def test_entry_points_run_one_path(self, small_portfolio_workload,
+                                       risk_session, monkeypatch, mode):
+        """A standalone engine, the registry's and the session's are one
+        implementation: bit-identical answers, one block task."""
+        from repro.hpc import shm
+        from repro.serve import dispatch
+
+        wl = small_portfolio_workload
+        config = dict(n_workers=2,
+                      transport="pickle" if mode == "pickle" else "auto")
+        degraded = mode == "degraded"
+        blocks = []
+        if degraded:
+            # In-process runs only: a pooled run pickles the task by name.
+            real = dispatch._sweep_trials
+            monkeypatch.setattr(
+                dispatch, "_sweep_trials",
+                lambda yet, kernel, t0, t1: (blocks.append((t0, t1)),
+                                             real(yet, kernel, t0, t1))[1])
+        before = shm.active_segment_names()
+        results = []
+        for engine in (MulticoreEngine(**config),
+                       get_engine("multicore", **config)):
+            with engine:
+                engine.pool.health.degraded = degraded
+                results.append(engine.run(wl.portfolio, wl.yet))
+            assert shm.active_segment_names() == before
+        session = risk_session(wl.yet, wl.portfolio, **config)
+        session.dispatcher("pooled").pool.health.degraded = degraded
+        results.append(session.aggregate(engine="multicore"))
+
+        whole = VectorizedEngine().run(wl.portfolio, wl.yet)
+        for res in results:
+            assert res.details["transport"] == ("inline" if degraded else mode)
+            assert res.details["n_blocks"] == 2
+            for lid, ylt in whole.ylt_by_layer.items():
+                np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
+                                              ylt.losses)
+        if degraded:
+            assert blocks == [(0, 150), (150, 300)] * 3
 
 
 class TestMapReduceEngine:

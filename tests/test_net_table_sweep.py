@@ -352,8 +352,7 @@ class TestDecompositionInvariance:
 # ---------------------------------------------------------------------------
 
 def _worker_index_builds(shared, _i):  # pragma: no cover - runs in a worker
-    yet = shared[1] if isinstance(shared, tuple) else shared
-    return os.getpid(), yet.index_builds
+    return os.getpid(), shared.index_builds
 
 
 class TestTrialIndexOncePerWorker:
@@ -383,4 +382,4 @@ class TestTrialIndexOncePerWorker:
             for _ in range(self.N_SWEEPS):
                 result = engine.run(wl.portfolio, wl.yet)
             assert result.details["transport"] == "shm"
-            self.check(engine.pool, engine._staged[2])
+            self.check(engine.pool, engine.dispatcher._bundle(wl.yet))

@@ -33,7 +33,6 @@ from repro.serve import (
     PricingService,
     ResultCache,
     layer_digest,
-    make_dispatcher,
 )
 
 
@@ -191,18 +190,10 @@ class TestDispatchers:
         for a, b in zip(qp, qi):
             assert a.premium == b.premium      # lane rows: bit-identical
 
-    def test_make_dispatcher_aliases(self):
-        assert isinstance(make_dispatcher("vectorized"), InlineDispatcher)
-        assert isinstance(make_dispatcher("inline"), InlineDispatcher)
-        pooled = make_dispatcher("multicore")
-        assert isinstance(pooled, PooledDispatcher)
-        pooled.close()
-        with pytest.raises(ConfigurationError):
-            make_dispatcher("warp-drive")
-
-    def test_dispatcher_instance_passes_through(self):
+    def test_dispatcher_instance_passes_through(self, tiny_workload):
         d = InlineDispatcher()
-        assert make_dispatcher(d) is d
+        with PricingService(tiny_workload.yet, engine=d) as svc:
+            assert svc.dispatcher is d
 
     def test_ensure_started_actually_spawns_workers(self):
         from repro.hpc.pool import WorkPool

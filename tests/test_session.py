@@ -26,7 +26,6 @@ from repro.core.simulation import AggregateAnalysis
 from repro.errors import ConfigurationError, EngineError
 from repro.hpc import shm
 from repro.session import EnginePlanner, ExecutionPlan, RiskSession
-from repro.session.planner import plan_workload
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
                "mapreduce", "distributed"]
@@ -210,8 +209,8 @@ class TestPlanner:
             EnginePlanner(n_workers=2).plan("quantum", n_trials=1,
                                             n_occurrences=1)
 
-    def test_plan_workload_one_shot(self, tiny_workload):
-        plan = plan_workload(tiny_workload.yet, n_layers=1)
+    def test_plan_workload_one_shot(self, tiny_workload, risk_session):
+        plan = risk_session(tiny_workload.yet).plan("aggregate", n_layers=1)
         assert isinstance(plan, ExecutionPlan)
         assert plan.engine in available_engines()
 
@@ -394,9 +393,47 @@ class TestStagedPayload:
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
         res = session.aggregate(engine="multicore")
-        assert res.details["session_staged"] is True
         assert res.details["n_workers"] == 2
+        assert res.details["n_blocks"] == 2
         assert res.details["transport"] in ("shm", "pickle")
+
+    def test_reading_the_session_engine_counts_and_builds_nothing(
+            self, tiny_workload, risk_session):
+        """Only ``run`` looks the shared dispatcher up: ``.dispatcher`` /
+        ``.pool`` reads neither build the pool nor move the stage
+        counters."""
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
+                               n_workers=2)
+        engine = session.engine("multicore")
+
+        def stage_counts():
+            metrics = session.telemetry.snapshot()["metrics"]
+            return (metrics.get("session.stages", 0),
+                    metrics.get("session.stage_reuse", 0))
+
+        assert engine.dispatcher is None and engine.pool is None
+        assert stage_counts() == (0, 0)
+        session.aggregate(engine="multicore")
+        session.aggregate(engine="multicore")
+        assert stage_counts() == (1, 1)
+        assert engine.dispatcher is session.dispatcher("pooled")
+        counts = stage_counts()
+        assert engine.pool.health.degraded is False
+        assert engine.pool is engine.dispatcher.pool
+        assert stage_counts() == counts
+
+    def test_degraded_details_report_the_blocks_that_ran(
+            self, tiny_workload, risk_session):
+        """A degraded pool sweeps serial over the workers' blocks: one
+        processor, still ``pool.n_workers`` blocks."""
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
+                               n_workers=2)
+        session.dispatcher("pooled").pool.health.degraded = True
+        res = session.aggregate(engine="multicore")
+        assert res.details["degraded"] is True
+        assert res.details["n_workers"] == 1
+        assert res.details["n_blocks"] == 2
+        assert res.details["transport"] == "inline"
 
     def test_staged_multicore_rejects_emit_yelt(self, tiny_workload,
                                                 risk_session):
@@ -553,6 +590,9 @@ class TestBoundaryErrors:
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         with pytest.raises(ConfigurationError, match="dispatcher"):
             session.dispatcher("warp-drive")
+        # the one name resolver: engine aliases name the same substrates
+        assert session.dispatcher("vectorized") is session.dispatcher("inline")
+        assert session.dispatcher("multicore") is session.dispatcher("pooled")
 
     def test_analysis_rejects_mismatched_session(self, tiny_workload,
                                                  small_portfolio_workload,

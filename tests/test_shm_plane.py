@@ -24,7 +24,7 @@ import pytest
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
 from repro.core.tables import YetTable
-from repro.errors import ConfigurationError, EngineError, ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import shm
 from repro.hpc.pool import TaskPolicy, WorkPool
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher, _ShmYet
@@ -230,7 +230,7 @@ class TestTransportParity:
                                                        tiny_workload):
         monkeypatch.setattr(shm, "_AVAILABLE", False)
         with MulticoreEngine(n_workers=2, transport="shm") as engine:
-            with pytest.raises(EngineError, match="unavailable"):
+            with pytest.raises(ConfigurationError, match="unavailable"):
                 engine.run(tiny_workload.portfolio, tiny_workload.yet)
 
     def test_auto_transport_falls_back_without_shm(self, monkeypatch,
@@ -243,7 +243,7 @@ class TestTransportParity:
         assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(EngineError):
+        with pytest.raises(ConfigurationError):
             MulticoreEngine(transport="carrier-pigeon")
         with pytest.raises(ConfigurationError):
             PooledDispatcher(transport="carrier-pigeon")
@@ -310,7 +310,8 @@ class TestRecovery:
         with MulticoreEngine(n_workers=2) as engine:
             before = engine.run(wl.portfolio, wl.yet)
             ships = engine.pool.payload_ships
-            shipment = engine._staged[2]
+            shipment = engine.dispatcher._bundle(wl.yet)
+            staged = shm.active_segment_names()
             with pytest.raises(ExecutionError):
                 engine.pool.starmap_shared(_die, shipment,
                                            [(i,) for i in range(4)],
@@ -321,7 +322,8 @@ class TestRecovery:
             # recovery re-sent handles (one more executor build), not a
             # fresh placement: the staged arena is untouched
             assert engine.pool.payload_ships == ships + 1
-            assert engine._staged[2] is shipment
+            assert engine.dispatcher._bundle(wl.yet) is shipment
+            assert shm.active_segment_names() == staged
             assert engine.pool.health.worker_deaths >= 1
 
     def test_dispatcher_recovers_after_worker_death(

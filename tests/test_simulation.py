@@ -39,27 +39,23 @@ class TestAggregateAnalysis:
     def test_run_closes_engines_it_constructs(self, tiny_workload, monkeypatch):
         """Registry-constructed engines (worker pools and the like) must be
         torn down by run(); caller-provided instances must be left open."""
-        from repro.core import simulation as sim
         from repro.core.engines import MulticoreEngine
+        from repro.serve.dispatch import PooledDispatcher
 
         closed = []
-        real = sim.get_engine
-
-        def tracking(name, **kwargs):
-            engine = real(name, **kwargs)
-            orig = engine.close
-            engine.close = lambda: (closed.append(name), orig())
-            return engine
-
-        monkeypatch.setattr(sim, "get_engine", tracking)
+        real = PooledDispatcher.close
+        monkeypatch.setattr(
+            PooledDispatcher, "close",
+            lambda self: (closed.append(self.pool.n_workers), real(self)))
         analysis = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet)
-        analysis.run("multicore")
-        assert closed == ["multicore"]
+        analysis.run("multicore", n_workers=2)
+        assert closed == [2]
 
         mine = MulticoreEngine(n_workers=1)
         analysis.run(mine)
-        assert closed == ["multicore"]  # caller-owned engine untouched
+        assert closed == [2]            # caller-owned engine untouched
         mine.close()
+        assert closed == [2, 1]
 
     def test_expected_annual_loss_positive(self, tiny_workload):
         res = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet).run()
