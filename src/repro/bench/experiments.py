@@ -10,6 +10,8 @@ explicit sizes so the full paper scale can be requested on bigger iron.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.analytics.comparison import compare_engines
@@ -42,6 +44,7 @@ from repro.data.warehouse import LossCube
 from repro.dfa import RiskMetrics, combine_ylts
 from repro.dfa.correlation import GaussianCopula
 from repro.hpc.cost_model import PipelineCostModel, StageSpec
+from repro.session import RiskSession
 from repro.util.rng import RngHierarchy
 from repro.util.tables import format_bytes, format_count
 from repro.util.timing import format_seconds
@@ -61,6 +64,16 @@ __all__ = [
 ]
 
 WEEK_SECONDS = 7 * 24 * 3600.0
+
+
+@contextmanager
+def _bound_analysis(wl):
+    """The workload's :class:`AggregateAnalysis` over one session for
+    all of its timed runs, so a timing holds the run and not an
+    ephemeral session per call (the ``warmup=1`` run absorbs the engine
+    the session then keeps)."""
+    with RiskSession(wl.yet) as session:
+        yield AggregateAnalysis(wl.portfolio, wl.yet, session=session)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +153,11 @@ def run_e03_speedup(trials_list=(250, 500, 1_000, 2_000),
     with MulticoreEngine() as mc_engine:
         for n_trials in trials_list:
             wl = companion_study_workload(n_trials=n_trials)
-            analysis = AggregateAnalysis(wl.portfolio, wl.yet)
-            t_seq, _ = time_call(lambda: analysis.run("sequential"), repeats=repeats, warmup=0)
-            t_vec, _ = time_call(lambda: analysis.run("vectorized"), repeats=repeats, warmup=1)
-            t_mc, _ = time_call(lambda: analysis.run(mc_engine), repeats=repeats, warmup=1)
-            t_dev, _ = time_call(lambda: analysis.run("device"), repeats=repeats, warmup=1)
+            with _bound_analysis(wl) as analysis:
+                t_seq, _ = time_call(lambda: analysis.run("sequential"), repeats=repeats, warmup=0)
+                t_vec, _ = time_call(lambda: analysis.run("vectorized"), repeats=repeats, warmup=1)
+                t_mc, _ = time_call(lambda: analysis.run(mc_engine), repeats=repeats, warmup=1)
+                t_dev, _ = time_call(lambda: analysis.run("device"), repeats=repeats, warmup=1)
             report.add_row(
                 n_trials, format_seconds(t_seq), format_seconds(t_vec),
                 format_seconds(t_mc), format_seconds(t_dev),
@@ -188,8 +201,8 @@ def run_e04_million_trials(
         n_elts=1, elt_rows=16_000, catalog_events=100_000, seed=11,
     )
     engine = VectorizedEngine()
-    analysis = AggregateAnalysis(wl_small.portfolio, wl_small.yet)
-    t_1000, _ = time_call(lambda: analysis.run(engine), repeats=2, warmup=1)
+    with _bound_analysis(wl_small) as analysis:
+        t_1000, _ = time_call(lambda: analysis.run(engine), repeats=2, warmup=1)
     report.add_row(
         "measured @1000 ev/trial", throughput_trials, 1000,
         format_seconds(t_1000), f"{throughput_trials / t_1000:,.0f}",
@@ -253,7 +266,6 @@ def run_e05_chunking(n_trials: int = 20_000,
         n_trials=n_trials, mean_events_per_trial=1000.0, n_elts=4,
         elt_rows=2_000, catalog_events=6_000, seed=13,
     )
-    analysis = AggregateAnalysis(wl.portfolio, wl.yet)
 
     # Memory-placement ablation at a fixed, realistic chunk size.
     variants = [
@@ -262,29 +274,29 @@ def run_e05_chunking(n_trials: int = 20_000,
         ("constant only", dict(use_constant=True, use_shared=False)),
         ("shared + constant", dict(use_constant=True, use_shared=True)),
     ]
-    times = {}
-    for label, flags in variants:
-        engine = DeviceEngine(max_rows_per_chunk=200_000, **flags)
-        t, res = time_call(lambda e=engine: analysis.run(e), repeats=2, warmup=1)
-        placement = (
-            "constant" if res.details["layers"][0]["lookup_in_constant"] else "global"
-        )
-        times[label] = t
-        report.add_row(label, res.details["layers"][0]["rows_per_chunk"],
-                       placement, format_seconds(t),
-                       format_bytes(res.details["h2d_bytes"]))
+    times, sweep_times = {}, {}
+    with _bound_analysis(wl) as analysis:
+        for label, flags in variants:
+            engine = DeviceEngine(max_rows_per_chunk=200_000, **flags)
+            t, res = time_call(lambda e=engine: analysis.run(e), repeats=2, warmup=1)
+            placement = (
+                "constant" if res.details["layers"][0]["lookup_in_constant"] else "global"
+            )
+            times[label] = t
+            report.add_row(label, res.details["layers"][0]["rows_per_chunk"],
+                           placement, format_seconds(t),
+                           format_bytes(res.details["h2d_bytes"]))
 
-    # Chunk-size sweep, including the planner's unconstrained (single
-    # resident chunk) plan — the locality effect chunking is about.
-    sweep_times = {}
-    for rows in chunk_sizes:
-        engine = DeviceEngine(max_rows_per_chunk=rows)
-        t, res = time_call(lambda e=engine: analysis.run(e), repeats=2, warmup=1)
-        actual = res.details["layers"][0]["rows_per_chunk"]
-        sweep_times[actual] = t
-        label = "chunk sweep" if rows is not None else "chunk sweep (planner max)"
-        report.add_row(label, actual, "constant", format_seconds(t),
-                       format_bytes(res.details["h2d_bytes"]))
+        # Chunk-size sweep, including the planner's unconstrained (single
+        # resident chunk) plan — the locality effect chunking is about.
+        for rows in chunk_sizes:
+            engine = DeviceEngine(max_rows_per_chunk=rows)
+            t, res = time_call(lambda e=engine: analysis.run(e), repeats=2, warmup=1)
+            actual = res.details["layers"][0]["rows_per_chunk"]
+            sweep_times[actual] = t
+            label = "chunk sweep" if rows is not None else "chunk sweep (planner max)"
+            report.add_row(label, actual, "constant", format_seconds(t),
+                           format_bytes(res.details["h2d_bytes"]))
     best_rows = min(sweep_times, key=sweep_times.get)
     worst_rows = max(sweep_times, key=lambda k: sweep_times[k])
     report.add_note(
@@ -466,17 +478,16 @@ def run_e09_burst_elasticity(measure_trials: int = 20_000) -> ExperimentReport:
     s1_rate = s1_stats.pairs_per_second
 
     wl = companion_study_workload(n_trials=measure_trials)
-    analysis = AggregateAnalysis(wl.portfolio, wl.yet)
-    t_vec, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
+    with _bound_analysis(wl) as analysis:
+        t_vec, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
     s2_rate = wl.yet.n_occurrences / t_vec  # occurrence-lookups/s/proc
 
     # A 2012-era production core runs scalar code: measure the sequential
     # engine's per-core rate on a smaller slice of the same workload.
     wl_seq = companion_study_workload(n_trials=max(200, measure_trials // 50))
-    t_seq, _ = time_call(
-        lambda: AggregateAnalysis(wl_seq.portfolio, wl_seq.yet).run("sequential"),
-        repeats=1, warmup=0,
-    )
+    with _bound_analysis(wl_seq) as analysis:
+        t_seq, _ = time_call(lambda: analysis.run("sequential"),
+                             repeats=1, warmup=0)
     s2_rate_scalar = wl_seq.yet.n_occurrences / t_seq
 
     ylts = [YltTable(rng.generator(f"y{i}").lognormal(13, 1, measure_trials))
@@ -645,8 +656,8 @@ def run_e11_ablations(n_trials: int = 10_000) -> ExperimentReport:
             n_trials=n_trials, mean_events_per_trial=float(epk),
             n_elts=4, elt_rows=8_000, catalog_events=50_000, seed=31,
         )
-        analysis = AggregateAnalysis(wl.portfolio, wl.yet)
-        t, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
+        with _bound_analysis(wl) as analysis:
+            t, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
         report.add_row("events/trial", epk, format_seconds(t),
                        format_seconds(t / (n_trials / 1000)))
     for n_elts in (1, 4, 8, 16):
@@ -654,8 +665,8 @@ def run_e11_ablations(n_trials: int = 10_000) -> ExperimentReport:
             n_trials=n_trials, mean_events_per_trial=1000.0,
             n_elts=n_elts, elt_rows=8_000, catalog_events=50_000, seed=31,
         )
-        analysis = AggregateAnalysis(wl.portfolio, wl.yet)
-        t, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
+        with _bound_analysis(wl) as analysis:
+            t, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
         report.add_row("ELTs/layer", n_elts, format_seconds(t),
                        format_seconds(t / (n_trials / 1000)))
     report.add_note(

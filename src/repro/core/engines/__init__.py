@@ -27,14 +27,14 @@ one ``(D, width)`` matrix, sparse layers as a unified CSR structure,
 terms as ``(L,)`` vectors.  Lane rows price **on the table, not the
 stream**: occurrence terms are applied once per table entry into a
 per-row net table, and a sweep is, per row, one gather from it into a
-reused row buffer (``block_occurrences`` bounds that buffer, in whole
-trials) plus one ``np.add.reduceat`` over whole-trial segments.  The
+reused row buffer plus one ``np.add.reduceat`` over whole-trial
+segments.  The
 segments are derived once per ``YetTable`` (once per worker for an
 attached copy) and handed to the sweep by every driver that holds a
 YET; raw ``(trial, event)`` columns derive them per call, after one
-stable sort if unsorted.  Bit-identity rule: each trial is summed whole
-by one ``reduceat``, so lane rows give ``np.array_equal`` answers
-whole-YET, blocked, pooled or degraded-serial.
+stable sort if unsorted.  Bit-identity rule: a sweep takes a block of
+whole trials and nothing else, so lane rows give ``np.array_equal``
+answers whole-YET, blocked, pooled, degraded-serial or out-of-core.
 Same-book layer groups whose occurrence terms reduce to
 ``clip(g, lo, hi)`` — the shifted-clip identity, which applies to
 these groups only — price **without the stream**: off a per-(YET, book)
@@ -47,8 +47,8 @@ a function of the trial and the row alone, so the bit-identity rule
 covers tail rows too.
 The vectorized, multicore, and
 out-of-core engines are thin drivers of that sweep (whole-array,
-per-trial-block through the pooled dispatcher, and per-stored-chunk
-respectively); the device engine
+per-trial-block through the pooled dispatcher, and per block of the
+whole trials a stored chunk completes, respectively); the device engine
 mirrors the same fusion on the simulated GPU — per resident batch it
 ships ONE stacked ``dense_stack`` upload (row offsets resolved
 in-kernel) plus one CSR pair, packs the constant bank greedily by

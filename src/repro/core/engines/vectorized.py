@@ -27,15 +27,8 @@ class VectorizedEngine(Engine):
 
     name = "vectorized"
 
-    def __init__(self, dense_max_entries: int = 4_000_000,
-                 block_occurrences: int | None = None,
-                 sublinear_tail: bool = True) -> None:
+    def __init__(self, dense_max_entries: int = 4_000_000) -> None:
         self.dense_max_entries = dense_max_entries
-        self.block_occurrences = block_occurrences
-        # Tail-attaching same-book row groups price off their book's
-        # profile by default; ``False`` forces the lane path (the A/B
-        # knob the e18 bench and parity tests drive).
-        self.sublinear_tail = sublinear_tail
 
     def run(self, portfolio: Portfolio, yet: YetTable, *,
             emit_yelt: bool = False) -> EngineResult:
@@ -48,11 +41,8 @@ class VectorizedEngine(Engine):
 
         kernel = portfolio.kernel(dense_max_entries=self.dense_max_entries)
         routed_before = dict(kernel.routed)
-        final = kernel.apply_aggregate(kernel.sweep_segments(
-            *yet.trial_block(),
-            block_occurrences=self.block_occurrences,
-            sublinear=self.sublinear_tail,
-        ))
+        final = kernel.apply_aggregate(
+            kernel.sweep_segments(*yet.trial_block()))
         ylt_by_layer = {
             lid: YltTable(final[row]) for row, lid in enumerate(kernel.layer_ids)
         }
@@ -85,9 +75,6 @@ class VectorizedEngine(Engine):
             details={
                 "occurrences_processed": event_ids.size * portfolio.n_layers,
                 "fused_layers": kernel.n_layers,
-                "block_occurrences": self.block_occurrences
-                or kernel.block_occurrences,
-                "sublinear_tail": self.sublinear_tail,
                 "tail_group_rows": kernel.tail_group_rows,
                 # Where this run's structural tail-group rows went
                 # (the kernel is the portfolio's, shared across runs).

@@ -39,11 +39,11 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   built once per kernel (:meth:`PortfolioKernel._net_gathers`) and a
   sweep is one gather from it into a single reused row buffer plus one
   ``np.add.reduceat`` over whole-trial segment starts — no ``(L,
-  block)`` lane matrix, no clip pass over the stream.
-  ``block_occurrences`` bounds the row buffer: the stream is chunked at
-  trial boundaries, as many whole trials as fit the bound (at least
-  one).  Chunk-accumulating ``out=`` sweeps, which see partial trials,
-  keep every row here.
+  block)`` lane matrix, no clip pass over the stream.  The kernel's
+  ``block_occurrences`` (:data:`DEFAULT_BLOCK_OCCURRENCES`, set at
+  construction, carried in :class:`KernelHandles`) bounds the row
+  buffer: the stream is chunked at trial boundaries, as many whole
+  trials as fit the bound (at least one).
 
 What a sweep needs from the trial column is a
 :class:`~repro.core.tables.TrialSegments`, derived once per ``YetTable``
@@ -63,10 +63,10 @@ by-event row sums a trial's piercing occurrences in (event, stream
 position) order, which no decomposition changes either.  The two orders
 differ by ulps, so every entry point must route a row the same way —
 which is why routing reads nothing but the row: not the stream, the
-block, the kernel's other rows, nor an option.  Lane rows of whole-YET,
-blocked, pooled, degraded-serial and raw-``sweep()`` pricing are then
-``np.array_equal`` (only *chunked* ``out=`` sweeps, which split trials
-across calls and add partials, differ by ulps).
+block, the kernel's other rows, nor an option.  A sweep takes a block
+of whole trials and nothing else, so lane rows of whole-YET, blocked,
+pooled, degraded-serial, out-of-core and raw-``sweep()`` pricing are
+``np.array_equal``.
 
 Kernel rows are ordered dense-first; :attr:`layer_ids` maps row → layer.
 The kernel holds only plain arrays, so it pickles whole — the pooled
@@ -90,13 +90,14 @@ over the stream.  **Routing:** structural groups of at least
 :data:`MIN_TAIL_GROUP` rows whose rows pass the error bound take the
 profile; everything else — rows outside groups, rows attaching at
 extreme retention scales (and what is left of their group when fewer
-than :data:`MIN_TAIL_GROUP` remain), chunked ``out=`` sweeps, and
-``sublinear=False`` — takes the exact lane path in the same sweep, and
+than :data:`MIN_TAIL_GROUP` remain), and ``sublinear=False`` — takes
+the exact lane path in the same sweep, and
 every structural-group row that does is counted by reason in
 :attr:`PortfolioKernel.routed`.  **Invariance:** a profile answer is a
 function of the trial and the row alone, so tail rows, like lane rows,
-are ``np.array_equal`` across whole-YET, blocked, pooled and
-degraded-serial sweeps and whatever other rows share the group.
+are ``np.array_equal`` across whole-YET, blocked, pooled,
+degraded-serial and out-of-core sweeps and whatever other rows share
+the group.
 """
 
 from __future__ import annotations
@@ -173,7 +174,6 @@ BY_EVENT_MAX_FILL = 1 / 16
 #: sent to lanes instead, by reason, and every lane row by the path
 #: that priced it.
 ROUTING_COUNTERS = ("kernel.profile_rows", "kernel.fallback.error_bound",
-                    "kernel.fallback.chunked_out",
                     "kernel.fallback.sublinear_off",
                     "kernel.lane_rows.by_event", "kernel.lane_rows.by_stream")
 
@@ -607,7 +607,7 @@ class PortfolioKernel:
         Rows sharing one stored lookup — same book, different terms —
         form a group when at least :data:`MIN_TAIL_GROUP` of them do;
         whether a given *sweep* actually prices a group off its profile
-        is decided per call (error bound, ``out=``, ``sublinear``).
+        is decided per call (error bound, ``sublinear``).
         Cached: the grouping is a pure function of the source vectors.
         """
         if self._tail_index is None:
@@ -668,41 +668,30 @@ class PortfolioKernel:
         out *= self.participation[:, None]
         return out
 
-    def _net_gathers(self, rows=None) -> list:
+    def _net_gathers(self, rows) -> list:
         """``gather(event_ids, out=)`` over the **net table** of each of
-        ``rows`` (default: every row).
+        the dense ``rows``.
 
         ``clip(table[e] - r, 0, c)`` is a function of the table *entry*,
         so a row's occurrence terms are applied once to its stored
-        lookup instead of once per occurrence.  A dense row's net table
-        is ``width + 1`` long: the zero last entry is where
-        ``mode="clip"`` lands every id past the table (unknown event →
-        0, no fix-up pass); sparse rows pre-clip their CSR values (a
-        miss gathers 0, which the terms map to 0 anyway).  Built per
-        row on the first sweep that prices it on the stream — a tail
-        group's rows never pay for one, a by-event row (every CSR row
-        among them) only under a chunk-accumulating ``out=``;
-        host-local like every cache slot, never shipped.
+        lookup instead of once per occurrence.  A net table is
+        ``width + 1`` long: the zero last entry is where ``mode="clip"``
+        lands every id past the table (unknown event → 0, no fix-up
+        pass).  Built per row on the first sweep that prices it on the
+        stream — a tail group's rows and by-event rows (every CSR row
+        among them) never pay for one; host-local like every cache
+        slot, never shipped.
         """
-        rows = range(self.n_layers) if rows is None else rows
-        net, n_dense = self._net, self.n_dense
+        net = self._net
         for row in rows:
             if net[row] is not None:
                 continue
             r, c = self.occ_retention[row], self.occ_limit[row]
-            if row < n_dense:
-                table = np.zeros(self.dense_stack.shape[1] + 1)
-                np.subtract(self.dense_stack[self.dense_source[row]], r,
-                            out=table[:-1])
-                np.clip(table[:-1], 0.0, c, out=table[:-1])
-                net[row] = partial(np.take, table, mode="clip")
-            else:
-                seg = self.sparse_source[row - n_dense]
-                lo, hi = self.sparse_offsets[seg], self.sparse_offsets[seg + 1]
-                values = self.sparse_values[lo:hi] - r
-                np.clip(values, 0.0, c, out=values)
-                net[row] = partial(sparse_gather_into, self.sparse_ids[lo:hi],
-                                   values)
+            table = np.zeros(self.dense_stack.shape[1] + 1)
+            np.subtract(self.dense_stack[self.dense_source[row]], r,
+                        out=table[:-1])
+            np.clip(table[:-1], 0.0, c, out=table[:-1])
+            net[row] = partial(np.take, table, mode="clip")
         return [net[row] for row in rows]
 
     def _pierced_entries(self, row: int):
@@ -742,8 +731,6 @@ class PortfolioKernel:
         event_ids: np.ndarray,
         n_trials: int,
         *,
-        out: np.ndarray | None = None,
-        block_occurrences: int | None = None,
         sublinear: bool | None = None,
     ) -> np.ndarray:
         """One fused pass over raw ``(trial, event)`` columns.
@@ -765,40 +752,27 @@ class PortfolioKernel:
             order = np.argsort(trials, kind="stable")
             trials, event_ids = trials[order], event_ids[order]
         segments = TrialSegments.from_sorted_trials(trials, n_trials)
-        return self.sweep_segments(segments, event_ids, out=out,
-                                   block_occurrences=block_occurrences,
-                                   sublinear=sublinear)
+        return self.sweep_segments(segments, event_ids, sublinear=sublinear)
 
     def sweep_segments(self, segments: TrialSegments, event_ids: np.ndarray,
-                       *, out: np.ndarray | None = None,
-                       block_occurrences: int | None = None,
-                       sublinear: bool | None = None) -> np.ndarray:
+                       *, sublinear: bool | None = None) -> np.ndarray:
         """Pre-aggregate ``(L, n_trials)`` annual matrix of one stream.
 
         ``segments`` describes the trial column of ``event_ids`` (see
         :meth:`YetTable.trial_block`), so the column itself is never
-        read.  ``out`` (C-contiguous, ``(L, n_trials)``, float64) is
-        added into when given — the out-of-core engine sweeps once
-        per YET chunk against one running matrix.  Aggregate terms are
-        *not* applied; compose with :meth:`apply_aggregate`.
+        read; the stream is a block of whole trials, and a caller that
+        holds a longer one in pieces writes each block's answer to its
+        own trial columns.  Aggregate terms are *not* applied; compose
+        with :meth:`apply_aggregate`.
 
         ``sublinear`` controls the tail-group path (see the module
         docstring): the default (``None``/``True``) prices qualifying
         same-book row groups off their book profile and everything else
         through the lane path; ``False`` forces the lane path for every
-        row.  Sweeps into a given ``out=`` always take the lane path,
-        on the stream: the groups' error budget is per whole trial, and
-        such a call sees only a slice of each trial's occurrences.
+        row.
         """
         n_layers, n_trials = self.n_layers, segments.n_trials
-        chunked_out = out is not None
-        if out is None:
-            out = np.zeros((n_layers, n_trials), dtype=np.float64)
-        elif (out.shape != (n_layers, n_trials) or out.dtype != np.float64
-              or not out.flags.c_contiguous):
-            raise ConfigurationError(
-                f"out must be C-contiguous float64 of shape ({n_layers}, {n_trials})"
-            )
+        out = np.zeros((n_layers, n_trials), dtype=np.float64)
         n = segments.n_occurrences
         if event_ids.shape != (n,):
             raise ConfigurationError(
@@ -808,8 +782,7 @@ class PortfolioKernel:
         # Routing happens per sweep: a structural group's rows take the
         # profile when they pass the error bound for this stream and
         # enough of them do; the rest are counted by why they did not.
-        fallback = ("sublinear_off" if sublinear is False
-                    else "chunked_out" if chunked_out else "error_bound")
+        fallback = "sublinear_off" if sublinear is False else "error_bound"
         groups = []
         lane_mask = np.ones(n_layers, dtype=bool)
         for kind, store, rows in self._tail_group_index():
@@ -824,13 +797,11 @@ class PortfolioKernel:
             self.routed["kernel.fallback." + fallback] += rows.size
         if groups:
             self._sweep_tail_groups(segments, event_ids, out, groups)
-        # Lane rows: by events where the rule of record says so (never
-        # into a given ``out=``, which holds partial trials), the rest
-        # on the stream.
+        # Lane rows: by events where the rule of record says so, the
+        # rest on the stream.
         lanes = np.flatnonzero(lane_mask).tolist()
-        by_event = {} if chunked_out else {
-            row: entry for row in lanes
-            if (entry := self._pierced_entries(row)) is not None}
+        by_event = {row: entry for row in lanes
+                    if (entry := self._pierced_entries(row)) is not None}
         by_stream = [row for row in lanes if row not in by_event]
         self.routed["kernel.lane_rows.by_event"] += len(by_event)
         self.routed["kernel.lane_rows.by_stream"] += len(by_stream)
@@ -841,16 +812,16 @@ class PortfolioKernel:
                 out[row] = np.bincount(trial, weights=net[which],
                                        minlength=n_trials)
         if by_stream:
-            self._sweep_stream(segments, event_ids, out, by_stream,
-                               block_occurrences or self.block_occurrences)
+            self._sweep_stream(segments, event_ids, out, by_stream)
         return out
 
     def _sweep_stream(self, segments: TrialSegments, event_ids: np.ndarray,
-                      out: np.ndarray, rows: list, block: int) -> None:
+                      out: np.ndarray, rows: list) -> None:
         """Lane ``rows`` on the stream: per row, one gather from its net
         table into a reused row buffer and one ``reduceat`` over
         whole-trial starts."""
         bounds, trial_ids = segments.bounds, segments.trial_ids
+        block = self.block_occurrences
         # Chunk the row buffer by whole trials — as many as fit ``block``
         # occurrences, at least one — so each trial is summed by a single
         # reduceat however the stream is chunked or decomposed.
@@ -870,7 +841,7 @@ class PortfolioKernel:
             out_row = out[row]
             for s0, s1, starts, cols in chunks:
                 lane = gather(event_ids[s0:s1], out=buf[:s1 - s0])
-                out_row[cols] += np.add.reduceat(lane, starts)
+                out_row[cols] = np.add.reduceat(lane, starts)
 
     def run(
         self,
@@ -878,11 +849,8 @@ class PortfolioKernel:
         event_ids: np.ndarray,
         n_trials: int,
         *,
-        block_occurrences: int | None = None,
         sublinear: bool | None = None,
     ) -> np.ndarray:
         """Sweep + aggregate terms: the final ``(L, n_trials)`` YLT matrix."""
-        return self.apply_aggregate(self.sweep(
-            trials, event_ids, n_trials, block_occurrences=block_occurrences,
-            sublinear=sublinear,
-        ))
+        return self.apply_aggregate(
+            self.sweep(trials, event_ids, n_trials, sublinear=sublinear))

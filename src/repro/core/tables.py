@@ -461,21 +461,10 @@ class TrialSegments:
     @classmethod
     def from_sorted_trials(cls, trials: np.ndarray,
                            n_trials: int) -> "TrialSegments":
-        """Segments of a raw trial column sorted ascending.
-
-        Only the trial range present is searched, so a short chunk of a
-        long YET (the out-of-core sweep) costs its own span of trials,
-        not ``n_trials``.
-        """
-        if trials.size == 0:
-            return cls(np.zeros(n_trials + 1, dtype=np.int64))
-        first, last = int(trials[0]), int(trials[-1])
-        if first < 0 or last >= n_trials:
+        """Segments of a raw trial column sorted ascending."""
+        if trials.size and (trials[0] < 0 or trials[-1] >= n_trials):
             raise ConfigurationError(f"trial indices outside [0, {n_trials})")
-        segments = cls(np.searchsorted(trials, np.arange(first, last + 2)))
-        segments.trial_ids += first
-        segments.n_trials = n_trials
-        return segments
+        return cls(np.searchsorted(trials, np.arange(n_trials + 1)))
 
     @property
     def n_occurrences(self) -> int:

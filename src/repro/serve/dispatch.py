@@ -109,14 +109,10 @@ class InlineDispatcher(Dispatcher):
 
     name = "inline"
 
-    def __init__(self, block_occurrences: int | None = None) -> None:
-        self.block_occurrences = block_occurrences
-
     def run(self, kernel: PortfolioKernel, yet: YetTable,
             policy: TaskPolicy | None = None) -> np.ndarray:
-        return kernel.apply_aggregate(kernel.sweep_segments(
-            *yet.trial_block(), block_occurrences=self.block_occurrences,
-        ))
+        return kernel.apply_aggregate(
+            kernel.sweep_segments(*yet.trial_block()))
 
 
 def _sweep_trials(yet: YetTable, kernel: PortfolioKernel,

@@ -92,7 +92,7 @@ class ServeStats:
     batch kernel and the YET an in-process sweep ran on, whenever a
     count moved: ``kernel.profile_rows`` (off the book's profile),
     ``kernel.fallback.<reason>`` (sent to lanes: ``error_bound``,
-    ``chunked_out``, ``sublinear_off``), ``kernel.lane_rows.by_event`` /
+    ``sublinear_off``), ``kernel.lane_rows.by_event`` /
     ``kernel.lane_rows.by_stream`` (every lane row by its path), and
     the ``yet.profile.*`` (builds, hits, evictions, resident) and
     ``yet.event_index.*`` (builds, bytes) levels.  Pool workers' counts

@@ -286,7 +286,8 @@ class TestInvariance:
         whole = ran_on_profile(lambda: InlineDispatcher().run(kernel, yet),
                                MIN_TAIL_GROUP + 3)
         assert whole.any(axis=1).sum() > MIN_TAIL_GROUP
-        blocked = InlineDispatcher(block_occurrences=57).run(kernel, yet)
+        small = PortfolioKernel.from_layers(layers, block_occurrences=57)
+        blocked = InlineDispatcher().run(small, yet)
         np.testing.assert_array_equal(blocked, whole)
         with PooledDispatcher(n_workers=2) as pooled:
             answer = pooled.run(kernel, yet)
@@ -537,25 +538,16 @@ class TestCountedRouting:
         np.testing.assert_allclose(lanes, annual[:MIN_TAIL_GROUP],
                                    rtol=RTOL, atol=ATOL)
 
-    def test_accumulating_and_forced_sweeps_are_counted(self):
+    def test_forced_lane_sweeps_are_counted(self):
         kernel = PortfolioKernel.from_layers(tail_layers(self.elt))
         yet = self.yet
-        acc = np.zeros((kernel.n_layers, yet.n_trials))
-        half = yet.n_occurrences // 2
-        for rows in (slice(0, half), slice(half, None)):
-            ran_on_profile(lambda: kernel.sweep(
-                yet.trials[rows], yet.event_ids[rows], yet.n_trials, out=acc),
-                0)
-        self.routed(kernel, fallback__chunked_out=2 * MIN_TAIL_GROUP)
-        ran_on_profile(lambda: kernel.sweep_segments(
+        forced = ran_on_profile(lambda: kernel.sweep_segments(
             *yet.trial_block(), sublinear=False), 0)
-        self.routed(kernel, fallback__chunked_out=2 * MIN_TAIL_GROUP,
-                    fallback__sublinear_off=MIN_TAIL_GROUP)
+        self.routed(kernel, fallback__sublinear_off=MIN_TAIL_GROUP)
         whole = kernel.sweep_segments(*yet.trial_block())
-        self.routed(kernel, fallback__chunked_out=2 * MIN_TAIL_GROUP,
-                    fallback__sublinear_off=MIN_TAIL_GROUP,
+        self.routed(kernel, fallback__sublinear_off=MIN_TAIL_GROUP,
                     profile_rows=MIN_TAIL_GROUP)
-        np.testing.assert_allclose(acc, whole, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(forced, whole, rtol=RTOL, atol=ATOL)
 
     def test_negative_retention_never_takes_the_profile(self):
         # zero losses would price under r < 0, and a profile holds none
@@ -572,12 +564,12 @@ class TestCountedRouting:
         layers = tail_layers(self.elt, MIN_TAIL_GROUP + 4)
         with RiskSession(self.yet, Portfolio(layers)) as session:
             session.aggregate(engine="vectorized")
-            session.aggregate(engine="vectorized", sublinear_tail=False)
             service = session.pricing_service(cache=CachePolicy(0))
             service.quote_many(layers[:MIN_TAIL_GROUP])
             metrics = session.telemetry.snapshot()["metrics"]
         assert metrics["kernel.profile_rows"] == 2 * MIN_TAIL_GROUP + 4
-        assert metrics["kernel.fallback.sublinear_off"] == MIN_TAIL_GROUP + 4
+        # forcing lanes is the kernel's to do; no entry point here does
+        assert metrics["kernel.fallback.sublinear_off"] == 0
         assert metrics["kernel.fallback.error_bound"] == 0
         assert metrics["yet.profile.builds"] == 1
         assert metrics["yet.profile.hits"] == 1

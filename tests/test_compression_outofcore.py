@@ -1,5 +1,7 @@
 """Tests for columnar compression and the out-of-core engine."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.engines.outofcore import OutOfCoreEngine
-from repro.core.simulation import AggregateAnalysis
+from repro.core.kernels import MIN_TAIL_GROUP
+from repro.core.layer import Layer
+from repro.core.portfolio import Portfolio
+from repro.core.tables import YET_SCHEMA, EltTable, YetTable
+from repro.core.terms import LayerTerms
 from repro.data.columnar import ColumnTable
 from repro.data.compression import (
     compression_ratio,
@@ -17,8 +23,10 @@ from repro.data.compression import (
     unpack_table_compressed,
 )
 from repro.data.schema import Schema
+from repro.data.serialization import pack_table
 from repro.data.store import ChunkStore
 from repro.errors import EngineError, StorageError
+from repro.session import RiskSession
 
 
 class TestColumnCodecs:
@@ -106,6 +114,75 @@ class TestCompressedTables:
             unpack_table_compressed(data[:-10])
 
 
+WIDTH = 64
+BY_EVENT, BY_STREAM, BY_PROFILE = ("kernel.lane_rows.by_event",
+                                   "kernel.lane_rows.by_stream",
+                                   "kernel.profile_rows")
+
+
+def mixed_portfolio():
+    """A book with rows on every kernel path: a dense row three of 64
+    entries pierce (by events), a ground-up dense row (on the stream), a
+    CSR row (by events) and a same-book group (book profile)."""
+    rng = np.random.default_rng(3)
+    ids = np.arange(WIDTH)
+
+    def elt(contract_id, ids=ids):
+        return EltTable.from_arrays(ids, rng.lognormal(10, 1.5, ids.size),
+                                    contract_id=contract_id)
+
+    high, shared = elt(0), elt(3)
+    attach = float(np.sort(high.mean_losses)[-4])
+    return Portfolio([
+        Layer(0, [high], LayerTerms(occ_retention=attach, occ_limit=5e5)),
+        Layer(1, [elt(1)], LayerTerms()),
+        Layer(2, [elt(2, np.append(ids, 10**9))],          # forced sparse
+              LayerTerms(occ_retention=1e4, agg_limit=5e6)),
+        *(Layer(10 + i, [shared], LayerTerms(occ_retention=2e3 * i,
+                                             occ_limit=5e4))
+          for i in range(MIN_TAIL_GROUP)),
+    ])
+
+
+def yet_of(counts, seed=0):
+    rng = np.random.default_rng(seed)
+    trials = np.repeat(np.arange(len(counts)), counts)
+    events = rng.integers(0, WIDTH + 3, trials.size)     # some past the books
+    events[rng.random(trials.size) < 0.05] = 10**9       # the CSR-only id
+    table = ColumnTable.from_arrays(
+        YET_SCHEMA, trial=trials, seq=np.zeros(trials.size, dtype=np.int32),
+        event_id=events)
+    return YetTable(table, len(counts))
+
+
+def stored_chunks(root, *chunks):
+    """A stored table ``"yet"`` holding exactly the given ``(trials,
+    event_ids)`` chunks."""
+    store = ChunkStore(root)
+    (store.root / "yet").mkdir()
+    for ordinal, (trials, events) in enumerate(chunks):
+        table = ColumnTable.from_arrays(
+            YET_SCHEMA, trial=trials, seq=np.zeros(len(trials), dtype=np.int32),
+            event_id=events)
+        (store.root / "yet" / f"chunk-{ordinal:06d}.rpt").write_bytes(
+            pack_table(table))
+    return store
+
+
+def assert_matches_vectorized(res, portfolio, yet):
+    """Per layer, bit for bit, against the in-memory whole-YET run."""
+    with RiskSession(yet, portfolio) as session:
+        ref = session.aggregate(engine="vectorized")
+    assert set(res.details["routed"]) == set(ref.details["routed"])
+    assert set(res.ylt_by_layer) == set(ref.ylt_by_layer)
+    for lid, ylt in ref.ylt_by_layer.items():
+        np.testing.assert_array_equal(res.ylt_by_layer[lid].losses, ylt.losses,
+                                      err_msg=f"layer {lid}")
+    np.testing.assert_array_equal(res.portfolio_ylt.losses,
+                                  ref.portfolio_ylt.losses)
+    return ref
+
+
 class TestOutOfCoreEngine:
     def test_matches_vectorized(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)
@@ -114,10 +191,10 @@ class TestOutOfCoreEngine:
         res = engine.run_from_store(
             tiny_workload.portfolio, store, "yet", tiny_workload.yet.n_trials
         )
-        ref = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet
-                                ).run("vectorized")
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+        assert_matches_vectorized(res, tiny_workload.portfolio,
+                                  tiny_workload.yet)
         assert res.details["chunks_read"] > 1
+        assert 1 < res.details["n_blocks"] <= res.details["chunks_read"] + 1
         assert res.details["rows_read"] == tiny_workload.yet.n_occurrences
 
     def test_chunk_size_invariance(self, tiny_workload, tmp_path):
@@ -130,9 +207,98 @@ class TestOutOfCoreEngine:
                 tiny_workload.portfolio, store, "yet",
                 tiny_workload.yet.n_trials,
             )
-            results.append(res.portfolio_ylt)
-        assert results[0].allclose(results[1])
-        assert results[1].allclose(results[2])
+            results.append(res.ylt_by_layer)
+        for other in results[1:]:
+            for lid, ylt in results[0].items():
+                np.testing.assert_array_equal(other[lid].losses, ylt.losses)
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 31, 97, 10_000])
+    def test_every_kernel_path_matches_vectorized(self, tmp_path,
+                                                  rows_per_chunk):
+        """Whatever the chunk size, the in-memory answer — with every
+        kernel path proved to have run in every block.  Trials 0, 20 and
+        39 are empty (first, middle, last) and trial 5 spans 300 rows."""
+        portfolio = mixed_portfolio()
+        counts = np.random.default_rng(1).poisson(12, 40)
+        counts[[0, 20, 39]] = 0
+        counts[5] = 300
+        yet = yet_of(counts)
+        store = ChunkStore(tmp_path)
+        store.write_table("yet", yet.table, rows_per_chunk=rows_per_chunk)
+        res = OutOfCoreEngine().run_from_store(portfolio, store, "yet", 40)
+        ref = assert_matches_vectorized(res, portfolio, yet)
+        for lid, ylt in ref.ylt_by_layer.items():
+            assert ylt.losses.any(), f"layer {lid} prices nothing"
+        assert ref.details["routed"] == dict(
+            dict.fromkeys(ref.details["routed"], 0),
+            **{BY_EVENT: 2, BY_STREAM: 1, BY_PROFILE: MIN_TAIL_GROUP})
+        # a block ends with every chunk whose last row is in a later
+        # trial than the chunk before's, and with the table
+        ends = np.append(yet.trials[rows_per_chunk - 1::rows_per_chunk],
+                         yet.trials[-1])
+        n_blocks = np.count_nonzero(np.diff(ends, prepend=yet.trials[0])) + 1
+        assert res.details["n_blocks"] == n_blocks
+        assert res.details["routed"] == {
+            name: rows * n_blocks
+            for name, rows in ref.details["routed"].items()}
+
+    @settings(max_examples=25, deadline=None)
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=25),
+           rows_per_chunk=st.integers(1, 200), seed=st.integers(0, 2**16))
+    def test_any_chunking_of_any_stream_matches_vectorized(
+            self, counts, rows_per_chunk, seed):
+        portfolio, yet = mixed_portfolio(), yet_of(counts, seed)
+        with tempfile.TemporaryDirectory() as root:
+            store = ChunkStore(root)
+            store.write_table("yet", yet.table, rows_per_chunk=rows_per_chunk)
+            res = OutOfCoreEngine().run_from_store(portfolio, store, "yet",
+                                                   len(counts))
+        assert_matches_vectorized(res, portfolio, yet)
+        assert res.details["rows_read"] == sum(counts)
+
+    def test_one_trial_is_one_block(self, tmp_path):
+        portfolio, yet = mixed_portfolio(), yet_of([0, 0, 0, 50, 0])
+        store = ChunkStore(tmp_path)
+        assert store.write_table("yet", yet.table, rows_per_chunk=7) == 8
+        res = OutOfCoreEngine().run_from_store(portfolio, store, "yet", 5)
+        assert_matches_vectorized(res, portfolio, yet)
+        assert res.details["n_blocks"] == 1
+        assert res.portfolio_ylt.losses[3] > 0.0
+
+    def test_zero_row_chunk_is_skipped(self, tmp_path):
+        portfolio, yet = mixed_portfolio(), yet_of([4, 6, 5])
+        t, e = yet.trials, yet.event_ids
+        store = stored_chunks(tmp_path, (t[:7], e[:7]), ([], []),
+                              (t[7:], e[7:]))
+        res = OutOfCoreEngine().run_from_store(portfolio, store, "yet", 3)
+        assert_matches_vectorized(res, portfolio, yet)
+        assert res.details["chunks_read"] == 3
+        assert res.details["rows_read"] == 15
+
+    def test_empty_table_prices_to_zero(self, tmp_path):
+        store = ChunkStore(tmp_path)
+        store.write_table("yet", ColumnTable(YET_SCHEMA), rows_per_chunk=10)
+        res = OutOfCoreEngine().run_from_store(mixed_portfolio(), store,
+                                               "yet", 6)
+        assert res.details["n_blocks"] == 0
+        assert not any(res.details["routed"].values())
+        assert len(res.ylt_by_layer) == 3 + MIN_TAIL_GROUP
+        for ylt in res.ylt_by_layer.values():
+            np.testing.assert_array_equal(ylt.losses, np.zeros(6))
+
+    @pytest.mark.parametrize("chunks, complaint", [
+        ([([0, 2, 1], [1, 2, 3])], "chunk 0: rows step back in trial order"),
+        ([([0, 1], [1, 2]), ([0, 2], [3, 4])],
+         "chunk 1: rows step back in trial order"),
+        ([([0, 1], [1, 2]), ([1, 2], [3, -4])], "chunk 1: negative event id"),
+    ], ids=["steps_back_in_chunk", "steps_back_across_carry",
+            "negative_event_id"])
+    def test_bad_stored_rows_rejected(self, tmp_path, chunks, complaint):
+        store = stored_chunks(tmp_path, *chunks)
+        with pytest.raises(EngineError,
+                           match=f"stored table 'yet', {complaint}"):
+            OutOfCoreEngine().run_from_store(mixed_portfolio(), store,
+                                             "yet", 3)
 
     def test_bad_n_trials_rejected(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)

@@ -11,8 +11,7 @@ Five contracts:
   ``kernel.lane_rows.*`` counts must move by the rows the rule assigns;
 - **routing is a function of the row alone**: its own book and terms,
   never the rows sharing its kernel; a row just above the threshold
-  stays on the stream, a chunk-accumulating ``out=`` sweep keeps every
-  row there;
+  stays on the stream;
 - **invariance**: by-event rows are ``np.array_equal`` across whole /
   every trial cut / blocked / pooled (shm and pickle) / degraded /
   raw-column sweeps, sorted or not;
@@ -189,15 +188,14 @@ def event_case(draw):
     swap = rng.random(trials.size) < 0.2
     events[swap] = rng.choice(pool, int(swap.sum()))
     return (Portfolio(layers), zero_limit, make_yet(trials, events, counts.size),
-            rng.permutation(trials.size), draw(st.integers(1, 9)),
-            draw(st.integers(1, 9)))
+            rng.permutation(trials.size), draw(st.integers(1, 9)))
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=event_case())
 def test_by_event_rows_match_sequential_oracle(case):
-    portfolio, zero_limit, yet, perm, block, chunk = case
+    portfolio, zero_limit, yet, perm, block = case
     oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
     base = PortfolioKernel.from_portfolio(portfolio)
     # LayerTerms rejects limit == 0, the kernel must still price it: 0.
@@ -229,8 +227,10 @@ def test_by_event_rows_match_sequential_oracle(case):
                   *counts)
     check(whole)
     # a small row buffer and every two-way trial cut: bit-identical
-    check(swept(kernel, lambda: kernel.sweep_segments(
-        *yet.trial_block(), block_occurrences=block), *counts), exact_to=whole)
+    small = PortfolioKernel(layer_ids=base.layer_ids, block_occurrences=block,
+                            **arrays)
+    check(swept(small, lambda: small.sweep_segments(*yet.trial_block()),
+                *counts), exact_to=whole)
     for cut in range(1, n_trials):
         parts = [kernel.sweep_segments(*yet.trial_block(t0, t1))
                  for t0, t1 in ((0, cut), (cut, n_trials))]
@@ -245,14 +245,6 @@ def test_by_event_rows_match_sequential_oracle(case):
         yet.trials[perm], yet.event_ids[perm], n_trials), *counts),
         exact_to=whole, rows=by_event)
     assert yet.event_index.builds == (1 if by_event else 0)
-    # chunk-accumulating out= sweeps hold partial trials: the stream
-    acc = np.zeros_like(whole)
-    for start in range(0, yet.n_occurrences, chunk):
-        rows = slice(start, start + chunk)
-        swept(kernel, lambda: kernel.sweep(
-            yet.trials[rows], yet.event_ids[rows], n_trials, out=acc),
-            0, n_rows)
-    check(acc)
 
 
 def test_hand_computed_by_event_sweep():
@@ -357,7 +349,9 @@ class TestDecompositionInvariance:
         assert kernel.tail_group_rows == 0
         whole = swept(kernel, lambda: InlineDispatcher().run(kernel, yet), 4, 1)
         assert whole.any(axis=1).all()
-        blocked = InlineDispatcher(block_occurrences=257).run(kernel, yet)
+        small = PortfolioKernel.from_portfolio(portfolio,
+                                               block_occurrences=257)
+        blocked = InlineDispatcher().run(small, yet)
         np.testing.assert_array_equal(blocked, whole)
         for transport in ("shm", "pickle"):
             with PooledDispatcher(n_workers=2, transport=transport) as pooled:
@@ -376,7 +370,6 @@ class TestDecompositionInvariance:
         portfolio, yet = by_event_workload(seed=72)
         whole = VectorizedEngine().run(portfolio, yet)
         assert whole.details["routed"][BY_EVENT] == 4
-        blocked = VectorizedEngine(block_occurrences=64).run(portfolio, yet)
         with MulticoreEngine(n_workers=2) as engine:
             pooled = engine.run(portfolio, yet)
             assert pooled.details["n_blocks"] == 2
@@ -386,7 +379,7 @@ class TestDecompositionInvariance:
         # the pickle transport prices raw column slices: an index per call
         with MulticoreEngine(n_workers=2, transport="pickle") as engine:
             pickled = engine.run(portfolio, yet)
-        for other in (blocked, pooled, degraded, pickled):
+        for other in (pooled, degraded, pickled):
             for lid, ylt in whole.ylt_by_layer.items():
                 np.testing.assert_array_equal(other.ylt_by_layer[lid].losses,
                                               ylt.losses)

@@ -30,12 +30,12 @@ RTOL, ATOL = 1e-9, 1e-6
 
 
 def assert_kernel_matches_oracle(portfolio, yet, dense_max_entries=4_000_000,
-                                 block_occurrences=None):
+                                 block_occurrences=DEFAULT_BLOCK_OCCURRENCES):
     kernel = PortfolioKernel.from_portfolio(
-        portfolio, dense_max_entries=dense_max_entries
+        portfolio, dense_max_entries=dense_max_entries,
+        block_occurrences=block_occurrences,
     )
-    final = kernel.run(yet.trials, yet.event_ids, yet.n_trials,
-                       block_occurrences=block_occurrences)
+    final = kernel.run(yet.trials, yet.event_ids, yet.n_trials)
     oracle = SequentialEngine().run(portfolio, yet)
     for row, lid in enumerate(kernel.layer_ids):
         np.testing.assert_allclose(
@@ -124,18 +124,6 @@ class TestParityAgainstOracle:
 
 
 class TestKernelStructure:
-    def test_chunked_accumulation_matches_single_sweep(self, tiny_workload):
-        """The out-of-core pattern: sweep per chunk into one matrix."""
-        kernel = tiny_workload.portfolio.kernel()
-        yet = tiny_workload.yet
-        whole = kernel.sweep(yet.trials, yet.event_ids, yet.n_trials)
-        acc = np.zeros_like(whole)
-        for start in range(0, yet.n_occurrences, 97):
-            stop = min(start + 97, yet.n_occurrences)
-            kernel.sweep(yet.trials[start:stop], yet.event_ids[start:stop],
-                         yet.n_trials, out=acc)
-        np.testing.assert_allclose(acc, whole, rtol=1e-12)
-
     def test_unsorted_trials_fall_back_to_block_sort(self, tiny_workload):
         """sweep() accepts unsorted (trial, event) streams (one stable sort
         per sweep, then the same loop) — the shuffled stream must produce
@@ -179,13 +167,6 @@ class TestKernelStructure:
     def test_unknown_layer_rejected(self, tiny_workload):
         with pytest.raises(ConfigurationError):
             tiny_workload.portfolio.kernel().row_of(999)
-
-    def test_mismatched_out_rejected(self, tiny_workload):
-        kernel = tiny_workload.portfolio.kernel()
-        yet = tiny_workload.yet
-        with pytest.raises(ConfigurationError):
-            kernel.sweep(yet.trials, yet.event_ids, yet.n_trials,
-                         out=np.zeros((kernel.n_layers, yet.n_trials + 1)))
 
     def test_mismatched_arrays_rejected(self, tiny_workload):
         kernel = tiny_workload.portfolio.kernel()
@@ -243,10 +224,10 @@ def test_fused_kernel_matches_oracle_on_random_portfolios(wl):
 @given(wl=random_portfolio(), block=st.integers(1, 64))
 def test_fused_kernel_block_invariance_on_random_portfolios(wl, block):
     portfolio, yet = wl
-    kernel = portfolio.kernel()
-    ref = kernel.run(yet.trials, yet.event_ids, yet.n_trials)
-    alt = kernel.run(yet.trials, yet.event_ids, yet.n_trials,
-                     block_occurrences=block)
+    ref = portfolio.kernel().run(yet.trials, yet.event_ids, yet.n_trials)
+    alt = PortfolioKernel.from_portfolio(portfolio, block_occurrences=block
+                                         ).run(yet.trials, yet.event_ids,
+                                               yet.n_trials)
     np.testing.assert_allclose(alt, ref, rtol=RTOL, atol=ATOL)
 
 

@@ -3,8 +3,8 @@
 Three contracts:
 
 - **parity**: every entry point of the lane path (YET-carried segments,
-  raw columns, unsorted columns, chunk-accumulating ``out=``, small row
-  buffers, trial-block decompositions) reproduces the scalar
+  raw columns, unsorted columns, small row buffers, trial-block
+  decompositions) reproduces the scalar
   ``sequential`` oracle across empty trials, unknown event ids,
   infinite retentions and zero limits — and each row is *proved* to
   have priced by the path the rule of record assigns it (its net table
@@ -69,10 +69,11 @@ class NetGatherProof:
     def __init__(self, kernel: PortfolioKernel) -> None:
         self.kernel = kernel
         self.gathers = [0] * kernel.n_layers
-        kernel._net = [self._counting(row, g)
-                       for row, g in enumerate(kernel._net_gathers())]
         self.by_event = {row for row in range(kernel.n_layers)
                          if kernel._pierced_entries(row) is not None}
+        by_stream = sorted(set(range(kernel.n_layers)) - self.by_event)
+        for row, gather in zip(by_stream, kernel._net_gathers(by_stream)):
+            kernel._net[row] = self._counting(row, gather)
 
     def _counting(self, row, gather):
         def counted(event_ids, out):
@@ -80,11 +81,8 @@ class NetGatherProof:
             return gather(event_ids, out=out)
         return counted
 
-    def ran(self, sweep, chunked_out=False):
-        """Run ``sweep()``; assert each row took its assigned path (a
-        chunk-accumulating ``out=`` sweep assigns every row the stream).
-        """
-        by_event = set() if chunked_out else self.by_event
+    def ran(self, sweep):
+        """Run ``sweep()``; assert each row took its assigned path."""
         before, routed = list(self.gathers), dict(self.kernel.routed)
         lookups = []
         occurrences = EventIndex.occurrences
@@ -100,17 +98,19 @@ class NetGatherProof:
             EventIndex.occurrences = occurrences
         for row in range(self.kernel.n_layers):
             gathered = self.gathers[row] - before[row]
-            if row in by_event:
+            if row in self.by_event:
                 assert gathered == 0, f"by-event row {row} read the stream"
             else:
                 assert gathered >= 1, f"row {row} skipped its net table"
-        assert len(lookups) == len(by_event), "one index lookup per by-event row"
+        assert len(lookups) == len(self.by_event), (
+            "one index lookup per by-event row")
         moved = {name: self.kernel.routed[name] - routed[name]
                  for name in ("kernel.lane_rows.by_event",
                               "kernel.lane_rows.by_stream")}
         assert moved == {
-            "kernel.lane_rows.by_event": len(by_event),
-            "kernel.lane_rows.by_stream": self.kernel.n_layers - len(by_event),
+            "kernel.lane_rows.by_event": len(self.by_event),
+            "kernel.lane_rows.by_stream": self.kernel.n_layers
+            - len(self.by_event),
         }
         return result
 
@@ -221,14 +221,14 @@ def lane_case(draw):
     events = rng.integers(0, width + 4, trials.size)
     return (Portfolio(layers), zero_limit, make_yet(trials, events, counts.size),
             rng.permutation(trials.size), draw(st.integers(1, 9)),
-            draw(st.integers(1, 9)), draw(st.integers(0, counts.size)))
+            draw(st.integers(0, counts.size)))
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=lane_case())
 def test_net_table_sweep_matches_sequential_oracle(case):
-    portfolio, zero_limit, yet, perm, block, chunk, split = case
+    portfolio, zero_limit, yet, perm, block, split = case
     oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
     base = PortfolioKernel.from_portfolio(portfolio)
     # LayerTerms rejects limit == 0, the kernel must still price it: 0.
@@ -260,40 +260,30 @@ def test_net_table_sweep_matches_sequential_oracle(case):
     # same core, every trial summed whole — bit-identical
     check(proof.ran(lambda: kernel.sweep(yet.trials, yet.event_ids, n_trials)),
           exact_to=whole)
-    check(proof.ran(lambda: kernel.sweep_segments(
-        *yet.trial_block(), block_occurrences=block)), exact_to=whole)
+    small = PortfolioKernel(layer_ids=base.layer_ids, block_occurrences=block,
+                            **arrays)
+    check(NetGatherProof(small).ran(lambda: small.sweep_segments(
+        *yet.trial_block())), exact_to=whole)
     parts = [kernel.sweep_segments(*yet.trial_block(t0, t1))
              for t0, t1 in ((0, split), (split, n_trials)) if t1 > t0]
     check(np.concatenate(parts, axis=1), exact_to=whole)
     # unsorted columns: one stable sort, then the same loop
     check(proof.ran(lambda: kernel.sweep(
         yet.trials[perm], yet.event_ids[perm], n_trials)))
-    # chunk-accumulating out= sweeps split trials across calls
-    acc = np.zeros_like(whole)
-    for start in range(0, yet.n_occurrences, chunk):
-        rows = slice(start, start + chunk)
-        proof.ran(lambda: kernel.sweep(yet.trials[rows], yet.event_ids[rows],
-                                       n_trials, out=acc), chunked_out=True)
-    check(acc)
 
 
 def test_net_tables_pre_apply_the_terms():
-    """Dense rows: ``width + 1`` long with a zero last entry that
-    out-of-table ids clip to; sparse rows: pre-clipped CSR values."""
+    """``width + 1`` long with a zero last entry that out-of-table ids
+    clip to."""
     compact = EltTable.from_arrays([1, 2, 3], [100.0, 200.0, 300.0])
-    huge = EltTable.from_arrays([2, 10**9], [50.0, 75.0], contract_id=1)
     kernel = Portfolio([
         Layer(0, [compact], LayerTerms(occ_retention=150.0, occ_limit=100.0)),
-        Layer(7, [huge], LayerTerms(occ_limit=60.0)),
     ]).kernel()
-    dense, sparse = kernel._net_gathers()
+    dense, = kernel._net_gathers([0])
     np.testing.assert_array_equal(dense.args[0], [0.0, 0.0, 50.0, 100.0, 0.0])
-    np.testing.assert_array_equal(sparse.args[1], [50.0, 60.0])
     out = np.empty(3)
     np.testing.assert_array_equal(dense(np.array([3, 4, 10**9]), out=out),
                                   [100.0, 0.0, 0.0])
-    np.testing.assert_array_equal(sparse(np.array([10**9, 3, 2]), out=out),
-                                  [60.0, 0.0, 50.0])
 
 
 def test_out_of_range_trials_rejected(tiny_workload):
@@ -318,7 +308,9 @@ class TestDecompositionInvariance:
         assert kernel.tail_group_rows == 0       # distinct books: lane rows
         whole = InlineDispatcher().run(kernel, wl.yet)
         assert whole.any()
-        blocked = InlineDispatcher(block_occurrences=257).run(kernel, wl.yet)
+        small = PortfolioKernel.from_portfolio(wl.portfolio,
+                                               block_occurrences=257)
+        blocked = InlineDispatcher().run(small, wl.yet)
         np.testing.assert_array_equal(blocked, whole)
         with PooledDispatcher(n_workers=2) as pooled:
             answer = pooled.run(kernel, wl.yet)
@@ -331,8 +323,6 @@ class TestDecompositionInvariance:
     def test_engines_agree_bitwise(self, small_portfolio_workload):
         wl = small_portfolio_workload
         whole = VectorizedEngine().run(wl.portfolio, wl.yet)
-        blocked = VectorizedEngine(block_occurrences=64).run(wl.portfolio,
-                                                             wl.yet)
         with MulticoreEngine(n_workers=2) as engine:
             pooled = engine.run(wl.portfolio, wl.yet)
             assert pooled.details["n_blocks"] == 2
@@ -341,7 +331,7 @@ class TestDecompositionInvariance:
             assert degraded.details["degraded"] is True
         with MulticoreEngine(n_workers=2, transport="pickle") as engine:
             pickled = engine.run(wl.portfolio, wl.yet)
-        for other in (blocked, pooled, degraded, pickled):
+        for other in (pooled, degraded, pickled):
             for lid, ylt in whole.ylt_by_layer.items():
                 np.testing.assert_array_equal(other.ylt_by_layer[lid].losses,
                                               ylt.losses)
@@ -374,7 +364,9 @@ class TestTrialIndexOncePerWorker:
                 d.run(kernel, wl.yet)
             assert d.transport_active == "shm"
             self.check(d.pool, d._bundle(wl.yet))
-        assert wl.yet.index_builds == 1
+        # the parent's copy (a fixture other tests sweep too): the pool
+        # never makes it derive a second index, nor needs a first
+        assert wl.yet.index_builds <= 1
 
     def test_multicore_engine(self, small_portfolio_workload):
         wl = small_portfolio_workload

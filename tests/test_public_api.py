@@ -124,3 +124,31 @@ def test_legacy_entry_points_resolve_deprecation_free(tiny_workload):
         with repro.RealTimePricer(tiny_workload.yet) as pricer:
             assert pricer.quote(tiny_workload.portfolio.layers[0]).premium > 0
         assert repro.get_engine("vectorized").name == "vectorized"
+
+
+def test_kernel_sweep_signatures_locked():
+    """A sweep takes a whole-trial block and one routing override; the
+    row-buffer bound is the kernel's, set at construction.  A knob may
+    not come back without this test changing."""
+    import inspect
+
+    from repro.core.engines import VectorizedEngine
+    from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
+    from repro.serve.dispatch import InlineDispatcher
+
+    def params(func):
+        return [(p.name, p.kind is p.KEYWORD_ONLY)
+                for p in inspect.signature(func).parameters.values()]
+
+    raw = [("self", False), ("trials", False), ("event_ids", False),
+           ("n_trials", False), ("sublinear", True)]
+    assert params(PortfolioKernel.sweep) == raw
+    assert params(PortfolioKernel.run) == raw
+    assert params(PortfolioKernel.sweep_segments) == [
+        ("self", False), ("segments", False), ("event_ids", False),
+        ("sublinear", True)]
+    assert params(VectorizedEngine.__init__) == [
+        ("self", False), ("dense_max_entries", False)]
+    assert not inspect.signature(InlineDispatcher).parameters
+    assert {name for name in ROUTING_COUNTERS if "fallback" in name} == {
+        "kernel.fallback.error_bound", "kernel.fallback.sublinear_off"}

@@ -517,30 +517,31 @@ class TestAutoEngine:
 
 
 # ---------------------------------------------------------------------------
-# standalone/session parity for kernel options (satellite)
+# standalone/session parity for engine options (satellite)
 # ---------------------------------------------------------------------------
 
 class TestKernelOptionParity:
-    """The new kernel options must behave identically through the
-    standalone entry point and the session veneer (carried-over ROADMAP
-    parity debt)."""
+    """Engine options must behave identically through the standalone
+    entry point and the session veneer (carried-over ROADMAP parity
+    debt)."""
 
-    def test_sublinear_tail_kwarg_flows_through_both_entry_points(
+    def test_neither_entry_point_takes_a_kernel_sweep_option(
             self, small_portfolio_workload, risk_session):
+        """How rows are priced is the kernel's rule, not an engine
+        option: both entry points refuse the retired knobs alike."""
         wl = small_portfolio_workload
         standalone = AggregateAnalysis(wl.portfolio, wl.yet)
-        res_sa = standalone.run("vectorized", sublinear_tail=False)
-        assert res_sa.details["sublinear_tail"] is False
         session = risk_session(wl.yet, wl.portfolio)
-        res_se = session.aggregate(engine="vectorized", sublinear_tail=False)
-        assert res_se.details["sublinear_tail"] is False
-        res_default = standalone.run("vectorized")
-        assert res_default.details["sublinear_tail"] is True
-        np.testing.assert_allclose(res_sa.portfolio_ylt.losses,
-                                   res_se.portfolio_ylt.losses)
-        np.testing.assert_allclose(res_sa.portfolio_ylt.losses,
-                                   res_default.portfolio_ylt.losses,
-                                   rtol=1e-9, atol=1e-6)
+        for knob in ({"sublinear_tail": False}, {"block_occurrences": 64}):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                standalone.run("vectorized", **knob)
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                session.aggregate(engine="vectorized", **knob)
+        res_sa = standalone.run("vectorized")
+        assert "sublinear_tail" not in res_sa.details
+        np.testing.assert_array_equal(
+            res_sa.portfolio_ylt.losses,
+            session.aggregate(engine="vectorized").portfolio_ylt.losses)
 
     def test_run_all_matches_between_entry_points(
             self, small_portfolio_workload, risk_session):
