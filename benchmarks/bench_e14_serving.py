@@ -111,8 +111,8 @@ def run_batched(yet, layers):
         svc.drain()
         quotes = [t.result() for t in tickets]
         total = time.perf_counter() - t_start
-        # Sweep count off the public telemetry plane (serve.batches is
-        # what the legacy stats.sweeps attribute is a view of).
+        # Sweep count off the public telemetry plane: one fused YET
+        # pass per batch.
         sweeps = int(svc.telemetry.snapshot()["metrics"]["serve.batches"])
         return (total, [q.latency_seconds for q in quotes],
                 [q.premium for q in quotes], sweeps)

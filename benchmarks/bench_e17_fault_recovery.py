@@ -93,7 +93,7 @@ def measure_row(size: str, shape: dict, repeats: int = 3) -> dict:
             seconds, inline = _timed(d, kernel, wl.yet)
             degraded_best = min(degraded_best, seconds)
         degraded_identical = bool(np.array_equal(ref, inline))
-        degraded_calls = d.health.degraded_calls
+        degraded_calls = d.health.snapshot()["pool.degraded_calls"]
 
     return {
         "size": size,

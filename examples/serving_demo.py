@@ -87,18 +87,18 @@ for t in threads:
 for t in threads:
     t.join()
 
-stats = service.stats
+stats = service.stats.snapshot()
 latencies = np.array([
     q.latency_seconds for quotes in quotes_by_thread.values() for q in quotes
 ])
 
 rows = [
-    ["requests submitted", f"{stats.requests:,}"],
-    ["answered from cache", f"{stats.cache_hits:,} "
+    ["requests submitted", f"{stats['serve.requests']:,}"],
+    ["answered from cache", f"{stats['serve.cache.hits']:,} "
      f"({service.cache.stats.hit_rate:.0%} hit rate)"],
-    ["fused YET sweeps", f"{stats.sweeps:,}"],
-    ["requests per sweep", f"{stats.coalescing_factor:.1f}"],
-    ["kernel rows stacked", f"{stats.kernel_rows:,}"],
+    ["fused YET sweeps", f"{stats['serve.batches']:,}"],
+    ["requests per sweep", f"{stats['serve.coalescing_factor']:.1f}"],
+    ["kernel rows stacked", f"{stats['serve.kernel_rows']:,}"],
     ["quote latency p50", f"{np.percentile(latencies, 50) * 1e3:.1f} ms"],
     ["quote latency p95", f"{np.percentile(latencies, 95) * 1e3:.1f} ms"],
     ["requests shed then retried", f"{sum(shed_retries):,}"],
@@ -110,7 +110,8 @@ print(render_table(
 ))
 
 print(
-    f"\n{stats.requests} concurrent requests cost {stats.sweeps} YET "
-    f"pass(es) — the pre-serve pricer would have run {stats.requests}."
+    f"\n{stats['serve.requests']} concurrent requests cost "
+    f"{stats['serve.batches']} YET pass(es) — the pre-serve pricer would "
+    f"have run {stats['serve.requests']}."
 )
 service.close()

@@ -61,18 +61,16 @@ Numerical equivalence across all six is a tested invariant; their
 relative wall-clock behaviour is experiments E3-E5, E7, E13 (the
 fused-vs-per-layer sweep), and E18 (the same-book tail-group path).
 
-``engine="auto"`` resolution: the planner prices the vectorized,
-multicore, device, and distributed specs below through the HPC cost
-model.  The simulated substrates carry deliberately conservative seed
-rates (:mod:`repro.hpc.cost_model` named constants) plus a per-run
-payload-transfer charge, so auto only routes real work onto them after
-a measured run has calibrated them faster than the host engines.
+``engine="auto"`` chooses between the two substrates that really
+execute on the host — ``vectorized`` and ``multicore`` — from the one
+table in :mod:`repro.session.planner`.  The other four stay registered,
+constructible and runnable by name (the oracle, and the simulated
+substrates of E5/E7, which run as host NumPy and cannot win work).
 """
 
 from repro.core.engines.base import Engine, EngineResult
 from repro.core.engines.registry import (
     EngineSpec,
-    auto_candidates,
     available_engines,
     engine_spec,
     get_engine,
@@ -85,12 +83,6 @@ from repro.core.engines.multicore import MulticoreEngine
 from repro.core.engines.mapreduce_engine import MapReduceEngine
 from repro.core.engines.distributed import DistributedEngine
 from repro.errors import EngineError
-from repro.hpc.cost_model import (
-    CLUSTER_LINK_BYTES_PER_S,
-    DEVICE_H2D_BYTES_PER_S,
-    DEVICE_SEED_LANES_PER_S,
-    DISTRIBUTED_SEED_LANES_PER_S,
-)
 
 __all__ = [
     "Engine",
@@ -102,7 +94,6 @@ __all__ = [
     "MulticoreEngine",
     "MapReduceEngine",
     "DistributedEngine",
-    "auto_candidates",
     "available_engines",
     "engine_spec",
     "get_engine",
@@ -110,59 +101,33 @@ __all__ = [
 ]
 
 # The declarative registry (see :mod:`repro.core.engines.registry`):
-# one capability record per engine, read by ``get_engine`` (factory),
-# the session (stateful / emit_yelt gates), and the planner (cost-model
-# hooks that resolve ``engine="auto"``).  Throughput seeds are
-# order-of-magnitude priors; the planner replaces them with measured
-# rates after the first observed run.
+# one capability record per engine, read by ``get_engine`` (factory) and
+# by the session and planner (the ``emit_yelt`` gate).
 register_engine(EngineSpec(
     name="sequential", factory=SequentialEngine,
     summary="pure-Python scalar loop — the paper's sequential counterpart "
             "and the numerical oracle",
-    parallelism="serial", supports_emit_yelt=True,
-    lane_throughput=3e5,
+    supports_emit_yelt=True,
 ))
 register_engine(EngineSpec(
     name="vectorized", factory=VectorizedEngine,
     summary="whole-array NumPy over the fused portfolio kernel",
-    parallelism="vector", supports_emit_yelt=True, auto_candidate=True,
-    lane_throughput=2.5e7,
+    supports_emit_yelt=True,
 ))
 register_engine(EngineSpec(
     name="device", factory=DeviceEngine,
     summary="simulated GPU: stacked-kernel batches, greedy constant packing",
-    parallelism="simulated-device", supports_emit_yelt=True,
-    auto_candidate=True,
-    # Conservative seed (below the vectorized host rate): auto picks the
-    # device only after a measured run calibrates it faster.  Every run
-    # pays the YET's H2D shipment — a warm session never waives a bus.
-    lane_throughput=DEVICE_SEED_LANES_PER_S,
-    startup_seconds=0.02,
-    payload_row_bytes=16.0, transfer_bandwidth_bps=DEVICE_H2D_BYTES_PER_S,
+    supports_emit_yelt=True,
 ))
 register_engine(EngineSpec(
     name="multicore", factory=MulticoreEngine,
     summary="trial-block process pool over the zero-copy shm data plane",
-    parallelism="process-pool", stateful=True, shm_transport=True,
-    auto_candidate=True,
-    lane_throughput=2.2e7, parallel_fraction=0.92,
-    comm_overhead_per_proc_s=0.01, startup_seconds=0.35,
 ))
 register_engine(EngineSpec(
     name="mapreduce", factory=MapReduceEngine,
     summary="MapReduce job over the simulated DFS",
-    parallelism="simulated-mapreduce",
-    lane_throughput=2e6,
 ))
 register_engine(EngineSpec(
     name="distributed", factory=DistributedEngine,
     summary="trial-scatter / lookup-broadcast / YLT-gather over SimCluster",
-    parallelism="simulated-cluster",
-    auto_candidate=True,
-    # Priced at the engine's default 8-node cluster; the scatter crosses
-    # the interconnect every run, charged like the device's H2D upload.
-    lane_throughput=DISTRIBUTED_SEED_LANES_PER_S,
-    parallel_fraction=0.9, comm_overhead_per_proc_s=0.02,
-    startup_seconds=0.15, fixed_procs=8,
-    payload_row_bytes=16.0, transfer_bandwidth_bps=CLUSTER_LINK_BYTES_PER_S,
 ))

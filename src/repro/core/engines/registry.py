@@ -1,21 +1,12 @@
 """The declarative engine registry.
 
-Engines used to be registered as bare ``{name: constructor}`` pairs,
-which told callers *how to build* an engine but nothing about what it
-could do — whether it parallelises, rides the shared-memory data plane,
-can emit YELTs, or what it costs to run.  Every caller that wanted to
-*choose* an engine (the session planner, ``engine="auto"``) would have
-had to hard-code that knowledge.
-
-:class:`EngineSpec` makes the registry declarative: one frozen record
-per engine carrying the constructor **and** its capability surface and
-cost-model hooks.  The planner reads the hooks
-(:meth:`EngineSpec.stage_spec` builds the
-:class:`~repro.hpc.cost_model.StageSpec` the HPC cost model prices),
-the session reads the capabilities (``stateful`` engines are cached and
-closed with the session; ``supports_emit_yelt`` gates event-granularity
-requests), and :func:`get_engine` keeps the classic constructor
-behaviour for existing callers.
+One frozen :class:`EngineSpec` per engine: the constructor plus the
+capability surface callers read before they run anything —
+``supports_emit_yelt`` gates event-granularity requests in the session
+and the planner.  :func:`get_engine` keeps the classic constructor
+behaviour for existing callers.  What ``engine="auto"`` chooses between,
+and at what cost, is not declared here: that table lives in
+:mod:`repro.session.planner`.
 
 Unknown names fail *here*, at the registry boundary, with the available
 list — not deep inside a run.
@@ -27,13 +18,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import EngineError
-from repro.hpc.cost_model import StageSpec, transfer_stage
 
 __all__ = [
     "EngineSpec",
     "register_engine",
     "engine_spec",
-    "auto_candidates",
     "available_engines",
     "get_engine",
 ]
@@ -52,110 +41,20 @@ class EngineSpec:
         :class:`~repro.core.engines.base.Engine`.
     summary:
         One-line description of the execution substrate.
-    parallelism:
-        Substrate class: ``"serial"``, ``"vector"``, ``"process-pool"``,
-        ``"simulated-device"``, ``"simulated-mapreduce"``, or
-        ``"simulated-cluster"``.  Only ``"process-pool"`` engines scale
-        with real host cores; ``simulated-*`` substrates run at their
-        declared ``fixed_procs`` regardless of the host and pay their
-        payload transfer on every run.
-    stateful:
-        The engine holds resources (worker pools, shared-memory arenas)
-        and exposes ``close()``; sessions cache stateful engines and
-        tear them down exactly once.
     supports_emit_yelt:
         Whether ``run(..., emit_yelt=True)`` is accepted.
-    shm_transport:
-        The engine can stage payloads through the zero-copy
-        shared-memory data plane (:mod:`repro.hpc.shm`).
-    auto_candidate:
-        The planner may choose this engine for ``engine="auto"``.
-    lane_throughput:
-        Cost-model seed: layer-occurrence lanes per second per
-        processor, before any measured calibration replaces it.
-    parallel_fraction / comm_overhead_per_proc_s:
-        Amdahl fraction and per-processor coordination cost forwarded to
-        the :class:`~repro.hpc.cost_model.StageSpec` the planner prices.
-    startup_seconds:
-        One-off setup cost (worker spawn, payload staging) the planner
-        charges when the engine's substrate is cold.  For ``simulated-*``
-        substrates it is charged on *every* run, on top of the payload
-        transfer below — there is no warm credit for a bus.
-    payload_row_bytes / transfer_bandwidth_bps:
-        Per-occurrence payload size and link bandwidth (bytes/s) of the
-        shipment a run must pay before compute starts (H2D upload for
-        the device, scatter for the cluster).  Zero means no transfer
-        term; :meth:`transfer_seconds` prices the pair through the cost
-        model's :func:`~repro.hpc.cost_model.transfer_stage`.
-    fixed_procs:
-        Processor count the substrate *is* (device SMs abstracted as one
-        throughput, cluster node count), independent of host cores.
-        Zero defers to the ``parallelism``-based rule in
-        :meth:`procs_for`.
     """
 
     name: str
     factory: Callable = field(repr=False)
     summary: str = ""
-    parallelism: str = "serial"
-    stateful: bool = False
     supports_emit_yelt: bool = False
-    shm_transport: bool = False
-    auto_candidate: bool = False
-    lane_throughput: float = 1e7
-    parallel_fraction: float = 1.0
-    comm_overhead_per_proc_s: float = 0.0
-    startup_seconds: float = 0.0
-    payload_row_bytes: float = 0.0
-    transfer_bandwidth_bps: float = 0.0
-    fixed_procs: int = 0
 
     def __post_init__(self):
         if not self.name:
             raise EngineError("engine spec needs a non-empty name")
         if not callable(self.factory):
             raise EngineError(f"engine {self.name!r}: factory must be callable")
-        if self.lane_throughput <= 0:
-            raise EngineError(f"engine {self.name!r}: lane_throughput must be positive")
-
-    # -- cost-model hooks ---------------------------------------------------
-
-    def stage_spec(self, work_items: float,
-                   throughput_per_proc: float | None = None) -> StageSpec:
-        """The cost-model stage pricing ``work_items`` lanes on this engine.
-
-        ``throughput_per_proc`` overrides the declared seed — the planner
-        passes its EWMA-calibrated rate once real runs have been observed.
-        """
-        return StageSpec(
-            name=self.name,
-            work_items=float(work_items),
-            throughput_per_proc=float(throughput_per_proc
-                                      if throughput_per_proc is not None
-                                      else self.lane_throughput),
-            parallel_fraction=self.parallel_fraction,
-            comm_overhead_per_proc_s=self.comm_overhead_per_proc_s,
-        )
-
-    def transfer_seconds(self, n_occurrences: float) -> float:
-        """Modelled per-run payload shipment time for ``n_occurrences`` rows.
-
-        Zero when the engine declares no transfer term (in-process
-        substrates touch host memory directly).
-        """
-        if self.payload_row_bytes <= 0 or self.transfer_bandwidth_bps <= 0:
-            return 0.0
-        return transfer_stage(
-            f"{self.name}-transfer",
-            float(max(n_occurrences, 0.0)) * self.payload_row_bytes,
-            self.transfer_bandwidth_bps,
-        ).runtime_seconds(1)
-
-    def procs_for(self, n_workers: int) -> int:
-        """Processors the cost model should charge on an ``n_workers`` host."""
-        if self.fixed_procs:
-            return self.fixed_procs
-        return max(1, n_workers) if self.parallelism == "process-pool" else 1
 
 
 _SPECS: dict[str, EngineSpec] = {}
@@ -181,11 +80,6 @@ def engine_spec(name: str) -> EngineSpec:
         raise EngineError(
             f"unknown engine {name!r}; available: {available_engines()}"
         ) from None
-
-
-def auto_candidates() -> list[EngineSpec]:
-    """Specs the planner may resolve ``engine="auto"`` to."""
-    return [s for s in _SPECS.values() if s.auto_candidate]
 
 
 def available_engines() -> list[str]:

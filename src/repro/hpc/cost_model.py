@@ -22,43 +22,7 @@ from dataclasses import dataclass, replace
 from repro.errors import AnalysisError, ConfigurationError
 
 __all__ = ["StageSpec", "StageRequirement", "PipelineCostModel",
-           "ThroughputEstimate", "transfer_stage",
-           "DEVICE_SEED_LANES_PER_S", "DISTRIBUTED_SEED_LANES_PER_S",
-           "DEVICE_H2D_BYTES_PER_S", "CLUSTER_LINK_BYTES_PER_S"]
-
-#: Planner seed rates (lanes/s/proc) for the simulated substrates.
-#: These are deliberately conservative priors — below the vectorized
-#: host seed — so ``engine="auto"`` only routes work onto a simulated
-#: device/cluster once a *measured* run has calibrated it faster
-#: (the EWMA in :class:`ThroughputEstimate` replaces the seed on the
-#: first observation).  Host-engine seeds live on their registry specs.
-DEVICE_SEED_LANES_PER_S = 1.2e7
-DISTRIBUTED_SEED_LANES_PER_S = 4.0e6
-
-#: Seed payload bandwidths for the per-run shipment the simulated
-#: substrates pay: a PCIe-class host-to-device bus and a cluster
-#: interconnect.  The planner charges ``payload_bytes / bandwidth`` as
-#: startup on every run — unlike a warm process pool, the YET crosses
-#: the bus each time.
-DEVICE_H2D_BYTES_PER_S = 6e9
-CLUSTER_LINK_BYTES_PER_S = 1e9
-
-
-def transfer_stage(name: str, payload_bytes: float,
-                   bandwidth_bytes_per_s: float) -> "StageSpec":
-    """A :class:`StageSpec` pricing one payload shipment as bus-bound work.
-
-    The work unit is a byte and the throughput is link bandwidth; the
-    stage is perfectly serial (one bus), so ``runtime_seconds(1)`` is the
-    modelled transfer time.  The engine registry's cost hooks use this to
-    price the per-run YET upload of the device and cluster substrates.
-    """
-    return StageSpec(
-        name=name,
-        work_items=float(max(payload_bytes, 0.0)),
-        throughput_per_proc=float(bandwidth_bytes_per_s),
-    )
-
+           "ThroughputEstimate"]
 
 class ThroughputEstimate:
     """EWMA-calibrated per-processor throughput (work units / second).

@@ -139,19 +139,18 @@ class PoolHealth:
     failure data as a first-class signal" the ML-for-ODA codesign paper
     argues for.
 
-    Since the telemetry plane landed this is a *view over registry
-    metrics*: each counter attribute reads a ``pool.<name>`` counter in
-    the owning pool's :class:`~repro.obs.Telemetry` (offset by a
-    baseline so :meth:`reset` can zero the view without breaking counter
-    monotonicity), and the degraded flag mirrors a ``pool.degraded``
-    gauge plus ``pool.degraded`` / ``pool.recovered`` events on
-    transitions.  Attribute reads and ``+=`` writes keep working exactly
-    as before, so supervision code and existing callers are unchanged —
-    but attribute access is **deprecated** for consumers: scrape the
-    owning component's telemetry (or :meth:`snapshot`) instead.
+    The failure counts *are* the ``pool.<name>`` counters of the owning
+    pool's :class:`~repro.obs.Telemetry` plane: supervision adds to them
+    through :meth:`count`, they stay monotone for the life of the pool,
+    and :meth:`snapshot` reads them as the telemetry scrape does — one
+    dot-key, one value.  The *state* (``degraded``,
+    ``consecutive_failures``, ``last_error``) lives here as plain
+    attributes; the degraded flag mirrors a ``pool.degraded`` gauge plus
+    ``pool.degraded`` / ``pool.recovered`` events on transitions, and
+    :meth:`reset` clears the state only.
     """
 
-    #: Counter-backed attributes, exported as ``pool.<name>``.
+    #: Registry counters, exported as ``pool.<name>``.
     _COUNTER_FIELDS = ("worker_deaths", "timeouts", "retries",
                        "task_faults", "executor_cycles", "calls",
                        "call_failures", "degraded_calls")
@@ -160,12 +159,14 @@ class PoolHealth:
         self._tel = telemetry if telemetry is not None else Telemetry()
         self._counters = {name: self._tel.counter(f"pool.{name}")
                           for name in self._COUNTER_FIELDS}
-        self._base = {name: self._counters[name].value
-                      for name in self._COUNTER_FIELDS}
         self._degraded_gauge = self._tel.gauge("pool.degraded")
         self._degraded = False
         self.consecutive_failures = 0
         self.last_error: str | None = None
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the ``pool.<name>`` counter."""
+        self._counters[name].inc(n)
 
     @property
     def degraded(self) -> bool:
@@ -187,17 +188,15 @@ class PoolHealth:
 
     def record_call_failure(self, error: BaseException,
                             degrade_after: int) -> None:
-        self.call_failures += 1
+        self.count("call_failures")
         self.consecutive_failures += 1
         self.last_error = f"{type(error).__name__}: {error}"
         if self.consecutive_failures >= degrade_after:
             self.degraded = True
 
     def reset(self) -> None:
-        """Zero the view (rebaseline the underlying monotone counters)
-        and leave degraded mode."""
-        for name, counter in self._counters.items():
-            self._base[name] = counter.value
+        """Forget the failure streak and leave degraded mode (the
+        counters are history and keep counting)."""
         self.consecutive_failures = 0
         self.degraded = False
         self.last_error = None
@@ -205,39 +204,12 @@ class PoolHealth:
     def snapshot(self) -> dict:
         """JSON-ready flat dict in the ``pool.*`` dot-key convention of
         :mod:`repro.obs` (benches and ops endpoints embed this)."""
-        out = {f"pool.{name}": getattr(self, name)
-               for name in self._COUNTER_FIELDS}
+        out = {f"pool.{name}": int(counter.value)
+               for name, counter in self._counters.items()}
         out["pool.consecutive_failures"] = self.consecutive_failures
         out["pool.degraded"] = self.degraded
         out["pool.last_error"] = self.last_error
         return out
-
-
-def _counter_view(attr: str) -> property:
-    """A ``PoolHealth`` attribute backed by a registry counter.
-
-    Reads subtract the reset baseline; writes only accept growth (the
-    ``+=`` idiom supervision uses), preserving counter monotonicity.
-    """
-
-    def fget(self: PoolHealth) -> int:
-        return int(self._counters[attr].value - self._base[attr])
-
-    def fset(self: PoolHealth, value: int) -> None:
-        # Writes arrive as `health.attr += n` read-modify-write cycles;
-        # under a concurrent writer the re-read here can exceed `value`.
-        # A non-positive delta means the increment was already counted —
-        # drop it rather than decrease a monotone counter.
-        delta = value - fget(self)
-        if delta > 0:
-            self._counters[attr].inc(delta)
-
-    return property(fget, fset, doc=f"Counter view of pool.{attr}.")
-
-
-for _attr in PoolHealth._COUNTER_FIELDS:
-    setattr(PoolHealth, _attr, _counter_view(_attr))
-del _attr
 
 
 #: Per-worker slot for the object shipped by :meth:`WorkPool.starmap_shared`.
@@ -387,8 +359,7 @@ class WorkPool:
     def reset_health(self) -> None:
         """Forget failure history and leave degraded mode (operator path
         back to pooled execution once the underlying cause is fixed).
-        The underlying registry counters stay monotone; only the
-        :class:`PoolHealth` view is rebaselined to zero."""
+        The ``pool.*`` counters are history and are left as they are."""
         self.health.reset()
 
     def close(self) -> None:
@@ -438,7 +409,7 @@ class WorkPool:
         if self.n_workers == 1 or len(tuples) <= 1:
             return [fn(*args) for args in tuples]
         if self.health.degraded:
-            self.health.degraded_calls += 1
+            self.health.count("degraded_calls")
             return [fn(*args) for args in tuples]
         return self._supervised(fn, None, tuples,
                                 policy if policy is not None else self.policy)
@@ -465,7 +436,7 @@ class WorkPool:
             local = _resolve(shared)
             return [fn(local, *args) for args in tuples]
         if self.health.degraded:
-            self.health.degraded_calls += 1
+            self.health.count("degraded_calls")
             local = _resolve(shared)
             return [fn(local, *args) for args in tuples]
         return self._supervised(fn, shared, tuples,
@@ -508,7 +479,7 @@ class WorkPool:
         attempts = [0] * n
         failures: list[BaseException] = []
         cycle = 0
-        self.health.calls += 1
+        self.health.count("calls")
         call_start = time.perf_counter()
         try:
             return self._supervised_loop(fn, shared, tuples, policy, results,
@@ -530,7 +501,7 @@ class WorkPool:
                 except BrokenExecutor as exc:
                     # Workers died during submission (e.g. killed at
                     # init): everything unsubmitted is lost this cycle.
-                    self.health.worker_deaths += 1
+                    self.health.count("worker_deaths")
                     failures.append(exc)
                     infra = exc
                     break
@@ -555,10 +526,10 @@ class WorkPool:
                 except (BrokenExecutor, _FuturesTimeout, TimeoutError) as exc:
                     if infra is None:
                         if isinstance(exc, BrokenExecutor):
-                            self.health.worker_deaths += 1
+                            self.health.count("worker_deaths")
                             infra = exc
                         else:
-                            self.health.timeouts += 1
+                            self.health.count("timeouts")
                             infra = TimeoutError(
                                 f"batch deadline of "
                                 f"{policy.deadline_seconds}s exceeded with "
@@ -570,7 +541,7 @@ class WorkPool:
                 except Exception as exc:
                     if not isinstance(exc, policy.retryable):
                         raise  # genuine task error: not supervision's to eat
-                    self.health.task_faults += 1
+                    self.health.count("task_faults")
                     failures.append(exc)
                     still.append(i)
             pending = still
@@ -592,12 +563,12 @@ class WorkPool:
                 if infra is not None:
                     self._abandon_executor()
                 raise error
-            self.health.retries += len(pending)
+            self.health.count("retries", len(pending))
             if infra is not None:
                 # Worker death or wedged batch: cycle the executor.  The
                 # rebuild in the next loop iteration re-sends handles
                 # only (see _executor_handle).
-                self.health.executor_cycles += 1
+                self.health.count("executor_cycles")
                 self._abandon_executor()
             self._backoff(policy, cycle)
             cycle += 1

@@ -34,7 +34,7 @@ Quickstart::
     wl = repro.bench.companion_study_workload(n_trials=10_000)
     with repro.PricingService(wl.yet) as svc:
         quotes = svc.quote_many(list(wl.portfolio))   # one fused sweep
-        print(svc.stats.coalescing_factor)
+        print(svc.stats.snapshot()["serve.coalescing_factor"])
 """
 
 from repro.serve.admission import AdmissionController, AdmissionDecision

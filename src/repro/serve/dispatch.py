@@ -257,7 +257,7 @@ class PooledDispatcher(Dispatcher):
             # alone, so degraded answers are bit-identical to pooled
             # and inline ones).  No slab packing, no handle ships,
             # nothing left to break.
-            self.pool.health.degraded_calls += 1
+            self.pool.health.count("degraded_calls")
             return np.concatenate(
                 [_sweep_trials(yet, kernel, t0, t1)
                  for t0, t1 in self.spans(yet)], axis=1)

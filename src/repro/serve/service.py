@@ -77,88 +77,50 @@ _METRICS = ("quote", "ylt", "ep_curve")
 
 class ServeStats:
     """Aggregate counters of one service instance (bounded state only —
-    a long-lived service must not grow per-batch history).
+    a long-lived service must not grow per-batch history): a snapshot
+    view over the ``serve.*`` metrics of the service's
+    :class:`~repro.obs.Telemetry` plane.
 
-    Since the telemetry plane landed this is a *view over the service's*
-    :class:`~repro.obs.Telemetry` plane: every attribute reads a
-    ``serve.*`` registry metric.  Attribute access is kept for backward
-    compatibility but **deprecated** — new code should scrape
-    :attr:`PricingService.telemetry` (or :meth:`snapshot`) instead of
-    poking fields.  ``sublinear_batches``/``sublinear_rows`` count
-    batches whose stacked kernel held a structural tail group (≥ 16
-    same-book rows — the many-quotes-one-book shape ``quote_many``
-    produces) and the rows in such groups.  Where a batch's rows
-    actually priced is counted beside them on the same plane, from the
-    batch kernel and the YET an in-process sweep ran on, whenever a
-    count moved: ``kernel.profile_rows`` (off the book's profile),
+    ``serve.sublinear.batches``/``.rows`` count batches whose stacked
+    kernel held a structural tail group (≥ 16 same-book rows — the
+    many-quotes-one-book shape ``quote_many`` produces) and the rows in
+    such groups.  Where a batch's rows actually priced is counted beside
+    them on the same plane, from the batch kernel and the YET an
+    in-process sweep ran on, whenever a count moved:
+    ``kernel.profile_rows`` (off the book's profile),
     ``kernel.fallback.<reason>`` (sent to lanes: ``error_bound``,
     ``sublinear_off``), ``kernel.lane_rows.by_event`` /
     ``kernel.lane_rows.by_stream`` (every lane row by its path), and
     the ``yet.profile.*`` (builds, hits, evictions, resident) and
     ``yet.event_index.*`` (builds, bytes) levels.  Pool workers' counts
-    are not returned yet (ROADMAP item 3).
+    are not returned yet (ROADMAP item 4).
     """
 
-    #: Attribute → counter metric name (the flat dot-key convention of
-    #: :mod:`repro.obs`).
-    _COUNTER_FIELDS = {
-        "requests": "serve.requests",
-        "cache_hits": "serve.cache.hits",
-        "shed": "serve.shed",
-        "batches": "serve.batches",
-        "batched_requests": "serve.batched_requests",
-        "kernel_rows": "serve.kernel_rows",
-        "sweep_seconds": "serve.sweep_seconds",
-        "sublinear_batches": "serve.sublinear.batches",
-        "sublinear_rows": "serve.sublinear.rows",
-    }
+    _COUNTERS = ("serve.requests", "serve.cache.hits", "serve.shed",
+                 "serve.batches", "serve.batched_requests",
+                 "serve.kernel_rows", "serve.sublinear.batches",
+                 "serve.sublinear.rows")
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
-        self._tel = telemetry if telemetry is not None else Telemetry()
-        self._counters = {attr: self._tel.counter(name)
-                          for attr, name in self._COUNTER_FIELDS.items()}
-        self._largest = self._tel.gauge("serve.largest_batch",
-                                        track_max=True)
-
-    @property
-    def largest_batch(self) -> int:
-        """Peak requests coalesced into one batch (a high-water gauge)."""
-        return int(self._largest.max_value)
-
-    @property
-    def sweeps(self) -> int:
-        """Fused YET passes executed (one per batch)."""
-        return self.batches
-
-    @property
-    def coalescing_factor(self) -> float:
-        """Requests answered per YET sweep (the serving layer's win)."""
-        return self.batched_requests / self.batches if self.batches else 0.0
+        tel = telemetry if telemetry is not None else Telemetry()
+        self._counters = {name: tel.counter(name) for name in self._COUNTERS}
+        self._sweep_seconds = tel.counter("serve.sweep_seconds")
+        self._largest = tel.gauge("serve.largest_batch", track_max=True)
 
     def snapshot(self) -> dict:
         """JSON-ready flat dict in the ``serve.*`` dot-key convention of
-        :mod:`repro.obs` (merges cleanly with a registry snapshot)."""
-        out = {name: getattr(self, attr)
-               for attr, name in self._COUNTER_FIELDS.items()}
-        out["serve.largest_batch"] = self.largest_batch
-        out["serve.coalescing_factor"] = self.coalescing_factor
+        :mod:`repro.obs` (merges cleanly with a registry snapshot), plus
+        two derived keys: ``serve.largest_batch`` (peak requests
+        coalesced into one batch) and ``serve.coalescing_factor``
+        (requests answered per YET sweep — the serving layer's win)."""
+        out = {name: int(counter.value)
+               for name, counter in self._counters.items()}
+        out["serve.sweep_seconds"] = float(self._sweep_seconds.value)
+        out["serve.largest_batch"] = int(self._largest.max_value)
+        batches = out["serve.batches"]
+        out["serve.coalescing_factor"] = (
+            out["serve.batched_requests"] / batches if batches else 0.0)
         return out
-
-
-def _serve_counter_view(attr: str, name: str, cast) -> property:
-    """A ``ServeStats`` attribute backed by a registry counter."""
-
-    def fget(self: ServeStats):
-        return cast(self._counters[attr].value)
-
-    return property(fget, doc=f"Counter view of {name} (deprecated "
-                              "attribute access; scrape telemetry).")
-
-
-for _attr, _name in ServeStats._COUNTER_FIELDS.items():
-    _cast = float if _attr == "sweep_seconds" else int
-    setattr(ServeStats, _attr, _serve_counter_view(_attr, _name, _cast))
-del _attr, _name, _cast
 
 
 class _Request:

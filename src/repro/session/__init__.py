@@ -9,9 +9,9 @@ session    :class:`RiskSession` — bind a YET (and optionally a
            quotes, EP curves, sensitivities) over that one staged
            substrate with a single close.
 planner    :class:`EnginePlanner` / :class:`ExecutionPlan` — resolve
-           ``engine="auto"`` through the HPC cost model over the
-           declarative :class:`~repro.core.engines.EngineSpec` registry,
-           with an ``explain()`` rendering of the decision.
+           ``engine="auto"`` through the HPC cost model over its own
+           table of the two host substrates, with an ``explain()``
+           rendering of the decision.
 ========= ==============================================================
 
 Quickstart::

@@ -1,21 +1,24 @@
 """The execution planner: resolve ``engine="auto"`` into a priced plan.
 
-The registry (:mod:`repro.core.engines.registry`) declares what each
-engine *can* do and roughly what it costs; the planner turns that plus
-the data shape into a decision.  The estimator is the same HPC cost
-model that sizes processor bursts at paper scale
-(:class:`~repro.hpc.cost_model.StageSpec`): a workload is ``work_items``
-layer-occurrence lanes, each candidate engine prices them at its
+This module owns what ``auto`` chooses between, and at what rates:
+:data:`_SUBSTRATES` is the whole table — the two substrates that really
+execute on this host, each one row naming the registry engine that runs
+an aggregate on it, the session dispatcher that runs a serving batch on
+it, and its cost-model seeds.  The engine a plan names and the
+dispatcher a serving workload gets are read off the same row, so they
+cannot disagree.  The registry's other engines (the scalar oracle and
+the simulated device / MapReduce / cluster of the paper's E5/E7) stay
+constructible and runnable by name; they run as host NumPy, cannot win
+work from the host substrates, and are not something ``auto`` resolves
+to.
+
+The estimator is the same HPC cost model that sizes processor bursts at
+paper scale (:class:`~repro.hpc.cost_model.StageSpec`): a workload is
+``work_items`` layer-occurrence lanes, each substrate prices them at its
 (EWMA-calibrated) per-processor throughput under Amdahl plus a
-communication term, and cold substrates are charged their startup cost
-(worker spawn, payload staging) — which is exactly why a session that
-keeps its substrate warm gets different, better plans than per-call
-entry points.  Simulated substrates (device, cluster) are priced too:
-they start from conservative seed rates and pay their per-run payload
-transfer (H2D upload, trial scatter) in the startup column on *every*
-run — a bus earns no warm credit — so ``engine="auto"`` only routes
-work onto them once a measured run has calibrated them faster than the
-host engines at a shape where the transfer amortises.
+communication term, and a cold pool is charged its startup cost (worker
+spawn, payload staging) — which is exactly why a session that keeps its
+substrate warm gets different, better plans than per-call entry points.
 
 Every decision is auditable: :meth:`ExecutionPlan.explain` renders the
 candidate table — throughput, processors, Amdahl fraction, startup,
@@ -26,20 +29,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engines.registry import auto_candidates, engine_spec
+from repro.core.engines.registry import engine_spec
 from repro.errors import ConfigurationError
-from repro.hpc.cost_model import ThroughputEstimate
+from repro.hpc.cost_model import StageSpec, ThroughputEstimate
 from repro.hpc.pool import available_parallelism
 from repro.obs import Telemetry
 
-__all__ = ["EngineEstimate", "ExecutionPlan", "EnginePlanner"]
+__all__ = ["EngineEstimate", "ExecutionPlan", "EnginePlanner",
+           "dispatcher_for"]
 
 #: Workload kinds the planner understands.
-_WORKLOADS = ("aggregate", "serving", "sensitivity")
+_WORKLOADS = ("aggregate", "serving")
 
 #: Nominal micro-batch size used to shape a "serving" plan: the cost of
 #: one coalesced sweep is what the dispatcher choice should optimise.
 _NOMINAL_BATCH = 8
+
+
+@dataclass(frozen=True)
+class _Substrate:
+    """One row of what ``auto`` prices.
+
+    ``lanes_per_second`` is the seed rate per processor (an
+    order-of-magnitude prior; the first measured run replaces it), the
+    next two feed the :class:`~repro.hpc.cost_model.StageSpec`.
+    ``pooled`` marks the row that runs on the session's worker pool: it
+    is priced at the host's worker count, pays ``startup_seconds`` while
+    the pool is cold, is ineligible on a single-core host and prices as
+    one processor once the pool has degraded.
+    """
+
+    engine: str
+    dispatcher: str
+    lanes_per_second: float
+    parallel_fraction: float = 1.0
+    comm_overhead_per_proc_s: float = 0.0
+    startup_seconds: float = 0.0
+    pooled: bool = False
+
+
+_SUBSTRATES = {row.engine: row for row in (
+    _Substrate("vectorized", "inline", lanes_per_second=2.5e7),
+    _Substrate("multicore", "pooled", lanes_per_second=2.2e7,
+               parallel_fraction=0.92, comm_overhead_per_proc_s=0.01,
+               startup_seconds=0.35, pooled=True),
+)}
+
+
+def dispatcher_for(name: str) -> str:
+    """The dispatcher name a substrate's engine name stands for
+    (``"multicore"`` → ``"pooled"``); any other name passes through."""
+    return next((row.dispatcher for row in _SUBSTRATES.values()
+                 if row.engine == name), name)
 
 
 @dataclass(frozen=True)
@@ -67,8 +108,7 @@ class ExecutionPlan:
     Attributes
     ----------
     workload:
-        What is being planned (``"aggregate"``, ``"serving"``,
-        ``"sensitivity"``).
+        What is being planned (``"aggregate"`` or ``"serving"``).
     engine:
         The chosen registry engine name.
     n_procs:
@@ -107,6 +147,12 @@ class ExecutionPlan:
     @property
     def modelled_seconds(self) -> float:
         return self.chosen.total_seconds
+
+    @property
+    def dispatcher(self) -> str:
+        """The session dispatcher that runs a serving batch on the
+        chosen substrate — the same table row as :attr:`engine`."""
+        return dispatcher_for(self.engine)
 
     def explain(self) -> str:
         """Human-readable account of why this engine was chosen."""
@@ -149,16 +195,14 @@ class ExecutionPlan:
 
 
 class EnginePlanner:
-    """Prices auto-candidate engines for a session's workloads.
+    """Prices the substrates of :data:`_SUBSTRATES` for a session's
+    workloads.
 
     Parameters
     ----------
     n_workers:
-        Host parallelism pooled substrates are priced at (``None`` =
+        Host parallelism the pooled substrate is priced at (``None`` =
         the machine's available parallelism).
-    smoothing:
-        EWMA weight for throughput calibration; each observed staged run
-        (:meth:`observe`) sharpens later plans.
     telemetry:
         An :class:`~repro.obs.Telemetry` plane to report into (a session
         passes its own).  Each plan emits a ``plan.decision`` event with
@@ -167,7 +211,6 @@ class EnginePlanner:
     """
 
     def __init__(self, n_workers: int | None = None,
-                 smoothing: float = 0.3,
                  telemetry: Telemetry | None = None) -> None:
         self.n_workers = (n_workers if n_workers is not None
                           else available_parallelism())
@@ -176,24 +219,31 @@ class EnginePlanner:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._m_plans = self.telemetry.counter("planner.plans")
         self._m_calibrations = self.telemetry.counter("planner.calibrations")
-        #: Per-engine calibrated throughput, seeded from the registry.
-        self._estimates: dict[str, ThroughputEstimate] = {}
-
-    def _estimate_for(self, name: str) -> ThroughputEstimate:
-        est = self._estimates.get(name)
-        if est is None:
-            est = ThroughputEstimate(engine_spec(name).lane_throughput)
-            self._estimates[name] = est
-        return est
+        #: Per-substrate throughput, seeded from the table and sharpened
+        #: by each observed run (:meth:`observe`).
+        self._rates = {name: ThroughputEstimate(row.lanes_per_second)
+                       for name, row in _SUBSTRATES.items()}
 
     def throughput(self, name: str) -> float:
-        """Current lanes/s/proc estimate for one engine."""
-        return self._estimate_for(name).rate
+        """Current lanes/s/proc estimate for one priced substrate."""
+        try:
+            return self._rates[name].rate
+        except KeyError:
+            raise ConfigurationError(
+                f"{name!r} is not a substrate auto prices; "
+                f"priced: {sorted(self._rates)}"
+            ) from None
 
     def observe(self, engine: str, lanes: float, seconds: float,
                 n_procs: int = 1) -> None:
-        """Calibrate one engine's throughput from a measured run."""
-        est = self._estimate_for(engine)
+        """Calibrate one substrate's throughput from a measured run.
+
+        A run of an engine ``auto`` does not price (the oracle, a
+        simulated substrate, a caller's own engine) calibrates nothing.
+        """
+        est = self._rates.get(engine)
+        if est is None:
+            return
         est.observe(lanes, seconds, n_procs)
         self._m_calibrations.inc()
         self.telemetry.gauge(
@@ -206,14 +256,14 @@ class EnginePlanner:
              n_layers: int = 1, pool_warm: bool = False,
              pool_degraded: bool = False, transport: str = "shm",
              require_emit_yelt: bool = False) -> ExecutionPlan:
-        """Price every auto candidate and choose the cheapest.
+        """Price every substrate and choose the cheapest.
 
-        ``pool_warm`` waives process-pool startup (the session already
-        paid it); ``pool_degraded`` prices process-pool candidates as
-        the serial fallback they have become — one processor, no warm
-        credit, noted in ``explain()`` — so a degraded pool is never
-        charged as parallel capacity; ``transport`` is recorded for the
-        chosen substrate (in-process engines always report
+        ``pool_warm`` waives the pool's startup (the session already
+        paid it); ``pool_degraded`` prices the pooled substrate as the
+        serial fallback it has become — one processor, no warm credit,
+        noted in ``explain()`` — so a degraded pool is never charged as
+        parallel capacity; ``transport`` is recorded when the pooled
+        substrate is chosen (the in-process one always reports
         ``"inline"``); ``require_emit_yelt`` marks engines without YELT
         support ineligible (a capability constraint, visible in
         ``explain()``).
@@ -231,58 +281,39 @@ class EnginePlanner:
         lanes = float(max(n_occurrences, 1) * n_layers)
 
         estimates: list[EngineEstimate] = []
-        for spec in auto_candidates():
-            est = self._estimate_for(spec.name)
-            procs = spec.procs_for(self.n_workers)
-            if require_emit_yelt and not spec.supports_emit_yelt:
-                estimates.append(EngineEstimate(
-                    engine=spec.name, n_procs=procs,
-                    throughput_per_proc=est.rate, calibrated=est.calibrated,
-                    runtime_seconds=float("inf"), startup_seconds=0.0,
-                    eligible=False, note="does not emit YELTs",
-                ))
-                continue
-            if spec.parallelism == "process-pool" and self.n_workers <= 1:
-                estimates.append(EngineEstimate(
-                    engine=spec.name, n_procs=1,
-                    throughput_per_proc=est.rate, calibrated=est.calibrated,
-                    runtime_seconds=float("inf"), startup_seconds=0.0,
-                    eligible=False, note="single-core host (no pool to win on)",
-                ))
-                continue
-            note = ""
-            if spec.parallelism == "process-pool" and pool_degraded:
+        for row in _SUBSTRATES.values():
+            est = self._rates[row.engine]
+            procs = self.n_workers if row.pooled else 1
+            startup, eligible, note = 0.0, True, ""
+            if require_emit_yelt and not engine_spec(
+                    row.engine).supports_emit_yelt:
+                eligible, note = False, "does not emit YELTs"
+            elif row.pooled and self.n_workers <= 1:
+                eligible, note = False, "single-core host (no pool to win on)"
+            elif row.pooled and pool_degraded:
                 # The pool has fallen back to serial inline execution:
                 # price what will actually run (one processor, no spawn
                 # to pay — and no warm parallel capacity to credit).
-                procs = 1
-                note = "pool degraded — priced as serial fallback"
-            runtime = spec.stage_spec(lanes, est.rate).runtime_seconds(procs)
-            startup = 0.0
-            if (spec.parallelism == "process-pool" and not pool_warm
-                    and not pool_degraded):
-                startup = spec.startup_seconds
-            elif spec.parallelism in ("simulated-device", "simulated-cluster"):
-                # A device/cluster run re-ships the YET over its link
-                # every time — unlike a warm pool, a bus earns no warm
-                # credit, so launch + transfer are charged on every run.
-                transfer = spec.transfer_seconds(max(n_occurrences, 1))
-                startup = spec.startup_seconds + transfer
-                if transfer > 0:
-                    note = "per-run payload transfer charged in startup"
+                procs, note = 1, "pool degraded — priced as serial fallback"
+            elif row.pooled and not pool_warm:
+                startup = row.startup_seconds
+            runtime = StageSpec(
+                row.engine, lanes, est.rate,
+                parallel_fraction=row.parallel_fraction,
+                comm_overhead_per_proc_s=row.comm_overhead_per_proc_s,
+            ).runtime_seconds(procs) if eligible else float("inf")
             estimates.append(EngineEstimate(
-                engine=spec.name, n_procs=procs,
+                engine=row.engine, n_procs=procs,
                 throughput_per_proc=est.rate, calibrated=est.calibrated,
                 runtime_seconds=runtime, startup_seconds=startup,
-                note=note,
+                eligible=eligible, note=note,
             ))
         eligible = [e for e in estimates if e.eligible]
         if not eligible:
             raise ConfigurationError(
-                "no auto-candidate engine is eligible on this host"
+                "no substrate is eligible on this host"
             )
         chosen = min(eligible, key=lambda e: e.total_seconds)
-        chosen_spec = engine_spec(chosen.engine)
         self._m_plans.inc()
         self.telemetry.counter(f"planner.chosen.{chosen.engine}").inc()
         self.telemetry.event(
@@ -297,7 +328,7 @@ class EnginePlanner:
             workload=workload,
             engine=chosen.engine,
             n_procs=chosen.n_procs,
-            transport=(transport if chosen_spec.parallelism == "process-pool"
+            transport=(transport if _SUBSTRATES[chosen.engine].pooled
                        else "inline"),
             n_trials=int(n_trials),
             n_occurrences=int(n_occurrences),

@@ -21,8 +21,8 @@ A session restores the invariant across all of them:
   (``session.payload_ships`` exposes the counter the tests assert on).
 - **plan, don't guess** — ``engine="auto"`` resolves through the
   :class:`~repro.session.planner.EnginePlanner`: the HPC cost model
-  prices every auto-candidate engine at its (EWMA-calibrated)
-  throughput, charges cold substrates their startup, and the returned
+  prices the two host substrates at their (EWMA-calibrated)
+  throughput, charges a cold pool its startup, and the returned
   :class:`~repro.session.planner.ExecutionPlan` can ``explain()``
   itself.
 - **close exactly once** — ``close()`` (or the context manager) tears
@@ -57,7 +57,8 @@ from repro.hpc import shm
 from repro.hpc.pool import available_parallelism
 from repro.obs import Telemetry, as_telemetry
 from repro.serve.dispatch import Dispatcher, InlineDispatcher, PooledDispatcher
-from repro.session.planner import EnginePlanner, ExecutionPlan
+from repro.session.planner import (EnginePlanner, ExecutionPlan,
+                                   dispatcher_for)
 
 __all__ = ["RiskSession", "SessionStats"]
 
@@ -223,20 +224,23 @@ class RiskSession:
         """The session-owned dispatcher for a serving-style workload.
 
         ``"auto"`` plans the choice; ``"inline"``/``"vectorized"`` and
-        ``"pooled"``/``"multicore"`` name the substrates directly.  The
-        returned dispatcher is owned (and closed) by the session.
+        ``"pooled"``/``"multicore"`` name the substrates directly (an
+        engine name stands for the dispatcher on its row of the
+        planner's table).  The returned dispatcher is owned (and closed)
+        by the session.
         """
         self._check_open()
         if isinstance(spec, Dispatcher):
             return spec
         if spec in (None, "auto"):
-            plan = self.plan("serving")
-            spec = "pooled" if plan.engine == "multicore" else "inline"
-        if spec in ("inline", "vectorized"):
+            name = self.plan("serving").dispatcher
+        else:
+            name = dispatcher_for(spec)
+        if name == "inline":
             if self._inline is None:
                 self._inline = InlineDispatcher()
             return self._inline
-        if spec in ("pooled", "multicore"):
+        if name == "pooled":
             if self._pooled is None:
                 self._pooled = PooledDispatcher(
                     n_workers=self.n_workers, transport=self.transport,
@@ -307,7 +311,7 @@ class RiskSession:
              portfolio: Portfolio | None = None,
              n_layers: int | None = None,
              require_emit_yelt: bool = False) -> ExecutionPlan:
-        """Price the auto-candidate engines for a workload on this
+        """Price the planner's substrates for a workload on this
         session's data shape; see :meth:`ExecutionPlan.explain`."""
         self._check_open()
         if n_layers is None:
@@ -369,18 +373,12 @@ class RiskSession:
         if routed:
             for name, level in self.yet.cache_levels().items():
                 tel.gauge(name).set(level)
-        try:
-            spec = engine_spec(res.engine)
-        except EngineError:
-            return
-        if not spec.auto_candidate:
-            return
-        # Pooled engines report n_workers, the cluster reports n_nodes;
-        # normalising to per-processor keeps calibration comparable with
-        # the spec's procs_for() pricing.
-        n_procs = int(details.get("n_workers")
-                      or details.get("n_nodes") or 1)
-        self._planner.observe(res.engine, lanes, res.seconds, n_procs)
+        # The planner calibrates the substrates it prices and ignores
+        # the rest; the pooled engine reports n_workers, and normalising
+        # to per-processor keeps the rate comparable with how it is
+        # priced.
+        self._planner.observe(res.engine, lanes, res.seconds,
+                              int(details.get("n_workers") or 1))
 
     # -- aggregate analysis ------------------------------------------------
 

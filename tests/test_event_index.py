@@ -360,7 +360,7 @@ class TestDecompositionInvariance:
                 np.testing.assert_array_equal(answer, whole)
                 pooled.pool.health.degraded = True
                 np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
-                assert pooled.pool.health.degraded_calls == 1
+                assert pooled.health.snapshot()["pool.degraded_calls"] == 1
         oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
         for row, lid in enumerate(kernel.layer_ids):
             np.testing.assert_allclose(whole[row], oracle[lid].losses,

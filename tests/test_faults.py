@@ -123,11 +123,31 @@ class TestPoolRecovery:
                 got = pool.map(_square, list(range(8)), policy=FAST)
             assert got == [i * i for i in range(8)]
             assert plan.exhausted
-            assert pool.health.worker_deaths >= 1
-            assert pool.health.retries >= 1
-            assert pool.health.executor_cycles >= 1
+            snap = pool.health.snapshot()
+            assert snap["pool.worker_deaths"] >= 1
+            assert snap["pool.retries"] >= 1
+            assert snap["pool.executor_cycles"] >= 1
             assert not pool.health.degraded
             assert pool.health.consecutive_failures == 0
+
+    def test_reset_leaves_one_truth_per_counter(self):
+        """``reset_health`` clears the streak and the degraded flag; the
+        counters are the registry's and read the same from both doors."""
+        with WorkPool(n_workers=2, seed=3) as pool:
+            with faults.inject(FaultPlan.kill_task(2)):
+                pool.map(_square, list(range(8)), policy=FAST)
+            pool.health.degraded = True
+            pool.reset_health()
+            assert not pool.health.degraded
+            health = pool.health.snapshot()
+            assert health["pool.worker_deaths"] >= 1
+            scraped = pool.telemetry.snapshot()["metrics"]
+            counters = [key for key in health
+                        if key not in ("pool.consecutive_failures",
+                                       "pool.degraded", "pool.last_error")]
+            assert len(counters) == 8
+            for key in counters:
+                assert health[key] == scraped[key], key
 
     def test_deadline_miss_recovers(self):
         policy = TaskPolicy(deadline_seconds=0.2, max_retries=2,
@@ -137,7 +157,7 @@ class TestPoolRecovery:
                 got = pool.map(_square, [1, 2, 3, 4], policy=policy)
             assert got == [1, 4, 9, 16]
             assert plan.exhausted
-            assert pool.health.timeouts >= 1
+            assert pool.health.snapshot()["pool.timeouts"] >= 1
 
     def test_poison_retried_by_default_policy(self):
         with WorkPool(n_workers=2) as pool:
@@ -146,7 +166,7 @@ class TestPoolRecovery:
                                           [(1,), (2,), (3,)], policy=FAST)
             assert got == [10, 20, 30]
             assert plan.exhausted
-            assert pool.health.task_faults == 1
+            assert pool.health.snapshot()["pool.task_faults"] == 1
 
     def test_poison_not_retryable_propagates(self):
         policy = TaskPolicy(max_retries=2, backoff_seconds=0.0, retryable=())
@@ -180,7 +200,7 @@ class TestPoolRecovery:
             assert err.failures  # the chain rode along
             assert any("BrokenProcessPool" in entry or "Broken" in entry
                        for entry in err.failure_chain)
-            assert pool.health.call_failures == 1
+            assert pool.health.snapshot()["pool.call_failures"] == 1
             assert pool.health.consecutive_failures == 1
             # one terminal failure is not degradation (degrade_after=3)
             assert not pool.health.degraded
@@ -201,7 +221,7 @@ class TestPoolRecovery:
             # degraded mode: serial inline, correct answers, no workers
             got = pool.map(_square, [1, 2, 3])
             assert got == [1, 4, 9]
-            assert pool.health.degraded_calls == 1
+            assert pool.health.snapshot()["pool.degraded_calls"] == 1
             assert not pool.started
             # ensure_started is a no-op while degraded
             pool.ensure_started()
@@ -243,7 +263,7 @@ class TestEngineChaos:
                 np.testing.assert_array_equal(
                     baseline.ylt_by_layer[lid].losses,
                     recovered.ylt_by_layer[lid].losses)
-            assert engine.pool.health.worker_deaths >= 1
+            assert engine.pool.health.snapshot()["pool.worker_deaths"] >= 1
             assert recovered.details["degraded"] is False
 
     def test_degraded_engine_matches_pooled_bitwise(
@@ -310,8 +330,8 @@ class TestServingChaos:
             assert plan.exhausted
             health = chaos_svc.pool_health
             assert health is not None
-            assert health.worker_deaths >= 1
-            assert health.retries >= 1
+            assert health.snapshot()["pool.worker_deaths"] >= 1
+            assert health.snapshot()["pool.retries"] >= 1
             assert not health.degraded
             for clean, chaos, inline in zip(clean_q, chaos_q, inline_q):
                 # bit-identical to the fault-free pooled run ...
@@ -338,7 +358,8 @@ class TestServingChaos:
             assert degraded_dispatcher.transport_active == "inline"
             pooled_q = pooled_svc.quote_many(layers)
             degraded_q = degraded_svc.quote_many(layers)
-            assert degraded_dispatcher.pool.health.degraded_calls >= 1
+            assert degraded_dispatcher.health.snapshot()[
+                "pool.degraded_calls"] >= 1
             for a, b in zip(pooled_q, degraded_q):
                 assert a.expected_loss == b.expected_loss
                 assert a.premium == b.premium
@@ -359,7 +380,7 @@ class TestServingChaos:
                 with pytest.raises(ExecutionError) as exc_info:
                     svc.quote_many(layers)
             assert exc_info.value.failures
-            assert svc.pool_health.call_failures == 1
+            assert svc.pool_health.snapshot()["pool.call_failures"] == 1
             # the service survives: the next batch prices normally
             faults.clear()
             quotes = svc.quote_many(layers)

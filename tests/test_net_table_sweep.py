@@ -318,7 +318,7 @@ class TestDecompositionInvariance:
             np.testing.assert_array_equal(answer, whole)
             pooled.pool.health.degraded = True
             np.testing.assert_array_equal(pooled.run(kernel, wl.yet), whole)
-            assert pooled.pool.health.degraded_calls == 1
+            assert pooled.health.snapshot()["pool.degraded_calls"] == 1
 
     def test_engines_agree_bitwise(self, small_portfolio_workload):
         wl = small_portfolio_workload

@@ -152,3 +152,20 @@ def test_kernel_sweep_signatures_locked():
     assert not inspect.signature(InlineDispatcher).parameters
     assert {name for name in ROUTING_COUNTERS if "fallback" in name} == {
         "kernel.fallback.error_bound", "kernel.fallback.sublinear_off"}
+
+
+def test_engine_spec_and_planner_knobs_locked():
+    """``EngineSpec`` is the capability record the code reads and the
+    planner takes the host's width and a telemetry plane; what ``auto``
+    prices is the planner's own table.  A knob may not come back
+    without this test changing."""
+    import dataclasses
+    import inspect
+
+    from repro.core.engines import EngineSpec
+    from repro.session import EnginePlanner
+
+    assert [f.name for f in dataclasses.fields(EngineSpec)] == [
+        "name", "factory", "summary", "supports_emit_yelt"]
+    assert list(inspect.signature(EnginePlanner.__init__).parameters) == [
+        "self", "n_workers", "telemetry"]

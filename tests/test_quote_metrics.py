@@ -200,11 +200,13 @@ class TestEveryPricerAgrees:
                             tail_loading=TAIL) as svc:
             batched = svc.quote_many(layers)
             cached = [svc.quote(layer) for layer in layers]
-            assert svc.stats.batches == 1 and svc.stats.cache_hits == 8
+            stats = svc.stats.snapshot()
+            assert stats["serve.batches"] == 1
+            assert stats["serve.cache.hits"] == 8
         with PricingService(tiny_workload.yet, volatility_loading=VOL,
                             tail_loading=TAIL, cache=CachePolicy(0)) as svc:
             alone = [svc.quote(layer) for layer in layers]
-            assert svc.stats.batches == 8
+            assert svc.stats.snapshot()["serve.batches"] == 8
         with RealTimePricer(tiny_workload.yet, volatility_loading=VOL,
                             tail_loading=TAIL) as pricer:
             classic = [pricer.quote(layer) for layer in layers]
@@ -224,8 +226,9 @@ class TestEveryPricerAgrees:
             t_ylts = [svc.submit(layer, "ylt") for layer in layers[:5]]
             t_ep = svc.submit(layers[2], "ep_curve")
             svc.drain()
-            assert svc.stats.batches == 1
-            assert svc.stats.kernel_rows == len(layers)
+            stats = svc.stats.snapshot()
+            assert stats["serve.batches"] == 1
+            assert stats["serve.kernel_rows"] == len(layers)
         for layer, t_quote, t_ylt in zip(layers, t_quotes, t_ylts):
             ylt = t_ylt.result(5)
             assert isinstance(ylt, YltTable)

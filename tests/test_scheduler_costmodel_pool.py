@@ -220,7 +220,8 @@ class TestWorkPool:
             with pytest.raises(ExecutionError) as exc_info:
                 pool.map(_die, [1, 2, 3], policy=policy)
             assert exc_info.value.failures
-            assert pool.health.worker_deaths >= 1
-            assert pool.health.call_failures == 1
+            snap = pool.health.snapshot()
+            assert snap["pool.worker_deaths"] >= 1
+            assert snap["pool.call_failures"] == 1
             assert pool.map(_square, [2, 3], policy=policy) == [4, 9]
             assert pool.health.consecutive_failures == 0

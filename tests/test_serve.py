@@ -72,8 +72,7 @@ class TestBatcherParity:
         layers = list(wl.portfolio)
         with PricingService(wl.yet) as svc:
             quotes = svc.quote_many(layers)
-            # scraped off the public telemetry plane (stats attribute
-            # access still works but is the deprecated surface)
+            # scraped off the public telemetry plane
             metrics = svc.telemetry.snapshot()["metrics"]
             assert metrics["serve.batches"] == 1, \
                 "all requests must share one sweep"
@@ -95,8 +94,9 @@ class TestBatcherParity:
         layer = tiny_workload.portfolio.layers[0]
         with PricingService(tiny_workload.yet, cache=CachePolicy(0)) as svc:
             quotes = svc.quote_many([layer, layer, layer])
-        assert svc.stats.batches == 1
-        assert svc.stats.kernel_rows == 1, "identical layers share one row"
+        stats = svc.stats.snapshot()
+        assert stats["serve.batches"] == 1
+        assert stats["serve.kernel_rows"] == 1, "identical layers share one row"
         assert quotes[0].premium == quotes[1].premium == quotes[2].premium
 
     def test_many_quotes_one_book_routes_sublinear(self, tiny_workload):
@@ -113,9 +113,10 @@ class TestBatcherParity:
         ]
         with PricingService(wl.yet, cache=CachePolicy(0)) as svc:
             quotes = svc.quote_many(layers)
-            assert svc.stats.batches == 1
-            assert svc.stats.sublinear_batches == 1
-            assert svc.stats.sublinear_rows >= 16
+            stats = svc.stats.snapshot()
+            assert stats["serve.batches"] == 1
+            assert stats["serve.sublinear.batches"] == 1
+            assert stats["serve.sublinear.rows"] >= 16
             # ... and the rows really priced off the book's profile
             metrics = svc.telemetry.snapshot()["metrics"]
             assert metrics["kernel.profile_rows"] == 20
@@ -133,7 +134,7 @@ class TestBatcherParity:
             t_ep = svc.submit(layer, "ep_curve")
             svc.drain()
             quote, ylt, ep = (t.result(5) for t in (t_quote, t_ylt, t_ep))
-        assert svc.stats.batches == 1
+        assert svc.stats.snapshot()["serve.batches"] == 1
         np.testing.assert_allclose(
             ylt.losses, direct_layer_pricing(layer, tiny_workload.yet)
         )
@@ -223,7 +224,7 @@ class TestCache:
         assert metrics["serve.cache.hits"] == 1
         assert metrics["serve.batches"] == 1, "the hit must not trigger a sweep"
         assert metrics["serve.cache.hit_bytes"] > 0
-        assert svc.stats.cache_hits == 1        # legacy view stays coherent
+        assert svc.stats.snapshot()["serve.cache.hits"] == 1
         assert again.premium == first.premium
         # latency fields are re-stamped per request, not served stale
         assert again.latency_seconds != first.latency_seconds
@@ -238,7 +239,7 @@ class TestCache:
             assert svc.cache.stats.evictions == 1
             svc.quote(layers[0])          # evicted -> a fresh sweep
         assert svc.cache.stats.hits == 0
-        assert svc.stats.batches == 4
+        assert svc.stats.snapshot()["serve.batches"] == 4
 
     def test_invalidation_on_resimulate(self, tiny_workload):
         layer = tiny_workload.portfolio.layers[0]
@@ -247,7 +248,7 @@ class TestCache:
             dropped = svc.resimulate(fresh_yet(n_trials=tiny_workload.yet.n_trials))
             assert dropped == 1
             after = svc.quote(layer)
-        assert svc.stats.cache_hits == 0
+        assert svc.stats.snapshot()["serve.cache.hits"] == 0
         assert after.expected_loss != before.expected_loss
 
     def test_digest_is_content_addressed(self, tiny_workload):
@@ -305,7 +306,7 @@ class TestCache:
         with PricingService(tiny_workload.yet) as svc:
             fresh = svc.quote(tiny_workload.portfolio.layers[0])
             hit = svc.quote(tiny_workload.portfolio.layers[0])
-        assert svc.stats.cache_hits == 1
+        assert svc.stats.snapshot()["serve.cache.hits"] == 1
         assert hit.trials_per_second == fresh.trials_per_second, (
             "a cache hit must report the producing sweep's throughput, "
             "not the cache lookup's"
@@ -356,7 +357,7 @@ class TestAdmission:
         assert q.premium > 0
         # the real sweep recalibrated the controller upward
         assert svc.admission.lanes_per_second > 0
-        assert svc.stats.shed == 0
+        assert svc.stats.snapshot()["serve.shed"] == 0
         svc.close()
 
     def test_queue_cap_is_hard(self, tiny_workload):
@@ -426,10 +427,11 @@ class TestThreadedCoalescing:
                 t.start()
             for t in threads:
                 t.join()
-        assert svc.stats.batched_requests == 4 * len(layers)
-        assert svc.stats.batches < 4 * len(layers), \
+        stats = svc.stats.snapshot()
+        assert stats["serve.batched_requests"] == 4 * len(layers)
+        assert stats["serve.batches"] < 4 * len(layers), \
             "concurrent requests must coalesce into fewer sweeps"
-        assert svc.stats.coalescing_factor > 1.0
+        assert stats["serve.coalescing_factor"] > 1.0
         ref = {l.layer_id: direct_layer_pricing(l, wl.yet).mean()
                for l in layers}
         for quotes in results.values():
@@ -455,7 +457,7 @@ class TestThreadedCoalescing:
         svc.submit(tiny_workload.portfolio.layers[0])
         with pytest.raises(TimeoutError):
             svc.drain(timeout=-1.0)   # already expired: nothing starts
-        assert svc.stats.batches == 0
+        assert svc.stats.snapshot()["serve.batches"] == 0
         svc.drain()
         svc.close()
 
@@ -504,7 +506,7 @@ class TestRealTimePricerSweep:
         wl = small_portfolio_workload
         with RealTimePricer(wl.yet) as pricer:
             quotes = pricer.quote_sweep(list(wl.portfolio))
-            assert pricer.service.stats.sweeps == 1
+            assert pricer.service.stats.snapshot()["serve.batches"] == 1
             assert len(quotes) == wl.portfolio.n_layers
 
     def test_explicit_engine_sweep_stays_on_that_engine(self, tiny_workload):

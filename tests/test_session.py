@@ -64,28 +64,6 @@ class TestEngineSpecs:
         for name in ALL_ENGINES:
             assert name in str(err.value)
 
-    def test_auto_candidates_are_priced_substrates(self):
-        from repro.core.engines import auto_candidates
-
-        autos = {s.name for s in auto_candidates()}
-        assert autos == {"vectorized", "multicore", "device", "distributed"}
-        # the oracle and the DFS demo stay out of auto's reach
-        for name in ("sequential", "mapreduce"):
-            assert not engine_spec(name).auto_candidate
-        # simulated substrates carry conservative seeds (below the
-        # vectorized host rate) plus a per-run transfer term, so a seed
-        # plan never routes real work onto them
-        vec_rate = engine_spec("vectorized").lane_throughput
-        for name in ("device", "distributed"):
-            spec = engine_spec(name)
-            assert spec.lane_throughput < vec_rate
-            assert spec.transfer_seconds(1_000_000) > 0
-
-    def test_simulated_substrates_declare_fixed_procs(self):
-        assert engine_spec("distributed").procs_for(32) == 8  # n_nodes
-        assert engine_spec("device").procs_for(32) == 1
-        assert engine_spec("vectorized").transfer_seconds(1e9) == 0.0
-
     def test_capability_flags_match_engine_behaviour(self, tiny_workload):
         # emit_yelt: the spec flag and the engine's actual behaviour agree
         for name in ALL_ENGINES:
@@ -98,15 +76,6 @@ class TestEngineSpecs:
             else:
                 with pytest.raises(EngineError):
                     analysis.run(name, emit_yelt=True)
-
-    def test_stage_spec_cost_hook(self):
-        spec = engine_spec("multicore")
-        stage = spec.stage_spec(1e6)
-        assert stage.throughput_per_proc == spec.lane_throughput
-        # more processors help a process-pool substrate
-        assert stage.runtime_seconds(4) < stage.runtime_seconds(1)
-        assert spec.procs_for(8) == 8
-        assert engine_spec("vectorized").procs_for(8) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,46 +137,48 @@ class TestPlanner:
         for est in plan.estimates:
             assert est.engine in text
 
-    def test_seed_plan_never_picks_a_simulated_substrate(self):
-        planner = EnginePlanner(n_workers=1)
-        for shape in (dict(n_trials=100, n_occurrences=1_000, n_layers=1),
-                      dict(n_trials=1_000_000, n_occurrences=500_000_000,
-                           n_layers=16)):
-            assert planner.plan("aggregate", **shape).engine == "vectorized"
+    def test_seeded_rows_price_exactly_as_the_cost_model(self):
+        """The table's two rows are the seed numbers the registry used
+        to carry, priced through ``StageSpec`` and nothing else."""
+        from repro.hpc.cost_model import StageSpec
 
-    def test_calibrated_device_wins_and_explains_itself(self):
-        # The tentpole planner behaviour: after a measured device run
-        # calibrates the estimate above the host rate, auto selects the
-        # device at a shape where compute dominates the H2D transfer.
-        planner = EnginePlanner(n_workers=1)
-        planner.observe("device", lanes=1e6, seconds=0.01)  # 1e8 lanes/s
-        plan = planner.plan("aggregate", n_trials=10_000,
-                            n_occurrences=1_000_000, n_layers=16)
-        assert plan.engine == "device"
-        dev = plan.chosen
-        assert dev.calibrated
-        # launch + per-run H2D transfer priced, never waived
-        assert dev.startup_seconds > 0
-        text = plan.explain()
-        assert "device" in text and "measured" in text
-        assert "transfer" in text
-        # the distributed candidate is priced at its cluster width
-        dist = next(e for e in plan.estimates if e.engine == "distributed")
-        assert dist.n_procs == 8
+        for n_workers, shape in (
+                (8, dict(n_trials=100, n_occurrences=1_000, n_layers=1)),
+                (8, dict(n_trials=1_000_000, n_occurrences=500_000_000,
+                         n_layers=16)),
+                (4, dict(n_trials=10_000, n_occurrences=2_000_000,
+                         n_layers=4))):
+            plan = EnginePlanner(n_workers=n_workers).plan("aggregate",
+                                                           **shape)
+            lanes = float(shape["n_occurrences"] * shape["n_layers"])
+            est = {e.engine: e for e in plan.estimates}
+            assert list(est) == ["vectorized", "multicore"]
+            vec, mc = est["vectorized"], est["multicore"]
+            assert (vec.n_procs, mc.n_procs) == (1, n_workers)
+            assert vec.runtime_seconds == StageSpec(
+                "v", lanes, 2.5e7).runtime_seconds(1)
+            assert vec.startup_seconds == 0.0
+            assert mc.runtime_seconds == StageSpec(
+                "m", lanes, 2.2e7, parallel_fraction=0.92,
+                comm_overhead_per_proc_s=0.01).runtime_seconds(n_workers)
+            assert mc.startup_seconds == 0.35
 
-    def test_device_transfer_charged_even_when_pool_warm(self):
+    def test_unpriced_engines_calibrate_nothing(self):
         planner = EnginePlanner(n_workers=4)
-        shape = dict(n_trials=10_000, n_occurrences=2_000_000, n_layers=4)
-        warm = planner.plan("aggregate", pool_warm=True, **shape)
-        dev = next(e for e in warm.estimates if e.engine == "device")
-        spec = engine_spec("device")
-        expected = spec.startup_seconds + spec.transfer_seconds(2_000_000)
-        assert dev.startup_seconds == pytest.approx(expected)
+        planner.observe("device", lanes=1e6, seconds=0.01)
+        shape = dict(n_trials=10_000, n_occurrences=1_000_000, n_layers=16)
+        plan = planner.plan("aggregate", **shape)
+        assert [e.engine for e in plan.estimates] == ["vectorized",
+                                                      "multicore"]
+        assert not any(e.calibrated for e in plan.estimates)
+        with pytest.raises(ConfigurationError, match="auto prices"):
+            planner.throughput("device")
 
     def test_unknown_workload_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnginePlanner(n_workers=2).plan("quantum", n_trials=1,
-                                            n_occurrences=1)
+        for workload in ("quantum", "sensitivity"):
+            with pytest.raises(ConfigurationError):
+                EnginePlanner(n_workers=2).plan(workload, n_trials=1,
+                                                n_occurrences=1)
 
     def test_plan_workload_one_shot(self, tiny_workload, risk_session):
         plan = risk_session(tiny_workload.yet).plan("aggregate", n_layers=1)
@@ -505,6 +476,39 @@ class TestAutoEngine:
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         with pytest.raises(EngineError, match="explicit engine name"):
             session.aggregate(engine="auto", n_workers=2)
+
+    def test_plan_and_dispatcher_come_from_one_row(self, tiny_workload,
+                                                   risk_session):
+        """What a serving plan names is what ``dispatcher("auto")``
+        hands back, whichever substrate is the cheapest."""
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
+                               n_workers=2)
+        rows = {est.engine: session.dispatcher(est.engine)
+                for est in session.plan("serving").estimates}
+        assert {d.name for d in rows.values()} == {"inline", "pooled"}
+        # (first observations replace the seed outright, so the slow
+        # 1 lane/s reading has to come before the fast one)
+        for winner in ("multicore", "vectorized"):
+            for engine in rows:
+                session._planner.observe(
+                    engine, lanes=1e15 if engine == winner else 1.0,
+                    seconds=1.0)
+            plan = session.plan("serving")
+            assert plan.engine == winner
+            assert rows[winner].name == plan.dispatcher
+            assert session.dispatcher("auto") is rows[winner]
+
+    def test_simulated_runs_leave_auto_on_the_host(self, tiny_workload,
+                                                   risk_session):
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
+                               n_workers=2)
+        for name in ("device", "distributed"):
+            assert session.aggregate(engine=name).engine == name
+        res = session.aggregate(engine="auto")
+        assert res.engine in ("vectorized", "multicore")
+        estimates = res.details["plan"].estimates
+        assert [e.engine for e in estimates] == ["vectorized", "multicore"]
+        assert not any(e.calibrated for e in estimates)
 
     def test_runs_calibrate_later_plans(self, tiny_workload, risk_session):
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)

@@ -324,7 +324,7 @@ class TestRecovery:
             assert engine.pool.payload_ships == ships + 1
             assert engine.dispatcher._bundle(wl.yet) is shipment
             assert shm.active_segment_names() == staged
-            assert engine.pool.health.worker_deaths >= 1
+            assert engine.pool.health.snapshot()["pool.worker_deaths"] >= 1
 
     def test_dispatcher_recovers_after_worker_death(
             self, small_portfolio_workload):
