@@ -12,8 +12,7 @@ import pytest
 
 from repro.core.engines import MulticoreEngine
 from repro.core.simulation import AggregateAnalysis
-from repro.dfa.pricing import RealTimePricer
-from repro.serve import CachePolicy
+from repro.serve import CachePolicy, PricingService
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +54,9 @@ def test_realtime_quote_latency(benchmark, contract_50k):
     The result cache is disabled: pytest-benchmark re-quotes one layer,
     and a cache hit would measure a dict lookup instead of pricing.
     """
-    pricer = RealTimePricer(contract_50k.yet, cache=CachePolicy(0))
     layer = contract_50k.portfolio.layers[0]
-    quote = benchmark(lambda: pricer.quote(layer))
+    with PricingService(contract_50k.yet, cache=CachePolicy(0)) as service:
+        quote = benchmark(lambda: service.quote(layer))
     assert quote.premium > 0
 
 

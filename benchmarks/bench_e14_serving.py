@@ -2,10 +2,10 @@
 
 The pre-serve reality of concurrent pricing was one full YET pass per
 quote: each request built its own single-layer portfolio and ran an
-engine over the whole trial set (the classic ``RealTimePricer.quote``
-body).  The serving layer coalesces every request in flight into one
-stacked :class:`~repro.core.kernels.PortfolioKernel` sweep, so N
-concurrent requests cost ~one YET pass plus N cheap kernel rows.
+engine over the whole trial set.  The serving layer coalesces every
+request in flight into one stacked
+:class:`~repro.core.kernels.PortfolioKernel` sweep, so N concurrent
+requests cost ~one YET pass plus N cheap kernel rows.
 
 This bench drives both paths over the same burst of ad-hoc candidate
 layers (structure variations on a shared contract book) and reports

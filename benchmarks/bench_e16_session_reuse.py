@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 from repro.bench.workloads import build_portfolio_workload
+from repro.core.engines import MulticoreEngine
 from repro.core.layer import Layer
 from repro.core.simulation import AggregateAnalysis
 from repro.serve.cache import CachePolicy
@@ -72,8 +73,8 @@ def _run_per_call(portfolio, yet, candidates) -> None:
     pooled substrate (fresh worker pool, fresh YET shipment) and tears
     it down again before the next call.
     """
-    AggregateAnalysis(portfolio, yet).run("multicore",
-                                          n_workers=N_WORKERS)
+    with MulticoreEngine(n_workers=N_WORKERS) as engine:
+        AggregateAnalysis(portfolio, yet).run(engine)
     for layer in candidates:
         with PricingService(yet, engine=PooledDispatcher(n_workers=N_WORKERS),
                             cache=CachePolicy(0)) as svc:

@@ -36,10 +36,9 @@ Quickstart::
         print(repro.regulator_report(
             repro.RiskMetrics.from_ylt(result.portfolio_ylt)))
 
-The classic entry points (:class:`~repro.core.simulation.AggregateAnalysis`,
-:class:`~repro.serve.service.PricingService`,
-:class:`~repro.dfa.pricing.RealTimePricer`) keep working and accept
-``session=`` to share one staged substrate.
+:class:`~repro.core.simulation.AggregateAnalysis` and
+:class:`~repro.serve.service.PricingService` run on a session too — a
+private one when built standalone, the caller's with ``session=``.
 """
 
 from repro import (
@@ -76,7 +75,6 @@ from repro.dfa import (
     Enterprise,
     BusinessUnit,
     PricingQuote,
-    RealTimePricer,
     RiskMetrics,
     combine_ylts,
     probable_maximum_loss,
@@ -126,7 +124,6 @@ __all__ = [
     "Enterprise",
     "BusinessUnit",
     "PricingQuote",
-    "RealTimePricer",
     "RiskMetrics",
     "combine_ylts",
     "probable_maximum_loss",

@@ -22,7 +22,10 @@ distributed trial-scatter / lookup-broadcast / YLT-gather over SimCluster
 
 The portfolio hot path is the shared
 :class:`~repro.core.kernels.PortfolioKernel`: per-layer lookups are
-stacked once per (portfolio, ``dense_max_entries``) — dense layers as
+stacked once per portfolio (:meth:`Portfolio.kernel()
+<repro.core.portfolio.Portfolio.kernel>`, which with
+:meth:`Layer.lookup <repro.core.layer.Layer.lookup>` is where a book's
+dense-or-CSR threshold is decided) — dense layers as
 one ``(D, width)`` matrix, sparse layers as a unified CSR structure,
 terms as ``(L,)`` vectors.  Lane rows price **on the table, not the
 stream**: occurrence terms are applied once per table entry into a

@@ -79,14 +79,12 @@ class DeviceEngine(Engine):
         max_rows_per_chunk: int | None = None,
         use_constant: bool = True,
         use_shared: bool = True,
-        dense_max_entries: int = 4_000_000,
         global_budget_fraction: float = 0.9,
     ) -> None:
         self.gpu = gpu or SimulatedGpu()
         self.max_rows_per_chunk = max_rows_per_chunk
         self.use_constant = use_constant
         self.use_shared = use_shared
-        self.dense_max_entries = dense_max_entries
         self.planner = ChunkPlanner(self.gpu.properties, global_budget_fraction)
 
     # -- kernels -------------------------------------------------------------
@@ -175,14 +173,7 @@ class DeviceEngine(Engine):
         n_rows = yet.n_occurrences
         n_trials = yet.n_trials
 
-        kernel_fn = getattr(portfolio, "kernel", None)
-        kernel: PortfolioKernel = (
-            kernel_fn(dense_max_entries=self.dense_max_entries)
-            if callable(kernel_fn)
-            else PortfolioKernel.from_layers(
-                list(portfolio), dense_max_entries=self.dense_max_entries
-            )
-        )
+        kernel = portfolio.kernel()
 
         ylt_by_layer: dict[int, YltTable] = {}
         yelt_by_layer: dict[int, YeltTable] | None = {} if emit_yelt else None

@@ -32,11 +32,10 @@ class DistributedEngine(Engine):
 
     name = "distributed"
 
-    def __init__(self, cluster: SimCluster | None = None, n_nodes: int = 8,
-                 dense_max_entries: int = 4_000_000) -> None:
+    def __init__(self, cluster: SimCluster | None = None,
+                 n_nodes: int = 8) -> None:
         self.cluster = cluster or SimCluster(n_nodes)
         self.collectives = Collectives(self.cluster)
-        self.dense_max_entries = dense_max_entries
 
     def run(self, portfolio: Portfolio, yet: YetTable, *,
             emit_yelt: bool = False) -> EngineResult:
@@ -70,14 +69,14 @@ class DistributedEngine(Engine):
 
         ylt_by_layer: dict[int, YltTable] = {}
         for layer in portfolio:
-            lookup = layer.lookup(dense_max_entries=self.dense_max_entries)
+            lookup = layer.lookup()
             t = layer.terms
             co.bcast("lookup_ids", lookup.ids)
             co.bcast("lookup_vals", lookup.values)
             co.bcast("terms", (t.occ_retention, t.occ_limit, t.agg_retention,
                                t.agg_limit, t.participation))
 
-            def node_work(node, _dense_max=self.dense_max_entries):
+            def node_work(node):
                 part = node.store["yet_block"]
                 if part is None:
                     return None
@@ -86,9 +85,7 @@ class DistributedEngine(Engine):
                 node.memory.put("yet_events", part["events"], copy=False)
                 try:
                     local_lookup = LossLookup.from_arrays(
-                        node.store["lookup_ids"], node.store["lookup_vals"],
-                        dense_max_entries=_dense_max,
-                    )
+                        node.store["lookup_ids"], node.store["lookup_vals"])
                     terms = LayerTerms(*node.store["terms"])
                     retained = terms.apply_occurrence(local_lookup(part["events"]))
                     annual = np.bincount(

@@ -32,13 +32,12 @@ class MapReduceEngine(Engine):
     name = "mapreduce"
 
     def __init__(self, dfs: SimDfs | None = None, n_splits: int = 8,
-                 n_reducers: int = 4, dense_max_entries: int = 4_000_000) -> None:
+                 n_reducers: int = 4) -> None:
         if n_splits <= 0:
             raise EngineError(f"n_splits must be positive, got {n_splits}")
         self.dfs = dfs or SimDfs(n_datanodes=max(4, n_splits // 2))
         self.n_splits = n_splits
         self.n_reducers = n_reducers
-        self.dense_max_entries = dense_max_entries
         #: Per-layer job results from the most recent run (for E7 scaling).
         self.last_jobs: dict[int, JobResult] = {}
 
@@ -63,7 +62,7 @@ class MapReduceEngine(Engine):
         self.last_jobs = {}
 
         for layer in portfolio:
-            lookup = layer.lookup(dense_max_entries=self.dense_max_entries)
+            lookup = layer.lookup()
             terms = layer.terms
 
             def mapper(split_index, block, _lookup=lookup, _terms=terms):

@@ -40,8 +40,6 @@ class MulticoreEngine(Engine):
     ----------
     n_workers:
         Worker processes; ``None`` means the host's parallelism.
-    dense_max_entries:
-        Dense-lookup threshold forwarded to kernel construction.
     transport:
         ``"auto"`` (shared memory when the host supports it, else
         pickle), ``"shm"`` (require the shared-memory plane), or
@@ -51,18 +49,15 @@ class MulticoreEngine(Engine):
     name = "multicore"
 
     def __init__(self, n_workers: int | None = None,
-                 dense_max_entries: int = 4_000_000,
                  transport: str = "auto") -> None:
         shm.validate_transport(transport)
         self.n_workers = n_workers
-        self.dense_max_entries = dense_max_entries
         self.transport = transport
         self._dispatcher = None     # private: built on demand, ours to close
         self._borrowed: Callable | None = None
 
     @classmethod
-    def on_dispatcher(cls, lookup: Callable,
-                      dense_max_entries: int = 4_000_000) -> "MulticoreEngine":
+    def on_dispatcher(cls, lookup: Callable) -> "MulticoreEngine":
         """An engine over a dispatcher it does not own.
 
         ``lookup()`` is called exactly once per :meth:`run` (a session
@@ -73,7 +68,7 @@ class MulticoreEngine(Engine):
         ``transport`` stay the constructor defaults — the dispatcher's
         own are in ``result.details``.
         """
-        engine = cls(dense_max_entries=dense_max_entries)
+        engine = cls()
         engine._borrowed = lookup
         return engine
 
@@ -122,7 +117,7 @@ class MulticoreEngine(Engine):
                 "engine for event-granularity output"
             )
         t0 = time.perf_counter()
-        kernel = portfolio.kernel(dense_max_entries=self.dense_max_entries)
+        kernel = portfolio.kernel()
         if self._borrowed is not None:
             self._dispatcher = self._borrowed()
         dispatcher = self.dispatcher

@@ -48,9 +48,6 @@ class OutOfCoreEngine:
 
     name = "outofcore"
 
-    def __init__(self, dense_max_entries: int = 4_000_000) -> None:
-        self.dense_max_entries = dense_max_entries
-
     def run_from_store(
         self,
         portfolio: Portfolio,
@@ -68,7 +65,7 @@ class OutOfCoreEngine:
             raise EngineError(f"n_trials must be positive, got {n_trials}")
         t0 = time.perf_counter()
 
-        kernel = portfolio.kernel(dense_max_entries=self.dense_max_entries)
+        kernel = portfolio.kernel()
         routed_before = dict(kernel.routed)
         annual = np.zeros((kernel.n_layers, n_trials), dtype=np.float64)
         chunks_read = rows_read = n_blocks = 0

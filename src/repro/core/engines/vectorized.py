@@ -27,9 +27,6 @@ class VectorizedEngine(Engine):
 
     name = "vectorized"
 
-    def __init__(self, dense_max_entries: int = 4_000_000) -> None:
-        self.dense_max_entries = dense_max_entries
-
     def run(self, portfolio: Portfolio, yet: YetTable, *,
             emit_yelt: bool = False) -> EngineResult:
         self._validate(portfolio, yet)
@@ -39,7 +36,7 @@ class VectorizedEngine(Engine):
         event_ids = yet.event_ids
         n_trials = yet.n_trials
 
-        kernel = portfolio.kernel(dense_max_entries=self.dense_max_entries)
+        kernel = portfolio.kernel()
         routed_before = dict(kernel.routed)
         final = kernel.apply_aggregate(
             kernel.sweep_segments(*yet.trial_block()))

@@ -109,15 +109,15 @@ class AggregateAnalysis:
             yield session
 
     def run(self, engine: str | Engine = "vectorized", *,
-            emit_yelt: bool = False, **engine_kwargs) -> AnalysisResult:
+            emit_yelt: bool = False) -> AnalysisResult:
         """Run the analysis on the chosen engine.
 
         ``engine`` may be a registry name (``"sequential"``,
         ``"vectorized"``, ``"device"``, ``"multicore"``, ``"mapreduce"``,
         ``"distributed"``), ``"auto"`` to let the planner price the
         substrates against the data shape, or a pre-built
-        :class:`Engine` instance; ``engine_kwargs`` are passed to the
-        registry constructor.  The run is
+        :class:`Engine` instance — a name runs the registry default; to
+        configure, pass an instance.  The run is
         :meth:`RiskSession.aggregate <repro.session.RiskSession.aggregate>`
         on the bound session (reusing its staged engines) or on an
         ephemeral one, so engines constructed for a standalone run are
@@ -125,10 +125,8 @@ class AggregateAnalysis:
         own lifecycle either way.
         """
         with self._session() as session:
-            return session.aggregate(
-                self.portfolio, engine=engine, emit_yelt=emit_yelt,
-                **engine_kwargs,
-            )
+            return session.aggregate(self.portfolio, engine=engine,
+                                     emit_yelt=emit_yelt)
 
     def run_all(self, names: list[str] | None = None) -> dict[str, AnalysisResult]:
         """Run several engines on the same inputs (cross-validation aid).

@@ -93,8 +93,8 @@ def sample_occurrence_losses(
     return out
 
 
-def sampled_aggregate_analysis(portfolio, yet, rng: np.random.Generator,
-                               dense_max_entries: int = 4_000_000) -> dict:
+def sampled_aggregate_analysis(portfolio, yet,
+                               rng: np.random.Generator) -> dict:
     """Sampled-mode aggregate analysis (vectorised path).
 
     Like the vectorized engine, but each occurrence's loss is a fresh
@@ -110,9 +110,7 @@ def sampled_aggregate_analysis(portfolio, yet, rng: np.random.Generator,
     trials = yet.trials
     out = {}
     for layer in portfolio:
-        unc = SecondaryUncertainty.from_elts(
-            layer.elts, dense_max_entries=dense_max_entries
-        )
+        unc = SecondaryUncertainty.from_elts(layer.elts)
         losses = sample_occurrence_losses(event_ids, unc, rng)
         retained = layer.terms.apply_occurrence(losses)
         annual = np.bincount(trials, weights=retained, minlength=yet.n_trials)

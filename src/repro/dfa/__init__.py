@@ -12,9 +12,10 @@ generator (:mod:`repro.dfa.risks`), copula-based correlation for their
 combination (:mod:`repro.dfa.correlation`, :mod:`repro.dfa.combine`),
 the metric set (:mod:`repro.dfa.metrics`), regulator-style reporting
 (:mod:`repro.dfa.reporting`), the enterprise roll-up
-(:mod:`repro.dfa.erm`), and the real-time layer pricer that the paper's
+(:mod:`repro.dfa.erm`), and the quote record and premium arithmetic
+(:mod:`repro.dfa.quote`) behind the real-time pricing that the paper's
 "1 million trial ... 25 seconds" claim is about
-(:mod:`repro.dfa.pricing`).
+(:meth:`RiskSession.quote <repro.session.RiskSession.quote>`).
 """
 
 from repro.dfa.metrics import RiskMetrics, probable_maximum_loss, tail_value_at_risk, value_at_risk
@@ -32,7 +33,7 @@ from repro.dfa.combine import combine_ylts
 from repro.dfa.allocation import allocation_report_rows, co_tvar_allocation
 from repro.dfa.reporting import regulator_report
 from repro.dfa.erm import BusinessUnit, Enterprise
-from repro.dfa.pricing import PricingQuote, RealTimePricer
+from repro.dfa.quote import PricingQuote
 
 __all__ = [
     "RiskMetrics",
@@ -54,5 +55,4 @@ __all__ = [
     "BusinessUnit",
     "Enterprise",
     "PricingQuote",
-    "RealTimePricer",
 ]

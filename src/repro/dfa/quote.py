@@ -1,11 +1,10 @@
-"""The quote record and premium arithmetic shared by both pricers.
+"""The quote record and premium arithmetic.
 
-A leaf module: :mod:`repro.dfa.pricing` (the classic synchronous
-pricer) and :mod:`repro.serve.service` (the batched service) both
-produce :class:`PricingQuote` values from the same
+A leaf module: :mod:`repro.serve.service` (the batched service every
+quote goes through) and a caller pricing one layer's YLT from an
+aggregate run both produce :class:`PricingQuote` values from the same
 :func:`premium_components_rows` arithmetic (:func:`premium_components`
-is its one-row case), so they live below both — one formula, one place,
-and the two paths cannot silently diverge.
+is its one-row case), so it lives below both — one formula, one place.
 """
 
 from __future__ import annotations

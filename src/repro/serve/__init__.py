@@ -24,7 +24,7 @@ dispatch     batch execution substrates: inline vectorized sweep or
              trial-block decomposition over a worker pool fed by the
              zero-copy shared-memory data plane (pickle fallback)
 service      the :class:`PricingService` facade — submit/quote/ep_curve,
-             YET lifecycle, stats — that RealTimePricer runs on
+             YET lifecycle, stats
 ===========  ============================================================
 
 Quickstart::

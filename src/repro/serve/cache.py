@@ -14,7 +14,7 @@ cache keys on exactly that triple, so:
   a curve is ~``n_trials`` floats, a quote is five.
 
 Eviction is LRU by entry count.  The cache stores latency-free payloads
-(metric values, not :class:`~repro.dfa.pricing.PricingQuote` objects);
+(metric values, not :class:`~repro.dfa.quote.PricingQuote` objects);
 the service re-stamps per-request latency on every hit so the quote
 latency fields stay honest.
 """

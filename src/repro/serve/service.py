@@ -25,11 +25,12 @@ few fused kernel sweeps as possible:
    counted from submission for hits and misses alike.
 
 The synchronous helpers (:meth:`quote`, :meth:`quote_many`,
-:meth:`ep_curve`) wrap that flow for library callers;
-:class:`~repro.dfa.pricing.RealTimePricer` is a thin veneer over them.
-Throughput framing follows the MapReduce companion study (Yao, Varghese
-& Rau-Chaplin 2013): once one aggregate run is seconds, the binding
-problem is many users per second, not one run's wall time.
+:meth:`ep_curve`) wrap that flow for library callers
+(:meth:`RiskSession.quote <repro.session.RiskSession.quote>` is the
+session's own default service).  Throughput framing follows the
+MapReduce companion study (Yao, Varghese & Rau-Chaplin 2013): once one
+aggregate run is seconds, the binding problem is many users per second,
+not one run's wall time.
 
 Failure semantics
 -----------------
@@ -156,7 +157,8 @@ class PricingService:
         ``"pooled"``/``"multicore"``, or a
         :class:`~repro.serve.dispatch.Dispatcher` instance.
     volatility_loading / tail_loading:
-        Premium loadings, as in :class:`~repro.dfa.pricing.RealTimePricer`.
+        Multipliers on the annual-loss std-dev and on TVaR₉₉ (cost of
+        capital) added to the expected loss to make the premium.
     batch:
         :class:`~repro.serve.batcher.BatchPolicy` — batch cap and
         whether a broker thread auto-flushes.
@@ -166,8 +168,6 @@ class PricingService:
     slo_seconds / max_pending:
         Admission control: shed requests whose modelled latency exceeds
         the SLO, and cap the queue.  ``None`` SLO = never shed on cost.
-    dense_max_entries:
-        Dense-lookup threshold forwarded to kernel construction.
     session:
         A :class:`~repro.session.RiskSession` to *share* staged state
         with: the service borrows the session's dispatcher (one worker
@@ -190,7 +190,6 @@ class PricingService:
         cache: CachePolicy | ResultCache | None = None,
         slo_seconds: float | None = None,
         max_pending: int = 10_000,
-        dense_max_entries: int = 4_000_000,
         session=None,
     ) -> None:
         if not isinstance(yet, YetTable):
@@ -202,7 +201,6 @@ class PricingService:
         self.yet = yet
         self.volatility_loading = volatility_loading
         self.tail_loading = tail_loading
-        self.dense_max_entries = dense_max_entries
         self._owned_session = None
         if isinstance(engine, Dispatcher):
             if session is not None:
@@ -225,9 +223,7 @@ class PricingService:
             if session is None:
                 from repro.session import RiskSession
 
-                session = self._owned_session = RiskSession(
-                    yet, dense_max_entries=dense_max_entries,
-                )
+                session = self._owned_session = RiskSession(yet)
             elif session.yet is not yet:
                 # A shared dispatcher keys its staged bundle by YET
                 # fingerprint; two trial sets behind one pool would
@@ -428,11 +424,19 @@ class PricingService:
 
         Outstanding requests are drained against the old trial set first
         (their tickets were admitted under it).  Returns the number of
-        cache entries invalidated.
+        cache entries invalidated.  A service that borrows a session
+        refuses, by the constructor's rule: the session's aggregates and
+        plans would stay on the old trial set and its pool would
+        re-stage the bundle on every alternation.
         """
         if not isinstance(yet, YetTable):
             raise ConfigurationError(
                 f"expected YetTable, got {type(yet).__name__}"
+            )
+        if self._owned_session is None and not self._owns_dispatch:
+            raise ConfigurationError(
+                "this service borrows its session's trial set; build a "
+                "session over the new YET"
             )
         self.drain()
         old_fp = self._yet_fp
@@ -478,10 +482,7 @@ class PricingService:
                     row_ids[req.digest] = len(unique_layers)
                     unique_layers.append(req.layer)
             kernel = PortfolioKernel.from_layers(
-                unique_layers,
-                layer_ids=range(len(unique_layers)),
-                dense_max_entries=self.dense_max_entries,
-            )
+                unique_layers, layer_ids=range(len(unique_layers)))
         t0 = time.perf_counter()
         try:
             with self.telemetry.span("serve.dispatch",

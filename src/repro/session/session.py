@@ -29,9 +29,8 @@ A session restores the invariant across all of them:
   down services, engines, pools, and arenas idempotently; use after
   close raises instead of silently resurrecting resources.
 
-The classic entry points (:class:`~repro.core.simulation.AggregateAnalysis`,
-:class:`~repro.serve.service.PricingService`,
-:class:`~repro.dfa.pricing.RealTimePricer`) are veneers over a session —
+:class:`~repro.core.simulation.AggregateAnalysis` and
+:class:`~repro.serve.service.PricingService` run on a session —
 standalone construction gives them a private one, and passing
 ``session=`` lets several entry points share one staged substrate.
 This seam is where the ROADMAP's next axes plug in: multi-node sharding
@@ -41,7 +40,6 @@ per-tenant sessions over one staged trial set.
 
 from __future__ import annotations
 
-import inspect
 import threading
 
 from repro.analytics.ep_curves import EpCurve, aep_curve, portfolio_ep_curves
@@ -69,17 +67,20 @@ class SessionStats:
     :class:`~repro.obs.Telemetry` plane."""
 
     _COUNTERS = ("session.aggregates", "session.quotes", "session.ep_curves",
-                 "session.sensitivity_sweeps", "session.plans")
+                 "session.sensitivity_sweeps", "session.plans",
+                 "session.stages", "session.stage_reuse")
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         tel = telemetry if telemetry is not None else Telemetry()
-        self._counters = {name: tel.counter(name) for name in self._COUNTERS}
+        #: Name → counter handle: the one registration of the session's
+        #: counters, and what the session increments.
+        self.counters = {name: tel.counter(name) for name in self._COUNTERS}
 
     def snapshot(self) -> dict:
         """JSON-ready flat dict in the ``session.*`` dot-key convention
-        of :mod:`repro.obs`."""
+        of :mod:`repro.obs`: the ``session.`` slice of the scrape."""
         return {name: int(counter.value)
-                for name, counter in self._counters.items()}
+                for name, counter in self.counters.items()}
 
 
 class RiskSession:
@@ -98,15 +99,12 @@ class RiskSession:
     transport:
         Payload transport for pooled substrates: ``"auto"`` / ``"shm"``
         / ``"pickle"`` (see :mod:`repro.hpc.shm`).
-    dense_max_entries:
-        Dense-lookup threshold forwarded to kernel construction.
     volatility_loading / tail_loading:
         Premium loadings for the session's pricing services.
     """
 
     def __init__(self, yet: YetTable, portfolio: Portfolio | None = None, *,
                  n_workers: int | None = None, transport: str = "auto",
-                 dense_max_entries: int = 4_000_000,
                  volatility_loading: float = 0.25,
                  tail_loading: float = 0.02,
                  telemetry: Telemetry | bool | None = None) -> None:
@@ -123,7 +121,6 @@ class RiskSession:
         self.portfolio = portfolio
         self.n_workers = n_workers
         self.transport = transport
-        self.dense_max_entries = dense_max_entries
         self.volatility_loading = volatility_loading
         self.tail_loading = tail_loading
         self._n_procs = (n_workers if n_workers is not None
@@ -136,20 +133,12 @@ class RiskSession:
         self._planner = EnginePlanner(n_workers=self._n_procs,
                                       telemetry=self.telemetry)
         self.stats = SessionStats(self.telemetry)
-        tel = self.telemetry
-        self._m_aggregates = tel.counter("session.aggregates")
-        self._m_quotes = tel.counter("session.quotes")
-        self._m_ep_curves = tel.counter("session.ep_curves")
-        self._m_sensitivity = tel.counter("session.sensitivity_sweeps")
-        self._m_plans = tel.counter("session.plans")
-        self._m_stages = tel.counter("session.stages")
-        self._m_stage_reuse = tel.counter("session.stage_reuse")
+        self._count = self.stats.counters
         # Staged state, all lazy: nothing is spawned or placed until a
         # workload actually needs it.
         self._inline: InlineDispatcher | None = None
         self._pooled: PooledDispatcher | None = None
-        self._engines: dict[tuple, Engine] = {}
-        self._extra_engines: list[Engine] = []
+        self._engines: dict[str, Engine] = {}
         self._services: list = []
         self._default_service = None
         #: Guards the default-service lazy init: concurrent quote()
@@ -185,11 +174,10 @@ class RiskSession:
             svc.close()
         self._services.clear()
         self._default_service = None
-        for eng in [*self._engines.values(), *self._extra_engines]:
+        for eng in self._engines.values():
             if hasattr(eng, "close"):
                 eng.close()
         self._engines.clear()
-        self._extra_engines.clear()
         if self._pooled is not None:
             self._pooled.close()
             self._pooled = None
@@ -246,11 +234,11 @@ class RiskSession:
                     n_workers=self.n_workers, transport=self.transport,
                     telemetry=self.telemetry,
                 )
-                self._m_stages.inc()
+                self._count["session.stages"].inc()
             else:
                 # Staged-substrate reuse: another workload rides the
                 # already-staged pool/arena instead of building its own.
-                self._m_stage_reuse.inc()
+                self._count["session.stage_reuse"].inc()
             return self._pooled
         raise ConfigurationError(
             f"unknown dispatcher {spec!r}; expected 'auto', "
@@ -258,51 +246,32 @@ class RiskSession:
             "instance"
         )
 
-    def engine(self, name: str | Engine = "auto", **kwargs) -> Engine:
+    def engine(self, name: str | Engine = "auto") -> Engine:
         """A session-owned, warm engine (do not close it yourself).
 
-        ``"auto"`` resolves through the planner.  ``"multicore"``
-        (kwarg-free) returns the session-staged substrate sharing the
-        serving pool; other names construct through the declarative
-        registry, are cached per name, and are closed with the session.
-        Unknown names raise :class:`~repro.errors.EngineError` with the
-        available list — here, at the boundary.
+        ``"auto"`` resolves through the planner.  A name is the
+        registry's default-constructed engine, one per session, closed
+        with it; ``"multicore"`` is the session-staged substrate sharing
+        the serving pool.  To configure an engine, build it
+        (:func:`~repro.core.engines.get_engine` or the class) and pass
+        the instance, which comes back as-is.  Unknown names raise
+        :class:`~repro.errors.EngineError` with the available list —
+        here, at the boundary.
         """
         self._check_open()
         if isinstance(name, Engine):
             return name
         if name == "auto":
             name = self.plan("aggregate").engine
-        spec = engine_spec(name)
-        if name == "multicore" and not kwargs:
-            # The session-staged substrate: the engine looks the shared
-            # dispatcher up per run and owns nothing, so an aggregate
-            # run followed by quote batches ships the YET zero more times.
-            eng = self._engines.get((name, ()))
-            if eng is None:
-                eng = self._engines[name, ()] = MulticoreEngine.on_dispatcher(
-                    lambda: self.dispatcher("pooled"), self.dense_max_entries)
-            return eng
-        params = inspect.signature(spec.factory).parameters
-        if "dense_max_entries" in params:
-            kwargs.setdefault("dense_max_entries", self.dense_max_entries)
-        # Cache on the full configuration: the same (name, kwargs) must
-        # return the same warm engine — a repeat run may never silently
-        # reuse a differently-configured instance, nor accumulate one
-        # live pool per call.
-        try:
-            key = (name, tuple(sorted(kwargs.items())))
-            hash(key)
-        except TypeError:
-            # Unhashable kwargs (a caller-built SimulatedGpu, say) get a
-            # fresh engine, still owned and closed by the session.
-            eng = spec.factory(**kwargs)
-            self._extra_engines.append(eng)
-            return eng
-        eng = self._engines.get(key)
+        eng = self._engines.get(name)
         if eng is None:
-            eng = spec.factory(**kwargs)
-            self._engines[key] = eng
+            # "multicore" is the session-staged substrate: the engine
+            # looks the shared dispatcher up per run and owns nothing, so
+            # an aggregate run followed by quote batches ships the YET
+            # zero more times.
+            eng = self._engines[name] = (
+                MulticoreEngine.on_dispatcher(lambda: self.dispatcher("pooled"))
+                if name == "multicore" else engine_spec(name).factory())
         return eng
 
     # -- planning ----------------------------------------------------------
@@ -335,7 +304,7 @@ class RiskSession:
                 transport=self._transport_label(),
                 require_emit_yelt=require_emit_yelt,
             )
-        self._m_plans.inc()
+        self._count["session.plans"].inc()
         return plan
 
     def _transport_label(self) -> str:
@@ -384,15 +353,15 @@ class RiskSession:
 
     def aggregate(self, portfolio: Portfolio | None = None,
                   engine: str | Engine = "auto", *,
-                  emit_yelt: bool = False, **engine_kwargs) -> AnalysisResult:
+                  emit_yelt: bool = False) -> AnalysisResult:
         """Run one aggregate analysis over staged state.
 
         ``engine="auto"`` plans the substrate; the chosen
         :class:`~repro.session.planner.ExecutionPlan` rides along in
-        ``result.details["plan"]``.  Explicit names resolve through the
-        declarative registry (unknown names fail here with the available
-        list); an :class:`~repro.core.engines.Engine` *instance* is used
-        as-is and keeps its own lifecycle.
+        ``result.details["plan"]``.  A name runs the registry default,
+        session-owned (unknown names fail here with the available
+        list); to configure, pass an :class:`~repro.core.engines.Engine`
+        *instance*, which is used as-is and keeps its own lifecycle.
         """
         self._check_open()
         pf = portfolio if portfolio is not None else self.portfolio
@@ -402,19 +371,10 @@ class RiskSession:
             )
         plan = None
         if isinstance(engine, Engine):
-            if engine_kwargs:
-                raise EngineError(
-                    "engine_kwargs only apply when engine is a name"
-                )
             eng = engine
         else:
             name = engine
             if name == "auto":
-                if engine_kwargs:
-                    raise EngineError(
-                        "engine_kwargs require an explicit engine name; "
-                        "engine='auto' chooses its own configuration"
-                    )
                 plan = self.plan("aggregate", portfolio=pf,
                                  require_emit_yelt=emit_yelt)
                 name = plan.engine
@@ -426,13 +386,13 @@ class RiskSession:
                     f"engine {name!r} does not emit YELTs; "
                     f"engines that do: {emitters}"
                 )
-            eng = self.engine(name, **engine_kwargs)
+            eng = self.engine(name)
         with self.telemetry.span("session.sweep",
                                  engine=getattr(eng, "name", "engine"),
                                  n_layers=pf.n_layers):
             res = eng.run(pf, self.yet, emit_yelt=emit_yelt)
         self._observe(res, pf.n_layers)
-        self._m_aggregates.inc()
+        self._count["session.aggregates"].inc()
         result = AnalysisResult.from_engine(res)
         if plan is not None:
             result.details["plan"] = plan
@@ -464,7 +424,6 @@ class RiskSession:
 
         kwargs.setdefault("volatility_loading", self.volatility_loading)
         kwargs.setdefault("tail_loading", self.tail_loading)
-        kwargs.setdefault("dense_max_entries", self.dense_max_entries)
         svc = PricingService(self.yet, engine=engine, session=self, **kwargs)
         self._services.append(svc)
         return svc
@@ -476,16 +435,27 @@ class RiskSession:
             return self._default_service
 
     def quote(self, layer: Layer, timeout: float | None = None):
-        """Price one candidate layer against the staged YET."""
+        """Price one candidate layer against the staged YET.
+
+        §II: "A 1 million trial aggregate simulation on a typical
+        contract only takes 25 seconds and can therefore support
+        real-time pricing."  The quote is the technical premium
+        (expected loss + volatility and tail loadings) with its latency
+        and the measured trials/second, from which the E4 bench
+        extrapolates and then verifies the million-trial figure.  To
+        price on one named engine instead, run
+        ``aggregate(Portfolio([layer]), engine=...)`` and feed the
+        layer's YLT to :func:`~repro.dfa.quote.premium_components`.
+        """
         self._check_open()
-        self._m_quotes.inc()
+        self._count["session.quotes"].inc()
         return self._service().quote(layer, timeout=timeout)
 
     def quote_many(self, layers, timeout: float | None = None) -> list:
         """Price several candidates through one coalesced sweep."""
         self._check_open()
         layers = list(layers)
-        self._m_quotes.inc(len(layers))
+        self._count["session.quotes"].inc(len(layers))
         return self._service().quote_many(layers, timeout=timeout)
 
     def ep_curve(self, layer: Layer | None = None, *,
@@ -497,7 +467,7 @@ class RiskSession:
         curve from one aggregate run.
         """
         self._check_open()
-        self._m_ep_curves.inc()
+        self._count["session.ep_curves"].inc()
         if layer is not None:
             return self._service().ep_curve(layer)
         result = self.aggregate(engine=engine)
@@ -509,7 +479,7 @@ class RiskSession:
         (see :func:`~repro.analytics.ep_curves.portfolio_ep_curves`)."""
         self._check_open()
         result = self.aggregate(portfolio, engine=engine)
-        self._m_ep_curves.inc()
+        self._count["session.ep_curves"].inc()
         return portfolio_ep_curves(result.ylt_by_layer, result.portfolio_ylt)
 
     def sensitivities(self, layer: Layer, *, engine: str | Engine = "auto",
@@ -518,6 +488,6 @@ class RiskSession:
         ~10 bump re-runs reuse one staged substrate instead of
         constructing and tearing one down per sweep."""
         self._check_open()
-        self._m_sensitivity.inc()
+        self._count["session.sensitivity_sweeps"].inc()
         return term_sensitivities(layer, self.yet, engine=engine,
                                   session=self, **kwargs)

@@ -8,9 +8,9 @@ from repro.dfa.combine import combine_ylts
 from repro.dfa.correlation import GaussianCopula
 from repro.dfa.erm import BusinessUnit, Enterprise
 from repro.dfa.metrics import RiskMetrics, tail_value_at_risk
-from repro.dfa.pricing import RealTimePricer
 from repro.dfa.reporting import regulator_report
 from repro.errors import AnalysisError
+from repro.serve import PricingService
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -131,47 +131,39 @@ class TestReporting:
         assert "1,234,567" in regulator_report(m)
 
 
-class TestRealTimePricer:
+class TestServiceQuote:
     def test_quote_structure(self, tiny_workload):
-        pricer = RealTimePricer(tiny_workload.yet)
-        quote = pricer.quote(tiny_workload.portfolio.layers[0])
+        with PricingService(tiny_workload.yet) as service:
+            quote = service.quote(tiny_workload.portfolio.layers[0])
         assert quote.expected_loss > 0
         assert quote.premium >= quote.expected_loss
         assert quote.latency_seconds > 0
         assert quote.trials_per_second > 0
 
     def test_premium_decomposition(self, tiny_workload):
-        pricer = RealTimePricer(tiny_workload.yet)
-        q = pricer.quote(tiny_workload.portfolio.layers[0])
+        with PricingService(tiny_workload.yet) as service:
+            q = service.quote(tiny_workload.portfolio.layers[0])
         assert q.premium == pytest.approx(
             q.expected_loss + q.volatility_load + q.tail_load
         )
 
     def test_rate_on_line_uses_occ_limit(self, tiny_workload):
         layer = tiny_workload.portfolio.layers[0]
-        pricer = RealTimePricer(tiny_workload.yet)
-        q = pricer.quote(layer)
+        with PricingService(tiny_workload.yet) as service:
+            q = service.quote(layer)
         assert q.rate_on_line == pytest.approx(q.premium / layer.terms.occ_limit)
 
     def test_zero_loadings_price_is_pure_premium(self, tiny_workload):
-        pricer = RealTimePricer(tiny_workload.yet, volatility_loading=0.0,
-                                tail_loading=0.0)
-        q = pricer.quote(tiny_workload.portfolio.layers[0])
+        with PricingService(tiny_workload.yet, volatility_loading=0.0,
+                            tail_loading=0.0) as service:
+            q = service.quote(tiny_workload.portfolio.layers[0])
         assert q.premium == pytest.approx(q.expected_loss)
 
-    def test_quote_sweep(self, tiny_workload):
-        pricer = RealTimePricer(tiny_workload.yet)
-        quotes = pricer.quote_sweep(list(tiny_workload.portfolio.layers))
+    def test_quote_many(self, tiny_workload):
+        with PricingService(tiny_workload.yet) as service:
+            quotes = service.quote_many(list(tiny_workload.portfolio.layers))
         assert len(quotes) == tiny_workload.portfolio.n_layers
 
     def test_negative_loading_rejected(self, tiny_workload):
         with pytest.raises(AnalysisError):
-            RealTimePricer(tiny_workload.yet, volatility_loading=-0.1)
-
-    def test_engine_choice(self, tiny_workload):
-        pricer = RealTimePricer(tiny_workload.yet, engine="device")
-        q = pricer.quote(tiny_workload.portfolio.layers[0])
-        ref = RealTimePricer(tiny_workload.yet).quote(
-            tiny_workload.portfolio.layers[0]
-        )
-        assert q.expected_loss == pytest.approx(ref.expected_loss)
+            PricingService(tiny_workload.yet, volatility_loading=-0.1)

@@ -188,12 +188,16 @@ class TestDeviceEngine:
         assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
 
     def test_sparse_lookup_path(self, tiny_workload):
-        engine = DeviceEngine(dense_max_entries=1)  # force sparse
-        res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
+        # CSR by the book's own shape: one ELT row far past the dense
+        # threshold.
+        base = tiny_workload.portfolio.layers[0]
+        far = EltTable.from_arrays([10**9], [75.0], contract_id=99)
+        portfolio = Portfolio([Layer(base.layer_id, [*base.elts, far],
+                                     base.terms)])
+        res = DeviceEngine().run(portfolio, tiny_workload.yet)
+        ref = SequentialEngine().run(portfolio, tiny_workload.yet)
         assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
-        lid = tiny_workload.portfolio.layers[0].layer_id
-        assert res.details["layers"][lid]["lookup_kind"] == "sparse"
+        assert res.details["layers"][base.layer_id]["lookup_kind"] == "sparse"
 
     def test_portfolio_too_big_to_coreside_splits_into_batches(
             self, small_portfolio_workload):

@@ -24,11 +24,11 @@ from repro.core import AggregateAnalysis, Layer, LayerTerms, Portfolio, YetTable
 from repro.dfa import (
     BusinessUnit,
     Enterprise,
-    RealTimePricer,
     RiskMetrics,
     combine_ylts,
     regulator_report,
 )
+from repro.serve import PricingService
 from repro.util.rng import RngHierarchy
 
 
@@ -113,14 +113,14 @@ class TestStage2ToStage3:
 
     def test_realtime_pricing_workflow(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        pricer = RealTimePricer(yet)
         base_layer = portfolio.layers[0]
         alternatives = [
             Layer(99, base_layer.elts,
                   LayerTerms(occ_retention=r, occ_limit=5e7))
             for r in (1e5, 5e5, 1e6)
         ]
-        quotes = pricer.quote_sweep(alternatives)
+        with PricingService(yet) as service:
+            quotes = service.quote_many(alternatives)
         # premium decreases as the attachment rises
         premiums = [q.premium for q in quotes]
         assert premiums == sorted(premiums, reverse=True)

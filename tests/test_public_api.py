@@ -5,7 +5,9 @@ importable and be the object its module defines — no stale exports, no
 circular-import landmines hiding until a user's first import.
 """
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -84,12 +86,71 @@ def test_serve_names_exported_from_root():
     assert repro.CachePolicy is repro.serve.CachePolicy
 
 
-def test_pricing_quote_importable_from_both_homes():
-    """PricingQuote moved to a leaf module; the classic import must hold."""
-    from repro.dfa.pricing import PricingQuote as via_pricing
-    from repro.dfa.quote import PricingQuote as via_quote
+def _unresolved_repro_names(path):
+    """``repro`` names a script imports or reads off the package that
+    the installed package does not have (the script is parsed, never
+    run)."""
+    import repro
 
-    assert via_pricing is via_quote
+    missing = []
+
+    def resolve(obj, names, label):
+        for name in names:
+            if not hasattr(obj, name):
+                try:
+                    importlib.import_module(f"{obj.__name__}.{name}")
+                except (ImportError, AttributeError):
+                    missing.append(f"{path.name}:{label}")
+                    return
+            obj = getattr(obj, name)
+
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names
+                      if node.level == 0]
+        elif isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            while isinstance(node.value, ast.Attribute):
+                node = node.value
+                parts.append(node.attr)
+            root = node.value.id if isinstance(node.value, ast.Name) else ""
+            dotted = [".".join([root, *reversed(parts)])]
+        else:
+            continue
+        for name in dotted:
+            head, *rest = name.split(".")
+            if head == "repro":
+                resolve(repro, rest, name)
+    return missing
+
+
+def test_examples_and_bench_runners_name_only_what_the_package_has():
+    """The examples and the ``benchmarks/bench_*.py`` runners are too
+    slow for tier-1, so nothing else notices when a PR deletes a public
+    name one of them imports: every ``from repro… import name`` and
+    every ``repro.a.b`` chain in them must resolve."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    scripts = sorted([*root.glob("examples/*.py"),
+                      *root.glob("benchmarks/*.py")])
+    assert len(scripts) > 20
+    missing = [name for path in scripts
+               for name in _unresolved_repro_names(path)]
+    assert not missing, missing
+
+
+def test_a_script_naming_a_deleted_module_is_caught(tmp_path):
+    script = tmp_path / "stale.py"
+    script.write_text("import repro\n"
+                      "from repro.dfa.gone import PricingQuote\n"
+                      "from repro.serve import PricingService, Nope\n"
+                      "repro.bench.no_such_workload()\n"
+                      "repro.RiskSession(1).quote(2)\n")
+    assert _unresolved_repro_names(script) == [
+        "stale.py:repro.dfa.gone.PricingQuote",
+        "stale.py:repro.serve.Nope",
+        "stale.py:repro.bench.no_such_workload"]
 
 
 def test_session_surface_locked():
@@ -107,8 +168,8 @@ def test_session_surface_locked():
 
 
 def test_legacy_entry_points_resolve_deprecation_free(tiny_workload):
-    """The classic constructors are veneers now, but must keep working
-    without a whisper of a deprecation."""
+    """The classic constructors run on a private session now, but must
+    keep working without a whisper of a deprecation."""
     import warnings
 
     import repro
@@ -121,8 +182,6 @@ def test_legacy_entry_points_resolve_deprecation_free(tiny_workload):
         assert result.engine == "vectorized"
         with repro.PricingService(tiny_workload.yet) as svc:
             assert svc.quote(tiny_workload.portfolio.layers[0]).premium > 0
-        with repro.RealTimePricer(tiny_workload.yet) as pricer:
-            assert pricer.quote(tiny_workload.portfolio.layers[0]).premium > 0
         assert repro.get_engine("vectorized").name == "vectorized"
 
 
@@ -147,8 +206,7 @@ def test_kernel_sweep_signatures_locked():
     assert params(PortfolioKernel.sweep_segments) == [
         ("self", False), ("segments", False), ("event_ids", False),
         ("sublinear", True)]
-    assert params(VectorizedEngine.__init__) == [
-        ("self", False), ("dense_max_entries", False)]
+    assert not inspect.signature(VectorizedEngine).parameters
     assert not inspect.signature(InlineDispatcher).parameters
     assert {name for name in ROUTING_COUNTERS if "fallback" in name} == {
         "kernel.fallback.error_bound", "kernel.fallback.sublinear_off"}
@@ -169,3 +227,30 @@ def test_engine_spec_and_planner_knobs_locked():
         "name", "factory", "summary", "supports_emit_yelt"]
     assert list(inspect.signature(EnginePlanner.__init__).parameters) == [
         "self", "n_workers", "telemetry"]
+
+    # An engine is configured by building it, a book's dense/CSR
+    # threshold where its lookup is built: the drivers and the entry
+    # points take neither constructor keywords nor the threshold.
+    from repro import (AggregateAnalysis, PricingService, RiskSession,
+                       get_engine)
+    from repro.core.engines import MulticoreEngine
+
+    def keywords(func):
+        return [name for name in inspect.signature(func).parameters
+                if name != "self"]
+
+    assert keywords(MulticoreEngine.__init__) == ["n_workers", "transport"]
+    assert keywords(MulticoreEngine.on_dispatcher) == ["lookup"]
+    assert keywords(RiskSession.__init__) == [
+        "yet", "portfolio", "n_workers", "transport", "volatility_loading",
+        "tail_loading", "telemetry"]
+    assert keywords(RiskSession.aggregate) == [
+        "portfolio", "engine", "emit_yelt"]
+    assert keywords(RiskSession.engine) == ["name"]
+    assert keywords(PricingService.__init__) == [
+        "yet", "engine", "volatility_loading", "tail_loading", "batch",
+        "cache", "slo_seconds", "max_pending", "session"]
+    assert keywords(AggregateAnalysis.run) == ["engine", "emit_yelt"]
+    for name in ("device", "distributed", "mapreduce"):
+        with pytest.raises(TypeError, match="dense_max_entries"):
+            get_engine(name, dense_max_entries=1)

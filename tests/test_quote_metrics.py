@@ -22,7 +22,6 @@ from repro.analytics.ep_curves import EpCurve
 from repro.core.layer import Layer
 from repro.core.tables import YltTable
 from repro.core.terms import LayerTerms
-from repro.dfa.pricing import RealTimePricer
 from repro.dfa.quote import premium_components, premium_components_rows
 from repro.errors import AnalysisError
 from repro.serve import CachePolicy, PricingService
@@ -181,7 +180,7 @@ class TestRowsAreIndependent:
 
 
 class TestEveryPricerAgrees:
-    """Service, ``RealTimePricer`` and a cached re-quote: one formula."""
+    """A batch, a cached re-quote and a quote priced alone: one formula."""
 
     @staticmethod
     def candidates(wl, n=20):
@@ -207,13 +206,9 @@ class TestEveryPricerAgrees:
                             tail_loading=TAIL, cache=CachePolicy(0)) as svc:
             alone = [svc.quote(layer) for layer in layers]
             assert svc.stats.snapshot()["serve.batches"] == 8
-        with RealTimePricer(tiny_workload.yet, volatility_loading=VOL,
-                            tail_loading=TAIL) as pricer:
-            classic = [pricer.quote(layer) for layer in layers]
-        for b, c, a, r in zip(batched, cached, alone, classic):
+        for b, c, a in zip(batched, cached, alone):
             assert same(fields(b), fields(c))
             assert same(fields(b), fields(a))
-            assert same(fields(b), fields(r))
 
     def test_mixed_metrics_ride_untouched(self, tiny_workload):
         """``ylt``/``ep_curve`` requests in a quote batch get the row

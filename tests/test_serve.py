@@ -499,32 +499,6 @@ class _SlowDispatcher(InlineDispatcher):
 # enablers: ephemeral kernels + fingerprints
 # ---------------------------------------------------------------------------
 
-class TestRealTimePricerSweep:
-    def test_default_sweep_is_one_fused_pass(self, small_portfolio_workload):
-        from repro.dfa.pricing import RealTimePricer
-
-        wl = small_portfolio_workload
-        with RealTimePricer(wl.yet) as pricer:
-            quotes = pricer.quote_sweep(list(wl.portfolio))
-            assert pricer.service.stats.snapshot()["serve.batches"] == 1
-            assert len(quotes) == wl.portfolio.n_layers
-
-    def test_explicit_engine_sweep_stays_on_that_engine(self, tiny_workload):
-        """engine='device' is the cross-engine validation hook: the sweep
-        must actually run the device engine, not the inline service."""
-        from repro.core.engines import DeviceEngine
-        from repro.dfa.pricing import RealTimePricer
-
-        engine = DeviceEngine()
-        with RealTimePricer(tiny_workload.yet, engine=engine) as pricer:
-            quotes = pricer.quote_sweep(list(tiny_workload.portfolio))
-            assert pricer._service is None, "service must stay unbuilt"
-        with RealTimePricer(tiny_workload.yet) as ref:
-            expected = ref.quote_sweep(list(tiny_workload.portfolio))
-        for q, e in zip(quotes, expected):
-            assert q.premium == pytest.approx(e.premium, rel=1e-9)
-
-
 class TestEnablers:
     def test_from_layers_matches_from_portfolio(self, small_portfolio_workload):
         wl = small_portfolio_workload
@@ -619,20 +593,12 @@ class TestEnablers:
             oracle[t] += layer.terms.occurrence_scalar(float(losses[e]))
         np.testing.assert_allclose(fused, oracle, rtol=1e-9, atol=1e-6)
 
-    def test_pricer_close_is_terminal(self, tiny_workload):
-        from repro.dfa.pricing import RealTimePricer
-
-        pricer = RealTimePricer(tiny_workload.yet)
-        pricer.quote(tiny_workload.portfolio.layers[0])
-        pricer.close()
+    def test_service_close_is_terminal(self, tiny_workload):
+        service = PricingService(tiny_workload.yet)
+        service.quote(tiny_workload.portfolio.layers[0])
+        service.close()
         with pytest.raises(ConfigurationError):
-            pricer.quote(tiny_workload.portfolio.layers[0])
-        # terminal even when the lazy service was never built: a later
-        # quote must not silently spawn a fresh service/pool
-        fresh = RealTimePricer(tiny_workload.yet, engine="multicore")
-        fresh.close()
-        with pytest.raises(ConfigurationError):
-            fresh.quote(tiny_workload.portfolio.layers[0])
+            service.quote(tiny_workload.portfolio.layers[0])
 
     def test_yet_fingerprint_is_content_addressed(self):
         a = fresh_yet(seed=5)

@@ -343,6 +343,52 @@ class TestStagedPayload:
         assert metrics["session.aggregates"] == 2
 
     @needs_shm
+    def test_a_session_owns_one_pool(self, small_portfolio_workload,
+                                     risk_session):
+        """Every pooled workload rides the session's one staged pool,
+        and no call can configure a second: an engine is configured by
+        building it, not by keywords on ``aggregate``."""
+        from repro.serve.cache import CachePolicy
+
+        wl = small_portfolio_workload
+        session = risk_session(wl.yet, wl.portfolio, n_workers=2)
+        session.aggregate(engine="multicore")
+        session.aggregate(engine="multicore")
+        svc = session.pricing_service(engine="pooled", cache=CachePolicy(0))
+        svc.quote_many(_candidates(wl.portfolio, 8))
+        engine = session.engine("multicore")
+        pool = session.dispatcher("pooled").pool
+        assert session.payload_ships == pool.payload_ships == 1
+        assert engine.pool is pool and svc.dispatcher.pool is pool
+        assert [e.pool for e in session._engines.values()
+                if hasattr(e, "pool")] == [pool]
+        with pytest.raises(TypeError, match="n_workers"):
+            session.aggregate(engine="multicore", n_workers=2)
+        with pytest.raises(TypeError, match="n_workers"):
+            session.engine("multicore", n_workers=2)
+        assert session.payload_ships == 1
+
+    @needs_shm
+    def test_stats_snapshot_is_the_session_slice_of_the_scrape(
+            self, small_portfolio_workload, risk_session):
+        """``SessionStats`` registers every ``session.*`` counter once:
+        its snapshot and the plane's scrape cannot disagree."""
+        wl = small_portfolio_workload
+        session = risk_session(wl.yet, wl.portfolio, n_workers=2)
+        session.aggregate(engine="multicore")
+        session.aggregate(engine="multicore")
+        session.aggregate()
+        session.quote_many(_candidates(wl.portfolio, 3))
+        session.ep_curves()
+        stats = session.stats.snapshot()
+        metrics = session.telemetry.snapshot()["metrics"]
+        assert stats == {name: value for name, value in metrics.items()
+                         if name.startswith("session.")}
+        assert stats["session.stages"] == 1
+        assert stats["session.stage_reuse"] == 1
+        assert stats["session.quotes"] == 3
+
+    @needs_shm
     def test_run_all_ships_do_not_grow_across_the_sweep(
             self, tiny_workload, risk_session):
         """Satellite: run_all through one session stages (kernel, YET)
@@ -464,18 +510,6 @@ class TestAutoEngine:
                                 tiny_workload.yet).run("auto", emit_yelt=True)
         assert res.yelt_by_layer
         assert engine_spec(res.engine).supports_emit_yelt
-
-    def test_auto_rejects_engine_kwargs(self, tiny_workload, risk_session):
-        """Constructor kwargs are engine-specific: forwarding them to
-        whichever engine the planner picks would crash or silently
-        misconfigure, so 'auto' refuses them outright."""
-        analysis = AggregateAnalysis(tiny_workload.portfolio,
-                                     tiny_workload.yet)
-        with pytest.raises(EngineError, match="explicit engine name"):
-            analysis.run("auto", n_workers=2)
-        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
-        with pytest.raises(EngineError, match="explicit engine name"):
-            session.aggregate(engine="auto", n_workers=2)
 
     def test_plan_and_dispatcher_come_from_one_row(self, tiny_workload,
                                                    risk_session):
@@ -627,46 +661,38 @@ class TestVeneers:
         assert session.engine("vectorized") is session.engine("vectorized")
         assert isinstance(session.engine("vectorized"), Engine)
 
-    def test_engine_cache_keys_on_configuration(self, tiny_workload,
-                                                risk_session):
-        """Same (name, kwargs) -> same warm engine; different kwargs ->
-        different engine — never a silently mis-configured cache hit."""
-        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
-        default = session.engine("vectorized")
-        sparse = session.engine("vectorized", dense_max_entries=1)
-        assert sparse is not default
-        assert sparse.dense_max_entries == 1
-        assert session.engine("vectorized", dense_max_entries=1) is sparse
-
-    def test_kwarg_engines_do_not_accumulate_pools(self, tiny_workload,
-                                                   risk_session):
-        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
-        analysis = AggregateAnalysis(tiny_workload.portfolio,
-                                     tiny_workload.yet, session=session)
-        for _ in range(3):
-            analysis.run("multicore", n_workers=2)
-        live = [e for e in session._engines.values()
-                if getattr(e, "name", "") == "multicore"]
-        assert len(live) == 1
-        assert not session._extra_engines
-
     def test_instance_plus_kwargs_rejected(self, tiny_workload,
                                            risk_session):
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
-        with pytest.raises(EngineError, match="engine_kwargs"):
+        with pytest.raises(TypeError, match="n_workers"):
             session.aggregate(engine=VectorizedEngine(), n_workers=2)
 
     def test_service_rejects_mismatched_session_yet(self, tiny_workload,
                                                     small_portfolio_workload,
                                                     risk_session):
-        from repro.dfa.pricing import RealTimePricer
         from repro.serve.service import PricingService
 
         session = risk_session(small_portfolio_workload.yet)
         with pytest.raises(ConfigurationError, match="different YET"):
             PricingService(tiny_workload.yet, session=session)
-        with pytest.raises(ConfigurationError, match="different YET"):
-            RealTimePricer(tiny_workload.yet, session=session)
+
+    def test_borrowed_service_cannot_resimulate(self, tiny_workload,
+                                                risk_session):
+        """The constructor's rule at the other door: a service that
+        borrows a session may not swap its trial set away from the one
+        the session's aggregates, plans and pool are staged on."""
+        from repro.bench.workloads import build_layer_workload
+
+        layer = tiny_workload.portfolio.layers[0]
+        other = build_layer_workload(
+            n_trials=300, mean_events_per_trial=25.0, n_elts=2,
+            elt_rows=150, catalog_events=500, seed=7).yet
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
+        session.quote(layer)
+        for service in (session._service(), session.pricing_service()):
+            with pytest.raises(ConfigurationError, match="borrows"):
+                service.resimulate(other)
+            assert service.yet is session.yet is tiny_workload.yet
 
     def test_sensitivities_reject_mismatched_session_yet(
             self, tiny_workload, small_portfolio_workload, risk_session):
@@ -687,24 +713,6 @@ class TestVeneers:
         with pytest.raises(ConfigurationError, match="not both"):
             PricingService(tiny_workload.yet, engine=InlineDispatcher(),
                            session=session)
-
-    def test_pricer_engine_auto(self, tiny_workload):
-        from repro.dfa.pricing import RealTimePricer
-
-        with RealTimePricer(tiny_workload.yet, engine="auto") as pricer:
-            assert pricer.quote(tiny_workload.portfolio.layers[0]).premium > 0
-
-    def test_pricer_shares_a_session_substrate(self, tiny_workload,
-                                               risk_session):
-        from repro.dfa.pricing import RealTimePricer
-
-        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
-        with RealTimePricer(tiny_workload.yet, session=session) as pricer:
-            quote = pricer.quote(tiny_workload.portfolio.layers[0])
-            assert quote.premium > 0
-        # pricer close must not have torn down the shared session
-        assert not session.closed
-        session.aggregate(engine="vectorized")
 
     def test_standalone_service_owns_and_closes_a_session(self,
                                                           tiny_workload):

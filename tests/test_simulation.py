@@ -23,12 +23,18 @@ class TestAggregateAnalysis:
 
     def test_kwargs_with_instance_rejected(self, tiny_workload):
         analysis = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet)
-        with pytest.raises(EngineError):
+        with pytest.raises(TypeError, match="n_workers"):
             analysis.run(VectorizedEngine(), n_workers=2)
 
-    def test_engine_kwargs_forwarded(self, tiny_workload):
+    def test_run_takes_no_engine_configuration(self, tiny_workload):
+        """An engine is configured by building it: a name runs the
+        registry default and ``run`` forwards nothing to a constructor."""
+        from repro.core.engines import get_engine
+
         analysis = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet)
-        res = analysis.run("distributed", n_nodes=2)
+        with pytest.raises(TypeError, match="n_nodes"):
+            analysis.run("distributed", n_nodes=2)
+        res = analysis.run(get_engine("distributed", n_nodes=2))
         assert res.details["n_nodes"] == 2
 
     def test_run_all(self, tiny_workload):
@@ -46,16 +52,17 @@ class TestAggregateAnalysis:
         real = PooledDispatcher.close
         monkeypatch.setattr(
             PooledDispatcher, "close",
-            lambda self: (closed.append(self.pool.n_workers), real(self)))
+            lambda self: (closed.append(self), real(self)))
         analysis = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet)
-        analysis.run("multicore", n_workers=2)
-        assert closed == [2]
+        analysis.run("multicore")
+        assert len(closed) == 1
 
         mine = MulticoreEngine(n_workers=1)
         analysis.run(mine)
-        assert closed == [2]            # caller-owned engine untouched
+        assert len(closed) == 1         # caller-owned engine untouched
+        dispatcher = mine.dispatcher
         mine.close()
-        assert closed == [2, 1]
+        assert closed[1:] == [dispatcher]
 
     def test_expected_annual_loss_positive(self, tiny_workload):
         res = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet).run()
