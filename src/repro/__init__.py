@@ -57,7 +57,6 @@ from repro import (
 from repro.config import DEFAULTS, ReproConfig
 from repro.core import (
     AggregateAnalysis,
-    AnalysisResult,
     EltTable,
     EngineSpec,
     Layer,
@@ -108,7 +107,6 @@ __all__ = [
     "DEFAULTS",
     "ReproConfig",
     "AggregateAnalysis",
-    "AnalysisResult",
     "EltTable",
     "EngineSpec",
     "Layer",

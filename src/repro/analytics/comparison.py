@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.portfolio import Portfolio
-from repro.core.simulation import AggregateAnalysis, AnalysisResult
+from repro.core.simulation import AggregateAnalysis
 from repro.core.tables import YetTable
 from repro.errors import AnalysisError
 
@@ -32,7 +32,7 @@ def compare_engines(
     if reference not in names:
         names = [reference, *names]
     analysis = AggregateAnalysis(portfolio, yet)
-    results: dict[str, AnalysisResult] = {n: analysis.run(n) for n in names}
+    results = {n: analysis.run(n) for n in names}
     ref = results[reference].portfolio_ylt.losses
     report = {}
     for name, res in results.items():

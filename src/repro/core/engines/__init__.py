@@ -9,13 +9,14 @@ name        substrate
 sequential  pure-Python scalar loop — the paper's "sequential counterpart"
             and the numerical oracle every other engine is tested against
 vectorized  whole-array NumPy over the fused portfolio kernel — the
-            data-parallel, global-memory-only model
+            data-parallel, global-memory-only model (the host driver,
+            :mod:`~repro.core.engines.host`, on an inline dispatcher)
 device      :class:`~repro.hpc.device.SimulatedGpu` with chunking and
             constant-memory lookup placement — the paper's optimised GPU;
             each YET chunk is uploaded once and consumed by every layer
-multicore   trial-block decomposition over a process pool: a driver of
-            :class:`~repro.serve.dispatch.PooledDispatcher` (a private
-            one, or the session's), the one pooled execution path
+multicore   trial-block decomposition over a process pool: the same
+            driver on :class:`~repro.serve.dispatch.PooledDispatcher`,
+            the one pooled execution path
 mapreduce   a MapReduce job over the simulated DFS (large file space path)
 distributed trial-scatter / lookup-broadcast / YLT-gather over SimCluster
 ========== ===============================================================
@@ -48,10 +49,15 @@ counted lane fallbacks in :mod:`repro.core.kernels`.  Rows that don't
 qualify take the lane path in the same sweep, and a profile answer is
 a function of the trial and the row alone, so the bit-identity rule
 covers tail rows too.
-The vectorized, multicore, and
-out-of-core engines are thin drivers of that sweep (whole-array,
-per-trial-block through the pooled dispatcher, and per block of the
-whole trials a stored chunk completes, respectively); the device engine
+The vectorized and multicore engines are one driver
+(:class:`~repro.core.engines.host.HostEngine`): ``portfolio.kernel()``
+→ ``dispatcher.run(kernel, yet)`` → per-layer YLTs, one ``details``
+schema read off the dispatcher — a private one (one whole-YET span
+inline, one span per pool worker), or under ``RiskSession.engine`` the
+session's own, the one its quote batches ride.  Every sweep of a
+``YetTable`` block is the dispatchers' one block task; the out-of-core
+engine sweeps the whole trials a stored chunk completes, which have no
+``YetTable``.  The device engine
 mirrors the same fusion on the simulated GPU — per resident batch it
 ships ONE stacked ``dense_stack`` upload (row offsets resolved
 in-kernel) plus one CSR pair, packs the constant bank greedily by
@@ -80,9 +86,8 @@ from repro.core.engines.registry import (
     register_engine,
 )
 from repro.core.engines.sequential import SequentialEngine
-from repro.core.engines.vectorized import VectorizedEngine
+from repro.core.engines.host import MulticoreEngine, VectorizedEngine
 from repro.core.engines.device import DeviceEngine
-from repro.core.engines.multicore import MulticoreEngine
 from repro.core.engines.mapreduce_engine import MapReduceEngine
 from repro.core.engines.distributed import DistributedEngine
 from repro.errors import EngineError

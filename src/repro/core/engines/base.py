@@ -14,7 +14,8 @@ __all__ = ["EngineResult", "Engine"]
 
 @dataclass
 class EngineResult:
-    """Output of one aggregate-analysis run.
+    """Output of one aggregate-analysis run: what an engine returns and
+    what :meth:`~repro.session.RiskSession.aggregate` hands the caller.
 
     Attributes
     ----------
@@ -41,6 +42,24 @@ class EngineResult:
     yelt_by_layer: dict[int, YeltTable] | None = None
     seconds: float = 0.0
     details: dict = field(default_factory=dict)
+
+    def expected_annual_loss(self) -> float:
+        """Portfolio pure premium: mean of the portfolio YLT."""
+        return self.portfolio_ylt.mean()
+
+    def layer_expected_losses(self) -> dict[int, float]:
+        return {lid: ylt.mean() for lid, ylt in self.ylt_by_layer.items()}
+
+    def trials_per_second(self) -> float:
+        if self.seconds <= 0:
+            raise EngineError("run recorded no elapsed time")
+        return self.portfolio_ylt.n_trials / self.seconds
+
+    def yelt_rows(self) -> int:
+        """Total YELT rows (0 when YELTs were not emitted)."""
+        if not self.yelt_by_layer:
+            return 0
+        return sum(y.n_rows for y in self.yelt_by_layer.values())
 
 
 class Engine(abc.ABC):

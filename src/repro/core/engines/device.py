@@ -40,10 +40,10 @@ import time
 import numpy as np
 
 from repro.core.engines.base import Engine, EngineResult
+from repro.core.engines.host import emit_yelt_row
 from repro.core.kernels import PortfolioKernel
 from repro.core.portfolio import Portfolio
-from repro.core.tables import YELT_SCHEMA, YeltTable, YetTable, YltTable
-from repro.data.columnar import ColumnTable
+from repro.core.tables import YeltTable, YetTable, YltTable
 from repro.hpc.chunking import ChunkPlanner
 from repro.hpc.device import SimulatedGpu
 from repro.hpc.kernel import Kernel
@@ -383,15 +383,7 @@ class DeviceEngine(Engine):
                     # the same arithmetic (device memory could not hold it
                     # anyway, which is §II's point about YELT-level
                     # analysis).
-                    losses = kernel.gather_layer(row, event_ids)
-                    retained = kernel.occurrence_row(row, losses)
-                    covered = losses > 0.0
-                    table = ColumnTable.from_arrays(
-                        YELT_SCHEMA, trial=trials[covered],
-                        event_id=event_ids[covered],
-                        loss=retained[covered],
-                    )
-                    yelt_by_layer[lid] = YeltTable(table, n_trials)
+                    yelt_by_layer[lid] = emit_yelt_row(kernel, row, yet)
 
         portfolio_ylt = YltTable.sum(list(ylt_by_layer.values()))
         return EngineResult(

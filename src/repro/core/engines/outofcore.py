@@ -124,6 +124,5 @@ class OutOfCoreEngine:
             seconds=time.perf_counter() - t0,
             details={"chunks_read": chunks_read, "rows_read": rows_read,
                      "fused_layers": kernel.n_layers, "n_blocks": n_blocks,
-                     "routed": {name: rows - routed_before[name]
-                                for name, rows in kernel.routed.items()}},
+                     "routed": kernel.routed_since(routed_before)},
         )

@@ -631,6 +631,12 @@ class PortfolioKernel:
         """Rows structurally eligible for the book-profile path."""
         return sum(rows.size for _, _, rows in self._tail_group_index())
 
+    def routed_since(self, before: dict) -> dict:
+        """How far :attr:`routed` moved past ``before``, a ``dict(routed)``
+        taken earlier: one run's routing on a kernel shared across runs."""
+        return {name: rows - before[name]
+                for name, rows in self.routed.items()}
+
     def _sweep_tail_groups(self, segments, event_ids, out, groups) -> None:
         """Price tail groups off their books' profiles (module docstring).
 

@@ -2,10 +2,9 @@
 
 :class:`AggregateAnalysis` is the classic entry point of stage 2: bind a
 portfolio to a YET, pick an engine (by name, by instance, or ``"auto"``
-for the planner's choice), run, and get an :class:`AnalysisResult` that
-adds derived artefacts — per-layer and portfolio YLTs, optional YELTs,
-expected losses, and the size accounting (E1/E2) — on top of the raw
-engine output.
+for the planner's choice), run, and get the engine's
+:class:`~repro.core.engines.EngineResult` — per-layer and portfolio
+YLTs, optional YELTs, expected losses, and the size accounting (E1/E2).
 
 Since the session layer landed it is a veneer over
 :class:`~repro.session.RiskSession`: pass ``session=`` to share one
@@ -19,55 +18,13 @@ engines it constructs are torn down before it returns.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from repro.core.engines import Engine, EngineResult
 from repro.core.portfolio import Portfolio
-from repro.core.tables import YeltTable, YetTable, YltTable
+from repro.core.tables import YetTable
 from repro.errors import EngineError
 
-__all__ = ["AnalysisResult", "AggregateAnalysis"]
-
-
-@dataclass
-class AnalysisResult:
-    """User-facing result of one aggregate analysis."""
-
-    engine: str
-    seconds: float
-    ylt_by_layer: dict[int, YltTable]
-    portfolio_ylt: YltTable
-    yelt_by_layer: dict[int, YeltTable] | None
-    details: dict
-
-    @classmethod
-    def from_engine(cls, res: EngineResult) -> "AnalysisResult":
-        return cls(
-            engine=res.engine,
-            seconds=res.seconds,
-            ylt_by_layer=res.ylt_by_layer,
-            portfolio_ylt=res.portfolio_ylt,
-            yelt_by_layer=res.yelt_by_layer,
-            details=res.details,
-        )
-
-    def expected_annual_loss(self) -> float:
-        """Portfolio pure premium: mean of the portfolio YLT."""
-        return self.portfolio_ylt.mean()
-
-    def layer_expected_losses(self) -> dict[int, float]:
-        return {lid: ylt.mean() for lid, ylt in self.ylt_by_layer.items()}
-
-    def trials_per_second(self) -> float:
-        if self.seconds <= 0:
-            raise EngineError("run recorded no elapsed time")
-        return self.portfolio_ylt.n_trials / self.seconds
-
-    def yelt_rows(self) -> int:
-        """Total YELT rows (0 when YELTs were not emitted)."""
-        if not self.yelt_by_layer:
-            return 0
-        return sum(y.n_rows for y in self.yelt_by_layer.values())
+__all__ = ["AggregateAnalysis"]
 
 
 class AggregateAnalysis:
@@ -109,7 +66,7 @@ class AggregateAnalysis:
             yield session
 
     def run(self, engine: str | Engine = "vectorized", *,
-            emit_yelt: bool = False) -> AnalysisResult:
+            emit_yelt: bool = False) -> EngineResult:
         """Run the analysis on the chosen engine.
 
         ``engine`` may be a registry name (``"sequential"``,
@@ -128,7 +85,7 @@ class AggregateAnalysis:
             return session.aggregate(self.portfolio, engine=engine,
                                      emit_yelt=emit_yelt)
 
-    def run_all(self, names: list[str] | None = None) -> dict[str, AnalysisResult]:
+    def run_all(self, names: list[str] | None = None) -> dict[str, EngineResult]:
         """Run several engines on the same inputs (cross-validation aid).
 
         The whole sweep goes through ONE session (the bound one, or an

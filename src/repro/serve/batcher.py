@@ -24,9 +24,9 @@ price off the book's profile kept beside the YET — two searches per
 (row, trial), no pass over the occurrence stream — so a burst costs one
 profile build per (YET, book), ever, plus a per-row cost that does not
 grow with the stream.  Rows that don't qualify take exact lanes in the
-same sweep (counted: ``kernel.fallback.*``);
-``ServeStats.sublinear_batches``/``sublinear_rows`` count how often
-flushes qualified.
+same sweep (counted: ``kernel.fallback.*``); the
+``serve.sublinear.batches`` / ``serve.sublinear.rows`` counters count
+how often flushes qualified.
 
 :class:`MicroBatcher` is deliberately generic: it queues opaque request
 items against futures and hands batches to a ``flush_fn`` supplied by

@@ -128,16 +128,19 @@ class ResultCache:
             self.stats.hits += 1
             return payload
 
-    def put(self, key: tuple[str, str, str], payload) -> None:
+    def put(self, key: tuple[str, str, str], payload) -> int:
         """Insert (or refresh) an entry, evicting LRU entries over
-        either budget (entry count or payload bytes)."""
+        either budget (entry count or payload bytes).  Returns how many
+        entries this call evicted: services sharing the cache each
+        report their own."""
         max_bytes = self.policy.max_bytes
         size = self._payload_nbytes(payload)
         if self.policy.max_entries == 0:
-            return
+            return 0
         if max_bytes is not None and size > max_bytes:
-            return  # would evict the whole cache for one entry
+            return 0  # would evict the whole cache for one entry
         with self._lock:
+            before = self.stats.evictions
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= self._payload_nbytes(old)
@@ -149,6 +152,7 @@ class ResultCache:
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= self._payload_nbytes(evicted)
                 self.stats.evictions += 1
+            return self.stats.evictions - before
 
     def invalidate_yet(self, yet_fingerprint: str) -> int:
         """Drop every entry priced against the given trial set."""

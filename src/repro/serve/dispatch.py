@@ -2,16 +2,20 @@
 
 A dispatcher takes one stacked :class:`~repro.core.kernels.PortfolioKernel`
 (the micro-batch) and the shared YET and produces the final
-``(L, n_trials)`` YLT matrix — sweep plus aggregate terms.  Two
-substrates are provided, mirroring the engine family:
+``(L, n_trials)`` YLT matrix — sweep plus aggregate terms.  This is the
+one door from a kernel to an answer: a quote batch hands its dispatcher
+the stacked batch kernel, and the two host engines (``vectorized`` /
+``multicore``, one driver — :mod:`repro.core.engines.host`) hand theirs
+the portfolio's.  A run is :func:`_sweep_trials` over the dispatcher's
+:meth:`~Dispatcher.spans`, and the two substrates differ in where the
+spans execute:
 
-- :class:`InlineDispatcher` — the vectorized path: one fused sweep on
-  the calling thread.  Lowest latency; what a single-node service runs.
-- :class:`PooledDispatcher` — trial-block decomposition over
-  :class:`~repro.hpc.pool.WorkPool` workers; the one pooled execution
-  path (the multicore engine is a driver of it).  Both sides of its
-  payload ride the zero-copy shared-memory data plane
-  (:mod:`repro.hpc.shm`) when the host supports it:
+- :class:`InlineDispatcher` — one span, the whole trial set, on the
+  calling thread.  Lowest latency; what a single-node service runs.
+- :class:`PooledDispatcher` — one span per
+  :class:`~repro.hpc.pool.WorkPool` worker; the one pooled execution
+  path.  Both sides of its payload ride the zero-copy shared-memory
+  data plane (:mod:`repro.hpc.shm`) when the host supports it:
 
   * the *YET arrays* (the stable side of a serving workload) are placed
     in a shared arena keyed by content fingerprint — workers attach once
@@ -44,16 +48,25 @@ inline on the calling thread — same answers, worse wall time — and
 reports ``n_procs == 1`` so admission control and the planner stop
 modelling parallelism that no longer exists.  :attr:`Dispatcher.health`
 exposes the :class:`~repro.hpc.pool.PoolHealth` record upward.
+
+What a run counted
+------------------
+:meth:`Dispatcher.run` exports, once per run, where the calling
+process's kernel priced its rows
+(:data:`~repro.core.kernels.ROUTING_COUNTERS`) and what the YET keeps
+for them (:meth:`~repro.core.tables.YetTable.cache_levels`) — inline,
+degraded or on a one-worker pool.  Pool workers count on their own
+copies; those counts do not come back yet (ROADMAP item 4), and this is
+where they will arrive.
 """
 
 from __future__ import annotations
 
-import abc
 import threading
 
 import numpy as np
 
-from repro.core.kernels import PortfolioKernel
+from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
 from repro.core.tables import YetTable
 from repro.hpc import shm
 from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
@@ -62,14 +75,22 @@ from repro.obs import Telemetry, as_telemetry
 __all__ = ["Dispatcher", "InlineDispatcher", "PooledDispatcher"]
 
 
-class Dispatcher(abc.ABC):
-    """Executes one batched kernel over the shared YET."""
+class Dispatcher:
+    """Executes one batched kernel over the shared YET — on the calling
+    thread, unless a subclass sends its spans elsewhere."""
 
     #: Registry name; subclasses override.
     name: str = "abstract"
 
     #: Parallelism the admission controller should model.
     n_procs: int = 1
+
+    def __init__(self, telemetry: Telemetry | bool | None = None) -> None:
+        #: The dispatcher's telemetry plane (a session passes its own so
+        #: one scrape covers the stack).
+        self.telemetry = as_telemetry(telemetry)
+        self._m_routed = {name: self.telemetry.counter(name)
+                          for name in ROUTING_COUNTERS}
 
     @property
     def transport_active(self) -> str:
@@ -82,7 +103,11 @@ class Dispatcher(abc.ABC):
         for in-process substrates, which have no workers to lose)."""
         return None
 
-    @abc.abstractmethod
+    def spans(self, yet: YetTable) -> list[tuple[int, int]]:
+        """The trial-block decomposition a run over ``yet`` executes:
+        ``(t0, t1)`` trial spans — in process, the whole trial set."""
+        return [(0, yet.n_trials)]
+
     def run(self, kernel: PortfolioKernel, yet: YetTable,
             policy: TaskPolicy | None = None) -> np.ndarray:
         """The final ``(L, n_trials)`` matrix (aggregate terms applied).
@@ -90,6 +115,27 @@ class Dispatcher(abc.ABC):
         ``policy`` supervises pooled execution (deadline, retries); the
         inline substrate has no workers to supervise and ignores it.
         """
+        before = dict(kernel.routed)
+        final = self._run(kernel, yet, policy)
+        routed = {name: rows for name, rows
+                  in kernel.routed_since(before).items() if rows}
+        for name, rows in routed.items():
+            self._m_routed[name].inc(rows)
+        if routed:
+            for name, level in yet.cache_levels().items():
+                self.telemetry.gauge(name).set(level)
+        return final
+
+    def _run(self, kernel: PortfolioKernel, yet: YetTable,
+             policy: TaskPolicy | None) -> np.ndarray:
+        """The substrate's execution of :meth:`run`; here, every span
+        on the calling thread.  Each row's answer is a function of the
+        trial alone, so the blocks give bit-identical answers in
+        process, in a worker, or as one whole-YET span."""
+        partials = [_sweep_trials(yet, kernel, t0, t1)
+                    for t0, t1 in self.spans(yet)]
+        return (partials[0] if len(partials) == 1
+                else np.concatenate(partials, axis=1))
 
     def warmup(self, yet: YetTable) -> None:
         """Pay one-off setup costs (worker spawn, YET shipping) now."""
@@ -109,20 +155,18 @@ class InlineDispatcher(Dispatcher):
 
     name = "inline"
 
-    def run(self, kernel: PortfolioKernel, yet: YetTable,
-            policy: TaskPolicy | None = None) -> np.ndarray:
-        return kernel.apply_aggregate(
-            kernel.sweep_segments(*yet.trial_block()))
-
 
 def _sweep_trials(yet: YetTable, kernel: PortfolioKernel,
                   t0: int, t1: int) -> np.ndarray:
-    """Worker: fused sweep over trials ``[t0, t1)`` of the shared YET,
-    renumbered block-local (picklable top-level task).  The block is
-    offset arithmetic over the trial index the worker's ``YetTable``
-    derives once, not a re-scan of the trial column per batch."""
-    annual = kernel.sweep_segments(*yet.trial_block(t0, t1))
-    return kernel.apply_aggregate(annual)
+    """Fused sweep over trials ``[t0, t1)`` of the shared YET, renumbered
+    block-local, aggregate terms applied — the one sweep of a
+    ``YetTable`` block under ``src/``, run on the calling thread or as a
+    pool worker's task (picklable top-level function).  The block is
+    offset arithmetic over the trial index the ``YetTable`` derives once
+    (once per worker for an attached copy), not a re-scan of the trial
+    column per batch."""
+    return kernel.apply_aggregate(
+        kernel.sweep_segments(*yet.trial_block(t0, t1)))
 
 
 def _sweep_trials_handles(yet: YetTable, kernel_handles,
@@ -163,9 +207,8 @@ class PooledDispatcher(Dispatcher):
                  transport: str = "auto",
                  telemetry: Telemetry | bool | None = None) -> None:
         shm.validate_transport(transport)
-        #: The dispatcher's telemetry plane, shared with its pool (a
-        #: session passes its own so one scrape covers the stack).
-        self.telemetry = as_telemetry(telemetry)
+        super().__init__(telemetry)
+        #: The pool shares the dispatcher's telemetry plane.
         self.pool = WorkPool(n_workers, telemetry=self.telemetry)
         self.transport = transport
         self._shared = None
@@ -233,9 +276,8 @@ class PooledDispatcher(Dispatcher):
             self.pool.ensure_started(shared)
 
     def spans(self, yet: YetTable) -> list[tuple[int, int]]:
-        """The trial-block decomposition a run over ``yet`` executes,
-        pooled or degraded: ``(t0, t1)`` trial spans, one per worker
-        (capped by trial count)."""
+        """One span per worker (capped by trial count), pooled or
+        degraded."""
         n_blocks = min(self.pool.n_workers, yet.n_trials)
         bounds = np.linspace(0, yet.n_trials, n_blocks + 1).astype(int)
         return [(int(b0), int(b1))
@@ -245,48 +287,38 @@ class PooledDispatcher(Dispatcher):
             policy: TaskPolicy | None = None) -> np.ndarray:
         with self.telemetry.span("dispatch.pooled",
                                  transport=self.transport_active):
-            return self._run(kernel, yet, policy)
+            return super().run(kernel, yet, policy)
 
     def _run(self, kernel: PortfolioKernel, yet: YetTable,
-             policy: TaskPolicy | None = None) -> np.ndarray:
+             policy: TaskPolicy | None) -> np.ndarray:
         if self.pool.health.degraded:
             # Graceful degradation: the pool has failed terminally too
             # many consecutive times, so the batch runs on the calling
             # thread, over the trial blocks the workers would have
-            # executed (every row's answer is a function of the trial
-            # alone, so degraded answers are bit-identical to pooled
-            # and inline ones).  No slab packing, no handle ships,
-            # nothing left to break.
+            # executed.  No slab packing, no handle ships, nothing left
+            # to break.
             self.pool.health.count("degraded_calls")
-            return np.concatenate(
-                [_sweep_trials(yet, kernel, t0, t1)
-                 for t0, t1 in self.spans(yet)], axis=1)
+            return super()._run(kernel, yet, policy)
         shared = self._bundle(yet)
         spans = self.spans(yet)
-        if self._shm_active() and len(spans) > 1:
-            # The batch kernel rides the reusable slab: one memcpy here,
-            # ~1 KB of handles per task, no per-task unpickle of the
-            # stacked lookup in the workers.
-            with self._lock:
+        # One lock over slab and submissions: the slab is single-writer
+        # with the in-flight batch as its readers, and a concurrent
+        # bundle swap would cycle the pool executor under an in-flight
+        # batch's submissions.
+        with self._lock:
+            task, payload = _sweep_trials, kernel
+            if self._shm_active() and len(spans) > 1:
+                # The batch kernel rides the reusable slab: one memcpy
+                # here, ~1 KB of handles per task, no per-task unpickle
+                # of the stacked lookup in the workers.
                 if self._slab is None:
                     self._slab = shm.ShmSlab()
-                handles = kernel.export_handles(self._slab)
+                task, payload = (_sweep_trials_handles,
+                                 kernel.export_handles(self._slab))
                 self._m_slab_generations.set(self._slab.generations)
-                partials = self.pool.starmap_shared(
-                    _sweep_trials_handles, shared,
-                    [(handles, t0, t1) for t0, t1 in spans],
-                    policy=policy,
-                )
-        else:
-            # Same serialisation as the slab branch: a concurrent
-            # bundle swap would cycle the pool executor under an
-            # in-flight batch's submissions.
-            with self._lock:
-                partials = self.pool.starmap_shared(
-                    _sweep_trials, shared,
-                    [(kernel, t0, t1) for t0, t1 in spans],
-                    policy=policy,
-                )
+            partials = self.pool.starmap_shared(
+                task, shared, [(payload, t0, t1) for t0, t1 in spans],
+                policy=policy)
         return np.concatenate(partials, axis=1)
 
     def close(self) -> None:

@@ -56,7 +56,7 @@ import time
 from concurrent.futures import Future
 
 from repro.analytics.ep_curves import EpCurve
-from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
+from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.tables import YetTable, YltTable
 from repro.dfa.quote import PricingQuote, premium_components_rows
@@ -85,16 +85,11 @@ class ServeStats:
     ``serve.sublinear.batches``/``.rows`` count batches whose stacked
     kernel held a structural tail group (≥ 16 same-book rows — the
     many-quotes-one-book shape ``quote_many`` produces) and the rows in
-    such groups.  Where a batch's rows actually priced is counted beside
-    them on the same plane, from the batch kernel and the YET an
-    in-process sweep ran on, whenever a count moved:
-    ``kernel.profile_rows`` (off the book's profile),
-    ``kernel.fallback.<reason>`` (sent to lanes: ``error_bound``,
-    ``sublinear_off``), ``kernel.lane_rows.by_event`` /
-    ``kernel.lane_rows.by_stream`` (every lane row by its path), and
-    the ``yet.profile.*`` (builds, hits, evictions, resident) and
-    ``yet.event_index.*`` (builds, bytes) levels.  Pool workers' counts
-    are not returned yet (ROADMAP item 4).
+    such groups.  Where a batch's rows actually priced (the
+    ``kernel.*`` routing counters, the ``yet.profile.*`` and
+    ``yet.event_index.*`` levels) is counted beside them on the same
+    plane by the dispatcher that ran the batch: "What a run counted" in
+    :mod:`repro.serve.dispatch`.
     """
 
     _COUNTERS = ("serve.requests", "serve.cache.hits", "serve.shed",
@@ -104,9 +99,12 @@ class ServeStats:
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         tel = telemetry if telemetry is not None else Telemetry()
-        self._counters = {name: tel.counter(name) for name in self._COUNTERS}
-        self._sweep_seconds = tel.counter("serve.sweep_seconds")
-        self._largest = tel.gauge("serve.largest_batch", track_max=True)
+        #: The one registration of the service's ``serve.*`` counters,
+        #: and the handles the service increments: name → counter, the
+        #: sweep-seconds counter and the largest-batch gauge.
+        self.counters = {name: tel.counter(name) for name in self._COUNTERS}
+        self.sweep_seconds = tel.counter("serve.sweep_seconds")
+        self.largest_batch = tel.gauge("serve.largest_batch", track_max=True)
 
     def snapshot(self) -> dict:
         """JSON-ready flat dict in the ``serve.*`` dot-key convention of
@@ -115,9 +113,9 @@ class ServeStats:
         coalesced into one batch) and ``serve.coalescing_factor``
         (requests answered per YET sweep — the serving layer's win)."""
         out = {name: int(counter.value)
-               for name, counter in self._counters.items()}
-        out["serve.sweep_seconds"] = float(self._sweep_seconds.value)
-        out["serve.largest_batch"] = int(self._largest.max_value)
+               for name, counter in self.counters.items()}
+        out["serve.sweep_seconds"] = float(self.sweep_seconds.value)
+        out["serve.largest_batch"] = int(self.largest_batch.max_value)
         batches = out["serve.batches"]
         out["serve.coalescing_factor"] = (
             out["serve.batched_requests"] / batches if batches else 0.0)
@@ -214,11 +212,8 @@ class PricingService:
             # the service adopts and closes it.
             self.dispatcher = engine
             self._owns_dispatch = True
-            #: The service's telemetry plane — shares the dispatcher's
-            #: when it has one (pooled), else a private plane.
-            self.telemetry = getattr(self.dispatcher, "telemetry", None)
-            if self.telemetry is None:
-                self.telemetry = Telemetry()
+            #: The service's telemetry plane — the dispatcher's.
+            self.telemetry = self.dispatcher.telemetry
         else:
             if session is None:
                 from repro.session import RiskSession
@@ -263,27 +258,14 @@ class PricingService:
             "ep_curve": "ep_curve",
         }
         self.stats = ServeStats(self.telemetry)
-        # Metric handles are grabbed once here so the request path pays
-        # one lock + one add per touch point, never a registry lookup.
+        self._count = self.stats.counters
+        # The other metric handles are grabbed once here so the request
+        # path pays one lock + one add per touch point, never a registry
+        # lookup.
         tel = self.telemetry
-        self._m_requests = tel.counter("serve.requests")
-        self._m_cache_hits = tel.counter("serve.cache.hits")
         self._m_cache_hit_bytes = tel.counter("serve.cache.hit_bytes")
         self._m_cache_miss_bytes = tel.counter("serve.cache.miss_bytes")
         self._m_cache_evictions = tel.counter("serve.cache.evictions")
-        self._m_shed = tel.counter("serve.shed")
-        self._m_batches = tel.counter("serve.batches")
-        self._m_batched_requests = tel.counter("serve.batched_requests")
-        self._m_kernel_rows = tel.counter("serve.kernel_rows")
-        self._m_sweep_seconds = tel.counter("serve.sweep_seconds")
-        self._m_sublinear_batches = tel.counter("serve.sublinear.batches")
-        self._m_sublinear_rows = tel.counter("serve.sublinear.rows")
-        self._m_routed = {name: tel.counter(name)
-                          for name in ROUTING_COUNTERS}
-        self._m_yet_levels = {name: tel.gauge(name)
-                              for name in yet.cache_levels()}
-        self._m_largest_batch = tel.gauge("serve.largest_batch",
-                                          track_max=True)
         self._m_queue_depth = tel.gauge("serve.queue.depth", track_max=True)
         self._m_lanes_per_s = tel.gauge("serve.admission.lanes_per_second")
         self._m_queue_wait = tel.histogram("serve.queue.wait_seconds")
@@ -292,9 +274,6 @@ class PricingService:
             "serve.batch.occupancy",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
         )
-        #: Eviction watermark for the delta-based ``serve.cache.evictions``
-        #: counter (the cache keeps its own plain stats).
-        self._evictions_seen = self.cache.stats.evictions
         self._yet_fp = yet.fingerprint()
         self._closed = False
         if self.batcher.policy.auto_flush:
@@ -352,7 +331,7 @@ class PricingService:
                 f"unknown metric {metric!r}; expected one of {_METRICS}"
             )
         submitted = time.perf_counter()
-        self._m_requests.inc()
+        self._count["serve.requests"].inc()
         digest = layer_digest(layer)
         payload = self.cache.get(
             (self._yet_fp, digest, self._metric_keys[metric])
@@ -360,7 +339,7 @@ class PricingService:
         if payload is not None:
             future: Future = Future()
             future.set_result(self._materialise(payload, metric, submitted))
-            self._m_cache_hits.inc()
+            self._count["serve.cache.hits"].inc()
             self._m_cache_hit_bytes.inc(payload_nbytes(payload))
             return Ticket(future, submitted, cached=True)
         decision = self.admission.decide(
@@ -369,7 +348,7 @@ class PricingService:
             n_procs=self.dispatcher.n_procs,
         )
         if not decision.accepted:
-            self._m_shed.inc()
+            self._count["serve.shed"].inc()
             self.telemetry.event("serve.shed", reason=decision.reason,
                                  queue_depth=self.batcher.n_pending)
             raise AdmissionError(decision.reason)
@@ -516,22 +495,14 @@ class PricingService:
         # groups of >= MIN_TAIL_GROUP.  Where the sweep sent them (book
         # profile, or lanes and why) is the kernel's own count.
         tail_rows = kernel.tail_group_rows
-        self._m_batches.inc()
-        self._m_batched_requests.inc(len(requests))
-        self._m_kernel_rows.inc(kernel.n_layers)
-        self._m_sweep_seconds.inc(sweep_seconds)
-        self._m_largest_batch.set(len(requests))
+        self._count["serve.batches"].inc()
+        self._count["serve.batched_requests"].inc(len(requests))
+        self._count["serve.kernel_rows"].inc(kernel.n_layers)
+        self.stats.sweep_seconds.inc(sweep_seconds)
+        self.stats.largest_batch.set(len(requests))
         if tail_rows:
-            self._m_sublinear_batches.inc()
-            self._m_sublinear_rows.inc(tail_rows)
-        # An in-process sweep leaves its routing on the batch's kernel
-        # (a pooled one counts in the workers): export what moved.
-        routed = {name: rows for name, rows in kernel.routed.items() if rows}
-        for name, rows in routed.items():
-            self._m_routed[name].inc(rows)
-        if routed:
-            for name, level in yet.cache_levels().items():
-                self._m_yet_levels[name].set(level)
+            self._count["serve.sublinear.batches"].inc()
+            self._count["serve.sublinear.rows"].inc(tail_rows)
 
         # One payload per (digest, metric) actually requested, cached
         # and fanned back out to every request that asked for it.
@@ -558,13 +529,14 @@ class PricingService:
                     self.volatility_loading, self.tail_loading,
                 ))
             } if quoted else {}
+            freed = 0
             for pkey, req in wanted.items():
                 payload = payloads.get(pkey)
                 if payload is None:
                     payload = payloads[pkey] = self._build_payload(
                         final[row_of(req)], req.metric)
                 self._m_cache_miss_bytes.inc(payload_nbytes(payload))
-                self.cache.put(
+                freed += self.cache.put(
                     (yet_fp, req.digest, self._metric_keys[req.metric]),
                     payload,
                 )
@@ -573,10 +545,7 @@ class PricingService:
                                   req.metric, req.submitted)
                 for req in requests
             ]
-            evictions = self.cache.stats.evictions
-            if evictions > self._evictions_seen:
-                freed = evictions - self._evictions_seen
-                self._evictions_seen = evictions
+            if freed:
                 self._m_cache_evictions.inc(freed)
                 self.telemetry.event("cache.evicted", n_entries=freed)
         return results

@@ -44,11 +44,10 @@ import threading
 
 from repro.analytics.ep_curves import EpCurve, aep_curve, portfolio_ep_curves
 from repro.analytics.sensitivity import term_sensitivities
-from repro.core.engines import Engine, EngineResult, MulticoreEngine
+from repro.core.engines import Engine, EngineResult
 from repro.core.engines.registry import available_engines, engine_spec
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.simulation import AnalysisResult
 from repro.core.tables import YetTable
 from repro.errors import ConfigurationError, EngineError
 from repro.hpc import shm
@@ -226,7 +225,7 @@ class RiskSession:
             name = dispatcher_for(spec)
         if name == "inline":
             if self._inline is None:
-                self._inline = InlineDispatcher()
+                self._inline = InlineDispatcher(telemetry=self.telemetry)
             return self._inline
         if name == "pooled":
             if self._pooled is None:
@@ -251,8 +250,11 @@ class RiskSession:
 
         ``"auto"`` resolves through the planner.  A name is the
         registry's default-constructed engine, one per session, closed
-        with it; ``"multicore"`` is the session-staged substrate sharing
-        the serving pool.  To configure an engine, build it
+        with it; a name on the planner's table (``"vectorized"``,
+        ``"multicore"``) rides the session's own dispatcher for its row,
+        the one quote batches ride — so an aggregate run followed by
+        quote batches ships the YET zero more times.  To configure an
+        engine, build it
         (:func:`~repro.core.engines.get_engine` or the class) and pass
         the instance, which comes back as-is.  Unknown names raise
         :class:`~repro.errors.EngineError` with the available list —
@@ -265,13 +267,11 @@ class RiskSession:
             name = self.plan("aggregate").engine
         eng = self._engines.get(name)
         if eng is None:
-            # "multicore" is the session-staged substrate: the engine
-            # looks the shared dispatcher up per run and owns nothing, so
-            # an aggregate run followed by quote batches ships the YET
-            # zero more times.
+            factory = engine_spec(name).factory
+            row = dispatcher_for(name)
             eng = self._engines[name] = (
-                MulticoreEngine.on_dispatcher(lambda: self.dispatcher("pooled"))
-                if name == "multicore" else engine_spec(name).factory())
+                factory.riding(self.dispatcher(row)) if row != name
+                else factory())
         return eng
 
     # -- planning ----------------------------------------------------------
@@ -331,17 +331,6 @@ class RiskSession:
             value = details.get(key)
             if value:
                 tel.counter(f"{prefix}.{key}").inc(value)
-        # Where the kernel's rows priced (its own counts: lane rows by
-        # path, tail-group rows by profile or fallback reason) and what
-        # the YET they ran on keeps for them — whenever a count moved,
-        # so a distinct-book aggregate exports its lane routing too.
-        routed = {name: rows
-                  for name, rows in details.get("routed", {}).items() if rows}
-        for name, rows in routed.items():
-            tel.counter(name).inc(rows)
-        if routed:
-            for name, level in self.yet.cache_levels().items():
-                tel.gauge(name).set(level)
         # The planner calibrates the substrates it prices and ignores
         # the rest; the pooled engine reports n_workers, and normalising
         # to per-processor keeps the rate comparable with how it is
@@ -353,7 +342,7 @@ class RiskSession:
 
     def aggregate(self, portfolio: Portfolio | None = None,
                   engine: str | Engine = "auto", *,
-                  emit_yelt: bool = False) -> AnalysisResult:
+                  emit_yelt: bool = False) -> EngineResult:
         """Run one aggregate analysis over staged state.
 
         ``engine="auto"`` plans the substrate; the chosen
@@ -393,13 +382,12 @@ class RiskSession:
             res = eng.run(pf, self.yet, emit_yelt=emit_yelt)
         self._observe(res, pf.n_layers)
         self._count["session.aggregates"].inc()
-        result = AnalysisResult.from_engine(res)
         if plan is not None:
-            result.details["plan"] = plan
-        return result
+            res.details["plan"] = plan
+        return res
 
     def run_all(self, names: list[str] | None = None,
-                portfolio: Portfolio | None = None) -> dict[str, AnalysisResult]:
+                portfolio: Portfolio | None = None) -> dict[str, EngineResult]:
         """Run several engines over the same staged inputs.
 
         Every name is validated against the registry *before* any engine

@@ -274,7 +274,8 @@ class TestMulticore:
     def test_entry_points_run_one_path(self, small_portfolio_workload,
                                        risk_session, monkeypatch, mode):
         """A standalone engine, the registry's and the session's are one
-        implementation: bit-identical answers, one block task."""
+        implementation — and so are the two host engines: bit-identical
+        answers, one block task, one ``details`` schema."""
         from repro.hpc import shm
         from repro.serve import dispatch
 
@@ -302,15 +303,28 @@ class TestMulticore:
         session.dispatcher("pooled").pool.health.degraded = degraded
         results.append(session.aggregate(engine="multicore"))
 
-        whole = VectorizedEngine().run(wl.portfolio, wl.yet)
+        wholes = [VectorizedEngine().run(wl.portfolio, wl.yet),
+                  get_engine("vectorized").run(wl.portfolio, wl.yet),
+                  session.aggregate(engine="vectorized")]
         for res in results:
             assert res.details["transport"] == ("inline" if degraded else mode)
             assert res.details["n_blocks"] == 2
-            for lid, ylt in whole.ylt_by_layer.items():
+            assert res.details["n_workers"] == (1 if degraded else 2)
+            assert res.details["degraded"] is degraded
+        for res in wholes:
+            assert res.details["transport"] == "inline"
+            assert (res.details["n_blocks"], res.details["n_workers"],
+                    res.details["degraded"]) == (1, 1, False)
+        for res in results + wholes:
+            assert set(res.details) == {
+                "n_workers", "n_blocks", "transport", "degraded",
+                "fused_layers", "occurrences_processed", "tail_group_rows",
+                "routed"}
+            for lid, ylt in wholes[0].ylt_by_layer.items():
                 np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
                                               ylt.losses)
         if degraded:
-            assert blocks == [(0, 150), (150, 300)] * 3
+            assert blocks == [(0, 150), (150, 300)] * 3 + [(0, 300)] * 3
 
 
 class TestMapReduceEngine:

@@ -525,3 +525,31 @@ class TestCountsReachTheTelemetryPlane:
         assert metrics[BY_EVENT] == 4 + 2
         assert metrics[BY_STREAM] == 1
         assert metrics["yet.event_index.builds"] == 1
+
+    def test_a_degraded_pool_exports_the_rows_it_ran_once(self):
+        """A pooled session whose pool has degraded sweeps in process:
+        its dispatcher exports those counts — once, however many blocks
+        ran, and not again from the session."""
+        portfolio, yet = by_event_workload(seed=83)
+        with RiskSession(yet, portfolio, n_workers=2) as session:
+            session.dispatcher("pooled").pool.health.degraded = True
+            result = session.aggregate(engine="multicore")
+            metrics = session.telemetry.snapshot()["metrics"]
+        assert result.details["n_blocks"] == 2
+        # a row is counted per block it was swept in
+        assert result.details["routed"][BY_EVENT] == 2 * 4
+        assert metrics[BY_EVENT] == 2 * 4
+        assert metrics[BY_STREAM] == 2 * 1
+        assert metrics["yet.event_index.builds"] == 1
+
+    def test_an_inline_batch_exports_the_rows_it_ran_once(self):
+        """The service no longer exports beside its dispatcher: one
+        batch of five rows moves the plane by five."""
+        portfolio, yet = by_event_workload(seed=84)
+        with RiskSession(yet) as session:
+            service = session.pricing_service(cache=CachePolicy(0))
+            service.quote_many(list(portfolio))
+            metrics = session.telemetry.snapshot()["metrics"]
+        assert service.stats.snapshot()["serve.batches"] == 1
+        assert metrics[BY_EVENT] + metrics[BY_STREAM] == 5
+        assert (metrics[BY_EVENT], metrics[BY_STREAM]) == (4, 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engines.multicore import MulticoreEngine
+from repro.core.engines import MulticoreEngine
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc.faults import FaultPlan, FaultSpec, PoisonedPayloadError

@@ -153,6 +153,25 @@ def test_a_script_naming_a_deleted_module_is_caught(tmp_path):
         "stale.py:repro.bench.no_such_workload"]
 
 
+def test_one_door_from_a_kernel_to_an_answer():
+    """``sweep_segments`` is called from the kernel module itself, from
+    the dispatchers' one block task and from the out-of-core engine
+    (its stored-chunk blocks have no ``YetTable``) — nowhere else under
+    ``src/repro``: a driver that holds a YET goes through a
+    ``Dispatcher``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    calls = {}
+    for path in sorted(src.rglob("*.py")):
+        n = sum(isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sweep_segments"
+                for node in ast.walk(ast.parse(path.read_text())))
+        if n:
+            calls[path.relative_to(src).as_posix()] = n
+    assert calls.pop("core/kernels.py") >= 1
+    assert calls == {"serve/dispatch.py": 1, "core/engines/outofcore.py": 1}
+
+
 def test_session_surface_locked():
     """The session layer's public names ride the root namespace."""
     import repro
@@ -207,7 +226,8 @@ def test_kernel_sweep_signatures_locked():
         ("self", False), ("segments", False), ("event_ids", False),
         ("sublinear", True)]
     assert not inspect.signature(VectorizedEngine).parameters
-    assert not inspect.signature(InlineDispatcher).parameters
+    assert list(inspect.signature(InlineDispatcher).parameters) == [
+        "telemetry"]
     assert {name for name in ROUTING_COUNTERS if "fallback" in name} == {
         "kernel.fallback.error_bound", "kernel.fallback.sublinear_off"}
 
@@ -240,7 +260,7 @@ def test_engine_spec_and_planner_knobs_locked():
                 if name != "self"]
 
     assert keywords(MulticoreEngine.__init__) == ["n_workers", "transport"]
-    assert keywords(MulticoreEngine.on_dispatcher) == ["lookup"]
+    assert keywords(MulticoreEngine.riding) == ["dispatcher"]
     assert keywords(RiskSession.__init__) == [
         "yet", "portfolio", "n_workers", "transport", "volatility_loading",
         "tail_loading", "telemetry"]

@@ -385,7 +385,9 @@ class TestStagedPayload:
         assert stats == {name: value for name, value in metrics.items()
                          if name.startswith("session.")}
         assert stats["session.stages"] == 1
-        assert stats["session.stage_reuse"] == 1
+        # the engine was handed the staged dispatcher when the session
+        # built it; its runs look nothing up
+        assert stats["session.stage_reuse"] == 0
         assert stats["session.quotes"] == 3
 
     @needs_shm
@@ -416,28 +418,37 @@ class TestStagedPayload:
 
     def test_reading_the_session_engine_counts_and_builds_nothing(
             self, tiny_workload, risk_session):
-        """Only ``run`` looks the shared dispatcher up: ``.dispatcher`` /
-        ``.pool`` reads neither build the pool nor move the stage
-        counters."""
+        """The session looks an engine's dispatcher up once, when it
+        builds the engine: each host engine rides the session's own
+        dispatcher for its row, no worker is spawned until a run, and
+        neither runs nor ``.dispatcher`` / ``.pool`` reads move the
+        stage counters."""
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
-        engine = session.engine("multicore")
 
         def stage_counts():
             metrics = session.telemetry.snapshot()["metrics"]
             return (metrics.get("session.stages", 0),
                     metrics.get("session.stage_reuse", 0))
 
-        assert engine.dispatcher is None and engine.pool is None
         assert stage_counts() == (0, 0)
-        session.aggregate(engine="multicore")
-        session.aggregate(engine="multicore")
-        assert stage_counts() == (1, 1)
-        assert engine.dispatcher is session.dispatcher("pooled")
-        counts = stage_counts()
-        assert engine.pool.health.degraded is False
+        engine = session.engine("multicore")
+        inline = session.engine("vectorized")
+        assert stage_counts() == (1, 0)
+        assert session.engine("multicore") is engine
         assert engine.pool is engine.dispatcher.pool
-        assert stage_counts() == counts
+        assert not engine.pool.started
+        session.aggregate(engine="multicore")
+        session.aggregate(engine="multicore")
+        session.aggregate(engine="vectorized")
+        assert engine.pool.started
+        assert engine.pool.health.degraded is False
+        assert stage_counts() == (1, 0)
+        assert inline.dispatcher is session.dispatcher("inline")
+        assert engine.dispatcher is session.dispatcher("pooled")
+        assert stage_counts() == (1, 1)      # that one was this test's own
+        engine.close()                       # rides, so owns nothing
+        assert engine.pool.started
 
     def test_degraded_details_report_the_blocks_that_ran(
             self, tiny_workload, risk_session):
@@ -675,6 +686,29 @@ class TestVeneers:
         session = risk_session(small_portfolio_workload.yet)
         with pytest.raises(ConfigurationError, match="different YET"):
             PricingService(tiny_workload.yet, session=session)
+
+    def test_shared_cache_evictions_are_counted_once(self, tiny_workload,
+                                                     risk_session):
+        """Two services of one session over one ``ResultCache``: each
+        adds the entries its own puts evicted, so the shared plane reads
+        the cache's own count (each used to add every eviction since its
+        private watermark — its neighbour's too)."""
+        from repro.serve.cache import CachePolicy, ResultCache
+
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
+        shared = ResultCache(CachePolicy(max_entries=2))
+        first = session.pricing_service(cache=shared)
+        second = session.pricing_service(cache=shared)
+        layers = _candidates(tiny_workload.portfolio, 6)
+        for service, layer in zip((first, second) * 3, layers):
+            service.quote(layer)
+        metrics = session.telemetry.snapshot()["metrics"]
+        assert shared.stats.evictions == 4
+        assert metrics["serve.cache.evictions"] == 4
+        evicted = [event["fields"]["n_entries"]
+                   for event in session.telemetry.snapshot()["events"]
+                   if event["kind"] == "cache.evicted"]
+        assert sum(evicted) == 4
 
     def test_borrowed_service_cannot_resimulate(self, tiny_workload,
                                                 risk_session):
