@@ -155,11 +155,11 @@ def run_open_loop(
     )
     with svc:
         # Warm the path outside the measured window: the first real
-        # sweep calibrates SLO admission upward (the controller's seed
-        # estimate is deliberately conservative, so a cold open-loop
-        # schedule would shed its first windows spuriously).  The
-        # baseline snapshot keeps the warmup out of the reported
-        # counters — deltas of two public snapshots, no private state.
+        # sweep pays the one-off costs and measures the dispatcher's
+        # rate, which SLO admission then sheds by from the first
+        # scheduled arrival.  The baseline snapshot keeps the warmup
+        # out of the reported counters — deltas of two public
+        # snapshots, no private state.
         svc.quote(pool[0][0])
         base = svc.telemetry.snapshot()["metrics"]
         tickets = []

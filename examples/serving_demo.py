@@ -54,9 +54,9 @@ service = repro.PricingService(
     batch=BatchPolicy(max_batch=64, auto_flush=True),
     slo_seconds=30.0,
 )
-# One warm quote calibrates the admission controller's throughput
-# estimate from a real sweep (the seed estimate is deliberately
-# conservative, so a cold burst would be shed).
+# One warm quote measures the dispatcher's throughput, so admission
+# models the burst below from a real sweep (until its substrate has run,
+# admission sheds only at the queue cap).
 service.quote(menu[0])
 
 quotes_by_thread: dict[int, list] = {}

@@ -15,7 +15,7 @@ from repro.bench.workloads import (
     typical_contract_workload,
     warehouse_fact_table,
 )
-from repro.bench.harness import BenchRecord, time_call
+from repro.bench.harness import time_call
 
 __all__ = [
     "Workload",
@@ -26,6 +26,5 @@ __all__ = [
     "typical_contract_workload",
     "dfa_workload",
     "warehouse_fact_table",
-    "BenchRecord",
     "time_call",
 ]

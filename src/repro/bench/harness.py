@@ -9,7 +9,7 @@ from typing import Callable
 from repro.errors import AnalysisError
 from repro.util.tables import render_table
 
-__all__ = ["BenchRecord", "time_call", "ExperimentReport"]
+__all__ = ["time_call", "ExperimentReport"]
 
 
 def time_call(fn: Callable[[], object], repeats: int = 3,
@@ -26,16 +26,6 @@ def time_call(fn: Callable[[], object], repeats: int = 3,
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-@dataclass
-class BenchRecord:
-    """One row of an experiment's output table."""
-
-    values: list
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 @dataclass

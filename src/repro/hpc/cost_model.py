@@ -17,40 +17,43 @@ assumed), so the regenerated burst profile is calibrated to real code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 from repro.errors import AnalysisError, ConfigurationError
 
 __all__ = ["StageSpec", "StageRequirement", "PipelineCostModel",
            "ThroughputEstimate"]
 
-class ThroughputEstimate:
-    """EWMA-calibrated per-processor throughput (work units / second).
+#: Weight of the newest run in a :class:`ThroughputEstimate`'s EWMA.
+EWMA_WEIGHT = 0.3
 
-    The continuous-calibration idiom shared by the serve admission
-    controller and the session planner: start from a declared seed rate,
-    let the *first* real observation replace it outright (the seed is a
-    prior, not data), and fold later observations in with exponential
-    weighting so the estimate tracks the machine without thrashing on
-    one noisy batch.  Observations are normalised to per-processor
-    before storing — the cost model multiplies parallelism back in when
-    it prices a stage, and double-counting it would make pooled-path
-    estimates ``n_procs`` times too optimistic.
+
+class ThroughputEstimate:
+    """Measured per-processor throughput of one substrate (work units /
+    second), EWMA-calibrated.
+
+    Each :class:`~repro.serve.dispatch.Dispatcher` owns the one estimate
+    of its substrate and folds every run into it; the session planner
+    and the serve admission controller read it.  It holds no seed:
+    :attr:`rate` is ``None`` until the substrate has run, the first
+    observation sets it, and later ones fold in at :data:`EWMA_WEIGHT`
+    so the estimate tracks the machine without thrashing on one noisy
+    run.  Observations are normalised to per-processor before storing —
+    the cost model multiplies parallelism back in when it prices a
+    stage, and double-counting it would make pooled-path estimates
+    ``n_procs`` times too optimistic.  An update holds a lock: a quote
+    batch and an aggregate can share a dispatcher.
     """
 
-    __slots__ = ("rate", "smoothing", "calibrated")
+    __slots__ = ("rate", "_lock")
 
-    def __init__(self, seed_rate: float, smoothing: float = 0.3) -> None:
-        if seed_rate <= 0:
-            raise ConfigurationError("seed_rate must be positive")
-        if not (0.0 < smoothing <= 1.0):
-            raise ConfigurationError("smoothing must lie in (0, 1]")
-        self.rate = float(seed_rate)
-        self.smoothing = smoothing
-        self.calibrated = False
+    def __init__(self) -> None:
+        self.rate: float | None = None
+        self._lock = threading.Lock()
 
     def observe(self, work_items: float, seconds: float,
-                n_procs: int = 1) -> float:
+                n_procs: int = 1) -> float | None:
         """Fold one measured run in; returns the updated rate.
 
         Degenerate observations (no work, no elapsed time) are ignored
@@ -59,12 +62,12 @@ class ThroughputEstimate:
         if work_items <= 0 or seconds <= 0 or n_procs <= 0:
             return self.rate
         observed = work_items / seconds / n_procs
-        if self.calibrated:
-            a = self.smoothing
-            observed = (1 - a) * self.rate + a * observed
-        self.rate = observed
-        self.calibrated = True
-        return self.rate
+        with self._lock:
+            if self.rate is not None:
+                observed = ((1 - EWMA_WEIGHT) * self.rate
+                            + EWMA_WEIGHT * observed)
+            self.rate = observed
+        return observed
 
 
 @dataclass(frozen=True)
@@ -102,15 +105,6 @@ class StageSpec:
             raise ConfigurationError("parallel_fraction must lie in (0, 1]")
         if self.comm_overhead_per_proc_s < 0:
             raise ConfigurationError("comm_overhead_per_proc_s must be non-negative")
-
-    def with_throughput(self, throughput_per_proc: float) -> "StageSpec":
-        """The same stage at a re-measured throughput.
-
-        Continuous calibration (the serving layer's admission controller
-        re-fits its rate estimate from every observed batch) replaces the
-        spec rather than mutating it — specs stay frozen and shareable.
-        """
-        return replace(self, throughput_per_proc=throughput_per_proc)
 
     def runtime_seconds(self, n_procs: int) -> float:
         """Modelled stage runtime on ``n_procs`` processors (Amdahl + comm)."""

@@ -19,10 +19,11 @@ batcher      request broker + micro-batcher: take what is queued the
 cache        content-addressed results keyed by (YET fingerprint, layer
              digest, metric), LRU-evicted, invalidated on re-simulation
 admission    SLO-aware accept/shed decisions driven by the HPC cost
-             model, continuously recalibrated from observed batches
+             model at the dispatcher's measured rate
 dispatch     batch execution substrates: inline vectorized sweep or
              trial-block decomposition over a worker pool fed by the
-             zero-copy shared-memory data plane (pickle fallback)
+             zero-copy shared-memory data plane (pickle fallback); each
+             measures its own throughput on every run
 service      the :class:`PricingService` facade — submit/quote/ep_curve,
              YET lifecycle, stats
 ===========  ============================================================

@@ -7,19 +7,22 @@ elasticity analysis of E9 — says the honest response is to *shed* (or
 delay) load the moment the backlog provably cannot meet the latency SLO,
 rather than time out everyone equally.
 
-The controller reuses :class:`~repro.hpc.cost_model.StageSpec` as its
-estimator: the pending batch is a "stage" whose work volume is the
-queued layer-sweep lanes (requests × YET occurrences) and whose measured
-throughput is continuously re-calibrated from observed batch runtimes
-(exponentially-weighted, seeded by the first real batch).  The same
-model that sizes processor bursts at paper scale therefore decides, per
-request, whether this machine can still answer in time.
+The controller prices the queue with
+:class:`~repro.hpc.cost_model.StageSpec`: the pending batch is a
+"stage" whose work volume is the queued layer-sweep lanes (requests ×
+YET occurrences) and whose throughput is the measured rate of the
+dispatcher the requests will run on
+(:attr:`Dispatcher.throughput <repro.serve.dispatch.Dispatcher.throughput>`,
+fed by every aggregate and quote batch that dispatcher runs — the rate
+the session planner prices the substrate at).  The same model that
+sizes processor bursts at paper scale therefore decides, per request,
+whether this machine can still answer in time.  There is no seed: until
+the substrate has run once, only the queue cap sheds.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -64,77 +67,34 @@ class AdmissionController:
     max_pending:
         Hard cap on queued requests regardless of the model — the last
         line of defence when calibration is wrong.
-    lanes_per_second:
-        Initial throughput estimate (layer-occurrence lanes per second
-        per processor) used before the first batch is observed.  The
-        default is deliberately conservative; one observed batch
-        replaces it.
-    smoothing:
-        EWMA weight of the newest observation in ``(0, 1]``.
+    throughput:
+        The measured rate (lanes/s per processor) of the substrate the
+        requests run on — a dispatcher's
+        :attr:`~repro.serve.dispatch.Dispatcher.throughput`, read at
+        each decision.  ``None``, or an estimate whose substrate has not
+        run yet, models the queue as free: only ``max_pending`` sheds.
+        Shed/accept accounting lives on the service's stats surface.
     """
 
     def __init__(self, slo_seconds: float | None = None,
                  max_pending: int = 10_000,
-                 lanes_per_second: float = 1e7,
-                 smoothing: float = 0.3) -> None:
+                 throughput: ThroughputEstimate | None = None) -> None:
         if slo_seconds is not None and slo_seconds <= 0:
             raise ConfigurationError("slo_seconds must be positive (or None)")
         if max_pending <= 0:
             raise ConfigurationError("max_pending must be positive")
-        if lanes_per_second <= 0:
-            raise ConfigurationError("lanes_per_second must be positive")
-        if not (0.0 < smoothing <= 1.0):
-            raise ConfigurationError("smoothing must lie in (0, 1]")
         self.slo_seconds = slo_seconds
         self.max_pending = max_pending
-        self.smoothing = smoothing
-        #: The shared EWMA calibrator (the session planner uses the same
-        #: class per engine); the first real batch replaces the seed.
-        self._estimate = ThroughputEstimate(float(lanes_per_second), smoothing)
-        #: The cost-model stage the estimates run through; ``work_items``
-        #: is per-decision, throughput is the calibrated rate.
-        self._spec = StageSpec(
-            "serve backlog", work_items=1.0,
-            throughput_per_proc=float(lanes_per_second),
-        )
-        #: Guards the EWMA read-modify-write in :meth:`observe`;
-        #: :meth:`decide` only reads the (atomically swapped, frozen)
-        #: spec, and shed/accept accounting lives on the service's
-        #: stats surface — one counter, one owner.
-        self._lock = threading.Lock()
-
-    # -- calibration -------------------------------------------------------
-
-    @property
-    def lanes_per_second(self) -> float:
-        """Current throughput estimate (lanes/s/processor)."""
-        return self._spec.throughput_per_proc
-
-    def observe(self, lanes: float, seconds: float,
-                n_procs: int = 1) -> None:
-        """Fold one measured batch (lanes swept, wall seconds, processors
-        it ran on) into the throughput estimate.  The wall rate is
-        normalised to *per-processor* before storing — the cost model
-        multiplies parallelism back in at :meth:`decide` time, and
-        double-counting it would make pooled-path estimates ``n_procs``
-        times too optimistic.  The first observation replaces the seed.
-        """
-        if lanes <= 0 or seconds <= 0 or n_procs <= 0:
-            return
-        with self._lock:
-            rate = self._estimate.observe(lanes, seconds, n_procs)
-            self._spec = self._spec.with_throughput(rate)
-
-    # -- decisions ---------------------------------------------------------
+        self.throughput = throughput
 
     def _queue_seconds(self, n_requests: int, lanes_per_request: float,
                        n_procs: int) -> float:
         """Modelled sweep time for ``n_requests`` queued requests."""
-        if n_requests <= 0:
+        rate = self.throughput.rate if self.throughput is not None else None
+        if n_requests <= 0 or rate is None:
             return 0.0
-        spec = StageSpec(self._spec.name, n_requests * lanes_per_request,
-                         self.lanes_per_second)
-        return spec.runtime_seconds(n_procs)
+        return StageSpec("serve backlog", n_requests * lanes_per_request,
+                         rate).runtime_seconds(n_procs)
 
     def decide(self, n_pending: int, lanes_per_request: float,
                n_procs: int = 1,

@@ -51,24 +51,31 @@ exposes the :class:`~repro.hpc.pool.PoolHealth` record upward.
 
 What a run counted
 ------------------
-:meth:`Dispatcher.run` exports, once per run, where the calling
-process's kernel priced its rows
-(:data:`~repro.core.kernels.ROUTING_COUNTERS`) and what the YET keeps
-for them (:meth:`~repro.core.tables.YetTable.cache_levels`) — inline,
-degraded or on a one-worker pool.  Pool workers count on their own
-copies; those counts do not come back yet (ROADMAP item 4), and this is
-where they will arrive.
+:meth:`Dispatcher.run` times every run and folds its
+``kernel.n_layers × yet.n_occurrences`` lanes, per processor, into
+:attr:`Dispatcher.throughput` — the one measured rate of the substrate
+(:class:`~repro.hpc.cost_model.ThroughputEstimate`), which the session
+planner prices the substrate's row at and the serve admission
+controller sheds by — and sets the ``dispatch.<name>.lanes_per_second``
+gauge.  It exports, once per run, where the calling process's kernel
+priced its rows (:data:`~repro.core.kernels.ROUTING_COUNTERS`) and what
+the YET keeps for them (:meth:`~repro.core.tables.YetTable.cache_levels`)
+— inline, degraded or on a one-worker pool.  Pool workers count on
+their own copies; those counts do not come back yet (ROADMAP item 4),
+and this is where they will arrive.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 
 from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
 from repro.core.tables import YetTable
 from repro.hpc import shm
+from repro.hpc.cost_model import ThroughputEstimate
 from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
 from repro.obs import Telemetry, as_telemetry
 
@@ -91,6 +98,11 @@ class Dispatcher:
         self.telemetry = as_telemetry(telemetry)
         self._m_routed = {name: self.telemetry.counter(name)
                           for name in ROUTING_COUNTERS}
+        #: The substrate's one measured rate (lanes/s per processor),
+        #: fed by every :meth:`run`; ``rate`` is ``None`` until then.
+        self.throughput = ThroughputEstimate()
+        self._m_rate = self.telemetry.gauge(
+            f"dispatch.{self.name}.lanes_per_second")
 
     @property
     def transport_active(self) -> str:
@@ -116,7 +128,14 @@ class Dispatcher:
         inline substrate has no workers to supervise and ignores it.
         """
         before = dict(kernel.routed)
+        n_procs = self.n_procs
+        t0 = time.perf_counter()
         final = self._run(kernel, yet, policy)
+        rate = self.throughput.observe(
+            kernel.n_layers * yet.n_occurrences,
+            time.perf_counter() - t0, n_procs)
+        if rate is not None:
+            self._m_rate.set(rate)
         routed = {name: rows for name, rows
                   in kernel.routed_since(before).items() if rows}
         for name, rows in routed.items():

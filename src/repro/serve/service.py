@@ -164,8 +164,10 @@ class PricingService:
         :class:`~repro.serve.cache.CachePolicy` (or a ready
         :class:`~repro.serve.cache.ResultCache`) for result reuse.
     slo_seconds / max_pending:
-        Admission control: shed requests whose modelled latency exceeds
-        the SLO, and cap the queue.  ``None`` SLO = never shed on cost.
+        Admission control: shed requests whose modelled latency, at the
+        dispatcher's measured rate, exceeds the SLO, and cap the queue.
+        ``None`` SLO = never shed on cost; nor does a dispatcher that
+        has not run yet.
     session:
         A :class:`~repro.session.RiskSession` to *share* staged state
         with: the service borrows the session's dispatcher (one worker
@@ -234,8 +236,12 @@ class PricingService:
             self.telemetry = session.telemetry
         self.cache = (cache if isinstance(cache, ResultCache)
                       else ResultCache(cache))
+        # Admission sheds by the measured rate of the dispatcher the
+        # batches run on — the one its aggregates and other services
+        # feed too, whether borrowed from a session or adopted.
         self.admission = AdmissionController(
-            slo_seconds=slo_seconds, max_pending=max_pending
+            slo_seconds=slo_seconds, max_pending=max_pending,
+            throughput=self.dispatcher.throughput,
         )
         # The admission SLO reaches the workers: pooled batches run
         # under a deadline-bearing TaskPolicy, so a wedged worker is
@@ -267,7 +273,6 @@ class PricingService:
         self._m_cache_miss_bytes = tel.counter("serve.cache.miss_bytes")
         self._m_cache_evictions = tel.counter("serve.cache.evictions")
         self._m_queue_depth = tel.gauge("serve.queue.depth", track_max=True)
-        self._m_lanes_per_s = tel.gauge("serve.admission.lanes_per_second")
         self._m_queue_wait = tel.histogram("serve.queue.wait_seconds")
         self._m_request_seconds = tel.histogram("serve.request.seconds")
         self._m_batch_occupancy = tel.histogram(
@@ -485,12 +490,6 @@ class PricingService:
         # payloads so cached re-quotes report the throughput that
         # *produced* the number, not a dict-lookup fiction.
         sim_tps = yet.n_trials / max(sweep_seconds, 1e-12)
-        self.admission.observe(
-            lanes=kernel.n_layers * max(yet.n_occurrences, 1),
-            seconds=sweep_seconds,
-            n_procs=self.dispatcher.n_procs,
-        )
-        self._m_lanes_per_s.set(self.admission.lanes_per_second or 0.0)
         # Structural property of the stacked batch: rows in same-lookup
         # groups of >= MIN_TAIL_GROUP.  Where the sweep sent them (book
         # profile, or lanes and why) is the kernel's own count.

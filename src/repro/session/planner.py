@@ -15,10 +15,17 @@ to.
 The estimator is the same HPC cost model that sizes processor bursts at
 paper scale (:class:`~repro.hpc.cost_model.StageSpec`): a workload is
 ``work_items`` layer-occurrence lanes, each substrate prices them at its
-(EWMA-calibrated) per-processor throughput under Amdahl plus a
-communication term, and a cold pool is charged its startup cost (worker
-spawn, payload staging) — which is exactly why a session that keeps its
-substrate warm gets different, better plans than per-call entry points.
+per-processor throughput under Amdahl plus a communication term, and a
+cold pool is charged its startup cost (worker spawn, payload staging) —
+which is exactly why a session that keeps its substrate warm gets
+different, better plans than per-call entry points.  The throughput is
+the measured rate of the session's dispatcher for the row
+(:attr:`Dispatcher.throughput <repro.serve.dispatch.Dispatcher.throughput>`,
+fed by every aggregate and quote batch it runs — the rate serve
+admission sheds by), which :meth:`RiskSession.plan
+<repro.session.RiskSession.plan>` hands to :meth:`EnginePlanner.plan`;
+a row whose dispatcher has not run is priced at its seed.  The planner
+itself keeps no rate.
 
 Every decision is auditable: :meth:`ExecutionPlan.explain` renders the
 candidate table — throughput, processors, Amdahl fraction, startup,
@@ -31,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.core.engines.registry import engine_spec
 from repro.errors import ConfigurationError
-from repro.hpc.cost_model import StageSpec, ThroughputEstimate
+from repro.hpc.cost_model import StageSpec
 from repro.hpc.pool import available_parallelism
 from repro.obs import Telemetry
 
@@ -50,9 +57,9 @@ _NOMINAL_BATCH = 8
 class _Substrate:
     """One row of what ``auto`` prices.
 
-    ``lanes_per_second`` is the seed rate per processor (an
-    order-of-magnitude prior; the first measured run replaces it), the
-    next two feed the :class:`~repro.hpc.cost_model.StageSpec`.
+    ``seed_rate`` is the lanes/s per processor a row is priced at until
+    its dispatcher has run (an order-of-magnitude prior), the next two
+    feed the :class:`~repro.hpc.cost_model.StageSpec`.
     ``pooled`` marks the row that runs on the session's worker pool: it
     is priced at the host's worker count, pays ``startup_seconds`` while
     the pool is cold, is ineligible on a single-core host and prices as
@@ -61,7 +68,7 @@ class _Substrate:
 
     engine: str
     dispatcher: str
-    lanes_per_second: float
+    seed_rate: float
     parallel_fraction: float = 1.0
     comm_overhead_per_proc_s: float = 0.0
     startup_seconds: float = 0.0
@@ -69,8 +76,8 @@ class _Substrate:
 
 
 _SUBSTRATES = {row.engine: row for row in (
-    _Substrate("vectorized", "inline", lanes_per_second=2.5e7),
-    _Substrate("multicore", "pooled", lanes_per_second=2.2e7,
+    _Substrate("vectorized", "inline", seed_rate=2.5e7),
+    _Substrate("multicore", "pooled", seed_rate=2.2e7,
                parallel_fraction=0.92, comm_overhead_per_proc_s=0.01,
                startup_seconds=0.35, pooled=True),
 )}
@@ -206,8 +213,10 @@ class EnginePlanner:
     telemetry:
         An :class:`~repro.obs.Telemetry` plane to report into (a session
         passes its own).  Each plan emits a ``plan.decision`` event with
-        the chosen engine and every priced alternative; each calibration
-        update emits ``plan.calibration``.  ``None`` = a private plane.
+        the chosen engine and every priced alternative.  ``None`` = a
+        private plane.  The rates a plan prices at are its caller's
+        (:meth:`plan`'s ``rates``); what a run measured is exported by
+        the dispatcher that ran it (``dispatch.<name>.lanes_per_second``).
     """
 
     def __init__(self, n_workers: int | None = None,
@@ -218,52 +227,22 @@ class EnginePlanner:
             self.n_workers = 1
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._m_plans = self.telemetry.counter("planner.plans")
-        self._m_calibrations = self.telemetry.counter("planner.calibrations")
-        #: Per-substrate throughput, seeded from the table and sharpened
-        #: by each observed run (:meth:`observe`).
-        self._rates = {name: ThroughputEstimate(row.lanes_per_second)
-                       for name, row in _SUBSTRATES.items()}
-
-    def throughput(self, name: str) -> float:
-        """Current lanes/s/proc estimate for one priced substrate."""
-        try:
-            return self._rates[name].rate
-        except KeyError:
-            raise ConfigurationError(
-                f"{name!r} is not a substrate auto prices; "
-                f"priced: {sorted(self._rates)}"
-            ) from None
-
-    def observe(self, engine: str, lanes: float, seconds: float,
-                n_procs: int = 1) -> None:
-        """Calibrate one substrate's throughput from a measured run.
-
-        A run of an engine ``auto`` does not price (the oracle, a
-        simulated substrate, a caller's own engine) calibrates nothing.
-        """
-        est = self._rates.get(engine)
-        if est is None:
-            return
-        est.observe(lanes, seconds, n_procs)
-        self._m_calibrations.inc()
-        self.telemetry.gauge(
-            f"planner.throughput.{engine}").set(est.rate)
-        self.telemetry.event("plan.calibration", engine=engine,
-                             lanes_per_second_per_proc=est.rate,
-                             n_procs=n_procs)
 
     def plan(self, workload: str, *, n_trials: int, n_occurrences: int,
              n_layers: int = 1, pool_warm: bool = False,
              pool_degraded: bool = False, transport: str = "shm",
-             require_emit_yelt: bool = False) -> ExecutionPlan:
+             require_emit_yelt: bool = False,
+             rates: dict[str, float | None] | None = None) -> ExecutionPlan:
         """Price every substrate and choose the cheapest.
 
-        ``pool_warm`` waives the pool's startup (the session already
-        paid it); ``pool_degraded`` prices the pooled substrate as the
-        serial fallback it has become — one processor, no warm credit,
-        noted in ``explain()`` — so a degraded pool is never charged as
-        parallel capacity; ``transport`` is recorded when the pooled
-        substrate is chosen (the in-process one always reports
+        ``rates`` maps a row's dispatcher name to its measured lanes/s
+        per processor; a row missing from it (or ``None``) is priced at
+        its seed.  ``pool_warm`` waives the pool's startup (the session
+        already paid it); ``pool_degraded`` prices the pooled substrate
+        as the serial fallback it has become — one processor, no warm
+        credit, noted in ``explain()`` — so a degraded pool is never
+        charged as parallel capacity; ``transport`` is recorded when the
+        pooled substrate is chosen (the in-process one always reports
         ``"inline"``); ``require_emit_yelt`` marks engines without YELT
         support ineligible (a capability constraint, visible in
         ``explain()``).
@@ -280,9 +259,11 @@ class EnginePlanner:
             n_layers = max(n_layers, _NOMINAL_BATCH)
         lanes = float(max(n_occurrences, 1) * n_layers)
 
+        rates = rates or {}
         estimates: list[EngineEstimate] = []
         for row in _SUBSTRATES.values():
-            est = self._rates[row.engine]
+            measured = rates.get(row.dispatcher)
+            rate = measured if measured is not None else row.seed_rate
             procs = self.n_workers if row.pooled else 1
             startup, eligible, note = 0.0, True, ""
             if require_emit_yelt and not engine_spec(
@@ -298,13 +279,13 @@ class EnginePlanner:
             elif row.pooled and not pool_warm:
                 startup = row.startup_seconds
             runtime = StageSpec(
-                row.engine, lanes, est.rate,
+                row.engine, lanes, rate,
                 parallel_fraction=row.parallel_fraction,
                 comm_overhead_per_proc_s=row.comm_overhead_per_proc_s,
             ).runtime_seconds(procs) if eligible else float("inf")
             estimates.append(EngineEstimate(
                 engine=row.engine, n_procs=procs,
-                throughput_per_proc=est.rate, calibrated=est.calibrated,
+                throughput_per_proc=rate, calibrated=measured is not None,
                 runtime_seconds=runtime, startup_seconds=startup,
                 eligible=eligible, note=note,
             ))

@@ -21,8 +21,9 @@ A session restores the invariant across all of them:
   (``session.payload_ships`` exposes the counter the tests assert on).
 - **plan, don't guess** — ``engine="auto"`` resolves through the
   :class:`~repro.session.planner.EnginePlanner`: the HPC cost model
-  prices the two host substrates at their (EWMA-calibrated)
-  throughput, charges a cold pool its startup, and the returned
+  prices the two host substrates at the rates the session's own
+  dispatchers measured (the rates its services' admission sheds by),
+  charges a cold pool its startup, and the returned
   :class:`~repro.session.planner.ExecutionPlan` can ``explain()``
   itself.
 - **close exactly once** — ``close()`` (or the context manager) tears
@@ -281,7 +282,9 @@ class RiskSession:
              n_layers: int | None = None,
              require_emit_yelt: bool = False) -> ExecutionPlan:
         """Price the planner's substrates for a workload on this
-        session's data shape; see :meth:`ExecutionPlan.explain`."""
+        session's data shape, each at the rate its session dispatcher
+        has measured (its seed until that dispatcher has run); see
+        :meth:`ExecutionPlan.explain`."""
         self._check_open()
         if n_layers is None:
             pf = portfolio if portfolio is not None else self.portfolio
@@ -293,6 +296,8 @@ class RiskSession:
                          and self._pooled.pool.health.degraded)
         pool_warm = (self._pooled is not None and self._pooled.pool.started
                      and not pool_degraded)
+        rates = {d.name: d.throughput.rate
+                 for d in (self._inline, self._pooled) if d is not None}
         with self.telemetry.span("session.plan", workload=workload):
             plan = self._planner.plan(
                 workload,
@@ -303,6 +308,7 @@ class RiskSession:
                 pool_degraded=pool_degraded,
                 transport=self._transport_label(),
                 require_emit_yelt=require_emit_yelt,
+                rates=rates,
             )
         self._count["session.plans"].inc()
         return plan
@@ -319,7 +325,8 @@ class RiskSession:
                                "yet_uploads")
 
     def _observe(self, res: EngineResult, n_layers: int) -> None:
-        """Feed a measured run into telemetry and planner calibration."""
+        """Export a measured run's per-engine counters (the substrate's
+        rate is its dispatcher's to measure)."""
         lanes = self.yet.n_occurrences * max(n_layers, 1)
         tel = self.telemetry
         prefix = f"engine.{res.engine}"
@@ -331,12 +338,6 @@ class RiskSession:
             value = details.get(key)
             if value:
                 tel.counter(f"{prefix}.{key}").inc(value)
-        # The planner calibrates the substrates it prices and ignores
-        # the rest; the pooled engine reports n_workers, and normalising
-        # to per-processor keeps the rate comparable with how it is
-        # priced.
-        self._planner.observe(res.engine, lanes, res.seconds,
-                              int(details.get("n_workers") or 1))
 
     # -- aggregate analysis ------------------------------------------------
 

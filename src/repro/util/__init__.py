@@ -1,7 +1,6 @@
 """Shared low-level utilities: RNG hierarchy, timing, statistics, tables."""
 
 from repro.util.rng import RngHierarchy, spawn_generator
-from repro.util.timing import Stopwatch, ThroughputMeter
 from repro.util.validation import (
     check_fraction,
     check_non_negative,
@@ -12,8 +11,6 @@ from repro.util.validation import (
 __all__ = [
     "RngHierarchy",
     "spawn_generator",
-    "Stopwatch",
-    "ThroughputMeter",
     "check_fraction",
     "check_non_negative",
     "check_positive",

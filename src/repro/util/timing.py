@@ -1,20 +1,10 @@
-"""Wall-clock timing and throughput measurement for the bench harness.
-
-The experiments in EXPERIMENTS.md report timings and derived throughputs
-(trials/second, rows/second).  :class:`Stopwatch` is a context-manager
-timer with split support; :class:`ThroughputMeter` accumulates (items,
-seconds) pairs and derives rates, which the cost model
-(:mod:`repro.hpc.cost_model`) consumes for the burst analysis (E9).
-"""
+"""Human-readable durations for the experiment reports (E1–E12)."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 from repro.errors import AnalysisError
 
-__all__ = ["Stopwatch", "ThroughputMeter", "format_seconds"]
+__all__ = ["format_seconds"]
 
 
 def format_seconds(seconds: float) -> str:
@@ -32,96 +22,3 @@ def format_seconds(seconds: float) -> str:
     if seconds < 7200.0:
         return f"{seconds / 60.0:.1f} min"
     return f"{seconds / 3600.0:.2f} h"
-
-
-class Stopwatch:
-    """Context-manager stopwatch with named splits.
-
-    Examples
-    --------
-    >>> with Stopwatch() as sw:
-    ...     _ = sum(range(1000))
-    ...     sw.split("sum")
-    >>> sw.elapsed > 0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self._stop: float | None = None
-        self.splits: dict[str, float] = {}
-
-    def start(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        self._stop = None
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise AnalysisError("Stopwatch.stop() before start()")
-        self._stop = time.perf_counter()
-        return self.elapsed
-
-    def split(self, name: str) -> float:
-        """Record the elapsed time so far under ``name`` and return it."""
-        if self._start is None:
-            raise AnalysisError("Stopwatch.split() before start()")
-        now = time.perf_counter()
-        self.splits[name] = now - self._start
-        return self.splits[name]
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds between start and stop (or now, if still running)."""
-        if self._start is None:
-            return 0.0
-        end = self._stop if self._stop is not None else time.perf_counter()
-        return end - self._start
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-@dataclass
-class ThroughputMeter:
-    """Accumulates work/time observations and reports a rate.
-
-    Attributes
-    ----------
-    unit:
-        Name of the work item (``"trials"``, ``"rows"``) used in reports.
-    """
-
-    unit: str = "items"
-    total_items: float = 0.0
-    total_seconds: float = 0.0
-    observations: list[tuple[float, float]] = field(default_factory=list)
-
-    def record(self, items: float, seconds: float) -> None:
-        """Add one observation of ``items`` processed in ``seconds``."""
-        if items < 0 or seconds < 0:
-            raise AnalysisError("items and seconds must be non-negative")
-        self.observations.append((items, seconds))
-        self.total_items += items
-        self.total_seconds += seconds
-
-    @property
-    def rate(self) -> float:
-        """Aggregate items/second over all observations."""
-        if self.total_seconds == 0:
-            raise AnalysisError("no time recorded; cannot compute a rate")
-        return self.total_items / self.total_seconds
-
-    def seconds_for(self, items: float) -> float:
-        """Extrapolated time to process ``items`` at the measured rate."""
-        return items / self.rate
-
-    def describe(self) -> str:
-        return (
-            f"{self.total_items:,.0f} {self.unit} in "
-            f"{format_seconds(self.total_seconds)} "
-            f"({self.rate:,.0f} {self.unit}/s)"
-        )

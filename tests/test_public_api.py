@@ -172,6 +172,20 @@ def test_one_door_from_a_kernel_to_an_answer():
     assert calls == {"serve/dispatch.py": 1, "core/engines/outofcore.py": 1}
 
 
+def test_one_measured_rate_per_substrate():
+    """A ``ThroughputEstimate`` is built by a ``Dispatcher`` and nowhere
+    else under ``src/repro``: the planner and serve admission read the
+    rate of the dispatcher that runs the work, not a calibrator of
+    their own."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    built = [path.relative_to(src).as_posix()
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "ThroughputEstimate"]
+    assert built == ["serve/dispatch.py"]
+
+
 def test_session_surface_locked():
     """The session layer's public names ride the root namespace."""
     import repro
@@ -247,6 +261,17 @@ def test_engine_spec_and_planner_knobs_locked():
         "name", "factory", "summary", "supports_emit_yelt"]
     assert list(inspect.signature(EnginePlanner.__init__).parameters) == [
         "self", "n_workers", "telemetry"]
+    assert not hasattr(EnginePlanner, "observe")
+    assert not hasattr(EnginePlanner, "throughput")
+
+    # One measured rate per substrate, owned by its dispatcher: the
+    # estimate takes no seed or weight, admission takes the estimate.
+    from repro.hpc.cost_model import ThroughputEstimate
+    from repro.serve import AdmissionController
+
+    assert not inspect.signature(ThroughputEstimate).parameters
+    assert list(inspect.signature(AdmissionController.__init__).parameters
+                ) == ["self", "slo_seconds", "max_pending", "throughput"]
 
     # An engine is configured by building it, a book's dense/CSR
     # threshold where its lookup is built: the drivers and the entry

@@ -24,6 +24,7 @@ from repro.core.tables import EltTable, YetTable
 from repro.core.terms import LayerTerms
 from repro.dfa.metrics import tail_value_at_risk
 from repro.errors import AdmissionError, ConfigurationError
+from repro.hpc.cost_model import EWMA_WEIGHT, ThroughputEstimate
 from repro.serve import (
     AdmissionController,
     BatchPolicy,
@@ -332,9 +333,9 @@ class TestAdmission:
         layers = list(wl.portfolio)
         svc = PricingService(wl.yet, slo_seconds=0.05,
                              cache=CachePolicy(0))
-        # Calibrate as if a sweep lane took a millisecond: the modelled
+        # Calibrate as if a sweep lane took a second: the modelled
         # backlog blows through the 50 ms SLO almost immediately.
-        svc.admission.observe(lanes=1_000.0, seconds=1_000.0)
+        svc.dispatcher.throughput.observe(1_000.0, 1_000.0)
         shed = 0
         for _ in range(8):
             for layer in layers:
@@ -355,8 +356,9 @@ class TestAdmission:
         svc = PricingService(tiny_workload.yet, slo_seconds=30.0)
         q = svc.quote(tiny_workload.portfolio.layers[0])
         assert q.premium > 0
-        # the real sweep recalibrated the controller upward
-        assert svc.admission.lanes_per_second > 0
+        # the real sweep calibrated the rate the controller reads
+        assert svc.admission.throughput is svc.dispatcher.throughput
+        assert svc.dispatcher.throughput.rate > 0
         assert svc.stats.snapshot()["serve.shed"] == 0
         svc.close()
 
@@ -371,7 +373,9 @@ class TestAdmission:
         svc.close()
 
     def test_decision_fields(self):
-        ctl = AdmissionController(slo_seconds=1.0, lanes_per_second=100.0)
+        rate = ThroughputEstimate()
+        rate.observe(100.0, 1.0)
+        ctl = AdmissionController(slo_seconds=1.0, throughput=rate)
         ok = ctl.decide(n_pending=0, lanes_per_request=10.0)
         assert ok.accepted and ok.estimated_seconds <= 1.0
         full = ctl.decide(n_pending=10_000, lanes_per_request=10.0)
@@ -381,22 +385,45 @@ class TestAdmission:
         assert not slow.accepted and "SLO" in slow.reason
 
     def test_observe_recalibrates_ewma(self):
-        ctl = AdmissionController(lanes_per_second=100.0, smoothing=0.5)
-        ctl.observe(lanes=1000.0, seconds=1.0)   # first: replaces seed
-        assert ctl.lanes_per_second == pytest.approx(1000.0)
-        ctl.observe(lanes=2000.0, seconds=1.0)   # then: EWMA
-        assert ctl.lanes_per_second == pytest.approx(1500.0)
+        rate = ThroughputEstimate()
+        assert rate.rate is None                  # no seed
+        rate.observe(1000.0, 1.0)                 # first: sets the rate
+        assert rate.rate == pytest.approx(1000.0)
+        rate.observe(0.0, 1.0)                    # degenerate: ignored
+        rate.observe(2000.0, 1.0)                 # then: EWMA
+        assert rate.rate == pytest.approx(
+            (1 - EWMA_WEIGHT) * 1000.0 + EWMA_WEIGHT * 2000.0)
 
     def test_pooled_calibration_is_per_processor(self):
         """A batch measured on N workers must calibrate a per-proc rate:
         storing the aggregate wall rate and multiplying by N again at
         decide() time would make pooled estimates N times optimistic."""
-        ctl = AdmissionController(slo_seconds=10.0)
-        ctl.observe(lanes=8000.0, seconds=1.0, n_procs=8)
-        assert ctl.lanes_per_second == pytest.approx(1000.0)
+        rate = ThroughputEstimate()
+        rate.observe(8000.0, 1.0, n_procs=8)
+        assert rate.rate == pytest.approx(1000.0)
+        ctl = AdmissionController(slo_seconds=10.0, throughput=rate)
         est = ctl.decide(n_pending=0, lanes_per_request=8000.0,
                          n_procs=8).estimated_seconds
         assert est == pytest.approx(1.0, rel=1e-6)
+
+    def test_sheds_nothing_on_cost_before_the_first_batch(
+            self, small_portfolio_workload):
+        """No seed stands in for a rate nobody measured: until its
+        dispatcher has run, a service sheds only at the queue cap; a
+        measured rate then sheds the same burst."""
+        wl = small_portfolio_workload
+        layers = list(wl.portfolio) * 8
+        svc = PricingService(wl.yet, slo_seconds=1e-9, cache=CachePolicy(0))
+        assert svc.dispatcher.throughput.rate is None
+        for layer in layers:
+            svc.submit(layer)
+        assert svc.stats.snapshot()["serve.shed"] == 0
+        svc.dispatcher.throughput.observe(1_000.0, 1_000.0)
+        with pytest.raises(AdmissionError, match="SLO"):
+            svc.submit(layers[0])
+        assert svc.stats.snapshot()["serve.shed"] == 1
+        svc.drain()
+        svc.close()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.core.layer import Layer
 from repro.core.simulation import AggregateAnalysis
 from repro.errors import ConfigurationError, EngineError
 from repro.hpc import shm
+from repro.hpc.cost_model import ThroughputEstimate
 from repro.session import EnginePlanner, ExecutionPlan, RiskSession
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
@@ -115,15 +116,23 @@ class TestPlanner:
         assert cold_mc.startup_seconds > 0
         assert warm_mc.startup_seconds == 0
 
-    def test_observation_calibrates_the_estimate(self):
-        planner = EnginePlanner(n_workers=4)
-        seed = planner.throughput("vectorized")
-        planner.observe("vectorized", lanes=1e6, seconds=1.0)
-        assert planner.throughput("vectorized") == pytest.approx(1e6)
-        assert planner.throughput("vectorized") != seed
+    def test_observation_calibrates_the_estimate(self, tiny_workload,
+                                                 risk_session):
+        session = risk_session(tiny_workload.yet)
+        rate = session.dispatcher("inline").throughput
+
+        def throughput():
+            est = next(e for e in session.plan().estimates
+                       if e.engine == "vectorized")
+            return est.throughput_per_proc
+
+        seed = throughput()
+        rate.observe(1e6, 1.0)
+        assert throughput() == pytest.approx(1e6)
+        assert throughput() != seed
         # second observation is EWMA-blended, not a replacement
-        planner.observe("vectorized", lanes=2e6, seconds=1.0)
-        assert 1e6 < planner.throughput("vectorized") < 2e6
+        rate.observe(2e6, 1.0)
+        assert 1e6 < throughput() < 2e6
 
     def test_explain_names_engine_and_cost_inputs(self):
         planner = EnginePlanner(n_workers=8)
@@ -164,15 +173,15 @@ class TestPlanner:
             assert mc.startup_seconds == 0.35
 
     def test_unpriced_engines_calibrate_nothing(self):
+        """A rate is read for a row's dispatcher only: one for a name
+        no row runs on prices nothing."""
         planner = EnginePlanner(n_workers=4)
-        planner.observe("device", lanes=1e6, seconds=0.01)
         shape = dict(n_trials=10_000, n_occurrences=1_000_000, n_layers=16)
-        plan = planner.plan("aggregate", **shape)
+        plan = planner.plan("aggregate", rates={"device": 1e6,
+                                                "inline": None}, **shape)
         assert [e.engine for e in plan.estimates] == ["vectorized",
                                                       "multicore"]
         assert not any(e.calibrated for e in plan.estimates)
-        with pytest.raises(ConfigurationError, match="auto prices"):
-            planner.throughput("device")
 
     def test_unknown_workload_rejected(self):
         for workload in ("quantum", "sensitivity"):
@@ -535,9 +544,8 @@ class TestAutoEngine:
         # 1 lane/s reading has to come before the fast one)
         for winner in ("multicore", "vectorized"):
             for engine in rows:
-                session._planner.observe(
-                    engine, lanes=1e15 if engine == winner else 1.0,
-                    seconds=1.0)
+                session.dispatcher(engine).throughput.observe(
+                    1e15 if engine == winner else 1.0, 1.0)
             plan = session.plan("serving")
             assert plan.engine == winner
             assert rows[winner].name == plan.dispatcher
@@ -563,6 +571,82 @@ class TestAutoEngine:
                    if e.engine == "vectorized")
         assert est.calibrated
         assert est.throughput_per_proc != pytest.approx(seed_rate)
+
+
+# ---------------------------------------------------------------------------
+# one measured rate per substrate: the dispatcher's
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def rated_workload():
+    """8 books over 200 k occurrences: large enough that a measured
+    sweep rate sits far above any order-of-magnitude seed."""
+    from repro.bench.workloads import build_portfolio_workload
+
+    return build_portfolio_workload(
+        n_layers=8, n_trials=2_000, mean_events_per_trial=100.0,
+        elts_per_layer=2, elt_rows=400, catalog_events=5_000, seed=5)
+
+
+class TestOneMeasuredRate:
+    def test_a_serving_only_session_calibrates_auto(self, rated_workload,
+                                                    risk_session):
+        wl = rated_workload
+        session = risk_session(wl.yet, wl.portfolio)
+        session.pricing_service("inline").quote_many(list(wl.portfolio))
+        est = next(e for e in session.plan("serving").estimates
+                   if e.engine == "vectorized")
+        assert est.calibrated
+        assert est.throughput_per_proc == (
+            session.dispatcher("inline").throughput.rate)
+
+    def test_a_fresh_service_on_a_warm_session_admits_an_idle_request(
+            self, rated_workload, risk_session):
+        wl = rated_workload
+        session = risk_session(wl.yet, wl.portfolio)
+        warm = session.pricing_service("inline")
+        warm.quote_many(list(wl.portfolio))
+        stats = warm.stats.snapshot()
+        lanes = wl.yet.n_occurrences
+        # the warm batch's measured rate, off the service's own counters
+        measured = stats["serve.sweep_seconds"] / stats["serve.kernel_rows"]
+        seeded = lanes / 1e7   # a fresh controller's former seed rate
+        assert measured < seeded
+        svc = session.pricing_service(
+            "inline", slo_seconds=(measured * seeded) ** 0.5)
+        assert svc.quote(wl.portfolio.layers[0]).premium > 0
+        assert svc.stats.snapshot()["serve.shed"] == 0
+
+    def test_one_estimate_serves_every_reader(self, small_portfolio_workload,
+                                              risk_session, monkeypatch):
+        wl = small_portfolio_workload
+        session = risk_session(wl.yet, wl.portfolio, n_workers=2)
+        svc = session.pricing_service("inline")
+        inline = session.dispatcher("inline").throughput
+        assert svc.admission.throughput is inline
+        assert inline.rate is None
+        session.aggregate(engine="vectorized")
+        after_aggregate = inline.rate
+        assert after_aggregate is not None
+        svc.quote_many(_candidates(wl.portfolio, 4))
+        assert inline.rate != after_aggregate
+
+        observed = []
+        real_observe = ThroughputEstimate.observe
+
+        def spy(self, work_items, seconds, n_procs=1):
+            observed.append((self, work_items, seconds, n_procs))
+            return real_observe(self, work_items, seconds, n_procs)
+
+        monkeypatch.setattr(ThroughputEstimate, "observe", spy)
+        pooled = session.dispatcher("pooled")
+        session.aggregate(engine="multicore")
+        assert pooled.n_procs == 2
+        (estimate, lanes, seconds, n_procs), = observed
+        assert estimate is pooled.throughput
+        assert (lanes, n_procs) == (
+            wl.portfolio.n_layers * wl.yet.n_occurrences, 2)
+        assert pooled.throughput.rate == pytest.approx(lanes / seconds / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.util.timing import Stopwatch, ThroughputMeter, format_seconds
+from repro.util.timing import format_seconds
 
 
 class TestFormatSeconds:
@@ -17,54 +17,3 @@ class TestFormatSeconds:
     def test_negative_rejected(self):
         with pytest.raises(AnalysisError):
             format_seconds(-1.0)
-
-
-class TestStopwatch:
-    def test_context_manager_measures(self):
-        with Stopwatch() as sw:
-            sum(range(10_000))
-        assert sw.elapsed > 0
-
-    def test_split_records(self):
-        with Stopwatch() as sw:
-            sum(range(100))
-            sw.split("phase1")
-        assert "phase1" in sw.splits
-        assert 0 < sw.splits["phase1"] <= sw.elapsed
-
-    def test_stop_before_start_rejected(self):
-        with pytest.raises(AnalysisError):
-            Stopwatch().stop()
-
-    def test_split_before_start_rejected(self):
-        with pytest.raises(AnalysisError):
-            Stopwatch().split("x")
-
-    def test_elapsed_zero_before_start(self):
-        assert Stopwatch().elapsed == 0.0
-
-
-class TestThroughputMeter:
-    def test_rate(self):
-        m = ThroughputMeter(unit="trials")
-        m.record(1000, 2.0)
-        m.record(500, 1.0)
-        assert m.rate == pytest.approx(500.0)
-
-    def test_seconds_for_extrapolation(self):
-        m = ThroughputMeter()
-        m.record(100, 1.0)
-        assert m.seconds_for(1_000_000) == pytest.approx(10_000.0)
-
-    def test_no_observations_rejected(self):
-        with pytest.raises(AnalysisError):
-            _ = ThroughputMeter().rate
-
-    def test_negative_rejected(self):
-        with pytest.raises(AnalysisError):
-            ThroughputMeter().record(-1, 1.0)
-
-    def test_describe_contains_unit(self):
-        m = ThroughputMeter(unit="rows")
-        m.record(10, 1.0)
-        assert "rows" in m.describe()
