@@ -9,8 +9,9 @@ measures exactly that delta on the pooled substrate:
 - **per-call baseline**: each operation constructs its own entry point
   the way pre-session code did — a fresh
   :class:`~repro.core.simulation.AggregateAnalysis` run on the multicore
-  engine, one fresh :class:`~repro.serve.service.PricingService` per
-  quote, one more for the EP curve.  Every call re-pays pool spawn and
+  engine, one fresh pooled session and its
+  :class:`~repro.serve.service.PricingService` per quote, one more for
+  the EP curve.  Every call re-pays pool spawn and
   YET shipment and tears everything down again.
 - **staged session**: ONE :class:`~repro.session.RiskSession` runs the
   identical operations over its shared dispatcher; after the first
@@ -33,8 +34,6 @@ from repro.core.engines import MulticoreEngine
 from repro.core.layer import Layer
 from repro.core.simulation import AggregateAnalysis
 from repro.serve.cache import CachePolicy
-from repro.serve.dispatch import PooledDispatcher
-from repro.serve.service import PricingService
 from repro.session import RiskSession
 
 N_WORKERS = 2
@@ -76,12 +75,12 @@ def _run_per_call(portfolio, yet, candidates) -> None:
     with MulticoreEngine(n_workers=N_WORKERS) as engine:
         AggregateAnalysis(portfolio, yet).run(engine)
     for layer in candidates:
-        with PricingService(yet, engine=PooledDispatcher(n_workers=N_WORKERS),
-                            cache=CachePolicy(0)) as svc:
-            svc.quote(layer)
-    with PricingService(yet, engine=PooledDispatcher(n_workers=N_WORKERS),
-                        cache=CachePolicy(0)) as svc:
-        svc.ep_curve(candidates[0])
+        with RiskSession(yet, n_workers=N_WORKERS) as session:
+            session.pricing_service(engine="pooled",
+                                    cache=CachePolicy(0)).quote(layer)
+    with RiskSession(yet, n_workers=N_WORKERS) as session:
+        session.pricing_service(engine="pooled",
+                                cache=CachePolicy(0)).ep_curve(candidates[0])
 
 
 def _run_session(session: RiskSession, svc, candidates) -> None:

@@ -36,9 +36,11 @@ Quickstart::
         print(repro.regulator_report(
             repro.RiskMetrics.from_ylt(result.portfolio_ylt)))
 
-:class:`~repro.core.simulation.AggregateAnalysis` and
-:class:`~repro.serve.service.PricingService` run on a session too — a
-private one when built standalone, the caller's with ``session=``.
+:class:`~repro.core.simulation.AggregateAnalysis`,
+:class:`~repro.serve.service.PricingService` and
+:func:`~repro.analytics.sensitivity.term_sensitivities` run on a session
+too — a private one when used standalone, the caller's with
+``session=``.
 """
 
 from repro import (

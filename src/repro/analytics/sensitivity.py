@@ -14,7 +14,7 @@ import dataclasses
 import math
 from typing import Callable
 
-from repro.core.engines import Engine, get_engine
+from repro.core.engines import Engine
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.tables import YetTable, YltTable
@@ -51,68 +51,57 @@ def term_sensitivities(
     Returns ``{term: slope}``; a negative slope on ``occ_retention``
     (raising the attachment cheapens the layer) is the sanity check.
 
-    With a :class:`~repro.session.RiskSession` passed as ``session``,
-    ``engine`` (a name, or ``"auto"`` for the planner's choice) resolves
-    to a *warm, session-owned* engine: the whole bump sweep reuses one
-    staged substrate and the session tears it down, not this function.
+    The sweep runs on a :class:`~repro.session.RiskSession`: the one
+    passed as ``session`` (over this ``yet``), or a private one closed on
+    return.  ``engine`` resolves through :meth:`RiskSession.engine
+    <repro.session.RiskSession.engine>` — a name or ``"auto"`` is the
+    session's warm engine, so every bump reuses one staged substrate;
+    an :class:`~repro.core.engines.Engine` instance is used as-is and
+    keeps its own lifecycle.
     """
     if not (0.0 < bump_fraction < 1.0):
         raise AnalysisError("bump_fraction must lie in (0, 1)")
-    # An engine built here is also torn down here (worker pools, staged
-    # shared memory); caller-provided instances keep their resources —
-    # a sweep of many sensitivities should pass one warm engine in (or a
-    # session, which owns and reuses its engines across sweeps).
-    if session is not None:
-        if session.yet is not yet:
-            # A session-owned staged engine keys its arena by YET
-            # fingerprint; sweeping a foreign trial set through it would
-            # silently re-stage per bump and void the ship-once
-            # invariant — same guard as the other session veneers.
-            raise AnalysisError(
-                "session is bound to a different YET than this sweep"
-            )
-        owned = False
-        eng = session.engine(engine)
-    else:
-        owned = isinstance(engine, str)
-        eng = get_engine(engine) if owned else engine
+    if session is None:
+        from repro.session import RiskSession
+
+        with RiskSession(yet) as private:
+            return term_sensitivities(layer, yet, statistic, bump_fraction,
+                                      engine, terms, session=private)
+    session.check_yet(yet, "sweep")
+    eng = session.engine(engine)
 
     def run(l: Layer) -> float:
         res = eng.run(Portfolio([l]), yet)
         return statistic(res.ylt_by_layer[l.layer_id])
 
-    try:
-        base_value = run(layer)
-        base_terms = layer.terms
-        # A characteristic money scale for zero/inf bases.
-        scale = max(base_terms.occ_retention, 1.0)
+    base_value = run(layer)
+    base_terms = layer.terms
+    # A characteristic money scale for zero/inf bases.
+    scale = max(base_terms.occ_retention, 1.0)
 
-        out = {}
-        for name in terms:
-            if name not in _BUMPABLE:
-                raise AnalysisError(
-                    f"unknown term {name!r}; bumpable: {_BUMPABLE}"
-                )
-            current = getattr(base_terms, name)
-            if name == "participation":
-                bump = -bump_fraction * current  # stay within (0, 1]
-            elif math.isinf(current) or current == 0.0:
-                bump = bump_fraction * scale
-            else:
-                bump = bump_fraction * current
-            bumped_value = current + bump
-            if math.isinf(current):
-                # Bumping an unlimited term means *introducing* a cap near
-                # the observed losses; skip instead of inventing one.
-                out[name] = 0.0
-                continue
-            bumped_terms = dataclasses.replace(
-                base_terms, **{name: bumped_value}
+    out = {}
+    for name in terms:
+        if name not in _BUMPABLE:
+            raise AnalysisError(
+                f"unknown term {name!r}; bumpable: {_BUMPABLE}"
             )
-            bumped_layer = Layer(layer.layer_id, layer.elts, bumped_terms,
-                                 weights=layer.weights)
-            out[name] = (run(bumped_layer) - base_value) / bump
-        return out
-    finally:
-        if owned and hasattr(eng, "close"):
-            eng.close()
+        current = getattr(base_terms, name)
+        if name == "participation":
+            bump = -bump_fraction * current  # stay within (0, 1]
+        elif math.isinf(current) or current == 0.0:
+            bump = bump_fraction * scale
+        else:
+            bump = bump_fraction * current
+        bumped_value = current + bump
+        if math.isinf(current):
+            # Bumping an unlimited term means *introducing* a cap near
+            # the observed losses; skip instead of inventing one.
+            out[name] = 0.0
+            continue
+        bumped_terms = dataclasses.replace(
+            base_terms, **{name: bumped_value}
+        )
+        bumped_layer = Layer(layer.layer_id, layer.elts, bumped_terms,
+                             weights=layer.weights)
+        out[name] = (run(bumped_layer) - base_value) / bump
+    return out

@@ -68,7 +68,7 @@ class HostEngine(Engine):
 
     def __init__(self) -> None:
         self._dispatcher = None
-        self._owns_dispatcher = True
+        self._private = True    # built and closed here; see riding()
 
     @classmethod
     def riding(cls, dispatcher) -> "HostEngine":
@@ -77,7 +77,7 @@ class HostEngine(Engine):
         the defaults — the dispatcher's own are in ``result.details``."""
         engine = cls()
         engine._dispatcher = dispatcher
-        engine._owns_dispatcher = False
+        engine._private = False
         return engine
 
     @abc.abstractmethod
@@ -99,7 +99,7 @@ class HostEngine(Engine):
     def close(self) -> None:
         """Shut down the private dispatcher (idempotent; the engine
         stays usable, on a fresh one)."""
-        if self._owns_dispatcher and self._dispatcher is not None:
+        if self._private and self._dispatcher is not None:
             self._dispatcher.close()
             self._dispatcher = None
 

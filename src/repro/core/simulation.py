@@ -44,10 +44,8 @@ class AggregateAnalysis:
             raise EngineError(f"expected Portfolio, got {type(portfolio).__name__}")
         if not isinstance(yet, YetTable):
             raise EngineError(f"expected YetTable, got {type(yet).__name__}")
-        if session is not None and session.yet is not yet:
-            raise EngineError(
-                "session is bound to a different YET than this analysis"
-            )
+        if session is not None:
+            session.check_yet(yet, "analysis")
         self.portfolio = portfolio
         self.yet = yet
         #: Borrowed staged substrate; ``None`` runs each call through

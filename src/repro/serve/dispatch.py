@@ -263,22 +263,18 @@ class PooledDispatcher(Dispatcher):
     @property
     def transport_active(self) -> str:
         """``"shm"`` when the data plane will carry the next batch;
-        ``"inline"`` once the pool has degraded to serial fallback."""
-        if self.pool.health.degraded:
-            return "inline"
-        return "shm" if self._shm_active() else "pickle"
-
-    def _shm_active(self) -> bool:
+        ``"inline"`` when its spans run in process — a one-worker pool,
+        or one degraded to serial fallback."""
         if self.pool.n_workers <= 1 or self.pool.health.degraded:
-            return False
-        return shm.resolve_transport(self.transport)
+            return "inline"
+        return "shm" if shm.resolve_transport(self.transport) else "pickle"
 
     def _bundle(self, yet: YetTable):
         """The shared-object bundle, keyed by YET content fingerprint."""
         fp = yet.fingerprint()
         with self._lock:
             if self._shared_fp != fp:
-                if self._shm_active():
+                if self.transport_active == "shm":
                     while len(self._yet_arenas) > 1:
                         self._yet_arenas.pop(0).close()
                     arena = shm.SharedArena()
@@ -326,7 +322,7 @@ class PooledDispatcher(Dispatcher):
         # batch's submissions.
         with self._lock:
             task, payload = _sweep_trials, kernel
-            if self._shm_active() and len(spans) > 1:
+            if self.transport_active == "shm" and len(spans) > 1:
                 # The batch kernel rides the reusable slab: one memcpy
                 # here, ~1 KB of handles per task, no per-task unpickle
                 # of the stacked lookup in the workers.

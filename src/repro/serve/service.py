@@ -68,7 +68,6 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Ticket
 from repro.serve.cache import (CachePolicy, ResultCache, layer_digest,
                                payload_nbytes)
-from repro.serve.dispatch import Dispatcher
 
 __all__ = ["PricingService", "ServeStats"]
 
@@ -151,9 +150,11 @@ class PricingService:
     yet:
         The pre-simulated trial set every quote prices against.
     engine:
-        Dispatcher choice: ``"inline"``/``"vectorized"`` (default),
-        ``"pooled"``/``"multicore"``, or a
-        :class:`~repro.serve.dispatch.Dispatcher` instance.
+        The session dispatcher to run on, by name: ``"inline"``/
+        ``"vectorized"`` (default), ``"pooled"``/``"multicore"``, or
+        ``"auto"`` to let the session's planner pick.  A custom
+        substrate is a session built with its settings, e.g.
+        ``RiskSession(yet, n_workers=2).pricing_service(engine="pooled")``.
     volatility_loading / tail_loading:
         Multipliers on the annual-loss std-dev and on TVaR₉₉ (cost of
         capital) added to the expected loss to make the premium.
@@ -173,17 +174,16 @@ class PricingService:
         with: the service borrows the session's dispatcher (one worker
         pool, one shared-memory arena across aggregate runs and quote
         batches) and leaves it open on :meth:`close`.  Without one, the
-        service owns a private session — the execution substrate always
-        belongs to a session, this service's or the caller's.  ``engine``
-        may then also be ``"auto"`` to let the session's planner pick
-        the dispatch substrate.
+        service builds and closes a private session — the execution
+        substrate always belongs to a session, this service's or the
+        caller's (:attr:`session`).
     """
 
     def __init__(
         self,
         yet: YetTable,
         *,
-        engine: str | Dispatcher = "inline",
+        engine: str = "inline",
         volatility_loading: float = 0.25,
         tail_loading: float = 0.02,
         batch: BatchPolicy | None = None,
@@ -201,44 +201,26 @@ class PricingService:
         self.yet = yet
         self.volatility_loading = volatility_loading
         self.tail_loading = tail_loading
-        self._owned_session = None
-        if isinstance(engine, Dispatcher):
-            if session is not None:
-                # Ambiguous ownership: the caller-built dispatcher would
-                # be adopted and closed while the session's substrate
-                # sits unused — refuse rather than silently not share.
-                raise ConfigurationError(
-                    "pass either a ready Dispatcher or session=, not both"
-                )
-            # A caller-built dispatcher keeps the historical contract:
-            # the service adopts and closes it.
-            self.dispatcher = engine
-            self._owns_dispatch = True
-            #: The service's telemetry plane — the dispatcher's.
-            self.telemetry = self.dispatcher.telemetry
-        else:
-            if session is None:
-                from repro.session import RiskSession
+        #: Private (built, closed and re-pointed here) or borrowed.
+        self._private = session is None
+        if session is None:
+            from repro.session import RiskSession
 
-                session = self._owned_session = RiskSession(yet)
-            elif session.yet is not yet:
-                # A shared dispatcher keys its staged bundle by YET
-                # fingerprint; two trial sets behind one pool would
-                # thrash the arena and void the ship-once invariant.
-                raise ConfigurationError(
-                    "session is bound to a different YET than this service"
-                )
-            self.dispatcher = session.dispatcher(engine)
-            self._owns_dispatch = False
-            # One plane for the whole stack: scraping either the session
-            # or the service sees session, planner, pool, and serve
-            # metrics together.
-            self.telemetry = session.telemetry
+            session = RiskSession(yet)
+        else:
+            session.check_yet(yet, "service")
+        #: The session whose substrate the batches run on.
+        self.session = session
+        self.dispatcher = session.dispatcher(engine)
+        # One plane for the whole stack: scraping either the session or
+        # the service sees session, planner, pool, and serve metrics
+        # together.
+        self.telemetry = session.telemetry
         self.cache = (cache if isinstance(cache, ResultCache)
                       else ResultCache(cache))
         # Admission sheds by the measured rate of the dispatcher the
-        # batches run on — the one its aggregates and other services
-        # feed too, whether borrowed from a session or adopted.
+        # batches run on — the one the session's aggregates and other
+        # services feed too.
         self.admission = AdmissionController(
             slo_seconds=slo_seconds, max_pending=max_pending,
             throughput=self.dispatcher.throughput,
@@ -299,18 +281,15 @@ class PricingService:
     def close(self) -> None:
         """Flush outstanding work and release resources (idempotent).
 
-        A dispatcher borrowed from a shared session stays open — the
-        session owns it; a private session (or an adopted dispatcher
-        instance) is torn down here.
+        A borrowed session stays open — its owner closes it; a private
+        one is torn down here.
         """
         if self._closed:
             return
         self.batcher.stop()
         self.batcher.drain()
-        if self._owns_dispatch:
-            self.dispatcher.close()
-        if self._owned_session is not None:
-            self._owned_session.close()
+        if self._private:
+            self.session.close()
         self._closed = True
 
     def __enter__(self) -> "PricingService":
@@ -408,27 +387,24 @@ class PricingService:
 
         Outstanding requests are drained against the old trial set first
         (their tickets were admitted under it).  Returns the number of
-        cache entries invalidated.  A service that borrows a session
-        refuses, by the constructor's rule: the session's aggregates and
-        plans would stay on the old trial set and its pool would
-        re-stage the bundle on every alternation.
+        cache entries invalidated, and the private session follows.  A
+        service that borrows a session refuses, by the rule of
+        :meth:`RiskSession.check_yet <repro.session.RiskSession.check_yet>`:
+        the session's aggregates and plans would stay on the old trial
+        set and its pool would re-stage the bundle on every alternation.
         """
         if not isinstance(yet, YetTable):
             raise ConfigurationError(
                 f"expected YetTable, got {type(yet).__name__}"
             )
-        if self._owned_session is None and not self._owns_dispatch:
+        if not self._private:
             raise ConfigurationError(
                 "this service borrows its session's trial set; build a "
                 "session over the new YET"
             )
         self.drain()
         old_fp = self._yet_fp
-        self.yet = yet
-        if self._owned_session is not None:
-            # The private session follows, so nothing of this service
-            # keeps the old trial set (and its book profiles) alive.
-            self._owned_session.yet = yet
+        self.yet = self.session.yet = yet
         self._yet_fp = yet.fingerprint()
         return self.cache.invalidate_yet(old_fp)
 

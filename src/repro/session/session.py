@@ -30,10 +30,12 @@ A session restores the invariant across all of them:
   down services, engines, pools, and arenas idempotently; use after
   close raises instead of silently resurrecting resources.
 
-:class:`~repro.core.simulation.AggregateAnalysis` and
-:class:`~repro.serve.service.PricingService` run on a session —
-standalone construction gives them a private one, and passing
-``session=`` lets several entry points share one staged substrate.
+:class:`~repro.core.simulation.AggregateAnalysis`,
+:class:`~repro.serve.service.PricingService` and
+:func:`~repro.analytics.sensitivity.term_sensitivities` run on a session
+— standalone use gives them a private one, and passing ``session=``
+lets several entry points share one staged substrate
+(:meth:`RiskSession.check_yet` refuses a foreign trial set).
 This seam is where the ROADMAP's next axes plug in: multi-node sharding
 is per-shard sessions over sub-YETs; multi-tenant scheduling is
 per-tenant sessions over one staged trial set.
@@ -157,6 +159,16 @@ class RiskSession:
     def closed(self) -> bool:
         return self._closed
 
+    def check_yet(self, yet: YetTable, user: str) -> None:
+        """Refuse an entry point (``user``) over a trial set that is not
+        this session's: its dispatchers key their staged bundle by YET
+        fingerprint, so a second trial set behind one pool would thrash
+        the arena and void the ship-once invariant."""
+        if yet is not self.yet:
+            raise ConfigurationError(
+                f"session is bound to a different YET than this {user}"
+            )
+
     def warmup(self, engine: str = "pooled") -> None:
         """Pay substrate startup now (worker spawn, YET staging) so the
         first workload's latency is pure compute.  No-op for inline."""
@@ -215,11 +227,10 @@ class RiskSession:
         ``"pooled"``/``"multicore"`` name the substrates directly (an
         engine name stands for the dispatcher on its row of the
         planner's table).  The returned dispatcher is owned (and closed)
-        by the session.
+        by the session; a custom substrate is a session built with the
+        settings it needs (``n_workers``, ``transport``).
         """
         self._check_open()
-        if isinstance(spec, Dispatcher):
-            return spec
         if spec in (None, "auto"):
             name = self.plan("serving").dispatcher
         else:
@@ -242,8 +253,7 @@ class RiskSession:
             return self._pooled
         raise ConfigurationError(
             f"unknown dispatcher {spec!r}; expected 'auto', "
-            "'inline'/'vectorized', 'pooled'/'multicore', or a Dispatcher "
-            "instance"
+            "'inline'/'vectorized' or 'pooled'/'multicore'"
         )
 
     def engine(self, name: str | Engine = "auto") -> Engine:

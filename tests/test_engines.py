@@ -224,6 +224,21 @@ class TestMulticore:
         ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
         assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
 
+    def test_one_worker_pool_runs_in_process(self, small_portfolio_workload):
+        """A one-worker pool runs its one span on the calling thread, and
+        says so: no worker is spawned and nothing is shipped."""
+        wl = small_portfolio_workload
+        ref = VectorizedEngine().run(wl.portfolio, wl.yet)
+        with MulticoreEngine(n_workers=1) as engine:
+            res = engine.run(wl.portfolio, wl.yet)
+            assert not engine.pool.started
+            assert engine.pool.payload_ships == 0
+        assert res.details["transport"] == "inline"
+        assert res.details["n_workers"] == res.details["n_blocks"] == 1
+        for lid, ylt in ref.ylt_by_layer.items():
+            np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
+                                          ylt.losses)
+
     def test_more_workers_than_trials(self):
         elt = EltTable.from_arrays([1], [10.0])
         from repro.core.tables import YET_SCHEMA

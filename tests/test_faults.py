@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc.faults import FaultPlan, FaultSpec, PoisonedPayloadError
 from repro.hpc.pool import TaskPolicy, WorkPool
-from repro.serve.dispatch import PooledDispatcher
 from repro.serve.service import PricingService
 
 pytestmark = pytest.mark.chaos
@@ -307,7 +306,7 @@ class TestEngineChaos:
 
 class TestServingChaos:
     def test_worker_death_mid_batch_quotes_unchanged(
-            self, small_portfolio_workload):
+            self, small_portfolio_workload, risk_session):
         """A killed worker inside a pooled quote batch is invisible in
         the quotes: supervision resubmits the lost trial blocks and the
         batch prices bit-identical to a fault-free pooled service (and
@@ -317,10 +316,10 @@ class TestServingChaos:
         layers = list(wl.portfolio)
 
         inline_svc = PricingService(wl.yet)
-        clean_svc = PricingService(
-            wl.yet, engine=PooledDispatcher(n_workers=2))
-        chaos_svc = PricingService(
-            wl.yet, engine=PooledDispatcher(n_workers=2))
+        clean_svc = risk_session(wl.yet, n_workers=2).pricing_service(
+            engine="pooled")
+        chaos_svc = risk_session(wl.yet, n_workers=2).pricing_service(
+            engine="pooled")
         try:
             inline_q = inline_svc.quote_many(layers)
             clean_q = clean_svc.quote_many(layers)
@@ -341,49 +340,43 @@ class TestServingChaos:
                 assert chaos.premium == inline.premium
         finally:
             inline_svc.close()
-            clean_svc.close()
-            chaos_svc.close()
 
     def test_degraded_service_quotes_bit_identical(
-            self, small_portfolio_workload):
+            self, small_portfolio_workload, risk_session):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
-        pooled_svc = PricingService(
-            wl.yet, engine=PooledDispatcher(n_workers=2))
-        degraded_dispatcher = PooledDispatcher(n_workers=2)
+        pooled_svc = risk_session(wl.yet, n_workers=2).pricing_service(
+            engine="pooled")
+        degraded_session = risk_session(wl.yet, n_workers=2)
+        degraded_dispatcher = degraded_session.dispatcher("pooled")
         degraded_dispatcher.pool.health.degraded = True
-        degraded_svc = PricingService(wl.yet, engine=degraded_dispatcher)
-        try:
-            assert degraded_dispatcher.n_procs == 1
-            assert degraded_dispatcher.transport_active == "inline"
-            pooled_q = pooled_svc.quote_many(layers)
-            degraded_q = degraded_svc.quote_many(layers)
-            assert degraded_dispatcher.health.snapshot()[
-                "pool.degraded_calls"] >= 1
-            for a, b in zip(pooled_q, degraded_q):
-                assert a.expected_loss == b.expected_loss
-                assert a.premium == b.premium
-        finally:
-            pooled_svc.close()
-            degraded_svc.close()
+        degraded_svc = degraded_session.pricing_service(engine="pooled")
+        assert degraded_svc.dispatcher is degraded_dispatcher
+        assert degraded_dispatcher.n_procs == 1
+        assert degraded_dispatcher.transport_active == "inline"
+        pooled_q = pooled_svc.quote_many(layers)
+        degraded_q = degraded_svc.quote_many(layers)
+        assert degraded_dispatcher.health.snapshot()[
+            "pool.degraded_calls"] >= 1
+        for a, b in zip(pooled_q, degraded_q):
+            assert a.expected_loss == b.expected_loss
+            assert a.premium == b.premium
 
-    def test_terminal_serving_failure_is_typed(self, small_portfolio_workload):
+    def test_terminal_serving_failure_is_typed(self, small_portfolio_workload,
+                                               risk_session):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)[:2]
-        svc = PricingService(
-            wl.yet, engine=PooledDispatcher(n_workers=2))
-        try:
-            svc.dispatcher.pool.policy = TaskPolicy(max_retries=0,
-                                                    backoff_seconds=0.0)
-            plan = FaultPlan([FaultSpec("kill", i) for i in range(8)])
-            with faults.inject(plan):
-                with pytest.raises(ExecutionError) as exc_info:
-                    svc.quote_many(layers)
-            assert exc_info.value.failures
-            assert svc.pool_health.snapshot()["pool.call_failures"] == 1
-            # the service survives: the next batch prices normally
-            faults.clear()
-            quotes = svc.quote_many(layers)
-            assert len(quotes) == 2
-        finally:
-            svc.close()
+        svc = risk_session(wl.yet, n_workers=2).pricing_service(
+            engine="pooled")
+        svc.dispatcher.pool.policy = TaskPolicy(max_retries=0,
+                                                backoff_seconds=0.0)
+        plan = FaultPlan([FaultSpec("kill", i) for i in range(8)])
+        with faults.inject(plan):
+            with pytest.raises(ExecutionError) as exc_info:
+                svc.quote_many(layers)
+        assert exc_info.value.failures
+        assert svc.pool_health.snapshot()["pool.call_failures"] == 1
+        # the service survives: the next batch prices normally
+        faults.clear()
+        quotes = svc.quote_many(layers)
+        assert len(quotes) == 2

@@ -186,6 +186,31 @@ def test_one_measured_rate_per_substrate():
     assert built == ["serve/dispatch.py"]
 
 
+def test_a_substrate_has_one_owner_the_session():
+    """The refusal of a foreign trial set is raised from one function,
+    the session's own, and neither the session nor the service takes a
+    caller-built ``Dispatcher``: every entry point rides a session."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    raisers = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(node, ast.Raise)
+                   and "different YET" in ast.unparse(node)
+                   for node in ast.walk(func)):
+                raisers.append(f"{path.relative_to(src).as_posix()}:"
+                               f"{func.name}")
+        if path.relative_to(src).as_posix() in ("serve/service.py",
+                                                "session/session.py"):
+            assert not [node for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and "Dispatcher" in ast.unparse(node.args[1])], path
+    assert raisers == ["session/session.py:check_yet"]
+
+
 def test_session_surface_locked():
     """The session layer's public names ride the root namespace."""
     import repro

@@ -30,7 +30,6 @@ from repro.serve import (
     BatchPolicy,
     CachePolicy,
     InlineDispatcher,
-    PooledDispatcher,
     PricingService,
     ResultCache,
     layer_digest,
@@ -181,21 +180,25 @@ class TestBatcherParity:
 # ---------------------------------------------------------------------------
 
 class TestDispatchers:
-    def test_pooled_matches_inline(self, small_portfolio_workload):
+    def test_pooled_matches_inline(self, small_portfolio_workload,
+                                   risk_session):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
-        with PricingService(wl.yet, engine=PooledDispatcher(n_workers=2)) as pooled:
+        session = risk_session(wl.yet, n_workers=2)
+        with session.pricing_service(engine="pooled") as pooled:
             pooled.warmup()
             qp = pooled.quote_many(layers)
+        session.close()
         with PricingService(wl.yet) as inline:
             qi = inline.quote_many(layers)
         for a, b in zip(qp, qi):
             assert a.premium == b.premium      # lane rows: bit-identical
 
-    def test_dispatcher_instance_passes_through(self, tiny_workload):
-        d = InlineDispatcher()
-        with PricingService(tiny_workload.yet, engine=d) as svc:
-            assert svc.dispatcher is d
+    def test_a_dispatcher_instance_is_not_an_engine(self, tiny_workload):
+        """A substrate belongs to a session: a service takes a dispatcher
+        name, never a caller-built instance to adopt."""
+        with pytest.raises(ConfigurationError, match="unknown dispatcher"):
+            PricingService(tiny_workload.yet, engine=InlineDispatcher())
 
     def test_ensure_started_actually_spawns_workers(self):
         from repro.hpc.pool import WorkPool

@@ -295,10 +295,14 @@ class TestSessionParity:
         from repro.analytics.sensitivity import term_sensitivities
 
         layer = tiny_workload.portfolio.layers[0]
-        legacy = term_sensitivities(layer, tiny_workload.yet)
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         staged = session.sensitivities(layer, engine="vectorized")
-        assert staged == pytest.approx(legacy)
+        # Standalone, any engine the session resolves runs on a private
+        # session: the registry default, and the planner's choice.
+        for engine in ("vectorized", "auto"):
+            legacy = term_sensitivities(layer, tiny_workload.yet,
+                                        engine=engine)
+            assert staged == pytest.approx(legacy)
 
     def test_ep_curves_from_one_run(self, small_portfolio_workload,
                                     risk_session):
@@ -341,15 +345,18 @@ class TestStagedPayload:
         assert len(quotes) == 8 and all(q.premium >= 0 for q in quotes)
         svc.ep_curve(wl.portfolio.layers[0])
         assert session.payload_ships == 1
-        # and a repeat aggregate still re-ships nothing
+        # and a repeat aggregate, the session's own quotes and EP
+        # curves still re-ship nothing
         session.aggregate(engine="multicore")
+        session.quote_many(_candidates(wl.portfolio, 4))
+        session.ep_curves(engine="multicore")
         assert session.payload_ships == 1
         # one scrape of the session's plane sees the whole stack: the
         # ship counter, the serve counters, and the session counters
         metrics = session.telemetry.snapshot()["metrics"]
         assert metrics["pool.payload_ships"] == 1
         assert metrics["serve.requests"] >= 8
-        assert metrics["session.aggregates"] == 2
+        assert metrics["session.aggregates"] == 3     # ep_curves runs one
 
     @needs_shm
     def test_a_session_owns_one_pool(self, small_portfolio_workload,
@@ -732,7 +739,7 @@ class TestBoundaryErrors:
                                                  small_portfolio_workload,
                                                  risk_session):
         session = risk_session(small_portfolio_workload.yet)
-        with pytest.raises(EngineError, match="different YET"):
+        with pytest.raises(ConfigurationError, match="different YET"):
             AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet,
                               session=session)
 
@@ -815,32 +822,28 @@ class TestVeneers:
     def test_sensitivities_reject_mismatched_session_yet(
             self, tiny_workload, small_portfolio_workload, risk_session):
         from repro.analytics.sensitivity import term_sensitivities
-        from repro.errors import AnalysisError
 
         session = risk_session(small_portfolio_workload.yet)
-        with pytest.raises(AnalysisError, match="different YET"):
+        with pytest.raises(ConfigurationError, match="different YET"):
             term_sensitivities(tiny_workload.portfolio.layers[0],
                                tiny_workload.yet, session=session)
 
-    def test_service_rejects_dispatcher_plus_session(self, tiny_workload,
-                                                     risk_session):
-        from repro.serve.dispatch import InlineDispatcher
-        from repro.serve.service import PricingService
-
-        session = risk_session(tiny_workload.yet)
-        with pytest.raises(ConfigurationError, match="not both"):
-            PricingService(tiny_workload.yet, engine=InlineDispatcher(),
-                           session=session)
-
     def test_standalone_service_owns_and_closes_a_session(self,
-                                                          tiny_workload):
+                                                          tiny_workload,
+                                                          risk_session):
         from repro.serve.service import PricingService
 
         svc = PricingService(tiny_workload.yet)
-        assert svc._owned_session is not None
+        assert svc.session.yet is tiny_workload.yet
+        assert svc.dispatcher is svc.session.dispatcher("inline")
         svc.quote(tiny_workload.portfolio.layers[0])
         svc.close()
-        assert svc._owned_session.closed
+        assert svc.session.closed
+        # a borrowed session outlives the service
+        session = risk_session(tiny_workload.yet)
+        with PricingService(tiny_workload.yet, session=session) as svc:
+            assert svc.session is session
+        assert not session.closed
 
     def test_service_engine_auto_resolves_via_planner(self, tiny_workload,
                                                       risk_session):

@@ -213,14 +213,18 @@ class TestTransportParity:
             assert d.pool.payload_ships == ships
             np.testing.assert_array_equal(first, second)
 
-    def test_pooled_dispatcher_through_service(self, small_portfolio_workload):
+    def test_pooled_dispatcher_through_service(self, small_portfolio_workload,
+                                               risk_session):
         """End-to-end: a pooled service on the shm plane quotes the same
         premiums as the inline service."""
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
-        with PricingService(wl.yet, engine=PooledDispatcher(n_workers=2)) as svc:
+        session = risk_session(wl.yet, n_workers=2)
+        with session.pricing_service(engine="pooled") as svc:
             svc.warmup()
+            assert svc.dispatcher.transport_active == "shm"
             pooled = svc.quote_many(layers)
+        session.close()
         with PricingService(wl.yet) as svc:
             inline = svc.quote_many(layers)
         for a, b in zip(pooled, inline):
