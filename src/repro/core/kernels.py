@@ -29,12 +29,12 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   most :data:`BY_EVENT_MAX_FILL` (1/16) of its own table width, and
   every CSR row.  The row keeps just those entries, ``(events,
   clip(loss - r, 0, c))``, taken from the stored lookup; the stream's
-  :class:`~repro.core.tables.EventIndex` (the occurrences as one sorted
-  key per occurrence, event-major) turns each event into its occurrence
-  range inside the trial block with two ``searchsorted`` calls, and one
-  ``bincount`` over the touched occurrences is the row — work
-  proportional to the occurrences that pierce the retention, not to the
-  stream.
+  :class:`~repro.core.tables.EventIndex` (the trial column event-major,
+  with a per-event offset table) reads each event's occurrences off two
+  offsets — no search — and masks them to the trial block when the
+  block is not the whole table, and one ``bincount`` over the touched
+  occurrences is the row — work proportional to the occurrences that
+  pierce the retention, not to the stream.
 - **on the stream** — every other row.  A per-row **net table** is
   built once per kernel (:meth:`PortfolioKernel._net_gathers`) and a
   sweep is one gather from it into a single reused row buffer plus one
@@ -162,11 +162,14 @@ MIN_TAIL_GROUP = 16
 #: its retention are at most this share of its own table width (the
 #: stored book up to its last non-zero loss); a CSR row always is.  The
 #: share of *occurrences* that pierce follows the share of entries, and
-#: the by-event path (≈ 30 ns per piercing occurrence) crosses the
-#: stream's flat ≈ 2.3 ns per occurrence near 7 % at the benchmark's
-#: base shape (measured: 0.23 ms at 1.4 %, 1.06 ms at 6.3 %, 1.46 ms at
-#: 10 %, against 1.15 ms).  A constant of the rule of record, not an
-#: option: see the bit-identity rule in the module docstring.
+#: the by-event path (≈ 7 ns per piercing occurrence) crosses the
+#: stream's flat ≈ 1.25 ns per occurrence near 18 % at the benchmark's
+#: base shape (measured on a 2-vCPU x86-64 container, one row: 0.05 ms
+#: at 1.4 %, 0.22 ms at 6.2 %, 0.34 ms at 10 %, 0.51 ms at 15 %, 0.65 ms
+#: at 19 %, against 0.62 ms on the stream).  The share stays well below
+#: that crossover because moving it re-routes rows, and a re-routed row's
+#: answer moves in the last ulp.  A constant of the rule of record, not
+#: an option: see the bit-identity rule in the module docstring.
 BY_EVENT_MAX_FILL = 1 / 16
 
 #: :attr:`PortfolioKernel.routed` keys, in the :mod:`repro.obs` naming

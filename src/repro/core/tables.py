@@ -321,29 +321,38 @@ class BookProfiles:
 class EventIndex:
     """The occurrence stream of one trial-sorted table, event-major.
 
-    One ascending ``int64`` key per occurrence, ``event * n_trials +
-    trial``: the stream ordered by (event, trial), equal keys being
-    interchangeable (same event, same trial, hence the same loss under
-    any row).  The occurrences of event ``e`` in trials ``[t0, t1)`` are
-    then the keys in ``[e * n_trials + t0, e * n_trials + t1)`` — two
-    binary searches, whatever the trial range — which is what lets a
-    kernel row visit only the occurrences of the events that pierce its
-    retention (:meth:`occurrences`).  Where ``event * n_trials`` could
-    overflow (CSR-scale ids) the key is built on the event's *rank*
-    among the stream's distinct ids instead; the order is the same.
+    Two arrays: :attr:`keys`, the stream's trial column ordered by
+    (event, trial) — equal entries are interchangeable (same event,
+    same trial, hence the same loss under any row) — and an offset
+    table, ``ends``, one offset per event: event ``r``'s occurrences are
+    ``keys[ends[r - 1]:ends[r]]`` (from 0 for ``r == 0``), their trials
+    ascending.  The occurrences of an event are therefore read, not
+    searched for: two offsets give its whole run, and a trial block
+    narrower than the table masks the run to its trials
+    (:meth:`occurrences`).  That is what lets a kernel row visit only
+    the occurrences of the events that pierce its retention.
 
-    Built lazily, under a lock, on the first lookup — 8 bytes per
-    occurrence, the product taken straight into the key array, the
-    trial column added and the keys sorted in place, so nothing else
-    occurrence-sized is allocated (rank keys, the rare case, pay one
-    ``np.unique``).  A :class:`YetTable` owns one over its own columns
-    (``yet.event_index``: it dies with the table, and pickles as an
-    unbuilt index over the pickled columns, so it is never shipped and
-    an attached copy builds its own once per worker).
+    **Sizing rule.**  ``ends`` is indexed by event id when the id space
+    is no wider than the stream (``max_id + 1 <= n_occurrences``), and
+    otherwise by the event's *rank* among the stream's distinct ids,
+    which the index then holds sorted (one ``searchsorted`` per looked-up
+    event).  A table indexed by id over CSR-scale ids would cost 8 bytes
+    per *id*; ranked, it costs 8 per distinct id, plus 8 for the id.
+
+    Built lazily, under a lock, on the first lookup: one array takes the
+    key ``event << b | trial`` (``b`` bits hold any trial; the event's
+    rank from one ``np.unique`` when ranked), is sorted in place and
+    masked in place down to its trial, so the only occurrence-sized
+    array is the one kept — 8 bytes per occurrence.  The offsets are
+    one ``bincount`` (or ``np.unique``'s counts) and a ``cumsum``.  A
+    :class:`YetTable` owns one over its own columns (``yet.event_index``:
+    it dies with the table, and pickles as an unbuilt index over the
+    pickled columns, so it is never shipped and an attached copy builds
+    its own once per worker).
     """
 
     __slots__ = ("_lock", "_trials", "_event_ids", "n_trials", "_keys",
-                 "_events", "_top", "builds")
+                 "_ends", "_events", "builds")
 
     def __init__(self, trials: np.ndarray, event_ids: np.ndarray,
                  n_trials: int) -> None:
@@ -352,8 +361,8 @@ class EventIndex:
         self._event_ids = event_ids
         self.n_trials = int(n_trials)
         self._keys: np.ndarray | None = None
+        self._ends: np.ndarray | None = None
         self._events: np.ndarray | None = None
-        self._top = 0
         #: Times the stream was sorted into keys — stays at 1 however
         #: many sweeps (or workers' tasks) look events up.
         self.builds = 0
@@ -363,26 +372,31 @@ class EventIndex:
 
     @property
     def keys(self) -> np.ndarray:
-        """The sorted keys (built on first use)."""
+        """The event-major trial column (built on first use)."""
         with self._lock:
             if self._keys is None:
                 self._build()
             return self._keys
 
     def _build(self) -> None:
-        event_ids, n_trials = self._event_ids, self.n_trials
-        # ``top`` is the first event rank with no occurrence: what an
-        # id the stream does not hold is mapped to (an empty key range).
-        top = int(event_ids.max(initial=-1)) + 1
-        if (top + 1) * n_trials <= np.iinfo(np.int64).max:
-            keys = event_ids * n_trials
+        event_ids = self._event_ids
+        # The trial takes the key's low bits, so reducing a sorted key
+        # to its trial is a mask, not an integer division.
+        shift = (self.n_trials - 1).bit_length()
+        if int(event_ids.max(initial=-1)) < event_ids.size:
+            # ``minlength=1``: an empty stream still has one (empty) run
+            # for an unheld id to be clamped onto.
+            counts = np.bincount(event_ids, minlength=1)
+            keys = event_ids << shift
         else:
-            self._events, keys = np.unique(event_ids, return_inverse=True)
-            top = self._events.size
-            keys *= n_trials
-        keys += self._trials
+            self._events, keys, counts = np.unique(
+                event_ids, return_inverse=True, return_counts=True)
+            keys <<= shift
+        keys |= self._trials
         keys.sort()
-        self._top, self._keys = top, keys
+        keys &= (1 << shift) - 1
+        self._ends = np.cumsum(counts, out=counts)
+        self._keys = keys
         self.builds += 1
 
     def occurrences(self, events: np.ndarray, t0: int,
@@ -392,27 +406,33 @@ class EventIndex:
         (position in ``events``, trial) order — the index into
         ``events`` and the trial renumbered from ``t0``."""
         keys = self.keys
+        ends, last = self._ends, self._ends.size - 1
         if self._events is None:
-            rank = np.minimum(events, self._top)
+            rank = np.minimum(events, last)
+            held = events <= last
         else:
-            rank = np.searchsorted(self._events, events)
-            held = self._events[np.minimum(rank, self._top - 1)] == events
-            rank[~held] = self._top
-        base = rank * self.n_trials + t0
-        lo = np.searchsorted(keys, base)
-        counts = np.searchsorted(keys, base + (t1 - t0)) - lo
+            rank = np.minimum(np.searchsorted(self._events, events), last)
+            held = self._events[rank] == events
+        lo = ends[rank - 1]
+        lo[rank == 0] = 0
+        counts = ends[rank] - lo
+        counts[~held] = 0
         which = np.repeat(np.arange(events.size), counts)
         lo -= np.cumsum(counts) - counts
-        return which, keys[np.arange(which.size) + lo[which]] - base[which]
+        trial = keys[np.arange(which.size) + lo[which]]
+        if t1 - t0 == self.n_trials:
+            return which, trial
+        trial -= t0
+        inside = (trial >= 0) & (trial < t1 - t0)
+        return which[inside], trial[inside]
 
     def snapshot(self) -> dict:
         """Flat ``yet.event_index.*`` levels (the :mod:`repro.obs`
-        schema)."""
-        keys, events = self._keys, self._events
+        schema): every array the index holds."""
         return {"yet.event_index.builds": self.builds,
-                "yet.event_index.bytes":
-                    (0 if keys is None else keys.nbytes)
-                    + (0 if events is None else events.nbytes)}
+                "yet.event_index.bytes": sum(
+                    a.nbytes for a in (self._keys, self._ends, self._events)
+                    if a is not None)}
 
 
 class TrialSegments:

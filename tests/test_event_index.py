@@ -9,12 +9,14 @@ Five contracts:
   nothing pierces and CSR ids past 2⁴⁰ (and past where ``event *
   n_trials`` fits an ``int64``) — and every sweep's
   ``kernel.lane_rows.*`` counts must move by the rows the rule assigns;
+  offsets by id and by rank read what a scan finds, and ids near 10⁹
+  over a short stream cost bytes per distinct id, not per id;
 - **routing is a function of the row alone**: its own book and terms,
   never the rows sharing its kernel; a row just above the threshold
   stays on the stream;
 - **invariance**: by-event rows are ``np.array_equal`` across whole /
-  every trial cut / blocked / pooled (shm and pickle) / degraded /
-  raw-column sweeps, sorted or not;
+  every trial cut / 1, 2, 3 and 7 trial blocks / blocked / pooled (shm
+  and pickle) / degraded / raw-column sweeps, sorted or not;
 - **one index per table per process**, built only when a row routes to
   it, fresh after unpickling, released with its ``YetTable``;
 - **counted**: lane routing and the index's levels reach the telemetry
@@ -112,8 +114,10 @@ class TestEventIndex:
         np.testing.assert_array_equal(which, [0, 1])
         np.testing.assert_array_equal(trial, [0, 0])
         index.occurrences(np.array([], dtype=np.int64), 0, 4)
+        # ids up to 9 over 6 occurrences: offsets by rank — 6 trials,
+        # 3 offsets, 3 distinct ids
         assert index.snapshot() == {"yet.event_index.builds": 1,
-                                    "yet.event_index.bytes": 6 * 8}
+                                    "yet.event_index.bytes": (6 + 3 + 3) * 8}
 
     def test_rank_keys_order_the_stream_like_direct_keys(self):
         """Ids too large for ``event * n_trials`` key on their rank;
@@ -131,13 +135,40 @@ class TestEventIndex:
         # ids the ranked stream does not hold, on both sides of it
         which, _ = ranked.occurrences(np.array([3, huge + 6, 2**63 - 1]), 0, 4)
         assert which.size == 0
-        assert ranked.snapshot()["yet.event_index.bytes"] == (6 + 3) * 8
+        assert ranked.snapshot()["yet.event_index.bytes"] == (6 + 3 + 3) * 8
 
     def test_empty_stream(self):
         none = np.array([], dtype=np.int64)
         which, trial = EventIndex(none, none, 3).occurrences(
             np.array([0, 4]), 0, 3)
         assert which.size == 0 and trial.size == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_offsets_by_id_and_by_rank_read_what_a_scan_finds(self, seed):
+        """Offsets indexed by id (the ids fit the stream) and by rank
+        (the same stream past 2⁴⁰) answer every lookup — absent ids,
+        ids past the stream, repeats, any trial range — as a scan of
+        the stream does, in (position in ``events``, trial) order."""
+        rng = np.random.default_rng(seed)
+        n_trials = 12
+        trials = np.sort(rng.integers(0, n_trials, 40))
+        events = rng.integers(0, 30, trials.size)
+        by_id = EventIndex(trials, events, n_trials)
+        by_rank = EventIndex(trials, events + 2**40, n_trials)
+        for _ in range(20):
+            wanted = rng.integers(0, 34, rng.integers(0, 8))
+            t0 = int(rng.integers(0, n_trials))
+            t1 = int(rng.integers(t0 + 1, n_trials + 1))
+            scan = [(i, t - t0) for i, e in enumerate(wanted.tolist())
+                    for t in trials[(events == e) & (trials >= t0)
+                                    & (trials < t1)].tolist()]
+            want = np.array(scan, dtype=np.int64).reshape(-1, 2).T
+            for index, shift in ((by_id, 0), (by_rank, 2**40)):
+                got = index.occurrences(wanted + shift, t0, t1)
+                np.testing.assert_array_equal(np.stack(got), want)
+        n, top, d = trials.size, events.max() + 1, np.unique(events).size
+        assert by_id.snapshot()["yet.event_index.bytes"] == 8 * (n + top)
+        assert by_rank.snapshot()["yet.event_index.bytes"] == 8 * (n + 2 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +293,36 @@ def test_hand_computed_by_event_sweep():
     assert kernel._net == [None], "a by-event row builds no net table"
 
 
+def test_ids_near_1e9_cost_bytes_per_distinct_id_not_per_id():
+    """Ids around 10⁹ over a few thousand occurrences: ``event *
+    n_trials`` fits an ``int64``, but offsets indexed by id would take
+    8 GB.  Losses and terms are whole numbers, so every sum is exact and
+    the by-event answer is ``==`` to the scalar oracle."""
+    rng = np.random.default_rng(93)
+    n_trials = 300
+    ids = 10**9 + np.sort(rng.choice(10**6, 400, replace=False))
+    book = EltTable.from_arrays(ids, 1e3 * rng.integers(1, 1000, ids.size))
+    portfolio = Portfolio([
+        Layer(li, [book], LayerTerms(occ_retention=r, occ_limit=1e5,
+                                     agg_retention=2e5))
+        for li, r in enumerate((0.0, 4e5, 9e5))])
+    counts = rng.poisson(10, n_trials)
+    unknown = 10**9 + 2 * 10**6 + np.arange(40)
+    events = rng.choice(np.append(ids, unknown), counts.sum())
+    yet = make_yet(np.repeat(np.arange(n_trials), counts), events, n_trials)
+    kernel = portfolio.kernel()
+    assert kernel.n_dense == 0                   # CSR: every row by events
+    annual = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
+                   3, 0)
+    final = kernel.apply_aggregate(annual)
+    assert final.any(axis=1).all()
+    oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
+    for row, lid in enumerate(kernel.layer_ids):
+        np.testing.assert_array_equal(final[row], oracle[lid].losses)
+    n, d = yet.n_occurrences, np.unique(yet.event_ids).size
+    assert yet.cache_levels()["yet.event_index.bytes"] <= 8 * n + 16 * d
+
+
 # ---------------------------------------------------------------------------
 # routing is a function of the row alone
 # ---------------------------------------------------------------------------
@@ -340,7 +401,41 @@ def by_event_workload(seed=71, n_trials=240):
     return Portfolio(layers), yet
 
 
+def ranked_bytes(yet):
+    """The exact size of a built index whose offsets are by rank (a
+    :func:`by_event_workload` stream holds an id past 2⁴⁰): the
+    event-major trial column, one offset and one id per distinct id."""
+    return 8 * (yet.n_occurrences + 2 * np.unique(yet.event_ids).size)
+
+
 class TestDecompositionInvariance:
+    # trial cuts into 1/2/3/7 blocks: single-trial blocks, blocks that
+    # start past trial 0 and one that ends the table
+    CUTS = ((0, 240), (0, 120, 240), (0, 1, 200, 240),
+            (0, 1, 2, 37, 100, 101, 239, 240))
+
+    @pytest.mark.parametrize("offsets", ["by_id", "by_rank"])
+    def test_trial_blocks_match_the_whole_sweep(self, offsets):
+        """By-event rows swept block by block are the whole-YET sweep,
+        bit for bit, with every block's rows counted on the by-event
+        path — whether the index's offsets are by id or by rank."""
+        portfolio, yet = by_event_workload(seed=79)
+        if offsets == "by_id":
+            ids = np.where(yet.event_ids > 2**40, 165, yet.event_ids)
+            yet = make_yet(yet.trials, ids, yet.n_trials)
+        kernel = portfolio.kernel()
+        whole = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
+                      4, 1)
+        for cuts in self.CUTS:
+            parts = [swept(kernel, lambda: kernel.sweep_segments(
+                *yet.trial_block(a, b)), 4, 1) for a, b in zip(cuts, cuts[1:])]
+            np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
+        levels = yet.cache_levels()
+        assert levels["yet.event_index.builds"] == 1
+        assert levels["yet.event_index.bytes"] == (
+            8 * (yet.n_occurrences + int(yet.event_ids.max()) + 1)
+            if offsets == "by_id" else ranked_bytes(yet))
+
     def test_dispatchers_agree_bitwise(self):
         """Whole-YET, dispatcher-blocked, 2-worker pooled (shm and
         pickle) and degraded serial: one answer, bit for bit."""
@@ -412,8 +507,7 @@ class TestIndexLifetime:
             PortfolioKernel.from_portfolio(portfolio).sweep_segments(
                 *yet.trial_block())
         assert yet.cache_levels()["yet.event_index.builds"] == 1
-        assert yet.cache_levels()["yet.event_index.bytes"] == (
-            8 * yet.n_occurrences)
+        assert yet.cache_levels()["yet.event_index.bytes"] == ranked_bytes(yet)
 
     def test_pooled_workers_build_once_each(self):
         portfolio, yet = by_event_workload(seed=74)
@@ -510,7 +604,7 @@ class TestCountsReachTheTelemetryPlane:
         assert metrics[BY_EVENT] == 3 * 4
         assert metrics[BY_STREAM] == 3 * 1
         assert metrics["yet.event_index.builds"] == 1
-        assert metrics["yet.event_index.bytes"] == 8 * yet.n_occurrences
+        assert metrics["yet.event_index.bytes"] == ranked_bytes(yet)
         assert metrics["yet.profile.builds"] == 0
 
     def test_service_exports_the_same_names(self):
