@@ -9,8 +9,8 @@ vs raw chunk storage for the YET.
 import numpy as np
 import pytest
 
-from repro.core import sampled_aggregate_analysis
-from repro.core.engines.outofcore import OutOfCoreEngine
+from repro.core import (OutOfCoreEngine, StoredYet,
+                        sampled_aggregate_analysis)
 from repro.core.reinstatements import apply_reinstatement_limit
 from repro.core.simulation import AggregateAnalysis
 from repro.data.compression import (
@@ -59,12 +59,12 @@ def test_reinstatement_pass(benchmark, study_20k):
 def test_out_of_core_stream(benchmark, study_20k, tmp_path_factory):
     store = ChunkStore(tmp_path_factory.mktemp("ooc"))
     store.write_table("yet", study_20k.yet.table, rows_per_chunk=500_000)
-    engine = OutOfCoreEngine()
-    res = benchmark.pedantic(
-        lambda: engine.run_from_store(study_20k.portfolio, store, "yet",
-                                      study_20k.yet.n_trials),
-        rounds=2, iterations=1,
-    )
+    stored = StoredYet(store, "yet", study_20k.yet.n_trials)
+    with OutOfCoreEngine() as engine:
+        res = benchmark.pedantic(
+            lambda: engine.run(study_20k.portfolio, stored),
+            rounds=2, iterations=1,
+        )
     ref = AggregateAnalysis(study_20k.portfolio, study_20k.yet).run("vectorized")
     np.testing.assert_array_equal(res.portfolio_ylt.losses,
                                   ref.portfolio_ylt.losses)

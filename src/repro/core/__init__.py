@@ -21,6 +21,7 @@ from repro.core.tables import (
     YELT_SCHEMA,
     YLT_SCHEMA,
     EltTable,
+    StoredYet,
     YetHandles,
     YetTable,
     YeltTable,
@@ -39,7 +40,7 @@ from repro.core.engines import (
     engine_spec,
     get_engine,
 )
-from repro.core.engines.outofcore import OutOfCoreEngine
+from repro.core.engines.host import OutOfCoreEngine
 from repro.core.uncertainty import (
     SecondaryUncertainty,
     sample_occurrence_losses,
@@ -57,6 +58,7 @@ __all__ = [
     "YELT_SCHEMA",
     "YLT_SCHEMA",
     "EltTable",
+    "StoredYet",
     "YetHandles",
     "YetTable",
     "YeltTable",

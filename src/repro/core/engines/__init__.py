@@ -54,10 +54,10 @@ The vectorized and multicore engines are one driver
 → ``dispatcher.run(kernel, yet)`` → per-layer YLTs, one ``details``
 schema read off the dispatcher — a private one (one whole-YET span
 inline, one span per pool worker), or under ``RiskSession.engine`` the
-session's own, the one its quote batches ride.  Every sweep of a
-``YetTable`` block is the dispatchers' one block task; the out-of-core
-engine sweeps the whole trials a stored chunk completes, which have no
-``YetTable``.  The device engine
+session's own, the one its quote batches ride.  The unregistered
+``OutOfCoreEngine`` is the same code, inline, over a YET on disk
+(:class:`~repro.core.tables.StoredYet`), so every sweep, in memory or
+off disk, is the dispatchers' one block task.  The device engine
 mirrors the same fusion on the simulated GPU — per resident batch it
 ships ONE stacked ``dense_stack`` upload (row offsets resolved
 in-kernel) plus one CSR pair, packs the constant bank greedily by

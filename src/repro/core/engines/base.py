@@ -68,6 +68,9 @@ class Engine(abc.ABC):
     #: Registry name; subclasses override.
     name: str = "abstract"
 
+    #: What ``run`` reads the trials from.
+    source: type = YetTable
+
     @abc.abstractmethod
     def run(self, portfolio: Portfolio, yet: YetTable, *,
             emit_yelt: bool = False) -> EngineResult:
@@ -76,5 +79,5 @@ class Engine(abc.ABC):
     def _validate(self, portfolio: Portfolio, yet: YetTable) -> None:
         if not isinstance(portfolio, Portfolio):
             raise EngineError(f"expected Portfolio, got {type(portfolio).__name__}")
-        if not isinstance(yet, YetTable):
-            raise EngineError(f"expected YetTable, got {type(yet).__name__}")
+        if not isinstance(yet, self.source):
+            raise EngineError(f"expected {self.source.__name__}, got {type(yet).__name__}")

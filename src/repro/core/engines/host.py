@@ -1,14 +1,14 @@
-"""The two host engines — one driver of a dispatcher.
+"""The host engines — one implementation over a dispatcher.
 
-``vectorized`` and ``multicore`` are the engines that really execute on
-the host, and they are one implementation: ``portfolio.kernel()`` →
-``dispatcher.run(kernel, yet)`` → per-layer YLTs → one ``details``
-schema read off the dispatcher.  Spans, block task, transport,
-supervision, the degraded serial fallback and the telemetry export of
-what the kernel counted are the dispatcher's
+``vectorized``, ``multicore`` and ``outofcore`` are the engines that
+really execute on the host, and they are one implementation:
+``portfolio.kernel()`` → ``dispatcher.run(kernel, yet)`` → per-layer
+YLTs → one ``details`` schema read off the dispatcher.  Spans, block
+task, transport, supervision, the degraded serial fallback and the
+telemetry export of what the kernel counted are the dispatcher's
 (:mod:`repro.serve.dispatch`, the one door from a kernel to an answer);
-the two classes say which dispatcher a standalone instance builds and
-whether a run may emit YELTs, nothing else.
+the classes say which dispatcher a standalone instance builds, what it
+reads (``source``) and whether a run may emit YELTs, nothing else.
 
 - ``vectorized`` is the "GPU with everything in global memory" model of
   DESIGN.md: one fused sweep of the whole trial set on the calling
@@ -18,6 +18,7 @@ whether a run may emit YELTs, nothing else.
   pool worker — the YET decomposes perfectly by trial (no occurrence
   crosses a trial boundary, so aggregate terms are block-local) — and
   concatenates the per-block ``(L, trials)`` slices.
+- ``outofcore`` (unregistered) is ``vectorized`` over a YET on disk.
 
 A standalone engine lazily builds a private dispatcher that ``close()``
 (or ``with``) frees, pool and shared segments both; an engine made by
@@ -34,13 +35,13 @@ import time
 from repro.core.engines.base import Engine, EngineResult
 from repro.core.kernels import PortfolioKernel
 from repro.core.portfolio import Portfolio
-from repro.core.tables import YELT_SCHEMA, YeltTable, YetTable, YltTable
+from repro.core.tables import YELT_SCHEMA, StoredYet, YeltTable, YetTable, YltTable
 from repro.data.columnar import ColumnTable
 from repro.errors import EngineError
 from repro.hpc import shm
 
 __all__ = ["HostEngine", "VectorizedEngine", "MulticoreEngine",
-           "emit_yelt_row"]
+           "OutOfCoreEngine", "emit_yelt_row"]
 
 
 def emit_yelt_row(kernel: PortfolioKernel, row: int,
@@ -141,7 +142,7 @@ class HostEngine(Engine):
                 "transport": dispatcher.transport_active,
                 "degraded": health is not None and health.degraded,
                 "fused_layers": kernel.n_layers,
-                "occurrences_processed": yet.event_ids.size * portfolio.n_layers,
+                "occurrences_processed": yet.n_occurrences * portfolio.n_layers,
                 "tail_group_rows": kernel.tail_group_rows,
                 # Where this run's rows went in this process (the kernel
                 # is the portfolio's, shared across runs; pool workers
@@ -190,3 +191,13 @@ class MulticoreEngine(HostEngine):
     def pool(self):
         """The dispatcher's :class:`~repro.hpc.pool.WorkPool`."""
         return self.dispatcher.pool
+
+
+class OutOfCoreEngine(HostEngine):
+    """Streamed aggregate analysis over a :class:`StoredYet`."""
+
+    name = "outofcore"
+    source = StoredYet
+
+    def _build_dispatcher(self, dispatch):
+        return dispatch.InlineDispatcher()

@@ -4,7 +4,9 @@ Stage 2 at paper scale cannot hold the YELT in memory; the scan path then
 runs over disk-resident chunks.  :class:`ChunkStore` persists a table as
 one packed file per chunk inside a directory, and replays it as a chunk
 iterator compatible with :class:`repro.data.stream.TableScan`'s
-contract (one bounded chunk in memory at a time).
+contract (one bounded chunk in memory at a time).  Chunks are cut by
+row count, so a stored YET's may end inside a trial:
+:class:`repro.core.tables.StoredYet` reads one as whole-trial blocks.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Process-wide telemetry plane: metrics, spans, structured events.
 
-The observability substrate ROADMAP item 3 calls for: every subsystem
+The observability substrate ROADMAP aim 4 calls for: every subsystem
 that used to keep ad-hoc private counters (session ships, serve stats,
 pool health) now instruments through one :class:`Telemetry` plane, and
 operators/benches scrape it through public pull-based endpoints —

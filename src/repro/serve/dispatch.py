@@ -4,11 +4,11 @@ A dispatcher takes one stacked :class:`~repro.core.kernels.PortfolioKernel`
 (the micro-batch) and the shared YET and produces the final
 ``(L, n_trials)`` YLT matrix — sweep plus aggregate terms.  This is the
 one door from a kernel to an answer: a quote batch hands its dispatcher
-the stacked batch kernel, and the two host engines (``vectorized`` /
-``multicore``, one driver — :mod:`repro.core.engines.host`) hand theirs
-the portfolio's.  A run is :func:`_sweep_trials` over the dispatcher's
-:meth:`~Dispatcher.spans`, and the two substrates differ in where the
-spans execute:
+the stacked batch kernel, and the host engines (``vectorized`` /
+``multicore`` / ``outofcore``, one implementation —
+:mod:`repro.core.engines.host`) hand theirs the portfolio's.  A run is
+:func:`_sweep_trials` over the dispatcher's :meth:`~Dispatcher.spans`,
+and the two substrates differ in where the spans execute:
 
 - :class:`InlineDispatcher` — one span, the whole trial set, on the
   calling thread.  Lowest latency; what a single-node service runs.
@@ -59,10 +59,10 @@ planner prices the substrate's row at and the serve admission
 controller sheds by — and sets the ``dispatch.<name>.lanes_per_second``
 gauge.  It exports, once per run, where the calling process's kernel
 priced its rows (:data:`~repro.core.kernels.ROUTING_COUNTERS`) and what
-the YET keeps for them (:meth:`~repro.core.tables.YetTable.cache_levels`)
-— inline, degraded or on a one-worker pool.  Pool workers count on
-their own copies; those counts do not come back yet (ROADMAP item 4),
-and this is where they will arrive.
+the YET keeps or read for them (``yet.cache_levels()``) — inline,
+degraded or on a one-worker pool.  Pool workers count on their own
+copies; those counts do not come back yet (ROADMAP item 6), and this is
+where they will arrive.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import time
 import numpy as np
 
 from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
-from repro.core.tables import YetTable
+from repro.core.tables import StoredYet, YetTable
 from repro.hpc import shm
 from repro.hpc.cost_model import ThroughputEstimate
 from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
@@ -115,12 +115,12 @@ class Dispatcher:
         for in-process substrates, which have no workers to lose)."""
         return None
 
-    def spans(self, yet: YetTable) -> list[tuple[int, int]]:
+    def spans(self, yet: YetTable | StoredYet) -> list[tuple[int, int]]:
         """The trial-block decomposition a run over ``yet`` executes:
         ``(t0, t1)`` trial spans — in process, the whole trial set."""
         return [(0, yet.n_trials)]
 
-    def run(self, kernel: PortfolioKernel, yet: YetTable,
+    def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
             policy: TaskPolicy | None = None) -> np.ndarray:
         """The final ``(L, n_trials)`` matrix (aggregate terms applied).
 
@@ -145,7 +145,7 @@ class Dispatcher:
                 self.telemetry.gauge(name).set(level)
         return final
 
-    def _run(self, kernel: PortfolioKernel, yet: YetTable,
+    def _run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
              policy: TaskPolicy | None) -> np.ndarray:
         """The substrate's execution of :meth:`run`; here, every span
         on the calling thread.  Each row's answer is a function of the
@@ -175,17 +175,28 @@ class InlineDispatcher(Dispatcher):
     name = "inline"
 
 
-def _sweep_trials(yet: YetTable, kernel: PortfolioKernel,
+def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
                   t0: int, t1: int) -> np.ndarray:
-    """Fused sweep over trials ``[t0, t1)`` of the shared YET, renumbered
-    block-local, aggregate terms applied — the one sweep of a
-    ``YetTable`` block under ``src/``, run on the calling thread or as a
-    pool worker's task (picklable top-level function).  The block is
-    offset arithmetic over the trial index the ``YetTable`` derives once
-    (once per worker for an attached copy), not a re-scan of the trial
-    column per batch."""
-    return kernel.apply_aggregate(
-        kernel.sweep_segments(*yet.trial_block(t0, t1)))
+    """Fused sweep over trials ``[t0, t1)``, aggregate terms applied —
+    the one sweep outside the kernel under ``src/``, on the calling
+    thread or as a pool worker's task (picklable top-level function).  A
+    ``YetTable`` yields one block (offset arithmetic over the trial index
+    it derives once per copy), returned as is; a ``StoredYet``'s blocks
+    each fill their own trial columns."""
+    annual, col = None, 0
+    for segments, event_ids in yet.trial_blocks(t0, t1):
+        swept = kernel.sweep_segments(segments, event_ids)
+        # Drop the block before a stored source reads its next chunk:
+        # held, it sends that read to fresh pages (≈ 2x the run).
+        del segments, event_ids
+        if swept.shape[1] == t1 - t0:
+            annual = swept
+        else:
+            if annual is None:
+                annual = np.empty((kernel.n_layers, t1 - t0))
+            annual[:, col:col + swept.shape[1]] = swept
+        col += swept.shape[1]
+    return kernel.apply_aggregate(annual)
 
 
 def _sweep_trials_handles(yet: YetTable, kernel_handles,

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.engines.outofcore import OutOfCoreEngine
+from repro.core.engines import MulticoreEngine
+from repro.core.engines.host import OutOfCoreEngine
 from repro.core.kernels import MIN_TAIL_GROUP
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.tables import YET_SCHEMA, EltTable, YetTable
+from repro.core.tables import YET_SCHEMA, EltTable, StoredYet, YetTable
 from repro.core.terms import LayerTerms
 from repro.data.columnar import ColumnTable
 from repro.data.compression import (
@@ -157,22 +158,34 @@ def yet_of(counts, seed=0):
 
 def stored_chunks(root, *chunks):
     """A stored table ``"yet"`` holding exactly the given ``(trials,
-    event_ids)`` chunks."""
+    event_ids)`` chunks, each column stored in the dtype it is given."""
     store = ChunkStore(root)
     (store.root / "yet").mkdir()
     for ordinal, (trials, events) in enumerate(chunks):
+        trials, events = np.asarray(trials), np.asarray(events)
+        schema = Schema([("trial", trials.dtype), ("seq", np.int32),
+                         ("event_id", events.dtype)])
         table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=trials, seq=np.zeros(len(trials), dtype=np.int32),
+            schema, trial=trials, seq=np.zeros(trials.size, dtype=np.int32),
             event_id=events)
         (store.root / "yet" / f"chunk-{ordinal:06d}.rpt").write_bytes(
             pack_table(table))
     return store
 
 
+def run_stored(portfolio, store, n_trials, name="yet"):
+    """One out-of-core run: ``(result, the pass's yet.store.* levels)``."""
+    yet = StoredYet(store, name, n_trials)
+    with OutOfCoreEngine() as engine:
+        res = engine.run(portfolio, yet)
+    return res, yet.cache_levels()
+
+
 def assert_matches_vectorized(res, portfolio, yet):
     """Per layer, bit for bit, against the in-memory whole-YET run."""
     with RiskSession(yet, portfolio) as session:
         ref = session.aggregate(engine="vectorized")
+    assert set(res.details) == set(ref.details)
     assert set(res.details["routed"]) == set(ref.details["routed"])
     assert set(res.ylt_by_layer) == set(ref.ylt_by_layer)
     for lid, ylt in ref.ylt_by_layer.items():
@@ -183,19 +196,31 @@ def assert_matches_vectorized(res, portfolio, yet):
     return ref
 
 
+def skewed_yet():
+    """40 trials: 0, 20 and 39 empty (first, middle, last), trial 5 has
+    300 rows."""
+    counts = np.random.default_rng(1).poisson(12, 40)
+    counts[[0, 20, 39]] = 0
+    counts[5] = 300
+    return yet_of(counts)
+
+
 class TestOutOfCoreEngine:
     def test_matches_vectorized(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)
         store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=97)
-        engine = OutOfCoreEngine()
-        res = engine.run_from_store(
-            tiny_workload.portfolio, store, "yet", tiny_workload.yet.n_trials
-        )
+        res, levels = run_stored(tiny_workload.portfolio, store,
+                                 tiny_workload.yet.n_trials)
         assert_matches_vectorized(res, tiny_workload.portfolio,
                                   tiny_workload.yet)
-        assert res.details["chunks_read"] > 1
-        assert 1 < res.details["n_blocks"] <= res.details["chunks_read"] + 1
-        assert res.details["rows_read"] == tiny_workload.yet.n_occurrences
+        assert levels["yet.store.chunks_read"] > 1
+        assert 1 < levels["yet.store.blocks"] <= (
+            levels["yet.store.chunks_read"] + 1)
+        assert levels["yet.store.rows_read"] == tiny_workload.yet.n_occurrences
+        assert res.engine == "outofcore"
+        assert res.details["occurrences_processed"] == (
+            tiny_workload.yet.n_occurrences
+            * tiny_workload.portfolio.n_layers)
 
     def test_chunk_size_invariance(self, tiny_workload, tmp_path):
         results = []
@@ -203,10 +228,8 @@ class TestOutOfCoreEngine:
             store = ChunkStore(tmp_path / str(i))
             store.write_table("yet", tiny_workload.yet.table,
                               rows_per_chunk=rows)
-            res = OutOfCoreEngine().run_from_store(
-                tiny_workload.portfolio, store, "yet",
-                tiny_workload.yet.n_trials,
-            )
+            res, _ = run_stored(tiny_workload.portfolio, store,
+                                tiny_workload.yet.n_trials)
             results.append(res.ylt_by_layer)
         for other in results[1:]:
             for lid, ylt in results[0].items():
@@ -216,16 +239,11 @@ class TestOutOfCoreEngine:
     def test_every_kernel_path_matches_vectorized(self, tmp_path,
                                                   rows_per_chunk):
         """Whatever the chunk size, the in-memory answer — with every
-        kernel path proved to have run in every block.  Trials 0, 20 and
-        39 are empty (first, middle, last) and trial 5 spans 300 rows."""
-        portfolio = mixed_portfolio()
-        counts = np.random.default_rng(1).poisson(12, 40)
-        counts[[0, 20, 39]] = 0
-        counts[5] = 300
-        yet = yet_of(counts)
+        kernel path proved to have run in every block."""
+        portfolio, yet = mixed_portfolio(), skewed_yet()
         store = ChunkStore(tmp_path)
         store.write_table("yet", yet.table, rows_per_chunk=rows_per_chunk)
-        res = OutOfCoreEngine().run_from_store(portfolio, store, "yet", 40)
+        res, levels = run_stored(portfolio, store, 40)
         ref = assert_matches_vectorized(res, portfolio, yet)
         for lid, ylt in ref.ylt_by_layer.items():
             assert ylt.losses.any(), f"layer {lid} prices nothing"
@@ -237,7 +255,7 @@ class TestOutOfCoreEngine:
         ends = np.append(yet.trials[rows_per_chunk - 1::rows_per_chunk],
                          yet.trials[-1])
         n_blocks = np.count_nonzero(np.diff(ends, prepend=yet.trials[0])) + 1
-        assert res.details["n_blocks"] == n_blocks
+        assert levels["yet.store.blocks"] == n_blocks
         assert res.details["routed"] == {
             name: rows * n_blocks
             for name, rows in ref.details["routed"].items()}
@@ -251,62 +269,109 @@ class TestOutOfCoreEngine:
         with tempfile.TemporaryDirectory() as root:
             store = ChunkStore(root)
             store.write_table("yet", yet.table, rows_per_chunk=rows_per_chunk)
-            res = OutOfCoreEngine().run_from_store(portfolio, store, "yet",
-                                                   len(counts))
+            res, levels = run_stored(portfolio, store, len(counts))
         assert_matches_vectorized(res, portfolio, yet)
-        assert res.details["rows_read"] == sum(counts)
+        assert levels["yet.store.rows_read"] == sum(counts)
+
+    @pytest.mark.parametrize("span", [(0, 40), (5, 21), (20, 21), (38, 40)])
+    def test_blocks_tile_the_span(self, tmp_path, span):
+        """Blocks follow on from one another: laid end to end they are
+        the in-memory block of the span, its empty trials included."""
+        yet = skewed_yet()
+        store = ChunkStore(tmp_path)
+        store.write_table("yet", yet.table, rows_per_chunk=31)
+        t0, t1 = span
+        start, trials, events = 0, [], []
+        for segments, event_ids in StoredYet(store, "yet", 40).trial_blocks(
+                t0, t1):
+            assert segments.n_trials >= 1
+            trials.append(segments.trial_column() + start)
+            events.append(event_ids)
+            start += segments.n_trials
+        assert start == t1 - t0
+        whole, whole_ids = yet.trial_block(t0, t1)
+        np.testing.assert_array_equal(np.concatenate(trials),
+                                      whole.trial_column())
+        np.testing.assert_array_equal(np.concatenate(events), whole_ids)
 
     def test_one_trial_is_one_block(self, tmp_path):
         portfolio, yet = mixed_portfolio(), yet_of([0, 0, 0, 50, 0])
         store = ChunkStore(tmp_path)
         assert store.write_table("yet", yet.table, rows_per_chunk=7) == 8
-        res = OutOfCoreEngine().run_from_store(portfolio, store, "yet", 5)
+        res, levels = run_stored(portfolio, store, 5)
         assert_matches_vectorized(res, portfolio, yet)
-        assert res.details["n_blocks"] == 1
+        assert levels["yet.store.blocks"] == 1
         assert res.portfolio_ylt.losses[3] > 0.0
 
     def test_zero_row_chunk_is_skipped(self, tmp_path):
         portfolio, yet = mixed_portfolio(), yet_of([4, 6, 5])
         t, e = yet.trials, yet.event_ids
-        store = stored_chunks(tmp_path, (t[:7], e[:7]), ([], []),
+        store = stored_chunks(tmp_path, (t[:7], e[:7]), (t[:0], e[:0]),
                               (t[7:], e[7:]))
-        res = OutOfCoreEngine().run_from_store(portfolio, store, "yet", 3)
+        res, levels = run_stored(portfolio, store, 3)
         assert_matches_vectorized(res, portfolio, yet)
-        assert res.details["chunks_read"] == 3
-        assert res.details["rows_read"] == 15
+        assert levels["yet.store.chunks_read"] == 3
+        assert levels["yet.store.rows_read"] == 15
 
     def test_empty_table_prices_to_zero(self, tmp_path):
+        """Nothing to route: the span is one zero-length block."""
         store = ChunkStore(tmp_path)
         store.write_table("yet", ColumnTable(YET_SCHEMA), rows_per_chunk=10)
-        res = OutOfCoreEngine().run_from_store(mixed_portfolio(), store,
-                                               "yet", 6)
-        assert res.details["n_blocks"] == 0
+        res, levels = run_stored(mixed_portfolio(), store, 6)
+        assert levels == {"yet.store.chunks_read": 1,
+                          "yet.store.rows_read": 0, "yet.store.blocks": 1}
         assert not any(res.details["routed"].values())
         assert len(res.ylt_by_layer) == 3 + MIN_TAIL_GROUP
         for ylt in res.ylt_by_layer.values():
             np.testing.assert_array_equal(ylt.losses, np.zeros(6))
+
+    def test_a_run_shows_up_on_the_plane(self, tmp_path):
+        """Routing, the inline rate and what the pass read reach the
+        engine's dispatcher's telemetry plane."""
+        portfolio, yet = mixed_portfolio(), skewed_yet()
+        store = ChunkStore(tmp_path)
+        n_chunks = store.write_table("yet", yet.table, rows_per_chunk=97)
+        with OutOfCoreEngine() as engine:
+            engine.run(portfolio, StoredYet(store, "yet", 40))
+            metrics = engine.dispatcher.telemetry.snapshot()["metrics"]
+        for name in (BY_EVENT, BY_STREAM, BY_PROFILE,
+                     "dispatch.inline.lanes_per_second"):
+            assert metrics[name] > 0, name
+        assert metrics["yet.store.chunks_read"] == n_chunks
+        assert metrics["yet.store.rows_read"] == yet.n_occurrences
+
+    def test_each_engine_takes_its_own_source(self, tiny_workload, tmp_path):
+        store = ChunkStore(tmp_path)
+        store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
+        stored = StoredYet(store, "yet", tiny_workload.yet.n_trials)
+        with MulticoreEngine(n_workers=2) as engine:
+            with pytest.raises(EngineError, match="expected YetTable"):
+                engine.run(tiny_workload.portfolio, stored)
+        with pytest.raises(EngineError, match="expected StoredYet"):
+            OutOfCoreEngine().run(tiny_workload.portfolio, tiny_workload.yet)
 
     @pytest.mark.parametrize("chunks, complaint", [
         ([([0, 2, 1], [1, 2, 3])], "chunk 0: rows step back in trial order"),
         ([([0, 1], [1, 2]), ([0, 2], [3, 4])],
          "chunk 1: rows step back in trial order"),
         ([([0, 1], [1, 2]), ([1, 2], [3, -4])], "chunk 1: negative event id"),
+        ([([0.0, 1.7], [1.5, 2.9])],
+         "chunk 0: trial column is float64, not integer"),
+        ([([0, 1], [1, 2]), ([1, 2], [3.0, 4.5])],
+         "chunk 1: event_id column is float64, not integer"),
     ], ids=["steps_back_in_chunk", "steps_back_across_carry",
-            "negative_event_id"])
+            "negative_event_id", "float_trials", "float_event_ids"])
     def test_bad_stored_rows_rejected(self, tmp_path, chunks, complaint):
         store = stored_chunks(tmp_path, *chunks)
         with pytest.raises(EngineError,
                            match=f"stored table 'yet', {complaint}"):
-            OutOfCoreEngine().run_from_store(mixed_portfolio(), store,
-                                             "yet", 3)
+            run_stored(mixed_portfolio(), store, 3)
 
     def test_bad_n_trials_rejected(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)
         store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
         with pytest.raises(EngineError):
-            OutOfCoreEngine().run_from_store(
-                tiny_workload.portfolio, store, "yet", 0
-            )
+            run_stored(tiny_workload.portfolio, store, 0)
 
     def test_wrong_table_rejected(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)
@@ -315,14 +380,10 @@ class TestOutOfCoreEngine:
         )
         store.write_table("notyet", wrong, rows_per_chunk=5)
         with pytest.raises(EngineError):
-            OutOfCoreEngine().run_from_store(
-                tiny_workload.portfolio, store, "notyet", 10
-            )
+            run_stored(tiny_workload.portfolio, store, 10, name="notyet")
 
     def test_out_of_range_trials_rejected(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)
         store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
         with pytest.raises(EngineError):
-            OutOfCoreEngine().run_from_store(
-                tiny_workload.portfolio, store, "yet", 2  # too few trials
-            )
+            run_stored(tiny_workload.portfolio, store, 2)  # too few trials

@@ -154,11 +154,10 @@ def test_a_script_naming_a_deleted_module_is_caught(tmp_path):
 
 
 def test_one_door_from_a_kernel_to_an_answer():
-    """``sweep_segments`` is called from the kernel module itself, from
-    the dispatchers' one block task and from the out-of-core engine
-    (its stored-chunk blocks have no ``YetTable``) — nowhere else under
-    ``src/repro``: a driver that holds a YET goes through a
-    ``Dispatcher``."""
+    """``sweep_segments`` is called from the kernel module itself and
+    from the dispatchers' one block task — nowhere else under
+    ``src/repro``: an engine goes through a ``Dispatcher``, whether its
+    YET is in memory or stored."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
     calls = {}
     for path in sorted(src.rglob("*.py")):
@@ -169,7 +168,7 @@ def test_one_door_from_a_kernel_to_an_answer():
         if n:
             calls[path.relative_to(src).as_posix()] = n
     assert calls.pop("core/kernels.py") >= 1
-    assert calls == {"serve/dispatch.py": 1, "core/engines/outofcore.py": 1}
+    assert calls == {"serve/dispatch.py": 1}
 
 
 def test_one_measured_rate_per_substrate():
@@ -303,7 +302,8 @@ def test_engine_spec_and_planner_knobs_locked():
     # points take neither constructor keywords nor the threshold.
     from repro import (AggregateAnalysis, PricingService, RiskSession,
                        get_engine)
-    from repro.core.engines import MulticoreEngine
+    from repro.core import OutOfCoreEngine, StoredYet
+    from repro.core.engines import MulticoreEngine, VectorizedEngine
 
     def keywords(func):
         return [name for name in inspect.signature(func).parameters
@@ -311,6 +311,18 @@ def test_engine_spec_and_planner_knobs_locked():
 
     assert keywords(MulticoreEngine.__init__) == ["n_workers", "transport"]
     assert keywords(MulticoreEngine.riding) == ["dispatcher"]
+    # Out-of-core is the host engine over a stored source: no parameter,
+    # and no door beside the host engines' ``run``.
+    assert keywords(StoredYet.__init__) == ["store", "table_name", "n_trials"]
+    assert not inspect.signature(OutOfCoreEngine).parameters
+
+    def surface(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    assert surface(OutOfCoreEngine) == surface(VectorizedEngine) == {
+        "close", "dispatcher", "emits_yelt", "name", "riding", "run",
+        "source"}
+    assert OutOfCoreEngine.source is StoredYet
     assert keywords(RiskSession.__init__) == [
         "yet", "portfolio", "n_workers", "transport", "volatility_loading",
         "tail_loading", "telemetry"]
