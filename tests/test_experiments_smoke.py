@@ -2,19 +2,11 @@
 
 The E1-E11 runners are the source of EXPERIMENTS.md; these tests keep
 them importable, runnable, and shape-stable without bench-scale cost.
-The tier-2 bench modules that feed ``run_tier2.py`` get the same
-treatment where they carry machinery of their own (E15's transport
-comparison), so the bench cannot rot between perf runs.
 """
-
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.bench import experiments
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 class TestRunners:
@@ -79,162 +71,3 @@ class TestRunners:
         )
         assert len(report.rows) == 3
 
-
-class TestBenchE15Smoke:
-    """Tiny-shape run of the shm data-plane bench (tier-1 guard)."""
-
-    def test_e15_measures_and_round_trips(self):
-        sys.path.insert(0, str(BENCH_DIR))
-        try:
-            import bench_e15_shm_data_plane as e15
-        finally:
-            sys.path.remove(str(BENCH_DIR))
-        from repro.hpc import shm
-
-        if not shm.shm_available():
-            record = e15.measure(ship_sizes=("small",),
-                                 batch_sizes=("small",), n_batches=1)
-            assert record["shm_available"] is False
-            return
-        tiny = dict(n_layers=2, n_trials=60, mean_events_per_trial=10.0,
-                    elts_per_layer=1, elt_rows=50, catalog_events=200)
-        row = e15.measure_batch_row("tiny", tiny, n_batches=1)
-        # shape-stability: the keys run_tier2 prints and gates on
-        for key in ("kernel_mb", "pickle_batch_seconds", "shm_batch_seconds",
-                    "batch_speedup", "reships_on_repeat", "slab_generations"):
-            assert key in row
-        assert row["reships_on_repeat"] == 0
-        ship = e15.measure_ship_row(
-            "tiny", dict(n_trials=50, mean_events_per_trial=10.0), repeats=1
-        )
-        assert ship["handle_bytes"] < 1024
-        assert ship["shm_reship_seconds"] < ship["pickle_ship_seconds"] * 10
-
-
-class TestBenchE16Smoke:
-    """Tiny-shape run of the session-reuse bench (tier-1 guard)."""
-
-    def test_e16_measures_and_round_trips(self):
-        sys.path.insert(0, str(BENCH_DIR))
-        try:
-            import bench_e16_session_reuse as e16
-        finally:
-            sys.path.remove(str(BENCH_DIR))
-
-        tiny = dict(n_layers=2, n_trials=60, mean_events_per_trial=10.0,
-                    elts_per_layer=1, elt_rows=50, catalog_events=200)
-        row = e16.measure_row("tiny", tiny, repeats=1, n_quotes=2)
-        # shape-stability: the keys run_tier2 prints and gates on
-        for key in ("baseline_seconds", "session_seconds", "speedup",
-                    "session_payload_ships", "baseline_constructions"):
-            assert key in row
-        # the session invariant holds even at toy scale
-        assert row["session_payload_ships"] <= 1
-        assert row["baseline_seconds"] > 0 and row["session_seconds"] > 0
-
-
-class TestBenchE17Smoke:
-    """Tiny-shape run of the fault-recovery bench (tier-1 guard)."""
-
-    def test_e17_measures_and_round_trips(self):
-        sys.path.insert(0, str(BENCH_DIR))
-        try:
-            import bench_e17_fault_recovery as e17
-        finally:
-            sys.path.remove(str(BENCH_DIR))
-
-        tiny = dict(n_layers=2, n_trials=60, mean_events_per_trial=10.0,
-                    elts_per_layer=1, elt_rows=50, catalog_events=200)
-        row = e17.measure_row("tiny", tiny, repeats=1)
-        # shape-stability: the keys run_tier2 prints and gates on
-        for key in ("clean_seconds", "faulted_seconds",
-                    "recovery_overhead_seconds", "degraded_seconds",
-                    "degraded_slowdown", "bit_identical_after_recovery",
-                    "bit_identical_degraded", "worker_deaths", "retries",
-                    "executor_cycles", "fault_reports",
-                    "health_after_fault"):
-            assert key in row
-        # the recovery contract holds even at toy scale
-        assert row["bit_identical_after_recovery"] is True
-        assert row["bit_identical_degraded"] is True
-        assert row["worker_deaths"] >= 1
-        assert row["fault_reports"][0]["pending"] == 0
-
-
-class TestBenchE18Smoke:
-    """Tiny-shape run of the sublinear tail-group bench (tier-1 guard)."""
-
-    def test_e18_measures_and_round_trips(self):
-        sys.path.insert(0, str(BENCH_DIR))
-        try:
-            import bench_e18_sublinear_tail as e18
-        finally:
-            sys.path.remove(str(BENCH_DIR))
-
-        tiny = dict(n_trials=80, mean_events_per_trial=12.0, n_elts=1,
-                    elt_rows=60, catalog_events=300)
-        record = e18.measure(lane_counts=(16,), device_lane_counts=(16,),
-                             repeats=1, **tiny)
-        # shape-stability: the keys run_tier2 prints and gates on
-        (row,) = record["rows"]
-        for key in ("n_layers", "lane_seconds", "group_seconds", "speedup",
-                    "group_lanes_per_s", "max_abs_err", "tail_group_rows"):
-            assert key in row
-        # parity held (measure() asserts it before timing) and the whole
-        # same-book stack qualified for the group path
-        assert row["max_abs_err"] <= e18.PARITY_ATOL
-        assert row["tail_group_rows"] == 16
-        (dev,) = record["device_rows"]
-        for key in ("n_batches", "stack_uploads", "yet_uploads",
-                    "n_chunks_total", "per_layer_uploads_would_be"):
-            assert key in dev
-        # the placement invariant holds even at toy scale
-        assert dev["stack_uploads"] == dev["n_batches"]
-        assert dev["yet_uploads"] == dev["n_chunks_total"]
-
-
-class TestBenchE19Smoke:
-    """Tiny-shape run of the open-loop saturation bench (tier-1 guard)."""
-
-    def test_e19_measures_and_round_trips(self):
-        sys.path.insert(0, str(BENCH_DIR))
-        try:
-            import bench_e19_open_loop as e19
-        finally:
-            sys.path.remove(str(BENCH_DIR))
-
-        tiny = dict(n_trials=80, mean_events_per_trial=12.0, n_elts=1,
-                    elt_rows=60, catalog_events=300)
-        record = e19.measure(multiples=(0.25, 2.0), duration_seconds=0.2,
-                             **tiny)
-        assert record["capacity_rps"] > 0
-        # shape-stability: the keys run_tier2 prints and gates on
-        for row in record["rows"]:
-            for key in ("name", "mix", "engine", "offered_rate",
-                        "achieved_offer_rate", "offered", "served", "shed",
-                        "shed_rate", "served_rate", "p50_ms", "p95_ms",
-                        "p99_ms", "queue_depth_max", "cache_hits",
-                        "rate_multiple"):
-                assert key in row, f"{row.get('name')} missing {key}"
-        # every row's numbers came from the telemetry plane, so the
-        # accounting identity holds at any scale
-        for row in record["rows"]:
-            assert row["served"] + row["shed"] == row["offered"]
-            assert row["latency_count"] == row["served"]
-        # sub-knee never sheds, even at toy scale
-        below = next(r for r in record["rows"] if r["name"] == "quotes@0.25x")
-        assert below["shed"] == 0
-
-    def test_loadgen_rejects_bad_specs(self):
-        sys.path.insert(0, str(BENCH_DIR))
-        try:
-            import loadgen
-        finally:
-            sys.path.remove(str(BENCH_DIR))
-
-        with pytest.raises(ValueError):
-            loadgen.RunSpec(name="bad", mix="nope")
-        with pytest.raises(ValueError):
-            loadgen.RunSpec(name="bad", rate=0.0)
-        with pytest.raises(ValueError):
-            loadgen.build_request_pool("nope", [])

@@ -253,6 +253,9 @@ class TestEngineChaos:
         wl = small_portfolio_workload
         with MulticoreEngine(n_workers=2) as engine:
             baseline = engine.run(wl.portfolio, wl.yet)
+            before = engine.pool.health.snapshot()
+            ships = engine.pool.payload_ships
+            segments = shm.active_segment_names()
             with faults.inject(FaultPlan.kill_task(1)) as plan:
                 recovered = engine.run(wl.portfolio, wl.yet)
             assert plan.exhausted
@@ -262,8 +265,19 @@ class TestEngineChaos:
                 np.testing.assert_array_equal(
                     baseline.ylt_by_layer[lid].losses,
                     recovered.ylt_by_layer[lid].losses)
-            assert engine.pool.health.snapshot()["pool.worker_deaths"] >= 1
             assert recovered.details["degraded"] is False
+            # recovery in counts, not ms: one death, one fresh executor,
+            # one handle re-ship to it, and the YET arena is not re-staged
+            after = engine.pool.health.snapshot()
+            delta = {k: after[k] - before[k] for k in
+                     ("pool.worker_deaths", "pool.executor_cycles",
+                      "pool.retries")}
+            assert delta["pool.worker_deaths"] == 1
+            assert delta["pool.executor_cycles"] == 1
+            assert 1 <= delta["pool.retries"] <= recovered.details["n_blocks"]
+            assert engine.pool.payload_ships == ships + 1
+            if shm.shm_available():
+                assert shm.active_segment_names() == segments
 
     def test_degraded_engine_matches_pooled_bitwise(
             self, small_portfolio_workload):

@@ -25,6 +25,7 @@ from repro.core.terms import LayerTerms
 from repro.dfa.metrics import tail_value_at_risk
 from repro.errors import AdmissionError, ConfigurationError
 from repro.hpc.cost_model import EWMA_WEIGHT, ThroughputEstimate
+from repro.obs import parse_prometheus_text
 from repro.serve import (
     AdmissionController,
     BatchPolicy,
@@ -373,6 +374,14 @@ class TestAdmission:
         with pytest.raises(AdmissionError):
             svc.submit(layer, "ep_curve")
         svc.drain()
+        # served = offered - shed, and the export round-trips with a shed
+        # on the plane
+        metrics = svc.telemetry.snapshot()["metrics"]
+        assert metrics["serve.requests"] == 3
+        assert metrics["serve.shed"] == 1
+        assert metrics["serve.request.seconds.count"] == 2
+        assert parse_prometheus_text(svc.telemetry.to_prometheus_text()) \
+            == svc.telemetry.samples()
         svc.close()
 
     def test_decision_fields(self):
