@@ -67,8 +67,10 @@ deliberately stays scalar: it is the baseline the paper's speedups are
 measured against.
 
 Numerical equivalence across all six is a tested invariant; their
-relative wall-clock behaviour is experiments E3-E5, E7, E13 (the
-fused-vs-per-layer sweep), and E18 (the same-book tail-group path).
+relative wall-clock behaviour is experiments E3-E5 and E7, and, for
+the fused sweep and the same-book tail-group path, the
+``agg_lanes_inline`` and ``quotes_burst_churn`` workloads of
+``benchmarks/e2e`` (``kernel.sweep_lanes_ms``, ``kernel.tail_speedup``).
 
 ``engine="auto"`` chooses between the two substrates that really
 execute on the host — ``vectorized`` and ``multicore`` — from the one

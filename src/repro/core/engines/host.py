@@ -172,7 +172,8 @@ class MulticoreEngine(HostEngine):
     transport:
         ``"auto"`` (shared memory when the host supports it, else
         pickle), ``"shm"`` (require the shared-memory plane), or
-        ``"pickle"`` (force the legacy ship — the E15 bench baseline).
+        ``"pickle"`` (force the legacy ship: YET through the pool
+        initializer, kernel pickled per task).
     """
 
     name = "multicore"

@@ -30,11 +30,12 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   every CSR row.  The row keeps just those entries, ``(events,
   clip(loss - r, 0, c))``, taken from the stored lookup; the stream's
   :class:`~repro.core.tables.EventIndex` (the trial column event-major,
-  with a per-event offset table) reads each event's occurrences off two
-  offsets — no search — and masks them to the trial block when the
-  block is not the whole table, and one ``bincount`` over the touched
-  occurrences is the row — work proportional to the occurrences that
-  pierce the retention, not to the stream.
+  with a per-event offset table) reads each event's occurrences in the
+  trial block off two offsets — no search, no mask: a block narrower
+  than the table reads its span of each run off the index's cached
+  boundaries — and one ``bincount`` over the touched occurrences is the
+  row — work proportional to the block's occurrences that pierce the
+  retention, not to the stream.
 - **on the stream** — every other row.  A per-row **net table** is
   built once per kernel (:meth:`PortfolioKernel._net_gathers`) and a
   sweep is one gather from it into a single reused row buffer plus one
@@ -103,6 +104,7 @@ the group.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -124,6 +126,9 @@ _HANDLE_FIELDS = (
     "sparse_offsets", "dense_source", "sparse_source",
 )
 
+#: Export ordinal of this process (the second half of a handles stamp).
+_EXPORTS = itertools.count()
+
 
 @dataclass(frozen=True)
 class KernelHandles:
@@ -132,13 +137,20 @@ class KernelHandles:
     Produced by :meth:`PortfolioKernel.export_handles`: the eleven array
     buffers as :class:`~repro.hpc.shm.ShmArrayHandle`\\ s plus the two
     scalar fields.  Pickles to ~1 KB regardless of how wide the dense
-    stack is, so the serving layer can ship a per-batch kernel with
-    every task for the cost of a dict of descriptors.
+    stack is, so a dispatcher ships a staged kernel with every task for
+    the cost of a dict of descriptors.
+
+    ``stamp`` names this export — the first segment written and a
+    per-process export ordinal — and no other: a reused slab holds a
+    different kernel under the same segment names after every pack, so
+    a worker that keeps the kernel it attached (and the caches derived
+    from it) keys it by the stamp, never by the handles' names.
     """
 
     arrays: dict
     layer_ids: tuple[int, ...]
     block_occurrences: int
+    stamp: tuple[str, int]
 
     @property
     def nbytes(self) -> int:
@@ -442,9 +454,9 @@ class PortfolioKernel:
         """Place every array buffer in shared memory; returns the handles.
 
         ``arena`` may be a :class:`~repro.hpc.shm.SharedArena` (one
-        fresh segment, for a kernel staged across many runs) or a
-        :class:`~repro.hpc.shm.ShmSlab` (the serving layer's reusable
-        per-batch slab).  Either way the kernel's payload is copied into
+        fresh segment) or a :class:`~repro.hpc.shm.ShmSlab` (a pooled
+        dispatcher's reusable slab, packed once per kernel it runs).
+        Either way the kernel's payload is copied into
         shared pages once and :meth:`from_handles` re-attaches it as
         views — the pickled task argument shrinks from the full stacked
         lookup to ~1 KB of descriptors.
@@ -454,6 +466,7 @@ class PortfolioKernel:
             arrays=dict(zip(_HANDLE_FIELDS, handles)),
             layer_ids=self.layer_ids,
             block_occurrences=self.block_occurrences,
+            stamp=(handles[0].segment, next(_EXPORTS)),
         )
 
     @classmethod

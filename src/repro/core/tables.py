@@ -329,10 +329,19 @@ class EventIndex:
     table, ``ends``, one offset per event: event ``r``'s occurrences are
     ``keys[ends[r - 1]:ends[r]]`` (from 0 for ``r == 0``), their trials
     ascending.  The occurrences of an event are therefore read, not
-    searched for: two offsets give its whole run, and a trial block
-    narrower than the table masks the run to its trials
-    (:meth:`occurrences`).  That is what lets a kernel row visit only
-    the occurrences of the events that pierce its retention.
+    searched for: two offsets give its whole run, and two offsets of a
+    *boundary* give its part in a trial block (:meth:`occurrences`).
+    That is what lets a kernel row visit only the occurrences of the
+    events that pierce its retention, and a pool worker only those in
+    its own trials.
+
+    **Boundaries.**  Where event ``r``'s run reaches trial ``t`` is its
+    run start plus its occurrences in the stream before trial ``t`` —
+    one ``bincount`` of the event ranks in that prefix.  Trials 0 and
+    ``n_trials`` are the run starts and ``ends`` themselves; any other
+    boundary a block is cut at is built once, under the lock, and kept
+    (8 bytes per offset entry): a table's dispatchers cut it at the
+    same few trials sweep after sweep.
 
     **Sizing rule.**  ``ends`` is indexed by event id when the id space
     is no wider than the stream (``max_id + 1 <= n_occurrences``), and
@@ -354,7 +363,7 @@ class EventIndex:
     """
 
     __slots__ = ("_lock", "_trials", "_event_ids", "n_trials", "_keys",
-                 "_ends", "_events", "builds")
+                 "_ends", "_events", "_bounds", "builds")
 
     def __init__(self, trials: np.ndarray, event_ids: np.ndarray,
                  n_trials: int) -> None:
@@ -365,6 +374,8 @@ class EventIndex:
         self._keys: np.ndarray | None = None
         self._ends: np.ndarray | None = None
         self._events: np.ndarray | None = None
+        #: Interior trial boundary → where each run reaches it.
+        self._bounds: dict[int, np.ndarray] = {}
         #: Times the stream was sorted into keys — stays at 1 however
         #: many sweeps (or workers' tasks) look events up.
         self.builds = 0
@@ -401,6 +412,27 @@ class EventIndex:
         self._keys = keys
         self.builds += 1
 
+    def _at(self, t: int, rank: np.ndarray) -> np.ndarray:
+        """Where the runs of ``rank`` reach trial ``t`` (a new array)."""
+        if t == self.n_trials:
+            return self._ends[rank]
+        if t == 0:
+            at = self._ends[rank - 1]
+            at[rank == 0] = 0
+            return at
+        bound = self._bounds.get(t)
+        if bound is None:
+            with self._lock:
+                bound = self._bounds.get(t)
+                if bound is None:
+                    ids = self._event_ids[:np.searchsorted(self._trials, t)]
+                    if self._events is not None:
+                        ids = np.searchsorted(self._events, ids)
+                    bound = np.bincount(ids, minlength=self._ends.size)
+                    bound[1:] += self._ends[:-1]
+                    self._bounds[t] = bound
+        return bound[rank]
+
     def occurrences(self, events: np.ndarray, t0: int,
                     t1: int) -> tuple[np.ndarray, np.ndarray]:
         """The occurrences of ``events`` (non-negative ids) in trials
@@ -408,33 +440,30 @@ class EventIndex:
         (position in ``events``, trial) order — the index into
         ``events`` and the trial renumbered from ``t0``."""
         keys = self.keys
-        ends, last = self._ends, self._ends.size - 1
+        last = self._ends.size - 1
         if self._events is None:
             rank = np.minimum(events, last)
             held = events <= last
         else:
             rank = np.minimum(np.searchsorted(self._events, events), last)
             held = self._events[rank] == events
-        lo = ends[rank - 1]
-        lo[rank == 0] = 0
-        counts = ends[rank] - lo
+        lo = self._at(t0, rank)
+        counts = self._at(t1, rank) - lo
         counts[~held] = 0
         which = np.repeat(np.arange(events.size), counts)
         lo -= np.cumsum(counts) - counts
         trial = keys[np.arange(which.size) + lo[which]]
-        if t1 - t0 == self.n_trials:
-            return which, trial
-        trial -= t0
-        inside = (trial >= 0) & (trial < t1 - t0)
-        return which[inside], trial[inside]
+        if t0:
+            trial -= t0
+        return which, trial
 
     def snapshot(self) -> dict:
         """Flat ``yet.event_index.*`` levels (the :mod:`repro.obs`
-        schema): every array the index holds."""
+        schema): every array the index holds, boundaries included."""
+        held = (self._keys, self._ends, self._events, *self._bounds.values())
         return {"yet.event_index.builds": self.builds,
                 "yet.event_index.bytes": sum(
-                    a.nbytes for a in (self._keys, self._ends, self._events)
-                    if a is not None)}
+                    a.nbytes for a in held if a is not None)}
 
 
 class TrialSegments:
@@ -459,7 +488,8 @@ class TrialSegments:
     (``events``), and for a trial range ``within`` = the whole table's
     ``(segments, event_ids, t_start)`` — so :meth:`book_profile` serves
     a slice of the cached whole-YET profile and :meth:`event_index` the
-    whole-YET index with the block's first trial.  Segments of a raw
+    whole-YET index with the block's first trial, off which a by-event
+    row reads just the block's span of each run.  Segments of a raw
     stream carry neither: each call builds its own.
     """
 
@@ -513,8 +543,9 @@ class TrialSegments:
     def event_index(self, event_ids: np.ndarray) -> tuple[EventIndex, int]:
         """``(index, t0)``: the event-major index this stream is part of
         and the index's trial that trial 0 here is — the owning YET's
-        whole-table index, or one over this stream alone (built for the
-        call)."""
+        whole-table index, whose runs the caller reads from ``t0`` for
+        ``n_trials`` trials (:meth:`EventIndex.occurrences`), or one
+        over this stream alone (built for the call)."""
         if self._events is None:
             return EventIndex(self.trial_column(), event_ids,
                               self.n_trials), 0

@@ -3,10 +3,12 @@
 Recovery code that is never exercised is recovery code that does not
 work.  The MapReduce sibling of the source paper leans on task
 re-execution as its whole fault-tolerance story; this module is the
-harness that lets the tests and the E17 bench *prove* the equivalent
-story here — worker deaths, deadline overruns, corrupted payloads, and
-leaked shared-memory segments are injected on demand, deterministically,
-and the suite asserts the answers come back bit-identical anyway.
+harness that lets the chaos suite (``tests/test_faults.py``) *prove*
+the equivalent story here — worker deaths, deadline overruns, corrupted
+payloads, and leaked shared-memory segments are injected on demand,
+deterministically, and the suite asserts the answers come back
+bit-identical anyway, and what recovery cost in counts (deaths,
+executor cycles, retries, handle re-ships, kernel packs).
 
 A :class:`FaultPlan` is a seeded list of :class:`FaultSpec` injections
 keyed by the pool's global task sequence number: *"kill the worker

@@ -19,8 +19,9 @@ and each worker resolves it — attaching the shared-memory segments as
 zero-copy views — lazily on first touch.  Executor cycling and
 broken-pool recovery then re-send only the handles, never the payload:
 :attr:`WorkPool.payload_ships` counts how often a shared object actually
-crossed the initializer so callers (and the E15 bench) can assert the
-steady state ships nothing.
+crossed the initializer so callers can assert the steady state ships
+nothing (the ``agg_lanes_pooled`` benchmark's ``payload_ships_is_1``
+proof; ``test_equal_resimulated_yet_does_not_reship``).
 
 Failure semantics
 -----------------

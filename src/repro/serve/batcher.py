@@ -4,9 +4,10 @@ The serving layer's central trade: coalesce the quote requests that are
 waiting into one stacked :class:`~repro.core.kernels.PortfolioKernel`
 and amortise the per-batch costs — stacking, dispatch, the quote
 metrics — across the whole batch.  The fused-kernel measurements
-(E13/E14) put a batch of L requests at a small multiple of one
-request's cost, so coalescing converts concurrent load into nearly-free
-extra kernel rows instead of N full sweeps.
+(``serve.batch_ms.b1`` / ``.b32`` of the ``quotes_burst_churn``
+benchmark workload) put a batch of L requests at a small multiple of
+one request's cost, so coalescing converts concurrent load into
+nearly-free extra kernel rows instead of N full sweeps.
 
 Batches form from load, not from a timer (**natural batching**): the
 broker takes whatever is queued, up to ``max_batch``, the moment it is
@@ -19,7 +20,8 @@ the queue fills ``max_batch`` by itself.
 When a flushed batch is the many-quotes-one-book shape (≥16 stacked
 rows sharing one merged lookup, occurrence terms reducing to
 ``clip(g, lo, hi)``), the stacked kernel's sweep routes those rows
-through the **sublinear tail-group path** automatically (E18): they
+through the **sublinear tail-group path** automatically
+(``kernel.tail_speedup`` on ``quotes_burst_churn``): they
 price off the book's profile kept beside the YET — two searches per
 (row, trial), no pass over the occurrence stream — so a burst costs one
 profile build per (YET, book), ever, plus a per-row cost that does not

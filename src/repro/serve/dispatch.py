@@ -20,10 +20,19 @@ and the two substrates differ in where the spans execute:
   * the *YET arrays* (the stable side of a serving workload) are placed
     in a shared arena keyed by content fingerprint — workers attach once
     and a re-simulated-but-equal trial set re-ships nothing;
-  * the *per-batch kernel* (the churning side) is written into one
-    reusable :class:`~repro.hpc.shm.ShmSlab` — steady-state batches cost
-    an owner-side ``memcpy`` plus ~1 KB of handles per task, instead of
-    pickling the full stacked lookup with every task.
+  * the *kernel* is written into one reusable
+    :class:`~repro.hpc.shm.ShmSlab` once per kernel: the dispatcher
+    holds the one kernel it last packed (compared by identity, held by a
+    strong reference — one entry, like the YET's one fingerprint) and
+    packs again only when a different kernel arrives, counted by the
+    ``dispatch.slab.packs`` counter.  The handles carry a stamp that
+    names the pack; each worker keeps the one kernel it last attached,
+    with the caches its sweeps derive (pierced entries, net tables,
+    masks), under that stamp.  A repeated aggregate therefore ships
+    ~1 KB of handles per task and rebuilds nothing; a serving batch (a
+    fresh stacked kernel) costs one owner-side ``memcpy`` and one attach
+    per worker.  A kernel is immutable once built, which is what lets
+    identity stand for content here.
 
   ``transport="pickle"`` (or a host without shared memory) falls back to
   the original ship — YET through the pool initializer, kernel pickled
@@ -199,12 +208,27 @@ def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
     return kernel.apply_aggregate(annual)
 
 
+#: A pool worker's one attached kernel, ``(stamp, kernel)``, and how
+#: many times the worker attached one.
+_attached: tuple | None = None
+_attaches = 0
+
+
 def _sweep_trials_handles(yet: YetTable, kernel_handles,
                           t0: int, t1: int) -> np.ndarray:
-    """Worker: like :func:`_sweep_trials` but the batch kernel arrives as
-    slab handles and is attached as zero-copy views (picklable task)."""
-    return _sweep_trials(yet, PortfolioKernel.from_handles(kernel_handles),
-                         t0, t1)
+    """Worker: like :func:`_sweep_trials` over the kernel the slab
+    handles name — attached as zero-copy views once per stamp and kept,
+    derived caches and all, until a task names another (picklable
+    task)."""
+    global _attached, _attaches
+    if _attached is None or _attached[0] != kernel_handles.stamp:
+        # Drop the old views first: they may pin an outgrown slab
+        # generation that attaching the new one would unmap.
+        _attached = None
+        _attached = (kernel_handles.stamp,
+                     PortfolioKernel.from_handles(kernel_handles))
+        _attaches += 1
+    return _sweep_trials(yet, _attached[1], t0, t1)
 
 
 class _ShmYet(shm.HandleShipment):
@@ -227,8 +251,9 @@ class PooledDispatcher(Dispatcher):
     with *different content* forces a re-ship — swapping in an equal
     re-simulated YET costs nothing.  On shared-memory hosts the bundle
     is a handle shipment (workers attach the columns zero-copy) and the
-    per-batch kernel travels as slab handles; see the module docstring
-    for the transport rules and the pickle fallback.
+    kernel travels as slab handles, packed once per kernel and attached
+    once per worker; see the module docstring for the transport rules
+    and the pickle fallback.
     """
 
     name = "pooled"
@@ -252,8 +277,11 @@ class PooledDispatcher(Dispatcher):
         #: are freed at the next swap and the rest at close().
         self._yet_arenas: list[shm.SharedArena] = []
         self._slab: shm.ShmSlab | None = None
+        #: ``(kernel, handles)`` of the kernel the slab holds.
+        self._staged: tuple | None = None
         self._m_slab_generations = self.telemetry.gauge(
             "dispatch.slab.generations")
+        self._m_slab_packs = self.telemetry.counter("dispatch.slab.packs")
         #: Guards bundle swaps and the slab: the bundle/arena state is
         #: check-then-mutate, and the slab is single-writer with the
         #: in-flight batch as its readers — concurrent callers (the
@@ -334,14 +362,16 @@ class PooledDispatcher(Dispatcher):
         with self._lock:
             task, payload = _sweep_trials, kernel
             if self.transport_active == "shm" and len(spans) > 1:
-                # The batch kernel rides the reusable slab: one memcpy
-                # here, ~1 KB of handles per task, no per-task unpickle
-                # of the stacked lookup in the workers.
-                if self._slab is None:
-                    self._slab = shm.ShmSlab()
-                task, payload = (_sweep_trials_handles,
-                                 kernel.export_handles(self._slab))
-                self._m_slab_generations.set(self._slab.generations)
+                # The kernel rides the reusable slab: one memcpy when a
+                # different kernel arrives, ~1 KB of handles per task.
+                if self._staged is None or self._staged[0] is not kernel:
+                    if self._slab is None:
+                        self._slab = shm.ShmSlab()
+                    self._staged = None   # a failed pack holds neither
+                    self._staged = (kernel, kernel.export_handles(self._slab))
+                    self._m_slab_packs.inc()
+                    self._m_slab_generations.set(self._slab.generations)
+                task, payload = _sweep_trials_handles, self._staged[1]
             partials = self.pool.starmap_shared(
                 task, shared, [(payload, t0, t1) for t0, t1 in spans],
                 policy=policy)
@@ -350,6 +380,7 @@ class PooledDispatcher(Dispatcher):
     def close(self) -> None:
         self.pool.close()
         with self._lock:
+            self._staged = None
             if self._slab is not None:
                 self._slab.close()
                 self._slab = None

@@ -115,9 +115,9 @@ class TestEventIndex:
         np.testing.assert_array_equal(trial, [0, 0])
         index.occurrences(np.array([], dtype=np.int64), 0, 4)
         # ids up to 9 over 6 occurrences: offsets by rank — 6 trials,
-        # 3 offsets, 3 distinct ids
+        # 3 offsets, 3 distinct ids — and the 3 offsets of boundary 2
         assert index.snapshot() == {"yet.event_index.builds": 1,
-                                    "yet.event_index.bytes": (6 + 3 + 3) * 8}
+                                    "yet.event_index.bytes": (6 + 3 + 3 + 3) * 8}
 
     def test_rank_keys_order_the_stream_like_direct_keys(self):
         """Ids too large for ``event * n_trials`` key on their rank;
@@ -135,7 +135,8 @@ class TestEventIndex:
         # ids the ranked stream does not hold, on both sides of it
         which, _ = ranked.occurrences(np.array([3, huge + 6, 2**63 - 1]), 0, 4)
         assert which.size == 0
-        assert ranked.snapshot()["yet.event_index.bytes"] == (6 + 3 + 3) * 8
+        # boundaries 2 and 3 were swept: 3 offsets each
+        assert ranked.snapshot()["yet.event_index.bytes"] == (6 + 3 + 3 + 2 * 3) * 8
 
     def test_empty_stream(self):
         none = np.array([], dtype=np.int64)
@@ -147,28 +148,37 @@ class TestEventIndex:
     def test_offsets_by_id_and_by_rank_read_what_a_scan_finds(self, seed):
         """Offsets indexed by id (the ids fit the stream) and by rank
         (the same stream past 2⁴⁰) answer every lookup — absent ids,
-        ids past the stream, repeats, any trial range — as a scan of
-        the stream does, in (position in ``events``, trial) order."""
+        ids past the stream, repeats, every trial range ``[t0, t1)``,
+        empty trials among them — as a scan of the stream does, in
+        (position in ``events``, trial) order.  Each interior boundary
+        read is one more offset table in the index's bytes."""
         rng = np.random.default_rng(seed)
         n_trials = 12
         trials = np.sort(rng.integers(0, n_trials, 40))
         events = rng.integers(0, 30, trials.size)
         by_id = EventIndex(trials, events, n_trials)
         by_rank = EventIndex(trials, events + 2**40, n_trials)
-        for _ in range(20):
-            wanted = rng.integers(0, 34, rng.integers(0, 8))
-            t0 = int(rng.integers(0, n_trials))
-            t1 = int(rng.integers(t0 + 1, n_trials + 1))
-            scan = [(i, t - t0) for i, e in enumerate(wanted.tolist())
-                    for t in trials[(events == e) & (trials >= t0)
-                                    & (trials < t1)].tolist()]
-            want = np.array(scan, dtype=np.int64).reshape(-1, 2).T
-            for index, shift in ((by_id, 0), (by_rank, 2**40)):
-                got = index.occurrences(wanted + shift, t0, t1)
-                np.testing.assert_array_equal(np.stack(got), want)
         n, top, d = trials.size, events.max() + 1, np.unique(events).size
+        for index, shift in ((by_id, 0), (by_rank, 2**40)):
+            index.occurrences(np.array([shift]), 0, n_trials)
         assert by_id.snapshot()["yet.event_index.bytes"] == 8 * (n + top)
         assert by_rank.snapshot()["yet.event_index.bytes"] == 8 * (n + 2 * d)
+        for t0 in range(n_trials):
+            for t1 in range(t0 + 1, n_trials + 1):
+                wanted = rng.integers(0, 34, rng.integers(0, 8))
+                scan = [(i, t - t0) for i, e in enumerate(wanted.tolist())
+                        for t in trials[(events == e) & (trials >= t0)
+                                        & (trials < t1)].tolist()]
+                want = np.array(scan, dtype=np.int64).reshape(-1, 2).T
+                for index, shift in ((by_id, 0), (by_rank, 2**40)):
+                    got = index.occurrences(wanted + shift, t0, t1)
+                    np.testing.assert_array_equal(np.stack(got), want)
+        inner = n_trials - 1                 # boundaries 1 .. n_trials - 1
+        assert by_id.snapshot()["yet.event_index.bytes"] == (
+            8 * (n + top + inner * top))
+        assert by_rank.snapshot()["yet.event_index.bytes"] == (
+            8 * (n + 2 * d + inner * d))
+        assert by_id.builds == by_rank.builds == 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +411,14 @@ def by_event_workload(seed=71, n_trials=240):
     return Portfolio(layers), yet
 
 
-def ranked_bytes(yet):
+def ranked_bytes(yet, boundaries=0):
     """The exact size of a built index whose offsets are by rank (a
     :func:`by_event_workload` stream holds an id past 2⁴⁰): the
-    event-major trial column, one offset and one id per distinct id."""
-    return 8 * (yet.n_occurrences + 2 * np.unique(yet.event_ids).size)
+    event-major trial column, one offset and one id per distinct id —
+    plus one offset per distinct id for each interior trial boundary a
+    block was read at (a whole-table sweep reads none)."""
+    return 8 * (yet.n_occurrences
+                + (2 + boundaries) * np.unique(yet.event_ids).size)
 
 
 class TestDecompositionInvariance:
@@ -418,7 +431,9 @@ class TestDecompositionInvariance:
     def test_trial_blocks_match_the_whole_sweep(self, offsets):
         """By-event rows swept block by block are the whole-YET sweep,
         bit for bit, with every block's rows counted on the by-event
-        path — whether the index's offsets are by id or by rank."""
+        path — whether the index's offsets are by id or by rank.  Each
+        block read its own span: the index holds one offset table more
+        per interior cut, and nothing more."""
         portfolio, yet = by_event_workload(seed=79)
         if offsets == "by_id":
             ids = np.where(yet.event_ids > 2**40, 165, yet.event_ids)
@@ -426,15 +441,21 @@ class TestDecompositionInvariance:
         kernel = portfolio.kernel()
         whole = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
                       4, 1)
+        entries = (int(yet.event_ids.max()) + 1 if offsets == "by_id"
+                   else np.unique(yet.event_ids).size)
+        whole_bytes = (8 * (yet.n_occurrences + entries) if offsets == "by_id"
+                       else ranked_bytes(yet))
+        assert yet.cache_levels()["yet.event_index.bytes"] == whole_bytes
         for cuts in self.CUTS:
             parts = [swept(kernel, lambda: kernel.sweep_segments(
                 *yet.trial_block(a, b)), 4, 1) for a, b in zip(cuts, cuts[1:])]
             np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
+        interior = {t for cuts in self.CUTS for t in cuts[1:-1]}
+        assert len(interior) == 8
         levels = yet.cache_levels()
         assert levels["yet.event_index.builds"] == 1
         assert levels["yet.event_index.bytes"] == (
-            8 * (yet.n_occurrences + int(yet.event_ids.max()) + 1)
-            if offsets == "by_id" else ranked_bytes(yet))
+            whole_bytes + 8 * entries * len(interior))
 
     def test_dispatchers_agree_bitwise(self):
         """Whole-YET, dispatcher-blocked, 2-worker pooled (shm and
@@ -503,11 +524,17 @@ class TestIndexLifetime:
         kernel = portfolio.kernel()
         for sweep in range(self.N_SWEEPS):
             InlineDispatcher().run(kernel, yet)
-            kernel.sweep_segments(*yet.trial_block(sweep, 200 - sweep))
             PortfolioKernel.from_portfolio(portfolio).sweep_segments(
                 *yet.trial_block())
-        assert yet.cache_levels()["yet.event_index.builds"] == 1
+        # whole-table sweeps read no boundary
         assert yet.cache_levels()["yet.event_index.bytes"] == ranked_bytes(yet)
+        for sweep in range(self.N_SWEEPS):
+            kernel.sweep_segments(*yet.trial_block(sweep, 200 - sweep))
+            kernel.sweep_segments(*yet.trial_block(sweep, 200 - sweep))
+        assert yet.cache_levels()["yet.event_index.builds"] == 1
+        # interior boundaries 1..5 and 195..200, each kept once
+        assert yet.cache_levels()["yet.event_index.bytes"] == ranked_bytes(
+            yet, boundaries=2 * self.N_SWEEPS - 1)
 
     def test_pooled_workers_build_once_each(self):
         portfolio, yet = by_event_workload(seed=74)

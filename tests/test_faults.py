@@ -255,10 +255,15 @@ class TestEngineChaos:
             baseline = engine.run(wl.portfolio, wl.yet)
             before = engine.pool.health.snapshot()
             ships = engine.pool.payload_ships
+            packs = engine.dispatcher.telemetry.counter("dispatch.slab.packs")
+            packed = packs.value
             segments = shm.active_segment_names()
             with faults.inject(FaultPlan.kill_task(1)) as plan:
                 recovered = engine.run(wl.portfolio, wl.yet)
             assert plan.exhausted
+            # the replacement worker attached the staged handles: the
+            # kernel was not exported again
+            assert packs.value == packed == (1 if shm.shm_available() else 0)
             np.testing.assert_array_equal(
                 baseline.portfolio_ylt.losses, recovered.portfolio_ylt.losses)
             for lid in baseline.ylt_by_layer:

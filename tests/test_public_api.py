@@ -311,6 +311,14 @@ def test_engine_spec_and_planner_knobs_locked():
 
     assert keywords(MulticoreEngine.__init__) == ["n_workers", "transport"]
     assert keywords(MulticoreEngine.riding) == ["dispatcher"]
+    # A staged kernel and a trial span's read are decided by the code,
+    # not set: the pooled dispatcher and the index take no new knob.
+    from repro.core.tables import EventIndex
+    from repro.serve.dispatch import PooledDispatcher
+
+    assert keywords(PooledDispatcher.__init__) == [
+        "n_workers", "transport", "telemetry"]
+    assert keywords(EventIndex.occurrences) == ["events", "t0", "t1"]
     # Out-of-core is the host engine over a stored source: no parameter,
     # and no door beside the host engines' ``run``.
     assert keywords(StoredYet.__init__) == ["store", "table_name", "n_trials"]

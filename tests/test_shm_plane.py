@@ -15,18 +15,22 @@ Three invariant families:
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
+from repro.core.portfolio import Portfolio
 from repro.core.tables import YetTable
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import shm
 from repro.hpc.pool import TaskPolicy, WorkPool
+from repro.serve import dispatch
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher, _ShmYet
 from repro.serve import PricingService
 
@@ -282,6 +286,71 @@ class TestTransportParity:
         finally:
             d.close()
         assert not d._yet_arenas
+
+
+# ---------------------------------------------------------------------------
+# a staged kernel: packed once, attached once per worker
+# ---------------------------------------------------------------------------
+
+def _worker_kernel_attaches(_shared, _i):  # pragma: no cover - in a worker
+    held = dispatch._attached
+    return os.getpid(), dispatch._attaches, held and held[0]
+
+
+class TestStagedKernel:
+    N_RUNS = 6
+
+    def test_packed_once_per_kernel_and_attached_once_per_stamp(
+            self, small_portfolio_workload):
+        """Repeat runs of one portfolio write its kernel to the slab once;
+        a different kernel packs again, and so does the first one after
+        it.  No worker attaches a stamp twice, every answer is the
+        inline one, and ``close()`` lets go of the held kernel."""
+        wl = small_portfolio_workload
+        first = wl.portfolio.kernel()
+        second = Portfolio(list(wl.portfolio)[:2]).kernel()
+        inline = {id(k): InlineDispatcher().run(k, wl.yet)
+                  for k in (first, second)}
+        d = PooledDispatcher(n_workers=2)
+        packs = d.telemetry.counter("dispatch.slab.packs")
+        stamps = []
+
+        def run(kernel, times=1):
+            for _ in range(times):
+                np.testing.assert_array_equal(d.run(kernel, wl.yet),
+                                              inline[id(kernel)])
+            stamps.append(d._staged[1].stamp)
+            seen = {pid: (attaches, stamp) for pid, attaches, stamp
+                    in d.pool.starmap_shared(_worker_kernel_attaches,
+                                             d._bundle(wl.yet),
+                                             [(i,) for i in range(8)])}
+            assert os.getpid() not in seen, "probe must run in the workers"
+            # a worker attaches a stamp at most once: no more attaches
+            # than stamps issued, and what it holds is one of them
+            assert 1 <= max(a for a, _ in seen.values()) <= len(set(stamps))
+            assert {s for a, s in seen.values() if a} <= set(stamps)
+
+        try:
+            assert d.transport_active == "shm"
+            run(first, self.N_RUNS)
+            assert packs.value == 1
+            run(second)
+            assert packs.value == 2
+            run(first)
+            assert packs.value == 3
+            assert len(set(stamps)) == 3
+            throwaway = Portfolio(list(wl.portfolio)[:1]).kernel()
+            inline[id(throwaway)] = InlineDispatcher().run(throwaway, wl.yet)
+            run(throwaway)
+            # (the kernel is slotted without weakrefs: watch its own stack)
+            held = weakref.ref(throwaway.dense_stack)
+            del throwaway
+            gc.collect()
+            assert held() is not None, "the staged kernel is held strongly"
+        finally:
+            d.close()
+        gc.collect()
+        assert held() is None, "close() must release the staged kernel"
 
 
 # ---------------------------------------------------------------------------
