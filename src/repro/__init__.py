@@ -7,14 +7,14 @@ pipeline and the substrates it runs on:
 - :mod:`repro.catmod` — stage 1, catastrophe modelling (catalogues,
   exposure, hazard/vulnerability/financial modules → ELTs);
 - :mod:`repro.core` — stage 2, portfolio aggregate analysis (YET × layers
-  → YLTs) with six interchangeable engines (sequential, vectorized,
-  simulated-GPU, multicore, MapReduce, distributed);
+  → YLTs) with five interchangeable engines (sequential, vectorized,
+  simulated-GPU, multicore, MapReduce);
 - :mod:`repro.dfa` — stage 3, dynamic financial analysis and enterprise
   risk (risk combination, PML/VaR/TVaR, reporting, real-time pricing);
 - :mod:`repro.data` — the data-management substrate (columnar scans,
   row-store baseline, simulated DFS + MapReduce, warehouse cube);
 - :mod:`repro.hpc` — the HPC substrate (simulated GPU with memory
-  hierarchy, simulated cluster with collectives, cost model);
+  hierarchy, process pool over shared memory, cost model);
 - :mod:`repro.serve` — the serving layer (request micro-batching into
   fused sweeps, content-addressed result cache, SLO admission control)
   that turns stage-2 speed into many-user pricing throughput;

@@ -60,7 +60,14 @@ def assert_engines_equivalent(
     rtol: float = 1e-9,
     atol: float = 1e-6,
 ) -> None:
-    """Raise :class:`AnalysisError` if any engine deviates from sequential."""
+    """Raise :class:`AnalysisError` if any engine deviates from sequential.
+
+    The tolerance is for the engines that price off their own arithmetic,
+    ``sequential`` (the scalar oracle) and ``device`` (the simulated
+    GPU's kernels); the host driver's engines — ``vectorized``,
+    ``multicore`` and ``mapreduce`` — answer ``np.array_equal`` to one
+    another, which their own tests assert.
+    """
     report = compare_engines(portfolio, yet, names)
     failures = []
     for name, entry in report.items():

@@ -1,8 +1,8 @@
 """Library-wide configuration defaults.
 
 The values here mirror the hardware constants of the platform the paper's
-companion study [7] reports on (an NVIDIA Tesla-class device) and sensible
-defaults for the simulated cluster.  They are plain module-level constants
+companion study [7] reports on (an NVIDIA Tesla-class device) and the
+defaults of the simulated DFS.  They are plain module-level constants
 collected into a frozen dataclass so call sites can either use the shared
 :data:`DEFAULTS` instance or construct a modified copy for experiments.
 """
@@ -32,10 +32,6 @@ class ReproConfig:
         Number of streaming multiprocessors of the simulated device.
     device_threads_per_block:
         Default block width used by the chunk planner.
-    cluster_default_nodes:
-        Node count for the default simulated cluster.
-    chunk_rows:
-        Default row count per chunk for chunked columnar storage.
     dfs_block_bytes:
         Default DFS block size (64 MiB, the classic HDFS default).
     dfs_replication:
@@ -48,8 +44,6 @@ class ReproConfig:
     device_constant_mem_bytes: int = 64 * 1024
     device_num_sms: int = 14
     device_threads_per_block: int = 256
-    cluster_default_nodes: int = 16
-    chunk_rows: int = 65536
     dfs_block_bytes: int = 64 * 1024**2
     dfs_replication: int = 3
 

@@ -1,6 +1,6 @@
 """The aggregate-analysis engine family.
 
-Six engines execute the identical analysis (same YET, same portfolio,
+Five engines execute the identical analysis (same YET, same portfolio,
 same financial arithmetic) on different execution substrates:
 
 ========== ===============================================================
@@ -17,8 +17,9 @@ device      :class:`~repro.hpc.device.SimulatedGpu` with chunking and
 multicore   trial-block decomposition over a process pool: the same
             driver on :class:`~repro.serve.dispatch.PooledDispatcher`,
             the one pooled execution path
-mapreduce   a MapReduce job over the simulated DFS (large file space path)
-distributed trial-scatter / lookup-broadcast / YLT-gather over SimCluster
+mapreduce   a MapReduce job over the simulated DFS (large file space
+            path): one fused sweep per whole-trial split, the same
+            driver's map tasks on an inline dispatcher
 ========== ===============================================================
 
 The portfolio hot path is the shared
@@ -49,15 +50,17 @@ counted lane fallbacks in :mod:`repro.core.kernels`.  Rows that don't
 qualify take the lane path in the same sweep, and a profile answer is
 a function of the trial and the row alone, so the bit-identity rule
 covers tail rows too.
-The vectorized and multicore engines are one driver
+The vectorized, multicore and mapreduce engines are one driver
 (:class:`~repro.core.engines.host.HostEngine`): ``portfolio.kernel()``
 → ``dispatcher.run(kernel, yet)`` → per-layer YLTs, one ``details``
 schema read off the dispatcher — a private one (one whole-YET span
 inline, one span per pool worker), or under ``RiskSession.engine`` the
-session's own, the one its quote batches ride.  The unregistered
-``OutOfCoreEngine`` is the same code, inline, over a YET on disk
-(:class:`~repro.core.tables.StoredYet`), so every sweep, in memory or
-off disk, is the dispatchers' one block task.  The device engine
+session's own, the one its quote batches ride.  ``mapreduce``'s map
+tasks are runs of its inline dispatcher over the whole-trial splits of
+a YET written to the DFS.  The unregistered ``OutOfCoreEngine`` is the
+same code, inline, over a YET on disk
+(:class:`~repro.core.tables.StoredYet`), so every sweep, in memory, in
+a DFS block or off disk, is the dispatchers' one block task.  The device engine
 mirrors the same fusion on the simulated GPU — per resident batch it
 ships ONE stacked ``dense_stack`` upload (row offsets resolved
 in-kernel) plus one CSR pair, packs the constant bank greedily by
@@ -66,7 +69,9 @@ The sequential engine
 deliberately stays scalar: it is the baseline the paper's speedups are
 measured against.
 
-Numerical equivalence across all six is a tested invariant; their
+Numerical equivalence across all five is a tested invariant — the
+host driver's three are ``np.array_equal`` to one another, ``sequential``
+and ``device`` agree within a tolerance; their
 relative wall-clock behaviour is experiments E3-E5 and E7, and, for
 the fused sweep and the same-book tail-group path, the
 ``agg_lanes_inline`` and ``quotes_burst_churn`` workloads of
@@ -74,9 +79,9 @@ the fused sweep and the same-book tail-group path, the
 
 ``engine="auto"`` chooses between the two substrates that really
 execute on the host — ``vectorized`` and ``multicore`` — from the one
-table in :mod:`repro.session.planner`.  The other four stay registered,
-constructible and runnable by name (the oracle, and the simulated
-substrates of E5/E7, which run as host NumPy and cannot win work).
+table in :mod:`repro.session.planner`.  The other three stay registered,
+constructible and runnable by name (the oracle, the simulated GPU of
+E5, and E7's MapReduce job, whose DFS staging cannot win work).
 """
 
 from repro.core.engines.base import Engine, EngineResult
@@ -91,7 +96,6 @@ from repro.core.engines.sequential import SequentialEngine
 from repro.core.engines.host import MulticoreEngine, VectorizedEngine
 from repro.core.engines.device import DeviceEngine
 from repro.core.engines.mapreduce_engine import MapReduceEngine
-from repro.core.engines.distributed import DistributedEngine
 from repro.errors import EngineError
 
 __all__ = [
@@ -103,7 +107,6 @@ __all__ = [
     "DeviceEngine",
     "MulticoreEngine",
     "MapReduceEngine",
-    "DistributedEngine",
     "available_engines",
     "engine_spec",
     "get_engine",
@@ -136,8 +139,4 @@ register_engine(EngineSpec(
 register_engine(EngineSpec(
     name="mapreduce", factory=MapReduceEngine,
     summary="MapReduce job over the simulated DFS",
-))
-register_engine(EngineSpec(
-    name="distributed", factory=DistributedEngine,
-    summary="trial-scatter / lookup-broadcast / YLT-gather over SimCluster",
 ))

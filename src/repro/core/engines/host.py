@@ -19,6 +19,9 @@ reads (``source``) and whether a run may emit YELTs, nothing else.
   crosses a trial boundary, so aggregate terms are block-local) — and
   concatenates the per-block ``(L, trials)`` slices.
 - ``outofcore`` (unregistered) is ``vectorized`` over a YET on disk.
+- ``mapreduce`` (:mod:`~repro.core.engines.mapreduce_engine`) replaces
+  only :meth:`HostEngine._execute`: a MapReduce job whose map tasks are
+  runs of its inline dispatcher over whole-trial splits.
 
 A standalone engine lazily builds a private dispatcher that ``close()``
 (or ``with``) frees, pool and shared segments both; an engine made by
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 import abc
 import time
+
+import numpy as np
 
 from repro.core.engines.base import Engine, EngineResult
 from repro.core.kernels import PortfolioKernel
@@ -120,13 +125,11 @@ class HostEngine(Engine):
             )
         t0 = time.perf_counter()
         kernel = portfolio.kernel()
-        dispatcher = self.dispatcher
         routed_before = dict(kernel.routed)
-        final = dispatcher.run(kernel, yet)
+        final, details = self._execute(kernel, yet)
         ylt_by_layer = {
             lid: YltTable(final[row]) for row, lid in enumerate(kernel.layer_ids)
         }
-        health = dispatcher.health
         return EngineResult(
             engine=self.name,
             ylt_by_layer=ylt_by_layer,
@@ -137,10 +140,7 @@ class HostEngine(Engine):
             } if emit_yelt else None,
             seconds=time.perf_counter() - t0,
             details={
-                "n_workers": dispatcher.n_procs,
-                "n_blocks": len(dispatcher.spans(yet)),
-                "transport": dispatcher.transport_active,
-                "degraded": health is not None and health.degraded,
+                **details,
                 "fused_layers": kernel.n_layers,
                 "occurrences_processed": yet.n_occurrences * portfolio.n_layers,
                 "tail_group_rows": kernel.tail_group_rows,
@@ -150,6 +150,20 @@ class HostEngine(Engine):
                 "routed": kernel.routed_since(routed_before),
             },
         )
+
+    def _execute(self, kernel: PortfolioKernel,
+                 yet: YetTable | StoredYet) -> tuple[np.ndarray, dict]:
+        """The final ``(L, n_trials)`` matrix and the ``details`` of the
+        substrate that ran it: here, one run of the dispatcher."""
+        dispatcher = self.dispatcher
+        final = dispatcher.run(kernel, yet)
+        health = dispatcher.health
+        return final, {
+            "n_workers": dispatcher.n_procs,
+            "n_blocks": len(dispatcher.spans(yet)),
+            "transport": dispatcher.transport_active,
+            "degraded": health is not None and health.degraded,
+        }
 
 
 class VectorizedEngine(HostEngine):

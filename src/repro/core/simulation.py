@@ -68,9 +68,9 @@ class AggregateAnalysis:
         """Run the analysis on the chosen engine.
 
         ``engine`` may be a registry name (``"sequential"``,
-        ``"vectorized"``, ``"device"``, ``"multicore"``, ``"mapreduce"``,
-        ``"distributed"``), ``"auto"`` to let the planner price the
-        substrates against the data shape, or a pre-built
+        ``"vectorized"``, ``"device"``, ``"multicore"``, ``"mapreduce"``),
+        ``"auto"`` to let the planner price the substrates against the
+        data shape, or a pre-built
         :class:`Engine` instance — a name runs the registry default; to
         configure, pass an instance.  The run is
         :meth:`RiskSession.aggregate <repro.session.RiskSession.aggregate>`

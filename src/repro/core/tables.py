@@ -49,6 +49,7 @@ __all__ = [
     "YeltTable",
     "YltTable",
     "YelltModel",
+    "trial_spans",
 ]
 
 ELT_SCHEMA = Schema([
@@ -556,6 +557,15 @@ def _check_trial_range(t_start: int, t_stop: int, n_trials: int) -> None:
     if not (0 <= t_start < t_stop <= n_trials):
         raise ConfigurationError(
             f"invalid trial range [{t_start}, {t_stop}) for {n_trials} trials")
+
+
+def trial_spans(n_trials: int, n_blocks: int) -> list[tuple[int, int]]:
+    """``(t0, t1)`` spans cutting ``n_trials`` into ``min(n_blocks,
+    n_trials)`` contiguous, near-equal, non-empty blocks of whole trials:
+    the pooled dispatcher's spans and the MapReduce engine's splits."""
+    bounds = np.linspace(0, n_trials, min(n_blocks, n_trials) + 1).astype(int)
+    return [(int(b0), int(b1))
+            for b0, b1 in zip(bounds[:-1], bounds[1:]) if b1 > b0]
 
 
 @dataclass(frozen=True)

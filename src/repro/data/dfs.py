@@ -89,20 +89,23 @@ class SimDfs:
         self._files[path] = [self._store_block(b) for b in blocks]
 
     def write_table(self, path: str, table: ColumnTable, rows_per_block: int) -> None:
-        """Store a column table as one self-describing packed batch per block.
+        """Store a column table as ``rows_per_block``-row blocks (see
+        :meth:`write_blocks`)."""
+        specs = plan_chunks(table.n_rows, rows_per_block)
+        self.write_blocks(path, [table.slice(s.start, s.stop) for s in specs]
+                          or [table])
+
+    def write_blocks(self, path: str, tables: list[ColumnTable]) -> None:
+        """Store each table as one self-describing packed batch per block.
 
         Record batches are block-aligned (as with Hadoop sequence files), so
-        each block can be decoded independently by a map task.
+        each block can be decoded independently by a map task; the caller
+        decides where a block ends (the MapReduce engine cuts at trial
+        boundaries).
         """
         if path in self._files:
             raise StorageError(f"file exists: {path!r}")
-        specs = plan_chunks(table.n_rows, rows_per_block)
-        if not specs:
-            self._files[path] = [self._store_block(pack_table(table))]
-            return
-        self._files[path] = [
-            self._store_block(pack_table(table.slice(s.start, s.stop))) for s in specs
-        ]
+        self._files[path] = [self._store_block(pack_table(t)) for t in tables]
 
     def _store_block(self, data: bytes) -> int:
         block_id = self._next_block_id

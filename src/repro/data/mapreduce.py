@@ -193,5 +193,6 @@ class MapReduceRuntime:
 
 
 def _rough_size(key, values: list) -> int:
-    """Cheap estimate of shuffled bytes for one (key, values) group."""
-    return 16 + 8 * len(values)
+    """Cheap estimate of shuffled bytes for one (key, values) group: an
+    array value counts its ``nbytes``, anything else 8 bytes."""
+    return 16 + sum(getattr(value, "nbytes", 8) for value in values)

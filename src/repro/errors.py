@@ -29,7 +29,8 @@ class DeviceError(ReproError):
 
 
 class ClusterError(ReproError):
-    """A simulated-cluster operation failed (unknown rank, dead node)."""
+    """A worker-scheduling request was invalid (a non-positive worker
+    count)."""
 
 
 class StorageError(ReproError):

@@ -1,4 +1,4 @@
-"""HPC substrate: simulated many-core device, cluster, and cost model.
+"""HPC substrate: simulated many-core device, process pool, and cost model.
 
 The paper's first strategy for the pipeline's data challenge is
 *"accumulation of large memory ... the use of many-core GPUs"* with
@@ -9,10 +9,9 @@ whose kernels execute as vectorised NumPy.  This preserves what the
 paper's claims are about (data-parallel execution and capacity-driven
 chunking) without CUDA.  See DESIGN.md §2 for the substitution argument.
 
-The cluster side (:mod:`repro.hpc.cluster`, :mod:`repro.hpc.collectives`)
-models the "thousands of processors" stages with MPI-style collectives and
-an analytic cost model (:mod:`repro.hpc.cost_model`) used for the burst /
-elasticity analysis (experiment E9).
+The "thousands of processors" stages are priced by an analytic cost
+model (:mod:`repro.hpc.cost_model`), which the burst / elasticity
+analysis (experiment E9) reads; no cluster is simulated.
 
 The *real* (not simulated) parallel substrate is :mod:`repro.hpc.pool`
 plus the zero-copy shared-memory data plane of :mod:`repro.hpc.shm`:
@@ -32,8 +31,6 @@ from repro.hpc.memory import MemorySpace, TransferLedger
 from repro.hpc.device import DeviceProperties, SimulatedGpu
 from repro.hpc.kernel import Kernel, LaunchStats
 from repro.hpc.chunking import ChunkPlanner, DeviceChunkPlan
-from repro.hpc.cluster import SimCluster
-from repro.hpc.collectives import Collectives
 from repro.hpc.scheduler import StaticScheduler, DynamicScheduler
 from repro.hpc.cost_model import PipelineCostModel, StageSpec
 from repro.hpc.occupancy import OccupancyLimits, OccupancyResult, occupancy
@@ -58,8 +55,6 @@ __all__ = [
     "LaunchStats",
     "ChunkPlanner",
     "DeviceChunkPlan",
-    "SimCluster",
-    "Collectives",
     "StaticScheduler",
     "DynamicScheduler",
     "PipelineCostModel",

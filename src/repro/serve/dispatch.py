@@ -82,7 +82,7 @@ import time
 import numpy as np
 
 from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
-from repro.core.tables import StoredYet, YetTable
+from repro.core.tables import StoredYet, YetTable, trial_spans
 from repro.hpc import shm
 from repro.hpc.cost_model import ThroughputEstimate
 from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
@@ -332,10 +332,7 @@ class PooledDispatcher(Dispatcher):
     def spans(self, yet: YetTable) -> list[tuple[int, int]]:
         """One span per worker (capped by trial count), pooled or
         degraded."""
-        n_blocks = min(self.pool.n_workers, yet.n_trials)
-        bounds = np.linspace(0, yet.n_trials, n_blocks + 1).astype(int)
-        return [(int(b0), int(b1))
-                for b0, b1 in zip(bounds[:-1], bounds[1:]) if b1 > b0]
+        return trial_spans(yet.n_trials, self.pool.n_workers)
 
     def run(self, kernel: PortfolioKernel, yet: YetTable,
             policy: TaskPolicy | None = None) -> np.ndarray:

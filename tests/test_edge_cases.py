@@ -17,7 +17,7 @@ from repro.data.serialization import pack_table
 from repro.errors import StorageError
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
-               "mapreduce", "distributed"]
+               "mapreduce"]
 
 
 def empty_yet(n_trials=10):

@@ -1,4 +1,4 @@
-"""Tests for the six aggregate-analysis engines.
+"""Tests for the five aggregate-analysis engines.
 
 The central invariant: every engine reproduces the sequential oracle's
 YLT exactly (to fp tolerance), whatever its execution substrate.
@@ -10,7 +10,6 @@ import pytest
 from repro.analytics.comparison import assert_engines_equivalent, compare_engines
 from repro.core.engines import (
     DeviceEngine,
-    DistributedEngine,
     MapReduceEngine,
     MulticoreEngine,
     SequentialEngine,
@@ -28,7 +27,7 @@ from repro.errors import EngineError
 from repro.hpc.device import DeviceProperties, SimulatedGpu
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
-               "mapreduce", "distributed"]
+               "mapreduce"]
 
 
 class TestRegistry:
@@ -43,8 +42,8 @@ class TestRegistry:
             get_engine("quantum")
 
     def test_kwargs_forwarded(self):
-        eng = get_engine("distributed", n_nodes=3)
-        assert eng.cluster.n_nodes == 3
+        eng = get_engine("mapreduce", n_splits=3)
+        assert eng.n_splits == 3
 
 
 class TestEquivalence:
@@ -91,10 +90,11 @@ class TestEquivalence:
         yet = YetTable(table, n_trials=5)
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
         assert_engines_equivalent(pf, yet, ALL_ENGINES)
-        res = AggregateAnalysis(pf, yet).run("vectorized")
-        np.testing.assert_allclose(
-            res.portfolio_ylt.losses, [0.0, 300.0, 0.0, 100.0, 0.0]
-        )
+        for name in ("vectorized", "mapreduce"):
+            res = AggregateAnalysis(pf, yet).run(name)
+            np.testing.assert_array_equal(
+                res.portfolio_ylt.losses, [0.0, 300.0, 0.0, 100.0, 0.0]
+            )
 
 
 class TestSequential:
@@ -342,45 +342,78 @@ class TestMulticore:
             assert blocks == [(0, 150), (150, 300)] * 3 + [(0, 300)] * 3
 
 
-class TestMapReduceEngine:
-    @pytest.mark.parametrize("n_splits", [1, 4, 13])
-    def test_split_count_invariant(self, tiny_workload, n_splits):
-        res = MapReduceEngine(n_splits=n_splits).run(
-            tiny_workload.portfolio, tiny_workload.yet
-        )
-        ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+def _assert_layers_equal(res, ref):
+    assert res.ylt_by_layer.keys() == ref.ylt_by_layer.keys()
+    for lid, ylt in ref.ylt_by_layer.items():
+        np.testing.assert_array_equal(res.ylt_by_layer[lid].losses, ylt.losses)
 
-    def test_job_results_recorded(self, tiny_workload):
+
+class TestMapReduceEngine:
+    @pytest.mark.parametrize("n_splits", [1, 4, 13, 1000])
+    def test_split_count_invariant(self, tiny_workload,
+                                   small_portfolio_workload, n_splits):
+        """A map task sweeps whole trials only, so every split count —
+        past the trial count too — answers each layer exactly as
+        ``vectorized`` does, on one layer and on three."""
+        for wl in (tiny_workload, small_portfolio_workload):
+            res = MapReduceEngine(n_splits=n_splits).run(wl.portfolio,
+                                                         wl.yet)
+            _assert_layers_equal(
+                res, VectorizedEngine().run(wl.portfolio, wl.yet))
+            assert res.details["n_splits"] == min(n_splits, wl.yet.n_trials)
+
+    def test_job_results_recorded(self, small_portfolio_workload):
+        """One job for the whole portfolio: a map task per split, each
+        emitting one ``(t0, (L, span))`` block through an identity
+        reducer, and its rows routed on the engine's dispatcher."""
+        wl = small_portfolio_workload
         engine = MapReduceEngine(n_splits=4)
-        engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        assert set(engine.last_jobs) == set(tiny_workload.portfolio.layer_ids)
-        job = next(iter(engine.last_jobs.values()))
+        res = engine.run(wl.portfolio, wl.yet)
+        job = engine.last_job
         assert len(job.map_task_seconds) == 4
+        counters = job.counters
+        assert counters["map_input_records"] == wl.yet.n_occurrences
+        assert counters["map_output_records"] == 4
+        assert counters["reduce_output_records"] == 4
+        assert counters["combine_output_records"] == 0
+        assert counters["shuffle_bytes"] == (
+            4 * 16 + wl.portfolio.n_layers * wl.yet.n_trials * 8)
+        assert res.details["counters"] == counters
+        routed = {name: rows for name, rows in res.details["routed"].items()
+                  if "fallback" not in name}
+        assert sum(routed.values()) == wl.portfolio.n_layers * 4
+        plane = engine.dispatcher.telemetry.snapshot()["metrics"]
+        assert sum(plane[name] for name in routed) == sum(routed.values())
+        assert plane["kernel.lane_rows.by_event"] + plane[
+            "kernel.lane_rows.by_stream"] > 0
+
+    def test_reused_object_id_reads_the_new_yet(self):
+        """The DFS input is keyed by content: alternating two YETs that
+        differ only in event ids, freed between runs so CPython may hand
+        the new one the old one's id, never serves the previous YET's
+        losses; an equal-content YET writes no second file."""
+        from repro.core.tables import YET_SCHEMA
+
+        elt = EltTable.from_arrays([1, 2, 3], [100.0, 200.0, 400.0])
+        pf = Portfolio([Layer(0, [elt], LayerTerms())])
+        engine = MapReduceEngine(n_splits=2)
+
+        def make_yet(events):
+            table = ColumnTable.from_arrays(
+                YET_SCHEMA, trial=[0, 1, 2], seq=[0, 0, 0], event_id=events)
+            return YetTable(table, n_trials=3)
+
+        events = ([3, 2, 1], [1, 2, 3])
+        refs = [VectorizedEngine().run(pf, make_yet(e)) for e in events]
+        for run in range(20):
+            # The YET dies with the run, so the next one may take its id.
+            _assert_layers_equal(
+                engine.run(pf, make_yet(events[run % 2])), refs[run % 2])
+        assert len(engine.dfs.list_files()) == 2
+        engine.run(pf, make_yet([1, 2, 3]))
+        assert len(engine.dfs.list_files()) == 2
 
     def test_emit_yelt_unsupported(self, tiny_workload):
         with pytest.raises(EngineError):
             MapReduceEngine().run(tiny_workload.portfolio, tiny_workload.yet,
                                   emit_yelt=True)
-
-
-class TestDistributedEngine:
-    @pytest.mark.parametrize("n_nodes", [1, 3, 8])
-    def test_node_count_invariant(self, tiny_workload, n_nodes):
-        res = DistributedEngine(n_nodes=n_nodes).run(
-            tiny_workload.portfolio, tiny_workload.yet
-        )
-        ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
-
-    def test_comm_accounted(self, tiny_workload):
-        res = DistributedEngine(n_nodes=4).run(
-            tiny_workload.portfolio, tiny_workload.yet
-        )
-        assert res.details["comm_bytes"] > 0
-        assert res.details["comm_seconds_model"] > 0
-
-    def test_emit_yelt_unsupported(self, tiny_workload):
-        with pytest.raises(EngineError):
-            DistributedEngine().run(tiny_workload.portfolio, tiny_workload.yet,
-                                    emit_yelt=True)

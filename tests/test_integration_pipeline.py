@@ -65,8 +65,7 @@ class TestStage1ToStage2:
         portfolio, yet, _, _ = full_pipeline
         assert_engines_equivalent(
             portfolio, yet,
-            ["sequential", "vectorized", "device", "multicore", "mapreduce",
-             "distributed"],
+            ["sequential", "vectorized", "device", "multicore", "mapreduce"],
         )
 
     def test_stage1_throughput_recorded(self, full_pipeline):

@@ -57,9 +57,24 @@ def test_all_engines_agree_on_random_workloads(wl):
     portfolio, yet = wl
     assert_engines_equivalent(
         portfolio, yet,
-        ["sequential", "vectorized", "device", "multicore", "mapreduce",
-         "distributed"],
+        ["sequential", "vectorized", "device", "multicore", "mapreduce"],
     )
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wl=workload(), n_splits=st.integers(1, 80))
+def test_mapreduce_equals_vectorized_at_any_split_count(wl, n_splits):
+    """A map task is one sweep of whole trials, so any split count —
+    including more splits than trials — is ``np.array_equal``."""
+    from repro.core.engines import MapReduceEngine, VectorizedEngine
+
+    portfolio, yet = wl
+    res = MapReduceEngine(n_splits=n_splits).run(portfolio, yet)
+    ref = VectorizedEngine().run(portfolio, yet)
+    for lid, ylt in ref.ylt_by_layer.items():
+        np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
+                                      ylt.losses)
 
 
 @settings(max_examples=25, deadline=None,

@@ -61,8 +61,7 @@ def test_engine_registry_matches_docs():
     import repro
 
     assert repro.available_engines() == [
-        "device", "distributed", "mapreduce", "multicore", "sequential",
-        "vectorized",
+        "device", "mapreduce", "multicore", "sequential", "vectorized",
     ]
 
 
@@ -169,6 +168,19 @@ def test_one_door_from_a_kernel_to_an_answer():
             calls[path.relative_to(src).as_posix()] = n
     assert calls.pop("core/kernels.py") >= 1
     assert calls == {"serve/dispatch.py": 1}
+
+
+def test_no_engine_keeps_a_pricing_loop_of_its_own():
+    """No engine applies occurrence terms itself: each prices through the
+    fused kernel, so none keeps a per-layer loop beside the block task."""
+    engines = (pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+               / "core" / "engines")
+    calls = [path.name for path in sorted(engines.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "apply_occurrence"]
+    assert calls == []
 
 
 def test_one_measured_rate_per_substrate():
@@ -341,6 +353,10 @@ def test_engine_spec_and_planner_knobs_locked():
         "yet", "engine", "volatility_loading", "tail_loading", "batch",
         "cache", "slo_seconds", "max_pending", "session"]
     assert keywords(AggregateAnalysis.run) == ["engine", "emit_yelt"]
-    for name in ("device", "distributed", "mapreduce"):
+    from repro.core.engines import MapReduceEngine
+
+    assert keywords(MapReduceEngine.__init__) == [
+        "dfs", "n_splits", "n_reducers"]
+    for name in ("device", "mapreduce"):
         with pytest.raises(TypeError, match="dense_max_entries"):
             get_engine(name, dense_max_entries=1)

@@ -29,7 +29,7 @@ from repro.hpc.cost_model import ThroughputEstimate
 from repro.session import EnginePlanner, ExecutionPlan, RiskSession
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
-               "mapreduce", "distributed"]
+               "mapreduce"]
 
 needs_shm = pytest.mark.skipif(
     not shm.shm_available(), reason="shared memory unavailable on this host"
@@ -562,7 +562,7 @@ class TestAutoEngine:
                                                    risk_session):
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
-        for name in ("device", "distributed"):
+        for name in ("device", "mapreduce"):
             assert session.aggregate(engine=name).engine == name
         res = session.aggregate(engine="auto")
         assert res.engine in ("vectorized", "multicore")

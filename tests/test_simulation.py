@@ -32,10 +32,10 @@ class TestAggregateAnalysis:
         from repro.core.engines import get_engine
 
         analysis = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet)
-        with pytest.raises(TypeError, match="n_nodes"):
-            analysis.run("distributed", n_nodes=2)
-        res = analysis.run(get_engine("distributed", n_nodes=2))
-        assert res.details["n_nodes"] == 2
+        with pytest.raises(TypeError, match="n_splits"):
+            analysis.run("mapreduce", n_splits=2)
+        res = analysis.run(get_engine("mapreduce", n_splits=2))
+        assert res.details["n_splits"] == 2
 
     def test_run_all(self, tiny_workload):
         analysis = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet)
