@@ -3,7 +3,9 @@
 ``vectorized``, ``multicore`` and ``outofcore`` are the engines that
 really execute on the host, and they are one implementation:
 ``portfolio.kernel()`` → ``dispatcher.run(kernel, yet)`` → per-layer
-YLTs → one ``details`` schema read off the dispatcher.  Spans, block
+YLTs (views of the answer's rows, checked once as one matrix) and
+their total (checked once) → one ``details`` schema read off the
+dispatcher.  Spans, block
 task, transport, supervision, the degraded serial fallback and the
 telemetry export of what the kernel counted are the dispatcher's
 (:mod:`repro.serve.dispatch`, the one door from a kernel to an answer);
@@ -17,7 +19,8 @@ reads (``source``) and whether a run may emit YELTs, nothing else.
 - ``multicore`` splits the trial range into one contiguous block per
   pool worker — the YET decomposes perfectly by trial (no occurrence
   crosses a trial boundary, so aggregate terms are block-local) — and
-  concatenates the per-block ``(L, trials)`` slices.
+  each worker writes its ``(L, trials)`` columns into the dispatcher's
+  shared output.
 - ``outofcore`` (unregistered) is ``vectorized`` over a YET on disk.
 - ``mapreduce`` (:mod:`~repro.core.engines.mapreduce_engine`) replaces
   only :meth:`HostEngine._execute`: a MapReduce job whose map tasks are
@@ -127,13 +130,15 @@ class HostEngine(Engine):
         kernel = portfolio.kernel()
         routed_before = dict(kernel.routed)
         final, details = self._execute(kernel, yet)
-        ylt_by_layer = {
-            lid: YltTable(final[row]) for row, lid in enumerate(kernel.layer_ids)
-        }
+        # One check of the matrix and one of the total, summed row by
+        # row in place — the order ``YltTable.sum`` adds in.
+        total = final[0].copy()
+        for row in final[1:]:
+            total += row
         return EngineResult(
             engine=self.name,
-            ylt_by_layer=ylt_by_layer,
-            portfolio_ylt=YltTable.sum(list(ylt_by_layer.values())),
+            ylt_by_layer=dict(zip(kernel.layer_ids, YltTable.rows(final))),
+            portfolio_ylt=YltTable(total),
             yelt_by_layer={
                 lid: emit_yelt_row(kernel, row, yet)
                 for row, lid in enumerate(kernel.layer_ids)

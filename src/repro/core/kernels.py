@@ -28,14 +28,17 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
 - **by events** — a dense row whose entries above its retention are at
   most :data:`BY_EVENT_MAX_FILL` (1/16) of its own table width, and
   every CSR row.  The row keeps just those entries, ``(events,
-  clip(loss - r, 0, c))``, taken from the stored lookup; the stream's
+  clip(loss - r, 0, c))``, taken from the stored lookup.  A sweep
+  prices all its by-event rows together: their entries, concatenated
+  in row order (kept on the kernel), take **one** read of the stream's
   :class:`~repro.core.tables.EventIndex` (the trial column event-major,
-  with a per-event offset table) reads each event's occurrences in the
-  trial block off two offsets — no search, no mask: a block narrower
-  than the table reads its span of each run off the index's cached
-  boundaries — and one ``bincount`` over the touched occurrences is the
-  row — work proportional to the block's occurrences that pierce the
-  retention, not to the stream.
+  with a per-event offset table), which finds each event's occurrences
+  in the trial block off two offsets — no search, no mask: a block
+  narrower than the table reads its span of each run off the index's
+  cached boundaries — and **one** ``bincount`` into ``row · n_trials +
+  trial`` bins is every row — work proportional to the block's
+  occurrences that pierce the rows' retentions, not to the stream, and
+  a fixed cost paid once per sweep, not once per row.
 - **on the stream** — every other row.  A per-row **net table** is
   built once per kernel (:meth:`PortfolioKernel._net_gathers`) and a
   sweep is one gather from it into a single reused row buffer plus one
@@ -64,7 +67,10 @@ by-event row sums a trial's piercing occurrences in (event, stream
 position) order, which no decomposition changes either.  The two orders
 differ by ulps, so every entry point must route a row the same way —
 which is why routing reads nothing but the row: not the stream, the
-block, the kernel's other rows, nor an option.  A sweep takes a block
+block, the kernel's other rows, nor an option.  Sharing a read and a
+``bincount`` with other rows changes no sum: ``bincount`` adds in input
+order, and each ``(row, trial)`` bin receives the row's occurrences in
+(event, stream position) order, as it would alone.  A sweep takes a block
 of whole trials and nothing else, so lane rows of whole-YET, blocked,
 pooled, degraded-serial, out-of-core and raw-``sweep()`` pricing are
 ``np.array_equal``.
@@ -174,12 +180,14 @@ MIN_TAIL_GROUP = 16
 #: its retention are at most this share of its own table width (the
 #: stored book up to its last non-zero loss); a CSR row always is.  The
 #: share of *occurrences* that pierce follows the share of entries, and
-#: the by-event path (≈ 7 ns per piercing occurrence) crosses the
-#: stream's flat ≈ 1.25 ns per occurrence near 18 % at the benchmark's
-#: base shape (measured on a 2-vCPU x86-64 container, one row: 0.05 ms
-#: at 1.4 %, 0.22 ms at 6.2 %, 0.34 ms at 10 %, 0.51 ms at 15 %, 0.65 ms
-#: at 19 %, against 0.62 ms on the stream).  The share stays well below
-#: that crossover because moving it re-routes rows, and a re-routed row's
+#: the by-event path (≈ 8–10 ns per piercing occurrence for a row swept
+#: alone) stays below the stream's flat ≈ 1.7 ns per occurrence up to
+#: the densest share the benchmark's base shape has (measured on a
+#: 2-vCPU x86-64 container, one row of book 0, the two paths alternated
+#: 300 times in one process; by-event time over stream time: 0.12 at
+#: 1.4 %, 0.35 at 6.2 %, 0.49 at 10 %, 0.71 at 15 %, 0.81 at 19 %, so
+#: the crossover lies past 19 %).  The share stays well below that
+#: crossover because moving it re-routes rows, and a re-routed row's
 #: answer moves in the last ulp.  A constant of the rule of record, not
 #: an option: see the bit-identity rule in the module docstring.
 BY_EVENT_MAX_FILL = 1 / 16
@@ -194,7 +202,8 @@ ROUTING_COUNTERS = ("kernel.profile_rows", "kernel.fallback.error_bound",
 
 #: State derived or counted per instance — never pickled or shipped
 #: through shared memory (workers rebuild caches on first use).
-_CACHE_SLOTS = ("_mask_cache", "_tail_index", "_net", "_pierced", "routed")
+_CACHE_SLOTS = ("_mask_cache", "_tail_index", "_net", "_pierced", "_stack",
+                "routed")
 
 
 class PortfolioKernel:
@@ -301,6 +310,7 @@ class PortfolioKernel:
         self._tail_index = None
         self._net: list = [None] * len(self.layer_ids)
         self._pierced: list = [None] * len(self.layer_ids)
+        self._stack = None
         #: Rows by the path that priced them, summed over this
         #: instance's sweeps (plain counts; see ROUTING_COUNTERS).
         self.routed = dict.fromkeys(ROUTING_COUNTERS, 0)
@@ -683,9 +693,11 @@ class PortfolioKernel:
         np.clip(out, 0.0, self.occ_limit[row], out=out)
         return out
 
-    def apply_aggregate(self, annual: np.ndarray) -> np.ndarray:
-        """Aggregate terms + participation over ``(L, n_trials)`` sums."""
-        out = annual - self.agg_retention[:, None]
+    def apply_aggregate(self, annual: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """Aggregate terms + participation over ``(L, n_trials)`` sums,
+        into ``out`` when given (a new array otherwise)."""
+        out = np.subtract(annual, self.agg_retention[:, None], out=out)
         np.clip(out, 0.0, self.agg_limit[:, None], out=out)
         out *= self.participation[:, None]
         return out
@@ -821,21 +833,58 @@ class PortfolioKernel:
             self._sweep_tail_groups(segments, event_ids, out, groups)
         # Lane rows: by events where the rule of record says so, the
         # rest on the stream.
-        lanes = np.flatnonzero(lane_mask).tolist()
-        by_event = {row: entry for row in lanes
-                    if (entry := self._pierced_entries(row)) is not None}
-        by_stream = [row for row in lanes if row not in by_event]
+        by_event, by_stream = [], []
+        for row in np.flatnonzero(lane_mask).tolist():
+            path = by_stream if self._pierced_entries(row) is None else by_event
+            path.append(row)
         self.routed["kernel.lane_rows.by_event"] += len(by_event)
         self.routed["kernel.lane_rows.by_stream"] += len(by_stream)
         if by_event:
-            index, t0 = segments.event_index(event_ids)
-            for row, (events, net) in by_event.items():
-                which, trial = index.occurrences(events, t0, t0 + n_trials)
-                out[row] = np.bincount(trial, weights=net[which],
-                                       minlength=n_trials)
+            sums = self._sweep_by_event(segments, event_ids, by_event)
+            if len(by_event) == n_layers:
+                out = sums
+            else:
+                out[by_event] = sums
         if by_stream:
             self._sweep_stream(segments, event_ids, out, by_stream)
         return out
+
+    def _sweep_by_event(self, segments: TrialSegments, event_ids: np.ndarray,
+                        rows: list) -> np.ndarray:
+        """By-event ``rows`` as a ``(len(rows), n_trials)`` block: one
+        index read over every row's pierced events at once and one
+        ``bincount`` into ``row · n_trials + trial`` bins.
+
+        ``bincount`` adds in input order, and a row's occurrences arrive
+        in (event, trial) order, so each ``(row, trial)`` bin sums
+        exactly as a sweep of that row alone would.
+        """
+        events, nets, ends = self._by_event_stack(tuple(rows))
+        n_trials = segments.n_trials
+        index, t0 = segments.event_index(event_ids)
+        counts, bins = index.occurrences(events, t0, t0 + n_trials)
+        if len(rows) > 1:
+            # Row i's occurrences are one contiguous run of the read.
+            occ_ends = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=occ_ends[1:])
+            bins += np.repeat(np.arange(0, len(rows) * n_trials, n_trials),
+                              np.diff(occ_ends[ends], prepend=0))
+        sums = np.bincount(bins, weights=np.repeat(nets, counts),
+                           minlength=len(rows) * n_trials)
+        return sums.reshape(len(rows), n_trials)
+
+    def _by_event_stack(self, rows: tuple):
+        """``(events, nets, ends)`` of by-event ``rows``: their pierced
+        entries concatenated in row order, and where each row's ends.
+        The last stack built is kept, like every cache slot host-local:
+        a kernel's aggregate sweeps route the same rows every time."""
+        stack = self._stack
+        if stack is None or stack[0] != rows:
+            events, nets = zip(*(self._pierced[row] for row in rows))
+            stack = self._stack = (rows, np.concatenate(events),
+                                   np.concatenate(nets),
+                                   np.cumsum([e.size for e in events]))
+        return stack[1:]
 
     def _sweep_stream(self, segments: TrialSegments, event_ids: np.ndarray,
                       out: np.ndarray, rows: list) -> None:

@@ -436,10 +436,12 @@ class EventIndex:
 
     def occurrences(self, events: np.ndarray, t0: int,
                     t1: int) -> tuple[np.ndarray, np.ndarray]:
-        """The occurrences of ``events`` (non-negative ids) in trials
-        ``[t0, t1)``: ``(which, trial)``, one entry per occurrence in
-        (position in ``events``, trial) order — the index into
-        ``events`` and the trial renumbered from ``t0``."""
+        """The occurrences of ``events`` (non-negative ids, repeats
+        allowed) in trials ``[t0, t1)``: ``(counts, trial)`` — how many
+        occurrences each entry of ``events`` has there, and their trials
+        renumbered from ``t0``, in (position in ``events``, trial) order.
+        ``np.repeat(v, counts)`` lays any per-event array ``v`` beside
+        ``trial``; one read serves any number of rows' events at once."""
         keys = self.keys
         last = self._ends.size - 1
         if self._events is None:
@@ -451,12 +453,15 @@ class EventIndex:
         lo = self._at(t0, rank)
         counts = self._at(t1, rank) - lo
         counts[~held] = 0
-        which = np.repeat(np.arange(events.size), counts)
+        # Run r's k-th occurrence sits at lo[r] + k, and is entry
+        # (cumsum - counts)[r] + k of the result.
         lo -= np.cumsum(counts) - counts
-        trial = keys[np.arange(which.size) + lo[which]]
+        at = np.repeat(lo, counts)
+        at += np.arange(at.size)
+        trial = keys[at]
         if t0:
             trial -= t0
-        return which, trial
+        return counts, trial
 
     def snapshot(self) -> dict:
         """Flat ``yet.event_index.*`` levels (the :mod:`repro.obs`
@@ -966,6 +971,13 @@ class YeltTable:
 # YLT
 # ---------------------------------------------------------------------------
 
+def _check_losses(losses: np.ndarray) -> None:
+    if not np.isfinite(losses).all():
+        raise ConfigurationError("YLT losses must be finite")
+    if (losses < 0).any():
+        raise ConfigurationError("YLT losses must be non-negative")
+
+
 class YltTable:
     """Dense year-loss table: ``losses[t]`` is trial ``t``'s annual loss."""
 
@@ -975,11 +987,21 @@ class YltTable:
         losses = np.asarray(losses, dtype=np.float64)
         if losses.ndim != 1 or losses.size == 0:
             raise ConfigurationError("YLT losses must be a non-empty 1-D array")
-        if not np.isfinite(losses).all():
-            raise ConfigurationError("YLT losses must be finite")
-        if (losses < 0).any():
-            raise ConfigurationError("YLT losses must be non-negative")
+        _check_losses(losses)
         self.losses = losses
+
+    @classmethod
+    def rows(cls, matrix: np.ndarray) -> list["YltTable"]:
+        """One YLT per row of a ``(rows, n_trials)`` matrix — views of
+        its rows, checked as one array rather than row by row."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ConfigurationError("YLT rows must be a non-empty 2-D array")
+        _check_losses(matrix)
+        ylts = [cls.__new__(cls) for _ in range(matrix.shape[0])]
+        for ylt, row in zip(ylts, matrix):
+            ylt.losses = row
+        return ylts
 
     @property
     def n_trials(self) -> int:

@@ -160,6 +160,10 @@ class PoolHealth:
         self._tel = telemetry if telemetry is not None else Telemetry()
         self._counters = {name: self._tel.counter(f"pool.{name}")
                           for name in self._COUNTER_FIELDS}
+        #: The same counts as plain ints, kept on a disabled plane too:
+        #: supervision's callers act on them (a pooled dispatcher rolls
+        #: its output slab when ``timeouts`` moved).
+        self.totals = dict.fromkeys(self._COUNTER_FIELDS, 0)
         self._degraded_gauge = self._tel.gauge("pool.degraded")
         self._degraded = False
         self.consecutive_failures = 0
@@ -167,6 +171,7 @@ class PoolHealth:
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the ``pool.<name>`` counter."""
+        self.totals[name] += n
         self._counters[name].inc(n)
 
     @property

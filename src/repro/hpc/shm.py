@@ -15,16 +15,19 @@ This module provides the transport that removes those copies:
   track what is still live so tests can assert nothing leaked.
 - :class:`ShmArrayHandle` is the wire format: a tiny picklable
   descriptor (segment name + dtype + shape + byte offset) that
-  re-attaches as a read-only NumPy *view* in any process.  Shipping a
-  gigabyte array costs ~100 bytes of pickle plus one page-table mapping
-  in each worker, paid once per (worker, segment).
-- :class:`ShmSlab` is a *reusable* segment for transient payloads — the
-  serving layer writes each micro-batch's stacked kernel into the same
-  slab, so steady-state batches cost one ``memcpy`` instead of a pickle
-  round-trip per task.  The slab grows geometrically (fresh segment,
-  old one unlinked) when a payload outgrows it, and its segments carry
-  generation-tagged names so worker-side caches evict an outgrown
-  generation's mapping the moment they attach its successor.
+  re-attaches as a read-only NumPy *view* in any process (writable for
+  an output only).  Shipping a gigabyte array costs ~100 bytes of
+  pickle plus one page-table mapping in each worker, paid once per
+  (worker, segment).
+- :class:`ShmSlab` is a *reusable* segment for transient arrays — a
+  pooled dispatcher writes each kernel it runs into one slab, so a new
+  batch costs one ``memcpy`` instead of a pickle per task, and its
+  workers write their answer blocks into another, so a block returns
+  without a pickle either.  The slab grows geometrically (fresh
+  segment, old one unlinked) when an array outgrows it, and its
+  segments carry generation-tagged names so worker-side caches evict
+  an outgrown generation's mapping the moment they attach its
+  successor.
 
 Attach-side bookkeeping: each process caches its segment mappings, so N
 handles into one segment map it once, and attached segments are
@@ -255,15 +258,18 @@ def _attach_segment(name: str):
 class ShmArrayHandle:
     """Picklable descriptor of one array living in a shared segment.
 
-    Pickles as (segment name, dtype string, shape, byte offset) — a few
-    hundred bytes regardless of payload size — and :meth:`attach`\\ es as
-    a read-only NumPy view in any process that can see the segment.
+    Pickles as (segment name, dtype string, shape, byte offset, whether
+    writable) — a few hundred bytes regardless of payload size — and
+    :meth:`attach`\\ es as a NumPy view in any process that can see the
+    segment.  Only :meth:`ShmSlab.reserve` hands out a ``writable``
+    handle.
     """
 
     segment: str
     dtype: str
     shape: tuple[int, ...]
     offset: int
+    writable: bool = False
 
     @property
     def nbytes(self) -> int:
@@ -273,9 +279,12 @@ class ShmArrayHandle:
     def attach(self) -> np.ndarray:
         """Map the segment (cached per process) and return the view.
 
-        The view is marked read-only: the data plane is single-writer
-        (the owner) / many-reader (the workers), and a worker scribbling
-        on a shared lookup would corrupt every sibling's answers.
+        A payload's view is read-only: payloads are single-writer (the
+        owner) / many-reader (the workers), and a worker scribbling on a
+        shared lookup would corrupt every sibling's answers.  An
+        *output* handle (:meth:`ShmSlab.reserve`) attaches writable: the
+        workers write disjoint parts of it and the owner reads it once
+        they are all done.
 
         Views live exactly as long as their owner: once the creating
         arena/slab is closed, reading an in-process view is undefined
@@ -289,7 +298,7 @@ class ShmArrayHandle:
             self.shape, dtype=np.dtype(self.dtype),
             buffer=segment.buf, offset=self.offset,
         )
-        view.flags.writeable = False
+        view.flags.writeable = self.writable
         return view
 
 
@@ -441,16 +450,23 @@ class SharedArena:
 
 
 class ShmSlab:
-    """A reusable shared segment for transient payloads.
+    """A reusable shared segment for transient arrays, in or out.
 
-    The serving layer's per-batch kernel changes every batch but its
-    *size class* does not: :meth:`pack` writes the batch's arrays into
-    the same segment generation after generation, so workers re-attach
-    nothing (their cached mapping still covers it) and the steady-state
-    ship cost is one owner-side ``memcpy``.  A payload that outgrows the
-    slab rolls to a fresh, geometrically larger segment; the old one is
-    unlinked (workers holding a stale mapping keep it alive until they
-    next attach, so in-flight readers are never yanked).
+    **In:** a pooled dispatcher's kernel changes with every serving
+    batch but its *size class* does not: :meth:`pack` writes the
+    batch's arrays into the same segment generation after generation,
+    so workers re-attach nothing (their cached mapping still covers it)
+    and the steady-state ship cost is one owner-side ``memcpy``.
+    **Out:** :meth:`reserve` hands out one writable array at the slab's
+    start that workers write their parts of and the owner reads back —
+    a block returns through shared pages instead of a pickle.
+
+    A payload that outgrows the slab rolls it to a fresh, geometrically
+    larger segment; :meth:`roll` moves it to a fresh one of the same
+    size (an output whose writers can no longer be trusted to have
+    stopped).  The old segment is unlinked: workers holding a stale
+    mapping keep it alive until they next attach, so in-flight readers
+    are never yanked and a late writer writes where nobody reads.
 
     Segments are named ``repro-slab-<uid>-g<generation>``: the attach
     side (see :func:`_evict_stale_slab_mappings`) recognises two
@@ -494,22 +510,44 @@ class ShmSlab:
         previous payload — the dispatch paths satisfy this because a
         batch is fully collected before the next one is staged.
         """
-        if self._closed:
-            raise ConfigurationError("slab is closed")
         if not arrays:
             raise ConfigurationError("pack() needs at least one array")
-        need = _total_packed(arrays)
-        if self._segment is None or need > self._segment.size:
-            capacity = max(self._capacity, self.nbytes)
-            while capacity < need:
-                capacity *= 2
-            self._roll(capacity)
+        self._fit(_total_packed(arrays))
         return _pack_into(self._segment, arrays)
 
     # ``place`` aliases ``pack`` so exporters can target an arena or a
     # slab interchangeably.
     def place(self, *arrays: np.ndarray) -> tuple[ShmArrayHandle, ...]:
         return self.pack(*arrays)
+
+    def reserve(self, shape: tuple[int, ...]) -> ShmArrayHandle:
+        """A writable float64 array of ``shape`` at the slab's start.
+
+        The output counterpart of :meth:`pack`, under the same rule: the
+        caller reserves only once every reader and writer of the last
+        reservation is done, and reads its array before the next.
+        """
+        dtype = np.dtype(np.float64)
+        shape = tuple(int(n) for n in shape)
+        self._fit(int(np.prod(shape)) * dtype.itemsize)
+        return ShmArrayHandle(segment=self._segment.name, dtype=dtype.str,
+                              shape=shape, offset=0, writable=True)
+
+    def roll(self) -> None:
+        """Move to a fresh segment generation of the same capacity."""
+        if self._closed:
+            raise ConfigurationError("slab is closed")
+        self._roll(max(self._capacity, self.nbytes))
+
+    def _fit(self, need: int) -> None:
+        """Roll to a large enough segment unless the current one fits."""
+        if self._closed:
+            raise ConfigurationError("slab is closed")
+        if self._segment is None or need > self._segment.size:
+            capacity = max(self._capacity, self.nbytes)
+            while capacity < need:
+                capacity *= 2
+            self._roll(capacity)
 
     def _roll(self, capacity: int) -> None:
         if self._segment is not None:

@@ -32,11 +32,21 @@ and the two substrates differ in where the spans execute:
     ~1 KB of handles per task and rebuilds nothing; a serving batch (a
     fresh stacked kernel) costs one owner-side ``memcpy`` and one attach
     per worker.  A kernel is immutable once built, which is what lets
-    identity stand for content here.
+    identity stand for content here;
+  * the *answer* comes back through a second slab: the dispatcher
+    reserves the ``(L, n_trials)`` matrix there, each worker writes its
+    trial span's columns, aggregate terms applied, straight into it and
+    returns nothing, and the dispatcher copies the matrix out under its
+    lock once every block is in.  No block is pickled back or
+    concatenated.  A worker killed mid-write is rewritten by its retry
+    (the bytes are the same); one abandoned past a deadline may still
+    write later, so a run in which ``pool.timeouts`` moved leaves the
+    output slab on a fresh generation.
 
   ``transport="pickle"`` (or a host without shared memory) falls back to
   the original ship — YET through the pool initializer, kernel pickled
-  per task — with bit-identical results.
+  per task, blocks pickled back — with bit-identical results; so do a
+  degraded pool and a one-worker pool, which run their spans in process.
 
 Both close cleanly; :meth:`Dispatcher.warmup` lets the service pay
 worker spawn and YET delivery outside any request's SLO window.
@@ -70,8 +80,9 @@ gauge.  It exports, once per run, where the calling process's kernel
 priced its rows (:data:`~repro.core.kernels.ROUTING_COUNTERS`) and what
 the YET keeps or read for them (``yet.cache_levels()``) — inline,
 degraded or on a one-worker pool.  Pool workers count on their own
-copies; those counts do not come back yet (ROADMAP item 6), and this is
-where they will arrive.
+copies; those counts do not come back yet (ROADMAP item 8: a pooled
+block task returns nothing, so its counts would be all it returns), and
+this is where they will arrive.
 """
 
 from __future__ import annotations
@@ -185,13 +196,15 @@ class InlineDispatcher(Dispatcher):
 
 
 def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
-                  t0: int, t1: int) -> np.ndarray:
+                  t0: int, t1: int, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Fused sweep over trials ``[t0, t1)``, aggregate terms applied —
     the one sweep outside the kernel under ``src/``, on the calling
     thread or as a pool worker's task (picklable top-level function).  A
     ``YetTable`` yields one block (offset arithmetic over the trial index
     it derives once per copy), returned as is; a ``StoredYet``'s blocks
-    each fill their own trial columns."""
+    each fill their own trial columns.  The answer is written to
+    ``out`` (an ``(L, t1 - t0)`` array) when one is given."""
     annual, col = None, 0
     for segments, event_ids in yet.trial_blocks(t0, t1):
         swept = kernel.sweep_segments(segments, event_ids)
@@ -205,7 +218,7 @@ def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
                 annual = np.empty((kernel.n_layers, t1 - t0))
             annual[:, col:col + swept.shape[1]] = swept
         col += swept.shape[1]
-    return kernel.apply_aggregate(annual)
+    return kernel.apply_aggregate(annual, out=out)
 
 
 #: A pool worker's one attached kernel, ``(stamp, kernel)``, and how
@@ -214,12 +227,13 @@ _attached: tuple | None = None
 _attaches = 0
 
 
-def _sweep_trials_handles(yet: YetTable, kernel_handles,
-                          t0: int, t1: int) -> np.ndarray:
-    """Worker: like :func:`_sweep_trials` over the kernel the slab
-    handles name — attached as zero-copy views once per stamp and kept,
-    derived caches and all, until a task names another (picklable
-    task)."""
+def _sweep_trials_handles(yet: YetTable, kernel_handles, t0: int, t1: int,
+                          output) -> None:
+    """Worker: :func:`_sweep_trials` over the kernel the slab handles
+    name — attached as zero-copy views once per stamp and kept, derived
+    caches and all, until a task names another — written straight into
+    columns ``[t0, t1)`` of the dispatcher's ``output`` handle; nothing
+    comes back but completion (picklable task)."""
     global _attached, _attaches
     if _attached is None or _attached[0] != kernel_handles.stamp:
         # Drop the old views first: they may pin an outgrown slab
@@ -228,7 +242,7 @@ def _sweep_trials_handles(yet: YetTable, kernel_handles,
         _attached = (kernel_handles.stamp,
                      PortfolioKernel.from_handles(kernel_handles))
         _attaches += 1
-    return _sweep_trials(yet, _attached[1], t0, t1)
+    _sweep_trials(yet, _attached[1], t0, t1, out=output.attach()[:, t0:t1])
 
 
 class _ShmYet(shm.HandleShipment):
@@ -250,10 +264,11 @@ class PooledDispatcher(Dispatcher):
     bundle is keyed by :meth:`YetTable.fingerprint`, so only a trial set
     with *different content* forces a re-ship — swapping in an equal
     re-simulated YET costs nothing.  On shared-memory hosts the bundle
-    is a handle shipment (workers attach the columns zero-copy) and the
+    is a handle shipment (workers attach the columns zero-copy), the
     kernel travels as slab handles, packed once per kernel and attached
-    once per worker; see the module docstring for the transport rules
-    and the pickle fallback.
+    once per worker, and the answer returns through an output slab the
+    workers write; see the module docstring for the transport rules and
+    the pickle fallback.
     """
 
     name = "pooled"
@@ -279,13 +294,19 @@ class PooledDispatcher(Dispatcher):
         self._slab: shm.ShmSlab | None = None
         #: ``(kernel, handles)`` of the kernel the slab holds.
         self._staged: tuple | None = None
+        #: Where the workers write the ``(L, n_trials)`` answer.
+        self._output: shm.ShmSlab | None = None
         self._m_slab_generations = self.telemetry.gauge(
             "dispatch.slab.generations")
         self._m_slab_packs = self.telemetry.counter("dispatch.slab.packs")
-        #: Guards bundle swaps and the slab: the bundle/arena state is
-        #: check-then-mutate, and the slab is single-writer with the
-        #: in-flight batch as its readers — concurrent callers (the
-        #: batcher executes outside its queue lock) serialise here.
+        self._m_output_generations = self.telemetry.gauge(
+            "dispatch.output_slab.generations")
+        #: Guards bundle swaps and the slabs: the bundle/arena state is
+        #: check-then-mutate, the kernel slab is single-writer with the
+        #: in-flight batch as its readers, and the output slab is the
+        #: in-flight batch's to write until copied out — concurrent
+        #: callers (the batcher executes outside its queue lock)
+        #: serialise here.
         self._lock = threading.Lock()
 
     @property
@@ -352,35 +373,53 @@ class PooledDispatcher(Dispatcher):
             return super()._run(kernel, yet, policy)
         shared = self._bundle(yet)
         spans = self.spans(yet)
-        # One lock over slab and submissions: the slab is single-writer
-        # with the in-flight batch as its readers, and a concurrent
-        # bundle swap would cycle the pool executor under an in-flight
-        # batch's submissions.
+        # One lock over the slabs and submissions: both slabs belong to
+        # the in-flight batch (its readers', its writers'), and a
+        # concurrent bundle swap would cycle the pool executor under an
+        # in-flight batch's submissions.
         with self._lock:
-            task, payload = _sweep_trials, kernel
-            if self.transport_active == "shm" and len(spans) > 1:
-                # The kernel rides the reusable slab: one memcpy when a
-                # different kernel arrives, ~1 KB of handles per task.
-                if self._staged is None or self._staged[0] is not kernel:
-                    if self._slab is None:
-                        self._slab = shm.ShmSlab()
-                    self._staged = None   # a failed pack holds neither
-                    self._staged = (kernel, kernel.export_handles(self._slab))
-                    self._m_slab_packs.inc()
-                    self._m_slab_generations.set(self._slab.generations)
-                task, payload = _sweep_trials_handles, self._staged[1]
-            partials = self.pool.starmap_shared(
-                task, shared, [(payload, t0, t1) for t0, t1 in spans],
-                policy=policy)
-        return np.concatenate(partials, axis=1)
+            if self.transport_active != "shm" or len(spans) == 1:
+                partials = self.pool.starmap_shared(
+                    _sweep_trials, shared,
+                    [(kernel, t0, t1) for t0, t1 in spans], policy=policy)
+                return np.concatenate(partials, axis=1)
+            # The kernel rides the reusable slab: one memcpy when a
+            # different kernel arrives, ~1 KB of handles per task.
+            if self._staged is None or self._staged[0] is not kernel:
+                if self._slab is None:
+                    self._slab = shm.ShmSlab()
+                self._staged = None   # a failed pack holds neither
+                self._staged = (kernel, kernel.export_handles(self._slab))
+                self._m_slab_packs.inc()
+                self._m_slab_generations.set(self._slab.generations)
+            # Each worker writes its columns of the answer into the
+            # output slab and returns nothing; the answer is copied out
+            # once every block is in.
+            if self._output is None:
+                self._output = shm.ShmSlab()
+            output = self._output.reserve((kernel.n_layers, yet.n_trials))
+            timeouts = self.pool.health.totals["timeouts"]
+            try:
+                self.pool.starmap_shared(
+                    _sweep_trials_handles, shared,
+                    [(self._staged[1], t0, t1, output) for t0, t1 in spans],
+                    policy=policy)
+                return output.attach().copy()
+            finally:
+                if self.pool.health.totals["timeouts"] != timeouts:
+                    # A worker abandoned past its deadline may still
+                    # write: leave it a generation nobody reads.
+                    self._output.roll()
+                self._m_output_generations.set(self._output.generations)
 
     def close(self) -> None:
         self.pool.close()
         with self._lock:
             self._staged = None
-            if self._slab is not None:
-                self._slab.close()
-                self._slab = None
+            for slab in (self._slab, self._output):
+                if slab is not None:
+                    slab.close()
+            self._slab = self._output = None
             for arena in self._yet_arenas:
                 arena.close()
             self._yet_arenas.clear()

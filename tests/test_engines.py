@@ -18,12 +18,12 @@ from repro.core.engines import (
     get_engine,
 )
 from repro.core.simulation import AggregateAnalysis
-from repro.core.tables import EltTable, YetTable
+from repro.core.tables import EltTable, YetTable, YltTable
 from repro.core.terms import LayerTerms
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.data.columnar import ColumnTable
-from repro.errors import EngineError
+from repro.errors import ConfigurationError, EngineError
 from repro.hpc.device import DeviceProperties, SimulatedGpu
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
@@ -147,6 +147,49 @@ class TestVectorized:
         assert seq.yelt_by_layer[lid].table.equals(
             vec.yelt_by_layer[lid].table, rtol=1e-12, atol=1e-9
         )
+
+
+class _Returning(VectorizedEngine):
+    """A host engine whose substrate answers with a given matrix."""
+
+    def __init__(self, matrix):
+        super().__init__()
+        self.matrix = matrix
+
+    def _execute(self, kernel, yet):
+        return self.matrix, {}
+
+
+class TestHostEngineChecksItsAnswer:
+    """The host driver checks the answer matrix and the portfolio total
+    once each, not one YLT at a time — and still refuses what a YLT
+    refuses."""
+
+    def test_total_is_the_row_by_row_sum(self, small_portfolio_workload):
+        wl = small_portfolio_workload
+        res = VectorizedEngine().run(wl.portfolio, wl.yet)
+        ylts = list(res.ylt_by_layer.values())
+        assert len(ylts) == 3
+        np.testing.assert_array_equal(res.portfolio_ylt.losses,
+                                      YltTable.sum(ylts).losses)
+
+    @pytest.mark.parametrize("bad, match", [
+        ("negative", "non-negative"), ("nan", "finite"),
+        ("overflowing total", "finite")])
+    def test_a_bad_answer_still_raises(self, small_portfolio_workload,
+                                       bad, match):
+        wl = small_portfolio_workload
+        result = VectorizedEngine().run(wl.portfolio, wl.yet)
+        matrix = np.array([ylt.losses for ylt in result.ylt_by_layer.values()])
+        if bad == "negative":
+            matrix[1, 5] = -1.0
+        elif bad == "nan":
+            matrix[2, 0] = np.nan
+        else:                 # every row finite, their sum is not
+            matrix[:, 7] = np.finfo(np.float64).max
+        with np.errstate(over="ignore"), \
+                pytest.raises(ConfigurationError, match=match):
+            _Returning(matrix).run(wl.portfolio, wl.yet)
 
 
 class TestDeviceEngine:

@@ -106,14 +106,20 @@ class TestEventIndex:
         assert index.builds == 0 and index.snapshot() == {
             "yet.event_index.builds": 0, "yet.event_index.bytes": 0}
         # event 5 occurs in trials 0, 0, 2; event 6 never; 9 in trial 3
-        which, trial = index.occurrences(np.array([5, 6, 9]), 0, 4)
-        np.testing.assert_array_equal(which, [0, 0, 0, 2])
+        counts, trial = index.occurrences(np.array([5, 6, 9]), 0, 4)
+        np.testing.assert_array_equal(counts, [3, 0, 1])
         np.testing.assert_array_equal(trial, [0, 0, 2, 3])
         # trials [2, 4), renumbered from 2; an id past every occurrence
-        which, trial = index.occurrences(np.array([5, 7, 10**12]), 2, 4)
-        np.testing.assert_array_equal(which, [0, 1])
+        counts, trial = index.occurrences(np.array([5, 7, 10**12]), 2, 4)
+        np.testing.assert_array_equal(counts, [1, 1, 0])
         np.testing.assert_array_equal(trial, [0, 0])
-        index.occurrences(np.array([], dtype=np.int64), 0, 4)
+        # an event asked for twice (two rows' events in one read) is
+        # read twice, in the order asked
+        counts, trial = index.occurrences(np.array([9, 5, 9]), 0, 4)
+        np.testing.assert_array_equal(counts, [1, 3, 1])
+        np.testing.assert_array_equal(trial, [3, 0, 0, 2, 3])
+        counts, trial = index.occurrences(np.array([], dtype=np.int64), 0, 4)
+        assert counts.size == trial.size == 0
         # ids up to 9 over 6 occurrences: offsets by rank — 6 trials,
         # 3 offsets, 3 distinct ids — and the 3 offsets of boundary 2
         assert index.snapshot() == {"yet.event_index.builds": 1,
@@ -133,16 +139,18 @@ class TestEventIndex:
                                  direct.occurrences(events, t0, t1)):
                 np.testing.assert_array_equal(got, want)
         # ids the ranked stream does not hold, on both sides of it
-        which, _ = ranked.occurrences(np.array([3, huge + 6, 2**63 - 1]), 0, 4)
-        assert which.size == 0
+        counts, trial = ranked.occurrences(
+            np.array([3, huge + 6, 2**63 - 1]), 0, 4)
+        assert not counts.any() and trial.size == 0
         # boundaries 2 and 3 were swept: 3 offsets each
         assert ranked.snapshot()["yet.event_index.bytes"] == (6 + 3 + 3 + 2 * 3) * 8
 
     def test_empty_stream(self):
         none = np.array([], dtype=np.int64)
-        which, trial = EventIndex(none, none, 3).occurrences(
+        counts, trial = EventIndex(none, none, 3).occurrences(
             np.array([0, 4]), 0, 3)
-        assert which.size == 0 and trial.size == 0
+        np.testing.assert_array_equal(counts, [0, 0])
+        assert trial.size == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_offsets_by_id_and_by_rank_read_what_a_scan_finds(self, seed):
@@ -171,8 +179,10 @@ class TestEventIndex:
                                         & (trials < t1)].tolist()]
                 want = np.array(scan, dtype=np.int64).reshape(-1, 2).T
                 for index, shift in ((by_id, 0), (by_rank, 2**40)):
-                    got = index.occurrences(wanted + shift, t0, t1)
-                    np.testing.assert_array_equal(np.stack(got), want)
+                    counts, trial = index.occurrences(wanted + shift, t0, t1)
+                    which = np.repeat(np.arange(wanted.size), counts)
+                    np.testing.assert_array_equal(np.stack((which, trial)),
+                                                  want)
         inner = n_trials - 1                 # boundaries 1 .. n_trials - 1
         assert by_id.snapshot()["yet.event_index.bytes"] == (
             8 * (n + top + inner * top))

@@ -59,11 +59,11 @@ class NetGatherProof:
     assigns it: the net table on the stream, or the event index.
 
     Each path has exactly one implementation.  Stream rows gather
-    through ``kernel._net`` and by-event rows look their events up
-    through ``EventIndex.occurrences``; wrapping both makes "this row
-    priced on its net table" / "this row priced by events" an
-    observable instead of an assumption, and the kernel's own
-    ``kernel.lane_rows.*`` counts must agree with what was observed.
+    through ``kernel._net`` and by-event rows read their events, all
+    rows in one read, through ``EventIndex.occurrences``; wrapping both
+    makes "this row priced on its net table" / "this row priced by
+    events" an observable instead of an assumption, and the kernel's
+    own ``kernel.lane_rows.*`` counts must agree with what was observed.
     """
 
     def __init__(self, kernel: PortfolioKernel) -> None:
@@ -102,8 +102,14 @@ class NetGatherProof:
                 assert gathered == 0, f"by-event row {row} read the stream"
             else:
                 assert gathered >= 1, f"row {row} skipped its net table"
-        assert len(lookups) == len(self.by_event), (
-            "one index lookup per by-event row")
+        # One index read per sweep that has by-event rows, over all of
+        # their pierced events in row order — none for a sweep without.
+        assert len(lookups) == (1 if self.by_event else 0), (
+            "one index read per sweep, not one per by-event row")
+        if self.by_event:
+            np.testing.assert_array_equal(lookups[0], np.concatenate([
+                self.kernel._pierced_entries(row)[0]
+                for row in sorted(self.by_event)]))
         moved = {name: self.kernel.routed[name] - routed[name]
                  for name in ("kernel.lane_rows.by_event",
                               "kernel.lane_rows.by_stream")}

@@ -330,7 +330,15 @@ def test_engine_spec_and_planner_knobs_locked():
 
     assert keywords(PooledDispatcher.__init__) == [
         "n_workers", "transport", "telemetry"]
+    # One read method: every by-event row of a sweep in one call.
     assert keywords(EventIndex.occurrences) == ["events", "t0", "t1"]
+    assert [name for name in vars(EventIndex)
+            if callable(getattr(EventIndex, name))
+            and not name.startswith("_")] == ["occurrences", "snapshot"]
+    # The output slab is the kernel slab's class, with no knob of its own.
+    from repro.hpc.shm import ShmSlab
+
+    assert keywords(ShmSlab.__init__) == ["capacity_bytes"]
     # Out-of-core is the host engine over a stored source: no parameter,
     # and no door beside the host engines' ``run``.
     assert keywords(StoredYet.__init__) == ["store", "table_name", "n_trials"]

@@ -3,12 +3,15 @@
 Three invariant families:
 
 - **lifecycle** — arenas and slabs own their segments: handles pickle
-  small, attach as read-only views, and closing the owner unlinks
-  everything (the session-scoped fixture in ``conftest.py`` additionally
-  asserts the whole suite leaks no segments);
+  small, attach as read-only views (an output slab's, writable), and
+  closing the owner unlinks everything (the session-scoped fixture in
+  ``conftest.py`` additionally asserts the whole suite leaks no
+  segments);
 - **parity** — the shm transport changes wall time, never answers:
   multicore-over-shm is bit-identical to multicore-over-pickle and
-  matches the vectorized engine, likewise the pooled dispatcher;
+  matches the vectorized engine, likewise the pooled dispatcher, whose
+  blocks come back through its output slab however wide the answer,
+  however many workers, and after a worker was abandoned mid-write;
 - **recovery** — a dead worker breaks the executor, not the data plane:
   the next run re-ships handles only and re-attaches cleanly.
 """
@@ -28,7 +31,8 @@ from repro.core.kernels import PortfolioKernel
 from repro.core.portfolio import Portfolio
 from repro.core.tables import YetTable
 from repro.errors import ConfigurationError, ExecutionError
-from repro.hpc import shm
+from repro.hpc import faults, shm
+from repro.hpc.faults import FaultPlan
 from repro.hpc.pool import TaskPolicy, WorkPool
 from repro.serve import dispatch
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher, _ShmYet
@@ -351,6 +355,86 @@ class TestStagedKernel:
             d.close()
         gc.collect()
         assert held() is None, "close() must release the staged kernel"
+
+
+# ---------------------------------------------------------------------------
+# the output slab: blocks come back through shared pages
+# ---------------------------------------------------------------------------
+
+class TestOutputSlab:
+    """Each worker writes its columns of the answer into the pooled
+    dispatcher's output slab and returns nothing; the parent copies the
+    matrix out.  Every answer is the inline one, bit for bit."""
+
+    def test_answers_of_different_widths_grow_the_slab(self):
+        """An 8-row answer over 20,000 trials (1.28 MB) outgrows the
+        1 MiB default; alternating it with a one-row answer grows the
+        slab once and reuses it after."""
+        from repro.bench.workloads import build_portfolio_workload
+
+        wl = build_portfolio_workload(
+            n_layers=8, n_trials=20_000, mean_events_per_trial=2.0,
+            elts_per_layer=1, elt_rows=100, catalog_events=400, seed=5)
+        wide = wl.portfolio.kernel()
+        narrow = Portfolio(list(wl.portfolio)[:1]).kernel()
+        inline = {id(k): InlineDispatcher().run(k, wl.yet)
+                  for k in (wide, narrow)}
+        with PooledDispatcher(n_workers=2) as d:
+            gauge = d.telemetry.gauge("dispatch.output_slab.generations")
+            for kernel, generations in ((narrow, 1), (wide, 2), (narrow, 2),
+                                        (wide, 2)):
+                np.testing.assert_array_equal(d.run(kernel, wl.yet),
+                                              inline[id(kernel)])
+                assert d._output.generations == gauge.value == generations
+            assert d._output.nbytes == 2 << 20
+
+    def test_three_workers(self, small_portfolio_workload):
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+        with PooledDispatcher(n_workers=3) as d:
+            assert len(d.spans(wl.yet)) == 3
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    d.run(kernel, wl.yet), InlineDispatcher().run(kernel, wl.yet))
+            assert d._output.generations == 1
+
+    @pytest.mark.parametrize("telemetry", [True, False])
+    def test_a_deadline_miss_rolls_the_slab(self, small_portfolio_workload,
+                                            telemetry):
+        """A worker abandoned past its deadline wakes up later and writes
+        its columns: the run that abandoned it leaves the slab on a fresh
+        generation, so the next run — a different kernel here — is read
+        from pages no straggler writes.  A disabled telemetry plane
+        counts nothing, and the slab rolls all the same."""
+        wl = small_portfolio_workload
+        first = wl.portfolio.kernel()
+        second = Portfolio(list(wl.portfolio)[:2]).kernel()
+        policy = TaskPolicy(deadline_seconds=0.5, max_retries=2,
+                            backoff_seconds=0.0)
+        with PooledDispatcher(n_workers=2, telemetry=telemetry) as d:
+            np.testing.assert_array_equal(
+                d.run(first, wl.yet), InlineDispatcher().run(first, wl.yet))
+            stale = d._output.segment_name
+            with faults.inject(FaultPlan.delay_task(1, 2.0)) as plan:
+                answer = d.run(first, wl.yet, policy=policy)
+            assert plan.exhausted
+            assert d.pool.health.totals["timeouts"] >= 1
+            np.testing.assert_array_equal(
+                answer, InlineDispatcher().run(first, wl.yet))
+            assert d._output.generations >= 2
+            assert d._output.segment_name != stale
+            assert stale not in shm.active_segment_names()
+            np.testing.assert_array_equal(
+                d.run(second, wl.yet), InlineDispatcher().run(second, wl.yet))
+
+    def test_close_returns_the_segments(self, small_portfolio_workload):
+        wl = small_portfolio_workload
+        before = shm.active_segment_names()
+        d = PooledDispatcher(n_workers=2)
+        d.run(wl.portfolio.kernel(), wl.yet)
+        assert d._output.segment_name in shm.active_segment_names()
+        d.close()
+        assert shm.active_segment_names() == before
 
 
 # ---------------------------------------------------------------------------
