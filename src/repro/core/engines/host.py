@@ -5,9 +5,9 @@ really execute on the host, and they are one implementation:
 ``portfolio.kernel()`` → ``dispatcher.run(kernel, yet)`` → per-layer
 YLTs (views of the answer's rows, checked once as one matrix) and
 their total (checked once) → one ``details`` schema read off the
-dispatcher.  Spans, block
-task, transport, supervision, the degraded serial fallback and the
-telemetry export of what the kernel counted are the dispatcher's
+dispatcher.  Spans, block task, the shared-memory data plane,
+supervision, the degraded serial fallback and the telemetry export of
+what the kernel counted are the dispatcher's
 (:mod:`repro.serve.dispatch`, the one door from a kernel to an answer);
 the classes say which dispatcher a standalone instance builds, what it
 reads (``source``) and whether a run may emit YELTs, nothing else.
@@ -46,7 +46,6 @@ from repro.core.portfolio import Portfolio
 from repro.core.tables import YELT_SCHEMA, StoredYet, YeltTable, YetTable, YltTable
 from repro.data.columnar import ColumnTable
 from repro.errors import EngineError
-from repro.hpc import shm
 
 __all__ = ["HostEngine", "VectorizedEngine", "MulticoreEngine",
            "OutOfCoreEngine", "emit_yelt_row"]
@@ -162,12 +161,14 @@ class HostEngine(Engine):
         substrate that ran it: here, one run of the dispatcher."""
         dispatcher = self.dispatcher
         final = dispatcher.run(kernel, yet)
-        health = dispatcher.health
+        n_blocks = len(dispatcher.spans(yet))
+        # One block ran in process, whatever the pool's width.
         return final, {
-            "n_workers": dispatcher.n_procs,
-            "n_blocks": len(dispatcher.spans(yet)),
-            "transport": dispatcher.transport_active,
-            "degraded": health is not None and health.degraded,
+            "n_workers": dispatcher.n_procs if n_blocks > 1 else 1,
+            "n_blocks": n_blocks,
+            "transport": (dispatcher.transport_active if n_blocks > 1
+                          else "inline"),
+            "degraded": dispatcher.degraded,
         }
 
 
@@ -188,24 +189,20 @@ class MulticoreEngine(HostEngine):
     ----------
     n_workers:
         Worker processes; ``None`` means the host's parallelism.
-    transport:
-        ``"auto"`` (shared memory when the host supports it, else
-        pickle), ``"shm"`` (require the shared-memory plane), or
-        ``"pickle"`` (force the legacy ship: YET through the pool
-        initializer, kernel pickled per task).
+
+    The payload rides the shared-memory data plane; a one-block run, a
+    degraded pool and a host without shared memory sweep in process
+    (``details["transport"] == "inline"``).
     """
 
     name = "multicore"
 
-    def __init__(self, n_workers: int | None = None,
-                 transport: str = "auto") -> None:
+    def __init__(self, n_workers: int | None = None) -> None:
         super().__init__()
-        shm.validate_transport(transport)
         self.n_workers = n_workers
-        self.transport = transport
 
     def _build_dispatcher(self, dispatch):
-        return dispatch.PooledDispatcher(self.n_workers, self.transport)
+        return dispatch.PooledDispatcher(self.n_workers)
 
     @property
     def pool(self):

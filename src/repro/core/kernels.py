@@ -76,9 +76,10 @@ pooled, degraded-serial, out-of-core and raw-``sweep()`` pricing are
 ``np.array_equal``.
 
 Kernel rows are ordered dense-first; :attr:`layer_ids` maps row → layer.
-The kernel holds only plain arrays, so it pickles whole — the pooled
-dispatcher's pickle transport ships it per block task instead of
-re-sending lookup arrays per layer.
+The kernel holds only plain arrays: a pooled dispatcher packs them into
+a shared-memory slab once (:meth:`export_handles`) and each worker
+attaches them as views (:meth:`from_handles`); no pooled path pickles a
+kernel.
 
 **Sublinear tail groups.**  Batches of tail-attaching layers over one
 shared book — the serving layer's many-quotes-one-book shape — do not
@@ -316,10 +317,10 @@ class PortfolioKernel:
         self.routed = dict.fromkeys(ROUTING_COUNTERS, 0)
 
     def __getstate__(self):
-        # Derived caches stay host-local: a pickled kernel (the pooled
-        # dispatcher's pickle transport) carries only the stacked arrays,
-        # and the receiving worker rebuilds masks/net tables lazily on
-        # first use.
+        # Derived caches stay host-local: a pickled kernel (no pooled
+        # path ships one — workers attach slab handles) carries only the
+        # stacked arrays and rebuilds masks/net tables lazily on first
+        # use.
         return {name: getattr(self, name) for name in self.__slots__
                 if name not in _CACHE_SLOTS}
 

@@ -17,7 +17,9 @@ The *real* (not simulated) parallel substrate is :mod:`repro.hpc.pool`
 plus the zero-copy shared-memory data plane of :mod:`repro.hpc.shm`:
 large read-only payloads (the YET, stacked kernels) live in
 ``multiprocessing.shared_memory`` segments and cross process boundaries
-as ~100-byte handles instead of pickled replicas.  The pool is
+as ~100-byte handles instead of pickled replicas — the one transport;
+a host without shared memory runs pooled work in process as a counted
+degraded fallback.  The pool is
 *supervised*: per-call :class:`~repro.hpc.pool.TaskPolicy` deadlines and
 retries resubmit lost work idempotently, :class:`~repro.hpc.pool.PoolHealth`
 records deaths/timeouts/degradation, and :mod:`repro.hpc.faults` injects

@@ -37,8 +37,9 @@ use when the first worker exits).
 
 Availability is probed once (:func:`shm_available`): hosts without a
 usable ``/dev/shm`` (or a ``shared_memory``-less Python) report
-``False`` and every caller falls back to the pickle transport with
-identical results.
+``False``, and there is no second transport to fall back to — a pooled
+dispatcher there runs its spans in process, counted as a degraded call
+(:mod:`repro.serve.dispatch`), with identical results.
 """
 
 from __future__ import annotations
@@ -60,19 +61,13 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 __all__ = [
-    "TRANSPORTS",
     "HandleShipment",
     "SharedArena",
     "ShmArrayHandle",
     "ShmSlab",
     "active_segment_names",
-    "resolve_transport",
     "shm_available",
-    "validate_transport",
 ]
-
-#: Transport choices shared by every shm consumer (engines, dispatchers).
-TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Byte alignment of packed arrays (cache-line sized).
 _ALIGN = 64
@@ -95,34 +90,6 @@ def shm_available() -> bool:
             except Exception:
                 _AVAILABLE = False
     return _AVAILABLE
-
-
-def validate_transport(transport: str) -> None:
-    """Reject unknown transport names at construction time."""
-    if transport not in TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
-
-
-def resolve_transport(transport: str) -> bool:
-    """Whether a consumer configured with ``transport`` should use shm.
-
-    ``"pickle"`` is an explicit opt-out; ``"shm"`` demands the plane and
-    raises :class:`~repro.errors.ConfigurationError` on hosts without
-    it; ``"auto"`` takes whatever the availability probe reports.  One
-    rule for the pooled dispatcher and the session's planner label.
-    """
-    validate_transport(transport)
-    if transport == "pickle":
-        return False
-    available = shm_available()
-    if transport == "shm" and not available:
-        raise ConfigurationError(
-            "transport='shm' requested but shared memory is unavailable "
-            "on this host"
-        )
-    return available
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ admission    SLO-aware accept/shed decisions driven by the HPC cost
              model at the dispatcher's measured rate
 dispatch     batch execution substrates: inline vectorized sweep or
              trial-block decomposition over a worker pool fed by the
-             zero-copy shared-memory data plane (pickle fallback); each
-             measures its own throughput on every run
+             zero-copy shared-memory data plane (in process, counted,
+             where the host has none); each measures its own throughput
+             on every run
 service      the :class:`PricingService` facade — submit/quote/ep_curve,
              YET lifecycle, stats
 ===========  ============================================================

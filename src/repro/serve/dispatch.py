@@ -14,8 +14,8 @@ and the two substrates differ in where the spans execute:
   calling thread.  Lowest latency; what a single-node service runs.
 - :class:`PooledDispatcher` — one span per
   :class:`~repro.hpc.pool.WorkPool` worker; the one pooled execution
-  path.  Both sides of its payload ride the zero-copy shared-memory
-  data plane (:mod:`repro.hpc.shm`) when the host supports it:
+  path.  Its payload rides the zero-copy shared-memory data plane
+  (:mod:`repro.hpc.shm`), the one transport:
 
   * the *YET arrays* (the stable side of a serving workload) are placed
     in a shared arena keyed by content fingerprint — workers attach once
@@ -43,10 +43,11 @@ and the two substrates differ in where the spans execute:
     write later, so a run in which ``pool.timeouts`` moved leaves the
     output slab on a fresh generation.
 
-  ``transport="pickle"`` (or a host without shared memory) falls back to
-  the original ship — YET through the pool initializer, kernel pickled
-  per task, blocks pickled back — with bit-identical results; so do a
-  degraded pool and a one-worker pool, which run their spans in process.
+  Every other pooled run sweeps its spans in process, on the calling
+  thread, with bit-identical results: a run of one span (a one-worker
+  pool, or a one-trial YET) stages and spawns nothing, and a degraded
+  pool or a host without shared memory runs the same loop as a counted
+  fallback (``pool.degraded_calls``, ``n_procs == 1``).
 
 Both close cleanly; :meth:`Dispatcher.warmup` lets the service pay
 worker spawn and YET delivery outside any request's SLO window.
@@ -94,6 +95,7 @@ import numpy as np
 
 from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
 from repro.core.tables import StoredYet, YetTable, trial_spans
+from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.hpc.cost_model import ThroughputEstimate
 from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
@@ -128,6 +130,12 @@ class Dispatcher:
     def transport_active(self) -> str:
         """Transport the next batch will ride (diagnostic surface)."""
         return "inline"
+
+    @property
+    def degraded(self) -> bool:
+        """Whether runs take a counted in-process fallback (never, for a
+        substrate that runs in process by design)."""
+        return False
 
     @property
     def health(self) -> PoolHealth | None:
@@ -259,28 +267,33 @@ class _ShmYet(shm.HandleShipment):
 class PooledDispatcher(Dispatcher):
     """Trial-block decomposition over a persistent worker pool.
 
-    The YET is installed as the pool's shared object on first use and
-    reused across batches.  The
-    bundle is keyed by :meth:`YetTable.fingerprint`, so only a trial set
-    with *different content* forces a re-ship — swapping in an equal
-    re-simulated YET costs nothing.  On shared-memory hosts the bundle
-    is a handle shipment (workers attach the columns zero-copy), the
-    kernel travels as slab handles, packed once per kernel and attached
-    once per worker, and the answer returns through an output slab the
-    workers write; see the module docstring for the transport rules and
-    the pickle fallback.
+    The YET is staged in a shared arena on first use and installed as
+    the pool's shared object, a handle shipment the workers attach
+    zero-copy, reused across batches.  The bundle is keyed by
+    :meth:`YetTable.fingerprint`, so only a trial set with *different
+    content* forces a re-ship — swapping in an equal re-simulated YET
+    costs nothing.  The kernel travels as slab handles, packed once per
+    kernel and attached once per worker, and the answer returns through
+    an output slab the workers write.  A run of one span, a degraded
+    pool and a host without shared memory sweep in process instead; see
+    the module docstring.
+
+    ``transport`` accepts ``"shm"`` only, its default, and selects
+    nothing: the keyword stays for callers that still pass it.
     """
 
     name = "pooled"
 
     def __init__(self, n_workers: int | None = None,
-                 transport: str = "auto",
+                 transport: str = "shm",
                  telemetry: Telemetry | bool | None = None) -> None:
-        shm.validate_transport(transport)
+        if transport != "shm":
+            raise ConfigurationError(
+                f"unknown transport {transport!r}; the one transport is "
+                "'shm'")
         super().__init__(telemetry)
         #: The pool shares the dispatcher's telemetry plane.
         self.pool = WorkPool(n_workers, telemetry=self.telemetry)
-        self.transport = transport
         self._shared = None
         self._shared_fp: str | None = None
         #: Arenas staged for this dispatcher's YETs, newest last.  The
@@ -310,10 +323,16 @@ class PooledDispatcher(Dispatcher):
         self._lock = threading.Lock()
 
     @property
+    def degraded(self) -> bool:
+        """Whether runs take the counted in-process fallback: the pool
+        has degraded, or the host has no shared memory to stage on."""
+        return self.pool.health.degraded or not shm.shm_available()
+
+    @property
     def n_procs(self) -> int:  # type: ignore[override]
         # A degraded pool executes inline: admission control and the
         # planner must model serial throughput, not phantom workers.
-        return 1 if self.pool.health.degraded else self.pool.n_workers
+        return 1 if self.degraded else self.pool.n_workers
 
     @property
     def health(self) -> PoolHealth:
@@ -324,28 +343,30 @@ class PooledDispatcher(Dispatcher):
     def transport_active(self) -> str:
         """``"shm"`` when the data plane will carry the next batch;
         ``"inline"`` when its spans run in process — a one-worker pool,
-        or one degraded to serial fallback."""
-        if self.pool.n_workers <= 1 or self.pool.health.degraded:
-            return "inline"
-        return "shm" if shm.resolve_transport(self.transport) else "pickle"
+        a degraded one, or a host without shared memory."""
+        return "inline" if self.n_procs <= 1 else "shm"
 
-    def _bundle(self, yet: YetTable):
+    def _in_process(self, yet: YetTable) -> bool:
+        """Whether a run over ``yet`` sweeps on the calling thread: one
+        span (one worker or one trial), or a degraded pool."""
+        return self.n_procs <= 1 or len(self.spans(yet)) <= 1
+
+    def _bundle(self, yet: YetTable) -> _ShmYet:
         """The shared-object bundle, keyed by YET content fingerprint."""
         fp = yet.fingerprint()
         with self._lock:
             if self._shared_fp != fp:
-                if self.transport_active == "shm":
-                    while len(self._yet_arenas) > 1:
-                        self._yet_arenas.pop(0).close()
-                    arena = shm.SharedArena()
-                    self._yet_arenas.append(arena)
-                    self._shared = _ShmYet(yet.to_shared(arena), local=yet)
-                else:
-                    self._shared = yet
+                while len(self._yet_arenas) > 1:
+                    self._yet_arenas.pop(0).close()
+                arena = shm.SharedArena()
+                self._yet_arenas.append(arena)
+                self._shared = _ShmYet(yet.to_shared(arena), local=yet)
                 self._shared_fp = fp
             return self._shared
 
     def warmup(self, yet: YetTable) -> None:
+        if self._in_process(yet):
+            return          # nothing to spawn or stage
         shared = self._bundle(yet)   # takes the lock itself
         with self._lock:
             self.pool.ensure_started(shared)
@@ -363,13 +384,14 @@ class PooledDispatcher(Dispatcher):
 
     def _run(self, kernel: PortfolioKernel, yet: YetTable,
              policy: TaskPolicy | None) -> np.ndarray:
-        if self.pool.health.degraded:
+        if self.degraded:
             # Graceful degradation: the pool has failed terminally too
-            # many consecutive times, so the batch runs on the calling
-            # thread, over the trial blocks the workers would have
-            # executed.  No slab packing, no handle ships, nothing left
-            # to break.
+            # many consecutive times, or the host has no shared memory
+            # to stage on, so the batch runs on the calling thread, over
+            # the trial blocks the workers would have executed.  No slab
+            # packing, no handle ships, nothing left to break.
             self.pool.health.count("degraded_calls")
+        if self._in_process(yet):
             return super()._run(kernel, yet, policy)
         shared = self._bundle(yet)
         spans = self.spans(yet)
@@ -378,11 +400,6 @@ class PooledDispatcher(Dispatcher):
         # concurrent bundle swap would cycle the pool executor under an
         # in-flight batch's submissions.
         with self._lock:
-            if self.transport_active != "shm" or len(spans) == 1:
-                partials = self.pool.starmap_shared(
-                    _sweep_trials, shared,
-                    [(kernel, t0, t1) for t0, t1 in spans], policy=policy)
-                return np.concatenate(partials, axis=1)
             # The kernel rides the reusable slab: one memcpy when a
             # different kernel arrives, ~1 KB of handles per task.
             if self._staged is None or self._staged[0] is not kernel:

@@ -121,8 +121,9 @@ class ExecutionPlan:
     n_procs:
         Parallelism the choice was priced at.
     transport:
-        Payload transport the substrate will use (``"shm"``,
-        ``"pickle"``, or ``"inline"`` for in-process sweeps).
+        ``"shm"`` when the plan runs on a working pool (the
+        shared-memory data plane), ``"inline"`` when it sweeps in
+        process.
     n_trials / n_occurrences / n_layers / work_items:
         The data shape the plan was priced against (``work_items`` =
         occurrence lanes = occurrences x layers).
@@ -230,7 +231,7 @@ class EnginePlanner:
 
     def plan(self, workload: str, *, n_trials: int, n_occurrences: int,
              n_layers: int = 1, pool_warm: bool = False,
-             pool_degraded: bool = False, transport: str = "shm",
+             pool_degraded: bool = False,
              require_emit_yelt: bool = False,
              rates: dict[str, float | None] | None = None) -> ExecutionPlan:
         """Price every substrate and choose the cheapest.
@@ -241,9 +242,10 @@ class EnginePlanner:
         already paid it); ``pool_degraded`` prices the pooled substrate
         as the serial fallback it has become — one processor, no warm
         credit, noted in ``explain()`` — so a degraded pool is never
-        charged as parallel capacity; ``transport`` is recorded when the
-        pooled substrate is chosen (the in-process one always reports
-        ``"inline"``); ``require_emit_yelt`` marks engines without YELT
+        charged as parallel capacity; the plan's ``transport`` reads
+        ``"shm"`` only when the pooled substrate is chosen on a working
+        pool, and ``"inline"`` otherwise; ``require_emit_yelt`` marks
+        engines without YELT
         support ineligible (a capability constraint, visible in
         ``explain()``).
         """
@@ -309,8 +311,8 @@ class EnginePlanner:
             workload=workload,
             engine=chosen.engine,
             n_procs=chosen.n_procs,
-            transport=(transport if _SUBSTRATES[chosen.engine].pooled
-                       else "inline"),
+            transport=("shm" if _SUBSTRATES[chosen.engine].pooled
+                       and chosen.n_procs > 1 else "inline"),
             n_trials=int(n_trials),
             n_occurrences=int(n_occurrences),
             n_layers=n_layers,

@@ -99,14 +99,17 @@ class RiskSession:
         Worker processes for pooled substrates (``None`` = host
         parallelism).
     transport:
-        Payload transport for pooled substrates: ``"auto"`` / ``"shm"``
-        / ``"pickle"`` (see :mod:`repro.hpc.shm`).
+        ``"shm"`` only, its default: pooled substrates ride the
+        shared-memory data plane (:mod:`repro.hpc.shm`), and a host
+        without it runs them in process as a counted degraded fallback.
+        The keyword selects nothing; any other value raises
+        :class:`~repro.errors.ConfigurationError`.
     volatility_loading / tail_loading:
         Premium loadings for the session's pricing services.
     """
 
     def __init__(self, yet: YetTable, portfolio: Portfolio | None = None, *,
-                 n_workers: int | None = None, transport: str = "auto",
+                 n_workers: int | None = None, transport: str = "shm",
                  volatility_loading: float = 0.25,
                  tail_loading: float = 0.02,
                  telemetry: Telemetry | bool | None = None) -> None:
@@ -118,11 +121,13 @@ class RiskSession:
             raise ConfigurationError(
                 f"expected Portfolio, got {type(portfolio).__name__}"
             )
-        shm.validate_transport(transport)
+        if transport != "shm":
+            raise ConfigurationError(
+                f"unknown transport {transport!r}; the one transport is "
+                "'shm'")
         self.yet = yet
         self.portfolio = portfolio
         self.n_workers = n_workers
-        self.transport = transport
         self.volatility_loading = volatility_loading
         self.tail_loading = tail_loading
         self._n_procs = (n_workers if n_workers is not None
@@ -228,7 +233,7 @@ class RiskSession:
         engine name stands for the dispatcher on its row of the
         planner's table).  The returned dispatcher is owned (and closed)
         by the session; a custom substrate is a session built with the
-        settings it needs (``n_workers``, ``transport``).
+        worker count it needs (``n_workers``).
         """
         self._check_open()
         if spec in (None, "auto"):
@@ -242,9 +247,7 @@ class RiskSession:
         if name == "pooled":
             if self._pooled is None:
                 self._pooled = PooledDispatcher(
-                    n_workers=self.n_workers, transport=self.transport,
-                    telemetry=self.telemetry,
-                )
+                    n_workers=self.n_workers, telemetry=self.telemetry)
                 self._count["session.stages"].inc()
             else:
                 # Staged-substrate reuse: another workload rides the
@@ -301,9 +304,10 @@ class RiskSession:
             n_layers = pf.n_layers if pf is not None else 1
         # A degraded pool is not warm capacity: it executes serial
         # inline fallbacks, so the planner must price it that way
-        # rather than crediting parallelism that no longer exists.
-        pool_degraded = (self._pooled is not None
-                         and self._pooled.pool.health.degraded)
+        # rather than crediting parallelism that no longer exists.  So
+        # is the pool a host without shared memory would build.
+        pool_degraded = (self._pooled.degraded if self._pooled is not None
+                         else not shm.shm_available())
         pool_warm = (self._pooled is not None and self._pooled.pool.started
                      and not pool_degraded)
         rates = {d.name: d.throughput.rate
@@ -316,17 +320,11 @@ class RiskSession:
                 n_layers=n_layers,
                 pool_warm=pool_warm,
                 pool_degraded=pool_degraded,
-                transport=self._transport_label(),
                 require_emit_yelt=require_emit_yelt,
                 rates=rates,
             )
         self._count["session.plans"].inc()
         return plan
-
-    def _transport_label(self) -> str:
-        if self._n_procs > 1 and shm.resolve_transport(self.transport):
-            return "shm"
-        return "pickle"
 
     #: Engine-result detail keys re-exported as per-engine counters
     #: (rows/lanes swept, device uploads — the engine-side telemetry).

@@ -40,6 +40,7 @@ from repro.core.tables import (YET_SCHEMA, BookProfile, EltTable,
                                TrialSegments, YetTable)
 from repro.core.terms import LayerTerms
 from repro.data.columnar import ColumnTable
+from repro.hpc import shm
 from repro.serve import CachePolicy, PricingService
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 from repro.session import RiskSession
@@ -272,9 +273,10 @@ def test_profile_parity_at_benchmark_like_density():
 # ---------------------------------------------------------------------------
 
 class TestInvariance:
-    def test_dispatchers_agree_bitwise_on_a_tail_stack(self):
-        """Whole-YET, dispatcher-blocked, 2-worker pooled and degraded
-        serial: one answer, bit for bit — tail rows and the odd row."""
+    def test_dispatchers_agree_bitwise_on_a_tail_stack(self, monkeypatch):
+        """Whole-YET, dispatcher-blocked, 2-worker pooled, degraded
+        serial and in process without shared memory: one answer, bit
+        for bit — tail rows and the odd row."""
         rng = np.random.default_rng(11)
         yet = random_yet(rng, n_trials=301, width=40)
         odd = EltTable.from_arrays([1, 2, 3], [111.0, 222.0, 333.0],
@@ -297,8 +299,10 @@ class TestInvariance:
             degraded = ran_on_profile(lambda: pooled.run(kernel, yet),
                                       2 * (MIN_TAIL_GROUP + 3))   # 2 blocks
             np.testing.assert_array_equal(degraded, whole)
-        with PooledDispatcher(n_workers=2, transport="pickle") as pooled:
-            np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
+        with monkeypatch.context() as m:
+            m.setattr(shm, "_AVAILABLE", False)
+            with PooledDispatcher(n_workers=2) as pooled:
+                np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
 
     def test_a_row_does_not_depend_on_its_group(self):
         rng = np.random.default_rng(12)

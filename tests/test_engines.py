@@ -268,19 +268,30 @@ class TestMulticore:
         assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
 
     def test_one_worker_pool_runs_in_process(self, small_portfolio_workload):
-        """A one-worker pool runs its one span on the calling thread, and
-        says so: no worker is spawned and nothing is shipped."""
+        """A run of one span — a one-worker pool, or a two-worker pool
+        over a one-trial YET — sweeps on the calling thread, and says so:
+        no worker is spawned, nothing is shipped or staged."""
+        from repro.core.tables import YET_SCHEMA
+        from repro.hpc import shm
+
         wl = small_portfolio_workload
-        ref = VectorizedEngine().run(wl.portfolio, wl.yet)
-        with MulticoreEngine(n_workers=1) as engine:
-            res = engine.run(wl.portfolio, wl.yet)
-            assert not engine.pool.started
-            assert engine.pool.payload_ships == 0
-        assert res.details["transport"] == "inline"
-        assert res.details["n_workers"] == res.details["n_blocks"] == 1
-        for lid, ylt in ref.ylt_by_layer.items():
-            np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
-                                          ylt.losses)
+        rows = wl.yet.trials == 0
+        one_trial = YetTable(ColumnTable.from_arrays(
+            YET_SCHEMA, trial=wl.yet.trials[rows], seq=np.arange(rows.sum()),
+            event_id=wl.yet.event_ids[rows]), n_trials=1)
+        for n_workers, yet in ((1, wl.yet), (2, one_trial)):
+            ref = VectorizedEngine().run(wl.portfolio, yet)
+            before = shm.active_segment_names()
+            with MulticoreEngine(n_workers=n_workers) as engine:
+                res = engine.run(wl.portfolio, yet)
+                assert shm.active_segment_names() == before
+                assert not engine.pool.started
+                assert engine.pool.payload_ships == 0
+            assert res.details["transport"] == "inline"
+            assert res.details["n_workers"] == res.details["n_blocks"] == 1
+            for lid, ylt in ref.ylt_by_layer.items():
+                np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
+                                              ylt.losses)
 
     def test_more_workers_than_trials(self):
         elt = EltTable.from_arrays([1], [10.0])
@@ -328,21 +339,24 @@ class TestMulticore:
         assert not pool.started
         assert engine.pool is not pool      # a closed substrate is gone
 
-    @pytest.mark.parametrize("mode", ["shm", "pickle", "degraded"])
+    @pytest.mark.parametrize("mode", ["shm", "no_shm", "degraded"])
     def test_entry_points_run_one_path(self, small_portfolio_workload,
                                        risk_session, monkeypatch, mode):
         """A standalone engine, the registry's and the session's are one
         implementation — and so are the two host engines: bit-identical
-        answers, one block task, one ``details`` schema."""
+        answers, one block task, one ``details`` schema.  A host without
+        shared memory runs the degraded loop."""
         from repro.hpc import shm
         from repro.serve import dispatch
 
         wl = small_portfolio_workload
-        config = dict(n_workers=2,
-                      transport="pickle" if mode == "pickle" else "auto")
+        config = dict(n_workers=2)
+        if mode == "no_shm":
+            monkeypatch.setattr(shm, "_AVAILABLE", False)
         degraded = mode == "degraded"
+        serial = mode != "shm"
         blocks = []
-        if degraded:
+        if serial:
             # In-process runs only: a pooled run pickles the task by name.
             real = dispatch._sweep_trials
             monkeypatch.setattr(
@@ -365,10 +379,10 @@ class TestMulticore:
                   get_engine("vectorized").run(wl.portfolio, wl.yet),
                   session.aggregate(engine="vectorized")]
         for res in results:
-            assert res.details["transport"] == ("inline" if degraded else mode)
+            assert res.details["transport"] == ("inline" if serial else "shm")
             assert res.details["n_blocks"] == 2
-            assert res.details["n_workers"] == (1 if degraded else 2)
-            assert res.details["degraded"] is degraded
+            assert res.details["n_workers"] == (1 if serial else 2)
+            assert res.details["degraded"] is serial
         for res in wholes:
             assert res.details["transport"] == "inline"
             assert (res.details["n_blocks"], res.details["n_workers"],
@@ -381,7 +395,7 @@ class TestMulticore:
             for lid, ylt in wholes[0].ylt_by_layer.items():
                 np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
                                               ylt.losses)
-        if degraded:
+        if serial:
             assert blocks == [(0, 150), (150, 300)] * 3 + [(0, 300)] * 3
 
 

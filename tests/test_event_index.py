@@ -15,8 +15,8 @@ Five contracts:
   never the rows sharing its kernel; a row just above the threshold
   stays on the stream;
 - **invariance**: by-event rows are ``np.array_equal`` across whole /
-  every trial cut / 1, 2, 3 and 7 trial blocks / blocked / pooled (shm
-  and pickle) / degraded / raw-column sweeps, sorted or not;
+  every trial cut / 1, 2, 3 and 7 trial blocks / blocked / pooled /
+  degraded / no-shared-memory / raw-column sweeps, sorted or not;
 - **one index per table per process**, built only when a row routes to
   it, fresh after unpickling, released with its ``YetTable``;
 - **counted**: lane routing and the index's levels reach the telemetry
@@ -45,6 +45,7 @@ from repro.core.tables import YET_SCHEMA, EltTable, EventIndex, YetTable
 from repro.core.terms import LayerTerms
 from repro.data.columnar import ColumnTable
 from repro.errors import ConfigurationError
+from repro.hpc import shm
 from repro.serve import CachePolicy
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 from repro.session import RiskSession
@@ -467,9 +468,10 @@ class TestDecompositionInvariance:
         assert levels["yet.event_index.bytes"] == (
             whole_bytes + 8 * entries * len(interior))
 
-    def test_dispatchers_agree_bitwise(self):
-        """Whole-YET, dispatcher-blocked, 2-worker pooled (shm and
-        pickle) and degraded serial: one answer, bit for bit."""
+    def test_dispatchers_agree_bitwise(self, monkeypatch):
+        """Whole-YET, dispatcher-blocked, 2-worker pooled, degraded
+        serial and in process on a host without shared memory: one
+        answer, bit for bit."""
         portfolio, yet = by_event_workload()
         kernel = portfolio.kernel()
         assert kernel.tail_group_rows == 0
@@ -479,12 +481,16 @@ class TestDecompositionInvariance:
                                                block_occurrences=257)
         blocked = InlineDispatcher().run(small, yet)
         np.testing.assert_array_equal(blocked, whole)
-        for transport in ("shm", "pickle"):
-            with PooledDispatcher(n_workers=2, transport=transport) as pooled:
-                answer = pooled.run(kernel, yet)
-                assert pooled.pool.started, "the batch must have been forked"
-                np.testing.assert_array_equal(answer, whole)
-                pooled.pool.health.degraded = True
+        with PooledDispatcher(n_workers=2) as pooled:
+            answer = pooled.run(kernel, yet)
+            assert pooled.pool.started, "the batch must have been forked"
+            np.testing.assert_array_equal(answer, whole)
+            pooled.pool.health.degraded = True
+            np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
+            assert pooled.health.snapshot()["pool.degraded_calls"] == 1
+        with monkeypatch.context() as m:
+            m.setattr(shm, "_AVAILABLE", False)
+            with PooledDispatcher(n_workers=2) as pooled:
                 np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
                 assert pooled.health.snapshot()["pool.degraded_calls"] == 1
         oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
@@ -492,7 +498,7 @@ class TestDecompositionInvariance:
             np.testing.assert_allclose(whole[row], oracle[lid].losses,
                                        rtol=RTOL, atol=ATOL)
 
-    def test_engines_agree_bitwise(self):
+    def test_engines_agree_bitwise(self, monkeypatch):
         portfolio, yet = by_event_workload(seed=72)
         whole = VectorizedEngine().run(portfolio, yet)
         assert whole.details["routed"][BY_EVENT] == 4
@@ -502,10 +508,11 @@ class TestDecompositionInvariance:
             engine.pool.health.degraded = True
             degraded = engine.run(portfolio, yet)
             assert degraded.details["degraded"] is True
-        # the pickle transport prices raw column slices: an index per call
-        with MulticoreEngine(n_workers=2, transport="pickle") as engine:
-            pickled = engine.run(portfolio, yet)
-        for other in (pooled, degraded, pickled):
+        with monkeypatch.context() as m:
+            m.setattr(shm, "_AVAILABLE", False)
+            with MulticoreEngine(n_workers=2) as engine:
+                in_process = engine.run(portfolio, yet)
+        for other in (pooled, degraded, in_process):
             for lid, ylt in whole.ylt_by_layer.items():
                 np.testing.assert_array_equal(other.ylt_by_layer[lid].losses,
                                               ylt.losses)

@@ -138,7 +138,8 @@ class TestKernelStructure:
         np.testing.assert_allclose(shuffled, ref, rtol=RTOL, atol=ATOL)
 
     def test_kernel_pickles_whole(self, small_portfolio_workload):
-        """The multicore transport: one pickle ships the whole kernel."""
+        """A kernel still pickles whole (its stacked arrays; caches stay
+        host-local), though no pooled path ships one that way."""
         kernel = small_portfolio_workload.portfolio.kernel()
         clone = pickle.loads(pickle.dumps(kernel))
         yet = small_portfolio_workload.yet

@@ -326,7 +326,8 @@ class TestDecompositionInvariance:
             np.testing.assert_array_equal(pooled.run(kernel, wl.yet), whole)
             assert pooled.health.snapshot()["pool.degraded_calls"] == 1
 
-    def test_engines_agree_bitwise(self, small_portfolio_workload):
+    def test_engines_agree_bitwise(self, small_portfolio_workload,
+                                   monkeypatch):
         wl = small_portfolio_workload
         whole = VectorizedEngine().run(wl.portfolio, wl.yet)
         with MulticoreEngine(n_workers=2) as engine:
@@ -335,9 +336,11 @@ class TestDecompositionInvariance:
             engine.pool.health.degraded = True
             degraded = engine.run(wl.portfolio, wl.yet)
             assert degraded.details["degraded"] is True
-        with MulticoreEngine(n_workers=2, transport="pickle") as engine:
-            pickled = engine.run(wl.portfolio, wl.yet)
-        for other in (pooled, degraded, pickled):
+        with monkeypatch.context() as m:
+            m.setattr(shm, "_AVAILABLE", False)
+            with MulticoreEngine(n_workers=2) as engine:
+                in_process = engine.run(wl.portfolio, wl.yet)
+        for other in (pooled, degraded, in_process):
             for lid, ylt in whole.ylt_by_layer.items():
                 np.testing.assert_array_equal(other.ylt_by_layer[lid].losses,
                                               ylt.losses)

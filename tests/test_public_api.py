@@ -222,6 +222,20 @@ def test_a_substrate_has_one_owner_the_session():
     assert raisers == ["session/session.py:check_yet"]
 
 
+def test_one_transport():
+    """A payload reaches a worker one way, the shared-memory data plane:
+    no transport is chosen anywhere, and no ``"pickle"`` names one."""
+    from repro.hpc import shm
+
+    assert [name for name in dir(shm) if "transport" in name.lower()] == []
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    named = [path.relative_to(src).as_posix()
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value == "pickle"]
+    assert named == []
+
+
 def test_session_surface_locked():
     """The session layer's public names ride the root namespace."""
     import repro
@@ -321,7 +335,7 @@ def test_engine_spec_and_planner_knobs_locked():
         return [name for name in inspect.signature(func).parameters
                 if name != "self"]
 
-    assert keywords(MulticoreEngine.__init__) == ["n_workers", "transport"]
+    assert keywords(MulticoreEngine.__init__) == ["n_workers"]
     assert keywords(MulticoreEngine.riding) == ["dispatcher"]
     # A staged kernel and a trial span's read are decided by the code,
     # not set: the pooled dispatcher and the index take no new knob.

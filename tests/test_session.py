@@ -244,8 +244,10 @@ class TestSessionLifecycle:
             RiskSession("not a yet")
         with pytest.raises(ConfigurationError):
             RiskSession(tiny_workload.yet, "not a portfolio")
-        with pytest.raises(ConfigurationError):
-            RiskSession(tiny_workload.yet, transport="carrier-pigeon")
+        for transport in ("carrier-pigeon", "pickle", "auto"):
+            with pytest.raises(ConfigurationError):
+                RiskSession(tiny_workload.yet, transport=transport)
+        RiskSession(tiny_workload.yet, transport="shm").close()
 
     def test_no_bound_portfolio_is_a_clear_error(self, tiny_workload):
         with RiskSession(tiny_workload.yet) as s:
@@ -424,13 +426,14 @@ class TestStagedPayload:
             second["multicore"].portfolio_ylt
         )
 
+    @needs_shm
     def test_staged_multicore_details(self, tiny_workload, risk_session):
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
         res = session.aggregate(engine="multicore")
         assert res.details["n_workers"] == 2
         assert res.details["n_blocks"] == 2
-        assert res.details["transport"] in ("shm", "pickle")
+        assert res.details["transport"] == "shm"
 
     def test_reading_the_session_engine_counts_and_builds_nothing(
             self, tiny_workload, risk_session):

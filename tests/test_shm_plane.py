@@ -8,10 +8,11 @@ Three invariant families:
   ``conftest.py`` additionally asserts the whole suite leaks no
   segments);
 - **parity** — the shm transport changes wall time, never answers:
-  multicore-over-shm is bit-identical to multicore-over-pickle and
-  matches the vectorized engine, likewise the pooled dispatcher, whose
-  blocks come back through its output slab however wide the answer,
-  however many workers, and after a worker was abandoned mid-write;
+  multicore-over-shm is bit-identical to the vectorized engine and to
+  the counted in-process loop a host without shared memory runs,
+  likewise the pooled dispatcher, whose blocks come back through its
+  output slab however wide the answer, however many workers, and after
+  a worker was abandoned mid-write;
 - **recovery** — a dead worker breaks the executor, not the data plane:
   the next run re-ships handles only and re-attaches cleanly.
 """
@@ -161,21 +162,22 @@ class TestRoundTrips:
 # ---------------------------------------------------------------------------
 
 class TestTransportParity:
-    def test_multicore_shm_matches_pickle_and_vectorized(
-            self, small_portfolio_workload):
+    def test_multicore_shm_matches_no_shm_and_vectorized(
+            self, small_portfolio_workload, monkeypatch):
         wl = small_portfolio_workload
         ref = VectorizedEngine().run(wl.portfolio, wl.yet)
         with MulticoreEngine(n_workers=2) as shm_eng:
             via_shm = shm_eng.run(wl.portfolio, wl.yet)
             assert via_shm.details["transport"] == "shm"
-        with MulticoreEngine(n_workers=2, transport="pickle") as pkl_eng:
-            via_pickle = pkl_eng.run(wl.portfolio, wl.yet)
-            assert via_pickle.details["transport"] == "pickle"
-        np.testing.assert_array_equal(
-            via_shm.portfolio_ylt.losses, via_pickle.portfolio_ylt.losses,
-            err_msg="transports must be bit-identical",
-        )
-        assert via_shm.portfolio_ylt.allclose(ref.portfolio_ylt)
+        with monkeypatch.context() as m:
+            m.setattr(shm, "_AVAILABLE", False)
+            with MulticoreEngine(n_workers=2) as serial_eng:
+                in_process = serial_eng.run(wl.portfolio, wl.yet)
+            assert in_process.details["transport"] == "inline"
+        for res in (via_shm, in_process):
+            np.testing.assert_array_equal(
+                res.portfolio_ylt.losses, ref.portfolio_ylt.losses,
+                err_msg="a transport changes wall time, never answers")
 
     def test_multicore_repeat_runs_ship_zero_payloads(
             self, small_portfolio_workload):
@@ -190,17 +192,19 @@ class TestTransportParity:
                 "re-deliver the shared payload"
             )
 
-    def test_pooled_dispatcher_shm_matches_inline_and_pickle(
-            self, small_portfolio_workload):
+    def test_pooled_dispatcher_shm_matches_inline_and_no_shm(
+            self, small_portfolio_workload, monkeypatch):
         wl = small_portfolio_workload
         kernel = wl.portfolio.kernel()
         oracle = InlineDispatcher().run(kernel, wl.yet)
         with PooledDispatcher(n_workers=2) as d:
             via_shm = d.run(kernel, wl.yet)
-        with PooledDispatcher(n_workers=2, transport="pickle") as d:
-            via_pickle = d.run(kernel, wl.yet)
-        np.testing.assert_array_equal(via_shm, via_pickle)
-        np.testing.assert_allclose(via_shm, oracle, rtol=1e-9, atol=1e-6)
+        with monkeypatch.context() as m:
+            m.setattr(shm, "_AVAILABLE", False)
+            with PooledDispatcher(n_workers=2) as d:
+                in_process = d.run(kernel, wl.yet)
+        np.testing.assert_array_equal(via_shm, oracle)
+        np.testing.assert_array_equal(in_process, oracle)
 
     def test_equal_resimulated_yet_does_not_reship(self, rng):
         """The bundle keys on content fingerprint, not object identity:
@@ -238,27 +242,73 @@ class TestTransportParity:
         for a, b in zip(pooled, inline):
             assert a.premium == b.premium      # lane rows: bit-identical
 
-    def test_explicit_shm_transport_unavailable_raises(self, monkeypatch,
-                                                       tiny_workload):
+    def test_host_without_shm_runs_a_counted_degraded_pool(
+            self, monkeypatch, small_portfolio_workload, risk_session):
+        """With no shared memory there is no second transport: an
+        engine's run, a session's pooled aggregate and a pooled quote
+        batch each sweep in process, counted as a degraded call, on an
+        unstarted pool — no ship, no segment, the inline answer — and the
+        planner prices the pool as the serial fallback."""
         monkeypatch.setattr(shm, "_AVAILABLE", False)
-        with MulticoreEngine(n_workers=2, transport="shm") as engine:
-            with pytest.raises(ConfigurationError, match="unavailable"):
-                engine.run(tiny_workload.portfolio, tiny_workload.yet)
+        wl = small_portfolio_workload
+        layers = list(wl.portfolio)
+        before = shm.active_segment_names()
+        inline = VectorizedEngine().run(wl.portfolio, wl.yet)
+        with PricingService(wl.yet) as svc:
+            inline_quotes = svc.quote_many(layers)
 
-    def test_auto_transport_falls_back_without_shm(self, monkeypatch,
-                                                   tiny_workload):
-        monkeypatch.setattr(shm, "_AVAILABLE", False)
-        ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
+        def check(dispatcher, runs):
+            health = dispatcher.health.snapshot()
+            assert dispatcher.transport_active == "inline"
+            assert dispatcher.n_procs == 1
+            assert health["pool.degraded_calls"] == runs
+            assert not dispatcher.pool.started
+            assert dispatcher.pool.payload_ships == 0
+            assert shm.active_segment_names() == before
+
+        def same_ylts(res):
+            for lid, ylt in inline.ylt_by_layer.items():
+                np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
+                                              ylt.losses)
+
         with MulticoreEngine(n_workers=2) as engine:
-            res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        assert res.details["transport"] == "pickle"
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+            for runs in (1, 2):
+                res = engine.run(wl.portfolio, wl.yet)
+                same_ylts(res)
+                assert res.details["degraded"] is True
+                check(engine.dispatcher, runs)
+
+        session = risk_session(wl.yet, wl.portfolio, n_workers=2)
+        plan = session.plan("aggregate")
+        pooled_row = next(e for e in plan.estimates
+                          if e.engine == "multicore")
+        assert pooled_row.n_procs == 1
+        assert "serial fallback" in pooled_row.note
+        assert plan.transport == "inline"
+        res = session.aggregate(engine="multicore")
+        same_ylts(res)
+        assert res.details["transport"] == "inline"
+        check(session.dispatcher("pooled"), 1)
+
+        svc = session.pricing_service(engine="pooled")
+        quotes = svc.quote_many(layers)
+        batches = svc.stats.snapshot()["serve.batches"]
+        assert batches >= 1
+        for a, b in zip(quotes, inline_quotes):
+            assert a.premium == b.premium
+        check(svc.dispatcher, 1 + batches)
+        session.close()
+        assert shm.active_segment_names() == before
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MulticoreEngine(transport="carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            PooledDispatcher(transport="carrier-pigeon")
+        """``transport`` takes one value, ``"shm"``, and selects nothing;
+        the multicore engine does not take it at all."""
+        for transport in ("carrier-pigeon", "pickle", "auto"):
+            with pytest.raises(ConfigurationError):
+                PooledDispatcher(transport=transport)
+            with pytest.raises(TypeError):
+                MulticoreEngine(transport=transport)
+        PooledDispatcher(transport="shm").close()
 
     def test_yet_swap_retires_arena_instead_of_unlinking(
             self, small_portfolio_workload, rng):
