@@ -45,7 +45,7 @@ Same-book layer groups whose occurrence terms reduce to
 these groups only — price **without the stream**: off a per-(YET, book)
 profile of the book's sorted positive losses per trial, kept by the
 ``YetTable`` and built once per book (once per worker for an attached
-copy), two searches per (row, trial) — see the routing rule and the
+copy), one counting pass per group — see the routing rule and the
 counted lane fallbacks in :mod:`repro.core.kernels`.  Rows that don't
 qualify take the lane path in the same sweep, and a profile answer is
 a function of the trial and the row alone, so the bit-identity rule

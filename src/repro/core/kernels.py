@@ -91,12 +91,14 @@ within the error bound of :meth:`PortfolioKernel._shift_mask` form a
 losses in sorted order with their running sum, built once per (YET,
 book) and kept by the ``YetTable`` (it reaches the sweep through the
 ``TrialSegments``; a raw-array :meth:`PortfolioKernel.sweep` builds one
-for the call).  A row is then two searches per trial and
-``(S[j] - S[i]) - lo·(j - i) + cap·(k - j)`` — ``O(trials · log k)``
-per row against the lane path's ``O(occurrences)``, no gather, no pass
-over the stream.  **Routing:** structural groups of at least
-:data:`MIN_TAIL_GROUP` rows whose rows pass the error bound take the
-profile; everything else — rows outside groups, rows attaching at
+for the call).  A row is then two counts per trial and
+``(S[j] - S[i]) - lo·(j - i) + cap·(k - j)``; a group's counts are one
+``bincount`` over the book's positive occurrences, whatever its row
+count — ``O(positive occurrences + trials · rows)`` per group against
+the lane path's ``O(pierced occurrences)`` per row, no gather of
+losses, no pass over the stream.  **Routing:** structural groups of at
+least :data:`MIN_TAIL_GROUP` rows whose rows pass the error bound take
+the profile; everything else — rows outside groups, rows attaching at
 extreme retention scales (and what is left of their group when fewer
 than :data:`MIN_TAIL_GROUP` remain), and ``sublinear=False`` — takes
 the exact lane path in the same sweep, and
@@ -172,9 +174,16 @@ class KernelHandles:
 DEFAULT_BLOCK_OCCURRENCES = 32_768
 
 #: Minimum rows sharing one stored lookup before a group prices off its
-#: book profile: enough rows to amortise one profile build inside the
-#: very sweep that triggers it (≈ 9 ms to build at the benchmark's base
-#: shape against ≈ 0.55 ms saved per row over the lane path).
+#: book profile.  Chosen to amortise one profile build inside the sweep
+#: that triggers it, against the stream lane path.  Against the by-event
+#: lane path it no longer pays for itself at the benchmark's base shape
+#: (2-vCPU x86-64 container, the burst's candidates, the two paths
+#: alternated 200 times in one process): a profile sweep takes ≈ 1.3×
+#: the lane sweep's time at 16 rows, ≈ 1.05× at 32 and ≈ 0.7× at 64
+#: (≈ 3.1 / 3.6 / 6.6 ms against ≈ 2.3 / 3.4 / 9.3 ms), and the first
+#: sweep pays ≈ 20 ms for the build.  Kept because moving it re-routes
+#: rows, and a re-routed row's answer moves in the last ulp (the
+#: bit-identity rule in the module docstring).
 MIN_TAIL_GROUP = 16
 
 #: A dense lane row is priced by events when the table entries above

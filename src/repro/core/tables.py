@@ -169,26 +169,27 @@ class BookProfile:
         ``sum(clip(g - lo, 0, hi - lo)) = (S[j] - S[i]) - lo*(j - i)
         + (hi - lo)*(k - j)``
 
-    — two searches per (row, trial), no gather, no pass over the stream.
-    Zero losses (and unknown events) are not stored: they price to 0
-    under every retention ``>= 0``.  Each occurrence is held as one
-    integer ``trial * stride + rank`` (``rank`` = position of its loss
-    among the book's sorted positive stored values, from 1), so the
-    whole profile is one ascending array, a threshold becomes a rank,
-    and all trials of a row are searched by one ``searchsorted``.  Trial
-    ``t``'s running sums sit at ``prefix[offsets[t] + t:]``, led by
-    their own 0.0 and summed by one ``cumsum`` over that trial alone —
-    so an answer is a function of the trial and the row, whatever the
-    trial range (:meth:`trial_range` is a view) or the other rows.
+    — two counts per (row, trial), no gather of losses, no pass over the
+    stream.  Zero losses (and unknown events) are not stored: they price
+    to 0 under every retention ``>= 0``.  Each occurrence is held as its
+    ``rank`` (int32: the position of its loss among the book's sorted
+    positive stored values, from 1), ascending within its trial; trial
+    ``t`` is ``ranks[offsets[t]:offsets[t + 1]]``, so a profile costs
+    12 B per positive occurrence (rank + running sum).  A threshold
+    becomes a rank, and every (trial, threshold) count of a batch is one
+    counting pass over the ranks (:meth:`resolve`).  Trial ``t``'s
+    running sums sit at ``prefix[offsets[t] + t:]``, led by their own
+    0.0 and summed by one ``cumsum`` over that trial alone — so an answer
+    is a function of the trial and the row, whatever the trial range
+    (:meth:`trial_range` is a view) or the other rows.
     """
 
-    __slots__ = ("keys", "prefix", "offsets", "base", "thresholds")
+    __slots__ = ("ranks", "prefix", "offsets", "thresholds")
 
-    def __init__(self, keys, prefix, offsets, base, thresholds) -> None:
-        self.keys = keys
+    def __init__(self, ranks, prefix, offsets, thresholds) -> None:
+        self.ranks = ranks
         self.prefix = prefix
         self.offsets = offsets
-        self.base = base
         self.thresholds = thresholds
 
     @classmethod
@@ -199,7 +200,8 @@ class BookProfile:
         ``gather(event_ids, out, values=v)`` looks the stream up in any
         array ``v`` laid out like the book's ``values`` (misses read 0).
         The stored values are ranked once and the stream gathers those
-        *ranks*, so the per-trial sort is one integer sort.
+        *ranks*, so the per-trial sort is one integer sort of
+        ``trial * stride + rank`` keys.
         """
         order = np.argsort(values, kind="stable")
         order = order[np.searchsorted(values[order], 0.0, side="right"):]
@@ -214,28 +216,54 @@ class BookProfile:
         keys += ranks[positive].astype(np.int64)
         keys.sort()
         n_trials = segments.n_trials
-        base = np.arange(n_trials + 1, dtype=np.int64) * stride
-        offsets = np.searchsorted(keys, base)
-        losses = thresholds[keys % stride - 1]
-        prefix = np.zeros(keys.size + n_trials)
+        offsets = np.searchsorted(
+            keys, np.arange(n_trials + 1, dtype=np.int64) * stride)
+        ranks = (keys % stride).astype(np.int32)
+        del keys
+        losses = thresholds[ranks - 1]
+        prefix = np.zeros(ranks.size + n_trials)
         bounds = offsets.tolist()
         for t in np.flatnonzero(np.diff(offsets)).tolist():
             a, b = bounds[t], bounds[t + 1]
             np.add.accumulate(losses[a:b], out=prefix[a + t + 1:b + t + 1])
-        return cls(keys, prefix, offsets, base[:-1], thresholds)
+        return cls(ranks, prefix, offsets, thresholds)
 
     @property
     def n_trials(self) -> int:
-        return self.base.size
+        return self.offsets.size - 1
+
+    @property
+    def nbytes(self) -> int:
+        return (self.ranks.nbytes + self.prefix.nbytes + self.offsets.nbytes
+                + self.thresholds.nbytes)
 
     def trial_range(self, t0: int, t1: int) -> "BookProfile":
         """The profile of trials ``[t0, t1)``, renumbered from 0 (views)."""
         if t0 == 0 and t1 == self.n_trials:
             return self
         a, b = int(self.offsets[t0]), int(self.offsets[t1])
-        return BookProfile(self.keys[a:b], self.prefix[a + t0:b + t1],
-                           self.offsets[t0:t1 + 1] - a, self.base[t0:t1],
-                           self.thresholds)
+        return BookProfile(self.ranks[a:b], self.prefix[a + t0:b + t1],
+                           self.offsets[t0:t1 + 1] - a, self.thresholds)
+
+    def _counts(self, ranks: np.ndarray) -> np.ndarray:
+        """``(ranks.size, n_trials)``: how many of each trial's positive
+        occurrences rank ``<= ranks[c]``, for ascending ``ranks``.
+
+        One counting pass for every (trial, threshold): a stored rank
+        ``g`` is ``<= ranks[c]`` exactly when its bucket — how many query
+        ranks lie below ``g`` — is ``<= c``.  Bucket the stored ranks (one
+        table entry per stored value), count them per (trial, bucket)
+        with one ``bincount``, and a running count along each trial gives
+        every count at once.
+        """
+        n_trials, width = self.n_trials, ranks.size + 1
+        bins = np.repeat(np.arange(0, n_trials * width, width),
+                         np.diff(self.offsets))
+        bins += np.searchsorted(
+            ranks, np.arange(self.thresholds.size + 1)).take(self.ranks)
+        counts = np.bincount(bins, minlength=n_trials * width).reshape(
+            n_trials, width)
+        return np.cumsum(counts, axis=1, out=counts)[:, :-1].T.copy()
 
     def resolve(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """``(rows, n_trials)`` sums of ``clip(g - lo, 0, hi - lo)`` for
@@ -252,27 +280,30 @@ class BookProfile:
         below = np.searchsorted(self.thresholds, lo, side="right")
         inside = np.maximum(
             np.searchsorted(self.thresholds, hi, side="left"), below)
-        # One search for every (trial, threshold): trial-major queries
-        # over the distinct ranks ascend, which is the order
-        # ``searchsorted`` walks the keys fastest in.
         ranks, column = np.unique(np.concatenate((below, inside)),
                                   return_inverse=True)
-        pos = np.searchsorted(self.keys, self.base[:, None] + ranks,
-                              side="right")
-        shift = np.arange(self.n_trials)[:, None]
-        pos += shift                      # → index into ``prefix``
-        i, j = pos[:, column[:lo.size]], pos[:, column[lo.size:]]
-        res = self.prefix[j] - self.prefix[i]
-        res -= lo * (j - i)
+        # Positions into ``prefix``, rank-major, so that a row's ``i``
+        # and ``j`` are whole-row copies and the answer is born
+        # ``(rows, n_trials)``.  The last two terms subtract the exact
+        # negations of ``lo·(j - i)`` and ``cap·(k - j)``.
+        shift = np.arange(self.n_trials)
+        pos = self._counts(ranks)
+        pos += self.offsets[:-1] + shift
+        i = pos.take(column[:lo.size], axis=0)
+        j = pos.take(column[lo.size:], axis=0)
+        res = self.prefix.take(j)
+        res -= self.prefix.take(i)
+        i -= j
+        res += lo[:, None] * i
+        j -= self.offsets[1:] + shift
         cap = hi - lo
-        res += (np.where(np.isinf(cap), 0.0, cap)
-                * (self.offsets[1:, None] + shift - j))
-        return np.maximum(res, 0.0, out=res).T
+        res -= np.where(np.isinf(cap), 0.0, cap)[:, None] * j
+        return np.maximum(res, 0.0, out=res)
 
 
 #: Book profiles one YET keeps (least recently used beyond that is
 #: dropped): a serving YET quotes a handful of books at a time, and a
-#: profile is ~16 bytes per positive occurrence.
+#: profile is ~12 bytes per positive occurrence.
 MAX_BOOK_PROFILES = 8
 
 
@@ -314,11 +345,15 @@ class BookProfiles:
             return profile
 
     def snapshot(self) -> dict:
-        """Flat ``yet.profile.*`` levels (the :mod:`repro.obs` schema)."""
+        """Flat ``yet.profile.*`` levels (the :mod:`repro.obs` schema):
+        ``bytes`` is every resident profile's arrays, off ``.nbytes``."""
+        with self._lock:
+            resident = tuple(self._profiles.values())
         return {"yet.profile.builds": self.builds,
                 "yet.profile.hits": self.hits,
                 "yet.profile.evictions": self.evictions,
-                "yet.profile.resident": len(self._profiles)}
+                "yet.profile.resident": len(resident),
+                "yet.profile.bytes": sum(p.nbytes for p in resident)}
 
 
 class EventIndex:

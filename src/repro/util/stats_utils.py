@@ -69,17 +69,19 @@ def tail_expectation(losses, q: float) -> float:
 def tail_expectation_rows(samples, q: float) -> np.ndarray:
     """Row-wise ``TVaR_q`` of an ``(L, n)`` matrix of samples.
 
-    One ``np.partition`` along axis 1 at the two order statistics the
-    linear-interpolated quantile reads, instead of one sort per row:
-    the VaR repeats :func:`empirical_quantile`'s arithmetic exactly,
-    and the tail is the upper slice of the partition plus the lower
-    entries that tie with the VaR — the "ties are included" rule of
-    :func:`tail_expectation`, which a limit-clipped row exercises (its
-    worst years all equal the limit).  Every row is reduced on its own
-    contiguous run, so a row's numbers do not depend on which rows
-    share the matrix: row ``i`` equals the one-row call on row ``i``,
-    bit for bit.  Against :func:`tail_expectation` the summation order
-    differs, so the two agree to rtol 1e-12, not ``==``.
+    One single-k ``np.partition`` along axis 1 at the lower of the two
+    order statistics the linear-interpolated quantile reads, instead of
+    one sort per row: the upper one is the least entry past it, so the
+    VaR repeats :func:`empirical_quantile`'s arithmetic exactly.  The
+    tail is the upper slice plus the lower entries that tie with the
+    VaR — the "ties are included" rule of :func:`tail_expectation`,
+    which a limit-clipped row exercises (its worst years all equal the
+    limit).  The upper slice is summed in sorted order, so a row's
+    numbers depend on its values alone: not on their order, on how the
+    partition arranged them, or on which rows share the matrix — row
+    ``i`` equals the one-row call on row ``i``, bit for bit.  Against
+    :func:`tail_expectation` the summation order differs, so the two
+    agree to rtol 1e-12, not ``==``.
     """
     if not (0.0 <= q <= 1.0):
         raise AnalysisError(f"quantile level must lie in [0,1], got {q}")
@@ -95,15 +97,20 @@ def tail_expectation_rows(samples, q: float) -> np.ndarray:
     lo = int(virtual)
     hi = min(lo + 1, n - 1)
     gamma = virtual - lo
-    part = np.partition(arr, (lo, hi), axis=1)
-    below, above = part[:, lo], part[:, hi]
+    # One kth takes NumPy's vectorized selection; a tuple of two takes
+    # the generic introselect.  Entries from ``lo`` on are >= entry
+    # ``lo``, so the least of those from ``hi`` on is order statistic
+    # ``hi`` (``hi == lo`` when ``n == 1`` or ``q == 1``).
+    part = np.partition(arr, lo, axis=1)
+    top = np.sort(part[:, hi:], axis=1)
+    below, above = part[:, lo], top[:, 0]
     spread = above - below
     var = (below + spread * gamma if gamma < 0.5
            else above - spread * (1.0 - gamma))
     # Entries from ``hi`` on are >= VaR; the ones before it are <= VaR,
     # so those that reach it are exact ties.
     ties = np.count_nonzero(part[:, :hi] >= var[:, None], axis=1)
-    tail_sum = part[:, hi:].sum(axis=1) + ties * var
+    tail_sum = top.sum(axis=1) + ties * var
     return tail_sum / ((n - hi) + ties)
 
 

@@ -15,7 +15,11 @@ Four contracts:
 - **one build per (YET, book) per process**, keyed by content, and the
   cache lives and dies with its ``YetTable``;
 - **counted routing**: structural-group rows that go to lanes are
-  counted by reason, and the counts reach the telemetry plane.
+  counted by reason, and the counts reach the telemetry plane;
+- **a count, not a search**: ``BookProfile.resolve`` equals the
+  per-(trial, threshold) binary search it replaced, ``np.array_equal``,
+  and is proved to run as one ``bincount`` per group with no search
+  into the occurrences; a profile's bytes are gauged exactly.
 """
 
 import gc
@@ -109,6 +113,14 @@ def ran_on_profile(sweep, rows):
     assert seen["rows"] == rows, (
         f"{seen['rows']} rows priced off a profile, expected {rows}")
     return result
+
+
+def profile_bytes(profile):
+    """A profile's bytes from its counts: 4 B rank + 8 B running sum per
+    positive occurrence, each trial's leading 0.0 and offset (8 B each,
+    plus the closing offset) and 8 B per positive stored value."""
+    return (12 * profile.ranks.size + 16 * profile.n_trials + 8
+            + 8 * profile.thresholds.size)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +344,14 @@ class TestInvariance:
         whole = next(iter(yet.profiles._profiles.values()))
         part = whole.trial_range(10, 30)
         assert part.n_trials == 20
-        for name in ("keys", "prefix", "base"):
+        for name in ("ranks", "prefix"):
             assert np.shares_memory(getattr(part, name), getattr(whole, name))
         assert whole.trial_range(0, 50) is whole
         # zero losses and unknown events are not stored
         seg, events = yet.trial_block()
         losses = kernel._gather_store("dense", 0, events,
                                       np.empty(events.size))
-        assert whole.keys.size == np.count_nonzero(losses) < events.size
+        assert whole.ranks.size == np.count_nonzero(losses) < events.size
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +380,13 @@ class TestOneBuildPerYetAndBook:
                 InlineDispatcher().run(kernel, yet)
         assert seen["builds"] == 1
         assert seen["rows"] == self.N_BATCHES * MIN_TAIL_GROUP
+        (profile,) = yet.profiles._profiles.values()
         assert yet.profiles.snapshot() == {
             "yet.profile.builds": 1,
             "yet.profile.hits": self.N_BATCHES - 1,
             "yet.profile.evictions": 0,
             "yet.profile.resident": 1,
+            "yet.profile.bytes": profile_bytes(profile),
         }
 
     def test_padding_beside_a_wider_book_does_not_change_the_key(self):
@@ -441,6 +455,8 @@ class TestOneBuildPerYetAndBook:
             "yet.profile.hits": 0,
             "yet.profile.evictions": 2,
             "yet.profile.resident": 2,
+            "yet.profile.bytes": sum(map(profile_bytes,
+                                         yet.profiles._profiles.values())),
         }
 
     def test_profiles_are_not_pickled_with_the_yet(self):
@@ -461,7 +477,7 @@ class TestCacheLifetime:
     @staticmethod
     def profile_ref(yet):
         (profile,) = yet.profiles._profiles.values()
-        return weakref.ref(profile.keys)
+        return weakref.ref(profile.ranks)
 
     def test_resimulate_starts_empty_and_releases_the_old_profile(self):
         rng = np.random.default_rng(31)
@@ -591,3 +607,185 @@ def test_raw_segments_build_for_the_call_only():
             kernel.sweep_segments(segments, yet.event_ids)
     assert seen == {"rows": 2 * MIN_TAIL_GROUP, "builds": 2}
     assert yet.profiles.builds == 0
+
+
+# ---------------------------------------------------------------------------
+# a count, not a search
+# ---------------------------------------------------------------------------
+
+def dense_gather(event_ids, out, values):
+    """A dense book's lookup: ``values[id]``, 0 past the table."""
+    np.take(values, event_ids, mode="clip", out=out)
+    out[event_ids >= values.size] = 0.0
+    return out
+
+
+def hand_profile(trials, event_ids, values, n_trials):
+    segments = TrialSegments.from_sorted_trials(
+        np.asarray(trials, dtype=np.int64), n_trials)
+    return BookProfile.build(segments, np.asarray(event_ids, dtype=np.int64),
+                             values=np.asarray(values, dtype=np.float64),
+                             gather=dense_gather)
+
+
+def searched_resolve(profile, lo, hi):
+    """The resolve the counting pass replaced, kept as the reference:
+    one ``searchsorted`` per (trial, distinct threshold rank) into the
+    ascending ``trial * stride + rank`` keys, rebuilt here from
+    ``ranks`` / ``offsets``."""
+    n_trials, stride = profile.n_trials, profile.thresholds.size + 1
+    base = np.arange(n_trials, dtype=np.int64) * stride
+    keys = np.repeat(base, np.diff(profile.offsets)) + profile.ranks
+    below = np.searchsorted(profile.thresholds, lo, side="right")
+    inside = np.maximum(
+        np.searchsorted(profile.thresholds, hi, side="left"), below)
+    ranks, column = np.unique(np.concatenate((below, inside)),
+                              return_inverse=True)
+    pos = np.searchsorted(keys, base[:, None] + ranks, side="right")
+    shift = np.arange(n_trials)[:, None]
+    pos += shift
+    i, j = pos[:, column[:lo.size]], pos[:, column[lo.size:]]
+    res = profile.prefix[j] - profile.prefix[i]
+    res -= lo * (j - i)
+    cap = hi - lo
+    res += (np.where(np.isinf(cap), 0.0, cap)
+            * (profile.offsets[1:, None] + shift - j))
+    return np.maximum(res, 0.0, out=res).T
+
+
+@st.composite
+def counting_case(draw):
+    """A hand-built stream and book, and a group of 16, 32 or 64 windows
+    over a small pool of thresholds — stored values (ties at ``lo`` and
+    at ``hi``), 0.0 and values between — so thresholds repeat across
+    rows.  Rows cycle through ordinary windows, ``lo == hi``,
+    ``hi = inf``, the infinite-retention ``[0, 0]`` window and ``lo =
+    0``.  Trials without a positive loss are forced; the book may hold
+    none at all, or repeat a value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    width = draw(st.integers(1, 30))
+    values = (rng.choice([0.0, 1.0, 2.5, 7.0, 40.0, 1e3], width)
+              if draw(st.booleans()) else rng.lognormal(5, 2, width))
+    if draw(st.integers(0, 9)) == 0:
+        values[:] = 0.0                              # no positive loss
+    n_trials = draw(st.integers(1, 25))
+    counts = rng.integers(0, 9, n_trials)
+    counts[rng.random(n_trials) < 0.2] = 0           # empty trials
+    trials = np.repeat(np.arange(n_trials), counts)
+    events = rng.integers(0, width + 3, trials.size)  # some unknown ids
+    events[trials == draw(st.integers(0, n_trials - 1))] = width + 1
+    top = float(values.max())
+    pool = np.unique(np.concatenate((
+        [0.0], values, rng.uniform(0.0, 1.5 * top + 1.0, 3))))
+    pool = rng.choice(pool, min(pool.size, draw(st.integers(1, 6))),
+                      replace=False)
+    n_rows = draw(st.sampled_from([16, 32, 64]))
+    pairs = np.sort(rng.choice(pool, (n_rows, 2)), axis=1)
+    lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
+    kind = np.arange(n_rows) % 5
+    hi[kind == 1] = lo[kind == 1]                    # lo == hi
+    hi[kind == 2] = np.inf
+    lo[kind == 3] = hi[kind == 3] = 0.0              # infinite retention
+    lo[kind == 4] = 0.0
+    t0 = draw(st.integers(0, n_trials - 1))
+    t1 = draw(st.integers(t0 + 1, n_trials))
+    return trials, events, values, n_trials, lo, hi, (t0, t1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=counting_case())
+def test_counting_resolve_equals_the_search_it_replaced(case):
+    trials, events, values, n_trials, lo, hi, (t0, t1) = case
+    profile = hand_profile(trials, events, values, n_trials)
+    losses = dense_gather(events, np.empty(events.size), values)
+    assert profile.ranks.size == np.count_nonzero(losses)
+    got = profile.resolve(lo, hi)
+    assert got.shape == (lo.size, n_trials)
+    np.testing.assert_array_equal(got, searched_resolve(profile, lo, hi))
+    assert (got[(lo == hi)] == 0.0).all()
+    # against the definition, within the shift mask's error budget
+    for t in range(n_trials):
+        g = losses[trials == t]
+        g = g[g > 0.0]
+        brute = np.clip(g - lo[:, None], 0.0, (hi - lo)[:, None]).sum(axis=1)
+        bound = g.size * (lo + g.max(initial=0.0)) * 2.0 ** -50
+        assert (np.abs(got[:, t] - brute) <= bound).all()
+    # a trial range is a view that answers its trials' columns
+    part = profile.trial_range(t0, t1)
+    np.testing.assert_array_equal(part.resolve(lo, hi), got[:, t0:t1])
+    np.testing.assert_array_equal(part.resolve(lo, hi),
+                                  searched_resolve(part, lo, hi))
+
+
+def test_a_book_with_no_positive_loss_resolves_to_zero():
+    profile = hand_profile([0, 0, 2], [1, 2, 1], [0.0, 0.0, 0.0], 3)
+    assert profile.ranks.size == profile.thresholds.size == 0
+    lo = np.zeros(MIN_TAIL_GROUP)
+    hi = np.full(MIN_TAIL_GROUP, np.inf)
+    np.testing.assert_array_equal(profile.resolve(lo, hi),
+                                  np.zeros((MIN_TAIL_GROUP, 3)))
+    np.testing.assert_array_equal(profile.trial_range(1, 3).resolve(lo, hi),
+                                  np.zeros((MIN_TAIL_GROUP, 2)))
+
+
+class _NumpyAsTablesSeesIt:
+    """``numpy`` as ``repro.core.tables`` calls it, recording the
+    haystack of every ``searchsorted`` and every ``bincount`` call."""
+
+    def __init__(self):
+        self.haystacks, self.bincounts = [], 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def searchsorted(self, a, *args, **kwargs):
+        self.haystacks.append(np.size(a))
+        return np.searchsorted(a, *args, **kwargs)
+
+    def bincount(self, *args, **kwargs):
+        self.bincounts += 1
+        return np.bincount(*args, **kwargs)
+
+
+def test_a_group_resolves_by_one_count_not_a_search(monkeypatch):
+    """The fast path ran: no search longer than the book's thresholds
+    (a search into the occurrences would be far longer) and exactly one
+    ``bincount`` per group."""
+    rng = np.random.default_rng(61)
+    yet = random_yet(rng, n_trials=200, width=40, mean=30)
+    layers = (tail_layers(book(rng))
+              + tail_layers(book(rng, contract_id=1), start=MIN_TAIL_GROUP))
+    kernel = PortfolioKernel.from_layers(layers)
+    assert len(kernel._tail_group_index()) == 2
+    block = yet.trial_block()
+    answer = kernel.sweep_segments(*block)          # builds both profiles
+    profiles = list(yet.profiles._profiles.values())
+    longest = max(p.thresholds.size for p in profiles) + 1
+    assert min(p.ranks.size for p in profiles) > 10 * longest
+    calls = _NumpyAsTablesSeesIt()
+    with monkeypatch.context() as m:
+        m.setattr(tables, "np", calls)
+        again = ran_on_profile(lambda: kernel.sweep_segments(*block),
+                               2 * MIN_TAIL_GROUP)
+    np.testing.assert_array_equal(again, answer)
+    assert calls.bincounts == 2
+    assert calls.haystacks and max(calls.haystacks) <= longest
+
+
+def test_profile_bytes_are_counted_exactly():
+    """The tiny book of the hand-computed sweep: 5 positive occurrences
+    over 6 trials, 3 positive stored values — 12 B × 5 + 8 B × 6
+    (running sums' leading zeros) + 8 B × 7 (offsets) + 8 B × 3."""
+    elt = EltTable.from_arrays([1, 2, 3, 4], [100.0, 250.0, 400.0, 0.0])
+    kernel = PortfolioKernel.from_layers(
+        [Layer(i, [elt], LayerTerms(occ_retention=10.0 * i, occ_limit=1e3))
+         for i in range(MIN_TAIL_GROUP)])
+    yet = make_yet([1, 1, 1, 1, 3, 3, 4], [1, 2, 9, 4, 3, 3, 2], n_trials=6)
+    assert yet.profiles.snapshot()["yet.profile.bytes"] == 0
+    ran_on_profile(lambda: kernel.sweep_segments(*yet.trial_block()),
+                   MIN_TAIL_GROUP)
+    (profile,) = yet.profiles._profiles.values()
+    assert (profile.ranks.size, profile.thresholds.size) == (5, 3)
+    assert yet.profiles.snapshot()["yet.profile.bytes"] == (
+        12 * 5 + 8 * 6 + 8 * 7 + 8 * 3) == 188
+    assert yet.cache_levels()["yet.profile.bytes"] == 188

@@ -169,6 +169,18 @@ class TestRowsAreIndependent:
         assert rows == premium_components_rows(matrix[:8], limits[:8],
                                                VOL, TAIL)
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.99, 1.0])
+    def test_tvar_reads_values_not_their_order(self, big, q):
+        """Shuffling each row's columns leaves every TVaR ``==``: the
+        tail is summed in sorted order, whatever the partition left."""
+        matrix, _ = big
+        rng = np.random.default_rng(7)
+        shuffled = rng.permuted(matrix, axis=1)
+        assert not np.array_equal(shuffled, matrix)
+        np.testing.assert_array_equal(
+            stats_utils.tail_expectation_rows(shuffled, q),
+            stats_utils.tail_expectation_rows(matrix, q))
+
     @pytest.mark.parametrize("n", [1, 2, 101])
     def test_small_trial_counts(self, n):
         rng = np.random.default_rng(n)
