@@ -87,18 +87,23 @@ for t in threads:
 for t in threads:
     t.join()
 
-stats = service.stats.snapshot()
+# Every count is read off the service's telemetry plane; the ratios
+# are computed here, by the reader.
+metrics = service.telemetry.snapshot()["metrics"]
+requests = int(metrics["serve.requests"])
+hits = int(metrics["serve.cache.hits"])
+batches = int(metrics["serve.batches"])
 latencies = np.array([
     q.latency_seconds for quotes in quotes_by_thread.values() for q in quotes
 ])
 
 rows = [
-    ["requests submitted", f"{stats['serve.requests']:,}"],
-    ["answered from cache", f"{stats['serve.cache.hits']:,} "
-     f"({service.cache.stats.hit_rate:.0%} hit rate)"],
-    ["fused YET sweeps", f"{stats['serve.batches']:,}"],
-    ["requests per sweep", f"{stats['serve.coalescing_factor']:.1f}"],
-    ["kernel rows stacked", f"{stats['serve.kernel_rows']:,}"],
+    ["requests submitted", f"{requests:,}"],
+    ["answered from cache", f"{hits:,} ({hits / requests:.0%} hit rate)"],
+    ["fused YET sweeps", f"{batches:,}"],
+    ["requests per sweep",
+     f"{metrics['serve.batched_requests'] / batches:.1f}"],
+    ["kernel rows stacked", f"{int(metrics['serve.kernel_rows']):,}"],
     ["quote latency p50", f"{np.percentile(latencies, 50) * 1e3:.1f} ms"],
     ["quote latency p95", f"{np.percentile(latencies, 95) * 1e3:.1f} ms"],
     ["requests shed then retried", f"{sum(shed_retries):,}"],
@@ -110,8 +115,7 @@ print(render_table(
 ))
 
 print(
-    f"\n{stats['serve.requests']} concurrent requests cost "
-    f"{stats['serve.batches']} YET pass(es) — the pre-serve pricer would "
-    f"have run {stats['serve.requests']}."
+    f"\n{requests} concurrent requests cost {batches} YET pass(es) — "
+    f"the pre-serve pricer would have run {requests}."
 )
 service.close()

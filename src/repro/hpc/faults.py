@@ -21,12 +21,10 @@ measurable.
 
 Wiring: :class:`~repro.hpc.pool.WorkPool` consults :func:`active_plan`
 per submitted task.  Nothing is consulted (one attribute read) unless a
-plan is installed — either programmatically (:func:`install` /
-:func:`inject`) or through the ``REPRO_FAULT_PLAN`` environment
-variable (``"kill@3,delay@7:0.05,poison@2"``), the gate CI chaos jobs
-flip without touching code.  Injection applies only to *pooled* task
-dispatch; serial/inline execution (including degraded-mode fallback)
-never injects — a ``kill`` there would take the caller down with it.
+plan is installed (:func:`install` / :func:`inject`).  Injection
+applies only to *pooled* task dispatch; serial/inline execution
+(including degraded-mode fallback) never injects — a ``kill`` there
+would take the caller down with it.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ReproError
 
@@ -50,9 +48,6 @@ __all__ = [
     "inject",
     "install",
 ]
-
-#: Environment variable holding a plan spec (see :meth:`FaultPlan.from_env`).
-ENV_VAR = "REPRO_FAULT_PLAN"
 
 #: Injection kinds a plan understands.
 FAULT_KINDS = ("kill", "delay", "poison", "orphan")
@@ -163,35 +158,6 @@ class FaultPlan:
         """Plan poisoning ``task_seq``'s payload."""
         return cls([FaultSpec("poison", task_seq)], **kwargs)
 
-    @classmethod
-    def from_env(cls, value: str | None = None) -> "FaultPlan | None":
-        """Parse ``REPRO_FAULT_PLAN`` (or an explicit string).
-
-        Grammar: comma-separated ``kind@seq`` items, ``delay`` taking an
-        optional ``:seconds`` suffix — e.g. ``"kill@3,delay@7:0.05"``.
-        Returns ``None`` for an unset/empty variable.
-        """
-        if value is None:
-            value = os.environ.get(ENV_VAR, "")
-        value = value.strip()
-        if not value:
-            return None
-        specs = []
-        for item in value.split(","):
-            item = item.strip()
-            try:
-                kind, _, rest = item.partition("@")
-                seq_str, _, delay_str = rest.partition(":")
-                specs.append(FaultSpec(
-                    kind, int(seq_str),
-                    delay_seconds=float(delay_str) if delay_str else 0.0,
-                ))
-            except (ValueError, ConfigurationError) as exc:
-                raise ConfigurationError(
-                    f"bad {ENV_VAR} item {item!r}: {exc}"
-                ) from exc
-        return cls(specs)
-
     # -- consumption (parent-side) -----------------------------------------
 
     @property
@@ -271,38 +237,23 @@ class FaultPlan:
 # ---------------------------------------------------------------------------
 
 _ACTIVE: FaultPlan | None = None
-_ENV_CHECKED = False
-_STATE_LOCK = threading.Lock()
 
 
 def install(plan: FaultPlan) -> FaultPlan:
     """Make ``plan`` the process-wide active plan (replacing any)."""
-    global _ACTIVE, _ENV_CHECKED
-    with _STATE_LOCK:
-        _ACTIVE = plan
-        _ENV_CHECKED = True
+    global _ACTIVE
+    _ACTIVE = plan
     return plan
 
 
 def clear() -> None:
-    """Remove the active plan (and forget the env probe, so a later
-    ``REPRO_FAULT_PLAN`` change is picked up)."""
-    global _ACTIVE, _ENV_CHECKED
-    with _STATE_LOCK:
-        _ACTIVE = None
-        _ENV_CHECKED = False
+    """Remove the active plan."""
+    global _ACTIVE
+    _ACTIVE = None
 
 
 def active_plan() -> FaultPlan | None:
-    """The installed plan, consulting ``REPRO_FAULT_PLAN`` once."""
-    global _ACTIVE, _ENV_CHECKED
-    if _ACTIVE is not None:
-        return _ACTIVE
-    if not _ENV_CHECKED:
-        with _STATE_LOCK:
-            if not _ENV_CHECKED:
-                _ACTIVE = FaultPlan.from_env()
-                _ENV_CHECKED = True
+    """The installed plan, or ``None``."""
     return _ACTIVE
 
 

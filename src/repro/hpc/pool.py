@@ -1,7 +1,8 @@
 """Supervised work-pool wrapper (real processes when available, serial otherwise).
 
-The pooled dispatcher (hence the multicore engine and serving) and the
-MapReduce runtime execute tasks through this wrapper.  On single-core or
+The pooled dispatcher (hence the multicore engine and serving) executes
+tasks through this wrapper; MapReduce map tasks run on the engine's
+inline dispatcher and never touch it.  On single-core or
 fork-restricted hosts the pool degrades to serial execution with
 identical results — parallelism in this library never changes answers,
 only wall time.
@@ -65,7 +66,7 @@ import random
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError, ExecutionError
@@ -140,15 +141,15 @@ class PoolHealth:
     failure data as a first-class signal" the ML-for-ODA codesign paper
     argues for.
 
-    The failure counts *are* the ``pool.<name>`` counters of the owning
-    pool's :class:`~repro.obs.Telemetry` plane: supervision adds to them
+    The failure counts live in :attr:`totals`: supervision adds to them
     through :meth:`count`, they stay monotone for the life of the pool,
-    and :meth:`snapshot` reads them as the telemetry scrape does — one
-    dot-key, one value.  The *state* (``degraded``,
-    ``consecutive_failures``, ``last_error``) lives here as plain
-    attributes; the degraded flag mirrors a ``pool.degraded`` gauge plus
-    ``pool.degraded`` / ``pool.recovered`` events on transitions, and
-    :meth:`reset` clears the state only.
+    and each is mirrored to the ``pool.<name>`` counter of the owning
+    pool's :class:`~repro.obs.Telemetry` plane.  :meth:`snapshot` reads
+    :attr:`totals`, so it holds on a disabled plane too.  The *state*
+    (``degraded``, ``consecutive_failures``, ``last_error``) lives here
+    as plain attributes; the degraded flag mirrors a ``pool.degraded``
+    gauge plus ``pool.degraded`` / ``pool.recovered`` events on
+    transitions, and :meth:`reset` clears the state only.
     """
 
     #: Registry counters, exported as ``pool.<name>``.
@@ -210,8 +211,7 @@ class PoolHealth:
     def snapshot(self) -> dict:
         """JSON-ready flat dict in the ``pool.*`` dot-key convention of
         :mod:`repro.obs` (benches and ops endpoints embed this)."""
-        out = {f"pool.{name}": int(counter.value)
-               for name, counter in self._counters.items()}
+        out = {f"pool.{name}": n for name, n in self.totals.items()}
         out["pool.consecutive_failures"] = self.consecutive_failures
         out["pool.degraded"] = self.degraded
         out["pool.last_error"] = self.last_error

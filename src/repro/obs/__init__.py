@@ -18,10 +18,12 @@ Metric naming convention (the repo's rules of record)
   a derived ``.max`` key); **histograms** have fixed bucket bounds and
   expand in snapshots to ``.count``/``.sum``/``.max``/``.p50``/
   ``.p95``/``.p99``.
-- **Every snapshot speaks this schema**: ``MetricsRegistry.snapshot()``,
-  ``ServeStats.snapshot()``, ``PoolHealth.snapshot()`` and
-  ``SessionStats.snapshot()`` all return flat ``{dot.name: value}``
-  dicts that merge cleanly into one scrape.
+- **The plane is the one scrape**: every serving and session count is
+  read from ``telemetry.snapshot()["metrics"]``, a flat
+  ``{dot.name: value}`` dict, and nowhere else.  A ratio of counts is
+  computed by the reader, never stored beside them: the hit rate is
+  ``serve.cache.hits / serve.requests``, requests per sweep
+  ``serve.batched_requests / serve.batches``.
 - **Spans** record the request path (``session.stage`` → ``session.plan``
   → ``serve.batch`` → ``serve.dispatch`` → ``serve.merge``) with
   per-thread parent/child nesting and wall *and* CPU seconds; each span

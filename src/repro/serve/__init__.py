@@ -26,7 +26,7 @@ dispatch     batch execution substrates: inline vectorized sweep or
              where the host has none); each measures its own throughput
              on every run
 service      the :class:`PricingService` facade — submit/quote/ep_curve,
-             YET lifecycle, stats
+             YET lifecycle; its counts live on the telemetry plane
 ===========  ============================================================
 
 Quickstart::
@@ -36,18 +36,19 @@ Quickstart::
     wl = repro.bench.companion_study_workload(n_trials=10_000)
     with repro.PricingService(wl.yet) as svc:
         quotes = svc.quote_many(list(wl.portfolio))   # one fused sweep
-        print(svc.stats.snapshot()["serve.coalescing_factor"])
+        m = svc.telemetry.snapshot()["metrics"]
+        print(m["serve.batched_requests"] / m["serve.batches"])
 """
 
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Ticket
-from repro.serve.cache import CachePolicy, CacheStats, ResultCache, layer_digest
+from repro.serve.cache import CachePolicy, ResultCache, layer_digest
 from repro.serve.dispatch import (
     Dispatcher,
     InlineDispatcher,
     PooledDispatcher,
 )
-from repro.serve.service import PricingService, ServeStats
+from repro.serve.service import PricingService
 
 __all__ = [
     "AdmissionController",
@@ -56,12 +57,10 @@ __all__ = [
     "MicroBatcher",
     "Ticket",
     "CachePolicy",
-    "CacheStats",
     "ResultCache",
     "layer_digest",
     "Dispatcher",
     "InlineDispatcher",
     "PooledDispatcher",
     "PricingService",
-    "ServeStats",
 ]

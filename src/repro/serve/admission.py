@@ -73,7 +73,8 @@ class AdmissionController:
         :attr:`~repro.serve.dispatch.Dispatcher.throughput`, read at
         each decision.  ``None``, or an estimate whose substrate has not
         run yet, models the queue as free: only ``max_pending`` sheds.
-        Shed/accept accounting lives on the service's stats surface.
+        The service counts what it sheds (``serve.shed``) on its
+        telemetry plane.
     """
 
     def __init__(self, slo_seconds: float | None = None,

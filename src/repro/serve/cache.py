@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from repro.core.layer import Layer
 from repro.errors import ConfigurationError
 
-__all__ = ["CachePolicy", "CacheStats", "ResultCache", "layer_digest",
-           "payload_nbytes"]
+__all__ = ["CachePolicy", "ResultCache", "layer_digest", "payload_nbytes"]
 
 
 def payload_nbytes(payload) -> int:
@@ -74,27 +73,14 @@ class CachePolicy:
             raise ConfigurationError("max_bytes must be non-negative (or None)")
 
 
-@dataclass
-class CacheStats:
-    """Counters exposed by :class:`ResultCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidated: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class ResultCache:
     """LRU cache over ``(yet_fingerprint, layer_digest, metric)`` keys.
 
     Thread-safe: submitters and the batcher's broker thread hit the
     cache concurrently, so every operation holds one internal lock (the
-    critical sections are dict operations, never pricing work).
+    critical sections are dict operations, never pricing work).  It
+    keeps no tally of its own: each service that uses it counts its hits
+    and evictions on its telemetry plane (``serve.cache.*``).
     """
 
     def __init__(self, policy: CachePolicy | None = None) -> None:
@@ -102,7 +88,6 @@ class ResultCache:
         self._entries: OrderedDict[tuple[str, str, str], object] = OrderedDict()
         self._lock = threading.Lock()
         self._bytes = 0
-        self.stats = CacheStats()
 
     _payload_nbytes = staticmethod(payload_nbytes)
 
@@ -117,15 +102,13 @@ class ResultCache:
             return self._bytes
 
     def get(self, key: tuple[str, str, str]):
-        """The cached payload for ``key``, or ``None`` (counts a miss)."""
+        """The cached payload for ``key``, or ``None``."""
         with self._lock:
             try:
                 payload = self._entries[key]
             except KeyError:
-                self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
             return payload
 
     def put(self, key: tuple[str, str, str], payload) -> int:
@@ -139,8 +122,8 @@ class ResultCache:
             return 0
         if max_bytes is not None and size > max_bytes:
             return 0  # would evict the whole cache for one entry
+        evicted = 0
         with self._lock:
-            before = self.stats.evictions
             old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= self._payload_nbytes(old)
@@ -149,10 +132,10 @@ class ResultCache:
             while len(self._entries) > self.policy.max_entries or (
                 max_bytes is not None and self._bytes > max_bytes
             ):
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= self._payload_nbytes(evicted)
-                self.stats.evictions += 1
-            return self.stats.evictions - before
+                _, dropped = self._entries.popitem(last=False)
+                self._bytes -= self._payload_nbytes(dropped)
+                evicted += 1
+        return evicted
 
     def invalidate_yet(self, yet_fingerprint: str) -> int:
         """Drop every entry priced against the given trial set."""
@@ -160,14 +143,12 @@ class ResultCache:
             stale = [k for k in self._entries if k[0] == yet_fingerprint]
             for k in stale:
                 self._bytes -= self._payload_nbytes(self._entries.pop(k))
-            self.stats.invalidated += len(stale)
             return len(stale)
 
     def clear(self) -> int:
-        """Drop everything (counts as invalidation)."""
+        """Drop everything; returns how many entries were dropped."""
         with self._lock:
             n = len(self._entries)
             self._entries.clear()
             self._bytes = 0
-            self.stats.invalidated += n
             return n

@@ -63,62 +63,15 @@ from repro.dfa.quote import PricingQuote, premium_components_rows
 from repro.errors import (AdmissionError, AnalysisError, ConfigurationError,
                           ExecutionError, ReproError)
 from repro.hpc.pool import TaskPolicy
-from repro.obs import Telemetry
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Ticket
 from repro.serve.cache import (CachePolicy, ResultCache, layer_digest,
                                payload_nbytes)
 
-__all__ = ["PricingService", "ServeStats"]
+__all__ = ["PricingService"]
 
 #: Metrics a request may ask for.
 _METRICS = ("quote", "ylt", "ep_curve")
-
-
-class ServeStats:
-    """Aggregate counters of one service instance (bounded state only —
-    a long-lived service must not grow per-batch history): a snapshot
-    view over the ``serve.*`` metrics of the service's
-    :class:`~repro.obs.Telemetry` plane.
-
-    ``serve.sublinear.batches``/``.rows`` count batches whose stacked
-    kernel held a structural tail group (≥ 16 same-book rows — the
-    many-quotes-one-book shape ``quote_many`` produces) and the rows in
-    such groups.  Where a batch's rows actually priced (the
-    ``kernel.*`` routing counters, the ``yet.profile.*`` and
-    ``yet.event_index.*`` levels) is counted beside them on the same
-    plane by the dispatcher that ran the batch: "What a run counted" in
-    :mod:`repro.serve.dispatch`.
-    """
-
-    _COUNTERS = ("serve.requests", "serve.cache.hits", "serve.shed",
-                 "serve.batches", "serve.batched_requests",
-                 "serve.kernel_rows", "serve.sublinear.batches",
-                 "serve.sublinear.rows")
-
-    def __init__(self, telemetry: Telemetry | None = None) -> None:
-        tel = telemetry if telemetry is not None else Telemetry()
-        #: The one registration of the service's ``serve.*`` counters,
-        #: and the handles the service increments: name → counter, the
-        #: sweep-seconds counter and the largest-batch gauge.
-        self.counters = {name: tel.counter(name) for name in self._COUNTERS}
-        self.sweep_seconds = tel.counter("serve.sweep_seconds")
-        self.largest_batch = tel.gauge("serve.largest_batch", track_max=True)
-
-    def snapshot(self) -> dict:
-        """JSON-ready flat dict in the ``serve.*`` dot-key convention of
-        :mod:`repro.obs` (merges cleanly with a registry snapshot), plus
-        two derived keys: ``serve.largest_batch`` (peak requests
-        coalesced into one batch) and ``serve.coalescing_factor``
-        (requests answered per YET sweep — the serving layer's win)."""
-        out = {name: int(counter.value)
-               for name, counter in self.counters.items()}
-        out["serve.sweep_seconds"] = float(self.sweep_seconds.value)
-        out["serve.largest_batch"] = int(self.largest_batch.max_value)
-        batches = out["serve.batches"]
-        out["serve.coalescing_factor"] = (
-            out["serve.batched_requests"] / batches if batches else 0.0)
-        return out
 
 
 class _Request:
@@ -245,12 +198,25 @@ class PricingService:
             "ylt": "ylt",
             "ep_curve": "ep_curve",
         }
-        self.stats = ServeStats(self.telemetry)
-        self._count = self.stats.counters
-        # The other metric handles are grabbed once here so the request
-        # path pays one lock + one add per touch point, never a registry
-        # lookup.
+        # Every metric handle is grabbed once here, so a fresh plane
+        # reads 0 rather than a missing key and the request path pays
+        # one lock + one add per touch point, never a registry lookup.
+        # The plane is the one place these counts are read.
         tel = self.telemetry
+        self._m_requests = tel.counter("serve.requests")
+        self._m_cache_hits = tel.counter("serve.cache.hits")
+        self._m_shed = tel.counter("serve.shed")
+        self._m_batches = tel.counter("serve.batches")
+        self._m_batched_requests = tel.counter("serve.batched_requests")
+        self._m_kernel_rows = tel.counter("serve.kernel_rows")
+        # Batches whose stacked kernel held a structural tail group
+        # (>= 16 same-book rows, the many-quotes-one-book shape
+        # ``quote_many`` produces) and the rows in such groups.  Where
+        # those rows actually priced is the dispatcher's count on the
+        # same plane: "What a run counted" in :mod:`repro.serve.dispatch`.
+        self._m_sublinear_batches = tel.counter("serve.sublinear.batches")
+        self._m_sublinear_rows = tel.counter("serve.sublinear.rows")
+        self._m_sweep_seconds = tel.counter("serve.sweep_seconds")
         self._m_cache_hit_bytes = tel.counter("serve.cache.hit_bytes")
         self._m_cache_miss_bytes = tel.counter("serve.cache.miss_bytes")
         self._m_cache_evictions = tel.counter("serve.cache.evictions")
@@ -315,7 +281,7 @@ class PricingService:
                 f"unknown metric {metric!r}; expected one of {_METRICS}"
             )
         submitted = time.perf_counter()
-        self._count["serve.requests"].inc()
+        self._m_requests.inc()
         digest = layer_digest(layer)
         payload = self.cache.get(
             (self._yet_fp, digest, self._metric_keys[metric])
@@ -323,7 +289,7 @@ class PricingService:
         if payload is not None:
             future: Future = Future()
             future.set_result(self._materialise(payload, metric, submitted))
-            self._count["serve.cache.hits"].inc()
+            self._m_cache_hits.inc()
             self._m_cache_hit_bytes.inc(payload_nbytes(payload))
             return Ticket(future, submitted, cached=True)
         decision = self.admission.decide(
@@ -332,7 +298,7 @@ class PricingService:
             n_procs=self.dispatcher.n_procs,
         )
         if not decision.accepted:
-            self._count["serve.shed"].inc()
+            self._m_shed.inc()
             self.telemetry.event("serve.shed", reason=decision.reason,
                                  queue_depth=self.batcher.n_pending)
             raise AdmissionError(decision.reason)
@@ -470,14 +436,13 @@ class PricingService:
         # groups of >= MIN_TAIL_GROUP.  Where the sweep sent them (book
         # profile, or lanes and why) is the kernel's own count.
         tail_rows = kernel.tail_group_rows
-        self._count["serve.batches"].inc()
-        self._count["serve.batched_requests"].inc(len(requests))
-        self._count["serve.kernel_rows"].inc(kernel.n_layers)
-        self.stats.sweep_seconds.inc(sweep_seconds)
-        self.stats.largest_batch.set(len(requests))
+        self._m_batches.inc()
+        self._m_batched_requests.inc(len(requests))
+        self._m_kernel_rows.inc(kernel.n_layers)
+        self._m_sweep_seconds.inc(sweep_seconds)
         if tail_rows:
-            self._count["serve.sublinear.batches"].inc()
-            self._count["serve.sublinear.rows"].inc(tail_rows)
+            self._m_sublinear_batches.inc()
+            self._m_sublinear_rows.inc(tail_rows)
 
         # One payload per (digest, metric) actually requested, cached
         # and fanned back out to every request that asked for it.

@@ -31,12 +31,11 @@ from repro.session.planner import (
     EnginePlanner,
     ExecutionPlan,
 )
-from repro.session.session import RiskSession, SessionStats
+from repro.session.session import RiskSession
 
 __all__ = [
     "EngineEstimate",
     "EnginePlanner",
     "ExecutionPlan",
     "RiskSession",
-    "SessionStats",
 ]

@@ -60,29 +60,7 @@ from repro.serve.dispatch import Dispatcher, InlineDispatcher, PooledDispatcher
 from repro.session.planner import (EnginePlanner, ExecutionPlan,
                                    dispatcher_for)
 
-__all__ = ["RiskSession", "SessionStats"]
-
-
-class SessionStats:
-    """Bounded workload counters for one session: a snapshot view over
-    the ``session.*`` counters of the session's
-    :class:`~repro.obs.Telemetry` plane."""
-
-    _COUNTERS = ("session.aggregates", "session.quotes", "session.ep_curves",
-                 "session.sensitivity_sweeps", "session.plans",
-                 "session.stages", "session.stage_reuse")
-
-    def __init__(self, telemetry: Telemetry | None = None) -> None:
-        tel = telemetry if telemetry is not None else Telemetry()
-        #: Name → counter handle: the one registration of the session's
-        #: counters, and what the session increments.
-        self.counters = {name: tel.counter(name) for name in self._COUNTERS}
-
-    def snapshot(self) -> dict:
-        """JSON-ready flat dict in the ``session.*`` dot-key convention
-        of :mod:`repro.obs`: the ``session.`` slice of the scrape."""
-        return {name: int(counter.value)
-                for name, counter in self.counters.items()}
+__all__ = ["RiskSession"]
 
 
 class RiskSession:
@@ -139,8 +117,16 @@ class RiskSession:
         self.telemetry = as_telemetry(telemetry)
         self._planner = EnginePlanner(n_workers=self._n_procs,
                                       telemetry=self.telemetry)
-        self.stats = SessionStats(self.telemetry)
-        self._count = self.stats.counters
+        # The workload counters, registered up front so a fresh plane
+        # reads 0; the plane is the one place they are read.
+        tel = self.telemetry
+        self._m_aggregates = tel.counter("session.aggregates")
+        self._m_quotes = tel.counter("session.quotes")
+        self._m_ep_curves = tel.counter("session.ep_curves")
+        self._m_sensitivity_sweeps = tel.counter("session.sensitivity_sweeps")
+        self._m_plans = tel.counter("session.plans")
+        self._m_stages = tel.counter("session.stages")
+        self._m_stage_reuse = tel.counter("session.stage_reuse")
         # Staged state, all lazy: nothing is spawned or placed until a
         # workload actually needs it.
         self._inline: InlineDispatcher | None = None
@@ -248,11 +234,11 @@ class RiskSession:
             if self._pooled is None:
                 self._pooled = PooledDispatcher(
                     n_workers=self.n_workers, telemetry=self.telemetry)
-                self._count["session.stages"].inc()
+                self._m_stages.inc()
             else:
                 # Staged-substrate reuse: another workload rides the
                 # already-staged pool/arena instead of building its own.
-                self._count["session.stage_reuse"].inc()
+                self._m_stage_reuse.inc()
             return self._pooled
         raise ConfigurationError(
             f"unknown dispatcher {spec!r}; expected 'auto', "
@@ -323,7 +309,7 @@ class RiskSession:
                 require_emit_yelt=require_emit_yelt,
                 rates=rates,
             )
-        self._count["session.plans"].inc()
+        self._m_plans.inc()
         return plan
 
     #: Engine-result detail keys re-exported as per-engine counters
@@ -390,7 +376,7 @@ class RiskSession:
                                  n_layers=pf.n_layers):
             res = eng.run(pf, self.yet, emit_yelt=emit_yelt)
         self._observe(res, pf.n_layers)
-        self._count["session.aggregates"].inc()
+        self._m_aggregates.inc()
         if plan is not None:
             res.details["plan"] = plan
         return res
@@ -445,14 +431,14 @@ class RiskSession:
         layer's YLT to :func:`~repro.dfa.quote.premium_components`.
         """
         self._check_open()
-        self._count["session.quotes"].inc()
+        self._m_quotes.inc()
         return self._service().quote(layer, timeout=timeout)
 
     def quote_many(self, layers, timeout: float | None = None) -> list:
         """Price several candidates through one coalesced sweep."""
         self._check_open()
         layers = list(layers)
-        self._count["session.quotes"].inc(len(layers))
+        self._m_quotes.inc(len(layers))
         return self._service().quote_many(layers, timeout=timeout)
 
     def ep_curve(self, layer: Layer | None = None, *,
@@ -464,7 +450,7 @@ class RiskSession:
         curve from one aggregate run.
         """
         self._check_open()
-        self._count["session.ep_curves"].inc()
+        self._m_ep_curves.inc()
         if layer is not None:
             return self._service().ep_curve(layer)
         result = self.aggregate(engine=engine)
@@ -476,7 +462,7 @@ class RiskSession:
         (see :func:`~repro.analytics.ep_curves.portfolio_ep_curves`)."""
         self._check_open()
         result = self.aggregate(portfolio, engine=engine)
-        self._count["session.ep_curves"].inc()
+        self._m_ep_curves.inc()
         return portfolio_ep_curves(result.ylt_by_layer, result.portfolio_ylt)
 
     def sensitivities(self, layer: Layer, *, engine: str | Engine = "auto",
@@ -485,6 +471,6 @@ class RiskSession:
         ~10 bump re-runs reuse one staged substrate instead of
         constructing and tearing one down per sweep."""
         self._check_open()
-        self._count["session.sensitivity_sweeps"].inc()
+        self._m_sensitivity_sweeps.inc()
         return term_sensitivities(layer, self.yet, engine=engine,
                                   session=self, **kwargs)

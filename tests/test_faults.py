@@ -75,31 +75,11 @@ class TestFaultPlan:
         assert plan.exhausted
         assert [e.kind for e in plan.events] == ["kill"]
 
-    def test_from_env_grammar(self):
-        plan = FaultPlan.from_env("kill@3, delay@7:0.05 ,poison@2")
-        specs = {s.task_seq: s for s in plan._pending.values()}
-        assert specs[3].kind == "kill"
-        assert specs[7].kind == "delay"
-        assert specs[7].delay_seconds == pytest.approx(0.05)
-        assert specs[2].kind == "poison"
-
-    def test_from_env_empty_is_none(self):
-        assert FaultPlan.from_env("") is None
-        assert FaultPlan.from_env("   ") is None
-
-    def test_from_env_bad_item_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_env("kill@three")
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_env("frob@1")
-
-    def test_env_variable_gates_activation(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_VAR, "poison@0")
-        faults.clear()  # forget the earlier env probe
-        plan = faults.active_plan()
-        assert plan is not None and plan.n_pending == 1
+    def test_install_and_clear_switch_the_active_plan(self):
+        assert faults.active_plan() is None
+        plan = faults.install(FaultPlan.poison_task(0))
+        assert faults.active_plan() is plan
         faults.clear()
-        monkeypatch.delenv(faults.ENV_VAR)
         assert faults.active_plan() is None
 
     def test_report_is_json_ready(self):

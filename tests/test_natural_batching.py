@@ -190,7 +190,7 @@ class TestService:
             quote = svc.quote(layer, timeout=1.0)
             again = svc.quote(layer, timeout=1.0)
         assert quote.premium == again.premium > 0
-        assert svc.stats.snapshot()["serve.batches"] == 2
+        assert svc.telemetry.snapshot()["metrics"]["serve.batches"] == 2
 
     def test_window_is_not_charged_to_admission(self, tiny_workload):
         """An idle service waits out no window, so a cap above the SLO
@@ -201,7 +201,7 @@ class TestService:
             batch=BatchPolicy(64, 5.0),
         ) as svc:
             assert svc.quote(layer).premium > 0
-            assert svc.stats.snapshot()["serve.shed"] == 0
+            assert svc.telemetry.snapshot()["metrics"]["serve.shed"] == 0
         # the keyword itself still adds a declared fixed wait
         assert not svc.admission.decide(0, 1.0, window_seconds=5.0).accepted
 
@@ -221,8 +221,8 @@ class TestService:
         with PricingService(tiny_workload.yet) as svc:
             miss = svc.quote(layer)
             hit = svc.quote(layer)
-            assert svc.stats.snapshot()["serve.cache.hits"] == 1
             metrics = svc.telemetry.snapshot()["metrics"]
+            assert metrics["serve.cache.hits"] == 1
         assert miss.latency_seconds >= pause
         assert hit.latency_seconds >= pause
         assert metrics["serve.request.seconds.count"] == 2

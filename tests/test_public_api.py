@@ -236,6 +236,34 @@ def test_one_transport():
     assert named == []
 
 
+def test_one_stats_surface(tiny_workload):
+    """A serving or session count is read from the telemetry plane and
+    nowhere else: no ``*Stats`` view class under ``serve/`` or
+    ``session/``, no ``stats`` attribute on the service, the session or
+    the cache, and no such name exported."""
+    import repro.serve
+    import repro.session
+    from repro.serve import PricingService, ResultCache
+    from repro.session import RiskSession
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    views = [f"{path.relative_to(src).as_posix()}:{node.name}"
+             for package in ("serve", "session")
+             for path in sorted((src / package).rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and node.name.endswith("Stats")]
+    assert views == []
+    with RiskSession(tiny_workload.yet) as session:
+        service = session.pricing_service()
+        assert service.telemetry.snapshot()["metrics"]["serve.batches"] == 0
+        for obj in (session, service, ResultCache()):
+            assert not hasattr(obj, "stats"), type(obj).__name__
+    for name in ("CacheStats", "ServeStats", "SessionStats"):
+        assert not hasattr(repro.serve, name)
+        assert not hasattr(repro.session, name)
+
+
 def test_session_surface_locked():
     """The session layer's public names ride the root namespace."""
     import repro

@@ -211,13 +211,13 @@ class TestEveryPricerAgrees:
                             tail_loading=TAIL) as svc:
             batched = svc.quote_many(layers)
             cached = [svc.quote(layer) for layer in layers]
-            stats = svc.stats.snapshot()
-            assert stats["serve.batches"] == 1
-            assert stats["serve.cache.hits"] == 8
+            metrics = svc.telemetry.snapshot()["metrics"]
+            assert metrics["serve.batches"] == 1
+            assert metrics["serve.cache.hits"] == 8
         with PricingService(tiny_workload.yet, volatility_loading=VOL,
                             tail_loading=TAIL, cache=CachePolicy(0)) as svc:
             alone = [svc.quote(layer) for layer in layers]
-            assert svc.stats.snapshot()["serve.batches"] == 8
+            assert svc.telemetry.snapshot()["metrics"]["serve.batches"] == 8
         for b, c, a in zip(batched, cached, alone):
             assert same(fields(b), fields(c))
             assert same(fields(b), fields(a))
@@ -233,9 +233,9 @@ class TestEveryPricerAgrees:
             t_ylts = [svc.submit(layer, "ylt") for layer in layers[:5]]
             t_ep = svc.submit(layers[2], "ep_curve")
             svc.drain()
-            stats = svc.stats.snapshot()
-            assert stats["serve.batches"] == 1
-            assert stats["serve.kernel_rows"] == len(layers)
+            metrics = svc.telemetry.snapshot()["metrics"]
+            assert metrics["serve.batches"] == 1
+            assert metrics["serve.kernel_rows"] == len(layers)
         for layer, t_quote, t_ylt in zip(layers, t_quotes, t_ylts):
             ylt = t_ylt.result(5)
             assert isinstance(ylt, YltTable)

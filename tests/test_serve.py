@@ -95,9 +95,9 @@ class TestBatcherParity:
         layer = tiny_workload.portfolio.layers[0]
         with PricingService(tiny_workload.yet, cache=CachePolicy(0)) as svc:
             quotes = svc.quote_many([layer, layer, layer])
-        stats = svc.stats.snapshot()
-        assert stats["serve.batches"] == 1
-        assert stats["serve.kernel_rows"] == 1, "identical layers share one row"
+        metrics = svc.telemetry.snapshot()["metrics"]
+        assert metrics["serve.batches"] == 1
+        assert metrics["serve.kernel_rows"] == 1, "identical layers share one row"
         assert quotes[0].premium == quotes[1].premium == quotes[2].premium
 
     def test_many_quotes_one_book_routes_sublinear(self, tiny_workload):
@@ -114,12 +114,11 @@ class TestBatcherParity:
         ]
         with PricingService(wl.yet, cache=CachePolicy(0)) as svc:
             quotes = svc.quote_many(layers)
-            stats = svc.stats.snapshot()
-            assert stats["serve.batches"] == 1
-            assert stats["serve.sublinear.batches"] == 1
-            assert stats["serve.sublinear.rows"] >= 16
-            # ... and the rows really priced off the book's profile
             metrics = svc.telemetry.snapshot()["metrics"]
+            assert metrics["serve.batches"] == 1
+            assert metrics["serve.sublinear.batches"] == 1
+            assert metrics["serve.sublinear.rows"] >= 16
+            # ... and the rows really priced off the book's profile
             assert metrics["kernel.profile_rows"] == 20
             assert metrics["yet.profile.resident"] == 1
         for layer, q in zip(layers[:3], quotes[:3]):
@@ -135,7 +134,7 @@ class TestBatcherParity:
             t_ep = svc.submit(layer, "ep_curve")
             svc.drain()
             quote, ylt, ep = (t.result(5) for t in (t_quote, t_ylt, t_ep))
-        assert svc.stats.snapshot()["serve.batches"] == 1
+        assert svc.telemetry.snapshot()["metrics"]["serve.batches"] == 1
         np.testing.assert_allclose(
             ylt.losses, direct_layer_pricing(layer, tiny_workload.yet)
         )
@@ -229,7 +228,6 @@ class TestCache:
         assert metrics["serve.cache.hits"] == 1
         assert metrics["serve.batches"] == 1, "the hit must not trigger a sweep"
         assert metrics["serve.cache.hit_bytes"] > 0
-        assert svc.stats.snapshot()["serve.cache.hits"] == 1
         assert again.premium == first.premium
         # latency fields are re-stamped per request, not served stale
         assert again.latency_seconds != first.latency_seconds
@@ -241,10 +239,12 @@ class TestCache:
             for layer in layers:
                 svc.quote(layer)          # fills: 0,1 then evicts 0 for 2
             assert len(svc.cache) == 2
-            assert svc.cache.stats.evictions == 1
+            assert svc.telemetry.snapshot()["metrics"][
+                "serve.cache.evictions"] == 1
             svc.quote(layers[0])          # evicted -> a fresh sweep
-        assert svc.cache.stats.hits == 0
-        assert svc.stats.snapshot()["serve.batches"] == 4
+        metrics = svc.telemetry.snapshot()["metrics"]
+        assert metrics["serve.cache.hits"] == 0
+        assert metrics["serve.batches"] == 4
 
     def test_invalidation_on_resimulate(self, tiny_workload):
         layer = tiny_workload.portfolio.layers[0]
@@ -253,7 +253,7 @@ class TestCache:
             dropped = svc.resimulate(fresh_yet(n_trials=tiny_workload.yet.n_trials))
             assert dropped == 1
             after = svc.quote(layer)
-        assert svc.stats.snapshot()["serve.cache.hits"] == 0
+        assert svc.telemetry.snapshot()["metrics"]["serve.cache.hits"] == 0
         assert after.expected_loss != before.expected_loss
 
     def test_digest_is_content_addressed(self, tiny_workload):
@@ -286,11 +286,13 @@ class TestCache:
         # the loading-free ylt/ep_curve payloads DO share
         with PricingService(tiny_workload.yet, cache=shared) as again:
             again.ylt(layer)
-            assert shared.stats.hits == 0
+            assert again.telemetry.snapshot()["metrics"][
+                "serve.cache.hits"] == 0
         with PricingService(tiny_workload.yet, cache=shared,
                             volatility_loading=0.0) as other:
             other.ylt(layer)
-            assert shared.stats.hits == 1
+            assert other.telemetry.snapshot()["metrics"][
+                "serve.cache.hits"] == 1
 
     def test_byte_budget_evicts_bulky_payloads(self, small_portfolio_workload):
         """EP curves are ~n_trials floats: a byte budget of about two of
@@ -304,14 +306,14 @@ class TestCache:
             for layer in wl.portfolio.layers:        # 3 distinct curves
                 svc.ep_curve(layer)
         assert len(svc.cache) <= 2
-        assert svc.cache.stats.evictions > 0
+        assert svc.telemetry.snapshot()["metrics"]["serve.cache.evictions"] > 0
         assert svc.cache.nbytes <= budget
 
     def test_cached_quote_reports_sweep_throughput(self, tiny_workload):
         with PricingService(tiny_workload.yet) as svc:
             fresh = svc.quote(tiny_workload.portfolio.layers[0])
             hit = svc.quote(tiny_workload.portfolio.layers[0])
-        assert svc.stats.snapshot()["serve.cache.hits"] == 1
+        assert svc.telemetry.snapshot()["metrics"]["serve.cache.hits"] == 1
         assert hit.trials_per_second == fresh.trials_per_second, (
             "a cache hit must report the producing sweep's throughput, "
             "not the cache lookup's"
@@ -363,7 +365,7 @@ class TestAdmission:
         # the real sweep calibrated the rate the controller reads
         assert svc.admission.throughput is svc.dispatcher.throughput
         assert svc.dispatcher.throughput.rate > 0
-        assert svc.stats.snapshot()["serve.shed"] == 0
+        assert svc.telemetry.snapshot()["metrics"]["serve.shed"] == 0
         svc.close()
 
     def test_queue_cap_is_hard(self, tiny_workload):
@@ -429,11 +431,11 @@ class TestAdmission:
         assert svc.dispatcher.throughput.rate is None
         for layer in layers:
             svc.submit(layer)
-        assert svc.stats.snapshot()["serve.shed"] == 0
+        assert svc.telemetry.snapshot()["metrics"]["serve.shed"] == 0
         svc.dispatcher.throughput.observe(1_000.0, 1_000.0)
         with pytest.raises(AdmissionError, match="SLO"):
             svc.submit(layers[0])
-        assert svc.stats.snapshot()["serve.shed"] == 1
+        assert svc.telemetry.snapshot()["metrics"]["serve.shed"] == 1
         svc.drain()
         svc.close()
 
@@ -466,11 +468,10 @@ class TestThreadedCoalescing:
                 t.start()
             for t in threads:
                 t.join()
-        stats = svc.stats.snapshot()
-        assert stats["serve.batched_requests"] == 4 * len(layers)
-        assert stats["serve.batches"] < 4 * len(layers), \
+        metrics = svc.telemetry.snapshot()["metrics"]
+        assert metrics["serve.batched_requests"] == 4 * len(layers)
+        assert metrics["serve.batches"] < 4 * len(layers), \
             "concurrent requests must coalesce into fewer sweeps"
-        assert stats["serve.coalescing_factor"] > 1.0
         ref = {l.layer_id: direct_layer_pricing(l, wl.yet).mean()
                for l in layers}
         for quotes in results.values():
@@ -496,7 +497,7 @@ class TestThreadedCoalescing:
         svc.submit(tiny_workload.portfolio.layers[0])
         with pytest.raises(TimeoutError):
             svc.drain(timeout=-1.0)   # already expired: nothing starts
-        assert svc.stats.snapshot()["serve.batches"] == 0
+        assert svc.telemetry.snapshot()["metrics"]["serve.batches"] == 0
         svc.drain()
         svc.close()
 

@@ -387,10 +387,10 @@ class TestStagedPayload:
         assert session.payload_ships == 1
 
     @needs_shm
-    def test_stats_snapshot_is_the_session_slice_of_the_scrape(
+    def test_session_counts_are_read_off_the_plane(
             self, small_portfolio_workload, risk_session):
-        """``SessionStats`` registers every ``session.*`` counter once:
-        its snapshot and the plane's scrape cannot disagree."""
+        """Every ``session.*`` count is read from the plane's scrape,
+        the one place it lives."""
         wl = small_portfolio_workload
         session = risk_session(wl.yet, wl.portfolio, n_workers=2)
         session.aggregate(engine="multicore")
@@ -398,15 +398,12 @@ class TestStagedPayload:
         session.aggregate()
         session.quote_many(_candidates(wl.portfolio, 3))
         session.ep_curves()
-        stats = session.stats.snapshot()
         metrics = session.telemetry.snapshot()["metrics"]
-        assert stats == {name: value for name, value in metrics.items()
-                         if name.startswith("session.")}
-        assert stats["session.stages"] == 1
+        assert metrics["session.stages"] == 1
         # the engine was handed the staged dispatcher when the session
         # built it; its runs look nothing up
-        assert stats["session.stage_reuse"] == 0
-        assert stats["session.quotes"] == 3
+        assert metrics["session.stage_reuse"] == 0
+        assert metrics["session.quotes"] == 3
 
     @needs_shm
     def test_run_all_ships_do_not_grow_across_the_sweep(
@@ -616,16 +613,17 @@ class TestOneMeasuredRate:
         session = risk_session(wl.yet, wl.portfolio)
         warm = session.pricing_service("inline")
         warm.quote_many(list(wl.portfolio))
-        stats = warm.stats.snapshot()
+        metrics = warm.telemetry.snapshot()["metrics"]
         lanes = wl.yet.n_occurrences
         # the warm batch's measured rate, off the service's own counters
-        measured = stats["serve.sweep_seconds"] / stats["serve.kernel_rows"]
+        measured = (metrics["serve.sweep_seconds"]
+                    / metrics["serve.kernel_rows"])
         seeded = lanes / 1e7   # a fresh controller's former seed rate
         assert measured < seeded
         svc = session.pricing_service(
             "inline", slo_seconds=(measured * seeded) ** 0.5)
         assert svc.quote(wl.portfolio.layers[0]).premium > 0
-        assert svc.stats.snapshot()["serve.shed"] == 0
+        assert svc.telemetry.snapshot()["metrics"]["serve.shed"] == 0
 
     def test_one_estimate_serves_every_reader(self, small_portfolio_workload,
                                               risk_session, monkeypatch):
@@ -785,8 +783,9 @@ class TestVeneers:
                                                      risk_session):
         """Two services of one session over one ``ResultCache``: each
         adds the entries its own puts evicted, so the shared plane reads
-        the cache's own count (each used to add every eviction since its
-        private watermark — its neighbour's too)."""
+        the four that six puts into a two-entry cache evict (each used to
+        add every eviction since its private watermark — its neighbour's
+        too)."""
         from repro.serve.cache import CachePolicy, ResultCache
 
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
@@ -797,7 +796,6 @@ class TestVeneers:
         for service, layer in zip((first, second) * 3, layers):
             service.quote(layer)
         metrics = session.telemetry.snapshot()["metrics"]
-        assert shared.stats.evictions == 4
         assert metrics["serve.cache.evictions"] == 4
         evicted = [event["fields"]["n_entries"]
                    for event in session.telemetry.snapshot()["events"]

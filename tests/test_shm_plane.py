@@ -292,13 +292,28 @@ class TestTransportParity:
 
         svc = session.pricing_service(engine="pooled")
         quotes = svc.quote_many(layers)
-        batches = svc.stats.snapshot()["serve.batches"]
+        batches = svc.telemetry.snapshot()["metrics"]["serve.batches"]
         assert batches >= 1
         for a, b in zip(quotes, inline_quotes):
             assert a.premium == b.premium
         check(svc.dispatcher, 1 + batches)
         session.close()
         assert shm.active_segment_names() == before
+
+    def test_pool_health_counts_on_a_disabled_plane(
+            self, monkeypatch, small_portfolio_workload, risk_session):
+        """``PoolHealth.snapshot()`` reads the counts supervision acts
+        on, not the plane's mirror of them: a session built with
+        ``telemetry=False`` still reports its degraded call."""
+        monkeypatch.setattr(shm, "_AVAILABLE", False)
+        wl = small_portfolio_workload
+        session = risk_session(wl.yet, wl.portfolio, n_workers=2,
+                               telemetry=False)
+        session.aggregate(engine="multicore")
+        health = session.pool_health
+        assert health.totals["degraded_calls"] == 1
+        assert health.snapshot()["pool.degraded_calls"] == 1
+        assert session.telemetry.snapshot()["metrics"] == {}
 
     def test_unknown_transport_rejected(self):
         """``transport`` takes one value, ``"shm"``, and selects nothing;
