@@ -23,8 +23,8 @@ mapreduce   a MapReduce job over the simulated DFS (large file space
 ========== ===============================================================
 
 The portfolio hot path is the shared
-:class:`~repro.core.kernels.PortfolioKernel`: per-layer lookups are
-stacked once per portfolio (:meth:`Portfolio.kernel()
+:class:`~repro.core.kernels.PortfolioKernel`: the layers' lookups (one
+per book) are stacked once per portfolio (:meth:`Portfolio.kernel()
 <repro.core.portfolio.Portfolio.kernel>`, which with
 :meth:`Layer.lookup <repro.core.layer.Layer.lookup>` is where a book's
 dense-or-CSR threshold is decided) — dense layers as

@@ -349,8 +349,8 @@ class PortfolioKernel:
     ) -> "PortfolioKernel":
         """Stack a portfolio's per-layer lookups and terms into one kernel.
 
-        Per-layer lookups come from :meth:`Layer.lookup`, so the merge
-        work is shared with every other engine via the layer cache.
+        Lookups come from :meth:`Layer.lookup`, so the merge work is
+        shared with every other engine and layer over the same book.
         """
         return cls.from_layers(
             list(portfolio),
@@ -374,15 +374,13 @@ class PortfolioKernel:
         into one kernel and priced in a single sweep.  ``layer_ids``
         overrides the row identities — batched requests may carry
         colliding ``layer.layer_id`` values, so the caller can key rows
-        by request position instead.  Per-layer lookups still come from
-        :meth:`Layer.lookup`, so repeat requests against the same layer
-        objects reuse the cached merges.
-
-        Layers over the *same ELT set and weights* — the what-if burst:
-        many term variations of one book — share a single merged lookup:
-        the merge is built once, stored once, and gathered once per
-        occurrence block, with the other rows fanned out from it (see
-        ``dense_source``/``sparse_source``).
+        by request position instead.  Lookups come from
+        :meth:`Layer.lookup`, which returns one object for every layer
+        over the same ELT objects and weights — the what-if burst: many
+        term variations of one book — so the merge is built once (by
+        the book, not per call), stacked once here, and gathered once
+        per occurrence block, with the other rows fanned out from it
+        (see ``dense_source``/``sparse_source``).
         """
         layers = list(layers)
         if not layers:
@@ -395,19 +393,8 @@ class PortfolioKernel:
                 raise ConfigurationError(
                     f"got {len(layer_ids)} layer_ids for {len(layers)} layers"
                 )
-        # One merged lookup per distinct (ELT set, weights): layers that
-        # price the same book under different terms reuse the first
-        # layer's merge instead of rebuilding it.  Object identity is
-        # stable here — every layer in `layers` is alive for the call.
-        lookup_by_book: dict = {}
-        lookups = []
-        for layer in layers:
-            book = (tuple(id(e) for e in layer.elts), layer.weights)
-            lk = lookup_by_book.get(book)
-            if lk is None:
-                lk = layer.lookup(dense_max_entries=dense_max_entries)
-                lookup_by_book[book] = lk
-            lookups.append(lk)
+        lookups = [layer.lookup(dense_max_entries=dense_max_entries)
+                   for layer in layers]
         triples = list(zip(layers, lookups, layer_ids))
         dense = [t for t in triples if t[1].kind == "dense"]
         sparse = [t for t in triples if t[1].kind == "sparse"]

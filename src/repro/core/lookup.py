@@ -84,11 +84,17 @@ class LossLookup:
             raise ConfigurationError("duplicate event ids in lookup")
         vals_sorted = values[order]
         max_id = int(ids_sorted[-1])
+        dense = None
         if max_id + 1 <= dense_max_entries:
             dense = np.zeros(max_id + 1, dtype=np.float64)
             dense[ids_sorted] = vals_sorted
-            return cls("dense", dense, ids_sorted, vals_sorted)
-        return cls("sparse", None, ids_sorted, vals_sorted)
+        # Built tables are read-only: many layers and kernels may read
+        # one lookup, so no caller may write into it.
+        for array in (dense, ids_sorted, vals_sorted):
+            if array is not None:
+                array.flags.writeable = False
+        return cls("sparse" if dense is None else "dense", dense,
+                   ids_sorted, vals_sorted)
 
     @classmethod
     def from_elt(cls, elt: EltTable, **kwargs) -> "LossLookup":
@@ -164,6 +170,14 @@ class LossLookup:
         if self.kind == "dense":
             return self._dense.nbytes
         return self._ids.nbytes + self._values.nbytes
+
+    @property
+    def resident_bytes(self) -> int:
+        """Host bytes this lookup holds: every array, not only the one
+        an engine would place (the sorted ids and values stay beside a
+        dense table)."""
+        return sum(a.nbytes for a in (self._dense, self._ids, self._values)
+                   if a is not None)
 
     @property
     def n_entries(self) -> int:

@@ -53,10 +53,10 @@ class Portfolio:
     def kernel(self, dense_max_entries: int = 4_000_000):
         """The fused :class:`~repro.core.kernels.PortfolioKernel`.
 
-        Precomputed once per ``dense_max_entries`` (a small dict, like the
-        per-layer lookup cache) so repeated engine runs over the same
+        Precomputed once per ``dense_max_entries`` (a small dict, like a
+        book's lookup cache) so repeated engine runs over the same
         portfolio skip the stacking work.  Each cache entry remembers the
-        per-layer lookups it was stacked from, so the documented
+        layers' lookups it was stacked from, so the documented
         :meth:`Layer.invalidate_lookup` mutation flow transparently
         rebuilds the kernel on next use instead of serving stale arrays.
         """
@@ -78,7 +78,7 @@ class Portfolio:
         return kernel
 
     def invalidate_kernels(self) -> None:
-        """Drop cached kernels and per-layer lookups (after mutating a
+        """Drop cached kernels and the layers' lookups (after mutating a
         layer's ELTs in place; equivalent to invalidating every layer)."""
         self._kernel_cache.clear()
         for layer in self.layers:

@@ -57,22 +57,25 @@ def apply_reinstatement_limit(
             "emit them) for reinstatement accounting"
         )
 
-    # Running within-trial cumulative loss via a segmented cumsum: the
-    # global cumsum minus the cumsum at each trial's start.
-    cum = np.cumsum(losses)
-    # index of the first row of each trial run
-    starts = np.concatenate(([0], np.nonzero(np.diff(trials))[0] + 1))
-    base = np.zeros_like(cum)
-    # cumulative total *before* each trial's first row
-    trial_base = np.concatenate(([0.0], cum[starts[1:] - 1]))
-    base[starts] = trial_base
-    base = np.maximum.accumulate(base)
-    within = cum - base                       # inclusive within-trial cumsum
-    before = within - losses                  # exclusive
-    # `before` is mathematically >= 0; the subtraction can leave a tiny
-    # negative residue when trial sums are large, which would let a row
-    # recover epsilon more than the remaining capacity.  Clamp it.
-    np.maximum(before, 0.0, out=before)
+    # Loss occurring *before* each row within its trial, summed in year
+    # order by a running sum that restarts every trial — never a global
+    # cumsum minus a trial base, which would carry the rounding of every
+    # earlier trial into each row.  One step per within-trial position,
+    # vectorised over the trials that reach it (longest trials first, so
+    # they are a prefix).  A row's answer then depends on its own trial
+    # alone, and applying the limit twice gives exactly the once-applied
+    # losses.
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(trials) != 0)))
+    lengths = np.diff(np.append(starts, losses.size))
+    order = np.argsort(-lengths, kind="stable")
+    firsts, neg_lengths = starts[order], -lengths[order]
+    running = np.zeros(starts.size)
+    before = np.empty_like(losses)
+    for k in range(int(lengths.max())):
+        reach = int(np.searchsorted(neg_lengths, -k))  # trials longer than k
+        rows = firsts[:reach] + k
+        before[rows] = running[:reach]
+        running[:reach] += losses[rows]
     recovered = np.clip(capacity - before, 0.0, losses)
 
     table = ColumnTable.from_arrays(

@@ -44,9 +44,10 @@ def layer_digest(layer: Layer) -> str:
 
     Delegates to :meth:`Layer.content_digest`, which hashes the *inputs*
     of the merged lookup (event ids and mean losses per ELT,
-    participation weights) plus the terms — never forcing a lookup build
-    — and caches the result on the layer for the lookup-cache lifetime,
-    so repeat submissions of a hot layer skip the hash entirely.
+    participation weights) plus the terms — never forcing a lookup build.
+    The ELT part is hashed once per book, for every layer over it, and
+    the result is cached on the layer until its book is invalidated, so
+    repeat submissions of a hot layer skip the hash entirely.
     """
     return layer.content_digest()
 

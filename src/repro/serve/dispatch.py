@@ -78,8 +78,9 @@ What a run counted
 planner prices the substrate's row at and the serve admission
 controller sheds by — and sets the ``dispatch.<name>.lanes_per_second``
 gauge.  It exports, once per run, where the calling process's kernel
-priced its rows (:data:`~repro.core.kernels.ROUTING_COUNTERS`) and what
-the YET keeps or read for them (``yet.cache_levels()``) — inline,
+priced its rows (:data:`~repro.core.kernels.ROUTING_COUNTERS`), what
+the YET keeps or read for them (``yet.cache_levels()``) and what the
+interned books hold (``layer.books.*``, :func:`~repro.core.layer.book_levels`) — inline,
 degraded or on a one-worker pool.  Pool workers count on their own
 copies; those counts do not come back yet (ROADMAP item 8: a pooled
 block task returns nothing, so its counts would be all it returns), and
@@ -94,6 +95,7 @@ import time
 import numpy as np
 
 from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
+from repro.core.layer import book_levels
 from repro.core.tables import StoredYet, YetTable, trial_spans
 from repro.errors import ConfigurationError
 from repro.hpc import shm
@@ -169,7 +171,8 @@ class Dispatcher:
         for name, rows in routed.items():
             self._m_routed[name].inc(rows)
         if routed:
-            for name, level in yet.cache_levels().items():
+            for name, level in (*yet.cache_levels().items(),
+                                *book_levels().items()):
                 self.telemetry.gauge(name).set(level)
         return final
 

@@ -42,11 +42,45 @@ class TestReinstatementProperties:
     @given(yelt=yelts(), occ_limit=st.floats(1.0, 1e5),
            n=st.integers(0, 4))
     def test_idempotent(self, yelt, occ_limit, n):
+        """Exactly idempotent by construction — each trial's running sum
+        restarts at zero, so a second pass re-adds the same prefixes in
+        the same order — and the tolerance does not scale with the limit.
+        The bound stays as a float comparison; the deterministic case
+        below asserts the exact equality."""
         once = apply_reinstatement_limit(yelt, occ_limit, n)
         twice = apply_reinstatement_limit(once, occ_limit, n)
         np.testing.assert_allclose(
             twice.table["loss"], once.table["loss"], rtol=1e-12, atol=1e-9
         )
+
+    def test_large_earlier_trials_leave_a_trial_alone(self):
+        """A trial's recoveries are its own: huge earlier trials (where a
+        global running sum has an ulp of 2) change nothing in it, and a
+        second application changes nothing at all."""
+        small = [0.1, 0.2, 0.3, 0.7]
+        big = [3e15, 4e15, 5e15]
+
+        def yelt(rows):
+            trials = np.array([t for t, _ in rows], dtype=np.int64)
+            losses = np.array([x for _, x in rows])
+            return YeltTable(ColumnTable.from_arrays(
+                YELT_SCHEMA, trial=trials,
+                event_id=np.arange(trials.size, dtype=np.int64),
+                loss=losses), 3)
+
+        alone = apply_reinstatement_limit(
+            yelt([(2, x) for x in small]), 0.175, 1).table["loss"]
+        after = yelt([(0, x) for x in big] + [(1, x) for x in big]
+                     + [(2, x) for x in small])
+        once = apply_reinstatement_limit(after, 0.175, 1)
+        twice = apply_reinstatement_limit(once, 0.175, 1)
+        np.testing.assert_array_equal(once.table["loss"][6:], alone)
+        np.testing.assert_array_equal(twice.table["loss"],
+                                      once.table["loss"])
+        np.testing.assert_allclose(alone, [0.1, 0.2, 0.05, 0.0],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(once.table["loss"][:6],
+                                      [0.35, 0, 0, 0.35, 0, 0])
 
     @settings(max_examples=50)
     @given(yelt=yelts(), occ_limit=st.floats(1.0, 1e5),
