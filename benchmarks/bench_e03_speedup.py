@@ -1,55 +1,64 @@
 """E3 — data-parallel engines vs the sequential counterpart.
 
 Paper claim (§II, citing [7]): many-core GPU portfolio simulation is
-"15x times faster than the sequential counterpart".  The pytest-benchmark
-table regenerates the comparison: ``sequential`` vs ``vectorized`` vs
-``device`` on the companion-study layer.  The ratio of the sequential
-row's time to the device row's time is the paper's headline number; on
-this substrate it lands well above 15x (see EXPERIMENTS.md).
+"15x times faster than the sequential counterpart".  ``run_e03_speedup``
+times ``sequential``, ``vectorized``, ``multicore`` and ``device`` on the
+companion-study layer over a trial sweep; the ratio of the sequential
+column to the device column is the paper's headline number, and its
+peak is the figure the report's claim is checked against.
 """
 
-import pytest
+from repro.bench.workloads import companion_study_workload
+from repro.core.engines import MulticoreEngine
 
-from repro.core.simulation import AggregateAnalysis
-
-
-@pytest.fixture(scope="module")
-def analysis(study_2k):
-    return AggregateAnalysis(study_2k.portfolio, study_2k.yet)
+from experiment import (ExperimentReport, bound_analysis, format_seconds,
+                        time_call)
 
 
-def test_sequential_baseline(benchmark, analysis):
-    """The scalar one-occurrence-at-a-time loop (the paper's baseline)."""
-    res = benchmark.pedantic(
-        lambda: analysis.run("sequential"), rounds=2, iterations=1
+def run_e03_speedup(trials_list=(250, 500, 1_000, 2_000),
+                    repeats: int = 1) -> ExperimentReport:
+    """E3: the data-parallel engines vs the sequential counterpart.
+
+    The paper (via [7]) claims ~15x for the GPU; we report the shape:
+    speedup grows with trial count and exceeds 15x well before the
+    companion study's 100k-trial operating point.
+
+    The pool-backed engine is constructed once, reused across the whole
+    trial sweep (its workers amortise over every run), and closed by the
+    ``with`` block — a sweep must never leak its worker pool.
+    """
+    report = ExperimentReport(
+        "E3",
+        "aggregate analysis: data-parallel engine >= 15x the sequential counterpart",
+        ["trials", "sequential", "vectorized", "multicore", "device",
+         "vec speedup", "dev speedup"],
     )
-    assert res.portfolio_ylt.n_trials == 2_000
+    best_dev = 0.0
+    with MulticoreEngine() as mc_engine:
+        for n_trials in trials_list:
+            wl = companion_study_workload(n_trials=n_trials)
+            with bound_analysis(wl) as analysis:
+                t_seq, _ = time_call(lambda: analysis.run("sequential"), repeats=repeats, warmup=0)
+                t_vec, _ = time_call(lambda: analysis.run("vectorized"), repeats=repeats, warmup=1)
+                t_mc, _ = time_call(lambda: analysis.run(mc_engine), repeats=repeats, warmup=1)
+                t_dev, _ = time_call(lambda: analysis.run("device"), repeats=repeats, warmup=1)
+            report.add_row(
+                n_trials, format_seconds(t_seq), format_seconds(t_vec),
+                format_seconds(t_mc), format_seconds(t_dev),
+                f"{t_seq / t_vec:.1f}x", f"{t_seq / t_dev:.1f}x",
+            )
+            best_dev = max(best_dev, t_seq / t_dev)
+    report.figures["peak_device_speedup"] = best_dev
+    report.add_note(
+        f"peak device-engine speedup {best_dev:.1f}x vs paper's '15x times "
+        "faster than the sequential counterpart'"
+    )
+    return report
 
 
-def test_vectorized_engine(benchmark, analysis):
-    """Whole-array NumPy — the data-parallel 'global memory only' model."""
-    res = benchmark(lambda: analysis.run("vectorized"))
-    assert res.portfolio_ylt.n_trials == 2_000
-
-
-def test_device_engine(benchmark, analysis):
-    """Simulated GPU with chunking + constant-memory lookup placement."""
-    res = benchmark(lambda: analysis.run("device"))
-    assert res.portfolio_ylt.n_trials == 2_000
-
-
-def test_speedup_exceeds_paper_claim(analysis):
-    """Direct assertion of the >=15x shape (single measured pass)."""
-    import time
-
-    t0 = time.perf_counter()
-    analysis.run("sequential")
-    t_seq = time.perf_counter() - t0
-    analysis.run("device")  # warm
-    t0 = time.perf_counter()
-    analysis.run("device")
-    t_dev = time.perf_counter() - t0
-    assert t_seq / t_dev >= 10.0, (
-        f"device speedup {t_seq / t_dev:.1f}x fell below the reproduction "
-        "band (paper claims 15x)"
+def test_e03_speedup(benchmark):
+    report = benchmark.pedantic(run_e03_speedup, rounds=1, iterations=1)
+    print(report.render())
+    assert report.figures["peak_device_speedup"] >= 10.0, (
+        "device speedup fell below the reproduction band (paper claims 15x)"
     )

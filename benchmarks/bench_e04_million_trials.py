@@ -2,75 +2,112 @@
 
 Paper claim (§II): "A 1 million trial aggregate simulation on a typical
 contract only takes 25 seconds and can therefore support real-time
-pricing."  The benchmark measures the 50k-trial operating point of the
-same configuration; EXPERIMENTS.md records the full streamed 1M-trial
-run (`run_e04_million_trials`), which on this machine lands in the same
-tens-of-seconds band the paper reports.
+pricing."  ``run_e04_million_trials`` measures the 50k-trial operating
+point at 1000 events/trial, prices one quote of it, extrapolates to 1M
+trials, and streams a full run in YET blocks; its report's extrapolated
+1M-trial time is the figure the claim is checked against.
 """
 
-import pytest
+import numpy as np
 
-from repro.core.engines import MulticoreEngine
-from repro.core.simulation import AggregateAnalysis
+from repro.bench.workloads import build_layer_workload
+from repro.core import YetTable
+from repro.core.engines import VectorizedEngine
 from repro.serve import CachePolicy, PricingService
+from repro.util.rng import RngHierarchy
+
+from experiment import (ExperimentReport, bound_analysis, format_seconds,
+                        time_call)
 
 
-@pytest.fixture(scope="module")
-def analysis(contract_50k):
-    return AggregateAnalysis(contract_50k.portfolio, contract_50k.yet)
+def run_e04_million_trials(
+    full_trials: int = 1_000_000,
+    events_per_trial: float = 100.0,
+    block_trials: int = 100_000,
+    throughput_trials: int = 50_000,
+) -> ExperimentReport:
+    """E4: a 1M-trial aggregate simulation of a typical contract.
 
-
-@pytest.fixture(scope="module")
-def multicore_engine():
-    """One context-managed engine reused across every repeated sweep.
-
-    Constructing per-run would respawn the worker pool and re-stage the
-    shared-memory payload inside the timed region; reuse is also the
-    documented engine contract (see AggregateAnalysis.run: caller-built
-    engines keep their resources for reuse and close themselves).
+    The paper quotes ~25 s on a 2012 GPU.  We run the full 1M trials for
+    real (in YET blocks to bound memory) at ``events_per_trial``
+    occurrences per year, and separately measure occurrence throughput at
+    the companion study's 1000 events/trial to extrapolate that
+    configuration.
     """
-    with MulticoreEngine(n_workers=2) as engine:
-        yield engine
-
-
-def test_typical_contract_50k_trials(benchmark, analysis, contract_50k):
-    """50k trials x ~1000 events/trial of one contract (vectorized)."""
-    res = benchmark(lambda: analysis.run("vectorized"))
-    assert res.portfolio_ylt.n_trials == 50_000
-
-
-def test_typical_contract_50k_trials_multicore(benchmark, analysis,
-                                               multicore_engine):
-    """The same contract over the pooled engine: repeated sweeps reuse
-    one warm pool and the staged shm payload (zero re-ships)."""
-    res = benchmark(lambda: analysis.run(multicore_engine))
-    assert res.portfolio_ylt.n_trials == 50_000
-    assert multicore_engine.pool.payload_ships <= 1
-
-
-def test_realtime_quote_latency(benchmark, contract_50k):
-    """A full pricing quote (simulation + premium derivation).
-
-    The result cache is disabled: pytest-benchmark re-quotes one layer,
-    and a cache hit would measure a dict lookup instead of pricing.
-    """
-    layer = contract_50k.portfolio.layers[0]
-    with PricingService(contract_50k.yet, cache=CachePolicy(0)) as service:
-        quote = benchmark(lambda: service.quote(layer))
+    report = ExperimentReport(
+        "E4",
+        "1M-trial aggregate simulation of a typical contract supports "
+        "real-time pricing (paper: ~25 s)",
+        ["configuration", "trials", "events/trial", "wall time", "trials/s"],
+    )
+    rng = RngHierarchy(11)
+    wl_small = build_layer_workload(
+        n_trials=throughput_trials, mean_events_per_trial=1000.0,
+        n_elts=1, elt_rows=16_000, catalog_events=100_000, seed=11,
+    )
+    engine = VectorizedEngine()
+    with bound_analysis(wl_small) as analysis:
+        t_1000, _ = time_call(lambda: analysis.run(engine), repeats=2, warmup=1)
+    report.add_row(
+        "measured @1000 ev/trial", throughput_trials, 1000,
+        format_seconds(t_1000), f"{throughput_trials / t_1000:,.0f}",
+    )
+    # A full quote (simulation + premium derivation) with the result
+    # cache off, so every repeat prices instead of reading a dict.
+    layer = wl_small.portfolio.layers[0]
+    with PricingService(wl_small.yet, cache=CachePolicy(0)) as service:
+        t_quote, quote = time_call(lambda: service.quote(layer), repeats=2, warmup=1)
     assert quote.premium > 0
+    extrapolated = t_1000 * (full_trials / throughput_trials)
+    report.figures["extrapolated_1m_s"] = t_1000 * (1_000_000 / throughput_trials)
+    report.add_row(
+        "extrapolated @1000 ev/trial", full_trials, 1000,
+        format_seconds(extrapolated), f"{full_trials / extrapolated:,.0f}",
+    )
+
+    # The real full-scale run, streamed in trial blocks.
+    portfolio = wl_small.portfolio
+    catalog_ids = np.arange(100_000, dtype=np.int64)
+    rates = np.full(100_000, 1.0 / 100_000)
+    total_seconds = 0.0
+    n_blocks = full_trials // block_trials
+    for b in range(n_blocks):
+        yet_block = YetTable.simulate(
+            catalog_ids, rates, block_trials,
+            rng.generator(f"e4/block{b}"),
+            mean_events_per_trial=events_per_trial,
+        )
+        t_block, _ = time_call(
+            lambda: engine.run(portfolio, yet_block), repeats=1, warmup=0
+        )
+        total_seconds += t_block
+    report.add_row(
+        "measured full run", full_trials, int(events_per_trial),
+        format_seconds(total_seconds), f"{full_trials / total_seconds:,.0f}",
+    )
+    report.add_note(
+        f"paper: 25 s on a 2012 GPU; this machine: {format_seconds(total_seconds)} "
+        f"at {events_per_trial:.0f} ev/trial measured, "
+        f"{format_seconds(extrapolated)} at 1000 ev/trial extrapolated"
+    )
+    report.add_note(
+        f"one quote (simulation + premium, cache off) of the measured "
+        f"contract: {format_seconds(t_quote)} at {throughput_trials:,} trials"
+    )
+    report.add_note(
+        "real-time pricing threshold (<1 min) "
+        + ("met" if total_seconds < 60 else "not met")
+        + " for the measured configuration"
+    )
+    return report
 
 
-def test_million_trial_extrapolation_band(analysis, contract_50k):
-    """Measured throughput extrapolated to 1M trials must stay within the
-    real-time band the paper argues for (<60 s on this class of machine)."""
-    import time
-
-    analysis.run("vectorized")  # warm
-    t0 = time.perf_counter()
-    analysis.run("vectorized")
-    t = time.perf_counter() - t0
-    extrapolated_1m = t * (1_000_000 / contract_50k.yet.n_trials)
-    assert extrapolated_1m < 120.0, (
-        f"extrapolated 1M-trial time {extrapolated_1m:.1f}s is out of the "
-        "real-time pricing band (paper: 25 s)"
+def test_e04_million_trials(benchmark):
+    report = benchmark.pedantic(run_e04_million_trials,
+                                kwargs=dict(full_trials=200_000),
+                                rounds=1, iterations=1)
+    print(report.render())
+    assert report.figures["extrapolated_1m_s"] < 120.0, (
+        "extrapolated 1M-trial time is out of the real-time pricing band "
+        "(paper: 25 s)"
     )

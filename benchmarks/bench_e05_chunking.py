@@ -2,47 +2,92 @@
 
 Paper claim (§II): "The management of large data in memory employs the
 notion of chunking, which is utilising shared and constant memory as
-much as possible."  Four placement variants (constant/shared on/off) and
-a chunk-size sweep; on the simulated device the wall-clock signal is the
-chunk-size locality effect, while constant/shared placement is verified
-as a capacity-feasibility property (see EXPERIMENTS.md note).
+much as possible."  ``run_e05_chunking`` runs four placement variants
+(constant/shared on/off) and a chunk-size sweep; on the simulated device
+the wall-clock signal is the chunk-size locality effect, while
+constant/shared placement is checked as a capacity-feasibility property
+(the second note of the report it returns).
 """
 
-import pytest
-
+from repro.bench.workloads import build_layer_workload
 from repro.core.engines import DeviceEngine
-from repro.core.simulation import AggregateAnalysis
+from repro.util.tables import format_bytes
+
+from experiment import (ExperimentReport, bound_analysis, format_seconds,
+                        time_call)
 
 
-@pytest.fixture(scope="module")
-def analysis(small_lookup_20k):
-    return AggregateAnalysis(small_lookup_20k.portfolio, small_lookup_20k.yet)
+def run_e05_chunking(n_trials: int = 20_000,
+                     chunk_sizes=(50_000, 200_000, 1_000_000, None)) -> ExperimentReport:
+    """E5: shared/constant-memory chunking on the simulated device.
+
+    Workload uses a catalogue small enough that the dense lookup fits the
+    64 KiB constant space, so all four placement variants are reachable:
+    the 6k-event dense lookup (48 KB) lands in constant memory exactly
+    when the variant may use it, and every variant gives the same answer.
+    """
+    report = ExperimentReport(
+        "E5",
+        "chunking into shared+constant memory is the key GPU optimisation",
+        ["variant", "chunk rows", "lookup placement", "wall time", "h2d traffic"],
+    )
+    wl = build_layer_workload(
+        n_trials=n_trials, mean_events_per_trial=1000.0, n_elts=4,
+        elt_rows=2_000, catalog_events=6_000, seed=13,
+    )
+
+    # Memory-placement ablation at a fixed, realistic chunk size.
+    variants = [
+        ("naive (global, no shared)", dict(use_constant=False, use_shared=False)),
+        ("shared only", dict(use_constant=False, use_shared=True)),
+        ("constant only", dict(use_constant=True, use_shared=False)),
+        ("shared + constant", dict(use_constant=True, use_shared=True)),
+    ]
+    sweep_times, reference = {}, None
+    with bound_analysis(wl) as analysis:
+        for label, flags in variants:
+            engine = DeviceEngine(max_rows_per_chunk=200_000, **flags)
+            t, res = time_call(lambda e=engine: analysis.run(e), repeats=2, warmup=1)
+            in_constant = res.details["layers"][0]["lookup_in_constant"]
+            assert in_constant == flags["use_constant"], label
+            if reference is None:
+                reference = res.portfolio_ylt
+            assert res.portfolio_ylt.allclose(reference), label
+            report.add_row(label, res.details["layers"][0]["rows_per_chunk"],
+                           "constant" if in_constant else "global",
+                           format_seconds(t),
+                           format_bytes(res.details["h2d_bytes"]))
+
+        # Chunk-size sweep, including the planner's unconstrained (single
+        # resident chunk) plan — the locality effect chunking is about.
+        for rows in chunk_sizes:
+            engine = DeviceEngine(max_rows_per_chunk=rows)
+            t, res = time_call(lambda e=engine: analysis.run(e), repeats=2, warmup=1)
+            actual = res.details["layers"][0]["rows_per_chunk"]
+            sweep_times[actual] = t
+            label = "chunk sweep" if rows is not None else "chunk sweep (planner max)"
+            report.add_row(label, actual, "constant", format_seconds(t),
+                           format_bytes(res.details["h2d_bytes"]))
+    best_rows = min(sweep_times, key=sweep_times.get)
+    worst_rows = max(sweep_times, key=lambda k: sweep_times[k])
+    report.add_note(
+        f"chunking effect: best chunk ({best_rows:,} rows) is "
+        f"{sweep_times[worst_rows] / sweep_times[best_rows]:.2f}x faster than "
+        f"the worst ({worst_rows:,} rows) — the locality win chunking buys"
+    )
+    report.add_note(
+        "constant/shared placement is a *capacity feasibility* property on "
+        "the simulated device (both spaces are host RAM): the planner "
+        "proves the layout fits 64 KiB constant + 48 KiB shared per block, "
+        "while its wall-time benefit is hardware-specific (the [7] study "
+        "measured it on a real Fermi GPU)"
+    )
+    return report
 
 
-@pytest.mark.parametrize("label, flags", [
-    ("naive", dict(use_constant=False, use_shared=False)),
-    ("shared", dict(use_constant=False, use_shared=True)),
-    ("constant", dict(use_constant=True, use_shared=False)),
-    ("shared_constant", dict(use_constant=True, use_shared=True)),
-])
-def test_placement_variants(benchmark, analysis, label, flags):
-    engine = DeviceEngine(max_rows_per_chunk=200_000, **flags)
-    res = benchmark(lambda: analysis.run(engine))
-    assert res.portfolio_ylt.n_trials == 20_000
-
-
-@pytest.mark.parametrize("chunk_rows", [50_000, 200_000, 1_000_000, None])
-def test_chunk_size_sweep(benchmark, analysis, chunk_rows):
-    engine = DeviceEngine(max_rows_per_chunk=chunk_rows)
-    res = benchmark(lambda: analysis.run(engine))
-    assert res.portfolio_ylt.n_trials == 20_000
-
-
-def test_constant_placement_feasibility(analysis):
-    """The 6k-event dense lookup (48 KB) must be placed in the 64 KB
-    constant space; the ablated engine must place it in global."""
-    res_opt = analysis.run(DeviceEngine())
-    res_naive = analysis.run(DeviceEngine(use_constant=False))
-    assert res_opt.details["layers"][0]["lookup_in_constant"]
-    assert not res_naive.details["layers"][0]["lookup_in_constant"]
-    assert res_opt.portfolio_ylt.allclose(res_naive.portfolio_ylt)
+def test_e05_chunking(benchmark):
+    report = benchmark.pedantic(run_e05_chunking, rounds=1, iterations=1)
+    print(report.render())
+    placement = {row[0]: row[2] for row in report.rows}
+    assert placement["shared + constant"] == "constant"
+    assert placement["naive (global, no shared)"] == "global"

@@ -2,68 +2,68 @@
 
 Paper claim (§II): the second viable strategy is "accumulation of large
 distributed file space ... relying on MapReduce or Hadoop style
-computations".  The benchmark runs the full job (whole-trial DFS splits →
-one fused sweep per map task → shuffle → identity reduce) and checks that
-every layer equals the vectorized engine's; the simulated
-worker-count scaling (LPT makespan over measured task times) is recorded
-in EXPERIMENTS.md.
+computations".  ``run_e07_mapreduce`` runs the full job (whole-trial DFS
+splits → one fused sweep per map task → shuffle → identity reduce),
+checks that every layer equals the vectorized engine's, and reports the
+simulated worker-count scaling (LPT makespan over the measured task
+times).
 """
 
 import numpy as np
-import pytest
 
-from repro.core.engines import MapReduceEngine, VectorizedEngine
-from repro.core.simulation import AggregateAnalysis
-from repro.data.dfs import SimDfs
+from repro.bench.workloads import companion_study_workload
+from repro.core import AggregateAnalysis
+from repro.core.engines import MapReduceEngine
+from repro.util.tables import format_bytes
 
-
-@pytest.fixture(scope="module")
-def analysis(study_20k):
-    return AggregateAnalysis(study_20k.portfolio, study_20k.yet)
+from experiment import ExperimentReport, format_seconds
 
 
-def test_mapreduce_full_job(benchmark, study_20k):
-    engine = MapReduceEngine(n_splits=16, n_reducers=8)
-    analysis = AggregateAnalysis(study_20k.portfolio, study_20k.yet)
-    res = benchmark.pedantic(lambda: analysis.run(engine), rounds=2,
-                             iterations=1)
-    assert res.portfolio_ylt.n_trials == 20_000
-
-
-def test_vectorized_reference(benchmark, analysis):
-    """The in-memory path, for the cost-of-generality comparison."""
-    res = benchmark(lambda: analysis.run("vectorized"))
-    assert res.portfolio_ylt.n_trials == 20_000
-
-
-def test_mapreduce_output_equivalent(study_20k):
-    analysis = AggregateAnalysis(study_20k.portfolio, study_20k.yet)
-    mr = analysis.run(MapReduceEngine(n_splits=16))
+def run_e07_mapreduce(n_trials: int = 20_000, n_splits: int = 16,
+                      workers=(1, 2, 4, 8, 16)) -> ExperimentReport:
+    """E7: aggregate analysis as one MapReduce job over whole-trial
+    splits; simulated worker scaling from its measured per-task times
+    (LPT makespan): the makespan shrinks as workers are added, and 4
+    workers at least halve the 1-worker time."""
+    report = ExperimentReport(
+        "E7",
+        "MapReduce/Hadoop-style computation over large distributed file "
+        "space is the second viable strategy",
+        ["workers", "makespan (model)", "speedup", "efficiency"],
+    )
+    wl = companion_study_workload(n_trials=n_trials)
+    engine = MapReduceEngine(n_splits=n_splits, n_reducers=8)
+    analysis = AggregateAnalysis(wl.portfolio, wl.yet)
+    res = analysis.run(engine)
+    # Verify against the vectorized engine, layer by layer.
     ref = analysis.run("vectorized")
-    for lid, ylt in ref.ylt_by_layer.items():
-        np.testing.assert_array_equal(mr.ylt_by_layer[lid].losses, ylt.losses)
+    assert all(np.array_equal(res.ylt_by_layer[lid].losses, ylt.losses)
+               for lid, ylt in ref.ylt_by_layer.items()), \
+        "MapReduce output mismatch"
 
-
-def test_worker_scaling_monotone(study_20k):
-    """Simulated makespan must shrink monotonically with workers."""
-    engine = MapReduceEngine(n_splits=16, n_reducers=8)
-    AggregateAnalysis(study_20k.portfolio, study_20k.yet).run(engine)
     job = engine.last_job
-    spans = [job.makespan(w) for w in (1, 2, 4, 8, 16)]
-    assert spans == sorted(spans, reverse=True)
-    assert spans[0] / spans[2] > 2.0  # 4 workers at least halve 1-worker time
+    base = job.makespan(1)
+    spans = [job.makespan(w) for w in workers]
+    assert spans == sorted(spans, reverse=True), "makespan must shrink with workers"
+    if 4 in workers:
+        assert base / job.makespan(4) > 2.0, "4 workers must halve 1-worker time"
+    for w, mk in zip(workers, spans):
+        speedup = base / mk
+        report.add_row(w, format_seconds(mk), f"{speedup:.2f}x",
+                       f"{speedup / w:.2f}")
+    report.figures["speedup_at_max_workers"] = base / spans[-1]
+    c = job.counters
+    report.add_note(
+        f"one job for the whole portfolio: {n_splits} map tasks over "
+        f"{c['map_input_records']:,} YET records, {engine.n_reducers} identity "
+        f"reducers over {c['reduce_input_groups']:,} trial blocks; shuffle "
+        f"~{format_bytes(c['shuffle_bytes'])}"
+    )
+    report.add_note("output verified equal to the vectorized engine")
+    return report
 
 
-def test_dfs_block_write_throughput(benchmark, study_20k):
-    """Writing the YET into the DFS (block-aligned packed batches)."""
-    counter = [0]
-
-    def write_once():
-        dfs = SimDfs(n_datanodes=8)
-        counter[0] += 1
-        dfs.write_table(f"yet{counter[0]}", study_20k.yet.table,
-                        rows_per_block=2_000_000)
-        return dfs
-
-    dfs = benchmark.pedantic(write_once, rounds=2, iterations=1)
-    assert dfs.total_stored_bytes() > 0
+def test_e07_mapreduce(benchmark):
+    report = benchmark.pedantic(run_e07_mapreduce, rounds=1, iterations=1)
+    print(report.render())
+    assert report.figures["speedup_at_max_workers"] > 2.0

@@ -3,74 +3,87 @@
 Paper claims (§II): the DFA stage combines catastrophe YLTs with the six
 named non-cat risks; PML and TVaR are the derived metrics; and because
 the data must be scanned, "pre-computation techniques such as in
-parallel data warehousing can be applied".
+parallel data warehousing can be applied".  ``run_e10_dfa_metrics``
+reports the metrics under four dependence models and the warehouse
+slice query against its recomputation.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.workloads import dfa_workload, warehouse_fact_table
-from repro.core.simulation import AggregateAnalysis
+from repro.bench.workloads import (
+    companion_study_workload,
+    dfa_workload,
+    warehouse_fact_table,
+)
+from repro.core import AggregateAnalysis
 from repro.data.warehouse import LossCube
 from repro.dfa import RiskMetrics, combine_ylts
 from repro.dfa.correlation import GaussianCopula
 from repro.util.rng import RngHierarchy
+from repro.util.tables import format_bytes
 
-N_TRIALS = 20_000
-
-
-@pytest.fixture(scope="module")
-def all_ylts(study_20k):
-    cat = AggregateAnalysis(study_20k.portfolio, study_20k.yet).run(
-        "vectorized").portfolio_ylt
-    return [cat] + [s.ylt for s in dfa_workload(cat)]
+from experiment import ExperimentReport, format_seconds, time_call
 
 
-def test_combine_trial_aligned(benchmark, all_ylts):
-    out = benchmark(lambda: combine_ylts(all_ylts, "trial_aligned"))
-    assert out.n_trials == N_TRIALS
-
-
-def test_combine_copula(benchmark, all_ylts):
-    corr = GaussianCopula.uniform(len(all_ylts), 0.3).correlation
-    rng = RngHierarchy(29)
-    out = benchmark(
-        lambda: combine_ylts(all_ylts, "copula", correlation=corr,
-                             rng=rng.generator("cop"))
+def run_e10_dfa_metrics(n_trials: int = 50_000) -> ExperimentReport:
+    """E10: integrate the cat YLT with the six §II risk sources, derive
+    PML/TVaR, and show warehouse pre-aggregation beating recomputation."""
+    report = ExperimentReport(
+        "E10",
+        "DFA combines YLTs of many risks; PML and TVaR are derived; "
+        "pre-computation (parallel warehousing) applies",
+        ["quantity", "trial_aligned", "independent", "copula(0.3)", "comonotonic"],
     )
-    assert out.n_trials == N_TRIALS
+    rng = RngHierarchy(29)
+    wl = companion_study_workload(n_trials=n_trials)
+    cat = AggregateAnalysis(wl.portfolio, wl.yet).run("vectorized").portfolio_ylt
+    sources = dfa_workload(cat)
+    ylts = [cat] + [s.ylt for s in sources]
+    k = len(ylts)
 
+    combos = {
+        "trial_aligned": combine_ylts(ylts, "trial_aligned"),
+        "independent": combine_ylts(ylts, "independent", rng=rng.generator("ind")),
+        "copula(0.3)": combine_ylts(
+            ylts, "copula",
+            correlation=GaussianCopula.uniform(k, 0.3).correlation,
+            rng=rng.generator("cop"),
+        ),
+        "comonotonic": combine_ylts(ylts, "comonotonic"),
+    }
+    metrics = {name: RiskMetrics.from_ylt(y) for name, y in combos.items()}
+    for m in metrics.values():
+        m.check_coherence()
 
-def test_metrics_ladder(benchmark, all_ylts):
-    combined = combine_ylts(all_ylts, "trial_aligned")
-    metrics = benchmark(lambda: RiskMetrics.from_ylt(combined))
-    metrics.check_coherence()
+    def row(label, getter):
+        report.add_row(label, *(f"{getter(metrics[n]):,.0f}" for n in
+                                ("trial_aligned", "independent", "copula(0.3)",
+                                 "comonotonic")))
 
+    row("mean annual loss", lambda m: m.mean)
+    row("PML 100y", lambda m: m.pml[100.0])
+    row("PML 250y", lambda m: m.pml[250.0])
+    row("VaR 99%", lambda m: m.var[0.99])
+    row("TVaR 99%", lambda m: m.tvar[0.99])
 
-@pytest.fixture(scope="module")
-def facts():
-    return warehouse_fact_table(n_trials=10_000, rows_per_trial=20)
+    tv = {n: metrics[n].tvar[0.99] for n in metrics}
+    assert tv["comonotonic"] >= tv["independent"] - 1e-6, \
+        "comonotonic tail must dominate independent"
+    assert tv["comonotonic"] >= tv["copula(0.3)"] >= tv["independent"] * 0.99, \
+        "TVaR99 must order comonotonic >= copula(0.3) >= independent"
+    report.add_note(
+        "dependence ordering holds: comonotonic >= copula(0.3) >= independent "
+        "at TVaR99 (up to MC noise)"
+    )
 
-
-@pytest.fixture(scope="module")
-def cube(facts):
-    return LossCube(facts, dims=("lob", "region", "peril"), n_trials=10_000)
-
-
-def test_warehouse_cube_build(benchmark, facts):
-    c = benchmark(lambda: LossCube(facts, dims=("lob", "region", "peril"),
-                                   n_trials=10_000))
-    assert c.n_cells > 0
-
-
-def test_warehouse_cube_query(benchmark, cube):
-    """Pre-aggregated slice query (the paper's pre-computation win)."""
-    pml = benchmark(lambda: cube.pml(250.0, {"lob": 1}))
-    assert pml > 0
-
-
-def test_recompute_from_fact_table(benchmark, facts):
-    """The same query answered by rescanning the base table."""
+    # Warehouse pre-aggregation vs recompute (scan of the fact table).
+    facts = warehouse_fact_table(n_trials=10_000, rows_per_trial=20)
+    t_build, cube = time_call(
+        lambda: LossCube(facts, dims=("lob", "region", "peril"), n_trials=10_000),
+        repeats=1, warmup=0,
+    )
+    t_query, pml = time_call(lambda: cube.pml(250.0, {"lob": 1}), repeats=3)
 
     def recompute():
         mask = facts["lob"] == 1
@@ -78,32 +91,20 @@ def test_recompute_from_fact_table(benchmark, facts):
         np.add.at(losses, facts["trial"][mask], facts["loss"][mask])
         return float(np.quantile(losses, 1 - 1 / 250.0))
 
-    pml = benchmark(recompute)
-    assert pml > 0
+    t_scan, expect = time_call(recompute, repeats=3)
+    assert pml == pytest.approx(expect, rel=1e-12), "cube must match recompute"
+    report.figures["cube_query_speedup"] = t_scan / t_query
+    report.add_note(
+        f"warehouse: cube build {format_seconds(t_build)} ({cube.n_cells} cells, "
+        f"{format_bytes(cube.nbytes)}); slice PML query {format_seconds(t_query)} "
+        f"vs {format_seconds(t_scan)} recompute — {t_scan / t_query:.1f}x"
+    )
+    return report
 
 
-def test_cube_matches_recompute(cube, facts):
-    mask = facts["lob"] == 1
-    losses = np.zeros(10_000)
-    np.add.at(losses, facts["trial"][mask], facts["loss"][mask])
-    expect = float(np.quantile(losses, 1 - 1 / 250.0))
-    assert cube.pml(250.0, {"lob": 1}) == pytest.approx(expect, rel=1e-12)
-
-
-def test_dependence_ordering(all_ylts):
-    """Comonotonic >= copula(0.3) >= independent at TVaR99."""
-    rng = RngHierarchy(31)
-    k = len(all_ylts)
-    tv = {}
-    tv["ind"] = RiskMetrics.from_ylt(
-        combine_ylts(all_ylts, "independent", rng=rng.generator("i"))
-    ).tvar[0.99]
-    tv["cop"] = RiskMetrics.from_ylt(
-        combine_ylts(all_ylts, "copula",
-                     correlation=GaussianCopula.uniform(k, 0.3).correlation,
-                     rng=rng.generator("c"))
-    ).tvar[0.99]
-    tv["como"] = RiskMetrics.from_ylt(
-        combine_ylts(all_ylts, "comonotonic")
-    ).tvar[0.99]
-    assert tv["como"] >= tv["cop"] >= tv["ind"] * 0.99
+def test_e10_dfa_metrics(benchmark):
+    report = benchmark.pedantic(run_e10_dfa_metrics,
+                                kwargs=dict(n_trials=20_000),
+                                rounds=1, iterations=1)
+    print(report.render())
+    assert report.figures["cube_query_speedup"] > 1.0

@@ -1,8 +1,8 @@
-"""Benchmark support: workload generators and the experiment harness.
+"""Canonical workloads: deterministic YETs and portfolios at any scale.
 
-``benchmarks/`` (pytest-benchmark) and EXPERIMENTS.md are both generated
-from this package so that the numbers in the document and the numbers in
-the bench output come from the same code paths.
+The paper-experiment definitions (``benchmarks/bench_eNN_*.py``), the
+benchmark of record (``benchmarks/e2e``), the examples and the tests all
+build their inputs here, so every number comes from the same shapes.
 """
 
 from repro.bench.workloads import (
@@ -15,7 +15,6 @@ from repro.bench.workloads import (
     typical_contract_workload,
     warehouse_fact_table,
 )
-from repro.bench.harness import time_call
 
 __all__ = [
     "Workload",
@@ -26,5 +25,4 @@ __all__ = [
     "typical_contract_workload",
     "dfa_workload",
     "warehouse_fact_table",
-    "time_call",
 ]

@@ -12,8 +12,8 @@ what the kernel counted are the dispatcher's
 the classes say which dispatcher a standalone instance builds, what it
 reads (``source``) and whether a run may emit YELTs, nothing else.
 
-- ``vectorized`` is the "GPU with everything in global memory" model of
-  DESIGN.md: one fused sweep of the whole trial set on the calling
+- ``vectorized`` is the "GPU with everything in global memory" model
+  (the ``device`` engine's naive placement): one fused sweep of the whole trial set on the calling
   thread, one occurrence per array lane as one CUDA thread handles one
   occurrence in the companion study.
 - ``multicore`` splits the trial range into one contiguous block per

@@ -28,11 +28,6 @@ class DeviceError(ReproError):
     """A simulated-device operation was invalid (bad launch, missing buffer)."""
 
 
-class ClusterError(ReproError):
-    """A worker-scheduling request was invalid (a non-positive worker
-    count)."""
-
-
 class StorageError(ReproError):
     """A DFS / chunk-store operation failed (missing file, corrupt block)."""
 

@@ -7,7 +7,8 @@ chunking into shared and constant memory (§II).  No GPU is assumed here:
 memory spaces with real capacities, kernel launches over a block grid —
 whose kernels execute as vectorised NumPy.  This preserves what the
 paper's claims are about (data-parallel execution and capacity-driven
-chunking) without CUDA.  See DESIGN.md §2 for the substitution argument.
+chunking) without CUDA; :mod:`repro.hpc.device` states what the model
+keeps and what it leaves out.
 
 The "thousands of processors" stages are priced by an analytic cost
 model (:mod:`repro.hpc.cost_model`), which the burst / elasticity
@@ -33,9 +34,7 @@ from repro.hpc.memory import MemorySpace, TransferLedger
 from repro.hpc.device import DeviceProperties, SimulatedGpu
 from repro.hpc.kernel import Kernel, LaunchStats
 from repro.hpc.chunking import ChunkPlanner, DeviceChunkPlan
-from repro.hpc.scheduler import StaticScheduler, DynamicScheduler
 from repro.hpc.cost_model import PipelineCostModel, StageSpec
-from repro.hpc.occupancy import OccupancyLimits, OccupancyResult, occupancy
 from repro.hpc.elasticity import DemandPhase, ProvisioningPlan, compare_provisioning
 
 __all__ = [
@@ -57,13 +56,8 @@ __all__ = [
     "LaunchStats",
     "ChunkPlanner",
     "DeviceChunkPlan",
-    "StaticScheduler",
-    "DynamicScheduler",
     "PipelineCostModel",
     "StageSpec",
-    "OccupancyLimits",
-    "OccupancyResult",
-    "occupancy",
     "DemandPhase",
     "ProvisioningPlan",
     "compare_provisioning",

@@ -10,8 +10,9 @@ measured single-processor throughput; the model answers "how many
 processors meet a given deadline", including a simple communication
 overhead term so the answer is not naively linear.
 
-Throughputs are *measured* by the bench harness on this machine (not
-assumed), so the regenerated burst profile is calibrated to real code.
+Throughputs are *measured* by the E8/E9 experiment definitions
+(``benchmarks/bench_e08_*.py``, ``bench_e09_*.py``) on the host that runs
+them (not assumed), so the burst profile is calibrated to real code.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ hard capacities (Fermi-class defaults: 3 GiB global, 48 KiB shared per
 block, 64 KiB constant), uploads are accounted through a transfer ledger,
 and kernels run block-by-block under those constraints.  What it does not
 model is cycle-level timing — execution speed is whatever vectorised
-NumPy achieves, which is the substitution DESIGN.md §2 documents.
+NumPy achieves; the paper's claims are about capacities and chunking,
+which it does model.
 """
 
 from __future__ import annotations

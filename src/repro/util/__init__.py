@@ -1,4 +1,4 @@
-"""Shared low-level utilities: RNG hierarchy, timing, statistics, tables."""
+"""Shared low-level utilities: RNG hierarchy, validation, statistics, tables."""
 
 from repro.util.rng import RngHierarchy, spawn_generator
 from repro.util.validation import (

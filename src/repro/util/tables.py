@@ -1,8 +1,8 @@
 """Fixed-width text tables for bench reports.
 
-The benchmark harness regenerates the paper's quantitative claims as rows;
-this renderer prints them in aligned monospace suitable for tee-ing into
-``bench_output.txt`` and quoting in EXPERIMENTS.md.
+Each paper-experiment definition (``benchmarks/bench_eNN_*.py``)
+returns its quantitative claim as rows; this renderer prints them in
+aligned monospace, which ``pytest -s benchmarks/bench_e*.py`` shows.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""Tests for the bench workload generators and harness."""
+"""Tests for the bench workload generators."""
 
 import numpy as np
 import pytest
 
-from repro.bench.harness import ExperimentReport, time_call
 from repro.bench.workloads import (
     build_elt,
     build_layer_workload,
@@ -14,7 +13,7 @@ from repro.bench.workloads import (
     warehouse_fact_table,
 )
 from repro.core.tables import YltTable
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import ConfigurationError
 
 
 class TestBuildElt:
@@ -77,21 +76,3 @@ class TestWorkloads:
         assert t.n_rows == 30
         assert t["trial"].max() == 9
 
-
-class TestHarness:
-    def test_time_call_returns_result(self):
-        seconds, result = time_call(lambda: 42, repeats=2, warmup=1)
-        assert result == 42
-        assert seconds >= 0
-
-    def test_time_call_bad_repeats(self):
-        with pytest.raises(AnalysisError):
-            time_call(lambda: 1, repeats=0)
-
-    def test_experiment_report_renders(self):
-        rep = ExperimentReport("EX", "claim", ["a", "b"])
-        rep.add_row(1, 2)
-        rep.add_note("note")
-        out = rep.render()
-        assert "[EX] claim" in out
-        assert "note" in out

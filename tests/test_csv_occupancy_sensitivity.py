@@ -1,4 +1,4 @@
-"""Tests for CSV interchange, the occupancy model, and term sensitivities."""
+"""Tests for CSV interchange and term sensitivities."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,7 @@ from repro.data.csv_io import (
     write_csv,
 )
 from repro.data.schema import Schema
-from repro.errors import AnalysisError, ConfigurationError, SchemaError, StorageError
-from repro.hpc.device import DeviceProperties
-from repro.hpc.occupancy import OccupancyLimits, occupancy
+from repro.errors import AnalysisError, SchemaError, StorageError
 
 
 class TestCsvIo:
@@ -70,53 +68,6 @@ class TestCsvIo:
         )
         back = table_from_csv_text(table_to_csv_text(t), YLT_SCHEMA)
         assert back.equals(t)
-
-
-class TestOccupancy:
-    PROPS = DeviceProperties()  # Fermi defaults: 48 KiB shared per block
-
-    def test_block_slot_limited(self):
-        # tiny blocks, no shared memory: the 8-block slot limit binds
-        res = occupancy(self.PROPS, threads_per_block=64,
-                        shared_bytes_per_block=0)
-        assert res.blocks_per_sm == 8
-        assert res.limiter == "blocks"
-
-    def test_thread_limited(self):
-        res = occupancy(self.PROPS, threads_per_block=1024,
-                        shared_bytes_per_block=0)
-        assert res.blocks_per_sm == 1
-        assert res.limiter == "threads"
-
-    def test_shared_memory_limited(self):
-        # 20 KiB/block of 48 KiB -> 2 resident blocks
-        res = occupancy(self.PROPS, threads_per_block=128,
-                        shared_bytes_per_block=20 * 1024)
-        assert res.blocks_per_sm == 2
-        assert res.limiter == "shared"
-
-    def test_occupancy_fraction(self):
-        res = occupancy(self.PROPS, threads_per_block=192,
-                        shared_bytes_per_block=0)
-        assert res.occupancy_fraction == pytest.approx(8 * 192 / 1536)
-
-    def test_more_shared_memory_lowers_occupancy(self):
-        lean = occupancy(self.PROPS, 128, 1024)
-        greedy = occupancy(self.PROPS, 128, 24 * 1024)
-        assert greedy.blocks_per_sm < lean.blocks_per_sm
-
-    def test_oversized_block_rejected(self):
-        with pytest.raises(ConfigurationError):
-            occupancy(self.PROPS, threads_per_block=128,
-                      shared_bytes_per_block=100 * 1024)
-        with pytest.raises(ConfigurationError):
-            occupancy(self.PROPS, threads_per_block=5000,
-                      shared_bytes_per_block=0)
-
-    def test_custom_limits(self):
-        limits = OccupancyLimits(max_blocks_per_sm=4, max_threads_per_sm=512)
-        res = occupancy(self.PROPS, 128, 0, limits)
-        assert res.blocks_per_sm == 4
 
 
 class TestSensitivities:

@@ -113,6 +113,12 @@ class TestMakespan:
     def test_many_workers_is_max(self):
         assert lpt_makespan([3.0, 1.0, 2.0], 10) == pytest.approx(3.0)
 
+    def test_makespan_lower_bounds(self):
+        tasks = [5.0, 4.0, 3.0, 2.0]
+        for w in (1, 2, 3):
+            assert lpt_makespan(tasks, w) >= max(tasks)
+            assert lpt_makespan(tasks, w) >= sum(tasks) / w
+
     def test_monotone_in_workers(self):
         tasks = [5.0, 4.0, 3.0, 2.0, 1.0, 1.0]
         spans = [lpt_makespan(tasks, w) for w in (1, 2, 3, 6)]

@@ -69,7 +69,7 @@ def test_errors_hierarchy():
     from repro import errors
 
     for name in ("ConfigurationError", "SchemaError", "CapacityError",
-                 "DeviceError", "ClusterError", "StorageError",
+                 "DeviceError", "StorageError",
                  "MapReduceError", "EngineError", "AnalysisError",
                  "AdmissionError"):
         exc_type = getattr(errors, name)
@@ -150,6 +150,39 @@ def test_a_script_naming_a_deleted_module_is_caught(tmp_path):
         "stale.py:repro.dfa.gone.PricingQuote",
         "stale.py:repro.serve.Nope",
         "stale.py:repro.bench.no_such_workload"]
+
+
+def test_removed_names_stay_removed(tmp_path):
+    """The experiment harness left the library for ``benchmarks/``, and
+    the schedulers and the occupancy model went with their error type."""
+    removed = ["repro.bench.experiments", "repro.bench.harness",
+               "repro.bench.time_call", "repro.util.timing",
+               "repro.hpc.scheduler", "repro.hpc.occupancy",
+               "repro.hpc.StaticScheduler", "repro.errors.ClusterError"]
+    script = tmp_path / "removed.py"
+    script.write_text("import repro\n" + "\n".join(removed) + "\n")
+    assert _unresolved_repro_names(script) == [
+        f"removed.py:{name}" for name in removed]
+
+
+def test_one_definition_per_paper_experiment():
+    """Each of E1-E12 is defined once, as ``run_eNN`` beside its bench
+    file (E1 and E2 share ``run_e01``), and the library defines none."""
+    import collections
+    import re
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+
+    def defined(paths):
+        return [match.group(1) for path in paths
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and (match := re.match(r"run_e(\d+)", node.name))]
+
+    assert defined(sorted((root / "src" / "repro").rglob("*.py"))) == []
+    numbers = collections.Counter(
+        int(n) for n in defined(sorted((root / "benchmarks").rglob("*.py"))))
+    assert numbers == {n: 1 for n in (1, *range(3, 13))}
 
 
 def test_one_door_from_a_kernel_to_an_answer():

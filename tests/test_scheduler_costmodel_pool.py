@@ -1,63 +1,10 @@
-"""Tests for schedulers, the pipeline cost model, and the work pool."""
+"""Tests for the pipeline cost model and the work pool."""
 
 import pytest
 
-from repro.errors import AnalysisError, ClusterError, ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.hpc.cost_model import PipelineCostModel, StageSpec
 from repro.hpc.pool import WorkPool, available_parallelism
-from repro.hpc.scheduler import DynamicScheduler, StaticScheduler
-
-
-class TestStaticScheduler:
-    def test_contiguous_blocks(self):
-        a = StaticScheduler().assign([1.0] * 10, 3)
-        assert a.tasks_by_worker == ((0, 1, 2, 3), (4, 5, 6), (7, 8, 9))
-
-    def test_all_tasks_assigned_once(self):
-        a = StaticScheduler().assign([1.0] * 17, 4)
-        flat = [t for ts in a.tasks_by_worker for t in ts]
-        assert sorted(flat) == list(range(17))
-
-    def test_makespan_balanced_uniform(self):
-        a = StaticScheduler().assign([1.0] * 100, 4)
-        assert a.makespan == pytest.approx(25.0)
-        assert a.imbalance == pytest.approx(1.0)
-
-    def test_skew_hurts_static(self):
-        tasks = [10.0] + [1.0] * 9
-        a = StaticScheduler().assign(tasks, 2)
-        assert a.imbalance > 1.3
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ClusterError):
-            StaticScheduler().assign([1.0], 0)
-
-    def test_more_workers_than_tasks(self):
-        a = StaticScheduler().assign([1.0, 2.0], 5)
-        assert sum(len(t) for t in a.tasks_by_worker) == 2
-
-
-class TestDynamicScheduler:
-    def test_lpt_beats_static_on_skew(self):
-        tasks = [10.0] + [1.0] * 9
-        static = StaticScheduler().assign(tasks, 2)
-        dynamic = DynamicScheduler().assign(tasks, 2)
-        assert dynamic.makespan <= static.makespan
-
-    def test_all_tasks_assigned(self):
-        a = DynamicScheduler().assign([3.0, 1.0, 4.0, 1.0, 5.0], 2)
-        flat = sorted(t for ts in a.tasks_by_worker for t in ts)
-        assert flat == list(range(5))
-
-    def test_makespan_lower_bounds(self):
-        tasks = [5.0, 4.0, 3.0, 2.0]
-        a = DynamicScheduler().assign(tasks, 2)
-        assert a.makespan >= max(tasks)
-        assert a.makespan >= sum(tasks) / 2
-
-    def test_empty_tasks(self):
-        a = DynamicScheduler().assign([], 3)
-        assert a.makespan == 0.0
 
 
 class TestStageSpec:
