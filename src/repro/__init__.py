@@ -13,8 +13,8 @@ pipeline and the substrates it runs on:
   risk (risk combination, PML/VaR/TVaR, reporting, real-time pricing);
 - :mod:`repro.data` — the data-management substrate (columnar scans,
   row-store baseline, simulated DFS + MapReduce, warehouse cube);
-- :mod:`repro.hpc` — the HPC substrate (simulated GPU with memory
-  hierarchy, process pool over shared memory, cost model);
+- :mod:`repro.hpc` — the HPC substrate (simulated-GPU capacities and
+  chunk planner, process pool over shared memory, cost model);
 - :mod:`repro.serve` — the serving layer (request micro-batching into
   fused sweeps, content-addressed result cache, SLO admission control)
   that turns stage-2 speed into many-user pricing throughput;

@@ -62,11 +62,11 @@ def assert_engines_equivalent(
 ) -> None:
     """Raise :class:`AnalysisError` if any engine deviates from sequential.
 
-    The tolerance is for the engines that price off their own arithmetic,
-    ``sequential`` (the scalar oracle) and ``device`` (the simulated
-    GPU's kernels); the host driver's engines — ``vectorized``,
-    ``multicore`` and ``mapreduce`` — answer ``np.array_equal`` to one
-    another, which their own tests assert.
+    The tolerance is for ``sequential``, the scalar oracle and the one
+    engine that prices off its own arithmetic; the host driver's engines
+    — ``vectorized``, ``multicore``, ``mapreduce`` and ``device`` —
+    answer ``np.array_equal`` to one another, which their own tests
+    assert.
     """
     report = compare_engines(portfolio, yet, names)
     failures = []

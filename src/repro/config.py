@@ -28,10 +28,6 @@ class ReproConfig:
         Per-block shared-memory capacity (48 KiB on Fermi).
     device_constant_mem_bytes:
         Constant-memory capacity (64 KiB on Fermi).
-    device_num_sms:
-        Number of streaming multiprocessors of the simulated device.
-    device_threads_per_block:
-        Default block width used by the chunk planner.
     dfs_block_bytes:
         Default DFS block size (64 MiB, the classic HDFS default).
     dfs_replication:
@@ -42,8 +38,6 @@ class ReproConfig:
     device_global_mem_bytes: int = 3 * 1024**3
     device_shared_mem_bytes: int = 48 * 1024
     device_constant_mem_bytes: int = 64 * 1024
-    device_num_sms: int = 14
-    device_threads_per_block: int = 256
     dfs_block_bytes: int = 64 * 1024**2
     dfs_replication: int = 3
 

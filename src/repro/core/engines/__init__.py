@@ -11,9 +11,10 @@ sequential  pure-Python scalar loop — the paper's "sequential counterpart"
 vectorized  whole-array NumPy over the fused portfolio kernel — the
             data-parallel, global-memory-only model (the host driver,
             :mod:`~repro.core.engines.host`, on an inline dispatcher)
-device      :class:`~repro.hpc.device.SimulatedGpu` with chunking and
-            constant-memory lookup placement — the paper's optimised GPU;
-            each YET chunk is uploaded once and consumed by every layer
+device      the paper's optimised GPU, planned on
+            :class:`~repro.hpc.device.DeviceProperties` (resident batches,
+            constant-memory lookup packing, shared-memory tiles): the same
+            driver, each whole-trial YET chunk one inline dispatcher run
 multicore   trial-block decomposition over a process pool: the same
             driver on :class:`~repro.serve.dispatch.PooledDispatcher`,
             the one pooled execution path
@@ -50,28 +51,29 @@ counted lane fallbacks in :mod:`repro.core.kernels`.  Rows that don't
 qualify take the lane path in the same sweep, and a profile answer is
 a function of the trial and the row alone, so the bit-identity rule
 covers tail rows too.
-The vectorized, multicore and mapreduce engines are one driver
+The vectorized, multicore, mapreduce and device engines are one driver
 (:class:`~repro.core.engines.host.HostEngine`): ``portfolio.kernel()``
 → ``dispatcher.run(kernel, yet)`` → per-layer YLTs, one ``details``
 schema read off the dispatcher — a private one (one whole-YET span
 inline, one span per pool worker), or under ``RiskSession.engine`` the
 session's own, the one its quote batches ride.  ``mapreduce``'s map
 tasks are runs of its inline dispatcher over the whole-trial splits of
-a YET written to the DFS.  The unregistered ``OutOfCoreEngine`` is the
-same code, inline, over a YET on disk
+a YET written to the DFS; ``device``'s are runs of its inline
+dispatcher over the whole-trial chunks its device plan cuts — the plan
+(resident batches, one stacked dense upload plus one CSR pair per
+batch, a constant bank packed greedily by hit-frequency × size) is
+drawn from the kernel's metadata before anything runs, and its
+transfer counts are arithmetic.  The unregistered ``OutOfCoreEngine``
+is the same code, inline, over a YET on disk
 (:class:`~repro.core.tables.StoredYet`), so every sweep, in memory, in
-a DFS block or off disk, is the dispatchers' one block task.  The device engine
-mirrors the same fusion on the simulated GPU — per resident batch it
-ships ONE stacked ``dense_stack`` upload (row offsets resolved
-in-kernel) plus one CSR pair, packs the constant bank greedily by
-hit-frequency × size, and launches one stacked kernel per YET chunk.
-The sequential engine
+a DFS block, in a device chunk or off disk, is the dispatchers' one
+block task.  The sequential engine
 deliberately stays scalar: it is the baseline the paper's speedups are
 measured against.
 
 Numerical equivalence across all five is a tested invariant — the
-host driver's three are ``np.array_equal`` to one another, ``sequential``
-and ``device`` agree within a tolerance; their
+host driver's four are ``np.array_equal`` to one another, and
+``sequential`` agrees within a tolerance; their
 relative wall-clock behaviour is experiments E3-E5 and E7, and, for
 the fused sweep and the same-book tail-group path, the
 ``agg_lanes_inline`` and ``quotes_burst_churn`` workloads of
@@ -129,7 +131,8 @@ register_engine(EngineSpec(
 ))
 register_engine(EngineSpec(
     name="device", factory=DeviceEngine,
-    summary="simulated GPU: stacked-kernel batches, greedy constant packing",
+    summary="simulated GPU: resident batches, greedy constant packing, "
+            "whole-trial chunks",
     supports_emit_yelt=True,
 ))
 register_engine(EngineSpec(

@@ -25,6 +25,9 @@ reads (``source``) and whether a run may emit YELTs, nothing else.
 - ``mapreduce`` (:mod:`~repro.core.engines.mapreduce_engine`) replaces
   only :meth:`HostEngine._execute`: a MapReduce job whose map tasks are
   runs of its inline dispatcher over whole-trial splits.
+- ``device`` (:mod:`~repro.core.engines.device`) replaces only
+  :meth:`HostEngine._execute` too: a device plan drawn from the kernel's
+  metadata, then one run of its inline dispatcher per whole-trial chunk.
 
 A standalone engine lazily builds a private dispatcher that ``close()``
 (or ``with``) frees, pool and shared segments both; an engine made by

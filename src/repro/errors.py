@@ -21,11 +21,7 @@ class SchemaError(ReproError):
 
 
 class CapacityError(ReproError):
-    """A memory space or device allocation exceeded its configured capacity."""
-
-
-class DeviceError(ReproError):
-    """A simulated-device operation was invalid (bad launch, missing buffer)."""
+    """A device plan or allocation exceeded its configured capacity."""
 
 
 class StorageError(ReproError):

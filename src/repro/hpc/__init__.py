@@ -3,12 +3,13 @@
 The paper's first strategy for the pipeline's data challenge is
 *"accumulation of large memory ... the use of many-core GPUs"* with
 chunking into shared and constant memory (§II).  No GPU is assumed here:
-:class:`repro.hpc.device.SimulatedGpu` is an explicit device *model* —
-memory spaces with real capacities, kernel launches over a block grid —
-whose kernels execute as vectorised NumPy.  This preserves what the
-paper's claims are about (data-parallel execution and capacity-driven
-chunking) without CUDA; :mod:`repro.hpc.device` states what the model
-keeps and what it leaves out.
+:class:`repro.hpc.device.DeviceProperties` names a device's memory
+capacities and :class:`repro.hpc.chunking.ChunkPlanner` sizes chunks and
+tiles against them — the plan the ``device`` engine draws before its
+whole-trial chunks run as the host engines' fused sweep.  This
+preserves what the paper's claims are about (capacity-driven chunking
+and placement) without CUDA; :mod:`repro.hpc.device` states what the
+model keeps and what it leaves out.
 
 The "thousands of processors" stages are priced by an analytic cost
 model (:mod:`repro.hpc.cost_model`), which the burst / elasticity
@@ -30,9 +31,7 @@ deterministic failures for chaos testing.
 from repro.hpc.faults import FaultEvent, FaultPlan, FaultSpec
 from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
 from repro.hpc.shm import SharedArena, ShmArrayHandle, ShmSlab, shm_available
-from repro.hpc.memory import MemorySpace, TransferLedger
-from repro.hpc.device import DeviceProperties, SimulatedGpu
-from repro.hpc.kernel import Kernel, LaunchStats
+from repro.hpc.device import DeviceProperties
 from repro.hpc.chunking import ChunkPlanner, DeviceChunkPlan
 from repro.hpc.cost_model import PipelineCostModel, StageSpec
 from repro.hpc.elasticity import DemandPhase, ProvisioningPlan, compare_provisioning
@@ -48,12 +47,7 @@ __all__ = [
     "ShmArrayHandle",
     "ShmSlab",
     "shm_available",
-    "MemorySpace",
-    "TransferLedger",
     "DeviceProperties",
-    "SimulatedGpu",
-    "Kernel",
-    "LaunchStats",
     "ChunkPlanner",
     "DeviceChunkPlan",
     "PipelineCostModel",

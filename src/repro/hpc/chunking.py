@@ -2,17 +2,21 @@
 
 "The management of large data in memory employs the notion of chunking,
 which is utilising shared and constant memory as much as possible" (§II).
-The planner answers the two questions a CUDA implementation of aggregate
-analysis must answer before any kernel runs:
+The planner answers the two sizing questions a CUDA implementation of
+aggregate analysis must answer before any kernel runs:
 
-1. *Global chunking*: how many trial-rows of the YET (plus per-trial
-   outputs) fit in global memory at once?  The input is streamed through
-   the device in chunks of that size.
-2. *Lookup placement*: does the ELT lookup table fit in constant memory
-   (fast, broadcast-cached) or must it live in global memory?
+1. *Global chunking*: how many rows of the YET fit in global memory at
+   once beside the resident state (per-trial outputs, lookups in global
+   memory)?  The input is streamed through the device in chunks of that
+   size.
+2. *Shared tiling*: how many rows does one block's shared-memory
+   accumulator hold?
 
-The plan is pure arithmetic over the schema row widths, so it is exact
-and testable independently of execution.
+Which lookups earn constant memory is the caller's decision
+(:mod:`repro.core.engines.device` packs them greedily); what it leaves in
+global memory arrives here as ``resident_bytes``.  The plan is pure
+arithmetic over the schema row widths, so it is exact and testable
+independently of execution.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ class DeviceChunkPlan:
         Number of streaming steps to cover the workload.
     rows_per_block:
         Rows handled per kernel block (bounded by shared-memory budget).
-    lookup_in_constant:
-        Whether the event-loss lookup fits constant memory.
     resident_bytes:
         Global-memory bytes occupied at the peak of one step.
     """
@@ -46,7 +48,6 @@ class DeviceChunkPlan:
     rows_per_chunk: int
     n_chunks: int
     rows_per_block: int
-    lookup_in_constant: bool
     resident_bytes: int
 
 
@@ -80,38 +81,31 @@ class ChunkPlanner:
         self,
         n_rows: int,
         row_bytes: int,
-        lookup_bytes: int,
         shared_bytes_per_row: int = 8,
         max_rows_per_chunk: int | None = None,
         resident_bytes: int = 0,
     ) -> DeviceChunkPlan:
-        """Plan streaming ``n_rows`` of ``row_bytes`` each with a lookup table.
+        """Plan streaming ``n_rows`` of ``row_bytes`` each.
 
         ``shared_bytes_per_row`` is the per-row shared-memory need of the
         kernel (e.g. one f8 accumulator per in-flight trial).
-        ``resident_bytes`` is unconditionally global-resident state beside
-        the streamed rows (output accumulators, lookups the caller has
-        already decided to spill) — unlike ``lookup_bytes``, it is never
-        assumed to fit constant memory.
+        ``resident_bytes`` is global-resident state beside the streamed
+        rows (output accumulators, lookups the caller has placed in
+        global memory).
         """
         if n_rows < 0:
             raise ConfigurationError(f"n_rows must be non-negative, got {n_rows}")
         if row_bytes <= 0:
             raise ConfigurationError(f"row_bytes must be positive, got {row_bytes}")
-        if lookup_bytes < 0:
-            raise ConfigurationError(f"lookup_bytes must be non-negative, got {lookup_bytes}")
         if resident_bytes < 0:
             raise ConfigurationError(f"resident_bytes must be non-negative, got {resident_bytes}")
 
         budget = self.budget_bytes
-        lookup_in_constant = lookup_bytes <= self.properties.constant_mem_bytes
-        global_for_rows = (budget - resident_bytes
-                           - (0 if lookup_in_constant else lookup_bytes))
+        global_for_rows = budget - resident_bytes
         if global_for_rows < row_bytes:
             raise CapacityError(
-                f"device global budget {budget} B cannot hold lookup "
-                f"({lookup_bytes} B) plus resident state ({resident_bytes} B) "
-                f"plus one {row_bytes} B row"
+                f"device global budget {budget} B cannot hold resident state "
+                f"({resident_bytes} B) plus one {row_bytes} B row"
             )
         rows_per_chunk = global_for_rows // row_bytes
         if max_rows_per_chunk is not None:
@@ -133,12 +127,9 @@ class ChunkPlanner:
             )
 
         n_chunks = 0 if n_rows == 0 else -(-n_rows // rows_per_chunk)
-        resident = (rows_per_chunk * row_bytes + resident_bytes
-                    + (0 if lookup_in_constant else lookup_bytes))
         return DeviceChunkPlan(
             rows_per_chunk=rows_per_chunk,
             n_chunks=n_chunks,
             rows_per_block=rows_per_block,
-            lookup_in_constant=lookup_in_constant,
-            resident_bytes=resident,
+            resident_bytes=rows_per_chunk * row_bytes + resident_bytes,
         )

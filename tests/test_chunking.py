@@ -18,46 +18,47 @@ class TestPlan:
         return ChunkPlanner(PROPS, global_budget_fraction=frac)
 
     def test_single_chunk_when_it_fits(self):
-        plan = self.planner().plan(n_rows=1000, row_bytes=16, lookup_bytes=100)
+        plan = self.planner().plan(n_rows=1000, row_bytes=16)
         assert plan.n_chunks == 1
         assert plan.rows_per_chunk == 1000
-        assert plan.lookup_in_constant
 
     def test_chunking_kicks_in_when_too_big(self):
         # 1M rows x 16B = 16 MiB > 1 MiB device
-        plan = self.planner().plan(n_rows=1_000_000, row_bytes=16, lookup_bytes=0)
+        plan = self.planner().plan(n_rows=1_000_000, row_bytes=16)
         assert plan.n_chunks > 1
         assert plan.rows_per_chunk * 16 <= PROPS.global_mem_bytes
 
     def test_plan_covers_all_rows(self):
-        plan = self.planner().plan(n_rows=999_999, row_bytes=16, lookup_bytes=0)
+        plan = self.planner().plan(n_rows=999_999, row_bytes=16)
         assert plan.rows_per_chunk * plan.n_chunks >= 999_999
         assert plan.rows_per_chunk * (plan.n_chunks - 1) < 999_999
 
     def test_lookup_spills_to_global_when_big(self):
-        plan = self.planner().plan(n_rows=100, row_bytes=16, lookup_bytes=10_000)
-        assert not plan.lookup_in_constant
-        assert plan.resident_bytes >= 10_000
+        # A lookup the caller placed in global memory is resident state.
+        plan = self.planner().plan(n_rows=100, row_bytes=16,
+                                   resident_bytes=10_000)
+        assert plan.resident_bytes == 100 * 16 + 10_000
 
     def test_global_lookup_reduces_row_budget(self):
         with_lookup = self.planner().plan(
-            n_rows=10**9, row_bytes=16, lookup_bytes=500_000
+            n_rows=10**9, row_bytes=16, resident_bytes=500_000
         )
-        without = self.planner().plan(n_rows=10**9, row_bytes=16, lookup_bytes=0)
-        assert with_lookup.rows_per_chunk < without.rows_per_chunk
+        without = self.planner().plan(n_rows=10**9, row_bytes=16)
+        assert with_lookup.rows_per_chunk == (
+            without.rows_per_chunk - 500_000 // 16)
 
     def test_budget_fraction_respected(self):
-        full = ChunkPlanner(PROPS, 1.0).plan(10**9, 16, 0)
-        half = ChunkPlanner(PROPS, 0.5).plan(10**9, 16, 0)
+        full = ChunkPlanner(PROPS, 1.0).plan(10**9, 16)
+        half = ChunkPlanner(PROPS, 0.5).plan(10**9, 16)
         assert half.rows_per_chunk == full.rows_per_chunk // 2
 
     def test_rows_per_block_bounded_by_shared(self):
-        plan = self.planner().plan(n_rows=10_000, row_bytes=16, lookup_bytes=0,
+        plan = self.planner().plan(n_rows=10_000, row_bytes=16,
                                    shared_bytes_per_row=8)
         assert plan.rows_per_block <= PROPS.shared_mem_per_block_bytes // 8
 
     def test_max_rows_per_chunk_override(self):
-        plan = self.planner().plan(n_rows=10_000, row_bytes=16, lookup_bytes=0,
+        plan = self.planner().plan(n_rows=10_000, row_bytes=16,
                                    max_rows_per_chunk=100)
         assert plan.rows_per_chunk == 100
         assert plan.n_chunks == 100
@@ -65,18 +66,18 @@ class TestPlan:
     def test_oversized_lookup_rejected(self):
         with pytest.raises(CapacityError):
             self.planner().plan(n_rows=10, row_bytes=16,
-                                lookup_bytes=2 * 1024 * 1024)
+                                resident_bytes=2 * 1024 * 1024)
 
     def test_zero_rows_plan(self):
-        plan = self.planner().plan(n_rows=0, row_bytes=16, lookup_bytes=0)
+        plan = self.planner().plan(n_rows=0, row_bytes=16)
         assert plan.n_chunks == 0
 
     @pytest.mark.parametrize("kwargs", [
-        dict(n_rows=-1, row_bytes=16, lookup_bytes=0),
-        dict(n_rows=10, row_bytes=0, lookup_bytes=0),
-        dict(n_rows=10, row_bytes=16, lookup_bytes=-1),
-        dict(n_rows=10, row_bytes=16, lookup_bytes=0, shared_bytes_per_row=0),
-        dict(n_rows=10, row_bytes=16, lookup_bytes=0, max_rows_per_chunk=0),
+        dict(n_rows=-1, row_bytes=16),
+        dict(n_rows=10, row_bytes=0),
+        dict(n_rows=10, row_bytes=16, resident_bytes=-1),
+        dict(n_rows=10, row_bytes=16, shared_bytes_per_row=0),
+        dict(n_rows=10, row_bytes=16, max_rows_per_chunk=0),
     ])
     def test_bad_args_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

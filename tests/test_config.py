@@ -16,9 +16,9 @@ class TestReproConfig:
             DEFAULTS.default_seed = 1  # type: ignore[misc]
 
     def test_with_copies(self):
-        custom = DEFAULTS.with_(device_num_sms=4)
-        assert custom.device_num_sms == 4
-        assert DEFAULTS.device_num_sms == 14  # original untouched
+        custom = DEFAULTS.with_(dfs_replication=2)
+        assert custom.dfs_replication == 2
+        assert DEFAULTS.dfs_replication == 3  # original untouched
         assert isinstance(custom, ReproConfig)
 
     def test_device_properties_from_config(self):

@@ -18,13 +18,13 @@ from repro.core.engines import (
     get_engine,
 )
 from repro.core.simulation import AggregateAnalysis
-from repro.core.tables import EltTable, YetTable, YltTable
+from repro.core.tables import YET_SCHEMA, EltTable, YetTable, YltTable
 from repro.core.terms import LayerTerms
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.data.columnar import ColumnTable
 from repro.errors import ConfigurationError, EngineError
-from repro.hpc.device import DeviceProperties, SimulatedGpu
+from repro.hpc.device import DeviceProperties
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
                "mapreduce"]
@@ -198,23 +198,44 @@ class TestDeviceEngine:
         chunked = DeviceEngine(max_rows_per_chunk=97).run(
             tiny_workload.portfolio, tiny_workload.yet
         )
-        assert whole.portfolio_ylt.allclose(chunked.portfolio_ylt)
+        _assert_layers_equal(chunked, whole)
 
     def test_ablation_flags_do_not_change_results(self, tiny_workload):
         base = DeviceEngine().run(tiny_workload.portfolio, tiny_workload.yet)
-        for flags in (dict(use_constant=False), dict(use_shared=False),
-                      dict(use_constant=False, use_shared=False)):
-            alt = DeviceEngine(**flags).run(
-                tiny_workload.portfolio, tiny_workload.yet
-            )
-            assert base.portfolio_ylt.allclose(alt.portfolio_ylt)
+        alt = DeviceEngine(use_constant=False).run(
+            tiny_workload.portfolio, tiny_workload.yet
+        )
+        _assert_layers_equal(alt, base)
+
+    @pytest.mark.parametrize("use_constant", [True, False])
+    @pytest.mark.parametrize("max_rows_per_chunk", [1, 97, 1000, None])
+    def test_chunk_size_invariant(self, small_portfolio_workload,
+                                  max_rows_per_chunk, use_constant):
+        """A chunk is whole trials swept by the one block task, so every
+        chunk size and placement answers each layer exactly as
+        ``vectorized`` does — on a YET with empty trials too."""
+        wl = small_portfolio_workload
+        empty = YetTable(ColumnTable.from_arrays(
+            YET_SCHEMA, trial=[1, 1, 4], seq=[0, 1, 0],
+            event_id=[3, 7, 3]), n_trials=6)
+        for yet in (wl.yet, empty):
+            with DeviceEngine(max_rows_per_chunk=max_rows_per_chunk,
+                              use_constant=use_constant) as engine:
+                res = engine.run(wl.portfolio, yet)
+            _assert_layers_equal(res, VectorizedEngine().run(wl.portfolio,
+                                                             yet))
 
     def test_transfers_accounted(self, tiny_workload):
-        engine = DeviceEngine()
-        res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        # YET uploaded once per layer (trial + event arrays) plus lookups.
-        assert res.details["h2d_bytes"] >= tiny_workload.yet.n_occurrences * 16
-        assert res.details["d2h_bytes"] >= tiny_workload.yet.n_trials * 8
+        res = DeviceEngine().run(tiny_workload.portfolio, tiny_workload.yet)
+        yet, details = tiny_workload.yet, res.details
+        # Each resident batch streams the whole YET (trial + event, 8 B
+        # each) and its lookups in, and downloads its rows' annual losses.
+        lookups = sum(layer["lookup_bytes"]
+                      for layer in details["layers"].values())
+        assert details["h2d_bytes"] == (
+            16 * yet.n_occurrences * details["n_batches"] + lookups)
+        assert details["d2h_bytes"] == (
+            8 * tiny_workload.portfolio.n_layers * yet.n_trials)
 
     def test_small_lookup_lands_in_constant(self, tiny_workload):
         res = DeviceEngine().run(tiny_workload.portfolio, tiny_workload.yet)
@@ -223,12 +244,13 @@ class TestDeviceEngine:
         assert res.details["layers"][lid]["lookup_in_constant"]
 
     def test_big_lookup_spills_to_global(self, tiny_workload):
-        gpu = SimulatedGpu(DeviceProperties(constant_mem_bytes=128))
-        res = DeviceEngine(gpu=gpu).run(tiny_workload.portfolio, tiny_workload.yet)
+        props = DeviceProperties(constant_mem_bytes=128)
+        res = DeviceEngine(properties=props).run(tiny_workload.portfolio,
+                                                 tiny_workload.yet)
         lid = tiny_workload.portfolio.layers[0].layer_id
         assert not res.details["layers"][lid]["lookup_in_constant"]
         ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+        _assert_layers_equal(res, ref)
 
     def test_sparse_lookup_path(self, tiny_workload):
         # CSR by the book's own shape: one ELT row far past the dense
@@ -241,6 +263,7 @@ class TestDeviceEngine:
         ref = SequentialEngine().run(portfolio, tiny_workload.yet)
         assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
         assert res.details["layers"][base.layer_id]["lookup_kind"] == "sparse"
+        assert res.details["sparse_stack_uploads"] == 1
 
     def test_portfolio_too_big_to_coreside_splits_into_batches(
             self, small_portfolio_workload):
@@ -250,13 +273,12 @@ class TestDeviceEngine:
                    small_portfolio_workload.yet)
         lookup_bytes = pf.layers[0].lookup().nbytes
         # Room for roughly one layer's lookup + annual + a small chunk.
-        gpu = SimulatedGpu(DeviceProperties(
+        props = DeviceProperties(
             global_mem_bytes=3 * (lookup_bytes + yet.n_trials * 8)
-        ))
-        res = DeviceEngine(gpu=gpu).run(pf, yet)
+        )
+        res = DeviceEngine(properties=props).run(pf, yet)
         assert res.details["n_batches"] > 1
-        ref = VectorizedEngine().run(pf, yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+        _assert_layers_equal(res, VectorizedEngine().run(pf, yet))
 
 
 class TestMulticore:

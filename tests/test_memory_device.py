@@ -1,206 +1,19 @@
-"""Tests for memory spaces, the transfer ledger, and the simulated GPU."""
+"""Tests for the device engine's placement: stacked uploads per resident
+batch and the greedy constant packer."""
 
 import numpy as np
-import pytest
 
 from repro.core.engines import DeviceEngine, VectorizedEngine
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable
 from repro.core.terms import LayerTerms
-from repro.errors import CapacityError, DeviceError
-from repro.hpc.device import DeviceProperties, SimulatedGpu
-from repro.hpc.kernel import Kernel
-from repro.hpc.memory import MemorySpace, TransferLedger
-
-
-class TestMemorySpace:
-    def test_alloc_and_get(self):
-        sp = MemorySpace("global", 1024)
-        arr = sp.alloc("x", 10, np.float64)
-        assert arr.nbytes == 80
-        assert sp.get("x") is arr
-
-    def test_capacity_enforced(self):
-        sp = MemorySpace("shared", 64)
-        with pytest.raises(CapacityError):
-            sp.alloc("big", 100, np.float64)
-
-    def test_capacity_counts_live_allocations(self):
-        sp = MemorySpace("s", 160)
-        sp.alloc("a", 10, np.float64)
-        with pytest.raises(CapacityError):
-            sp.alloc("b", 11, np.float64)
-        sp.free("a")
-        sp.alloc("b", 11, np.float64)  # fits after free
-
-    def test_duplicate_name_rejected(self):
-        sp = MemorySpace("s", 1024)
-        sp.alloc("x", 1, np.float64)
-        with pytest.raises(DeviceError):
-            sp.alloc("x", 1, np.float64)
-
-    def test_free_unknown_rejected(self):
-        with pytest.raises(DeviceError):
-            MemorySpace("s", 64).free("nope")
-
-    def test_put_copies_by_default(self):
-        sp = MemorySpace("s", 1024)
-        src = np.ones(4)
-        stored = sp.put("x", src)
-        src[0] = 99.0
-        assert stored[0] == 1.0
-
-    def test_peak_tracking(self):
-        sp = MemorySpace("s", 1024)
-        sp.alloc("a", 64, np.int8)
-        sp.free("a")
-        sp.alloc("b", 8, np.int8)
-        assert sp.peak_bytes == 64
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(CapacityError):
-            MemorySpace("s", 0)
-
-
-class TestTransferLedger:
-    def test_accounting(self):
-        led = TransferLedger()
-        led.record_h2d(100)
-        led.record_d2h(50)
-        led.record_h2d(10)
-        assert led.h2d_bytes == 110
-        assert led.d2h_bytes == 50
-        assert led.h2d_transfers == 2
-        assert led.total_bytes == 160
-
-
-class TestSimulatedGpu:
-    def test_upload_download_roundtrip(self):
-        gpu = SimulatedGpu()
-        data = np.arange(100, dtype=np.float64)
-        gpu.upload("x", data)
-        out = gpu.download("x")
-        np.testing.assert_array_equal(out, data)
-        assert gpu.transfers.h2d_bytes == data.nbytes
-        assert gpu.transfers.d2h_bytes == data.nbytes
-
-    def test_download_is_a_copy(self):
-        gpu = SimulatedGpu()
-        gpu.upload("x", np.zeros(4))
-        out = gpu.download("x")
-        out[0] = 7.0
-        assert gpu.download("x")[0] == 0.0
-
-    def test_constant_capacity_is_64k(self):
-        gpu = SimulatedGpu()
-        gpu.upload_constant("small", np.zeros(8000))  # 64_000 B fits
-        with pytest.raises(CapacityError):
-            gpu.upload_constant("big", np.zeros(200))  # 1600 B more does not
-
-    def test_fits_constant(self):
-        gpu = SimulatedGpu()
-        assert gpu.fits_constant(64 * 1024)
-        assert not gpu.fits_constant(64 * 1024 + 1)
-
-    def test_global_capacity_enforced(self):
-        gpu = SimulatedGpu(DeviceProperties(global_mem_bytes=1024))
-        with pytest.raises(CapacityError):
-            gpu.upload("big", np.zeros(1000, dtype=np.float64))
-
-    def test_reset_clears_everything(self):
-        gpu = SimulatedGpu()
-        gpu.upload("x", np.zeros(8))
-        gpu.upload_constant("c", np.zeros(8))
-        gpu.reset()
-        assert gpu.global_mem.used_bytes == 0
-        assert gpu.constant_mem.used_bytes == 0
-
-    def test_launch_requires_buffer_names(self):
-        gpu = SimulatedGpu()
-        k = Kernel("noop", lambda ctx, x: None)
-        with pytest.raises(DeviceError):
-            gpu.launch(k, 10, x=np.zeros(10))  # raw array, not a name
-
-    def test_launch_unknown_buffer_rejected(self):
-        gpu = SimulatedGpu()
-        k = Kernel("noop", lambda ctx, x: None)
-        with pytest.raises(DeviceError):
-            gpu.launch(k, 10, x="missing")
-
-    def test_constant_view_is_read_only(self):
-        gpu = SimulatedGpu()
-        gpu.upload_constant("c", np.arange(4, dtype=np.float64))
-        seen = {}
-
-        def body(ctx):
-            table = ctx.constant["c"]
-            seen["value"] = float(table[2])
-            with pytest.raises(ValueError):
-                table[0] = 99.0
-
-        gpu.launch(Kernel("reader", body), 1, rows_per_block=1)
-        assert seen["value"] == 2.0
-
-
-class TestKernelLaunch:
-    def test_grid_covers_rows(self):
-        gpu = SimulatedGpu()
-        gpu.upload("x", np.ones(1000))
-        gpu.alloc("y", 1000, np.float64)
-
-        def body(ctx, x, y):
-            y[ctx.rows()] = x[ctx.rows()] * 3.0
-
-        stats = gpu.launch(Kernel("triple", body), 1000, rows_per_block=128,
-                           x="x", y="y")
-        assert stats.n_blocks == 8
-        assert stats.n_rows == 1000
-        np.testing.assert_array_equal(gpu.download("y"), np.full(1000, 3.0))
-
-    def test_shared_memory_capacity_enforced_per_block(self):
-        gpu = SimulatedGpu()
-
-        def body(ctx):
-            ctx.shared.alloc("acc", 10_000, np.float64)  # 80 KB > 48 KB
-
-        with pytest.raises(CapacityError):
-            gpu.launch(Kernel("hog", body), 10, rows_per_block=10)
-
-    def test_shared_memory_freed_between_blocks(self):
-        gpu = SimulatedGpu()
-
-        def body(ctx):
-            # 40 KiB per block: would blow the limit if not freed between
-            # blocks.
-            ctx.shared.alloc("acc", 5000, np.float64)
-
-        stats = gpu.launch(Kernel("per_block", body), 100, rows_per_block=10)
-        assert stats.n_blocks == 10
-        assert stats.shared_peak_bytes == 40_000
-
-    def test_empty_launch(self):
-        gpu = SimulatedGpu()
-        stats = gpu.launch(Kernel("noop", lambda ctx: None), 0, rows_per_block=10)
-        assert stats.n_blocks == 0
-
-    def test_bad_rows_per_block_rejected(self):
-        gpu = SimulatedGpu()
-        with pytest.raises(DeviceError):
-            gpu.launch(Kernel("noop", lambda ctx: None), 10, rows_per_block=0)
-
-    def test_launch_log_accumulates(self):
-        gpu = SimulatedGpu()
-        k = Kernel("noop", lambda ctx: None)
-        gpu.launch(k, 10, rows_per_block=5)
-        gpu.launch(k, 20, rows_per_block=5)
-        assert len(gpu.launch_log) == 2
+from repro.hpc.device import DeviceProperties
 
 
 class TestStackedDevicePlacement:
-    """Tentpole: the device engine ships ONE stacked dense upload per
-    resident batch (row offsets resolved in-kernel) and packs the
-    constant bank greedily by hit-frequency x size."""
+    """The device engine ships ONE stacked dense upload per resident
+    batch and packs the constant bank greedily by hit-frequency x size."""
 
     def test_exactly_one_dense_stack_upload_per_batch(
             self, small_portfolio_workload):
@@ -218,15 +31,16 @@ class TestStackedDevicePlacement:
         pf, yet = (small_portfolio_workload.portfolio,
                    small_portfolio_workload.yet)
         lookup_bytes = pf.layers[0].lookup().nbytes
-        gpu = SimulatedGpu(DeviceProperties(
+        props = DeviceProperties(
             global_mem_bytes=3 * (lookup_bytes + yet.n_trials * 8)
-        ))
-        res = DeviceEngine(gpu=gpu, use_constant=False).run(pf, yet)
+        )
+        res = DeviceEngine(properties=props, use_constant=False).run(pf, yet)
         assert res.details["n_batches"] > 1
         assert res.details["stack_uploads"] == res.details["n_batches"]
         assert res.details["yet_uploads"] == res.details["n_chunks_total"]
         ref = VectorizedEngine().run(pf, yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+        np.testing.assert_array_equal(res.portfolio_ylt.losses,
+                                      ref.portfolio_ylt.losses)
 
     def test_greedy_packer_prefers_hot_bytes(self, tiny_workload):
         # Two merged books: a small table read by ten rows (score
@@ -246,8 +60,8 @@ class TestStackedDevicePlacement:
                   for i in range(10)]
         layers.append(Layer(10, [big_elt], LayerTerms()))
         pf = Portfolio(layers)
-        gpu = SimulatedGpu(DeviceProperties(constant_mem_bytes=300))
-        res = DeviceEngine(gpu=gpu).run(pf, tiny_workload.yet)
+        props = DeviceProperties(constant_mem_bytes=300)
+        res = DeviceEngine(properties=props).run(pf, tiny_workload.yet)
         assert res.details["n_batches"] == 1
         for lid in range(10):
             assert res.details["layers"][lid]["lookup_in_constant"]
@@ -255,4 +69,5 @@ class TestStackedDevicePlacement:
         # the spilled big table still ships as the stacked upload
         assert res.details["stack_uploads"] == 1
         ref = VectorizedEngine().run(pf, tiny_workload.yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+        np.testing.assert_array_equal(res.portfolio_ylt.losses,
+                                      ref.portfolio_ylt.losses)

@@ -69,7 +69,7 @@ def test_errors_hierarchy():
     from repro import errors
 
     for name in ("ConfigurationError", "SchemaError", "CapacityError",
-                 "DeviceError", "StorageError",
+                 "StorageError",
                  "MapReduceError", "EngineError", "AnalysisError",
                  "AdmissionError"):
         exc_type = getattr(errors, name)
@@ -154,11 +154,17 @@ def test_a_script_naming_a_deleted_module_is_caught(tmp_path):
 
 def test_removed_names_stay_removed(tmp_path):
     """The experiment harness left the library for ``benchmarks/``, and
-    the schedulers and the occupancy model went with their error type."""
+    the schedulers and the occupancy model went with their error type;
+    the simulated GPU's memory spaces, launch model and kernel body went
+    when the device engine began pricing through the block task."""
     removed = ["repro.bench.experiments", "repro.bench.harness",
                "repro.bench.time_call", "repro.util.timing",
                "repro.hpc.scheduler", "repro.hpc.occupancy",
-               "repro.hpc.StaticScheduler", "repro.errors.ClusterError"]
+               "repro.hpc.StaticScheduler", "repro.errors.ClusterError",
+               "repro.hpc.kernel", "repro.hpc.memory",
+               "repro.hpc.SimulatedGpu", "repro.hpc.MemorySpace",
+               "repro.hpc.TransferLedger", "repro.hpc.Kernel",
+               "repro.hpc.LaunchStats", "repro.errors.DeviceError"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
@@ -214,6 +220,18 @@ def test_no_engine_keeps_a_pricing_loop_of_its_own():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "apply_occurrence"]
     assert calls == []
+
+
+def test_one_numeric_contract():
+    """Every registered engine but the scalar oracle is the host driver:
+    it prices through a dispatcher's block task, so its answers are
+    ``np.array_equal`` to ``vectorized``'s."""
+    from repro.core.engines import available_engines, engine_spec
+    from repro.core.engines.host import HostEngine
+
+    assert [name for name in available_engines()
+            if not issubclass(engine_spec(name).factory, HostEngine)] == [
+        "sequential"]
 
 
 def test_one_measured_rate_per_substrate():
@@ -440,6 +458,10 @@ def test_engine_spec_and_planner_knobs_locked():
 
     assert keywords(MapReduceEngine.__init__) == [
         "dfs", "n_splits", "n_reducers"]
+    from repro.core.engines import DeviceEngine
+
+    assert keywords(DeviceEngine.__init__) == [
+        "properties", "max_rows_per_chunk", "use_constant"]
     for name in ("device", "mapreduce"):
         with pytest.raises(TypeError, match="dense_max_entries"):
             get_engine(name, dense_max_entries=1)
