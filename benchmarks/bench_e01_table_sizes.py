@@ -10,7 +10,8 @@ numbers are the table of the report ``run_e01_table_sizes`` returns.
 import pytest
 
 from repro.bench.workloads import companion_study_workload
-from repro.core import AggregateAnalysis, YelltModel
+from repro.core import YelltModel
+from repro.session import RiskSession
 from repro.util.tables import format_bytes, format_count
 
 from experiment import ExperimentReport
@@ -45,7 +46,8 @@ def run_e01_table_sizes(n_trials: int = 2_000) -> ExperimentReport:
     # Materialised check at bench scale: the YELT/YLT ratio equals the
     # realised mean events per trial.
     wl = companion_study_workload(n_trials=n_trials)
-    res = AggregateAnalysis(wl.portfolio, wl.yet).run("vectorized", emit_yelt=True)
+    with RiskSession(wl.yet, wl.portfolio) as session:
+        res = session.aggregate(engine="vectorized", emit_yelt=True)
     yelt_rows = res.yelt_rows()
     ylt_rows = res.portfolio_ylt.n_trials
     # Coverage of the catalogue by the layer's ELTs trims ~7% off the

@@ -37,11 +37,15 @@ def run_e03_speedup(trials_list=(250, 500, 1_000, 2_000),
     with MulticoreEngine() as mc_engine:
         for n_trials in trials_list:
             wl = companion_study_workload(n_trials=n_trials)
-            with bound_analysis(wl) as analysis:
-                t_seq, _ = time_call(lambda: analysis.run("sequential"), repeats=repeats, warmup=0)
-                t_vec, _ = time_call(lambda: analysis.run("vectorized"), repeats=repeats, warmup=1)
-                t_mc, _ = time_call(lambda: analysis.run(mc_engine), repeats=repeats, warmup=1)
-                t_dev, _ = time_call(lambda: analysis.run("device"), repeats=repeats, warmup=1)
+            with bound_analysis(wl) as session:
+                def timed(engine, warmup=1):
+                    return time_call(lambda: session.aggregate(engine=engine),
+                                     repeats=repeats, warmup=warmup)[0]
+
+                t_seq = timed("sequential", warmup=0)
+                t_vec = timed("vectorized")
+                t_mc = timed(mc_engine)
+                t_dev = timed("device")
             report.add_row(
                 n_trials, format_seconds(t_seq), format_seconds(t_vec),
                 format_seconds(t_mc), format_seconds(t_dev),

@@ -13,7 +13,7 @@ import numpy as np
 from repro.bench.workloads import build_layer_workload
 from repro.core import YetTable
 from repro.core.engines import VectorizedEngine
-from repro.serve import CachePolicy, PricingService
+from repro.serve import CachePolicy
 from repro.util.rng import RngHierarchy
 
 from experiment import (ExperimentReport, bound_analysis, format_seconds,
@@ -46,17 +46,20 @@ def run_e04_million_trials(
         n_elts=1, elt_rows=16_000, catalog_events=100_000, seed=11,
     )
     engine = VectorizedEngine()
-    with bound_analysis(wl_small) as analysis:
-        t_1000, _ = time_call(lambda: analysis.run(engine), repeats=2, warmup=1)
+    layer = wl_small.portfolio.layers[0]
+    with bound_analysis(wl_small) as session:
+        t_1000, _ = time_call(lambda: session.aggregate(engine=engine),
+                              repeats=2, warmup=1)
+        # A full quote (simulation + premium derivation) with the result
+        # cache off, so every repeat prices instead of reading a dict.
+        service = session.pricing_service(engine="inline",
+                                          cache=CachePolicy(0))
+        t_quote, quote = time_call(lambda: service.quote(layer), repeats=2,
+                                   warmup=1)
     report.add_row(
         "measured @1000 ev/trial", throughput_trials, 1000,
         format_seconds(t_1000), f"{throughput_trials / t_1000:,.0f}",
     )
-    # A full quote (simulation + premium derivation) with the result
-    # cache off, so every repeat prices instead of reading a dict.
-    layer = wl_small.portfolio.layers[0]
-    with PricingService(wl_small.yet, cache=CachePolicy(0)) as service:
-        t_quote, quote = time_call(lambda: service.quote(layer), repeats=2, warmup=1)
     assert quote.premium > 0
     extrapolated = t_1000 * (full_trials / throughput_trials)
     report.figures["extrapolated_1m_s"] = t_1000 * (1_000_000 / throughput_trials)

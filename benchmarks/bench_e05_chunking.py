@@ -50,12 +50,12 @@ def run_e05_chunking(n_trials: int = 20_000,
     ]
     max_tile = DeviceProperties().shared_mem_per_block_bytes // 8
     sweep_times = {}
-    with bound_analysis(wl) as analysis:
-        reference = analysis.run("vectorized").portfolio_ylt.losses
+    with bound_analysis(wl) as session:
+        reference = session.aggregate(engine="vectorized").portfolio_ylt.losses
 
         def measured(engine, label):
             with engine:
-                t, res = time_call(lambda: analysis.run(engine), repeats=2,
+                t, res = time_call(lambda: session.aggregate(engine=engine), repeats=2,
                                    warmup=1)
             layer = res.details["layers"][0]
             assert np.array_equal(res.portfolio_ylt.losses, reference), label

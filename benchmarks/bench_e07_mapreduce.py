@@ -12,8 +12,8 @@ times).
 import numpy as np
 
 from repro.bench.workloads import companion_study_workload
-from repro.core import AggregateAnalysis
 from repro.core.engines import MapReduceEngine
+from repro.session import RiskSession
 from repro.util.tables import format_bytes
 
 from experiment import ExperimentReport, format_seconds
@@ -33,10 +33,10 @@ def run_e07_mapreduce(n_trials: int = 20_000, n_splits: int = 16,
     )
     wl = companion_study_workload(n_trials=n_trials)
     engine = MapReduceEngine(n_splits=n_splits, n_reducers=8)
-    analysis = AggregateAnalysis(wl.portfolio, wl.yet)
-    res = analysis.run(engine)
-    # Verify against the vectorized engine, layer by layer.
-    ref = analysis.run("vectorized")
+    with RiskSession(wl.yet, wl.portfolio) as session:
+        res = session.aggregate(engine=engine)
+        # Verify against the vectorized engine, layer by layer.
+        ref = session.aggregate(engine="vectorized")
     assert all(np.array_equal(res.ylt_by_layer[lid].losses, ylt.losses)
                for lid, ylt in ref.ylt_by_layer.items()), \
         "MapReduce output mismatch"

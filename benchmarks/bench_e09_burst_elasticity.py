@@ -51,15 +51,15 @@ def run_e09_burst_elasticity(measure_trials: int = 20_000) -> ExperimentReport:
     s1_rate = s1_stats.pairs_per_second
 
     wl = companion_study_workload(n_trials=measure_trials)
-    with bound_analysis(wl) as analysis:
-        t_vec, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
+    with bound_analysis(wl) as session:
+        t_vec, _ = time_call(lambda: session.aggregate(engine="vectorized"), repeats=2, warmup=1)
     s2_rate = wl.yet.n_occurrences / t_vec  # occurrence-lookups/s/proc
 
     # A 2012-era production core runs scalar code: measure the sequential
     # engine's per-core rate on a smaller slice of the same workload.
     wl_seq = companion_study_workload(n_trials=max(200, measure_trials // 50))
-    with bound_analysis(wl_seq) as analysis:
-        t_seq, _ = time_call(lambda: analysis.run("sequential"),
+    with bound_analysis(wl_seq) as session:
+        t_seq, _ = time_call(lambda: session.aggregate(engine="sequential"),
                              repeats=1, warmup=0)
     s2_rate_scalar = wl_seq.yet.n_occurrences / t_seq
 

@@ -16,10 +16,10 @@ from repro.bench.workloads import (
     dfa_workload,
     warehouse_fact_table,
 )
-from repro.core import AggregateAnalysis
 from repro.data.warehouse import LossCube
 from repro.dfa import RiskMetrics, combine_ylts
 from repro.dfa.correlation import GaussianCopula
+from repro.session import RiskSession
 from repro.util.rng import RngHierarchy
 from repro.util.tables import format_bytes
 
@@ -37,7 +37,8 @@ def run_e10_dfa_metrics(n_trials: int = 50_000) -> ExperimentReport:
     )
     rng = RngHierarchy(29)
     wl = companion_study_workload(n_trials=n_trials)
-    cat = AggregateAnalysis(wl.portfolio, wl.yet).run("vectorized").portfolio_ylt
+    with RiskSession(wl.yet, wl.portfolio) as session:
+        cat = session.aggregate(engine="vectorized").portfolio_ylt
     sources = dfa_workload(cat)
     ylts = [cat] + [s.ylt for s in sources]
     k = len(ylts)

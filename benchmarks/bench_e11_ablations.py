@@ -26,8 +26,8 @@ def run_e11_ablations(n_trials: int = 10_000) -> ExperimentReport:
             n_trials=n_trials, mean_events_per_trial=float(epk),
             n_elts=4, elt_rows=8_000, catalog_events=50_000, seed=31,
         )
-        with bound_analysis(wl) as analysis:
-            t, _ = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
+        with bound_analysis(wl) as session:
+            t, _ = time_call(lambda: session.aggregate(engine="vectorized"), repeats=2, warmup=1)
         times["events", epk] = t
         report.add_row("events/trial", epk, format_seconds(t),
                        format_seconds(t / (n_trials / 1000)))
@@ -36,8 +36,8 @@ def run_e11_ablations(n_trials: int = 10_000) -> ExperimentReport:
             n_trials=n_trials, mean_events_per_trial=1000.0,
             n_elts=n_elts, elt_rows=8_000, catalog_events=50_000, seed=31,
         )
-        with bound_analysis(wl) as analysis:
-            t, res = time_call(lambda: analysis.run("vectorized"), repeats=2, warmup=1)
+        with bound_analysis(wl) as session:
+            t, res = time_call(lambda: session.aggregate(engine="vectorized"), repeats=2, warmup=1)
         times["elts", n_elts] = t
         by_event[n_elts] = res.details["routed"]["kernel.lane_rows.by_event"] > 0
         report.add_row("ELTs/layer", n_elts, format_seconds(t),

@@ -38,8 +38,8 @@ def run_e12_extensions(n_trials: int = 20_000, rows_per_chunk: int = 500_000,
     )
     wl = companion_study_workload(n_trials=n_trials)
     occurrences = f"{wl.yet.n_occurrences:,} occurrences"
-    with bound_analysis(wl) as analysis:
-        t_exp, res = time_call(lambda: analysis.run("vectorized", emit_yelt=True),
+    with bound_analysis(wl) as session:
+        t_exp, res = time_call(lambda: session.aggregate(engine="vectorized", emit_yelt=True),
                                repeats=2, warmup=1)
     report.add_row("analysis mode", "expected (in memory)",
                    format_seconds(t_exp), occurrences)

@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core import AggregateAnalysis
 from repro.errors import AnalysisError
 from repro.session import RiskSession
 from repro.util.tables import render_table
@@ -68,12 +67,12 @@ def format_seconds(seconds: float) -> str:
 
 @contextmanager
 def bound_analysis(wl):
-    """The workload's :class:`AggregateAnalysis` over one session for
-    all of its timed runs, so a timing holds the run and not an
-    ephemeral session per call (the ``warmup=1`` run absorbs the engine
-    the session then keeps)."""
-    with RiskSession(wl.yet) as session:
-        yield AggregateAnalysis(wl.portfolio, wl.yet, session=session)
+    """One :class:`RiskSession` over the workload's YET and portfolio
+    for all of its timed runs (``session.aggregate(engine=...)``), so a
+    timing holds the run and not a session per call (the ``warmup=1``
+    run absorbs the engine the session then keeps)."""
+    with RiskSession(wl.yet, wl.portfolio) as session:
+        yield session
 
 
 @dataclass

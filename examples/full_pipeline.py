@@ -62,10 +62,9 @@ terms = repro.LayerTerms(occ_retention=2e5, occ_limit=5e7,
 layers = [repro.Layer(i, [elts[2 * i], elts[2 * i + 1]], terms)
           for i in range(6)]
 portfolio = repro.Portfolio(layers)
-analysis = repro.AggregateAnalysis(portfolio, yet)
-
-res_vec = analysis.run("vectorized")
-res_dev = analysis.run("device")
+with repro.RiskSession(yet, portfolio) as session:
+    res_vec = session.aggregate(engine="vectorized")
+    res_dev = session.aggregate(engine="device")
 agree = res_vec.portfolio_ylt.allclose(res_dev.portfolio_ylt)
 print(f"YET: {yet.n_occurrences:,} occurrences over {yet.n_trials:,} trials "
       f"(~{yet.mean_events_per_trial():.0f} events/trial)")

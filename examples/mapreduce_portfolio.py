@@ -19,13 +19,13 @@ from repro.data.dfs import SimDfs
 from repro.util.tables import format_bytes, render_table
 
 workload = repro.bench.companion_study_workload(n_trials=20_000)
-analysis = repro.AggregateAnalysis(workload.portfolio, workload.yet)
+session = repro.RiskSession(workload.yet, workload.portfolio)
 
 # ---- run the job ----------------------------------------------------------
 dfs = SimDfs(n_datanodes=8, replication=3)
 engine = MapReduceEngine(dfs=dfs, n_splits=16, n_reducers=8)
-res_mr = analysis.run(engine)
-res_ref = analysis.run("vectorized")
+res_mr = session.aggregate(engine=engine)
+res_ref = session.aggregate(engine="vectorized")
 
 
 def equal_layers(res):
@@ -61,5 +61,6 @@ dfs.kill_node(3)
 created = dfs.re_replicate()
 print(f"re-replication created {created} new replicas; "
       f"{dfs.n_live_nodes} datanodes live")
-res_after = analysis.run(engine)
+res_after = session.aggregate(engine=engine)
 print(f"job result unchanged after failure: {equal_layers(res_after)}")
+session.close()

@@ -49,8 +49,9 @@ menu = [
 
 # Batches form from load, not from a timer: the broker takes what is
 # queued the moment it is free, so no window is configured.
-service = repro.PricingService(
-    workload.yet,
+session = repro.RiskSession(workload.yet)
+service = session.pricing_service(
+    engine="inline",
     batch=BatchPolicy(max_batch=64, auto_flush=True),
     slo_seconds=30.0,
 )
@@ -118,4 +119,4 @@ print(
     f"\n{requests} concurrent requests cost {batches} YET pass(es) — "
     f"the pre-serve pricer would have run {requests}."
 )
-service.close()
+session.close()

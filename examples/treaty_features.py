@@ -31,10 +31,10 @@ wl = repro.bench.build_portfolio_workload(
     n_layers=4, n_trials=20_000, mean_events_per_trial=500.0,
     elts_per_layer=3, elt_rows=4_000, catalog_events=30_000, seed=21,
 )
-analysis = repro.AggregateAnalysis(wl.portfolio, wl.yet)
+session = repro.RiskSession(wl.yet, wl.portfolio)
 
 # ---- 1. expected mode vs sampled mode ------------------------------------
-expected = analysis.run("vectorized")
+expected = session.aggregate(engine="vectorized")
 sampled = sampled_aggregate_analysis(wl.portfolio, wl.yet,
                                      rng.generator("sampling"))
 rows = []
@@ -52,7 +52,8 @@ print()
 
 # ---- 2. reinstatements ------------------------------------------------------
 layer = wl.portfolio.layers[0]
-res = analysis.run("vectorized", emit_yelt=True)
+res = session.aggregate(engine="vectorized", emit_yelt=True)
+session.close()
 yelt = res.yelt_by_layer[layer.layer_id]
 occ_limit = layer.terms.occ_limit
 rows = []

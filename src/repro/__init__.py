@@ -36,11 +36,12 @@ Quickstart::
         print(repro.regulator_report(
             repro.RiskMetrics.from_ylt(result.portfolio_ylt)))
 
-:class:`~repro.core.simulation.AggregateAnalysis`,
-:class:`~repro.serve.service.PricingService` and
-:func:`~repro.analytics.sensitivity.term_sensitivities` run on a session
-too — a private one when used standalone, the caller's with
-``session=``.
+Every workload takes the session it runs on, never a YET of its own:
+:class:`~repro.serve.service.PricingService` is
+``session.pricing_service(...)`` and
+:func:`~repro.analytics.sensitivity.term_sensitivities` is
+``session.sensitivities(...)``; to price another trial set, open a
+session over it.
 """
 
 from repro import (
@@ -58,7 +59,6 @@ from repro import (
 )
 from repro.config import DEFAULTS, ReproConfig
 from repro.core import (
-    AggregateAnalysis,
     EltTable,
     EngineSpec,
     Layer,
@@ -108,7 +108,6 @@ __all__ = [
     "Telemetry",
     "DEFAULTS",
     "ReproConfig",
-    "AggregateAnalysis",
     "EltTable",
     "EngineSpec",
     "Layer",

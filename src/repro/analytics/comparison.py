@@ -2,37 +2,36 @@
 
 Every engine must produce the same YLT for the same inputs — that is the
 library's central correctness invariant (the engines differ only in
-execution substrate).  These helpers run several engines on one workload
-and compare outputs; the test suite and the speedup benches both use
-them, so a disagreement can never hide inside a performance number.
+execution substrate).  These helpers compare the results of engines that
+have already run — the ``{name: EngineResult}`` dict
+:meth:`RiskSession.run_all <repro.session.RiskSession.run_all>` returns —
+so the test suite and the speedup benches check the very runs they time,
+and a disagreement can never hide inside a performance number.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.portfolio import Portfolio
-from repro.core.simulation import AggregateAnalysis
-from repro.core.tables import YetTable
+from repro.core.engines import EngineResult
 from repro.errors import AnalysisError
 
 __all__ = ["compare_engines", "assert_engines_equivalent"]
 
 
 def compare_engines(
-    portfolio: Portfolio,
-    yet: YetTable,
-    names: list[str],
+    results: dict[str, EngineResult],
     reference: str = "sequential",
 ) -> dict[str, dict]:
-    """Run each engine and report deviation from the reference.
+    """Report each result's deviation from the reference engine's.
 
     Returns ``{engine: {result, max_abs_diff, max_rel_diff, seconds}}``.
     """
-    if reference not in names:
-        names = [reference, *names]
-    analysis = AggregateAnalysis(portfolio, yet)
-    results = {n: analysis.run(n) for n in names}
+    if reference not in results:
+        raise AnalysisError(
+            f"reference engine {reference!r} did not run; "
+            f"ran: {sorted(results)}"
+        )
     ref = results[reference].portfolio_ylt.losses
     report = {}
     for name, res in results.items():
@@ -54,13 +53,11 @@ def compare_engines(
 
 
 def assert_engines_equivalent(
-    portfolio: Portfolio,
-    yet: YetTable,
-    names: list[str],
+    results: dict[str, EngineResult],
     rtol: float = 1e-9,
     atol: float = 1e-6,
 ) -> None:
-    """Raise :class:`AnalysisError` if any engine deviates from sequential.
+    """Raise :class:`AnalysisError` if any result deviates from sequential.
 
     The tolerance is for ``sequential``, the scalar oracle and the one
     engine that prices off its own arithmetic; the host driver's engines
@@ -68,7 +65,7 @@ def assert_engines_equivalent(
     answer ``np.array_equal`` to one another, which their own tests
     assert.
     """
-    report = compare_engines(portfolio, yet, names)
+    report = compare_engines(results)
     failures = []
     for name, entry in report.items():
         if entry["max_abs_diff"] > atol and entry["max_rel_diff"] > rtol:

@@ -33,7 +33,6 @@ from repro.core.terms import LayerTerms
 from repro.core.lookup import LossLookup
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.simulation import AggregateAnalysis
 from repro.core.engines import (
     EngineSpec,
     available_engines,
@@ -70,7 +69,6 @@ __all__ = [
     "LossLookup",
     "Layer",
     "Portfolio",
-    "AggregateAnalysis",
     "EngineSpec",
     "available_engines",
     "engine_spec",

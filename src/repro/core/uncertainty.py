@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.layer import Layer
 from repro.core.lookup import LossLookup
-from repro.core.tables import EltTable
 from repro.errors import ConfigurationError
 
 __all__ = ["SecondaryUncertainty", "sample_occurrence_losses",
@@ -36,30 +36,29 @@ class SecondaryUncertainty:
         self.sigma_lookup = sigma_lookup
 
     @classmethod
-    def from_elts(cls, elts, dense_max_entries: int = 4_000_000
-                  ) -> "SecondaryUncertainty":
-        """Merged (mean, sigma) lookups over a layer's ELT set.
+    def from_layer(cls, layer: Layer, dense_max_entries: int = 4_000_000
+                   ) -> "SecondaryUncertainty":
+        """(mean, sigma) lookups over a layer's book.
 
-        Means add across ELTs; sigmas combine in quadrature (independent
-        contract-level uncertainty), which keeps the merged row's
-        coefficient of variation physically sensible.
+        The means are the book's one merge, :meth:`Layer.lookup` — the
+        table every engine prices by, ELT weights included.  Sigmas
+        merge once with the same weights and combine in quadrature
+        (``w·σ`` per ELT; independent contract-level uncertainty), which
+        keeps the merged row's coefficient of variation physically
+        sensible.
         """
-        elts = list(elts)
-        if not elts:
-            raise ConfigurationError("need at least one ELT")
-        for e in elts:
-            if not isinstance(e, EltTable):
-                raise ConfigurationError(f"expected EltTable, got {type(e).__name__}")
-        all_ids = np.concatenate([e.event_ids for e in elts])
-        all_means = np.concatenate([e.mean_losses for e in elts])
-        all_vars = np.concatenate([e.sigmas**2 for e in elts])
+        if not isinstance(layer, Layer):
+            raise ConfigurationError(
+                f"expected Layer, got {type(layer).__name__}")
+        weights = layer.weights or (1.0,) * layer.n_elts
+        all_ids = np.concatenate([e.event_ids for e in layer.elts])
+        all_vars = np.concatenate([(w * e.sigmas) ** 2
+                                   for w, e in zip(weights, layer.elts)])
         uniq, inverse = np.unique(all_ids, return_inverse=True)
-        means = np.zeros(uniq.size)
         variances = np.zeros(uniq.size)
-        np.add.at(means, inverse, all_means)
         np.add.at(variances, inverse, all_vars)
         return cls(
-            LossLookup.from_arrays(uniq, means, dense_max_entries=dense_max_entries),
+            layer.lookup(dense_max_entries),
             LossLookup.from_arrays(uniq, np.sqrt(variances),
                                    dense_max_entries=dense_max_entries),
         )
@@ -110,7 +109,7 @@ def sampled_aggregate_analysis(portfolio, yet,
     trials = yet.trials
     out = {}
     for layer in portfolio:
-        unc = SecondaryUncertainty.from_elts(layer.elts)
+        unc = SecondaryUncertainty.from_layer(layer)
         losses = sample_occurrence_losses(event_ids, unc, rng)
         retained = layer.terms.apply_occurrence(losses)
         annual = np.bincount(trials, weights=retained, minlength=yet.n_trials)

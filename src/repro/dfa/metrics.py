@@ -46,11 +46,8 @@ def value_at_risk(ylt, q: float) -> float:
 
 
 def tail_value_at_risk(ylt, q: float) -> float:
-    """Conditional expectation of annual loss beyond VaR(q).
-
-    A quote's ``tail_load`` (:mod:`repro.dfa.quote`) sums the same tail
-    row-wise in another order: the two agree to rtol 1e-12, not ``==``.
-    """
+    """Conditional expectation of annual loss beyond VaR(q); a quote's
+    ``tail_load`` (:mod:`repro.dfa.quote`) is this times its loading."""
     return stats_utils.tail_expectation(_losses(ylt), q)
 
 

@@ -37,9 +37,8 @@ def premium_components_rows(
     (:func:`~repro.util.stats_utils.tail_expectation_rows`), and the rate
     on line is ``nan`` for a zero or infinite occurrence limit.  Rows
     are reduced independently, so a row's numbers do not depend on which
-    rows share its batch.  The tail load agrees with ``tail_loading *
-    dfa.metrics.tail_value_at_risk(ylt, 0.99)`` to rtol 1e-12, not
-    ``==``: the two sum the same tail in a different order.
+    rows share its batch, and the tail load is exactly ``tail_loading *
+    dfa.metrics.tail_value_at_risk(ylt, 0.99)``.
     """
     losses = np.ascontiguousarray(losses, dtype=np.float64)
     tvar = tail_expectation_rows(losses, 0.99)
@@ -65,8 +64,7 @@ def premium_components(
 ) -> tuple[float, float, float, float, float]:
     """Technical-premium decomposition of one layer YLT: the one-row
     case of :func:`premium_components_rows`, so a quote priced alone and
-    the same quote priced inside a batch are the same numbers (and its
-    ``tail_load`` matches ``tail_value_at_risk`` to rtol 1e-12 only)."""
+    the same quote priced inside a batch are the same numbers."""
     return premium_components_rows(
         ylt.losses[None, :], [occ_limit], volatility_loading, tail_loading,
     )[0]

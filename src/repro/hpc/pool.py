@@ -22,7 +22,7 @@ broken-pool recovery then re-send only the handles, never the payload:
 :attr:`WorkPool.payload_ships` counts how often a shared object actually
 crossed the initializer so callers can assert the steady state ships
 nothing (the ``agg_lanes_pooled`` benchmark's ``payload_ships_is_1``
-proof; ``test_equal_resimulated_yet_does_not_reship``).
+proof; ``test_an_equal_yet_does_not_reship``).
 
 Failure semantics
 -----------------

@@ -17,7 +17,7 @@ batcher      request broker + micro-batcher: take what is queued the
              moment the broker is free (the sweep in flight is the
              window) and coalesce it into one stacked-kernel sweep
 cache        content-addressed results keyed by (YET fingerprint, layer
-             digest, metric), LRU-evicted, invalidated on re-simulation
+             digest, metric), LRU-evicted
 admission    SLO-aware accept/shed decisions driven by the HPC cost
              model at the dispatcher's measured rate
 dispatch     batch execution substrates: inline vectorized sweep or
@@ -25,8 +25,9 @@ dispatch     batch execution substrates: inline vectorized sweep or
              zero-copy shared-memory data plane (in process, counted,
              where the host has none); each measures its own throughput
              on every run
-service      the :class:`PricingService` facade — submit/quote/ep_curve,
-             YET lifecycle; its counts live on the telemetry plane
+service      the :class:`PricingService` facade over a session —
+             submit/quote/ep_curve; its counts live on the telemetry
+             plane
 ===========  ============================================================
 
 Quickstart::
@@ -34,7 +35,8 @@ Quickstart::
     import repro
 
     wl = repro.bench.companion_study_workload(n_trials=10_000)
-    with repro.PricingService(wl.yet) as svc:
+    with repro.RiskSession(wl.yet) as session:
+        svc = session.pricing_service()
         quotes = svc.quote_many(list(wl.portfolio))   # one fused sweep
         m = svc.telemetry.snapshot()["metrics"]
         print(m["serve.batched_requests"] / m["serve.batches"])

@@ -8,8 +8,9 @@ cache keys on exactly that triple, so:
 
 - two users submitting the same candidate structure hit the same entry
   even though they built distinct ``Layer`` objects;
-- a re-simulated YET changes the first key component, and
-  :meth:`ResultCache.invalidate_yet` drops precisely the stale entries;
+- a cache shared between services over different trial sets (one
+  session each) never serves one set's entry to the other: the YET
+  fingerprint is the first key component;
 - quotes, YLT rows, and EP curves for one layer are separate entries —
   a curve is ~``n_trials`` floats, a quote is five.
 
@@ -137,14 +138,6 @@ class ResultCache:
                 self._bytes -= self._payload_nbytes(dropped)
                 evicted += 1
         return evicted
-
-    def invalidate_yet(self, yet_fingerprint: str) -> int:
-        """Drop every entry priced against the given trial set."""
-        with self._lock:
-            stale = [k for k in self._entries if k[0] == yet_fingerprint]
-            for k in stale:
-                self._bytes -= self._payload_nbytes(self._entries.pop(k))
-            return len(stale)
 
     def clear(self) -> int:
         """Drop everything; returns how many entries were dropped."""

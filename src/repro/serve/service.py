@@ -1,8 +1,9 @@
 """The pricing service facade: quotes and EP curves over a shared YET.
 
 This is the user-facing door of the serving layer.  A
-:class:`PricingService` binds one pre-simulated YET ("a consistent lens
-through which to view results", §II) and turns concurrent ad-hoc
+:class:`PricingService` rides one :class:`~repro.session.RiskSession`
+— its pre-simulated YET ("a consistent lens through which to view
+results", §II) and its dispatcher — and turns concurrent ad-hoc
 requests — each a candidate :class:`~repro.core.layer.Layer` — into as
 few fused kernel sweeps as possible:
 
@@ -58,7 +59,7 @@ from concurrent.futures import Future
 from repro.analytics.ep_curves import EpCurve
 from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
-from repro.core.tables import YetTable, YltTable
+from repro.core.tables import YltTable
 from repro.dfa.quote import PricingQuote, premium_components_rows
 from repro.errors import (AdmissionError, AnalysisError, ConfigurationError,
                           ExecutionError, ReproError)
@@ -75,13 +76,7 @@ _METRICS = ("quote", "ylt", "ep_curve")
 
 
 class _Request:
-    """One queued pricing request (the batcher's opaque item).
-
-    Deliberately carries no cache key: the key's YET fingerprint is
-    resolved when the batch is *priced*, so a request that straddles a
-    :meth:`PricingService.resimulate` is cached under the trial set it
-    was actually swept against.
-    """
+    """One queued pricing request (the batcher's opaque item)."""
 
     __slots__ = ("layer", "metric", "digest", "submitted")
 
@@ -98,10 +93,17 @@ class _Request:
 class PricingService:
     """Batched pricing and EP-curve queries against one shared YET.
 
+    Built by :meth:`RiskSession.pricing_service
+    <repro.session.RiskSession.pricing_service>`, which passes itself.
+
     Parameters
     ----------
-    yet:
-        The pre-simulated trial set every quote prices against.
+    session:
+        The :class:`~repro.session.RiskSession` whose YET every quote
+        prices against and whose dispatcher the batches run on (one
+        worker pool, one shared-memory arena across aggregate runs and
+        quote batches).  The service leaves it open on :meth:`close`;
+        to price another trial set, open a session over it.
     engine:
         The session dispatcher to run on, by name: ``"inline"``/
         ``"vectorized"`` (default), ``"pooled"``/``"multicore"``, or
@@ -122,19 +124,11 @@ class PricingService:
         dispatcher's measured rate, exceeds the SLO, and cap the queue.
         ``None`` SLO = never shed on cost; nor does a dispatcher that
         has not run yet.
-    session:
-        A :class:`~repro.session.RiskSession` to *share* staged state
-        with: the service borrows the session's dispatcher (one worker
-        pool, one shared-memory arena across aggregate runs and quote
-        batches) and leaves it open on :meth:`close`.  Without one, the
-        service builds and closes a private session — the execution
-        substrate always belongs to a session, this service's or the
-        caller's (:attr:`session`).
     """
 
     def __init__(
         self,
-        yet: YetTable,
+        session,
         *,
         engine: str = "inline",
         volatility_loading: float = 0.25,
@@ -143,27 +137,14 @@ class PricingService:
         cache: CachePolicy | ResultCache | None = None,
         slo_seconds: float | None = None,
         max_pending: int = 10_000,
-        session=None,
     ) -> None:
-        if not isinstance(yet, YetTable):
-            raise ConfigurationError(
-                f"expected YetTable, got {type(yet).__name__}"
-            )
         if volatility_loading < 0 or tail_loading < 0:
             raise AnalysisError("loadings must be non-negative")
-        self.yet = yet
+        #: The session whose YET and substrate the batches run on.
+        self.session = session
+        self.yet = session.yet
         self.volatility_loading = volatility_loading
         self.tail_loading = tail_loading
-        #: Private (built, closed and re-pointed here) or borrowed.
-        self._private = session is None
-        if session is None:
-            from repro.session import RiskSession
-
-            session = RiskSession(yet)
-        else:
-            session.check_yet(yet, "service")
-        #: The session whose substrate the batches run on.
-        self.session = session
         self.dispatcher = session.dispatcher(engine)
         # One plane for the whole stack: scraping either the session or
         # the service sees session, planner, pool, and serve metrics
@@ -227,7 +208,7 @@ class PricingService:
             "serve.batch.occupancy",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
         )
-        self._yet_fp = yet.fingerprint()
+        self._yet_fp = self.yet.fingerprint()
         self._closed = False
         if self.batcher.policy.auto_flush:
             self.batcher.start()
@@ -245,17 +226,12 @@ class PricingService:
         self.dispatcher.warmup(self.yet)
 
     def close(self) -> None:
-        """Flush outstanding work and release resources (idempotent).
-
-        A borrowed session stays open — its owner closes it; a private
-        one is torn down here.
-        """
+        """Flush outstanding work and stop the broker (idempotent).  The
+        session stays open: its owner closes it."""
         if self._closed:
             return
         self.batcher.stop()
         self.batcher.drain()
-        if self._private:
-            self.session.close()
         self._closed = True
 
     def __enter__(self) -> "PricingService":
@@ -346,34 +322,6 @@ class PricingService:
         """The layer's aggregate exceedance-probability curve."""
         return self._settle([self.submit(layer, "ep_curve")], timeout)[0]
 
-    # -- YET lifecycle -----------------------------------------------------
-
-    def resimulate(self, yet: YetTable) -> int:
-        """Swap in a re-simulated YET and invalidate the stale entries.
-
-        Outstanding requests are drained against the old trial set first
-        (their tickets were admitted under it).  Returns the number of
-        cache entries invalidated, and the private session follows.  A
-        service that borrows a session refuses, by the rule of
-        :meth:`RiskSession.check_yet <repro.session.RiskSession.check_yet>`:
-        the session's aggregates and plans would stay on the old trial
-        set and its pool would re-stage the bundle on every alternation.
-        """
-        if not isinstance(yet, YetTable):
-            raise ConfigurationError(
-                f"expected YetTable, got {type(yet).__name__}"
-            )
-        if not self._private:
-            raise ConfigurationError(
-                "this service borrows its session's trial set; build a "
-                "session over the new YET"
-            )
-        self.drain()
-        old_fp = self._yet_fp
-        self.yet = self.session.yet = yet
-        self._yet_fp = yet.fingerprint()
-        return self.cache.invalidate_yet(old_fp)
-
     # -- batch pricing (the batcher's flush_fn) ----------------------------
 
     def _price_batch(self, pendings) -> list:
@@ -393,11 +341,6 @@ class PricingService:
         self._m_batch_occupancy.observe(len(pendings))
         self._m_queue_depth.set(self.batcher.n_pending)
         requests = [p.item for p in pendings]
-        # Snapshot the trial set once: every request in this batch is
-        # priced — and cached — against this YET, even if a resimulate
-        # swaps the service's YET while the sweep runs.
-        yet = self.yet
-        yet_fp = yet.fingerprint()
         with self.telemetry.span("serve.stack"):
             # Duplicate submissions inside one batch collapse to one
             # kernel row; rows are keyed by first-seen digest order.
@@ -414,7 +357,7 @@ class PricingService:
             with self.telemetry.span("serve.dispatch",
                                      rows=kernel.n_layers,
                                      dispatcher=self.dispatcher.name):
-                final = self.dispatcher.run(kernel, yet,
+                final = self.dispatcher.run(kernel, self.yet,
                                             policy=self._dispatch_policy)
         except ReproError:
             raise  # already typed (ExecutionError from supervision etc.)
@@ -431,7 +374,7 @@ class PricingService:
         # once for every request in the batch.  Stamped into quote
         # payloads so cached re-quotes report the throughput that
         # *produced* the number, not a dict-lookup fiction.
-        sim_tps = yet.n_trials / max(sweep_seconds, 1e-12)
+        sim_tps = self.yet.n_trials / max(sweep_seconds, 1e-12)
         # Structural property of the stacked batch: rows in same-lookup
         # groups of >= MIN_TAIL_GROUP.  Where the sweep sent them (book
         # profile, or lanes and why) is the kernel's own count.
@@ -477,7 +420,7 @@ class PricingService:
                         final[row_of(req)], req.metric)
                 self._m_cache_miss_bytes.inc(payload_nbytes(payload))
                 freed += self.cache.put(
-                    (yet_fp, req.digest, self._metric_keys[req.metric]),
+                    (self._yet_fp, req.digest, self._metric_keys[req.metric]),
                     payload,
                 )
             results = [

@@ -7,7 +7,10 @@ session    :class:`RiskSession` — bind a YET (and optionally a
            portfolio) once, stage it through the shared-memory data
            plane, and expose every stage-2/3 workload (aggregate runs,
            quotes, EP curves, sensitivities) over that one staged
-           substrate with a single close.
+           substrate with a single close.  Every workload reads the
+           session's YET: a pricing service is
+           ``session.pricing_service()``, and another trial set is
+           another session.
 planner    :class:`EnginePlanner` / :class:`ExecutionPlan` — resolve
            ``engine="auto"`` through the HPC cost model over its own
            table of the two host substrates, with an ``explain()``

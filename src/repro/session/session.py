@@ -30,12 +30,11 @@ A session restores the invariant across all of them:
   down services, engines, pools, and arenas idempotently; use after
   close raises instead of silently resurrecting resources.
 
-:class:`~repro.core.simulation.AggregateAnalysis`,
 :class:`~repro.serve.service.PricingService` and
-:func:`~repro.analytics.sensitivity.term_sensitivities` run on a session
-— standalone use gives them a private one, and passing ``session=``
-lets several entry points share one staged substrate
-(:meth:`RiskSession.check_yet` refuses a foreign trial set).
+:func:`~repro.analytics.sensitivity.term_sensitivities` take the session
+they run on (:meth:`RiskSession.pricing_service`,
+:meth:`RiskSession.sensitivities`) and read its YET, never one of their
+own: to price another trial set, open a session over it.
 This seam is where the ROADMAP's next axes plug in: multi-node sharding
 is per-shard sessions over sub-YETs; multi-tenant scheduling is
 per-tenant sessions over one staged trial set.
@@ -57,6 +56,7 @@ from repro.hpc import shm
 from repro.hpc.pool import available_parallelism
 from repro.obs import Telemetry, as_telemetry
 from repro.serve.dispatch import Dispatcher, InlineDispatcher, PooledDispatcher
+from repro.serve.service import PricingService
 from repro.session.planner import (EnginePlanner, ExecutionPlan,
                                    dispatcher_for)
 
@@ -82,14 +82,10 @@ class RiskSession:
         without it runs them in process as a counted degraded fallback.
         The keyword selects nothing; any other value raises
         :class:`~repro.errors.ConfigurationError`.
-    volatility_loading / tail_loading:
-        Premium loadings for the session's pricing services.
     """
 
     def __init__(self, yet: YetTable, portfolio: Portfolio | None = None, *,
                  n_workers: int | None = None, transport: str = "shm",
-                 volatility_loading: float = 0.25,
-                 tail_loading: float = 0.02,
                  telemetry: Telemetry | bool | None = None) -> None:
         if not isinstance(yet, YetTable):
             raise ConfigurationError(
@@ -106,8 +102,6 @@ class RiskSession:
         self.yet = yet
         self.portfolio = portfolio
         self.n_workers = n_workers
-        self.volatility_loading = volatility_loading
-        self.tail_loading = tail_loading
         self._n_procs = (n_workers if n_workers is not None
                          else available_parallelism())
         #: The session's telemetry plane — the public scrape point.  One
@@ -149,16 +143,6 @@ class RiskSession:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def check_yet(self, yet: YetTable, user: str) -> None:
-        """Refuse an entry point (``user``) over a trial set that is not
-        this session's: its dispatchers key their staged bundle by YET
-        fingerprint, so a second trial set behind one pool would thrash
-        the arena and void the ship-once invariant."""
-        if yet is not self.yet:
-            raise ConfigurationError(
-                f"session is bound to a different YET than this {user}"
-            )
 
     def warmup(self, engine: str = "pooled") -> None:
         """Pay substrate startup now (worker spawn, YET staging) so the
@@ -400,14 +384,11 @@ class RiskSession:
 
     def pricing_service(self, engine="auto", **kwargs):
         """A :class:`~repro.serve.service.PricingService` bound to this
-        session's staged substrate (closed with the session; closing it
-        earlier is allowed and leaves the session's pools running)."""
+        session's YET and staged substrate (closed with the session;
+        closing it earlier is allowed and leaves the session's pools
+        running).  ``kwargs`` are the service's own keywords."""
         self._check_open()
-        from repro.serve.service import PricingService
-
-        kwargs.setdefault("volatility_loading", self.volatility_loading)
-        kwargs.setdefault("tail_loading", self.tail_loading)
-        svc = PricingService(self.yet, engine=engine, session=self, **kwargs)
+        svc = PricingService(self, engine=engine, **kwargs)
         self._services.append(svc)
         return svc
 
@@ -467,10 +448,9 @@ class RiskSession:
 
     def sensitivities(self, layer: Layer, *, engine: str | Engine = "auto",
                       **kwargs) -> dict[str, float]:
-        """Term sensitivities with a warm, session-owned engine: the
-        ~10 bump re-runs reuse one staged substrate instead of
-        constructing and tearing one down per sweep."""
+        """Term sensitivities of ``layer`` over the session's YET, in one
+        run on a warm, session-owned engine (see
+        :func:`~repro.analytics.sensitivity.term_sensitivities`)."""
         self._check_open()
         self._m_sensitivity_sweeps.inc()
-        return term_sensitivities(layer, self.yet, engine=engine,
-                                  session=self, **kwargs)
+        return term_sensitivities(self, layer, engine=engine, **kwargs)

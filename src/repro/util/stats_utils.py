@@ -56,14 +56,11 @@ def tail_expectation(losses, q: float) -> float:
 
     Uses the conditional-expectation convention ``E[X | X >= VaR_q]``; when
     several sample points tie with the VaR the ties are included, which
-    keeps the estimator monotone in ``q`` and ≥ the quantile itself.
+    keeps the estimator monotone in ``q`` and ≥ the quantile itself.  It
+    is the one-row case of :func:`tail_expectation_rows`, so a quote's
+    tail load and this TVaR are the same number.
     """
-    arr = _as_sample(losses)
-    var = empirical_quantile(arr, q)
-    tail = arr[arr >= var]
-    if tail.size == 0:  # can only happen with q == 1 and fp round-off
-        return float(arr.max())
-    return float(tail.mean())
+    return float(tail_expectation_rows(_as_sample(losses)[None, :], q)[0])
 
 
 def tail_expectation_rows(samples, q: float) -> np.ndarray:
@@ -79,9 +76,8 @@ def tail_expectation_rows(samples, q: float) -> np.ndarray:
     limit).  The upper slice is summed in sorted order, so a row's
     numbers depend on its values alone: not on their order, on how the
     partition arranged them, or on which rows share the matrix — row
-    ``i`` equals the one-row call on row ``i``, bit for bit.  Against
-    :func:`tail_expectation` the summation order differs, so the two
-    agree to rtol 1e-12, not ``==``.
+    ``i`` equals the one-row call on row ``i`` — which is
+    :func:`tail_expectation` — bit for bit.
     """
     if not (0.0 <= q <= 1.0):
         raise AnalysisError(f"quantile level must lie in [0,1], got {q}")

@@ -101,3 +101,17 @@ def risk_session():
     yield make
     for session in sessions:
         session.close()
+
+
+@pytest.fixture()
+def pricing_service(risk_session):
+    """Factory for a pricing service on its own session, closed at test
+    end.  Usage: ``svc = pricing_service(yet, cache=CachePolicy(0))``;
+    the keywords are ``RiskSession.pricing_service``'s, with the inline
+    dispatcher unless ``engine`` says otherwise."""
+
+    def make(yet, **kwargs):
+        kwargs.setdefault("engine", "inline")
+        return risk_session(yet).pricing_service(**kwargs)
+
+    return make

@@ -1,15 +1,17 @@
 """Tests for EP curves, convergence diagnostics, and engine comparison."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.analytics.comparison import assert_engines_equivalent
 from repro.analytics.convergence import ConvergenceDiagnostics
 from repro.analytics.ep_curves import EpCurve, aep_curve, oep_curve
-from repro.core.simulation import AggregateAnalysis
 from repro.core.tables import YeltTable, YltTable
 from repro.data.columnar import ColumnTable
 from repro.errors import AnalysisError
+from repro.session import RiskSession
 
 
 class TestEpCurve:
@@ -78,9 +80,9 @@ class TestOepAep:
         assert aep_curve(yelt.to_ylt()).dominates(oep_curve(yelt))
 
     def test_aep_dominates_oep_on_real_workload(self, tiny_workload):
-        res = AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet).run(
-            "vectorized", emit_yelt=True
-        )
+        wl = tiny_workload
+        with RiskSession(wl.yet, wl.portfolio) as session:
+            res = session.aggregate(engine="vectorized", emit_yelt=True)
         lid = tiny_workload.portfolio.layers[0].layer_id
         yelt = res.yelt_by_layer[lid]
         assert aep_curve(yelt.to_ylt()).dominates(oep_curve(yelt))
@@ -137,7 +139,13 @@ class TestComparison:
         """A layer whose terms differ must trip the equivalence check when
         compared against doctored outputs."""
         # sanity: the real engines agree
-        assert_engines_equivalent(
-            tiny_workload.portfolio, tiny_workload.yet,
-            ["sequential", "vectorized"],
-        )
+        wl = tiny_workload
+        with RiskSession(wl.yet, wl.portfolio) as session:
+            results = session.run_all(["sequential", "vectorized"])
+        assert_engines_equivalent(results)
+        doctored = dataclasses.replace(
+            results["vectorized"],
+            portfolio_ylt=YltTable(results["vectorized"].portfolio_ylt.losses
+                                   * 1.01 + 1.0))
+        with pytest.raises(AnalysisError, match="vectorized"):
+            assert_engines_equivalent({**results, "vectorized": doctored})

@@ -58,11 +58,12 @@ class TestWorkloads:
     def test_nondegenerate_ylt(self):
         """The canonical workload must produce a dispersed YLT (guards the
         terms calibration that E3/E4 depend on)."""
-        from repro.core.simulation import AggregateAnalysis
+        from repro.session import RiskSession
 
         wl = companion_study_workload(n_trials=500)
-        losses = AggregateAnalysis(wl.portfolio, wl.yet).run(
-            "vectorized").portfolio_ylt.losses
+        with RiskSession(wl.yet, wl.portfolio) as session:
+            losses = session.aggregate(
+                engine="vectorized").portfolio_ylt.losses
         assert losses.std() > 0.01 * losses.mean()
         assert (losses == losses.max()).mean() < 0.5
 

@@ -45,7 +45,7 @@ from repro.core.tables import (YET_SCHEMA, BookProfile, EltTable,
 from repro.core.terms import LayerTerms
 from repro.data.columnar import ColumnTable
 from repro.hpc import shm
-from repro.serve import CachePolicy, PricingService
+from repro.serve import CachePolicy
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 from repro.session import RiskSession
 
@@ -479,25 +479,24 @@ class TestCacheLifetime:
         (profile,) = yet.profiles._profiles.values()
         return weakref.ref(profile.ranks)
 
-    def test_resimulate_starts_empty_and_releases_the_old_profile(self):
+    def test_a_session_over_a_new_yet_starts_with_no_profiles(self):
+        """A new trial set is a new session: its YET holds no profile
+        until its first burst builds one, and nothing of the old set's
+        profile is read."""
         rng = np.random.default_rng(31)
         old, new = (random_yet(rng, n_trials=60, width=40) for _ in range(2))
         layers = fresh_same_book_batch(7, 0)
-        gc.collect()
-        gc.disable()
-        try:
-            with PricingService(old, cache=CachePolicy(0)) as svc:
-                before = svc.quote_many(layers)
-                ref = self.profile_ref(old)
-                del old
-                svc.resimulate(new)
-                assert ref() is None, "the old YET's profile outlived it"
-                assert new.profiles.builds == 0
-                after = svc.quote_many(layers)
-                assert new.profiles.builds == 1
-            assert [q.premium for q in before] != [q.premium for q in after]
-        finally:
-            gc.enable()
+        premiums = []
+        for yet in (old, new):
+            with RiskSession(yet) as session:
+                assert yet.profiles.builds == 0
+                service = session.pricing_service(engine="inline",
+                                                  cache=CachePolicy(0))
+                premiums.append([q.premium
+                                 for q in service.quote_many(layers)])
+                assert yet.profiles.builds == 1
+        assert old.profiles.builds == 1
+        assert premiums[0] != premiums[1]
 
     def test_no_growth_over_set_up_cycles(self):
         """The benchmark's set-up cycle: session + service + one burst,

@@ -71,49 +71,95 @@ class TestCsvIo:
 
 
 class TestSensitivities:
-    def test_signs_are_economic(self, tiny_workload):
+    def test_signs_are_economic(self, tiny_workload, risk_session):
         """Raising the attachment cheapens the layer; raising the limit
         (if binding) or the share enriches it."""
         layer = tiny_workload.portfolio.layers[0]
-        sens = term_sensitivities(layer, tiny_workload.yet)
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
+        sens = term_sensitivities(session, layer)
         assert sens["occ_retention"] <= 0.0
         assert sens["agg_retention"] <= 0.0
         assert sens["occ_limit"] >= 0.0
         # participation scales the layer linearly: slope == EAL / share
-        from repro.core.simulation import AggregateAnalysis
-
-        eal = AggregateAnalysis(
-            tiny_workload.portfolio, tiny_workload.yet
-        ).run("vectorized").ylt_by_layer[layer.layer_id].mean()
+        eal = session.aggregate(engine="vectorized").ylt_by_layer[
+            layer.layer_id].mean()
         expect = eal / layer.terms.participation
         assert sens["participation"] == pytest.approx(expect, rel=1e-6)
 
-    def test_unlimited_terms_skipped(self, tiny_workload):
+    def test_unlimited_terms_skipped(self, tiny_workload, risk_session):
         from repro.core.layer import Layer
         from repro.core.terms import LayerTerms
 
         layer = Layer(5, tiny_workload.portfolio.layers[0].elts, LayerTerms())
-        sens = term_sensitivities(layer, tiny_workload.yet)
+        sens = term_sensitivities(risk_session(tiny_workload.yet), layer)
         assert sens["occ_limit"] == 0.0  # inf: no invented cap
         assert sens["agg_limit"] == 0.0
 
-    def test_unknown_term_rejected(self, tiny_workload):
+    def test_unknown_term_rejected(self, tiny_workload, risk_session):
         layer = tiny_workload.portfolio.layers[0]
         with pytest.raises(AnalysisError):
-            term_sensitivities(layer, tiny_workload.yet, terms=("magic",))
+            term_sensitivities(risk_session(tiny_workload.yet), layer,
+                               terms=("magic",))
 
-    def test_bad_bump_rejected(self, tiny_workload):
+    def test_bad_bump_rejected(self, tiny_workload, risk_session):
         layer = tiny_workload.portfolio.layers[0]
         with pytest.raises(AnalysisError):
-            term_sensitivities(layer, tiny_workload.yet, bump_fraction=0.0)
+            term_sensitivities(risk_session(tiny_workload.yet), layer,
+                               bump_fraction=0.0)
 
-    def test_custom_statistic(self, tiny_workload):
+    def test_custom_statistic(self, tiny_workload, risk_session):
         from repro.dfa.metrics import value_at_risk
 
         layer = tiny_workload.portfolio.layers[0]
         sens = term_sensitivities(
-            layer, tiny_workload.yet,
+            risk_session(tiny_workload.yet), layer,
             statistic=lambda ylt: value_at_risk(ylt, 0.9),
             terms=("occ_retention",),
         )
         assert "occ_retention" in sens
+
+    @pytest.mark.parametrize("workload", ["tiny_workload",
+                                          "small_portfolio_workload"])
+    def test_one_run_prices_every_bump(self, workload, request,
+                                       risk_session):
+        """The base layer and every finite bump are one portfolio priced
+        in one engine run, and each slope is the one separate runs of
+        the base and the bumped layer give, bit for bit."""
+        import dataclasses
+        import math
+
+        from repro.core.engines import VectorizedEngine
+        from repro.core.layer import Layer
+        from repro.core.portfolio import Portfolio
+
+        class Counting(VectorizedEngine):
+            runs = 0
+
+            def run(self, *args, **kwargs):
+                self.runs += 1
+                return super().run(*args, **kwargs)
+
+        wl = request.getfixturevalue(workload)
+
+        def alone(layer, terms):
+            one = Layer(0, layer.elts, terms, weights=layer.weights)
+            res = VectorizedEngine().run(Portfolio([one]), wl.yet)
+            return res.ylt_by_layer[0].mean()
+
+        session = risk_session(wl.yet)
+        for layer in wl.portfolio:
+            engine = Counting()
+            sens = term_sensitivities(session, layer, engine=engine)
+            assert engine.runs == 1
+            base = alone(layer, layer.terms)
+            scale = max(layer.terms.occ_retention, 1.0)
+            for name, slope in sens.items():
+                current = getattr(layer.terms, name)
+                if math.isinf(current):
+                    assert slope == 0.0
+                    continue
+                bump = (-0.05 * current if name == "participation"
+                        else 0.05 * (current or scale))
+                bumped = dataclasses.replace(
+                    layer.terms, **{name: current + bump})
+                assert slope == (alone(layer, bumped) - base) / bump, name

@@ -10,7 +10,6 @@ from repro.dfa.erm import BusinessUnit, Enterprise
 from repro.dfa.metrics import RiskMetrics, tail_value_at_risk
 from repro.dfa.reporting import regulator_report
 from repro.errors import AnalysisError
-from repro.serve import PricingService
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -132,38 +131,39 @@ class TestReporting:
 
 
 class TestServiceQuote:
-    def test_quote_structure(self, tiny_workload):
-        with PricingService(tiny_workload.yet) as service:
+    def test_quote_structure(self, tiny_workload, pricing_service):
+        with pricing_service(tiny_workload.yet) as service:
             quote = service.quote(tiny_workload.portfolio.layers[0])
         assert quote.expected_loss > 0
         assert quote.premium >= quote.expected_loss
         assert quote.latency_seconds > 0
         assert quote.trials_per_second > 0
 
-    def test_premium_decomposition(self, tiny_workload):
-        with PricingService(tiny_workload.yet) as service:
+    def test_premium_decomposition(self, tiny_workload, pricing_service):
+        with pricing_service(tiny_workload.yet) as service:
             q = service.quote(tiny_workload.portfolio.layers[0])
         assert q.premium == pytest.approx(
             q.expected_loss + q.volatility_load + q.tail_load
         )
 
-    def test_rate_on_line_uses_occ_limit(self, tiny_workload):
+    def test_rate_on_line_uses_occ_limit(self, tiny_workload, pricing_service):
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet) as service:
+        with pricing_service(tiny_workload.yet) as service:
             q = service.quote(layer)
         assert q.rate_on_line == pytest.approx(q.premium / layer.terms.occ_limit)
 
-    def test_zero_loadings_price_is_pure_premium(self, tiny_workload):
-        with PricingService(tiny_workload.yet, volatility_loading=0.0,
+    def test_zero_loadings_price_is_pure_premium(self, tiny_workload,
+                                                 pricing_service):
+        with pricing_service(tiny_workload.yet, volatility_loading=0.0,
                             tail_loading=0.0) as service:
             q = service.quote(tiny_workload.portfolio.layers[0])
         assert q.premium == pytest.approx(q.expected_loss)
 
-    def test_quote_many(self, tiny_workload):
-        with PricingService(tiny_workload.yet) as service:
+    def test_quote_many(self, tiny_workload, pricing_service):
+        with pricing_service(tiny_workload.yet) as service:
             quotes = service.quote_many(list(tiny_workload.portfolio.layers))
         assert len(quotes) == tiny_workload.portfolio.n_layers
 
-    def test_negative_loading_rejected(self, tiny_workload):
+    def test_negative_loading_rejected(self, tiny_workload, pricing_service):
         with pytest.raises(AnalysisError):
-            PricingService(tiny_workload.yet, volatility_loading=-0.1)
+            pricing_service(tiny_workload.yet, volatility_loading=-0.1)

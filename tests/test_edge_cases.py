@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from repro.analytics.comparison import assert_engines_equivalent
-from repro.core import AggregateAnalysis, EltTable, Layer, LayerTerms, Portfolio
+from repro.core import EltTable, Layer, LayerTerms, Portfolio
 from repro.core.tables import YET_SCHEMA, YetTable
 from repro.data.columnar import ColumnTable
 from repro.data.dfs import SimDfs
 from repro.data.serialization import pack_table
 from repro.errors import StorageError
+from repro.session import RiskSession
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
                "mapreduce"]
@@ -22,6 +23,16 @@ ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
 
 def empty_yet(n_trials=10):
     return YetTable(ColumnTable(YET_SCHEMA), n_trials=n_trials)
+
+
+def run_all(pf, yet, names=ALL_ENGINES):
+    with RiskSession(yet, pf) as session:
+        return session.run_all(names)
+
+
+def aggregate(pf, yet, engine, **kwargs):
+    with RiskSession(yet, pf) as session:
+        return session.aggregate(engine=engine, **kwargs)
 
 
 def one_layer_portfolio(terms=None):
@@ -33,15 +44,15 @@ class TestEmptyYet:
     def test_all_engines_produce_zero_ylt(self):
         pf = one_layer_portfolio()
         yet = empty_yet()
-        assert_engines_equivalent(pf, yet, ALL_ENGINES)
-        res = AggregateAnalysis(pf, yet).run("vectorized")
+        results = run_all(pf, yet)
+        assert_engines_equivalent(results)
+        res = results["vectorized"]
         assert (res.portfolio_ylt.losses == 0).all()
         assert res.portfolio_ylt.n_trials == 10
 
     def test_emit_yelt_on_empty_yet(self):
-        res = AggregateAnalysis(one_layer_portfolio(), empty_yet()).run(
-            "vectorized", emit_yelt=True
-        )
+        res = aggregate(one_layer_portfolio(), empty_yet(), "vectorized",
+                        emit_yelt=True)
         assert res.yelt_rows() == 0
 
 
@@ -54,9 +65,9 @@ class TestUncoveredCatalogue:
             event_id=[500, 600, 700],
         )
         yet = YetTable(table, n_trials=4)
-        assert_engines_equivalent(pf, yet, ALL_ENGINES)
-        res = AggregateAnalysis(pf, yet).run("sequential")
-        assert (res.portfolio_ylt.losses == 0).all()
+        results = run_all(pf, yet)
+        assert_engines_equivalent(results)
+        assert (results["sequential"].portfolio_ylt.losses == 0).all()
 
 
 class TestExtremeTermsInteraction:
@@ -69,7 +80,7 @@ class TestExtremeTermsInteraction:
             YET_SCHEMA, trial=[0, 0], seq=[0, 1], event_id=[2, 3]
         )
         yet = YetTable(table, n_trials=1)
-        res = AggregateAnalysis(pf, yet).run("sequential")
+        res = aggregate(pf, yet, "sequential")
         assert res.portfolio_ylt.losses[0] == pytest.approx(20.0)
 
     def test_huge_event_ids(self):
@@ -81,9 +92,9 @@ class TestExtremeTermsInteraction:
             event_id=[2**61, 2**62],
         )
         yet = YetTable(table, n_trials=1)
-        assert_engines_equivalent(pf, yet,
-                                  ["sequential", "vectorized", "device"])
-        res = AggregateAnalysis(pf, yet).run("vectorized")
+        results = run_all(pf, yet, ["sequential", "vectorized", "device"])
+        assert_engines_equivalent(results)
+        res = results["vectorized"]
         assert res.portfolio_ylt.losses[0] == pytest.approx(30.0)
 
     def test_single_trial_single_event(self):
@@ -92,7 +103,7 @@ class TestExtremeTermsInteraction:
             YET_SCHEMA, trial=[0], seq=[0], event_id=[1]
         )
         yet = YetTable(table, n_trials=1)
-        assert_engines_equivalent(pf, yet, ALL_ENGINES)
+        assert_engines_equivalent(run_all(pf, yet))
 
 
 class TestDfsCorruption:
@@ -130,9 +141,9 @@ class TestDfsCorruption:
 class TestDeterminismAcrossEngines:
     def test_repeated_runs_identical(self, tiny_workload):
         """Engines are pure: repeated runs give bit-identical YLTs."""
-        analysis = AggregateAnalysis(tiny_workload.portfolio,
-                                     tiny_workload.yet)
-        for name in ("vectorized", "device", "mapreduce"):
-            a = analysis.run(name).portfolio_ylt.losses
-            b = analysis.run(name).portfolio_ylt.losses
-            np.testing.assert_array_equal(a, b)
+        with RiskSession(tiny_workload.yet,
+                         tiny_workload.portfolio) as session:
+            for name in ("vectorized", "device", "mapreduce"):
+                a = session.aggregate(engine=name).portfolio_ylt.losses
+                b = session.aggregate(engine=name).portfolio_ylt.losses
+                np.testing.assert_array_equal(a, b)

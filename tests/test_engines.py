@@ -17,13 +17,12 @@ from repro.core.engines import (
     available_engines,
     get_engine,
 )
-from repro.core.simulation import AggregateAnalysis
 from repro.core.tables import YET_SCHEMA, EltTable, YetTable, YltTable
 from repro.core.terms import LayerTerms
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.data.columnar import ColumnTable
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import AnalysisError, ConfigurationError, EngineError
 from repro.hpc.device import DeviceProperties
 
 ALL_ENGINES = ["sequential", "vectorized", "device", "multicore",
@@ -47,22 +46,24 @@ class TestRegistry:
 
 
 class TestEquivalence:
-    def test_all_engines_match_oracle(self, tiny_workload):
-        assert_engines_equivalent(
-            tiny_workload.portfolio, tiny_workload.yet, ALL_ENGINES
-        )
+    def test_all_engines_match_oracle(self, tiny_workload, risk_session):
+        assert_engines_equivalent(risk_session(
+            tiny_workload.yet, tiny_workload.portfolio).run_all(ALL_ENGINES))
 
-    def test_multi_layer_portfolio(self, small_portfolio_workload):
+    def test_multi_layer_portfolio(self, small_portfolio_workload,
+                                   risk_session):
+        wl = small_portfolio_workload
         assert_engines_equivalent(
-            small_portfolio_workload.portfolio, small_portfolio_workload.yet,
-            ALL_ENGINES,
-        )
+            risk_session(wl.yet, wl.portfolio).run_all(ALL_ENGINES))
 
-    def test_compare_engines_reports_diffs(self, tiny_workload):
-        report = compare_engines(
-            tiny_workload.portfolio, tiny_workload.yet, ["vectorized"]
-        )
+    def test_compare_engines_reports_diffs(self, tiny_workload, risk_session):
+        results = risk_session(tiny_workload.yet, tiny_workload.portfolio
+                               ).run_all(["sequential", "vectorized"])
+        report = compare_engines(results)
         assert report["vectorized"]["max_abs_diff"] < 1e-6
+        assert report["vectorized"]["result"] is results["vectorized"]
+        with pytest.raises(AnalysisError, match="reference"):
+            compare_engines({"vectorized": results["vectorized"]})
 
     @pytest.mark.parametrize("terms", [
         LayerTerms(),                                              # pass-through
@@ -74,12 +75,13 @@ class TestEquivalence:
         LayerTerms(occ_retention=5e5, occ_limit=2e6,
                    agg_retention=1e6, agg_limit=1e8, participation=0.5),
     ])
-    def test_equivalence_across_terms_extremes(self, tiny_workload, terms):
+    def test_equivalence_across_terms_extremes(self, tiny_workload, terms,
+                                               risk_session):
         layer = Layer(0, tiny_workload.portfolio.layers[0].elts, terms)
-        assert_engines_equivalent(Portfolio([layer]), tiny_workload.yet,
-                                  ALL_ENGINES)
+        assert_engines_equivalent(risk_session(
+            tiny_workload.yet, Portfolio([layer])).run_all(ALL_ENGINES))
 
-    def test_yet_with_empty_trials(self):
+    def test_yet_with_empty_trials(self, risk_session):
         """Trials with zero occurrences must appear as zero-loss years."""
         elt = EltTable.from_arrays([1, 2], [100.0, 200.0])
         from repro.core.tables import YET_SCHEMA
@@ -89,9 +91,10 @@ class TestEquivalence:
         )
         yet = YetTable(table, n_trials=5)
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
-        assert_engines_equivalent(pf, yet, ALL_ENGINES)
+        results = risk_session(yet, pf).run_all(ALL_ENGINES)
+        assert_engines_equivalent(results)
         for name in ("vectorized", "mapreduce"):
-            res = AggregateAnalysis(pf, yet).run(name)
+            res = results[name]
             np.testing.assert_array_equal(
                 res.portfolio_ylt.losses, [0.0, 300.0, 0.0, 100.0, 0.0]
             )

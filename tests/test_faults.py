@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc.faults import FaultPlan, FaultSpec, PoisonedPayloadError
 from repro.hpc.pool import TaskPolicy, WorkPool
-from repro.serve.service import PricingService
 
 pytestmark = pytest.mark.chaos
 
@@ -305,7 +304,7 @@ class TestEngineChaos:
 
 class TestServingChaos:
     def test_worker_death_mid_batch_quotes_unchanged(
-            self, small_portfolio_workload, risk_session):
+            self, small_portfolio_workload, risk_session, pricing_service):
         """A killed worker inside a pooled quote batch is invisible in
         the quotes: supervision resubmits the lost trial blocks and the
         batch prices bit-identical to a fault-free pooled service (and
@@ -314,7 +313,7 @@ class TestServingChaos:
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
 
-        inline_svc = PricingService(wl.yet)
+        inline_svc = pricing_service(wl.yet)
         clean_svc = risk_session(wl.yet, n_workers=2).pricing_service(
             engine="pooled")
         chaos_svc = risk_session(wl.yet, n_workers=2).pricing_service(

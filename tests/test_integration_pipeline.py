@@ -20,7 +20,7 @@ from repro.catmod import (
     standard_perils,
 )
 from repro.catmod.geography import Region
-from repro.core import AggregateAnalysis, Layer, LayerTerms, Portfolio, YetTable
+from repro.core import Layer, LayerTerms, Portfolio, YetTable
 from repro.dfa import (
     BusinessUnit,
     Enterprise,
@@ -28,8 +28,13 @@ from repro.dfa import (
     combine_ylts,
     regulator_report,
 )
-from repro.serve import PricingService
+from repro.session import RiskSession
 from repro.util.rng import RngHierarchy
+
+
+def aggregate(portfolio, yet, **kwargs):
+    with RiskSession(yet, portfolio) as session:
+        return session.aggregate(engine="vectorized", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -57,16 +62,16 @@ def full_pipeline():
 class TestStage1ToStage2:
     def test_elts_feed_engines(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        res = AggregateAnalysis(portfolio, yet).run("vectorized")
+        res = aggregate(portfolio, yet)
         assert res.portfolio_ylt.n_trials == 400
         assert res.expected_annual_loss() > 0
 
     def test_engines_agree_on_catmod_output(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        assert_engines_equivalent(
-            portfolio, yet,
-            ["sequential", "vectorized", "device", "multicore", "mapreduce"],
-        )
+        with RiskSession(yet, portfolio) as session:
+            assert_engines_equivalent(session.run_all(
+                ["sequential", "vectorized", "device", "multicore",
+                 "mapreduce"]))
 
     def test_stage1_throughput_recorded(self, full_pipeline):
         _, _, _, stats = full_pipeline
@@ -77,7 +82,7 @@ class TestStage1ToStage2:
 class TestStage2ToStage3:
     def test_metrics_ladder(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        res = AggregateAnalysis(portfolio, yet).run("vectorized")
+        res = aggregate(portfolio, yet)
         metrics = RiskMetrics.from_ylt(res.portfolio_ylt)
         metrics.check_coherence()
         report = regulator_report(metrics)
@@ -85,13 +90,13 @@ class TestStage2ToStage3:
 
     def test_ep_curves(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        res = AggregateAnalysis(portfolio, yet).run("vectorized", emit_yelt=True)
+        res = aggregate(portfolio, yet, emit_yelt=True)
         for lid, yelt in res.yelt_by_layer.items():
             assert aep_curve(yelt.to_ylt()).dominates(oep_curve(yelt))
 
     def test_dfa_combination(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        cat_ylt = AggregateAnalysis(portfolio, yet).run("vectorized").portfolio_ylt
+        cat_ylt = aggregate(portfolio, yet).portfolio_ylt
         sources = dfa_workload(cat_ylt, seed=3)
         assert len(sources) == 6  # the six §II risk names
         names = {s.name for s in sources}
@@ -102,7 +107,7 @@ class TestStage2ToStage3:
 
     def test_enterprise_rollup(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        cat_ylt = AggregateAnalysis(portfolio, yet).run("vectorized").portfolio_ylt
+        cat_ylt = aggregate(portfolio, yet).portfolio_ylt
         units = [BusinessUnit("cat", cat_ylt)] + [
             BusinessUnit(s.name, s.ylt) for s in dfa_workload(cat_ylt, seed=3)
         ]
@@ -110,7 +115,7 @@ class TestStage2ToStage3:
         assert ent.economic_capital(0.99) > 0
         assert 0.0 <= ent.diversification_benefit(0.99) < 1.0
 
-    def test_realtime_pricing_workflow(self, full_pipeline):
+    def test_realtime_pricing_workflow(self, full_pipeline, pricing_service):
         portfolio, yet, _, _ = full_pipeline
         base_layer = portfolio.layers[0]
         alternatives = [
@@ -118,7 +123,7 @@ class TestStage2ToStage3:
                   LayerTerms(occ_retention=r, occ_limit=5e7))
             for r in (1e5, 5e5, 1e6)
         ]
-        with PricingService(yet) as service:
+        with pricing_service(yet) as service:
             quotes = service.quote_many(alternatives)
         # premium decreases as the attachment rises
         premiums = [q.premium for q in quotes]
@@ -126,7 +131,7 @@ class TestStage2ToStage3:
 
     def test_convergence_diagnostics(self, full_pipeline):
         portfolio, yet, _, _ = full_pipeline
-        ylt = AggregateAnalysis(portfolio, yet).run("vectorized").portfolio_ylt
+        ylt = aggregate(portfolio, yet).portfolio_ylt
         diag = ConvergenceDiagnostics(ylt)
         pts = diag.curve(6)
         assert pts[-1].standard_error <= pts[0].standard_error
@@ -149,6 +154,6 @@ class TestDeterminism:
                 rng.generator("yet"), mean_events_per_trial=10.0,
             )
             pf = Portfolio([Layer(0, elts, LayerTerms(occ_retention=1e5))])
-            res = AggregateAnalysis(pf, yet).run("vectorized")
+            res = aggregate(pf, yet)
             outputs.append(res.portfolio_ylt.losses)
         np.testing.assert_array_equal(outputs[0], outputs[1])

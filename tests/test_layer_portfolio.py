@@ -173,12 +173,12 @@ class TestBookSharing:
         assert all(lk is got[0] for lk in got)
 
     def test_bumped_sensitivity_layers_reuse_the_base_merge(
-            self, merges, tiny_workload):
+            self, merges, tiny_workload, risk_session):
         src = tiny_workload.portfolio.layers[0]
         fresh = [elt(e.event_ids.copy(), e.mean_losses.copy(), cid=i)
                  for i, e in enumerate(src.elts)]
         layer = Layer(7, fresh, src.terms)
-        sens = term_sensitivities(layer, tiny_workload.yet)
+        sens = term_sensitivities(risk_session(tiny_workload.yet), layer)
         assert sens["occ_retention"] <= 0.0
         assert len(merges) == 1
 

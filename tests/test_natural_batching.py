@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve import BatchPolicy, CachePolicy, MicroBatcher, PricingService
+from repro.serve import BatchPolicy, CachePolicy, MicroBatcher
 from repro.serve import service as service_module
 
 #: Bounds a failing test; a passing one never waits this long.
@@ -181,9 +181,10 @@ class TestBroker:
 
 
 class TestService:
-    def test_idle_service_answers_within_a_second(self, tiny_workload):
+    def test_idle_service_answers_within_a_second(self, tiny_workload,
+                                                  pricing_service):
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(
+        with pricing_service(
             tiny_workload.yet, cache=CachePolicy(0),
             batch=BatchPolicy(64, 5.0, auto_flush=True),
         ) as svc:
@@ -192,11 +193,12 @@ class TestService:
         assert quote.premium == again.premium > 0
         assert svc.telemetry.snapshot()["metrics"]["serve.batches"] == 2
 
-    def test_window_is_not_charged_to_admission(self, tiny_workload):
+    def test_window_is_not_charged_to_admission(self, tiny_workload,
+                                                pricing_service):
         """An idle service waits out no window, so a cap above the SLO
         sheds nothing."""
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(
+        with pricing_service(
             tiny_workload.yet, slo_seconds=1.0,
             batch=BatchPolicy(64, 5.0),
         ) as svc:
@@ -206,7 +208,7 @@ class TestService:
         assert not svc.admission.decide(0, 1.0, window_seconds=5.0).accepted
 
     def test_miss_latency_runs_from_submission(self, tiny_workload,
-                                               monkeypatch):
+                                               monkeypatch, pricing_service):
         """A miss is charged its digest, cache lookup and admission,
         like a hit: both clocks start at ``submit()`` entry."""
         pause = 0.05
@@ -218,7 +220,7 @@ class TestService:
 
         monkeypatch.setattr(service_module, "layer_digest", slow_digest)
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet) as svc:
+        with pricing_service(tiny_workload.yet) as svc:
             miss = svc.quote(layer)
             hit = svc.quote(layer)
             metrics = svc.telemetry.snapshot()["metrics"]

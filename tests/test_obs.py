@@ -30,7 +30,7 @@ from repro.obs import (
     parse_prometheus_text,
     prometheus_name,
 )
-from repro.serve import BatchPolicy, CachePolicy, PricingService
+from repro.serve import BatchPolicy, CachePolicy
 from repro.session import RiskSession
 
 TINY = dict(n_trials=120, mean_events_per_trial=12.0, n_elts=1,
@@ -250,20 +250,19 @@ class TestEvents:
 # instrumented subsystems
 # ---------------------------------------------------------------------------
 
-def _tiny_service(**overrides):
+def _tiny_service(pricing_service):
     wl = build_layer_workload(**TINY)
-    kwargs = dict(
+    return wl, pricing_service(
+        wl.yet,
         batch=BatchPolicy(max_batch=8, window_seconds=0.001, auto_flush=True),
         cache=CachePolicy(max_entries=0),
     )
-    kwargs.update(overrides)
-    return wl, PricingService(wl.yet, **kwargs)
 
 
 class TestServeSpans:
-    def test_batch_span_parents_stack_dispatch_merge(self):
+    def test_batch_span_parents_stack_dispatch_merge(self, pricing_service):
         """The broker thread's batch span must parent its stage spans."""
-        wl, svc = _tiny_service()
+        wl, svc = _tiny_service(pricing_service)
         with svc:
             svc.quote(wl.portfolio.layers[0])
             batch = svc.telemetry.tracer.records("serve.batch")[-1]
@@ -276,10 +275,11 @@ class TestServeSpans:
                      if r.name.startswith("serve.")]
             assert order.index("serve.merge") < order.index("serve.batch")
 
-    def test_registry_thread_safe_under_concurrent_quotes(self):
+    def test_registry_thread_safe_under_concurrent_quotes(self,
+                                                          pricing_service):
         """≥8 threads quoting through one service: counts stay exact."""
         n_threads, per_thread = 8, 4
-        wl, svc = _tiny_service()
+        wl, svc = _tiny_service(pricing_service)
         layers = wl.portfolio.layers
         errors = []
 

@@ -14,6 +14,7 @@ from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable, YetTable
 from repro.core.terms import LayerTerms
+from repro.session import RiskSession
 
 
 @st.composite
@@ -55,10 +56,9 @@ def workload(draw):
 @given(wl=workload())
 def test_all_engines_agree_on_random_workloads(wl):
     portfolio, yet = wl
-    assert_engines_equivalent(
-        portfolio, yet,
-        ["sequential", "vectorized", "device", "multicore", "mapreduce"],
-    )
+    with RiskSession(yet, portfolio) as session:
+        assert_engines_equivalent(session.run_all(
+            ["sequential", "vectorized", "device", "multicore", "mapreduce"]))
 
 
 @settings(max_examples=25, deadline=None,
@@ -82,9 +82,8 @@ def test_mapreduce_equals_vectorized_at_any_split_count(wl, n_splits):
 @given(wl=workload())
 def test_portfolio_ylt_is_layer_sum(wl):
     portfolio, yet = wl
-    from repro.core.simulation import AggregateAnalysis
-
-    res = AggregateAnalysis(portfolio, yet).run("vectorized")
+    with RiskSession(yet, portfolio) as session:
+        res = session.aggregate(engine="vectorized")
     total = np.sum([y.losses for y in res.ylt_by_layer.values()], axis=0)
     np.testing.assert_allclose(res.portfolio_ylt.losses, total, rtol=1e-12)
 

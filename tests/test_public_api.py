@@ -156,7 +156,9 @@ def test_removed_names_stay_removed(tmp_path):
     """The experiment harness left the library for ``benchmarks/``, and
     the schedulers and the occupancy model went with their error type;
     the simulated GPU's memory spaces, launch model and kernel body went
-    when the device engine began pricing through the block task."""
+    when the device engine began pricing through the block task; and
+    the entry points that took a YET beside a session went with the YET
+    swap and the refusal of a foreign trial set."""
     removed = ["repro.bench.experiments", "repro.bench.harness",
                "repro.bench.time_call", "repro.util.timing",
                "repro.hpc.scheduler", "repro.hpc.occupancy",
@@ -164,7 +166,11 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.hpc.kernel", "repro.hpc.memory",
                "repro.hpc.SimulatedGpu", "repro.hpc.MemorySpace",
                "repro.hpc.TransferLedger", "repro.hpc.Kernel",
-               "repro.hpc.LaunchStats", "repro.errors.DeviceError"]
+               "repro.hpc.LaunchStats", "repro.errors.DeviceError",
+               "repro.AggregateAnalysis", "repro.core.AggregateAnalysis",
+               "repro.core.simulation", "repro.PricingService.resimulate",
+               "repro.serve.ResultCache.invalidate_yet",
+               "repro.RiskSession.check_yet"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
@@ -249,9 +255,9 @@ def test_one_measured_rate_per_substrate():
 
 
 def test_a_substrate_has_one_owner_the_session():
-    """The refusal of a foreign trial set is raised from one function,
-    the session's own, and neither the session nor the service takes a
-    caller-built ``Dispatcher``: every entry point rides a session."""
+    """No entry point takes a YET beside a session, so nothing refuses
+    a foreign trial set, and neither the session nor the service takes
+    a caller-built ``Dispatcher``: every entry point rides a session."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
     raisers = []
     for path in sorted(src.rglob("*.py")):
@@ -270,7 +276,30 @@ def test_a_substrate_has_one_owner_the_session():
                         if isinstance(node, ast.Call)
                         and getattr(node.func, "id", None) == "isinstance"
                         and "Dispatcher" in ast.unparse(node.args[1])], path
-    assert raisers == ["session/session.py:check_yet"]
+    assert raisers == []
+
+
+def test_only_the_root_and_the_session_import_the_session():
+    """A workload gets its YET from the session it runs on, so no module
+    below the session reaches up for one: ``repro.session`` is imported
+    only by the package root and by ``repro.session`` itself."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    importers = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "repro":
+                    names += [f"repro.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name == "repro.session"
+                   or name.startswith("repro.session.") for name in names):
+                importers.add(path.relative_to(src).as_posix())
+    assert {path for path in importers
+            if not path.startswith("session/")} == {"__init__.py"}
 
 
 def test_one_transport():
@@ -330,19 +359,21 @@ def test_session_surface_locked():
 
 
 def test_legacy_entry_points_resolve_deprecation_free(tiny_workload):
-    """The classic constructors run on a private session now, but must
-    keep working without a whisper of a deprecation."""
+    """The root's entry points — the session, its aggregate run and its
+    pricing service, and the engine registry — work without a whisper
+    of a deprecation."""
     import warnings
 
     import repro
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = repro.AggregateAnalysis(
-            tiny_workload.portfolio, tiny_workload.yet
-        ).run("vectorized")
-        assert result.engine == "vectorized"
-        with repro.PricingService(tiny_workload.yet) as svc:
+        with repro.RiskSession(tiny_workload.yet,
+                               tiny_workload.portfolio) as session:
+            result = session.aggregate(engine="vectorized")
+            assert result.engine == "vectorized"
+            svc = session.pricing_service()
+            assert isinstance(svc, repro.PricingService)
             assert svc.quote(tiny_workload.portfolio.layers[0]).premium > 0
         assert repro.get_engine("vectorized").name == "vectorized"
 
@@ -405,8 +436,7 @@ def test_engine_spec_and_planner_knobs_locked():
     # An engine is configured by building it, a book's dense/CSR
     # threshold where its lookup is built: the drivers and the entry
     # points take neither constructor keywords nor the threshold.
-    from repro import (AggregateAnalysis, PricingService, RiskSession,
-                       get_engine)
+    from repro import PricingService, RiskSession, get_engine
     from repro.core import OutOfCoreEngine, StoredYet
     from repro.core.engines import MulticoreEngine, VectorizedEngine
 
@@ -445,15 +475,17 @@ def test_engine_spec_and_planner_knobs_locked():
         "source"}
     assert OutOfCoreEngine.source is StoredYet
     assert keywords(RiskSession.__init__) == [
-        "yet", "portfolio", "n_workers", "transport", "volatility_loading",
-        "tail_loading", "telemetry"]
+        "yet", "portfolio", "n_workers", "transport", "telemetry"]
     assert keywords(RiskSession.aggregate) == [
         "portfolio", "engine", "emit_yelt"]
     assert keywords(RiskSession.engine) == ["name"]
+    # A workload takes the session it runs on, never a YET of its own.
     assert keywords(PricingService.__init__) == [
-        "yet", "engine", "volatility_loading", "tail_loading", "batch",
-        "cache", "slo_seconds", "max_pending", "session"]
-    assert keywords(AggregateAnalysis.run) == ["engine", "emit_yelt"]
+        "session", "engine", "volatility_loading", "tail_loading", "batch",
+        "cache", "slo_seconds", "max_pending"]
+    from repro.analytics import term_sensitivities
+
+    assert keywords(term_sensitivities)[:2] == ["session", "layer"]
     from repro.core.engines import MapReduceEngine
 
     assert keywords(MapReduceEngine.__init__) == [

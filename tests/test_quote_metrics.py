@@ -3,8 +3,8 @@
 ``premium_components_rows`` prices every quote row of a batch at once;
 ``premium_components`` is its one-row case.  Two contracts are checked:
 every field agrees with the scalar sample statistics (``mean``,
-``std(ddof=1)``, ``tail_expectation`` — which reads its VaR off
-``empirical_quantile`` and includes the ties with it) to rtol 1e-12,
+``std(ddof=1)`` to rtol 1e-12; ``tail_expectation``, which reads its
+VaR off ``empirical_quantile`` and includes the ties with it, ``==``),
 and a row's numbers never depend on which rows share its batch: row
 ``i`` of any batch ``==`` the one-row call on row ``i``.
 """
@@ -22,9 +22,10 @@ from repro.analytics.ep_curves import EpCurve
 from repro.core.layer import Layer
 from repro.core.tables import YltTable
 from repro.core.terms import LayerTerms
+from repro.dfa.metrics import tail_value_at_risk
 from repro.dfa.quote import premium_components, premium_components_rows
 from repro.errors import AnalysisError
-from repro.serve import CachePolicy, PricingService
+from repro.serve import CachePolicy
 from repro.util import stats_utils
 
 VOL, TAIL = 0.25, 0.02
@@ -85,12 +86,8 @@ class TestParityWithSampleStatistics:
             std = losses.std(ddof=1) if n > 1 else 0.0
             np.testing.assert_allclose(expected, losses.mean(), rtol=1e-12)
             np.testing.assert_allclose(vol_load, VOL * std, rtol=1e-12)
-            np.testing.assert_allclose(
-                tvar[i], stats_utils.tail_expectation(losses, 0.99),
-                rtol=1e-12)
-            np.testing.assert_allclose(
-                tail, TAIL * stats_utils.tail_expectation(losses, 0.99),
-                rtol=1e-12)
+            assert tvar[i] == stats_utils.tail_expectation(losses, 0.99)
+            assert tail == TAIL * stats_utils.tail_expectation(losses, 0.99)
             assert premium == expected + vol_load + tail
             if limit in (0.0, math.inf):
                 assert math.isnan(rol)
@@ -106,8 +103,18 @@ class TestParityWithSampleStatistics:
         assert stats_utils.empirical_quantile(losses, 0.99) == 500.0
         tvar = stats_utils.tail_expectation_rows(losses[None, :], 0.99)
         assert tvar[0] == pytest.approx((5 * 500.0 + 900.0) / 6)
-        assert tvar[0] == pytest.approx(
-            stats_utils.tail_expectation(losses, 0.99), rel=1e-12)
+        assert tvar[0] == stats_utils.tail_expectation(losses, 0.99)
+
+    def test_one_tvar(self):
+        """A quote's tail load is exactly its loading times the TVaR of
+        :mod:`repro.dfa.metrics`: there is one TVaR, not two summing
+        the same tail in different orders."""
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            ylt = YltTable(rng.lognormal(10.0, 1.5,
+                                         int(rng.integers(50, 3001))))
+            tail = premium_components(ylt, 1e9, VOL, TAIL)[2]
+            assert tail_value_at_risk(ylt, 0.99) * TAIL == tail
 
     def test_single_trial(self):
         (expected, vol_load, tail, premium, rol), = premium_components_rows(
@@ -205,16 +212,17 @@ class TestEveryPricerAgrees:
             for i in range(n)
         ]
 
-    def test_service_pricer_and_cache_agree(self, tiny_workload):
+    def test_service_pricer_and_cache_agree(self, tiny_workload,
+                                            pricing_service):
         layers = self.candidates(tiny_workload)[:8]     # lanes: 8 < 16 rows
-        with PricingService(tiny_workload.yet, volatility_loading=VOL,
+        with pricing_service(tiny_workload.yet, volatility_loading=VOL,
                             tail_loading=TAIL) as svc:
             batched = svc.quote_many(layers)
             cached = [svc.quote(layer) for layer in layers]
             metrics = svc.telemetry.snapshot()["metrics"]
             assert metrics["serve.batches"] == 1
             assert metrics["serve.cache.hits"] == 8
-        with PricingService(tiny_workload.yet, volatility_loading=VOL,
+        with pricing_service(tiny_workload.yet, volatility_loading=VOL,
                             tail_loading=TAIL, cache=CachePolicy(0)) as svc:
             alone = [svc.quote(layer) for layer in layers]
             assert svc.telemetry.snapshot()["metrics"]["serve.batches"] == 8
@@ -222,12 +230,13 @@ class TestEveryPricerAgrees:
             assert same(fields(b), fields(c))
             assert same(fields(b), fields(a))
 
-    def test_mixed_metrics_ride_untouched(self, tiny_workload):
+    def test_mixed_metrics_ride_untouched(self, tiny_workload,
+                                          pricing_service):
         """``ylt``/``ep_curve`` requests in a quote batch get the row
         itself; the quotes beside them equal the one-row function on
         that very row."""
         layers = self.candidates(tiny_workload)
-        with PricingService(tiny_workload.yet, volatility_loading=VOL,
+        with pricing_service(tiny_workload.yet, volatility_loading=VOL,
                             tail_loading=TAIL) as svc:
             t_quotes = [svc.submit(layer, "quote") for layer in layers]
             t_ylts = [svc.submit(layer, "ylt") for layer in layers[:5]]

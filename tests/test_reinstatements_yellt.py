@@ -7,7 +7,6 @@ from repro.core.reinstatements import (
     apply_reinstatement_limit,
     reinstatement_premiums,
 )
-from repro.core.simulation import AggregateAnalysis
 from repro.core.tables import YELT_SCHEMA, YeltTable, YetTable
 from repro.core.yellt import (
     ELL_SCHEMA,

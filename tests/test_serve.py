@@ -31,10 +31,10 @@ from repro.serve import (
     BatchPolicy,
     CachePolicy,
     InlineDispatcher,
-    PricingService,
     ResultCache,
     layer_digest,
 )
+from repro.session import RiskSession
 
 
 def direct_layer_pricing(layer, yet):
@@ -68,10 +68,11 @@ def _hypothesis_rig():
 # ---------------------------------------------------------------------------
 
 class TestBatcherParity:
-    def test_batched_quotes_match_direct_pricing(self, small_portfolio_workload):
+    def test_batched_quotes_match_direct_pricing(self, small_portfolio_workload,
+                                                 pricing_service):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
-        with PricingService(wl.yet) as svc:
+        with pricing_service(wl.yet) as svc:
             quotes = svc.quote_many(layers)
             # scraped off the public telemetry plane
             metrics = svc.telemetry.snapshot()["metrics"]
@@ -82,8 +83,9 @@ class TestBatcherParity:
                 np.testing.assert_allclose(q.expected_loss, losses.mean(),
                                            rtol=1e-9, atol=1e-6)
 
-    def test_quote_decomposition_and_latency_fields(self, tiny_workload):
-        with PricingService(tiny_workload.yet) as svc:
+    def test_quote_decomposition_and_latency_fields(self, tiny_workload,
+                                                    pricing_service):
+        with pricing_service(tiny_workload.yet) as svc:
             q = svc.quote(tiny_workload.portfolio.layers[0])
         assert q.premium == pytest.approx(
             q.expected_loss + q.volatility_load + q.tail_load
@@ -91,16 +93,18 @@ class TestBatcherParity:
         assert q.latency_seconds > 0
         assert q.trials_per_second > 0
 
-    def test_duplicate_requests_collapse_to_one_kernel_row(self, tiny_workload):
+    def test_duplicate_requests_collapse_to_one_kernel_row(self, tiny_workload,
+                                                           pricing_service):
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet, cache=CachePolicy(0)) as svc:
+        with pricing_service(tiny_workload.yet, cache=CachePolicy(0)) as svc:
             quotes = svc.quote_many([layer, layer, layer])
         metrics = svc.telemetry.snapshot()["metrics"]
         assert metrics["serve.batches"] == 1
         assert metrics["serve.kernel_rows"] == 1, "identical layers share one row"
         assert quotes[0].premium == quotes[1].premium == quotes[2].premium
 
-    def test_many_quotes_one_book_routes_sublinear(self, tiny_workload):
+    def test_many_quotes_one_book_routes_sublinear(self, tiny_workload,
+                                                   pricing_service):
         # The quote_many shape the sublinear tail-group path exists for:
         # >=16 distinct tail-attaching layers over one shared book form
         # one same-lookup group in the stacked kernel, and the service
@@ -112,7 +116,7 @@ class TestBatcherParity:
                                       occ_limit=5e5))
             for i in range(20)
         ]
-        with PricingService(wl.yet, cache=CachePolicy(0)) as svc:
+        with pricing_service(wl.yet, cache=CachePolicy(0)) as svc:
             quotes = svc.quote_many(layers)
             metrics = svc.telemetry.snapshot()["metrics"]
             assert metrics["serve.batches"] == 1
@@ -126,9 +130,9 @@ class TestBatcherParity:
             np.testing.assert_allclose(q.expected_loss, losses.mean(),
                                        rtol=1e-9, atol=1e-6)
 
-    def test_mixed_metrics_one_sweep(self, tiny_workload):
+    def test_mixed_metrics_one_sweep(self, tiny_workload, pricing_service):
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet) as svc:
+        with pricing_service(tiny_workload.yet) as svc:
             t_quote = svc.submit(layer, "quote")
             t_ylt = svc.submit(layer, "ylt")
             t_ep = svc.submit(layer, "ep_curve")
@@ -164,7 +168,8 @@ class TestBatcherParity:
         )
         ad_hoc = Layer(counter(), elts, terms)
         fixed = Layer(counter(), elts, LayerTerms(occ_retention=1e5))
-        with PricingService(yet, cache=CachePolicy(0)) as svc:
+        with RiskSession(yet) as session, session.pricing_service(
+                engine="inline", cache=CachePolicy(0)) as svc:
             q_batch = svc.quote_many([ad_hoc, fixed])[0]
         direct = direct_layer_pricing(ad_hoc, yet)
         np.testing.assert_allclose(q_batch.expected_loss, direct.mean(),
@@ -181,7 +186,7 @@ class TestBatcherParity:
 
 class TestDispatchers:
     def test_pooled_matches_inline(self, small_portfolio_workload,
-                                   risk_session):
+                                   risk_session, pricing_service):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
         session = risk_session(wl.yet, n_workers=2)
@@ -189,16 +194,17 @@ class TestDispatchers:
             pooled.warmup()
             qp = pooled.quote_many(layers)
         session.close()
-        with PricingService(wl.yet) as inline:
+        with pricing_service(wl.yet) as inline:
             qi = inline.quote_many(layers)
         for a, b in zip(qp, qi):
             assert a.premium == b.premium      # lane rows: bit-identical
 
-    def test_a_dispatcher_instance_is_not_an_engine(self, tiny_workload):
+    def test_a_dispatcher_instance_is_not_an_engine(self, tiny_workload,
+                                                    pricing_service):
         """A substrate belongs to a session: a service takes a dispatcher
         name, never a caller-built instance to adopt."""
         with pytest.raises(ConfigurationError, match="unknown dispatcher"):
-            PricingService(tiny_workload.yet, engine=InlineDispatcher())
+            pricing_service(tiny_workload.yet, engine=InlineDispatcher())
 
     def test_ensure_started_actually_spawns_workers(self):
         from repro.hpc.pool import WorkPool
@@ -217,10 +223,11 @@ class TestDispatchers:
 # ---------------------------------------------------------------------------
 
 class TestCache:
-    def test_hit_on_equal_content_distinct_objects(self, tiny_workload):
+    def test_hit_on_equal_content_distinct_objects(self, tiny_workload,
+                                                   pricing_service):
         base = tiny_workload.portfolio.layers[0]
         twin = Layer(base.layer_id, base.elts, base.terms)
-        with PricingService(tiny_workload.yet) as svc:
+        with pricing_service(tiny_workload.yet) as svc:
             first = svc.quote(base)
             again = svc.quote(twin)
         # telemetry is the scrape surface; cache bytes ride along
@@ -232,10 +239,10 @@ class TestCache:
         # latency fields are re-stamped per request, not served stale
         assert again.latency_seconds != first.latency_seconds
 
-    def test_lru_eviction(self, small_portfolio_workload):
+    def test_lru_eviction(self, small_portfolio_workload, pricing_service):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)[:3]
-        with PricingService(wl.yet, cache=CachePolicy(max_entries=2)) as svc:
+        with pricing_service(wl.yet, cache=CachePolicy(max_entries=2)) as svc:
             for layer in layers:
                 svc.quote(layer)          # fills: 0,1 then evicts 0 for 2
             assert len(svc.cache) == 2
@@ -246,14 +253,20 @@ class TestCache:
         assert metrics["serve.cache.hits"] == 0
         assert metrics["serve.batches"] == 4
 
-    def test_invalidation_on_resimulate(self, tiny_workload):
+    def test_shared_cache_never_serves_another_trial_set(
+            self, tiny_workload, pricing_service):
+        """A new trial set is a new session; a cache shared into its
+        service keys on the YET fingerprint, so the old set's entry is
+        never served there."""
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet) as svc:
+        shared = ResultCache()
+        with pricing_service(tiny_workload.yet, cache=shared) as svc:
             before = svc.quote(layer)
-            dropped = svc.resimulate(fresh_yet(n_trials=tiny_workload.yet.n_trials))
-            assert dropped == 1
+        fresh = fresh_yet(n_trials=tiny_workload.yet.n_trials)
+        with pricing_service(fresh, cache=shared) as svc:
             after = svc.quote(layer)
         assert svc.telemetry.snapshot()["metrics"]["serve.cache.hits"] == 0
+        assert len(shared) == 2
         assert after.expected_loss != before.expected_loss
 
     def test_digest_is_content_addressed(self, tiny_workload):
@@ -270,36 +283,38 @@ class TestCache:
         assert len(cache) == 0
         assert cache.get(("a", "b", "quote")) is None
 
-    def test_shared_cache_respects_loadings(self, tiny_workload):
+    def test_shared_cache_respects_loadings(self, tiny_workload,
+                                            pricing_service):
         """Two services sharing one cache but configured with different
         premium loadings must never serve each other's quotes."""
         shared = ResultCache()
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet, cache=shared) as loaded:
+        with pricing_service(tiny_workload.yet, cache=shared) as loaded:
             q_loaded = loaded.quote(layer)
-        with PricingService(tiny_workload.yet, cache=shared,
+        with pricing_service(tiny_workload.yet, cache=shared,
                             volatility_loading=0.0,
                             tail_loading=0.0) as pure:
             q_pure = pure.quote(layer)
         assert q_pure.premium == pytest.approx(q_pure.expected_loss)
         assert q_loaded.premium > q_pure.premium
         # the loading-free ylt/ep_curve payloads DO share
-        with PricingService(tiny_workload.yet, cache=shared) as again:
+        with pricing_service(tiny_workload.yet, cache=shared) as again:
             again.ylt(layer)
             assert again.telemetry.snapshot()["metrics"][
                 "serve.cache.hits"] == 0
-        with PricingService(tiny_workload.yet, cache=shared,
+        with pricing_service(tiny_workload.yet, cache=shared,
                             volatility_loading=0.0) as other:
             other.ylt(layer)
             assert other.telemetry.snapshot()["metrics"][
                 "serve.cache.hits"] == 1
 
-    def test_byte_budget_evicts_bulky_payloads(self, small_portfolio_workload):
+    def test_byte_budget_evicts_bulky_payloads(self, small_portfolio_workload,
+                                               pricing_service):
         """EP curves are ~n_trials floats: a byte budget of about two of
         them must keep the cache at two entries regardless of max_entries."""
         wl = small_portfolio_workload
         budget = 2 * wl.yet.n_trials * 8 + 16
-        with PricingService(
+        with pricing_service(
             wl.yet,
             cache=CachePolicy(max_entries=100, max_bytes=budget),
         ) as svc:
@@ -309,8 +324,9 @@ class TestCache:
         assert svc.telemetry.snapshot()["metrics"]["serve.cache.evictions"] > 0
         assert svc.cache.nbytes <= budget
 
-    def test_cached_quote_reports_sweep_throughput(self, tiny_workload):
-        with PricingService(tiny_workload.yet) as svc:
+    def test_cached_quote_reports_sweep_throughput(self, tiny_workload,
+                                                   pricing_service):
+        with pricing_service(tiny_workload.yet) as svc:
             fresh = svc.quote(tiny_workload.portfolio.layers[0])
             hit = svc.quote(tiny_workload.portfolio.layers[0])
         assert svc.telemetry.snapshot()["metrics"]["serve.cache.hits"] == 1
@@ -319,9 +335,9 @@ class TestCache:
             "not the cache lookup's"
         )
 
-    def test_cached_ylt_is_mutation_safe(self, tiny_workload):
+    def test_cached_ylt_is_mutation_safe(self, tiny_workload, pricing_service):
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet) as svc:
+        with pricing_service(tiny_workload.yet) as svc:
             first = svc.ylt(layer)
             first.losses *= 0.0   # a caller scaling its own copy
             second = svc.ylt(layer)
@@ -333,11 +349,12 @@ class TestCache:
 # ---------------------------------------------------------------------------
 
 class TestAdmission:
-    def test_sheds_under_synthetic_burst(self, small_portfolio_workload):
+    def test_sheds_under_synthetic_burst(self, small_portfolio_workload,
+                                         pricing_service):
         """A burst against a pathologically slow calibration must shed."""
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
-        svc = PricingService(wl.yet, slo_seconds=0.05,
+        svc = pricing_service(wl.yet, slo_seconds=0.05,
                              cache=CachePolicy(0))
         # Calibrate as if a sweep lane took a second: the modelled
         # backlog blows through the 50 ms SLO almost immediately.
@@ -358,8 +375,8 @@ class TestAdmission:
         svc.drain()
         svc.close()
 
-    def test_accepts_after_recalibration(self, tiny_workload):
-        svc = PricingService(tiny_workload.yet, slo_seconds=30.0)
+    def test_accepts_after_recalibration(self, tiny_workload, pricing_service):
+        svc = pricing_service(tiny_workload.yet, slo_seconds=30.0)
         q = svc.quote(tiny_workload.portfolio.layers[0])
         assert q.premium > 0
         # the real sweep calibrated the rate the controller reads
@@ -368,8 +385,8 @@ class TestAdmission:
         assert svc.telemetry.snapshot()["metrics"]["serve.shed"] == 0
         svc.close()
 
-    def test_queue_cap_is_hard(self, tiny_workload):
-        svc = PricingService(tiny_workload.yet, max_pending=2)
+    def test_queue_cap_is_hard(self, tiny_workload, pricing_service):
+        svc = pricing_service(tiny_workload.yet, max_pending=2)
         layer = tiny_workload.portfolio.layers[0]
         svc.submit(layer, "quote")
         svc.submit(layer, "ylt")
@@ -421,13 +438,13 @@ class TestAdmission:
         assert est == pytest.approx(1.0, rel=1e-6)
 
     def test_sheds_nothing_on_cost_before_the_first_batch(
-            self, small_portfolio_workload):
+            self, small_portfolio_workload, pricing_service):
         """No seed stands in for a rate nobody measured: until its
         dispatcher has run, a service sheds only at the queue cap; a
         measured rate then sheds the same burst."""
         wl = small_portfolio_workload
         layers = list(wl.portfolio) * 8
-        svc = PricingService(wl.yet, slo_seconds=1e-9, cache=CachePolicy(0))
+        svc = pricing_service(wl.yet, slo_seconds=1e-9, cache=CachePolicy(0))
         assert svc.dispatcher.throughput.rate is None
         for layer in layers:
             svc.submit(layer)
@@ -445,10 +462,11 @@ class TestAdmission:
 # ---------------------------------------------------------------------------
 
 class TestThreadedCoalescing:
-    def test_concurrent_submitters_share_sweeps(self, small_portfolio_workload):
+    def test_concurrent_submitters_share_sweeps(self, small_portfolio_workload,
+                                                pricing_service):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)
-        with PricingService(
+        with pricing_service(
             wl.yet,
             batch=BatchPolicy(max_batch=64, window_seconds=0.05,
                               auto_flush=True),
@@ -478,12 +496,13 @@ class TestThreadedCoalescing:
             for layer, q in zip(layers, quotes):
                 assert q.expected_loss == pytest.approx(ref[layer.layer_id])
 
-    def test_slow_flush_past_deadline_keeps_results(self, tiny_workload):
+    def test_slow_flush_past_deadline_keeps_results(self, tiny_workload,
+                                                    pricing_service):
         """A drain deadline must not discard work that completed late:
         the check runs before starting a batch, never after finishing."""
         import time as _time
 
-        svc = PricingService(tiny_workload.yet, cache=CachePolicy(0))
+        svc = pricing_service(tiny_workload.yet, cache=CachePolicy(0))
         slow = _SlowDispatcher(0.05)
         svc.dispatcher = slow
         ticket = svc.submit(tiny_workload.portfolio.layers[0])
@@ -492,8 +511,9 @@ class TestThreadedCoalescing:
         assert ticket.result(timeout=1).premium > 0
         svc.close()
 
-    def test_drain_deadline_refuses_to_start_late_work(self, tiny_workload):
-        svc = PricingService(tiny_workload.yet, cache=CachePolicy(0))
+    def test_drain_deadline_refuses_to_start_late_work(self, tiny_workload,
+                                                       pricing_service):
+        svc = pricing_service(tiny_workload.yet, cache=CachePolicy(0))
         svc.submit(tiny_workload.portfolio.layers[0])
         with pytest.raises(TimeoutError):
             svc.drain(timeout=-1.0)   # already expired: nothing starts
@@ -501,10 +521,11 @@ class TestThreadedCoalescing:
         svc.drain()
         svc.close()
 
-    def test_flush_error_propagates_to_every_ticket(self, tiny_workload):
+    def test_flush_error_propagates_to_every_ticket(self, tiny_workload,
+                                                    pricing_service):
         from repro.errors import ExecutionError
 
-        svc = PricingService(tiny_workload.yet)
+        svc = pricing_service(tiny_workload.yet)
         svc.dispatcher = _ExplodingDispatcher()
         layer = tiny_workload.portfolio.layers[0]
         t1 = svc.submit(layer, "quote")
@@ -633,8 +654,8 @@ class TestEnablers:
             oracle[t] += layer.terms.occurrence_scalar(float(losses[e]))
         np.testing.assert_allclose(fused, oracle, rtol=1e-9, atol=1e-6)
 
-    def test_service_close_is_terminal(self, tiny_workload):
-        service = PricingService(tiny_workload.yet)
+    def test_service_close_is_terminal(self, tiny_workload, pricing_service):
+        service = pricing_service(tiny_workload.yet)
         service.quote(tiny_workload.portfolio.layers[0])
         service.close()
         with pytest.raises(ConfigurationError):

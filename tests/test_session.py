@@ -20,9 +20,9 @@ from repro.core.engines import (
     VectorizedEngine,
     available_engines,
     engine_spec,
+    get_engine,
 )
 from repro.core.layer import Layer
-from repro.core.simulation import AggregateAnalysis
 from repro.errors import ConfigurationError, EngineError
 from repro.hpc import shm
 from repro.hpc.cost_model import ThroughputEstimate
@@ -65,18 +65,18 @@ class TestEngineSpecs:
         for name in ALL_ENGINES:
             assert name in str(err.value)
 
-    def test_capability_flags_match_engine_behaviour(self, tiny_workload):
+    def test_capability_flags_match_engine_behaviour(self, tiny_workload,
+                                                     risk_session):
         # emit_yelt: the spec flag and the engine's actual behaviour agree
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         for name in ALL_ENGINES:
             spec = engine_spec(name)
-            analysis = AggregateAnalysis(tiny_workload.portfolio,
-                                         tiny_workload.yet)
             if spec.supports_emit_yelt:
-                res = analysis.run(name, emit_yelt=True)
+                res = session.aggregate(engine=name, emit_yelt=True)
                 assert res.yelt_by_layer
             else:
                 with pytest.raises(EngineError):
-                    analysis.run(name, emit_yelt=True)
+                    session.aggregate(engine=name, emit_yelt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +266,18 @@ class TestSessionLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# parity: session-mediated vs legacy entry points
+# parity: session-mediated vs the engines and services built by hand
 # ---------------------------------------------------------------------------
 
 class TestSessionParity:
     @pytest.mark.parametrize("name", ALL_ENGINES)
     def test_aggregate_matches_legacy(self, tiny_workload, risk_session, name):
-        legacy = AggregateAnalysis(tiny_workload.portfolio,
-                                   tiny_workload.yet).run(name)
+        """A session-owned engine answers what the registry's engine,
+        built and run by hand, answers."""
+        engine = get_engine(name)
+        legacy = engine.run(tiny_workload.portfolio, tiny_workload.yet)
+        if hasattr(engine, "close"):
+            engine.close()
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         staged = session.aggregate(engine=name)
         assert staged.engine == legacy.engine == name
@@ -282,11 +286,12 @@ class TestSessionParity:
             assert staged.ylt_by_layer[lid].allclose(ylt)
 
     def test_session_quote_matches_legacy_service(self, tiny_workload,
-                                                  risk_session):
-        from repro.serve.service import PricingService
-
+                                                  risk_session,
+                                                  pricing_service):
+        """The session's default service quotes what an inline service
+        built on another session over the same YET quotes."""
         layer = tiny_workload.portfolio.layers[0]
-        with PricingService(tiny_workload.yet) as svc:
+        with pricing_service(tiny_workload.yet) as svc:
             legacy = svc.quote(layer)
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         staged = session.quote(layer)
@@ -299,11 +304,11 @@ class TestSessionParity:
         layer = tiny_workload.portfolio.layers[0]
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         staged = session.sensitivities(layer, engine="vectorized")
-        # Standalone, any engine the session resolves runs on a private
-        # session: the registry default, and the planner's choice.
+        # The function on a fresh session, with any engine the session
+        # resolves: the registry default, and the planner's choice.
         for engine in ("vectorized", "auto"):
-            legacy = term_sensitivities(layer, tiny_workload.yet,
-                                        engine=engine)
+            legacy = term_sensitivities(risk_session(tiny_workload.yet),
+                                        layer, engine=engine)
             assert staged == pytest.approx(legacy)
 
     def test_ep_curves_from_one_run(self, small_portfolio_workload,
@@ -412,12 +417,10 @@ class TestStagedPayload:
         once; a second sweep ships nothing more."""
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
-        analysis = AggregateAnalysis(tiny_workload.portfolio,
-                                     tiny_workload.yet, session=session)
-        first = analysis.run_all(["vectorized", "multicore"])
+        first = session.run_all(["vectorized", "multicore"])
         ships_after_first = session.payload_ships
         assert ships_after_first == 1
-        second = analysis.run_all(["vectorized", "multicore"])
+        second = session.run_all(["vectorized", "multicore"])
         assert session.payload_ships == ships_after_first
         assert first["multicore"].portfolio_ylt.allclose(
             second["multicore"].portfolio_ylt
@@ -526,15 +529,17 @@ class TestAutoEngine:
         assert res.engine in text and "throughput" in text
 
     def test_auto_works_standalone(self, tiny_workload):
-        res = AggregateAnalysis(tiny_workload.portfolio,
-                                tiny_workload.yet).run("auto")
+        """A session opened for one run plans it, and closes."""
+        with RiskSession(tiny_workload.yet, tiny_workload.portfolio) as s:
+            res = s.aggregate(engine="auto")
         assert isinstance(res.details["plan"], ExecutionPlan)
         assert res.engine == res.details["plan"].engine
 
     def test_auto_emit_yelt_works_standalone(self, tiny_workload):
-        """The emit_yelt constraint reaches the standalone planner too."""
-        res = AggregateAnalysis(tiny_workload.portfolio,
-                                tiny_workload.yet).run("auto", emit_yelt=True)
+        """The emit_yelt constraint reaches the planner of a session
+        opened for one run."""
+        with RiskSession(tiny_workload.yet, tiny_workload.portfolio) as s:
+            res = s.aggregate(engine="auto", emit_yelt=True)
         assert res.yelt_by_layer
         assert engine_spec(res.engine).supports_emit_yelt
 
@@ -658,27 +663,25 @@ class TestOneMeasuredRate:
 
 
 # ---------------------------------------------------------------------------
-# standalone/session parity for engine options (satellite)
+# registry/session parity for engine options (satellite)
 # ---------------------------------------------------------------------------
 
 class TestKernelOptionParity:
-    """Engine options must behave identically through the standalone
-    entry point and the session veneer (carried-over ROADMAP parity
-    debt)."""
+    """Engine options must behave identically on an engine built from
+    the registry and through the session."""
 
     def test_neither_entry_point_takes_a_kernel_sweep_option(
             self, small_portfolio_workload, risk_session):
         """How rows are priced is the kernel's rule, not an engine
         option: both entry points refuse the retired knobs alike."""
         wl = small_portfolio_workload
-        standalone = AggregateAnalysis(wl.portfolio, wl.yet)
         session = risk_session(wl.yet, wl.portfolio)
         for knob in ({"sublinear_tail": False}, {"block_occurrences": 64}):
             with pytest.raises(TypeError, match=next(iter(knob))):
-                standalone.run("vectorized", **knob)
+                get_engine("vectorized", **knob)
             with pytest.raises(TypeError, match=next(iter(knob))):
                 session.aggregate(engine="vectorized", **knob)
-        res_sa = standalone.run("vectorized")
+        res_sa = get_engine("vectorized").run(wl.portfolio, wl.yet)
         assert "sublinear_tail" not in res_sa.details
         np.testing.assert_array_equal(
             res_sa.portfolio_ylt.losses,
@@ -688,7 +691,8 @@ class TestKernelOptionParity:
             self, small_portfolio_workload, risk_session):
         wl = small_portfolio_workload
         names = ["sequential", "vectorized", "device"]
-        standalone = AggregateAnalysis(wl.portfolio, wl.yet).run_all(names)
+        standalone = {name: get_engine(name).run(wl.portfolio, wl.yet)
+                      for name in names}
         session = risk_session(wl.yet, wl.portfolio)
         via_session = session.run_all(names)
         assert set(standalone) == set(via_session) == set(names)
@@ -700,25 +704,26 @@ class TestKernelOptionParity:
 
 
 # ---------------------------------------------------------------------------
-# boundary errors on the classic entry points (satellite)
+# boundary errors at the session's doors (satellite)
 # ---------------------------------------------------------------------------
 
 class TestBoundaryErrors:
-    def test_unknown_engine_name_in_run(self, tiny_workload):
-        analysis = AggregateAnalysis(tiny_workload.portfolio,
-                                     tiny_workload.yet)
+    def test_unknown_engine_name_in_run(self, tiny_workload, risk_session):
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         with pytest.raises(EngineError) as err:
-            analysis.run("quantum")
+            session.engine("quantum")
         assert "available" in str(err.value)
         for name in ALL_ENGINES:
             assert name in str(err.value)
 
-    def test_run_all_validates_names_before_running(self, tiny_workload):
-        analysis = AggregateAnalysis(tiny_workload.portfolio,
-                                     tiny_workload.yet)
+    def test_run_all_validates_names_before_running(self, tiny_workload,
+                                                    risk_session):
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         with pytest.raises(EngineError) as err:
-            analysis.run_all(["vectorized", "quantum"])
+            session.run_all(["vectorized", "quantum"])
         assert "available" in str(err.value)
+        metrics = session.telemetry.snapshot()["metrics"]
+        assert metrics["session.aggregates"] == 0
 
     def test_session_surfaces_unknown_engine(self, tiny_workload,
                                              risk_session):
@@ -736,17 +741,8 @@ class TestBoundaryErrors:
         assert session.dispatcher("vectorized") is session.dispatcher("inline")
         assert session.dispatcher("multicore") is session.dispatcher("pooled")
 
-    def test_analysis_rejects_mismatched_session(self, tiny_workload,
-                                                 small_portfolio_workload,
-                                                 risk_session):
-        session = risk_session(small_portfolio_workload.yet)
-        with pytest.raises(ConfigurationError, match="different YET"):
-            AggregateAnalysis(tiny_workload.portfolio, tiny_workload.yet,
-                              session=session)
-
-
 # ---------------------------------------------------------------------------
-# entry points as veneers over a session
+# entry points over a session
 # ---------------------------------------------------------------------------
 
 class TestVeneers:
@@ -770,15 +766,6 @@ class TestVeneers:
         with pytest.raises(TypeError, match="n_workers"):
             session.aggregate(engine=VectorizedEngine(), n_workers=2)
 
-    def test_service_rejects_mismatched_session_yet(self, tiny_workload,
-                                                    small_portfolio_workload,
-                                                    risk_session):
-        from repro.serve.service import PricingService
-
-        session = risk_session(small_portfolio_workload.yet)
-        with pytest.raises(ConfigurationError, match="different YET"):
-            PricingService(tiny_workload.yet, session=session)
-
     def test_shared_cache_evictions_are_counted_once(self, tiny_workload,
                                                      risk_session):
         """Two services of one session over one ``ResultCache``: each
@@ -801,50 +788,6 @@ class TestVeneers:
                    for event in session.telemetry.snapshot()["events"]
                    if event["kind"] == "cache.evicted"]
         assert sum(evicted) == 4
-
-    def test_borrowed_service_cannot_resimulate(self, tiny_workload,
-                                                risk_session):
-        """The constructor's rule at the other door: a service that
-        borrows a session may not swap its trial set away from the one
-        the session's aggregates, plans and pool are staged on."""
-        from repro.bench.workloads import build_layer_workload
-
-        layer = tiny_workload.portfolio.layers[0]
-        other = build_layer_workload(
-            n_trials=300, mean_events_per_trial=25.0, n_elts=2,
-            elt_rows=150, catalog_events=500, seed=7).yet
-        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
-        session.quote(layer)
-        for service in (session._service(), session.pricing_service()):
-            with pytest.raises(ConfigurationError, match="borrows"):
-                service.resimulate(other)
-            assert service.yet is session.yet is tiny_workload.yet
-
-    def test_sensitivities_reject_mismatched_session_yet(
-            self, tiny_workload, small_portfolio_workload, risk_session):
-        from repro.analytics.sensitivity import term_sensitivities
-
-        session = risk_session(small_portfolio_workload.yet)
-        with pytest.raises(ConfigurationError, match="different YET"):
-            term_sensitivities(tiny_workload.portfolio.layers[0],
-                               tiny_workload.yet, session=session)
-
-    def test_standalone_service_owns_and_closes_a_session(self,
-                                                          tiny_workload,
-                                                          risk_session):
-        from repro.serve.service import PricingService
-
-        svc = PricingService(tiny_workload.yet)
-        assert svc.session.yet is tiny_workload.yet
-        assert svc.dispatcher is svc.session.dispatcher("inline")
-        svc.quote(tiny_workload.portfolio.layers[0])
-        svc.close()
-        assert svc.session.closed
-        # a borrowed session outlives the service
-        session = risk_session(tiny_workload.yet)
-        with PricingService(tiny_workload.yet, session=session) as svc:
-            assert svc.session is session
-        assert not session.closed
 
     def test_service_engine_auto_resolves_via_planner(self, tiny_workload,
                                                       risk_session):

@@ -37,7 +37,6 @@ from repro.hpc.faults import FaultPlan
 from repro.hpc.pool import TaskPolicy, WorkPool
 from repro.serve import dispatch
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher, _ShmYet
-from repro.serve import PricingService
 
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(), reason="shared memory unavailable on this host"
@@ -206,9 +205,9 @@ class TestTransportParity:
         np.testing.assert_array_equal(via_shm, oracle)
         np.testing.assert_array_equal(in_process, oracle)
 
-    def test_equal_resimulated_yet_does_not_reship(self, rng):
+    def test_an_equal_yet_does_not_reship(self, rng):
         """The bundle keys on content fingerprint, not object identity:
-        swapping in an equal re-simulated YET must ship nothing."""
+        an equal YET built a second time ships nothing."""
         ids = np.arange(500, dtype=np.int64)
         rates = np.full(500, 1.0 / 500)
         make = lambda: YetTable.simulate(ids, rates, 200,
@@ -226,7 +225,7 @@ class TestTransportParity:
             np.testing.assert_array_equal(first, second)
 
     def test_pooled_dispatcher_through_service(self, small_portfolio_workload,
-                                               risk_session):
+                                               risk_session, pricing_service):
         """End-to-end: a pooled service on the shm plane quotes the same
         premiums as the inline service."""
         wl = small_portfolio_workload
@@ -237,13 +236,14 @@ class TestTransportParity:
             assert svc.dispatcher.transport_active == "shm"
             pooled = svc.quote_many(layers)
         session.close()
-        with PricingService(wl.yet) as svc:
+        with pricing_service(wl.yet) as svc:
             inline = svc.quote_many(layers)
         for a, b in zip(pooled, inline):
             assert a.premium == b.premium      # lane rows: bit-identical
 
     def test_host_without_shm_runs_a_counted_degraded_pool(
-            self, monkeypatch, small_portfolio_workload, risk_session):
+            self, monkeypatch, small_portfolio_workload, risk_session,
+            pricing_service):
         """With no shared memory there is no second transport: an
         engine's run, a session's pooled aggregate and a pooled quote
         batch each sweep in process, counted as a degraded call, on an
@@ -254,7 +254,7 @@ class TestTransportParity:
         layers = list(wl.portfolio)
         before = shm.active_segment_names()
         inline = VectorizedEngine().run(wl.portfolio, wl.yet)
-        with PricingService(wl.yet) as svc:
+        with pricing_service(wl.yet) as svc:
             inline_quotes = svc.quote_many(layers)
 
         def check(dispatcher, runs):

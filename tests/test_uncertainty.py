@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.bench.workloads import build_portfolio_workload
+from repro.core.layer import Layer
 from repro.core.lookup import LossLookup
-from repro.core.simulation import AggregateAnalysis
+from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable
+from repro.core.terms import LayerTerms
 from repro.core.uncertainty import (
     SecondaryUncertainty,
     sample_occurrence_losses,
     sampled_aggregate_analysis,
 )
 from repro.errors import ConfigurationError
+from repro.session import RiskSession
 
 
 def make_uncertainty(means, sigmas, ids=None):
@@ -60,21 +64,30 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
 
+def expected_mode(portfolio, yet):
+    with RiskSession(yet, portfolio) as session:
+        return session.aggregate(engine="vectorized")
+
+
 class TestFromElts:
     def test_means_add_sigmas_quadrature(self):
         a = EltTable.from_arrays([1], [100.0], [30.0])
         b = EltTable.from_arrays([1], [200.0], [40.0])
-        unc = SecondaryUncertainty.from_elts([a, b])
+        layer = Layer(0, [a, b], LayerTerms())
+        unc = SecondaryUncertainty.from_layer(layer)
+        # The means are the book's one merge, the table engines price by.
+        assert unc.mean_lookup is layer.lookup()
         assert unc.mean_lookup.get_scalar(1) == 300.0
         assert unc.sigma_lookup.get_scalar(1) == pytest.approx(50.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SecondaryUncertainty.from_elts([])
+        weighted = SecondaryUncertainty.from_layer(
+            Layer(0, [a, b], LayerTerms(), weights=(0.5, 2.0)))
+        assert weighted.mean_lookup.get_scalar(1) == 450.0
+        assert weighted.sigma_lookup.get_scalar(1) == pytest.approx(
+            np.hypot(15.0, 80.0))
 
     def test_non_elt_rejected(self):
         with pytest.raises(ConfigurationError):
-            SecondaryUncertainty.from_elts(["x"])
+            SecondaryUncertainty.from_layer(["x"])
 
 
 class TestSampledAnalysis:
@@ -88,9 +101,7 @@ class TestSampledAnalysis:
         passthrough = Portfolio([
             Layer(0, tiny_workload.portfolio.layers[0].elts, LayerTerms())
         ])
-        expected = AggregateAnalysis(passthrough, tiny_workload.yet).run(
-            "vectorized"
-        )
+        expected = expected_mode(passthrough, tiny_workload.yet)
         rng = np.random.default_rng(5)
         acc = 0.0
         n_runs = 40
@@ -107,9 +118,7 @@ class TestSampledAnalysis:
         """Through a high retention, sampling *raises* the expected
         retained loss (E[max(X-r,0)] >= max(E[X]-r,0)): the economic
         reason sampled mode matters for excess layers."""
-        expected = AggregateAnalysis(
-            tiny_workload.portfolio, tiny_workload.yet
-        ).run("vectorized")
+        expected = expected_mode(tiny_workload.portfolio, tiny_workload.yet)
         rng = np.random.default_rng(6)
         acc = 0.0
         n_runs = 20
@@ -126,9 +135,7 @@ class TestSampledAnalysis:
 
     def test_sampling_adds_dispersion(self, tiny_workload):
         """With wide sigmas, sampled-mode annual losses vary more."""
-        expected = AggregateAnalysis(
-            tiny_workload.portfolio, tiny_workload.yet
-        ).run("vectorized")
+        expected = expected_mode(tiny_workload.portfolio, tiny_workload.yet)
         ylts = sampled_aggregate_analysis(
             tiny_workload.portfolio, tiny_workload.yet,
             np.random.default_rng(6),
@@ -147,3 +154,22 @@ class TestSampledAnalysis:
         )
         for lid in a:
             np.testing.assert_array_equal(a[lid].losses, b[lid].losses)
+
+    def test_weighted_zero_sigma_layer_prices_the_engines_book(self):
+        """With zero sigmas sampling is the identity, so sampled mode
+        must price the very book the engines price — ELT weights
+        included."""
+        wl = build_portfolio_workload(
+            n_layers=3, n_trials=300, mean_events_per_trial=30.0,
+            elts_per_layer=2, elt_rows=120, catalog_events=600, seed=3)
+        zero = [EltTable.from_arrays(e.event_ids, e.mean_losses)
+                for e in wl.portfolio.layers[0].elts[:2]]
+        portfolio = Portfolio([
+            Layer(i, zero, layer.terms, weights=(0.5, 2.0))
+            for i, layer in enumerate(wl.portfolio)])
+        expected = expected_mode(portfolio, wl.yet)
+        sampled = sampled_aggregate_analysis(portfolio, wl.yet,
+                                             np.random.default_rng(0))
+        for lid, ylt in expected.ylt_by_layer.items():
+            np.testing.assert_allclose(sampled[lid].losses, ylt.losses,
+                                       rtol=1e-12)
