@@ -29,9 +29,9 @@ and each chunk is one run of the engine's inline dispatcher over
 A sweep takes whole trials only, so every chunk size answers
 ``np.array_equal`` to ``vectorized``.  The transfer counts in
 ``details`` are the plan's arithmetic: each batch streams the whole YET
-(16 B per occurrence) and its lookups in, and downloads its rows'
-annual losses (8 B per row and trial); the host sweeps each chunk once
-for every row.
+(its ``trial`` and ``event_id`` columns, 8 B per occurrence) and its
+lookups in, and downloads its rows' annual losses (8 B per row and
+trial); the host sweeps each chunk once for every row.
 
 ``use_constant`` exists for the E5 ablation: turning it off yields the
 naive all-global placement the study improved on.
@@ -43,14 +43,15 @@ import numpy as np
 
 from repro.core.engines.host import HostEngine
 from repro.core.kernels import PortfolioKernel
-from repro.core.tables import YetTable
+from repro.core.tables import YET_SCHEMA, YetTable
 from repro.hpc.chunking import ChunkPlanner
 from repro.hpc.device import DeviceProperties
 
 __all__ = ["DeviceEngine"]
 
-#: Bytes per YET row resident on device: trial (i8) + event_id (i8).
-_YET_ROW_BYTES = 16
+#: Bytes per YET row resident on device: the ``trial`` and ``event_id``
+#: columns a sweep reads (``seq`` stays on the host).
+_YET_ROW_BYTES = YET_SCHEMA["trial"].itemsize + YET_SCHEMA["event_id"].itemsize
 
 
 def _effective_width(table: np.ndarray) -> int:

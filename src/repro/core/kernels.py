@@ -216,6 +216,15 @@ _CACHE_SLOTS = ("_mask_cache", "_tail_index", "_net", "_pierced", "_stack",
                 "routed")
 
 
+def _id_column(column) -> np.ndarray:
+    """A raw trial or event-id column: as it is when int32 or int64 (a
+    YET's int32 column is not copied), else as int64."""
+    column = np.asarray(column)
+    if column.dtype in (np.int32, np.int64):
+        return column
+    return column.astype(np.int64)
+
+
 class PortfolioKernel:
     """Stacked lookups + term vectors for one portfolio, swept fused.
 
@@ -773,8 +782,7 @@ class PortfolioKernel:
         holding a ``YetTable`` skip all three:
         ``sweep_segments(*yet.trial_block())``.
         """
-        trials = np.asarray(trials, dtype=np.int64)
-        event_ids = np.asarray(event_ids, dtype=np.int64)
+        trials, event_ids = _id_column(trials), _id_column(event_ids)
         if trials.shape != event_ids.shape:
             raise ConfigurationError("trials and event_ids must be equal-length")
         if event_ids.size and event_ids.min() < 0:
@@ -859,13 +867,17 @@ class PortfolioKernel:
         events, nets, ends = self._by_event_stack(tuple(rows))
         n_trials = segments.n_trials
         index, t0 = segments.event_index(event_ids)
-        counts, bins = index.occurrences(events, t0, t0 + n_trials)
+        counts, trial = index.occurrences(events, t0, t0 + n_trials)
+        bins = trial
         if len(rows) > 1:
             # Row i's occurrences are one contiguous run of the read.
+            # The int32 trials are added into the rows' intp offsets, so
+            # no pass widens them on the way to ``bincount``.
             occ_ends = np.zeros(counts.size + 1, dtype=np.int64)
             np.cumsum(counts, out=occ_ends[1:])
-            bins += np.repeat(np.arange(0, len(rows) * n_trials, n_trials),
-                              np.diff(occ_ends[ends], prepend=0))
+            bins = np.repeat(np.arange(0, len(rows) * n_trials, n_trials),
+                             np.diff(occ_ends[ends], prepend=0))
+            bins += trial
         sums = np.bincount(bins, weights=np.repeat(nets, counts),
                            minlength=len(rows) * n_trials)
         return sums.reshape(len(rows), n_trials)
@@ -885,7 +897,9 @@ class PortfolioKernel:
 
     def _sweep_stream(self, segments: TrialSegments, event_ids: np.ndarray,
                       out: np.ndarray, rows: list) -> None:
-        """Lane ``rows`` on the stream: per row, one gather from its net
+        """Lane ``rows`` on the stream: per chunk of whole trials, its
+        ids widened once to intp (``np.take`` would cast an int32 slice
+        again for every row), then per row one gather from its net
         table into a reused row buffer and one ``reduceat`` over
         whole-trial starts."""
         bounds, trial_ids = segments.bounds, segments.trial_ids
@@ -904,12 +918,15 @@ class PortfolioKernel:
             cols = slice(t_lo, t_hi) if t_hi - t_lo == b - a else trial_ids[a:b]
             chunks.append((s0, int(bounds[b]), bounds[a:b] - s0, cols))
             a = b
-        buf = np.empty(max(s1 - s0 for s0, s1, _, _ in chunks))
-        for row, gather in zip(rows, self._net_gathers(rows)):
-            out_row = out[row]
-            for s0, s1, starts, cols in chunks:
-                lane = gather(event_ids[s0:s1], out=buf[:s1 - s0])
-                out_row[cols] = np.add.reduceat(lane, starts)
+        width = max(s1 - s0 for s0, s1, _, _ in chunks)
+        buf, ids = np.empty(width), np.empty(width, dtype=np.intp)
+        gathers = self._net_gathers(rows)
+        for s0, s1, starts, cols in chunks:
+            chunk = ids[:s1 - s0]
+            np.copyto(chunk, event_ids[s0:s1])
+            for row, gather in zip(rows, gathers):
+                lane = gather(chunk, out=buf[:s1 - s0])
+                out[row, cols] = np.add.reduceat(lane, starts)
 
     def run(
         self,

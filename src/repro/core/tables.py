@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.columnar import ColumnTable
+from repro.data.columnar import ColumnTable, cast_lossless
 from repro.data.schema import Schema
 from repro.data.store import ChunkStore
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import ConfigurationError, EngineError, SchemaError
 
 __all__ = [
     "ELT_SCHEMA",
@@ -58,11 +58,33 @@ ELT_SCHEMA = Schema([
     ("sigma", np.float64),  # secondary-uncertainty std-dev of the loss
 ])
 
+# 12 B per occurrence.  Trials and event ids are below 2**31 (so is
+# ``n_trials``): ``ColumnTable.from_arrays`` refuses a wider value rather
+# than wrap it, and an ELT id at or above 2**31 matches no occurrence.
 YET_SCHEMA = Schema([
-    ("trial", np.int64),
+    ("trial", np.int32),
     ("seq", np.int32),       # occurrence order within the trial year
-    ("event_id", np.int64),
+    ("event_id", np.int32),
 ])
+
+#: The YET's id dtype (``trial`` and ``event_id``).
+_ID = YET_SCHEMA["event_id"].dtype
+#: ``n_trials`` bound: every trial, and the trial offsets' last needle
+#: ``n_trials``, must fit :data:`_ID`.
+_MAX_TRIALS = int(np.iinfo(_ID).max)
+
+
+def _check_n_trials(n_trials: int, error=ConfigurationError) -> None:
+    if not 0 < n_trials <= _MAX_TRIALS:
+        raise error(f"n_trials must be in [1, {_MAX_TRIALS}], got {n_trials}")
+
+
+def _cuts(trials: np.ndarray, needles) -> np.ndarray:
+    """``np.searchsorted(trials, needles)`` with the needles in the
+    column's dtype: searchsorted casts both sides to a common dtype, so
+    an int64 needle would copy an int32 column whole."""
+    return np.searchsorted(trials, np.asarray(needles, dtype=trials.dtype))
+
 
 YELT_SCHEMA = Schema([
     ("trial", np.int64),
@@ -377,25 +399,27 @@ class EventIndex:
     ``n_trials`` are the run starts and ``ends`` themselves; any other
     boundary a block is cut at is built once, under the lock, and kept
     (8 bytes per offset entry): a table's dispatchers cut it at the
-    same few trials sweep after sweep.
+    same few trials sweep after sweep.  Offsets grow with events, not
+    occurrences, so they stay int64.
 
     **Sizing rule.**  ``ends`` is indexed by event id when the id space
     is no wider than the stream (``max_id + 1 <= n_occurrences``), and
     otherwise by the event's *rank* among the stream's distinct ids,
     which the index then holds sorted (one ``searchsorted`` per looked-up
     event).  A table indexed by id over CSR-scale ids would cost 8 bytes
-    per *id*; ranked, it costs 8 per distinct id, plus 8 for the id.
+    per *id*; ranked, it costs 8 per distinct id, plus the id in the
+    stream's dtype (4 for a YET's int32 ids).
 
-    Built lazily, under a lock, on the first lookup: one array takes the
-    key ``event << b | trial`` (``b`` bits hold any trial; the event's
-    rank from one ``np.unique`` when ranked), is sorted in place and
-    masked in place down to its trial, so the only occurrence-sized
-    array is the one kept — 8 bytes per occurrence.  The offsets are
-    one ``bincount`` (or ``np.unique``'s counts) and a ``cumsum``.  A
-    :class:`YetTable` owns one over its own columns (``yet.event_index``:
-    it dies with the table, and pickles as an unbuilt index over the
-    pickled columns, so it is never shipped and an attached copy builds
-    its own once per worker).
+    Built lazily, under a lock, on the first lookup: one int64 array
+    takes the key ``event << b | trial`` (``b`` bits hold any trial; the
+    event's rank from one ``np.unique`` when ranked), is sorted in place,
+    masked in place down to its trial and narrowed to int32 (a trial is
+    below 2**31), so the array kept is 4 bytes per occurrence.  The
+    offsets are one ``bincount`` (or ``np.unique``'s counts) and a
+    ``cumsum``.  A :class:`YetTable` owns one over its own columns
+    (``yet.event_index``: it dies with the table, and pickles as an
+    unbuilt index over the pickled columns, so it is never shipped and
+    an attached copy builds its own once per worker).
     """
 
     __slots__ = ("_lock", "_trials", "_event_ids", "n_trials", "_keys",
@@ -403,6 +427,7 @@ class EventIndex:
 
     def __init__(self, trials: np.ndarray, event_ids: np.ndarray,
                  n_trials: int) -> None:
+        _check_n_trials(n_trials)
         self._lock = threading.Lock()
         self._trials = trials
         self._event_ids = event_ids
@@ -433,10 +458,11 @@ class EventIndex:
         # to its trial is a mask, not an integer division.
         shift = (self.n_trials - 1).bit_length()
         if int(event_ids.max(initial=-1)) < event_ids.size:
+            keys = event_ids.astype(np.int64)
             # ``minlength=1``: an empty stream still has one (empty) run
             # for an unheld id to be clamped onto.
-            counts = np.bincount(event_ids, minlength=1)
-            keys = event_ids << shift
+            counts = np.bincount(keys, minlength=1)
+            keys <<= shift
         else:
             self._events, keys, counts = np.unique(
                 event_ids, return_inverse=True, return_counts=True)
@@ -445,7 +471,7 @@ class EventIndex:
         keys.sort()
         keys &= (1 << shift) - 1
         self._ends = np.cumsum(counts, out=counts)
-        self._keys = keys
+        self._keys = keys.astype(_ID)
         self.builds += 1
 
     def _at(self, t: int, rank: np.ndarray) -> np.ndarray:
@@ -461,7 +487,7 @@ class EventIndex:
             with self._lock:
                 bound = self._bounds.get(t)
                 if bound is None:
-                    ids = self._event_ids[:np.searchsorted(self._trials, t)]
+                    ids = self._event_ids[:_cuts(self._trials, t)]
                     if self._events is not None:
                         ids = np.searchsorted(self._events, ids)
                     bound = np.bincount(ids, minlength=self._ends.size)
@@ -474,7 +500,8 @@ class EventIndex:
         """The occurrences of ``events`` (non-negative ids, repeats
         allowed) in trials ``[t0, t1)``: ``(counts, trial)`` — how many
         occurrences each entry of ``events`` has there, and their trials
-        renumbered from ``t0``, in (position in ``events``, trial) order.
+        (int32) renumbered from ``t0``, in (position in ``events``, trial)
+        order.
         ``np.repeat(v, counts)`` lays any per-event array ``v`` beside
         ``trial``; one read serves any number of rows' events at once."""
         keys = self.keys
@@ -555,9 +582,10 @@ class TrialSegments:
     def from_sorted_trials(cls, trials: np.ndarray,
                            n_trials: int) -> "TrialSegments":
         """Segments of a raw trial column sorted ascending."""
+        _check_n_trials(n_trials)
         if trials.size and (trials[0] < 0 or trials[-1] >= n_trials):
             raise ConfigurationError(f"trial indices outside [0, {n_trials})")
-        return cls(np.searchsorted(trials, np.arange(n_trials + 1)))
+        return cls(_cuts(trials, np.arange(n_trials + 1)))
 
     @property
     def n_occurrences(self) -> int:
@@ -614,7 +642,8 @@ class YetHandles:
 
     Produced by :meth:`YetTable.to_shared`; pickles as three
     :class:`~repro.hpc.shm.ShmArrayHandle` column descriptors plus the
-    trial count — a few hundred bytes for a table of any size.
+    trial count — a few hundred bytes for a table of any size, whose
+    staged columns are 12 B per occurrence (three int32 columns).
     :meth:`YetTable.from_handles` re-attaches it as views in a worker.
     ``fingerprint`` rides along when the source table had already
     computed it, so attached copies skip the content hash too.
@@ -633,7 +662,8 @@ class YetTable:
     Rows are sorted by ``(trial, seq)`` and event ids are non-negative;
     ``n_trials`` is explicit because trial years with zero occurrences
     are legal and must survive round-trips (their annual loss is zero,
-    which matters for quantiles).
+    which matters for quantiles).  The columns are 12 B per occurrence
+    (:data:`YET_SCHEMA`: int32 ``trial``, ``seq`` and ``event_id``).
 
     Beyond its columns a table keeps three things about its stream,
     each derived lazily, once per table (once per worker for a
@@ -651,8 +681,7 @@ class YetTable:
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
             raise ConfigurationError("YET table must match YET_SCHEMA")
-        if n_trials <= 0:
-            raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
+        _check_n_trials(n_trials)
         trials = table["trial"]
         if trials.size:
             if (trials < 0).any() or trials.max() >= n_trials:
@@ -699,14 +728,15 @@ class YetTable:
         which is how benches hit the companion study's ~1000
         events/trial without a million-event catalogue.
         """
-        event_ids = np.asarray(event_ids, dtype=np.int64)
+        # Narrowed (checked) once over the catalogue, so the picked
+        # stream is born in the YET's dtype.
+        event_ids = cast_lossless(event_ids, _ID, "event_id")
         rates = np.asarray(rates, dtype=np.float64)
         if event_ids.size == 0 or event_ids.shape != rates.shape:
             raise ConfigurationError("event_ids and rates must be equal-length, non-empty")
         if (rates <= 0).any():
             raise ConfigurationError("rates must be positive")
-        if n_trials <= 0:
-            raise ConfigurationError(f"n_trials must be positive, got {n_trials}")
+        _check_n_trials(n_trials)
         total_rate = float(rates.sum())
         lam = mean_events_per_trial if mean_events_per_trial is not None else total_rate
         if lam <= 0:
@@ -717,7 +747,7 @@ class YetTable:
         cdf = np.cumsum(rates)
         cdf /= cdf[-1]
         picks = np.searchsorted(cdf, rng.random(total), side="right")
-        trial = np.repeat(np.arange(n_trials, dtype=np.int64), counts)
+        trial = np.repeat(np.arange(n_trials, dtype=_ID), counts)
         # Sequence number within each trial: position minus trial start.
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         seq = (np.arange(total) - np.repeat(starts, counts)).astype(np.int32)
@@ -746,9 +776,8 @@ class YetTable:
     def trial_offsets(self) -> np.ndarray:
         """Offsets such that trial ``t`` occupies rows ``[o[t], o[t+1])``."""
         if self._offsets is None:
-            self._offsets = np.searchsorted(
-                self.table["trial"], np.arange(self.n_trials + 1)
-            )
+            self._offsets = _cuts(self.table["trial"],
+                                  np.arange(self.n_trials + 1))
             self.index_builds += 1
         return self._offsets
 
@@ -824,7 +853,8 @@ class YetTable:
         All three columns travel, although the sweep paths read only
         ``trial``/``event_id``: the handles are the YET's wire format
         (the multi-node sharding axis will ship whole sub-YETs), so a
-        faithful round-trip is worth ``seq``'s ~20% of one staging copy.
+        faithful round-trip is worth ``seq``'s third of the 12 B per
+        occurrence one staging copy costs.
         """
         h_trial, h_seq, h_event = arena.place(
             self.table["trial"], self.table["seq"], self.table["event_id"]
@@ -873,7 +903,9 @@ class StoredYet:
     does not fit memory).
 
     A :class:`~repro.data.store.ChunkStore` table with integer ``trial``
-    and ``event_id`` columns, rows in trial order, chunks cut anywhere.
+    and ``event_id`` columns, rows in trial order, chunks cut anywhere;
+    each chunk is narrowed to the YET's int32 columns as it is read, so
+    a block costs what the in-memory table's would.
     :meth:`trial_blocks` holds back each chunk's last, possibly partial,
     trial for the next, so blocks are whole trials and an answer is
     ``np.array_equal`` to the in-memory table's at any chunk size.
@@ -890,8 +922,7 @@ class StoredYet:
     """
 
     def __init__(self, store: ChunkStore, table_name: str, n_trials: int) -> None:
-        if n_trials <= 0:
-            raise EngineError(f"n_trials must be positive, got {n_trials}")
+        _check_n_trials(n_trials, EngineError)
         self.store = store
         self.table_name = table_name
         self.n_trials = int(n_trials)
@@ -911,13 +942,13 @@ class StoredYet:
         self.chunks_read = self.n_occurrences = self.blocks = 0
         start, last = t_start, None
         # The trial held back from the chunks read so far.
-        held_trials = held_events = np.empty(0, dtype=np.int64)
+        held_trials = held_events = np.empty(0, dtype=_ID)
         for ordinal, chunk in enumerate(self.store.iter_chunks(self.table_name)):
             trials, events = self._checked(ordinal, chunk, last)
             self.chunks_read += 1
             self.n_occurrences += trials.size
             last = trials[-1] if trials.size else last
-            keep = slice(*np.searchsorted(trials, (t_start, t_stop)))
+            keep = slice(*_cuts(trials, (t_start, t_stop)))
             trials = np.concatenate((held_trials, trials[keep]))
             events = np.concatenate((held_events, events[keep]))
             cut = int(np.searchsorted(trials, trials[-1])) if trials.size else 0
@@ -932,7 +963,7 @@ class StoredYet:
 
     def _block(self, trials, events, start, stop):
         self.blocks += 1
-        return TrialSegments(np.searchsorted(trials, np.arange(start, stop + 1))), events
+        return TrialSegments(_cuts(trials, np.arange(start, stop + 1))), events
 
     def _checked(self, ordinal: int, chunk: ColumnTable, last):
         """One chunk's columns, checked (``last``: the trial before)."""
@@ -940,13 +971,18 @@ class StoredYet:
         if "trial" not in chunk.schema or "event_id" not in chunk.schema:
             raise EngineError(f"{where} lacks YET columns")
         where += f", chunk {ordinal}"
+        columns = []
         for column in ("trial", "event_id"):
-            # A cast would price event 1.5 as event 1.
+            # A cast would price event 1.5 as event 1, and a narrowing
+            # one event 2**32 + 1 as event 1.
             if not np.issubdtype(chunk[column].dtype, np.integer):
                 raise EngineError(f"{where}: {column} column is "
                                   f"{chunk[column].dtype}, not integer")
-        trials = np.asarray(chunk["trial"], dtype=np.int64)
-        events = np.asarray(chunk["event_id"], dtype=np.int64)
+            try:
+                columns.append(cast_lossless(chunk[column], _ID, column))
+            except SchemaError as exc:
+                raise EngineError(f"{where}: {exc}") from None
+        trials, events = columns
         if not trials.size:
             return trials, events
         if ((last is not None and trials[0] < last)

@@ -17,7 +17,31 @@ import numpy as np
 from repro.data.schema import Schema
 from repro.errors import SchemaError
 
-__all__ = ["ColumnTable"]
+__all__ = ["ColumnTable", "cast_lossless"]
+
+
+def cast_lossless(values, dtype, name: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``, refusing a cast into an
+    integer dtype that would change a value.
+
+    A same-dtype array, or one ``dtype`` holds every value of (int32 into
+    int64), passes unchecked; any other cast into an integer dtype is
+    compared back against its source, and a float with a fraction (or a
+    NaN) or an integer outside ``dtype``'s range raises
+    :class:`~repro.errors.SchemaError` naming column ``name``.
+    """
+    arr = np.asarray(values)
+    dtype = np.dtype(dtype)
+    if (arr.dtype == dtype or dtype.kind not in "iu"
+            or arr.dtype.kind not in "biuf"
+            or np.can_cast(arr.dtype, dtype, "safe")):
+        return arr.astype(dtype, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(dtype)
+    if not np.array_equal(out, arr):
+        raise SchemaError(f"column {name!r}: values do not fit {dtype} "
+                          f"(a fraction, or outside its range)")
+    return out
 
 
 class ColumnTable:
@@ -45,12 +69,18 @@ class ColumnTable:
 
     @classmethod
     def from_arrays(cls, schema: Schema, **arrays) -> "ColumnTable":
-        """Build a table from keyword arrays, coercing dtypes per schema."""
+        """Build a table from keyword arrays, coercing dtypes per schema.
+
+        A coercion into an integer column must keep every value: a float
+        with a fraction, or an integer outside the column's range, raises
+        :class:`~repro.errors.SchemaError` instead of being truncated or
+        wrapped (see :func:`cast_lossless`).
+        """
         cols = {}
         for f in schema:
             if f.name not in arrays:
                 raise SchemaError(f"missing column {f.name!r}")
-            cols[f.name] = np.asarray(arrays[f.name], dtype=f.dtype)
+            cols[f.name] = cast_lossless(arrays[f.name], f.dtype, f.name)
         extra = set(arrays) - set(schema.names)
         if extra:
             raise SchemaError(f"unexpected columns: {sorted(extra)}")

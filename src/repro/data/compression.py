@@ -3,11 +3,12 @@
 The YET's columns are extremely compressible — the ``trial`` column is
 sorted (delta-encodes to almost all zeros) and the ``seq`` column is a
 sawtooth — and at paper scale (§II's 5×10¹⁰-row YELTs) the difference
-between 20 bytes/row and ~3 bytes/row decides whether the working set
-fits "large but not enormous" memory (§III).  Two classic codecs:
+between the YET's 12 bytes/row (three int32 columns) and ~3 bytes/row
+decides whether the working set fits "large but not enormous" memory
+(§III).  Two classic codecs:
 
-- **delta + zigzag + varint** for integer columns (sorted keys compress
-  to ~1 byte/row);
+- **delta + zigzag + varint** for integer columns of any width, decoded
+  back to the stored dtype (sorted keys compress to ~1 byte/row);
 - raw little-endian passthrough for floats (loss values are incompressible
   noise; honesty beats a wasted pass).
 

@@ -23,6 +23,42 @@ class TestConstruction:
         t = make([1, 2], [1.5, 2.5])
         assert t["k"].dtype == np.int64
 
+    def test_from_arrays_refuses_a_fraction(self):
+        with pytest.raises(SchemaError, match="'k'"):
+            make(np.array([1.0, 2.2]), [1.0, 2.0])
+        with pytest.raises(SchemaError, match="'k'"):
+            make(np.array([1.0, np.nan]), [1.0, 2.0])
+        # whole floats keep their value
+        assert make(np.array([1.0, 2.0]), [1.0, 2.0])["k"].tolist() == [1, 2]
+
+    def test_from_arrays_refuses_an_int_outside_the_range(self):
+        narrow = Schema([("k", np.int32)])
+        for wide in (np.array([0, 2**31]), np.array([0, -2**31 - 1]),
+                     np.array([2**63], dtype=np.uint64)):
+            with pytest.raises(SchemaError, match="'k'"):
+                ColumnTable.from_arrays(narrow, k=wide)
+        with pytest.raises(SchemaError, match="'k'"):
+            make(np.array([2**63], dtype=np.uint64), [1.0])
+        bounds = np.array([-2**31, 2**31 - 1])
+        assert ColumnTable.from_arrays(narrow, k=bounds)["k"].tolist() == (
+            bounds.tolist())
+
+    def test_from_arrays_narrowing_of_a_yet_raises_not_wraps(self):
+        """``seq = 2**32 + 1`` used to be stored as 1 and ``event_id =
+        1.7`` as 1, and ``YetTable`` accepted the result."""
+        from repro.core.tables import YET_SCHEMA
+        with pytest.raises(SchemaError, match="'seq'"):
+            ColumnTable.from_arrays(YET_SCHEMA, trial=[0, 0],
+                                    seq=np.array([0, 2**32 + 1]),
+                                    event_id=np.array([1, 2]))
+        with pytest.raises(SchemaError, match="'event_id'"):
+            ColumnTable.from_arrays(YET_SCHEMA, trial=[0, 0], seq=[0, 1],
+                                    event_id=np.array([1.7, 2.2]))
+
+    def test_same_dtype_is_not_copied(self):
+        k = np.array([1, 2], dtype=np.int64)
+        assert make(k, [1.0, 2.0])["k"] is k
+
     def test_missing_column_rejected(self):
         with pytest.raises(SchemaError):
             ColumnTable.from_arrays(S, k=[1])

@@ -359,8 +359,14 @@ class TestOutOfCoreEngine:
          "chunk 0: trial column is float64, not integer"),
         ([([0, 1], [1, 2]), ([1, 2], [3.0, 4.5])],
          "chunk 1: event_id column is float64, not integer"),
+        # int64 on disk, int32 in a block: narrowed, never wrapped
+        ([([0, 1], [1, 2]), ([1, 2], [3, 2**31 + 1])],
+         "chunk 1: column 'event_id': values do not fit int32"),
+        ([([0, 2**32], [1, 2])],
+         "chunk 0: column 'trial': values do not fit int32"),
     ], ids=["steps_back_in_chunk", "steps_back_across_carry",
-            "negative_event_id", "float_trials", "float_event_ids"])
+            "negative_event_id", "float_trials", "float_event_ids",
+            "event_id_past_int32", "trial_past_int32"])
     def test_bad_stored_rows_rejected(self, tmp_path, chunks, complaint):
         store = stored_chunks(tmp_path, *chunks)
         with pytest.raises(EngineError,

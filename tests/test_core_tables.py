@@ -143,6 +143,65 @@ def yet_schema():
     return YET_SCHEMA
 
 
+class TestYetWidth:
+    """A YET occurrence is 12 B of int32 columns (``trial``, ``seq``,
+    ``event_id``; 20 B with int64 ids), and every path that makes or
+    moves a YET keeps them int32; its event index adds 4 B per
+    occurrence (8 B with int64 keys) and 8 B per offset entry."""
+
+    def simulate(self):
+        return YetTable.simulate(np.arange(50), np.full(50, 0.4), 300,
+                                 np.random.default_rng(3),
+                                 mean_events_per_trial=20.0)
+
+    def assert_int32(self, yet):
+        for name in ("trial", "seq", "event_id"):
+            assert yet.table[name].dtype == np.int32, name
+        assert yet.nbytes == 12 * yet.n_occurrences
+
+    def test_simulate_and_slice_trials(self):
+        yet = self.simulate()
+        assert yet.n_occurrences > 1000
+        self.assert_int32(yet)
+        self.assert_int32(yet.slice_trials(100, 250))
+
+    def test_shm_round_trip_stages_12_bytes_per_occurrence(self):
+        from repro.hpc import shm
+
+        yet = self.simulate()
+        with shm.SharedArena() as arena:
+            again = YetTable.from_handles(yet.to_shared(arena))
+            self.assert_int32(again)
+            assert again.table.equals(yet.table)
+            # three columns, each padded to the arena's 64 B alignment
+            assert 12 * yet.n_occurrences <= arena.nbytes < (
+                12 * yet.n_occurrences + 3 * 64)
+
+    def test_event_index_is_4_bytes_per_occurrence(self):
+        yet = self.simulate()
+        assert yet.event_index.keys.dtype == np.int32
+        offsets = int(yet.event_ids.max()) + 1       # offsets by id
+        assert yet.cache_levels()["yet.event_index.bytes"] == (
+            4 * yet.n_occurrences + 8 * offsets)
+
+    def test_ids_at_2_31_raise_at_construction(self):
+        from repro.errors import SchemaError
+
+        for column in ("trial", "event_id"):
+            cols = dict(trial=[0, 1], seq=[0, 0], event_id=[1, 2])
+            cols[column] = [1, 2**31]
+            with pytest.raises(SchemaError, match=column):
+                ColumnTable.from_arrays(yet_schema(), **cols)
+        with pytest.raises(SchemaError, match="event_id"):
+            YetTable.simulate([1, 2**31], [0.5, 0.5], 10,
+                              np.random.default_rng(0))
+        table = ColumnTable.from_arrays(yet_schema(), trial=[0], seq=[0],
+                                        event_id=[2**31 - 1])
+        assert YetTable(table, 2**31 - 1).n_trials == 2**31 - 1
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            YetTable(table, 2**31)
+
+
 class TestYeltTable:
     def make(self):
         table = ColumnTable.from_arrays(

@@ -84,12 +84,13 @@ class TestExtremeTermsInteraction:
         assert res.portfolio_ylt.losses[0] == pytest.approx(20.0)
 
     def test_huge_event_ids(self):
-        """Sparse lookups must handle ids near 2^62 without allocating."""
-        elt = EltTable.from_arrays([2**61, 2**62], [10.0, 20.0])
+        """Sparse lookups must handle ids near the top of the YET's int32
+        id range without allocating."""
+        elt = EltTable.from_arrays([2**30, 2**31 - 1], [10.0, 20.0])
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
         table = ColumnTable.from_arrays(
             YET_SCHEMA, trial=[0, 0], seq=[0, 1],
-            event_id=[2**61, 2**62],
+            event_id=[2**30, 2**31 - 1],
         )
         yet = YetTable(table, n_trials=1)
         results = run_all(pf, yet, ["sequential", "vectorized", "device"])

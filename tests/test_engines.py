@@ -81,6 +81,57 @@ class TestEquivalence:
         assert_engines_equivalent(risk_session(
             tiny_workload.yet, Portfolio([layer])).run_all(ALL_ENGINES))
 
+    def test_an_elt_id_past_int32_never_matches_its_wrapped_id(
+            self, risk_session, tmp_path):
+        """The YET holds event ``k``; the books hold only ``k + 2**32``
+        (and ``k + 2**33``), which an int32 cast would wrap onto ``k``.
+        Every engine — pooled across two workers, a by-event lane row
+        and the profile path of a 17-row same-book group, the YELT it
+        emits, the stored stream — prices them 0, while a book holding
+        ``k`` itself prices every occurrence."""
+        from repro.core.engines.host import OutOfCoreEngine
+        from repro.core.kernels import MIN_TAIL_GROUP
+        from repro.core.tables import StoredYet
+        from repro.data.store import ChunkStore
+
+        k = 5
+        wide = EltTable.from_arrays([k + 2**32], [100.0], contract_id=1)
+        held = EltTable.from_arrays([k], [100.0], contract_id=2)
+        lane = EltTable.from_arrays([k + 2**32, k + 2**33], [100.0, 50.0],
+                                    contract_id=3)
+        layers = [Layer(0, [held], LayerTerms()),
+                  Layer(1, [lane], LayerTerms())] + [
+            Layer(2 + i, [wide], LayerTerms(occ_retention=float(i)))
+            for i in range(MIN_TAIL_GROUP + 1)]
+        pf = Portfolio(layers)
+        yet = YetTable(ColumnTable.from_arrays(
+            YET_SCHEMA, trial=[0, 0, 1, 3, 3, 3], seq=[0, 1, 0, 0, 1, 2],
+            event_id=[k, 1, k, k, k, 2]), n_trials=4)
+        want = {0: [100.0, 100.0, 0.0, 200.0]}
+        want.update({lid: [0.0] * 4 for lid in range(1, len(layers))})
+
+        def check(result):
+            for lid, losses in want.items():
+                np.testing.assert_array_equal(
+                    result.ylt_by_layer[lid].losses, losses)
+
+        session = risk_session(yet, pf, n_workers=2)
+        for name, result in session.run_all(ALL_ENGINES).items():
+            check(result)
+        vectorized = session.aggregate(engine="vectorized", emit_yelt=True)
+        routed = vectorized.details["routed"]
+        assert routed["kernel.profile_rows"] == MIN_TAIL_GROUP + 1
+        assert routed["kernel.lane_rows.by_event"] == 1
+        assert vectorized.yelt_by_layer[1].n_rows == 0
+        assert vectorized.yelt_by_layer[2].n_rows == 0
+        with MulticoreEngine(n_workers=2) as engine:
+            pooled = engine.run(pf, yet)
+        assert pooled.details["n_blocks"] == 2
+        check(pooled)
+        store = ChunkStore(tmp_path)
+        store.write_table("yet", yet.table, rows_per_chunk=2)
+        check(OutOfCoreEngine().run(pf, StoredYet(store, "yet", 4)))
+
     def test_yet_with_empty_trials(self, risk_session):
         """Trials with zero occurrences must appear as zero-loss years."""
         elt = EltTable.from_arrays([1, 2], [100.0, 200.0])
@@ -231,12 +282,13 @@ class TestDeviceEngine:
     def test_transfers_accounted(self, tiny_workload):
         res = DeviceEngine().run(tiny_workload.portfolio, tiny_workload.yet)
         yet, details = tiny_workload.yet, res.details
-        # Each resident batch streams the whole YET (trial + event, 8 B
-        # each) and its lookups in, and downloads its rows' annual losses.
+        # Each resident batch streams the whole YET (int32 trial + event,
+        # 4 B each) and its lookups in, and downloads its rows' annual
+        # losses.
         lookups = sum(layer["lookup_bytes"]
                       for layer in details["layers"].values())
         assert details["h2d_bytes"] == (
-            16 * yet.n_occurrences * details["n_batches"] + lookups)
+            8 * yet.n_occurrences * details["n_batches"] + lookups)
         assert details["d2h_bytes"] == (
             8 * tiny_workload.portfolio.n_layers * yet.n_trials)
 

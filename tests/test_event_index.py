@@ -6,8 +6,9 @@ Five contracts:
   reproduce the scalar ``sequential`` oracle over empty trials, ids
   beyond the dense width or absent from a CSR segment, events repeated
   inside a trial, infinite retentions, zero and infinite limits, rows
-  nothing pierces and CSR ids past 2⁴⁰ (and past where ``event *
-  n_trials`` fits an ``int64``) — and every sweep's
+  nothing pierces and CSR ids in [2³⁰, 2³¹) (a YET id is int32; a raw
+  stream's ids may pass where ``event * n_trials`` fits an ``int64``)
+  — and every sweep's
   ``kernel.lane_rows.*`` counts must move by the rows the rule assigns;
   offsets by id and by rank read what a scan finds, and ids near 10⁹
   over a short stream cost bytes per distinct id, not per id;
@@ -121,10 +122,12 @@ class TestEventIndex:
         np.testing.assert_array_equal(trial, [3, 0, 0, 2, 3])
         counts, trial = index.occurrences(np.array([], dtype=np.int64), 0, 4)
         assert counts.size == trial.size == 0
-        # ids up to 9 over 6 occurrences: offsets by rank — 6 trials,
-        # 3 offsets, 3 distinct ids — and the 3 offsets of boundary 2
+        # ids up to 9 over 6 occurrences: offsets by rank — 6 int32
+        # trials, 3 offsets, 3 distinct (int64) ids — and the 3 offsets
+        # of boundary 2
+        assert index.keys.dtype == np.int32
         assert index.snapshot() == {"yet.event_index.builds": 1,
-                                    "yet.event_index.bytes": (6 + 3 + 3 + 3) * 8}
+                                    "yet.event_index.bytes": 6 * 4 + (3 + 3 + 3) * 8}
 
     def test_rank_keys_order_the_stream_like_direct_keys(self):
         """Ids too large for ``event * n_trials`` key on their rank;
@@ -144,7 +147,8 @@ class TestEventIndex:
             np.array([3, huge + 6, 2**63 - 1]), 0, 4)
         assert not counts.any() and trial.size == 0
         # boundaries 2 and 3 were swept: 3 offsets each
-        assert ranked.snapshot()["yet.event_index.bytes"] == (6 + 3 + 3 + 2 * 3) * 8
+        assert ranked.snapshot()["yet.event_index.bytes"] == (
+            6 * 4 + (3 + 3 + 2 * 3) * 8)
 
     def test_empty_stream(self):
         none = np.array([], dtype=np.int64)
@@ -160,7 +164,8 @@ class TestEventIndex:
         ids past the stream, repeats, every trial range ``[t0, t1)``,
         empty trials among them — as a scan of the stream does, in
         (position in ``events``, trial) order.  Each interior boundary
-        read is one more offset table in the index's bytes."""
+        read is one more offset table in the index's bytes: 4 B per
+        occurrence, 8 B per offset entry (and per raw int64 id)."""
         rng = np.random.default_rng(seed)
         n_trials = 12
         trials = np.sort(rng.integers(0, n_trials, 40))
@@ -170,8 +175,8 @@ class TestEventIndex:
         n, top, d = trials.size, events.max() + 1, np.unique(events).size
         for index, shift in ((by_id, 0), (by_rank, 2**40)):
             index.occurrences(np.array([shift]), 0, n_trials)
-        assert by_id.snapshot()["yet.event_index.bytes"] == 8 * (n + top)
-        assert by_rank.snapshot()["yet.event_index.bytes"] == 8 * (n + 2 * d)
+        assert by_id.snapshot()["yet.event_index.bytes"] == 4 * n + 8 * top
+        assert by_rank.snapshot()["yet.event_index.bytes"] == 4 * n + 16 * d
         for t0 in range(n_trials):
             for t1 in range(t0 + 1, n_trials + 1):
                 wanted = rng.integers(0, 34, rng.integers(0, 8))
@@ -186,9 +191,9 @@ class TestEventIndex:
                                                   want)
         inner = n_trials - 1                 # boundaries 1 .. n_trials - 1
         assert by_id.snapshot()["yet.event_index.bytes"] == (
-            8 * (n + top + inner * top))
+            4 * n + 8 * (top + inner * top))
         assert by_rank.snapshot()["yet.event_index.bytes"] == (
-            8 * (n + 2 * d + inner * d))
+            4 * n + 8 * (2 * d + inner * d))
         assert by_id.builds == by_rank.builds == 1
 
 
@@ -196,14 +201,14 @@ class TestEventIndex:
 # parity against the scalar oracle, on the path, across decompositions
 # ---------------------------------------------------------------------------
 
-HUGE_IDS = (2**40, 2**62)
+HUGE_IDS = (2**30, 2**31 - 8)
 
 
 @st.composite
 def event_case(draw):
     """Distinct-book layers whose retentions are drawn so that a known
     number of entries pierce (0 to just past the threshold), optionally
-    made CSR by an id past 2⁴⁰ or 2⁶², with per-row ``limit == 0``
+    made CSR by an id at 2³⁰ or just below 2³¹, with per-row ``limit == 0``
     overrides; a YET with forced empty trials, repeated events, ids past
     every table and CSR ids no segment holds."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -236,7 +241,7 @@ def event_case(draw):
     # the top-ranked (always piercing) ids are over-drawn, so events
     # repeat inside trials; ids >= 80 are past every dense table
     events = rng.integers(0, 84, trials.size)
-    pool = np.array(huge_ids + [2**40 + 77], dtype=np.int64)   # one unknown
+    pool = np.array(huge_ids + [2**30 + 77], dtype=np.int64)   # one unknown
     swap = rng.random(trials.size) < 0.2
     events[swap] = rng.choice(pool, int(swap.sum()))
     return (Portfolio(layers), zero_limit, make_yet(trials, events, counts.size),
@@ -340,8 +345,9 @@ def test_ids_near_1e9_cost_bytes_per_distinct_id_not_per_id():
     oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
     for row, lid in enumerate(kernel.layer_ids):
         np.testing.assert_array_equal(final[row], oracle[lid].losses)
+    # 4 B per occurrence; per distinct id an 8 B offset and its 4 B id
     n, d = yet.n_occurrences, np.unique(yet.event_ids).size
-    assert yet.cache_levels()["yet.event_index.bytes"] <= 8 * n + 16 * d
+    assert yet.cache_levels()["yet.event_index.bytes"] == 4 * n + 12 * d
 
 
 # ---------------------------------------------------------------------------
@@ -410,26 +416,27 @@ def by_event_workload(seed=71, n_trials=240):
         elt, retention = piercing_book(rng, width=160, contract_id=li)
         if li == 3:
             elt = EltTable.from_arrays(
-                np.append(elt.event_ids, 2**40 + li),
+                np.append(elt.event_ids, 2**30 + li),
                 np.append(elt.mean_losses, 5e5), contract_id=li)
         layers.append(Layer(li, [elt], LayerTerms(
             occ_retention=0.0 if li == 4 else retention(2 + 3 * li),
             occ_limit=2e5)))
     counts = rng.poisson(25, n_trials)
     events = rng.integers(0, 170, counts.sum())
-    events[rng.random(events.size) < 0.05] = 2**40 + 3
+    events[rng.random(events.size) < 0.05] = 2**30 + 3
     yet = make_yet(np.repeat(np.arange(n_trials), counts), events, n_trials)
     return Portfolio(layers), yet
 
 
 def ranked_bytes(yet, boundaries=0):
     """The exact size of a built index whose offsets are by rank (a
-    :func:`by_event_workload` stream holds an id past 2⁴⁰): the
-    event-major trial column, one offset and one id per distinct id —
-    plus one offset per distinct id for each interior trial boundary a
-    block was read at (a whole-table sweep reads none)."""
-    return 8 * (yet.n_occurrences
-                + (2 + boundaries) * np.unique(yet.event_ids).size)
+    :func:`by_event_workload` stream holds an id past 2³⁰): the
+    event-major int32 trial column, one 8 B offset and one 4 B id per
+    distinct id — plus one offset per distinct id for each interior
+    trial boundary a block was read at (a whole-table sweep reads
+    none)."""
+    return (4 * yet.n_occurrences
+            + (12 + 8 * boundaries) * np.unique(yet.event_ids).size)
 
 
 class TestDecompositionInvariance:
@@ -447,14 +454,14 @@ class TestDecompositionInvariance:
         per interior cut, and nothing more."""
         portfolio, yet = by_event_workload(seed=79)
         if offsets == "by_id":
-            ids = np.where(yet.event_ids > 2**40, 165, yet.event_ids)
+            ids = np.where(yet.event_ids >= 2**30, 165, yet.event_ids)
             yet = make_yet(yet.trials, ids, yet.n_trials)
         kernel = portfolio.kernel()
         whole = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
                       4, 1)
         entries = (int(yet.event_ids.max()) + 1 if offsets == "by_id"
                    else np.unique(yet.event_ids).size)
-        whole_bytes = (8 * (yet.n_occurrences + entries) if offsets == "by_id"
+        whole_bytes = (4 * yet.n_occurrences + 8 * entries if offsets == "by_id"
                        else ranked_bytes(yet))
         assert yet.cache_levels()["yet.event_index.bytes"] == whole_bytes
         for cuts in self.CUTS:
@@ -573,7 +580,7 @@ class TestIndexLifetime:
         whole = kernel.sweep_segments(*yet.trial_block())
         assert yet.event_index.builds == 1
         payload = pickle.dumps(yet)
-        assert len(payload) < yet.nbytes + 8 * yet.n_occurrences // 2, (
+        assert len(payload) < yet.nbytes + 2 * yet.n_occurrences, (
             "the index (or a second copy of the columns) was pickled")
         copy = pickle.loads(payload)
         assert copy.event_index.builds == 0
