@@ -19,6 +19,7 @@ from repro.catmod.perils import Peril, PerilKind
 from repro.data.columnar import ColumnTable
 from repro.data.schema import Schema
 from repro.errors import ConfigurationError
+from repro.util.validation import check_unique_ids
 
 __all__ = ["CATALOG_SCHEMA", "EventCatalog", "generate_catalog"]
 
@@ -42,11 +43,7 @@ class EventCatalog:
     def __post_init__(self):
         if self.table.schema != CATALOG_SCHEMA:
             raise ConfigurationError("catalogue table does not match CATALOG_SCHEMA")
-        ids = self.table["event_id"]
-        if ids.size and np.unique(ids).size != ids.size:
-            raise ConfigurationError("catalogue event ids must be unique")
-        if ids.size and (ids < 0).any():
-            raise ConfigurationError("catalogue event ids must be non-negative")
+        check_unique_ids("catalogue", self.table["event_id"])
         if (self.table["rate"] <= 0).any():
             raise ConfigurationError("event rates must be positive")
 

@@ -33,12 +33,11 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   in row order (kept on the kernel), take **one** read of the stream's
   :class:`~repro.core.tables.EventIndex` (the trial column event-major,
   with a per-event offset table), which finds each event's occurrences
-  in the trial block off two offsets — no search, no mask: a block
-  narrower than the table reads its span of each run off the index's
-  cached boundaries — and **one** ``bincount`` into ``row · n_trials +
-  trial`` bins is every row — work proportional to the block's
-  occurrences that pierce the rows' retentions, not to the stream, and
-  a fixed cost paid once per sweep, not once per row.
+  in the trial block off two offsets — no search, no mask: every block
+  has an index over its own rows — and **one** ``bincount`` into ``row ·
+  n_trials + trial`` bins is every row — work proportional to the
+  block's occurrences that pierce the rows' retentions, not to the
+  stream, and a fixed cost paid once per sweep, not once per row.
 - **on the stream** — every other row.  A per-row **net table** is
   built once per kernel (:meth:`PortfolioKernel._net_gathers`) and a
   sweep is one gather from it into a single reused row buffer plus one
@@ -52,12 +51,12 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
 What a sweep needs from the trial column is a
 :class:`~repro.core.tables.TrialSegments`, derived once per ``YetTable``
 and handed over by :meth:`YetTable.trial_block` together with the way
-to the table's event index (built on the first by-event row, once per
-table — once per worker for an attached copy).  The raw-array
-:meth:`sweep` derives the segments per call (after one stable sort if
-the stream is unsorted), builds an index *for the call* if a row
-routes to it, and runs the same core — so does any sweep over
-segments that did not come from a ``YetTable``.  Every row's path is
+to the block's event index (built on the first by-event row, once per
+trial span per table — once per span per worker for an attached
+copy).  The raw-array :meth:`sweep` derives the segments per call
+(after one stable sort if the stream is unsorted), builds an index
+*for the call* if a row routes to it, and runs the same core — so does
+any sweep over segments that did not come from a ``YetTable``.  Every row's path is
 counted in :attr:`PortfolioKernel.routed` (``kernel.lane_rows.*``).
 
 **Bit-identity rule:** a lane row's answer is a function of the trial
@@ -866,8 +865,7 @@ class PortfolioKernel:
         """
         events, nets, ends = self._by_event_stack(tuple(rows))
         n_trials = segments.n_trials
-        index, t0 = segments.event_index(event_ids)
-        counts, trial = index.occurrences(events, t0, t0 + n_trials)
+        counts, trial = segments.event_index(event_ids).occurrences(events)
         bins = trial
         if len(rows) > 1:
             # Row i's occurrences are one contiguous run of the read.

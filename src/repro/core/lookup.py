@@ -20,7 +20,21 @@ import numpy as np
 from repro.core.tables import EltTable
 from repro.errors import ConfigurationError
 
-__all__ = ["LossLookup", "dense_gather_into", "sparse_gather_into"]
+__all__ = ["LossLookup", "dense_gather_into", "merge_by_id",
+           "sparse_gather_into"]
+
+
+def merge_by_id(ids: np.ndarray, values: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique ids ascending, each id's values summed)`` by one stable
+    ``argsort`` and one ``bincount``, which adds each id's values from
+    0.0 in input order — as ``np.add.at`` over ``np.unique``'s inverse
+    does, so the sums are that merge's bit for bit, minus its hashing."""
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.diff(ids, prepend=ids[:1] - 1) != 0
+    return ids[first], np.bincount(np.cumsum(first) - 1,
+                                   weights=values[order])
 
 
 def dense_gather_into(table: np.ndarray, event_ids: np.ndarray,
@@ -72,17 +86,19 @@ class LossLookup:
         A dense table is used when ``max_event_id`` is small enough that
         the direct-index array stays under ``dense_max_entries`` slots.
         """
-        event_ids = np.asarray(event_ids, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if event_ids.size == 0 or event_ids.shape != values.shape:
+        # Copies: the arrays kept are made read-only below.
+        ids_sorted = np.array(event_ids, dtype=np.int64)
+        vals_sorted = np.array(values, dtype=np.float64)
+        if ids_sorted.size == 0 or ids_sorted.shape != vals_sorted.shape:
             raise ConfigurationError("event_ids and values must be equal-length, non-empty")
-        if (event_ids < 0).any():
+        # A merge's ids arrive strictly ascending: one pass, no sort.
+        if not (ids_sorted[1:] > ids_sorted[:-1]).all():
+            order = np.argsort(ids_sorted)
+            ids_sorted, vals_sorted = ids_sorted[order], vals_sorted[order]
+            if (ids_sorted[1:] == ids_sorted[:-1]).any():
+                raise ConfigurationError("duplicate event ids in lookup")
+        if ids_sorted[0] < 0:
             raise ConfigurationError("event ids must be non-negative")
-        order = np.argsort(event_ids)
-        ids_sorted = event_ids[order]
-        if np.any(np.diff(ids_sorted) == 0):
-            raise ConfigurationError("duplicate event ids in lookup")
-        vals_sorted = values[order]
         max_id = int(ids_sorted[-1])
         dense = None
         if max_id + 1 <= dense_max_entries:
@@ -116,14 +132,10 @@ class LossLookup:
             weights = [1.0] * len(elts)
         if len(weights) != len(elts):
             raise ConfigurationError("one weight per ELT required")
-        all_ids = np.concatenate([e.event_ids for e in elts])
-        all_vals = np.concatenate([
-            w * e.mean_losses for w, e in zip(weights, elts)
-        ])
-        uniq, inverse = np.unique(all_ids, return_inverse=True)
-        summed = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(summed, inverse, all_vals)
-        return cls.from_arrays(uniq, summed, **kwargs)
+        return cls.from_arrays(*merge_by_id(
+            np.concatenate([e.event_ids for e in elts]),
+            np.concatenate([w * e.mean_losses for w, e in zip(weights, elts)])),
+            **kwargs)
 
     # -- access ----------------------------------------------------------------
 

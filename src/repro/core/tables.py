@@ -31,6 +31,7 @@ from repro.data.columnar import ColumnTable, cast_lossless
 from repro.data.schema import Schema
 from repro.data.store import ChunkStore
 from repro.errors import ConfigurationError, EngineError, SchemaError
+from repro.util.validation import check_unique_ids
 
 __all__ = [
     "ELT_SCHEMA",
@@ -119,17 +120,14 @@ class EltTable:
     def __init__(self, table: ColumnTable, contract_id: int = 0) -> None:
         if table.schema != ELT_SCHEMA:
             raise ConfigurationError("ELT table must match ELT_SCHEMA")
-        ids = table["event_id"]
-        if ids.size == 0:
+        if table.n_rows == 0:
             raise ConfigurationError("an ELT must contain at least one event")
-        if (ids < 0).any():
-            raise ConfigurationError("ELT event ids must be non-negative")
-        if np.unique(ids).size != ids.size:
-            raise ConfigurationError("ELT event ids must be unique")
-        if (table["mean_loss"] < 0).any():
-            raise ConfigurationError("ELT losses must be non-negative")
-        if (table["sigma"] < 0).any():
-            raise ConfigurationError("ELT sigmas must be non-negative")
+        check_unique_ids("ELT", table["event_id"])
+        for column, what in (("mean_loss", "losses"), ("sigma", "sigmas")):
+            # NaN fails both bounds, so it cannot reach a merged lookup.
+            if not ((table[column] >= 0) & (table[column] < np.inf)).all():
+                raise ConfigurationError(
+                    f"ELT {what} must be finite and non-negative")
         self.table = table
         self.contract_id = int(contract_id)
 
@@ -378,29 +376,28 @@ class BookProfiles:
                 "yet.profile.bytes": sum(p.nbytes for p in resident)}
 
 
+def _key_dtype(entries: int, shift: int) -> type:
+    """The narrowest signed type of every key ``rank << shift | trial``."""
+    return np.int32 if entries << shift <= 2**31 else np.int64
+
+
 class EventIndex:
-    """The occurrence stream of one trial-sorted table, event-major.
+    """The occurrence stream of one trial span ``[t0, t0 + n_trials)``
+    of a trial-sorted table, event-major.
 
-    Two arrays: :attr:`keys`, the stream's trial column ordered by
-    (event, trial) — equal entries are interchangeable (same event,
-    same trial, hence the same loss under any row) — and an offset
-    table, ``ends``, one offset per event: event ``r``'s occurrences are
-    ``keys[ends[r - 1]:ends[r]]`` (from 0 for ``r == 0``), their trials
-    ascending.  The occurrences of an event are therefore read, not
-    searched for: two offsets give its whole run, and two offsets of a
-    *boundary* give its part in a trial block (:meth:`occurrences`).
-    That is what lets a kernel row visit only the occurrences of the
-    events that pierce its retention, and a pool worker only those in
-    its own trials.
-
-    **Boundaries.**  Where event ``r``'s run reaches trial ``t`` is its
-    run start plus its occurrences in the stream before trial ``t`` —
-    one ``bincount`` of the event ranks in that prefix.  Trials 0 and
-    ``n_trials`` are the run starts and ``ends`` themselves; any other
-    boundary a block is cut at is built once, under the lock, and kept
-    (8 bytes per offset entry): a table's dispatchers cut it at the
-    same few trials sweep after sweep.  Offsets grow with events, not
-    occurrences, so they stay int64.
+    Two arrays: :attr:`keys`, the stream's trial column (numbered from
+    ``t0``) ordered by (event, trial) — equal entries are
+    interchangeable (same event, same trial, hence the same loss under
+    any row) — and an offset table, ``ends``, one int64 offset per
+    event: event ``r``'s occurrences are ``keys[ends[r - 1]:ends[r]]``
+    (from 0 for ``r == 0``), their trials ascending.  The occurrences of
+    an event are therefore read, not searched for: two offsets give its
+    whole run (:meth:`occurrences`).  That is what lets a kernel row
+    visit only the occurrences of the events that pierce its retention.
+    An index covers exactly its span, so no read stops inside a run: a
+    :class:`YetTable` keeps one per trial span it is swept over
+    (:meth:`YetTable.trial_block`), and a pool worker indexes only the
+    rows of its own span.
 
     **Sizing rule.**  ``ends`` is indexed by event id when the id space
     is no wider than the stream (``max_id + 1 <= n_occurrences``), and
@@ -410,39 +407,39 @@ class EventIndex:
     per *id*; ranked, it costs 8 per distinct id, plus the id in the
     stream's dtype (4 for a YET's int32 ids).
 
-    Built lazily, under a lock, on the first lookup: one int64 array
-    takes the key ``event << b | trial`` (``b`` bits hold any trial; the
-    event's rank from one ``np.unique`` when ranked), is sorted in place,
-    masked in place down to its trial and narrowed to int32 (a trial is
-    below 2**31), so the array kept is 4 bytes per occurrence.  The
-    offsets are one ``bincount`` (or ``np.unique``'s counts) and a
-    ``cumsum``.  A :class:`YetTable` owns one over its own columns
-    (``yet.event_index``: it dies with the table, and pickles as an
-    unbuilt index over the pickled columns, so it is never shipped and
-    an attached copy builds its own once per worker).
+    **Key dtype.**  Built lazily, under a lock, on the first lookup: one
+    array takes the key ``event << b | trial`` (``b`` bits hold any
+    trial of the span; the event's rank from one ``np.unique`` when
+    ranked) in the narrowest signed type that holds it — int32 while
+    ``len(ends) << b <= 2**31``, else int64 — is sorted and masked in
+    place down to its trial, and is narrowed to int32 if it was wider,
+    so the array kept is 4 bytes per occurrence.  The offsets are one
+    ``bincount`` (or ``np.unique``'s counts) and a ``cumsum``.  A
+    table's indexes die with it and are never shipped (it pickles as its
+    columns): an attached copy builds its own, once per span per worker.
     """
 
-    __slots__ = ("_lock", "_trials", "_event_ids", "n_trials", "_keys",
-                 "_ends", "_events", "_bounds", "builds")
+    __slots__ = ("_lock", "_trials", "_event_ids", "n_trials", "t0",
+                 "_keys", "_ends", "_events", "builds")
 
     def __init__(self, trials: np.ndarray, event_ids: np.ndarray,
-                 n_trials: int) -> None:
+                 n_trials: int, t0: int = 0) -> None:
         _check_n_trials(n_trials)
         self._lock = threading.Lock()
         self._trials = trials
         self._event_ids = event_ids
         self.n_trials = int(n_trials)
+        self.t0 = int(t0)
         self._keys: np.ndarray | None = None
         self._ends: np.ndarray | None = None
         self._events: np.ndarray | None = None
-        #: Interior trial boundary → where each run reaches it.
-        self._bounds: dict[int, np.ndarray] = {}
         #: Times the stream was sorted into keys — stays at 1 however
         #: many sweeps (or workers' tasks) look events up.
         self.builds = 0
 
     def __reduce__(self):
-        return (EventIndex, (self._trials, self._event_ids, self.n_trials))
+        return EventIndex, (self._trials, self._event_ids, self.n_trials,
+                            self.t0)
 
     @property
     def keys(self) -> np.ndarray:
@@ -454,81 +451,60 @@ class EventIndex:
 
     def _build(self) -> None:
         event_ids = self._event_ids
+        if int(event_ids.max(initial=-1)) < event_ids.size:
+            ranks = event_ids
+            # ``minlength=1``: an empty stream still has one (empty) run
+            # for an unheld id to be clamped onto.
+            counts = np.bincount(ranks, minlength=1)
+        else:
+            self._events, ranks, counts = np.unique(
+                event_ids, return_inverse=True, return_counts=True)
         # The trial takes the key's low bits, so reducing a sorted key
         # to its trial is a mask, not an integer division.
         shift = (self.n_trials - 1).bit_length()
-        if int(event_ids.max(initial=-1)) < event_ids.size:
-            keys = event_ids.astype(np.int64)
-            # ``minlength=1``: an empty stream still has one (empty) run
-            # for an unheld id to be clamped onto.
-            counts = np.bincount(keys, minlength=1)
-            keys <<= shift
-        else:
-            self._events, keys, counts = np.unique(
-                event_ids, return_inverse=True, return_counts=True)
-            keys <<= shift
-        keys |= self._trials
+        keys = ranks.astype(_key_dtype(counts.size, shift),
+                            copy=ranks is event_ids)
+        keys <<= shift
+        if self.t0:
+            keys -= self.t0      # first, so no partial sum overflows
+        keys += self._trials
         keys.sort()
         keys &= (1 << shift) - 1
         self._ends = np.cumsum(counts, out=counts)
-        self._keys = keys.astype(_ID)
+        self._keys = keys.astype(_ID, copy=False)
         self.builds += 1
 
-    def _at(self, t: int, rank: np.ndarray) -> np.ndarray:
-        """Where the runs of ``rank`` reach trial ``t`` (a new array)."""
-        if t == self.n_trials:
-            return self._ends[rank]
-        if t == 0:
-            at = self._ends[rank - 1]
-            at[rank == 0] = 0
-            return at
-        bound = self._bounds.get(t)
-        if bound is None:
-            with self._lock:
-                bound = self._bounds.get(t)
-                if bound is None:
-                    ids = self._event_ids[:_cuts(self._trials, t)]
-                    if self._events is not None:
-                        ids = np.searchsorted(self._events, ids)
-                    bound = np.bincount(ids, minlength=self._ends.size)
-                    bound[1:] += self._ends[:-1]
-                    self._bounds[t] = bound
-        return bound[rank]
-
-    def occurrences(self, events: np.ndarray, t0: int,
-                    t1: int) -> tuple[np.ndarray, np.ndarray]:
+    def occurrences(self, events: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
         """The occurrences of ``events`` (non-negative ids, repeats
-        allowed) in trials ``[t0, t1)``: ``(counts, trial)`` — how many
-        occurrences each entry of ``events`` has there, and their trials
-        (int32) renumbered from ``t0``, in (position in ``events``, trial)
-        order.
+        allowed): ``(counts, trial)`` — how many occurrences each entry
+        of ``events`` has, and their trials (int32, numbered from the
+        index's ``t0``), in (position in ``events``, trial) order.
         ``np.repeat(v, counts)`` lays any per-event array ``v`` beside
         ``trial``; one read serves any number of rows' events at once."""
-        keys = self.keys
-        last = self._ends.size - 1
+        keys, ends = self.keys, self._ends
+        last = ends.size - 1
         if self._events is None:
             rank = np.minimum(events, last)
             held = events <= last
         else:
             rank = np.minimum(np.searchsorted(self._events, events), last)
             held = self._events[rank] == events
-        lo = self._at(t0, rank)
-        counts = self._at(t1, rank) - lo
+        lo = ends[rank - 1]
+        lo[rank == 0] = 0
+        counts = ends[rank] - lo
         counts[~held] = 0
         # Run r's k-th occurrence sits at lo[r] + k, and is entry
         # (cumsum - counts)[r] + k of the result.
         lo -= np.cumsum(counts) - counts
         at = np.repeat(lo, counts)
         at += np.arange(at.size)
-        trial = keys[at]
-        if t0:
-            trial -= t0
-        return counts, trial
+        return counts, keys[at]
 
     def snapshot(self) -> dict:
         """Flat ``yet.event_index.*`` levels (the :mod:`repro.obs`
-        schema): every array the index holds, boundaries included."""
-        held = (self._keys, self._ends, self._events, *self._bounds.values())
+        schema): whether the index was built, and every array it holds."""
+        held = (self._keys, self._ends, self._events)
         return {"yet.event_index.builds": self.builds,
                 "yet.event_index.bytes": sum(
                     a.nbytes for a in held if a is not None)}
@@ -551,14 +527,13 @@ class TrialSegments:
     constructor over a slice of :attr:`YetTable.trial_offsets`.
 
     Segments handed out by :meth:`YetTable.trial_block` also carry the
-    way to what the YET keeps about its whole stream — its
-    :class:`BookProfiles` (``profiles``) and its :class:`EventIndex`
-    (``events``), and for a trial range ``within`` = the whole table's
-    ``(segments, event_ids, t_start)`` — so :meth:`book_profile` serves
-    a slice of the cached whole-YET profile and :meth:`event_index` the
-    whole-YET index with the block's first trial, off which a by-event
-    row reads just the block's span of each run.  Segments of a raw
-    stream carry neither: each call builds its own.
+    way to what the YET keeps about their stream — its
+    :class:`BookProfiles` (``profiles``, and for a trial range
+    ``within`` = the whole table's ``(segments, event_ids, t_start)``),
+    so :meth:`book_profile` serves a slice of the cached whole-YET
+    profile, and the :class:`EventIndex` the YET keeps for exactly this
+    trial range (``events``), which :meth:`event_index` returns.
+    Segments of a raw stream carry neither: each call builds its own.
     """
 
     __slots__ = ("bounds", "trial_ids", "n_trials", "max_count",
@@ -609,16 +584,12 @@ class TrialSegments:
         profile = self._profiles.get(key, lambda: build(whole, whole_ids))
         return profile.trial_range(t0, t0 + self.n_trials)
 
-    def event_index(self, event_ids: np.ndarray) -> tuple[EventIndex, int]:
-        """``(index, t0)``: the event-major index this stream is part of
-        and the index's trial that trial 0 here is — the owning YET's
-        whole-table index, whose runs the caller reads from ``t0`` for
-        ``n_trials`` trials (:meth:`EventIndex.occurrences`), or one
-        over this stream alone (built for the call)."""
+    def event_index(self, event_ids: np.ndarray) -> EventIndex:
+        """The event-major index of exactly this stream: the one its YET
+        keeps for this trial range, or one built for the call."""
         if self._events is None:
-            return EventIndex(self.trial_column(), event_ids,
-                              self.n_trials), 0
-        return self._events, self._within[2] if self._within else 0
+            return EventIndex(self.trial_column(), event_ids, self.n_trials)
+        return self._events
 
 
 def _check_trial_range(t_start: int, t_stop: int, n_trials: int) -> None:
@@ -670,13 +641,13 @@ class YetTable:
     :meth:`from_handles` copy), never pickled or shipped, and dropped
     with it: the trial index (:attr:`trial_offsets` and the whole-table
     :class:`TrialSegments`), the book profiles of same-book quote groups
-    (:attr:`profiles`), and the event-major index that high-attaching
-    lane rows price by (:attr:`event_index`).  :meth:`trial_block` hands
+    (:attr:`profiles`), and the event-major indexes high-attaching lane
+    rows price by, one per trial span swept.  :meth:`trial_block` hands
     a sweep all three; :meth:`cache_levels` reports them.
     """
 
     __slots__ = ("table", "n_trials", "_offsets", "_segments",
-                 "_fingerprint", "index_builds", "profiles", "event_index")
+                 "_fingerprint", "index_builds", "profiles", "_indexes")
 
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
@@ -706,10 +677,12 @@ class YetTable:
         #: Book profiles of same-book quote groups (see
         #: :class:`BookProfiles`): live and die with this table.
         self.profiles = BookProfiles()
-        #: The stream event-major, for lane rows priced by events (see
-        #: :class:`EventIndex`): built on first use, dies with this table.
-        self.event_index = EventIndex(self.table["trial"],
-                                      self.table["event_id"], self.n_trials)
+        #: ``(t0, t1)`` → the :class:`EventIndex` of trials ``[t0, t1)``.
+        self._indexes: dict[tuple[int, int], EventIndex] = {}
+
+    def __reduce__(self):
+        # The columns alone: no cache is shipped.
+        return YetTable, (self.table, self.n_trials)
 
     @classmethod
     def simulate(
@@ -781,6 +754,21 @@ class YetTable:
             self.index_builds += 1
         return self._offsets
 
+    @property
+    def event_index(self) -> EventIndex:
+        """The whole table's event index (see :meth:`trial_block`)."""
+        return self._span_index(0, self.n_trials)
+
+    def _span_index(self, t_start: int, t_stop: int) -> EventIndex:
+        """The one (lazy) index of trials ``[t_start, t_stop)``."""
+        index = self._indexes.get((t_start, t_stop))
+        if index is None:
+            rows = slice(*self.trial_offsets[[t_start, t_stop]].tolist())
+            index = self._indexes.setdefault((t_start, t_stop), EventIndex(
+                self.trials[rows], self.event_ids[rows], t_stop - t_start,
+                t_start))
+        return index
+
     def trial_block(self, t_start: int = 0, t_stop: int | None = None
                     ) -> tuple[TrialSegments, np.ndarray]:
         """``(segments, event_ids)`` of trials ``[t_start, t_stop)``,
@@ -791,9 +779,10 @@ class YetTable:
         per table — once per worker for a :meth:`from_handles` copy —
         and a sub-range is offset arithmetic over it, so no sweep
         re-scans the trial column.  The segments lead back to
-        :attr:`profiles` and :attr:`event_index`, so same-book groups
-        and by-event rows of any trial range price off one whole-table
-        profile per book and one whole-table index.
+        :attr:`profiles`, so same-book groups of any trial range price
+        off one whole-table profile per book, and to the event index of
+        this very span, built over the span's rows alone on its first
+        by-event sweep and kept — so a pool worker sorts only its span.
         """
         offsets = self.trial_offsets
         if t_stop is None:
@@ -806,7 +795,7 @@ class YetTable:
             return self._segments, self.event_ids
         within = (self._segments, self.event_ids, t_start)
         return (TrialSegments(offsets[t_start:t_stop + 1], self.profiles,
-                              self.event_index, within),
+                              self._span_index(t_start, t_stop), within),
                 self.event_ids[int(offsets[t_start]):int(offsets[t_stop])])
 
     def trial_blocks(self, t_start: int, t_stop: int) -> tuple:
@@ -835,9 +824,12 @@ class YetTable:
         return self.n_occurrences / self.n_trials
 
     def cache_levels(self) -> dict:
-        """Flat ``yet.profile.*`` / ``yet.event_index.*`` levels: what
-        this table keeps about its stream beyond the columns."""
-        return {**self.profiles.snapshot(), **self.event_index.snapshot()}
+        """Flat ``yet.profile.*`` / ``yet.event_index.*`` levels (summed
+        over the span indexes): what the table keeps beyond its columns."""
+        spans = [index.snapshot() for index in list(self._indexes.values())]
+        return {**self.profiles.snapshot(), **{
+            name: sum(span[name] for span in spans)
+            for name in ("yet.event_index.builds", "yet.event_index.bytes")}}
 
     # -- shared-memory transport -------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.layer import Layer
-from repro.core.lookup import LossLookup
+from repro.core.lookup import LossLookup, merge_by_id
 from repro.errors import ConfigurationError
 
 __all__ = ["SecondaryUncertainty", "sample_occurrence_losses",
@@ -51,15 +51,13 @@ class SecondaryUncertainty:
             raise ConfigurationError(
                 f"expected Layer, got {type(layer).__name__}")
         weights = layer.weights or (1.0,) * layer.n_elts
-        all_ids = np.concatenate([e.event_ids for e in layer.elts])
-        all_vars = np.concatenate([(w * e.sigmas) ** 2
-                                   for w, e in zip(weights, layer.elts)])
-        uniq, inverse = np.unique(all_ids, return_inverse=True)
-        variances = np.zeros(uniq.size)
-        np.add.at(variances, inverse, all_vars)
+        ids, variances = merge_by_id(
+            np.concatenate([e.event_ids for e in layer.elts]),
+            np.concatenate([(w * e.sigmas) ** 2
+                            for w, e in zip(weights, layer.elts)]))
         return cls(
             layer.lookup(dense_max_entries),
-            LossLookup.from_arrays(uniq, np.sqrt(variances),
+            LossLookup.from_arrays(ids, np.sqrt(variances),
                                    dense_max_entries=dense_max_entries),
         )
 

@@ -19,7 +19,10 @@ and the two substrates differ in where the spans execute:
 
   * the *YET arrays* (the stable side of a serving workload) are placed
     in a shared arena keyed by content fingerprint — workers attach once
-    and a re-simulated-but-equal trial set re-ships nothing;
+    and a re-simulated-but-equal trial set re-ships nothing.  The event
+    index that by-event rows read is built in the worker over the rows
+    of its span alone (:meth:`YetTable.trial_block`), once per span, so
+    no worker sorts the whole YET;
   * the *kernel* is written into one reusable
     :class:`~repro.hpc.shm.ShmSlab` once per kernel: the dispatcher
     holds the one kernel it last packed (compared by identity, held by a

@@ -19,6 +19,7 @@ __all__ = [
     "check_fraction",
     "check_probability_vector",
     "check_in",
+    "check_unique_ids",
 ]
 
 
@@ -61,3 +62,13 @@ def check_in(name: str, value, allowed) -> object:
     if value not in allowed:
         raise ConfigurationError(f"{name} must be one of {sorted(map(str, allowed))}, got {value!r}")
     return value
+
+
+def check_unique_ids(what: str, ids: np.ndarray) -> None:
+    """Require non-negative, unique event ids: one sort and one
+    neighbour compare, not ``np.unique``'s hashing."""
+    ids = np.sort(ids)
+    if ids.size and ids[0] < 0:
+        raise ConfigurationError(f"{what} event ids must be non-negative")
+    if (ids[1:] == ids[:-1]).any():
+        raise ConfigurationError(f"{what} event ids must be unique")

@@ -40,6 +40,24 @@ class TestEltTable:
         with pytest.raises(ConfigurationError):
             EltTable.from_arrays([1], [-1.0])
 
+    @pytest.mark.parametrize("column", ["mean_loss", "sigma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_values_rejected(self, column, bad):
+        """NaN passes ``x < 0`` and infinity is not negative; either
+        would reach every YLT of a book through its merged lookup."""
+        values = {"mean_loss": [1.0, 3.0, 2.0], "sigma": [0.0, 1.0, 0.5]}
+        values[column][1] = bad
+        what = "losses" if column == "mean_loss" else "sigmas"
+        with pytest.raises(ConfigurationError,
+                           match=f"ELT {what} must be finite and non-negative"):
+            EltTable.from_arrays([1, 2, 3], values["mean_loss"],
+                                 values["sigma"])
+
+    def test_nan_loss_and_non_finite_sigmas_rejected(self):
+        with pytest.raises(ConfigurationError, match="losses"):
+            EltTable.from_arrays([1, 2, 3], [1.0, np.nan, 2.0],
+                                 [0.0, np.inf, np.nan])
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             EltTable.from_arrays([], [])

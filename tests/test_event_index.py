@@ -42,6 +42,7 @@ from repro.core.engines import (
 from repro.core.kernels import _HANDLE_FIELDS, PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
+from repro.core import tables
 from repro.core.tables import YET_SCHEMA, EltTable, EventIndex, YetTable
 from repro.core.terms import LayerTerms
 from repro.data.columnar import ColumnTable
@@ -99,6 +100,24 @@ def piercing_book(rng, width, contract_id=0):
 # the index itself
 # ---------------------------------------------------------------------------
 
+def index_bytes(events):
+    """The exact size of a built index over a stream of ``events``, by
+    the sizing rule: 4 B per occurrence (an int32 trial) and an 8 B
+    offset per entry — per id up to the largest when the ids fit the
+    stream, else per distinct id, beside the distinct ids themselves."""
+    top = int(events.max(initial=-1)) + 1
+    if top <= events.size:
+        return 4 * events.size + 8 * max(top, 1)
+    distinct = np.unique(events)
+    return 4 * events.size + 8 * distinct.size + distinct.nbytes
+
+
+def span_index(trials, events, t0, t1):
+    """An index over the rows of trials ``[t0, t1)`` alone."""
+    rows = (trials >= t0) & (trials < t1)
+    return EventIndex(trials[rows], events[rows], t1 - t0, t0)
+
+
 class TestEventIndex:
     TRIALS = np.array([0, 0, 0, 2, 2, 3])
     EVENTS = np.array([5, 7, 5, 7, 5, 9])
@@ -108,52 +127,54 @@ class TestEventIndex:
         assert index.builds == 0 and index.snapshot() == {
             "yet.event_index.builds": 0, "yet.event_index.bytes": 0}
         # event 5 occurs in trials 0, 0, 2; event 6 never; 9 in trial 3
-        counts, trial = index.occurrences(np.array([5, 6, 9]), 0, 4)
+        counts, trial = index.occurrences(np.array([5, 6, 9]))
         np.testing.assert_array_equal(counts, [3, 0, 1])
         np.testing.assert_array_equal(trial, [0, 0, 2, 3])
-        # trials [2, 4), renumbered from 2; an id past every occurrence
-        counts, trial = index.occurrences(np.array([5, 7, 10**12]), 2, 4)
-        np.testing.assert_array_equal(counts, [1, 1, 0])
-        np.testing.assert_array_equal(trial, [0, 0])
         # an event asked for twice (two rows' events in one read) is
         # read twice, in the order asked
-        counts, trial = index.occurrences(np.array([9, 5, 9]), 0, 4)
+        counts, trial = index.occurrences(np.array([9, 5, 9]))
         np.testing.assert_array_equal(counts, [1, 3, 1])
         np.testing.assert_array_equal(trial, [3, 0, 0, 2, 3])
-        counts, trial = index.occurrences(np.array([], dtype=np.int64), 0, 4)
+        counts, trial = index.occurrences(np.array([], dtype=np.int64))
         assert counts.size == trial.size == 0
         # ids up to 9 over 6 occurrences: offsets by rank — 6 int32
-        # trials, 3 offsets, 3 distinct (int64) ids — and the 3 offsets
-        # of boundary 2
+        # trials, 3 offsets, 3 distinct (int64) ids
         assert index.keys.dtype == np.int32
         assert index.snapshot() == {"yet.event_index.builds": 1,
-                                    "yet.event_index.bytes": 6 * 4 + (3 + 3 + 3) * 8}
+                                    "yet.event_index.bytes": 6 * 4 + (3 + 3) * 8}
+        # trials [2, 4) alone, renumbered from 2; an id past every
+        # occurrence
+        span = span_index(self.TRIALS, self.EVENTS, 2, 4)
+        counts, trial = span.occurrences(np.array([5, 7, 10**12]))
+        np.testing.assert_array_equal(counts, [1, 1, 0])
+        np.testing.assert_array_equal(trial, [0, 0])
+        assert span.snapshot()["yet.event_index.bytes"] == 3 * 4 + (3 + 3) * 8
 
     def test_rank_keys_order_the_stream_like_direct_keys(self):
         """Ids too large for ``event * n_trials`` key on their rank;
         every lookup answers as the direct keys would."""
         huge = 2**62
-        direct = EventIndex(self.TRIALS, self.EVENTS, n_trials=4)
-        ranked = EventIndex(self.TRIALS, self.EVENTS + huge, n_trials=4)
-        assert ranked.keys.max() < 4 * 4 and ranked.keys.min() >= 0
         for events, t0, t1 in (([5, 6, 9], 0, 4), ([5, 7], 2, 4),
                                ([0, 7, 8, 10], 0, 3)):
+            direct = span_index(self.TRIALS, self.EVENTS, t0, t1)
+            ranked = span_index(self.TRIALS, self.EVENTS + huge, t0, t1)
+            assert ranked.keys.max() < t1 - t0 and ranked.keys.min() >= 0
             events = np.array(events)
-            for got, want in zip(ranked.occurrences(events + huge, t0, t1),
-                                 direct.occurrences(events, t0, t1)):
+            for got, want in zip(ranked.occurrences(events + huge),
+                                 direct.occurrences(events)):
                 np.testing.assert_array_equal(got, want)
         # ids the ranked stream does not hold, on both sides of it
+        ranked = EventIndex(self.TRIALS, self.EVENTS + huge, n_trials=4)
         counts, trial = ranked.occurrences(
-            np.array([3, huge + 6, 2**63 - 1]), 0, 4)
+            np.array([3, huge + 6, 2**63 - 1]))
         assert not counts.any() and trial.size == 0
-        # boundaries 2 and 3 were swept: 3 offsets each
         assert ranked.snapshot()["yet.event_index.bytes"] == (
-            6 * 4 + (3 + 3 + 2 * 3) * 8)
+            6 * 4 + (3 + 3) * 8)
 
     def test_empty_stream(self):
         none = np.array([], dtype=np.int64)
         counts, trial = EventIndex(none, none, 3).occurrences(
-            np.array([0, 4]), 0, 3)
+            np.array([0, 4]))
         np.testing.assert_array_equal(counts, [0, 0])
         assert trial.size == 0
 
@@ -161,22 +182,18 @@ class TestEventIndex:
     def test_offsets_by_id_and_by_rank_read_what_a_scan_finds(self, seed):
         """Offsets indexed by id (the ids fit the stream) and by rank
         (the same stream past 2⁴⁰) answer every lookup — absent ids,
-        ids past the stream, repeats, every trial range ``[t0, t1)``,
-        empty trials among them — as a scan of the stream does, in
-        (position in ``events``, trial) order.  Each interior boundary
-        read is one more offset table in the index's bytes: 4 B per
-        occurrence, 8 B per offset entry (and per raw int64 id)."""
+        ids past the stream, repeats, over every trial span ``[t0,
+        t1)``, empty trials among them — as a scan of the stream does,
+        in (position in ``events``, trial) order.  Each span's index is
+        sized by its own rows: 4 B per occurrence, 8 B per offset entry
+        (and per raw int64 id)."""
         rng = np.random.default_rng(seed)
         n_trials = 12
         trials = np.sort(rng.integers(0, n_trials, 40))
         events = rng.integers(0, 30, trials.size)
-        by_id = EventIndex(trials, events, n_trials)
-        by_rank = EventIndex(trials, events + 2**40, n_trials)
         n, top, d = trials.size, events.max() + 1, np.unique(events).size
-        for index, shift in ((by_id, 0), (by_rank, 2**40)):
-            index.occurrences(np.array([shift]), 0, n_trials)
-        assert by_id.snapshot()["yet.event_index.bytes"] == 4 * n + 8 * top
-        assert by_rank.snapshot()["yet.event_index.bytes"] == 4 * n + 16 * d
+        assert index_bytes(events) == 4 * n + 8 * top
+        assert index_bytes(events + 2**40) == 4 * n + 16 * d
         for t0 in range(n_trials):
             for t1 in range(t0 + 1, n_trials + 1):
                 wanted = rng.integers(0, 34, rng.integers(0, 8))
@@ -184,17 +201,48 @@ class TestEventIndex:
                         for t in trials[(events == e) & (trials >= t0)
                                         & (trials < t1)].tolist()]
                 want = np.array(scan, dtype=np.int64).reshape(-1, 2).T
-                for index, shift in ((by_id, 0), (by_rank, 2**40)):
-                    counts, trial = index.occurrences(wanted + shift, t0, t1)
+                rows = (trials >= t0) & (trials < t1)
+                for shift in (0, 2**40):
+                    index = span_index(trials, events + shift, t0, t1)
+                    counts, trial = index.occurrences(wanted + shift)
                     which = np.repeat(np.arange(wanted.size), counts)
                     np.testing.assert_array_equal(np.stack((which, trial)),
                                                   want)
-        inner = n_trials - 1                 # boundaries 1 .. n_trials - 1
-        assert by_id.snapshot()["yet.event_index.bytes"] == (
-            4 * n + 8 * (top + inner * top))
-        assert by_rank.snapshot()["yet.event_index.bytes"] == (
-            4 * n + 8 * (2 * d + inner * d))
-        assert by_id.builds == by_rank.builds == 1
+                    assert index.builds == 1
+                    assert index.snapshot()["yet.event_index.bytes"] == (
+                        index_bytes(events[rows] + shift))
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_keys_take_int64_only_where_the_key_needs_it(self, ranked,
+                                                        monkeypatch):
+        """A stream whose ``entries << bits`` crosses 2³¹ — 2,100 ids by
+        id, or ≈ 2,600 distinct ids by rank, over 2²⁰ trials — keys in
+        int64, and the base shape's stream in int32; on both routes the
+        keys and offsets are a reference ``lexsort``'s, and the kept
+        keys 4 B per occurrence."""
+        chosen = []
+        pick = tables._key_dtype
+        monkeypatch.setattr(tables, "_key_dtype",
+                            lambda *a: chosen.append(pick(*a)) or chosen[-1])
+        rng = np.random.default_rng(5)
+        for n_trials, width, n, wide in (
+                (2**20, 10_000 if ranked else 2_100, 3_000, True),
+                (2_000, 20_000, 500_000, False)):
+            trials = np.sort(rng.integers(0, n_trials, n)).astype(np.int32)
+            events = rng.integers(0, width, n) + (2**40 if ranked else 0)
+            index = EventIndex(trials, events, n_trials)
+            keys = index.keys
+            distinct, counts = np.unique(events, return_counts=True)
+            assert (index._events is not None) == ranked
+            if not ranked:
+                counts = np.bincount(events)
+            entries = counts.size
+            assert (entries << (n_trials - 1).bit_length() > 2**31) == wide
+            assert chosen[-1] == (np.int64 if wide else np.int32)
+            np.testing.assert_array_equal(
+                keys, trials[np.lexsort((trials, events))])
+            np.testing.assert_array_equal(index._ends, np.cumsum(counts))
+            assert keys.dtype == np.int32 and keys.nbytes == 4 * n
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +476,19 @@ def by_event_workload(seed=71, n_trials=240):
     return Portfolio(layers), yet
 
 
-def ranked_bytes(yet, boundaries=0):
-    """The exact size of a built index whose offsets are by rank (a
-    :func:`by_event_workload` stream holds an id past 2³⁰): the
+def ranked_bytes(yet):
+    """The exact size of a built whole-table index whose offsets are by
+    rank (a :func:`by_event_workload` stream holds an id past 2³⁰): the
     event-major int32 trial column, one 8 B offset and one 4 B id per
-    distinct id — plus one offset per distinct id for each interior
-    trial boundary a block was read at (a whole-table sweep reads
-    none)."""
-    return (4 * yet.n_occurrences
-            + (12 + 8 * boundaries) * np.unique(yet.event_ids).size)
+    distinct id."""
+    return 4 * yet.n_occurrences + 12 * np.unique(yet.event_ids).size
+
+
+def span_bytes(yet, t0, t1):
+    """The exact size of the built index of trials ``[t0, t1)``: sized
+    by the span's own rows alone (:func:`index_bytes`)."""
+    rows = slice(*yet.trial_offsets[[t0, t1]].tolist())
+    return index_bytes(yet.event_ids[rows])
 
 
 class TestDecompositionInvariance:
@@ -450,8 +502,8 @@ class TestDecompositionInvariance:
         """By-event rows swept block by block are the whole-YET sweep,
         bit for bit, with every block's rows counted on the by-event
         path — whether the index's offsets are by id or by rank.  Each
-        block read its own span: the index holds one offset table more
-        per interior cut, and nothing more."""
+        block read an index over its own span: one build per span, sized
+        by the span's rows and nothing more."""
         portfolio, yet = by_event_workload(seed=79)
         if offsets == "by_id":
             ids = np.where(yet.event_ids >= 2**30, 165, yet.event_ids)
@@ -468,12 +520,14 @@ class TestDecompositionInvariance:
             parts = [swept(kernel, lambda: kernel.sweep_segments(
                 *yet.trial_block(a, b)), 4, 1) for a, b in zip(cuts, cuts[1:])]
             np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
-        interior = {t for cuts in self.CUTS for t in cuts[1:-1]}
-        assert len(interior) == 8
+        spans = {(a, b) for cuts in self.CUTS[1:]
+                 for a, b in zip(cuts, cuts[1:])}
+        assert len(spans) == 11
         levels = yet.cache_levels()
-        assert levels["yet.event_index.builds"] == 1
-        assert levels["yet.event_index.bytes"] == (
-            whole_bytes + 8 * entries * len(interior))
+        assert yet.event_index.builds == 1
+        assert levels["yet.event_index.builds"] == 1 + len(spans)
+        assert levels["yet.event_index.bytes"] == whole_bytes + sum(
+            span_bytes(yet, a, b) for a, b in spans)
 
     def test_dispatchers_agree_bitwise(self, monkeypatch):
         """Whole-YET, dispatcher-blocked, 2-worker pooled, degraded
@@ -529,9 +583,12 @@ class TestDecompositionInvariance:
 # one index per table per process; lazy; never shipped; dies with its YET
 # ---------------------------------------------------------------------------
 
-def _worker_event_index_builds(shared, _i):  # pragma: no cover - in a worker
+def _worker_event_indexes(shared, _i):  # pragma: no cover - in a worker
+    """``(pid, {span: (builds, bytes)})`` of the worker's YET copy."""
     yet = shared[1] if isinstance(shared, tuple) else shared
-    return os.getpid(), yet.event_index.builds
+    return os.getpid(), {
+        span: (index.builds, index.snapshot()["yet.event_index.bytes"])
+        for span, index in yet._indexes.items()}
 
 
 class TestIndexLifetime:
@@ -550,15 +607,19 @@ class TestIndexLifetime:
             InlineDispatcher().run(kernel, yet)
             PortfolioKernel.from_portfolio(portfolio).sweep_segments(
                 *yet.trial_block())
-        # whole-table sweeps read no boundary
+        # whole-table sweeps read the one whole-table index
+        assert yet.cache_levels()["yet.event_index.builds"] == 1
         assert yet.cache_levels()["yet.event_index.bytes"] == ranked_bytes(yet)
         for sweep in range(self.N_SWEEPS):
             kernel.sweep_segments(*yet.trial_block(sweep, 200 - sweep))
             kernel.sweep_segments(*yet.trial_block(sweep, 200 - sweep))
-        assert yet.cache_levels()["yet.event_index.builds"] == 1
-        # interior boundaries 1..5 and 195..200, each kept once
-        assert yet.cache_levels()["yet.event_index.bytes"] == ranked_bytes(
-            yet, boundaries=2 * self.N_SWEEPS - 1)
+        # spans [0, 200) .. [5, 195): each built once, by its own rows
+        assert yet.event_index.builds == 1
+        assert yet.cache_levels()["yet.event_index.builds"] == (
+            1 + self.N_SWEEPS)
+        assert yet.cache_levels()["yet.event_index.bytes"] == (
+            ranked_bytes(yet) + sum(span_bytes(yet, sweep, 200 - sweep)
+                                    for sweep in range(self.N_SWEEPS)))
 
     def test_pooled_workers_build_once_each(self):
         portfolio, yet = by_event_workload(seed=74)
@@ -567,12 +628,44 @@ class TestIndexLifetime:
             for _ in range(self.N_SWEEPS):
                 d.run(kernel, yet)
             assert d.transport_active == "shm"
+            spans = set(d.spans(yet))
             seen = dict(d.pool.starmap_shared(
-                _worker_event_index_builds, d._bundle(yet),
+                _worker_event_indexes, d._bundle(yet),
                 [(i,) for i in range(8)]))
         assert os.getpid() not in seen, "probe must run in the workers"
-        assert max(seen.values()) == 1
-        assert yet.event_index.builds == 0           # never built, or shipped, here
+        assert len(spans) == 2
+        for indexes in seen.values():
+            # a worker indexes the spans it swept, each once, by the
+            # span's rows alone — and never builds the whole YET's
+            assert indexes.pop((0, yet.n_trials), (0, 0)) == (0, 0)
+            assert indexes and set(indexes) <= spans
+            for (t0, t1), (builds, nbytes) in indexes.items():
+                assert builds == 1
+                assert nbytes == span_bytes(yet, t0, t1)
+        # nothing was built, or shipped, here
+        assert yet.cache_levels()["yet.event_index.builds"] == 0
+
+    def test_an_attached_copy_indexes_only_the_spans_it_sweeps(self):
+        """In process, the worker's view: a ``from_handles`` copy swept
+        over trial spans builds one index per span and never the whole
+        table's, and its levels report the span indexes."""
+        portfolio, yet = by_event_workload(seed=74)
+        kernel = portfolio.kernel()
+        whole = kernel.sweep_segments(*yet.trial_block())
+        spans = ((0, 120), (120, 240))
+        with shm.SharedArena() as arena:
+            copy = YetTable.from_handles(yet.to_shared(arena))
+            for _ in range(2):
+                parts = [kernel.sweep_segments(*copy.trial_block(t0, t1))
+                         for t0, t1 in spans]
+                np.testing.assert_array_equal(
+                    np.concatenate(parts, axis=1), whole)
+            levels = copy.cache_levels()
+            assert levels["yet.event_index.builds"] == len(spans)
+            assert levels["yet.event_index.bytes"] == sum(
+                span_bytes(yet, t0, t1) for t0, t1 in spans)
+            assert copy.event_index.builds == 0
+            del copy, parts
 
     def test_unpickled_table_starts_unbuilt(self):
         portfolio, yet = by_event_workload(seed=75)
@@ -685,7 +778,10 @@ class TestCountsReachTheTelemetryPlane:
         assert result.details["routed"][BY_EVENT] == 2 * 4
         assert metrics[BY_EVENT] == 2 * 4
         assert metrics[BY_STREAM] == 2 * 1
-        assert metrics["yet.event_index.builds"] == 1
+        # one index per block's span, none over the whole table
+        assert metrics["yet.event_index.builds"] == 2
+        assert metrics["yet.event_index.bytes"] == (
+            span_bytes(yet, 0, 120) + span_bytes(yet, 120, 240))
 
     def test_an_inline_batch_exports_the_rows_it_ran_once(self):
         """The service no longer exports beside its dispatcher: one

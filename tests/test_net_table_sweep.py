@@ -87,9 +87,9 @@ class NetGatherProof:
         lookups = []
         occurrences = EventIndex.occurrences
 
-        def counted(index, events, t0, t1):
+        def counted(index, events):
             lookups.append(events)
-            return occurrences(index, events, t0, t1)
+            return occurrences(index, events)
 
         EventIndex.occurrences = counted
         try:

@@ -454,7 +454,7 @@ def test_engine_spec_and_planner_knobs_locked():
     assert keywords(PooledDispatcher.__init__) == [
         "n_workers", "transport", "telemetry"]
     # One read method: every by-event row of a sweep in one call.
-    assert keywords(EventIndex.occurrences) == ["events", "t0", "t1"]
+    assert keywords(EventIndex.occurrences) == ["events"]
     assert [name for name in vars(EventIndex)
             if callable(getattr(EventIndex, name))
             and not name.startswith("_")] == ["occurrences", "snapshot"]

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.layer import Layer
 from repro.core.lookup import LossLookup
 from repro.core.tables import EltTable
 from repro.core.terms import LayerTerms
@@ -148,6 +151,53 @@ class TestLossLookup:
         a = EltTable.from_arrays([1], [10.0])
         with pytest.raises(ConfigurationError):
             LossLookup.from_elts([a], weights=[1.0, 2.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_merge_is_bytes_of_the_unique_add_at_merge(self, data):
+        """1-5 overlapping ELTs under positive weights, losses spread
+        over 17 orders of magnitude so that a change in the order of an
+        event's adds shows in its bits: the book's merged ids, values
+        and dense table are byte for byte those of ``np.unique``'s
+        inverse + ``np.add.at``, and building the merge leaves the
+        layer's content digest what a layer over copies of the same
+        arrays digests to."""
+        n_elts = data.draw(st.integers(1, 5))
+        elts = []
+        for i in range(n_elts):
+            ids = np.array(data.draw(st.lists(st.integers(0, 12), min_size=1,
+                                              max_size=12, unique=True)))
+            # (1e16 + 1) + 1 != (1 + 1) + 1e16: the adds' order shows
+            losses = np.array(data.draw(st.lists(
+                st.sampled_from([1e16, 1.0, 0.1, 0.0]) | st.floats(0.0, 1e16),
+                min_size=ids.size, max_size=ids.size)))
+            elts.append(EltTable.from_arrays(ids, losses, contract_id=i))
+        weights = data.draw(st.none() | st.lists(
+            st.floats(1e-3, 1e3), min_size=n_elts, max_size=n_elts))
+        ids = np.concatenate([e.event_ids for e in elts])
+        vals = np.concatenate([w * e.mean_losses for w, e in zip(
+            weights or [1.0] * n_elts, elts)])
+        ref_ids, inverse = np.unique(ids, return_inverse=True)
+        ref_vals = np.zeros(ref_ids.size)
+        np.add.at(ref_vals, inverse, vals)
+        ref_dense = np.zeros(ref_ids[-1] + 1)
+        ref_dense[ref_ids] = ref_vals
+
+        layer = Layer(0, elts, LayerTerms(occ_retention=1.0), weights=weights)
+        digest = layer.content_digest()
+        for dense_max in (4_000_000, 1):
+            lk = layer.lookup(dense_max_entries=dense_max)
+            assert lk.ids.tobytes() == ref_ids.tobytes()
+            assert lk.values.tobytes() == ref_vals.tobytes()
+            if dense_max > 1:
+                assert lk.table_array.tobytes() == ref_dense.tobytes()
+        copies = [EltTable.from_arrays(np.array(e.event_ids),
+                                       np.array(e.mean_losses),
+                                       contract_id=e.contract_id)
+                  for e in elts]
+        twin = Layer(1, copies, LayerTerms(occ_retention=1.0),
+                     weights=weights)
+        assert layer.content_digest() == digest == twin.content_digest()
 
     def test_as_dict(self):
         lk = LossLookup.from_arrays([3, 9], [1.5, 2.5])
