@@ -25,29 +25,43 @@ def compare_engines(
 ) -> dict[str, dict]:
     """Report each result's deviation from the reference engine's.
 
-    Returns ``{engine: {result, max_abs_diff, max_rel_diff, seconds}}``.
+    Returns ``{engine: {result, max_abs_diff, max_rel_diff, seconds,
+    layers}}``: ``layers`` maps each layer id and ``"total"`` to its
+    ``(max_abs_diff, max_rel_diff)``, the maxima are over all of them.
     """
     if reference not in results:
         raise AnalysisError(
             f"reference engine {reference!r} did not run; "
             f"ran: {sorted(results)}"
         )
-    ref = results[reference].portfolio_ylt.losses
+    ref = results[reference]
     report = {}
     for name, res in results.items():
-        losses = res.portfolio_ylt.losses
-        if losses.shape != ref.shape:
+        if set(res.ylt_by_layer) != set(ref.ylt_by_layer):
             raise AnalysisError(
-                f"engine {name!r} produced {losses.shape} trials, "
-                f"reference has {ref.shape}"
+                f"engine {name!r} priced layers {sorted(res.ylt_by_layer)}, "
+                f"reference has {sorted(ref.ylt_by_layer)}"
             )
-        diff = np.abs(losses - ref)
-        scale = np.maximum(np.abs(ref), 1.0)
+        pairs = {lid: (res.ylt_by_layer[lid].losses, ylt.losses)
+                 for lid, ylt in ref.ylt_by_layer.items()}
+        pairs["total"] = res.portfolio_ylt.losses, ref.portfolio_ylt.losses
+        layers = {}
+        for lid, (losses, want) in pairs.items():
+            if losses.shape != want.shape:
+                raise AnalysisError(
+                    f"engine {name!r} produced {losses.shape} trials for "
+                    f"layer {lid}, reference has {want.shape}"
+                )
+            diff = np.abs(losses - want)
+            scale = np.maximum(np.abs(want), 1.0)
+            layers[lid] = (float(diff.max(initial=0.0)),
+                           float((diff / scale).max(initial=0.0)))
         report[name] = {
             "result": res,
-            "max_abs_diff": float(diff.max()) if diff.size else 0.0,
-            "max_rel_diff": float((diff / scale).max()) if diff.size else 0.0,
+            "max_abs_diff": max(diff for diff, _ in layers.values()),
+            "max_rel_diff": max(rel for _, rel in layers.values()),
             "seconds": res.seconds,
+            "layers": layers,
         }
     return report
 
@@ -59,19 +73,20 @@ def assert_engines_equivalent(
 ) -> None:
     """Raise :class:`AnalysisError` if any result deviates from sequential.
 
-    The tolerance is for ``sequential``, the scalar oracle and the one
+    Each layer and the total is checked on its own, and the error names
+    every one that exceeds both tolerances, with its two maxima.  The
+    tolerance is for ``sequential``, the scalar oracle and the one
     engine that prices off its own arithmetic; the host driver's engines
     — ``vectorized``, ``multicore``, ``mapreduce`` and ``device`` —
-    answer ``np.array_equal`` to one another, which their own tests
-    assert.
+    answer ``np.array_equal`` to one another, which the equivalence
+    matrix (``tests/test_equivalence_matrix.py``) asserts cell by cell.
     """
     report = compare_engines(results)
-    failures = []
-    for name, entry in report.items():
-        if entry["max_abs_diff"] > atol and entry["max_rel_diff"] > rtol:
-            failures.append(
-                f"{name}: max_abs={entry['max_abs_diff']:.3g}, "
-                f"max_rel={entry['max_rel_diff']:.3g}"
-            )
+    failures = [
+        f"{name} layer {lid}: max_abs={diff:.3g}, max_rel={rel:.3g}"
+        for name, entry in report.items()
+        for lid, (diff, rel) in entry["layers"].items()
+        if diff > atol and rel > rtol
+    ]
     if failures:
         raise AnalysisError("engine disagreement: " + "; ".join(failures))

@@ -71,11 +71,11 @@ block task.  The sequential engine
 deliberately stays scalar: it is the baseline the paper's speedups are
 measured against.
 
-Numerical equivalence across all five is a tested invariant — the
-host driver's four are ``np.array_equal`` to one another, and
-``sequential`` agrees within a tolerance; their
-relative wall-clock behaviour is experiments E3-E5 and E7, and, for
-the fused sweep and the same-book tail-group path, the
+Numerical equivalence across all five is an invariant tested cell by
+cell in ``tests/test_equivalence_matrix.py``: the host driver's four
+are ``np.array_equal`` to one another, and ``sequential`` agrees within
+a tolerance.  Their relative wall-clock behaviour is experiments E3-E5
+and E7 and, for the fused sweep and the same-book tail-group path, the
 ``agg_lanes_inline`` and ``quotes_burst_churn`` workloads of
 ``benchmarks/e2e`` (``kernel.sweep_lanes_ms``, ``kernel.tail_speedup``).
 
@@ -115,25 +115,21 @@ __all__ = [
     "register_engine",
 ]
 
-# The declarative registry (see :mod:`repro.core.engines.registry`):
-# one capability record per engine, read by ``get_engine`` (factory) and
-# by the session and planner (the ``emit_yelt`` gate).
+# The declarative registry (:mod:`repro.core.engines.registry`): one
+# record per engine, read by ``get_engine`` and the session and planner.
 register_engine(EngineSpec(
     name="sequential", factory=SequentialEngine,
     summary="pure-Python scalar loop — the paper's sequential counterpart "
             "and the numerical oracle",
-    supports_emit_yelt=True,
 ))
 register_engine(EngineSpec(
     name="vectorized", factory=VectorizedEngine,
     summary="whole-array NumPy over the fused portfolio kernel",
-    supports_emit_yelt=True,
 ))
 register_engine(EngineSpec(
     name="device", factory=DeviceEngine,
     summary="simulated GPU: resident batches, greedy constant packing, "
             "whole-trial chunks",
-    supports_emit_yelt=True,
 ))
 register_engine(EngineSpec(
     name="multicore", factory=MulticoreEngine,

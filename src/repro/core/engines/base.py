@@ -71,6 +71,9 @@ class Engine(abc.ABC):
     #: What ``run`` reads the trials from.
     source: type = YetTable
 
+    #: Whether ``run(..., emit_yelt=True)`` is accepted (declared here only).
+    emits_yelt: bool = False
+
     @abc.abstractmethod
     def run(self, portfolio: Portfolio, yet: YetTable, *,
             emit_yelt: bool = False) -> EngineResult:

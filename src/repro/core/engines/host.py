@@ -74,9 +74,6 @@ class HostEngine(Engine):
     :class:`~repro.serve.dispatch.Dispatcher` over the portfolio's fused
     kernel."""
 
-    #: Whether ``run(..., emit_yelt=True)`` is accepted.
-    emits_yelt = False
-
     def __init__(self) -> None:
         self._dispatcher = None
         self._private = True    # built and closed here; see riding()

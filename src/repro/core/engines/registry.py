@@ -2,9 +2,9 @@
 
 One frozen :class:`EngineSpec` per engine: the constructor plus the
 capability surface callers read before they run anything —
-``supports_emit_yelt`` gates event-granularity requests in the session
-and the planner.  :func:`get_engine` keeps the classic constructor
-behaviour for existing callers.  What ``engine="auto"`` chooses between,
+``supports_emit_yelt`` (the engine class's) gates event-granularity
+requests in the session and the planner.  :func:`get_engine` keeps the
+classic constructor behaviour for existing callers.  What ``engine="auto"`` chooses between,
 and at what cost, is not declared here: that table lives in
 :mod:`repro.session.planner`.
 
@@ -41,14 +41,15 @@ class EngineSpec:
         :class:`~repro.core.engines.base.Engine`.
     summary:
         One-line description of the execution substrate.
-    supports_emit_yelt:
-        Whether ``run(..., emit_yelt=True)`` is accepted.
     """
 
     name: str
     factory: Callable = field(repr=False)
     summary: str = ""
-    supports_emit_yelt: bool = False
+
+    #: Whether ``run(..., emit_yelt=True)`` is accepted (read-only): the
+    #: factory's :attr:`~repro.core.engines.base.Engine.emits_yelt`.
+    supports_emit_yelt = property(lambda self: self.factory.emits_yelt)
 
     def __post_init__(self):
         if not self.name:

@@ -1122,12 +1122,6 @@ class YltTable:
             np.add.at(losses, trials, table["loss"])
         return cls(losses)
 
-    def allclose(self, other: "YltTable", rtol: float = 1e-9, atol: float = 1e-6) -> bool:
-        return (
-            self.n_trials == other.n_trials
-            and bool(np.allclose(self.losses, other.losses, rtol=rtol, atol=atol))
-        )
-
 
 # ---------------------------------------------------------------------------
 # YELLT size model

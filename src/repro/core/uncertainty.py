@@ -6,9 +6,9 @@ analysis may either use means ("expected mode") or *sample* each
 occurrence ("sampled mode") to capture loss volatility within the
 simulated year.  This module provides the sampled mode as a pure
 function over the occurrence stream: lognormal sampling moment-matched
-to the ELT's (mean, sigma) per event, with a trial-keyed substream so
-the draw for occurrence *i* does not depend on how many layers were
-priced before it.
+to the ELT's (mean, sigma) per event, drawn layer by layer from one
+``Generator``, so reordering a portfolio changes every sampled YLT
+(draws keyed by trial and occurrence are ROADMAP item 12).
 
 Sampling changes the YLT's dispersion but not its expectation;
 ``tests/test_uncertainty.py`` pins both properties.

@@ -51,7 +51,7 @@ from repro.core.engines.registry import available_engines, engine_spec
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.tables import YetTable
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.hpc.pool import available_parallelism
 from repro.obs import Telemetry, as_telemetry
@@ -346,14 +346,6 @@ class RiskSession:
                 plan = self.plan("aggregate", portfolio=pf,
                                  require_emit_yelt=emit_yelt)
                 name = plan.engine
-            spec = engine_spec(name)
-            if emit_yelt and not spec.supports_emit_yelt:
-                emitters = [n for n in available_engines()
-                            if engine_spec(n).supports_emit_yelt]
-                raise EngineError(
-                    f"engine {name!r} does not emit YELTs; "
-                    f"engines that do: {emitters}"
-                )
             eng = self.engine(name)
         with self.telemetry.span("session.sweep",
                                  engine=getattr(eng, "name", "engine"),

@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import build_layer_workload, build_portfolio_workload
+from repro.core.tables import YET_SCHEMA, YetTable
+from repro.data.columnar import ColumnTable
 from repro.util.rng import RngHierarchy
+
+
+def make_yet(trials, event_ids, n_trials) -> YetTable:
+    """A YET over raw trial-sorted ``(trial, event_id)`` columns (``seq``
+    zeros: nothing prices off it); test modules import it from here."""
+    table = ColumnTable.from_arrays(
+        YET_SCHEMA, trial=np.asarray(trials, dtype=np.int64),
+        seq=np.zeros(len(trials), dtype=np.int32),
+        event_id=np.asarray(event_ids, dtype=np.int64))
+    return YetTable(table, n_trials)
 
 
 def pytest_addoption(parser):

@@ -149,3 +149,20 @@ class TestComparison:
                                    * 1.01 + 1.0))
         with pytest.raises(AnalysisError, match="vectorized"):
             assert_engines_equivalent({**results, "vectorized": doctored})
+
+    def test_detects_swapped_layers(self, small_portfolio_workload):
+        """Every layer is compared, not just the total: two layers'
+        YLTs swapped leave the total as it was and still fail."""
+        wl = small_portfolio_workload
+        with RiskSession(wl.yet, wl.portfolio) as session:
+            results = session.run_all(["sequential", "vectorized"])
+        ylts = results["vectorized"].ylt_by_layer
+        a, b, *_ = ylts
+        swapped = dataclasses.replace(results["vectorized"], ylt_by_layer={
+            **ylts, a: ylts[b], b: ylts[a]})
+        with pytest.raises(AnalysisError, match=f"layer {a}: .*layer {b}: "):
+            assert_engines_equivalent({**results, "vectorized": swapped})
+        dropped = dataclasses.replace(results["vectorized"], ylt_by_layer={
+            lid: ylt for lid, ylt in ylts.items() if lid != a})
+        with pytest.raises(AnalysisError, match="priced layers"):
+            assert_engines_equivalent({**results, "vectorized": dropped})

@@ -2,13 +2,10 @@
 
 Four contracts:
 
-- **parity, on the path**: a same-book stack reproduces the scalar
-  ``sequential`` oracle through every entry point, over losses exactly
-  at ``lo``/``hi``, ``lo == hi`` (``limit == 0``), infinite limits and
-  retentions, unknown event ids, all-zero and single-occurrence trials,
-  empty trials, unsorted raw streams, sparse stores and leftover lane
-  rows — and each sweep is *proved* to have resolved its group rows off
-  a profile, so a silent lane fallback cannot pass;
+- **on the path**: hand-computed and benchmark-density stacks are
+  *proved* to have resolved their group rows off a profile, so a silent
+  lane fallback cannot pass (oracle parity over every source and
+  dispatcher is ``tests/test_equivalence_matrix.py``);
 - **invariance**: a tail row's answer is a function of the trial and
   the row — ``np.array_equal`` across whole / blocked / pooled /
   degraded sweeps and across group compositions;
@@ -31,7 +28,8 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from conftest import make_yet
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tables
@@ -40,25 +38,14 @@ from repro.core.kernels import (_HANDLE_FIELDS, MIN_TAIL_GROUP,
                                 ROUTING_COUNTERS, PortfolioKernel)
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.tables import (YET_SCHEMA, BookProfile, EltTable,
-                               TrialSegments, YetTable)
+from repro.core.tables import BookProfile, EltTable, TrialSegments
 from repro.core.terms import LayerTerms
-from repro.data.columnar import ColumnTable
 from repro.hpc import shm
 from repro.serve import CachePolicy
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 from repro.session import RiskSession
 
 RTOL, ATOL = 1e-9, 1e-6
-
-
-def make_yet(trials, event_ids, n_trials):
-    trials = np.asarray(trials, dtype=np.int64)
-    table = ColumnTable.from_arrays(
-        YET_SCHEMA, trial=trials, seq=np.zeros(trials.size, dtype=np.int32),
-        event_id=np.asarray(event_ids, dtype=np.int64),
-    )
-    return YetTable(table, n_trials)
 
 
 def random_yet(rng, n_trials, width, mean=12):
@@ -143,118 +130,6 @@ def test_hand_computed_profile_sweep():
     np.testing.assert_array_equal(annual[0], [0, 150.0, 0, 300.0, 150.0, 0])
     np.testing.assert_array_equal(annual[1], [0, 0.0, 0, 300.0, 0.0, 0])
     np.testing.assert_array_equal(annual[2], [0, 0.0, 0, 298.0, 0.0, 0])
-
-
-@st.composite
-def profile_case(draw):
-    """A same-book stack (optionally sparse, optionally with an odd-book
-    lane row), thresholds drawn *from the book's own losses*, per-row
-    ``limit == 0`` overrides, and a YET with forced empty, all-zero and
-    single-occurrence trials and out-of-table event ids."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    width = draw(st.integers(2, 40))
-    ids = np.sort(rng.choice(width, size=draw(st.integers(1, width)),
-                             replace=False))
-    losses = rng.lognormal(10, 1.5, ids.size)
-    losses[rng.random(ids.size) < 0.2] = 0.0        # zero-loss events
-    sparse = draw(st.booleans())
-    if sparse:                                       # force the book sparse
-        ids = np.append(ids, 10**8)
-        losses = np.append(losses, float(rng.lognormal(10, 1.5)))
-    elt = EltTable.from_arrays(ids, losses)
-
-    threshold = st.one_of(st.just(0.0), st.sampled_from(list(losses)),
-                          st.floats(0.0, 2e5))
-
-    layers = []
-    for li in range(draw(st.integers(MIN_TAIL_GROUP, MIN_TAIL_GROUP + 8))):
-        lo = draw(st.one_of(st.just(np.inf), threshold))
-        hi = draw(threshold)
-        # a window [lo, hi] whose ends sit exactly on stored losses
-        limit = hi - lo if hi > lo else draw(
-            st.one_of(st.just(np.inf), st.floats(1e3, 1e6)))
-        layers.append(Layer(li, [elt], LayerTerms(
-            occ_retention=lo, occ_limit=limit,
-            agg_retention=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e5))),
-            agg_limit=draw(st.one_of(st.just(np.inf), st.floats(1e3, 1e8))),
-            participation=draw(st.floats(0.05, 1.0)),
-        )))
-    if draw(st.booleans()):                          # a leftover lane row
-        odd = EltTable.from_arrays([0, 1], [111.0, 222.0], contract_id=9)
-        layers.append(Layer(99, [odd], LayerTerms(occ_retention=50.0)))
-    zero_limit = [draw(st.booleans()) and l.layer_id != 99 for l in layers]
-    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    counts = rng.integers(0, 8, draw(st.integers(1, 20)))    # interior empties
-    counts = np.concatenate((np.zeros(lead, int), counts, np.zeros(trail, int)))
-    trials = np.repeat(np.arange(counts.size), counts)
-    # ids >= width are past a dense table and unknown to a sparse one
-    events = rng.integers(0, width + 4, trials.size)
-    zeroed = draw(st.integers(0, counts.size - 1))
-    events[trials == zeroed] = width + 1             # an all-zero-loss trial
-    return (Portfolio(layers), zero_limit, sparse,
-            make_yet(trials, events, counts.size),
-            rng.permutation(trials.size), draw(st.integers(0, counts.size)))
-
-
-def kernel_with_zero_limits(portfolio, zero_limit, sparse):
-    """``LayerTerms`` rejects ``limit == 0``; the kernel must price it: 0."""
-    base = PortfolioKernel.from_portfolio(
-        portfolio, dense_max_entries=1 if sparse else 4_000_000)
-    zero = np.array([zero_limit[lid if lid != 99 else -1]
-                     for lid in base.layer_ids])
-    arrays = {name: getattr(base, name) for name in _HANDLE_FIELDS}
-    arrays["occ_limit"] = np.where(zero, 0.0, base.occ_limit)
-    return PortfolioKernel(layer_ids=base.layer_ids, **arrays), zero
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=profile_case())
-def test_profile_sweep_matches_sequential_oracle(case):
-    portfolio, zero_limit, sparse, yet, perm, split = case
-    oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
-    kernel, zero = kernel_with_zero_limits(portfolio, zero_limit, sparse)
-    expected = np.array([
-        np.zeros(yet.n_trials) if zero[row] else oracle[lid].losses
-        for row, lid in enumerate(kernel.layer_ids)
-    ])
-    group = kernel.tail_group_rows
-    assert group == sum(lid != 99 for lid in kernel.layer_ids)
-    ((kind, _, _),) = kernel._tail_group_index()
-    assert kind == ("sparse" if sparse else "dense")
-    n_trials = yet.n_trials
-
-    def check(annual, exact_to=None):
-        final = kernel.apply_aggregate(annual)
-        assert np.isfinite(final).all()
-        np.testing.assert_allclose(final, expected, rtol=RTOL, atol=ATOL)
-        if exact_to is not None:
-            np.testing.assert_array_equal(annual, exact_to)
-
-    if yet.n_occurrences == 0:
-        check(kernel.sweep_segments(*yet.trial_block()))
-        return
-    whole = ran_on_profile(
-        lambda: kernel.sweep_segments(*yet.trial_block()), group)
-    check(whole)
-    assert (whole[zero] == 0.0).all()                # lo == hi: exactly zero
-    # raw columns (a profile built for the call), unsorted raw columns
-    # (one stable sort first), a trial-block split (slices of the YET's
-    # profile): the answer is a function of the trial — bit-identical
-    check(ran_on_profile(lambda: kernel.sweep(
-        yet.trials, yet.event_ids, n_trials), group), exact_to=whole)
-    check(ran_on_profile(lambda: kernel.sweep(
-        yet.trials[perm], yet.event_ids[perm], n_trials), group),
-        exact_to=whole)
-    spans = [(t0, t1) for t0, t1 in ((0, split), (split, n_trials)) if t1 > t0]
-    parts = [kernel.sweep_segments(*yet.trial_block(t0, t1))
-             for t0, t1 in spans]
-    check(np.concatenate(parts, axis=1), exact_to=whole)
-    assert yet.profiles.builds == 1                  # ... off ONE build
-    # the lane path agrees within the library bar (and is another path)
-    lanes = ran_on_profile(lambda: kernel.sweep_segments(
-        *yet.trial_block(), sublinear=False), 0)
-    check(lanes)
 
 
 def test_profile_parity_at_benchmark_like_density():

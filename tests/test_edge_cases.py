@@ -7,6 +7,7 @@ bad day.
 
 import numpy as np
 import pytest
+from conftest import make_yet
 
 from repro.analytics.comparison import assert_engines_equivalent
 from repro.core import EltTable, Layer, LayerTerms, Portfolio
@@ -60,11 +61,7 @@ class TestUncoveredCatalogue:
     def test_events_outside_every_elt(self):
         """A YET referencing only uncovered events yields a zero YLT."""
         pf = one_layer_portfolio()
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[0, 1, 2], seq=[0, 0, 0],
-            event_id=[500, 600, 700],
-        )
-        yet = YetTable(table, n_trials=4)
+        yet = make_yet([0, 1, 2], [500, 600, 700], n_trials=4)
         results = run_all(pf, yet)
         assert_engines_equivalent(results)
         assert (results["sequential"].portfolio_ylt.losses == 0).all()
@@ -76,10 +73,7 @@ class TestExtremeTermsInteraction:
         occurrence pays exactly the limit."""
         terms = LayerTerms(occ_retention=50.0, occ_limit=10.0)
         pf = one_layer_portfolio(terms)
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[0, 0], seq=[0, 1], event_id=[2, 3]
-        )
-        yet = YetTable(table, n_trials=1)
+        yet = make_yet([0, 0], [2, 3], n_trials=1)
         res = aggregate(pf, yet, "sequential")
         assert res.portfolio_ylt.losses[0] == pytest.approx(20.0)
 
@@ -88,11 +82,7 @@ class TestExtremeTermsInteraction:
         id range without allocating."""
         elt = EltTable.from_arrays([2**30, 2**31 - 1], [10.0, 20.0])
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[0, 0], seq=[0, 1],
-            event_id=[2**30, 2**31 - 1],
-        )
-        yet = YetTable(table, n_trials=1)
+        yet = make_yet([0, 0], [2**30, 2**31 - 1], n_trials=1)
         results = run_all(pf, yet, ["sequential", "vectorized", "device"])
         assert_engines_equivalent(results)
         res = results["vectorized"]
@@ -100,10 +90,7 @@ class TestExtremeTermsInteraction:
 
     def test_single_trial_single_event(self):
         pf = one_layer_portfolio()
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[0], seq=[0], event_id=[1]
-        )
-        yet = YetTable(table, n_trials=1)
+        yet = make_yet([0], [1], n_trials=1)
         assert_engines_equivalent(run_all(pf, yet))
 
 

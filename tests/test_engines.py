@@ -6,6 +6,7 @@ YLT exactly (to fp tolerance), whatever its execution substrate.
 
 import numpy as np
 import pytest
+from conftest import make_yet
 
 from repro.analytics.comparison import assert_engines_equivalent, compare_engines
 from repro.core.engines import (
@@ -17,11 +18,10 @@ from repro.core.engines import (
     available_engines,
     get_engine,
 )
-from repro.core.tables import YET_SCHEMA, EltTable, YetTable, YltTable
+from repro.core.tables import EltTable, YltTable
 from repro.core.terms import LayerTerms
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.data.columnar import ColumnTable
 from repro.errors import AnalysisError, ConfigurationError, EngineError
 from repro.hpc.device import DeviceProperties
 
@@ -104,9 +104,7 @@ class TestEquivalence:
             Layer(2 + i, [wide], LayerTerms(occ_retention=float(i)))
             for i in range(MIN_TAIL_GROUP + 1)]
         pf = Portfolio(layers)
-        yet = YetTable(ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[0, 0, 1, 3, 3, 3], seq=[0, 1, 0, 0, 1, 2],
-            event_id=[k, 1, k, k, k, 2]), n_trials=4)
+        yet = make_yet([0, 0, 1, 3, 3, 3], [k, 1, k, k, k, 2], n_trials=4)
         want = {0: [100.0, 100.0, 0.0, 200.0]}
         want.update({lid: [0.0] * 4 for lid in range(1, len(layers))})
 
@@ -135,12 +133,7 @@ class TestEquivalence:
     def test_yet_with_empty_trials(self, risk_session):
         """Trials with zero occurrences must appear as zero-loss years."""
         elt = EltTable.from_arrays([1, 2], [100.0, 200.0])
-        from repro.core.tables import YET_SCHEMA
-
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[1, 1, 3], seq=[0, 1, 0], event_id=[1, 2, 1]
-        )
-        yet = YetTable(table, n_trials=5)
+        yet = make_yet([1, 1, 3], [1, 2, 1], n_trials=5)
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
         results = risk_session(yet, pf).run_all(ALL_ENGINES)
         assert_engines_equivalent(results)
@@ -154,12 +147,7 @@ class TestEquivalence:
 class TestSequential:
     def test_known_answer(self):
         elt = EltTable.from_arrays([1, 2], [100.0, 50.0])
-        from repro.core.tables import YET_SCHEMA
-
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[0, 0, 1], seq=[0, 1, 0], event_id=[1, 2, 2]
-        )
-        yet = YetTable(table, n_trials=2)
+        yet = make_yet([0, 0, 1], [1, 2, 2], n_trials=2)
         terms = LayerTerms(occ_retention=25.0, agg_retention=10.0,
                            participation=0.5)
         pf = Portfolio([Layer(0, [elt], terms)])
@@ -269,9 +257,7 @@ class TestDeviceEngine:
         chunk size and placement answers each layer exactly as
         ``vectorized`` does — on a YET with empty trials too."""
         wl = small_portfolio_workload
-        empty = YetTable(ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[1, 1, 4], seq=[0, 1, 0],
-            event_id=[3, 7, 3]), n_trials=6)
+        empty = make_yet([1, 1, 4], [3, 7, 3], n_trials=6)
         for yet in (wl.yet, empty):
             with DeviceEngine(max_rows_per_chunk=max_rows_per_chunk,
                               use_constant=use_constant) as engine:
@@ -316,7 +302,7 @@ class TestDeviceEngine:
                                      base.terms)])
         res = DeviceEngine().run(portfolio, tiny_workload.yet)
         ref = SequentialEngine().run(portfolio, tiny_workload.yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+        assert_engines_equivalent({"sequential": ref, "device": res})
         assert res.details["layers"][base.layer_id]["lookup_kind"] == "sparse"
         assert res.details["sparse_stack_uploads"] == 1
 
@@ -342,20 +328,18 @@ class TestMulticore:
         with MulticoreEngine(n_workers=n_workers) as engine:
             res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
         ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
-        assert res.portfolio_ylt.allclose(ref.portfolio_ylt)
+        _assert_layers_equal(res, ref)
 
     def test_one_worker_pool_runs_in_process(self, small_portfolio_workload):
         """A run of one span — a one-worker pool, or a two-worker pool
         over a one-trial YET — sweeps on the calling thread, and says so:
         no worker is spawned, nothing is shipped or staged."""
-        from repro.core.tables import YET_SCHEMA
         from repro.hpc import shm
 
         wl = small_portfolio_workload
         rows = wl.yet.trials == 0
-        one_trial = YetTable(ColumnTable.from_arrays(
-            YET_SCHEMA, trial=wl.yet.trials[rows], seq=np.arange(rows.sum()),
-            event_id=wl.yet.event_ids[rows]), n_trials=1)
+        one_trial = make_yet(wl.yet.trials[rows], wl.yet.event_ids[rows],
+                             n_trials=1)
         for n_workers, yet in ((1, wl.yet), (2, one_trial)):
             ref = VectorizedEngine().run(wl.portfolio, yet)
             before = shm.active_segment_names()
@@ -372,12 +356,7 @@ class TestMulticore:
 
     def test_more_workers_than_trials(self):
         elt = EltTable.from_arrays([1], [10.0])
-        from repro.core.tables import YET_SCHEMA
-
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=[0, 1], seq=[0, 0], event_id=[1, 1]
-        )
-        yet = YetTable(table, n_trials=2)
+        yet = make_yet([0, 1], [1, 1], n_trials=2)
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
         with MulticoreEngine(n_workers=16) as engine:
             res = engine.run(pf, yet)
@@ -405,7 +384,7 @@ class TestMulticore:
         assert not engine.pool.started
         # The engine stays usable: a fresh pool is built on demand.
         again = engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        assert res.portfolio_ylt.allclose(again.portfolio_ylt)
+        _assert_layers_equal(again, res)
         engine.close()
 
     def test_context_manager_closes(self, tiny_workload):
@@ -526,25 +505,19 @@ class TestMapReduceEngine:
         differ only in event ids, freed between runs so CPython may hand
         the new one the old one's id, never serves the previous YET's
         losses; an equal-content YET writes no second file."""
-        from repro.core.tables import YET_SCHEMA
-
         elt = EltTable.from_arrays([1, 2, 3], [100.0, 200.0, 400.0])
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
         engine = MapReduceEngine(n_splits=2)
-
-        def make_yet(events):
-            table = ColumnTable.from_arrays(
-                YET_SCHEMA, trial=[0, 1, 2], seq=[0, 0, 0], event_id=events)
-            return YetTable(table, n_trials=3)
-
         events = ([3, 2, 1], [1, 2, 3])
-        refs = [VectorizedEngine().run(pf, make_yet(e)) for e in events]
+        refs = [VectorizedEngine().run(pf, make_yet([0, 1, 2], e, 3))
+                for e in events]
         for run in range(20):
             # The YET dies with the run, so the next one may take its id.
             _assert_layers_equal(
-                engine.run(pf, make_yet(events[run % 2])), refs[run % 2])
+                engine.run(pf, make_yet([0, 1, 2], events[run % 2], 3)),
+                refs[run % 2])
         assert len(engine.dfs.list_files()) == 2
-        engine.run(pf, make_yet([1, 2, 3]))
+        engine.run(pf, make_yet([0, 1, 2], [1, 2, 3], 3))
         assert len(engine.dfs.list_files()) == 2
 
     def test_emit_yelt_unsupported(self, tiny_workload):

@@ -2,16 +2,12 @@
 
 Five contracts:
 
-- **parity, on the path**: rows the rule of record prices by events
-  reproduce the scalar ``sequential`` oracle over empty trials, ids
-  beyond the dense width or absent from a CSR segment, events repeated
-  inside a trial, infinite retentions, zero and infinite limits, rows
-  nothing pierces and CSR ids in [2³⁰, 2³¹) (a YET id is int32; a raw
-  stream's ids may pass where ``event * n_trials`` fits an ``int64``)
-  — and every sweep's
-  ``kernel.lane_rows.*`` counts must move by the rows the rule assigns;
-  offsets by id and by rank read what a scan finds, and ids near 10⁹
-  over a short stream cost bytes per distinct id, not per id;
+- **the index, on the path**: hand-computed sweeps move the
+  ``kernel.lane_rows.*`` counts by the rows the rule assigns (oracle
+  parity over every source and dispatcher is
+  ``tests/test_equivalence_matrix.py``); offsets by id and by rank read
+  what a scan finds, and ids near 10⁹ over a short stream cost bytes
+  per distinct id, not per id;
 - **routing is a function of the row alone**: its own book and terms,
   never the rows sharing its kernel; a row just above the threshold
   stays on the stream;
@@ -31,21 +27,19 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from conftest import make_yet
 
 from repro.core.engines import (
     MulticoreEngine,
     SequentialEngine,
     VectorizedEngine,
 )
-from repro.core.kernels import _HANDLE_FIELDS, PortfolioKernel
+from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core import tables
-from repro.core.tables import YET_SCHEMA, EltTable, EventIndex, YetTable
+from repro.core.tables import EltTable, EventIndex, YetTable
 from repro.core.terms import LayerTerms
-from repro.data.columnar import ColumnTable
 from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.serve import CachePolicy
@@ -54,25 +48,6 @@ from repro.session import RiskSession
 
 RTOL, ATOL = 1e-9, 1e-6
 BY_EVENT, BY_STREAM = "kernel.lane_rows.by_event", "kernel.lane_rows.by_stream"
-
-
-def make_yet(trials, event_ids, n_trials):
-    trials = np.asarray(trials, dtype=np.int64)
-    table = ColumnTable.from_arrays(
-        YET_SCHEMA, trial=trials, seq=np.zeros(trials.size, dtype=np.int32),
-        event_id=np.asarray(event_ids, dtype=np.int64),
-    )
-    return YetTable(table, n_trials)
-
-
-def rule_assigns_events(kernel: PortfolioKernel, row: int) -> bool:
-    """The rule of record, restated: a CSR row always; a dense row when
-    the entries above its retention are at most 1/16 of its own width."""
-    if row >= kernel.n_dense:
-        return True
-    table = kernel.dense_stack[kernel.dense_source[row]]
-    width = int(np.flatnonzero(table).max(initial=0)) + 1
-    return 16 * np.count_nonzero(table > kernel.occ_retention[row]) <= width
 
 
 def swept(kernel, sweep, by_event, by_stream):
@@ -246,111 +221,8 @@ class TestEventIndex:
 
 
 # ---------------------------------------------------------------------------
-# parity against the scalar oracle, on the path, across decompositions
+# hand-computed answers (oracle parity: tests/test_equivalence_matrix.py)
 # ---------------------------------------------------------------------------
-
-HUGE_IDS = (2**30, 2**31 - 8)
-
-
-@st.composite
-def event_case(draw):
-    """Distinct-book layers whose retentions are drawn so that a known
-    number of entries pierce (0 to just past the threshold), optionally
-    made CSR by an id at 2³⁰ or just below 2³¹, with per-row ``limit == 0``
-    overrides; a YET with forced empty trials, repeated events, ids past
-    every table and CSR ids no segment holds."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    layers, huge_ids = [], []
-    for li in range(draw(st.integers(1, 4))):
-        width = draw(st.integers(16, 80))
-        elt, retention = piercing_book(rng, width, contract_id=li)
-        ids, losses = elt.event_ids, elt.mean_losses
-        if draw(st.booleans()):                  # force this layer CSR
-            huge = draw(st.sampled_from(HUGE_IDS)) + li
-            huge_ids.append(huge)
-            ids = np.append(ids, huge)
-            losses = np.append(losses, float(rng.lognormal(12, 1.0)))
-        pierced = draw(st.integers(0, width // 16 + 1))
-        terms = LayerTerms(
-            occ_retention=draw(st.one_of(st.just(np.inf),
-                                         st.just(retention(pierced)))),
-            occ_limit=draw(st.one_of(st.just(np.inf), st.floats(1e3, 1e6))),
-            agg_retention=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e5))),
-            agg_limit=draw(st.one_of(st.just(np.inf), st.floats(1e3, 1e8))),
-            participation=draw(st.floats(0.05, 1.0)),
-        )
-        layers.append(Layer(li, [EltTable.from_arrays(ids, losses,
-                                                      contract_id=li)], terms))
-    zero_limit = [draw(st.booleans()) for _ in layers]
-    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    counts = rng.integers(0, 9, draw(st.integers(1, 16)))   # interior empties
-    counts = np.concatenate((np.zeros(lead, int), counts, np.zeros(trail, int)))
-    trials = np.repeat(np.arange(counts.size), counts)
-    # the top-ranked (always piercing) ids are over-drawn, so events
-    # repeat inside trials; ids >= 80 are past every dense table
-    events = rng.integers(0, 84, trials.size)
-    pool = np.array(huge_ids + [2**30 + 77], dtype=np.int64)   # one unknown
-    swap = rng.random(trials.size) < 0.2
-    events[swap] = rng.choice(pool, int(swap.sum()))
-    return (Portfolio(layers), zero_limit, make_yet(trials, events, counts.size),
-            rng.permutation(trials.size), draw(st.integers(1, 9)))
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=event_case())
-def test_by_event_rows_match_sequential_oracle(case):
-    portfolio, zero_limit, yet, perm, block = case
-    oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
-    base = PortfolioKernel.from_portfolio(portfolio)
-    # LayerTerms rejects limit == 0, the kernel must still price it: 0.
-    zero = np.array([zero_limit[lid] for lid in base.layer_ids])
-    arrays = {name: getattr(base, name) for name in _HANDLE_FIELDS}
-    arrays["occ_limit"] = np.where(zero, 0.0, base.occ_limit)
-    kernel = PortfolioKernel(layer_ids=base.layer_ids, **arrays)
-    expected = np.array([
-        np.zeros(yet.n_trials) if zero[row] else oracle[lid].losses
-        for row, lid in enumerate(kernel.layer_ids)
-    ])
-    assert kernel.tail_group_rows == 0           # every row is a lane row
-    n_rows, n_trials = kernel.n_layers, yet.n_trials
-    by_event = [row for row in range(n_rows) if rule_assigns_events(kernel, row)]
-    counts = (len(by_event), n_rows - len(by_event))
-
-    def check(annual, exact_to=None, rows=slice(None)):
-        final = kernel.apply_aggregate(annual)
-        assert np.isfinite(final).all()
-        np.testing.assert_allclose(final, expected, rtol=RTOL, atol=ATOL)
-        if exact_to is not None:
-            np.testing.assert_array_equal(annual[rows], exact_to[rows])
-
-    if yet.n_occurrences == 0:
-        check(kernel.sweep_segments(*yet.trial_block()))
-        assert yet.event_index.builds == 0
-        return
-    whole = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
-                  *counts)
-    check(whole)
-    # a small row buffer and every two-way trial cut: bit-identical
-    small = PortfolioKernel(layer_ids=base.layer_ids, block_occurrences=block,
-                            **arrays)
-    check(swept(small, lambda: small.sweep_segments(*yet.trial_block()),
-                *counts), exact_to=whole)
-    for cut in range(1, n_trials):
-        parts = [kernel.sweep_segments(*yet.trial_block(t0, t1))
-                 for t0, t1 in ((0, cut), (cut, n_trials))]
-        check(np.concatenate(parts, axis=1), exact_to=whole)
-    # built once for all of the above — and only if a row routed to it
-    assert yet.event_index.builds == (1 if by_event else 0)
-    # raw columns build an index for the call: the same sum order, and
-    # for by-event rows the same whatever order the stream arrives in
-    check(swept(kernel, lambda: kernel.sweep(
-        yet.trials, yet.event_ids, n_trials), *counts), exact_to=whole)
-    check(swept(kernel, lambda: kernel.sweep(
-        yet.trials[perm], yet.event_ids[perm], n_trials), *counts),
-        exact_to=whole, rows=by_event)
-    assert yet.event_index.builds == (1 if by_event else 0)
-
 
 def test_hand_computed_by_event_sweep():
     """Known non-zero answers: one piercing entry of a 16-wide book."""

@@ -10,6 +10,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import make_yet
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +22,8 @@ from repro.core.kernels import (
 )
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.tables import YET_SCHEMA, EltTable, YetTable
+from repro.core.tables import EltTable, YetTable
 from repro.core.terms import LayerTerms
-from repro.data.columnar import ColumnTable
 from repro.errors import ConfigurationError
 
 RTOL, ATOL = 1e-9, 1e-6
@@ -43,17 +43,6 @@ def assert_kernel_matches_oracle(portfolio, yet, dense_max_entries=4_000_000,
             err_msg=f"layer {lid} (kernel row {row}) diverged from oracle",
         )
     return kernel
-
-
-def make_yet(trials, event_ids, n_trials):
-    trials = np.asarray(trials, dtype=np.int64)
-    table = ColumnTable.from_arrays(
-        YET_SCHEMA,
-        trial=trials,
-        seq=np.zeros(trials.size, dtype=np.int32),
-        event_id=np.asarray(event_ids, dtype=np.int64),
-    )
-    return YetTable(table, n_trials)
 
 
 class TestParityAgainstOracle:

@@ -2,13 +2,10 @@
 
 Three contracts:
 
-- **parity**: every entry point of the lane path (YET-carried segments,
-  raw columns, unsorted columns, small row buffers, trial-block
-  decompositions) reproduces the scalar
-  ``sequential`` oracle across empty trials, unknown event ids,
-  infinite retentions and zero limits — and each row is *proved* to
-  have priced by the path the rule of record assigns it (its net table
-  on the stream, or the event index), so a silent fallback cannot pass;
+- **the path**: a hand-computed sweep proves each row priced by the
+  path the rule of record assigns it (its net table on the stream, or
+  the event index), so a silent fallback cannot pass; oracle parity
+  over every source and dispatcher is ``tests/test_equivalence_matrix.py``;
 - **decomposition invariance**: lane rows are ``np.array_equal`` however
   the trials are decomposed (whole, blocked, pooled, degraded serial);
 - **one trial index per table**: sweeps read the index a ``YetTable``
@@ -19,40 +16,24 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from conftest import make_yet
 
 from repro.core.engines import (
     MulticoreEngine,
-    SequentialEngine,
     VectorizedEngine,
 )
-from repro.core.kernels import _HANDLE_FIELDS, PortfolioKernel
+from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.tables import (
-    YET_SCHEMA,
     EltTable,
     EventIndex,
     TrialSegments,
     YetTable,
 )
 from repro.core.terms import LayerTerms
-from repro.data.columnar import ColumnTable
 from repro.hpc import shm
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
-
-RTOL, ATOL = 1e-9, 1e-6
-
-
-def make_yet(trials, event_ids, n_trials):
-    trials = np.asarray(trials, dtype=np.int64)
-    table = ColumnTable.from_arrays(
-        YET_SCHEMA, trial=trials, seq=np.zeros(trials.size, dtype=np.int32),
-        event_id=np.asarray(event_ids, dtype=np.int64),
-    )
-    return YetTable(table, n_trials)
-
 
 class NetGatherProof:
     """Proves every lane row priced by the path the rule of record
@@ -192,90 +173,6 @@ def test_hand_computed_lane_sweep():
     proof = NetGatherProof(kernel)
     annual = proof.ran(lambda: kernel.sweep_segments(*yet.trial_block()))
     np.testing.assert_array_equal(annual, [[0.0, 250.0, 0.0, 600.0, 50.0, 0.0]])
-
-
-@st.composite
-def lane_case(draw):
-    """A distinct-book portfolio, a YET with forced empty trials and
-    out-of-table event ids, and per-row ``limit == 0`` overrides."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    width = draw(st.integers(2, 40))
-    layers = []
-    for li in range(draw(st.integers(1, 4))):
-        rows = draw(st.integers(1, width))
-        ids = np.sort(rng.choice(width, size=rows, replace=False))
-        losses = rng.lognormal(10, 1.5, rows)
-        if draw(st.booleans()):                  # force this layer sparse
-            ids = np.append(ids, 10**8 + li)
-            losses = np.append(losses, float(rng.lognormal(10, 1.5)))
-        terms = LayerTerms(
-            occ_retention=draw(st.one_of(st.just(0.0), st.just(np.inf),
-                                         st.floats(0.0, 1e5))),
-            occ_limit=draw(st.one_of(st.just(np.inf), st.floats(1e3, 1e6))),
-            agg_retention=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e5))),
-            agg_limit=draw(st.one_of(st.just(np.inf), st.floats(1e3, 1e8))),
-            participation=draw(st.floats(0.05, 1.0)),
-        )
-        layers.append(Layer(li, [EltTable.from_arrays(ids, losses,
-                                                      contract_id=li)], terms))
-    zero_limit = [draw(st.booleans()) for _ in layers]
-    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    counts = rng.integers(0, 6, draw(st.integers(1, 20)))   # interior empties
-    counts = np.concatenate((np.zeros(lead, int), counts, np.zeros(trail, int)))
-    trials = np.repeat(np.arange(counts.size), counts)
-    # ids >= width are past every dense table and unknown to sparse ones
-    events = rng.integers(0, width + 4, trials.size)
-    return (Portfolio(layers), zero_limit, make_yet(trials, events, counts.size),
-            rng.permutation(trials.size), draw(st.integers(1, 9)),
-            draw(st.integers(0, counts.size)))
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=lane_case())
-def test_net_table_sweep_matches_sequential_oracle(case):
-    portfolio, zero_limit, yet, perm, block, split = case
-    oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
-    base = PortfolioKernel.from_portfolio(portfolio)
-    # LayerTerms rejects limit == 0, the kernel must still price it: 0.
-    zero = np.array([zero_limit[lid] for lid in base.layer_ids])
-    arrays = {name: getattr(base, name) for name in _HANDLE_FIELDS}
-    arrays["occ_limit"] = np.where(zero, 0.0, base.occ_limit)
-    kernel = PortfolioKernel(layer_ids=base.layer_ids, **arrays)
-    expected = np.array([
-        np.zeros(yet.n_trials) if zero[row] else oracle[lid].losses
-        for row, lid in enumerate(kernel.layer_ids)
-    ])
-    assert kernel.tail_group_rows == 0           # every row is a lane row
-    proof = NetGatherProof(kernel)
-    n_trials = yet.n_trials
-
-    def check(annual, exact_to=None):
-        final = kernel.apply_aggregate(annual)
-        assert np.isfinite(final).all()
-        np.testing.assert_allclose(final, expected, rtol=RTOL, atol=ATOL)
-        if exact_to is not None:
-            np.testing.assert_array_equal(annual, exact_to)
-
-    if yet.n_occurrences == 0:
-        check(kernel.sweep_segments(*yet.trial_block()))
-        return
-    whole = proof.ran(lambda: kernel.sweep_segments(*yet.trial_block()))
-    check(whole)
-    # raw columns, a small row buffer, a trial-block decomposition: the
-    # same core, every trial summed whole — bit-identical
-    check(proof.ran(lambda: kernel.sweep(yet.trials, yet.event_ids, n_trials)),
-          exact_to=whole)
-    small = PortfolioKernel(layer_ids=base.layer_ids, block_occurrences=block,
-                            **arrays)
-    check(NetGatherProof(small).ran(lambda: small.sweep_segments(
-        *yet.trial_block())), exact_to=whole)
-    parts = [kernel.sweep_segments(*yet.trial_block(t0, t1))
-             for t0, t1 in ((0, split), (split, n_trials)) if t1 > t0]
-    check(np.concatenate(parts, axis=1), exact_to=whole)
-    # unsorted columns: one stable sort, then the same loop
-    check(proof.ran(lambda: kernel.sweep(
-        yet.trials[perm], yet.event_ids[perm], n_trials)))
 
 
 def test_net_tables_pre_apply_the_terms():

@@ -1,15 +1,15 @@
-"""Property-based cross-engine equivalence on randomised workloads.
+"""Property-based checks of what an engine result holds.
 
 Hypothesis drives the workload *shape* (trial counts, event frequencies,
-ELT sizes, terms); for every generated configuration all engines must
-produce the sequential oracle's YLT.
+ELT sizes, terms): the portfolio YLT is its layers' sum, and a YELT
+rolls up to its layer's YLT.  Every engine against the oracle is
+``tests/test_equivalence_matrix.py``.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analytics.comparison import assert_engines_equivalent
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable, YetTable
@@ -49,32 +49,6 @@ def workload(draw):
         mean_events_per_trial=epk,
     )
     return Portfolio([Layer(0, elts, terms)]), yet
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(wl=workload())
-def test_all_engines_agree_on_random_workloads(wl):
-    portfolio, yet = wl
-    with RiskSession(yet, portfolio) as session:
-        assert_engines_equivalent(session.run_all(
-            ["sequential", "vectorized", "device", "multicore", "mapreduce"]))
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(wl=workload(), n_splits=st.integers(1, 80))
-def test_mapreduce_equals_vectorized_at_any_split_count(wl, n_splits):
-    """A map task is one sweep of whole trials, so any split count —
-    including more splits than trials — is ``np.array_equal``."""
-    from repro.core.engines import MapReduceEngine, VectorizedEngine
-
-    portfolio, yet = wl
-    res = MapReduceEngine(n_splits=n_splits).run(portfolio, yet)
-    ref = VectorizedEngine().run(portfolio, yet)
-    for lid, ylt in ref.ylt_by_layer.items():
-        np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
-                                      ylt.losses)
 
 
 @settings(max_examples=25, deadline=None,

@@ -418,7 +418,9 @@ def test_engine_spec_and_planner_knobs_locked():
     from repro.session import EnginePlanner
 
     assert [f.name for f in dataclasses.fields(EngineSpec)] == [
-        "name", "factory", "summary", "supports_emit_yelt"]
+        "name", "factory", "summary"]
+    # The YELT capability is declared once, on the engine class.
+    assert isinstance(EngineSpec.supports_emit_yelt, property)
     assert list(inspect.signature(EnginePlanner.__init__).parameters) == [
         "self", "n_workers", "telemetry"]
     assert not hasattr(EnginePlanner, "observe")
