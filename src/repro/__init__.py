@@ -57,10 +57,8 @@ from repro import (
     session,
     util,
 )
-from repro.config import DEFAULTS, ReproConfig
 from repro.core import (
     EltTable,
-    EngineSpec,
     Layer,
     LayerTerms,
     LossLookup,
@@ -106,10 +104,7 @@ __all__ = [
     "util",
     "MetricsRegistry",
     "Telemetry",
-    "DEFAULTS",
-    "ReproConfig",
     "EltTable",
-    "EngineSpec",
     "Layer",
     "LayerTerms",
     "LossLookup",

@@ -33,12 +33,7 @@ from repro.core.terms import LayerTerms
 from repro.core.lookup import LossLookup
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.engines import (
-    EngineSpec,
-    available_engines,
-    engine_spec,
-    get_engine,
-)
+from repro.core.engines import available_engines, get_engine
 from repro.core.engines.host import OutOfCoreEngine
 from repro.core.uncertainty import (
     SecondaryUncertainty,
@@ -69,9 +64,7 @@ __all__ = [
     "LossLookup",
     "Layer",
     "Portfolio",
-    "EngineSpec",
     "available_engines",
-    "engine_spec",
     "get_engine",
     "OutOfCoreEngine",
     "SecondaryUncertainty",

@@ -25,10 +25,10 @@ mapreduce   a MapReduce job over the simulated DFS (large file space
 
 The portfolio hot path is the shared
 :class:`~repro.core.kernels.PortfolioKernel`: the layers' lookups (one
-per book) are stacked once per portfolio (:meth:`Portfolio.kernel()
-<repro.core.portfolio.Portfolio.kernel>`, which with
-:meth:`Layer.lookup <repro.core.layer.Layer.lookup>` is where a book's
-dense-or-CSR threshold is decided) — dense layers as
+per book, dense or CSR by the book's own id range —
+:meth:`Layer.lookup <repro.core.layer.Layer.lookup>`) are stacked once
+per portfolio (:meth:`Portfolio.kernel()
+<repro.core.portfolio.Portfolio.kernel>`) — dense layers as
 one ``(D, width)`` matrix, sparse layers as a unified CSR structure,
 terms as ``(L,)`` vectors.  Lane rows price **on the table, not the
 stream**: occurrence terms are applied once per table entry into a
@@ -88,54 +88,24 @@ E5, and E7's MapReduce job, whose DFS staging cannot win work).
 
 from repro.core.engines.base import Engine, EngineResult
 from repro.core.engines.registry import (
-    EngineSpec,
     available_engines,
-    engine_spec,
+    engine_class,
     get_engine,
-    register_engine,
 )
 from repro.core.engines.sequential import SequentialEngine
 from repro.core.engines.host import MulticoreEngine, VectorizedEngine
 from repro.core.engines.device import DeviceEngine
 from repro.core.engines.mapreduce_engine import MapReduceEngine
-from repro.errors import EngineError
 
 __all__ = [
     "Engine",
     "EngineResult",
-    "EngineSpec",
     "SequentialEngine",
     "VectorizedEngine",
     "DeviceEngine",
     "MulticoreEngine",
     "MapReduceEngine",
     "available_engines",
-    "engine_spec",
+    "engine_class",
     "get_engine",
-    "register_engine",
 ]
-
-# The declarative registry (:mod:`repro.core.engines.registry`): one
-# record per engine, read by ``get_engine`` and the session and planner.
-register_engine(EngineSpec(
-    name="sequential", factory=SequentialEngine,
-    summary="pure-Python scalar loop — the paper's sequential counterpart "
-            "and the numerical oracle",
-))
-register_engine(EngineSpec(
-    name="vectorized", factory=VectorizedEngine,
-    summary="whole-array NumPy over the fused portfolio kernel",
-))
-register_engine(EngineSpec(
-    name="device", factory=DeviceEngine,
-    summary="simulated GPU: resident batches, greedy constant packing, "
-            "whole-trial chunks",
-))
-register_engine(EngineSpec(
-    name="multicore", factory=MulticoreEngine,
-    summary="trial-block process pool over the zero-copy shm data plane",
-))
-register_engine(EngineSpec(
-    name="mapreduce", factory=MapReduceEngine,
-    summary="MapReduce job over the simulated DFS",
-))

@@ -7,7 +7,7 @@ redundant memory traffic, which is exactly the data-movement cost §II
 says dominates the ~10⁹ event-loss lookups of one aggregate run.
 
 :class:`PortfolioKernel` fuses those passes.  It precomputes, once per
-(portfolio, ``dense_max_entries``):
+portfolio:
 
 - a **stacked dense lookup**: all dense layers as one ``(D, width)``
   matrix (rows zero-padded to the widest table, so padding reads as
@@ -42,11 +42,10 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   built once per kernel (:meth:`PortfolioKernel._net_gathers`) and a
   sweep is one gather from it into a single reused row buffer plus one
   ``np.add.reduceat`` over whole-trial segment starts — no ``(L,
-  block)`` lane matrix, no clip pass over the stream.  The kernel's
-  ``block_occurrences`` (:data:`DEFAULT_BLOCK_OCCURRENCES`, set at
-  construction, carried in :class:`KernelHandles`) bounds the row
-  buffer: the stream is chunked at trial boundaries, as many whole
-  trials as fit the bound (at least one).
+  block)`` lane matrix, no clip pass over the stream.
+  :attr:`PortfolioKernel.block_occurrences`, a constant of the class,
+  bounds the row buffer: the stream is chunked at trial boundaries, as
+  many whole trials as fit the bound (at least one).
 
 What a sweep needs from the trial column is a
 :class:`~repro.core.tables.TrialSegments`, derived once per ``YetTable``
@@ -118,12 +117,12 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.lookup import sparse_gather_into
+from repro.core.lookup import dense_gather_into, sparse_gather_into
 from repro.core.tables import BookProfile, TrialSegments
 from repro.errors import ConfigurationError
 
-__all__ = ["KernelHandles", "PortfolioKernel", "DEFAULT_BLOCK_OCCURRENCES",
-           "MIN_TAIL_GROUP", "BY_EVENT_MAX_FILL", "ROUTING_COUNTERS"]
+__all__ = ["KernelHandles", "PortfolioKernel", "MIN_TAIL_GROUP",
+           "BY_EVENT_MAX_FILL", "ROUTING_COUNTERS"]
 
 #: Kernel array attributes that travel through the shared-memory plane,
 #: in the positional order of :meth:`PortfolioKernel.__init__`'s vector
@@ -143,8 +142,8 @@ class KernelHandles:
     """Shared-memory descriptor of one stacked kernel.
 
     Produced by :meth:`PortfolioKernel.export_handles`: the eleven array
-    buffers as :class:`~repro.hpc.shm.ShmArrayHandle`\\ s plus the two
-    scalar fields.  Pickles to ~1 KB regardless of how wide the dense
+    buffers as :class:`~repro.hpc.shm.ShmArrayHandle`\\ s plus the row
+    identities.  Pickles to ~1 KB regardless of how wide the dense
     stack is, so a dispatcher ships a staged kernel with every task for
     the cost of a dict of descriptors.
 
@@ -157,7 +156,6 @@ class KernelHandles:
 
     arrays: dict
     layer_ids: tuple[int, ...]
-    block_occurrences: int
     stamp: tuple[str, int]
 
     @property
@@ -165,12 +163,6 @@ class KernelHandles:
         """Payload bytes the handles point at."""
         return sum(h.nbytes for h in self.arrays.values())
 
-#: Bound on the lane path's row buffer, in occurrences (whole trials, so
-#: one longer trial exceeds it).  Sized so the buffer (256 KiB), its id
-#: slice and one net-table row stay cache-resident together; smaller
-#: chunks lose to per-call overhead — the CPU analogue of the paper's
-#: "chunk to fit the fast memory" rule.
-DEFAULT_BLOCK_OCCURRENCES = 32_768
 
 #: Minimum rows sharing one stored lookup before a group prices off its
 #: book profile.  Chosen to amortise one profile build inside the sweep
@@ -227,18 +219,24 @@ def _id_column(column) -> np.ndarray:
 class PortfolioKernel:
     """Stacked lookups + term vectors for one portfolio, swept fused.
 
-    Build with :meth:`from_portfolio` (or fetch the cached instance via
-    :meth:`Portfolio.kernel`).  All state is plain NumPy, so instances
-    are picklable and safe to ship to worker processes.
+    Build with :meth:`from_layers` (or fetch a portfolio's cached
+    instance via :meth:`Portfolio.kernel`).  All state is plain NumPy,
+    so instances are picklable and safe to ship to worker processes.
     """
 
     __slots__ = (
         "layer_ids", "occ_retention", "occ_limit", "agg_retention",
         "agg_limit", "participation", "dense_stack", "sparse_ids",
         "sparse_values", "sparse_offsets", "dense_source", "sparse_source",
-        "occ_floor", "occ_ceiling", "block_occurrences",
-        *_CACHE_SLOTS,
+        "occ_floor", "occ_ceiling", *_CACHE_SLOTS,
     )
+
+    #: Bound on the lane path's row buffer, in occurrences (whole trials,
+    #: so one longer trial exceeds it).  Sized so the buffer (256 KiB),
+    #: its id slice and one net-table row stay cache-resident together;
+    #: smaller chunks lose to per-call overhead — the CPU analogue of the
+    #: paper's "chunk to fit the fast memory" rule.
+    block_occurrences = 32_768
 
     def __init__(
         self,
@@ -255,7 +253,6 @@ class PortfolioKernel:
         sparse_offsets: np.ndarray,
         dense_source: np.ndarray | None = None,
         sparse_source: np.ndarray | None = None,
-        block_occurrences: int = DEFAULT_BLOCK_OCCURRENCES,
     ) -> None:
         n_layers = len(layer_ids)
         if n_layers == 0:
@@ -296,8 +293,6 @@ class PortfolioKernel:
             and (sparse_source < sparse_offsets.size - 1).all()
         ):
             raise ConfigurationError("sparse_source indexes outside segments")
-        if block_occurrences <= 0:
-            raise ConfigurationError("block_occurrences must be positive")
         self.layer_ids = tuple(int(i) for i in layer_ids)
         self.occ_retention = occ_retention
         self.occ_limit = occ_limit
@@ -320,7 +315,6 @@ class PortfolioKernel:
         self.occ_ceiling = np.where(
             infinite_ret, 0.0, occ_retention + occ_limit
         )
-        self.block_occurrences = int(block_occurrences)
         self._init_caches()
 
     def _init_caches(self) -> None:
@@ -349,46 +343,21 @@ class PortfolioKernel:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_portfolio(
-        cls,
-        portfolio,
-        dense_max_entries: int = 4_000_000,
-        block_occurrences: int = DEFAULT_BLOCK_OCCURRENCES,
-    ) -> "PortfolioKernel":
-        """Stack a portfolio's per-layer lookups and terms into one kernel.
+    def from_layers(cls, layers, *, layer_ids=None) -> "PortfolioKernel":
+        """Stack layers — a portfolio's, or loose ones — into one kernel.
 
-        Lookups come from :meth:`Layer.lookup`, so the merge work is
-        shared with every other engine and layer over the same book.
-        """
-        return cls.from_layers(
-            list(portfolio),
-            dense_max_entries=dense_max_entries,
-            block_occurrences=block_occurrences,
-        )
-
-    @classmethod
-    def from_layers(
-        cls,
-        layers,
-        *,
-        layer_ids=None,
-        dense_max_entries: int = 4_000_000,
-        block_occurrences: int = DEFAULT_BLOCK_OCCURRENCES,
-    ) -> "PortfolioKernel":
-        """Stack loose layers into an ephemeral kernel — no Portfolio needed.
-
-        This is the serving-layer construction path: a micro-batch of
-        ad-hoc quote requests (each an arbitrary ``Layer``) is stacked
-        into one kernel and priced in a single sweep.  ``layer_ids``
-        overrides the row identities — batched requests may carry
-        colliding ``layer.layer_id`` values, so the caller can key rows
-        by request position instead.  Lookups come from
-        :meth:`Layer.lookup`, which returns one object for every layer
-        over the same ELT objects and weights — the what-if burst: many
-        term variations of one book — so the merge is built once (by
-        the book, not per call), stacked once here, and gathered once
-        per occurrence block, with the other rows fanned out from it
-        (see ``dense_source``/``sparse_source``).
+        Loose layers are the serving-layer construction path: a
+        micro-batch of ad-hoc quote requests (each an arbitrary
+        ``Layer``) is stacked into one kernel and priced in a single
+        sweep.  ``layer_ids`` overrides the row identities — batched
+        requests may carry colliding ``layer.layer_id`` values, so the
+        caller can key rows by request position instead.  Lookups come
+        from :meth:`Layer.lookup`, which returns one object for every
+        layer over the same ELT objects and weights — the what-if burst:
+        many term variations of one book — so the merge is built once
+        (by the book, not per call), stacked once here, and gathered
+        once per occurrence block, with the other rows fanned out from
+        it (see ``dense_source``/``sparse_source``).
         """
         layers = list(layers)
         if not layers:
@@ -401,8 +370,7 @@ class PortfolioKernel:
                 raise ConfigurationError(
                     f"got {len(layer_ids)} layer_ids for {len(layers)} layers"
                 )
-        lookups = [layer.lookup(dense_max_entries=dense_max_entries)
-                   for layer in layers]
+        lookups = [layer.lookup() for layer in layers]
         triples = list(zip(layers, lookups, layer_ids))
         dense = [t for t in triples if t[1].kind == "dense"]
         sparse = [t for t in triples if t[1].kind == "sparse"]
@@ -460,7 +428,6 @@ class PortfolioKernel:
             sparse_offsets=sparse_offsets,
             dense_source=dense_source,
             sparse_source=sparse_source,
-            block_occurrences=block_occurrences,
         )
 
     # -- shared-memory transport -------------------------------------------
@@ -480,7 +447,6 @@ class PortfolioKernel:
         return KernelHandles(
             arrays=dict(zip(_HANDLE_FIELDS, handles)),
             layer_ids=self.layer_ids,
-            block_occurrences=self.block_occurrences,
             stamp=(handles[0].segment, next(_EXPORTS)),
         )
 
@@ -494,11 +460,7 @@ class PortfolioKernel:
         materialised locally by ``__init__``.
         """
         arrays = {name: h.attach() for name, h in handles.arrays.items()}
-        return cls(
-            layer_ids=handles.layer_ids,
-            block_occurrences=handles.block_occurrences,
-            **arrays,
-        )
+        return cls(layer_ids=handles.layer_ids, **arrays)
 
     # -- shape metadata ----------------------------------------------------
 
@@ -549,10 +511,9 @@ class PortfolioKernel:
         event_ids = np.asarray(event_ids, dtype=np.int64)
         if out is None:
             out = np.empty((self.n_layers, event_ids.size), dtype=np.float64)
-        stores = ([("dense", int(u)) for u in self.dense_source]
-                  + [("sparse", int(s)) for s in self.sparse_source])
         first_row: dict = {}
-        for row, store in enumerate(stores):
+        for row in range(self.n_layers):
+            store = self._store_of(row)
             held = first_row.setdefault(store, row)
             if held == row:
                 self._gather_store(*store, event_ids, out[row])
@@ -588,21 +549,16 @@ class PortfolioKernel:
     def gather_layer(self, row: int, event_ids: np.ndarray) -> np.ndarray:
         """Losses for one kernel row over an id array (YELT emission path)."""
         event_ids = np.asarray(event_ids, dtype=np.int64)
-        out = np.empty(event_ids.size, dtype=np.float64)
-        if row < self.n_dense:
-            table = self.dense_stack[int(self.dense_source[row])]
-            width = table.size
-            safe = np.clip(event_ids, 0, width - 1)
-            np.take(table, safe, out=out)
-            np.multiply(out, event_ids < width, out=out)
-            return out
-        seg = int(self.sparse_source[row - self.n_dense])
-        lo, hi = self.sparse_offsets[seg], self.sparse_offsets[seg + 1]
-        return sparse_gather_into(
-            self.sparse_ids[lo:hi], self.sparse_values[lo:hi], event_ids, out
-        )
+        return self._gather_store(*self._store_of(row), event_ids,
+                                  np.empty(event_ids.size, dtype=np.float64))
 
     # -- sublinear tail groups ---------------------------------------------
+
+    def _store_of(self, row: int) -> tuple[str, int]:
+        """``(kind, store)`` of the stored lookup kernel ``row`` reads."""
+        if row < self.n_dense:
+            return "dense", int(self.dense_source[row])
+        return "sparse", int(self.sparse_source[row - self.n_dense])
 
     def _store_values(self, kind: str, store: int) -> np.ndarray:
         """The loss values ONE stored lookup holds (table row, without
@@ -620,12 +576,9 @@ class PortfolioKernel:
         — or, given ``values``, whatever that array (laid out like
         :meth:`_store_values`) holds in the losses' place."""
         if kind == "dense":
-            table = self.dense_stack[store] if values is None else values
-            np.take(table, event_ids, mode="clip", out=out)
-            oob = event_ids >= table.size
-            if oob.any():
-                out[oob] = 0.0
-            return out
+            return dense_gather_into(
+                self.dense_stack[store] if values is None else values,
+                event_ids, out)
         lo, hi = self.sparse_offsets[store], self.sparse_offsets[store + 1]
         if values is None:
             values = self.sparse_values[lo:hi]

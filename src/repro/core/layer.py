@@ -7,13 +7,13 @@ occurrence/aggregate terms.
 What a layer reads is its *book* — its ELT objects and their weights —
 and the terms only shape what is done with it.  Layers over the same
 ELT objects and weights therefore share one interned book, which builds
-the merged event-loss lookup (once per ``dense_max_entries``; the array
-the device engine places in constant or global memory) and the content
-digest of the ELT arrays once, under a lock, for all of them.  A burst
-of 512 term variations of one book holds one merged table, not 512, and
-hashes the ELT arrays once.  The registry holds books weakly, so a book
-dies with its last layer; :func:`book_levels` reports how many are
-resident and the bytes of the merges they hold.
+the merged event-loss lookup (dense or CSR by the book's own id range;
+the array the device engine places in constant or global memory) and
+the content digest of the ELT arrays once, under a lock, for all of
+them.  A burst of 512 term variations of one book holds one merged
+table, not 512, and hashes the ELT arrays once.  The registry holds
+books weakly, so a book dies with its last layer; :func:`book_levels`
+reports how many are resident and the bytes of the merges they hold.
 """
 
 from __future__ import annotations
@@ -63,29 +63,29 @@ class _Book:
     counts invalidations, so a layer knows when its cached digest is
     stale."""
 
-    __slots__ = ("elts", "weights", "generation", "_lookups", "_digest",
-                 "_bytes", "_lock", "__weakref__")
+    __slots__ = ("elts", "weights", "generation", "_lookup", "_digest",
+                 "_lock", "__weakref__")
 
     def __init__(self, elts: tuple, weights: tuple | None) -> None:
         self.elts = elts
         self.weights = weights
         self.generation = 0
-        self._lookups: dict[int, LossLookup] = {}
+        self._lookup: LossLookup | None = None
         self._digest: bytes | None = None
-        self._bytes = 0
         self._lock = threading.Lock()
 
-    def lookup(self, dense_max_entries: int) -> LossLookup:
-        lk = self._lookups.get(dense_max_entries)
+    @property
+    def _bytes(self) -> int:
+        return 0 if self._lookup is None else self._lookup.resident_bytes
+
+    def lookup(self) -> LossLookup:
+        lk = self._lookup
         if lk is None:
             with self._lock:
-                lk = self._lookups.get(dense_max_entries)
+                lk = self._lookup
                 if lk is None:
-                    lk = LossLookup.from_elts(
-                        self.elts, weights=self.weights,
-                        dense_max_entries=dense_max_entries)
-                    self._lookups[dense_max_entries] = lk
-                    self._bytes += lk.resident_bytes
+                    lk = self._lookup = LossLookup.from_elts(
+                        self.elts, weights=self.weights)
                     _ledger_add(lk.resident_bytes)
         return lk
 
@@ -109,11 +109,10 @@ class _Book:
 
     def invalidate(self) -> None:
         with self._lock:
-            self._lookups = {}
+            _ledger_add(-self._bytes)
+            self._lookup = None
             self._digest = None
             self.generation += 1
-            _ledger_add(-self._bytes)
-            self._bytes = 0
 
     def __del__(self) -> None:
         _ledger_add(-self._bytes)
@@ -187,15 +186,15 @@ class Layer:
         """Total ELT rows across the layer (with multiplicity)."""
         return sum(e.n_events for e in self.elts)
 
-    def lookup(self, dense_max_entries: int = 4_000_000) -> LossLookup:
-        """The book's merged event-loss lookup for ``dense_max_entries``.
+    def lookup(self) -> LossLookup:
+        """The book's merged event-loss lookup.
 
-        Built once per setting for every layer over the same ELT objects
-        and weights — they all return the same read-only object — so
-        engines configured with different dense thresholds can alternate
-        over one book without rebuilding the merge.
+        Built once for every layer over the same ELT objects and weights
+        — they all return the same read-only object.  Its layout is the
+        book's: dense unless the largest event id passes
+        :data:`~repro.core.lookup.DENSE_MAX_ENTRIES`.
         """
-        return self._book.lookup(dense_max_entries)
+        return self._book.lookup()
 
     def content_digest(self) -> str:
         """Content hash of the layer: H(terms ‖ book digest), cached.

@@ -5,12 +5,13 @@ loss does this layer's ELT set assign it?" executed ~10⁹ times per run.
 The companion study's key GPU optimisation is *where* this lookup table
 lives: a small dense table fits constant memory (broadcast-cached, fast);
 a large one must live in global memory (chunked).  :class:`LossLookup`
-abstracts the structure so engines can choose:
+abstracts the structure, and the id range decides it
+(:data:`DENSE_MAX_ENTRIES`):
 
 - ``dense``: a direct-indexed array of length ``max_event_id + 1``
   (missing events are 0) — O(1) gather, constant-memory candidate;
 - ``sparse``: sorted ids + ``searchsorted`` — O(log n) per probe, the
-  fallback when ids are sparse or the dense table would be huge.
+  layout when the dense table would pass that cap.
 """
 
 from __future__ import annotations
@@ -20,8 +21,14 @@ import numpy as np
 from repro.core.tables import EltTable
 from repro.errors import ConfigurationError
 
-__all__ = ["LossLookup", "dense_gather_into", "merge_by_id",
-           "sparse_gather_into"]
+__all__ = ["DENSE_MAX_ENTRIES", "LossLookup", "dense_gather_into",
+           "merge_by_id", "sparse_gather_into"]
+
+#: A lookup is dense when its direct-index table holds at most this many
+#: slots (``max_event_id + 1``): a 32 MB cap on one table, past which
+#: the sorted ids + ``searchsorted`` layout is used instead.  A book's
+#: shape decides its layout; nothing else does.
+DENSE_MAX_ENTRIES = 4_000_000
 
 
 def merge_by_id(ids: np.ndarray, values: np.ndarray
@@ -79,12 +86,13 @@ class LossLookup:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_arrays(cls, event_ids: np.ndarray, values: np.ndarray,
-                    dense_max_entries: int = 4_000_000) -> "LossLookup":
+    def from_arrays(cls, event_ids: np.ndarray, values: np.ndarray
+                    ) -> "LossLookup":
         """Build the best layout for the given id set.
 
         A dense table is used when ``max_event_id`` is small enough that
-        the direct-index array stays under ``dense_max_entries`` slots.
+        the direct-index array stays within :data:`DENSE_MAX_ENTRIES`
+        slots.
         """
         # Copies: the arrays kept are made read-only below.
         ids_sorted = np.array(event_ids, dtype=np.int64)
@@ -101,7 +109,7 @@ class LossLookup:
             raise ConfigurationError("event ids must be non-negative")
         max_id = int(ids_sorted[-1])
         dense = None
-        if max_id + 1 <= dense_max_entries:
+        if max_id + 1 <= DENSE_MAX_ENTRIES:
             dense = np.zeros(max_id + 1, dtype=np.float64)
             dense[ids_sorted] = vals_sorted
         # Built tables are read-only: many layers and kernels may read
@@ -113,12 +121,12 @@ class LossLookup:
                    ids_sorted, vals_sorted)
 
     @classmethod
-    def from_elt(cls, elt: EltTable, **kwargs) -> "LossLookup":
+    def from_elt(cls, elt: EltTable) -> "LossLookup":
         """Lookup over one ELT's mean losses."""
-        return cls.from_arrays(elt.event_ids, elt.mean_losses, **kwargs)
+        return cls.from_arrays(elt.event_ids, elt.mean_losses)
 
     @classmethod
-    def from_elts(cls, elts, weights=None, **kwargs) -> "LossLookup":
+    def from_elts(cls, elts, weights=None) -> "LossLookup":
         """Merged lookup over several ELTs (losses summed per event).
 
         A layer over multiple ELTs sees, for each event, the sum of the
@@ -134,8 +142,7 @@ class LossLookup:
             raise ConfigurationError("one weight per ELT required")
         return cls.from_arrays(*merge_by_id(
             np.concatenate([e.event_ids for e in elts]),
-            np.concatenate([w * e.mean_losses for w, e in zip(weights, elts)])),
-            **kwargs)
+            np.concatenate([w * e.mean_losses for w, e in zip(weights, elts)])))
 
     # -- access ----------------------------------------------------------------
 

@@ -19,7 +19,7 @@ __all__ = ["Portfolio"]
 class Portfolio:
     """An ordered, id-unique collection of reinsurance layers."""
 
-    __slots__ = ("layers", "_kernel_cache")
+    __slots__ = ("layers", "_kernel")
 
     def __init__(self, layers) -> None:
         layers = tuple(layers)
@@ -32,7 +32,7 @@ class Portfolio:
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate layer ids: {ids}")
         self.layers = layers
-        self._kernel_cache: dict[int, object] = {}
+        self._kernel = None
 
     @property
     def n_layers(self) -> int:
@@ -50,37 +50,30 @@ class Portfolio:
     def n_elt_rows(self) -> int:
         return sum(l.n_events for l in self.layers)
 
-    def kernel(self, dense_max_entries: int = 4_000_000):
+    def kernel(self):
         """The fused :class:`~repro.core.kernels.PortfolioKernel`.
 
-        Precomputed once per ``dense_max_entries`` (a small dict, like a
-        book's lookup cache) so repeated engine runs over the same
-        portfolio skip the stacking work.  Each cache entry remembers the
-        layers' lookups it was stacked from, so the documented
+        Precomputed once so repeated engine runs over the same portfolio
+        skip the stacking work.  The cached kernel remembers the layers'
+        lookups it was stacked from, so the documented
         :meth:`Layer.invalidate_lookup` mutation flow transparently
         rebuilds the kernel on next use instead of serving stale arrays.
         """
-        lookups = tuple(
-            layer.lookup(dense_max_entries=dense_max_entries)
-            for layer in self.layers
-        )
-        entry = self._kernel_cache.get(dense_max_entries)
-        if entry is not None:
-            kernel, built_from = entry
+        lookups = tuple(layer.lookup() for layer in self.layers)
+        if self._kernel is not None:
+            kernel, built_from = self._kernel
             if all(a is b for a, b in zip(lookups, built_from)):
                 return kernel
         from repro.core.kernels import PortfolioKernel
 
-        kernel = PortfolioKernel.from_portfolio(
-            self, dense_max_entries=dense_max_entries
-        )
-        self._kernel_cache[dense_max_entries] = (kernel, lookups)
+        kernel = PortfolioKernel.from_layers(self.layers)
+        self._kernel = (kernel, lookups)
         return kernel
 
     def invalidate_kernels(self) -> None:
-        """Drop cached kernels and the layers' lookups (after mutating a
+        """Drop the cached kernel and the layers' lookups (after mutating a
         layer's ELTs in place; equivalent to invalidating every layer)."""
-        self._kernel_cache.clear()
+        self._kernel = None
         for layer in self.layers:
             layer.invalidate_lookup()
 

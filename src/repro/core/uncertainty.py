@@ -36,8 +36,7 @@ class SecondaryUncertainty:
         self.sigma_lookup = sigma_lookup
 
     @classmethod
-    def from_layer(cls, layer: Layer, dense_max_entries: int = 4_000_000
-                   ) -> "SecondaryUncertainty":
+    def from_layer(cls, layer: Layer) -> "SecondaryUncertainty":
         """(mean, sigma) lookups over a layer's book.
 
         The means are the book's one merge, :meth:`Layer.lookup` — the
@@ -55,11 +54,8 @@ class SecondaryUncertainty:
             np.concatenate([e.event_ids for e in layer.elts]),
             np.concatenate([(w * e.sigmas) ** 2
                             for w, e in zip(weights, layer.elts)]))
-        return cls(
-            layer.lookup(dense_max_entries),
-            LossLookup.from_arrays(ids, np.sqrt(variances),
-                                   dense_max_entries=dense_max_entries),
-        )
+        return cls(layer.lookup(),
+                   LossLookup.from_arrays(ids, np.sqrt(variances)))
 
 
 def sample_occurrence_losses(

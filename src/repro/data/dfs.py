@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import DEFAULTS
 from repro.data.chunk import plan_chunks
 from repro.data.columnar import ColumnTable
 from repro.data.serialization import pack_table, unpack_table
@@ -50,7 +49,8 @@ class SimDfs:
     n_datanodes:
         Number of simulated datanodes.
     block_bytes:
-        Target block size for byte-stream writes.
+        Target block size for byte-stream writes (64 MiB, the classic
+        HDFS default).
     replication:
         Number of replicas per block (capped at the node count).
     """
@@ -58,8 +58,8 @@ class SimDfs:
     def __init__(
         self,
         n_datanodes: int = 8,
-        block_bytes: int = DEFAULTS.dfs_block_bytes,
-        replication: int = DEFAULTS.dfs_replication,
+        block_bytes: int = 64 * 1024**2,
+        replication: int = 3,
     ) -> None:
         if n_datanodes <= 0:
             raise ConfigurationError(f"need at least one datanode, got {n_datanodes}")

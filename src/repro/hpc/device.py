@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import DEFAULTS, ReproConfig
-
 __all__ = ["DeviceProperties"]
 
 
@@ -26,14 +24,6 @@ class DeviceProperties:
     """Static capabilities of a simulated device."""
 
     name: str = "SimGPU (Fermi-class model)"
-    global_mem_bytes: int = DEFAULTS.device_global_mem_bytes
-    shared_mem_per_block_bytes: int = DEFAULTS.device_shared_mem_bytes
-    constant_mem_bytes: int = DEFAULTS.device_constant_mem_bytes
-
-    @classmethod
-    def from_config(cls, config: ReproConfig) -> "DeviceProperties":
-        return cls(
-            global_mem_bytes=config.device_global_mem_bytes,
-            shared_mem_per_block_bytes=config.device_shared_mem_bytes,
-            constant_mem_bytes=config.device_constant_mem_bytes,
-        )
+    global_mem_bytes: int = 3 * 1024**3
+    shared_mem_per_block_bytes: int = 48 * 1024
+    constant_mem_bytes: int = 64 * 1024

@@ -76,7 +76,8 @@ class BatchPolicy:
     max_batch:
         Most requests fused into one kernel sweep.  Beyond ~64 rows the
         stacked loss matrix starts spilling cache (see
-        ``DEFAULT_BLOCK_OCCURRENCES``), so bigger batches buy little.
+        ``PortfolioKernel.block_occurrences``), so bigger batches buy
+        little.
     window_seconds:
         Unused: batches form from load, so nothing reads it.  The
         field keeps its name and positional slot only because callers

@@ -352,10 +352,20 @@ class PooledDispatcher(Dispatcher):
         a degraded one, or a host without shared memory."""
         return "inline" if self.n_procs <= 1 else "shm"
 
-    def _in_process(self, yet: YetTable) -> bool:
+    def _in_process(self, yet: YetTable | StoredYet) -> bool:
         """Whether a run over ``yet`` sweeps on the calling thread: one
-        span (one worker or one trial), or a degraded pool."""
-        return self.n_procs <= 1 or len(self.spans(yet)) <= 1
+        span (one worker or one trial), or a degraded pool.  Any other
+        run stages ``yet`` in shared memory, which only a ``YetTable``
+        can be: a stored YET is refused there, typed (its pooled splits
+        are ROADMAP item 9(b))."""
+        if self.n_procs <= 1 or len(self.spans(yet)) <= 1:
+            return True
+        if not isinstance(yet, YetTable):
+            raise ConfigurationError(
+                f"a pooled run stages a YetTable, not a "
+                f"{type(yet).__name__}: pooled splits of a stored YET are "
+                f"ROADMAP item 9(b)")
+        return False
 
     def _bundle(self, yet: YetTable) -> _ShmYet:
         """The shared-object bundle, keyed by YET content fingerprint."""
@@ -370,25 +380,25 @@ class PooledDispatcher(Dispatcher):
                 self._shared_fp = fp
             return self._shared
 
-    def warmup(self, yet: YetTable) -> None:
+    def warmup(self, yet: YetTable | StoredYet) -> None:
         if self._in_process(yet):
             return          # nothing to spawn or stage
         shared = self._bundle(yet)   # takes the lock itself
         with self._lock:
             self.pool.ensure_started(shared)
 
-    def spans(self, yet: YetTable) -> list[tuple[int, int]]:
+    def spans(self, yet: YetTable | StoredYet) -> list[tuple[int, int]]:
         """One span per worker (capped by trial count), pooled or
         degraded."""
         return trial_spans(yet.n_trials, self.pool.n_workers)
 
-    def run(self, kernel: PortfolioKernel, yet: YetTable,
+    def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
             policy: TaskPolicy | None = None) -> np.ndarray:
         with self.telemetry.span("dispatch.pooled",
                                  transport=self.transport_active):
             return super().run(kernel, yet, policy)
 
-    def _run(self, kernel: PortfolioKernel, yet: YetTable,
+    def _run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
              policy: TaskPolicy | None) -> np.ndarray:
         if self.degraded:
             # Graceful degradation: the pool has failed terminally too

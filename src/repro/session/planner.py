@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engines.registry import engine_spec
+from repro.core.engines.registry import engine_class
 from repro.errors import ConfigurationError
 from repro.hpc.cost_model import StageSpec
 from repro.hpc.pool import available_parallelism
@@ -268,8 +268,7 @@ class EnginePlanner:
             rate = measured if measured is not None else row.seed_rate
             procs = self.n_workers if row.pooled else 1
             startup, eligible, note = 0.0, True, ""
-            if require_emit_yelt and not engine_spec(
-                    row.engine).supports_emit_yelt:
+            if require_emit_yelt and not engine_class(row.engine).emits_yelt:
                 eligible, note = False, "does not emit YELTs"
             elif row.pooled and self.n_workers <= 1:
                 eligible, note = False, "single-core host (no pool to win on)"

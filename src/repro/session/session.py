@@ -47,7 +47,7 @@ import threading
 from repro.analytics.ep_curves import EpCurve, aep_curve, portfolio_ep_curves
 from repro.analytics.sensitivity import term_sensitivities
 from repro.core.engines import Engine, EngineResult
-from repro.core.engines.registry import available_engines, engine_spec
+from repro.core.engines.registry import available_engines, engine_class
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.tables import YetTable
@@ -251,11 +251,10 @@ class RiskSession:
             name = self.plan("aggregate").engine
         eng = self._engines.get(name)
         if eng is None:
-            factory = engine_spec(name).factory
+            cls = engine_class(name)
             row = dispatcher_for(name)
             eng = self._engines[name] = (
-                factory.riding(self.dispatcher(row)) if row != name
-                else factory())
+                cls.riding(self.dispatcher(row)) if row != name else cls())
         return eng
 
     # -- planning ----------------------------------------------------------
@@ -369,7 +368,7 @@ class RiskSession:
         self._check_open()
         names = list(names) if names is not None else available_engines()
         for name in names:
-            engine_spec(name)
+            engine_class(name)
         return {name: self.aggregate(portfolio, engine=name) for name in names}
 
     # -- serving-style workloads -------------------------------------------
@@ -398,7 +397,7 @@ class RiskSession:
         real-time pricing."  The quote is the technical premium
         (expected loss + volatility and tail loadings) with its latency
         and the measured trials/second, from which the E4 bench
-        extrapolates and then verifies the million-trial figure.  To
+        extrapolates the million-trial figure.  To
         price on one named engine instead, run
         ``aggregate(Portfolio([layer]), engine=...)`` and feed the
         layer's YLT to :func:`~repro.dfa.quote.premium_components`.

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import build_layer_workload, build_portfolio_workload
-from repro.core.tables import YET_SCHEMA, YetTable
+from repro.core.layer import Layer
+from repro.core.tables import YET_SCHEMA, EltTable, YetTable
 from repro.data.columnar import ColumnTable
 from repro.util.rng import RngHierarchy
+
+#: One ELT row at event 10**9: a book holding it has an id range past
+#: ``DENSE_MAX_ENTRIES``, so its lookup is CSR, and no test YET reads it.
+FAR_ROW = EltTable.from_arrays([10**9], [1.0], contract_id=10**6)
 
 
 def make_yet(trials, event_ids, n_trials) -> YetTable:
@@ -22,6 +27,19 @@ def make_yet(trials, event_ids, n_trials) -> YetTable:
         event_id=np.asarray(event_ids, dtype=np.int64))
     return YetTable(table, n_trials)
 
+
+def csr_elts(elts) -> tuple:
+    """``elts`` plus :data:`FAR_ROW`: the same losses for every event a
+    test YET holds, in a book that is CSR by its own shape."""
+    return (*elts, FAR_ROW)
+
+
+def as_csr(layer: Layer) -> Layer:
+    """``layer`` priced off the CSR twin of its book (same id, terms and
+    losses); layers over one book keep sharing one twin."""
+    weights = None if layer.weights is None else (*layer.weights, 1.0)
+    return Layer(layer.layer_id, csr_elts(layer.elts), layer.terms,
+                 weights=weights)
 
 def pytest_addoption(parser):
     parser.addoption(

@@ -160,37 +160,6 @@ def test_profile_parity_at_benchmark_like_density():
 # ---------------------------------------------------------------------------
 
 class TestInvariance:
-    def test_dispatchers_agree_bitwise_on_a_tail_stack(self, monkeypatch):
-        """Whole-YET, dispatcher-blocked, 2-worker pooled, degraded
-        serial and in process without shared memory: one answer, bit
-        for bit — tail rows and the odd row."""
-        rng = np.random.default_rng(11)
-        yet = random_yet(rng, n_trials=301, width=40)
-        odd = EltTable.from_arrays([1, 2, 3], [111.0, 222.0, 333.0],
-                                   contract_id=9)
-        layers = tail_layers(book(rng), MIN_TAIL_GROUP + 3)
-        layers.append(Layer(99, [odd], LayerTerms(occ_retention=50.0)))
-        kernel = PortfolioKernel.from_layers(layers)
-        assert kernel.tail_group_rows == MIN_TAIL_GROUP + 3
-        whole = ran_on_profile(lambda: InlineDispatcher().run(kernel, yet),
-                               MIN_TAIL_GROUP + 3)
-        assert whole.any(axis=1).sum() > MIN_TAIL_GROUP
-        small = PortfolioKernel.from_layers(layers, block_occurrences=57)
-        blocked = InlineDispatcher().run(small, yet)
-        np.testing.assert_array_equal(blocked, whole)
-        with PooledDispatcher(n_workers=2) as pooled:
-            answer = pooled.run(kernel, yet)
-            assert pooled.pool.started, "the batch must have been forked"
-            np.testing.assert_array_equal(answer, whole)
-            pooled.pool.health.degraded = True
-            degraded = ran_on_profile(lambda: pooled.run(kernel, yet),
-                                      2 * (MIN_TAIL_GROUP + 3))   # 2 blocks
-            np.testing.assert_array_equal(degraded, whole)
-        with monkeypatch.context() as m:
-            m.setattr(shm, "_AVAILABLE", False)
-            with PooledDispatcher(n_workers=2) as pooled:
-                np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
-
     def test_a_row_does_not_depend_on_its_group(self):
         rng = np.random.default_rng(12)
         yet = random_yet(rng, n_trials=120, width=40)

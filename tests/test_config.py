@@ -1,30 +1,15 @@
-"""Tests for the library configuration bundle."""
+"""The library's hardware and DFS defaults, each on the record that
+reads it."""
 
-import pytest
-
-from repro.config import DEFAULTS, ReproConfig
+from repro.data.dfs import SimDfs
+from repro.hpc.device import DeviceProperties
 
 
 class TestReproConfig:
     def test_defaults_are_fermi_class(self):
-        assert DEFAULTS.device_global_mem_bytes == 3 * 1024**3
-        assert DEFAULTS.device_shared_mem_bytes == 48 * 1024
-        assert DEFAULTS.device_constant_mem_bytes == 64 * 1024
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            DEFAULTS.default_seed = 1  # type: ignore[misc]
-
-    def test_with_copies(self):
-        custom = DEFAULTS.with_(dfs_replication=2)
-        assert custom.dfs_replication == 2
-        assert DEFAULTS.dfs_replication == 3  # original untouched
-        assert isinstance(custom, ReproConfig)
-
-    def test_device_properties_from_config(self):
-        from repro.hpc.device import DeviceProperties
-
-        custom = DEFAULTS.with_(device_global_mem_bytes=1024)
-        props = DeviceProperties.from_config(custom)
-        assert props.global_mem_bytes == 1024
+        props = DeviceProperties()
+        assert props.global_mem_bytes == 3 * 1024**3
         assert props.shared_mem_per_block_bytes == 48 * 1024
+        assert props.constant_mem_bytes == 64 * 1024
+        dfs = SimDfs()
+        assert (dfs.block_bytes, dfs.replication) == (64 * 1024**2, 3)

@@ -34,6 +34,7 @@ import fnmatch
 import functools
 import itertools
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,8 +84,8 @@ ROUTES = {
 #: source → what the cell's engine reads the trials from.
 SOURCES = {
     "memory": "the YetTable (vectorized / multicore)",
-    "buffer7": "the YetTable, by a kernel whose stream row buffer holds "
-               "7 occurrences (whole trials, at least one)",
+    "buffer7": "the YetTable, with PortfolioKernel.block_occurrences "
+               "patched to 7 (whole trials, at least one, per row buffer)",
     "raw": "raw sorted columns (PortfolioKernel.run)",
     "rawunsorted": "the same columns shuffled",
     "stored1": "StoredYet, 1 row per chunk (outofcore)",
@@ -439,8 +440,9 @@ def run_aggregate(cell, case, shape, subs):
         return ylts_of(result), routed, blocks
     whole = blocks_of(yet, [(0, yet.n_trials)])
     if source == "buffer7":
-        kernel = PortfolioKernel.from_portfolio(portfolio, block_occurrences=7)
-        final = InlineDispatcher().run(kernel, yet)
+        kernel = PortfolioKernel.from_layers(portfolio)
+        with mock.patch.object(PortfolioKernel, "block_occurrences", 7):
+            final = InlineDispatcher().run(kernel, yet)
         return dict(zip(kernel.layer_ids, final)), kernel.routed, whole
     if source.startswith("raw"):
         kernel = portfolio.kernel()

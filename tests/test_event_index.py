@@ -401,36 +401,6 @@ class TestDecompositionInvariance:
         assert levels["yet.event_index.bytes"] == whole_bytes + sum(
             span_bytes(yet, a, b) for a, b in spans)
 
-    def test_dispatchers_agree_bitwise(self, monkeypatch):
-        """Whole-YET, dispatcher-blocked, 2-worker pooled, degraded
-        serial and in process on a host without shared memory: one
-        answer, bit for bit."""
-        portfolio, yet = by_event_workload()
-        kernel = portfolio.kernel()
-        assert kernel.tail_group_rows == 0
-        whole = swept(kernel, lambda: InlineDispatcher().run(kernel, yet), 4, 1)
-        assert whole.any(axis=1).all()
-        small = PortfolioKernel.from_portfolio(portfolio,
-                                               block_occurrences=257)
-        blocked = InlineDispatcher().run(small, yet)
-        np.testing.assert_array_equal(blocked, whole)
-        with PooledDispatcher(n_workers=2) as pooled:
-            answer = pooled.run(kernel, yet)
-            assert pooled.pool.started, "the batch must have been forked"
-            np.testing.assert_array_equal(answer, whole)
-            pooled.pool.health.degraded = True
-            np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
-            assert pooled.health.snapshot()["pool.degraded_calls"] == 1
-        with monkeypatch.context() as m:
-            m.setattr(shm, "_AVAILABLE", False)
-            with PooledDispatcher(n_workers=2) as pooled:
-                np.testing.assert_array_equal(pooled.run(kernel, yet), whole)
-                assert pooled.health.snapshot()["pool.degraded_calls"] == 1
-        oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
-        for row, lid in enumerate(kernel.layer_ids):
-            np.testing.assert_allclose(whole[row], oracle[lid].losses,
-                                       rtol=RTOL, atol=ATOL)
-
     def test_engines_agree_bitwise(self, monkeypatch):
         portfolio, yet = by_event_workload(seed=72)
         whole = VectorizedEngine().run(portfolio, yet)
@@ -477,7 +447,7 @@ class TestIndexLifetime:
         kernel = portfolio.kernel()
         for sweep in range(self.N_SWEEPS):
             InlineDispatcher().run(kernel, yet)
-            PortfolioKernel.from_portfolio(portfolio).sweep_segments(
+            PortfolioKernel.from_layers(portfolio).sweep_segments(
                 *yet.trial_block())
         # whole-table sweeps read the one whole-table index
         assert yet.cache_levels()["yet.event_index.builds"] == 1

@@ -7,20 +7,18 @@ randomised portfolios (Hypothesis).
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import make_yet
+from conftest import as_csr, csr_elts, make_yet
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engines import SequentialEngine
-from repro.core.kernels import (
-    DEFAULT_BLOCK_OCCURRENCES,
-    MIN_TAIL_GROUP,
-    PortfolioKernel,
-)
+from repro.core.kernels import MIN_TAIL_GROUP, PortfolioKernel
 from repro.core.layer import Layer
+from repro.core.lookup import DENSE_MAX_ENTRIES
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable, YetTable
 from repro.core.terms import LayerTerms
@@ -29,12 +27,8 @@ from repro.errors import ConfigurationError
 RTOL, ATOL = 1e-9, 1e-6
 
 
-def assert_kernel_matches_oracle(portfolio, yet, dense_max_entries=4_000_000,
-                                 block_occurrences=DEFAULT_BLOCK_OCCURRENCES):
-    kernel = PortfolioKernel.from_portfolio(
-        portfolio, dense_max_entries=dense_max_entries,
-        block_occurrences=block_occurrences,
-    )
+def assert_kernel_matches_oracle(portfolio, yet):
+    kernel = PortfolioKernel.from_layers(portfolio)
     final = kernel.run(yet.trials, yet.event_ids, yet.n_trials)
     oracle = SequentialEngine().run(portfolio, yet)
     for row, lid in enumerate(kernel.layer_ids):
@@ -54,8 +48,9 @@ class TestParityAgainstOracle:
 
     def test_sparse_portfolio(self, small_portfolio_workload):
         k = assert_kernel_matches_oracle(
-            small_portfolio_workload.portfolio, small_portfolio_workload.yet,
-            dense_max_entries=1,
+            Portfolio([as_csr(layer)
+                       for layer in small_portfolio_workload.portfolio]),
+            small_portfolio_workload.yet,
         )
         assert k.n_sparse == k.n_layers and k.n_dense == 0
 
@@ -74,6 +69,24 @@ class TestParityAgainstOracle:
         assert k.layer_ids == (0, 7)
         assert k.row_of(7) == 1
 
+    def test_the_book_shape_decides_dense_or_csr(self, tiny_workload):
+        """A book whose largest id is ``DENSE_MAX_ENTRIES - 1`` stores a
+        dense table, one whose largest id is ``DENSE_MAX_ENTRIES`` a CSR
+        segment, and over a YET that reads neither edge id both price
+        alike, bit for bit."""
+        layer = tiny_workload.portfolio.layers[0]
+        finals = []
+        for last, kinds in ((DENSE_MAX_ENTRIES - 1, (1, 0)),
+                            (DENSE_MAX_ENTRIES, (0, 1))):
+            edge = EltTable.from_arrays([last], [1.0], contract_id=99)
+            pf = Portfolio([Layer(0, (*layer.elts, edge), layer.terms)])
+            k = assert_kernel_matches_oracle(pf, tiny_workload.yet)
+            assert (k.n_dense, k.n_sparse) == kinds
+            finals.append(k.run(tiny_workload.yet.trials,
+                                tiny_workload.yet.event_ids,
+                                tiny_workload.yet.n_trials))
+        np.testing.assert_array_equal(*finals)
+
     @pytest.mark.parametrize("terms", [
         LayerTerms(),                                          # pass-through
         LayerTerms(occ_retention=0.0, occ_limit=np.inf),       # degenerate: none bind
@@ -85,12 +98,14 @@ class TestParityAgainstOracle:
         LayerTerms(occ_retention=5e5, occ_limit=2e6,
                    agg_retention=1e6, agg_limit=1e8, participation=0.5),
     ])
+    # ``dense_max=1``: the book's CSR twin.
     @pytest.mark.parametrize("dense_max", [4_000_000, 1])
     def test_degenerate_terms(self, tiny_workload, terms, dense_max):
         layer = Layer(0, tiny_workload.portfolio.layers[0].elts, terms)
-        assert_kernel_matches_oracle(
-            Portfolio([layer]), tiny_workload.yet, dense_max_entries=dense_max
-        )
+        if dense_max == 1:
+            layer = as_csr(layer)
+        k = assert_kernel_matches_oracle(Portfolio([layer]), tiny_workload.yet)
+        assert k.n_sparse == (dense_max == 1)
 
     def test_empty_trials_stay_zero(self):
         """A YET with occurrence-free trials (including an all-empty YET)."""
@@ -105,11 +120,13 @@ class TestParityAgainstOracle:
         assert out.shape == (1, 4)
         np.testing.assert_array_equal(out, 0.0)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, DEFAULT_BLOCK_OCCURRENCES])
-    def test_block_size_does_not_change_results(self, tiny_workload, block):
-        assert_kernel_matches_oracle(
-            tiny_workload.portfolio, tiny_workload.yet, block_occurrences=block
-        )
+    @pytest.mark.parametrize(
+        "block", [1, 7, 64, PortfolioKernel.block_occurrences])
+    def test_block_size_does_not_change_results(self, tiny_workload, block,
+                                                monkeypatch):
+        monkeypatch.setattr(PortfolioKernel, "block_occurrences", block)
+        assert_kernel_matches_oracle(tiny_workload.portfolio,
+                                     tiny_workload.yet)
 
 
 class TestKernelStructure:
@@ -215,9 +232,9 @@ def test_fused_kernel_matches_oracle_on_random_portfolios(wl):
 def test_fused_kernel_block_invariance_on_random_portfolios(wl, block):
     portfolio, yet = wl
     ref = portfolio.kernel().run(yet.trials, yet.event_ids, yet.n_trials)
-    alt = PortfolioKernel.from_portfolio(portfolio, block_occurrences=block
-                                         ).run(yet.trials, yet.event_ids,
-                                               yet.n_trials)
+    with mock.patch.object(PortfolioKernel, "block_occurrences", block):
+        alt = PortfolioKernel.from_layers(portfolio).run(
+            yet.trials, yet.event_ids, yet.n_trials)
     np.testing.assert_allclose(alt, ref, rtol=RTOL, atol=ATOL)
 
 
@@ -328,15 +345,15 @@ class TestSublinearTailGroups:
         assert kernel.routed["kernel.profile_rows"] == n
 
     def test_sparse_store_groups_match_lane_path(self, tiny_workload):
-        # Same-book stacks dedupe to one CSR segment under
-        # dense_max_entries=1; the group path prices them too.
-        elts = tiny_workload.portfolio.layers[0].elts
+        # Same-book stacks dedupe to one CSR segment over a CSR book;
+        # the group path prices them too.
+        elts = csr_elts(tiny_workload.portfolio.layers[0].elts)
         layers = [
             Layer(i, elts, LayerTerms(occ_retention=5e3 + 250.0 * i,
                                       occ_limit=2e5))
             for i in range(MIN_TAIL_GROUP + 4)
         ]
-        kernel = PortfolioKernel.from_layers(layers, dense_max_entries=1)
+        kernel = PortfolioKernel.from_layers(layers)
         assert kernel.n_sparse == kernel.n_layers
         assert kernel.tail_group_rows == kernel.n_layers
         yet = tiny_workload.yet

@@ -9,6 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import as_csr
 
 from repro.analytics.sensitivity import term_sensitivities
 from repro.core import layer as layer_module
@@ -45,20 +46,6 @@ class TestLayer:
         first = layer.lookup()
         layer.invalidate_lookup()
         assert layer.lookup() is not first
-
-    def test_lookup_cache_not_thrashed_by_alternating_settings(self):
-        """Two engines with different dense thresholds share one layer:
-        alternating requests must hit the per-setting cache, not rebuild."""
-        layer = Layer(0, [elt([1, 900], [1.0, 2.0])], LayerTerms())
-        dense = layer.lookup(dense_max_entries=4_000_000)
-        sparse = layer.lookup(dense_max_entries=10)
-        assert dense.kind == "dense" and sparse.kind == "sparse"
-        # Alternation returns the identical cached objects every time.
-        for _ in range(3):
-            assert layer.lookup(dense_max_entries=4_000_000) is dense
-            assert layer.lookup(dense_max_entries=10) is sparse
-        layer.invalidate_lookup()
-        assert layer.lookup(dense_max_entries=10) is not sparse
 
     def test_weights(self):
         layer = Layer(0, [elt([1], [10.0])], LayerTerms(), weights=[0.5])
@@ -131,7 +118,9 @@ class TestBookSharing:
         plain = Layer(0, [e], LayerTerms())
         weighted = Layer(1, [e], LayerTerms(), weights=[0.5])
         assert weighted.lookup() is not plain.lookup()
-        assert plain.lookup(dense_max_entries=10) is not plain.lookup()
+        twin = as_csr(plain)
+        assert twin.lookup() is not plain.lookup()
+        assert twin.lookup().kind == "sparse"
         assert len(merges) == 3
         assert weighted.lookup().get_scalar(900) == 1.0
 
@@ -213,7 +202,7 @@ class TestBookSharing:
 
     def test_shared_tables_are_read_only(self):
         layer = Layer(0, [elt([1, 900], [1.0, 2.0])], LayerTerms())
-        for lk in (layer.lookup(), layer.lookup(dense_max_entries=10)):
+        for lk in (layer.lookup(), as_csr(layer).lookup()):
             for array in (lk.table_array, lk.ids, lk.values):
                 with pytest.raises(ValueError):
                     array[0] = 99.0
@@ -243,8 +232,8 @@ class TestBookLedger:
     #: A dense merge of ids {1, 2}: a 3-slot table + 2 sorted ids + 2
     #: values, 8 B each.
     DENSE = (3 + 2 + 2) * 8
-    #: The same book under ``dense_max_entries=1``: ids + values.
-    SPARSE = (2 + 2) * 8
+    #: Its CSR twin, ids {1, 2, 10**9}: ids + values.
+    SPARSE = (3 + 3) * 8
 
     def test_exact_bytes_on_the_tiny_shape(self):
         gc.collect()
@@ -255,16 +244,21 @@ class TestBookLedger:
         assert levels["layer.books.resident"] == base["layer.books.resident"] + 1
         assert levels["layer.books.bytes"] == base["layer.books.bytes"]
         assert len({id(layer.lookup()) for layer in layers}) == 1
-        layers[0].lookup(dense_max_entries=1)
-        assert book_levels()["layer.books.bytes"] == (
-            base["layer.books.bytes"] + self.DENSE + self.SPARSE)
+        twin = as_csr(layers[0])
+        twin.lookup()
+        assert book_levels() == {
+            "layer.books.resident": base["layer.books.resident"] + 2,
+            "layer.books.bytes": (base["layer.books.bytes"] + self.DENSE
+                                  + self.SPARSE)}
         assert layers[0].lookup().resident_bytes == self.DENSE
+        assert twin.lookup().resident_bytes == self.SPARSE
         layers[1].invalidate_lookup()
+        twin.invalidate_lookup()
         assert book_levels()["layer.books.bytes"] == base["layer.books.bytes"]
         layers[2].lookup()
         assert book_levels()["layer.books.bytes"] == (
             base["layer.books.bytes"] + self.DENSE)
-        del layers
+        del layers, twin
         gc.collect()
         assert book_levels() == base
 
@@ -277,9 +271,8 @@ class TestBookLedger:
             for _ in range(40):
                 own = Layer(i, [elt([1, 2], [1.0, 2.0])], LayerTerms())
                 over_shared = Layer(i, [shared], LayerTerms())
-                for layer in (own, over_shared):
+                for layer in (own, over_shared, as_csr(over_shared)):
                     layer.lookup()
-                    layer.lookup(dense_max_entries=1)
                     layer.content_digest()
                 over_shared.invalidate_lookup()
                 own.invalidate_lookup()
@@ -335,14 +328,6 @@ class TestPortfolio:
     def test_non_layer_rejected(self):
         with pytest.raises(ConfigurationError):
             Portfolio(["nope"])
-
-    def test_kernel_cached_per_setting(self):
-        pf = Portfolio(self.make_layers(2))
-        k_big = pf.kernel(dense_max_entries=4_000_000)
-        k_tiny = pf.kernel(dense_max_entries=1)
-        assert pf.kernel(dense_max_entries=4_000_000) is k_big
-        assert pf.kernel(dense_max_entries=1) is k_tiny
-        assert k_big.n_dense == 2 and k_tiny.n_sparse == 2
 
     def test_invalidate_kernels(self):
         pf = Portfolio(self.make_layers(2))

@@ -33,7 +33,7 @@ from repro.core.tables import (
 )
 from repro.core.terms import LayerTerms
 from repro.hpc import shm
-from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
+from repro.serve.dispatch import PooledDispatcher
 
 class NetGatherProof:
     """Proves every lane row priced by the path the rule of record
@@ -203,26 +203,6 @@ def test_out_of_range_trials_rejected(tiny_workload):
 # ---------------------------------------------------------------------------
 
 class TestDecompositionInvariance:
-    def test_dispatchers_agree_bitwise(self, small_portfolio_workload):
-        """Whole-YET, dispatcher-blocked, 2-worker pooled and degraded
-        serial: one answer, bit for bit."""
-        wl = small_portfolio_workload
-        kernel = wl.portfolio.kernel()
-        assert kernel.tail_group_rows == 0       # distinct books: lane rows
-        whole = InlineDispatcher().run(kernel, wl.yet)
-        assert whole.any()
-        small = PortfolioKernel.from_portfolio(wl.portfolio,
-                                               block_occurrences=257)
-        blocked = InlineDispatcher().run(small, wl.yet)
-        np.testing.assert_array_equal(blocked, whole)
-        with PooledDispatcher(n_workers=2) as pooled:
-            answer = pooled.run(kernel, wl.yet)
-            assert pooled.pool.started, "the batch must have been forked"
-            np.testing.assert_array_equal(answer, whole)
-            pooled.pool.health.degraded = True
-            np.testing.assert_array_equal(pooled.run(kernel, wl.yet), whole)
-            assert pooled.health.snapshot()["pool.degraded_calls"] == 1
-
     def test_engines_agree_bitwise(self, small_portfolio_workload,
                                    monkeypatch):
         wl = small_portfolio_workload

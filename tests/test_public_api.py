@@ -158,7 +158,8 @@ def test_removed_names_stay_removed(tmp_path):
     the simulated GPU's memory spaces, launch model and kernel body went
     when the device engine began pricing through the block task; and
     the entry points that took a YET beside a session went with the YET
-    swap and the refusal of a foreign trial set."""
+    swap and the refusal of a foreign trial set; and the settings no
+    caller set went to the modules that decide them."""
     removed = ["repro.bench.experiments", "repro.bench.harness",
                "repro.bench.time_call", "repro.util.timing",
                "repro.hpc.scheduler", "repro.hpc.occupancy",
@@ -170,7 +171,11 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.AggregateAnalysis", "repro.core.AggregateAnalysis",
                "repro.core.simulation", "repro.PricingService.resimulate",
                "repro.serve.ResultCache.invalidate_yet",
-               "repro.RiskSession.check_yet"]
+               "repro.RiskSession.check_yet",
+               "repro.config", "repro.DEFAULTS", "repro.ReproConfig",
+               "repro.hpc.DeviceProperties.from_config",
+               "repro.core.PortfolioKernel.from_portfolio",
+               "repro.core.kernels.DEFAULT_BLOCK_OCCURRENCES"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
@@ -232,11 +237,11 @@ def test_one_numeric_contract():
     """Every registered engine but the scalar oracle is the host driver:
     it prices through a dispatcher's block task, so its answers are
     ``np.array_equal`` to ``vectorized``'s."""
-    from repro.core.engines import available_engines, engine_spec
+    from repro.core.engines import available_engines, engine_class
     from repro.core.engines.host import HostEngine
 
     assert [name for name in available_engines()
-            if not issubclass(engine_spec(name).factory, HostEngine)] == [
+            if not issubclass(engine_class(name), HostEngine)] == [
         "sequential"]
 
 
@@ -350,12 +355,11 @@ def test_session_surface_locked():
 
     assert repro.RiskSession is repro.session.RiskSession
     assert repro.ExecutionPlan is repro.session.ExecutionPlan
-    assert repro.EngineSpec is repro.core.engines.EngineSpec
     # the registry surface the planner is built on
-    from repro.core.engines import available_engines, engine_spec
+    from repro.core.engines import available_engines, engine_class
 
     for name in available_engines():
-        assert engine_spec(name).name == name
+        assert engine_class(name).name == name
 
 
 def test_legacy_entry_points_resolve_deprecation_free(tiny_workload):
@@ -406,21 +410,54 @@ def test_kernel_sweep_signatures_locked():
         "kernel.fallback.error_bound", "kernel.fallback.sublinear_off"}
 
 
-def test_engine_spec_and_planner_knobs_locked():
-    """``EngineSpec`` is the capability record the code reads and the
-    planner takes the host's width and a telemetry plane; what ``auto``
-    prices is the planner's own table.  A knob may not come back
-    without this test changing."""
+def test_lookup_layout_and_row_buffer_are_no_parameters():
+    """A book's shape decides its lookup's layout, and the row-buffer
+    bound is a constant of the kernel class: no builder, cache or handle
+    carries either.  A knob may not come back without this test
+    changing."""
     import dataclasses
     import inspect
 
-    from repro.core.engines import EngineSpec
+    from repro.core import (KernelHandles, Layer, LossLookup, Portfolio,
+                            PortfolioKernel, SecondaryUncertainty)
+    from repro.core.lookup import DENSE_MAX_ENTRIES
+
+    def params(func):
+        return [name for name in inspect.signature(func).parameters
+                if name not in ("self", "cls")]
+
+    assert params(LossLookup.from_arrays) == ["event_ids", "values"]
+    assert params(LossLookup.from_elt) == ["elt"]
+    assert params(LossLookup.from_elts) == ["elts", "weights"]
+    assert params(Layer.lookup) == []
+    assert params(Portfolio.kernel) == []
+    assert params(PortfolioKernel.from_layers) == ["layers", "layer_ids"]
+    assert "block_occurrences" not in params(PortfolioKernel.__init__)
+    assert params(SecondaryUncertainty.from_layer) == ["layer"]
+    assert [f.name for f in dataclasses.fields(KernelHandles)] == [
+        "arrays", "layer_ids", "stamp"]
+    assert "block_occurrences" not in PortfolioKernel.__slots__
+    assert PortfolioKernel.block_occurrences == 32_768
+    assert DENSE_MAX_ENTRIES == 4_000_000
+
+
+def test_engine_spec_and_planner_knobs_locked():
+    """The engine class is the record the code reads (no spec object
+    beside it) and the planner takes the host's width and a telemetry
+    plane; what ``auto`` prices is the planner's own table.  A knob may
+    not come back without this test changing."""
+    import inspect
+
+    import repro
+    from repro.core.engines import Engine, engine_class
     from repro.session import EnginePlanner
 
-    assert [f.name for f in dataclasses.fields(EngineSpec)] == [
-        "name", "factory", "summary"]
+    for module in (repro, repro.core, repro.core.engines):
+        for name in ("EngineSpec", "engine_spec", "register_engine"):
+            assert not hasattr(module, name), (module.__name__, name)
     # The YELT capability is declared once, on the engine class.
-    assert isinstance(EngineSpec.supports_emit_yelt, property)
+    assert engine_class("vectorized").emits_yelt is True
+    assert Engine.emits_yelt is False
     assert list(inspect.signature(EnginePlanner.__init__).parameters) == [
         "self", "n_workers", "telemetry"]
     assert not hasattr(EnginePlanner, "observe")

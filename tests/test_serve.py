@@ -563,7 +563,7 @@ class _SlowDispatcher(InlineDispatcher):
 class TestEnablers:
     def test_from_layers_matches_from_portfolio(self, small_portfolio_workload):
         wl = small_portfolio_workload
-        by_portfolio = PortfolioKernel.from_portfolio(wl.portfolio)
+        by_portfolio = wl.portfolio.kernel()
         loose = PortfolioKernel.from_layers(list(wl.portfolio))
         assert loose.layer_ids == by_portfolio.layer_ids
         np.testing.assert_array_equal(loose.dense_stack,

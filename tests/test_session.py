@@ -3,8 +3,8 @@
 The contract under test is the paper's thesis applied to the API: bind
 the YET once, stage it once, and every workload — aggregate runs, quote
 batches, EP curves, sensitivities — sweeps data that is already
-resident.  Plus the redesigned engine registry (declarative EngineSpec
-records, boundary-surfaced unknown-name errors) and the cost-model
+resident.  Plus the engine registry (one table from a name to its
+engine class, boundary-surfaced unknown-name errors) and the cost-model
 planner behind ``engine="auto"``.
 """
 
@@ -16,10 +16,9 @@ import pytest
 
 from repro.core.engines import (
     Engine,
-    EngineSpec,
     VectorizedEngine,
     available_engines,
-    engine_spec,
+    engine_class,
     get_engine,
 )
 from repro.core.layer import Layer
@@ -53,25 +52,25 @@ def _candidates(portfolio, n):
 
 class TestEngineSpecs:
     def test_every_engine_has_a_spec(self):
+        """The engine class is the record: its name is its key."""
         for name in ALL_ENGINES:
-            spec = engine_spec(name)
-            assert isinstance(spec, EngineSpec)
-            assert spec.name == name
-            assert spec.factory().name == name
+            cls = engine_class(name)
+            assert issubclass(cls, Engine)
+            assert cls.name == name
+            assert cls().name == name
 
     def test_unknown_name_surfaces_available_list(self):
         with pytest.raises(EngineError) as err:
-            engine_spec("quantum")
+            engine_class("quantum")
         for name in ALL_ENGINES:
             assert name in str(err.value)
 
     def test_capability_flags_match_engine_behaviour(self, tiny_workload,
                                                      risk_session):
-        # emit_yelt: the spec flag and the engine's actual behaviour agree
+        # emit_yelt: the class flag and the engine's actual behaviour agree
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         for name in ALL_ENGINES:
-            spec = engine_spec(name)
-            if spec.supports_emit_yelt:
+            if engine_class(name).emits_yelt:
                 res = session.aggregate(engine=name, emit_yelt=True)
                 assert res.yelt_by_layer
             else:
@@ -504,7 +503,7 @@ class TestAutoEngine:
                                n_workers=2)
         res = session.aggregate(emit_yelt=True)
         assert res.yelt_by_layer
-        assert engine_spec(res.engine).supports_emit_yelt
+        assert engine_class(res.engine).emits_yelt
 
     def test_planner_marks_non_emitters_ineligible(self):
         planner = EnginePlanner(n_workers=8)
@@ -542,7 +541,7 @@ class TestAutoEngine:
         with RiskSession(tiny_workload.yet, tiny_workload.portfolio) as s:
             res = s.aggregate(engine="auto", emit_yelt=True)
         assert res.yelt_by_layer
-        assert engine_spec(res.engine).supports_emit_yelt
+        assert engine_class(res.engine).emits_yelt
 
     def test_plan_and_dispatcher_come_from_one_row(self, tiny_workload,
                                                    risk_session):

@@ -26,11 +26,14 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import as_csr
 
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
+from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
-from repro.core.tables import YetTable
+from repro.core.tables import StoredYet, YetTable
+from repro.data.store import ChunkStore
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc.faults import FaultPlan
@@ -144,11 +147,15 @@ class TestRoundTrips:
             np.testing.assert_array_equal(a, b)
 
     def test_mixed_dense_sparse_kernel_round_trip(self, tiny_workload):
-        """dense_max_entries=1 forces sparse lookups; the CSR arrays must
-        survive the handle round-trip like the dense stack does."""
+        """A book past ``DENSE_MAX_ENTRIES`` is CSR by its own shape; the
+        CSR arrays must survive the handle round-trip like the dense
+        stack does."""
         wl = tiny_workload
-        kernel = wl.portfolio.kernel(dense_max_entries=1)
-        assert kernel.n_sparse > 0
+        layer = wl.portfolio.layers[0]
+        csr = as_csr(layer)
+        kernel = Portfolio([layer, Layer(1, csr.elts, layer.terms,
+                                         weights=csr.weights)]).kernel()
+        assert kernel.n_dense == kernel.n_sparse == 1
         with shm.SharedArena() as arena:
             again = PortfolioKernel.from_handles(kernel.export_handles(arena))
             a = kernel.run(wl.yet.trials, wl.yet.event_ids, wl.yet.n_trials)
@@ -314,6 +321,24 @@ class TestTransportParity:
         assert health.totals["degraded_calls"] == 1
         assert health.snapshot()["pool.degraded_calls"] == 1
         assert session.telemetry.snapshot()["metrics"] == {}
+
+    def test_a_stored_yet_is_refused_typed_before_staging(
+            self, small_portfolio_workload, tmp_path):
+        """A pooled run stages its YET in shared memory, which a
+        ``StoredYet`` cannot be: ``run`` and ``warmup`` refuse it with a
+        typed error naming the open item, and stage or spawn nothing."""
+        wl = small_portfolio_workload
+        store = ChunkStore(tmp_path)
+        store.write_table("yet", wl.yet.table, rows_per_chunk=97)
+        stored = StoredYet(store, "yet", wl.yet.n_trials)
+        before = shm.active_segment_names()
+        with PooledDispatcher(n_workers=2) as dispatcher:
+            for call in (lambda: dispatcher.run(wl.portfolio.kernel(), stored),
+                         lambda: dispatcher.warmup(stored)):
+                with pytest.raises(ConfigurationError, match=r"9\(b\)"):
+                    call()
+            assert not dispatcher.pool.started
+        assert shm.active_segment_names() == before
 
     def test_unknown_transport_rejected(self):
         """``transport`` takes one value, ``"shm"``, and selects nothing;

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import as_csr
 from hypothesis import strategies as st
 
 from repro.core.layer import Layer
@@ -12,6 +13,15 @@ from repro.core.lookup import LossLookup
 from repro.core.tables import EltTable
 from repro.core.terms import LayerTerms
 from repro.errors import ConfigurationError
+
+
+def build(ids, values, dense_max):
+    """The lookup over ``(ids, values)`` as ``from_arrays`` lays it out
+    (dense, for these compact ids) or, at ``dense_max=1``, in the CSR
+    layout a book past ``DENSE_MAX_ENTRIES`` gets."""
+    lk = LossLookup.from_arrays(ids, values)
+    return (LossLookup("sparse", None, lk.ids, lk.values) if dense_max == 1
+            else lk)
 
 
 class TestLayerTermsValidation:
@@ -95,21 +105,15 @@ class TestLossLookup:
         lk = LossLookup.from_arrays([10**12], [1.0])
         assert lk.kind == "sparse"
 
-    def test_dense_max_entries_override(self):
-        lk = LossLookup.from_arrays([0, 999], [1.0, 2.0], dense_max_entries=10)
-        assert lk.kind == "sparse"
-
     @pytest.mark.parametrize("dense_max", [10**6, 1])
     def test_lookup_values(self, dense_max):
-        lk = LossLookup.from_arrays([5, 10, 20], [1.0, 2.0, 3.0],
-                                    dense_max_entries=dense_max)
+        lk = build([5, 10, 20], [1.0, 2.0, 3.0], dense_max)
         out = lk(np.array([10, 5, 20, 5]))
         np.testing.assert_allclose(out, [2.0, 1.0, 3.0, 1.0])
 
     @pytest.mark.parametrize("dense_max", [10**6, 1])
     def test_unknown_ids_map_to_zero(self, dense_max):
-        lk = LossLookup.from_arrays([5, 10], [1.0, 2.0],
-                                    dense_max_entries=dense_max)
+        lk = build([5, 10], [1.0, 2.0], dense_max)
         out = lk(np.array([0, 7, 11, 10**9]))
         np.testing.assert_allclose(out, [0.0, 0.0, 0.0, 0.0])
 
@@ -118,7 +122,7 @@ class TestLossLookup:
         ids = np.sort(rng.choice(10_000, 500, replace=False))
         vals = rng.random(500)
         dense = LossLookup.from_arrays(ids, vals)
-        sparse = LossLookup.from_arrays(ids, vals, dense_max_entries=1)
+        sparse = build(ids, vals, dense_max=1)
         queries = rng.integers(0, 12_000, 2000)
         np.testing.assert_allclose(dense(queries), sparse(queries))
 
@@ -185,12 +189,13 @@ class TestLossLookup:
 
         layer = Layer(0, elts, LayerTerms(occ_retention=1.0), weights=weights)
         digest = layer.content_digest()
-        for dense_max in (4_000_000, 1):
-            lk = layer.lookup(dense_max_entries=dense_max)
-            assert lk.ids.tobytes() == ref_ids.tobytes()
-            assert lk.values.tobytes() == ref_vals.tobytes()
-            if dense_max > 1:
-                assert lk.table_array.tobytes() == ref_dense.tobytes()
+        dense, csr = layer.lookup(), as_csr(layer).lookup()
+        assert dense.table_array.tobytes() == ref_dense.tobytes()
+        # The CSR twin holds one more id, 10**9, past every other.
+        for lk, n in ((dense, ref_ids.size), (csr, ref_ids.size + 1)):
+            assert lk.ids[:ref_ids.size].tobytes() == ref_ids.tobytes()
+            assert lk.values[:ref_ids.size].tobytes() == ref_vals.tobytes()
+            assert lk.ids.size == n
         copies = [EltTable.from_arrays(np.array(e.event_ids),
                                        np.array(e.mean_losses),
                                        contract_id=e.contract_id)
@@ -213,8 +218,7 @@ class TestGatherInto:
     def test_matches_call(self, dense_max):
         rng = np.random.default_rng(3)
         ids = np.sort(rng.choice(5_000, 300, replace=False))
-        lk = LossLookup.from_arrays(ids, rng.random(300),
-                                    dense_max_entries=dense_max)
+        lk = build(ids, rng.random(300), dense_max)
         queries = rng.integers(0, 7_000, 1_000)
         out = np.empty(queries.size, dtype=np.float64)
         result = lk.gather_into(queries, out)
@@ -224,8 +228,7 @@ class TestGatherInto:
     @pytest.mark.parametrize("dense_max", [10**6, 1])
     def test_buffer_reused_across_blocks(self, dense_max):
         """The fused sweep's pattern: one buffer, many gather calls."""
-        lk = LossLookup.from_arrays([2, 5], [10.0, 20.0],
-                                    dense_max_entries=dense_max)
+        lk = build([2, 5], [10.0, 20.0], dense_max)
         buf = np.full(3, -1.0)
         lk.gather_into(np.array([5, 9, 2]), buf)
         np.testing.assert_allclose(buf, [20.0, 0.0, 10.0])
@@ -235,8 +238,7 @@ class TestGatherInto:
     @pytest.mark.parametrize("dense_max", [10**6, 1])
     def test_row_view_of_matrix_as_out(self, dense_max):
         """gather_into must accept row views of an (L, block) matrix."""
-        lk = LossLookup.from_arrays([1, 3], [1.0, 3.0],
-                                    dense_max_entries=dense_max)
+        lk = build([1, 3], [1.0, 3.0], dense_max)
         block = np.zeros((2, 4))
         lk.gather_into(np.array([3, 1, 0, 3]), block[1])
         np.testing.assert_allclose(block[0], 0.0)
