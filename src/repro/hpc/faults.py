@@ -8,7 +8,7 @@ the equivalent story here — worker deaths, deadline overruns, corrupted
 payloads, and leaked shared-memory segments are injected on demand,
 deterministically, and the suite asserts the answers come back
 bit-identical anyway, and what recovery cost in counts (deaths,
-executor cycles, retries, handle re-ships, kernel packs).
+executor cycles, retries, YET stagings, kernel packs).
 
 A :class:`FaultPlan` is a seeded list of :class:`FaultSpec` injections
 keyed by the pool's global task sequence number: *"kill the worker

@@ -9,30 +9,20 @@ only wall time.
 
 Worker processes are spawned lazily on first parallel use and reused
 across calls; :meth:`WorkPool.close` (or the context manager) is the
-shutdown path.  :meth:`WorkPool.starmap_shared` ships one large shared
-object (e.g. the YET) to each worker exactly once per call via the pool
-initializer instead of re-pickling it per task.
-
-**Shared-memory transport.**  The shared object may instead be a tiny
-*shipment*: any object exposing ``__shm_resolve__()`` (see
-:mod:`repro.hpc.shm`) pickles as a few hundred bytes of segment handles,
-and each worker resolves it — attaching the shared-memory segments as
-zero-copy views — lazily on first touch.  Executor cycling and
-broken-pool recovery then re-send only the handles, never the payload:
-:attr:`WorkPool.payload_ships` counts how often a shared object actually
-crossed the initializer so callers can assert the steady state ships
-nothing (the ``agg_lanes_pooled`` benchmark's ``payload_ships_is_1``
-proof; ``test_an_equal_yet_does_not_reship``).
+shutdown path.  A task names its whole input: a large payload rides
+each task as shared-memory handles (:mod:`repro.hpc.shm`), a few
+hundred bytes, which the worker attaches and keeps (see
+:mod:`repro.serve.dispatch`), so any worker, a fresh one after a death
+too, runs any task as it was submitted.
 
 Failure semantics
 -----------------
-Tasks submitted through :meth:`map` / :meth:`starmap` /
-:meth:`starmap_shared` are **supervised** under a per-call
-:class:`TaskPolicy`:
+Tasks submitted through :meth:`map` / :meth:`starmap` are
+**supervised** under a per-call :class:`TaskPolicy`:
 
 - A worker death (``BrokenProcessPool``) loses only the tasks that had
-  not finished: the executor is cycled (re-sending handles, never the
-  payload) and the lost tasks are resubmitted after a jittered
+  not finished: the executor is cycled and the lost tasks, which name
+  their inputs, are resubmitted as they are after a jittered
   exponential backoff.  Tasks must therefore be idempotent — every task
   in this library is a pure function of its arguments, so re-execution
   is the MapReduce recovery story applied to the in-node pool.
@@ -74,12 +64,6 @@ from repro.hpc import faults
 from repro.obs import Telemetry
 
 __all__ = ["PoolHealth", "TaskPolicy", "WorkPool", "available_parallelism"]
-
-
-def _resolve(shared):
-    """A shipment resolves to its payload; anything else passes through."""
-    resolver = getattr(shared, "__shm_resolve__", None)
-    return resolver() if resolver is not None else shared
 
 
 def available_parallelism() -> int:
@@ -218,23 +202,6 @@ class PoolHealth:
         return out
 
 
-#: Per-worker slot for the object shipped by :meth:`WorkPool.starmap_shared`.
-_SHARED = None
-
-
-def _install_shared(value) -> None:
-    global _SHARED
-    _SHARED = value
-
-
-def _call_shared(fn: Callable, *args):
-    return fn(_resolve(_SHARED), *args)
-
-
-def _call_plain(fn: Callable, *args):
-    return fn(*args)
-
-
 def _noop(_i: int) -> None:
     """Warm-up barrier task (see :meth:`WorkPool.ensure_started`)."""
 
@@ -280,60 +247,27 @@ class WorkPool:
         #: private enabled plane.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.health = PoolHealth(self.telemetry)
-        self._m_payload_ships = self.telemetry.counter("pool.payload_ships")
         self._m_faults_injected = self.telemetry.counter(
             "pool.faults_injected")
         self._m_call_seconds = self.telemetry.histogram("pool.call.seconds")
         self._executor: ProcessPoolExecutor | None = None
-        #: The object the current executor's workers were initialised
-        #: with (via :meth:`starmap_shared`); ``None`` = no initializer.
-        self._shared: object | None = None
         #: Global task ordinal (fault plans key injections off this).
         self._task_seq = itertools.count()
         self._rng = random.Random(seed)
 
-    @property
-    def payload_ships(self) -> int:
-        """Times a shared object was delivered through an executor
-        build (the ``pool.payload_ships`` counter).  For a handle-backed
-        shipment each delivery is a few hundred bytes; for a plain
-        object it is the full pickle.  A caller holding one shipment
-        across runs sees this stay at 1.
-        """
-        return int(self._m_payload_ships.value)
-
     # -- lifecycle ---------------------------------------------------------
 
-    def _executor_handle(self, shared=None) -> ProcessPoolExecutor:
+    def _executor_handle(self) -> ProcessPoolExecutor:
         """The persistent executor, (re)built lazily.
 
-        A plain call reuses whatever executor exists (workers ignore an
-        installed shared object).  A call with ``shared`` requires the
-        workers to have been initialised with *that* object; if the live
-        executor was built without it (or with a different one), the
-        executor is cycled.  Repeat runs with the same shared object —
-        the cached portfolio kernel — therefore ship it zero times.
-
-        A broken executor (a worker died mid-task) is also cycled, so a
-        lost worker costs one call, not the pool's lifetime.  When
-        ``shared`` is a handle-backed shipment that cycle re-sends
-        handles, not the payload: fresh workers re-attach the still-live
-        segments.
+        A broken executor (a worker died mid-task) is cycled, so a lost
+        worker costs one call, not the pool's lifetime.
         """
-        if self._executor is not None and (
-            getattr(self._executor, "_broken", False)
-            or (shared is not None and self._shared is not shared)
-        ):
+        if self._executor is not None and getattr(self._executor, "_broken",
+                                                  False):
             self.close()
         if self._executor is None:
-            self._shared = shared
-            if shared is not None:
-                self._m_payload_ships.inc()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_install_shared if shared is not None else None,
-                initargs=(shared,) if shared is not None else (),
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
         return self._executor
 
     @property
@@ -345,22 +279,20 @@ class WorkPool:
         """
         return self._executor is not None
 
-    def ensure_started(self, shared=None) -> None:
+    def ensure_started(self) -> None:
         """Pre-spawn the worker processes (idempotent warm-up).
 
-        Worker spawn plus the one-time delivery of ``shared`` costs tens
-        to hundreds of milliseconds — a latency-sensitive caller (the
-        serving layer's pooled dispatcher) pays it here, outside any
-        request's SLO window, instead of inside the first batch.  The
-        executor alone is not enough — ``ProcessPoolExecutor`` forks
-        lazily on submission — so a round of no-op barrier tasks forces
-        the processes (and the ``shared`` initializer) to actually run
+        Worker spawn costs tens to hundreds of milliseconds — a
+        latency-sensitive caller (the serving layer's pooled dispatcher)
+        pays it here, outside any request's SLO window, instead of
+        inside the first batch.  The executor alone is not enough —
+        ``ProcessPoolExecutor`` forks lazily on submission — so a round
+        of no-op barrier tasks forces the processes to actually start
         now.  Serial pools (``n_workers == 1``) and degraded pools have
         nothing to start.
         """
         if self.n_workers > 1 and not self.health.degraded:
-            executor = self._executor_handle(shared=shared)
-            list(executor.map(_noop, range(self.n_workers)))
+            list(self._executor_handle().map(_noop, range(self.n_workers)))
 
     def reset_health(self) -> None:
         """Forget failure history and leave degraded mode (operator path
@@ -380,7 +312,6 @@ class WorkPool:
             broken = bool(getattr(self._executor, "_broken", False))
             self._executor.shutdown(wait=not broken, cancel_futures=broken)
             self._executor = None
-            self._shared = None
 
     def _abandon_executor(self) -> None:
         """Drop the executor without waiting (supervision's cycle path).
@@ -393,7 +324,6 @@ class WorkPool:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-            self._shared = None
 
     def __enter__(self) -> "WorkPool":
         return self
@@ -417,42 +347,13 @@ class WorkPool:
         if self.health.degraded:
             self.health.count("degraded_calls")
             return [fn(*args) for args in tuples]
-        return self._supervised(fn, None, tuples,
-                                policy if policy is not None else self.policy)
-
-    def starmap_shared(self, fn: Callable, shared,
-                       arg_tuples: Iterable[tuple],
-                       policy: TaskPolicy | None = None) -> list:
-        """Apply ``fn(shared, *args)`` per tuple, preserving order.
-
-        ``shared`` is delivered to each worker once through the pool
-        initializer — not serialised per task — which is the right
-        transport for a large read-only object fanned out over many small
-        tasks (the pooled dispatcher ships the YET this way: once per
-        trial set, and zero times on repeat runs).  A ``shared`` exposing
-        ``__shm_resolve__()`` is a shared-memory shipment: the
-        initializer delivers only its handles and workers attach the
-        payload as zero-copy views on first touch (serial pools resolve
-        it inline, which shipments make free by pre-binding their local
-        payload).  Supervision (retries, deadlines, degraded fallback)
-        follows the module docstring's failure semantics.
-        """
-        tuples = list(arg_tuples)
-        if self.n_workers == 1 or len(tuples) <= 1:
-            local = _resolve(shared)
-            return [fn(local, *args) for args in tuples]
-        if self.health.degraded:
-            self.health.count("degraded_calls")
-            local = _resolve(shared)
-            return [fn(local, *args) for args in tuples]
-        return self._supervised(fn, shared, tuples,
+        return self._supervised(fn, tuples,
                                 policy if policy is not None else self.policy)
 
     # -- supervision -------------------------------------------------------
 
-    def _submit_one(self, executor, fn, shared, args):
+    def _submit_one(self, executor, fn, args):
         """Submit one task attempt, applying any scheduled fault."""
-        call = _call_shared if shared is not None else _call_plain
         spec = None
         plan = faults.active_plan()
         if plan is not None:
@@ -461,8 +362,8 @@ class WorkPool:
             self._m_faults_injected.inc()
             self.telemetry.event("fault.injected", kind=spec.kind,
                                  task_seq=spec.task_seq)
-            return executor.submit(faults.apply_fault, spec, call, fn, *args)
-        return executor.submit(call, fn, *args)
+            return executor.submit(faults.apply_fault, spec, fn, *args)
+        return executor.submit(fn, *args)
 
     def _backoff(self, policy: TaskPolicy, cycle: int) -> None:
         if policy.backoff_seconds <= 0:
@@ -471,7 +372,7 @@ class WorkPool:
         delay *= 1.0 + policy.backoff_jitter * self._rng.random()
         time.sleep(delay)
 
-    def _supervised(self, fn, shared, tuples, policy: TaskPolicy) -> list:
+    def _supervised(self, fn, tuples, policy: TaskPolicy) -> list:
         """Run one batch under the supervision contract.
 
         Results are collected in submission order; a cycle keeps
@@ -488,22 +389,21 @@ class WorkPool:
         self.health.count("calls")
         call_start = time.perf_counter()
         try:
-            return self._supervised_loop(fn, shared, tuples, policy, results,
+            return self._supervised_loop(fn, tuples, policy, results,
                                          pending, attempts, failures, cycle)
         finally:
             self._m_call_seconds.observe(time.perf_counter() - call_start)
 
-    def _supervised_loop(self, fn, shared, tuples, policy, results, pending,
+    def _supervised_loop(self, fn, tuples, policy, results, pending,
                          attempts, failures, cycle) -> list:
         while True:
-            executor = self._executor_handle(shared=shared)
+            executor = self._executor_handle()
             futures = {}
             infra: BaseException | None = None
             for i in pending:
                 attempts[i] += 1
                 try:
-                    futures[i] = self._submit_one(executor, fn, shared,
-                                                  tuples[i])
+                    futures[i] = self._submit_one(executor, fn, tuples[i])
                 except BrokenExecutor as exc:
                     # Workers died during submission (e.g. killed at
                     # init): everything unsubmitted is lost this cycle.
@@ -571,9 +471,7 @@ class WorkPool:
                 raise error
             self.health.count("retries", len(pending))
             if infra is not None:
-                # Worker death or wedged batch: cycle the executor.  The
-                # rebuild in the next loop iteration re-sends handles
-                # only (see _executor_handle).
+                # Worker death or wedged batch: cycle the executor.
                 self.health.count("executor_cycles")
                 self._abandon_executor()
             self._backoff(policy, cycle)

@@ -33,7 +33,9 @@ Attach-side bookkeeping: each process caches its segment mappings, so N
 handles into one segment map it once, and attached segments are
 *untracked* from the ``resource_tracker`` (ownership stays with the
 creating process; the tracker would otherwise unlink segments still in
-use when the first worker exits).
+use when the first worker exits).  A worker that drops a payload
+unmaps it with :func:`detach`, so a segment its owner has unlinked
+frees its pages then, not at worker exit.
 
 Availability is probed once (:func:`shm_available`): hosts without a
 usable ``/dev/shm`` (or a ``shared_memory``-less Python) report
@@ -61,11 +63,11 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 __all__ = [
-    "HandleShipment",
     "SharedArena",
     "ShmArrayHandle",
     "ShmSlab",
     "active_segment_names",
+    "detach",
     "shm_available",
 ]
 
@@ -186,14 +188,19 @@ def _evict_stale_slab_mappings(name: str) -> None:
     uid, gen = match.group("uid"), int(match.group("gen"))
     for other in list(_ATTACHED):
         other_match = _SLAB_NAME_RE.match(other)
-        if (other_match is None or other_match.group("uid") != uid
-                or int(other_match.group("gen")) >= gen):
-            continue
-        try:
-            _ATTACHED[other].close()
-        except BufferError:  # pragma: no cover - view still live
-            continue
-        del _ATTACHED[other]
+        if (other_match is not None and other_match.group("uid") == uid
+                and int(other_match.group("gen")) < gen):
+            _unmap(other)
+
+
+def _unmap(name: str) -> None:
+    """Close this process's cached mapping of ``name``, unless a live
+    view still pins it.  Caller holds ``_ATTACHED_LOCK``."""
+    try:
+        _ATTACHED[name].close()
+    except BufferError:  # pragma: no cover - view still live
+        return
+    del _ATTACHED[name]
 
 
 def _attach_segment(name: str):
@@ -215,6 +222,19 @@ def _attach_segment(name: str):
             _ATTACHED[name] = segment
             _evict_stale_slab_mappings(name)
     return segment
+
+
+def detach(*handles: "ShmArrayHandle") -> None:
+    """Unmap this process's cached mappings of the segments ``handles``
+    point into: a worker letting go of a payload it will not read again.
+
+    Only attached mappings go; a segment this process owns stays with
+    its owner, and a mapping a live view still pins (``BufferError``)
+    is kept.
+    """
+    with _ATTACHED_LOCK:
+        for name in {handle.segment for handle in handles} & set(_ATTACHED):
+            _unmap(name)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +278,7 @@ class ShmArrayHandle:
         (the pages are unmapped under it — the same contract as a NumPy
         view over a closed ``mmap``).  Worker-side views survive an
         owner *unlink* — their own mapping pins the pages — which is
-        what lets a retired segment drain in-flight readers safely.
+        what lets an unlinked segment drain in-flight readers safely.
         """
         segment = _attach_segment(self.segment)
         view = np.ndarray(
@@ -267,38 +287,6 @@ class ShmArrayHandle:
         )
         view.flags.writeable = self.writable
         return view
-
-
-class HandleShipment:
-    """Base for handle-backed pool payloads (see ``WorkPool``'s
-    ``__shm_resolve__`` protocol).
-
-    Pickles as its handles alone; each receiving process materialises
-    the payload once, on first touch.  The owning process pre-binds its
-    ``local`` payload so serial fallback paths resolve for free.
-    Subclasses implement :meth:`_materialise`.
-    """
-
-    __slots__ = ("handles", "_local")
-
-    def __init__(self, handles, local=None) -> None:
-        self.handles = handles
-        self._local = local
-
-    def __getstate__(self):
-        return self.handles
-
-    def __setstate__(self, state) -> None:
-        self.handles = state
-        self._local = None
-
-    def __shm_resolve__(self):
-        if self._local is None:
-            self._local = self._materialise(self.handles)
-        return self._local
-
-    def _materialise(self, handles):
-        raise NotImplementedError
 
 
 def _aligned(nbytes: int) -> int:
@@ -338,8 +326,7 @@ class SharedArena:
     returns their handles; the arena tracks every segment it created and
     :meth:`close` (or the context manager, or the ``atexit`` safety net)
     unlinks them all.  Arenas are cheap — one per long-lived payload
-    generation (an engine's staged kernel + YET, a dispatcher's shared
-    trial set) keeps ownership obvious.
+    (a pooled dispatcher's staged YET) keeps ownership obvious.
     """
 
     def __init__(self) -> None:

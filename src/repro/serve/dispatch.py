@@ -17,12 +17,16 @@ and the two substrates differ in where the spans execute:
   path.  Its payload rides the zero-copy shared-memory data plane
   (:mod:`repro.hpc.shm`), the one transport:
 
-  * the *YET arrays* (the stable side of a serving workload) are placed
-    in a shared arena keyed by content fingerprint — workers attach once
-    and a re-simulated-but-equal trial set re-ships nothing.  The event
-    index that by-event rows read is built in the worker over the rows
-    of its span alone (:meth:`YetTable.trial_block`), once per span, so
-    no worker sorts the whole YET;
+  * the *YET arrays* (the stable side of a serving workload) are staged
+    in one shared arena, once per content fingerprint, and ride every
+    task as handles beside the kernel's.  Each worker keeps the one YET
+    it last attached, with what its sweeps derive (the trial index, the
+    span event indexes), under that fingerprint, so a re-simulated but
+    equal trial set stages nothing and a different one costs one
+    staging and one attach per worker, the workers themselves kept.
+    The event index that by-event rows read is built in the worker over
+    the rows of its span alone (:meth:`YetTable.trial_block`), once per
+    span, so no worker sorts the whole YET;
   * the *kernel* is written into one reusable
     :class:`~repro.hpc.shm.ShmSlab` once per kernel: the dispatcher
     holds the one kernel it last packed (compared by identity, held by a
@@ -53,7 +57,7 @@ and the two substrates differ in where the spans execute:
   fallback (``pool.degraded_calls``, ``n_procs == 1``).
 
 Both close cleanly; :meth:`Dispatcher.warmup` lets the service pay
-worker spawn and YET delivery outside any request's SLO window.
+worker spawn and YET staging outside any request's SLO window.
 
 Failure semantics
 -----------------
@@ -99,7 +103,7 @@ import numpy as np
 
 from repro.core.kernels import ROUTING_COUNTERS, PortfolioKernel
 from repro.core.layer import book_levels
-from repro.core.tables import StoredYet, YetTable, trial_spans
+from repro.core.tables import StoredYet, YetHandles, YetTable, trial_spans
 from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.hpc.cost_model import ThroughputEstimate
@@ -191,7 +195,7 @@ class Dispatcher:
                 else np.concatenate(partials, axis=1))
 
     def warmup(self, yet: YetTable) -> None:
-        """Pay one-off setup costs (worker spawn, YET shipping) now."""
+        """Pay one-off setup costs (worker spawn, YET staging) now."""
 
     def close(self) -> None:
         """Release execution resources (idempotent)."""
@@ -235,19 +239,38 @@ def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
     return kernel.apply_aggregate(annual, out=out)
 
 
-#: A pool worker's one attached kernel, ``(stamp, kernel)``, and how
-#: many times the worker attached one.
+#: A pool worker's one attached kernel, ``(stamp, kernel)``, how many
+#: times the worker attached one, and its one attached YET,
+#: ``(handles, yet)``.
 _attached: tuple | None = None
 _attaches = 0
+_attached_yet: tuple | None = None
 
 
-def _sweep_trials_handles(yet: YetTable, kernel_handles, t0: int, t1: int,
-                          output) -> None:
-    """Worker: :func:`_sweep_trials` over the kernel the slab handles
-    name — attached as zero-copy views once per stamp and kept, derived
-    caches and all, until a task names another — written straight into
-    columns ``[t0, t1)`` of the dispatcher's ``output`` handle; nothing
-    comes back but completion (picklable task)."""
+def _attach_yet(handles: YetHandles) -> YetTable:
+    """Worker: the YET ``handles`` name, attached as zero-copy views
+    once per fingerprint and kept, trial index and span indexes and
+    all, until a task names another; the one it replaces is detached
+    (its segment may already be unlinked)."""
+    global _attached_yet
+    if (_attached_yet is None
+            or _attached_yet[0].fingerprint != handles.fingerprint):
+        if _attached_yet is not None:
+            old = _attached_yet[0]
+            _attached_yet = None    # the views go before the mapping
+            shm.detach(old.trial, old.seq, old.event_id)
+        _attached_yet = (handles, YetTable.from_handles(handles))
+    return _attached_yet[1]
+
+
+def _sweep_trials_handles(yet_handles: YetHandles, kernel_handles,
+                          t0: int, t1: int, output) -> None:
+    """Worker: :func:`_sweep_trials` over the YET and the kernel the
+    handles name — each attached as zero-copy views once (the YET per
+    fingerprint, the kernel per stamp) and kept, derived caches and
+    all, until a task names another — written straight into columns
+    ``[t0, t1)`` of the dispatcher's ``output`` handle; nothing comes
+    back but completion (picklable task)."""
     global _attached, _attaches
     if _attached is None or _attached[0] != kernel_handles.stamp:
         # Drop the old views first: they may pin an outgrown slab
@@ -256,33 +279,24 @@ def _sweep_trials_handles(yet: YetTable, kernel_handles, t0: int, t1: int,
         _attached = (kernel_handles.stamp,
                      PortfolioKernel.from_handles(kernel_handles))
         _attaches += 1
-    _sweep_trials(yet, _attached[1], t0, t1, out=output.attach()[:, t0:t1])
-
-
-class _ShmYet(shm.HandleShipment):
-    """Handle-backed shipment of the YET; workers attach the columns as
-    read-only views once, on first touch, and keep the ``YetTable`` (so
-    its trial index is derived once per worker too)."""
-
-    __slots__ = ()
-
-    def _materialise(self, handles):
-        return YetTable.from_handles(handles)
+    _sweep_trials(_attach_yet(yet_handles), _attached[1], t0, t1,
+                  out=output.attach()[:, t0:t1])
 
 
 class PooledDispatcher(Dispatcher):
     """Trial-block decomposition over a persistent worker pool.
 
-    The YET is staged in a shared arena on first use and installed as
-    the pool's shared object, a handle shipment the workers attach
-    zero-copy, reused across batches.  The bundle is keyed by
-    :meth:`YetTable.fingerprint`, so only a trial set with *different
-    content* forces a re-ship — swapping in an equal re-simulated YET
-    costs nothing.  The kernel travels as slab handles, packed once per
-    kernel and attached once per worker, and the answer returns through
-    an output slab the workers write.  A run of one span, a degraded
-    pool and a host without shared memory sweep in process instead; see
-    the module docstring.
+    The YET is staged in a shared arena on first use and rides every
+    block task as handles, which the workers attach zero-copy and keep.
+    The staging is keyed by :meth:`YetTable.fingerprint`, so only a
+    trial set with *different content* is staged again (counted by
+    :attr:`payload_ships`), into a fresh arena, the old one freed at
+    once — swapping in an equal re-simulated YET costs nothing.  The
+    kernel travels as slab handles, packed once per kernel and attached
+    once per worker, and the answer returns through an output slab the
+    workers write.  A run of one span, a degraded pool and a host
+    without shared memory sweep in process instead; see the module
+    docstring.
 
     ``transport`` accepts ``"shm"`` only, its default, and selects
     nothing: the keyword stays for callers that still pass it.
@@ -300,16 +314,13 @@ class PooledDispatcher(Dispatcher):
         super().__init__(telemetry)
         #: The pool shares the dispatcher's telemetry plane.
         self.pool = WorkPool(n_workers, telemetry=self.telemetry)
-        self._shared = None
-        self._shared_fp: str | None = None
-        #: Arenas staged for this dispatcher's YETs, newest last.  The
-        #: superseded one is *retired*, not closed, when the service
-        #: swaps trial sets: a batch formed just before the swap may
-        #: still be delivering the old handles to a fresh worker, and
-        #: unlinking under it would break the attach.  One retiree is
-        #: enough (the service drains before each swap), so older ones
-        #: are freed at the next swap and the rest at close().
-        self._yet_arenas: list[shm.SharedArena] = []
+        #: The staged YET's arena and handles (which carry its
+        #: fingerprint).  One arena: a run holds the lock from staging
+        #: through its last task, so no task outlives the YET it names
+        #: but one abandoned past a deadline, whose answer nobody reads.
+        self._yet_arena: shm.SharedArena | None = None
+        self._yet_handles: YetHandles | None = None
+        self._m_payload_ships = self.telemetry.counter("pool.payload_ships")
         self._slab: shm.ShmSlab | None = None
         #: ``(kernel, handles)`` of the kernel the slab holds.
         self._staged: tuple | None = None
@@ -320,13 +331,20 @@ class PooledDispatcher(Dispatcher):
         self._m_slab_packs = self.telemetry.counter("dispatch.slab.packs")
         self._m_output_generations = self.telemetry.gauge(
             "dispatch.output_slab.generations")
-        #: Guards bundle swaps and the slabs: the bundle/arena state is
+        #: Guards the staged YET and the slabs: the YET's arena is
         #: check-then-mutate, the kernel slab is single-writer with the
         #: in-flight batch as its readers, and the output slab is the
         #: in-flight batch's to write until copied out — concurrent
         #: callers (the batcher executes outside its queue lock)
         #: serialise here.
         self._lock = threading.Lock()
+
+    @property
+    def payload_ships(self) -> int:
+        """Times a YET was staged for the workers (the
+        ``pool.payload_ships`` counter): once per distinct fingerprint,
+        so a caller holding one trial set across runs sees 1."""
+        return int(self._m_payload_ships.value)
 
     @property
     def degraded(self) -> bool:
@@ -367,25 +385,26 @@ class PooledDispatcher(Dispatcher):
                 f"ROADMAP item 9(b)")
         return False
 
-    def _bundle(self, yet: YetTable) -> _ShmYet:
-        """The shared-object bundle, keyed by YET content fingerprint."""
+    def _stage(self, yet: YetTable) -> YetHandles:
+        """The handles of ``yet`` staged in shared memory, staging it
+        (and freeing the YET staged before) unless its content is what
+        is staged.  The caller holds the lock."""
         fp = yet.fingerprint()
-        with self._lock:
-            if self._shared_fp != fp:
-                while len(self._yet_arenas) > 1:
-                    self._yet_arenas.pop(0).close()
-                arena = shm.SharedArena()
-                self._yet_arenas.append(arena)
-                self._shared = _ShmYet(yet.to_shared(arena), local=yet)
-                self._shared_fp = fp
-            return self._shared
+        if self._yet_handles is None or self._yet_handles.fingerprint != fp:
+            self._yet_handles = None
+            if self._yet_arena is not None:
+                self._yet_arena.close()
+            self._yet_arena = shm.SharedArena()
+            self._yet_handles = yet.to_shared(self._yet_arena)
+            self._m_payload_ships.inc()
+        return self._yet_handles
 
     def warmup(self, yet: YetTable | StoredYet) -> None:
         if self._in_process(yet):
             return          # nothing to spawn or stage
-        shared = self._bundle(yet)   # takes the lock itself
         with self._lock:
-            self.pool.ensure_started(shared)
+            self._stage(yet)
+            self.pool.ensure_started()
 
     def spans(self, yet: YetTable | StoredYet) -> list[tuple[int, int]]:
         """One span per worker (capped by trial count), pooled or
@@ -394,8 +413,8 @@ class PooledDispatcher(Dispatcher):
 
     def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
             policy: TaskPolicy | None = None) -> np.ndarray:
-        with self.telemetry.span("dispatch.pooled",
-                                 transport=self.transport_active):
+        transport = "inline" if self._in_process(yet) else "shm"
+        with self.telemetry.span("dispatch.pooled", transport=transport):
             return super().run(kernel, yet, policy)
 
     def _run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
@@ -409,13 +428,13 @@ class PooledDispatcher(Dispatcher):
             self.pool.health.count("degraded_calls")
         if self._in_process(yet):
             return super()._run(kernel, yet, policy)
-        shared = self._bundle(yet)
         spans = self.spans(yet)
-        # One lock over the slabs and submissions: both slabs belong to
-        # the in-flight batch (its readers', its writers'), and a
-        # concurrent bundle swap would cycle the pool executor under an
-        # in-flight batch's submissions.
+        # One lock from staging through the last task: the staged YET
+        # and both slabs belong to the in-flight batch (its readers',
+        # its writers'), and a concurrent staging would free the YET
+        # its tasks name.
         with self._lock:
+            yet_handles = self._stage(yet)
             # The kernel rides the reusable slab: one memcpy when a
             # different kernel arrives, ~1 KB of handles per task.
             if self._staged is None or self._staged[0] is not kernel:
@@ -433,9 +452,10 @@ class PooledDispatcher(Dispatcher):
             output = self._output.reserve((kernel.n_layers, yet.n_trials))
             timeouts = self.pool.health.totals["timeouts"]
             try:
-                self.pool.starmap_shared(
-                    _sweep_trials_handles, shared,
-                    [(self._staged[1], t0, t1, output) for t0, t1 in spans],
+                self.pool.starmap(
+                    _sweep_trials_handles,
+                    [(yet_handles, self._staged[1], t0, t1, output)
+                     for t0, t1 in spans],
                     policy=policy)
                 return output.attach().copy()
             finally:
@@ -448,13 +468,8 @@ class PooledDispatcher(Dispatcher):
     def close(self) -> None:
         self.pool.close()
         with self._lock:
-            self._staged = None
-            for slab in (self._slab, self._output):
-                if slab is not None:
-                    slab.close()
-            self._slab = self._output = None
-            for arena in self._yet_arenas:
-                arena.close()
-            self._yet_arenas.clear()
-            self._shared = None
-            self._shared_fp = None
+            self._staged = self._yet_handles = None
+            for owner in (self._slab, self._output, self._yet_arena):
+                if owner is not None:
+                    owner.close()
+            self._slab = self._output = self._yet_arena = None

@@ -16,7 +16,7 @@ A session restores the invariant across all of them:
 - **stage once** — pooled substrates share ONE
   :class:`~repro.serve.dispatch.PooledDispatcher` (one
   :class:`~repro.hpc.pool.WorkPool`, one shared-memory arena): the YET
-  crosses to the workers at most once per session, whether the next
+  is staged for the workers at most once per session, whether the next
   request is an aggregate run, a quote batch, or an EP curve
   (``session.payload_ships`` exposes the counter the tests assert on).
 - **plan, don't guess** — ``engine="auto"`` resolves through the
@@ -189,10 +189,10 @@ class RiskSession:
 
     @property
     def payload_ships(self) -> int:
-        """Times the staged payload crossed to the session's pool workers
+        """Times the YET was staged for the session's pool workers
         (0 until a pooled workload runs; stays 1 across a whole mixed
         aggregate + quote + EP-curve workload — the session invariant)."""
-        return (self._pooled.pool.payload_ships
+        return (self._pooled.payload_ships
                 if self._pooled is not None else 0)
 
     def dispatcher(self, spec="auto") -> Dispatcher:

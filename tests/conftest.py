@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
@@ -40,6 +41,25 @@ def as_csr(layer: Layer) -> Layer:
     weights = None if layer.weights is None else (*layer.weights, 1.0)
     return Layer(layer.layer_id, csr_elts(layer.elts), layer.terms,
                  weights=weights)
+
+def _probe_in_worker(probe, yet_handles):  # pragma: no cover - in a worker
+    from repro.serve import dispatch
+
+    return os.getpid(), probe(dispatch._attach_yet(yet_handles))
+
+
+def worker_probes(dispatcher, probe, n_tasks=8, policy=None) -> dict:
+    """``{pid: probe(yet)}`` over ``n_tasks`` tasks on a pooled
+    ``dispatcher``'s workers, through ``pool.starmap`` with the staged
+    YET handles: ``yet`` is the copy a worker keeps for them, the one
+    its block tasks sweep.  No answer may come from the calling
+    process."""
+    seen = dict(dispatcher.pool.starmap(
+        _probe_in_worker, [(probe, dispatcher._yet_handles)] * n_tasks,
+        policy=policy))
+    assert os.getpid() not in seen, "probe must run in the workers"
+    return seen
+
 
 def pytest_addoption(parser):
     parser.addoption(

@@ -20,7 +20,6 @@ Four contracts:
 """
 
 import gc
-import os
 import pickle
 import sys
 import threading
@@ -28,7 +27,7 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import make_yet
+from conftest import make_yet, worker_probes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,9 +206,8 @@ def fresh_same_book_batch(rng_seed, start):
     return tail_layers(book(np.random.default_rng(rng_seed)), start=start)
 
 
-def _worker_profile_builds(shared, _i):  # pragma: no cover - runs in a worker
-    yet = shared[1] if isinstance(shared, tuple) else shared
-    return os.getpid(), yet.profiles.builds
+def _worker_profile_builds(yet):  # pragma: no cover - runs in a worker
+    return yet.profiles.builds
 
 
 class TestOneBuildPerYetAndBook:
@@ -251,10 +249,7 @@ class TestOneBuildPerYetAndBook:
                 d.run(PortfolioKernel.from_layers(
                     fresh_same_book_batch(7, start=batch)), yet)
             assert d.transport_active == "shm"
-            seen = dict(d.pool.starmap_shared(
-                _worker_profile_builds, d._bundle(yet),
-                [(i,) for i in range(8)]))
-        assert os.getpid() not in seen, "probe must run in the workers"
+            seen = worker_probes(d, _worker_profile_builds)
         assert max(seen.values()) == 1
         assert yet.profiles.builds == 0              # never built, or shipped, here
 

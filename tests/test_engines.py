@@ -332,8 +332,9 @@ class TestMulticore:
 
     def test_one_worker_pool_runs_in_process(self, small_portfolio_workload):
         """A run of one span — a one-worker pool, or a two-worker pool
-        over a one-trial YET — sweeps on the calling thread, and says so:
-        no worker is spawned, nothing is shipped or staged."""
+        over a one-trial YET — sweeps on the calling thread, and says so
+        in its details and its trace: no worker is spawned, nothing is
+        shipped or staged."""
         from repro.hpc import shm
 
         wl = small_portfolio_workload
@@ -347,7 +348,10 @@ class TestMulticore:
                 res = engine.run(wl.portfolio, yet)
                 assert shm.active_segment_names() == before
                 assert not engine.pool.started
-                assert engine.pool.payload_ships == 0
+                assert engine.dispatcher.payload_ships == 0
+                spans = engine.dispatcher.telemetry.snapshot()["spans"]
+            assert [span["annotations"]["transport"] for span in spans
+                    if span["name"] == "dispatch.pooled"] == ["inline"]
             assert res.details["transport"] == "inline"
             assert res.details["n_workers"] == res.details["n_blocks"] == 1
             for lid, ylt in ref.ylt_by_layer.items():

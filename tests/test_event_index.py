@@ -21,13 +21,12 @@ Five contracts:
 """
 
 import gc
-import os
 import pickle
 import weakref
 
 import numpy as np
 import pytest
-from conftest import make_yet
+from conftest import make_yet, worker_probes
 
 from repro.core.engines import (
     MulticoreEngine,
@@ -425,10 +424,9 @@ class TestDecompositionInvariance:
 # one index per table per process; lazy; never shipped; dies with its YET
 # ---------------------------------------------------------------------------
 
-def _worker_event_indexes(shared, _i):  # pragma: no cover - in a worker
-    """``(pid, {span: (builds, bytes)})`` of the worker's YET copy."""
-    yet = shared[1] if isinstance(shared, tuple) else shared
-    return os.getpid(), {
+def _worker_event_indexes(yet):  # pragma: no cover - in a worker
+    """``{span: (builds, bytes)}`` of the worker's YET copy."""
+    return {
         span: (index.builds, index.snapshot()["yet.event_index.bytes"])
         for span, index in yet._indexes.items()}
 
@@ -471,10 +469,7 @@ class TestIndexLifetime:
                 d.run(kernel, yet)
             assert d.transport_active == "shm"
             spans = set(d.spans(yet))
-            seen = dict(d.pool.starmap_shared(
-                _worker_event_indexes, d._bundle(yet),
-                [(i,) for i in range(8)]))
-        assert os.getpid() not in seen, "probe must run in the workers"
+            seen = worker_probes(d, _worker_event_indexes)
         assert len(spans) == 2
         for indexes in seen.values():
             # a worker indexes the spans it swept, each once, by the

@@ -40,8 +40,8 @@ def _square(x):
     return x * x
 
 
-def _scale(shared, x):
-    return shared * x
+def _scale(factor, x):
+    return factor * x
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +140,8 @@ class TestPoolRecovery:
     def test_poison_retried_by_default_policy(self):
         with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan.poison_task(0)) as plan:
-                got = pool.starmap_shared(_scale, 10,
-                                          [(1,), (2,), (3,)], policy=FAST)
+                got = pool.starmap(_scale, [(10, 1), (10, 2), (10, 3)],
+                                   policy=FAST)
             assert got == [10, 20, 30]
             assert plan.exhausted
             assert pool.health.snapshot()["pool.task_faults"] == 1
@@ -233,7 +233,7 @@ class TestEngineChaos:
         with MulticoreEngine(n_workers=2) as engine:
             baseline = engine.run(wl.portfolio, wl.yet)
             before = engine.pool.health.snapshot()
-            ships = engine.pool.payload_ships
+            ships = engine.dispatcher.payload_ships
             packs = engine.dispatcher.telemetry.counter("dispatch.slab.packs")
             packed = packs.value
             segments = shm.active_segment_names()
@@ -251,7 +251,8 @@ class TestEngineChaos:
                     recovered.ylt_by_layer[lid].losses)
             assert recovered.details["degraded"] is False
             # recovery in counts, not ms: one death, one fresh executor,
-            # one handle re-ship to it, and the YET arena is not re-staged
+            # and the YET is not staged again: the resubmitted task names
+            # the staged handles
             after = engine.pool.health.snapshot()
             delta = {k: after[k] - before[k] for k in
                      ("pool.worker_deaths", "pool.executor_cycles",
@@ -259,7 +260,7 @@ class TestEngineChaos:
             assert delta["pool.worker_deaths"] == 1
             assert delta["pool.executor_cycles"] == 1
             assert 1 <= delta["pool.retries"] <= recovered.details["n_blocks"]
-            assert engine.pool.payload_ships == ships + 1
+            assert engine.dispatcher.payload_ships == ships
             if shm.shm_available():
                 assert shm.active_segment_names() == segments
 

@@ -12,11 +12,10 @@ Three contracts:
   derives once — once per worker for an attached copy.
 """
 
-import os
 
 import numpy as np
 import pytest
-from conftest import make_yet
+from conftest import make_yet, worker_probes
 
 from repro.core.engines import (
     MulticoreEngine,
@@ -227,17 +226,15 @@ class TestDecompositionInvariance:
 # one trial index per worker
 # ---------------------------------------------------------------------------
 
-def _worker_index_builds(shared, _i):  # pragma: no cover - runs in a worker
-    return os.getpid(), shared.index_builds
+def _worker_index_builds(yet):  # pragma: no cover - runs in a worker
+    return yet.index_builds
 
 
 class TestTrialIndexOncePerWorker:
     N_SWEEPS = 6
 
-    def check(self, pool, shared):
-        seen = dict(pool.starmap_shared(_worker_index_builds, shared,
-                                        [(i,) for i in range(8)]))
-        assert os.getpid() not in seen, "probe must run in the workers"
+    def check(self, dispatcher):
+        seen = worker_probes(dispatcher, _worker_index_builds)
         # N sweeps, one derivation: never a second scan of the trial column
         assert max(seen.values()) == 1
         assert all(builds <= 1 for builds in seen.values())
@@ -249,7 +246,7 @@ class TestTrialIndexOncePerWorker:
             for _ in range(self.N_SWEEPS):
                 d.run(kernel, wl.yet)
             assert d.transport_active == "shm"
-            self.check(d.pool, d._bundle(wl.yet))
+            self.check(d)
         # the parent's copy (a fixture other tests sweep too): the pool
         # never makes it derive a second index, nor needs a first
         assert wl.yet.index_builds <= 1
@@ -260,4 +257,4 @@ class TestTrialIndexOncePerWorker:
             for _ in range(self.N_SWEEPS):
                 result = engine.run(wl.portfolio, wl.yet)
             assert result.details["transport"] == "shm"
-            self.check(engine.pool, engine.dispatcher._bundle(wl.yet))
+            self.check(engine.dispatcher)

@@ -158,8 +158,13 @@ def test_removed_names_stay_removed(tmp_path):
     the simulated GPU's memory spaces, launch model and kernel body went
     when the device engine began pricing through the block task; and
     the entry points that took a YET beside a session went with the YET
-    swap and the refusal of a foreign trial set; and the settings no
-    caller set went to the modules that decide them."""
+    swap and the refusal of a foreign trial set; the settings no caller
+    set went to the modules that decide them; and the pool initializer
+    went when a task began naming its YET as handles."""
+    import inspect
+
+    from repro.hpc import WorkPool
+
     removed = ["repro.bench.experiments", "repro.bench.harness",
                "repro.bench.time_call", "repro.util.timing",
                "repro.hpc.scheduler", "repro.hpc.occupancy",
@@ -175,11 +180,14 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.config", "repro.DEFAULTS", "repro.ReproConfig",
                "repro.hpc.DeviceProperties.from_config",
                "repro.core.PortfolioKernel.from_portfolio",
-               "repro.core.kernels.DEFAULT_BLOCK_OCCURRENCES"]
+               "repro.core.kernels.DEFAULT_BLOCK_OCCURRENCES",
+               "repro.hpc.WorkPool.starmap_shared",
+               "repro.hpc.shm.HandleShipment"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
         f"removed.py:{name}" for name in removed]
+    assert "shared" not in inspect.signature(WorkPool.ensure_started).parameters
 
 
 def test_one_definition_per_paper_experiment():

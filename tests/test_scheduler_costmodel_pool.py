@@ -97,8 +97,8 @@ def _square(x):
     return x * x
 
 
-def _scale(shared, x):
-    return shared * x
+def _scale(factor, x):
+    return factor * x
 
 
 def _die(x):  # pragma: no cover - runs in a worker process
@@ -130,25 +130,16 @@ class TestWorkPool:
         pool = WorkPool(n_workers=8)
         assert pool.map(_square, [5]) == [25]
 
-    def test_starmap_shared_serial(self):
-        pool = WorkPool(n_workers=1)
-        assert pool.starmap_shared(_scale, 10, [(1,), (2,), (3,)]) == [10, 20, 30]
-
     def test_parallel_paths_share_one_closeable_executor(self):
         with WorkPool(n_workers=2) as pool:
             assert pool._executor is None  # lazy
             assert pool.starmap(pow, [(2, 3), (3, 2), (2, 2)]) == [8, 9, 4]
             first = pool._executor
             assert first is not None
-            # starmap_shared installs its shared object: executor cycles
-            # once, then repeat calls with the same object reuse it.
-            shared = 100
-            assert pool.starmap_shared(_scale, shared, [(1,), (2,), (3,)]) == \
-                [100, 200, 300]
-            second = pool._executor
-            assert pool.starmap_shared(_scale, shared, [(4,), (5,), (6,)]) == \
-                [400, 500, 600]
-            assert pool._executor is second
+            # every later call, whatever it maps, reuses the executor
+            assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+            assert pool.starmap(_scale, [(100, 4), (100, 5)]) == [400, 500]
+            assert pool._executor is first
         assert pool._executor is None  # context manager closed it
 
     def test_broken_executor_recovers_on_next_call(self):

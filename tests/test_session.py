@@ -341,7 +341,7 @@ class TestStagedPayload:
     def test_mixed_workload_ships_payload_once(self, small_portfolio_workload,
                                                risk_session):
         """Acceptance: aggregate + >=8 quotes + EP curve through one
-        session ships the YET at most once (WorkPool.payload_ships)."""
+        session stages the YET at most once (``pool.payload_ships``)."""
         from repro.serve.cache import CachePolicy
 
         wl = small_portfolio_workload
@@ -381,8 +381,9 @@ class TestStagedPayload:
         svc = session.pricing_service(engine="pooled", cache=CachePolicy(0))
         svc.quote_many(_candidates(wl.portfolio, 8))
         engine = session.engine("multicore")
-        pool = session.dispatcher("pooled").pool
-        assert session.payload_ships == pool.payload_ships == 1
+        pooled = session.dispatcher("pooled")
+        pool = pooled.pool
+        assert session.payload_ships == pooled.payload_ships == 1
         assert engine.pool is pool and svc.dispatcher.pool is pool
         assert [e.pool for e in session._engines.values()
                 if hasattr(e, "pool")] == [pool]

@@ -8,13 +8,17 @@ Three invariant families:
   ``conftest.py`` additionally asserts the whole suite leaks no
   segments);
 - **parity** — the shm transport changes wall time, never answers:
-  multicore-over-shm is bit-identical to the vectorized engine and to
-  the counted in-process loop a host without shared memory runs,
-  likewise the pooled dispatcher, whose blocks come back through its
-  output slab however wide the answer, however many workers, and after
-  a worker was abandoned mid-write;
+  the counted in-process loop a host without shared memory runs is
+  bit-identical to the inline answer, and so are the pooled
+  dispatcher's blocks, which come back through its output slab however
+  wide the answer, however many workers, and after a worker was
+  abandoned mid-write (the equivalence matrix covers the rest);
+- **staging** — one YET is staged at a time, once per content
+  fingerprint, and rides each task as handles: a swap stages once more
+  and keeps the workers;
 - **recovery** — a dead worker breaks the executor, not the data plane:
-  the next run re-ships handles only and re-attaches cleanly.
+  the next run's tasks name the same staged handles and re-attach
+  cleanly.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import as_csr
+from conftest import as_csr, worker_probes
 
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
@@ -39,7 +43,7 @@ from repro.hpc import faults, shm
 from repro.hpc.faults import FaultPlan
 from repro.hpc.pool import TaskPolicy, WorkPool
 from repro.serve import dispatch
-from repro.serve.dispatch import InlineDispatcher, PooledDispatcher, _ShmYet
+from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 
 pytestmark = pytest.mark.skipif(
     not shm.shm_available(), reason="shared memory unavailable on this host"
@@ -168,53 +172,22 @@ class TestRoundTrips:
 # ---------------------------------------------------------------------------
 
 class TestTransportParity:
-    def test_multicore_shm_matches_no_shm_and_vectorized(
-            self, small_portfolio_workload, monkeypatch):
-        wl = small_portfolio_workload
-        ref = VectorizedEngine().run(wl.portfolio, wl.yet)
-        with MulticoreEngine(n_workers=2) as shm_eng:
-            via_shm = shm_eng.run(wl.portfolio, wl.yet)
-            assert via_shm.details["transport"] == "shm"
-        with monkeypatch.context() as m:
-            m.setattr(shm, "_AVAILABLE", False)
-            with MulticoreEngine(n_workers=2) as serial_eng:
-                in_process = serial_eng.run(wl.portfolio, wl.yet)
-            assert in_process.details["transport"] == "inline"
-        for res in (via_shm, in_process):
-            np.testing.assert_array_equal(
-                res.portfolio_ylt.losses, ref.portfolio_ylt.losses,
-                err_msg="a transport changes wall time, never answers")
-
     def test_multicore_repeat_runs_ship_zero_payloads(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
         with MulticoreEngine(n_workers=2) as engine:
             engine.run(wl.portfolio, wl.yet)
-            ships = engine.pool.payload_ships
+            ships = engine.dispatcher.payload_ships
             engine.run(wl.portfolio, wl.yet)
             engine.run(wl.portfolio, wl.yet)
-            assert engine.pool.payload_ships == ships, (
+            assert engine.dispatcher.payload_ships == ships, (
                 "repeat runs with an unchanged kernel and YET must not "
                 "re-deliver the shared payload"
             )
 
-    def test_pooled_dispatcher_shm_matches_inline_and_no_shm(
-            self, small_portfolio_workload, monkeypatch):
-        wl = small_portfolio_workload
-        kernel = wl.portfolio.kernel()
-        oracle = InlineDispatcher().run(kernel, wl.yet)
-        with PooledDispatcher(n_workers=2) as d:
-            via_shm = d.run(kernel, wl.yet)
-        with monkeypatch.context() as m:
-            m.setattr(shm, "_AVAILABLE", False)
-            with PooledDispatcher(n_workers=2) as d:
-                in_process = d.run(kernel, wl.yet)
-        np.testing.assert_array_equal(via_shm, oracle)
-        np.testing.assert_array_equal(in_process, oracle)
-
     def test_an_equal_yet_does_not_reship(self, rng):
-        """The bundle keys on content fingerprint, not object identity:
-        an equal YET built a second time ships nothing."""
+        """Staging keys on content fingerprint, not object identity:
+        an equal YET built a second time stages nothing."""
         ids = np.arange(500, dtype=np.int64)
         rates = np.full(500, 1.0 / 500)
         make = lambda: YetTable.simulate(ids, rates, 200,
@@ -226,27 +199,10 @@ class TestTransportParity:
         kernel = PortfolioKernel.from_layers([layer], layer_ids=[0])
         with PooledDispatcher(n_workers=2) as d:
             first = d.run(kernel, yet_a)
-            ships = d.pool.payload_ships
+            ships = d.payload_ships
             second = d.run(kernel, yet_b)
-            assert d.pool.payload_ships == ships
+            assert d.payload_ships == ships
             np.testing.assert_array_equal(first, second)
-
-    def test_pooled_dispatcher_through_service(self, small_portfolio_workload,
-                                               risk_session, pricing_service):
-        """End-to-end: a pooled service on the shm plane quotes the same
-        premiums as the inline service."""
-        wl = small_portfolio_workload
-        layers = list(wl.portfolio)
-        session = risk_session(wl.yet, n_workers=2)
-        with session.pricing_service(engine="pooled") as svc:
-            svc.warmup()
-            assert svc.dispatcher.transport_active == "shm"
-            pooled = svc.quote_many(layers)
-        session.close()
-        with pricing_service(wl.yet) as svc:
-            inline = svc.quote_many(layers)
-        for a, b in zip(pooled, inline):
-            assert a.premium == b.premium      # lane rows: bit-identical
 
     def test_host_without_shm_runs_a_counted_degraded_pool(
             self, monkeypatch, small_portfolio_workload, risk_session,
@@ -270,7 +226,7 @@ class TestTransportParity:
             assert dispatcher.n_procs == 1
             assert health["pool.degraded_calls"] == runs
             assert not dispatcher.pool.started
-            assert dispatcher.pool.payload_ships == 0
+            assert dispatcher.payload_ships == 0
             assert shm.active_segment_names() == before
 
         def same_ylts(res):
@@ -350,45 +306,64 @@ class TestTransportParity:
                 MulticoreEngine(transport=transport)
         PooledDispatcher(transport="shm").close()
 
-    def test_yet_swap_retires_arena_instead_of_unlinking(
+    def test_a_different_yet_keeps_the_executor_and_its_workers(
             self, small_portfolio_workload, rng):
-        """Swapping trial sets must not unlink the old YET's segments
-        mid-flight: a batch staged just before the swap may still be
-        delivering the old handles to a fresh worker.  Old arenas retire
-        until close()."""
+        """A second trial set is staged once more and rides the next
+        tasks' handles: the executor and its worker processes stay."""
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+        other = YetTable.simulate(np.arange(500, dtype=np.int64),
+                                  np.full(500, 1 / 500), 150, rng,
+                                  mean_events_per_trial=15.0)
+        with PooledDispatcher(n_workers=2) as d:
+            d.run(kernel, wl.yet)
+            executor, ships = d.pool._executor, d.payload_ships
+            pids = set(executor._processes)
+            np.testing.assert_array_equal(
+                d.run(kernel, other), InlineDispatcher().run(kernel, other))
+            assert d.pool._executor is executor
+            assert set(worker_probes(d, _worker_yet_segments)) <= pids
+            assert d.payload_ships == ships + 1
+            metrics = d.telemetry.snapshot()["metrics"]
+            assert metrics["pool.payload_ships"] == ships + 1
+            assert metrics["pool.executor_cycles"] == 0
+
+    def test_a_yet_swap_frees_the_old_segment_at_once(
+            self, small_portfolio_workload, rng):
+        """One YET is staged at a time: each swap unlinks the old YET's
+        segment, and a worker detaches the YET it drops."""
         wl = small_portfolio_workload
         kernel = wl.portfolio.kernel()
         ids = np.arange(500, dtype=np.int64)
-        other_yet = YetTable.simulate(ids, np.full(500, 1 / 500), 150, rng,
-                                      mean_events_per_trial=15.0)
-        d = PooledDispatcher(n_workers=2)
-        try:
-            d.run(kernel, wl.yet)
-            first = d._shared
-            d.run(kernel, other_yet)
-            assert len(d._yet_arenas) == 2
-            # the first shipment's segments must still attach
-            assert isinstance(first, _ShmYet)
-            attached = pickle.loads(pickle.dumps(first)).__shm_resolve__()
-            np.testing.assert_array_equal(attached.trials, wl.yet.trials)
-            # a third trial set frees the oldest retiree: the held
-            # footprint is bounded at current + one predecessor
-            third = YetTable.simulate(ids, np.full(500, 1 / 500), 100, rng,
-                                      mean_events_per_trial=10.0)
-            d.run(kernel, third)
-            assert len(d._yet_arenas) == 2
-        finally:
-            d.close()
-        assert not d._yet_arenas
+        yets = [wl.yet, *(YetTable.simulate(ids, np.full(500, 1 / 500), n,
+                                            rng, mean_events_per_trial=15.0)
+                          for n in (150, 100))]
+        before = shm.active_segment_names()
+        with PooledDispatcher(n_workers=2) as d:
+            for yet in yets:
+                d.run(kernel, yet)
+                staged = d._yet_handles.trial.segment
+                assert {name for name in shm.active_segment_names() - before
+                        if not name.startswith("repro-slab-")} == {staged}
+            held = worker_probes(d, _worker_yet_segments)
+        assert set(held.values()) == {frozenset({staged})}
+        assert shm.active_segment_names() == before
 
 
 # ---------------------------------------------------------------------------
 # a staged kernel: packed once, attached once per worker
 # ---------------------------------------------------------------------------
 
-def _worker_kernel_attaches(_shared, _i):  # pragma: no cover - in a worker
+def _worker_yet_segments(_yet):  # pragma: no cover - in a worker
+    """The segments other than slabs this worker has attached."""
+    with shm._ATTACHED_LOCK:
+        return frozenset(name for name in shm._ATTACHED
+                         if not name.startswith("repro-slab-"))
+
+
+def _worker_kernel_attaches(_yet):  # pragma: no cover - in a worker
     held = dispatch._attached
-    return os.getpid(), dispatch._attaches, held and held[0]
+    return dispatch._attaches, held and held[0]
 
 
 class TestStagedKernel:
@@ -414,11 +389,7 @@ class TestStagedKernel:
                 np.testing.assert_array_equal(d.run(kernel, wl.yet),
                                               inline[id(kernel)])
             stamps.append(d._staged[1].stamp)
-            seen = {pid: (attaches, stamp) for pid, attaches, stamp
-                    in d.pool.starmap_shared(_worker_kernel_attaches,
-                                             d._bundle(wl.yet),
-                                             [(i,) for i in range(8)])}
-            assert os.getpid() not in seen, "probe must run in the workers"
+            seen = worker_probes(d, _worker_kernel_attaches)
             # a worker attaches a stamp at most once: no more attaches
             # than stamps issued, and what it holds is one of them
             assert 1 <= max(a for a, _ in seen.values()) <= len(set(stamps))
@@ -531,7 +502,7 @@ class TestOutputSlab:
 # worker death and recovery
 # ---------------------------------------------------------------------------
 
-def _die(_shared, _i: int):  # pragma: no cover - runs in a worker
+def _die(_yet):  # pragma: no cover - runs in a worker
     os._exit(17)
 
 
@@ -556,20 +527,19 @@ class TestRecovery:
         wl = small_portfolio_workload
         with MulticoreEngine(n_workers=2) as engine:
             before = engine.run(wl.portfolio, wl.yet)
-            ships = engine.pool.payload_ships
-            shipment = engine.dispatcher._bundle(wl.yet)
+            ships = engine.dispatcher.payload_ships
+            handles = engine.dispatcher._yet_handles
             staged = shm.active_segment_names()
             with pytest.raises(ExecutionError):
-                engine.pool.starmap_shared(_die, shipment,
-                                           [(i,) for i in range(4)],
-                                           policy=_NO_RETRY)
+                worker_probes(engine.dispatcher, _die, n_tasks=4,
+                              policy=_NO_RETRY)
             after = engine.run(wl.portfolio, wl.yet)
             np.testing.assert_array_equal(before.portfolio_ylt.losses,
                                           after.portfolio_ylt.losses)
-            # recovery re-sent handles (one more executor build), not a
-            # fresh placement: the staged arena is untouched
-            assert engine.pool.payload_ships == ships + 1
-            assert engine.dispatcher._bundle(wl.yet) is shipment
+            # fresh workers attached the staged handles: the YET was
+            # not staged again and the staged arena is untouched
+            assert engine.dispatcher.payload_ships == ships
+            assert engine.dispatcher._yet_handles is handles
             assert shm.active_segment_names() == staged
             assert engine.pool.health.snapshot()["pool.worker_deaths"] >= 1
 
@@ -580,9 +550,7 @@ class TestRecovery:
         with PooledDispatcher(n_workers=2) as d:
             before = d.run(kernel, wl.yet)
             with pytest.raises(ExecutionError):
-                d.pool.starmap_shared(_die, d._bundle(wl.yet),
-                                      [(i,) for i in range(4)],
-                                      policy=_NO_RETRY)
+                worker_probes(d, _die, n_tasks=4, policy=_NO_RETRY)
             after = d.run(kernel, wl.yet)
             np.testing.assert_array_equal(before, after)
 
