@@ -46,10 +46,6 @@ class Portfolio:
     def n_elts(self) -> int:
         return sum(l.n_elts for l in self.layers)
 
-    @property
-    def n_elt_rows(self) -> int:
-        return sum(l.n_events for l in self.layers)
-
     def kernel(self):
         """The fused :class:`~repro.core.kernels.PortfolioKernel`.
 

@@ -1179,16 +1179,6 @@ class YelltModel:
         """
         return self.yelt_entries() / self.mean_events_per_trial
 
-    # -- occurrence-based accounting ----------------------------------------
-
-    def yellt_rows_materialised(self) -> float:
-        """Rows a YELLT materialisation would actually hold: one row per
-        (trial, occurrence, location, contract) with non-zero loss bound."""
-        return (
-            float(self.n_trials) * self.mean_events_per_trial
-            * self.n_locations * self.n_contracts
-        )
-
     def bytes_at(self, entries: float, row_bytes: int = 8) -> float:
         """Size in bytes at ``row_bytes`` per entry (8 = one f8 loss)."""
         if row_bytes <= 0:

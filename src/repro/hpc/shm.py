@@ -2,11 +2,8 @@
 
 The paper's finding is that risk analytics is data-movement bound: the
 YET is the dominant payload and every redundant copy of it erases the
-gains of parallel aggregation.  Before this module the multicore and
-serving paths moved that payload the slowest way Python offers —
-pickling it through pool initializers and per-task argument tuples.
-
-This module provides the transport that removes those copies:
+gains of parallel aggregation.  This module is the transport that moves
+it without copies:
 
 - :class:`SharedArena` owns ``multiprocessing.shared_memory`` segments
   and *places* NumPy arrays into them (one packed segment per ``place``
@@ -24,17 +21,19 @@ This module provides the transport that removes those copies:
   batch costs one ``memcpy`` instead of a pickle per task, and its
   workers write their answer blocks into another, so a block returns
   without a pickle either.  The slab grows geometrically (fresh
-  segment, old one unlinked) when an array outgrows it, and its
-  segments carry generation-tagged names so worker-side caches evict
-  an outgrown generation's mapping the moment they attach its
-  successor.
+  segment, old one unlinked) when an array outgrows it.
 
-Attach-side bookkeeping: each process caches its segment mappings, so N
-handles into one segment map it once, and attached segments are
-*untracked* from the ``resource_tracker`` (ownership stays with the
-creating process; the tracker would otherwise unlink segments still in
-use when the first worker exits).  A worker that drops a payload
-unmaps it with :func:`detach`, so a segment its owner has unlinked
+Attach side: a process maps a segment it did not create one way, by
+attaching a handle, and lets it go one way, :func:`detach`.  A forked
+child owns nothing: the mappings it inherits of its parent's segments
+are closed at fork, so every mapping a pool worker holds was attached
+by a task's handles.  Each process caches its mappings, so N handles
+into one segment map it once, and attached segments are *untracked*
+from the ``resource_tracker`` (ownership stays with the creating
+process; the tracker would otherwise unlink segments still in use when
+the first worker exits).  A pool worker detaches a payload's segments
+when a task names another payload in its place
+(:mod:`repro.serve.dispatch`), so a segment its owner has unlinked
 frees its pages then, not at worker exit.
 
 Availability is probed once (:func:`shm_available`): hosts without a
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import re
 import secrets
 import threading
 from dataclasses import dataclass
@@ -165,34 +163,6 @@ def _attach_untracked(name: str):
             resource_tracker.register = original
 
 
-#: Slab segment names are generation-tagged (``repro-slab-<uid>-g<N>``)
-#: so the *attach* side can recognise two generations of the same slab
-#: and evict the stale mapping the moment the newer one arrives.
-_SLAB_NAME_RE = re.compile(r"^repro-slab-(?P<uid>[0-9a-f]+)-g(?P<gen>\d+)$")
-
-
-def _evict_stale_slab_mappings(name: str) -> None:
-    """Unmap older generations of the slab ``name`` belongs to.
-
-    Caller holds ``_ATTACHED_LOCK``.  Without this, a worker that
-    attached generation N of a slab kept that mapping cached until
-    process exit after the slab rolled to generation N+1 — one stale
-    mapping (and its pinned pages) leaked per outgrown generation.  A
-    mapping still pinned by a live view (``BufferError``) is kept and
-    retried at the next generation roll: in-flight readers are never
-    yanked.
-    """
-    match = _SLAB_NAME_RE.match(name)
-    if match is None:
-        return
-    uid, gen = match.group("uid"), int(match.group("gen"))
-    for other in list(_ATTACHED):
-        other_match = _SLAB_NAME_RE.match(other)
-        if (other_match is not None and other_match.group("uid") == uid
-                and int(other_match.group("gen")) < gen):
-            _unmap(other)
-
-
 def _unmap(name: str) -> None:
     """Close this process's cached mapping of ``name``, unless a live
     view still pins it.  Caller holds ``_ATTACHED_LOCK``."""
@@ -208,8 +178,6 @@ def _attach_segment(name: str):
 
     The owner's own mapping is reused directly — re-attaching in the
     creating process would double-map and confuse tracker bookkeeping.
-    Attaching a newer slab generation evicts the cached mapping of its
-    predecessors (see :func:`_evict_stale_slab_mappings`).
     """
     with _OWNED_LOCK:
         owned = _OWNED.get(name)
@@ -220,7 +188,6 @@ def _attach_segment(name: str):
         if segment is None:
             segment = _attach_untracked(name)
             _ATTACHED[name] = segment
-            _evict_stale_slab_mappings(name)
     return segment
 
 
@@ -235,6 +202,23 @@ def detach(*handles: "ShmArrayHandle") -> None:
     with _ATTACHED_LOCK:
         for name in {handle.segment for handle in handles} & set(_ATTACHED):
             _unmap(name)
+
+
+def _own_nothing_after_fork() -> None:
+    """In a forked child: close the inherited mappings of the parent's
+    segments, keeping (as attached) any a live view pins, and start on
+    fresh locks.  The child owns nothing, so every other mapping it
+    holds is one a task's handles attached."""
+    global _OWNED_LOCK, _ATTACHED_LOCK
+    _OWNED_LOCK, _ATTACHED_LOCK = threading.Lock(), threading.Lock()
+    _ATTACHED.update(_OWNED)
+    _OWNED.clear()
+    for name in list(_ATTACHED):
+        _unmap(name)
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; nothing forks elsewhere
+    os.register_at_fork(after_in_child=_own_nothing_after_fork)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +337,6 @@ class SharedArena:
         self._segments.append(segment.name)
         return _pack_into(segment, arrays)
 
-    def share(self, array: np.ndarray) -> ShmArrayHandle:
-        """Place a single array (segment-per-array convenience)."""
-        return self.place(array)[0]
-
     # -- introspection -----------------------------------------------------
 
     @property
@@ -407,8 +387,8 @@ class ShmSlab:
     """A reusable shared segment for transient arrays, in or out.
 
     **In:** a pooled dispatcher's kernel changes with every serving
-    batch but its *size class* does not: :meth:`pack` writes the
-    batch's arrays into the same segment generation after generation,
+    batch but its *size class* does not: :meth:`place` writes the
+    batch's arrays into the same segment batch after batch,
     so workers re-attach nothing (their cached mapping still covers it)
     and the steady-state ship cost is one owner-side ``memcpy``.
     **Out:** :meth:`reserve` hands out one writable array at the slab's
@@ -418,15 +398,10 @@ class ShmSlab:
     A payload that outgrows the slab rolls it to a fresh, geometrically
     larger segment; :meth:`roll` moves it to a fresh one of the same
     size (an output whose writers can no longer be trusted to have
-    stopped).  The old segment is unlinked: workers holding a stale
-    mapping keep it alive until they next attach, so in-flight readers
-    are never yanked and a late writer writes where nobody reads.
-
-    Segments are named ``repro-slab-<uid>-g<generation>``: the attach
-    side (see :func:`_evict_stale_slab_mappings`) recognises two
-    generations of one slab and unmaps the older the moment a worker
-    touches the newer, so outgrown generations stop leaking one cached
-    mapping each until worker exit.
+    stopped).  The old segment is unlinked: a worker mapping it keeps
+    its pages until a task names another payload in its place, so
+    in-flight readers are never yanked and a late writer writes where
+    nobody reads.
     """
 
     def __init__(self, capacity_bytes: int = 1 << 20) -> None:
@@ -440,13 +415,12 @@ class ShmSlab:
         self._capacity = int(capacity_bytes)
         self._segment = None
         self._closed = False
-        self._uid = f"{os.getpid():x}{secrets.token_hex(3)}"
         #: Segment rolls since construction (observability for benches).
         self.generations = 0
 
     @property
     def nbytes(self) -> int:
-        """Current segment capacity (0 before first pack)."""
+        """Current segment capacity (0 before the first place)."""
         return self._segment.size if self._segment is not None else 0
 
     @property
@@ -457,27 +431,23 @@ class ShmSlab:
     def segment_name(self) -> str | None:
         return self._segment.name if self._segment is not None else None
 
-    def pack(self, *arrays: np.ndarray) -> tuple[ShmArrayHandle, ...]:
-        """Write arrays into the slab (reusing the segment when they fit).
+    def place(self, *arrays: np.ndarray) -> tuple[ShmArrayHandle, ...]:
+        """Write arrays into the slab (reusing the segment when they
+        fit), as :meth:`SharedArena.place` does into a fresh one.
 
-        The caller must not pack while readers are mid-flight over the
+        The caller must not place while readers are mid-flight over the
         previous payload — the dispatch paths satisfy this because a
         batch is fully collected before the next one is staged.
         """
         if not arrays:
-            raise ConfigurationError("pack() needs at least one array")
+            raise ConfigurationError("place() needs at least one array")
         self._fit(_total_packed(arrays))
         return _pack_into(self._segment, arrays)
-
-    # ``place`` aliases ``pack`` so exporters can target an arena or a
-    # slab interchangeably.
-    def place(self, *arrays: np.ndarray) -> tuple[ShmArrayHandle, ...]:
-        return self.pack(*arrays)
 
     def reserve(self, shape: tuple[int, ...]) -> ShmArrayHandle:
         """A writable float64 array of ``shape`` at the slab's start.
 
-        The output counterpart of :meth:`pack`, under the same rule: the
+        The output counterpart of :meth:`place`, under the same rule: the
         caller reserves only once every reader and writer of the last
         reservation is done, and reads its array before the next.
         """
@@ -488,7 +458,7 @@ class ShmSlab:
                               shape=shape, offset=0, writable=True)
 
     def roll(self) -> None:
-        """Move to a fresh segment generation of the same capacity."""
+        """Move to a fresh segment of the same capacity."""
         if self._closed:
             raise ConfigurationError("slab is closed")
         self._roll(max(self._capacity, self.nbytes))
@@ -506,17 +476,9 @@ class ShmSlab:
     def _roll(self, capacity: int) -> None:
         if self._segment is not None:
             _unlink_owned(self._segment.name)
-        name = f"repro-slab-{self._uid}-g{self.generations + 1}"
-        try:
-            self._segment = _shared_memory.SharedMemory(
-                create=True, size=capacity, name=name
-            )
-        except FileExistsError:  # pragma: no cover - uid collision
-            self._uid = f"{os.getpid():x}{secrets.token_hex(3)}"
-            self._segment = _shared_memory.SharedMemory(
-                create=True, size=capacity,
-                name=f"repro-slab-{self._uid}-g{self.generations + 1}",
-            )
+        self._segment = _shared_memory.SharedMemory(
+            create=True, size=capacity,
+            name=f"repro-slab-{secrets.token_hex(8)}")
         _register_owned(self._segment)
         self.generations += 1
 

@@ -15,15 +15,20 @@ and the two substrates differ in where the spans execute:
 - :class:`PooledDispatcher` — one span per
   :class:`~repro.hpc.pool.WorkPool` worker; the one pooled execution
   path.  Its payload rides the zero-copy shared-memory data plane
-  (:mod:`repro.hpc.shm`), the one transport:
+  (:mod:`repro.hpc.shm`), the one transport.  A block task names its
+  whole input as handles, and a worker owns no segment: for each role
+  a task names — the YET, the kernel, the output — it holds the one
+  payload its last task named, and when a task names another it drops
+  that payload and detaches the segments the new one does not share
+  (:func:`_hold`):
 
   * the *YET arrays* (the stable side of a serving workload) are staged
     in one shared arena, once per content fingerprint, and ride every
-    task as handles beside the kernel's.  Each worker keeps the one YET
-    it last attached, with what its sweeps derive (the trial index, the
-    span event indexes), under that fingerprint, so a re-simulated but
-    equal trial set stages nothing and a different one costs one
-    staging and one attach per worker, the workers themselves kept.
+    task as handles beside the kernel's.  A worker holds the YET by
+    fingerprint, with what its sweeps derive (the trial index, the
+    span event indexes), so a re-simulated but equal trial set stages
+    nothing and a different one costs one staging and one attach per
+    worker, the workers themselves kept and the old YET's pages let go.
     The event index that by-event rows read is built in the worker over
     the rows of its span alone (:meth:`YetTable.trial_block`), once per
     span, so no worker sorts the whole YET;
@@ -33,22 +38,23 @@ and the two substrates differ in where the spans execute:
     strong reference — one entry, like the YET's one fingerprint) and
     packs again only when a different kernel arrives, counted by the
     ``dispatch.slab.packs`` counter.  The handles carry a stamp that
-    names the pack; each worker keeps the one kernel it last attached,
-    with the caches its sweeps derive (pierced entries, net tables,
-    masks), under that stamp.  A repeated aggregate therefore ships
-    ~1 KB of handles per task and rebuilds nothing; a serving batch (a
-    fresh stacked kernel) costs one owner-side ``memcpy`` and one attach
-    per worker.  A kernel is immutable once built, which is what lets
+    names the pack; a worker holds the kernel by stamp, with the caches
+    its sweeps derive (pierced entries, net tables, masks), and lets an
+    outgrown slab segment go at the first task naming its successor.
+    A repeated aggregate therefore ships ~1 KB of handles per task and
+    rebuilds nothing; a serving batch (a fresh stacked kernel) costs one
+    owner-side ``memcpy`` and one attach per worker.  A kernel is immutable once built, which is what lets
     identity stand for content here;
   * the *answer* comes back through a second slab: the dispatcher
     reserves the ``(L, n_trials)`` matrix there, each worker writes its
     trial span's columns, aggregate terms applied, straight into it and
     returns nothing, and the dispatcher copies the matrix out under its
-    lock once every block is in.  No block is pickled back or
-    concatenated.  A worker killed mid-write is rewritten by its retry
-    (the bytes are the same); one abandoned past a deadline may still
-    write later, so a run in which ``pool.timeouts`` moved leaves the
-    output slab on a fresh generation.
+    lock once every block is in.  A worker holds its view of the matrix
+    by the output handle, so a new shape or segment replaces it.  No
+    block is pickled back or concatenated.  A worker killed mid-write is
+    rewritten by its retry (the bytes are the same); one abandoned past
+    a deadline may still write later, so a run in which
+    ``pool.timeouts`` moved leaves the output slab on a fresh segment.
 
   Every other pooled run sweeps its spans in process, on the calling
   thread, with bit-identical results: a run of one span (a one-worker
@@ -239,48 +245,48 @@ def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
     return kernel.apply_aggregate(annual, out=out)
 
 
-#: A pool worker's one attached kernel, ``(stamp, kernel)``, how many
-#: times the worker attached one, and its one attached YET,
-#: ``(handles, yet)``.
-_attached: tuple | None = None
-_attaches = 0
-_attached_yet: tuple | None = None
+#: A pool worker's payloads, one per role a block task names (the YET,
+#: the kernel, the output): ``{role: (key, handles, payload)}``.
+_held: dict[str, tuple] = {}
+
+
+def _hold(role: str, key, handles: tuple, attach):
+    """Worker: the ``role`` payload a task names by ``key``, built by
+    ``attach()`` over the shared arrays ``handles`` once and kept,
+    derived caches and all, until a task names another key.  The one it
+    replaces is dropped first, then its segments the new handles do not
+    name are detached (an owner may have unlinked them already)."""
+    held = _held.get(role)
+    if held is None or held[0] != key:
+        if held is not None:
+            named = {handle.segment for handle in handles}
+            stale = [h for h in held[1] if h.segment not in named]
+            del _held[role], held   # the views go before the mapping
+            shm.detach(*stale)
+        _held[role] = (key, handles, attach())
+    return _held[role][2]
 
 
 def _attach_yet(handles: YetHandles) -> YetTable:
-    """Worker: the YET ``handles`` name, attached as zero-copy views
-    once per fingerprint and kept, trial index and span indexes and
-    all, until a task names another; the one it replaces is detached
-    (its segment may already be unlinked)."""
-    global _attached_yet
-    if (_attached_yet is None
-            or _attached_yet[0].fingerprint != handles.fingerprint):
-        if _attached_yet is not None:
-            old = _attached_yet[0]
-            _attached_yet = None    # the views go before the mapping
-            shm.detach(old.trial, old.seq, old.event_id)
-        _attached_yet = (handles, YetTable.from_handles(handles))
-    return _attached_yet[1]
+    """Worker: the YET ``handles`` name, held by fingerprint."""
+    return _hold("yet", handles.fingerprint,
+                 (handles.trial, handles.seq, handles.event_id),
+                 lambda: YetTable.from_handles(handles))
 
 
 def _sweep_trials_handles(yet_handles: YetHandles, kernel_handles,
                           t0: int, t1: int, output) -> None:
     """Worker: :func:`_sweep_trials` over the YET and the kernel the
-    handles name — each attached as zero-copy views once (the YET per
-    fingerprint, the kernel per stamp) and kept, derived caches and
-    all, until a task names another — written straight into columns
-    ``[t0, t1)`` of the dispatcher's ``output`` handle; nothing comes
-    back but completion (picklable task)."""
-    global _attached, _attaches
-    if _attached is None or _attached[0] != kernel_handles.stamp:
-        # Drop the old views first: they may pin an outgrown slab
-        # generation that attaching the new one would unmap.
-        _attached = None
-        _attached = (kernel_handles.stamp,
-                     PortfolioKernel.from_handles(kernel_handles))
-        _attaches += 1
-    _sweep_trials(_attach_yet(yet_handles), _attached[1], t0, t1,
-                  out=output.attach()[:, t0:t1])
+    handles name — each held as zero-copy views (the YET by fingerprint,
+    the kernel by stamp) — written straight into columns ``[t0, t1)``
+    of the dispatcher's ``output`` handle, held by the handle itself;
+    nothing comes back but completion (picklable task)."""
+    kernel = _hold("kernel", kernel_handles.stamp,
+                   tuple(kernel_handles.arrays.values()),
+                   lambda: PortfolioKernel.from_handles(kernel_handles))
+    out = _hold("output", output, (output,), output.attach)
+    _sweep_trials(_attach_yet(yet_handles), kernel, t0, t1,
+                  out=out[:, t0:t1])
 
 
 class PooledDispatcher(Dispatcher):

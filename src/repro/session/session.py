@@ -301,9 +301,12 @@ class RiskSession:
                                "stack_uploads", "sparse_stack_uploads",
                                "yet_uploads")
 
-    def _observe(self, res: EngineResult, n_layers: int) -> None:
+    def _observe(self, res: EngineResult, n_layers: int,
+                 eng: Engine) -> None:
         """Export a measured run's per-engine counters (the substrate's
-        rate is its dispatcher's to measure)."""
+        rate is its dispatcher's to measure), and its routing when the
+        engine rode a dispatcher of its own, whose plane is not this
+        one (a session's dispatchers export theirs from ``run``)."""
         lanes = self.yet.n_occurrences * max(n_layers, 1)
         tel = self.telemetry
         prefix = f"engine.{res.engine}"
@@ -315,6 +318,11 @@ class RiskSession:
             value = details.get(key)
             if value:
                 tel.counter(f"{prefix}.{key}").inc(value)
+        riding = getattr(eng, "dispatcher", None)
+        if riding is None or riding not in (self._inline, self._pooled):
+            for name, rows in details.get("routed", {}).items():
+                if rows:
+                    tel.counter(name).inc(rows)
 
     # -- aggregate analysis ------------------------------------------------
 
@@ -350,7 +358,7 @@ class RiskSession:
                                  engine=getattr(eng, "name", "engine"),
                                  n_layers=pf.n_layers):
             res = eng.run(pf, self.yet, emit_yelt=emit_yelt)
-        self._observe(res, pf.n_layers)
+        self._observe(res, pf.n_layers, eng)
         self._m_aggregates.inc()
         if plan is not None:
             res.details["plan"] = plan

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 
@@ -59,6 +60,47 @@ def worker_probes(dispatcher, probe, n_tasks=8, policy=None) -> dict:
         policy=policy))
     assert os.getpid() not in seen, "probe must run in the workers"
     return seen
+
+
+def _segments_mapped():  # pragma: no cover - in a worker
+    """``{segment name: deleted?}`` over the shared-memory segments this
+    process maps (``/proc/self/maps``; the pool's semaphores aside)."""
+    mapped = {}
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            path = line.rstrip("\n").split(maxsplit=5)[5:]
+            if path and path[0].startswith("/dev/shm/"):
+                name = path[0][len("/dev/shm/"):]
+                deleted = name.endswith(" (deleted)")
+                name = name.removesuffix(" (deleted)")
+                if not name.startswith("sem."):
+                    mapped[name] = mapped.get(name, False) or deleted
+    return mapped
+
+
+def _mapped_after_a_block_task(yet_handles, kernel_handles, output,
+                               _yet):  # pragma: no cover - in a worker
+    from repro.serve import dispatch
+
+    dispatch._sweep_trials_handles(yet_handles, kernel_handles, 0, 1, output)
+    return _segments_mapped()
+
+
+def worker_mappings(dispatcher) -> dict:
+    """``{pid: {segment name: deleted?}}``: what each worker of a pooled
+    ``dispatcher`` maps, read off its ``/proc/self/maps`` through
+    :func:`worker_probes` right after it runs a block task (trial 0, the
+    same bytes again) naming the staged YET, the staged kernel and the
+    output slab — so a worker the last run's tasks missed is read on
+    the same footing as one they reached."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps on this host")
+    kernel, kernel_handles = dispatcher._staged
+    yet_handles = dispatcher._yet_handles
+    output = dispatcher._output.reserve((kernel.n_layers,
+                                         yet_handles.n_trials))
+    return worker_probes(dispatcher, functools.partial(
+        _mapped_after_a_block_task, yet_handles, kernel_handles, output))
 
 
 def pytest_addoption(parser):

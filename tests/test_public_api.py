@@ -159,8 +159,10 @@ def test_removed_names_stay_removed(tmp_path):
     when the device engine began pricing through the block task; and
     the entry points that took a YET beside a session went with the YET
     swap and the refusal of a foreign trial set; the settings no caller
-    set went to the modules that decide them; and the pool initializer
-    went when a task began naming its YET as handles."""
+    set went to the modules that decide them; the pool initializer
+    went when a task began naming its YET as handles; and the second
+    slab verb, the one-array arena verb and the slab-generation name
+    protocol went when a worker began holding one payload per role."""
     import inspect
 
     from repro.hpc import WorkPool
@@ -182,7 +184,10 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.core.PortfolioKernel.from_portfolio",
                "repro.core.kernels.DEFAULT_BLOCK_OCCURRENCES",
                "repro.hpc.WorkPool.starmap_shared",
-               "repro.hpc.shm.HandleShipment"]
+               "repro.hpc.shm.HandleShipment",
+               "repro.hpc.shm.ShmSlab.pack", "repro.hpc.shm.SharedArena.share",
+               "repro.hpc.shm._SLAB_NAME_RE",
+               "repro.hpc.shm._evict_stale_slab_mappings"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [

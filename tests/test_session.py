@@ -21,6 +21,7 @@ from repro.core.engines import (
     engine_class,
     get_engine,
 )
+from repro.core.kernels import ROUTING_COUNTERS
 from repro.core.layer import Layer
 from repro.errors import ConfigurationError, EngineError
 from repro.hpc import shm
@@ -575,6 +576,25 @@ class TestAutoEngine:
         estimates = res.details["plan"].estimates
         assert [e.engine for e in estimates] == ["vectorized", "multicore"]
         assert not any(e.calibrated for e in estimates)
+
+    def test_simulated_runs_route_onto_the_session_plane(
+            self, tiny_workload, risk_session):
+        """``device`` and ``mapreduce`` ride private inline dispatchers,
+        so they calibrate nothing; where their rows were priced still
+        lands on the session's plane, once, as a session dispatcher's
+        run does for ``vectorized``."""
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
+
+        def routing():
+            metrics = session.telemetry.snapshot()["metrics"]
+            return {name: metrics.get(name, 0) for name in ROUTING_COUNTERS}
+
+        for name in ("device", "mapreduce", "vectorized"):
+            before = routing()
+            routed = session.aggregate(engine=name).details["routed"]
+            moved = {k: v - before[k] for k, v in routing().items()}
+            assert moved == {k: routed.get(k, 0) for k in ROUTING_COUNTERS}
+            assert sum(moved.values()) > 0, name
 
     def test_runs_calibrate_later_plans(self, tiny_workload, risk_session):
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)

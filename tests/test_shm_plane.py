@@ -18,7 +18,10 @@ Three invariant families:
   and keeps the workers;
 - **recovery** — a dead worker breaks the executor, not the data plane:
   the next run's tasks name the same staged handles and re-attach
-  cleanly.
+  cleanly;
+- **mapping** — a worker owns no segment and, after a task, maps
+  exactly the staged YET, the kernel slab and the output slab that task
+  named: no swapped YET, outgrown or rolled slab stays mapped.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import as_csr, worker_probes
+from conftest import as_csr, worker_mappings, worker_probes
 
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
@@ -41,7 +44,7 @@ from repro.data.store import ChunkStore
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc.faults import FaultPlan
-from repro.hpc.pool import TaskPolicy, WorkPool
+from repro.hpc.pool import TaskPolicy
 from repro.serve import dispatch
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 
@@ -68,7 +71,7 @@ class TestHandles:
     def test_handle_pickles_small_and_attaches_equal(self):
         data = np.arange(50_000, dtype=np.float64)
         with shm.SharedArena() as arena:
-            handle = arena.share(data)
+            (handle,) = arena.place(data)
             wire = pickle.dumps(handle)
             assert len(wire) < 500, "a handle must pickle as a descriptor"
             view = pickle.loads(wire).attach()
@@ -76,7 +79,7 @@ class TestHandles:
 
     def test_attached_views_are_read_only(self):
         with shm.SharedArena() as arena:
-            view = arena.share(np.arange(8.0)).attach()
+            view = arena.place(np.arange(8.0))[0].attach()
             with pytest.raises(ValueError):
                 view[0] = 99.0
 
@@ -94,25 +97,25 @@ class TestHandles:
 
     def test_close_unlinks_owned_segments(self):
         arena = shm.SharedArena()
-        arena.share(np.arange(4.0))
-        arena.share(np.arange(8.0))
+        arena.place(np.arange(4.0))
+        arena.place(np.arange(8.0))
         assert arena.n_segments == 2
         assert len(shm.active_segment_names()) >= 2
         arena.close()
         arena.close()  # idempotent
         assert arena.n_segments == 0 or arena.nbytes == 0
         with pytest.raises(ConfigurationError):
-            arena.share(np.arange(2.0))
+            arena.place(np.arange(2.0))
 
     def test_slab_reuses_segment_until_outgrown(self):
         with shm.ShmSlab(capacity_bytes=1024) as slab:
-            slab.pack(np.arange(16.0))
+            slab.place(np.arange(16.0))
             name = slab.segment_name
             assert slab.generations == 1
-            (h,) = slab.pack(np.arange(32.0))
+            (h,) = slab.place(np.arange(32.0))
             assert slab.segment_name == name, "a fitting payload must reuse"
             np.testing.assert_array_equal(h.attach(), np.arange(32.0))
-            (h,) = slab.pack(np.arange(50_000.0))
+            (h,) = slab.place(np.arange(50_000.0))
             assert slab.segment_name != name, "an outgrown slab must roll"
             assert slab.generations == 2
             np.testing.assert_array_equal(h.attach(), np.arange(50_000.0))
@@ -322,7 +325,7 @@ class TestTransportParity:
             np.testing.assert_array_equal(
                 d.run(kernel, other), InlineDispatcher().run(kernel, other))
             assert d.pool._executor is executor
-            assert set(worker_probes(d, _worker_yet_segments)) <= pids
+            assert set(worker_probes(d, _worker_owned)) <= pids
             assert d.payload_ships == ships + 1
             metrics = d.telemetry.snapshot()["metrics"]
             assert metrics["pool.payload_ships"] == ships + 1
@@ -331,7 +334,8 @@ class TestTransportParity:
     def test_a_yet_swap_frees_the_old_segment_at_once(
             self, small_portfolio_workload, rng):
         """One YET is staged at a time: each swap unlinks the old YET's
-        segment, and a worker detaches the YET it drops."""
+        segment, and no worker maps it after — the first YET, staged
+        before the workers forked, no more than the later ones."""
         wl = small_portfolio_workload
         kernel = wl.portfolio.kernel()
         ids = np.arange(500, dtype=np.int64)
@@ -345,25 +349,53 @@ class TestTransportParity:
                 staged = d._yet_handles.trial.segment
                 assert {name for name in shm.active_segment_names() - before
                         if not name.startswith("repro-slab-")} == {staged}
-            held = worker_probes(d, _worker_yet_segments)
-        assert set(held.values()) == {frozenset({staged})}
+                _assert_workers_map_the_live_payloads(d)
         assert shm.active_segment_names() == before
+
+    def test_a_worker_owns_no_segment(self, small_portfolio_workload):
+        """A forked worker inherits its parent's owner registry, and
+        lets it go at fork: it owns nothing, so nothing it does can
+        unlink its parent's segments, and what it maps a task attached."""
+        wl = small_portfolio_workload
+        with PooledDispatcher(n_workers=2) as d:
+            d.run(wl.portfolio.kernel(), wl.yet)
+            assert shm.active_segment_names()
+            assert set(worker_probes(d, _worker_owned).values()) == {
+                frozenset()}
 
 
 # ---------------------------------------------------------------------------
 # a staged kernel: packed once, attached once per worker
 # ---------------------------------------------------------------------------
 
-def _worker_yet_segments(_yet):  # pragma: no cover - in a worker
-    """The segments other than slabs this worker has attached."""
-    with shm._ATTACHED_LOCK:
-        return frozenset(name for name in shm._ATTACHED
-                         if not name.startswith("repro-slab-"))
+def _worker_owned(_yet):  # pragma: no cover - in a worker
+    return shm.active_segment_names()
 
 
-def _worker_kernel_attaches(_yet):  # pragma: no cover - in a worker
-    held = dispatch._attached
-    return dispatch._attaches, held and held[0]
+def _assert_workers_map_the_live_payloads(d):
+    """Every worker maps exactly the staged YET's, the kernel slab's and
+    the output slab's live segments, after a task naming all three."""
+    live = {d._yet_handles.trial.segment: False,
+            d._slab.segment_name: False, d._output.segment_name: False}
+    for mapped in worker_mappings(d).values():
+        assert mapped == live
+
+
+#: A worker's weak reference to the dense stack of each kernel a probe
+#: found it holding, by stamp.
+_stacks_seen: dict = {}
+
+
+def _worker_held_kernel(_yet):  # pragma: no cover - in a worker
+    """The stamp of the kernel this worker holds (``None`` before its
+    first block task), and whether it is the very copy an earlier probe
+    found under that stamp — a stamp is attached once."""
+    held = dispatch._held.get("kernel")
+    if held is None:
+        return None, True
+    stamp, _handles, kernel = held
+    first = _stacks_seen.setdefault(stamp, weakref.ref(kernel.dense_stack))
+    return stamp, first() is kernel.dense_stack
 
 
 class TestStagedKernel:
@@ -388,12 +420,13 @@ class TestStagedKernel:
             for _ in range(times):
                 np.testing.assert_array_equal(d.run(kernel, wl.yet),
                                               inline[id(kernel)])
-            stamps.append(d._staged[1].stamp)
-            seen = worker_probes(d, _worker_kernel_attaches)
-            # a worker attaches a stamp at most once: no more attaches
-            # than stamps issued, and what it holds is one of them
-            assert 1 <= max(a for a, _ in seen.values()) <= len(set(stamps))
-            assert {s for a, s in seen.values() if a} <= set(stamps)
+                stamps.append(d._staged[1].stamp)
+                seen = worker_probes(d, _worker_held_kernel)
+                # a worker holds a stamp issued, as the one copy it
+                # attached for it
+                held = {stamp for stamp, _ in seen.values()} - {None}
+                assert held and held <= set(stamps)
+                assert all(same for _, same in seen.values())
 
         try:
             assert d.transport_active == "shm"
@@ -487,6 +520,8 @@ class TestOutputSlab:
             assert stale not in shm.active_segment_names()
             np.testing.assert_array_equal(
                 d.run(second, wl.yet), InlineDispatcher().run(second, wl.yet))
+            # the workers the retry forked let the rolled segment go
+            _assert_workers_map_the_live_payloads(d)
 
     def test_close_returns_the_segments(self, small_portfolio_workload):
         wl = small_portfolio_workload
@@ -504,16 +539,6 @@ class TestOutputSlab:
 
 def _die(_yet):  # pragma: no cover - runs in a worker
     os._exit(17)
-
-
-def _attach_and_cached_slabs(handle):
-    """Worker: attach one slab handle, report this process's cached
-    slab mappings (picklable task for the eviction tests)."""
-    view = handle.attach()
-    with shm._ATTACHED_LOCK:
-        cached = sorted(n for n in shm._ATTACHED
-                        if n.startswith("repro-slab-"))
-    return float(view.sum()), cached
 
 
 #: No-retry supervision: a persistent killer fails terminally at once,
@@ -556,54 +581,39 @@ class TestRecovery:
 
 
 # ---------------------------------------------------------------------------
-# slab generation eviction on the attach side
+# what a worker maps: per role, the payload its last task named
 # ---------------------------------------------------------------------------
 
 class TestSlabGenerationEviction:
     def test_workers_unmap_outgrown_generations(self):
-        """Attaching a newer slab generation evicts the worker's cached
-        mapping of the outgrown one — the stale segment must not stay
-        pinned until worker exit."""
-        arr1 = np.arange(256, dtype=np.float64)
-        arr2 = np.arange(4096, dtype=np.float64)  # outgrows the slab
-        with WorkPool(n_workers=2) as pool, \
-                shm.ShmSlab(capacity_bytes=1 << 11) as slab:
-            # Spawn workers before any segment exists: a forked worker
-            # inherits the owner registry, which would short-circuit the
-            # attach path this test is about.
-            pool.ensure_started()
-            (h1,) = slab.pack(arr1)
-            g1 = slab.segment_name
-            assert shm._SLAB_NAME_RE.match(g1)
-            for total, cached in pool.map(_attach_and_cached_slabs,
-                                          [h1] * 8):
-                assert total == arr1.sum()
-                assert g1 in cached
-            (h2,) = slab.pack(arr2)
-            g2 = slab.segment_name
-            assert slab.generations == 2 and g1 != g2
-            for total, cached in pool.map(_attach_and_cached_slabs,
-                                          [h2] * 8):
-                assert total == arr2.sum()
-                assert g2 in cached
-                # the outgrown generation was unmapped at attach time
-                assert g1 not in cached
+        """A kernel that outgrows the slab rolls it to a fresh segment,
+        and a worker lets the outgrown one go at its first task naming
+        the new kernel — the workers fork on the first run, so they
+        inherited the first segment before they attached it."""
+        from repro.bench.workloads import build_portfolio_workload
 
-    def test_unrelated_slabs_do_not_evict_each_other(self):
-        arr = np.arange(128, dtype=np.float64)
-        with WorkPool(n_workers=2) as pool, \
-                shm.ShmSlab(capacity_bytes=1 << 11) as a, \
-                shm.ShmSlab(capacity_bytes=1 << 11) as b:
-            pool.ensure_started()  # fork before any segment exists
-            (ha,) = a.pack(arr)
-            (hb,) = b.pack(arr)
-            # Every worker attaches slab A, then slab B: different uids,
-            # so A's generation-1 mapping must survive B's attach.
-            for total, cached in pool.map(_attach_and_cached_slabs,
-                                          [ha] * 8):
-                assert total == arr.sum()
-            for _total, cached in pool.map(_attach_and_cached_slabs,
-                                           [hb] * 8):
-                if a.segment_name in cached or b.segment_name in cached:
-                    # a worker that saw both keeps both mappings
-                    assert b.segment_name in cached
+        wl = build_portfolio_workload(
+            n_layers=4, n_trials=200, mean_events_per_trial=20.0,
+            elts_per_layer=1, elt_rows=2000, catalog_events=60_000, seed=7)
+        wide = wl.portfolio.kernel()
+        narrow = Portfolio(list(wl.portfolio)[:1]).kernel()
+        assert narrow.nbytes < 1 << 20 < wide.nbytes
+        with PooledDispatcher(n_workers=2) as d:
+            for kernel, generations in ((narrow, 1), (wide, 2)):
+                np.testing.assert_array_equal(
+                    d.run(kernel, wl.yet), InlineDispatcher().run(kernel, wl.yet))
+                assert d._slab.generations == generations
+                _assert_workers_map_the_live_payloads(d)
+
+    def test_unrelated_slabs_do_not_evict_each_other(
+            self, small_portfolio_workload):
+        """A role lets go of its own payload only: a new kernel on the
+        same YET leaves the YET mapped."""
+        wl = small_portfolio_workload
+        with PooledDispatcher(n_workers=2) as d:
+            for kernel in (wl.portfolio.kernel(),
+                           Portfolio(list(wl.portfolio)[:2]).kernel()):
+                d.run(kernel, wl.yet)
+                _assert_workers_map_the_live_payloads(d)
+            assert d.telemetry.counter("dispatch.slab.packs").value == 2
+            assert d.payload_ships == 1
