@@ -25,12 +25,12 @@ mapreduce   a MapReduce job over the simulated DFS (large file space
 
 The portfolio hot path is the shared
 :class:`~repro.core.kernels.PortfolioKernel`: the layers' lookups (one
-per book, dense or CSR by the book's own id range —
-:meth:`Layer.lookup <repro.core.layer.Layer.lookup>`) are stacked once
+per book, its sorted ``(event, loss)`` entries —
+:meth:`Layer.lookup <repro.core.layer.Layer.lookup>`) are stored once
 per portfolio (:meth:`Portfolio.kernel()
-<repro.core.portfolio.Portfolio.kernel>`) — dense layers as
-one ``(D, width)`` matrix, sparse layers as a unified CSR structure,
-terms as ``(L,)`` vectors.  Lane rows price **on the table, not the
+<repro.core.portfolio.Portfolio.kernel>`) — each unique book once,
+concatenated, with one row → book index — and the terms as ``(L,)``
+vectors.  Lane rows price **on the table, not the
 stream**: occurrence terms are applied once per table entry into a
 per-row net table, and a sweep is, per row, one gather from it into a
 reused row buffer plus one ``np.add.reduceat`` over whole-trial
@@ -60,8 +60,9 @@ session's own, the one its quote batches ride.  ``mapreduce``'s map
 tasks are runs of its inline dispatcher over the whole-trial splits of
 a YET written to the DFS; ``device``'s are runs of its inline
 dispatcher over the whole-trial chunks its device plan cuts — the plan
-(resident batches, one stacked dense upload plus one CSR pair per
-batch, a constant bank packed greedily by hit-frequency × size) is
+(resident batches, one stacked table upload plus one pair upload per
+batch, a constant bank packed greedily by hit-frequency × size, each
+book placed by its id range) is
 drawn from the kernel's metadata before anything runs, and its
 transfer counts are arithmetic.  The unregistered ``OutOfCoreEngine``
 is the same code, inline, over a YET on disk

@@ -7,15 +7,19 @@ possible" (§II) — as a plan over
 same block task as every host engine.  Before anything runs, the plan
 is drawn from the portfolio kernel's metadata alone:
 
+- a book is placed by its id range
+  (:func:`~repro.core.lookup.fits_direct`): a book inside
+  ``DENSE_MAX_ENTRIES`` as a direct-index table trimmed to its
+  effective width (8 B per slot), a wider one as its sorted
+  ``(event, loss)`` pair (16 B per entry);
 - kernel rows are grouped into **resident batches** sized to the
-  global-memory budget; rows sharing a merged book count its table
-  once.  Per batch there is one stacked dense upload (plus one CSR pair
-  when sparse rows exist), not one buffer per layer;
-- which merged lookups live in the **64 KiB-class constant space** is
-  chosen by a greedy (hit-frequency × size) packer: tables scoring the
-  most referencing-rows × bytes claim constant first, the rest ride the
-  stacked global upload.  Stacked tables are trimmed to their effective
-  width, so one wide book does not inflate its neighbours' padding;
+  global-memory budget; rows sharing a merged book count it once.  Per
+  batch there is one stacked table upload (plus one pair upload when a
+  wide book is read), not one buffer per layer;
+- which tables live in the **64 KiB-class constant space** is chosen by
+  a greedy (hit-frequency × size) packer: tables scoring the most
+  referencing-rows × bytes claim constant first, the rest ride the
+  stacked global upload, padded to its widest effective table;
 - one :class:`~repro.hpc.chunking.ChunkPlanner` plan per run, sized to
   the largest batch's resident bytes, gives the YET chunk
   (``rows_per_chunk``, E5's chunk-size sweep caps it) and the
@@ -43,6 +47,7 @@ import numpy as np
 
 from repro.core.engines.host import HostEngine
 from repro.core.kernels import PortfolioKernel
+from repro.core.lookup import effective_width, fits_direct
 from repro.core.tables import YET_SCHEMA, YetTable
 from repro.hpc.chunking import ChunkPlanner
 from repro.hpc.device import DeviceProperties
@@ -54,15 +59,12 @@ __all__ = ["DeviceEngine"]
 _YET_ROW_BYTES = YET_SCHEMA["trial"].itemsize + YET_SCHEMA["event_id"].itemsize
 
 
-def _effective_width(table: np.ndarray) -> int:
-    """Entries of a (zero-padded) dense table worth shipping.
-
-    Trailing zeros read identically to "unknown event → 0", so a table
-    trimmed to its last non-zero entry is functionally the same lookup;
-    a floor of one entry keeps downstream indexing trivially safe.
-    """
-    nz = np.flatnonzero(table)
-    return int(nz[-1]) + 1 if nz.size else 1
+def _placement(ids: np.ndarray, values: np.ndarray) -> tuple[str, int]:
+    """``(kind, bytes)`` a book places as: a direct-index table up to its
+    effective width while its id range fits, else its sorted pair."""
+    if fits_direct(ids):
+        return "dense", effective_width(ids, values) * 8
+    return "sparse", ids.size * 16
 
 
 def _trial_chunks(offsets: np.ndarray, rows_per_chunk: int) -> list:
@@ -105,17 +107,6 @@ class DeviceEngine(HostEngine):
 
     # -- placement -----------------------------------------------------------
 
-    def _store_meta(self, kernel: PortfolioKernel, row: int):
-        """``(key, kind, bytes)`` of the stored lookup behind one row."""
-        if row < kernel.n_dense:
-            store = int(kernel.dense_source[row])
-            width = _effective_width(kernel.dense_stack[store])
-            return ("dense", store), "dense", width * 8
-        seg = int(kernel.sparse_source[row - kernel.n_dense])
-        lo = int(kernel.sparse_offsets[seg])
-        hi = int(kernel.sparse_offsets[seg + 1])
-        return ("sparse", seg), "sparse", (hi - lo) * 16
-
     def _batches(self, meta: list, n_trials: int) -> list:
         """Partition kernel rows into resident batches.
 
@@ -143,11 +134,11 @@ class DeviceEngine(HostEngine):
         return batches
 
     def _place(self, batch_meta: list) -> tuple[dict, dict, dict]:
-        """One batch's distinct lookups, ``{key: bytes}`` each, split
-        into the constant bank, the stacked dense upload and the CSR
-        pair.
+        """One batch's distinct books, ``{(kind, store): bytes}`` each,
+        split into the constant bank, the stacked table upload and the
+        pair upload.
 
-        Greedy constant packing over the batch's dense stores: score =
+        Greedy constant packing over the batch's tables: score =
         referencing rows × effective bytes, highest first — the most-hit
         bytes earn the broadcast-cached bank.
         """
@@ -173,7 +164,11 @@ class DeviceEngine(HostEngine):
     def _execute(self, kernel: PortfolioKernel,
                  yet: YetTable) -> tuple[np.ndarray, dict]:
         n_trials = yet.n_trials
-        meta = [self._store_meta(kernel, row) for row in range(kernel.n_layers)]
+        # ``((kind, store), kind, bytes)`` of the book behind each row.
+        books = [_placement(*kernel.book(store))
+                 for store in range(kernel.n_unique_lookups)]
+        meta = [((books[store][0], store), *books[store])
+                for store in kernel.source.tolist()]
         batches = self._batches(meta, n_trials)
 
         in_constant = [False] * kernel.n_layers

@@ -9,11 +9,10 @@ says dominates the ~10⁹ event-loss lookups of one aggregate run.
 :class:`PortfolioKernel` fuses those passes.  It precomputes, once per
 portfolio:
 
-- a **stacked dense lookup**: all dense layers as one ``(D, width)``
-  matrix (rows zero-padded to the widest table, so padding reads as
-  "unknown event → 0");
-- a **unified CSR sparse lookup**: the sparse layers' sorted ids/values
-  concatenated with an offsets vector;
+- its **books**, each stored once however many rows read it: the
+  unique books' sorted ``(event, loss)`` entries concatenated
+  (``ids``/``values``, 16 B per entry) with an ``offsets`` vector, and
+  one row → book ``source``;
 - ``(L,)`` **term vectors** (``occ_retention``, ``occ_limit``,
   ``agg_retention``, ``agg_limit``, ``participation``).
 
@@ -25,9 +24,11 @@ and most of the stream cannot matter.  A lane row therefore prices one
 of two ways, **by a rule that reads the row alone** (its own stored
 book and terms; :meth:`PortfolioKernel._pierced_entries`):
 
-- **by events** — a dense row whose entries above its retention are at
-  most :data:`BY_EVENT_MAX_FILL` (1/16) of its own table width, and
-  every CSR row.  The row keeps just those entries, ``(events,
+- **by events** — a row whose book's entries above its retention are
+  at most :data:`BY_EVENT_MAX_FILL` (1/16) of its book's width, and
+  every row whose book's id range passes
+  :data:`~repro.core.lookup.DENSE_MAX_ENTRIES` (no table is ever built
+  over such a range).  The row keeps just those entries, ``(events,
   clip(loss - r, 0, c))``, taken from the stored lookup.  A sweep
   prices all its by-event rows together: their entries, concatenated
   in row order (kept on the kernel), take **one** read of the stream's
@@ -73,7 +74,7 @@ of whole trials and nothing else, so lane rows of whole-YET, blocked,
 pooled, degraded-serial, out-of-core and raw-``sweep()`` pricing are
 ``np.array_equal``.
 
-Kernel rows are ordered dense-first; :attr:`layer_ids` maps row → layer.
+Kernel rows are in input order; :attr:`layer_ids` maps row → layer.
 The kernel holds only plain arrays: a pooled dispatcher packs them into
 a shared-memory slab once (:meth:`export_handles`) and each worker
 attaches them as views (:meth:`from_handles`); no pooled path pickles a
@@ -117,7 +118,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.lookup import dense_gather_into, sparse_gather_into
+from repro.core.lookup import effective_width, fits_direct, gather
 from repro.core.tables import BookProfile, TrialSegments
 from repro.errors import ConfigurationError
 
@@ -129,8 +130,7 @@ __all__ = ["KernelHandles", "PortfolioKernel", "MIN_TAIL_GROUP",
 #: arguments.  ``occ_floor``/``occ_ceiling`` are derived, not shipped.
 _HANDLE_FIELDS = (
     "occ_retention", "occ_limit", "agg_retention", "agg_limit",
-    "participation", "dense_stack", "sparse_ids", "sparse_values",
-    "sparse_offsets", "dense_source", "sparse_source",
+    "participation", "ids", "values", "offsets", "source",
 )
 
 #: Export ordinal of this process (the second half of a handles stamp).
@@ -141,11 +141,11 @@ _EXPORTS = itertools.count()
 class KernelHandles:
     """Shared-memory descriptor of one stacked kernel.
 
-    Produced by :meth:`PortfolioKernel.export_handles`: the eleven array
+    Produced by :meth:`PortfolioKernel.export_handles`: the nine array
     buffers as :class:`~repro.hpc.shm.ShmArrayHandle`\\ s plus the row
-    identities.  Pickles to ~1 KB regardless of how wide the dense
-    stack is, so a dispatcher ships a staged kernel with every task for
-    the cost of a dict of descriptors.
+    identities.  Pickles to ~1 KB regardless of how many entries the
+    books hold, so a dispatcher ships a staged kernel with every task
+    for the cost of a dict of descriptors.
 
     ``stamp`` names this export — the first segment written and a
     per-process export ordinal — and no other: a reused slab holds a
@@ -177,9 +177,10 @@ class KernelHandles:
 #: bit-identity rule in the module docstring).
 MIN_TAIL_GROUP = 16
 
-#: A dense lane row is priced by events when the table entries above
-#: its retention are at most this share of its own table width (the
-#: stored book up to its last non-zero loss); a CSR row always is.  The
+#: A lane row is priced by events when its book's entries above its
+#: retention are at most this share of the book's width (its ids up to
+#: its last non-zero loss, as a direct-index table); a row whose book's
+#: id range passes ``DENSE_MAX_ENTRIES`` always is.  The
 #: share of *occurrences* that pierce follows the share of entries, and
 #: the by-event path (≈ 8–10 ns per piercing occurrence for a row swept
 #: alone) stays below the stream's flat ≈ 1.7 ns per occurrence up to
@@ -226,8 +227,7 @@ class PortfolioKernel:
 
     __slots__ = (
         "layer_ids", "occ_retention", "occ_limit", "agg_retention",
-        "agg_limit", "participation", "dense_stack", "sparse_ids",
-        "sparse_values", "sparse_offsets", "dense_source", "sparse_source",
+        "agg_limit", "participation", "ids", "values", "offsets", "source",
         "occ_floor", "occ_ceiling", *_CACHE_SLOTS,
     )
 
@@ -247,12 +247,10 @@ class PortfolioKernel:
         agg_retention: np.ndarray,
         agg_limit: np.ndarray,
         participation: np.ndarray,
-        dense_stack: np.ndarray,
-        sparse_ids: np.ndarray,
-        sparse_values: np.ndarray,
-        sparse_offsets: np.ndarray,
-        dense_source: np.ndarray | None = None,
-        sparse_source: np.ndarray | None = None,
+        ids: np.ndarray,
+        values: np.ndarray,
+        offsets: np.ndarray,
+        source: np.ndarray,
     ) -> None:
         n_layers = len(layer_ids)
         if n_layers == 0:
@@ -266,45 +264,24 @@ class PortfolioKernel:
                 raise ConfigurationError(
                     f"{name} must have shape ({n_layers},), got {vec.shape}"
                 )
-        if dense_stack.ndim != 2:
-            raise ConfigurationError("dense_stack must be a 2-D matrix")
-        # Row → stored-table indirection: several layers may share one
-        # dense table (or CSR segment) when they price the same merged
-        # book under different terms — the serving layer's common case.
-        if dense_source is None:
-            dense_source = np.arange(dense_stack.shape[0], dtype=np.int64)
-        else:
-            dense_source = np.asarray(dense_source, dtype=np.int64)
-        if sparse_source is None:
-            sparse_source = np.arange(sparse_offsets.size - 1, dtype=np.int64)
-        else:
-            sparse_source = np.asarray(sparse_source, dtype=np.int64)
-        if dense_source.size + sparse_source.size != n_layers:
+        # Row → book indirection: several layers may share one book when
+        # they price the same merge under different terms — the serving
+        # layer's common case.
+        source = np.asarray(source, dtype=np.int64)
+        if source.shape != (n_layers,) or not (
+                (source >= 0) & (source < offsets.size - 1)).all():
             raise ConfigurationError(
-                "dense rows + sparse segments must cover every layer"
-            )
-        if dense_source.size and not (
-            (dense_source >= 0).all()
-            and (dense_source < dense_stack.shape[0]).all()
-        ):
-            raise ConfigurationError("dense_source indexes outside dense_stack")
-        if sparse_source.size and not (
-            (sparse_source >= 0).all()
-            and (sparse_source < sparse_offsets.size - 1).all()
-        ):
-            raise ConfigurationError("sparse_source indexes outside segments")
+                "source must name one stored book per layer")
         self.layer_ids = tuple(int(i) for i in layer_ids)
         self.occ_retention = occ_retention
         self.occ_limit = occ_limit
         self.agg_retention = agg_retention
         self.agg_limit = agg_limit
         self.participation = participation
-        self.dense_stack = dense_stack
-        self.sparse_ids = sparse_ids
-        self.sparse_values = sparse_values
-        self.sparse_offsets = sparse_offsets
-        self.dense_source = dense_source
-        self.sparse_source = sparse_source
+        self.ids = ids
+        self.values = values
+        self.offsets = offsets
+        self.source = source
         # Tail groups price through the one-clip window of the identity
         #   clip(g - r, 0, c)  ==  clip(g, r, r + c) - r.
         # An *infinite* retention would turn the "- r" into inf - inf =
@@ -330,7 +307,7 @@ class PortfolioKernel:
     def __getstate__(self):
         # Derived caches stay host-local: a pickled kernel (no pooled
         # path ships one — workers attach slab handles) carries only the
-        # stacked arrays and rebuilds masks/net tables lazily on first
+        # stored arrays and rebuilds masks/net tables lazily on first
         # use.
         return {name: getattr(self, name) for name in self.__slots__
                 if name not in _CACHE_SLOTS}
@@ -355,9 +332,9 @@ class PortfolioKernel:
         from :meth:`Layer.lookup`, which returns one object for every
         layer over the same ELT objects and weights — the what-if burst:
         many term variations of one book — so the merge is built once
-        (by the book, not per call), stacked once here, and gathered
+        (by the book, not per call), stored once here, and gathered
         once per occurrence block, with the other rows fanned out from
-        it (see ``dense_source``/``sparse_source``).
+        it (see ``source``).
         """
         layers = list(layers)
         if not layers:
@@ -370,64 +347,29 @@ class PortfolioKernel:
                 raise ConfigurationError(
                     f"got {len(layer_ids)} layer_ids for {len(layers)} layers"
                 )
-        lookups = [layer.lookup() for layer in layers]
-        triples = list(zip(layers, lookups, layer_ids))
-        dense = [t for t in triples if t[1].kind == "dense"]
-        sparse = [t for t in triples if t[1].kind == "sparse"]
-        ordered = dense + sparse
-
-        # Stack each unique table/segment once; rows point into the
-        # store via the source vectors.
-        def dedupe(entries):
-            store, index, source = [], {}, []
-            for _, lk, _ in entries:
-                pos = index.get(id(lk))
-                if pos is None:
-                    pos = len(store)
-                    index[id(lk)] = pos
-                    store.append(lk)
-                source.append(pos)
-            return store, np.asarray(source, dtype=np.int64)
-
-        dense_store, dense_source = dedupe(dense)
-        sparse_store, sparse_source = dedupe(sparse)
-
-        width = max((lk.table_array.size for lk in dense_store), default=0)
-        dense_stack = np.zeros((len(dense_store), width), dtype=np.float64)
-        for row, lk in enumerate(dense_store):
-            table = lk.table_array
-            dense_stack[row, :table.size] = table
-
-        if sparse_store:
-            sparse_ids = np.concatenate([lk.ids for lk in sparse_store])
-            sparse_values = np.concatenate([lk.values for lk in sparse_store])
-            lengths = [lk.ids.size for lk in sparse_store]
-        else:
-            sparse_ids = np.empty(0, dtype=np.int64)
-            sparse_values = np.empty(0, dtype=np.float64)
-            lengths = []
-        sparse_offsets = np.concatenate(
-            ([0], np.cumsum(lengths, dtype=np.int64))
-        ).astype(np.int64)
+        books, index, source = [], {}, []
+        for layer in layers:
+            lk = layer.lookup()
+            source.append(index.setdefault(id(lk), len(books)))
+            if source[-1] == len(books):
+                books.append(lk)
 
         def term_vec(attr: str) -> np.ndarray:
-            return np.array(
-                [getattr(l.terms, attr) for l, _, _ in ordered], dtype=np.float64
-            )
+            return np.array([getattr(layer.terms, attr) for layer in layers],
+                            dtype=np.float64)
 
         return cls(
-            layer_ids=tuple(lid for _, _, lid in ordered),
+            layer_ids=tuple(layer_ids),
             occ_retention=term_vec("occ_retention"),
             occ_limit=term_vec("occ_limit"),
             agg_retention=term_vec("agg_retention"),
             agg_limit=term_vec("agg_limit"),
             participation=term_vec("participation"),
-            dense_stack=dense_stack,
-            sparse_ids=sparse_ids,
-            sparse_values=sparse_values,
-            sparse_offsets=sparse_offsets,
-            dense_source=dense_source,
-            sparse_source=sparse_source,
+            ids=np.concatenate([lk.ids for lk in books]),
+            values=np.concatenate([lk.values for lk in books]),
+            offsets=np.cumsum([0] + [lk.n_entries for lk in books],
+                              dtype=np.int64),
+            source=np.asarray(source, dtype=np.int64),
         )
 
     # -- shared-memory transport -------------------------------------------
@@ -440,8 +382,8 @@ class PortfolioKernel:
         dispatcher's reusable slab, packed once per kernel it runs).
         Either way the kernel's payload is copied into
         shared pages once and :meth:`from_handles` re-attaches it as
-        views — the pickled task argument shrinks from the full stacked
-        lookup to ~1 KB of descriptors.
+        views — the pickled task argument shrinks from the stored books
+        to ~1 KB of descriptors.
         """
         handles = arena.place(*(getattr(self, f) for f in _HANDLE_FIELDS))
         return KernelHandles(
@@ -469,32 +411,27 @@ class PortfolioKernel:
         return len(self.layer_ids)
 
     @property
-    def n_dense(self) -> int:
-        """Dense *rows* (several may share one stored table)."""
-        return self.dense_source.size
-
-    @property
-    def n_sparse(self) -> int:
-        """Sparse *rows* (several may share one stored CSR segment)."""
-        return self.sparse_source.size
-
-    @property
     def n_unique_lookups(self) -> int:
-        """Distinct stored lookups (tables + segments) behind the rows."""
-        return self.dense_stack.shape[0] + (self.sparse_offsets.size - 1)
+        """Distinct stored books behind the rows."""
+        return self.offsets.size - 1
 
     @property
     def nbytes(self) -> int:
-        """Bytes of lookup state (what a device placement would ship)."""
-        return (self.dense_stack.nbytes + self.sparse_ids.nbytes
-                + self.sparse_values.nbytes)
+        """Bytes of the stored books: their sorted ids and values."""
+        return self.ids.nbytes + self.values.nbytes
 
     def row_of(self, layer_id: int) -> int:
-        """Kernel row holding ``layer_id`` (rows are dense-first)."""
+        """Kernel row holding ``layer_id`` (rows are in input order)."""
         try:
             return self.layer_ids.index(layer_id)
         except ValueError:
             raise ConfigurationError(f"no layer {layer_id} in kernel") from None
+
+    def book(self, store: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, values)`` of stored book ``store``: views of its sorted
+        entries."""
+        lo, hi = self.offsets[store], self.offsets[store + 1]
+        return self.ids[lo:hi], self.values[lo:hi]
 
     # -- gathers -----------------------------------------------------------
 
@@ -503,20 +440,19 @@ class PortfolioKernel:
         """Ground-up losses for one occurrence block, all layers:
         ``(L, block)``.
 
-        Each *stored* lookup is gathered exactly once per block; rows
-        sharing a lookup (same book, different terms) receive a plain
-        copy of the first row's gather — a sequential write instead of a
-        second random-access pass.
+        Each *stored* book is gathered exactly once per block; rows
+        sharing a book (different terms) receive a plain copy of the
+        first row's gather — a sequential write instead of a second
+        random-access pass.
         """
         event_ids = np.asarray(event_ids, dtype=np.int64)
         if out is None:
             out = np.empty((self.n_layers, event_ids.size), dtype=np.float64)
         first_row: dict = {}
-        for row in range(self.n_layers):
-            store = self._store_of(row)
+        for row, store in enumerate(self.source.tolist()):
             held = first_row.setdefault(store, row)
             if held == row:
-                self._gather_store(*store, event_ids, out[row])
+                self._gather_store(store, event_ids, out[row])
             else:
                 np.copyto(out[row], out[held])
         return out
@@ -549,71 +485,42 @@ class PortfolioKernel:
     def gather_layer(self, row: int, event_ids: np.ndarray) -> np.ndarray:
         """Losses for one kernel row over an id array (YELT emission path)."""
         event_ids = np.asarray(event_ids, dtype=np.int64)
-        return self._gather_store(*self._store_of(row), event_ids,
+        return self._gather_store(self.source[row], event_ids,
                                   np.empty(event_ids.size, dtype=np.float64))
 
     # -- sublinear tail groups ---------------------------------------------
 
-    def _store_of(self, row: int) -> tuple[str, int]:
-        """``(kind, store)`` of the stored lookup kernel ``row`` reads."""
-        if row < self.n_dense:
-            return "dense", int(self.dense_source[row])
-        return "sparse", int(self.sparse_source[row - self.n_dense])
-
-    def _store_values(self, kind: str, store: int) -> np.ndarray:
-        """The loss values ONE stored lookup holds (table row, without
-        its zero padding, or CSR values)."""
-        if kind == "dense":
-            table = self.dense_stack[store]
-            return table[:np.flatnonzero(table != 0.0).max(initial=0) + 1]
-        lo, hi = self.sparse_offsets[store], self.sparse_offsets[store + 1]
-        return self.sparse_values[lo:hi]
-
-    def _gather_store(self, kind: str, store: int, event_ids: np.ndarray,
+    def _gather_store(self, store: int, event_ids: np.ndarray,
                       out: np.ndarray, values: np.ndarray | None = None
                       ) -> np.ndarray:
-        """Ground-up losses of ONE stored lookup (not a row) for a block
-        — or, given ``values``, whatever that array (laid out like
-        :meth:`_store_values`) holds in the losses' place."""
-        if kind == "dense":
-            return dense_gather_into(
-                self.dense_stack[store] if values is None else values,
-                event_ids, out)
-        lo, hi = self.sparse_offsets[store], self.sparse_offsets[store + 1]
-        if values is None:
-            values = self.sparse_values[lo:hi]
-        return sparse_gather_into(self.sparse_ids[lo:hi], values, event_ids,
-                                  out)
+        """Ground-up losses of ONE stored book (not a row) for a block
+        — or, given ``values``, whatever that array (laid out like the
+        book's values) holds in the losses' place."""
+        ids, losses = self.book(store)
+        return gather(ids, losses if values is None else values, event_ids,
+                      out)
 
     def _tail_group_index(self):
-        """Structural tail groups: ``(kind, store, rows)`` triples.
+        """Structural tail groups: ``(store, rows)`` pairs.
 
-        Rows sharing one stored lookup — same book, different terms —
-        form a group when at least :data:`MIN_TAIL_GROUP` of them do;
-        whether a given *sweep* actually prices a group off its profile
-        is decided per call (error bound, ``sublinear``).
-        Cached: the grouping is a pure function of the source vectors.
+        Rows sharing one stored book — different terms — form a group
+        when at least :data:`MIN_TAIL_GROUP` of them do; whether a given
+        *sweep* actually prices a group off its profile is decided per
+        call (error bound, ``sublinear``).
+        Cached: the grouping is a pure function of ``source``.
         """
         if self._tail_index is None:
-            groups = []
-            for kind, source, base in (("dense", self.dense_source, 0),
-                                       ("sparse", self.sparse_source,
-                                        self.n_dense)):
-                if not source.size:
-                    continue
-                order = np.argsort(source, kind="stable")
-                sorted_src = source[order]
-                cuts = np.flatnonzero(sorted_src[1:] != sorted_src[:-1]) + 1
-                for seg in np.split(order, cuts):
-                    if seg.size >= MIN_TAIL_GROUP:
-                        groups.append((kind, int(source[seg[0]]), seg + base))
-            self._tail_index = groups
+            order = np.argsort(self.source, kind="stable")
+            cuts = np.flatnonzero(np.diff(self.source[order])) + 1
+            self._tail_index = [(int(self.source[seg[0]]), seg)
+                                for seg in np.split(order, cuts)
+                                if seg.size >= MIN_TAIL_GROUP]
         return self._tail_index
 
     @property
     def tail_group_rows(self) -> int:
         """Rows structurally eligible for the book-profile path."""
-        return sum(rows.size for _, _, rows in self._tail_group_index())
+        return sum(rows.size for _, rows in self._tail_group_index())
 
     def routed_since(self, before: dict) -> dict:
         """How far :attr:`routed` moved past ``before``, a ``dict(routed)``
@@ -629,17 +536,15 @@ class PortfolioKernel:
         infinite-retention row arrives as the ``[0, 0]`` window and
         prices to exactly 0.
         """
-        for kind, store, rows in groups:
-            values = self._store_values(kind, store)
-            digest = hashlib.blake2b(kind.encode(), digest_size=16)
+        for store, rows in groups:
+            ids, values = self.book(store)
+            digest = hashlib.blake2b(np.ascontiguousarray(ids).data,
+                                     digest_size=16)
             digest.update(np.ascontiguousarray(values).data)
-            if kind == "sparse":
-                a, b = self.sparse_offsets[store], self.sparse_offsets[store + 1]
-                digest.update(np.ascontiguousarray(self.sparse_ids[a:b]).data)
             profile = segments.book_profile(
                 digest.digest(), event_ids,
                 partial(BookProfile.build, values=values,
-                        gather=partial(self._gather_store, kind, store)))
+                        gather=partial(self._gather_store, store)))
             out[rows] = profile.resolve(self.occ_floor[rows],
                                         self.occ_ceiling[rows])
 
@@ -662,57 +567,54 @@ class PortfolioKernel:
 
     def _net_gathers(self, rows) -> list:
         """``gather(event_ids, out=)`` over the **net table** of each of
-        the dense ``rows``.
+        the stream ``rows``.
 
-        ``clip(table[e] - r, 0, c)`` is a function of the table *entry*,
-        so a row's occurrence terms are applied once to its stored
-        lookup instead of once per occurrence.  A net table is
-        ``width + 1`` long: the zero last entry is where ``mode="clip"``
-        lands every id past the table (unknown event → 0, no fix-up
-        pass).  Built per row on the first sweep that prices it on the
-        stream — a tail group's rows and by-event rows (every CSR row
-        among them) never pay for one; host-local like every cache
-        slot, never shipped.
+        ``clip(loss - r, 0, c)`` is a function of the book's *entry*,
+        so a row's occurrence terms are applied once per entry instead
+        of once per occurrence, into a direct-index table
+        ``ids[-1] + 2`` long: an id the book does not hold nets 0 under
+        every retention ``>= 0``, and the zero last entry is where
+        ``mode="clip"`` lands every id past the book (unknown event → 0,
+        no fix-up pass).  A stream row's book :func:`fits_direct`
+        (:meth:`_pierced_entries` prices every other row by events), so
+        no table passes ``DENSE_MAX_ENTRIES``.  Built per row on the
+        first sweep that prices it on the stream — a tail group's rows
+        and by-event rows never pay for one; host-local like every
+        cache slot, never shipped.
         """
         net = self._net
         for row in rows:
             if net[row] is not None:
                 continue
-            r, c = self.occ_retention[row], self.occ_limit[row]
-            table = np.zeros(self.dense_stack.shape[1] + 1)
-            np.subtract(self.dense_stack[self.dense_source[row]], r,
-                        out=table[:-1])
-            np.clip(table[:-1], 0.0, c, out=table[:-1])
+            ids, values = self.book(self.source[row])
+            entries = values - self.occ_retention[row]
+            np.clip(entries, 0.0, self.occ_limit[row], out=entries)
+            table = np.zeros(int(ids[-1]) + 2)
+            table[ids] = entries
             net[row] = partial(np.take, table, mode="clip")
         return [net[row] for row in rows]
 
     def _pierced_entries(self, row: int):
         """``(events, net)`` when the rule of record prices ``row`` by
-        events, else ``None``: the stored entries above the row's
+        events, else ``None``: the book's entries above the row's
         retention — ascending event ids and their
-        ``clip(loss - r, 0, c)`` — taken from the stored lookup, so a
-        by-event row never builds a net table.  The decision reads the
-        row's own book and terms only (:data:`BY_EVENT_MAX_FILL`; never
-        the stacked width, which other rows set), cached per row.
+        ``clip(loss - r, 0, c)`` — so a by-event row never builds a net
+        table.  The decision reads the row's own book and terms only
+        (:data:`BY_EVENT_MAX_FILL` of the book's
+        :func:`~repro.core.lookup.effective_width`, and every book that
+        does not :func:`~repro.core.lookup.fits_direct`; never another
+        row's book), cached per row.
         """
         entry = self._pierced[row]
         if entry is None:
             r, c = self.occ_retention[row], self.occ_limit[row]
-            if row < self.n_dense:
-                losses = self._store_values(
-                    "dense", int(self.dense_source[row]))
-                events = np.flatnonzero(losses > r)
-                sparse = events.size <= BY_EVENT_MAX_FILL * losses.size
-                losses = losses[events]
-            else:
-                seg = self.sparse_source[row - self.n_dense]
-                lo, hi = self.sparse_offsets[seg], self.sparse_offsets[seg + 1]
-                pierced = self.sparse_values[lo:hi] > r
-                events = self.sparse_ids[lo:hi][pierced]
-                losses = self.sparse_values[lo:hi][pierced]
-                sparse = True
+            ids, values = self.book(self.source[row])
+            pierced = values > r
+            events, losses = ids[pierced], values[pierced]
+            by_events = not fits_direct(ids) or (
+                events.size <= BY_EVENT_MAX_FILL * effective_width(ids, values))
             entry = self._pierced[row] = (
-                (events, np.clip(losses - r, 0.0, c)) if sparse else False)
+                (events, np.clip(losses - r, 0.0, c)) if by_events else False)
         return entry or None
 
     # -- the fused sweep ---------------------------------------------------
@@ -776,12 +678,12 @@ class PortfolioKernel:
         fallback = "sublinear_off" if sublinear is False else "error_bound"
         groups = []
         lane_mask = np.ones(n_layers, dtype=bool)
-        for kind, store, rows in self._tail_group_index():
+        for store, rows in self._tail_group_index():
             ok = rows[:0]
             if fallback == "error_bound":
                 ok = rows[self._shift_mask(segments.max_count)[rows]]
             if ok.size >= MIN_TAIL_GROUP:
-                groups.append((kind, store, ok))
+                groups.append((store, ok))
                 lane_mask[ok] = False
                 self.routed["kernel.profile_rows"] += ok.size
                 rows = rows[lane_mask[rows]]

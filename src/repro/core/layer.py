@@ -7,10 +7,9 @@ occurrence/aggregate terms.
 What a layer reads is its *book* — its ELT objects and their weights —
 and the terms only shape what is done with it.  Layers over the same
 ELT objects and weights therefore share one interned book, which builds
-the merged event-loss lookup (dense or CSR by the book's own id range;
-the array the device engine places in constant or global memory) and
-the content digest of the ELT arrays once, under a lock, for all of
-them.  A burst of 512 term variations of one book holds one merged
+the merged event-loss lookup (its sorted ``(event, loss)`` entries, the
+one way a book is stored) and the content digest of the ELT arrays
+once, under a lock, for all of them.  A burst of 512 term variations of one book holds one merged
 table, not 512, and hashes the ELT arrays once.  The registry holds
 books weakly, so a book dies with its last layer; :func:`book_levels`
 reports how many are resident and the bytes of the merges they hold.
@@ -190,9 +189,8 @@ class Layer:
         """The book's merged event-loss lookup.
 
         Built once for every layer over the same ELT objects and weights
-        — they all return the same read-only object.  Its layout is the
-        book's: dense unless the largest event id passes
-        :data:`~repro.core.lookup.DENSE_MAX_ENTRIES`.
+        — they all return the same read-only object: the book's sorted
+        ``(event, loss)`` entries, whatever its id range.
         """
         return self._book.lookup()
 

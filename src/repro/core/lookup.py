@@ -1,17 +1,23 @@
-"""Event-loss lookup structures.
+"""Event-loss lookup: one book's sorted ``(event, loss)`` entries.
 
 The inner operation of aggregate analysis is "given an event id, what
 loss does this layer's ELT set assign it?" executed ~10⁹ times per run.
-The companion study's key GPU optimisation is *where* this lookup table
-lives: a small dense table fits constant memory (broadcast-cached, fast);
-a large one must live in global memory (chunked).  :class:`LossLookup`
-abstracts the structure, and the id range decides it
-(:data:`DENSE_MAX_ENTRIES`):
+A book is stored one way, whatever its ids: its event ids ascending
+(int64) and each id's loss (float64), 16 B per entry.  How a stream is
+looked up in it is decided per call, by the book's id range alone
+(:func:`fits_direct`):
 
-- ``dense``: a direct-indexed array of length ``max_event_id + 1``
-  (missing events are 0) — O(1) gather, constant-memory candidate;
-- ``sparse``: sorted ids + ``searchsorted`` — O(log n) per probe, the
-  layout when the dense table would pass that cap.
+- while a direct-index table over the ids stays within
+  :data:`DENSE_MAX_ENTRIES` slots, :func:`gather` builds one for the
+  call (``ids[-1] + 1`` float64, missing events 0) and gathers from it —
+  O(1) per probe;
+- past that, it binary-searches the ids — O(log n) per probe, and no
+  table is ever built over the wide range.
+
+The companion study's key GPU optimisation is *where* a lookup table
+lives (constant memory when small, global when large): a placement, not
+a second format, which the device engine's model draws from the same id
+range.
 """
 
 from __future__ import annotations
@@ -21,14 +27,29 @@ import numpy as np
 from repro.core.tables import EltTable
 from repro.errors import ConfigurationError
 
-__all__ = ["DENSE_MAX_ENTRIES", "LossLookup", "dense_gather_into",
-           "merge_by_id", "sparse_gather_into"]
+__all__ = ["DENSE_MAX_ENTRIES", "LossLookup", "effective_width",
+           "fits_direct", "gather", "merge_by_id"]
 
-#: A lookup is dense when its direct-index table holds at most this many
-#: slots (``max_event_id + 1``): a 32 MB cap on one table, past which
-#: the sorted ids + ``searchsorted`` layout is used instead.  A book's
-#: shape decides its layout; nothing else does.
+#: Slots a direct-index table over a book's ids (``ids[-1] + 1``) may
+#: hold: a 32 MB cap on one table, past which a stream is looked up by
+#: ``searchsorted`` instead.  A book's id range decides it; nothing
+#: else does.
 DENSE_MAX_ENTRIES = 4_000_000
+
+
+def fits_direct(ids: np.ndarray) -> bool:
+    """Whether a direct-index table over the sorted, non-empty ``ids``
+    fits :data:`DENSE_MAX_ENTRIES`: the one decision a book's id range
+    makes."""
+    return int(ids[-1]) + 1 <= DENSE_MAX_ENTRIES
+
+
+def effective_width(ids: np.ndarray, values: np.ndarray) -> int:
+    """Slots of a direct-index table over the pair up to its last
+    non-zero loss (at least one): trailing zero losses read as unknown
+    events, so a table trimmed there is the same lookup."""
+    nonzero = ids[values != 0.0]
+    return int(nonzero[-1]) + 1 if nonzero.size else 1
 
 
 def merge_by_id(ids: np.ndarray, values: np.ndarray
@@ -44,24 +65,23 @@ def merge_by_id(ids: np.ndarray, values: np.ndarray
                                    weights=values[order])
 
 
-def dense_gather_into(table: np.ndarray, event_ids: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-    """Gather ``table[event_ids]`` into ``out`` with no float temporaries.
+def gather(ids: np.ndarray, values: np.ndarray, event_ids: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """Look ``event_ids`` up in the sorted pair ``(ids, values)`` into
+    ``out``; unknown events read 0.
 
-    Ids at or beyond the table end are unknown events and gather 0; the
-    only intermediate is the boolean in-bounds mask.  ``out`` may be any
-    float64 buffer of the ids' shape (including a row view of a larger
-    block matrix), which is what lets the fused portfolio sweep reuse one
-    preallocated block buffer across the whole run.
+    Through a direct-index table built for this call while the ids
+    :func:`fits_direct` (one ``take`` and an in-bounds mask: ids past
+    the table are unknown events), else by ``searchsorted``.  ``out``
+    may be any float64 buffer of the ids' shape (including a row view
+    of a larger block matrix).
     """
-    np.take(table, event_ids, mode="clip", out=out)
-    np.multiply(out, event_ids < table.size, out=out)
-    return out
-
-
-def sparse_gather_into(ids: np.ndarray, values: np.ndarray,
-                       event_ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gather from a sorted (ids, values) pair into ``out``; misses are 0."""
+    if fits_direct(ids):
+        table = np.zeros(int(ids[-1]) + 1)
+        table[ids] = values
+        np.take(table, event_ids, mode="clip", out=out)
+        np.multiply(out, event_ids < table.size, out=out)
+        return out
     pos = np.searchsorted(ids, event_ids)
     np.minimum(pos, ids.size - 1, out=pos)
     np.take(values, pos, out=out)
@@ -70,16 +90,12 @@ def sparse_gather_into(ids: np.ndarray, values: np.ndarray,
 
 
 class LossLookup:
-    """Vectorised ``event_id → loss`` map with dense and sparse layouts."""
+    """Vectorised ``event_id → loss`` map over one book's sorted
+    ``(ids, values)`` entries (read-only; built by :meth:`from_arrays`)."""
 
-    __slots__ = ("kind", "_dense", "_ids", "_values")
+    __slots__ = ("_ids", "_values")
 
-    def __init__(self, kind: str, dense: np.ndarray | None,
-                 ids: np.ndarray | None, values: np.ndarray | None) -> None:
-        if kind not in ("dense", "sparse"):
-            raise ConfigurationError(f"unknown lookup kind {kind!r}")
-        self.kind = kind
-        self._dense = dense
+    def __init__(self, ids: np.ndarray, values: np.ndarray) -> None:
         self._ids = ids
         self._values = values
 
@@ -88,12 +104,7 @@ class LossLookup:
     @classmethod
     def from_arrays(cls, event_ids: np.ndarray, values: np.ndarray
                     ) -> "LossLookup":
-        """Build the best layout for the given id set.
-
-        A dense table is used when ``max_event_id`` is small enough that
-        the direct-index array stays within :data:`DENSE_MAX_ENTRIES`
-        slots.
-        """
+        """The book over ``(event_ids, values)``, sorted by id."""
         # Copies: the arrays kept are made read-only below.
         ids_sorted = np.array(event_ids, dtype=np.int64)
         vals_sorted = np.array(values, dtype=np.float64)
@@ -107,18 +118,11 @@ class LossLookup:
                 raise ConfigurationError("duplicate event ids in lookup")
         if ids_sorted[0] < 0:
             raise ConfigurationError("event ids must be non-negative")
-        max_id = int(ids_sorted[-1])
-        dense = None
-        if max_id + 1 <= DENSE_MAX_ENTRIES:
-            dense = np.zeros(max_id + 1, dtype=np.float64)
-            dense[ids_sorted] = vals_sorted
-        # Built tables are read-only: many layers and kernels may read
+        # Built books are read-only: many layers and kernels may read
         # one lookup, so no caller may write into it.
-        for array in (dense, ids_sorted, vals_sorted):
-            if array is not None:
-                array.flags.writeable = False
-        return cls("sparse" if dense is None else "dense", dense,
-                   ids_sorted, vals_sorted)
+        ids_sorted.flags.writeable = False
+        vals_sorted.flags.writeable = False
+        return cls(ids_sorted, vals_sorted)
 
     @classmethod
     def from_elt(cls, elt: EltTable) -> "LossLookup":
@@ -149,8 +153,8 @@ class LossLookup:
     def __call__(self, event_ids: np.ndarray) -> np.ndarray:
         """Vectorised lookup; unknown ids map to loss 0.
 
-        Allocates exactly one array (the result); see :meth:`gather_into`
-        for the zero-allocation variant over a caller-owned buffer.
+        Allocates the result; see :meth:`gather_into` for the variant
+        over a caller-owned buffer.
         """
         event_ids = np.asarray(event_ids, dtype=np.int64)
         out = np.empty(event_ids.shape, dtype=np.float64)
@@ -160,13 +164,10 @@ class LossLookup:
         """Gather losses for ``event_ids`` into the preallocated ``out``.
 
         ``out`` must be float64 with the ids' shape; it is returned.  The
-        fused portfolio sweep calls this once per occurrence block per
-        sparse layer, reusing one block buffer for the whole run.
+        book's entries stay as stored: see :func:`gather`.
         """
-        event_ids = np.asarray(event_ids, dtype=np.int64)
-        if self.kind == "dense":
-            return dense_gather_into(self._dense, event_ids, out)
-        return sparse_gather_into(self._ids, self._values, event_ids, out)
+        return gather(self._ids, self._values,
+                      np.asarray(event_ids, dtype=np.int64), out)
 
     def get_scalar(self, event_id: int) -> float:
         """Scalar lookup (sequential-engine oracle path)."""
@@ -176,27 +177,10 @@ class LossLookup:
         """Materialise as a Python dict (pure-Python engine input)."""
         return {int(i): float(v) for i, v in zip(self._ids, self._values)}
 
-    # -- placement metadata ---------------------------------------------------
-
-    @property
-    def table_array(self) -> np.ndarray:
-        """The array an engine would place in device memory."""
-        return self._dense if self.kind == "dense" else self._values
-
-    @property
-    def nbytes(self) -> int:
-        """Device bytes needed for this lookup's arrays."""
-        if self.kind == "dense":
-            return self._dense.nbytes
-        return self._ids.nbytes + self._values.nbytes
-
     @property
     def resident_bytes(self) -> int:
-        """Host bytes this lookup holds: every array, not only the one
-        an engine would place (the sorted ids and values stay beside a
-        dense table)."""
-        return sum(a.nbytes for a in (self._dense, self._ids, self._values)
-                   if a is not None)
+        """Bytes this lookup holds: its sorted ids and values."""
+        return self._ids.nbytes + self._values.nbytes
 
     @property
     def n_entries(self) -> int:

@@ -8,7 +8,8 @@ implements the standard arithmetic on top of the engine outputs:
 
 - :func:`apply_reinstatement_limit` caps each trial-year's occurrence
   losses at ``(1 + n) × occ_limit`` of total recovery, consuming
-  occurrences in year order (the YET's ``seq`` order);
+  occurrences in row order within each trial (the order the engines
+  emit a YELT in, which is the YET's row order);
 - :func:`reinstatement_premiums` computes the per-trial reinstatement
   premium income at a given rate.
 

@@ -403,7 +403,7 @@ class EventIndex:
     is no wider than the stream (``max_id + 1 <= n_occurrences``), and
     otherwise by the event's *rank* among the stream's distinct ids,
     which the index then holds sorted (one ``searchsorted`` per looked-up
-    event).  A table indexed by id over CSR-scale ids would cost 8 bytes
+    event).  A table indexed by id over ids near 10⁹ would cost 8 bytes
     per *id*; ranked, it costs 8 per distinct id, plus the id in the
     stream's dtype (4 for a YET's int32 ids).
 

@@ -15,8 +15,9 @@ from repro.core.tables import YET_SCHEMA, EltTable, YetTable
 from repro.data.columnar import ColumnTable
 from repro.util.rng import RngHierarchy
 
-#: One ELT row at event 10**9: a book holding it has an id range past
-#: ``DENSE_MAX_ENTRIES``, so its lookup is CSR, and no test YET reads it.
+#: One ELT row at event 10**9: a book holding it has a wide id range,
+#: past ``DENSE_MAX_ENTRIES`` (looked up by ``searchsorted``, its rows
+#: priced by events), and no test YET reads it.
 FAR_ROW = EltTable.from_arrays([10**9], [1.0], contract_id=10**6)
 
 
@@ -32,13 +33,13 @@ def make_yet(trials, event_ids, n_trials) -> YetTable:
 
 def csr_elts(elts) -> tuple:
     """``elts`` plus :data:`FAR_ROW`: the same losses for every event a
-    test YET holds, in a book that is CSR by its own shape."""
+    test YET holds, in a book of a wide id range."""
     return (*elts, FAR_ROW)
 
 
 def as_csr(layer: Layer) -> Layer:
-    """``layer`` priced off the CSR twin of its book (same id, terms and
-    losses); layers over one book keep sharing one twin."""
+    """``layer`` priced off its book's twin of a wide id range (same id,
+    terms and losses); layers over one book keep sharing one twin."""
     weights = None if layer.weights is None else (*layer.weights, 1.0)
     return Layer(layer.layer_id, csr_elts(layer.elts), layer.terms,
                  weights=weights)

@@ -124,7 +124,8 @@ BY_EVENT, BY_STREAM, BY_PROFILE = ("kernel.lane_rows.by_event",
 def mixed_portfolio():
     """A book with rows on every kernel path: a dense row three of 64
     entries pierce (by events), a ground-up dense row (on the stream), a
-    CSR row (by events) and a same-book group (book profile)."""
+    row over a wide id range (by events) and a same-book group (book
+    profile)."""
     rng = np.random.default_rng(3)
     ids = np.arange(WIDTH)
 
@@ -149,7 +150,7 @@ def yet_of(counts, seed=0):
     rng = np.random.default_rng(seed)
     trials = np.repeat(np.arange(len(counts)), counts)
     events = rng.integers(0, WIDTH + 3, trials.size)     # some past the books
-    events[rng.random(trials.size) < 0.05] = 10**9       # the CSR-only id
+    events[rng.random(trials.size) < 0.05] = 10**9       # the wide book's far id
     table = ColumnTable.from_arrays(
         YET_SCHEMA, trial=trials, seq=np.zeros(trials.size, dtype=np.int32),
         event_id=events)

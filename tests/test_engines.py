@@ -21,6 +21,7 @@ from repro.core.engines import (
 from repro.core.tables import EltTable, YltTable
 from repro.core.terms import LayerTerms
 from repro.core.layer import Layer
+from repro.core.lookup import effective_width
 from repro.core.portfolio import Portfolio
 from repro.errors import AnalysisError, ConfigurationError, EngineError
 from repro.hpc.device import DeviceProperties
@@ -294,8 +295,8 @@ class TestDeviceEngine:
         _assert_layers_equal(res, ref)
 
     def test_sparse_lookup_path(self, tiny_workload):
-        # CSR by the book's own shape: one ELT row far past the dense
-        # threshold.
+        # A wide id range by the book's own shape: one ELT row far past
+        # DENSE_MAX_ENTRIES, placed as the sorted pair.
         base = tiny_workload.portfolio.layers[0]
         far = EltTable.from_arrays([10**9], [75.0], contract_id=99)
         portfolio = Portfolio([Layer(base.layer_id, [*base.elts, far],
@@ -312,7 +313,8 @@ class TestDeviceEngine:
         back to multiple resident batches, not fail mid-upload."""
         pf, yet = (small_portfolio_workload.portfolio,
                    small_portfolio_workload.yet)
-        lookup_bytes = pf.layers[0].lookup().nbytes
+        lk = pf.layers[0].lookup()      # placed as a table this wide
+        lookup_bytes = 8 * effective_width(lk.ids, lk.values)
         # Room for roughly one layer's lookup + annual + a small chunk.
         props = DeviceProperties(
             global_mem_bytes=3 * (lookup_bytes + yet.n_trials * 8)

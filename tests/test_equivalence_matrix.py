@@ -51,6 +51,7 @@ from repro.core.engines.device import _trial_chunks
 from repro.core.kernels import (MIN_TAIL_GROUP, ROUTING_COUNTERS,
                                 PortfolioKernel)
 from repro.core.layer import Layer
+from repro.core.lookup import DENSE_MAX_ENTRIES
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable, YetTable, YltTable, trial_spans
 from repro.core.terms import LayerTerms
@@ -70,15 +71,15 @@ PROFILE, ERROR_BOUND = "kernel.profile_rows", "kernel.fallback.error_bound"
 
 #: route → (the counter that proves it, how the candidates force it).
 ROUTES = {
-    "events": (BY_EVENT, "dense books at most 1/16 of whose entries "
+    "events": (BY_EVENT, "compact books at most 1/16 of whose entries "
                          "pierce a row's retention"),
-    "csr": (BY_EVENT, "CSR books holding ids past 2**31 whose int32 "
-                      "wraps (k + 2**32 -> k) a YET holds"),
-    "stream": (BY_STREAM, "dense books more than 1/16 of whose entries "
+    "csr": (BY_EVENT, "books of a wide id range holding ids past 2**31 "
+                      "whose int32 wraps (k + 2**32 -> k) a YET holds"),
+    "stream": (BY_STREAM, "compact books more than 1/16 of whose entries "
                           "pierce"),
-    "profile": (PROFILE, "one book (dense, or CSR when drawn) under every "
-                         "row, one row inside the shift-mask bound of "
-                         "short blocks only"),
+    "profile": (PROFILE, "one book (of a wide id range when drawn) under "
+                         "every row, one row inside the shift-mask bound "
+                         "of short blocks only"),
 }
 
 #: source → what the cell's engine reads the trials from.
@@ -172,8 +173,8 @@ def test_every_exclusion_is_the_only_reason_for_some_combination():
 # inputs: two seeded YET shapes, candidates from a seed Hypothesis draws
 # ---------------------------------------------------------------------------
 
-#: A dense book's ids are ``0 .. W - 1``; a YET draws ids up to
-#: ``W + 3``, so some are unknown to every book, and CSR books hold
+#: A compact book's ids are ``0 .. W - 1``; a YET draws ids up to
+#: ``W + 3``, so some are unknown to every book, and wide books hold
 #: ``WRAP + 2**32``, which an int32 cast would wrap onto ``WRAP``.
 W = 64
 WRAP = W + 1
@@ -236,7 +237,7 @@ def _terms(rng, kind, ranked, p, i, never=np.inf) -> LayerTerms:
 def _book(rng, contract_id, ids=np.arange(W), extra=()):
     losses = np.minimum(rng.lognormal(10, 1.5, ids.size), 1e7)
     losses[rng.random(ids.size) < 0.2] = 0.0    # zero-loss events
-    losses[-1] = 1e3                            # the dense book's width is W
+    losses[-1] = 1e3                            # the compact book's width is W
     ids = np.append(ids, extra).astype(np.int64)
     losses = np.append(losses, rng.lognormal(12, 1.0, len(extra)))
     return EltTable.from_arrays(ids, losses, contract_id=contract_id)
@@ -245,7 +246,8 @@ def _book(rng, contract_id, ids=np.arange(W), extra=()):
 def _candidates(route, seed, sparse) -> tuple:
     """64 candidate layers forcing ``route``: eight books of eight rows
     (a book needs MIN_TAIL_GROUP rows to form a group), or for the
-    profile route one book under all 64, ``sparse`` making it CSR."""
+    profile route one book under all 64, ``sparse`` giving it a wide id
+    range."""
     rng = np.random.default_rng(seed)
     extra = {"csr": (WRAP + 2**32, 2**31 + 3),
              "profile": (2**31 + 5,) if sparse else ()}.get(route, ())
@@ -307,7 +309,7 @@ def make_case(route, shape, seed, sparse) -> Case:
 
 #: ``(seed, sparse)``: the seed of the books' losses and of every
 #: candidate's terms and their kind, and whether the profile route's
-#: book is CSR.  Few seeds, so the cells of a route share their cases
+#: book spans a wide id range.  Few seeds, so the cells of a route share their cases
 #: (and the oracle and reference runs each case needs).
 DRAWS = st.tuples(st.integers(0, 7), st.booleans())
 
@@ -329,19 +331,20 @@ def expected_routes(kernel, blocks) -> dict:
     do, and its rows inside the shift-mask bound of the block's longest
     trial take the profile while at least MIN_TAIL_GROUP of them do;
     every other row is a lane row — by events when at most 1/16 of its
-    book's width pierce its retention (every CSR row), else on the
-    stream.  An empty block routes nothing."""
-    stores = ([("dense", s) for s in kernel.dense_source.tolist()]
-              + [("sparse", s) for s in kernel.sparse_source.tolist()])
-    groups = [np.flatnonzero([s == store for s in stores])
-              for store in set(stores)]
+    book's width pierce its retention (every row of a book whose id
+    range passes DENSE_MAX_ENTRIES), else on the stream.  An empty
+    block routes nothing."""
+    groups = [np.flatnonzero(kernel.source == store)
+              for store in np.unique(kernel.source)]
     groups = [rows for rows in groups if rows.size >= MIN_TAIL_GROUP]
     by_event = np.ones(kernel.n_layers, dtype=bool)
-    for row in range(kernel.n_dense):
-        table = kernel.dense_stack[kernel.dense_source[row]]
-        width = int(np.flatnonzero(table).max(initial=0)) + 1
-        by_event[row] = 16 * np.count_nonzero(
-            table > kernel.occ_retention[row]) <= width
+    for row, store in enumerate(kernel.source.tolist()):
+        ids, losses = kernel.book(store)
+        if ids[-1] < DENSE_MAX_ENTRIES:
+            nonzero = ids[losses != 0.0]
+            width = int(nonzero[-1]) + 1 if nonzero.size else 1
+            by_event[row] = 16 * np.count_nonzero(
+                losses > kernel.occ_retention[row]) <= width
     routes = dict.fromkeys(ROUTING_COUNTERS, 0)
     for n, longest in blocks:
         if not n:

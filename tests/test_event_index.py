@@ -35,6 +35,7 @@ from repro.core.engines import (
 )
 from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
+from repro.core.lookup import fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core import tables
 from repro.core.tables import EltTable, EventIndex, YetTable
@@ -256,7 +257,9 @@ def test_ids_near_1e9_cost_bytes_per_distinct_id_not_per_id():
     events = rng.choice(np.append(ids, unknown), counts.sum())
     yet = make_yet(np.repeat(np.arange(n_trials), counts), events, n_trials)
     kernel = portfolio.kernel()
-    assert kernel.n_dense == 0                   # CSR: every row by events
+    # every book spans a wide id range: every row by events
+    assert not any(fits_direct(kernel.book(s)[0])
+                   for s in range(kernel.n_unique_lookups))
     annual = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
                    3, 0)
     final = kernel.apply_aggregate(annual)
@@ -307,7 +310,7 @@ class TestRouting:
             self.layer(5, layer_id=1), self.layer(4, layer_id=2),
             Layer(9, [other], LayerTerms(occ_retention=0.0)),
         ])
-        assert stacked.dense_stack.shape[1] == 1024
+        assert int(stacked.book(0)[0][-1]) + 1 == 1024    # the wide book
         assert stacked.tail_group_rows == 0
         annual = swept(stacked, lambda: stacked.sweep_segments(*block), 1, 3)
         assert annual.any(axis=1).all()
@@ -327,8 +330,8 @@ class TestRouting:
 # ---------------------------------------------------------------------------
 
 def by_event_workload(seed=71, n_trials=240):
-    """Five distinct books: three high-attaching dense rows, one CSR
-    row, one ground-up row that stays on the stream."""
+    """Five distinct books: three high-attaching compact rows, one row
+    of a wide id range, one ground-up row that stays on the stream."""
     rng = np.random.default_rng(seed)
     layers = []
     for li in range(5):

@@ -1,9 +1,9 @@
 """Parity and structure tests for the fused portfolio kernel.
 
 The contract: one fused sweep over the YET must reproduce the
-``SequentialEngine`` oracle's YLTs for every layer, across lookup
-layouts (dense, sparse, mixed), degenerate terms, empty trials, and
-randomised portfolios (Hypothesis).
+``SequentialEngine`` oracle's YLTs for every layer, across books of
+compact and wide id ranges (and both mixed), degenerate terms, empty
+trials, and randomised portfolios (Hypothesis).
 """
 
 import pickle
@@ -18,13 +18,19 @@ from hypothesis import strategies as st
 from repro.core.engines import SequentialEngine
 from repro.core.kernels import MIN_TAIL_GROUP, PortfolioKernel
 from repro.core.layer import Layer
-from repro.core.lookup import DENSE_MAX_ENTRIES
+from repro.core.lookup import DENSE_MAX_ENTRIES, fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable, YetTable
 from repro.core.terms import LayerTerms
 from repro.errors import ConfigurationError
 
 RTOL, ATOL = 1e-9, 1e-6
+
+
+def wide_rows(kernel) -> int:
+    """Rows whose book's id range passes ``DENSE_MAX_ENTRIES``."""
+    return sum(not fits_direct(kernel.book(store)[0])
+               for store in kernel.source.tolist())
 
 
 def assert_kernel_matches_oracle(portfolio, yet):
@@ -44,7 +50,7 @@ class TestParityAgainstOracle:
         k = assert_kernel_matches_oracle(
             small_portfolio_workload.portfolio, small_portfolio_workload.yet
         )
-        assert k.n_dense == k.n_layers and k.n_sparse == 0
+        assert wide_rows(k) == 0
 
     def test_sparse_portfolio(self, small_portfolio_workload):
         k = assert_kernel_matches_oracle(
@@ -52,10 +58,10 @@ class TestParityAgainstOracle:
                        for layer in small_portfolio_workload.portfolio]),
             small_portfolio_workload.yet,
         )
-        assert k.n_sparse == k.n_layers and k.n_dense == 0
+        assert wide_rows(k) == k.n_layers
 
     def test_mixed_dense_and_sparse_layers(self):
-        """One compact-id layer (dense) + one huge-id layer (sparse)."""
+        """One compact-id layer + one layer of a wide id range."""
         compact = EltTable.from_arrays([1, 2, 3], [100.0, 200.0, 300.0])
         huge = EltTable.from_arrays([2, 10**9], [50.0, 75.0], contract_id=1)
         pf = Portfolio([
@@ -64,27 +70,38 @@ class TestParityAgainstOracle:
         ])
         yet = make_yet([0, 0, 1, 2, 2], [1, 2, 10**9, 3, 5], n_trials=4)
         k = assert_kernel_matches_oracle(pf, yet)
-        assert k.n_dense == 1 and k.n_sparse == 1
-        # Rows are dense-first; ids map back through layer_ids/row_of.
+        assert wide_rows(k) == 1
+        # Rows are in input order; ids map back through layer_ids/row_of.
         assert k.layer_ids == (0, 7)
         assert k.row_of(7) == 1
 
     def test_the_book_shape_decides_dense_or_csr(self, tiny_workload):
-        """A book whose largest id is ``DENSE_MAX_ENTRIES - 1`` stores a
-        dense table, one whose largest id is ``DENSE_MAX_ENTRIES`` a CSR
-        segment, and over a YET that reads neither edge id both price
-        alike, bit for bit."""
+        """Both books are stored alike, as their sorted entries.  A book
+        whose largest id is ``DENSE_MAX_ENTRIES - 1`` is gathered through
+        a direct table, and its row routes by the 1/16 rule (its edge
+        entry makes it ``DENSE_MAX_ENTRIES`` wide, so by events); one
+        whose largest id is ``DENSE_MAX_ENTRIES`` is gathered by
+        ``searchsorted``, and its row prices by events whatever it
+        pierces.  Over a YET that reads neither edge id both gather and
+        price alike, bit for bit."""
         layer = tiny_workload.portfolio.layers[0]
-        finals = []
-        for last, kinds in ((DENSE_MAX_ENTRIES - 1, (1, 0)),
-                            (DENSE_MAX_ENTRIES, (0, 1))):
+        yet = tiny_workload.yet
+        finals, gathers = [], []
+        for last, direct in ((DENSE_MAX_ENTRIES - 1, True),
+                             (DENSE_MAX_ENTRIES, False)):
             edge = EltTable.from_arrays([last], [1.0], contract_id=99)
             pf = Portfolio([Layer(0, (*layer.elts, edge), layer.terms)])
-            k = assert_kernel_matches_oracle(pf, tiny_workload.yet)
-            assert (k.n_dense, k.n_sparse) == kinds
-            finals.append(k.run(tiny_workload.yet.trials,
-                                tiny_workload.yet.event_ids,
-                                tiny_workload.yet.n_trials))
+            k = assert_kernel_matches_oracle(pf, yet)
+            assert fits_direct(k.book(0)[0]) is direct
+            assert k.nbytes == 16 * k.ids.size
+            assert k.routed["kernel.lane_rows.by_event"] == 1
+            assert sum(k.routed.values()) == 1
+            with mock.patch("repro.core.lookup.np.searchsorted",
+                            wraps=np.searchsorted) as search:
+                gathers.append(k.gather_layer(0, yet.event_ids))
+            assert search.called is not direct
+            finals.append(k.run(yet.trials, yet.event_ids, yet.n_trials))
+        np.testing.assert_array_equal(*gathers)
         np.testing.assert_array_equal(*finals)
 
     @pytest.mark.parametrize("terms", [
@@ -98,14 +115,14 @@ class TestParityAgainstOracle:
         LayerTerms(occ_retention=5e5, occ_limit=2e6,
                    agg_retention=1e6, agg_limit=1e8, participation=0.5),
     ])
-    # ``dense_max=1``: the book's CSR twin.
+    # ``dense_max=1``: the book's twin of a wide id range.
     @pytest.mark.parametrize("dense_max", [4_000_000, 1])
     def test_degenerate_terms(self, tiny_workload, terms, dense_max):
         layer = Layer(0, tiny_workload.portfolio.layers[0].elts, terms)
         if dense_max == 1:
             layer = as_csr(layer)
         k = assert_kernel_matches_oracle(Portfolio([layer]), tiny_workload.yet)
-        assert k.n_sparse == (dense_max == 1)
+        assert wide_rows(k) == (dense_max == 1)
 
     def test_empty_trials_stay_zero(self):
         """A YET with occurrence-free trials (including an all-empty YET)."""
@@ -243,7 +260,8 @@ def test_fused_kernel_block_invariance_on_random_portfolios(wl, block):
 # ---------------------------------------------------------------------------
 
 def direct_tail_kernel(occ_lo, occ_cap, table):
-    """A same-book dense stack built directly.
+    """A same-book stack built directly: ``table[e]`` is event ``e``'s
+    loss.
 
     :class:`LayerTerms` rejects ``occ_limit <= 0``, but the sweep must
     still price degenerate ``lo == hi`` rows correctly, so the parity
@@ -259,12 +277,10 @@ def direct_tail_kernel(occ_lo, occ_cap, table):
         agg_retention=np.zeros(n),
         agg_limit=np.full(n, np.inf),
         participation=np.ones(n),
-        dense_stack=np.asarray(table, dtype=np.float64)[None, :].copy(),
-        sparse_ids=np.empty(0, dtype=np.int64),
-        sparse_values=np.empty(0, dtype=np.float64),
-        sparse_offsets=np.zeros(1, dtype=np.int64),
-        dense_source=np.zeros(n, dtype=np.int64),
-        sparse_source=np.empty(0, dtype=np.int64),
+        ids=np.arange(len(table), dtype=np.int64),
+        values=np.asarray(table, dtype=np.float64).copy(),
+        offsets=np.array([0, len(table)], dtype=np.int64),
+        source=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -345,8 +361,8 @@ class TestSublinearTailGroups:
         assert kernel.routed["kernel.profile_rows"] == n
 
     def test_sparse_store_groups_match_lane_path(self, tiny_workload):
-        # Same-book stacks dedupe to one CSR segment over a CSR book;
-        # the group path prices them too.
+        # Same-book stacks dedupe to one stored book of a wide id
+        # range; the group path prices them too.
         elts = csr_elts(tiny_workload.portfolio.layers[0].elts)
         layers = [
             Layer(i, elts, LayerTerms(occ_retention=5e3 + 250.0 * i,
@@ -354,7 +370,8 @@ class TestSublinearTailGroups:
             for i in range(MIN_TAIL_GROUP + 4)
         ]
         kernel = PortfolioKernel.from_layers(layers)
-        assert kernel.n_sparse == kernel.n_layers
+        assert kernel.n_unique_lookups == 1
+        assert wide_rows(kernel) == kernel.n_layers
         assert kernel.tail_group_rows == kernel.n_layers
         yet = tiny_workload.yet
         ref = kernel.run(yet.trials, yet.event_ids, yet.n_trials,

@@ -14,7 +14,8 @@ from conftest import as_csr
 from repro.analytics.sensitivity import term_sensitivities
 from repro.core import layer as layer_module
 from repro.core.layer import Layer, book_levels
-from repro.core.lookup import LossLookup
+from repro.core.kernels import _HANDLE_FIELDS, PortfolioKernel
+from repro.core.lookup import LossLookup, fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable
 from repro.core.terms import LayerTerms
@@ -120,7 +121,7 @@ class TestBookSharing:
         assert weighted.lookup() is not plain.lookup()
         twin = as_csr(plain)
         assert twin.lookup() is not plain.lookup()
-        assert twin.lookup().kind == "sparse"
+        assert not fits_direct(twin.lookup().ids)
         assert len(merges) == 3
         assert weighted.lookup().get_scalar(900) == 1.0
 
@@ -203,7 +204,7 @@ class TestBookSharing:
     def test_shared_tables_are_read_only(self):
         layer = Layer(0, [elt([1, 900], [1.0, 2.0])], LayerTerms())
         for lk in (layer.lookup(), as_csr(layer).lookup()):
-            for array in (lk.table_array, lk.ids, lk.values):
+            for array in (lk.ids, lk.values):
                 with pytest.raises(ValueError):
                     array[0] = 99.0
         assert layer.lookup().get_scalar(1) == 1.0
@@ -229,10 +230,9 @@ class TestBookLedger:
     """``layer.books.*``: books alive and the bytes of their merges,
     read off ``.nbytes`` — exact on the tiny shape."""
 
-    #: A dense merge of ids {1, 2}: a 3-slot table + 2 sorted ids + 2
-    #: values, 8 B each.
-    DENSE = (3 + 2 + 2) * 8
-    #: Its CSR twin, ids {1, 2, 10**9}: ids + values.
+    #: A merge of ids {1, 2}: 2 sorted ids + 2 values, 8 B each.
+    DENSE = (2 + 2) * 8
+    #: Its twin of a wide id range, ids {1, 2, 10**9}: ids + values.
     SPARSE = (3 + 3) * 8
 
     def test_exact_bytes_on_the_tiny_shape(self):
@@ -259,6 +259,41 @@ class TestBookLedger:
         assert book_levels()["layer.books.bytes"] == (
             base["layer.books.bytes"] + self.DENSE)
         del layers, twin
+        gc.collect()
+        assert book_levels() == base
+
+    def test_one_stored_layout_exact_bytes(self):
+        """Two books, one of a wide id range, each stored one way: a
+        lookup holds 16 B per entry, a kernel over both holds their ids
+        and values once however many rows read them, its handles are its
+        nine arrays, and the ``layer.books.bytes`` gauge is the hand
+        count."""
+        from repro.hpc import shm
+
+        gc.collect()
+        base = book_levels()
+        e = elt([1, 2], [1.0, 2.0])
+        layers = [Layer(i, [e], LayerTerms(occ_retention=float(i)))
+                  for i in range(3)]
+        twin = as_csr(layers[0])
+        for lk, entries in ((layers[0].lookup(), 2), (twin.lookup(), 3)):
+            assert lk.resident_bytes == 16 * entries == 16 * lk.n_entries
+        assert book_levels()["layer.books.bytes"] == (
+            base["layer.books.bytes"] + 16 * (2 + 3))
+        kernel = PortfolioKernel.from_layers([*layers, twin],
+                                             layer_ids=range(4))
+        assert kernel.nbytes == kernel.ids.nbytes + kernel.values.nbytes
+        assert kernel.nbytes == 16 * (2 + 3)
+        assert len(_HANDLE_FIELDS) == 9
+        with shm.SharedArena() as arena:
+            handles = kernel.export_handles(arena)
+            assert set(handles.arrays) == set(_HANDLE_FIELDS)
+            # five (L,) term vectors, the 5 ids and values, 3 offsets
+            # and the (L,) row → book source, 8 B each
+            assert handles.nbytes == sum(
+                getattr(kernel, name).nbytes for name in _HANDLE_FIELDS)
+            assert handles.nbytes == 8 * (5 * 4 + 5 + 5 + 3 + 4)
+        del layers, twin, lk, kernel
         gc.collect()
         assert book_levels() == base
 

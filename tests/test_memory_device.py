@@ -5,6 +5,7 @@ import numpy as np
 
 from repro.core.engines import DeviceEngine, VectorizedEngine
 from repro.core.layer import Layer
+from repro.core.lookup import effective_width
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable
 from repro.core.terms import LayerTerms
@@ -19,7 +20,7 @@ class TestStackedDevicePlacement:
             self, small_portfolio_workload):
         wl = small_portfolio_workload
         # use_constant=False forces every merged lookup onto the global
-        # stack: 3 layers, one batch, ONE dense_stack upload.
+        # stack: 3 layers, one batch, ONE stacked table upload.
         res = DeviceEngine(use_constant=False).run(wl.portfolio, wl.yet)
         assert res.details["n_batches"] == 1
         assert res.details["stack_uploads"] == 1
@@ -30,7 +31,8 @@ class TestStackedDevicePlacement:
             self, small_portfolio_workload):
         pf, yet = (small_portfolio_workload.portfolio,
                    small_portfolio_workload.yet)
-        lookup_bytes = pf.layers[0].lookup().nbytes
+        lk = pf.layers[0].lookup()      # placed as a table this wide
+        lookup_bytes = 8 * effective_width(lk.ids, lk.values)
         props = DeviceProperties(
             global_mem_bytes=3 * (lookup_bytes + yet.n_trials * 8)
         )

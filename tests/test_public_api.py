@@ -162,7 +162,10 @@ def test_removed_names_stay_removed(tmp_path):
     set went to the modules that decide them; the pool initializer
     went when a task began naming its YET as handles; and the second
     slab verb, the one-array arena verb and the slab-generation name
-    protocol went when a worker began holding one payload per role."""
+    protocol went when a worker began holding one payload per role; and
+    a book's dense table, its kind and the kernel's dense/CSR split
+    went when a book began to be stored one way, as its sorted
+    entries."""
     import inspect
 
     from repro.hpc import WorkPool
@@ -187,7 +190,19 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.hpc.shm.HandleShipment",
                "repro.hpc.shm.ShmSlab.pack", "repro.hpc.shm.SharedArena.share",
                "repro.hpc.shm._SLAB_NAME_RE",
-               "repro.hpc.shm._evict_stale_slab_mappings"]
+               "repro.hpc.shm._evict_stale_slab_mappings",
+               "repro.core.LossLookup.kind", "repro.core.LossLookup.table_array",
+               "repro.core.LossLookup.nbytes",
+               "repro.core.PortfolioKernel.dense_stack",
+               "repro.core.PortfolioKernel.sparse_ids",
+               "repro.core.PortfolioKernel.sparse_values",
+               "repro.core.PortfolioKernel.sparse_offsets",
+               "repro.core.PortfolioKernel.dense_source",
+               "repro.core.PortfolioKernel.sparse_source",
+               "repro.core.PortfolioKernel.n_dense",
+               "repro.core.PortfolioKernel.n_sparse",
+               "repro.core.lookup.dense_gather_into",
+               "repro.core.lookup.sparse_gather_into"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
@@ -424,10 +439,10 @@ def test_kernel_sweep_signatures_locked():
 
 
 def test_lookup_layout_and_row_buffer_are_no_parameters():
-    """A book's shape decides its lookup's layout, and the row-buffer
-    bound is a constant of the kernel class: no builder, cache or handle
-    carries either.  A knob may not come back without this test
-    changing."""
+    """A book is stored one way, its id range alone decides how it is
+    looked up, and the row-buffer bound is a constant of the kernel
+    class: no builder, cache or handle carries either.  A knob may not
+    come back without this test changing."""
     import dataclasses
     import inspect
 
@@ -439,6 +454,7 @@ def test_lookup_layout_and_row_buffer_are_no_parameters():
         return [name for name in inspect.signature(func).parameters
                 if name not in ("self", "cls")]
 
+    assert params(LossLookup) == ["ids", "values"]
     assert params(LossLookup.from_arrays) == ["event_ids", "values"]
     assert params(LossLookup.from_elt) == ["elt"]
     assert params(LossLookup.from_elts) == ["elts", "weights"]
@@ -485,8 +501,8 @@ def test_engine_spec_and_planner_knobs_locked():
     assert list(inspect.signature(AdmissionController.__init__).parameters
                 ) == ["self", "slo_seconds", "max_pending", "throughput"]
 
-    # An engine is configured by building it, a book's dense/CSR
-    # threshold where its lookup is built: the drivers and the entry
+    # An engine is configured by building it, the id-range cap where a
+    # book is looked up: the drivers and the entry
     # points take neither constructor keywords nor the threshold.
     from repro import PricingService, RiskSession, get_engine
     from repro.core import OutOfCoreEngine, StoredYet

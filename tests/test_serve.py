@@ -566,8 +566,9 @@ class TestEnablers:
         by_portfolio = wl.portfolio.kernel()
         loose = PortfolioKernel.from_layers(list(wl.portfolio))
         assert loose.layer_ids == by_portfolio.layer_ids
-        np.testing.assert_array_equal(loose.dense_stack,
-                                      by_portfolio.dense_stack)
+        for name in ("ids", "values", "offsets", "source"):
+            np.testing.assert_array_equal(getattr(loose, name),
+                                          getattr(by_portfolio, name))
         full_a = loose.run(wl.yet.trials, wl.yet.event_ids, wl.yet.n_trials)
         full_b = by_portfolio.run(wl.yet.trials, wl.yet.event_ids,
                                   wl.yet.n_trials)

@@ -38,6 +38,7 @@ from conftest import as_csr, worker_mappings, worker_probes
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
+from repro.core.lookup import fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core.tables import StoredYet, YetTable
 from repro.data.store import ChunkStore
@@ -154,15 +155,16 @@ class TestRoundTrips:
             np.testing.assert_array_equal(a, b)
 
     def test_mixed_dense_sparse_kernel_round_trip(self, tiny_workload):
-        """A book past ``DENSE_MAX_ENTRIES`` is CSR by its own shape; the
-        CSR arrays must survive the handle round-trip like the dense
-        stack does."""
+        """A book of a wide id range (past ``DENSE_MAX_ENTRIES``) is
+        stored as every book is, and survives the handle round-trip
+        beside a compact one."""
         wl = tiny_workload
         layer = wl.portfolio.layers[0]
         csr = as_csr(layer)
         kernel = Portfolio([layer, Layer(1, csr.elts, layer.terms,
                                          weights=csr.weights)]).kernel()
-        assert kernel.n_dense == kernel.n_sparse == 1
+        assert [fits_direct(kernel.book(s)[0]) for s in (0, 1)] == [
+            True, False]
         with shm.SharedArena() as arena:
             again = PortfolioKernel.from_handles(kernel.export_handles(arena))
             a = kernel.run(wl.yet.trials, wl.yet.event_ids, wl.yet.n_trials)
@@ -394,8 +396,8 @@ def _worker_held_kernel(_yet):  # pragma: no cover - in a worker
     if held is None:
         return None, True
     stamp, _handles, kernel = held
-    first = _stacks_seen.setdefault(stamp, weakref.ref(kernel.dense_stack))
-    return stamp, first() is kernel.dense_stack
+    first = _stacks_seen.setdefault(stamp, weakref.ref(kernel.values))
+    return stamp, first() is kernel.values
 
 
 class TestStagedKernel:
@@ -440,8 +442,8 @@ class TestStagedKernel:
             throwaway = Portfolio(list(wl.portfolio)[:1]).kernel()
             inline[id(throwaway)] = InlineDispatcher().run(throwaway, wl.yet)
             run(throwaway)
-            # (the kernel is slotted without weakrefs: watch its own stack)
-            held = weakref.ref(throwaway.dense_stack)
+            # (the kernel is slotted without weakrefs: watch its values)
+            held = weakref.ref(throwaway.values)
             del throwaway
             gc.collect()
             assert held() is not None, "the staged kernel is held strongly"
@@ -594,7 +596,7 @@ class TestSlabGenerationEviction:
 
         wl = build_portfolio_workload(
             n_layers=4, n_trials=200, mean_events_per_trial=20.0,
-            elts_per_layer=1, elt_rows=2000, catalog_events=60_000, seed=7)
+            elts_per_layer=1, elt_rows=20_000, catalog_events=60_000, seed=7)
         wide = wl.portfolio.kernel()
         narrow = Portfolio(list(wl.portfolio)[:1]).kernel()
         assert narrow.nbytes < 1 << 20 < wide.nbytes

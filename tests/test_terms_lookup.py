@@ -5,23 +5,27 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import as_csr
+from conftest import as_csr, make_yet
 from hypothesis import strategies as st
 
+from repro.core.engines import VectorizedEngine
+from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
-from repro.core.lookup import LossLookup
+from repro.core.lookup import LossLookup, fits_direct
+from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable
 from repro.core.terms import LayerTerms
 from repro.errors import ConfigurationError
 
 
 def build(ids, values, dense_max):
-    """The lookup over ``(ids, values)`` as ``from_arrays`` lays it out
-    (dense, for these compact ids) or, at ``dense_max=1``, in the CSR
-    layout a book past ``DENSE_MAX_ENTRIES`` gets."""
-    lk = LossLookup.from_arrays(ids, values)
-    return (LossLookup("sparse", None, lk.ids, lk.values) if dense_max == 1
-            else lk)
+    """The lookup over ``(ids, values)`` (looked up through a direct
+    table, for these compact ids) or, at ``dense_max=1``, the same
+    losses in a book of a wide id range — one more entry, a zero loss at
+    10**9, past ``DENSE_MAX_ENTRIES`` — looked up by ``searchsorted``."""
+    if dense_max == 1:
+        ids, values = np.append(ids, 10**9), np.append(values, 0.0)
+    return LossLookup.from_arrays(ids, values)
 
 
 class TestLayerTermsValidation:
@@ -98,12 +102,18 @@ class TestTrialOracle:
 
 class TestLossLookup:
     def test_dense_layout_chosen_for_compact_ids(self):
+        """Compact ids are looked up through a direct table built per
+        call; the book stores its sorted entries and nothing else."""
         lk = LossLookup.from_arrays([0, 1, 2], [1.0, 2.0, 3.0])
-        assert lk.kind == "dense"
+        assert fits_direct(lk.ids)
+        assert lk.resident_bytes == 16 * lk.n_entries == 48
 
     def test_sparse_layout_for_huge_ids(self):
+        """A wide id range is looked up by ``searchsorted``, stored the
+        same way."""
         lk = LossLookup.from_arrays([10**12], [1.0])
-        assert lk.kind == "sparse"
+        assert not fits_direct(lk.ids)
+        assert lk.resident_bytes == 16 * lk.n_entries == 16
 
     @pytest.mark.parametrize("dense_max", [10**6, 1])
     def test_lookup_values(self, dense_max):
@@ -162,10 +172,12 @@ class TestLossLookup:
         """1-5 overlapping ELTs under positive weights, losses spread
         over 17 orders of magnitude so that a change in the order of an
         event's adds shows in its bits: the book's merged ids, values
-        and dense table are byte for byte those of ``np.unique``'s
-        inverse + ``np.add.at``, and building the merge leaves the
-        layer's content digest what a layer over copies of the same
-        arrays digests to."""
+        are byte for byte those of ``np.unique``'s inverse +
+        ``np.add.at``, building the merge leaves the layer's content
+        digest what a layer over copies of the same arrays digests to,
+        and over one YET the book and its twin of a wide id range give
+        equal losses through every gather: ``gather_into``, a kernel's
+        ``gather_layer`` and ``gather_block``, and an engine's YELT."""
         n_elts = data.draw(st.integers(1, 5))
         elts = []
         for i in range(n_elts):
@@ -184,14 +196,12 @@ class TestLossLookup:
         ref_ids, inverse = np.unique(ids, return_inverse=True)
         ref_vals = np.zeros(ref_ids.size)
         np.add.at(ref_vals, inverse, vals)
-        ref_dense = np.zeros(ref_ids[-1] + 1)
-        ref_dense[ref_ids] = ref_vals
 
         layer = Layer(0, elts, LayerTerms(occ_retention=1.0), weights=weights)
         digest = layer.content_digest()
-        dense, csr = layer.lookup(), as_csr(layer).lookup()
-        assert dense.table_array.tobytes() == ref_dense.tobytes()
-        # The CSR twin holds one more id, 10**9, past every other.
+        twin = as_csr(layer)
+        dense, csr = layer.lookup(), twin.lookup()
+        # The wide twin holds one more id, 10**9, past every other.
         for lk, n in ((dense, ref_ids.size), (csr, ref_ids.size + 1)):
             assert lk.ids[:ref_ids.size].tobytes() == ref_ids.tobytes()
             assert lk.values[:ref_ids.size].tobytes() == ref_vals.tobytes()
@@ -200,9 +210,28 @@ class TestLossLookup:
                                        np.array(e.mean_losses),
                                        contract_id=e.contract_id)
                   for e in elts]
-        twin = Layer(1, copies, LayerTerms(occ_retention=1.0),
-                     weights=weights)
-        assert layer.content_digest() == digest == twin.content_digest()
+        copied = Layer(1, copies, LayerTerms(occ_retention=1.0),
+                       weights=weights)
+        assert layer.content_digest() == digest == copied.content_digest()
+
+        # One YET over ids 0..14: some held by no ELT (ids reach 12).
+        events = np.arange(30) % 15
+        yet = make_yet(np.arange(30) // 4, events, 8)
+        ref = np.zeros(events.size)
+        held = np.isin(events, ref_ids)
+        ref[held] = ref_vals[np.searchsorted(ref_ids, events[held])]
+        gathered = [lk.gather_into(events, np.empty(events.size))
+                    for lk in (dense, csr)]
+        kernel = PortfolioKernel.from_layers([layer, twin], layer_ids=[0, 1])
+        block = kernel.gather_block(events)
+        yelts = [VectorizedEngine().run(Portfolio([lay]), yet, emit_yelt=True)
+                 .yelt_by_layer[0].table["loss"] for lay in (layer, twin)]
+        for row in (0, 1):
+            np.testing.assert_array_equal(gathered[row], ref)
+            np.testing.assert_array_equal(kernel.gather_layer(row, events),
+                                          ref)
+            np.testing.assert_array_equal(block[row], ref)
+        np.testing.assert_array_equal(*yelts)
 
     def test_as_dict(self):
         lk = LossLookup.from_arrays([3, 9], [1.5, 2.5])
@@ -210,7 +239,7 @@ class TestLossLookup:
 
     def test_nbytes_positive(self):
         lk = LossLookup.from_arrays([0, 100], [1.0, 2.0])
-        assert lk.nbytes == 101 * 8  # dense table
+        assert lk.resident_bytes == 2 * 16  # sorted ids + values
 
 
 class TestGatherInto:
