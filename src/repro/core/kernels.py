@@ -44,9 +44,11 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   sweep is one gather from it into a single reused row buffer plus one
   ``np.add.reduceat`` over whole-trial segment starts — no ``(L,
   block)`` lane matrix, no clip pass over the stream.
-  :attr:`PortfolioKernel.block_occurrences`, a constant of the class,
-  bounds the row buffer: the stream is chunked at trial boundaries, as
-  many whole trials as fit the bound (at least one).
+  :attr:`~repro.core.tables.TrialSegments.block_occurrences`, a
+  constant, bounds the row buffer: the stream is chunked at trial
+  boundaries, as many whole trials as fit the bound (at least one) — the
+  one blocking rule, :meth:`~repro.core.tables.TrialSegments.blocks`,
+  which a book profile's build reads the stream by too.
 
 What a sweep needs from the trial column is a
 :class:`~repro.core.tables.TrialSegments`, derived once per ``YetTable``
@@ -118,7 +120,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.lookup import effective_width, fits_direct, gather
+from repro.core.lookup import effective_width, fits_direct, gather, reader
 from repro.core.tables import BookProfile, TrialSegments
 from repro.errors import ConfigurationError
 
@@ -172,7 +174,8 @@ class KernelHandles:
 #: alternated 200 times in one process): a profile sweep takes ≈ 1.3×
 #: the lane sweep's time at 16 rows, ≈ 1.05× at 32 and ≈ 0.7× at 64
 #: (≈ 3.1 / 3.6 / 6.6 ms against ≈ 2.3 / 3.4 / 9.3 ms), and the first
-#: sweep pays ≈ 20 ms for the build.  Kept because moving it re-routes
+#: sweep pays ≈ 4–5 ms for the build (≈ 17–21 ms before the build ran
+#: in flat integer passes).  Kept because moving it re-routes
 #: rows, and a re-routed row's answer moves in the last ulp (the
 #: bit-identity rule in the module docstring).
 MIN_TAIL_GROUP = 16
@@ -231,12 +234,10 @@ class PortfolioKernel:
         "occ_floor", "occ_ceiling", *_CACHE_SLOTS,
     )
 
-    #: Bound on the lane path's row buffer, in occurrences (whole trials,
-    #: so one longer trial exceeds it).  Sized so the buffer (256 KiB),
-    #: its id slice and one net-table row stay cache-resident together;
-    #: smaller chunks lose to per-call overhead — the CPU analogue of the
-    #: paper's "chunk to fit the fast memory" rule.
-    block_occurrences = 32_768
+    #: Bound on the lane path's row buffer, in occurrences: the stream's
+    #: one blocking limit, :attr:`TrialSegments.block_occurrences`, which
+    #: is what :meth:`TrialSegments.blocks` reads.
+    block_occurrences = TrialSegments.block_occurrences
 
     def __init__(
         self,
@@ -491,14 +492,9 @@ class PortfolioKernel:
     # -- sublinear tail groups ---------------------------------------------
 
     def _gather_store(self, store: int, event_ids: np.ndarray,
-                      out: np.ndarray, values: np.ndarray | None = None
-                      ) -> np.ndarray:
-        """Ground-up losses of ONE stored book (not a row) for a block
-        — or, given ``values``, whatever that array (laid out like the
-        book's values) holds in the losses' place."""
-        ids, losses = self.book(store)
-        return gather(ids, losses if values is None else values, event_ids,
-                      out)
+                      out: np.ndarray) -> np.ndarray:
+        """Ground-up losses of ONE stored book (not a row) for a block."""
+        return gather(*self.book(store), event_ids, out)
 
     def _tail_group_index(self):
         """Structural tail groups: ``(store, rows)`` pairs.
@@ -543,8 +539,7 @@ class PortfolioKernel:
             digest.update(np.ascontiguousarray(values).data)
             profile = segments.book_profile(
                 digest.digest(), event_ids,
-                partial(BookProfile.build, values=values,
-                        gather=partial(self._gather_store, store)))
+                partial(BookProfile.build, ids=ids, values=values))
             out[rows] = profile.resolve(self.occ_floor[rows],
                                         self.occ_ceiling[rows])
 
@@ -571,8 +566,9 @@ class PortfolioKernel:
 
         ``clip(loss - r, 0, c)`` is a function of the book's *entry*,
         so a row's occurrence terms are applied once per entry instead
-        of once per occurrence, into a direct-index table
-        ``ids[-1] + 2`` long: an id the book does not hold nets 0 under
+        of once per occurrence, into the direct-index table of a
+        :func:`~repro.core.lookup.reader`, ``ids[-1] + 2`` long: an id
+        the book does not hold nets 0 under
         every retention ``>= 0``, and the zero last entry is where
         ``mode="clip"`` lands every id past the book (unknown event → 0,
         no fix-up pass).  A stream row's book :func:`fits_direct`
@@ -589,9 +585,7 @@ class PortfolioKernel:
             ids, values = self.book(self.source[row])
             entries = values - self.occ_retention[row]
             np.clip(entries, 0.0, self.occ_limit[row], out=entries)
-            table = np.zeros(int(ids[-1]) + 2)
-            table[ids] = entries
-            net[row] = partial(np.take, table, mode="clip")
+            net[row] = reader(ids, entries)
         return [net[row] for row in rows]
 
     def _pierced_entries(self, row: int):
@@ -750,35 +744,26 @@ class PortfolioKernel:
 
     def _sweep_stream(self, segments: TrialSegments, event_ids: np.ndarray,
                       out: np.ndarray, rows: list) -> None:
-        """Lane ``rows`` on the stream: per chunk of whole trials, its
-        ids widened once to intp (``np.take`` would cast an int32 slice
-        again for every row), then per row one gather from its net
-        table into a reused row buffer and one ``reduceat`` over
-        whole-trial starts."""
-        bounds, trial_ids = segments.bounds, segments.trial_ids
-        block = self.block_occurrences
-        # Chunk the row buffer by whole trials — as many as fit ``block``
-        # occurrences, at least one — so each trial is summed by a single
-        # reduceat however the stream is chunked or decomposed.
-        chunks = []
-        a = 0
-        while a < trial_ids.size:
-            s0 = int(bounds[a])
-            b = max(int(np.searchsorted(bounds, s0 + block, side="right")) - 1,
-                    a + 1)
-            t_lo, t_hi = int(trial_ids[a]), int(trial_ids[b - 1]) + 1
-            # Trial ids without a gap are a plain slice of the output row.
-            cols = slice(t_lo, t_hi) if t_hi - t_lo == b - a else trial_ids[a:b]
-            chunks.append((s0, int(bounds[b]), bounds[a:b] - s0, cols))
-            a = b
-        width = max(s1 - s0 for s0, s1, _, _ in chunks)
+        """Lane ``rows`` on the stream: per block of whole trials
+        (:meth:`TrialSegments.blocks`), its ids widened once to intp
+        (``np.take`` would cast an int32 slice again for every row),
+        then per row one gather from its net table into a reused row
+        buffer and one ``reduceat`` over whole-trial starts — each trial
+        summed by a single ``reduceat`` however the stream is blocked or
+        decomposed."""
+        blocks = segments.blocks()
+        width = max(span.stop - span.start for span, _, _ in blocks)
         buf, ids = np.empty(width), np.empty(width, dtype=np.intp)
         gathers = self._net_gathers(rows)
-        for s0, s1, starts, cols in chunks:
-            chunk = ids[:s1 - s0]
-            np.copyto(chunk, event_ids[s0:s1])
+        for span, segs, starts in blocks:
+            trials = segments.trial_ids[segs]
+            t_lo, t_hi = int(trials[0]), int(trials[-1]) + 1
+            # Trial ids without a gap are a plain slice of the output row.
+            cols = slice(t_lo, t_hi) if t_hi - t_lo == trials.size else trials
+            chunk = ids[:span.stop - span.start]
+            np.copyto(chunk, event_ids[span])
             for row, gather in zip(rows, gathers):
-                lane = gather(chunk, out=buf[:s1 - s0])
+                lane = gather(chunk, out=buf[:chunk.size])
                 out[row, cols] = np.add.reduceat(lane, starts)
 
     def run(

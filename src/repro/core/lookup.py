@@ -8,11 +8,15 @@ looked up in it is decided per call, by the book's id range alone
 (:func:`fits_direct`):
 
 - while a direct-index table over the ids stays within
-  :data:`DENSE_MAX_ENTRIES` slots, :func:`gather` builds one for the
-  call (``ids[-1] + 1`` float64, missing events 0) and gathers from it —
-  O(1) per probe;
-- past that, it binary-searches the ids — O(log n) per probe, and no
-  table is ever built over the wide range.
+  :data:`DENSE_MAX_ENTRIES` slots, :func:`reader` builds one
+  (``ids[-1] + 2`` slots, missing events 0) and every read is one
+  ``take`` from it — O(1) per probe;
+- past that, a read binary-searches the ids — O(log n) per probe, and
+  no table is ever built over the wide range.
+
+:func:`gather` is one read through a reader built for the call; a
+caller that reads one book many times (a net table, a book profile's
+ranks) builds the reader once.
 
 The companion study's key GPU optimisation is *where* a lookup table
 lives (constant memory when small, global when large): a placement, not
@@ -22,13 +26,18 @@ range.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.tables import EltTable
 from repro.errors import ConfigurationError
 
+if TYPE_CHECKING:   # for annotations only: repro.core.tables imports this module
+    from repro.core.tables import EltTable
+
 __all__ = ["DENSE_MAX_ENTRIES", "LossLookup", "effective_width",
-           "fits_direct", "gather", "merge_by_id"]
+           "fits_direct", "gather", "merge_by_id", "reader"]
 
 #: Slots a direct-index table over a book's ids (``ids[-1] + 1``) may
 #: hold: a 32 MB cap on one table, past which a stream is looked up by
@@ -65,28 +74,38 @@ def merge_by_id(ids: np.ndarray, values: np.ndarray
                                    weights=values[order])
 
 
+def reader(ids: np.ndarray, values: np.ndarray):
+    """``read(event_ids, out=None)``: ``values`` of ``event_ids`` in the
+    sorted pair ``(ids, values)``, 0 for an unknown event (non-negative
+    ids), built once for any number of reads.
+
+    While the ids :func:`fits_direct`, one ``take`` from a direct-index
+    table in the values' dtype, ``ids[-1] + 2`` slots whose zero last
+    slot is where ``mode="clip"`` lands every id past the book; else a
+    ``searchsorted`` per read.
+    """
+    if fits_direct(ids):
+        table = np.zeros(int(ids[-1]) + 2, dtype=values.dtype)
+        table[ids] = values
+        return partial(np.take, table, mode="clip")
+
+    def search(event_ids: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+        pos = np.searchsorted(ids, event_ids)
+        np.minimum(pos, ids.size - 1, out=pos)
+        out = np.take(values, pos, out=out)
+        return np.multiply(out, ids[pos] == event_ids, out=out)
+    return search
+
+
 def gather(ids: np.ndarray, values: np.ndarray, event_ids: np.ndarray,
            out: np.ndarray) -> np.ndarray:
     """Look ``event_ids`` up in the sorted pair ``(ids, values)`` into
-    ``out``; unknown events read 0.
-
-    Through a direct-index table built for this call while the ids
-    :func:`fits_direct` (one ``take`` and an in-bounds mask: ids past
-    the table are unknown events), else by ``searchsorted``.  ``out``
-    may be any float64 buffer of the ids' shape (including a row view
-    of a larger block matrix).
+    ``out``, through a :func:`reader` built for this call; unknown
+    events read 0.  ``out`` may be any float64 buffer of the ids' shape
+    (including a row view of a larger block matrix).
     """
-    if fits_direct(ids):
-        table = np.zeros(int(ids[-1]) + 1)
-        table[ids] = values
-        np.take(table, event_ids, mode="clip", out=out)
-        np.multiply(out, event_ids < table.size, out=out)
-        return out
-    pos = np.searchsorted(ids, event_ids)
-    np.minimum(pos, ids.size - 1, out=pos)
-    np.take(values, pos, out=out)
-    np.multiply(out, ids[pos] == event_ids, out=out)
-    return out
+    return reader(ids, values)(event_ids, out=out)
 
 
 class LossLookup:

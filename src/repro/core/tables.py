@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.lookup import reader
 from repro.data.columnar import ColumnTable, cast_lossless
 from repro.data.schema import Schema
 from repro.data.store import ChunkStore
@@ -199,9 +200,11 @@ class BookProfile:
     becomes a rank, and every (trial, threshold) count of a batch is one
     counting pass over the ranks (:meth:`resolve`).  Trial ``t``'s
     running sums sit at ``prefix[offsets[t] + t:]``, led by their own
-    0.0 and summed by one ``cumsum`` over that trial alone — so an answer
-    is a function of the trial and the row, whatever the trial range
-    (:meth:`trial_range` is a view) or the other rows.
+    0.0 and added in order over that trial alone, as
+    ``np.add.accumulate`` of the trial would add them — so an answer is
+    a function of the trial and the row, whatever the trial range
+    (:meth:`trial_range` is a view), the other rows, or the blocks the
+    stream was read in (:meth:`build`).
     """
 
     __slots__ = ("ranks", "prefix", "offsets", "thresholds")
@@ -214,38 +217,51 @@ class BookProfile:
 
     @classmethod
     def build(cls, segments: "TrialSegments", event_ids: np.ndarray,
-              values: np.ndarray, gather) -> "BookProfile":
-        """Profile of the book storing ``values`` over one whole stream.
+              ids: np.ndarray, values: np.ndarray) -> "BookProfile":
+        """Profile of the book ``(ids, values)`` (its sorted entries) over
+        one whole stream, in flat integer passes.
 
-        ``gather(event_ids, out, values=v)`` looks the stream up in any
-        array ``v`` laid out like the book's ``values`` (misses read 0).
-        The stored values are ranked once and the stream gathers those
-        *ranks*, so the per-trial sort is one integer sort of
-        ``trial * stride + rank`` keys.
+        The book's positive values are ranked once.  The stream is read
+        in whole-trial blocks (:meth:`TrialSegments.blocks`; the answer
+        does not depend on their size): a block reads its events' int32 ranks off one
+        :func:`~repro.core.lookup.reader` of the book's ranks (a direct
+        table while its ids fit one), keeps the non-zero ones and sorts
+        their keys ``trial << b | rank``, which a mask reduces to the
+        ranks.  A positive's trial is its block's trial ids repeated by
+        each trial's count of positives, so the trial column is never
+        expanded.  What a build holds beyond the profile is one block's
+        arrays and 4 B per positive occurrence (the blocks' ranks until
+        they are joined); the running sums are one step per position in
+        a trial (:func:`_running_sums`).
         """
         order = np.argsort(values, kind="stable")
         order = order[np.searchsorted(values[order], 0.0, side="right"):]
         thresholds = values[order]
-        stride = thresholds.size + 1
-        rank = np.zeros(values.size)
-        rank[order] = np.arange(1, stride)
-        ranks = gather(event_ids, np.empty(event_ids.size), values=rank)
-        positive = np.flatnonzero(ranks)
-        keys = segments.trial_column()[positive]
-        keys *= stride
-        keys += ranks[positive].astype(np.int64)
-        keys.sort()
-        n_trials = segments.n_trials
-        offsets = np.searchsorted(
-            keys, np.arange(n_trials + 1, dtype=np.int64) * stride)
-        ranks = (keys % stride).astype(np.int32)
-        del keys
-        losses = thresholds[ranks - 1]
-        prefix = np.zeros(ranks.size + n_trials)
-        bounds = offsets.tolist()
-        for t in np.flatnonzero(np.diff(offsets)).tolist():
-            a, b = bounds[t], bounds[t + 1]
-            np.add.accumulate(losses[a:b], out=prefix[a + t + 1:b + t + 1])
+        rank = np.zeros(values.size, dtype=np.int32)
+        rank[order] = np.arange(1, thresholds.size + 1)
+        look = reader(ids, rank)
+        n_trials, trial_ids = segments.n_trials, segments.trial_ids
+        shift = thresholds.size.bit_length()
+        key_type = _key_dtype(n_trials, shift)
+        counts = np.zeros(n_trials, dtype=np.int64)
+        parts = [np.empty(0, dtype=np.int32)]
+        for rows, trials, starts in segments.blocks():
+            ranks = look(event_ids[rows])
+            hits = np.flatnonzero(ranks != 0)
+            found = np.diff(np.searchsorted(hits, starts), append=hits.size)
+            counts[trial_ids[trials]] = found
+            keys = np.repeat((trial_ids[trials] << shift).astype(key_type),
+                             found)
+            keys |= ranks.take(hits)
+            keys.sort()
+            keys &= (1 << shift) - 1
+            parts.append(keys.astype(np.int32, copy=False))
+        ranks = np.concatenate(parts)
+        del parts
+        offsets = np.zeros(n_trials + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        prefix = _running_sums(ranks, offsets,
+                               np.concatenate(([0.0], thresholds)))
         return cls(ranks, prefix, offsets, thresholds)
 
     @property
@@ -321,6 +337,36 @@ class BookProfile:
         return np.maximum(res, 0.0, out=res)
 
 
+def _running_sums(ranks: np.ndarray, offsets: np.ndarray,
+                  levels: np.ndarray) -> np.ndarray:
+    """:attr:`BookProfile.prefix`: per trial ``t`` a 0.0, then the running
+    sum of ``levels[ranks[offsets[t]:offsets[t + 1]]]``, added one value
+    at a time in order — as ``np.add.accumulate`` over the trial alone
+    adds, so every sum is that call's bit for bit.
+
+    One step per position in a trial, each adding the position's value
+    into every trial that long at once (longest trials first, so a step's
+    trials are a prefix): as many steps as the longest trial.
+    """
+    n_trials = offsets.size - 1
+    counts = np.diff(offsets)
+    prefix = np.zeros(ranks.size + n_trials)
+    busy = np.flatnonzero(counts)
+    longest = int(counts.max(initial=0))
+    busy = busy[np.argsort(-counts[busy], kind="stable")]
+    # Trials longer than k, for every step k.
+    live = np.searchsorted(-counts[busy], -np.arange(longest), side="left")
+    at = offsets[busy]          # each trial's k-th rank at step k ...
+    to = busy + 1               # ... and its k-th running sum, ``at + to``
+    run = np.zeros(busy.size)
+    for n in live.tolist():
+        run = run[:n]
+        run += levels.take(ranks.take(at[:n]))
+        prefix[at[:n] + to[:n]] = run
+        at += 1
+    return prefix
+
+
 #: Book profiles one YET keeps (least recently used beyond that is
 #: dropped): a serving YET quotes a handful of books at a time, and a
 #: profile is ~12 bytes per positive occurrence.
@@ -377,7 +423,8 @@ class BookProfiles:
 
 
 def _key_dtype(entries: int, shift: int) -> type:
-    """The narrowest signed type of every key ``rank << shift | trial``."""
+    """The narrowest signed type of every key ``high << shift | low``
+    with ``high < entries`` and ``low < 2**shift``."""
     return np.int32 if entries << shift <= 2**31 else np.int64
 
 
@@ -539,6 +586,14 @@ class TrialSegments:
     __slots__ = ("bounds", "trial_ids", "n_trials", "max_count",
                  "_profiles", "_events", "_within")
 
+    #: Bound on a block of :meth:`blocks`, in occurrences (whole trials,
+    #: so one longer trial exceeds it).  Sized so the lane sweep's row
+    #: buffer (256 KiB), its id slice and one net-table row stay
+    #: cache-resident together; smaller chunks lose to per-call overhead
+    #: — the CPU analogue of the paper's "chunk to fit the fast memory"
+    #: rule.
+    block_occurrences = 32_768
+
     def __init__(self, offsets: np.ndarray,
                  profiles: BookProfiles | None = None,
                  events: EventIndex | None = None,
@@ -569,6 +624,24 @@ class TrialSegments:
     def trial_column(self) -> np.ndarray:
         """The trial column these segments describe, re-expanded."""
         return np.repeat(self.trial_ids, np.diff(self.bounds))
+
+    def blocks(self) -> list[tuple[slice, slice, np.ndarray]]:
+        """The stream cut into blocks of whole trials, as many as fit
+        :attr:`block_occurrences` (at least one, so a longer trial is a
+        block alone): per block its stream rows, its segments (a slice of
+        :attr:`trial_ids`) and their starts counted from the block's first
+        row.  The one way a stream is blocked — a kernel's lane sweep and
+        a book profile's build both read it so: no trial is split, so a
+        per-trial ``reduceat`` over a block sums each trial whole."""
+        bounds, limit, out, a = self.bounds, self.block_occurrences, [], 0
+        while a < self.trial_ids.size:
+            s0 = int(bounds[a])
+            b = max(int(np.searchsorted(bounds, s0 + limit, side="right")) - 1,
+                    a + 1)
+            out.append((slice(s0, int(bounds[b])), slice(a, b),
+                        bounds[a:b] - s0))
+            a = b
+        return out
 
     def book_profile(self, key: bytes, event_ids: np.ndarray,
                      build) -> BookProfile:
@@ -655,10 +728,11 @@ class YetTable:
         _check_n_trials(n_trials)
         trials = table["trial"]
         if trials.size:
-            if (trials < 0).any() or trials.max() >= n_trials:
-                raise ConfigurationError("YET trial indices out of range")
-            if (np.diff(trials) < 0).any():
+            # One pass for the order; sorted, the range is its two ends.
+            if (trials[1:] < trials[:-1]).any():
                 raise ConfigurationError("YET rows must be sorted by trial")
+            if trials[0] < 0 or trials[-1] >= n_trials:
+                raise ConfigurationError("YET trial indices out of range")
             # Every dense gather clips ids into the table, which would
             # price a negative id as event 0; the event index keys on it.
             if table["event_id"].min() < 0:
@@ -809,13 +883,20 @@ class YetTable:
         fingerprint regardless of identity — this is the first component
         of the serving layer's content-addressed cache key, and what lets
         a re-simulated YET invalidate exactly the stale entries.
+
+        It hashes ``n_trials``, :attr:`trial_offsets` and the event ids.
+        Rows are sorted by trial, so the offsets and the trial column
+        determine each other (trial ``t`` is the ``offsets[t + 1] -
+        offsets[t]`` rows from ``offsets[t]``): hashing the offsets is
+        hashing the column, at 8 B per trial instead of 4 B per
+        occurrence.  The same event ids cut into other trials hash apart.
         """
         if self._fingerprint is None:
             h = hashlib.blake2b(digest_size=16)
             h.update(np.int64(self.n_trials).tobytes())
-            # Feed the columns through the buffer protocol — a paper-
-            # scale YET is gigabytes, and ``tobytes`` would copy it all.
-            h.update(np.ascontiguousarray(self.table["trial"]).data)
+            h.update(self.trial_offsets.astype(np.int64, copy=False).data)
+            # Through the buffer protocol — a paper-scale YET is
+            # gigabytes, and ``tobytes`` would copy it all.
             h.update(np.ascontiguousarray(self.table["event_id"]).data)
             self._fingerprint = h.hexdigest()
         return self._fingerprint

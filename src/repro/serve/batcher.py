@@ -76,7 +76,7 @@ class BatchPolicy:
     max_batch:
         Most requests fused into one kernel sweep.  Beyond ~64 rows the
         stacked loss matrix starts spilling cache (see
-        ``PortfolioKernel.block_occurrences``), so bigger batches buy
+        ``TrialSegments.block_occurrences``), so bigger batches buy
         little.
     window_seconds:
         Unused: batches form from load, so nothing reads it.  The

@@ -208,7 +208,10 @@ class PricingService:
             "serve.batch.occupancy",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
         )
-        self._yet_fp = self.yet.fingerprint()
+        # A policy is frozen, so a cache that is off stays off: such a
+        # service builds no key and never hashes the YET (``None``).
+        self._yet_fp = (self.yet.fingerprint()
+                        if self.cache.policy.max_entries > 0 else None)
         self._closed = False
         if self.batcher.policy.auto_flush:
             self.batcher.start()
@@ -259,9 +262,8 @@ class PricingService:
         submitted = time.perf_counter()
         self._m_requests.inc()
         digest = layer_digest(layer)
-        payload = self.cache.get(
-            (self._yet_fp, digest, self._metric_keys[metric])
-        )
+        payload = (None if self._yet_fp is None else self.cache.get(
+            (self._yet_fp, digest, self._metric_keys[metric])))
         if payload is not None:
             future: Future = Future()
             future.set_result(self._materialise(payload, metric, submitted))
@@ -419,10 +421,12 @@ class PricingService:
                     payload = payloads[pkey] = self._build_payload(
                         final[row_of(req)], req.metric)
                 self._m_cache_miss_bytes.inc(payload_nbytes(payload))
-                freed += self.cache.put(
-                    (self._yet_fp, req.digest, self._metric_keys[req.metric]),
-                    payload,
-                )
+                if self._yet_fp is not None:
+                    freed += self.cache.put(
+                        (self._yet_fp, req.digest,
+                         self._metric_keys[req.metric]),
+                        payload,
+                    )
             results = [
                 self._materialise(payloads[req.digest, req.metric],
                                   req.metric, req.submitted)

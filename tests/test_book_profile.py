@@ -23,8 +23,10 @@ import gc
 import pickle
 import sys
 import threading
+import tracemalloc
 import weakref
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from conftest import make_yet, worker_probes
@@ -36,6 +38,7 @@ from repro.core.engines import SequentialEngine
 from repro.core.kernels import (_HANDLE_FIELDS, MIN_TAIL_GROUP,
                                 ROUTING_COUNTERS, PortfolioKernel)
 from repro.core.layer import Layer
+from repro.core.lookup import DENSE_MAX_ENTRIES, fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core.tables import BookProfile, EltTable, TrialSegments
 from repro.core.terms import LayerTerms
@@ -458,12 +461,57 @@ def dense_gather(event_ids, out, values):
     return out
 
 
-def hand_profile(trials, event_ids, values, n_trials):
+def hand_profile(trials, event_ids, values, n_trials,
+                 block=TrialSegments.block_occurrences, ids=None):
+    """The profile of the book ``(ids, values)`` — ids ``0, 1, ...``
+    unless given — over a hand-built stream read in blocks of ``block``
+    occurrences, and the looped reference build of the same stream,
+    asserted equal array by array."""
     segments = TrialSegments.from_sorted_trials(
         np.asarray(trials, dtype=np.int64), n_trials)
-    return BookProfile.build(segments, np.asarray(event_ids, dtype=np.int64),
-                             values=np.asarray(values, dtype=np.float64),
-                             gather=dense_gather)
+    event_ids = np.asarray(event_ids, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    ids = np.arange(values.size) if ids is None else np.asarray(ids)
+    with mock.patch.object(TrialSegments, "block_occurrences", block):
+        profile = BookProfile.build(segments, event_ids, ids, values)
+    assert_same_profile(profile, looped_build(segments, event_ids, ids, values))
+    return profile
+
+
+def looped_build(segments, event_ids, ids, values):
+    """The build the flat passes replaced, kept as the reference: a
+    float64 rank found for every occurrence by its own search of the
+    book's ids (not the library's lookup), one ``trial * stride + rank``
+    key sort over the re-expanded trial column, and one
+    ``np.add.accumulate`` per trial."""
+    order = np.argsort(values, kind="stable")
+    order = order[np.searchsorted(values[order], 0.0, side="right"):]
+    thresholds = values[order]
+    stride = thresholds.size + 1
+    rank = np.zeros(values.size)
+    rank[order] = np.arange(1, stride)
+    at = np.minimum(np.searchsorted(ids, event_ids), ids.size - 1)
+    ranks = np.where(ids[at] == event_ids, rank[at], 0.0)
+    positive = np.flatnonzero(ranks)
+    keys = segments.trial_column()[positive].astype(np.int64) * stride
+    keys += ranks[positive].astype(np.int64)
+    keys.sort()
+    n_trials = segments.n_trials
+    offsets = np.searchsorted(
+        keys, np.arange(n_trials + 1, dtype=np.int64) * stride)
+    ranks = (keys % stride).astype(np.int32)
+    losses = thresholds[ranks - 1]
+    prefix = np.zeros(ranks.size + n_trials)
+    for t in np.flatnonzero(np.diff(offsets)).tolist():
+        a, b = offsets[t], offsets[t + 1]
+        np.add.accumulate(losses[a:b], out=prefix[a + t + 1:b + t + 1])
+    return BookProfile(ranks, prefix, offsets, thresholds)
+
+
+def assert_same_profile(got, want):
+    for name in BookProfile.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def searched_resolve(profile, lo, hi):
@@ -627,3 +675,106 @@ def test_profile_bytes_are_counted_exactly():
     assert yet.profiles.snapshot()["yet.profile.bytes"] == (
         12 * 5 + 8 * 6 + 8 * 7 + 8 * 3) == 188
     assert yet.cache_levels()["yet.profile.bytes"] == 188
+
+
+# ---------------------------------------------------------------------------
+# the build: flat integer passes, the looped build's arrays bit for bit
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(case=counting_case(), block=st.sampled_from(
+    [1, 2, 5, 64, TrialSegments.block_occurrences]))
+def test_the_flat_build_equals_the_looped_build(case, block):
+    """Empty trials, books with no positive loss, unknown ids, repeated
+    values, at any block size (``hand_profile`` asserts the arrays
+    equal), and the trial-range views of the two builds."""
+    trials, events, values, n_trials, _, _, (t0, t1) = case
+    profile = hand_profile(trials, events, values, n_trials, block=block)
+    segments = TrialSegments.from_sorted_trials(trials, n_trials)
+    looped = looped_build(segments, events, np.arange(values.size), values)
+    assert_same_profile(profile.trial_range(t0, t1),
+                        looped.trial_range(t0, t1))
+
+
+def test_running_sums_of_short_and_long_trials_match_the_looped_build():
+    """Many short trials (fewer steps than trials) and a few long ones
+    (more steps than trials) add in each trial's order alike."""
+    rng = np.random.default_rng(71)
+    values = rng.lognormal(5, 2, 40)
+    values[::7] = 0.0
+    for n_trials, mean in ((300, 4), (3, 200)):
+        counts = rng.poisson(mean, n_trials)
+        trials = np.repeat(np.arange(n_trials), counts)
+        events = rng.integers(0, 45, trials.size)
+        profile = hand_profile(trials, events, values, n_trials, block=50)
+        longest = int(np.diff(profile.offsets).max())
+        busy = np.count_nonzero(np.diff(profile.offsets))
+        assert (longest <= busy) == (n_trials == 300)
+
+
+def test_a_book_past_the_direct_cap_is_ranked_by_search():
+    rng = np.random.default_rng(72)
+    ids = np.append(np.arange(0, 60, 2), [DENSE_MAX_ENTRIES, 10**9])
+    values = rng.lognormal(5, 2, ids.size)
+    values[3] = 0.0
+    trials = np.repeat(np.arange(40), rng.poisson(10, 40))
+    events = rng.choice(np.append(np.arange(62), [DENSE_MAX_ENTRIES - 1,
+                                                  DENSE_MAX_ENTRIES, 10**9,
+                                                  10**9 + 1]), trials.size)
+    assert not fits_direct(ids)
+    profile = hand_profile(trials, events, values, 40, block=16, ids=ids)
+    far = np.isin(events, [DENSE_MAX_ENTRIES, 10**9])
+    assert far.any() and profile.ranks.size == np.count_nonzero(
+        np.isin(events, ids[values > 0]))
+
+
+def test_a_raw_unsorted_stream_builds_the_sorted_streams_profile(
+        monkeypatch):
+    """``kernel.sweep`` over shuffled raw columns builds, for the call,
+    the looped build's profile of the stably sorted stream."""
+    rng = np.random.default_rng(73)
+    yet = random_yet(rng, n_trials=70, width=40)
+    kernel = PortfolioKernel.from_layers(tail_layers(book(rng)))
+    built = []
+    build = BookProfile.build.__func__
+    monkeypatch.setattr(BookProfile, "build", classmethod(
+        lambda cls, *a, **k: built.append(build(cls, *a, **k)) or built[-1]))
+    shuffle = rng.permutation(yet.n_occurrences)
+    trials, events = yet.trials[shuffle], yet.event_ids[shuffle]
+    raw = ran_on_profile(lambda: kernel.sweep(trials, events, yet.n_trials),
+                         MIN_TAIL_GROUP)
+    order = np.argsort(trials, kind="stable")
+    segments = TrialSegments.from_sorted_trials(trials[order], yet.n_trials)
+    (profile,) = built
+    assert_same_profile(profile, looped_build(
+        segments, events[order].astype(np.int64), *kernel.book(0)))
+    np.testing.assert_array_equal(
+        raw, kernel.sweep_segments(*yet.trial_block()))
+
+
+def test_a_build_holds_a_block_and_16_bytes_per_positive():
+    """What a build allocates at its peak (``tracemalloc``): the profile
+    itself (12 B per positive occurrence), the blocks' joined ranks (4 B
+    per positive), one block's arrays and the book's rank table — here
+    with room to spare; the looped build held ≈ 90 B per positive
+    occurrence at the benchmark's base shape."""
+    rng = np.random.default_rng(74)
+    n_trials, per_trial, width, block = 400, 100, 2_000, 4_096
+    trials = np.repeat(np.arange(n_trials), per_trial)
+    events = rng.integers(0, 2 * width, trials.size)        # half unknown
+    values = rng.lognormal(5, 2, width)
+    segments = TrialSegments.from_sorted_trials(trials, n_trials)
+    ids = np.arange(width)
+    peaks = []
+    for build in (BookProfile.build, looped_build):
+        gc.collect()
+        with mock.patch.object(TrialSegments, "block_occurrences", block):
+            tracemalloc.start()
+            profile = build(segments, events, ids, values)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    positives = profile.ranks.size
+    assert 15_000 < positives < 25_000                      # ≈ a quarter
+    # one block: its ids as intp, ranks, mask, positions, keys
+    budget = 16 * positives + 40 * block + 32 * width + 16 * n_trials
+    assert peaks[0] <= budget < peaks[1], (peaks, budget)

@@ -53,7 +53,8 @@ from repro.core.kernels import (MIN_TAIL_GROUP, ROUTING_COUNTERS,
 from repro.core.layer import Layer
 from repro.core.lookup import DENSE_MAX_ENTRIES
 from repro.core.portfolio import Portfolio
-from repro.core.tables import EltTable, YetTable, YltTable, trial_spans
+from repro.core.tables import (EltTable, TrialSegments, YetTable, YltTable,
+                               trial_spans)
 from repro.core.terms import LayerTerms
 from repro.data.store import ChunkStore
 from repro.serve import CachePolicy
@@ -85,7 +86,7 @@ ROUTES = {
 #: source → what the cell's engine reads the trials from.
 SOURCES = {
     "memory": "the YetTable (vectorized / multicore)",
-    "buffer7": "the YetTable, with PortfolioKernel.block_occurrences "
+    "buffer7": "the YetTable, with TrialSegments.block_occurrences "
                "patched to 7 (whole trials, at least one, per row buffer)",
     "raw": "raw sorted columns (PortfolioKernel.run)",
     "rawunsorted": "the same columns shuffled",
@@ -444,7 +445,7 @@ def run_aggregate(cell, case, shape, subs):
     whole = blocks_of(yet, [(0, yet.n_trials)])
     if source == "buffer7":
         kernel = PortfolioKernel.from_layers(portfolio)
-        with mock.patch.object(PortfolioKernel, "block_occurrences", 7):
+        with mock.patch.object(TrialSegments, "block_occurrences", 7):
             final = InlineDispatcher().run(kernel, yet)
         return dict(zip(kernel.layer_ids, final)), kernel.routed, whole
     if source.startswith("raw"):

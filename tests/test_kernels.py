@@ -20,7 +20,7 @@ from repro.core.kernels import MIN_TAIL_GROUP, PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.lookup import DENSE_MAX_ENTRIES, fits_direct
 from repro.core.portfolio import Portfolio
-from repro.core.tables import EltTable, YetTable
+from repro.core.tables import EltTable, TrialSegments, YetTable
 from repro.core.terms import LayerTerms
 from repro.errors import ConfigurationError
 
@@ -138,10 +138,10 @@ class TestParityAgainstOracle:
         np.testing.assert_array_equal(out, 0.0)
 
     @pytest.mark.parametrize(
-        "block", [1, 7, 64, PortfolioKernel.block_occurrences])
+        "block", [1, 7, 64, TrialSegments.block_occurrences])
     def test_block_size_does_not_change_results(self, tiny_workload, block,
                                                 monkeypatch):
-        monkeypatch.setattr(PortfolioKernel, "block_occurrences", block)
+        monkeypatch.setattr(TrialSegments, "block_occurrences", block)
         assert_kernel_matches_oracle(tiny_workload.portfolio,
                                      tiny_workload.yet)
 
@@ -249,7 +249,7 @@ def test_fused_kernel_matches_oracle_on_random_portfolios(wl):
 def test_fused_kernel_block_invariance_on_random_portfolios(wl, block):
     portfolio, yet = wl
     ref = portfolio.kernel().run(yet.trials, yet.event_ids, yet.n_trials)
-    with mock.patch.object(PortfolioKernel, "block_occurrences", block):
+    with mock.patch.object(TrialSegments, "block_occurrences", block):
         alt = PortfolioKernel.from_layers(portfolio).run(
             yet.trials, yet.event_ids, yet.n_trials)
     np.testing.assert_allclose(alt, ref, rtol=RTOL, atol=ATOL)

@@ -8,16 +8,20 @@ must equal the same layer priced alone through a direct
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
+from conftest import make_yet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytics.ep_curves import aep_curve
+from repro.core import tables
 from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.tables import EltTable, YetTable
@@ -276,6 +280,33 @@ class TestCache:
         reterm = Layer(base.layer_id, base.elts,
                        LayerTerms(occ_retention=base.terms.occ_retention + 1.0))
         assert layer_digest(base) != layer_digest(reterm)
+
+    def test_the_yet_is_hashed_only_for_a_cache_key(
+            self, tiny_workload, pricing_service, monkeypatch):
+        """A service with its cache off builds no key and never hashes
+        its YET; with the cache on it hashes it exactly once, when it is
+        built, and never on a quote."""
+        hashed = []
+
+        def blake2b(*args, **kwargs):
+            hashed.append(1)
+            return hashlib.blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(tables, "hashlib",
+                            types.SimpleNamespace(blake2b=blake2b))
+        layers = tiny_workload.portfolio.layers[:3]
+        off = fresh_yet(seed=7)
+        with pricing_service(off, cache=CachePolicy(0)) as svc:
+            svc.quote_many(layers)
+            svc.quote(layers[0])
+        assert off._fingerprint is None and not hashed
+        on = fresh_yet(seed=7)
+        with pricing_service(on) as svc:
+            assert len(hashed) == 1 and on._fingerprint is not None
+            svc.quote_many(layers)
+            svc.quote(layers[0])
+        assert svc.telemetry.snapshot()["metrics"]["serve.cache.hits"] == 1
+        assert len(hashed) == 1
 
     def test_zero_entry_policy_disables_cache(self):
         cache = ResultCache(CachePolicy(max_entries=0))
@@ -668,6 +699,15 @@ class TestEnablers:
         c = fresh_yet(seed=6)
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+        # The trial offsets stand in for the trial column: the same
+        # event ids cut into other trials, or over more trials, hash
+        # apart.
+        ids = [3, 1, 4, 1, 5]
+        cuts = [([0, 0, 1, 1, 1], 2), ([0, 1, 1, 1, 1], 2),
+                ([0, 0, 1, 1, 1], 3), ([0, 0, 2, 2, 2], 3)]
+        prints = [make_yet(trials, ids, n).fingerprint() for trials, n in cuts]
+        assert len(set(prints)) == len(cuts)
+        assert make_yet(cuts[0][0], ids, 2).fingerprint() == prints[0]
 
     def test_batch_policy_validation(self):
         with pytest.raises(ConfigurationError):

@@ -141,6 +141,15 @@ class TestRoundTrips:
             np.testing.assert_array_equal(again.trial_offsets,
                                           yet.trial_offsets)
 
+    def test_an_attached_yet_hashes_as_its_source(self, tiny_workload):
+        """A copy attached before its source was hashed computes the
+        source's hash from the shared columns."""
+        yet = YetTable(tiny_workload.yet.table, tiny_workload.yet.n_trials)
+        with shm.SharedArena() as arena:
+            again = YetTable.from_handles(yet.to_shared(arena))
+            assert again._fingerprint is None
+            assert again.fingerprint() == yet.fingerprint()
+
     def test_kernel_export_from_handles_bit_identical(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
