@@ -34,19 +34,20 @@ vectors.  Lane rows price **on the table, not the
 stream**: occurrence terms are applied once per table entry into a
 per-row net table, and a sweep is, per row, one gather from it into a
 reused row buffer plus one ``np.add.reduceat`` over whole-trial
-segments.  The
-segments are derived once per ``YetTable`` (once per worker for an
-attached copy) and handed to the sweep by every driver that holds a
-YET; raw ``(trial, event)`` columns derive them per call, after one
+segments.  A
+trial span's segments are derived once per ``YetTable`` (once per worker
+for an attached copy) and handed to the sweep by every engine that
+holds a YET; raw ``(trial, event)`` columns derive them per call, after one
 stable sort if unsorted.  Bit-identity rule: a sweep takes a block of
 whole trials and nothing else, so lane rows give ``np.array_equal``
 answers whole-YET, blocked, pooled, degraded-serial or out-of-core.
 Same-book layer groups whose occurrence terms reduce to
 ``clip(g, lo, hi)`` — the shifted-clip identity, which applies to
-these groups only — price **without the stream**: off a per-(YET, book)
+these groups only — price **without the stream**: off a per-(span, book)
 profile of the book's sorted positive losses per trial, kept by the
-``YetTable`` and built once per book (once per worker for an attached
-copy), one counting pass per group — see the routing rule and the
+trial span the ``YetTable`` keeps and built once per book over the
+span's rows (once per span per worker for an attached copy), one
+counting pass per group — see the routing rule and the
 counted lane fallbacks in :mod:`repro.core.kernels`.  Rows that don't
 qualify take the lane path in the same sweep, and a profile answer is
 a function of the trial and the row alone, so the bit-identity rule

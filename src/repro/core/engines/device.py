@@ -27,7 +27,9 @@ is drawn from the portfolio kernel's metadata alone:
   the 48 KiB per-block space).
 
 Then the YET is cut into whole-trial chunks of at most
-``rows_per_chunk`` occurrences (a longer trial is a chunk on its own),
+``rows_per_chunk`` occurrences (a longer trial is a chunk on its own:
+:func:`~repro.core.tables.whole_trial_cuts`, the rule a sweep's blocks
+are cut by),
 and each chunk is one run of the engine's inline dispatcher over
 ``yet.slice_trials`` — the slice's copy stands for the chunk's upload.
 A sweep takes whole trials only, so every chunk size answers
@@ -48,7 +50,7 @@ import numpy as np
 from repro.core.engines.host import HostEngine
 from repro.core.kernels import PortfolioKernel
 from repro.core.lookup import effective_width, fits_direct
-from repro.core.tables import YET_SCHEMA, YetTable
+from repro.core.tables import YET_SCHEMA, YetTable, whole_trial_cuts
 from repro.hpc.chunking import ChunkPlanner
 from repro.hpc.device import DeviceProperties
 
@@ -65,21 +67,6 @@ def _placement(ids: np.ndarray, values: np.ndarray) -> tuple[str, int]:
     if fits_direct(ids):
         return "dense", effective_width(ids, values) * 8
     return "sparse", ids.size * 16
-
-
-def _trial_chunks(offsets: np.ndarray, rows_per_chunk: int) -> list:
-    """Whole-trial ``(t0, t1)`` chunks of at most ``rows_per_chunk``
-    occurrences each, cut off a YET's trial offsets; a trial longer than
-    that is a chunk on its own."""
-    n_trials = offsets.size - 1
-    chunks, t0 = [], 0
-    while t0 < n_trials:
-        t1 = int(np.searchsorted(offsets, offsets[t0] + rows_per_chunk,
-                                 side="right")) - 1
-        t1 = max(t1, t0 + 1)
-        chunks.append((t0, t1))
-        t0 = t1
-    return chunks
 
 
 class DeviceEngine(HostEngine):
@@ -192,7 +179,8 @@ class DeviceEngine(HostEngine):
             resident_bytes=resident,
             max_rows_per_chunk=self.max_rows_per_chunk,
         )
-        chunks = _trial_chunks(yet.trial_offsets, plan.rows_per_chunk)
+        cuts = whole_trial_cuts(yet.trial_offsets, plan.rows_per_chunk)
+        chunks = list(zip(cuts, cuts[1:]))
         dispatcher = self.dispatcher
         final = np.concatenate([
             dispatcher.run(kernel, yet if t1 - t0 == n_trials

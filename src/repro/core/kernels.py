@@ -34,7 +34,7 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   in row order (kept on the kernel), take **one** read of the stream's
   :class:`~repro.core.tables.EventIndex` (the trial column event-major,
   with a per-event offset table), which finds each event's occurrences
-  in the trial block off two offsets — no search, no mask: every block
+  in the trial span off two offsets — no search, no mask: every span
   has an index over its own rows — and **one** ``bincount`` into ``row ·
   n_trials + trial`` bins is every row — work proportional to the
   block's occurrences that pierce the rows' retentions, not to the
@@ -50,15 +50,16 @@ book and terms; :meth:`PortfolioKernel._pierced_entries`):
   one blocking rule, :meth:`~repro.core.tables.TrialSegments.blocks`,
   which a book profile's build reads the stream by too.
 
-What a sweep needs from the trial column is a
-:class:`~repro.core.tables.TrialSegments`, derived once per ``YetTable``
-and handed over by :meth:`YetTable.trial_block` together with the way
-to the block's event index (built on the first by-event row, once per
-trial span per table — once per span per worker for an attached
-copy).  The raw-array :meth:`sweep` derives the segments per call
-(after one stable sort if the stream is unsorted), builds an index
-*for the call* if a row routes to it, and runs the same core — so does
-any sweep over segments that did not come from a ``YetTable``.  Every row's path is
+A sweep takes one trial span, a
+:class:`~repro.core.tables.TrialSegments`: the span's event ids and
+where each trial's rows lie, so no sweep reads a trial column.  The span
+derives on itself, on first use, what its rows price by — its event
+index and its book profiles — and keeps them: a ``YetTable`` keeps one
+span per trial range (:meth:`YetTable.trial_block`), so those are built
+once per span per table (once per span per worker for an attached
+copy).  The raw-array :meth:`sweep` builds a span per call (after one
+stable sort if the stream is unsorted), as a stored source builds one
+per block; what it derives goes with it.  Every row's path is
 counted in :attr:`PortfolioKernel.routed` (``kernel.lane_rows.*``).
 
 **Bit-identity rule:** a lane row's answer is a function of the trial
@@ -88,11 +89,13 @@ need the occurrence stream at all.  Rows that (a) share a stored lookup
 and (b) price through the one-clip window ``clip(g, lo, hi) - lo``
 within the error bound of :meth:`PortfolioKernel._shift_mask` form a
 *tail group*, and a group is priced off its book's
-:class:`~repro.core.tables.BookProfile`: per trial, the book's positive
-losses in sorted order with their running sum, built once per (YET,
-book) and kept by the ``YetTable`` (it reaches the sweep through the
-``TrialSegments``; a raw-array :meth:`PortfolioKernel.sweep` builds one
-for the call).  A row is then two counts per trial and
+:class:`~repro.core.tables.BookProfile` over the span swept: per trial,
+the book's positive losses in sorted order with their running sum,
+built over the span's rows alone, once per (span, book), and kept by
+the span (:meth:`~repro.core.tables.TrialSegments.book_profile`) under
+the book's content key, hashed once per book
+(:attr:`~repro.core.lookup.LossLookup.key`) — so a pool worker profiles
+its own span, never the whole YET.  A row is then two counts per trial and
 ``(S[j] - S[i]) - lo·(j - i) + cap·(k - j)``; a group's counts are one
 ``bincount`` over the book's positive occurrences, whatever its row
 count — ``O(positive occurrences + trials · rows)`` per group against
@@ -113,15 +116,13 @@ the group.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from repro.core.lookup import effective_width, fits_direct, gather, reader
-from repro.core.tables import BookProfile, TrialSegments
+from repro.core.lookup import LossLookup, effective_width, fits_direct, reader
+from repro.core.tables import TrialSegments
 from repro.errors import ConfigurationError
 
 __all__ = ["KernelHandles", "PortfolioKernel", "MIN_TAIL_GROUP",
@@ -208,7 +209,7 @@ ROUTING_COUNTERS = ("kernel.profile_rows", "kernel.fallback.error_bound",
 #: State derived or counted per instance — never pickled or shipped
 #: through shared memory (workers rebuild caches on first use).
 _CACHE_SLOTS = ("_mask_cache", "_tail_index", "_net", "_pierced", "_stack",
-                "routed")
+                "_lookups", "routed")
 
 
 def _id_column(column) -> np.ndarray:
@@ -301,6 +302,7 @@ class PortfolioKernel:
         self._net: list = [None] * len(self.layer_ids)
         self._pierced: list = [None] * len(self.layer_ids)
         self._stack = None
+        self._lookups: list = [None] * self.n_unique_lookups
         #: Rows by the path that priced them, summed over this
         #: instance's sweeps (plain counts; see ROUTING_COUNTERS).
         self.routed = dict.fromkeys(ROUTING_COUNTERS, 0)
@@ -359,7 +361,7 @@ class PortfolioKernel:
             return np.array([getattr(layer.terms, attr) for layer in layers],
                             dtype=np.float64)
 
-        return cls(
+        kernel = cls(
             layer_ids=tuple(layer_ids),
             occ_retention=term_vec("occ_retention"),
             occ_limit=term_vec("occ_limit"),
@@ -372,6 +374,10 @@ class PortfolioKernel:
                               dtype=np.int64),
             source=np.asarray(source, dtype=np.int64),
         )
+        # The books themselves, so their reader and content key are
+        # built once per book, not once per kernel stacked over it.
+        kernel._lookups = books
+        return kernel
 
     # -- shared-memory transport -------------------------------------------
 
@@ -434,6 +440,16 @@ class PortfolioKernel:
         lo, hi = self.offsets[store], self.offsets[store + 1]
         return self.ids[lo:hi], self.values[lo:hi]
 
+    def _lookup(self, store: int) -> LossLookup:
+        """Stored book ``store`` as a :class:`LossLookup`, which holds
+        its reader and content key once built: the interned book itself
+        for a :meth:`from_layers` kernel, else one over the stored views,
+        made on first use — host-local like every cache slot."""
+        lookup = self._lookups[store]
+        if lookup is None:
+            lookup = self._lookups[store] = LossLookup(*self.book(store))
+        return lookup
+
     # -- gathers -----------------------------------------------------------
 
     def gather_block(self, event_ids: np.ndarray,
@@ -441,10 +457,10 @@ class PortfolioKernel:
         """Ground-up losses for one occurrence block, all layers:
         ``(L, block)``.
 
-        Each *stored* book is gathered exactly once per block; rows
-        sharing a book (different terms) receive a plain copy of the
-        first row's gather — a sequential write instead of a second
-        random-access pass.
+        Each *stored* book is gathered exactly once per block, through
+        its one reader (:meth:`_lookup`); rows sharing a book (different
+        terms) receive a plain copy of the first row's gather — a
+        sequential write instead of a second random-access pass.
         """
         event_ids = np.asarray(event_ids, dtype=np.int64)
         if out is None:
@@ -453,7 +469,7 @@ class PortfolioKernel:
         for row, store in enumerate(self.source.tolist()):
             held = first_row.setdefault(store, row)
             if held == row:
-                self._gather_store(store, event_ids, out[row])
+                self._lookup(store).gather_into(event_ids, out[row])
             else:
                 np.copyto(out[row], out[held])
         return out
@@ -485,16 +501,9 @@ class PortfolioKernel:
 
     def gather_layer(self, row: int, event_ids: np.ndarray) -> np.ndarray:
         """Losses for one kernel row over an id array (YELT emission path)."""
-        event_ids = np.asarray(event_ids, dtype=np.int64)
-        return self._gather_store(self.source[row], event_ids,
-                                  np.empty(event_ids.size, dtype=np.float64))
+        return self._lookup(self.source[row])(event_ids)
 
     # -- sublinear tail groups ---------------------------------------------
-
-    def _gather_store(self, store: int, event_ids: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-        """Ground-up losses of ONE stored book (not a row) for a block."""
-        return gather(*self.book(store), event_ids, out)
 
     def _tail_group_index(self):
         """Structural tail groups: ``(store, rows)`` pairs.
@@ -524,22 +533,18 @@ class PortfolioKernel:
         return {name: rows - before[name]
                 for name, rows in self.routed.items()}
 
-    def _sweep_tail_groups(self, segments, event_ids, out, groups) -> None:
-        """Price tail groups off their books' profiles (module docstring).
+    def _sweep_tail_groups(self, segments, out, groups) -> None:
+        """Price tail groups off their books' profiles over the span
+        (module docstring).
 
-        A profile is keyed by the stored book's content, so equal books
+        A profile is keyed by the stored book's content
+        (:attr:`LossLookup.key`, hashed once per book), so equal books
         behind distinct lookup objects and kernels share one; an
         infinite-retention row arrives as the ``[0, 0]`` window and
         prices to exactly 0.
         """
         for store, rows in groups:
-            ids, values = self.book(store)
-            digest = hashlib.blake2b(np.ascontiguousarray(ids).data,
-                                     digest_size=16)
-            digest.update(np.ascontiguousarray(values).data)
-            profile = segments.book_profile(
-                digest.digest(), event_ids,
-                partial(BookProfile.build, ids=ids, values=values))
+            profile = segments.book_profile(self._lookup(store))
             out[rows] = profile.resolve(self.occ_floor[rows],
                                         self.occ_ceiling[rows])
 
@@ -623,12 +628,13 @@ class PortfolioKernel:
     ) -> np.ndarray:
         """One fused pass over raw ``(trial, event)`` columns.
 
-        Derives the stream's :class:`~repro.core.tables.TrialSegments` —
-        after one stable sort when the trials arrive unsorted — and runs
-        :meth:`sweep_segments`, which builds an event index (and a book
-        profile) for this call alone if a row routes to one.  Callers
-        holding a ``YetTable`` skip all three:
-        ``sweep_segments(*yet.trial_block())``.
+        Builds the stream's span, a
+        :class:`~repro.core.tables.TrialSegments` — after one stable sort
+        when the trials arrive unsorted — and runs :meth:`sweep_segments`
+        over it; whatever the span derives (an event index, a book
+        profile) goes with it when the call returns.  Callers holding a
+        ``YetTable`` sweep its kept span instead:
+        ``sweep_segments(yet.trial_block())``.
         """
         trials, event_ids = _id_column(trials), _id_column(event_ids)
         if trials.shape != event_ids.shape:
@@ -638,19 +644,19 @@ class PortfolioKernel:
         if np.any(trials[1:] < trials[:-1]):
             order = np.argsort(trials, kind="stable")
             trials, event_ids = trials[order], event_ids[order]
-        segments = TrialSegments.from_sorted_trials(trials, n_trials)
-        return self.sweep_segments(segments, event_ids, sublinear=sublinear)
+        segments = TrialSegments.from_sorted_trials(trials, event_ids,
+                                                    n_trials)
+        return self.sweep_segments(segments, sublinear=sublinear)
 
-    def sweep_segments(self, segments: TrialSegments, event_ids: np.ndarray,
-                       *, sublinear: bool | None = None) -> np.ndarray:
-        """Pre-aggregate ``(L, n_trials)`` annual matrix of one stream.
+    def sweep_segments(self, segments: TrialSegments, *,
+                       sublinear: bool | None = None) -> np.ndarray:
+        """Pre-aggregate ``(L, n_trials)`` annual matrix of one span.
 
-        ``segments`` describes the trial column of ``event_ids`` (see
-        :meth:`YetTable.trial_block`), so the column itself is never
-        read; the stream is a block of whole trials, and a caller that
-        holds a longer one in pieces writes each block's answer to its
-        own trial columns.  Aggregate terms are *not* applied; compose
-        with :meth:`apply_aggregate`.
+        ``segments`` is a span of whole trials with its event ids (see
+        :meth:`YetTable.trial_block`), so no trial column is read; a
+        caller that holds a longer stream in pieces writes each span's
+        answer to its own trial columns.  Aggregate terms are *not*
+        applied; compose with :meth:`apply_aggregate`.
 
         ``sublinear`` controls the tail-group path (see the module
         docstring): the default (``None``/``True``) prices qualifying
@@ -660,11 +666,7 @@ class PortfolioKernel:
         """
         n_layers, n_trials = self.n_layers, segments.n_trials
         out = np.zeros((n_layers, n_trials), dtype=np.float64)
-        n = segments.n_occurrences
-        if event_ids.shape != (n,):
-            raise ConfigurationError(
-                f"segments describe {n} occurrences, got {event_ids.shape}")
-        if n == 0:
+        if segments.n_occurrences == 0:
             return out
         # Routing happens per sweep: a structural group's rows take the
         # profile when they pass the error bound for this stream and
@@ -683,7 +685,7 @@ class PortfolioKernel:
                 rows = rows[lane_mask[rows]]
             self.routed["kernel.fallback." + fallback] += rows.size
         if groups:
-            self._sweep_tail_groups(segments, event_ids, out, groups)
+            self._sweep_tail_groups(segments, out, groups)
         # Lane rows: by events where the rule of record says so, the
         # rest on the stream.
         by_event, by_stream = [], []
@@ -693,16 +695,16 @@ class PortfolioKernel:
         self.routed["kernel.lane_rows.by_event"] += len(by_event)
         self.routed["kernel.lane_rows.by_stream"] += len(by_stream)
         if by_event:
-            sums = self._sweep_by_event(segments, event_ids, by_event)
+            sums = self._sweep_by_event(segments, by_event)
             if len(by_event) == n_layers:
                 out = sums
             else:
                 out[by_event] = sums
         if by_stream:
-            self._sweep_stream(segments, event_ids, out, by_stream)
+            self._sweep_stream(segments, out, by_stream)
         return out
 
-    def _sweep_by_event(self, segments: TrialSegments, event_ids: np.ndarray,
+    def _sweep_by_event(self, segments: TrialSegments,
                         rows: list) -> np.ndarray:
         """By-event ``rows`` as a ``(len(rows), n_trials)`` block: one
         index read over every row's pierced events at once and one
@@ -714,7 +716,7 @@ class PortfolioKernel:
         """
         events, nets, ends = self._by_event_stack(tuple(rows))
         n_trials = segments.n_trials
-        counts, trial = segments.event_index(event_ids).occurrences(events)
+        counts, trial = segments.event_index().occurrences(events)
         bins = trial
         if len(rows) > 1:
             # Row i's occurrences are one contiguous run of the read.
@@ -742,8 +744,8 @@ class PortfolioKernel:
                                    np.cumsum([e.size for e in events]))
         return stack[1:]
 
-    def _sweep_stream(self, segments: TrialSegments, event_ids: np.ndarray,
-                      out: np.ndarray, rows: list) -> None:
+    def _sweep_stream(self, segments: TrialSegments, out: np.ndarray,
+                      rows: list) -> None:
         """Lane ``rows`` on the stream: per block of whole trials
         (:meth:`TrialSegments.blocks`), its ids widened once to intp
         (``np.take`` would cast an int32 slice again for every row),
@@ -754,6 +756,7 @@ class PortfolioKernel:
         blocks = segments.blocks()
         width = max(span.stop - span.start for span, _, _ in blocks)
         buf, ids = np.empty(width), np.empty(width, dtype=np.intp)
+        event_ids = segments.event_ids
         gathers = self._net_gathers(rows)
         for span, segs, starts in blocks:
             trials = segments.trial_ids[segs]

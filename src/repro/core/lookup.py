@@ -14,9 +14,10 @@ looked up in it is decided per call, by the book's id range alone
 - past that, a read binary-searches the ids — O(log n) per probe, and
   no table is ever built over the wide range.
 
-:func:`gather` is one read through a reader built for the call; a
-caller that reads one book many times (a net table, a book profile's
-ranks) builds the reader once.
+A :class:`LossLookup` builds its reader on its first read and keeps
+it, so every read of a book goes through one table; a caller that reads
+derived values over a book's ids (a net table, a book profile's ranks)
+builds its own reader once.
 
 The companion study's key GPU optimisation is *where* a lookup table
 lives (constant memory when small, global when large): a placement, not
@@ -26,6 +27,7 @@ range.
 
 from __future__ import annotations
 
+import hashlib
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -37,7 +39,7 @@ if TYPE_CHECKING:   # for annotations only: repro.core.tables imports this modul
     from repro.core.tables import EltTable
 
 __all__ = ["DENSE_MAX_ENTRIES", "LossLookup", "effective_width",
-           "fits_direct", "gather", "merge_by_id", "reader"]
+           "fits_direct", "merge_by_id", "reader"]
 
 #: Slots a direct-index table over a book's ids (``ids[-1] + 1``) may
 #: hold: a 32 MB cap on one table, past which a stream is looked up by
@@ -98,25 +100,24 @@ def reader(ids: np.ndarray, values: np.ndarray):
     return search
 
 
-def gather(ids: np.ndarray, values: np.ndarray, event_ids: np.ndarray,
-           out: np.ndarray) -> np.ndarray:
-    """Look ``event_ids`` up in the sorted pair ``(ids, values)`` into
-    ``out``, through a :func:`reader` built for this call; unknown
-    events read 0.  ``out`` may be any float64 buffer of the ids' shape
-    (including a row view of a larger block matrix).
-    """
-    return reader(ids, values)(event_ids, out=out)
-
-
 class LossLookup:
     """Vectorised ``event_id → loss`` map over one book's sorted
-    ``(ids, values)`` entries (read-only; built by :meth:`from_arrays`)."""
+    ``(ids, values)`` entries (read-only; built by :meth:`from_arrays`).
 
-    __slots__ = ("_ids", "_values")
+    Two things are derived from the entries on first use and kept: the
+    :func:`reader` every read goes through (:meth:`gather_into`) and the
+    content :attr:`key`.  Both are pure functions of the entries, so two
+    threads racing to the first use build equal ones, and either is
+    kept.
+    """
+
+    __slots__ = ("_ids", "_values", "_read", "_key")
 
     def __init__(self, ids: np.ndarray, values: np.ndarray) -> None:
         self._ids = ids
         self._values = values
+        self._read = None
+        self._key: bytes | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -182,11 +183,25 @@ class LossLookup:
     def gather_into(self, event_ids: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gather losses for ``event_ids`` into the preallocated ``out``.
 
-        ``out`` must be float64 with the ids' shape; it is returned.  The
-        book's entries stay as stored: see :func:`gather`.
+        ``out`` must be float64 with the ids' shape (a row view of a
+        larger block matrix included); it is returned.  Every read goes
+        through the book's one :func:`reader`, built on the first read.
         """
-        return gather(self._ids, self._values,
-                      np.asarray(event_ids, dtype=np.int64), out)
+        read = self._read
+        if read is None:
+            read = self._read = reader(self._ids, self._values)
+        return read(np.asarray(event_ids, dtype=np.int64), out=out)
+
+    @property
+    def key(self) -> bytes:
+        """Content hash of the entries (16 B), computed on first use:
+        equal books behind distinct lookup objects share it."""
+        if self._key is None:
+            digest = hashlib.blake2b(np.ascontiguousarray(self._ids).data,
+                                     digest_size=16)
+            digest.update(np.ascontiguousarray(self._values).data)
+            self._key = digest.digest()
+        return self._key
 
     def get_scalar(self, event_id: int) -> float:
         """Scalar lookup (sequential-engine oracle path)."""

@@ -52,6 +52,7 @@ __all__ = [
     "YltTable",
     "YelltModel",
     "trial_spans",
+    "whole_trial_cuts",
 ]
 
 ELT_SCHEMA = Schema([
@@ -202,9 +203,11 @@ class BookProfile:
     running sums sit at ``prefix[offsets[t] + t:]``, led by their own
     0.0 and added in order over that trial alone, as
     ``np.add.accumulate`` of the trial would add them — so an answer is
-    a function of the trial and the row, whatever the trial range
-    (:meth:`trial_range` is a view), the other rows, or the blocks the
-    stream was read in (:meth:`build`).
+    a function of the trial and the row, whatever span of trials the
+    profile was built over, the other rows, or the blocks the stream was
+    read in (:meth:`build`).  A profile covers exactly one
+    :class:`TrialSegments` span, which builds and keeps it
+    (:meth:`TrialSegments.book_profile`).
     """
 
     __slots__ = ("ranks", "prefix", "offsets", "thresholds")
@@ -216,10 +219,10 @@ class BookProfile:
         self.thresholds = thresholds
 
     @classmethod
-    def build(cls, segments: "TrialSegments", event_ids: np.ndarray,
-              ids: np.ndarray, values: np.ndarray) -> "BookProfile":
+    def build(cls, segments: "TrialSegments", ids: np.ndarray,
+              values: np.ndarray) -> "BookProfile":
         """Profile of the book ``(ids, values)`` (its sorted entries) over
-        one whole stream, in flat integer passes.
+        the span ``segments``, in flat integer passes.
 
         The book's positive values are ranked once.  The stream is read
         in whole-trial blocks (:meth:`TrialSegments.blocks`; the answer
@@ -241,6 +244,7 @@ class BookProfile:
         rank[order] = np.arange(1, thresholds.size + 1)
         look = reader(ids, rank)
         n_trials, trial_ids = segments.n_trials, segments.trial_ids
+        event_ids = segments.event_ids
         shift = thresholds.size.bit_length()
         key_type = _key_dtype(n_trials, shift)
         counts = np.zeros(n_trials, dtype=np.int64)
@@ -272,14 +276,6 @@ class BookProfile:
     def nbytes(self) -> int:
         return (self.ranks.nbytes + self.prefix.nbytes + self.offsets.nbytes
                 + self.thresholds.nbytes)
-
-    def trial_range(self, t0: int, t1: int) -> "BookProfile":
-        """The profile of trials ``[t0, t1)``, renumbered from 0 (views)."""
-        if t0 == 0 and t1 == self.n_trials:
-            return self
-        a, b = int(self.offsets[t0]), int(self.offsets[t1])
-        return BookProfile(self.ranks[a:b], self.prefix[a + t0:b + t1],
-                           self.offsets[t0:t1 + 1] - a, self.thresholds)
 
     def _counts(self, ranks: np.ndarray) -> np.ndarray:
         """``(ranks.size, n_trials)``: how many of each trial's positive
@@ -367,22 +363,24 @@ def _running_sums(ranks: np.ndarray, offsets: np.ndarray,
     return prefix
 
 
-#: Book profiles one YET keeps (least recently used beyond that is
-#: dropped): a serving YET quotes a handful of books at a time, and a
+#: Book profiles one trial span keeps (least recently used beyond that
+#: is dropped): a serving YET quotes a handful of books at a time, and a
 #: profile is ~12 bytes per positive occurrence.
 MAX_BOOK_PROFILES = 8
 
 
 class BookProfiles:
-    """The bounded per-book :class:`BookProfile` cache of one YET.
+    """The bounded per-book :class:`BookProfile` cache of one
+    :class:`TrialSegments` span.
 
-    Keyed by the stored book's *content* (every batch stacks a fresh
-    kernel over equal-but-distinct lookup objects).  Owned by — and
-    dropped with — its :class:`YetTable`, so a re-simulated YET starts
-    empty; pickles as a fresh empty cache, so profiles are never
-    shipped and an attached copy builds its own once per worker.
-    Builds run under the lock: concurrent same-book batches (the
-    batcher's broker thread beside callers) share one build.
+    Keyed by the stored book's *content*
+    (:attr:`~repro.core.lookup.LossLookup.key`: every batch stacks a
+    fresh kernel, and equal books behind distinct lookup objects share a
+    profile).  Owned by — and dropped with — its span, so a re-simulated
+    YET starts empty, and an attached copy in a pool worker builds the
+    profiles of the spans it sweeps, never of the whole YET.  Builds run
+    under the lock: concurrent same-book batches (the batcher's broker
+    thread beside callers) share one build.
     """
 
     __slots__ = ("_lock", "_profiles", "builds", "hits", "evictions")
@@ -391,9 +389,6 @@ class BookProfiles:
         self._lock = threading.Lock()
         self._profiles: OrderedDict = OrderedDict()
         self.builds = self.hits = self.evictions = 0
-
-    def __reduce__(self):
-        return (BookProfiles, ())
 
     def get(self, key: bytes, build) -> BookProfile:
         """The profile under ``key``, built by ``build()`` on a miss."""
@@ -429,22 +424,22 @@ def _key_dtype(entries: int, shift: int) -> type:
 
 
 class EventIndex:
-    """The occurrence stream of one trial span ``[t0, t0 + n_trials)``
-    of a trial-sorted table, event-major.
+    """The occurrence stream of one trial span, event-major.
 
-    Two arrays: :attr:`keys`, the stream's trial column (numbered from
-    ``t0``) ordered by (event, trial) — equal entries are
-    interchangeable (same event, same trial, hence the same loss under
-    any row) — and an offset table, ``ends``, one int64 offset per
+    Two arrays: :attr:`keys`, the span's trial column (numbered from
+    the span's first trial) ordered by (event, trial) — equal entries
+    are interchangeable (same event, same trial, hence the same loss
+    under any row) — and an offset table, ``ends``, one int64 offset per
     event: event ``r``'s occurrences are ``keys[ends[r - 1]:ends[r]]``
     (from 0 for ``r == 0``), their trials ascending.  The occurrences of
     an event are therefore read, not searched for: two offsets give its
     whole run (:meth:`occurrences`).  That is what lets a kernel row
     visit only the occurrences of the events that pierce its retention.
-    An index covers exactly its span, so no read stops inside a run: a
-    :class:`YetTable` keeps one per trial span it is swept over
-    (:meth:`YetTable.trial_block`), and a pool worker indexes only the
-    rows of its own span.
+    An index covers exactly one :class:`TrialSegments` span, built from
+    the span alone — its event ids and its segments, never a trial
+    column — on its first by-event sweep and kept by it
+    (:meth:`TrialSegments.event_index`), so no read stops inside a run
+    and a pool worker indexes only the rows of its own span.
 
     **Sizing rule.**  ``ends`` is indexed by event id when the id space
     is no wider than the stream (``max_id + 1 <= n_occurrences``), and
@@ -454,50 +449,23 @@ class EventIndex:
     per *id*; ranked, it costs 8 per distinct id, plus the id in the
     stream's dtype (4 for a YET's int32 ids).
 
-    **Key dtype.**  Built lazily, under a lock, on the first lookup: one
-    array takes the key ``event << b | trial`` (``b`` bits hold any
-    trial of the span; the event's rank from one ``np.unique`` when
-    ranked) in the narrowest signed type that holds it — int32 while
-    ``len(ends) << b <= 2**31``, else int64 — is sorted and masked in
-    place down to its trial, and is narrowed to int32 if it was wider,
-    so the array kept is 4 bytes per occurrence.  The offsets are one
-    ``bincount`` (or ``np.unique``'s counts) and a ``cumsum``.  A
-    table's indexes die with it and are never shipped (it pickles as its
-    columns): an attached copy builds its own, once per span per worker.
+    **Key dtype.**  Built at construction: one array takes the key
+    ``event << b | trial`` (``b`` bits hold any trial of the span; the
+    event's rank from one ``np.unique`` when ranked) in the narrowest
+    signed type that holds it — int32 while ``len(ends) << b <= 2**31``,
+    else int64 — is sorted and masked in place down to its trial, and
+    is narrowed to int32 if it was wider, so the array kept is 4 bytes
+    per occurrence.  The trials are re-expanded into the keys one block
+    of :meth:`TrialSegments.blocks` at a time, so no whole trial column
+    is held beside them.  The offsets are one ``bincount`` (or
+    ``np.unique``'s counts) and a ``cumsum``.
     """
 
-    __slots__ = ("_lock", "_trials", "_event_ids", "n_trials", "t0",
-                 "_keys", "_ends", "_events", "builds")
+    __slots__ = ("keys", "_ends", "_events")
 
-    def __init__(self, trials: np.ndarray, event_ids: np.ndarray,
-                 n_trials: int, t0: int = 0) -> None:
-        _check_n_trials(n_trials)
-        self._lock = threading.Lock()
-        self._trials = trials
-        self._event_ids = event_ids
-        self.n_trials = int(n_trials)
-        self.t0 = int(t0)
-        self._keys: np.ndarray | None = None
-        self._ends: np.ndarray | None = None
+    def __init__(self, segments: "TrialSegments") -> None:
+        event_ids = segments.event_ids
         self._events: np.ndarray | None = None
-        #: Times the stream was sorted into keys — stays at 1 however
-        #: many sweeps (or workers' tasks) look events up.
-        self.builds = 0
-
-    def __reduce__(self):
-        return EventIndex, (self._trials, self._event_ids, self.n_trials,
-                            self.t0)
-
-    @property
-    def keys(self) -> np.ndarray:
-        """The event-major trial column (built on first use)."""
-        with self._lock:
-            if self._keys is None:
-                self._build()
-            return self._keys
-
-    def _build(self) -> None:
-        event_ids = self._event_ids
         if int(event_ids.max(initial=-1)) < event_ids.size:
             ranks = event_ids
             # ``minlength=1``: an empty stream still has one (empty) run
@@ -508,25 +476,32 @@ class EventIndex:
                 event_ids, return_inverse=True, return_counts=True)
         # The trial takes the key's low bits, so reducing a sorted key
         # to its trial is a mask, not an integer division.
-        shift = (self.n_trials - 1).bit_length()
+        shift = (segments.n_trials - 1).bit_length()
         keys = ranks.astype(_key_dtype(counts.size, shift),
                             copy=ranks is event_ids)
         keys <<= shift
-        if self.t0:
-            keys -= self.t0      # first, so no partial sum overflows
-        keys += self._trials
+        trial_ids = segments.trial_ids.astype(_ID)
+        for rows, trials, starts in segments.blocks():
+            keys[rows] += np.repeat(trial_ids[trials], np.diff(
+                starts, append=rows.stop - rows.start))
         keys.sort()
         keys &= (1 << shift) - 1
         self._ends = np.cumsum(counts, out=counts)
-        self._keys = keys.astype(_ID, copy=False)
-        self.builds += 1
+        #: The event-major trial column, int32.
+        self.keys = keys.astype(_ID, copy=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Every array the index holds."""
+        held = (self.keys, self._ends, self._events)
+        return sum(a.nbytes for a in held if a is not None)
 
     def occurrences(self, events: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
         """The occurrences of ``events`` (non-negative ids, repeats
         allowed): ``(counts, trial)`` — how many occurrences each entry
         of ``events`` has, and their trials (int32, numbered from the
-        index's ``t0``), in (position in ``events``, trial) order.
+        span's first trial), in (position in ``events``, trial) order.
         ``np.repeat(v, counts)`` lays any per-event array ``v`` beside
         ``trial``; one read serves any number of rows' events at once."""
         keys, ends = self.keys, self._ends
@@ -548,43 +523,63 @@ class EventIndex:
         at += np.arange(at.size)
         return counts, keys[at]
 
-    def snapshot(self) -> dict:
-        """Flat ``yet.event_index.*`` levels (the :mod:`repro.obs`
-        schema): whether the index was built, and every array it holds."""
-        held = (self._keys, self._ends, self._events)
-        return {"yet.event_index.builds": self.builds,
-                "yet.event_index.bytes": sum(
-                    a.nbytes for a in held if a is not None)}
+
+def whole_trial_cuts(offsets: np.ndarray, bound: int) -> list[int]:
+    """Cut points ``0 = c[0] < … < c[-1] = offsets.size - 1`` of the
+    trials whose rows ``offsets`` delimits (trial ``t`` occupies rows
+    ``[offsets[t], offsets[t + 1])``): each piece ``[c[i], c[i + 1])``
+    is as many whole trials as fit ``bound`` rows, and at least one, so
+    a longer trial is a piece alone.  The one way a stream is cut into
+    whole trials: a span's blocks (:meth:`TrialSegments.blocks`) and the
+    device engine's chunks."""
+    cuts, a, last = [0], 0, offsets.size - 1
+    while a < last:
+        a = max(int(np.searchsorted(offsets, offsets[a] + bound,
+                                    side="right")) - 1, a + 1)
+        cuts.append(a)
+    return cuts
+
+
+#: The levels :meth:`TrialSegments.cache_levels` reports.
+_SPAN_LEVELS = ("yet.profile.builds", "yet.profile.hits",
+                "yet.profile.evictions", "yet.profile.resident",
+                "yet.profile.bytes", "yet.event_index.builds",
+                "yet.event_index.bytes")
 
 
 class TrialSegments:
-    """Whole-trial segments of a trial-sorted occurrence stream.
+    """One span of whole trials of a trial-sorted occurrence stream: its
+    occurrences' event ids, where each trial's rows lie, and what sweeps
+    derive from them.
 
-    Everything a kernel sweep needs from the trial column, so a sweep
-    handed one never reads the column: the ``k``-th non-empty trial (id
-    ``trial_ids[k]``) occupies stream rows ``[bounds[k], bounds[k+1])``.
-    Empty trials have no segment: ``np.add.reduceat`` returns ``a[i]``
-    (not 0) for an empty segment and raises on a start index == n, so
-    it is only ever fed these non-empty starts and its sums scattered to
+    Everything a kernel sweep needs from the span, so a sweep handed one
+    never reads a trial column: the ``k``-th non-empty trial (id
+    ``trial_ids[k]``, numbered from the span's first trial) occupies
+    rows ``[bounds[k], bounds[k+1])`` of :attr:`event_ids`.  Empty
+    trials have no segment: ``np.add.reduceat`` returns ``a[i]`` (not 0)
+    for an empty segment and raises on a start index == n, so it is only
+    ever fed these non-empty starts and its sums scattered to
     ``trial_ids``.  ``max_count`` is the longest segment (the exact
-    bound the kernel's shifted-clip gate needs).
+    bound the kernel's shifted-clip gate needs).  Built from the span's
+    trial offsets (trial ``t`` occupies rows ``[offsets[t],
+    offsets[t+1])``, any base) and its event ids, so a trial range of a
+    YET is the same constructor over slices of
+    :attr:`YetTable.trial_offsets` and of the event ids.
 
-    Built from trial offsets (trial ``t`` occupies rows ``[offsets[t],
-    offsets[t+1])``, any base), so a trial range of a YET is the same
-    constructor over a slice of :attr:`YetTable.trial_offsets`.
-
-    Segments handed out by :meth:`YetTable.trial_block` also carry the
-    way to what the YET keeps about their stream — its
-    :class:`BookProfiles` (``profiles``, and for a trial range
-    ``within`` = the whole table's ``(segments, event_ids, t_start)``),
-    so :meth:`book_profile` serves a slice of the cached whole-YET
-    profile, and the :class:`EventIndex` the YET keeps for exactly this
-    trial range (``events``), which :meth:`event_index` returns.
-    Segments of a raw stream carry neither: each call builds its own.
+    A span derives two things on itself, lazily, and keeps them as long
+    as it lives — both over its own rows and nothing more: its
+    :class:`EventIndex` (:meth:`event_index`, built on the first
+    by-event sweep) and its bounded
+    :class:`BookProfiles` (:meth:`book_profile`, at most
+    :data:`MAX_BOOK_PROFILES` books).  A :class:`YetTable` keeps one
+    span per trial range it is swept over (:meth:`YetTable.trial_block`),
+    so those live with the table; a raw sweep's span and a stored
+    block's are built for the call and dropped with it.
+    :meth:`cache_levels` reports both.
     """
 
     __slots__ = ("bounds", "trial_ids", "n_trials", "max_count",
-                 "_profiles", "_events", "_within")
+                 "event_ids", "_lock", "_index", "_profiles")
 
     #: Bound on a block of :meth:`blocks`, in occurrences (whole trials,
     #: so one longer trial exceeds it).  Sized so the lane sweep's row
@@ -594,78 +589,74 @@ class TrialSegments:
     #: rule.
     block_occurrences = 32_768
 
-    def __init__(self, offsets: np.ndarray,
-                 profiles: BookProfiles | None = None,
-                 events: EventIndex | None = None,
-                 within: tuple | None = None) -> None:
+    def __init__(self, offsets: np.ndarray, event_ids: np.ndarray) -> None:
         counts = np.diff(offsets)
         self.trial_ids = np.flatnonzero(counts)
         self.bounds = np.append(offsets[self.trial_ids], offsets[-1])
         self.bounds -= offsets[0]
         self.n_trials = counts.size
         self.max_count = int(counts.max(initial=0))
-        self._profiles = profiles
-        self._events = events
-        self._within = within
+        if event_ids.shape != (self.n_occurrences,):
+            raise ConfigurationError(
+                f"segments describe {self.n_occurrences} occurrences, "
+                f"got event ids of shape {event_ids.shape}")
+        self.event_ids = event_ids
+        self._lock = threading.Lock()
+        self._index: EventIndex | None = None
+        self._profiles = BookProfiles()
 
     @classmethod
-    def from_sorted_trials(cls, trials: np.ndarray,
+    def from_sorted_trials(cls, trials: np.ndarray, event_ids: np.ndarray,
                            n_trials: int) -> "TrialSegments":
-        """Segments of a raw trial column sorted ascending."""
+        """The span of a raw stream whose trial column is sorted
+        ascending."""
         _check_n_trials(n_trials)
         if trials.size and (trials[0] < 0 or trials[-1] >= n_trials):
             raise ConfigurationError(f"trial indices outside [0, {n_trials})")
-        return cls(_cuts(trials, np.arange(n_trials + 1)))
+        return cls(_cuts(trials, np.arange(n_trials + 1)), event_ids)
 
     @property
     def n_occurrences(self) -> int:
         return int(self.bounds[-1])
 
-    def trial_column(self) -> np.ndarray:
-        """The trial column these segments describe, re-expanded."""
-        return np.repeat(self.trial_ids, np.diff(self.bounds))
-
     def blocks(self) -> list[tuple[slice, slice, np.ndarray]]:
-        """The stream cut into blocks of whole trials, as many as fit
-        :attr:`block_occurrences` (at least one, so a longer trial is a
-        block alone): per block its stream rows, its segments (a slice of
-        :attr:`trial_ids`) and their starts counted from the block's first
-        row.  The one way a stream is blocked — a kernel's lane sweep and
-        a book profile's build both read it so: no trial is split, so a
-        per-trial ``reduceat`` over a block sums each trial whole."""
-        bounds, limit, out, a = self.bounds, self.block_occurrences, [], 0
-        while a < self.trial_ids.size:
-            s0 = int(bounds[a])
-            b = max(int(np.searchsorted(bounds, s0 + limit, side="right")) - 1,
-                    a + 1)
-            out.append((slice(s0, int(bounds[b])), slice(a, b),
-                        bounds[a:b] - s0))
-            a = b
-        return out
+        """The span cut into blocks of whole trials, as many as fit
+        :attr:`block_occurrences` (:func:`whole_trial_cuts`): per block
+        its stream rows, its segments (a slice of :attr:`trial_ids`) and
+        their starts counted from the block's first row.  A kernel's
+        lane sweep, a book profile's build and an event index's build
+        all read the span so: no trial is split, so a per-trial
+        ``reduceat`` over a block sums each trial whole."""
+        bounds = self.bounds
+        cuts = whole_trial_cuts(bounds, self.block_occurrences)
+        return [(slice(int(bounds[a]), int(bounds[b])), slice(a, b),
+                 bounds[a:b] - bounds[a]) for a, b in zip(cuts, cuts[1:])]
 
-    def book_profile(self, key: bytes, event_ids: np.ndarray,
-                     build) -> BookProfile:
-        """The profile of the book ``key`` over this stream.
+    def event_index(self) -> EventIndex:
+        """The span's event-major index, built on first use and kept."""
+        with self._lock:
+            if self._index is None:
+                self._index = EventIndex(self)
+            return self._index
 
-        ``build(segments, event_ids)`` is :meth:`BookProfile.build` with
-        the book bound; it runs at most once per (YET, book) when the
-        segments came from a ``YetTable``, and once per call otherwise.
-        """
-        if self._profiles is None:
-            return build(self, event_ids)
-        whole, whole_ids, t0 = self._within or (self, event_ids, 0)
-        profile = self._profiles.get(key, lambda: build(whole, whole_ids))
-        return profile.trial_range(t0, t0 + self.n_trials)
+    def book_profile(self, book) -> BookProfile:
+        """The :class:`BookProfile` of ``book`` (a
+        :class:`~repro.core.lookup.LossLookup`) over the span: built on
+        first use and kept under the book's content key, so equal books
+        share it."""
+        return self._profiles.get(
+            book.key, lambda: BookProfile.build(self, book.ids, book.values))
 
-    def event_index(self, event_ids: np.ndarray) -> EventIndex:
-        """The event-major index of exactly this stream: the one its YET
-        keeps for this trial range, or one built for the call."""
-        if self._events is None:
-            return EventIndex(self.trial_column(), event_ids, self.n_trials)
-        return self._events
+    def cache_levels(self) -> dict:
+        """Flat ``yet.profile.*`` / ``yet.event_index.*`` levels (the
+        :mod:`repro.obs` schema): what the span derived and holds."""
+        index = self._index
+        return {**self._profiles.snapshot(),
+                "yet.event_index.builds": int(index is not None),
+                "yet.event_index.bytes": 0 if index is None else index.nbytes}
 
 
-def _check_trial_range(t_start: int, t_stop: int, n_trials: int) -> None:
+def _check_span(t_start: int, t_stop: int, n_trials: int) -> None:
     if not (0 <= t_start < t_stop <= n_trials):
         raise ConfigurationError(
             f"invalid trial range [{t_start}, {t_stop}) for {n_trials} trials")
@@ -709,18 +700,17 @@ class YetTable:
     which matters for quantiles).  The columns are 12 B per occurrence
     (:data:`YET_SCHEMA`: int32 ``trial``, ``seq`` and ``event_id``).
 
-    Beyond its columns a table keeps three things about its stream,
-    each derived lazily, once per table (once per worker for a
-    :meth:`from_handles` copy), never pickled or shipped, and dropped
-    with it: the trial index (:attr:`trial_offsets` and the whole-table
-    :class:`TrialSegments`), the book profiles of same-book quote groups
-    (:attr:`profiles`), and the event-major indexes high-attaching lane
-    rows price by, one per trial span swept.  :meth:`trial_block` hands
-    a sweep all three; :meth:`cache_levels` reports them.
+    Beyond its columns a table keeps, each derived lazily (once per
+    worker for a :meth:`from_handles` copy), never pickled or shipped,
+    and dropped with it: the trial index (:attr:`trial_offsets`) and one
+    :class:`TrialSegments` per trial span it is swept over
+    (:meth:`trial_block`), each with what its sweeps derived — the
+    span's event index and book profiles, over the span's rows alone.
+    :meth:`cache_levels` reports them, summed over the spans.
     """
 
-    __slots__ = ("table", "n_trials", "_offsets", "_segments",
-                 "_fingerprint", "index_builds", "profiles", "_indexes")
+    __slots__ = ("table", "n_trials", "_offsets", "_fingerprint",
+                 "index_builds", "_spans")
 
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
@@ -743,16 +733,12 @@ class YetTable:
 
     def _init_caches(self, fingerprint: str | None = None) -> None:
         self._offsets: np.ndarray | None = None
-        self._segments: TrialSegments | None = None
         self._fingerprint = fingerprint
         #: Times the trial column was read to derive the trial index —
         #: stays at 1 however many sweeps (or workers' tasks) use it.
         self.index_builds = 0
-        #: Book profiles of same-book quote groups (see
-        #: :class:`BookProfiles`): live and die with this table.
-        self.profiles = BookProfiles()
-        #: ``(t0, t1)`` → the :class:`EventIndex` of trials ``[t0, t1)``.
-        self._indexes: dict[tuple[int, int], EventIndex] = {}
+        #: ``(t0, t1)`` → the :class:`TrialSegments` of trials ``[t0, t1)``.
+        self._spans: dict[tuple[int, int], TrialSegments] = {}
 
     def __reduce__(self):
         # The columns alone: no cache is shipped.
@@ -828,49 +814,27 @@ class YetTable:
             self.index_builds += 1
         return self._offsets
 
-    @property
-    def event_index(self) -> EventIndex:
-        """The whole table's event index (see :meth:`trial_block`)."""
-        return self._span_index(0, self.n_trials)
-
-    def _span_index(self, t_start: int, t_stop: int) -> EventIndex:
-        """The one (lazy) index of trials ``[t_start, t_stop)``."""
-        index = self._indexes.get((t_start, t_stop))
-        if index is None:
-            rows = slice(*self.trial_offsets[[t_start, t_stop]].tolist())
-            index = self._indexes.setdefault((t_start, t_stop), EventIndex(
-                self.trials[rows], self.event_ids[rows], t_stop - t_start,
-                t_start))
-        return index
-
     def trial_block(self, t_start: int = 0, t_stop: int | None = None
-                    ) -> tuple[TrialSegments, np.ndarray]:
-        """``(segments, event_ids)`` of trials ``[t_start, t_stop)``,
-        renumbered block-local: the arguments of
-        :meth:`PortfolioKernel.sweep_segments`.
+                    ) -> TrialSegments:
+        """The span of trials ``[t_start, t_stop)``, renumbered from 0:
+        the argument of :meth:`PortfolioKernel.sweep_segments`.
 
-        The trial index (offsets, whole-table segments) is derived once
-        per table — once per worker for a :meth:`from_handles` copy —
-        and a sub-range is offset arithmetic over it, so no sweep
-        re-scans the trial column.  The segments lead back to
-        :attr:`profiles`, so same-book groups of any trial range price
-        off one whole-table profile per book, and to the event index of
-        this very span, built over the span's rows alone on its first
-        by-event sweep and kept — so a pool worker sorts only its span.
+        The trial offsets are derived once per table — once per worker
+        for a :meth:`from_handles` copy — and a span is offset
+        arithmetic over them, so no sweep re-scans the trial column.
+        The span is built once per range and kept, with the event index
+        and book profiles its sweeps derive over its rows alone — so a
+        pool worker indexes and profiles only its own span.
         """
-        offsets = self.trial_offsets
         if t_stop is None:
             t_stop = self.n_trials
-        _check_trial_range(t_start, t_stop, self.n_trials)
-        if self._segments is None:
-            self._segments = TrialSegments(offsets, self.profiles,
-                                           self.event_index)
-        if t_start == 0 and t_stop == self.n_trials:
-            return self._segments, self.event_ids
-        within = (self._segments, self.event_ids, t_start)
-        return (TrialSegments(offsets[t_start:t_stop + 1], self.profiles,
-                              self._span_index(t_start, t_stop), within),
-                self.event_ids[int(offsets[t_start]):int(offsets[t_stop])])
+        span = self._spans.get((t_start, t_stop))
+        if span is None:
+            _check_span(t_start, t_stop, self.n_trials)
+            offsets = self.trial_offsets[t_start:t_stop + 1]
+            span = self._spans.setdefault((t_start, t_stop), TrialSegments(
+                offsets, self.event_ids[int(offsets[0]):int(offsets[-1])]))
+        return span
 
     def trial_blocks(self, t_start: int, t_stop: int) -> tuple:
         """:meth:`trial_block` as the one block (see :class:`StoredYet`)."""
@@ -905,12 +869,13 @@ class YetTable:
         return self.n_occurrences / self.n_trials
 
     def cache_levels(self) -> dict:
-        """Flat ``yet.profile.*`` / ``yet.event_index.*`` levels (summed
-        over the span indexes): what the table keeps beyond its columns."""
-        spans = [index.snapshot() for index in list(self._indexes.values())]
-        return {**self.profiles.snapshot(), **{
-            name: sum(span[name] for span in spans)
-            for name in ("yet.event_index.builds", "yet.event_index.bytes")}}
+        """Flat ``yet.profile.*`` / ``yet.event_index.*`` levels, summed
+        over the kept spans: what the table keeps beyond its columns."""
+        levels = dict.fromkeys(_SPAN_LEVELS, 0)
+        for span in list(self._spans.values()):
+            for name, level in span.cache_levels().items():
+                levels[name] += level
+        return levels
 
     # -- shared-memory transport -------------------------------------------
 
@@ -959,7 +924,7 @@ class YetTable:
 
     def slice_trials(self, t_start: int, t_stop: int) -> "YetTable":
         """Sub-YET covering trials ``[t_start, t_stop)`` (renumbered to 0)."""
-        _check_trial_range(t_start, t_stop, self.n_trials)
+        _check_span(t_start, t_stop, self.n_trials)
         o = self.trial_offsets
         sub = self.table.slice(int(o[t_start]), int(o[t_stop]))
         renumbered = ColumnTable.from_arrays(
@@ -985,8 +950,9 @@ class StoredYet:
     Resident: one chunk plus the longest trial.  A bad row raises
     :class:`~repro.errors.EngineError` naming the table and the chunk.
 
-    A chunk is seen once, so rows priced by events (or a book profile)
-    build their index (profile) per block: against pricing every row on
+    A chunk is seen once, so a block is a fresh span: rows priced by
+    events (or a book profile) build their index (profile) on it, and it
+    goes with the block.  Against pricing every row on
     the stream, one by-event row over a 500 k-occurrence store pays
     ≈ +4 to +8 ms, 8 rows break even and 32 gain ≈ 10 ms (a whole run on
     a 2-vCPU host, ≈ 20 ms of it read + unpack); by-stream rows are
@@ -1008,10 +974,10 @@ class StoredYet:
                 "yet.store.blocks": self.blocks}
 
     def trial_blocks(self, t_start: int, t_stop: int):
-        """Whole-trial ``(segments, event_ids)`` blocks tiling ``[t_start,
+        """Whole-trial :class:`TrialSegments` blocks tiling ``[t_start,
         t_stop)``, each renumbered from where the one before ended, so
         empty trials between or after rows are zero-length segments."""
-        _check_trial_range(t_start, t_stop, self.n_trials)
+        _check_span(t_start, t_stop, self.n_trials)
         self.chunks_read = self.n_occurrences = self.blocks = 0
         start, last = t_start, None
         # The trial held back from the chunks read so far.
@@ -1036,7 +1002,7 @@ class StoredYet:
 
     def _block(self, trials, events, start, stop):
         self.blocks += 1
-        return TrialSegments(_cuts(trials, np.arange(start, stop + 1))), events
+        return TrialSegments(_cuts(trials, np.arange(start, stop + 1)), events)
 
     def _checked(self, ordinal: int, chunk: ColumnTable, last):
         """One chunk's columns, checked (``last``: the trial before)."""

@@ -22,8 +22,8 @@ rows sharing one merged lookup, occurrence terms reducing to
 ``clip(g, lo, hi)``), the stacked kernel's sweep routes those rows
 through the **sublinear tail-group path** automatically
 (``kernel.tail_speedup`` on ``quotes_burst_churn``): they
-price off the book's profile kept beside the YET, never the occurrence
-stream — so a burst costs one profile build per (YET, book), ever,
+price off the book's profile kept by the trial span swept, never the
+occurrence stream — so a burst costs one profile build per (span, book), ever,
 plus one counting pass over the book's positive occurrences per batch,
 whatever its row count.  Rows that don't qualify take exact lanes in
 the same sweep (counted: ``kernel.fallback.*``); the

@@ -25,13 +25,13 @@ and the two substrates differ in where the spans execute:
   * the *YET arrays* (the stable side of a serving workload) are staged
     in one shared arena, once per content fingerprint, and ride every
     task as handles beside the kernel's.  A worker holds the YET by
-    fingerprint, with what its sweeps derive (the trial index, the
-    span event indexes), so a re-simulated but equal trial set stages
+    fingerprint, with what its sweeps derive — the trial offsets and one
+    :class:`~repro.core.tables.TrialSegments` per span it has swept
+    (:meth:`YetTable.trial_block`), each holding the event index and
+    book profiles built over that span's rows alone — so no worker sorts
+    or profiles the whole YET; a re-simulated but equal trial set stages
     nothing and a different one costs one staging and one attach per
-    worker, the workers themselves kept and the old YET's pages let go.
-    The event index that by-event rows read is built in the worker over
-    the rows of its span alone (:meth:`YetTable.trial_block`), once per
-    span, so no worker sorts the whole YET;
+    worker, the workers themselves kept and the old YET's pages let go;
   * the *kernel* is written into one reusable
     :class:`~repro.hpc.shm.ShmSlab` once per kernel: the dispatcher
     holds the one kernel it last packed (compared by identity, held by a
@@ -225,16 +225,16 @@ def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
     """Fused sweep over trials ``[t0, t1)``, aggregate terms applied —
     the one sweep outside the kernel under ``src/``, on the calling
     thread or as a pool worker's task (picklable top-level function).  A
-    ``YetTable`` yields one block (offset arithmetic over the trial index
-    it derives once per copy), returned as is; a ``StoredYet``'s blocks
-    each fill their own trial columns.  The answer is written to
+    ``YetTable`` yields one block, the span it keeps for the range,
+    returned as is; a ``StoredYet``'s blocks are fresh spans, each
+    filling its own trial columns.  The answer is written to
     ``out`` (an ``(L, t1 - t0)`` array) when one is given."""
     annual, col = None, 0
-    for segments, event_ids in yet.trial_blocks(t0, t1):
-        swept = kernel.sweep_segments(segments, event_ids)
+    for segments in yet.trial_blocks(t0, t1):
+        swept = kernel.sweep_segments(segments)
         # Drop the block before a stored source reads its next chunk:
         # held, it sends that read to fresh pages (≈ 2x the run).
-        del segments, event_ids
+        del segments
         if swept.shape[1] == t1 - t0:
             annual = swept
         else:

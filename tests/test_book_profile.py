@@ -1,4 +1,4 @@
-"""Same-book tail groups priced off the YET's book profiles.
+"""Same-book tail groups priced off the book profiles of a trial span.
 
 Four contracts:
 
@@ -9,8 +9,10 @@ Four contracts:
 - **invariance**: a tail row's answer is a function of the trial and
   the row — ``np.array_equal`` across whole / blocked / pooled /
   degraded sweeps and across group compositions;
-- **one build per (YET, book) per process**, keyed by content, and the
-  cache lives and dies with its ``YetTable``;
+- **one build per (span, book) per process**, keyed by content, over
+  the span's rows alone — a pool worker profiles its own span, never
+  the whole YET — and the cache lives and dies with its span, which a
+  ``YetTable`` keeps;
 - **counted routing**: structural-group rows that go to lanes are
   counted by reason, and the counts reach the telemetry plane;
 - **a count, not a search**: ``BookProfile.resolve`` equals the
@@ -20,6 +22,7 @@ Four contracts:
 """
 
 import gc
+import hashlib
 import pickle
 import sys
 import threading
@@ -112,6 +115,25 @@ def profile_bytes(profile):
             + 8 * profile.thresholds.size)
 
 
+def profile_levels(yet):
+    """The ``yet.profile.*`` levels of ``yet``, summed over its spans."""
+    return {name: level for name, level in yet.cache_levels().items()
+            if name.startswith("yet.profile.")}
+
+
+def span_profiles(span):
+    """The profiles a span holds, least recently used first."""
+    return list(span._profiles._profiles.values())
+
+
+def trials_of(profile, t0, t1):
+    """Trials ``[t0, t1)`` of ``profile``, renumbered from 0: the arrays
+    a profile built over that span alone must equal."""
+    a, b = int(profile.offsets[t0]), int(profile.offsets[t1])
+    return BookProfile(profile.ranks[a:b], profile.prefix[a + t0:b + t1],
+                       profile.offsets[t0:t1 + 1] - a, profile.thresholds)
+
+
 # ---------------------------------------------------------------------------
 # parity against the scalar oracle
 # ---------------------------------------------------------------------------
@@ -128,7 +150,7 @@ def test_hand_computed_profile_sweep():
     # trial 3: 400, 400;  trial 4: a single 250;  trials 0, 2, 5 empty
     yet = make_yet([1, 1, 1, 1, 3, 3, 4], [1, 2, 9, 4, 3, 3, 2], n_trials=6)
     annual = ran_on_profile(
-        lambda: kernel.sweep_segments(*yet.trial_block()), MIN_TAIL_GROUP)
+        lambda: kernel.sweep_segments(yet.trial_block()), MIN_TAIL_GROUP)
     np.testing.assert_array_equal(annual[0], [0, 150.0, 0, 300.0, 150.0, 0])
     np.testing.assert_array_equal(annual[1], [0, 0.0, 0, 300.0, 0.0, 0])
     np.testing.assert_array_equal(annual[2], [0, 0.0, 0, 298.0, 0.0, 0])
@@ -148,12 +170,12 @@ def test_profile_parity_at_benchmark_like_density():
     kernel = portfolio.kernel()
     oracle = SequentialEngine().run(portfolio, yet).ylt_by_layer
     annual = ran_on_profile(
-        lambda: kernel.sweep_segments(*yet.trial_block()), 32)
+        lambda: kernel.sweep_segments(yet.trial_block()), 32)
     assert annual.any()
     for row, lid in enumerate(kernel.layer_ids):
         np.testing.assert_allclose(annual[row], oracle[lid].losses,
                                    rtol=RTOL, atol=ATOL)
-    lanes = kernel.sweep_segments(*yet.trial_block(), sublinear=False)
+    lanes = kernel.sweep_segments(yet.trial_block(), sublinear=False)
     assert np.abs(annual - lanes).max() <= 1e-7
 
 
@@ -168,34 +190,39 @@ class TestInvariance:
         elt = book(rng)
         layers = tail_layers(elt, 2 * MIN_TAIL_GROUP)
         both = PortfolioKernel.from_layers(layers).sweep_segments(
-            *yet.trial_block())
+            yet.trial_block())
         first = PortfolioKernel.from_layers(
-            layers[:MIN_TAIL_GROUP]).sweep_segments(*yet.trial_block())
+            layers[:MIN_TAIL_GROUP]).sweep_segments(yet.trial_block())
         # reversed order, other companions, the same rows
         mixed = PortfolioKernel.from_layers(
-            layers[:3:-1]).sweep_segments(*yet.trial_block())
+            layers[:3:-1]).sweep_segments(yet.trial_block())
         np.testing.assert_array_equal(first, both[:MIN_TAIL_GROUP])
         np.testing.assert_array_equal(mixed[::-1], both[4:])
         # ... and a row resolved alone
         kernel = PortfolioKernel.from_layers(layers)
-        profile = next(iter(yet.profiles._profiles.values()))
+        (profile,) = span_profiles(yet.trial_block())
         alone = profile.resolve(kernel.occ_floor[5:6], kernel.occ_ceiling[5:6])
         np.testing.assert_array_equal(alone[0], both[5])
 
-    def test_trial_range_is_a_view_of_the_whole_profile(self):
+    def test_a_span_profiles_its_own_trials(self):
+        """A span's profile holds its trials' rows alone, and its arrays,
+        dtypes included, are the whole-table profile's trials; each
+        span's answer is the whole sweep's columns."""
         rng = np.random.default_rng(13)
         yet = random_yet(rng, n_trials=50, width=40)
         kernel = PortfolioKernel.from_layers(tail_layers(book(rng)))
-        kernel.sweep_segments(*yet.trial_block())
-        whole = next(iter(yet.profiles._profiles.values()))
-        part = whole.trial_range(10, 30)
-        assert part.n_trials == 20
-        for name in ("ranks", "prefix"):
-            assert np.shares_memory(getattr(part, name), getattr(whole, name))
-        assert whole.trial_range(0, 50) is whole
+        answer = kernel.sweep_segments(yet.trial_block())
+        (whole,) = span_profiles(yet.trial_block())
+        for t0, t1 in ((10, 30), (0, 1), (49, 50), (0, 50)):
+            part = yet.trial_block(t0, t1)
+            np.testing.assert_array_equal(
+                kernel.sweep_segments(part), answer[:, t0:t1])
+            (profile,) = span_profiles(part)
+            assert profile.n_trials == t1 - t0
+            assert_same_profile(profile, trials_of(whole, t0, t1))
         # zero losses and unknown events are not stored
-        seg, events = yet.trial_block()
-        losses = kernel._gather_store(0, events, np.empty(events.size))
+        events = yet.event_ids
+        losses = kernel._lookup(0)(events)
         assert whole.ranks.size == np.count_nonzero(losses) < events.size
 
 
@@ -209,7 +236,12 @@ def fresh_same_book_batch(rng_seed, start):
 
 
 def _worker_profile_builds(yet):  # pragma: no cover - runs in a worker
-    return yet.profiles.builds
+    return yet.cache_levels()["yet.profile.builds"]
+
+
+def _worker_profile_levels(yet):  # pragma: no cover - runs in a worker
+    levels = yet.cache_levels()
+    return levels["yet.profile.builds"], levels["yet.profile.bytes"]
 
 
 class TestOneBuildPerYetAndBook:
@@ -224,8 +256,8 @@ class TestOneBuildPerYetAndBook:
                 InlineDispatcher().run(kernel, yet)
         assert seen["builds"] == 1
         assert seen["rows"] == self.N_BATCHES * MIN_TAIL_GROUP
-        (profile,) = yet.profiles._profiles.values()
-        assert yet.profiles.snapshot() == {
+        (profile,) = span_profiles(yet.trial_block())
+        assert profile_levels(yet) == {
             "yet.profile.builds": 1,
             "yet.profile.hits": self.N_BATCHES - 1,
             "yet.profile.evictions": 0,
@@ -237,24 +269,65 @@ class TestOneBuildPerYetAndBook:
         yet = random_yet(np.random.default_rng(22), n_trials=40, width=40)
         wide = EltTable.from_arrays([500], [1.0], contract_id=3)
         layers = fresh_same_book_batch(7, 0)
-        PortfolioKernel.from_layers(layers).sweep_segments(*yet.trial_block())
+        PortfolioKernel.from_layers(layers).sweep_segments(yet.trial_block())
         stacked = PortfolioKernel.from_layers(
             layers + [Layer(99, [wide], LayerTerms())])
         # the book beside spans a wider id range (once, a wider table)
         assert int(stacked.book(1)[0][-1]) + 1 > 40
-        stacked.sweep_segments(*yet.trial_block())
-        assert (yet.profiles.builds, yet.profiles.hits) == (1, 1)
+        stacked.sweep_segments(yet.trial_block())
+        levels = profile_levels(yet)
+        assert (levels["yet.profile.builds"], levels["yet.profile.hits"]) == (
+            1, 1)
 
-    def test_pooled_workers_build_once_each(self):
+    def test_pooled_workers_build_once_per_span(self):
+        """Six batches, two spans: a worker builds at most one profile
+        per span it sweeps, however many batches it prices."""
         yet = random_yet(np.random.default_rng(23), n_trials=90, width=40)
         with PooledDispatcher(n_workers=2) as d:
             for batch in range(self.N_BATCHES):
                 d.run(PortfolioKernel.from_layers(
                     fresh_same_book_batch(7, start=batch)), yet)
             assert d.transport_active == "shm"
+            n_spans = len(d.spans(yet))
             seen = worker_probes(d, _worker_profile_builds)
-        assert max(seen.values()) == 1
-        assert yet.profiles.builds == 0              # never built, or shipped, here
+        assert n_spans == 2
+        assert all(1 <= builds <= n_spans for builds in seen.values())
+        # never built, or shipped, here
+        assert profile_levels(yet)["yet.profile.builds"] == 0
+
+    def test_a_pooled_worker_holds_its_own_spans_profile(self):
+        """A 2-worker batch of same-book quotes: each worker builds the
+        profile of the span it was handed, over that span's rows — its
+        ``yet.profile.bytes`` is the hand-computed size of its own
+        span's profile, never the whole YET's."""
+        rng = np.random.default_rng(27)
+        yet = random_yet(rng, n_trials=90, width=40)
+        elt = book(rng)
+        layers = tail_layers(elt, 2 * MIN_TAIL_GROUP)
+        with RiskSession(yet, n_workers=2) as session:
+            service = session.pricing_service(engine="pooled",
+                                              cache=CachePolicy(0))
+            service.quote_many(layers)
+            d = session.dispatcher("pooled")
+            assert d.transport_active == "shm"
+            spans = d.spans(yet)
+            seen = worker_probes(d, _worker_profile_levels)
+        assert len(spans) == 2
+
+        def hand_bytes(t0, t1):
+            rows = slice(*yet.trial_offsets[[t0, t1]].tolist())
+            events = yet.event_ids[rows]
+            positive = np.count_nonzero(
+                elt.mean_losses[np.minimum(events, 39)] * (events < 40))
+            return (12 * positive + 16 * (t1 - t0) + 8
+                    + 8 * np.count_nonzero(elt.mean_losses))
+
+        sizes = [hand_bytes(*span) for span in spans]
+        whole = hand_bytes(0, yet.n_trials)
+        assert whole not in sizes + [sum(sizes)]
+        for levels in seen.values():
+            assert levels in {(1, sizes[0]), (1, sizes[1]), (2, sum(sizes))}
+        assert profile_levels(yet)["yet.profile.builds"] == 0
 
     def test_concurrent_sweeps_share_one_build(self):
         yet = random_yet(np.random.default_rng(24), n_trials=200, width=40)
@@ -265,7 +338,7 @@ class TestOneBuildPerYetAndBook:
 
         def sweep(i):
             barrier.wait(timeout=10)
-            answers[i] = kernels[i].sweep_segments(*yet.trial_block())
+            answers[i] = kernels[i].sweep_segments(yet.trial_block())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -279,11 +352,12 @@ class TestOneBuildPerYetAndBook:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert yet.profiles.builds == 1
-        assert yet.profiles.hits == len(kernels) - 1
+        levels = profile_levels(yet)
+        assert levels["yet.profile.builds"] == 1
+        assert levels["yet.profile.hits"] == len(kernels) - 1
         for i, kernel in enumerate(kernels):
             np.testing.assert_array_equal(
-                answers[i], kernel.sweep_segments(*yet.trial_block()))
+                answers[i], kernel.sweep_segments(yet.trial_block()))
 
     def test_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(tables, "MAX_BOOK_PROFILES", 2)
@@ -291,26 +365,26 @@ class TestOneBuildPerYetAndBook:
         for seed in (1, 2, 3, 1):
             PortfolioKernel.from_layers(
                 fresh_same_book_batch(seed, 0)).sweep_segments(
-                    *yet.trial_block())
-        assert yet.profiles.snapshot() == {
+                    yet.trial_block())
+        assert profile_levels(yet) == {
             "yet.profile.builds": 4,     # book 1 was evicted by book 3
             "yet.profile.hits": 0,
             "yet.profile.evictions": 2,
             "yet.profile.resident": 2,
             "yet.profile.bytes": sum(map(profile_bytes,
-                                         yet.profiles._profiles.values())),
+                                         span_profiles(yet.trial_block()))),
         }
 
     def test_profiles_are_not_pickled_with_the_yet(self):
         yet = random_yet(np.random.default_rng(26), n_trials=30, width=40)
         kernel = PortfolioKernel.from_layers(fresh_same_book_batch(7, 0))
-        answer = kernel.sweep_segments(*yet.trial_block())
+        answer = kernel.sweep_segments(yet.trial_block())
         copy = pickle.loads(pickle.dumps(yet))
-        assert yet.profiles.snapshot()["yet.profile.resident"] == 1
-        assert copy.profiles.snapshot()["yet.profile.resident"] == 0
+        assert profile_levels(yet)["yet.profile.resident"] == 1
+        assert profile_levels(copy)["yet.profile.resident"] == 0
         np.testing.assert_array_equal(
-            kernel.sweep_segments(*copy.trial_block(3, 20)), answer[:, 3:20])
-        assert copy.profiles.builds == 1
+            kernel.sweep_segments(copy.trial_block(3, 20)), answer[:, 3:20])
+        assert profile_levels(copy)["yet.profile.builds"] == 1
 
 
 class TestCacheLifetime:
@@ -318,7 +392,7 @@ class TestCacheLifetime:
 
     @staticmethod
     def profile_ref(yet):
-        (profile,) = yet.profiles._profiles.values()
+        (profile,) = span_profiles(yet.trial_block())
         return weakref.ref(profile.ranks)
 
     def test_a_session_over_a_new_yet_starts_with_no_profiles(self):
@@ -331,13 +405,13 @@ class TestCacheLifetime:
         premiums = []
         for yet in (old, new):
             with RiskSession(yet) as session:
-                assert yet.profiles.builds == 0
+                assert profile_levels(yet)["yet.profile.builds"] == 0
                 service = session.pricing_service(engine="inline",
                                                   cache=CachePolicy(0))
                 premiums.append([q.premium
                                  for q in service.quote_many(layers)])
-                assert yet.profiles.builds == 1
-        assert old.profiles.builds == 1
+                assert profile_levels(yet)["yet.profile.builds"] == 1
+        assert profile_levels(old)["yet.profile.builds"] == 1
         assert premiums[0] != premiums[1]
 
     def test_no_growth_over_set_up_cycles(self):
@@ -385,7 +459,7 @@ class TestCountedRouting:
         layers[3] = Layer(3, [self.elt], LayerTerms(occ_retention=1e12))
         kernel = PortfolioKernel.from_layers(layers)
         annual = ran_on_profile(
-            lambda: kernel.sweep_segments(*self.yet.trial_block()),
+            lambda: kernel.sweep_segments(self.yet.trial_block()),
             MIN_TAIL_GROUP + 1)
         self.routed(kernel, profile_rows=MIN_TAIL_GROUP + 1,
                     fallback__error_bound=1)
@@ -394,7 +468,7 @@ class TestCountedRouting:
         layers = layers[:MIN_TAIL_GROUP]
         kernel = PortfolioKernel.from_layers(layers)
         lanes = ran_on_profile(
-            lambda: kernel.sweep_segments(*self.yet.trial_block()), 0)
+            lambda: kernel.sweep_segments(self.yet.trial_block()), 0)
         self.routed(kernel, fallback__error_bound=MIN_TAIL_GROUP)
         np.testing.assert_allclose(lanes, annual[:MIN_TAIL_GROUP],
                                    rtol=RTOL, atol=ATOL)
@@ -403,9 +477,9 @@ class TestCountedRouting:
         kernel = PortfolioKernel.from_layers(tail_layers(self.elt))
         yet = self.yet
         forced = ran_on_profile(lambda: kernel.sweep_segments(
-            *yet.trial_block(), sublinear=False), 0)
+            yet.trial_block(), sublinear=False), 0)
         self.routed(kernel, fallback__sublinear_off=MIN_TAIL_GROUP)
-        whole = kernel.sweep_segments(*yet.trial_block())
+        whole = kernel.sweep_segments(yet.trial_block())
         self.routed(kernel, fallback__sublinear_off=MIN_TAIL_GROUP,
                     profile_rows=MIN_TAIL_GROUP)
         np.testing.assert_allclose(forced, whole, rtol=RTOL, atol=ATOL)
@@ -418,7 +492,7 @@ class TestCountedRouting:
         kernel = PortfolioKernel(layer_ids=base.layer_ids, **arrays)
         negative = int((kernel.occ_retention < 0).sum())
         assert 0 < negative < MIN_TAIL_GROUP
-        kernel.sweep_segments(*self.yet.trial_block())
+        kernel.sweep_segments(self.yet.trial_block())
         self.routed(kernel, fallback__error_bound=MIN_TAIL_GROUP)
 
     def test_counts_reach_the_telemetry_plane(self):
@@ -438,16 +512,57 @@ class TestCountedRouting:
         assert metrics["serve.sublinear.batches"] == 1
 
 
+def test_a_book_is_hashed_once_across_burst_batches(monkeypatch):
+    """A profile's key is the book's content hash, taken once per
+    interned book, not once per sweep: six bursts over one book (a fresh
+    stacked kernel each) hash its entries once; a kernel attached from
+    handles hashes them once more, once for the instance."""
+    rng = np.random.default_rng(52)
+    yet = random_yet(rng, n_trials=60, width=40)
+    layers = tail_layers(book(rng), 2 * MIN_TAIL_GROUP)
+    ids = layers[0].lookup().ids.tobytes()
+    hashed = []
+    blake2b = hashlib.blake2b
+
+    def counting(data=b"", **kwargs):
+        hashed.append(bytes(data) == ids)
+        return blake2b(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    with RiskSession(yet) as session:
+        service = session.pricing_service(engine="inline",
+                                          cache=CachePolicy(0))
+        for _ in range(6):
+            service.quote_many(layers)
+        metrics = session.telemetry.snapshot()["metrics"]
+    assert metrics["kernel.profile_rows"] == 6 * 2 * MIN_TAIL_GROUP
+    assert sum(hashed) == 1
+    with shm.SharedArena() as arena:
+        attached = PortfolioKernel.from_handles(
+            PortfolioKernel.from_layers(layers).export_handles(arena))
+        for t0, t1 in ((0, 60), (0, 30), (30, 60)):
+            attached.sweep_segments(yet.trial_block(t0, t1))
+        del attached
+    assert sum(hashed) == 2
+
+
 def test_raw_segments_build_for_the_call_only():
+    """A raw sweep's span is built for the call and dies with it; a
+    span held by the caller keeps its profile like a table's."""
     rng = np.random.default_rng(51)
     yet = random_yet(rng, n_trials=40, width=40)
     kernel = PortfolioKernel.from_layers(tail_layers(book(rng)))
-    segments = TrialSegments.from_sorted_trials(yet.trials, yet.n_trials)
     with profile_proof() as seen:
         for _ in range(2):
-            kernel.sweep_segments(segments, yet.event_ids)
+            kernel.sweep(yet.trials, yet.event_ids, yet.n_trials)
     assert seen == {"rows": 2 * MIN_TAIL_GROUP, "builds": 2}
-    assert yet.profiles.builds == 0
+    segments = TrialSegments.from_sorted_trials(yet.trials, yet.event_ids,
+                                                yet.n_trials)
+    with profile_proof() as seen:
+        for _ in range(2):
+            kernel.sweep_segments(segments)
+    assert seen == {"rows": 2 * MIN_TAIL_GROUP, "builds": 1}
+    assert profile_levels(yet)["yet.profile.builds"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +583,17 @@ def hand_profile(trials, event_ids, values, n_trials,
     occurrences, and the looped reference build of the same stream,
     asserted equal array by array."""
     segments = TrialSegments.from_sorted_trials(
-        np.asarray(trials, dtype=np.int64), n_trials)
-    event_ids = np.asarray(event_ids, dtype=np.int64)
+        np.asarray(trials, dtype=np.int64),
+        np.asarray(event_ids, dtype=np.int64), n_trials)
     values = np.asarray(values, dtype=np.float64)
     ids = np.arange(values.size) if ids is None else np.asarray(ids)
     with mock.patch.object(TrialSegments, "block_occurrences", block):
-        profile = BookProfile.build(segments, event_ids, ids, values)
-    assert_same_profile(profile, looped_build(segments, event_ids, ids, values))
+        profile = BookProfile.build(segments, ids, values)
+    assert_same_profile(profile, looped_build(segments, ids, values))
     return profile
 
 
-def looped_build(segments, event_ids, ids, values):
+def looped_build(segments, ids, values):
     """The build the flat passes replaced, kept as the reference: a
     float64 rank found for every occurrence by its own search of the
     book's ids (not the library's lookup), one ``trial * stride + rank``
@@ -490,10 +605,12 @@ def looped_build(segments, event_ids, ids, values):
     stride = thresholds.size + 1
     rank = np.zeros(values.size)
     rank[order] = np.arange(1, stride)
+    event_ids = segments.event_ids
     at = np.minimum(np.searchsorted(ids, event_ids), ids.size - 1)
     ranks = np.where(ids[at] == event_ids, rank[at], 0.0)
     positive = np.flatnonzero(ranks)
-    keys = segments.trial_column()[positive].astype(np.int64) * stride
+    trials = np.repeat(segments.trial_ids, np.diff(segments.bounds))
+    keys = trials[positive].astype(np.int64) * stride
     keys += ranks[positive].astype(np.int64)
     keys.sort()
     n_trials = segments.n_trials
@@ -596,8 +713,9 @@ def test_counting_resolve_equals_the_search_it_replaced(case):
         brute = np.clip(g - lo[:, None], 0.0, (hi - lo)[:, None]).sum(axis=1)
         bound = g.size * (lo + g.max(initial=0.0)) * 2.0 ** -50
         assert (np.abs(got[:, t] - brute) <= bound).all()
-    # a trial range is a view that answers its trials' columns
-    part = profile.trial_range(t0, t1)
+    # a span's profile answers its trials' columns
+    rows = (trials >= t0) & (trials < t1)
+    part = hand_profile(trials[rows] - t0, events[rows], values, t1 - t0)
     np.testing.assert_array_equal(part.resolve(lo, hi), got[:, t0:t1])
     np.testing.assert_array_equal(part.resolve(lo, hi),
                                   searched_resolve(part, lo, hi))
@@ -610,7 +728,8 @@ def test_a_book_with_no_positive_loss_resolves_to_zero():
     hi = np.full(MIN_TAIL_GROUP, np.inf)
     np.testing.assert_array_equal(profile.resolve(lo, hi),
                                   np.zeros((MIN_TAIL_GROUP, 3)))
-    np.testing.assert_array_equal(profile.trial_range(1, 3).resolve(lo, hi),
+    part = hand_profile([1], [1], [0.0, 0.0, 0.0], 2)
+    np.testing.assert_array_equal(part.resolve(lo, hi),
                                   np.zeros((MIN_TAIL_GROUP, 2)))
 
 
@@ -644,14 +763,14 @@ def test_a_group_resolves_by_one_count_not_a_search(monkeypatch):
     kernel = PortfolioKernel.from_layers(layers)
     assert len(kernel._tail_group_index()) == 2
     block = yet.trial_block()
-    answer = kernel.sweep_segments(*block)          # builds both profiles
-    profiles = list(yet.profiles._profiles.values())
+    answer = kernel.sweep_segments(block)          # builds both profiles
+    profiles = span_profiles(block)
     longest = max(p.thresholds.size for p in profiles) + 1
     assert min(p.ranks.size for p in profiles) > 10 * longest
     calls = _NumpyAsTablesSeesIt()
     with monkeypatch.context() as m:
         m.setattr(tables, "np", calls)
-        again = ran_on_profile(lambda: kernel.sweep_segments(*block),
+        again = ran_on_profile(lambda: kernel.sweep_segments(block),
                                2 * MIN_TAIL_GROUP)
     np.testing.assert_array_equal(again, answer)
     assert calls.bincounts == 2
@@ -667,14 +786,13 @@ def test_profile_bytes_are_counted_exactly():
         [Layer(i, [elt], LayerTerms(occ_retention=10.0 * i, occ_limit=1e3))
          for i in range(MIN_TAIL_GROUP)])
     yet = make_yet([1, 1, 1, 1, 3, 3, 4], [1, 2, 9, 4, 3, 3, 2], n_trials=6)
-    assert yet.profiles.snapshot()["yet.profile.bytes"] == 0
-    ran_on_profile(lambda: kernel.sweep_segments(*yet.trial_block()),
+    assert yet.cache_levels()["yet.profile.bytes"] == 0
+    ran_on_profile(lambda: kernel.sweep_segments(yet.trial_block()),
                    MIN_TAIL_GROUP)
-    (profile,) = yet.profiles._profiles.values()
+    (profile,) = span_profiles(yet.trial_block())
     assert (profile.ranks.size, profile.thresholds.size) == (5, 3)
-    assert yet.profiles.snapshot()["yet.profile.bytes"] == (
+    assert yet.cache_levels()["yet.profile.bytes"] == (
         12 * 5 + 8 * 6 + 8 * 7 + 8 * 3) == 188
-    assert yet.cache_levels()["yet.profile.bytes"] == 188
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +805,16 @@ def test_profile_bytes_are_counted_exactly():
 def test_the_flat_build_equals_the_looped_build(case, block):
     """Empty trials, books with no positive loss, unknown ids, repeated
     values, at any block size (``hand_profile`` asserts the arrays
-    equal), and the trial-range views of the two builds."""
+    equal), and a span's build against the whole looped build's trials
+    of the span."""
     trials, events, values, n_trials, _, _, (t0, t1) = case
-    profile = hand_profile(trials, events, values, n_trials, block=block)
-    segments = TrialSegments.from_sorted_trials(trials, n_trials)
-    looped = looped_build(segments, events, np.arange(values.size), values)
-    assert_same_profile(profile.trial_range(t0, t1),
-                        looped.trial_range(t0, t1))
+    hand_profile(trials, events, values, n_trials, block=block)
+    segments = TrialSegments.from_sorted_trials(trials, events, n_trials)
+    looped = looped_build(segments, np.arange(values.size), values)
+    rows = (trials >= t0) & (trials < t1)
+    part = hand_profile(trials[rows] - t0, events[rows], values, t1 - t0,
+                        block=block)
+    assert_same_profile(part, trials_of(looped, t0, t1))
 
 
 def test_running_sums_of_short_and_long_trials_match_the_looped_build():
@@ -744,12 +865,12 @@ def test_a_raw_unsorted_stream_builds_the_sorted_streams_profile(
     raw = ran_on_profile(lambda: kernel.sweep(trials, events, yet.n_trials),
                          MIN_TAIL_GROUP)
     order = np.argsort(trials, kind="stable")
-    segments = TrialSegments.from_sorted_trials(trials[order], yet.n_trials)
+    segments = TrialSegments.from_sorted_trials(
+        trials[order], events[order].astype(np.int64), yet.n_trials)
     (profile,) = built
-    assert_same_profile(profile, looped_build(
-        segments, events[order].astype(np.int64), *kernel.book(0)))
+    assert_same_profile(profile, looped_build(segments, *kernel.book(0)))
     np.testing.assert_array_equal(
-        raw, kernel.sweep_segments(*yet.trial_block()))
+        raw, kernel.sweep_segments(yet.trial_block()))
 
 
 def test_a_build_holds_a_block_and_16_bytes_per_positive():
@@ -763,14 +884,14 @@ def test_a_build_holds_a_block_and_16_bytes_per_positive():
     trials = np.repeat(np.arange(n_trials), per_trial)
     events = rng.integers(0, 2 * width, trials.size)        # half unknown
     values = rng.lognormal(5, 2, width)
-    segments = TrialSegments.from_sorted_trials(trials, n_trials)
+    segments = TrialSegments.from_sorted_trials(trials, events, n_trials)
     ids = np.arange(width)
     peaks = []
     for build in (BookProfile.build, looped_build):
         gc.collect()
         with mock.patch.object(TrialSegments, "block_occurrences", block):
             tracemalloc.start()
-            profile = build(segments, events, ids, values)
+            profile = build(segments, ids, values)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
     positives = profile.ranks.size

@@ -283,17 +283,19 @@ class TestOutOfCoreEngine:
         store.write_table("yet", yet.table, rows_per_chunk=31)
         t0, t1 = span
         start, trials, events = 0, [], []
-        for segments, event_ids in StoredYet(store, "yet", 40).trial_blocks(
-                t0, t1):
+        def trial_column(segments):
+            return np.repeat(segments.trial_ids, np.diff(segments.bounds))
+
+        for segments in StoredYet(store, "yet", 40).trial_blocks(t0, t1):
             assert segments.n_trials >= 1
-            trials.append(segments.trial_column() + start)
-            events.append(event_ids)
+            trials.append(trial_column(segments) + start)
+            events.append(segments.event_ids)
             start += segments.n_trials
         assert start == t1 - t0
-        whole, whole_ids = yet.trial_block(t0, t1)
+        whole = yet.trial_block(t0, t1)
         np.testing.assert_array_equal(np.concatenate(trials),
-                                      whole.trial_column())
-        np.testing.assert_array_equal(np.concatenate(events), whole_ids)
+                                      trial_column(whole))
+        np.testing.assert_array_equal(np.concatenate(events), whole.event_ids)
 
     def test_one_trial_is_one_block(self, tmp_path):
         portfolio, yet = mixed_portfolio(), yet_of([0, 0, 0, 50, 0])

@@ -197,7 +197,7 @@ class TestYetWidth:
 
     def test_event_index_is_4_bytes_per_occurrence(self):
         yet = self.simulate()
-        assert yet.event_index.keys.dtype == np.int32
+        assert yet.trial_block().event_index().keys.dtype == np.int32
         offsets = int(yet.event_ids.max()) + 1       # offsets by id
         assert yet.cache_levels()["yet.event_index.bytes"] == (
             4 * yet.n_occurrences + 8 * offsets)

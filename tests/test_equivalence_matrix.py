@@ -47,14 +47,13 @@ from repro.core import OutOfCoreEngine, StoredYet
 from repro.core.engines import (DeviceEngine, EngineResult, MapReduceEngine,
                                 MulticoreEngine, SequentialEngine,
                                 VectorizedEngine)
-from repro.core.engines.device import _trial_chunks
 from repro.core.kernels import (MIN_TAIL_GROUP, ROUTING_COUNTERS,
                                 PortfolioKernel)
 from repro.core.layer import Layer
 from repro.core.lookup import DENSE_MAX_ENTRIES
 from repro.core.portfolio import Portfolio
 from repro.core.tables import (EltTable, TrialSegments, YetTable, YltTable,
-                               trial_spans)
+                               trial_spans, whole_trial_cuts)
 from repro.core.terms import LayerTerms
 from repro.data.store import ChunkStore
 from repro.serve import CachePolicy
@@ -413,7 +412,7 @@ class Substrates:
         """What a pass over each span of the stored YET sweeps."""
         stored = self.stored(shape, source)
         return [(seg.n_occurrences, seg.max_count) for t0, t1 in spans
-                for seg, _ in stored.trial_blocks(t0, t1)]
+                for seg in stored.trial_blocks(t0, t1)]
 
     def close(self) -> None:
         for session in self._sessions.values():
@@ -473,7 +472,8 @@ def run_aggregate(cell, case, shape, subs):
         result = DeviceEngine(max_rows_per_chunk=int(rows) if rows else None
                               ).run(portfolio, yet)
         chunk = next(iter(result.details["layers"].values()))["rows_per_chunk"]
-        blocks = blocks_of(yet, _trial_chunks(yet.trial_offsets, chunk))
+        cuts = whole_trial_cuts(yet.trial_offsets, chunk)
+        blocks = blocks_of(yet, zip(cuts, cuts[1:]))
     else:
         engine = (VectorizedEngine() if cell.dispatcher == "inline" else
                   MulticoreEngine.riding(subs.dispatcher(shape, "degraded")))

@@ -14,14 +14,17 @@ Five contracts:
 - **invariance**: by-event rows are ``np.array_equal`` across whole /
   every trial cut / 1, 2, 3 and 7 trial blocks / blocked / pooled /
   degraded / no-shared-memory / raw-column sweeps, sorted or not;
-- **one index per table per process**, built only when a row routes to
-  it, fresh after unpickling, released with its ``YetTable``;
+- **one index per trial span per process**, built from the span's own
+  rows (never the YET's trial column) only when a row routes to it,
+  fresh after unpickling, released with its ``YetTable``;
 - **counted**: lane routing and the index's levels reach the telemetry
   plane of a session and of a service.
 """
 
 import gc
 import pickle
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -38,7 +41,7 @@ from repro.core.layer import Layer
 from repro.core.lookup import fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core import tables
-from repro.core.tables import EltTable, EventIndex, YetTable
+from repro.core.tables import EltTable, TrialSegments, YetTable
 from repro.core.terms import LayerTerms
 from repro.errors import ConfigurationError
 from repro.hpc import shm
@@ -87,10 +90,17 @@ def index_bytes(events):
     return 4 * events.size + 8 * distinct.size + distinct.nbytes
 
 
+def stream_index(trials, events, n_trials):
+    """The index of a raw stream sorted by trial: its span's."""
+    return TrialSegments.from_sorted_trials(
+        np.asarray(trials), np.asarray(events), n_trials).event_index()
+
+
 def span_index(trials, events, t0, t1):
-    """An index over the rows of trials ``[t0, t1)`` alone."""
+    """An index over the rows of trials ``[t0, t1)`` alone, their trials
+    numbered from ``t0``."""
     rows = (trials >= t0) & (trials < t1)
-    return EventIndex(trials[rows], events[rows], t1 - t0, t0)
+    return stream_index(trials[rows] - t0, events[rows], t1 - t0)
 
 
 class TestEventIndex:
@@ -98,9 +108,7 @@ class TestEventIndex:
     EVENTS = np.array([5, 7, 5, 7, 5, 9])
 
     def test_hand_computed_occurrences(self):
-        index = EventIndex(self.TRIALS, self.EVENTS, n_trials=4)
-        assert index.builds == 0 and index.snapshot() == {
-            "yet.event_index.builds": 0, "yet.event_index.bytes": 0}
+        index = stream_index(self.TRIALS, self.EVENTS, 4)
         # event 5 occurs in trials 0, 0, 2; event 6 never; 9 in trial 3
         counts, trial = index.occurrences(np.array([5, 6, 9]))
         np.testing.assert_array_equal(counts, [3, 0, 1])
@@ -115,15 +123,14 @@ class TestEventIndex:
         # ids up to 9 over 6 occurrences: offsets by rank — 6 int32
         # trials, 3 offsets, 3 distinct (int64) ids
         assert index.keys.dtype == np.int32
-        assert index.snapshot() == {"yet.event_index.builds": 1,
-                                    "yet.event_index.bytes": 6 * 4 + (3 + 3) * 8}
+        assert index.nbytes == 6 * 4 + (3 + 3) * 8
         # trials [2, 4) alone, renumbered from 2; an id past every
         # occurrence
         span = span_index(self.TRIALS, self.EVENTS, 2, 4)
         counts, trial = span.occurrences(np.array([5, 7, 10**12]))
         np.testing.assert_array_equal(counts, [1, 1, 0])
         np.testing.assert_array_equal(trial, [0, 0])
-        assert span.snapshot()["yet.event_index.bytes"] == 3 * 4 + (3 + 3) * 8
+        assert span.nbytes == 3 * 4 + (3 + 3) * 8
 
     def test_rank_keys_order_the_stream_like_direct_keys(self):
         """Ids too large for ``event * n_trials`` key on their rank;
@@ -139,16 +146,15 @@ class TestEventIndex:
                                  direct.occurrences(events)):
                 np.testing.assert_array_equal(got, want)
         # ids the ranked stream does not hold, on both sides of it
-        ranked = EventIndex(self.TRIALS, self.EVENTS + huge, n_trials=4)
+        ranked = stream_index(self.TRIALS, self.EVENTS + huge, 4)
         counts, trial = ranked.occurrences(
             np.array([3, huge + 6, 2**63 - 1]))
         assert not counts.any() and trial.size == 0
-        assert ranked.snapshot()["yet.event_index.bytes"] == (
-            6 * 4 + (3 + 3) * 8)
+        assert ranked.nbytes == 6 * 4 + (3 + 3) * 8
 
     def test_empty_stream(self):
         none = np.array([], dtype=np.int64)
-        counts, trial = EventIndex(none, none, 3).occurrences(
+        counts, trial = stream_index(none, none, 3).occurrences(
             np.array([0, 4]))
         np.testing.assert_array_equal(counts, [0, 0])
         assert trial.size == 0
@@ -183,9 +189,7 @@ class TestEventIndex:
                     which = np.repeat(np.arange(wanted.size), counts)
                     np.testing.assert_array_equal(np.stack((which, trial)),
                                                   want)
-                    assert index.builds == 1
-                    assert index.snapshot()["yet.event_index.bytes"] == (
-                        index_bytes(events[rows] + shift))
+                    assert index.nbytes == index_bytes(events[rows] + shift)
 
     @pytest.mark.parametrize("ranked", [False, True])
     def test_keys_take_int64_only_where_the_key_needs_it(self, ranked,
@@ -205,7 +209,7 @@ class TestEventIndex:
                 (2_000, 20_000, 500_000, False)):
             trials = np.sort(rng.integers(0, n_trials, n)).astype(np.int32)
             events = rng.integers(0, width, n) + (2**40 if ranked else 0)
-            index = EventIndex(trials, events, n_trials)
+            index = stream_index(trials, events, n_trials)
             keys = index.keys
             distinct, counts = np.unique(events, return_counts=True)
             assert (index._events is not None) == ranked
@@ -233,7 +237,7 @@ def test_hand_computed_by_event_sweep():
     # net losses: event 3 -> 150 (capped), everything else 0
     yet = make_yet([1, 1, 1, 3, 3, 4], [3, 2, 99, 3, 3, 16], n_trials=6)
     kernel = pf.kernel()
-    annual = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
+    annual = swept(kernel, lambda: kernel.sweep_segments(yet.trial_block()),
                    1, 0)
     np.testing.assert_array_equal(annual, [[0.0, 150.0, 0.0, 300.0, 0.0, 0.0]])
     assert kernel._net == [None], "a by-event row builds no net table"
@@ -260,7 +264,7 @@ def test_ids_near_1e9_cost_bytes_per_distinct_id_not_per_id():
     # every book spans a wide id range: every row by events
     assert not any(fits_direct(kernel.book(s)[0])
                    for s in range(kernel.n_unique_lookups))
-    annual = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
+    annual = swept(kernel, lambda: kernel.sweep_segments(yet.trial_block()),
                    3, 0)
     final = kernel.apply_aggregate(annual)
     assert final.any(axis=1).all()
@@ -292,9 +296,9 @@ class TestRouting:
     def test_threshold_is_a_sixteenth_of_the_own_width(self):
         at, above = (Portfolio([self.layer(k)]).kernel() for k in (4, 5))
         block = self.yet.trial_block()
-        swept(at, lambda: at.sweep_segments(*block), 1, 0)
-        swept(above, lambda: above.sweep_segments(*block), 0, 1)
-        assert self.yet.event_index.builds == 1
+        swept(at, lambda: at.sweep_segments(block), 1, 0)
+        swept(above, lambda: above.sweep_segments(block), 0, 1)
+        assert self.yet.cache_levels()["yet.event_index.builds"] == 1
 
     def test_answer_and_path_do_not_depend_on_the_rows_beside(self):
         """Beside a far wider table (the stacked width grows 16x) and a
@@ -312,17 +316,17 @@ class TestRouting:
         ])
         assert int(stacked.book(0)[0][-1]) + 1 == 1024    # the wide book
         assert stacked.tail_group_rows == 0
-        annual = swept(stacked, lambda: stacked.sweep_segments(*block), 1, 3)
+        annual = swept(stacked, lambda: stacked.sweep_segments(block), 1, 3)
         assert annual.any(axis=1).all()
         np.testing.assert_array_equal(
-            annual[stacked.row_of(1)], alone.sweep_segments(*block)[0])
+            annual[stacked.row_of(1)], alone.sweep_segments(block)[0])
         np.testing.assert_array_equal(
-            annual[stacked.row_of(2)], alone_at.sweep_segments(*block)[0])
+            annual[stacked.row_of(2)], alone_at.sweep_segments(block)[0])
 
     def test_sublinear_off_still_routes_lane_rows_by_the_rule(self):
         kernel = Portfolio([self.layer(2)]).kernel()
         swept(kernel, lambda: kernel.sweep_segments(
-            *self.yet.trial_block(), sublinear=False), 1, 0)
+            self.yet.trial_block(), sublinear=False), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +387,7 @@ class TestDecompositionInvariance:
             ids = np.where(yet.event_ids >= 2**30, 165, yet.event_ids)
             yet = make_yet(yet.trials, ids, yet.n_trials)
         kernel = portfolio.kernel()
-        whole = swept(kernel, lambda: kernel.sweep_segments(*yet.trial_block()),
+        whole = swept(kernel, lambda: kernel.sweep_segments(yet.trial_block()),
                       4, 1)
         entries = (int(yet.event_ids.max()) + 1 if offsets == "by_id"
                    else np.unique(yet.event_ids).size)
@@ -392,13 +396,12 @@ class TestDecompositionInvariance:
         assert yet.cache_levels()["yet.event_index.bytes"] == whole_bytes
         for cuts in self.CUTS:
             parts = [swept(kernel, lambda: kernel.sweep_segments(
-                *yet.trial_block(a, b)), 4, 1) for a, b in zip(cuts, cuts[1:])]
+                yet.trial_block(a, b)), 4, 1) for a, b in zip(cuts, cuts[1:])]
             np.testing.assert_array_equal(np.concatenate(parts, axis=1), whole)
         spans = {(a, b) for cuts in self.CUTS[1:]
                  for a, b in zip(cuts, cuts[1:])}
         assert len(spans) == 11
         levels = yet.cache_levels()
-        assert yet.event_index.builds == 1
         assert levels["yet.event_index.builds"] == 1 + len(spans)
         assert levels["yet.event_index.bytes"] == whole_bytes + sum(
             span_bytes(yet, a, b) for a, b in spans)
@@ -428,10 +431,9 @@ class TestDecompositionInvariance:
 # ---------------------------------------------------------------------------
 
 def _worker_event_indexes(yet):  # pragma: no cover - in a worker
-    """``{span: (builds, bytes)}`` of the worker's YET copy."""
-    return {
-        span: (index.builds, index.snapshot()["yet.event_index.bytes"])
-        for span, index in yet._indexes.items()}
+    """``(builds, bytes)`` of the worker's YET copy's span indexes."""
+    levels = yet.cache_levels()
+    return levels["yet.event_index.builds"], levels["yet.event_index.bytes"]
 
 
 class TestIndexLifetime:
@@ -449,15 +451,14 @@ class TestIndexLifetime:
         for sweep in range(self.N_SWEEPS):
             InlineDispatcher().run(kernel, yet)
             PortfolioKernel.from_layers(portfolio).sweep_segments(
-                *yet.trial_block())
+                yet.trial_block())
         # whole-table sweeps read the one whole-table index
         assert yet.cache_levels()["yet.event_index.builds"] == 1
         assert yet.cache_levels()["yet.event_index.bytes"] == ranked_bytes(yet)
         for sweep in range(self.N_SWEEPS):
-            kernel.sweep_segments(*yet.trial_block(sweep, 200 - sweep))
-            kernel.sweep_segments(*yet.trial_block(sweep, 200 - sweep))
+            kernel.sweep_segments(yet.trial_block(sweep, 200 - sweep))
+            kernel.sweep_segments(yet.trial_block(sweep, 200 - sweep))
         # spans [0, 200) .. [5, 195): each built once, by its own rows
-        assert yet.event_index.builds == 1
         assert yet.cache_levels()["yet.event_index.builds"] == (
             1 + self.N_SWEEPS)
         assert yet.cache_levels()["yet.event_index.bytes"] == (
@@ -474,14 +475,13 @@ class TestIndexLifetime:
             spans = set(d.spans(yet))
             seen = worker_probes(d, _worker_event_indexes)
         assert len(spans) == 2
-        for indexes in seen.values():
-            # a worker indexes the spans it swept, each once, by the
-            # span's rows alone — and never builds the whole YET's
-            assert indexes.pop((0, yet.n_trials), (0, 0)) == (0, 0)
-            assert indexes and set(indexes) <= spans
-            for (t0, t1), (builds, nbytes) in indexes.items():
-                assert builds == 1
-                assert nbytes == span_bytes(yet, t0, t1)
+        # a worker indexes the spans it swept, each once, by the span's
+        # rows alone — and never builds the whole YET's
+        sizes = [span_bytes(yet, *span) for span in sorted(spans)]
+        swept_by = {(1, sizes[0]), (1, sizes[1]), (2, sum(sizes))}
+        assert ranked_bytes(yet) not in sizes + [sum(sizes)]
+        for levels in seen.values():
+            assert levels in swept_by
         # nothing was built, or shipped, here
         assert yet.cache_levels()["yet.event_index.builds"] == 0
 
@@ -491,12 +491,12 @@ class TestIndexLifetime:
         table's, and its levels report the span indexes."""
         portfolio, yet = by_event_workload(seed=74)
         kernel = portfolio.kernel()
-        whole = kernel.sweep_segments(*yet.trial_block())
+        whole = kernel.sweep_segments(yet.trial_block())
         spans = ((0, 120), (120, 240))
         with shm.SharedArena() as arena:
             copy = YetTable.from_handles(yet.to_shared(arena))
             for _ in range(2):
-                parts = [kernel.sweep_segments(*copy.trial_block(t0, t1))
+                parts = [kernel.sweep_segments(copy.trial_block(t0, t1))
                          for t0, t1 in spans]
                 np.testing.assert_array_equal(
                     np.concatenate(parts, axis=1), whole)
@@ -504,23 +504,74 @@ class TestIndexLifetime:
             assert levels["yet.event_index.builds"] == len(spans)
             assert levels["yet.event_index.bytes"] == sum(
                 span_bytes(yet, t0, t1) for t0, t1 in spans)
-            assert copy.event_index.builds == 0
             del copy, parts
+
+    def test_a_span_indexes_its_own_rows_not_the_trial_column(
+            self, monkeypatch):
+        """A span's index is built from the span alone, its trials
+        re-expanded from its segments: no index build reads the YET's
+        ``trials``, and the answers are the ones built off it before."""
+        portfolio, yet = by_event_workload(seed=85)
+        kernel = portfolio.kernel()
+        spans = ((0, 240), (0, 100), (100, 240), (7, 8))
+        want = [kernel.sweep_segments(yet.trial_block(*span))
+                for span in spans]
+        fresh = make_yet(yet.trials, yet.event_ids, yet.n_trials)
+
+        def unread(_yet):
+            raise AssertionError("a span index read the YET's trial column")
+
+        monkeypatch.setattr(YetTable, "trials", property(unread))
+        for span, answer in zip(spans, want):
+            np.testing.assert_array_equal(
+                kernel.sweep_segments(fresh.trial_block(*span)), answer)
+        assert fresh.cache_levels() == yet.cache_levels()
+        assert fresh.cache_levels()["yet.event_index.builds"] == len(spans)
+
+    def test_concurrent_sweeps_share_one_span_and_one_index(self):
+        """Threads racing to a span no one has swept yet get one span,
+        and the span builds one index for all of them."""
+        portfolio, yet = by_event_workload(seed=86)
+        kernels = [PortfolioKernel.from_layers(portfolio) for _ in range(6)]
+        answers, barrier = [None] * len(kernels), threading.Barrier(
+            len(kernels))
+
+        def sweep(i):
+            barrier.wait(timeout=10)
+            answers[i] = kernels[i].sweep_segments(yet.trial_block(0, 120))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,))
+                       for i in range(len(kernels))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert yet.cache_levels()["yet.event_index.builds"] == 1
+        assert yet.cache_levels()["yet.event_index.bytes"] == span_bytes(
+            yet, 0, 120)
+        for answer in answers[1:]:
+            np.testing.assert_array_equal(answer, answers[0])
 
     def test_unpickled_table_starts_unbuilt(self):
         portfolio, yet = by_event_workload(seed=75)
         kernel = portfolio.kernel()
-        whole = kernel.sweep_segments(*yet.trial_block())
-        assert yet.event_index.builds == 1
+        whole = kernel.sweep_segments(yet.trial_block())
+        assert yet.cache_levels()["yet.event_index.builds"] == 1
         payload = pickle.dumps(yet)
         assert len(payload) < yet.nbytes + 2 * yet.n_occurrences, (
             "the index (or a second copy of the columns) was pickled")
         copy = pickle.loads(payload)
-        assert copy.event_index.builds == 0
+        assert copy.cache_levels()["yet.event_index.builds"] == 0
         assert copy.cache_levels()["yet.event_index.bytes"] == 0
         np.testing.assert_array_equal(
-            kernel.sweep_segments(*copy.trial_block()), whole)
-        assert copy.event_index.builds == 1
+            kernel.sweep_segments(copy.trial_block()), whole)
+        assert copy.cache_levels()["yet.event_index.builds"] == 1
 
     def test_released_with_its_yet(self):
         """Nothing but the table (and the segments it hands out) holds
@@ -530,9 +581,9 @@ class TestIndexLifetime:
         gc.collect()
         gc.disable()
         try:
-            kernel.sweep_segments(*yet.trial_block())
-            kernel.sweep_segments(*yet.trial_block(3, 90))
-            ref = weakref.ref(yet.event_index.keys)
+            kernel.sweep_segments(yet.trial_block())
+            kernel.sweep_segments(yet.trial_block(3, 90))
+            ref = weakref.ref(yet.trial_block(3, 90).event_index().keys)
             del yet
             assert ref() is None, "the YET's event index outlived it"
         finally:
@@ -544,7 +595,7 @@ class TestIndexLifetime:
             _, yet = by_event_workload(seed=78 + cycle)
             session = RiskSession(yet, portfolio)
             session.aggregate(engine="vectorized")
-            ref = weakref.ref(yet.event_index.keys)
+            ref = weakref.ref(yet.trial_block().event_index().keys)
             session.close()
             del yet, session
             gc.collect()

@@ -109,29 +109,30 @@ class TestTrialSegments:
     def test_empty_trials_have_no_segment(self):
         # trials 0, 3 and 5-6 are empty: leading, interior, trailing
         yet = make_yet([1, 1, 2, 4, 4, 4], [7, 8, 9, 7, 8, 9], n_trials=7)
-        seg, events = yet.trial_block()
+        seg = yet.trial_block()
         np.testing.assert_array_equal(seg.trial_ids, [1, 2, 4])
         np.testing.assert_array_equal(seg.bounds, [0, 2, 3, 6])
         assert (seg.n_trials, seg.n_occurrences, seg.max_count) == (7, 6, 3)
-        assert np.shares_memory(events, yet.event_ids)
+        assert np.shares_memory(seg.event_ids, yet.event_ids)
 
     def test_trial_range_is_offset_arithmetic(self):
         yet = make_yet([1, 1, 2, 4, 4, 4], [7, 8, 9, 7, 8, 9], n_trials=7)
-        seg, events = yet.trial_block(2, 6)
+        seg = yet.trial_block(2, 6)
         np.testing.assert_array_equal(seg.trial_ids, [0, 2])   # renumbered
         np.testing.assert_array_equal(seg.bounds, [0, 1, 4])
-        np.testing.assert_array_equal(events, [9, 7, 8, 9])
+        np.testing.assert_array_equal(seg.event_ids, [9, 7, 8, 9])
         assert (seg.n_trials, seg.max_count) == (4, 3)
         assert yet.index_builds == 1
-        empty, events = yet.trial_block(5, 7)
-        assert empty.n_occurrences == 0 and events.size == 0
+        empty = yet.trial_block(5, 7)
+        assert empty.n_occurrences == 0 and empty.event_ids.size == 0
         assert empty.trial_ids.size == 0 and empty.max_count == 0
 
     def test_raw_columns_derive_the_same_structure(self):
         yet = make_yet([1, 1, 2, 4, 4, 4], [7, 8, 9, 7, 8, 9], n_trials=7)
-        carried, _ = yet.trial_block()
-        derived = TrialSegments.from_sorted_trials(yet.trials, yet.n_trials)
-        for name in ("bounds", "trial_ids"):
+        carried = yet.trial_block()
+        derived = TrialSegments.from_sorted_trials(yet.trials, yet.event_ids,
+                                                   yet.n_trials)
+        for name in ("bounds", "trial_ids", "event_ids"):
             np.testing.assert_array_equal(getattr(derived, name),
                                           getattr(carried, name))
         assert derived.max_count == carried.max_count
@@ -139,17 +140,16 @@ class TestTrialSegments:
     def test_index_is_derived_once_per_table_and_per_attached_copy(self):
         yet = make_yet([0, 0, 2], [1, 2, 3], n_trials=3)
         assert yet.index_builds == 0
-        first, _ = yet.trial_block()
+        first, part = yet.trial_block(), yet.trial_block(1, 3)
         for _ in range(3):
-            again, _ = yet.trial_block()
-            yet.trial_block(1, 3)
-            assert again is first
+            assert yet.trial_block() is first          # one span per range,
+            assert yet.trial_block(1, 3) is part       # kept by the table
         assert yet.index_builds == 1
         with shm.SharedArena() as arena:
             attached = YetTable.from_handles(yet.to_shared(arena))
             assert attached.index_builds == 0
             for _ in range(3):
-                seg, _ = attached.trial_block()
+                seg = attached.trial_block()
                 attached.trial_block(0, 2)
             assert attached.index_builds == 1
             np.testing.assert_array_equal(seg.bounds, first.bounds)
@@ -170,7 +170,7 @@ def test_hand_computed_lane_sweep():
     yet = make_yet([1, 1, 1, 3, 3, 4], [1, 2, 9, 3, 3, 1], n_trials=6)
     kernel = pf.kernel()
     proof = NetGatherProof(kernel)
-    annual = proof.ran(lambda: kernel.sweep_segments(*yet.trial_block()))
+    annual = proof.ran(lambda: kernel.sweep_segments(yet.trial_block()))
     np.testing.assert_array_equal(annual, [[0.0, 250.0, 0.0, 600.0, 50.0, 0.0]])
 
 

@@ -165,7 +165,11 @@ def test_removed_names_stay_removed(tmp_path):
     protocol went when a worker began holding one payload per role; and
     a book's dense table, its kind and the kernel's dense/CSR split
     went when a book began to be stored one way, as its sorted
-    entries."""
+    entries; and the YET's whole-table index and profile cache, the
+    segments' references back to them and the whole-YET profile slice
+    went when a trial span began to carry its own stream and what is
+    derived from it, with the per-call gather and the device engine's
+    second trial cut."""
     import inspect
 
     from repro.hpc import WorkPool
@@ -202,12 +206,32 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.core.PortfolioKernel.n_dense",
                "repro.core.PortfolioKernel.n_sparse",
                "repro.core.lookup.dense_gather_into",
-               "repro.core.lookup.sparse_gather_into"]
+               "repro.core.lookup.sparse_gather_into",
+               "repro.core.lookup.gather",
+               "repro.core.tables.YetTable.event_index",
+               "repro.core.tables.YetTable.profiles",
+               "repro.core.tables.YetTable._indexes",
+               "repro.core.tables.YetTable._segments",
+               "repro.core.tables.YetTable._span_index",
+               "repro.core.tables.BookProfile.trial_range",
+               "repro.core.tables.TrialSegments._within",
+               "repro.core.tables.TrialSegments._events",
+               "repro.core.tables.EventIndex.t0",
+               "repro.core.tables.EventIndex.builds",
+               "repro.core.tables.EventIndex.snapshot",
+               "repro.core.tables.TrialSegments.trial_column",
+               "repro.core.kernels.PortfolioKernel._gather_store",
+               "repro.core.engines.device._trial_chunks"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
         f"removed.py:{name}" for name in removed]
     assert "shared" not in inspect.signature(WorkPool.ensure_started).parameters
+    from repro.core.tables import EventIndex, TrialSegments
+
+    assert list(inspect.signature(TrialSegments).parameters) == [
+        "offsets", "event_ids"]
+    assert list(inspect.signature(EventIndex).parameters) == ["segments"]
 
 
 def test_one_definition_per_paper_experiment():
@@ -429,8 +453,7 @@ def test_kernel_sweep_signatures_locked():
     assert params(PortfolioKernel.sweep) == raw
     assert params(PortfolioKernel.run) == raw
     assert params(PortfolioKernel.sweep_segments) == [
-        ("self", False), ("segments", False), ("event_ids", False),
-        ("sublinear", True)]
+        ("self", False), ("segments", False), ("sublinear", True)]
     assert not inspect.signature(VectorizedEngine).parameters
     assert list(inspect.signature(InlineDispatcher).parameters) == [
         "telemetry"]
@@ -525,7 +548,7 @@ def test_engine_spec_and_planner_knobs_locked():
     assert keywords(EventIndex.occurrences) == ["events"]
     assert [name for name in vars(EventIndex)
             if callable(getattr(EventIndex, name))
-            and not name.startswith("_")] == ["occurrences", "snapshot"]
+            and not name.startswith("_")] == ["occurrences"]
     # The output slab is the kernel slab's class, with no knob of its own.
     from repro.hpc.shm import ShmSlab
 

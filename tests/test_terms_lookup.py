@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.engines import VectorizedEngine
 from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
+from repro.core import lookup as lookup_module
 from repro.core.lookup import LossLookup, fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core.tables import EltTable
@@ -102,8 +103,8 @@ class TestTrialOracle:
 
 class TestLossLookup:
     def test_dense_layout_chosen_for_compact_ids(self):
-        """Compact ids are looked up through a direct table built per
-        call; the book stores its sorted entries and nothing else."""
+        """Compact ids are looked up through a direct table; the book
+        stores its sorted entries beside it."""
         lk = LossLookup.from_arrays([0, 1, 2], [1.0, 2.0, 3.0])
         assert fits_direct(lk.ids)
         assert lk.resident_bytes == 16 * lk.n_entries == 48
@@ -243,6 +244,22 @@ class TestLossLookup:
 
 
 class TestGatherInto:
+    @pytest.mark.parametrize("dense_max", [10**6, 1])
+    def test_a_lookup_builds_its_reader_once(self, dense_max, monkeypatch):
+        """Every read of a book goes through one reader, built on the
+        first read: two reads build one table and read equal values."""
+        built = []
+        make = lookup_module.reader
+        monkeypatch.setattr(lookup_module, "reader", lambda ids, values: (
+            built.append(ids.size) or make(ids, values)))
+        lk = build([1, 3, 7], [10.0, 30.0, 70.0], dense_max)
+        queries = np.array([1, 2, 3, 7, 99])
+        first = lk(queries)
+        second = lk.gather_into(queries, np.empty(queries.size))
+        assert len(built) == 1
+        np.testing.assert_array_equal(first, [10.0, 0.0, 30.0, 70.0, 0.0])
+        np.testing.assert_array_equal(second, first)
+
     @pytest.mark.parametrize("dense_max", [10**6, 1])
     def test_matches_call(self, dense_max):
         rng = np.random.default_rng(3)
