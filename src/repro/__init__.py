@@ -82,7 +82,7 @@ from repro.dfa import (
     value_at_risk,
 )
 from repro.errors import ExecutionError, ReproError
-from repro.hpc import FaultPlan, PoolHealth, TaskPolicy, WorkPool
+from repro.hpc import FaultPlan, PoolHealth, WorkPool
 from repro.obs import MetricsRegistry, Telemetry
 from repro.serve import BatchPolicy, CachePolicy, PricingService
 from repro.session import ExecutionPlan, RiskSession
@@ -128,7 +128,6 @@ __all__ = [
     "ExecutionError",
     "FaultPlan",
     "PoolHealth",
-    "TaskPolicy",
     "WorkPool",
     "PricingService",
     "BatchPolicy",

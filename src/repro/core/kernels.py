@@ -769,14 +769,7 @@ class PortfolioKernel:
                 lane = gather(chunk, out=buf[:chunk.size])
                 out[row, cols] = np.add.reduceat(lane, starts)
 
-    def run(
-        self,
-        trials: np.ndarray,
-        event_ids: np.ndarray,
-        n_trials: int,
-        *,
-        sublinear: bool | None = None,
-    ) -> np.ndarray:
+    def run(self, trials: np.ndarray, event_ids: np.ndarray,
+            n_trials: int) -> np.ndarray:
         """Sweep + aggregate terms: the final ``(L, n_trials)`` YLT matrix."""
-        return self.apply_aggregate(
-            self.sweep(trials, event_ids, n_trials, sublinear=sublinear))
+        return self.apply_aggregate(self.sweep(trials, event_ids, n_trials))

@@ -675,18 +675,17 @@ def trial_spans(n_trials: int, n_blocks: int) -> list[tuple[int, int]]:
 class YetHandles:
     """Shared-memory descriptor of one YET (the zero-copy wire format).
 
-    Produced by :meth:`YetTable.to_shared`; pickles as three
-    :class:`~repro.hpc.shm.ShmArrayHandle` column descriptors plus the
-    trial count — a few hundred bytes for a table of any size, whose
-    staged columns are 12 B per occurrence (three int32 columns).
+    Produced by :meth:`YetTable.to_shared`; pickles as one
+    :class:`~repro.hpc.shm.ShmArrayHandle` per :data:`YET_SCHEMA` column
+    (``arrays``, keyed by column name) plus the trial count — a few
+    hundred bytes for a table of any size, whose staged columns are
+    12 B per occurrence (three int32 columns).
     :meth:`YetTable.from_handles` re-attaches it as views in a worker.
     ``fingerprint`` rides along when the source table had already
     computed it, so attached copies skip the content hash too.
     """
 
-    trial: object
-    seq: object
-    event_id: object
+    arrays: dict
     n_trials: int
     fingerprint: str | None = None
 
@@ -894,11 +893,10 @@ class YetTable:
         faithful round-trip is worth ``seq``'s third of the 12 B per
         occurrence one staging copy costs.
         """
-        h_trial, h_seq, h_event = arena.place(
-            self.table["trial"], self.table["seq"], self.table["event_id"]
-        )
+        names = YET_SCHEMA.names
+        handles = arena.place(*(self.table[name] for name in names))
         return YetHandles(
-            trial=h_trial, seq=h_seq, event_id=h_event,
+            arrays=dict(zip(names, handles)),
             n_trials=self.n_trials, fingerprint=self._fingerprint,
         )
 
@@ -912,10 +910,7 @@ class YetTable:
         hot path this transport exists to thin.
         """
         table = ColumnTable(YET_SCHEMA, {
-            "trial": handles.trial.attach(),
-            "seq": handles.seq.attach(),
-            "event_id": handles.event_id.attach(),
-        })
+            name: h.attach() for name, h in handles.arrays.items()})
         yet = cls.__new__(cls)
         yet.table = table
         yet.n_trials = int(handles.n_trials)

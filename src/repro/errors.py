@@ -48,9 +48,10 @@ class ExecutionError(ReproError):
     """A supervised parallel execution failed terminally.
 
     Raised by :class:`~repro.hpc.pool.WorkPool` (and surfaced unchanged
-    by the dispatchers, engines, and the pricing service) once the task
-    policy's retry budget is exhausted — never for a transient worker
-    death or deadline miss, which supervision absorbs by resubmitting.
+    by the dispatchers, engines, and the pricing service) once a task's
+    retry budget (:data:`repro.hpc.pool.MAX_RETRIES`) is exhausted —
+    never for a transient worker death or deadline miss, which
+    supervision absorbs by resubmitting.
     Carries the *failure chain*: every underlying exception observed
     across the attempts, oldest first, so operators see the whole story
     instead of the last raw executor traceback.

@@ -21,15 +21,17 @@ large read-only payloads (the YET, stacked kernels) live in
 ``multiprocessing.shared_memory`` segments and cross process boundaries
 as ~100-byte handles instead of pickled replicas — the one transport;
 a host without shared memory runs pooled work in process as a counted
-degraded fallback.  The pool is
-*supervised*: per-call :class:`~repro.hpc.pool.TaskPolicy` deadlines and
-retries resubmit lost work idempotently, :class:`~repro.hpc.pool.PoolHealth`
-records deaths/timeouts/degradation, and :mod:`repro.hpc.faults` injects
-deterministic failures for chaos testing.
+degraded fallback.  The pool runs every task it is given on its workers
+(the pooled dispatcher decides which runs stay in process) and
+*supervises* them: a per-call deadline and the pool's own retry
+constants resubmit lost work idempotently,
+:class:`~repro.hpc.pool.PoolHealth` records deaths/timeouts/degradation,
+and :mod:`repro.hpc.faults` injects deterministic failures for chaos
+testing.
 """
 
 from repro.hpc.faults import FaultEvent, FaultPlan, FaultSpec
-from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
+from repro.hpc.pool import PoolHealth, WorkPool
 from repro.hpc.shm import SharedArena, ShmArrayHandle, ShmSlab, shm_available
 from repro.hpc.device import DeviceProperties
 from repro.hpc.chunking import ChunkPlanner, DeviceChunkPlan
@@ -41,7 +43,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "PoolHealth",
-    "TaskPolicy",
     "WorkPool",
     "SharedArena",
     "ShmArrayHandle",

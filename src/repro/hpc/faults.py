@@ -21,10 +21,10 @@ measurable.
 
 Wiring: :class:`~repro.hpc.pool.WorkPool` consults :func:`active_plan`
 per submitted task.  Nothing is consulted (one attribute read) unless a
-plan is installed (:func:`install` / :func:`inject`).  Injection
-applies only to *pooled* task dispatch; serial/inline execution
-(including degraded-mode fallback) never injects — a ``kill`` there
-would take the caller down with it.
+plan is installed (:func:`install` / :func:`inject`).  Every task the
+pool runs is on a worker; a run the pooled dispatcher sweeps in process
+(one span, or the degraded fallback) never reaches the pool and never
+injects — a ``kill`` there would take the caller down with it.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class PoisonedPayloadError(ReproError):
 
     Stands in for the real-world failure class of a truncated or
     bit-flipped pickle: the task fails *cleanly* in the worker (unlike a
-    kill, the process survives).  Retryable under the default
-    :class:`~repro.hpc.pool.TaskPolicy` — corruption in flight is
+    kill, the process survives).  Retryable: it is listed in
+    :data:`repro.hpc.pool.RETRYABLE` — corruption in flight is
     transient by nature, and the resubmitted payload is re-pickled from
     the intact parent-side object.
     """

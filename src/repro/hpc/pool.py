@@ -1,24 +1,27 @@
-"""Supervised work-pool wrapper (real processes when available, serial otherwise).
+"""Supervised work pool: every task it is given runs on its workers.
 
 The pooled dispatcher (hence the multicore engine and serving) executes
 tasks through this wrapper; MapReduce map tasks run on the engine's
-inline dispatcher and never touch it.  On single-core or
-fork-restricted hosts the pool degrades to serial execution with
-identical results — parallelism in this library never changes answers,
-only wall time.
+inline dispatcher and never touch it.  The pool only supervises: which
+runs go to workers at all is the dispatcher's decision
+(:mod:`repro.serve.dispatch`), which sweeps a run of one span, a run on
+a degraded pool and a run on a host without shared memory in process —
+parallelism in this library never changes answers, only wall time.
 
-Worker processes are spawned lazily on first parallel use and reused
-across calls; :meth:`WorkPool.close` (or the context manager) is the
-shutdown path.  A task names its whole input: a large payload rides
-each task as shared-memory handles (:mod:`repro.hpc.shm`), a few
-hundred bytes, which the worker attaches and keeps (see
-:mod:`repro.serve.dispatch`), so any worker, a fresh one after a death
-too, runs any task as it was submitted.
+Worker processes are spawned lazily on first use and reused across
+calls; :meth:`WorkPool.close` (or the context manager) is the shutdown
+path.  A task names its whole input: a large payload rides each task as
+shared-memory handles (:mod:`repro.hpc.shm`), a few hundred bytes, which
+the worker attaches and keeps (see :mod:`repro.serve.dispatch`), so any
+worker, a fresh one after a death too, runs any task as it was
+submitted.
 
 Failure semantics
 -----------------
-Tasks submitted through :meth:`map` / :meth:`starmap` are
-**supervised** under a per-call :class:`TaskPolicy`:
+Tasks submitted through :meth:`WorkPool.starmap` are **supervised**.  A
+call names only its deadline; the rest is decided here, as the module
+constants :data:`MAX_RETRIES`, :data:`BACKOFF_SECONDS`,
+:data:`BACKOFF_JITTER`, :data:`RETRYABLE` and :data:`DEGRADE_AFTER`:
 
 - A worker death (``BrokenProcessPool``) loses only the tasks that had
   not finished: the executor is cycled and the lost tasks, which name
@@ -26,21 +29,22 @@ Tasks submitted through :meth:`map` / :meth:`starmap` are
   exponential backoff.  Tasks must therefore be idempotent — every task
   in this library is a pure function of its arguments, so re-execution
   is the MapReduce recovery story applied to the in-node pool.
-- A batch that misses the policy's ``deadline_seconds`` is treated as a
+- A batch that misses the call's ``deadline_seconds`` is treated as a
   wedged pool: already-finished results are kept, the executor is shut
   down without waiting, and only the unfinished tasks are resubmitted.
-- Exceptions *raised by a task* are retried only when they match the
-  policy's ``retryable`` classes (transient-by-nature failures such as
-  an injected :class:`~repro.hpc.faults.PoisonedPayloadError`);
-  anything else is a genuine error and propagates unchanged.
-- When one task exhausts ``max_retries`` the call fails terminally with
-  a typed :class:`~repro.errors.ExecutionError` carrying the whole
+- Exceptions *raised by a task* are retried only when they are
+  :data:`RETRYABLE` (transient-by-nature failures such as an injected
+  :class:`~repro.hpc.faults.PoisonedPayloadError`); anything else is a
+  genuine error and propagates unchanged.
+- When one task exhausts :data:`MAX_RETRIES` the call fails terminally
+  with a typed :class:`~repro.errors.ExecutionError` carrying the whole
   failure chain — never a bare executor traceback.
-- After ``degrade_after`` *consecutive* terminal call failures the pool
-  flips :attr:`PoolHealth.degraded` and every later call runs inline and
-  serial: answers stay bit-identical, wall time gets worse, and the
-  session planner stops charging this substrate as warm.
-  :meth:`reset_health` is the operator's path back to pooled execution.
+- After :data:`DEGRADE_AFTER` *consecutive* terminal call failures the
+  pool flips :attr:`PoolHealth.degraded`, and the pooled dispatcher
+  sweeps every later run in process: answers stay bit-identical, wall
+  time gets worse, and the session planner stops charging this
+  substrate as warm.  :meth:`WorkPool.reset_health` is the operator's
+  path back to pooled execution.
 
 :attr:`WorkPool.health` (a :class:`PoolHealth`) records deaths, retries,
 timeouts, cycles, and the degraded flag for callers up the stack.
@@ -54,16 +58,28 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
+from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults
 from repro.obs import Telemetry
 
-__all__ = ["PoolHealth", "TaskPolicy", "WorkPool", "available_parallelism"]
+__all__ = ["PoolHealth", "WorkPool", "available_parallelism"]
+
+#: Resubmissions allowed **per task** beyond its first attempt.
+MAX_RETRIES = 2
+#: Base of the exponential backoff between retry cycles (capped at 1 s).
+BACKOFF_SECONDS = 0.05
+#: Uniform jitter fraction added to each backoff sleep (decorrelates
+#: thundering-herd resubmission; drawn from the pool's own RNG, seeded,
+#: so a run's sleeps repeat).
+BACKOFF_JITTER = 0.25
+#: Exception classes raised *by tasks* that supervision retries.  A
+#: worker death and a missed deadline are always retried.
+RETRYABLE = (faults.PoisonedPayloadError,)
+#: Consecutive terminal call failures before the pool degrades.
+DEGRADE_AFTER = 3
 
 
 def available_parallelism() -> int:
@@ -72,49 +88,6 @@ def available_parallelism() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
-
-
-@dataclass(frozen=True)
-class TaskPolicy:
-    """Per-call supervision contract for pooled task execution.
-
-    Attributes
-    ----------
-    deadline_seconds:
-        Wall-clock budget for one dispatch attempt of the call's batch
-        (``None`` = no deadline).  A missed deadline keeps finished
-        results, cycles the executor, and resubmits the rest — it is a
-        *retry* trigger, not a terminal failure, until ``max_retries``
-        runs out.
-    max_retries:
-        Resubmissions allowed **per task** beyond its first attempt.
-    backoff_seconds:
-        Base of the exponential backoff between retry cycles.
-    backoff_jitter:
-        Uniform jitter fraction added to each backoff sleep (decorrelates
-        thundering-herd resubmission; drawn from the pool's seeded RNG so
-        tests stay deterministic).
-    retryable:
-        Extra exception classes raised *by tasks* that supervision may
-        retry.  Infrastructure failures (worker death, deadline) are
-        always retryable and need not be listed.
-    """
-
-    deadline_seconds: float | None = None
-    max_retries: int = 2
-    backoff_seconds: float = 0.05
-    backoff_jitter: float = 0.25
-    retryable: tuple = (faults.PoisonedPayloadError,)
-
-    def __post_init__(self) -> None:
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ConfigurationError(
-                "deadline_seconds must be positive (or None)"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be non-negative")
-        if self.backoff_seconds < 0 or self.backoff_jitter < 0:
-            raise ConfigurationError("backoff must be non-negative")
 
 
 class PoolHealth:
@@ -128,12 +101,12 @@ class PoolHealth:
     The failure counts live in :attr:`totals`: supervision adds to them
     through :meth:`count`, they stay monotone for the life of the pool,
     and each is mirrored to the ``pool.<name>`` counter of the owning
-    pool's :class:`~repro.obs.Telemetry` plane.  :meth:`snapshot` reads
-    :attr:`totals`, so it holds on a disabled plane too.  The *state*
-    (``degraded``, ``consecutive_failures``, ``last_error``) lives here
-    as plain attributes; the degraded flag mirrors a ``pool.degraded``
-    gauge plus ``pool.degraded`` / ``pool.recovered`` events on
-    transitions, and :meth:`reset` clears the state only.
+    pool's :class:`~repro.obs.Telemetry` plane, the one place a caller
+    reads them.  The *state* (``degraded``, ``consecutive_failures``,
+    ``last_error``) lives here as plain attributes; the degraded flag
+    mirrors a ``pool.degraded`` gauge plus ``pool.degraded`` /
+    ``pool.recovered`` events on transitions, and :meth:`reset` clears
+    the state only.
     """
 
     #: Registry counters, exported as ``pool.<name>``.
@@ -177,12 +150,11 @@ class PoolHealth:
     def record_success(self) -> None:
         self.consecutive_failures = 0
 
-    def record_call_failure(self, error: BaseException,
-                            degrade_after: int) -> None:
+    def record_call_failure(self, error: BaseException) -> None:
         self.count("call_failures")
         self.consecutive_failures += 1
         self.last_error = f"{type(error).__name__}: {error}"
-        if self.consecutive_failures >= degrade_after:
+        if self.consecutive_failures >= DEGRADE_AFTER:
             self.degraded = True
 
     def reset(self) -> None:
@@ -192,59 +164,36 @@ class PoolHealth:
         self.degraded = False
         self.last_error = None
 
-    def snapshot(self) -> dict:
-        """JSON-ready flat dict in the ``pool.*`` dot-key convention of
-        :mod:`repro.obs` (benches and ops endpoints embed this)."""
-        out = {f"pool.{name}": n for name, n in self.totals.items()}
-        out["pool.consecutive_failures"] = self.consecutive_failures
-        out["pool.degraded"] = self.degraded
-        out["pool.last_error"] = self.last_error
-        return out
-
 
 def _noop(_i: int) -> None:
     """Warm-up barrier task (see :meth:`WorkPool.ensure_started`)."""
 
 
 class WorkPool:
-    """Map tasks over workers; serial when ``n_workers <= 1``.
+    """Run tasks on worker processes, supervised.
 
     Parameters
     ----------
     n_workers:
         Desired workers; ``None`` means the host's available parallelism.
-    policy:
-        Default :class:`TaskPolicy` for calls that do not pass their own.
-    degrade_after:
-        Consecutive terminal call failures before the pool flips to
-        degraded (inline serial) execution.
-    seed:
-        Seed for the backoff-jitter RNG (determinism for tests/benches).
+    telemetry:
+        The plane the ``pool.*`` metrics land on; a session passes its
+        own so one scrape covers the whole stack, a standalone pool gets
+        a private enabled plane.
 
     Notes
     -----
-    Tasks must be picklable top-level callables when ``n_workers > 1``,
-    and idempotent: supervision re-executes lost tasks (see the module
-    docstring's failure semantics).  The process pool is created lazily
-    on the first parallel call and reused until :meth:`close`;
+    Tasks must be picklable top-level callables, and idempotent:
+    supervision re-executes lost tasks (see the module docstring's
+    failure semantics).  The process pool is created lazily on the
+    first call and reused until :meth:`close`;
     ``with WorkPool(...) as pool:`` closes it on exit.
     """
 
     def __init__(self, n_workers: int | None = None, *,
-                 policy: TaskPolicy | None = None,
-                 degrade_after: int = 3,
-                 seed: int = 0,
                  telemetry: Telemetry | None = None) -> None:
-        self.n_workers = n_workers if n_workers is not None else available_parallelism()
-        if self.n_workers < 1:
-            self.n_workers = 1
-        if degrade_after < 1:
-            raise ConfigurationError("degrade_after must be >= 1")
-        self.policy = policy if policy is not None else TaskPolicy()
-        self.degrade_after = degrade_after
-        #: The pool's telemetry plane; a session passes its own so one
-        #: scrape covers the whole stack, a standalone pool gets a
-        #: private enabled plane.
+        self.n_workers = max(1, n_workers if n_workers is not None
+                             else available_parallelism())
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.health = PoolHealth(self.telemetry)
         self._m_faults_injected = self.telemetry.counter(
@@ -253,7 +202,7 @@ class WorkPool:
         self._executor: ProcessPoolExecutor | None = None
         #: Global task ordinal (fault plans key injections off this).
         self._task_seq = itertools.count()
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -288,16 +237,14 @@ class WorkPool:
         inside the first batch.  The executor alone is not enough —
         ``ProcessPoolExecutor`` forks lazily on submission — so a round
         of no-op barrier tasks forces the processes to actually start
-        now.  Serial pools (``n_workers == 1``) and degraded pools have
-        nothing to start.
+        now.
         """
-        if self.n_workers > 1 and not self.health.degraded:
-            list(self._executor_handle().map(_noop, range(self.n_workers)))
+        list(self._executor_handle().map(_noop, range(self.n_workers)))
 
     def reset_health(self) -> None:
         """Forget failure history and leave degraded mode (operator path
-        back to pooled execution once the underlying cause is fixed).
-        The ``pool.*`` counters are history and are left as they are."""
+        back to pooled execution).  The ``pool.*`` counters are history
+        and are left as they are."""
         self.health.reset()
 
     def close(self) -> None:
@@ -331,26 +278,7 @@ class WorkPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- mapping -----------------------------------------------------------
-
-    def map(self, fn: Callable, items: Sequence,
-            policy: TaskPolicy | None = None) -> list:
-        """Apply ``fn`` to each item, preserving order (supervised)."""
-        return self.starmap(fn, [(item,) for item in items], policy=policy)
-
-    def starmap(self, fn: Callable, arg_tuples: Iterable[tuple],
-                policy: TaskPolicy | None = None) -> list:
-        """Apply ``fn(*args)`` per tuple, preserving order (supervised)."""
-        tuples = list(arg_tuples)
-        if self.n_workers == 1 or len(tuples) <= 1:
-            return [fn(*args) for args in tuples]
-        if self.health.degraded:
-            self.health.count("degraded_calls")
-            return [fn(*args) for args in tuples]
-        return self._supervised(fn, tuples,
-                                policy if policy is not None else self.policy)
-
-    # -- supervision -------------------------------------------------------
+    # -- supervised execution ----------------------------------------------
 
     def _submit_one(self, executor, fn, args):
         """Submit one task attempt, applying any scheduled fault."""
@@ -365,114 +293,97 @@ class WorkPool:
             return executor.submit(faults.apply_fault, spec, fn, *args)
         return executor.submit(fn, *args)
 
-    def _backoff(self, policy: TaskPolicy, cycle: int) -> None:
-        if policy.backoff_seconds <= 0:
-            return
-        delay = min(policy.backoff_seconds * (2 ** cycle), 1.0)
-        delay *= 1.0 + policy.backoff_jitter * self._rng.random()
-        time.sleep(delay)
+    def starmap(self, fn: Callable, arg_tuples: Iterable[tuple],
+                deadline_seconds: float | None = None) -> list:
+        """``[fn(*args) for args in arg_tuples]``, each task on a worker.
 
-    def _supervised(self, fn, tuples, policy: TaskPolicy) -> list:
-        """Run one batch under the supervision contract.
-
-        Results are collected in submission order; a cycle keeps
-        whatever finished and resubmits only the unfinished tasks, so a
-        lost worker costs one re-execution of its in-flight tasks, never
-        the whole sweep.
+        ``deadline_seconds`` bounds each attempt's wait (``None`` = no
+        deadline): a missed deadline keeps the finished results, cycles
+        the executor and resubmits the rest — a retry, not a terminal
+        failure, until a task's :data:`MAX_RETRIES` run out.  A cycle
+        resubmits only the unfinished tasks, so a lost worker costs one
+        re-execution of its in-flight tasks, never the whole batch.
         """
-        n = len(tuples)
-        results: list = [None] * n
-        pending = list(range(n))
-        attempts = [0] * n
+        if deadline_seconds is not None and deadline_seconds <= 0:
+            raise ConfigurationError(
+                "deadline_seconds must be positive (or None)")
+        tuples = list(arg_tuples)
+        results: list = [None] * len(tuples)
+        pending = list(range(len(tuples)))
+        attempts = [0] * len(tuples)
         failures: list[BaseException] = []
-        cycle = 0
         self.health.count("calls")
         call_start = time.perf_counter()
         try:
-            return self._supervised_loop(fn, tuples, policy, results,
-                                         pending, attempts, failures, cycle)
+            for cycle in itertools.count():
+                executor = self._executor_handle()
+                submitted = []
+                infra: BaseException | None = None
+                for i in pending:
+                    attempts[i] += 1
+                    try:
+                        submitted.append(
+                            (i, self._submit_one(executor, fn, tuples[i])))
+                    except BrokenExecutor as exc:
+                        # Workers died during submission (e.g. killed at
+                        # init): everything unsubmitted is lost this
+                        # cycle, and only what is done already is kept.
+                        infra = exc
+                        break
+                done = wait([f for _, f in submitted],
+                            timeout=0.0 if infra else deadline_seconds).done
+                lost = pending[len(submitted):]
+                unfinished = 0
+                for i, future in submitted:
+                    if future not in done:
+                        future.cancel()
+                        unfinished += 1
+                        lost.append(i)
+                        continue
+                    try:
+                        results[i] = future.result()
+                    except BrokenExecutor as exc:
+                        infra = infra or exc
+                        lost.append(i)
+                    except RETRYABLE as exc:
+                        self.health.count("task_faults")
+                        failures.append(exc)
+                        lost.append(i)
+                    # any other exception is a genuine task error and
+                    # propagates as is: not supervision's to eat
+                if infra is not None:
+                    self.health.count("worker_deaths")
+                elif unfinished:
+                    self.health.count("timeouts")
+                    infra = TimeoutError(
+                        f"batch deadline of {deadline_seconds}s exceeded "
+                        f"with {unfinished} tasks unfinished")
+                if infra is not None:
+                    failures.append(infra)
+                pending = lost
+                if not pending:
+                    self.health.record_success()
+                    return results
+                exhausted = [i for i in pending if attempts[i] > MAX_RETRIES]
+                if exhausted:
+                    error = ExecutionError(
+                        f"{len(exhausted)} task(s) failed terminally after "
+                        f"{MAX_RETRIES} retr"
+                        f"{'y' if MAX_RETRIES == 1 else 'ies'} "
+                        f"(chain: {[type(f).__name__ for f in failures]})",
+                        attempts=max(attempts[i] for i in exhausted),
+                        failures=tuple(failures),
+                    )
+                    self.health.record_call_failure(error)
+                    if infra is not None:
+                        self._abandon_executor()
+                    raise error
+                self.health.count("retries", len(pending))
+                if infra is not None:
+                    # Worker death or wedged batch: cycle the executor.
+                    self.health.count("executor_cycles")
+                    self._abandon_executor()
+                time.sleep(min(BACKOFF_SECONDS * 2 ** cycle, 1.0)
+                           * (1.0 + BACKOFF_JITTER * self._rng.random()))
         finally:
             self._m_call_seconds.observe(time.perf_counter() - call_start)
-
-    def _supervised_loop(self, fn, tuples, policy, results, pending,
-                         attempts, failures, cycle) -> list:
-        while True:
-            executor = self._executor_handle()
-            futures = {}
-            infra: BaseException | None = None
-            for i in pending:
-                attempts[i] += 1
-                try:
-                    futures[i] = self._submit_one(executor, fn, tuples[i])
-                except BrokenExecutor as exc:
-                    # Workers died during submission (e.g. killed at
-                    # init): everything unsubmitted is lost this cycle.
-                    self.health.count("worker_deaths")
-                    failures.append(exc)
-                    infra = exc
-                    break
-            start = time.perf_counter()
-            still: list[int] = [i for i in pending if i not in futures]
-            for i in pending:
-                if i not in futures:
-                    continue
-                try:
-                    if infra is not None:
-                        # The executor is being abandoned; only harvest
-                        # results that are already done.
-                        timeout = 0.0
-                    elif policy.deadline_seconds is None:
-                        timeout = None
-                    else:
-                        timeout = max(
-                            policy.deadline_seconds
-                            - (time.perf_counter() - start), 0.0,
-                        )
-                    results[i] = futures[i].result(timeout=timeout)
-                except (BrokenExecutor, _FuturesTimeout, TimeoutError) as exc:
-                    if infra is None:
-                        if isinstance(exc, BrokenExecutor):
-                            self.health.count("worker_deaths")
-                            infra = exc
-                        else:
-                            self.health.count("timeouts")
-                            infra = TimeoutError(
-                                f"batch deadline of "
-                                f"{policy.deadline_seconds}s exceeded with "
-                                f"{len(pending) - len(still)} tasks unfinished"
-                            )
-                        failures.append(infra)
-                    futures[i].cancel()
-                    still.append(i)
-                except Exception as exc:
-                    if not isinstance(exc, policy.retryable):
-                        raise  # genuine task error: not supervision's to eat
-                    self.health.count("task_faults")
-                    failures.append(exc)
-                    still.append(i)
-            pending = still
-            if not pending:
-                self.health.record_success()
-                return results
-            exhausted = [i for i in pending
-                         if attempts[i] > policy.max_retries]
-            if exhausted:
-                error = ExecutionError(
-                    f"{len(exhausted)} task(s) failed terminally after "
-                    f"{policy.max_retries} retr"
-                    f"{'y' if policy.max_retries == 1 else 'ies'} "
-                    f"(chain: {[type(f).__name__ for f in failures]})",
-                    attempts=max(attempts[i] for i in exhausted),
-                    failures=tuple(failures),
-                )
-                self.health.record_call_failure(error, self.degrade_after)
-                if infra is not None:
-                    self._abandon_executor()
-                raise error
-            self.health.count("retries", len(pending))
-            if infra is not None:
-                # Worker death or wedged batch: cycle the executor.
-                self.health.count("executor_cycles")
-                self._abandon_executor()
-            self._backoff(policy, cycle)
-            cycle += 1

@@ -57,10 +57,12 @@ and the two substrates differ in where the spans execute:
     ``pool.timeouts`` moved leaves the output slab on a fresh segment.
 
   Every other pooled run sweeps its spans in process, on the calling
-  thread, with bit-identical results: a run of one span (a one-worker
-  pool, or a one-trial YET) stages and spawns nothing, and a degraded
-  pool or a host without shared memory runs the same loop as a counted
-  fallback (``pool.degraded_calls``, ``n_procs == 1``).
+  thread, with bit-identical results — the pool itself has no serial
+  path, so this is the one place a run stays in process: a run of one
+  span (a one-worker pool, or a one-trial YET) stages and spawns
+  nothing, and a run of more spans on a degraded pool or a host without
+  shared memory runs the same loop as a counted fallback
+  (``pool.degraded_calls``, ``n_procs == 1``).
 
 Both close cleanly; :meth:`Dispatcher.warmup` lets the service pay
 worker spawn and YET staging outside any request's SLO window.
@@ -72,14 +74,16 @@ contract (see its module docstring): a worker death or deadline miss
 resubmits only the lost trial blocks — idempotent pure functions, so the
 final matrix is bit-identical to a fault-free run — and a terminal
 failure surfaces as a typed :class:`~repro.errors.ExecutionError`
-carrying the whole failure chain.  Callers may pass a per-batch
-:class:`~repro.hpc.pool.TaskPolicy` through :meth:`Dispatcher.run` (the
-pricing service derives one from its SLO so request deadlines reach the
-workers).  Once the pool degrades (``pool.health.degraded``, after
-consecutive terminal failures) the pooled dispatcher executes batches
-inline on the calling thread — same answers, worse wall time — and
-reports ``n_procs == 1`` so admission control and the planner stop
-modelling parallelism that no longer exists.  :attr:`Dispatcher.health`
+carrying the whole failure chain.  A caller names only a per-run
+deadline, ``Dispatcher.run(kernel, yet, deadline_seconds=)`` (the
+pricing service passes its SLO so request deadlines reach the workers);
+retries, backoff and what a task may raise and be retried are the
+pool's module constants.  Once the pool degrades
+(``pool.health.degraded``, after consecutive terminal failures) the
+pooled dispatcher executes batches inline on the calling thread — same
+answers, worse wall time — and reports ``n_procs == 1`` so admission
+control and the planner stop modelling parallelism that no longer
+exists.  :attr:`Dispatcher.health`
 exposes the :class:`~repro.hpc.pool.PoolHealth` record upward.
 
 What a run counted
@@ -113,7 +117,7 @@ from repro.core.tables import StoredYet, YetHandles, YetTable, trial_spans
 from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.hpc.cost_model import ThroughputEstimate
-from repro.hpc.pool import PoolHealth, TaskPolicy, WorkPool
+from repro.hpc.pool import PoolHealth, WorkPool
 from repro.obs import Telemetry, as_telemetry
 
 __all__ = ["Dispatcher", "InlineDispatcher", "PooledDispatcher"]
@@ -164,16 +168,16 @@ class Dispatcher:
         return [(0, yet.n_trials)]
 
     def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
-            policy: TaskPolicy | None = None) -> np.ndarray:
+            deadline_seconds: float | None = None) -> np.ndarray:
         """The final ``(L, n_trials)`` matrix (aggregate terms applied).
 
-        ``policy`` supervises pooled execution (deadline, retries); the
-        inline substrate has no workers to supervise and ignores it.
+        ``deadline_seconds`` bounds each supervised attempt of a pooled
+        run; a run in process has no workers to wait on and ignores it.
         """
         before = dict(kernel.routed)
         n_procs = self.n_procs
         t0 = time.perf_counter()
-        final = self._run(kernel, yet, policy)
+        final = self._run(kernel, yet, deadline_seconds)
         rate = self.throughput.observe(
             kernel.n_layers * yet.n_occurrences,
             time.perf_counter() - t0, n_procs)
@@ -190,7 +194,7 @@ class Dispatcher:
         return final
 
     def _run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
-             policy: TaskPolicy | None) -> np.ndarray:
+             deadline_seconds: float | None) -> np.ndarray:
         """The substrate's execution of :meth:`run`; here, every span
         on the calling thread.  Each row's answer is a function of the
         trial alone, so the blocks give bit-identical answers in
@@ -269,8 +273,7 @@ def _hold(role: str, key, handles: tuple, attach):
 
 def _attach_yet(handles: YetHandles) -> YetTable:
     """Worker: the YET ``handles`` name, held by fingerprint."""
-    return _hold("yet", handles.fingerprint,
-                 (handles.trial, handles.seq, handles.event_id),
+    return _hold("yet", handles.fingerprint, tuple(handles.arrays.values()),
                  lambda: YetTable.from_handles(handles))
 
 
@@ -378,10 +381,11 @@ class PooledDispatcher(Dispatcher):
 
     def _in_process(self, yet: YetTable | StoredYet) -> bool:
         """Whether a run over ``yet`` sweeps on the calling thread: one
-        span (one worker or one trial), or a degraded pool.  Any other
-        run stages ``yet`` in shared memory, which only a ``YetTable``
-        can be: a stored YET is refused there, typed (its pooled splits
-        are ROADMAP item 9(b))."""
+        span (one worker or one trial), a degraded pool, or a host
+        without shared memory.  Any other run stages ``yet`` in shared
+        memory, which only a ``YetTable`` can be: a stored YET is
+        refused there, typed (its pooled splits are ROADMAP item
+        9(b))."""
         if self.n_procs <= 1 or len(self.spans(yet)) <= 1:
             return True
         if not isinstance(yet, YetTable):
@@ -418,23 +422,23 @@ class PooledDispatcher(Dispatcher):
         return trial_spans(yet.n_trials, self.pool.n_workers)
 
     def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
-            policy: TaskPolicy | None = None) -> np.ndarray:
+            deadline_seconds: float | None = None) -> np.ndarray:
         transport = "inline" if self._in_process(yet) else "shm"
         with self.telemetry.span("dispatch.pooled", transport=transport):
-            return super().run(kernel, yet, policy)
+            return super().run(kernel, yet, deadline_seconds)
 
     def _run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
-             policy: TaskPolicy | None) -> np.ndarray:
-        if self.degraded:
-            # Graceful degradation: the pool has failed terminally too
-            # many consecutive times, or the host has no shared memory
-            # to stage on, so the batch runs on the calling thread, over
-            # the trial blocks the workers would have executed.  No slab
-            # packing, no handle ships, nothing left to break.
+             deadline_seconds: float | None) -> np.ndarray:
+        spans = self.spans(yet)
+        if len(spans) > 1 and self.degraded:
+            # Graceful degradation: a run the workers would have split
+            # stays on the calling thread — the pool has failed
+            # terminally too many consecutive times, or the host has no
+            # shared memory to stage on — over the same trial blocks.
+            # No slab packing, no handle ships, nothing left to break.
             self.pool.health.count("degraded_calls")
         if self._in_process(yet):
-            return super()._run(kernel, yet, policy)
-        spans = self.spans(yet)
+            return super()._run(kernel, yet, deadline_seconds)
         # One lock from staging through the last task: the staged YET
         # and both slabs belong to the in-flight batch (its readers',
         # its writers'), and a concurrent staging would free the YET
@@ -462,7 +466,7 @@ class PooledDispatcher(Dispatcher):
                     _sweep_trials_handles,
                     [(yet_handles, self._staged[1], t0, t1, output)
                      for t0, t1 in spans],
-                    policy=policy)
+                    deadline_seconds=deadline_seconds)
                 return output.attach().copy()
             finally:
                 if self.pool.health.totals["timeouts"] != timeouts:

@@ -39,9 +39,10 @@ A worker death or deadline overrun inside a pooled batch is absorbed by
 :class:`~repro.hpc.pool.WorkPool` supervision — the lost trial blocks
 re-execute and every ticket in the batch still resolves with results
 bit-identical to a fault-free sweep.  The admission SLO is propagated
-into pooled dispatch as a per-batch
-:class:`~repro.hpc.pool.TaskPolicy` deadline, so a wedged worker cannot
-hold a quote past the latency the service promised.  Only a *terminal*
+into pooled dispatch as each batch's deadline
+(``Dispatcher.run(..., deadline_seconds=)``), so a wedged worker cannot
+hold a quote past the latency the service promised; the retry budget
+and backoff are the pool's own constants.  Only a *terminal*
 failure (retry budget exhausted, or a genuine task error) reaches the
 tickets, and it reaches them typed: every future in the failed batch
 resolves with an :class:`~repro.errors.ExecutionError` carrying the
@@ -63,7 +64,6 @@ from repro.core.tables import YltTable
 from repro.dfa.quote import PricingQuote, premium_components_rows
 from repro.errors import (AdmissionError, AnalysisError, ConfigurationError,
                           ExecutionError, ReproError)
-from repro.hpc.pool import TaskPolicy
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import BatchPolicy, MicroBatcher, Ticket
 from repro.serve.cache import (CachePolicy, ResultCache, layer_digest,
@@ -158,15 +158,6 @@ class PricingService:
         self.admission = AdmissionController(
             slo_seconds=slo_seconds, max_pending=max_pending,
             throughput=self.dispatcher.throughput,
-        )
-        # The admission SLO reaches the workers: pooled batches run
-        # under a deadline-bearing TaskPolicy, so a wedged worker is
-        # cycled and its blocks re-executed instead of quietly holding
-        # quotes past the promised latency.  (No SLO = no deadline; the
-        # pool's default retry policy still applies.)
-        self._dispatch_policy = (
-            TaskPolicy(deadline_seconds=slo_seconds)
-            if slo_seconds is not None else None
         )
         self.batcher = MicroBatcher(self._price_batch, batch)
         # The cache-key metric component carries the loadings: a shared
@@ -359,8 +350,13 @@ class PricingService:
             with self.telemetry.span("serve.dispatch",
                                      rows=kernel.n_layers,
                                      dispatcher=self.dispatcher.name):
-                final = self.dispatcher.run(kernel, self.yet,
-                                            policy=self._dispatch_policy)
+                # The admission SLO reaches the workers as the run's
+                # deadline, so a wedged worker is cycled and its blocks
+                # re-executed instead of quietly holding quotes past the
+                # promised latency (no SLO = no deadline).
+                final = self.dispatcher.run(
+                    kernel, self.yet,
+                    deadline_seconds=self.admission.slo_seconds)
         except ReproError:
             raise  # already typed (ExecutionError from supervision etc.)
         except Exception as exc:

@@ -50,15 +50,14 @@ def _probe_in_worker(probe, yet_handles):  # pragma: no cover - in a worker
     return os.getpid(), probe(dispatch._attach_yet(yet_handles))
 
 
-def worker_probes(dispatcher, probe, n_tasks=8, policy=None) -> dict:
+def worker_probes(dispatcher, probe, n_tasks=8) -> dict:
     """``{pid: probe(yet)}`` over ``n_tasks`` tasks on a pooled
     ``dispatcher``'s workers, through ``pool.starmap`` with the staged
     YET handles: ``yet`` is the copy a worker keeps for them, the one
     its block tasks sweep.  No answer may come from the calling
     process."""
     seen = dict(dispatcher.pool.starmap(
-        _probe_in_worker, [(probe, dispatcher._yet_handles)] * n_tasks,
-        policy=policy))
+        _probe_in_worker, [(probe, dispatcher._yet_handles)] * n_tasks))
     assert os.getpid() not in seen, "probe must run in the workers"
     return seen
 
@@ -172,6 +171,16 @@ def no_leaked_shm_segments():
     assert not leaked, (
         f"shared-memory segments leaked by the suite: {sorted(leaked)}"
     )
+
+
+@pytest.fixture(autouse=True)
+def _chaos_retries_without_backoff(request, monkeypatch):
+    """A ``chaos`` test retries without the pool's backoff sleeps: its
+    recovery is asserted in counts, never in wall time."""
+    if request.node.get_closest_marker("chaos") is not None:
+        from repro.hpc import pool
+
+        monkeypatch.setattr(pool, "BACKOFF_SECONDS", 0.0)
 
 
 @pytest.fixture()

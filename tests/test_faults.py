@@ -3,13 +3,16 @@
 Every test here drives :mod:`repro.hpc.faults` through the real
 execution stack — pool, engine, dispatcher, pricing service — and
 asserts the recovery contract: answers bit-identical to a fault-free
-run, :class:`~repro.hpc.pool.PoolHealth` recording what happened, and
-plans fully consumed (a scheduled fault that never fired is a test that
-proved nothing).
+run, the ``pool.*`` metrics recording what happened, and plans fully
+consumed (a scheduled fault that never fired is a test that proved
+nothing).
 
 The ``chaos`` marker keeps the set addressable (``-m chaos`` /
 ``-m "not chaos"``); the tests themselves are tier-1 fast — tiny
-workloads, zero/near-zero backoff.
+workloads, and no backoff sleeps (a ``conftest`` fixture zeroes the
+pool's ``BACKOFF_SECONDS`` for every chaos test).  A test that needs
+another retry budget, degrade threshold or retryable set monkeypatches
+the pool's module constant.
 """
 
 from __future__ import annotations
@@ -20,13 +23,11 @@ import pytest
 from repro.core.engines import MulticoreEngine
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
+from repro.hpc import pool as supervision
 from repro.hpc.faults import FaultPlan, FaultSpec, PoisonedPayloadError
-from repro.hpc.pool import TaskPolicy, WorkPool
+from repro.hpc.pool import WorkPool
 
 pytestmark = pytest.mark.chaos
-
-#: Fast supervision for tests: retries without real backoff sleeps.
-FAST = TaskPolicy(max_retries=2, backoff_seconds=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +43,16 @@ def _square(x):
 
 def _scale(factor, x):
     return factor * x
+
+
+def _squares(*xs):
+    """``_square``'s task tuples over ``xs``."""
+    return [(x,) for x in xs]
+
+
+def _metrics(owner) -> dict:
+    """The ``pool.*`` (and every other) count on ``owner``'s plane."""
+    return owner.telemetry.snapshot()["metrics"]
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +107,12 @@ class TestFaultPlan:
 
 class TestPoolRecovery:
     def test_kill_recovers_bit_identical(self):
-        with WorkPool(n_workers=2, seed=3) as pool:
+        with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan.kill_task(2)) as plan:
-                got = pool.map(_square, list(range(8)), policy=FAST)
+                got = pool.starmap(_square, _squares(*range(8)))
             assert got == [i * i for i in range(8)]
             assert plan.exhausted
-            snap = pool.health.snapshot()
+            snap = _metrics(pool)
             assert snap["pool.worker_deaths"] >= 1
             assert snap["pool.retries"] >= 1
             assert snap["pool.executor_cycles"] >= 1
@@ -111,52 +122,46 @@ class TestPoolRecovery:
     def test_reset_leaves_one_truth_per_counter(self):
         """``reset_health`` clears the streak and the degraded flag; the
         counters are the registry's and read the same from both doors."""
-        with WorkPool(n_workers=2, seed=3) as pool:
+        with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan.kill_task(2)):
-                pool.map(_square, list(range(8)), policy=FAST)
+                pool.starmap(_square, _squares(*range(8)))
             pool.health.degraded = True
             pool.reset_health()
             assert not pool.health.degraded
-            health = pool.health.snapshot()
-            assert health["pool.worker_deaths"] >= 1
-            scraped = pool.telemetry.snapshot()["metrics"]
-            counters = [key for key in health
-                        if key not in ("pool.consecutive_failures",
-                                       "pool.degraded", "pool.last_error")]
-            assert len(counters) == 8
-            for key in counters:
-                assert health[key] == scraped[key], key
+            scraped = _metrics(pool)
+            assert scraped["pool.worker_deaths"] >= 1
+            assert len(pool.health.totals) == 8
+            for name, n in pool.health.totals.items():
+                assert scraped[f"pool.{name}"] == n, name
 
     def test_deadline_miss_recovers(self):
-        policy = TaskPolicy(deadline_seconds=0.2, max_retries=2,
-                            backoff_seconds=0.0)
         with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan.delay_task(1, 5.0)) as plan:
-                got = pool.map(_square, [1, 2, 3, 4], policy=policy)
+                got = pool.starmap(_square, _squares(1, 2, 3, 4),
+                                   deadline_seconds=0.2)
             assert got == [1, 4, 9, 16]
             assert plan.exhausted
-            assert pool.health.snapshot()["pool.timeouts"] >= 1
+            assert _metrics(pool)["pool.timeouts"] >= 1
 
     def test_poison_retried_by_default_policy(self):
         with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan.poison_task(0)) as plan:
-                got = pool.starmap(_scale, [(10, 1), (10, 2), (10, 3)],
-                                   policy=FAST)
+                got = pool.starmap(_scale, [(10, 1), (10, 2), (10, 3)])
             assert got == [10, 20, 30]
             assert plan.exhausted
-            assert pool.health.snapshot()["pool.task_faults"] == 1
+            assert _metrics(pool)["pool.task_faults"] == 1
 
-    def test_poison_not_retryable_propagates(self):
-        policy = TaskPolicy(max_retries=2, backoff_seconds=0.0, retryable=())
+    def test_poison_not_retryable_propagates(self, monkeypatch):
+        monkeypatch.setattr(supervision, "RETRYABLE", ())
         with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan.poison_task(0)):
                 with pytest.raises(PoisonedPayloadError):
-                    pool.map(_square, [1, 2, 3], policy=policy)
+                    pool.starmap(_square, _squares(1, 2, 3))
 
     def test_orphan_is_reclaimable(self):
         with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan([FaultSpec("orphan", 0)])) as plan:
-                got = pool.map(_square, [1, 2, 3], policy=FAST)
+                got = pool.starmap(_square, _squares(1, 2, 3))
             assert got == [1, 4, 9]  # the task itself ran clean
             if shm.shm_available():
                 assert len(plan.orphaned) == 1
@@ -165,59 +170,58 @@ class TestPoolRecovery:
                 assert plan.reclaim_orphans() == 1
                 assert name not in shm.active_segment_names()
 
-    def test_exhausted_retries_raise_execution_error(self):
-        # Kill every attempt: 3 tasks x (1 + max_retries) attempts.
+    def test_exhausted_retries_raise_execution_error(self, monkeypatch):
+        # Kill every attempt: 3 tasks x (1 + MAX_RETRIES) attempts.
         plan = FaultPlan([FaultSpec("kill", i) for i in range(12)])
-        policy = TaskPolicy(max_retries=1, backoff_seconds=0.0)
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 1)
         with WorkPool(n_workers=2) as pool:
             with faults.inject(plan):
                 with pytest.raises(ExecutionError) as exc_info:
-                    pool.map(_square, [1, 2, 3], policy=policy)
+                    pool.starmap(_square, _squares(1, 2, 3))
             err = exc_info.value
             assert err.attempts == 2
             assert err.failures  # the chain rode along
             assert any("BrokenProcessPool" in entry or "Broken" in entry
                        for entry in err.failure_chain)
-            assert pool.health.snapshot()["pool.call_failures"] == 1
+            assert _metrics(pool)["pool.call_failures"] == 1
             assert pool.health.consecutive_failures == 1
-            # one terminal failure is not degradation (degrade_after=3)
+            # one terminal failure is not degradation (DEGRADE_AFTER=3)
             assert not pool.health.degraded
             # and the pool still works afterwards
             faults.clear()
-            assert pool.map(_square, [4, 5], policy=FAST) == [16, 25]
+            assert pool.starmap(_square, _squares(4, 5)) == [16, 25]
 
-    def test_degrades_after_consecutive_terminal_failures(self):
+    def test_degrades_after_consecutive_terminal_failures(self, monkeypatch):
         plan_specs = [FaultSpec("kill", i) for i in range(24)]
-        policy = TaskPolicy(max_retries=0, backoff_seconds=0.0)
-        with WorkPool(n_workers=2, degrade_after=2) as pool:
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 0)
+        monkeypatch.setattr(supervision, "DEGRADE_AFTER", 2)
+        with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan(plan_specs)):
                 for _ in range(2):
                     with pytest.raises(ExecutionError):
-                        pool.map(_square, [1, 2, 3], policy=policy)
+                        pool.starmap(_square, _squares(1, 2, 3))
             assert pool.health.degraded
             assert pool.health.consecutive_failures == 2
-            # degraded mode: serial inline, correct answers, no workers
-            got = pool.map(_square, [1, 2, 3])
-            assert got == [1, 4, 9]
-            assert pool.health.snapshot()["pool.degraded_calls"] == 1
-            assert not pool.started
-            # ensure_started is a no-op while degraded
-            pool.ensure_started()
-            assert not pool.started
+            # the flag is the dispatcher's to act on (its in-process
+            # fallback counts the degraded calls): the pool itself still
+            # runs what it is given on its workers
+            assert pool.starmap(_square, _squares(1, 2, 3)) == [1, 4, 9]
+            assert _metrics(pool)["pool.degraded_calls"] == 0
             # operator path back
             pool.reset_health()
             assert not pool.health.degraded
-            assert pool.map(_square, [2], policy=FAST) == [4]
+            assert pool.starmap(_square, _squares(2)) == [4]
 
-    def test_success_resets_consecutive_failures(self):
-        policy = TaskPolicy(max_retries=0, backoff_seconds=0.0)
-        with WorkPool(n_workers=2, degrade_after=2) as pool:
+    def test_success_resets_consecutive_failures(self, monkeypatch):
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 0)
+        monkeypatch.setattr(supervision, "DEGRADE_AFTER", 2)
+        with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan([FaultSpec("kill", i)
                                           for i in range(6)])):
                 with pytest.raises(ExecutionError):
-                    pool.map(_square, [1, 2, 3], policy=policy)
+                    pool.starmap(_square, _squares(1, 2, 3))
             assert pool.health.consecutive_failures == 1
-            assert pool.map(_square, [1, 2, 3], policy=FAST) == [1, 4, 9]
+            assert pool.starmap(_square, _squares(1, 2, 3)) == [1, 4, 9]
             assert pool.health.consecutive_failures == 0
             assert not pool.health.degraded
 
@@ -232,7 +236,7 @@ class TestEngineChaos:
         wl = small_portfolio_workload
         with MulticoreEngine(n_workers=2) as engine:
             baseline = engine.run(wl.portfolio, wl.yet)
-            before = engine.pool.health.snapshot()
+            before = _metrics(engine.pool)
             ships = engine.dispatcher.payload_ships
             packs = engine.dispatcher.telemetry.counter("dispatch.slab.packs")
             packed = packs.value
@@ -253,7 +257,7 @@ class TestEngineChaos:
             # recovery in counts, not ms: one death, one fresh executor,
             # and the YET is not staged again: the resubmitted task names
             # the staged handles
-            after = engine.pool.health.snapshot()
+            after = _metrics(engine.pool)
             delta = {k: after[k] - before[k] for k in
                      ("pool.worker_deaths", "pool.executor_cycles",
                       "pool.retries")}
@@ -328,8 +332,9 @@ class TestServingChaos:
             assert plan.exhausted
             health = chaos_svc.pool_health
             assert health is not None
-            assert health.snapshot()["pool.worker_deaths"] >= 1
-            assert health.snapshot()["pool.retries"] >= 1
+            metrics = _metrics(chaos_svc)
+            assert metrics["pool.worker_deaths"] >= 1
+            assert metrics["pool.retries"] >= 1
             assert not health.degraded
             for clean, chaos, inline in zip(clean_q, chaos_q, inline_q):
                 # bit-identical to the fault-free pooled run ...
@@ -355,26 +360,24 @@ class TestServingChaos:
         assert degraded_dispatcher.transport_active == "inline"
         pooled_q = pooled_svc.quote_many(layers)
         degraded_q = degraded_svc.quote_many(layers)
-        assert degraded_dispatcher.health.snapshot()[
-            "pool.degraded_calls"] >= 1
+        assert _metrics(degraded_dispatcher)["pool.degraded_calls"] >= 1
         for a, b in zip(pooled_q, degraded_q):
             assert a.expected_loss == b.expected_loss
             assert a.premium == b.premium
 
     def test_terminal_serving_failure_is_typed(self, small_portfolio_workload,
-                                               risk_session):
+                                               risk_session, monkeypatch):
         wl = small_portfolio_workload
         layers = list(wl.portfolio)[:2]
         svc = risk_session(wl.yet, n_workers=2).pricing_service(
             engine="pooled")
-        svc.dispatcher.pool.policy = TaskPolicy(max_retries=0,
-                                                backoff_seconds=0.0)
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 0)
         plan = FaultPlan([FaultSpec("kill", i) for i in range(8)])
         with faults.inject(plan):
             with pytest.raises(ExecutionError) as exc_info:
                 svc.quote_many(layers)
         assert exc_info.value.failures
-        assert svc.pool_health.snapshot()["pool.call_failures"] == 1
+        assert _metrics(svc)["pool.call_failures"] == 1
         # the service survives: the next batch prices normally
         faults.clear()
         quotes = svc.quote_many(layers)

@@ -317,7 +317,8 @@ def test_sublinear_group_path_matches_lane_path(ts):
     lo, cap, table, trials, events, n_trials = ts
     kernel = direct_tail_kernel(lo, cap, table)
     assert kernel.tail_group_rows == lo.size  # one shared book, one group
-    ref = kernel.run(trials, events, n_trials, sublinear=False)
+    ref = kernel.apply_aggregate(
+        kernel.sweep(trials, events, n_trials, sublinear=False))
     sub = kernel.run(trials, events, n_trials)
     np.testing.assert_allclose(sub, ref, rtol=RTOL, atol=ATOL)
     # two paths were compared: every row left the lanes on the second run
@@ -337,7 +338,8 @@ class TestSublinearTailGroups:
         trials = np.repeat(np.arange(4, dtype=np.int64), 10)
         events = np.tile(np.arange(1, 3, dtype=np.int64), 20)
         sub = kernel.run(trials, events, 4)
-        ref = kernel.run(trials, events, 4, sublinear=False)
+        ref = kernel.apply_aggregate(
+            kernel.sweep(trials, events, 4, sublinear=False))
         # (exactly, on both: the lane path clips each table entry to
         # [0, 0], and a profile window with lo == hi is empty — no
         # difference of running sums is ever taken)
@@ -374,8 +376,8 @@ class TestSublinearTailGroups:
         assert wide_rows(kernel) == kernel.n_layers
         assert kernel.tail_group_rows == kernel.n_layers
         yet = tiny_workload.yet
-        ref = kernel.run(yet.trials, yet.event_ids, yet.n_trials,
-                         sublinear=False)
+        ref = kernel.apply_aggregate(kernel.sweep(
+            yet.trials, yet.event_ids, yet.n_trials, sublinear=False))
         sub = kernel.run(yet.trials, yet.event_ids, yet.n_trials)
         np.testing.assert_allclose(sub, ref, rtol=RTOL, atol=ATOL)
 
@@ -396,8 +398,8 @@ class TestSublinearTailGroups:
         kernel = PortfolioKernel.from_layers(layers)
         assert 0 < kernel.tail_group_rows < kernel.n_layers
         yet = tiny_workload.yet
-        ref = kernel.run(yet.trials, yet.event_ids, yet.n_trials,
-                         sublinear=False)
+        ref = kernel.apply_aggregate(kernel.sweep(
+            yet.trials, yet.event_ids, yet.n_trials, sublinear=False))
         sub = kernel.run(yet.trials, yet.event_ids, yet.n_trials)
         np.testing.assert_allclose(sub, ref, rtol=RTOL, atol=ATOL)
 

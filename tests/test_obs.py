@@ -19,8 +19,9 @@ import pytest
 
 from repro.bench.workloads import build_layer_workload
 from repro.errors import ExecutionError
-from repro.hpc import TaskPolicy, WorkPool
+from repro.hpc import WorkPool
 from repro.hpc import faults
+from repro.hpc import pool as supervision
 from repro.hpc.faults import FaultPlan, FaultSpec
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -351,14 +352,15 @@ class TestChaosEvents:
         yield
         faults.clear()
 
-    def test_injection_emits_fault_and_degradation_events(self):
+    def test_injection_emits_fault_and_degradation_events(self, monkeypatch):
         plan_specs = [FaultSpec("kill", i) for i in range(24)]
-        policy = TaskPolicy(max_retries=0, backoff_seconds=0.0)
-        with WorkPool(n_workers=2, degrade_after=2) as pool:
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 0)
+        monkeypatch.setattr(supervision, "DEGRADE_AFTER", 2)
+        with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan(plan_specs)):
                 for _ in range(2):
                     with pytest.raises(ExecutionError):
-                        pool.map(_square, [1, 2, 3], policy=policy)
+                        pool.starmap(_square, [(1,), (2,), (3,)])
             assert pool.health.degraded
             kinds = [e.kind for e in pool.telemetry.events.tail()]
             assert "fault.injected" in kinds
@@ -375,16 +377,14 @@ class TestChaosEvents:
             assert pool.telemetry.snapshot()["metrics"]["pool.degraded"] == 0.0
 
     def test_kill_recovery_keeps_health_view_consistent(self):
-        with WorkPool(n_workers=2, seed=3) as pool:
+        with WorkPool(n_workers=2) as pool:
             with faults.inject(FaultPlan.kill_task(2)):
-                got = pool.map(_square, list(range(8)),
-                               policy=TaskPolicy(max_retries=2,
-                                                 backoff_seconds=0.0))
+                got = pool.starmap(_square, [(i,) for i in range(8)])
             assert got == [i * i for i in range(8)]
-            snap = pool.health.snapshot()
+            deaths = pool.health.totals["worker_deaths"]
             metrics = pool.telemetry.snapshot()["metrics"]
-            assert snap["pool.worker_deaths"] == metrics["pool.worker_deaths"]
-            assert snap["pool.worker_deaths"] >= 1
+            assert deaths == metrics["pool.worker_deaths"]
+            assert deaths >= 1
 
 
 # ---------------------------------------------------------------------------

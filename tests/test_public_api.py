@@ -169,7 +169,9 @@ def test_removed_names_stay_removed(tmp_path):
     segments' references back to them and the whole-YET profile slice
     went when a trial span began to carry its own stream and what is
     derived from it, with the per-call gather and the device engine's
-    second trial cut."""
+    second trial cut; and the per-call task policy, the pool's map and
+    its health snapshot went when the pool began only to supervise, its
+    settings module constants and its counts read off the plane."""
     import inspect
 
     from repro.hpc import WorkPool
@@ -221,12 +223,20 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.core.tables.EventIndex.snapshot",
                "repro.core.tables.TrialSegments.trial_column",
                "repro.core.kernels.PortfolioKernel._gather_store",
-               "repro.core.engines.device._trial_chunks"]
+               "repro.core.engines.device._trial_chunks",
+               "repro.TaskPolicy", "repro.hpc.TaskPolicy",
+               "repro.hpc.pool.TaskPolicy", "repro.hpc.WorkPool.map",
+               "repro.hpc.PoolHealth.snapshot",
+               "repro.hpc.pool.WorkPool._supervised_loop"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
         f"removed.py:{name}" for name in removed]
     assert "shared" not in inspect.signature(WorkPool.ensure_started).parameters
+    assert list(inspect.signature(WorkPool).parameters) == [
+        "n_workers", "telemetry"]
+    assert list(inspect.signature(WorkPool.starmap).parameters) == [
+        "self", "fn", "arg_tuples", "deadline_seconds"]
     from repro.core.tables import EventIndex, TrialSegments
 
     assert list(inspect.signature(TrialSegments).parameters) == [
@@ -435,9 +445,10 @@ def test_legacy_entry_points_resolve_deprecation_free(tiny_workload):
 
 
 def test_kernel_sweep_signatures_locked():
-    """A sweep takes a whole-trial block and one routing override; the
-    row-buffer bound is the kernel's, set at construction.  A knob may
-    not come back without this test changing."""
+    """A sweep takes a whole-trial block and one routing override, and a
+    raw run (sweep plus aggregate terms) takes none; the row-buffer
+    bound is the kernel's, set at construction.  A knob may not come
+    back without this test changing."""
     import inspect
 
     from repro.core.engines import VectorizedEngine
@@ -451,7 +462,7 @@ def test_kernel_sweep_signatures_locked():
     raw = [("self", False), ("trials", False), ("event_ids", False),
            ("n_trials", False), ("sublinear", True)]
     assert params(PortfolioKernel.sweep) == raw
-    assert params(PortfolioKernel.run) == raw
+    assert params(PortfolioKernel.run) == raw[:-1]
     assert params(PortfolioKernel.sweep_segments) == [
         ("self", False), ("segments", False), ("sublinear", True)]
     assert not inspect.signature(VectorizedEngine).parameters

@@ -1,5 +1,7 @@
 """Tests for the pipeline cost model and the work pool."""
 
+import os
+
 import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
@@ -102,7 +104,6 @@ def _scale(factor, x):
 
 
 def _die(x):  # pragma: no cover - runs in a worker process
-    import os
     os._exit(13)
 
 
@@ -110,25 +111,25 @@ class TestWorkPool:
     def test_available_parallelism_positive(self):
         assert available_parallelism() >= 1
 
-    def test_serial_map(self):
-        pool = WorkPool(n_workers=1)
-        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-
     def test_starmap(self):
-        pool = WorkPool(n_workers=1)
-        assert pool.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
+        with WorkPool(n_workers=1) as pool:
+            assert pool.starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
 
     def test_order_preserved(self):
-        pool = WorkPool(n_workers=1)
-        assert pool.map(_square, list(range(20))) == [i * i for i in range(20)]
+        with WorkPool(n_workers=2) as pool:
+            assert pool.starmap(_square, [(i,) for i in range(20)]) == [
+                i * i for i in range(20)]
 
     def test_default_workers(self):
         assert WorkPool().n_workers == available_parallelism()
 
-    def test_single_item_short_circuits(self):
-        # even with many workers, one item runs inline
-        pool = WorkPool(n_workers=8)
-        assert pool.map(_square, [5]) == [25]
+    def test_one_task_runs_in_a_worker(self):
+        """The pool has no in-process path: one task, on one worker or
+        on several, runs in a worker process.  Which runs stay in
+        process is the pooled dispatcher's decision."""
+        for n_workers in (1, 2):
+            with WorkPool(n_workers=n_workers) as pool:
+                assert pool.starmap(os.getpid, [()]) != [os.getpid()]
 
     def test_parallel_paths_share_one_closeable_executor(self):
         with WorkPool(n_workers=2) as pool:
@@ -137,12 +138,12 @@ class TestWorkPool:
             first = pool._executor
             assert first is not None
             # every later call, whatever it maps, reuses the executor
-            assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+            assert pool.starmap(abs, [(-1,), (-2,), (-3,)]) == [1, 2, 3]
             assert pool.starmap(_scale, [(100, 4), (100, 5)]) == [400, 500]
             assert pool._executor is first
         assert pool._executor is None  # context manager closed it
 
-    def test_broken_executor_recovers_on_next_call(self):
+    def test_broken_executor_recovers_on_next_call(self, monkeypatch):
         """A dead worker costs one call, not the pool's lifetime.
 
         A task that kills its worker on *every* attempt exhausts the
@@ -151,15 +152,15 @@ class TestWorkPool:
         pool itself stays usable for the next call.
         """
         from repro.errors import ExecutionError
-        from repro.hpc.pool import TaskPolicy
+        from repro.hpc import pool as supervision
 
-        policy = TaskPolicy(max_retries=1, backoff_seconds=0.0)
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 1)
         with WorkPool(n_workers=2) as pool:
             with pytest.raises(ExecutionError) as exc_info:
-                pool.map(_die, [1, 2, 3], policy=policy)
+                pool.starmap(_die, [(1,), (2,), (3,)])
             assert exc_info.value.failures
-            snap = pool.health.snapshot()
+            snap = pool.telemetry.snapshot()["metrics"]
             assert snap["pool.worker_deaths"] >= 1
             assert snap["pool.call_failures"] == 1
-            assert pool.map(_square, [2, 3], policy=policy) == [4, 9]
+            assert pool.starmap(_square, [(2,), (3,)]) == [4, 9]
             assert pool.health.consecutive_failures == 0

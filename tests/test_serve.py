@@ -210,6 +210,33 @@ class TestDispatchers:
         with pytest.raises(ConfigurationError, match="unknown dispatcher"):
             pricing_service(tiny_workload.yet, engine=InlineDispatcher())
 
+    @pytest.mark.parametrize("cause", ["no_shm", "degraded"])
+    def test_a_degraded_call_is_a_run_the_workers_would_have_split(
+            self, monkeypatch, small_portfolio_workload, cause):
+        """A pooled run stays in process by design when it is one span —
+        a one-worker pool, or a one-trial YET — and as a fallback when a
+        run of more spans meets a host without shared memory or a
+        degraded pool.  Only the fallback is a degraded call; all three
+        give the inline answer and start no worker."""
+        from repro.hpc import shm
+        from repro.serve.dispatch import PooledDispatcher
+
+        if cause == "no_shm":
+            monkeypatch.setattr(shm, "_AVAILABLE", False)
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+        one_trial = wl.yet.slice_trials(0, 1)
+        for n_workers, yet, counted in ((1, wl.yet, 0), (2, one_trial, 0),
+                                        (2, wl.yet, 1)):
+            with PooledDispatcher(n_workers=n_workers) as d:
+                d.pool.health.degraded = cause == "degraded"
+                np.testing.assert_array_equal(
+                    d.run(kernel, yet), InlineDispatcher().run(kernel, yet))
+                assert d.pool.health.totals["degraded_calls"] == counted
+                assert d.telemetry.snapshot()["metrics"][
+                    "pool.degraded_calls"] == counted
+                assert not d.pool.started
+
     def test_ensure_started_actually_spawns_workers(self):
         from repro.hpc.pool import WorkPool
 
@@ -573,7 +600,7 @@ class TestThreadedCoalescing:
 
 
 class _ExplodingDispatcher(InlineDispatcher):
-    def run(self, kernel, yet, policy=None):
+    def run(self, kernel, yet, deadline_seconds=None):
         raise RuntimeError("boom")
 
 
@@ -582,9 +609,9 @@ class _SlowDispatcher(InlineDispatcher):
         super().__init__()
         self.delay = delay
 
-    def run(self, kernel, yet, policy=None):
+    def run(self, kernel, yet, deadline_seconds=None):
         time.sleep(self.delay)
-        return super().run(kernel, yet, policy=policy)
+        return super().run(kernel, yet, deadline_seconds)
 
 
 # ---------------------------------------------------------------------------

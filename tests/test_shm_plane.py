@@ -45,7 +45,7 @@ from repro.data.store import ChunkStore
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc.faults import FaultPlan
-from repro.hpc.pool import TaskPolicy
+from repro.hpc import pool as supervision
 from repro.serve import dispatch
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 
@@ -235,10 +235,10 @@ class TestTransportParity:
             inline_quotes = svc.quote_many(layers)
 
         def check(dispatcher, runs):
-            health = dispatcher.health.snapshot()
+            metrics = dispatcher.telemetry.snapshot()["metrics"]
             assert dispatcher.transport_active == "inline"
             assert dispatcher.n_procs == 1
-            assert health["pool.degraded_calls"] == runs
+            assert metrics["pool.degraded_calls"] == runs
             assert not dispatcher.pool.started
             assert dispatcher.payload_ships == 0
             assert shm.active_segment_names() == before
@@ -279,9 +279,9 @@ class TestTransportParity:
 
     def test_pool_health_counts_on_a_disabled_plane(
             self, monkeypatch, small_portfolio_workload, risk_session):
-        """``PoolHealth.snapshot()`` reads the counts supervision acts
-        on, not the plane's mirror of them: a session built with
-        ``telemetry=False`` still reports its degraded call."""
+        """``PoolHealth.totals`` holds the counts supervision acts on,
+        not the plane's mirror of them: a session built with
+        ``telemetry=False`` still counts its degraded call."""
         monkeypatch.setattr(shm, "_AVAILABLE", False)
         wl = small_portfolio_workload
         session = risk_session(wl.yet, wl.portfolio, n_workers=2,
@@ -289,7 +289,6 @@ class TestTransportParity:
         session.aggregate(engine="multicore")
         health = session.pool_health
         assert health.totals["degraded_calls"] == 1
-        assert health.snapshot()["pool.degraded_calls"] == 1
         assert session.telemetry.snapshot()["metrics"] == {}
 
     def test_a_stored_yet_is_refused_typed_before_staging(
@@ -357,7 +356,7 @@ class TestTransportParity:
         with PooledDispatcher(n_workers=2) as d:
             for yet in yets:
                 d.run(kernel, yet)
-                staged = d._yet_handles.trial.segment
+                staged = d._yet_handles.arrays["trial"].segment
                 assert {name for name in shm.active_segment_names() - before
                         if not name.startswith("repro-slab-")} == {staged}
                 _assert_workers_map_the_live_payloads(d)
@@ -386,7 +385,7 @@ def _worker_owned(_yet):  # pragma: no cover - in a worker
 def _assert_workers_map_the_live_payloads(d):
     """Every worker maps exactly the staged YET's, the kernel slab's and
     the output slab's live segments, after a task naming all three."""
-    live = {d._yet_handles.trial.segment: False,
+    live = {d._yet_handles.arrays["trial"].segment: False,
             d._slab.segment_name: False, d._output.segment_name: False}
     for mapped in worker_mappings(d).values():
         assert mapped == live
@@ -514,14 +513,12 @@ class TestOutputSlab:
         wl = small_portfolio_workload
         first = wl.portfolio.kernel()
         second = Portfolio(list(wl.portfolio)[:2]).kernel()
-        policy = TaskPolicy(deadline_seconds=0.5, max_retries=2,
-                            backoff_seconds=0.0)
         with PooledDispatcher(n_workers=2, telemetry=telemetry) as d:
             np.testing.assert_array_equal(
                 d.run(first, wl.yet), InlineDispatcher().run(first, wl.yet))
             stale = d._output.segment_name
             with faults.inject(FaultPlan.delay_task(1, 2.0)) as plan:
-                answer = d.run(first, wl.yet, policy=policy)
+                answer = d.run(first, wl.yet, deadline_seconds=0.5)
             assert plan.exhausted
             assert d.pool.health.totals["timeouts"] >= 1
             np.testing.assert_array_equal(
@@ -552,12 +549,13 @@ def _die(_yet):  # pragma: no cover - runs in a worker
     os._exit(17)
 
 
-#: No-retry supervision: a persistent killer fails terminally at once,
-#: keeping these tests to exactly one executor cycle.
-_NO_RETRY = TaskPolicy(max_retries=0, backoff_seconds=0.0)
-
-
 class TestRecovery:
+    @pytest.fixture(autouse=True)
+    def _no_retry(self, monkeypatch):
+        """No-retry supervision: a persistent killer fails terminally at
+        once, keeping these tests to exactly one executor cycle."""
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 0)
+
     def test_engine_recovers_and_reattaches_after_worker_death(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
@@ -567,8 +565,7 @@ class TestRecovery:
             handles = engine.dispatcher._yet_handles
             staged = shm.active_segment_names()
             with pytest.raises(ExecutionError):
-                worker_probes(engine.dispatcher, _die, n_tasks=4,
-                              policy=_NO_RETRY)
+                worker_probes(engine.dispatcher, _die, n_tasks=4)
             after = engine.run(wl.portfolio, wl.yet)
             np.testing.assert_array_equal(before.portfolio_ylt.losses,
                                           after.portfolio_ylt.losses)
@@ -577,7 +574,8 @@ class TestRecovery:
             assert engine.dispatcher.payload_ships == ships
             assert engine.dispatcher._yet_handles is handles
             assert shm.active_segment_names() == staged
-            assert engine.pool.health.snapshot()["pool.worker_deaths"] >= 1
+            assert engine.dispatcher.telemetry.snapshot()["metrics"][
+                "pool.worker_deaths"] >= 1
 
     def test_dispatcher_recovers_after_worker_death(
             self, small_portfolio_workload):
@@ -586,7 +584,7 @@ class TestRecovery:
         with PooledDispatcher(n_workers=2) as d:
             before = d.run(kernel, wl.yet)
             with pytest.raises(ExecutionError):
-                worker_probes(d, _die, n_tasks=4, policy=_NO_RETRY)
+                worker_probes(d, _die, n_tasks=4)
             after = d.run(kernel, wl.yet)
             np.testing.assert_array_equal(before, after)
 
