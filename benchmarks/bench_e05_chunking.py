@@ -54,9 +54,8 @@ def run_e05_chunking(n_trials: int = 20_000,
         reference = session.aggregate(engine="vectorized").portfolio_ylt.losses
 
         def measured(engine, label):
-            with engine:
-                t, res = time_call(lambda: session.aggregate(engine=engine), repeats=2,
-                                   warmup=1)
+            t, res = time_call(lambda: session.aggregate(engine=engine), repeats=2,
+                               warmup=1)
             layer = res.details["layers"][0]
             assert np.array_equal(res.portfolio_ylt.losses, reference), label
             assert layer["rows_per_block"] <= max_tile, label

@@ -12,7 +12,8 @@ import tempfile
 import numpy as np
 
 from repro.bench.workloads import companion_study_workload
-from repro.core import OutOfCoreEngine, StoredYet, sampled_aggregate_analysis
+from repro.core import StoredYet, sampled_aggregate_analysis
+from repro.core.engines import VectorizedEngine
 from repro.core.reinstatements import apply_reinstatement_limit
 from repro.data.compression import pack_table_compressed, unpack_table_compressed
 from repro.data.serialization import pack_table
@@ -62,12 +63,13 @@ def run_e12_extensions(n_trials: int = 20_000, rows_per_chunk: int = 500_000,
     report.add_row("reinstatements", "2, on one layer's YELT",
                    format_seconds(t_reinst), f"{yelt.n_rows:,} YELT rows")
 
-    with tempfile.TemporaryDirectory() as tmp, OutOfCoreEngine() as engine:
+    with tempfile.TemporaryDirectory() as tmp:
         store = ChunkStore(tmp)
         store.write_table("yet", wl.yet.table, rows_per_chunk=rows_per_chunk)
         stored = StoredYet(store, "yet", n_trials)
-        t_ooc, ooc = time_call(lambda: engine.run(wl.portfolio, stored),
-                               repeats=2, warmup=0)
+        t_ooc, ooc = time_call(
+            lambda: VectorizedEngine().run(wl.portfolio, stored),
+            repeats=2, warmup=0)
         chunks = stored.cache_levels()["yet.store.chunks_read"]
     np.testing.assert_array_equal(ooc.portfolio_ylt.losses,
                                   res.portfolio_ylt.losses)

@@ -58,8 +58,8 @@ def term_sensitivities(
     is the one separate runs would give.  ``engine`` resolves through
     :meth:`RiskSession.engine <repro.session.RiskSession.engine>` — a
     name or ``"auto"`` is the session's warm engine; an
-    :class:`~repro.core.engines.Engine` instance is used as-is and keeps
-    its own lifecycle.
+    :class:`~repro.core.engines.Engine` instance is used as-is, on the
+    dispatcher it rides.
     """
     if not (0.0 < bump_fraction < 1.0):
         raise AnalysisError("bump_fraction must lie in (0, 1)")

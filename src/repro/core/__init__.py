@@ -34,7 +34,6 @@ from repro.core.lookup import LossLookup
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
 from repro.core.engines import available_engines, get_engine
-from repro.core.engines.host import OutOfCoreEngine
 from repro.core.uncertainty import (
     SecondaryUncertainty,
     sample_occurrence_losses,
@@ -66,7 +65,6 @@ __all__ = [
     "Portfolio",
     "available_engines",
     "get_engine",
-    "OutOfCoreEngine",
     "SecondaryUncertainty",
     "sample_occurrence_losses",
     "sampled_aggregate_analysis",

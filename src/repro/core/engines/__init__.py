@@ -10,14 +10,15 @@ sequential  pure-Python scalar loop — the paper's "sequential counterpart"
             and the numerical oracle every other engine is tested against
 vectorized  whole-array NumPy over the fused portfolio kernel — the
             data-parallel, global-memory-only model (the host driver,
-            :mod:`~repro.core.engines.host`, on an inline dispatcher)
+            :mod:`~repro.core.engines.host`, on an inline dispatcher),
+            over a YET in memory or on disk (the out-of-core path)
 device      the paper's optimised GPU, planned on
             :class:`~repro.hpc.device.DeviceProperties` (resident batches,
             constant-memory lookup packing, shared-memory tiles): the same
             driver, each whole-trial YET chunk one inline dispatcher run
 multicore   trial-block decomposition over a process pool: the same
-            driver on :class:`~repro.serve.dispatch.PooledDispatcher`,
-            the one pooled execution path
+            driver riding a :class:`~repro.serve.dispatch.PooledDispatcher`
+            it does not own (a session's), the one pooled execution path
 mapreduce   a MapReduce job over the simulated DFS (large file space
             path): one fused sweep per whole-trial split, the same
             driver's map tasks on an inline dispatcher
@@ -55,21 +56,23 @@ covers tail rows too.
 The vectorized, multicore, mapreduce and device engines are one driver
 (:class:`~repro.core.engines.host.HostEngine`): ``portfolio.kernel()``
 → ``dispatcher.run(kernel, yet)`` → per-layer YLTs, one ``details``
-schema read off the dispatcher — a private one (one whole-YET span
-inline, one span per pool worker), or under ``RiskSession.engine`` the
-session's own, the one its quote batches ride.  ``mapreduce``'s map
-tasks are runs of its inline dispatcher over the whole-trial splits of
-a YET written to the DFS; ``device``'s are runs of its inline
-dispatcher over the whole-trial chunks its device plan cuts — the plan
+schema read off the dispatcher.  An engine owns no dispatcher: under
+``RiskSession.engine`` it rides the session's own, the one its quote
+batches ride; built alone, it sweeps on an inline dispatcher it makes
+on first use, which holds no process or segment (``multicore`` runs
+only riding a pool).  Every engine emits YELTs on request, host-side.
+``mapreduce``'s map tasks are runs of its inline dispatcher over the
+whole-trial splits of a YET written to the DFS; ``device``'s are runs
+of its inline dispatcher over the whole-trial chunks its device plan
+cuts — the plan
 (resident batches, one stacked table upload plus one pair upload per
 batch, a constant bank packed greedily by hit-frequency × size, each
 book placed by its id range) is
 drawn from the kernel's metadata before anything runs, and its
-transfer counts are arithmetic.  The unregistered ``OutOfCoreEngine``
-is the same code, inline, over a YET on disk
-(:class:`~repro.core.tables.StoredYet`), so every sweep, in memory, in
-a DFS block, in a device chunk or off disk, is the dispatchers' one
-block task.  The sequential engine
+transfer counts are arithmetic.  ``vectorized`` over a YET on disk
+(:class:`~repro.core.tables.StoredYet`) is the same code, inline, so
+every sweep, in memory, in a DFS block, in a device chunk or off disk,
+is the dispatchers' one block task.  The sequential engine
 deliberately stays scalar: it is the baseline the paper's speedups are
 measured against.
 

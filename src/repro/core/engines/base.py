@@ -1,4 +1,9 @@
-"""Engine interface and result contract."""
+"""Engine interface and result contract.
+
+An engine declares its registry ``name`` and what ``run`` reads the
+trials from (``source``); whether a run may emit YELTs is not an
+engine's to declare — every engine does.
+"""
 
 from __future__ import annotations
 
@@ -68,11 +73,8 @@ class Engine(abc.ABC):
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    #: What ``run`` reads the trials from.
-    source: type = YetTable
-
-    #: Whether ``run(..., emit_yelt=True)`` is accepted (declared here only).
-    emits_yelt: bool = False
+    #: What ``run`` reads the trials from (a tuple of accepted types).
+    source: tuple = (YetTable,)
 
     @abc.abstractmethod
     def run(self, portfolio: Portfolio, yet: YetTable, *,
@@ -83,4 +85,5 @@ class Engine(abc.ABC):
         if not isinstance(portfolio, Portfolio):
             raise EngineError(f"expected Portfolio, got {type(portfolio).__name__}")
         if not isinstance(yet, self.source):
-            raise EngineError(f"expected {self.source.__name__}, got {type(yet).__name__}")
+            expected = " or ".join(cls.__name__ for cls in self.source)
+            raise EngineError(f"expected {expected}, got {type(yet).__name__}")

@@ -75,7 +75,6 @@ class DeviceEngine(HostEngine):
     engine's inline dispatcher."""
 
     name = "device"
-    emits_yelt = True
 
     def __init__(
         self,
@@ -88,9 +87,6 @@ class DeviceEngine(HostEngine):
         self.max_rows_per_chunk = max_rows_per_chunk
         self.use_constant = use_constant
         self.planner = ChunkPlanner(self.properties)
-
-    def _build_dispatcher(self, dispatch):
-        return dispatch.InlineDispatcher()
 
     # -- placement -----------------------------------------------------------
 

@@ -1,27 +1,28 @@
 """The host engines — one implementation over a dispatcher.
 
-``vectorized``, ``multicore`` and ``outofcore`` are the engines that
-really execute on the host, and they are one implementation:
-``portfolio.kernel()`` → ``dispatcher.run(kernel, yet)`` → per-layer
-YLTs (views of the answer's rows, checked once as one matrix) and
-their total (checked once) → one ``details`` schema read off the
-dispatcher.  Spans, block task, the shared-memory data plane,
-supervision, the degraded serial fallback and the telemetry export of
-what the kernel counted are the dispatcher's
+``vectorized`` and ``multicore`` are the engines that really execute on
+the host, and they are one implementation: ``portfolio.kernel()`` →
+``dispatcher.run(kernel, yet)`` → per-layer YLTs (views of the answer's
+rows, checked once as one matrix) and their total (checked once) → one
+``details`` schema read off the dispatcher.  Spans, block task, the
+shared-memory data plane, supervision, the degraded serial fallback and
+the telemetry export of what the kernel counted are the dispatcher's
 (:mod:`repro.serve.dispatch`, the one door from a kernel to an answer);
-the classes say which dispatcher a standalone instance builds, what it
-reads (``source``) and whether a run may emit YELTs, nothing else.
+an engine class says only its ``name``, what it reads (``source``) and
+how it cuts a run.
 
 - ``vectorized`` is the "GPU with everything in global memory" model
-  (the ``device`` engine's naive placement): one fused sweep of the whole trial set on the calling
-  thread, one occurrence per array lane as one CUDA thread handles one
-  occurrence in the companion study.
+  (the ``device`` engine's naive placement): one fused sweep of the
+  whole trial set on the calling thread, one occurrence per array lane
+  as one CUDA thread handles one occurrence in the companion study.
+  It reads a YET in memory or on disk
+  (:class:`~repro.core.tables.StoredYet`, swept block by block by the
+  same inline dispatcher — the out-of-core path).
 - ``multicore`` splits the trial range into one contiguous block per
   pool worker — the YET decomposes perfectly by trial (no occurrence
   crosses a trial boundary, so aggregate terms are block-local) — and
   each worker writes its ``(L, trials)`` columns into the dispatcher's
   shared output.
-- ``outofcore`` (unregistered) is ``vectorized`` over a YET on disk.
 - ``mapreduce`` (:mod:`~repro.core.engines.mapreduce_engine`) replaces
   only :meth:`HostEngine._execute`: a MapReduce job whose map tasks are
   runs of its inline dispatcher over whole-trial splits.
@@ -29,16 +30,21 @@ reads (``source``) and whether a run may emit YELTs, nothing else.
   :meth:`HostEngine._execute` too: a device plan drawn from the kernel's
   metadata, then one run of its inline dispatcher per whole-trial chunk.
 
-A standalone engine lazily builds a private dispatcher that ``close()``
-(or ``with``) frees, pool and shared segments both; an engine made by
-:meth:`HostEngine.riding` — how :meth:`RiskSession.engine
-<repro.session.RiskSession.engine>` makes its own — runs on a dispatcher
-someone else owns, and owns nothing.
+An engine owns no substrate.  One made by :meth:`HostEngine.riding` —
+how :meth:`RiskSession.engine <repro.session.RiskSession.engine>` makes
+its own — runs on a dispatcher its owner closes; any other runs on an
+inline dispatcher it makes on first use, which holds no process or
+segment.  A ``multicore`` engine needs a pool, so it runs only riding
+one: the session's (``RiskSession(yet, n_workers=...)`` with
+``engine="multicore"``) or a
+:class:`~repro.serve.dispatch.PooledDispatcher` its caller closes.
+Every engine emits YELTs alike, host-side (:func:`emit_yelt_row` reads
+only the run's kernel and YET), except over a stored YET, which is never
+in memory whole.
 """
 
 from __future__ import annotations
 
-import abc
 import time
 
 import numpy as np
@@ -48,10 +54,10 @@ from repro.core.kernels import PortfolioKernel
 from repro.core.portfolio import Portfolio
 from repro.core.tables import YELT_SCHEMA, StoredYet, YeltTable, YetTable, YltTable
 from repro.data.columnar import ColumnTable
-from repro.errors import EngineError
+from repro.errors import ConfigurationError, EngineError
 
 __all__ = ["HostEngine", "VectorizedEngine", "MulticoreEngine",
-           "OutOfCoreEngine", "emit_yelt_row"]
+           "emit_yelt_row"]
 
 
 def emit_yelt_row(kernel: PortfolioKernel, row: int,
@@ -76,55 +82,35 @@ class HostEngine(Engine):
 
     def __init__(self) -> None:
         self._dispatcher = None
-        self._private = True    # built and closed here; see riding()
 
     @classmethod
     def riding(cls, dispatcher) -> "HostEngine":
-        """An engine on a dispatcher it does not own: :meth:`close`
-        leaves the dispatcher running, and any constructor settings stay
-        the defaults — the dispatcher's own are in ``result.details``."""
+        """An engine on ``dispatcher``, which its owner closes; any
+        constructor settings stay the defaults — the dispatcher's own
+        are in ``result.details``."""
         engine = cls()
         engine._dispatcher = dispatcher
-        engine._private = False
         return engine
-
-    @abc.abstractmethod
-    def _build_dispatcher(self, dispatch):
-        """A private dispatcher out of :mod:`repro.serve.dispatch`."""
 
     @property
     def dispatcher(self):
         """The :class:`~repro.serve.dispatch.Dispatcher` this engine
-        rides; a private one is constructed lazily on first access (a
-        pooled one forks its workers on the first parallel run)."""
+        rides: the one handed to :meth:`riding`, else an inline one made
+        on first use, which holds no process or segment."""
         if self._dispatcher is None:
             # Lazy: serve sits above core in the import order.
-            from repro.serve import dispatch
+            from repro.serve.dispatch import InlineDispatcher
 
-            self._dispatcher = self._build_dispatcher(dispatch)
+            self._dispatcher = InlineDispatcher()
         return self._dispatcher
 
-    def close(self) -> None:
-        """Shut down the private dispatcher (idempotent; the engine
-        stays usable, on a fresh one)."""
-        if self._private and self._dispatcher is not None:
-            self._dispatcher.close()
-            self._dispatcher = None
-
-    def __enter__(self) -> "HostEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def run(self, portfolio: Portfolio, yet: YetTable, *,
+    def run(self, portfolio: Portfolio, yet: YetTable | StoredYet, *,
             emit_yelt: bool = False) -> EngineResult:
         self._validate(portfolio, yet)
-        if emit_yelt and not self.emits_yelt:
+        if emit_yelt and isinstance(yet, StoredYet):
             raise EngineError(
-                f"{self.name} engine does not emit YELTs; use the vectorized "
-                "engine for event-granularity output"
-            )
+                "a YELT needs the occurrence stream in memory; a StoredYet "
+                "is read block by block")
         t0 = time.perf_counter()
         kernel = portfolio.kernel()
         routed_before = dict(kernel.routed)
@@ -173,22 +159,16 @@ class HostEngine(Engine):
 
 
 class VectorizedEngine(HostEngine):
-    """Whole-array aggregate analysis over the fused portfolio kernel."""
+    """Whole-array aggregate analysis over the fused portfolio kernel,
+    from a YET in memory or on disk."""
 
     name = "vectorized"
-    emits_yelt = True
-
-    def _build_dispatcher(self, dispatch):
-        return dispatch.InlineDispatcher()
+    source = (YetTable, StoredYet)
 
 
 class MulticoreEngine(HostEngine):
-    """Process-pool aggregate analysis over contiguous trial blocks.
-
-    Parameters
-    ----------
-    n_workers:
-        Worker processes; ``None`` means the host's parallelism.
+    """Process-pool aggregate analysis over contiguous trial blocks, on
+    a :class:`~repro.serve.dispatch.PooledDispatcher` someone else owns.
 
     The payload rides the shared-memory data plane; a one-block run, a
     degraded pool and a host without shared memory sweep in process
@@ -197,24 +177,12 @@ class MulticoreEngine(HostEngine):
 
     name = "multicore"
 
-    def __init__(self, n_workers: int | None = None) -> None:
-        super().__init__()
-        self.n_workers = n_workers
-
-    def _build_dispatcher(self, dispatch):
-        return dispatch.PooledDispatcher(self.n_workers)
-
     @property
-    def pool(self):
-        """The dispatcher's :class:`~repro.hpc.pool.WorkPool`."""
-        return self.dispatcher.pool
-
-
-class OutOfCoreEngine(HostEngine):
-    """Streamed aggregate analysis over a :class:`StoredYet`."""
-
-    name = "outofcore"
-    source = StoredYet
-
-    def _build_dispatcher(self, dispatch):
-        return dispatch.InlineDispatcher()
+    def dispatcher(self):
+        if self._dispatcher is None:
+            raise ConfigurationError(
+                "a multicore engine builds no pool: run "
+                "RiskSession(yet, n_workers=...).aggregate(engine='multicore'),"
+                " or MulticoreEngine.riding(PooledDispatcher(...)) and close "
+                "the dispatcher when done")
+        return self._dispatcher

@@ -52,9 +52,6 @@ class MapReduceEngine(HostEngine):
         #: The most recent run's job (task times for E7's scaling).
         self.last_job: JobResult | None = None
 
-    def _build_dispatcher(self, dispatch):
-        return dispatch.InlineDispatcher()
-
     def _execute(self, kernel: PortfolioKernel,
                  yet: YetTable) -> tuple[np.ndarray, dict]:
         spans = trial_spans(yet.n_trials, self.n_splits)

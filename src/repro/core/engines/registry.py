@@ -1,10 +1,10 @@
 """The engine registry: one table from a name to its engine class.
 
-The class is the record: its ``name``, its
-:attr:`~repro.core.engines.base.Engine.emits_yelt` (which gates
-event-granularity requests in the session and the planner) and its
-docstring.  What ``engine="auto"`` chooses between, and at what cost,
-is not declared here: that table lives in :mod:`repro.session.planner`.
+The class is the record: its ``name``, what it reads (``source``) and
+its docstring.  Every registered engine emits YELTs on request, so no
+capability is declared beside them.  What ``engine="auto"`` chooses
+between, and at what cost, is not declared here: that table lives in
+:mod:`repro.session.planner`.
 
 Unknown names fail *here*, in :func:`engine_class`, with the available
 list — not deep inside a run.

@@ -26,7 +26,6 @@ class SequentialEngine(Engine):
     """Scalar reference implementation of aggregate analysis."""
 
     name = "sequential"
-    emits_yelt = True
 
     def run(self, portfolio: Portfolio, yet: YetTable, *,
             emit_yelt: bool = False) -> EngineResult:

@@ -559,8 +559,10 @@ class TrialSegments:
     trials have no segment: ``np.add.reduceat`` returns ``a[i]`` (not 0)
     for an empty segment and raises on a start index == n, so it is only
     ever fed these non-empty starts and its sums scattered to
-    ``trial_ids``.  ``max_count`` is the longest segment (the exact
-    bound the kernel's shifted-clip gate needs).  Built from the span's
+    ``trial_ids``.  ``max_count`` bounds the longest segment (the
+    bound the kernel's shifted-clip gate reads): the span's own, or for
+    a :class:`YetTable`'s span the table's longest trial
+    (:meth:`YetTable.trial_block`).  Built from the span's
     trial offsets (trial ``t`` occupies rows ``[offsets[t],
     offsets[t+1])``, any base) and its event ids, so a trial range of a
     YET is the same constructor over slices of
@@ -823,7 +825,10 @@ class YetTable:
         arithmetic over them, so no sweep re-scans the trial column.
         The span is built once per range and kept, with the event index
         and book profiles its sweeps derive over its rows alone — so a
-        pool worker indexes and profiles only its own span.
+        pool worker indexes and profiles only its own span.  Its
+        ``max_count`` is the table's longest trial, not the span's, so
+        every span of one table routes a row alike and an answer does
+        not depend on how the table was cut.
         """
         if t_stop is None:
             t_stop = self.n_trials
@@ -831,8 +836,10 @@ class YetTable:
         if span is None:
             _check_span(t_start, t_stop, self.n_trials)
             offsets = self.trial_offsets[t_start:t_stop + 1]
-            span = self._spans.setdefault((t_start, t_stop), TrialSegments(
-                offsets, self.event_ids[int(offsets[0]):int(offsets[-1])]))
+            span = TrialSegments(
+                offsets, self.event_ids[int(offsets[0]):int(offsets[-1])])
+            span.max_count = int(np.diff(self.trial_offsets).max(initial=0))
+            span = self._spans.setdefault((t_start, t_stop), span)
         return span
 
     def trial_blocks(self, t_start: int, t_stop: int) -> tuple:

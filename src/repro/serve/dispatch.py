@@ -5,8 +5,8 @@ A dispatcher takes one stacked :class:`~repro.core.kernels.PortfolioKernel`
 ``(L, n_trials)`` YLT matrix — sweep plus aggregate terms.  This is the
 one door from a kernel to an answer: a quote batch hands its dispatcher
 the stacked batch kernel, and the host engines (``vectorized`` /
-``multicore`` / ``outofcore``, one implementation —
-:mod:`repro.core.engines.host`) hand theirs the portfolio's.  A run is
+``multicore``, one implementation — :mod:`repro.core.engines.host`)
+hand theirs the portfolio's.  A run is
 :func:`_sweep_trials` over the dispatcher's :meth:`~Dispatcher.spans`,
 and the two substrates differ in where the spans execute:
 

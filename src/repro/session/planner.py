@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engines.registry import engine_class
 from repro.errors import ConfigurationError
 from repro.hpc.cost_model import StageSpec
 from repro.hpc.pool import available_parallelism
@@ -232,7 +231,6 @@ class EnginePlanner:
     def plan(self, workload: str, *, n_trials: int, n_occurrences: int,
              n_layers: int = 1, pool_warm: bool = False,
              pool_degraded: bool = False,
-             require_emit_yelt: bool = False,
              rates: dict[str, float | None] | None = None) -> ExecutionPlan:
         """Price every substrate and choose the cheapest.
 
@@ -244,10 +242,8 @@ class EnginePlanner:
         credit, noted in ``explain()`` — so a degraded pool is never
         charged as parallel capacity; the plan's ``transport`` reads
         ``"shm"`` only when the pooled substrate is chosen on a working
-        pool, and ``"inline"`` otherwise; ``require_emit_yelt`` marks
-        engines without YELT
-        support ineligible (a capability constraint, visible in
-        ``explain()``).
+        pool, and ``"inline"`` otherwise.  Every substrate emits
+        YELTs, so a run that asks for them is planned like any other.
         """
         if workload not in _WORKLOADS:
             raise ConfigurationError(
@@ -268,9 +264,7 @@ class EnginePlanner:
             rate = measured if measured is not None else row.seed_rate
             procs = self.n_workers if row.pooled else 1
             startup, eligible, note = 0.0, True, ""
-            if require_emit_yelt and not engine_class(row.engine).emits_yelt:
-                eligible, note = False, "does not emit YELTs"
-            elif row.pooled and self.n_workers <= 1:
+            if row.pooled and self.n_workers <= 1:
                 eligible, note = False, "single-core host (no pool to win on)"
             elif row.pooled and pool_degraded:
                 # The pool has fallen back to serial inline execution:

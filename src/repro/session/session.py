@@ -27,8 +27,9 @@ A session restores the invariant across all of them:
   :class:`~repro.session.planner.ExecutionPlan` can ``explain()``
   itself.
 - **close exactly once** — ``close()`` (or the context manager) tears
-  down services, engines, pools, and arenas idempotently; use after
-  close raises instead of silently resurrecting resources.
+  down services, pools, and arenas idempotently (an engine owns none:
+  it rides a session dispatcher, or an inline one that holds nothing);
+  use after close raises instead of silently resurrecting resources.
 
 :class:`~repro.serve.service.PricingService` and
 :func:`~repro.analytics.sensitivity.term_sensitivities` take the session
@@ -152,8 +153,10 @@ class RiskSession:
             self.dispatcher(engine).warmup(self.yet)
 
     def close(self) -> None:
-        """Tear down services, engines, pools, and arenas — exactly once
-        each, in dependency order (idempotent)."""
+        """Tear down services, pools, and arenas — exactly once each, in
+        dependency order (idempotent).  The session's engines ride its
+        dispatchers (or inline ones that hold nothing), so closing these
+        frees every worker a run in the session used."""
         if self._closed:
             return
         self._closed = True
@@ -161,9 +164,6 @@ class RiskSession:
             svc.close()
         self._services.clear()
         self._default_service = None
-        for eng in self._engines.values():
-            if hasattr(eng, "close"):
-                eng.close()
         self._engines.clear()
         if self._pooled is not None:
             self._pooled.close()
@@ -230,15 +230,15 @@ class RiskSession:
         )
 
     def engine(self, name: str | Engine = "auto") -> Engine:
-        """A session-owned, warm engine (do not close it yourself).
+        """A session-cached, warm engine.
 
         ``"auto"`` resolves through the planner.  A name is the
-        registry's default-constructed engine, one per session, closed
-        with it; a name on the planner's table (``"vectorized"``,
-        ``"multicore"``) rides the session's own dispatcher for its row,
-        the one quote batches ride — so an aggregate run followed by
-        quote batches ships the YET zero more times.  To configure an
-        engine, build it
+        registry's default-constructed engine, one per session; a name
+        on the planner's table (``"vectorized"``, ``"multicore"``) rides
+        the session's own dispatcher for its row, the one quote batches
+        ride — so an aggregate run followed by quote batches ships the
+        YET zero more times, and the session's ``close`` frees its
+        workers.  To configure an engine, build it
         (:func:`~repro.core.engines.get_engine` or the class) and pass
         the instance, which comes back as-is.  Unknown names raise
         :class:`~repro.errors.EngineError` with the available list —
@@ -261,8 +261,7 @@ class RiskSession:
 
     def plan(self, workload: str = "aggregate", *,
              portfolio: Portfolio | None = None,
-             n_layers: int | None = None,
-             require_emit_yelt: bool = False) -> ExecutionPlan:
+             n_layers: int | None = None) -> ExecutionPlan:
         """Price the planner's substrates for a workload on this
         session's data shape, each at the rate its session dispatcher
         has measured (its seed until that dispatcher has run); see
@@ -289,7 +288,6 @@ class RiskSession:
                 n_layers=n_layers,
                 pool_warm=pool_warm,
                 pool_degraded=pool_degraded,
-                require_emit_yelt=require_emit_yelt,
                 rates=rates,
             )
         self._m_plans.inc()
@@ -334,9 +332,12 @@ class RiskSession:
         ``engine="auto"`` plans the substrate; the chosen
         :class:`~repro.session.planner.ExecutionPlan` rides along in
         ``result.details["plan"]``.  A name runs the registry default,
-        session-owned (unknown names fail here with the available
+        session-cached (unknown names fail here with the available
         list); to configure, pass an :class:`~repro.core.engines.Engine`
-        *instance*, which is used as-is and keeps its own lifecycle.
+        *instance*, which is used as-is, on the dispatcher it rides
+        (``MulticoreEngine.riding(session.dispatcher("pooled"))`` rides
+        this session's pool).  Every engine emits YELTs on request, so
+        ``emit_yelt`` does not constrain what ``"auto"`` plans.
         """
         self._check_open()
         pf = portfolio if portfolio is not None else self.portfolio
@@ -350,8 +351,7 @@ class RiskSession:
         else:
             name = engine
             if name == "auto":
-                plan = self.plan("aggregate", portfolio=pf,
-                                 require_emit_yelt=emit_yelt)
+                plan = self.plan("aggregate", portfolio=pf)
                 name = plan.engine
             eng = self.engine(name)
         with self.telemetry.span("session.sweep",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import random
@@ -29,6 +30,18 @@ def make_yet(trials, event_ids, n_trials) -> YetTable:
         seq=np.zeros(len(trials), dtype=np.int32),
         event_id=np.asarray(event_ids, dtype=np.int64))
     return YetTable(table, n_trials)
+
+
+@contextlib.contextmanager
+def multicore(n_workers=None):
+    """A ``MulticoreEngine`` riding a ``PooledDispatcher`` of its own,
+    closed on exit (an engine owns no pool); test modules import it
+    from here."""
+    from repro.core.engines import MulticoreEngine
+    from repro.serve.dispatch import PooledDispatcher
+
+    with PooledDispatcher(n_workers=n_workers) as dispatcher:
+        yield MulticoreEngine.riding(dispatcher)
 
 
 def csr_elts(elts) -> tuple:

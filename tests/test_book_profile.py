@@ -225,6 +225,30 @@ class TestInvariance:
         losses = kernel._lookup(0)(events)
         assert whole.ranks.size == np.count_nonzero(losses) < events.size
 
+    def test_every_span_of_a_table_routes_a_row_alike(self):
+        """A row whose retention lies inside the shift-mask bound of a
+        span of short trials and outside that of the span holding the
+        one long trial routes by the table's longest trial in both, so
+        an inline and a 2-worker pooled run agree cell for cell."""
+        rng = np.random.default_rng(0)
+        counts = np.full(20, 5)
+        counts[-1] = 400
+        trials = np.repeat(np.arange(20), counts)
+        yet = make_yet(trials, rng.integers(0, 50, trials.size), 20)
+        elt = EltTable.from_arrays(np.arange(50), rng.uniform(2e8, 3e8, 50))
+        portfolio = Portfolio([
+            Layer(i, [elt], LayerTerms(occ_retention=2.3e8 + i * 1e5))
+            for i in range(MIN_TAIL_GROUP)])
+        with RiskSession(yet, portfolio, n_workers=2) as session:
+            inline = session.aggregate(engine="vectorized")
+            pooled = session.aggregate(engine="multicore")
+        assert pooled.details["n_blocks"] == 2
+        for lid, ylt in inline.ylt_by_layer.items():
+            np.testing.assert_array_equal(pooled.ylt_by_layer[lid].losses,
+                                          ylt.losses)
+        assert inline.details["routed"]["kernel.fallback.error_bound"] == (
+            MIN_TAIL_GROUP)
+
 
 # ---------------------------------------------------------------------------
 # one build per (YET, book) per process; the cache dies with its YET

@@ -1,4 +1,5 @@
-"""Tests for columnar compression and the out-of-core engine."""
+"""Tests for columnar compression and the out-of-core path (the
+vectorized engine over a YET on disk)."""
 
 import tempfile
 
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.engines import MulticoreEngine
-from repro.core.engines.host import OutOfCoreEngine
+from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import MIN_TAIL_GROUP
 from repro.core.layer import Layer
 from repro.core.portfolio import Portfolio
@@ -177,8 +177,7 @@ def stored_chunks(root, *chunks):
 def run_stored(portfolio, store, n_trials, name="yet"):
     """One out-of-core run: ``(result, the pass's yet.store.* levels)``."""
     yet = StoredYet(store, name, n_trials)
-    with OutOfCoreEngine() as engine:
-        res = engine.run(portfolio, yet)
+    res = VectorizedEngine().run(portfolio, yet)
     return res, yet.cache_levels()
 
 
@@ -207,6 +206,9 @@ def skewed_yet():
 
 
 class TestOutOfCoreEngine:
+    """The out-of-core path: :class:`VectorizedEngine` over a
+    :class:`StoredYet`, swept block by block by its inline dispatcher."""
+
     def test_matches_vectorized(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)
         store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=97)
@@ -218,7 +220,7 @@ class TestOutOfCoreEngine:
         assert 1 < levels["yet.store.blocks"] <= (
             levels["yet.store.chunks_read"] + 1)
         assert levels["yet.store.rows_read"] == tiny_workload.yet.n_occurrences
-        assert res.engine == "outofcore"
+        assert res.engine == "vectorized"
         assert res.details["occurrences_processed"] == (
             tiny_workload.yet.n_occurrences
             * tiny_workload.portfolio.n_layers)
@@ -334,9 +336,9 @@ class TestOutOfCoreEngine:
         portfolio, yet = mixed_portfolio(), skewed_yet()
         store = ChunkStore(tmp_path)
         n_chunks = store.write_table("yet", yet.table, rows_per_chunk=97)
-        with OutOfCoreEngine() as engine:
-            engine.run(portfolio, StoredYet(store, "yet", 40))
-            metrics = engine.dispatcher.telemetry.snapshot()["metrics"]
+        engine = VectorizedEngine()
+        engine.run(portfolio, StoredYet(store, "yet", 40))
+        metrics = engine.dispatcher.telemetry.snapshot()["metrics"]
         for name in (BY_EVENT, BY_STREAM, BY_PROFILE,
                      "dispatch.inline.lanes_per_second"):
             assert metrics[name] > 0, name
@@ -344,14 +346,31 @@ class TestOutOfCoreEngine:
         assert metrics["yet.store.rows_read"] == yet.n_occurrences
 
     def test_each_engine_takes_its_own_source(self, tiny_workload, tmp_path):
+        """``vectorized`` reads either source; ``multicore`` reads a YET
+        in memory, and says so before it looks for a pool."""
         store = ChunkStore(tmp_path)
         store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
         stored = StoredYet(store, "yet", tiny_workload.yet.n_trials)
-        with MulticoreEngine(n_workers=2) as engine:
-            with pytest.raises(EngineError, match="expected YetTable"):
-                engine.run(tiny_workload.portfolio, stored)
-        with pytest.raises(EngineError, match="expected StoredYet"):
-            OutOfCoreEngine().run(tiny_workload.portfolio, tiny_workload.yet)
+        with pytest.raises(EngineError, match="expected YetTable, got"):
+            MulticoreEngine().run(tiny_workload.portfolio, stored)
+        engine = VectorizedEngine()
+        np.testing.assert_array_equal(
+            engine.run(tiny_workload.portfolio, stored).portfolio_ylt.losses,
+            engine.run(tiny_workload.portfolio,
+                       tiny_workload.yet).portfolio_ylt.losses)
+        with pytest.raises(EngineError, match="YetTable or StoredYet"):
+            engine.run(tiny_workload.portfolio, "not a yet")
+
+    def test_a_stored_yelt_is_refused(self, tiny_workload, tmp_path):
+        """A YELT is the occurrence stream priced row by row; a stored
+        YET is never in memory whole, so asking for one is an error."""
+        store = ChunkStore(tmp_path)
+        store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
+        stored = StoredYet(store, "yet", tiny_workload.yet.n_trials)
+        with pytest.raises(EngineError, match="YELT"):
+            VectorizedEngine().run(tiny_workload.portfolio, stored,
+                                   emit_yelt=True)
+        assert stored.cache_levels()["yet.store.chunks_read"] == 0
 
     @pytest.mark.parametrize("chunks, complaint", [
         ([([0, 2, 1], [1, 2, 3])], "chunk 0: rows step back in trial order"),

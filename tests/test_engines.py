@@ -6,7 +6,7 @@ YLT exactly (to fp tolerance), whatever its execution substrate.
 
 import numpy as np
 import pytest
-from conftest import make_yet
+from conftest import make_yet, multicore
 
 from repro.analytics.comparison import assert_engines_equivalent, compare_engines
 from repro.core.engines import (
@@ -16,6 +16,7 @@ from repro.core.engines import (
     SequentialEngine,
     VectorizedEngine,
     available_engines,
+    engine_class,
     get_engine,
 )
 from repro.core.tables import EltTable, YltTable
@@ -90,7 +91,6 @@ class TestEquivalence:
         and the profile path of a 17-row same-book group, the YELT it
         emits, the stored stream — prices them 0, while a book holding
         ``k`` itself prices every occurrence."""
-        from repro.core.engines.host import OutOfCoreEngine
         from repro.core.kernels import MIN_TAIL_GROUP
         from repro.core.tables import StoredYet
         from repro.data.store import ChunkStore
@@ -123,13 +123,13 @@ class TestEquivalence:
         assert routed["kernel.lane_rows.by_event"] == 1
         assert vectorized.yelt_by_layer[1].n_rows == 0
         assert vectorized.yelt_by_layer[2].n_rows == 0
-        with MulticoreEngine(n_workers=2) as engine:
+        with multicore(2) as engine:
             pooled = engine.run(pf, yet)
         assert pooled.details["n_blocks"] == 2
         check(pooled)
         store = ChunkStore(tmp_path)
         store.write_table("yet", yet.table, rows_per_chunk=2)
-        check(OutOfCoreEngine().run(pf, StoredYet(store, "yet", 4)))
+        check(VectorizedEngine().run(pf, StoredYet(store, "yet", 4)))
 
     def test_yet_with_empty_trials(self, risk_session):
         """Trials with zero occurrences must appear as zero-loss years."""
@@ -260,11 +260,13 @@ class TestDeviceEngine:
         wl = small_portfolio_workload
         empty = make_yet([1, 1, 4], [3, 7, 3], n_trials=6)
         for yet in (wl.yet, empty):
-            with DeviceEngine(max_rows_per_chunk=max_rows_per_chunk,
-                              use_constant=use_constant) as engine:
-                res = engine.run(wl.portfolio, yet)
+            res = DeviceEngine(max_rows_per_chunk=max_rows_per_chunk,
+                               use_constant=use_constant).run(wl.portfolio, yet)
             _assert_layers_equal(res, VectorizedEngine().run(wl.portfolio,
                                                              yet))
+
+    def test_emits_the_vectorized_yelt(self, tiny_workload):
+        _assert_yelts_equal(DeviceEngine(max_rows_per_chunk=97), tiny_workload)
 
     def test_transfers_accounted(self, tiny_workload):
         res = DeviceEngine().run(tiny_workload.portfolio, tiny_workload.yet)
@@ -327,7 +329,7 @@ class TestDeviceEngine:
 class TestMulticore:
     @pytest.mark.parametrize("n_workers", [1, 2, 5])
     def test_worker_count_invariant(self, tiny_workload, n_workers):
-        with MulticoreEngine(n_workers=n_workers) as engine:
+        with multicore(n_workers) as engine:
             res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
         ref = VectorizedEngine().run(tiny_workload.portfolio, tiny_workload.yet)
         _assert_layers_equal(res, ref)
@@ -346,10 +348,10 @@ class TestMulticore:
         for n_workers, yet in ((1, wl.yet), (2, one_trial)):
             ref = VectorizedEngine().run(wl.portfolio, yet)
             before = shm.active_segment_names()
-            with MulticoreEngine(n_workers=n_workers) as engine:
+            with multicore(n_workers) as engine:
                 res = engine.run(wl.portfolio, yet)
                 assert shm.active_segment_names() == before
-                assert not engine.pool.started
+                assert not engine.dispatcher.pool.started
                 assert engine.dispatcher.payload_ships == 0
                 spans = engine.dispatcher.telemetry.snapshot()["spans"]
             assert [span["annotations"]["transport"] for span in spans
@@ -364,42 +366,33 @@ class TestMulticore:
         elt = EltTable.from_arrays([1], [10.0])
         yet = make_yet([0, 1], [1, 1], n_trials=2)
         pf = Portfolio([Layer(0, [elt], LayerTerms())])
-        with MulticoreEngine(n_workers=16) as engine:
+        with multicore(16) as engine:
             res = engine.run(pf, yet)
         assert res.details["n_blocks"] == 2
         np.testing.assert_allclose(res.portfolio_ylt.losses, [10.0, 10.0])
 
     def test_emit_yelt_unsupported(self, tiny_workload):
-        with pytest.raises(EngineError):
-            MulticoreEngine().run(tiny_workload.portfolio, tiny_workload.yet,
-                                  emit_yelt=True)
+        """``emit_yelt`` is unsupported by no engine: a pooled run emits
+        ``vectorized``'s YELTs, column by column."""
+        with multicore(2) as engine:
+            _assert_yelts_equal(engine, tiny_workload)
 
-    def test_pool_is_lazy(self):
-        """Constructing the engine (or reading its pool) must not spawn
-        workers; the first parallel run does."""
-        engine = MulticoreEngine(n_workers=4)
-        assert engine.pool.n_workers == 4
-        assert not engine.pool.started
-        engine.close()
-
-    def test_close_idempotent_and_reusable(self, tiny_workload):
-        engine = MulticoreEngine(n_workers=2)
-        res = engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        engine.close()
-        engine.close()  # idempotent
-        assert not engine.pool.started
-        # The engine stays usable: a fresh pool is built on demand.
-        again = engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        _assert_layers_equal(again, res)
-        engine.close()
-
-    def test_context_manager_closes(self, tiny_workload):
-        with MulticoreEngine(n_workers=2) as engine:
+    def test_pool_is_lazy(self, tiny_workload):
+        """The engine builds no pool, not even lazily: run unridden it
+        says how to get one.  Riding a pool, constructing the engine (or
+        reading its pool) spawns no worker; the first parallel run
+        does."""
+        engine = MulticoreEngine()
+        with pytest.raises(ConfigurationError, match=(
+                r"RiskSession\(yet, n_workers=.*riding\(PooledDispatcher")):
             engine.run(tiny_workload.portfolio, tiny_workload.yet)
-            pool = engine.pool
-            assert pool.started
-        assert not pool.started
-        assert engine.pool is not pool      # a closed substrate is gone
+        with pytest.raises(ConfigurationError):
+            engine.dispatcher
+        with multicore(4) as engine:
+            assert engine.dispatcher.pool.n_workers == 4
+            assert not engine.dispatcher.pool.started
+            engine.run(tiny_workload.portfolio, tiny_workload.yet)
+            assert engine.dispatcher.pool.started
 
     @pytest.mark.parametrize("mode", ["shm", "no_shm", "degraded"])
     def test_entry_points_run_one_path(self, small_portfolio_workload,
@@ -427,10 +420,10 @@ class TestMulticore:
                                              real(yet, kernel, t0, t1))[1])
         before = shm.active_segment_names()
         results = []
-        for engine in (MulticoreEngine(**config),
-                       get_engine("multicore", **config)):
-            with engine:
-                engine.pool.health.degraded = degraded
+        for cls in (MulticoreEngine, engine_class("multicore")):
+            with dispatch.PooledDispatcher(**config) as dispatcher:
+                engine = cls.riding(dispatcher)
+                dispatcher.pool.health.degraded = degraded
                 results.append(engine.run(wl.portfolio, wl.yet))
             assert shm.active_segment_names() == before
         session = risk_session(wl.yet, wl.portfolio, **config)
@@ -465,6 +458,21 @@ def _assert_layers_equal(res, ref):
     assert res.ylt_by_layer.keys() == ref.ylt_by_layer.keys()
     for lid, ylt in ref.ylt_by_layer.items():
         np.testing.assert_array_equal(res.ylt_by_layer[lid].losses, ylt.losses)
+
+
+def _assert_yelts_equal(engine, wl):
+    """``engine``'s YELTs are ``vectorized``'s, column by column: a YELT
+    is drawn host-side from the run's kernel and YET, whichever engine
+    priced the YLT."""
+    res = engine.run(wl.portfolio, wl.yet, emit_yelt=True)
+    ref = VectorizedEngine().run(wl.portfolio, wl.yet, emit_yelt=True)
+    _assert_layers_equal(res, ref)
+    assert res.yelt_by_layer.keys() == ref.yelt_by_layer.keys()
+    assert res.yelt_rows() == ref.yelt_rows() > 0
+    for lid, yelt in ref.yelt_by_layer.items():
+        for column in ("trial", "event_id", "loss"):
+            np.testing.assert_array_equal(
+                res.yelt_by_layer[lid].table[column], yelt.table[column])
 
 
 class TestMapReduceEngine:
@@ -527,6 +535,6 @@ class TestMapReduceEngine:
         assert len(engine.dfs.list_files()) == 2
 
     def test_emit_yelt_unsupported(self, tiny_workload):
-        with pytest.raises(EngineError):
-            MapReduceEngine().run(tiny_workload.portfolio, tiny_workload.yet,
-                                  emit_yelt=True)
+        """``emit_yelt`` is unsupported by no engine: a MapReduce job
+        emits ``vectorized``'s YELTs, column by column."""
+        _assert_yelts_equal(MapReduceEngine(n_splits=3), tiny_workload)

@@ -43,7 +43,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analytics import assert_engines_equivalent
-from repro.core import OutOfCoreEngine, StoredYet
+from repro.core import StoredYet
 from repro.core.engines import (DeviceEngine, EngineResult, MapReduceEngine,
                                 MulticoreEngine, SequentialEngine,
                                 VectorizedEngine)
@@ -89,7 +89,7 @@ SOURCES = {
                "patched to 7 (whole trials, at least one, per row buffer)",
     "raw": "raw sorted columns (PortfolioKernel.run)",
     "rawunsorted": "the same columns shuffled",
-    "stored1": "StoredYet, 1 row per chunk (outofcore)",
+    "stored1": "StoredYet, 1 row per chunk (vectorized)",
     "stored97": "StoredYet, 97 rows per chunk",
     "storedall": "StoredYet, one chunk",
     "mapreduce1": "MapReduceEngine(n_splits=1)",
@@ -318,18 +318,23 @@ DRAWS = st.tuples(st.integers(0, 7), st.booleans())
 # the rule of record, restated
 # ---------------------------------------------------------------------------
 
-def blocks_of(yet, spans) -> list:
-    """``(occurrences, longest trial)`` of each trial span swept."""
+def blocks_of(yet, spans, copies=False) -> list:
+    """``(occurrences, bound)`` of each trial span swept: the bound is
+    the longest trial of the whole table for a span of it, and the
+    span's own for a ``copies`` of spans (MapReduce splits and device
+    chunks are ``slice_trials`` copies)."""
     counts = np.diff(yet.trial_offsets)
-    return [(int(counts[t0:t1].sum()), int(counts[t0:t1].max(initial=0)))
+    return [(int(counts[t0:t1].sum()),
+             int((counts[t0:t1] if copies else counts).max(initial=0)))
             for t0, t1 in spans]
 
 
 def expected_routes(kernel, blocks) -> dict:
     """Rows by route over the swept ``blocks``, by ``core/kernels.py``'s
     rule: rows sharing a stored book form a group when MIN_TAIL_GROUP
-    do, and its rows inside the shift-mask bound of the block's longest
-    trial take the profile while at least MIN_TAIL_GROUP of them do;
+    do, and its rows inside the shift-mask bound at the block's bound
+    (:func:`blocks_of`; a stored block's own longest trial) take the
+    profile while at least MIN_TAIL_GROUP of them do;
     every other row is a lane row — by events when at most 1/16 of its
     book's width pierce its retention (every row of a book whose id
     range passes DENSE_MAX_ENTRIES), else on the stream.  An empty
@@ -458,22 +463,23 @@ def run_aggregate(cell, case, shape, subs):
                 kernel.routed_since(before), whole)
     if source.startswith("stored"):
         stored = subs.stored(shape, source)
-        engine = (OutOfCoreEngine() if cell.dispatcher == "inline" else
-                  OutOfCoreEngine.riding(subs.dispatcher(shape, "degraded")))
+        engine = (VectorizedEngine() if cell.dispatcher == "inline" else
+                  VectorizedEngine.riding(subs.dispatcher(shape, "degraded")))
         result = engine.run(portfolio, stored)
         blocks = subs.stored_blocks(shape, source,
                                     tuple(engine.dispatcher.spans(stored)))
     elif source.startswith("mapreduce"):
         splits = int(source[len("mapreduce"):])
         result = MapReduceEngine(n_splits=splits).run(portfolio, yet)
-        blocks = blocks_of(yet, trial_spans(yet.n_trials, splits))
+        blocks = blocks_of(yet, trial_spans(yet.n_trials, splits),
+                           copies=True)
     elif source.startswith("device"):
         rows = source[len("device"):]
         result = DeviceEngine(max_rows_per_chunk=int(rows) if rows else None
                               ).run(portfolio, yet)
         chunk = next(iter(result.details["layers"].values()))["rows_per_chunk"]
         cuts = whole_trial_cuts(yet.trial_offsets, chunk)
-        blocks = blocks_of(yet, zip(cuts, cuts[1:]))
+        blocks = blocks_of(yet, zip(cuts, cuts[1:]), copies=True)
     else:
         engine = (VectorizedEngine() if cell.dispatcher == "inline" else
                   MulticoreEngine.riding(subs.dispatcher(shape, "degraded")))

@@ -29,13 +29,9 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import make_yet, worker_probes
+from conftest import make_yet, multicore, worker_probes
 
-from repro.core.engines import (
-    MulticoreEngine,
-    SequentialEngine,
-    VectorizedEngine,
-)
+from repro.core.engines import SequentialEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
 from repro.core.layer import Layer
 from repro.core.lookup import fits_direct
@@ -410,15 +406,15 @@ class TestDecompositionInvariance:
         portfolio, yet = by_event_workload(seed=72)
         whole = VectorizedEngine().run(portfolio, yet)
         assert whole.details["routed"][BY_EVENT] == 4
-        with MulticoreEngine(n_workers=2) as engine:
+        with multicore(2) as engine:
             pooled = engine.run(portfolio, yet)
             assert pooled.details["n_blocks"] == 2
-            engine.pool.health.degraded = True
+            engine.dispatcher.pool.health.degraded = True
             degraded = engine.run(portfolio, yet)
             assert degraded.details["degraded"] is True
         with monkeypatch.context() as m:
             m.setattr(shm, "_AVAILABLE", False)
-            with MulticoreEngine(n_workers=2) as engine:
+            with multicore(2) as engine:
                 in_process = engine.run(portfolio, yet)
         for other in (pooled, degraded, in_process):
             for lid, ylt in whole.ylt_by_layer.items():

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import multicore
 
-from repro.core.engines import MulticoreEngine
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc import pool as supervision
@@ -234,9 +234,9 @@ class TestEngineChaos:
     def test_multicore_run_bit_identical_under_kill(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
-        with MulticoreEngine(n_workers=2) as engine:
+        with multicore(2) as engine:
             baseline = engine.run(wl.portfolio, wl.yet)
-            before = _metrics(engine.pool)
+            before = _metrics(engine.dispatcher.pool)
             ships = engine.dispatcher.payload_ships
             packs = engine.dispatcher.telemetry.counter("dispatch.slab.packs")
             packed = packs.value
@@ -257,7 +257,7 @@ class TestEngineChaos:
             # recovery in counts, not ms: one death, one fresh executor,
             # and the YET is not staged again: the resubmitted task names
             # the staged handles
-            after = _metrics(engine.pool)
+            after = _metrics(engine.dispatcher.pool)
             delta = {k: after[k] - before[k] for k in
                      ("pool.worker_deaths", "pool.executor_cycles",
                       "pool.retries")}
@@ -271,9 +271,9 @@ class TestEngineChaos:
     def test_degraded_engine_matches_pooled_bitwise(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
-        with MulticoreEngine(n_workers=2) as engine:
+        with multicore(2) as engine:
             pooled = engine.run(wl.portfolio, wl.yet)
-            engine.pool.health.degraded = True
+            engine.dispatcher.pool.health.degraded = True
             inline = engine.run(wl.portfolio, wl.yet)
             assert inline.details["degraded"] is True
             assert inline.details["transport"] == "inline"

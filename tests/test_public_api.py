@@ -171,7 +171,10 @@ def test_removed_names_stay_removed(tmp_path):
     derived from it, with the per-call gather and the device engine's
     second trial cut; and the per-call task policy, the pool's map and
     its health snapshot went when the pool began only to supervise, its
-    settings module constants and its counts read off the plane."""
+    settings module constants and its counts read off the plane; and
+    the out-of-core engine, an engine's close, its pool, the dispatcher
+    it built and its YELT flag went when an engine began to ride a
+    dispatcher someone else owns."""
     import inspect
 
     from repro.hpc import WorkPool
@@ -227,7 +230,14 @@ def test_removed_names_stay_removed(tmp_path):
                "repro.TaskPolicy", "repro.hpc.TaskPolicy",
                "repro.hpc.pool.TaskPolicy", "repro.hpc.WorkPool.map",
                "repro.hpc.PoolHealth.snapshot",
-               "repro.hpc.pool.WorkPool._supervised_loop"]
+               "repro.hpc.pool.WorkPool._supervised_loop",
+               "repro.core.OutOfCoreEngine",
+               "repro.core.engines.host.OutOfCoreEngine",
+               "repro.core.engines.Engine.emits_yelt",
+               "repro.core.engines.MulticoreEngine.close",
+               "repro.core.engines.MulticoreEngine.pool",
+               "repro.core.engines.VectorizedEngine.close",
+               "repro.core.engines.host.HostEngine._build_dispatcher"]
     script = tmp_path / "removed.py"
     script.write_text("import repro\n" + "\n".join(removed) + "\n")
     assert _unresolved_repro_names(script) == [
@@ -518,9 +528,9 @@ def test_engine_spec_and_planner_knobs_locked():
     for module in (repro, repro.core, repro.core.engines):
         for name in ("EngineSpec", "engine_spec", "register_engine"):
             assert not hasattr(module, name), (module.__name__, name)
-    # The YELT capability is declared once, on the engine class.
-    assert engine_class("vectorized").emits_yelt is True
-    assert Engine.emits_yelt is False
+    # No engine declares a YELT capability: every engine emits them.
+    assert not hasattr(Engine, "emits_yelt")
+    assert not hasattr(engine_class("multicore"), "emits_yelt")
     assert list(inspect.signature(EnginePlanner.__init__).parameters) == [
         "self", "n_workers", "telemetry"]
     assert not hasattr(EnginePlanner, "observe")
@@ -539,14 +549,16 @@ def test_engine_spec_and_planner_knobs_locked():
     # book is looked up: the drivers and the entry
     # points take neither constructor keywords nor the threshold.
     from repro import PricingService, RiskSession, get_engine
-    from repro.core import OutOfCoreEngine, StoredYet
+    from repro.core import StoredYet, YetTable
     from repro.core.engines import MulticoreEngine, VectorizedEngine
 
     def keywords(func):
         return [name for name in inspect.signature(func).parameters
                 if name != "self"]
 
-    assert keywords(MulticoreEngine.__init__) == ["n_workers"]
+    # An engine owns no pool: the multicore engine takes no worker
+    # count, only a dispatcher to ride.
+    assert keywords(MulticoreEngine.__init__) == []
     assert keywords(MulticoreEngine.riding) == ["dispatcher"]
     # A staged kernel and a trial span's read are decided by the code,
     # not set: the pooled dispatcher and the index take no new knob.
@@ -564,18 +576,20 @@ def test_engine_spec_and_planner_knobs_locked():
     from repro.hpc.shm import ShmSlab
 
     assert keywords(ShmSlab.__init__) == ["capacity_bytes"]
-    # Out-of-core is the host engine over a stored source: no parameter,
-    # and no door beside the host engines' ``run``.
+    # Out-of-core is the vectorized engine over a stored source: no
+    # parameter, and no door beside the host engines' ``run``.
     assert keywords(StoredYet.__init__) == ["store", "table_name", "n_trials"]
-    assert not inspect.signature(OutOfCoreEngine).parameters
+    assert not inspect.signature(VectorizedEngine).parameters
 
     def surface(cls):
         return {name for name in dir(cls) if not name.startswith("_")}
 
-    assert surface(OutOfCoreEngine) == surface(VectorizedEngine) == {
-        "close", "dispatcher", "emits_yelt", "name", "riding", "run",
-        "source"}
-    assert OutOfCoreEngine.source is StoredYet
+    # An engine rides a dispatcher someone else owns: no close, no with.
+    assert surface(MulticoreEngine) == surface(VectorizedEngine) == {
+        "dispatcher", "name", "riding", "run", "source"}
+    assert not hasattr(VectorizedEngine, "__enter__")
+    assert VectorizedEngine.source == (YetTable, StoredYet)
+    assert MulticoreEngine.source == (YetTable,)
     assert keywords(RiskSession.__init__) == [
         "yet", "portfolio", "n_workers", "transport", "telemetry"]
     assert keywords(RiskSession.aggregate) == [

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 
 import pytest
+from conftest import multicore
 
 from repro.core.engines import (
     Engine,
@@ -68,15 +69,18 @@ class TestEngineSpecs:
 
     def test_capability_flags_match_engine_behaviour(self, tiny_workload,
                                                      risk_session):
-        # emit_yelt: the class flag and the engine's actual behaviour agree
-        session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
+        """No engine declares a YELT capability, and every one emits:
+        the same YELTs, through the session, by name."""
+        session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
+                               n_workers=2)
+        ref = session.aggregate(engine="vectorized", emit_yelt=True)
         for name in ALL_ENGINES:
-            if engine_class(name).emits_yelt:
-                res = session.aggregate(engine=name, emit_yelt=True)
-                assert res.yelt_by_layer
-            else:
-                with pytest.raises(EngineError):
-                    session.aggregate(engine=name, emit_yelt=True)
+            assert not hasattr(engine_class(name), "emits_yelt")
+            res = session.aggregate(engine=name, emit_yelt=True)
+            assert res.yelt_by_layer.keys() == ref.yelt_by_layer.keys()
+            for lid, yelt in ref.yelt_by_layer.items():
+                assert res.yelt_by_layer[lid].table.equals(
+                    yelt.table, rtol=1e-12, atol=1e-9), (name, lid)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,24 @@ class TestSessionLifecycle:
             s.aggregate(engine="vectorized")
         assert s.closed
 
+    @pytest.mark.parametrize("name", ALL_ENGINES)
+    def test_no_worker_outlives_a_closed_session(self, tiny_workload, name):
+        """Whichever engine ran — by name, or an instance riding the
+        session's pool — the session's close leaves no child process."""
+        import multiprocessing
+
+        from repro.core.engines import MulticoreEngine
+
+        before = set(multiprocessing.active_children())
+        with RiskSession(tiny_workload.yet, tiny_workload.portfolio,
+                         n_workers=2) as session:
+            session.aggregate(engine=name, emit_yelt=True)
+            session.aggregate(
+                engine=MulticoreEngine.riding(session.dispatcher("pooled")))
+            if shm.shm_available():
+                assert set(multiprocessing.active_children()) - before
+        assert set(multiprocessing.active_children()) <= before
+
     @needs_shm
     def test_no_leaked_segments(self, tiny_workload):
         before = set(shm.active_segment_names())
@@ -274,10 +296,12 @@ class TestSessionParity:
     def test_aggregate_matches_legacy(self, tiny_workload, risk_session, name):
         """A session-owned engine answers what the registry's engine,
         built and run by hand, answers."""
-        engine = get_engine(name)
-        legacy = engine.run(tiny_workload.portfolio, tiny_workload.yet)
-        if hasattr(engine, "close"):
-            engine.close()
+        if name == "multicore":
+            with multicore(2) as engine:
+                legacy = engine.run(tiny_workload.portfolio, tiny_workload.yet)
+        else:
+            legacy = get_engine(name).run(tiny_workload.portfolio,
+                                          tiny_workload.yet)
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio)
         staged = session.aggregate(engine=name)
         assert staged.engine == legacy.engine == name
@@ -385,9 +409,8 @@ class TestStagedPayload:
         pooled = session.dispatcher("pooled")
         pool = pooled.pool
         assert session.payload_ships == pooled.payload_ships == 1
-        assert engine.pool is pool and svc.dispatcher.pool is pool
-        assert [e.pool for e in session._engines.values()
-                if hasattr(e, "pool")] == [pool]
+        assert engine.dispatcher.pool is pool and svc.dispatcher.pool is pool
+        assert [e.dispatcher for e in session._engines.values()] == [pooled]
         with pytest.raises(TypeError, match="n_workers"):
             session.aggregate(engine="multicore", n_workers=2)
         with pytest.raises(TypeError, match="n_workers"):
@@ -442,8 +465,7 @@ class TestStagedPayload:
         """The session looks an engine's dispatcher up once, when it
         builds the engine: each host engine rides the session's own
         dispatcher for its row, no worker is spawned until a run, and
-        neither runs nor ``.dispatcher`` / ``.pool`` reads move the
-        stage counters."""
+        neither runs nor ``.dispatcher`` reads move the stage counters."""
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
 
@@ -457,19 +479,17 @@ class TestStagedPayload:
         inline = session.engine("vectorized")
         assert stage_counts() == (1, 0)
         assert session.engine("multicore") is engine
-        assert engine.pool is engine.dispatcher.pool
-        assert not engine.pool.started
+        assert not engine.dispatcher.pool.started
         session.aggregate(engine="multicore")
         session.aggregate(engine="multicore")
         session.aggregate(engine="vectorized")
-        assert engine.pool.started
-        assert engine.pool.health.degraded is False
+        assert engine.dispatcher.pool.started
+        assert engine.dispatcher.pool.health.degraded is False
         assert stage_counts() == (1, 0)
         assert inline.dispatcher is session.dispatcher("inline")
         assert engine.dispatcher is session.dispatcher("pooled")
         assert stage_counts() == (1, 1)      # that one was this test's own
-        engine.close()                       # rides, so owns nothing
-        assert engine.pool.started
+        assert not hasattr(engine, "close")  # rides, so owns nothing
 
     def test_degraded_details_report_the_blocks_that_ran(
             self, tiny_workload, risk_session):
@@ -486,10 +506,19 @@ class TestStagedPayload:
 
     def test_staged_multicore_rejects_emit_yelt(self, tiny_workload,
                                                 risk_session):
+        """The staged multicore engine rejects no YELT request: a YELT
+        is drawn host-side from the kernel and the YET, so the session's
+        pool emits what its inline dispatcher does."""
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
-        with pytest.raises(EngineError, match="YELT"):
-            session.aggregate(engine="multicore", emit_yelt=True)
+        res = session.aggregate(engine="multicore", emit_yelt=True)
+        ref = session.aggregate(engine="vectorized", emit_yelt=True)
+        assert res.details["n_blocks"] == 2
+        assert res.yelt_rows() == ref.yelt_rows() > 0
+        for lid, yelt in ref.yelt_by_layer.items():
+            for column in ("trial", "event_id", "loss"):
+                np.testing.assert_array_equal(
+                    res.yelt_by_layer[lid].table[column], yelt.table[column])
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +528,40 @@ class TestStagedPayload:
 class TestAutoEngine:
     def test_auto_with_emit_yelt_plans_an_emitting_engine(self, tiny_workload,
                                                           risk_session):
-        """emit_yelt is a plan constraint: even when the pooled substrate
-        would win on cost, auto must land on an engine that can emit."""
+        """Every substrate emits, so ``emit_yelt`` does not constrain the
+        plan: ``auto`` emits on whichever substrate wins on cost."""
         session = risk_session(tiny_workload.yet, tiny_workload.portfolio,
                                n_workers=2)
-        res = session.aggregate(emit_yelt=True)
-        assert res.yelt_by_layer
-        assert engine_class(res.engine).emits_yelt
+        ref = session.aggregate(engine="vectorized", emit_yelt=True)
+        session.warmup()
+        for winner in ("multicore", "vectorized"):
+            for name in ("multicore", "vectorized"):
+                session.dispatcher(name).throughput.rate = (
+                    1e15 if name == winner else 1.0)
+            res = session.aggregate(engine="auto", emit_yelt=True)
+            assert res.engine == res.details["plan"].engine == winner
+            assert all(e.eligible for e in res.details["plan"].estimates)
+            assert res.yelt_rows() == ref.yelt_rows() > 0
+            for lid, yelt in ref.yelt_by_layer.items():
+                np.testing.assert_array_equal(
+                    res.yelt_by_layer[lid].table["loss"], yelt.table["loss"])
 
     def test_planner_marks_non_emitters_ineligible(self):
-        planner = EnginePlanner(n_workers=8)
-        # a shape where multicore wins unconstrained...
-        shape = dict(n_trials=1_000_000, n_occurrences=500_000_000,
-                     n_layers=16)
-        assert planner.plan("aggregate", **shape).engine == "multicore"
-        # ...but the YELT constraint excludes it, visibly
-        plan = planner.plan("aggregate", require_emit_yelt=True, **shape)
-        assert plan.engine == "vectorized"
-        mc = next(e for e in plan.estimates if e.engine == "multicore")
-        assert not mc.eligible and "YELT" in mc.note
-        assert "YELT" in plan.explain()
+        """There are no non-emitters to mark: the planner takes no YELT
+        constraint, and a shape where multicore wins plans multicore
+        with every substrate eligible and no YELT note."""
+        import inspect
+
+        assert "require_emit_yelt" not in inspect.signature(
+            EnginePlanner.plan).parameters
+        assert "require_emit_yelt" not in inspect.signature(
+            RiskSession.plan).parameters
+        plan = EnginePlanner(n_workers=8).plan(
+            "aggregate", n_trials=1_000_000, n_occurrences=500_000_000,
+            n_layers=16)
+        assert plan.engine == "multicore"
+        assert all(e.eligible for e in plan.estimates)
+        assert "YELT" not in plan.explain()
 
     def test_auto_attaches_an_execution_plan(self, tiny_workload,
                                              risk_session):
@@ -543,7 +586,7 @@ class TestAutoEngine:
         with RiskSession(tiny_workload.yet, tiny_workload.portfolio) as s:
             res = s.aggregate(engine="auto", emit_yelt=True)
         assert res.yelt_by_layer
-        assert engine_class(res.engine).emits_yelt
+        assert res.engine == res.details["plan"].engine
 
     def test_plan_and_dispatcher_come_from_one_row(self, tiny_workload,
                                                    risk_session):
@@ -579,7 +622,7 @@ class TestAutoEngine:
 
     def test_simulated_runs_route_onto_the_session_plane(
             self, tiny_workload, risk_session):
-        """``device`` and ``mapreduce`` ride private inline dispatchers,
+        """``device`` and ``mapreduce`` ride inline dispatchers of their own,
         so they calibrate nothing; where their rows were priced still
         lands on the session's plane, once, as a session dispatcher's
         run does for ``vectorized``."""

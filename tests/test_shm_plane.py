@@ -33,7 +33,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import as_csr, worker_mappings, worker_probes
+from conftest import as_csr, multicore, worker_mappings, worker_probes
 
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
@@ -189,7 +189,7 @@ class TestTransportParity:
     def test_multicore_repeat_runs_ship_zero_payloads(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
-        with MulticoreEngine(n_workers=2) as engine:
+        with multicore(2) as engine:
             engine.run(wl.portfolio, wl.yet)
             ships = engine.dispatcher.payload_ships
             engine.run(wl.portfolio, wl.yet)
@@ -248,7 +248,7 @@ class TestTransportParity:
                 np.testing.assert_array_equal(res.ylt_by_layer[lid].losses,
                                               ylt.losses)
 
-        with MulticoreEngine(n_workers=2) as engine:
+        with multicore(2) as engine:
             for runs in (1, 2):
                 res = engine.run(wl.portfolio, wl.yet)
                 same_ylts(res)
@@ -559,7 +559,7 @@ class TestRecovery:
     def test_engine_recovers_and_reattaches_after_worker_death(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
-        with MulticoreEngine(n_workers=2) as engine:
+        with multicore(2) as engine:
             before = engine.run(wl.portfolio, wl.yet)
             ships = engine.dispatcher.payload_ships
             handles = engine.dispatcher._yet_handles

@@ -26,9 +26,9 @@ class TestSessionAggregate:
         assert res.details["n_splits"] == 2
 
     def test_run_closes_engines_it_constructs(self, tiny_workload, monkeypatch):
-        """Registry-constructed engines (worker pools and the like) are
-        torn down when their session closes; caller-provided instances
-        are left open."""
+        """The pool a session's engines ride is torn down when the
+        session closes; an instance riding a caller's pool leaves it to
+        the caller."""
         from repro.core.engines import MulticoreEngine
         from repro.serve.dispatch import PooledDispatcher
 
@@ -41,12 +41,12 @@ class TestSessionAggregate:
             s.aggregate(engine="multicore")
         assert len(closed) == 1
 
-        mine = MulticoreEngine(n_workers=1)
+        dispatcher = PooledDispatcher(n_workers=1)
+        mine = MulticoreEngine.riding(dispatcher)
         with RiskSession(tiny_workload.yet, tiny_workload.portfolio) as s:
             s.aggregate(engine=mine)
-        assert len(closed) == 1         # caller-owned engine untouched
-        dispatcher = mine.dispatcher
-        mine.close()
+        assert len(closed) == 1         # caller-owned pool untouched
+        dispatcher.close()
         assert closed[1:] == [dispatcher]
 
     def test_expected_annual_loss_positive(self, tiny_workload, risk_session):
