@@ -99,31 +99,36 @@ class AdmissionController:
 
     def decide(self, n_pending: int, lanes_per_request: float,
                n_procs: int = 1,
-               window_seconds: float = 0.0) -> AdmissionDecision:
-        """Admission check for one new request.
+               window_seconds: float = 0.0,
+               n_requests: int = 1) -> AdmissionDecision:
+        """Admission check for ``n_requests`` new requests, taken or shed
+        together.
 
-        ``n_pending`` is the queue depth before this request,
+        ``n_pending`` is the queue depth before them,
         ``lanes_per_request`` the sweep lanes one request adds (the
         YET's occurrence count), ``n_procs`` the dispatcher's
         parallelism, and ``window_seconds`` a fixed wait the caller
-        knows the request will sit out before any sweep starts, added to
-        the modelled latency as is.  The pricing service passes none:
-        its batcher takes what is queued the moment it is free, so an
-        idle service waits out no window.
+        knows the requests will sit out before any sweep starts, added
+        to the modelled latency as is.  The pricing service passes no
+        window (its batcher takes what is queued the moment it is free,
+        so an idle service waits out none) and one decision per call:
+        a ``quote_many`` of N candidates that miss the cache is priced
+        as N requests, and the last of them must clear the SLO and fit
+        under ``max_pending``, or none is queued.
         """
         backlog_seconds = self._queue_seconds(
             n_pending, lanes_per_request, n_procs
         )
-        if n_pending >= self.max_pending:
+        if n_pending + n_requests > self.max_pending:
             return AdmissionDecision(
                 accepted=False,
                 estimated_seconds=math.inf,
-                reason=f"queue full ({n_pending} >= max_pending "
-                       f"{self.max_pending})",
+                reason=f"queue full ({n_pending} pending + {n_requests} "
+                       f"> max_pending {self.max_pending})",
                 retry_after_seconds=backlog_seconds,
             )
         estimated = window_seconds + self._queue_seconds(
-            n_pending + 1, lanes_per_request, n_procs
+            n_pending + n_requests, lanes_per_request, n_procs
         )
         if self.slo_seconds is not None and estimated > self.slo_seconds:
             return AdmissionDecision(

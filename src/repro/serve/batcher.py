@@ -10,8 +10,8 @@ one request's cost, so coalescing converts concurrent load into
 nearly-free extra kernel rows instead of N full sweeps.
 
 Batches form from load, not from a timer (**natural batching**): the
-broker takes whatever is queued, up to ``max_batch``, the moment it is
-free.  An idle service therefore prices a lone request at once, and the
+broker takes whatever is queued, up to ``max_batch`` rows, the moment it
+is free.  An idle service therefore prices a lone request at once, and the
 requests that arrive while a sweep runs are the next batch — the sweep
 in flight *is* the window.  A stacked lane sweep is linear in its rows,
 so below the saturation knee a timer would buy only latency; above it
@@ -30,9 +30,16 @@ the same sweep (counted: ``kernel.fallback.*``); the
 ``serve.sublinear.batches`` / ``serve.sublinear.rows`` counters count
 how often flushes qualified.
 
-:class:`MicroBatcher` is deliberately generic: it queues opaque request
-items against futures and hands batches to a ``flush_fn`` supplied by
-the service.  It runs in two modes:
+:class:`MicroBatcher` is deliberately generic: it queues opaque entries
+against futures and hands batches to a ``flush_fn`` supplied by the
+service.  An entry is one caller's request of one or more rows (the
+service queues a ``quote_many``'s cache misses as one entry per
+``max_batch`` of them, with one future each).  The cap and
+:attr:`~MicroBatcher.n_pending` count rows, and a batch takes whole
+entries: an entry is never split, so a batch may close early when the
+next entry does not fit.  On an empty queue a call forms the batches
+its rows submitted one by one would (200 rows at ``max_batch=64`` run
+as 64/64/64/8).  It runs in two modes:
 
 - **manual** — callers enqueue with :meth:`submit` and drive execution
   with :meth:`flush`/:meth:`drain`.  Deterministic; what the synchronous
@@ -42,9 +49,9 @@ the service.  It runs in two modes:
   runs.
 
 The one rule of record for the broker: *wait until something is queued
-(or the batcher is stopped), then take up to* ``max_batch`` *of it.*  No
-timer is consulted; ``BatchPolicy.window_seconds`` is accepted and
-ignored.
+(or the batcher is stopped), then take the oldest entries whose rows fit
+in* ``max_batch``.  No timer is consulted;
+``BatchPolicy.window_seconds`` is accepted and ignored.
 
 Failures in ``flush_fn`` propagate to every future in the failed batch;
 the batcher itself stays usable.  Under the serving layer's failure
@@ -74,7 +81,10 @@ class BatchPolicy:
     Attributes
     ----------
     max_batch:
-        Most requests fused into one kernel sweep.  Beyond ~64 rows the
+        Most rows (candidates, counted with their duplicates) fused into
+        one kernel sweep, and most rows one queued entry may hold: a
+        ``quote_many`` of more misses queues one entry per
+        ``max_batch`` of them.  Beyond ~64 rows the
         stacked loss matrix starts spilling cache (see
         ``TrialSegments.block_occurrences``), so bigger batches buy
         little.
@@ -102,29 +112,30 @@ class BatchPolicy:
 
 
 class Ticket:
-    """Handle for one submitted request (a thin future wrapper)."""
+    """Handle for one submitted candidate: a thin wrapper over the
+    future of its one-row entry, which resolves to the entry's list of
+    results."""
 
-    __slots__ = ("_future", "submitted_at", "cached")
+    __slots__ = ("_future",)
 
-    def __init__(self, future: Future, submitted_at: float,
-                 cached: bool = False) -> None:
+    def __init__(self, future: Future) -> None:
         self._future = future
-        self.submitted_at = submitted_at
-        self.cached = cached
 
     def done(self) -> bool:
         return self._future.done()
 
     def result(self, timeout: float | None = None):
         """Block until the batch containing this request has been priced."""
-        return self._future.result(timeout=timeout)
+        return self._future.result(timeout=timeout)[0]
 
 
 class _Pending:
-    __slots__ = ("item", "future", "enqueued_at")
+    __slots__ = ("item", "rows", "future", "enqueued_at")
 
-    def __init__(self, item, future: Future, enqueued_at: float) -> None:
+    def __init__(self, item, rows: int, future: Future,
+                 enqueued_at: float) -> None:
         self.item = item
+        self.rows = rows
         self.future = future
         self.enqueued_at = enqueued_at
 
@@ -136,8 +147,8 @@ class MicroBatcher:
     ----------
     flush_fn:
         ``flush_fn(pendings) -> list[result]`` prices one batch; it
-        receives the :class:`_Pending` entries (item + enqueue time) and
-        must return one result per entry, in order.
+        receives the :class:`_Pending` entries (item, row count and
+        enqueue time) and must return one result per entry, in order.
     policy:
         The :class:`BatchPolicy` (batch cap, async mode).
     """
@@ -146,6 +157,7 @@ class MicroBatcher:
         self._flush_fn = flush_fn
         self.policy = policy or BatchPolicy()
         self._pending: list[_Pending] = []
+        self._n_pending = 0
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._in_flight = 0
@@ -156,25 +168,41 @@ class MicroBatcher:
 
     @property
     def n_pending(self) -> int:
-        return len(self._pending)
+        """Rows queued and not yet taken into a batch."""
+        return self._n_pending
 
-    def submit(self, item) -> Future:
-        """Queue one request; returns the future its result will land on."""
+    def submit(self, item, rows: int = 1) -> Future:
+        """Queue one entry of ``rows`` rows (at most ``max_batch``);
+        returns the future its result will land on."""
+        if not 0 < rows <= self.policy.max_batch:
+            raise ConfigurationError(
+                f"an entry holds 1 to max_batch={self.policy.max_batch} "
+                f"rows, not {rows}")
         future: Future = Future()
-        entry = _Pending(item, future, time.perf_counter())
+        entry = _Pending(item, rows, future, time.perf_counter())
         with self._wake:
             if self._stop:
                 raise ConfigurationError("batcher is stopped")
             self._pending.append(entry)
+            self._n_pending += rows
             self._wake.notify_all()
         return future
 
     # -- execution ---------------------------------------------------------
 
     def _take_batch(self) -> list[_Pending]:
-        """Pop up to ``max_batch`` entries (caller must hold the lock)."""
-        batch = self._pending[: self.policy.max_batch]
-        del self._pending[: len(batch)]
+        """Pop the oldest entries whose rows fit in ``max_batch`` (caller
+        must hold the lock)."""
+        room = self.policy.max_batch
+        taken = 0
+        for entry in self._pending:
+            if entry.rows > room:
+                break
+            room -= entry.rows
+            taken += 1
+        batch = self._pending[:taken]
+        del self._pending[:taken]
+        self._n_pending -= self.policy.max_batch - room
         self._in_flight += len(batch)
         return batch
 
@@ -203,7 +231,8 @@ class MicroBatcher:
     def flush(self) -> int:
         """Price one batch of whatever is queued right now (manual mode).
 
-        Returns the batch size (0 when the queue was empty).
+        Returns the number of entries priced (0 when the queue was
+        empty).
         """
         with self._wake:
             batch = self._take_batch()

@@ -105,38 +105,53 @@ class ResultCache:
 
     def get(self, key: tuple[str, str, str]):
         """The cached payload for ``key``, or ``None``."""
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys) -> list:
+        """The cached payload for each key, in order (``None`` for a
+        miss), read under one lock; every hit becomes most recent in
+        key order, as that many :meth:`get` calls would leave it."""
+        entries = self._entries
+        out = []
         with self._lock:
-            try:
-                payload = self._entries[key]
-            except KeyError:
-                return None
-            self._entries.move_to_end(key)
-            return payload
+            for key in keys:
+                payload = entries.get(key)
+                if payload is not None:
+                    entries.move_to_end(key)
+                out.append(payload)
+        return out
 
     def put(self, key: tuple[str, str, str], payload) -> int:
-        """Insert (or refresh) an entry, evicting LRU entries over
-        either budget (entry count or payload bytes).  Returns how many
-        entries this call evicted: services sharing the cache each
-        report their own."""
-        max_bytes = self.policy.max_bytes
-        size = self._payload_nbytes(payload)
-        if self.policy.max_entries == 0:
+        """Insert (or refresh) an entry; see :meth:`put_many`."""
+        return self.put_many(((key, payload),))
+
+    def put_many(self, items) -> int:
+        """Insert (or refresh) each ``(key, payload)`` in order, under
+        one lock, evicting LRU entries over either budget (entry count
+        or payload bytes) after each insert, as that many single puts
+        would.  Returns how many entries this call evicted: services
+        sharing the cache each report their own."""
+        max_entries, max_bytes = self.policy.max_entries, self.policy.max_bytes
+        if max_entries == 0:
             return 0
-        if max_bytes is not None and size > max_bytes:
-            return 0  # would evict the whole cache for one entry
+        entries, nbytes = self._entries, self._payload_nbytes
         evicted = 0
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= self._payload_nbytes(old)
-            self._entries[key] = payload
-            self._bytes += size
-            while len(self._entries) > self.policy.max_entries or (
-                max_bytes is not None and self._bytes > max_bytes
-            ):
-                _, dropped = self._entries.popitem(last=False)
-                self._bytes -= self._payload_nbytes(dropped)
-                evicted += 1
+            for key, payload in items:
+                size = nbytes(payload)
+                if max_bytes is not None and size > max_bytes:
+                    continue  # would evict the whole cache for one entry
+                old = entries.pop(key, None)
+                if old is not None:
+                    self._bytes -= nbytes(old)
+                entries[key] = payload
+                self._bytes += size
+                while len(entries) > max_entries or (
+                    max_bytes is not None and self._bytes > max_bytes
+                ):
+                    _, dropped = entries.popitem(last=False)
+                    self._bytes -= nbytes(dropped)
+                    evicted += 1
         return evicted
 
     def clear(self) -> int:

@@ -7,13 +7,18 @@ results", §II) and its dispatcher — and turns concurrent ad-hoc
 requests — each a candidate :class:`~repro.core.layer.Layer` — into as
 few fused kernel sweeps as possible:
 
-1. :meth:`submit` consults the content-addressed
-   :class:`~repro.serve.cache.ResultCache`, and on a miss runs
-   admission control (SLO-aware shedding) and queues the request with
-   the :class:`~repro.serve.batcher.MicroBatcher`;
-2. the batcher takes whatever is queued the moment it is free — an idle
-   service prices a lone request at once, and the requests that arrive
-   during a sweep form the next batch — and coalesces it into one
+1. every call is one request of its candidates (:meth:`quote_many`'s N,
+   :meth:`submit`'s one): it validates them, takes one clock stamp and
+   reads the content-addressed
+   :class:`~repro.serve.cache.ResultCache` once for all their keys;
+   the hits are answered at once, and the misses go through one
+   admission decision (SLO-aware shedding, all or nothing) and are
+   queued with the :class:`~repro.serve.batcher.MicroBatcher` as one
+   entry per ``max_batch`` of them, each with one future;
+2. the batcher takes whatever is queued the moment it is free, up to
+   ``max_batch`` rows — an idle service prices a lone request at once,
+   and the requests that arrive during a sweep form the next batch —
+   and coalesces it into one
    ephemeral
    :meth:`PortfolioKernel.from_layers <repro.core.kernels.PortfolioKernel.from_layers>`
    stack (duplicate layers collapse to one kernel row);
@@ -21,9 +26,15 @@ few fused kernel sweeps as possible:
    inline vectorized or over pool workers; the batch's quote metrics
    (expected loss, volatility and tail loads) are computed for all of
    its quote rows in one pass
-   (:func:`~repro.dfa.quote.premium_components_rows`), and every ticket
-   resolves with its own metric and an honest per-request latency,
-   counted from submission for hits and misses alike.
+   (:func:`~repro.dfa.quote.premium_components_rows`), the cache is
+   written once, and every candidate resolves with its own metric and
+   an honest latency, counted from its call's stamp for hits and misses
+   alike.
+
+Every ``serve.*`` count is per candidate, whichever call brought it:
+``serve.requests``, ``serve.cache.*``, ``serve.shed``,
+``serve.batched_requests``, ``serve.request.seconds`` and
+``serve.queue.wait_seconds`` (one observation each).
 
 The synchronous helpers (:meth:`quote`, :meth:`quote_many`,
 :meth:`ep_curve`) wrap that flow for library callers
@@ -76,17 +87,18 @@ _METRICS = ("quote", "ylt", "ep_curve")
 
 
 class _Request:
-    """One queued pricing request (the batcher's opaque item)."""
+    """One queued batcher entry: a call's cache misses (at most
+    ``max_batch`` of them) and the one metric they asked for."""
 
-    __slots__ = ("layer", "metric", "digest", "submitted")
+    __slots__ = ("layers", "digests", "metric", "submitted")
 
-    def __init__(self, layer: Layer, metric: str, digest: str,
+    def __init__(self, layers: list[Layer], digests: list[str], metric: str,
                  submitted: float) -> None:
-        self.layer = layer
+        self.layers = layers
+        self.digests = digests
         self.metric = metric
-        self.digest = digest
-        #: ``perf_counter`` at :meth:`PricingService.submit` entry — the
-        #: request's latency starts here, before digest and admission.
+        #: ``perf_counter`` at the call's entry — every candidate's
+        #: latency starts here, before digest, cache and admission.
         self.submitted = submitted
 
 
@@ -240,41 +252,76 @@ class PricingService:
         """Queue one request; returns a :class:`Ticket` resolving to the
         metric.  Raises :class:`~repro.errors.AdmissionError` when shed.
         """
+        results, entries = self._request([layer], metric)
+        if entries:
+            return Ticket(entries[0][1])
+        future: Future = Future()
+        future.set_result(results)
+        return Ticket(future)
+
+    def _request(self, layers, metric: str):
+        """The one request path: a call's candidates enter as one request.
+
+        Returns ``(results, entries)``: a result per candidate, in
+        order, filled for the cache hits and ``None`` for the misses,
+        and one ``(indices, future)`` per queued entry.  The misses are
+        admitted or shed together: a shed call raises
+        :class:`~repro.errors.AdmissionError` and queues nothing.
+        """
         if self._closed:
             raise ConfigurationError("service is closed")
-        if not isinstance(layer, Layer):
-            raise ConfigurationError(
-                f"expected Layer, got {type(layer).__name__}"
-            )
+        layers = list(layers)
+        for layer in layers:
+            if not isinstance(layer, Layer):
+                raise ConfigurationError(
+                    f"expected Layer, got {type(layer).__name__}"
+                )
         if metric not in _METRICS:
             raise ConfigurationError(
                 f"unknown metric {metric!r}; expected one of {_METRICS}"
             )
         submitted = time.perf_counter()
-        self._m_requests.inc()
-        digest = layer_digest(layer)
-        payload = (None if self._yet_fp is None else self.cache.get(
-            (self._yet_fp, digest, self._metric_keys[metric])))
-        if payload is not None:
-            future: Future = Future()
-            future.set_result(self._materialise(payload, metric, submitted))
-            self._m_cache_hits.inc()
-            self._m_cache_hit_bytes.inc(payload_nbytes(payload))
-            return Ticket(future, submitted, cached=True)
+        self._m_requests.inc(len(layers))
+        digests = [layer_digest(layer) for layer in layers]
+        results: list = [None] * len(layers)
+        misses = list(range(len(layers)))
+        if self._yet_fp is not None:
+            metric_key = self._metric_keys[metric]
+            payloads = self.cache.get_many(
+                [(self._yet_fp, digest, metric_key) for digest in digests])
+            misses, hit_bytes = [], 0
+            for i, payload in enumerate(payloads):
+                if payload is None:
+                    misses.append(i)
+                else:
+                    results[i] = self._materialise(payload, metric, submitted)
+                    hit_bytes += payload_nbytes(payload)
+            if len(misses) < len(layers):
+                self._m_cache_hits.inc(len(layers) - len(misses))
+                self._m_cache_hit_bytes.inc(hit_bytes)
+        if not misses:
+            return results, []
         decision = self.admission.decide(
             self.batcher.n_pending,
             lanes_per_request=max(self.yet.n_occurrences, 1),
             n_procs=self.dispatcher.n_procs,
+            n_requests=len(misses),
         )
         if not decision.accepted:
-            self._m_shed.inc()
+            self._m_shed.inc(len(misses))
             self.telemetry.event("serve.shed", reason=decision.reason,
-                                 queue_depth=self.batcher.n_pending)
+                                 queue_depth=self.batcher.n_pending,
+                                 n_requests=len(misses))
             raise AdmissionError(decision.reason)
-        request = _Request(layer, metric, digest, submitted)
-        future = self.batcher.submit(request)
+        cap = self.batcher.policy.max_batch
+        entries = []
+        for start in range(0, len(misses), cap):
+            rows = misses[start:start + cap]
+            request = _Request([layers[i] for i in rows],
+                               [digests[i] for i in rows], metric, submitted)
+            entries.append((rows, self.batcher.submit(request, len(rows))))
         self._m_queue_depth.set(self.batcher.n_pending)
-        return Ticket(future, submitted)
+        return results, entries
 
     def flush(self) -> int:
         """Price one batch of queued requests now (manual mode)."""
@@ -286,63 +333,76 @@ class PricingService:
 
     # -- synchronous facade ------------------------------------------------
 
-    def _settle(self, tickets: list[Ticket],
+    def _settle(self, layers, metric: str,
                 timeout: float | None = None) -> list:
-        """Resolve tickets, driving the batcher inline when no broker
-        thread is running.  The timeout covers the drain too: it bounds
-        queue wait and other threads' in-flight batches (surfacing as
-        :class:`TimeoutError`), though a sweep already running inline on
-        this thread completes before the deadline is rechecked.
+        """Price one call's candidates: its hits at once, its misses
+        after their entries resolve, driving the batcher inline when no
+        broker thread is running.  The timeout covers the drain too: it
+        bounds queue wait and other threads' in-flight batches
+        (surfacing as :class:`TimeoutError`), though a sweep already
+        running inline on this thread completes before the deadline is
+        rechecked.
         """
-        if not self.batcher.policy.auto_flush:
+        results, entries = self._request(layers, metric)
+        if entries and not self.batcher.policy.auto_flush:
             self.drain(timeout=timeout)
-        return [t.result(timeout=timeout) for t in tickets]
+        for rows, future in entries:
+            for i, result in zip(rows, future.result(timeout=timeout)):
+                results[i] = result
+        return results
 
     def quote(self, layer: Layer, timeout: float | None = None) -> PricingQuote:
         """Price one candidate layer (synchronous)."""
-        return self._settle([self.submit(layer, "quote")], timeout)[0]
+        return self._settle([layer], "quote", timeout)[0]
 
     def quote_many(self, layers, timeout: float | None = None) -> list[PricingQuote]:
-        """Price several candidates through one coalesced submission."""
-        tickets = [self.submit(layer, "quote") for layer in layers]
-        return self._settle(tickets, timeout)
+        """Price several candidates as one request: one cache pass, one
+        admission decision for the misses (all are queued or none, and a
+        shed call raises :class:`~repro.errors.AdmissionError`), and one
+        queued entry per ``max_batch`` misses.  The quotes are in input
+        order and ``==`` to the same candidates submitted one by one."""
+        return self._settle(layers, "quote", timeout)
 
     def ylt(self, layer: Layer, timeout: float | None = None) -> YltTable:
         """The layer's full year-loss table under this YET."""
-        return self._settle([self.submit(layer, "ylt")], timeout)[0]
+        return self._settle([layer], "ylt", timeout)[0]
 
     def ep_curve(self, layer: Layer, timeout: float | None = None) -> EpCurve:
         """The layer's aggregate exceedance-probability curve."""
-        return self._settle([self.submit(layer, "ep_curve")], timeout)[0]
+        return self._settle([layer], "ep_curve", timeout)[0]
 
     # -- batch pricing (the batcher's flush_fn) ----------------------------
 
     def _price_batch(self, pendings) -> list:
-        """Price one micro-batch: stack, sweep once, settle every request.
+        """Price one micro-batch: stack, sweep once, settle every entry.
 
         Traced as a ``serve.batch`` span with ``serve.stack`` →
         ``serve.dispatch`` → ``serve.merge`` children, so the request
         path's wall/CPU split is scrapeable per stage.
         """
-        with self.telemetry.span("serve.batch", n_requests=len(pendings)):
-            return self._price_batch_inner(pendings)
+        n_requests = sum(p.rows for p in pendings)
+        with self.telemetry.span("serve.batch", n_requests=n_requests):
+            return self._price_batch_inner(pendings, n_requests)
 
-    def _price_batch_inner(self, pendings) -> list:
+    def _price_batch_inner(self, pendings, n_requests: int) -> list:
         batch_start = time.perf_counter()
         for p in pendings:
-            self._m_queue_wait.observe(max(batch_start - p.enqueued_at, 0.0))
-        self._m_batch_occupancy.observe(len(pendings))
+            wait = max(batch_start - p.enqueued_at, 0.0)
+            for _ in range(p.rows):
+                self._m_queue_wait.observe(wait)
+        self._m_batch_occupancy.observe(n_requests)
         self._m_queue_depth.set(self.batcher.n_pending)
         requests = [p.item for p in pendings]
         with self.telemetry.span("serve.stack"):
-            # Duplicate submissions inside one batch collapse to one
+            # Duplicate candidates inside one batch collapse to one
             # kernel row; rows are keyed by first-seen digest order.
             row_ids: dict[str, int] = {}
             unique_layers: list[Layer] = []
             for req in requests:
-                if req.digest not in row_ids:
-                    row_ids[req.digest] = len(unique_layers)
-                    unique_layers.append(req.layer)
+                for digest, layer in zip(req.digests, req.layers):
+                    if digest not in row_ids:
+                        row_ids[digest] = len(unique_layers)
+                        unique_layers.append(layer)
             kernel = PortfolioKernel.from_layers(
                 unique_layers, layer_ids=range(len(unique_layers)))
         t0 = time.perf_counter()
@@ -363,13 +423,13 @@ class PricingService:
             # Never hand tickets a bare executor traceback: terminal
             # execution failures surface typed, with their chain.
             raise ExecutionError(
-                f"batch of {len(requests)} request(s) failed terminally: "
+                f"batch of {n_requests} request(s) failed terminally: "
                 f"{type(exc).__name__}: {exc}",
                 attempts=1, failures=(exc,),
             ) from exc
         sweep_seconds = time.perf_counter() - t0
         # Simulation throughput of this sweep: the whole trial set passed
-        # once for every request in the batch.  Stamped into quote
+        # once for every row in the batch.  Stamped into quote
         # payloads so cached re-quotes report the throughput that
         # *produced* the number, not a dict-lookup fiction.
         sim_tps = self.yet.n_trials / max(sweep_seconds, 1e-12)
@@ -378,7 +438,7 @@ class PricingService:
         # profile, or lanes and why) is the kernel's own count.
         tail_rows = kernel.tail_group_rows
         self._m_batches.inc()
-        self._m_batched_requests.inc(len(requests))
+        self._m_batched_requests.inc(n_requests)
         self._m_kernel_rows.inc(kernel.n_layers)
         self._m_sweep_seconds.inc(sweep_seconds)
         if tail_rows:
@@ -386,46 +446,44 @@ class PricingService:
             self._m_sublinear_rows.inc(tail_rows)
 
         # One payload per (digest, metric) actually requested, cached
-        # and fanned back out to every request that asked for it.
+        # once and fanned back out to every candidate that asked for it.
         with self.telemetry.span("serve.merge"):
-            wanted: dict[tuple[str, str], _Request] = {}
+            wanted: dict[tuple[str, str], Layer] = {}
             for req in requests:
-                wanted.setdefault((req.digest, req.metric), req)
-
-            def row_of(req: _Request) -> int:
-                return kernel.row_of(row_ids[req.digest])
-
+                for digest, layer in zip(req.digests, req.layers):
+                    wanted.setdefault((digest, req.metric), layer)
             # The batch's quote metrics, all quote rows in one pass.  No
             # ``YltTable`` is built for them: of its checks on kernel
             # output, non-empty and finite are repeated there, and
             # non-negative is not — nothing relied on it for quotes (a
             # kernel row is a sum of clipped, non-negative terms).
-            quoted = [req for req in wanted.values()
-                      if req.metric == "quote"]
+            quoted = [(pkey, layer) for pkey, layer in wanted.items()
+                      if pkey[1] == "quote"]
             payloads: dict[tuple[str, str], object] = {
-                (req.digest, "quote"): (*components, sim_tps)
-                for req, components in zip(quoted, premium_components_rows(
-                    final[[row_of(req) for req in quoted]],
-                    [req.layer.terms.occ_limit for req in quoted],
+                pkey: (*components, sim_tps)
+                for (pkey, _), components in zip(quoted, premium_components_rows(
+                    final[[kernel.row_of(row_ids[pkey[0]])
+                           for pkey, _ in quoted]],
+                    [layer.terms.occ_limit for _, layer in quoted],
                     self.volatility_loading, self.tail_loading,
                 ))
             } if quoted else {}
-            freed = 0
-            for pkey, req in wanted.items():
+            miss_bytes = 0
+            for pkey in wanted:
                 payload = payloads.get(pkey)
                 if payload is None:
                     payload = payloads[pkey] = self._build_payload(
-                        final[row_of(req)], req.metric)
-                self._m_cache_miss_bytes.inc(payload_nbytes(payload))
-                if self._yet_fp is not None:
-                    freed += self.cache.put(
-                        (self._yet_fp, req.digest,
-                         self._metric_keys[req.metric]),
-                        payload,
-                    )
+                        final[kernel.row_of(row_ids[pkey[0]])], pkey[1])
+                miss_bytes += payload_nbytes(payload)
+            self._m_cache_miss_bytes.inc(miss_bytes)
+            freed = 0 if self._yet_fp is None else self.cache.put_many(
+                ((self._yet_fp, digest, self._metric_keys[metric]),
+                 payloads[digest, metric])
+                for digest, metric in wanted)
             results = [
-                self._materialise(payloads[req.digest, req.metric],
-                                  req.metric, req.submitted)
+                [self._materialise(payloads[digest, req.metric], req.metric,
+                                   req.submitted)
+                 for digest in req.digests]
                 for req in requests
             ]
             if freed:

@@ -66,18 +66,26 @@ def tail_expectation(losses, q: float) -> float:
 def tail_expectation_rows(samples, q: float) -> np.ndarray:
     """Row-wise ``TVaR_q`` of an ``(L, n)`` matrix of samples.
 
-    One single-k ``np.partition`` along axis 1 at the lower of the two
-    order statistics the linear-interpolated quantile reads, instead of
-    one sort per row: the upper one is the least entry past it, so the
+    One single-k ``np.partition`` along axis 1 of the *negated* samples,
+    at the lower of the two order statistics the linear-interpolated
+    quantile reads, instead of one sort per row: the upper one is the
+    greatest entry before it (the least past it in the samples), so the
     VaR repeats :func:`empirical_quantile`'s arithmetic exactly.  The
     tail is the upper slice plus the lower entries that tie with the
     VaR — the "ties are included" rule of :func:`tail_expectation`,
     which a limit-clipped row exercises (its worst years all equal the
-    limit).  The upper slice is summed in sorted order, so a row's
-    numbers depend on its values alone: not on their order, on how the
-    partition arranged them, or on which rows share the matrix — row
-    ``i`` equals the one-row call on row ``i`` — which is
+    limit).  The upper slice is summed in ascending sample order, so a
+    row's numbers depend on its values alone: not on their order, on
+    how the partition arranged them, or on which rows share the matrix
+    — row ``i`` equals the one-row call on row ``i`` — which is
     :func:`tail_expectation` — bit for bit.
+
+    Why negated: a quote row is mostly zeros (no loss reaches the
+    layer in most years), and NumPy's introselect finds a high order
+    statistic of such a row in about half the time when it is the low
+    one of the negation (0.17 against 0.39 ms on a 32 × 2,000 burst
+    matrix, 53 % zeros); the upper slice it leaves in front is a few
+    entries wide.
     """
     if not (0.0 <= q <= 1.0):
         raise AnalysisError(f"quantile level must lie in [0,1], got {q}")
@@ -94,20 +102,27 @@ def tail_expectation_rows(samples, q: float) -> np.ndarray:
     hi = min(lo + 1, n - 1)
     gamma = virtual - lo
     # One kth takes NumPy's vectorized selection; a tuple of two takes
-    # the generic introselect.  Entries from ``lo`` on are >= entry
-    # ``lo``, so the least of those from ``hi`` on is order statistic
-    # ``hi`` (``hi == lo`` when ``n == 1`` or ``q == 1``).
-    part = np.partition(arr, lo, axis=1)
-    top = np.sort(part[:, hi:], axis=1)
-    below, above = part[:, lo], top[:, 0]
+    # the generic introselect.  Order statistic ``lo`` of the samples is
+    # entry ``n-1-lo`` of the negation's partition, and its first
+    # ``n - hi`` entries are the samples' order statistics ``hi`` on
+    # (``lo`` itself when ``hi == lo``: ``n == 1`` or ``q == 1``).
+    part = np.partition(np.negative(arr), n - 1 - lo, axis=1)
+    n_top = n - hi
+    top = np.sort(np.negative(part[:, :n_top]), axis=1)
+    below, above = -part[:, n - 1 - lo], top[:, 0]
     spread = above - below
     var = (below + spread * gamma if gamma < 0.5
            else above - spread * (1.0 - gamma))
-    # Entries from ``hi`` on are >= VaR; the ones before it are <= VaR,
-    # so those that reach it are exact ties.
-    ties = np.count_nonzero(part[:, :hi] >= var[:, None], axis=1)
+    # The top slice is >= VaR; the rest is <= order statistic ``lo``,
+    # which is <= VaR, so an entry there reaches the VaR only as an
+    # exact tie, and only in a row whose VaR is its order statistic.
+    ties = np.zeros(len(arr), dtype=np.intp)
+    tied = np.flatnonzero(var <= below)
+    if tied.size:
+        ties[tied] = np.count_nonzero(
+            part[tied, n_top:] <= -var[tied, None], axis=1)
     tail_sum = top.sum(axis=1) + ties * var
-    return tail_sum / ((n - hi) + ties)
+    return tail_sum / (n_top + ties)
 
 
 def return_period_loss(losses, years: float) -> float:

@@ -11,6 +11,7 @@ from repro.util.stats_utils import (
     return_period_loss,
     standard_error_of_mean,
     tail_expectation,
+    tail_expectation_rows,
 )
 
 SAMPLE = np.arange(1.0, 101.0)  # 1..100
@@ -61,6 +62,72 @@ class TestTailExpectation:
 
     def test_q_one_returns_max(self):
         assert tail_expectation(SAMPLE, 1.0) == 100.0
+
+
+def tail_expectation_rows_sorted_partition(samples, q):
+    """The row-wise TVaR as it read before it partitioned the negated
+    samples, copied literally: the reference the new one must equal
+    bit for bit."""
+    arr = np.ascontiguousarray(samples, dtype=np.float64)
+    n = arr.shape[1]
+    virtual = (n - 1) * q
+    lo = int(virtual)
+    hi = min(lo + 1, n - 1)
+    gamma = virtual - lo
+    part = np.partition(arr, lo, axis=1)
+    top = np.sort(part[:, hi:], axis=1)
+    below, above = part[:, lo], top[:, 0]
+    spread = above - below
+    var = (below + spread * gamma if gamma < 0.5
+           else above - spread * (1.0 - gamma))
+    ties = np.count_nonzero(part[:, :hi] >= var[:, None], axis=1)
+    tail_sum = top.sum(axis=1) + ties * var
+    return tail_sum / ((n - hi) + ties)
+
+
+def tvar_rows(n, seed):
+    """Rows of the shapes a quote matrix holds: all zero, all tied,
+    limit-clipped, mostly zero with a clipped tail, tie-heavy on a few
+    values, and continuous."""
+    rng = np.random.default_rng(seed)
+    limit = 3.0
+    return np.stack([
+        np.zeros(n),
+        np.full(n, 7.25),
+        np.minimum(rng.exponential(2.0, n), limit),
+        np.minimum(rng.exponential(1.0, n) * (rng.random(n) < 0.3), limit),
+        rng.choice([0.0, 1.0, 2.5, limit], n, p=[0.5, 0.2, 0.2, 0.1]),
+        rng.random(n) * 1e6,
+    ])
+
+
+class TestTailExpectationRows:
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_sorted_partition_formula(self, n, q, seed):
+        rows = tvar_rows(n, seed)
+        got = tail_expectation_rows(rows, q)
+        assert np.array_equal(
+            got, tail_expectation_rows_sorted_partition(rows, q))
+        # row i is the one-row call on row i
+        for i, row in enumerate(rows):
+            assert got[i] == tail_expectation(row, q)
+
+    def test_row_order_and_shuffles_do_not_move_a_row(self):
+        rows = tvar_rows(2000, 11)
+        got = tail_expectation_rows(rows, 0.99)
+        rng = np.random.default_rng(3)
+        shuffled = rng.permuted(rows, axis=1)
+        assert np.array_equal(tail_expectation_rows(shuffled[::-1], 0.99),
+                              got[::-1])
+
+    @pytest.mark.parametrize("bad", [np.zeros(5), np.zeros((0, 3)),
+                                     np.array([[1.0, np.nan]]),
+                                     np.array([[1.0, np.inf]])])
+    def test_shape_and_finite_checks(self, bad):
+        with pytest.raises(AnalysisError):
+            tail_expectation_rows(bad, 0.99)
 
 
 class TestReturnPeriod:
