@@ -26,18 +26,16 @@ is drawn from the portfolio kernel's metadata alone:
   shared-memory tile (``rows_per_block``: one 8 B accumulator per row in
   the 48 KiB per-block space).
 
-Then the YET is cut into whole-trial chunks of at most
-``rows_per_chunk`` occurrences (a longer trial is a chunk on its own:
-:func:`~repro.core.tables.whole_trial_cuts`, the rule a sweep's blocks
-are cut by),
-and each chunk is one run of the engine's inline dispatcher over
-``yet.slice_trials`` — the slice's copy stands for the chunk's upload.
-A sweep takes whole trials only, so every chunk size answers
-``np.array_equal`` to ``vectorized``.  The transfer counts in
-``details`` are the plan's arithmetic: each batch streams the whole YET
-(its ``trial`` and ``event_id`` columns, 8 B per occurrence) and its
-lookups in, and downloads its rows' annual losses (8 B per row and
-trial); the host sweeps each chunk once for every row.
+The chunks are the plan's too: the YET cut into whole-trial chunks of
+at most ``rows_per_chunk`` occurrences (a longer trial is a chunk on
+its own: :func:`~repro.core.tables.whole_trial_cuts`, the rule a
+sweep's blocks are cut by), counted, never copied.  The transfer counts
+in ``details`` are the plan's arithmetic: each batch streams the whole
+YET (its ``trial`` and ``event_id`` columns, 8 B per occurrence) in
+chunk by chunk with its lookups, and downloads its rows' annual losses
+(8 B per row and trial).  The host runs one sweep of the whole YET on
+the engine's inline dispatcher, so every chunk size answers
+``np.array_equal`` to ``vectorized``.
 
 ``use_constant`` exists for the E5 ablation: turning it off yields the
 naive all-global placement the study improved on.
@@ -70,9 +68,9 @@ def _placement(ids: np.ndarray, values: np.ndarray) -> tuple[str, int]:
 
 
 class DeviceEngine(HostEngine):
-    """Aggregate analysis planned onto a simulated GPU: resident batches,
-    constant packing and whole-trial chunks, each chunk one sweep of the
-    engine's inline dispatcher."""
+    """Aggregate analysis planned onto a simulated GPU — resident
+    batches, constant packing and whole-trial chunks — and run as one
+    sweep of the engine's inline dispatcher."""
 
     name = "device"
 
@@ -176,15 +174,9 @@ class DeviceEngine(HostEngine):
             max_rows_per_chunk=self.max_rows_per_chunk,
         )
         cuts = whole_trial_cuts(yet.trial_offsets, plan.rows_per_chunk)
-        chunks = list(zip(cuts, cuts[1:]))
-        dispatcher = self.dispatcher
-        final = np.concatenate([
-            dispatcher.run(kernel, yet if t1 - t0 == n_trials
-                           else yet.slice_trials(t0, t1))
-            for t0, t1 in chunks
-        ], axis=1)
+        final = self.dispatcher.run(kernel, yet)
 
-        n_passes = len(batches) * len(chunks)
+        n_passes = len(batches) * (len(cuts) - 1)
         return final, {
             "layers": {
                 lid: {

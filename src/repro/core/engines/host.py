@@ -28,7 +28,7 @@ how it cuts a run.
   runs of its inline dispatcher over whole-trial splits.
 - ``device`` (:mod:`~repro.core.engines.device`) replaces only
   :meth:`HostEngine._execute` too: a device plan drawn from the kernel's
-  metadata, then one run of its inline dispatcher per whole-trial chunk.
+  metadata, then one run of its inline dispatcher over the whole YET.
 
 An engine owns no substrate.  One made by :meth:`HostEngine.riding` —
 how :meth:`RiskSession.engine <repro.session.RiskSession.engine>` makes
@@ -76,9 +76,11 @@ def emit_yelt_row(kernel: PortfolioKernel, row: int,
 
 
 class HostEngine(Engine):
-    """Aggregate analysis as one run of a
+    """Aggregate analysis as runs of a
     :class:`~repro.serve.dispatch.Dispatcher` over the portfolio's fused
-    kernel."""
+    kernel; a piece of a YET in memory (a span, a split) routes as the
+    whole YET, so every host engine is ``np.array_equal`` to
+    ``vectorized``."""
 
     def __init__(self) -> None:
         self._dispatcher = None

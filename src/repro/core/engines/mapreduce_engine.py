@@ -10,9 +10,10 @@ dispatcher's rule).  A run is one job for the whole portfolio.  A map
 task is the dispatchers' one block task, one fused sweep of its split
 (``dispatcher.run(kernel, split)``), emitting ``(t0, (L, t1 - t0))``.
 The reducer is the identity, and the engine concatenates the blocks by
-trial.  A sweep takes whole trials only, so every split count gives
-answers ``np.array_equal`` to ``vectorized``.  The job's task timings
-feed E7's simulated worker-count scaling.
+trial.  A split's span routes by the longest trial of the YET it was
+cut from, which the engine holds, so every split count answers
+``np.array_equal`` to ``vectorized``.  The job's task timings feed E7's
+simulated worker-count scaling.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ class MapReduceEngine(HostEngine):
             self.dfs.write_blocks(
                 path, [yet.slice_trials(t0, t1).table for t0, t1 in spans])
         dispatcher = self.dispatcher
+        longest = yet.trial_block().max_count
 
         def mapper(split_index, block):
             t0, t1 = spans[split_index]
-            yield t0, dispatcher.run(kernel, YetTable(block, t1 - t0))
+            split = YetTable(block, t1 - t0)
+            split.trial_block().max_count = longest
+            yield t0, dispatcher.run(kernel, split)
 
         job = MapReduceJob(mapper=mapper, reducer=_identity,
                            n_reducers=self.n_reducers)

@@ -112,13 +112,10 @@ function of the trial and the row alone, and the error bound is read
 at the span's ``max_count``, which every span of one ``YetTable``
 takes from the whole table (:meth:`~repro.core.tables.YetTable.trial_block`):
 so tail rows, like lane rows, route alike and are ``np.array_equal``
-across whole-YET, blocked, pooled and degraded-serial sweeps and
-whatever other rows share the group.  Sources that are copies or fresh
-spans still bound by their own longest trial — a stored YET's blocks,
-and a device chunk's and a MapReduce split's ``slice_trials`` copies —
-so a row whose retention lies between two such pieces' bounds prices
-off the profile in one and on lanes in the other, an ulp apart
-(ROADMAP item 7).
+across whole-YET, blocked, pooled, degraded-serial and MapReduce sweeps
+(a split's span takes the bound of the YET it was cut from) and
+whatever other rows share the group.  A stored YET's blocks still bound
+by their own (ROADMAP item 9(a)).
 """
 
 from __future__ import annotations

@@ -531,7 +531,7 @@ def whole_trial_cuts(offsets: np.ndarray, bound: int) -> list[int]:
     is as many whole trials as fit ``bound`` rows, and at least one, so
     a longer trial is a piece alone.  The one way a stream is cut into
     whole trials: a span's blocks (:meth:`TrialSegments.blocks`) and the
-    device engine's chunks."""
+    device engine's chunk plan (it counts them, and sweeps once)."""
     cuts, a, last = [0], 0, offsets.size - 1
     while a < last:
         a = max(int(np.searchsorted(offsets, offsets[a] + bound,
@@ -560,9 +560,10 @@ class TrialSegments:
     for an empty segment and raises on a start index == n, so it is only
     ever fed these non-empty starts and its sums scattered to
     ``trial_ids``.  ``max_count`` bounds the longest segment (the
-    bound the kernel's shifted-clip gate reads): the span's own, or for
-    a :class:`YetTable`'s span the table's longest trial
-    (:meth:`YetTable.trial_block`).  Built from the span's
+    bound the kernel's shifted-clip gate reads): the longest trial of
+    the YET the span is cut from (:meth:`YetTable.trial_block`; a
+    MapReduce split's is set by its engine), or a stored block's own
+    (ROADMAP item 9(a)).  Built from the span's
     trial offsets (trial ``t`` occupies rows ``[offsets[t],
     offsets[t+1])``, any base) and its event ids, so a trial range of a
     YET is the same constructor over slices of

@@ -106,6 +106,7 @@ this is where they will arrive.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
@@ -144,6 +145,8 @@ class Dispatcher:
         self.throughput = ThroughputEstimate()
         self._m_rate = self.telemetry.gauge(
             f"dispatch.{self.name}.lanes_per_second")
+        #: Cache-level and ``layer.books.*`` gauges, resolved once a name.
+        self._m_level = functools.cache(self.telemetry.gauge)
 
     @property
     def transport_active(self) -> str:
@@ -190,7 +193,7 @@ class Dispatcher:
         if routed:
             for name, level in (*yet.cache_levels().items(),
                                 *book_levels().items()):
-                self.telemetry.gauge(name).set(level)
+                self._m_level(name).set(level)
         return final
 
     def _run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,

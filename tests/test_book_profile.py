@@ -8,7 +8,8 @@ Four contracts:
   dispatcher is ``tests/test_equivalence_matrix.py``);
 - **invariance**: a tail row's answer is a function of the trial and
   the row — ``np.array_equal`` across whole / blocked / pooled /
-  degraded sweeps and across group compositions;
+  degraded sweeps, MapReduce splits and device chunks, and across group
+  compositions;
 - **one build per (span, book) per process**, keyed by content, over
   the span's rows alone — a pool worker profiles its own span, never
   the whole YET — and the cache lives and dies with its span, which a
@@ -32,12 +33,13 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from conftest import make_yet, worker_probes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tables
-from repro.core.engines import SequentialEngine
+from repro.core.engines import DeviceEngine, MapReduceEngine, SequentialEngine
 from repro.core.kernels import (_HANDLE_FIELDS, MIN_TAIL_GROUP,
                                 ROUTING_COUNTERS, PortfolioKernel)
 from repro.core.layer import Layer
@@ -225,11 +227,27 @@ class TestInvariance:
         losses = kernel._lookup(0)(events)
         assert whole.ranks.size == np.count_nonzero(losses) < events.size
 
-    def test_every_span_of_a_table_routes_a_row_alike(self):
-        """A row whose retention lies inside the shift-mask bound of a
-        span of short trials and outside that of the span holding the
-        one long trial routes by the table's longest trial in both, so
-        an inline and a 2-worker pooled run agree cell for cell."""
+    #: One level per source that cuts a YET into pieces: the engine a
+    #: session runs, and the ``details`` entry that counts the pieces it
+    #: cuts the shape below into.
+    PIECES = {
+        **{f"mapreduce{n}": (lambda n=n: MapReduceEngine(n_splits=n),
+                             ("n_splits", n)) for n in (1, 2, 4, 13)},
+        **{f"device{rows}": (
+            lambda rows=rows: DeviceEngine(max_rows_per_chunk=rows),
+            ("n_chunks_total", chunks))
+           for rows, chunks in ((1, 20), (50, 3), (97, 2), (None, 1))},
+        "multicore2": (lambda: "multicore", ("n_blocks", 2)),
+    }
+
+    @pytest.mark.parametrize("level", PIECES)
+    def test_every_span_of_a_table_routes_a_row_alike(self, level):
+        """Rows whose retention lies inside the shift-mask bound of a
+        piece of short trials and outside that of the piece holding the
+        one long trial route by the whole YET's longest trial in every
+        piece, so an engine that cuts the YET — MapReduce splits, device
+        chunks, pool spans — agrees with the vectorized whole-YET sweep
+        cell for cell."""
         rng = np.random.default_rng(0)
         counts = np.full(20, 5)
         counts[-1] = 400
@@ -239,14 +257,15 @@ class TestInvariance:
         portfolio = Portfolio([
             Layer(i, [elt], LayerTerms(occ_retention=2.3e8 + i * 1e5))
             for i in range(MIN_TAIL_GROUP)])
+        engine, (counted, n_pieces) = self.PIECES[level]
         with RiskSession(yet, portfolio, n_workers=2) as session:
-            inline = session.aggregate(engine="vectorized")
-            pooled = session.aggregate(engine="multicore")
-        assert pooled.details["n_blocks"] == 2
-        for lid, ylt in inline.ylt_by_layer.items():
-            np.testing.assert_array_equal(pooled.ylt_by_layer[lid].losses,
+            whole = session.aggregate(engine="vectorized")
+            cut = session.aggregate(engine=engine())
+        assert cut.details[counted] == n_pieces
+        for lid, ylt in whole.ylt_by_layer.items():
+            np.testing.assert_array_equal(cut.ylt_by_layer[lid].losses,
                                           ylt.losses)
-        assert inline.details["routed"]["kernel.fallback.error_bound"] == (
+        assert whole.details["routed"]["kernel.fallback.error_bound"] == (
             MIN_TAIL_GROUP)
 
 

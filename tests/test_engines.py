@@ -268,6 +268,41 @@ class TestDeviceEngine:
     def test_emits_the_vectorized_yelt(self, tiny_workload):
         _assert_yelts_equal(DeviceEngine(max_rows_per_chunk=97), tiny_workload)
 
+    #: The plan of the tiny workload (5,081 occurrences over 200 trials,
+    #: one 3,984 B dense book) at each chunk size: ``(rows_per_chunk,
+    #: n_chunks_total)``; the rest of ``details`` is the same at all three.
+    PLANS = {1: (1, 200), 97: (97, 61), None: (5081, 1)}
+
+    @pytest.mark.parametrize("max_rows_per_chunk", PLANS)
+    def test_the_plan_is_arithmetic(self, tiny_workload, max_rows_per_chunk):
+        """The chunk plan is drawn from the kernel's metadata and the
+        YET's trial offsets alone: these values, down to the transfer
+        bytes, were the plan when every chunk was swept apart."""
+        res = DeviceEngine(max_rows_per_chunk=max_rows_per_chunk).run(
+            tiny_workload.portfolio, tiny_workload.yet)
+        rows, chunks = self.PLANS[max_rows_per_chunk]
+        details = dict(res.details)
+        details.pop("routed")
+        assert details == {
+            "layers": {0: {"rows_per_chunk": rows, "rows_per_block": rows,
+                           "lookup_in_constant": True,
+                           "lookup_kind": "dense", "lookup_bytes": 3984}},
+            "n_batches": 1, "n_chunks_total": chunks, "stack_uploads": 0,
+            "sparse_stack_uploads": 0, "yet_uploads": chunks,
+            "h2d_bytes": 44632, "d2h_bytes": 1600, "fused_layers": 1,
+            "occurrences_processed": 5081, "tail_group_rows": 0,
+        }
+
+    @pytest.mark.parametrize("max_rows_per_chunk", PLANS)
+    def test_one_sweep_whatever_the_chunking(self, tiny_workload,
+                                             max_rows_per_chunk):
+        """A chunk is a part of the plan, not a run: the engine sweeps
+        the YET once, so its one row is routed once."""
+        res = DeviceEngine(max_rows_per_chunk=max_rows_per_chunk).run(
+            tiny_workload.portfolio, tiny_workload.yet)
+        assert res.details["routed"]["kernel.lane_rows.by_event"] == 1
+        assert sum(res.details["routed"].values()) == 1
+
     def test_transfers_accounted(self, tiny_workload):
         res = DeviceEngine().run(tiny_workload.portfolio, tiny_workload.yet)
         yet, details = tiny_workload.yet, res.details
