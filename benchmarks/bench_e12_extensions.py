@@ -65,16 +65,20 @@ def run_e12_extensions(n_trials: int = 20_000, rows_per_chunk: int = 500_000,
 
     with tempfile.TemporaryDirectory() as tmp:
         store = ChunkStore(tmp)
-        store.write_table("yet", wl.yet.table, rows_per_chunk=rows_per_chunk)
-        stored = StoredYet(store, "yet", n_trials)
+        stored = StoredYet.write(store, "yet", wl.yet, rows_per_chunk)
         t_ooc, ooc = time_call(
             lambda: VectorizedEngine().run(wl.portfolio, stored),
             repeats=2, warmup=0)
         chunks = stored.cache_levels()["yet.store.chunks_read"]
+        stored_bytes = (store.stored_bytes("yet")
+                        + store.stored_bytes("yet.trial_offsets"))
     np.testing.assert_array_equal(ooc.portfolio_ylt.losses,
                                   res.portfolio_ylt.losses)
+    per_occurrence = stored_bytes / wl.yet.n_occurrences
+    report.figures["stored_bytes_per_occurrence"] = per_occurrence
     report.add_row("YET source", "out-of-core stream", format_seconds(t_ooc),
-                   f"{chunks} chunks of {rows_per_chunk:,} rows")
+                   f"{chunks} whole-trial chunks of <= {rows_per_chunk:,} "
+                   f"rows, {per_occurrence:.2f} B per occurrence")
 
     chunk = wl.yet.table.slice(0, pack_rows)
     t_raw, raw = time_call(lambda: pack_table(chunk))

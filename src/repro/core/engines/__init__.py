@@ -70,9 +70,10 @@ batch, a constant bank packed greedily by hit-frequency × size, each
 book placed by its id range) is
 drawn from the kernel's metadata before anything runs, and its
 transfer counts are arithmetic.  ``vectorized`` over a YET on disk
-(:class:`~repro.core.tables.StoredYet`) is the same code, inline, so
-every sweep, in memory, in a DFS block, in a device chunk or off disk,
-is the dispatchers' one block task.  The sequential engine
+(:class:`~repro.core.tables.StoredYet`, a block per whole-trial chunk)
+is the same code, inline, so every sweep, in memory, in a DFS block, in
+a device chunk or off disk, is the dispatchers' one block task.
+The sequential engine
 deliberately stays scalar: it is the baseline the paper's speedups are
 measured against.
 

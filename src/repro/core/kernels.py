@@ -112,10 +112,10 @@ function of the trial and the row alone, and the error bound is read
 at the span's ``max_count``, which every span of one ``YetTable``
 takes from the whole table (:meth:`~repro.core.tables.YetTable.trial_block`):
 so tail rows, like lane rows, route alike and are ``np.array_equal``
-across whole-YET, blocked, pooled, degraded-serial and MapReduce sweeps
-(a split's span takes the bound of the YET it was cut from) and
-whatever other rows share the group.  A stored YET's blocks still bound
-by their own (ROADMAP item 9(a)).
+across whole-YET, blocked, pooled, degraded-serial, MapReduce and
+stored sweeps (a split's span, and a stored chunk's block, take the
+bound of the YET they were cut from) and whatever other rows share
+the group.
 """
 
 from __future__ import annotations

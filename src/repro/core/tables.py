@@ -530,8 +530,9 @@ def whole_trial_cuts(offsets: np.ndarray, bound: int) -> list[int]:
     ``[offsets[t], offsets[t + 1])``): each piece ``[c[i], c[i + 1])``
     is as many whole trials as fit ``bound`` rows, and at least one, so
     a longer trial is a piece alone.  The one way a stream is cut into
-    whole trials: a span's blocks (:meth:`TrialSegments.blocks`) and the
-    device engine's chunk plan (it counts them, and sweeps once)."""
+    whole trials: a span's blocks (:meth:`TrialSegments.blocks`), the
+    device engine's chunk plan (it counts them, and sweeps once) and a
+    stored YET's chunks (:meth:`StoredYet.write`)."""
     cuts, a, last = [0], 0, offsets.size - 1
     while a < last:
         a = max(int(np.searchsorted(offsets, offsets[a] + bound,
@@ -562,8 +563,8 @@ class TrialSegments:
     ``trial_ids``.  ``max_count`` bounds the longest segment (the
     bound the kernel's shifted-clip gate reads): the longest trial of
     the YET the span is cut from (:meth:`YetTable.trial_block`; a
-    MapReduce split's is set by its engine), or a stored block's own
-    (ROADMAP item 9(a)).  Built from the span's
+    MapReduce split's is set by its engine, a stored chunk's from the
+    stored trial offsets, :class:`StoredYet`).  Built from the span's
     trial offsets (trial ``t`` occupies rows ``[offsets[t],
     offsets[t+1])``, any base) and its event ids, so a trial range of a
     YET is the same constructor over slices of
@@ -939,102 +940,105 @@ class YetTable:
         return YetTable(renumbered, t_stop - t_start)
 
 
+def _stored_column(table: ColumnTable, name: str, dtype, where: str):
+    """Column ``name`` of a stored table in ``dtype``, integers narrowed
+    only where every value fits: a cast would price event 1.5 as event
+    1, and a narrowing one event 2**32 + 1 as event 1."""
+    try:
+        column = table[name]
+        if column.dtype.kind not in "iu":
+            raise SchemaError(f"{name} column is {column.dtype}, not integer")
+        return cast_lossless(column, dtype, name)
+    except SchemaError as exc:
+        raise EngineError(f"{where}: {exc}") from None
+
+
 class StoredYet:
     """A YET on disk, read as whole-trial blocks (§II: at paper scale it
     does not fit memory).
 
-    A :class:`~repro.data.store.ChunkStore` table with integer ``trial``
-    and ``event_id`` columns, rows in trial order, chunks cut anywhere;
-    each chunk is narrowed to the YET's int32 columns as it is read, so
-    a block costs what the in-memory table's would.
-    :meth:`trial_blocks` holds back each chunk's last, possibly partial,
-    trial for the next, so blocks are whole trials and an answer is
+    Two :class:`~repro.data.store.ChunkStore` tables (:meth:`write`):
+    the trial offsets (int64) as ``<table_name>.trial_offsets``, and
+    the event ids (int32) as ``table_name``, in chunks of whole trials —
+    4 B per occurrence plus 8 B per trial, besides the chunk headers.
+    The offsets, read on opening, give ``n_trials`` and the YET's
+    longest trial; each chunk is then one fresh block bounded by that
+    trial, as every span of a :class:`YetTable` is, so an answer is
     ``np.array_equal`` to the in-memory table's at any chunk size.
-    Resident: one chunk plus the longest trial.  A bad row raises
+    Resident: the offsets plus one chunk.  Bad offsets, a chunk ending
+    inside a trial, or event ids that are not non-negative int32 raise
     :class:`~repro.errors.EngineError` naming the table and the chunk.
-
-    A chunk is seen once, so a block is a fresh span: rows priced by
-    events (or a book profile) build their index (profile) on it, and it
-    goes with the block.  Against pricing every row on
-    the stream, one by-event row over a 500 k-occurrence store pays
-    ≈ +4 to +8 ms, 8 rows break even and 32 gain ≈ 10 ms (a whole run on
-    a 2-vCPU host, ≈ 20 ms of it read + unpack); by-stream rows are
-    unchanged.  Every pass re-reads the store; :meth:`cache_levels` and
-    ``n_occurrences`` count the last one.
+    :meth:`cache_levels` counts the last pass.
     """
 
-    def __init__(self, store: ChunkStore, table_name: str, n_trials: int) -> None:
-        _check_n_trials(n_trials, EngineError)
+    def __init__(self, store: ChunkStore, table_name: str) -> None:
+        where = f"stored table {table_name!r}, trial offsets"
+        name = f"{table_name}.trial_offsets"
+        if name not in store.list_tables():
+            raise EngineError(f"{where}: not stored")
+        offsets = _stored_column(store.read_table(name), "trial_offset",
+                                 np.int64, where)
+        _check_n_trials(offsets.size - 1, EngineError)
+        if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+            raise EngineError(f"{where}: must start at 0 and never step back")
         self.store = store
         self.table_name = table_name
-        self.n_trials = int(n_trials)
-        self.chunks_read = self.n_occurrences = self.blocks = 0
+        self.trial_offsets = offsets
+        self.n_trials = offsets.size - 1
+        self.n_occurrences = int(offsets[-1])
+        self.max_count = int(np.diff(offsets).max())
+        self.chunks_read = self.rows_read = 0
+
+    @classmethod
+    def write(cls, store: ChunkStore, table_name: str, yet: YetTable,
+              rows_per_chunk: int) -> "StoredYet":
+        """Store ``yet``, as many whole trials per chunk as fit
+        ``rows_per_chunk`` rows (one at least), and open it."""
+        offsets = yet.trial_offsets
+        rows = offsets[whole_trial_cuts(offsets, rows_per_chunk)]
+        schema = Schema([("event_id", _ID)])
+        store.write_chunks(table_name, (
+            ColumnTable.from_arrays(schema, event_id=yet.event_ids[a:b])
+            for a, b in zip(rows, rows[1:])))
+        schema = Schema([("trial_offset", np.int64)])
+        store.write_chunks(f"{table_name}.trial_offsets", [
+            ColumnTable.from_arrays(schema, trial_offset=offsets)])
+        return cls(store, table_name)
 
     def cache_levels(self) -> dict:
         """Flat ``yet.store.*`` levels of the last pass."""
         return {"yet.store.chunks_read": self.chunks_read,
-                "yet.store.rows_read": self.n_occurrences,
-                "yet.store.blocks": self.blocks}
+                "yet.store.rows_read": self.rows_read}
 
     def trial_blocks(self, t_start: int, t_stop: int):
-        """Whole-trial :class:`TrialSegments` blocks tiling ``[t_start,
-        t_stop)``, each renumbered from where the one before ended, so
-        empty trials between or after rows are zero-length segments."""
+        """Per chunk, the block of its trials in ``[t_start, t_stop)``,
+        renumbered from the first (a chunk takes the empty trials after
+        its rows, so one of no rows may hold none, and yields nothing)."""
         _check_span(t_start, t_stop, self.n_trials)
-        self.chunks_read = self.n_occurrences = self.blocks = 0
-        start, last = t_start, None
-        # The trial held back from the chunks read so far.
-        held_trials = held_events = np.empty(0, dtype=_ID)
+        offsets, where = self.trial_offsets, f"stored table {self.table_name!r}"
+        self.chunks_read = self.rows_read = first = 0
         for ordinal, chunk in enumerate(self.store.iter_chunks(self.table_name)):
-            trials, events = self._checked(ordinal, chunk, last)
+            at = f"{where}, chunk {ordinal}"
+            events = _stored_column(chunk, "event_id", _ID, at)
+            if events.size and events.min() < 0:
+                raise EngineError(f"{at}: negative event id")
             self.chunks_read += 1
-            self.n_occurrences += trials.size
-            last = trials[-1] if trials.size else last
-            keep = slice(*_cuts(trials, (t_start, t_stop)))
-            trials = np.concatenate((held_trials, trials[keep]))
-            events = np.concatenate((held_events, events[keep]))
-            cut = int(np.searchsorted(trials, trials[-1])) if trials.size else 0
-            if cut:
-                end = int(trials[cut - 1]) + 1
-                yield self._block(trials[:cut], events[:cut], start, end)
-                start = end
-                # Copied: a view would keep the chunk's whole columns alive.
-                trials, events = trials[cut:].copy(), events[cut:].copy()
-            held_trials, held_events = trials, events
-        yield self._block(held_trials, held_events, start, t_stop)
-
-    def _block(self, trials, events, start, stop):
-        self.blocks += 1
-        return TrialSegments(_cuts(trials, np.arange(start, stop + 1)), events)
-
-    def _checked(self, ordinal: int, chunk: ColumnTable, last):
-        """One chunk's columns, checked (``last``: the trial before)."""
-        where = f"stored table {self.table_name!r}"
-        if "trial" not in chunk.schema or "event_id" not in chunk.schema:
-            raise EngineError(f"{where} lacks YET columns")
-        where += f", chunk {ordinal}"
-        columns = []
-        for column in ("trial", "event_id"):
-            # A cast would price event 1.5 as event 1, and a narrowing
-            # one event 2**32 + 1 as event 1.
-            if not np.issubdtype(chunk[column].dtype, np.integer):
-                raise EngineError(f"{where}: {column} column is "
-                                  f"{chunk[column].dtype}, not integer")
-            try:
-                columns.append(cast_lossless(chunk[column], _ID, column))
-            except SchemaError as exc:
-                raise EngineError(f"{where}: {exc}") from None
-        trials, events = columns
-        if not trials.size:
-            return trials, events
-        if ((last is not None and trials[0] < last)
-                or np.any(trials[1:] < trials[:-1])):
-            raise EngineError(f"{where}: rows step back in trial order")
-        if trials[0] < 0 or trials[-1] >= self.n_trials:
-            raise EngineError(f"{where}: trial indices outside [0, {self.n_trials})")
-        if events.min() < 0:
-            raise EngineError(f"{where}: negative event id")
-        return trials, events
+            self.rows_read += events.size
+            last = int(np.searchsorted(offsets, self.rows_read, "right")) - 1
+            if offsets[last] != self.rows_read:
+                raise EngineError(f"{at}: ends at row {self.rows_read}, "
+                                  f"inside a trial or past the last")
+            a, b = max(first, t_start), min(last, t_stop)
+            if a < b:
+                row = offsets[first]
+                block = TrialSegments(offsets[a:b + 1], events[
+                    offsets[a] - row:offsets[b] - row])
+                block.max_count = self.max_count
+                yield block
+            first = last
+        if first != self.n_trials:
+            raise EngineError(f"{where}, trial offsets: end at row "
+                              f"{self.n_occurrences}, past the rows stored")
 
 
 # ---------------------------------------------------------------------------

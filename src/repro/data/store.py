@@ -5,15 +5,15 @@ runs over disk-resident chunks.  :class:`ChunkStore` persists a table as
 one packed file per chunk inside a directory, and replays it as a chunk
 iterator compatible with :class:`repro.data.stream.TableScan`'s
 contract (one bounded chunk in memory at a time).  Chunks are cut by
-row count, so a stored YET's may end inside a trial:
-:class:`repro.core.tables.StoredYet` reads one as whole-trial blocks.
+row count, or kept as given (:meth:`ChunkStore.write_chunks`: a
+:class:`repro.core.tables.StoredYet`'s, whole trials each).
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.data.chunk import plan_chunks
 from repro.data.columnar import ColumnTable
@@ -43,18 +43,20 @@ class ChunkStore:
 
     def write_table(self, name: str, table: ColumnTable, rows_per_chunk: int) -> int:
         """Persist ``table`` as chunk files; returns the chunk count."""
+        specs = plan_chunks(table.n_rows, rows_per_chunk)
+        return self.write_chunks(
+            name, [table.slice(s.start, s.stop) for s in specs] or [table])
+
+    def write_chunks(self, name: str, chunks: Iterable[ColumnTable]) -> int:
+        """Persist ``chunks``, in order, as table ``name``; returns their count."""
         tdir = self._table_dir(name)
         if tdir.exists():
             raise StorageError(f"table {name!r} already stored")
         tdir.mkdir()
-        specs = plan_chunks(table.n_rows, rows_per_chunk)
-        if not specs:
-            (tdir / "chunk-000000.rpt").write_bytes(pack_table(table))
-            return 1
-        for spec in specs:
-            chunk = table.slice(spec.start, spec.stop)
-            (tdir / f"chunk-{spec.index:06d}.rpt").write_bytes(pack_table(chunk))
-        return len(specs)
+        count = 0
+        for count, chunk in enumerate(chunks, 1):
+            (tdir / f"chunk-{count - 1:06d}.rpt").write_bytes(pack_table(chunk))
+        return count
 
     def list_tables(self) -> list[str]:
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())

@@ -233,22 +233,12 @@ def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
     the one sweep outside the kernel under ``src/``, on the calling
     thread or as a pool worker's task (picklable top-level function).  A
     ``YetTable`` yields one block, the span it keeps for the range,
-    returned as is; a ``StoredYet``'s blocks are fresh spans, each
+    returned as is; a ``StoredYet`` yields a fresh span per chunk, each
     filling its own trial columns.  The answer is written to
     ``out`` (an ``(L, t1 - t0)`` array) when one is given."""
-    annual, col = None, 0
-    for segments in yet.trial_blocks(t0, t1):
-        swept = kernel.sweep_segments(segments)
-        # Drop the block before a stored source reads its next chunk:
-        # held, it sends that read to fresh pages (≈ 2x the run).
-        del segments
-        if swept.shape[1] == t1 - t0:
-            annual = swept
-        else:
-            if annual is None:
-                annual = np.empty((kernel.n_layers, t1 - t0))
-            annual[:, col:col + swept.shape[1]] = swept
-        col += swept.shape[1]
+    swept = [kernel.sweep_segments(block) for block in yet.trial_blocks(t0, t1)]
+    annual = swept[0] if len(swept) == 1 else np.concatenate(swept, axis=1)
+    del swept       # held, the terms' output would be a third copy
     return kernel.apply_aggregate(annual, out=out)
 
 

@@ -39,14 +39,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tables
-from repro.core.engines import DeviceEngine, MapReduceEngine, SequentialEngine
+from repro.core.engines import (DeviceEngine, MapReduceEngine,
+                                SequentialEngine, VectorizedEngine)
 from repro.core.kernels import (_HANDLE_FIELDS, MIN_TAIL_GROUP,
                                 ROUTING_COUNTERS, PortfolioKernel)
 from repro.core.layer import Layer
 from repro.core.lookup import DENSE_MAX_ENTRIES, fits_direct
 from repro.core.portfolio import Portfolio
-from repro.core.tables import BookProfile, EltTable, TrialSegments
+from repro.core.tables import BookProfile, EltTable, StoredYet, TrialSegments
 from repro.core.terms import LayerTerms
+from repro.data.store import ChunkStore
 from repro.hpc import shm
 from repro.serve import CachePolicy
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
@@ -229,7 +231,8 @@ class TestInvariance:
 
     #: One level per source that cuts a YET into pieces: the engine a
     #: session runs, and the ``details`` entry that counts the pieces it
-    #: cuts the shape below into.
+    #: cuts the shape below into; or the chunk size a stored YET is
+    #: written at, and its chunk count.
     PIECES = {
         **{f"mapreduce{n}": (lambda n=n: MapReduceEngine(n_splits=n),
                              ("n_splits", n)) for n in (1, 2, 4, 13)},
@@ -238,16 +241,19 @@ class TestInvariance:
             ("n_chunks_total", chunks))
            for rows, chunks in ((1, 20), (50, 3), (97, 2), (None, 1))},
         "multicore2": (lambda: "multicore", ("n_blocks", 2)),
+        **{f"stored{name}": (rows, ("yet.store.chunks_read", chunks))
+           for name, rows, chunks in (("1", 1, 20), ("97", 97, 2),
+                                      ("all", 495, 1))},
     }
 
     @pytest.mark.parametrize("level", PIECES)
-    def test_every_span_of_a_table_routes_a_row_alike(self, level):
+    def test_every_span_of_a_table_routes_a_row_alike(self, level, tmp_path):
         """Rows whose retention lies inside the shift-mask bound of a
         piece of short trials and outside that of the piece holding the
         one long trial route by the whole YET's longest trial in every
         piece, so an engine that cuts the YET — MapReduce splits, device
-        chunks, pool spans — agrees with the vectorized whole-YET sweep
-        cell for cell."""
+        chunks, pool spans, the chunks of a stored YET — agrees with the
+        vectorized whole-YET sweep cell for cell."""
         rng = np.random.default_rng(0)
         counts = np.full(20, 5)
         counts[-1] = 400
@@ -260,8 +266,14 @@ class TestInvariance:
         engine, (counted, n_pieces) = self.PIECES[level]
         with RiskSession(yet, portfolio, n_workers=2) as session:
             whole = session.aggregate(engine="vectorized")
-            cut = session.aggregate(engine=engine())
-        assert cut.details[counted] == n_pieces
+            if level.startswith("stored"):
+                stored = StoredYet.write(ChunkStore(tmp_path), "yet", yet,
+                                         engine)
+                cut = VectorizedEngine().run(portfolio, stored)
+                assert stored.cache_levels()[counted] == n_pieces
+            else:
+                cut = session.aggregate(engine=engine())
+                assert cut.details[counted] == n_pieces
         for lid, ylt in whole.ylt_by_layer.items():
             np.testing.assert_array_equal(cut.ylt_by_layer[lid].losses,
                                           ylt.losses)

@@ -157,26 +157,34 @@ def yet_of(counts, seed=0):
     return YetTable(table, len(counts))
 
 
-def stored_chunks(root, *chunks):
-    """A stored table ``"yet"`` holding exactly the given ``(trials,
-    event_ids)`` chunks, each column stored in the dtype it is given."""
+def column(name, values):
+    """A one-column table, stored in the dtype ``values`` is given in."""
+    values = np.asarray(values)
+    return ColumnTable.from_arrays(Schema([(name, values.dtype)]),
+                                   **{name: values})
+
+
+def stored_chunks(root, offsets, *chunks):
+    """A stored YET ``"yet"`` holding exactly the given trial offsets
+    (none: no offsets table) and chunks of event ids."""
     store = ChunkStore(root)
-    (store.root / "yet").mkdir()
-    for ordinal, (trials, events) in enumerate(chunks):
-        trials, events = np.asarray(trials), np.asarray(events)
-        schema = Schema([("trial", trials.dtype), ("seq", np.int32),
-                         ("event_id", events.dtype)])
-        table = ColumnTable.from_arrays(
-            schema, trial=trials, seq=np.zeros(trials.size, dtype=np.int32),
-            event_id=events)
-        (store.root / "yet" / f"chunk-{ordinal:06d}.rpt").write_bytes(
-            pack_table(table))
+    if offsets is not None:
+        store.write_chunks("yet.trial_offsets",
+                           [column("trial_offset", offsets)])
+    store.write_chunks("yet", [column("event_id", c) for c in chunks])
     return store
 
 
-def run_stored(portfolio, store, n_trials, name="yet"):
+def write_stored(root, yet, rows_per_chunk):
+    """``yet`` stored as ``"yet"`` through :meth:`StoredYet.write`."""
+    store = ChunkStore(root)
+    StoredYet.write(store, "yet", yet, rows_per_chunk)
+    return store
+
+
+def run_stored(portfolio, store, name="yet"):
     """One out-of-core run: ``(result, the pass's yet.store.* levels)``."""
-    yet = StoredYet(store, name, n_trials)
+    yet = StoredYet(store, name)
     res = VectorizedEngine().run(portfolio, yet)
     return res, yet.cache_levels()
 
@@ -210,15 +218,11 @@ class TestOutOfCoreEngine:
     :class:`StoredYet`, swept block by block by its inline dispatcher."""
 
     def test_matches_vectorized(self, tiny_workload, tmp_path):
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=97)
-        res, levels = run_stored(tiny_workload.portfolio, store,
-                                 tiny_workload.yet.n_trials)
+        store = write_stored(tmp_path, tiny_workload.yet, 97)
+        res, levels = run_stored(tiny_workload.portfolio, store)
         assert_matches_vectorized(res, tiny_workload.portfolio,
                                   tiny_workload.yet)
         assert levels["yet.store.chunks_read"] > 1
-        assert 1 < levels["yet.store.blocks"] <= (
-            levels["yet.store.chunks_read"] + 1)
         assert levels["yet.store.rows_read"] == tiny_workload.yet.n_occurrences
         assert res.engine == "vectorized"
         assert res.details["occurrences_processed"] == (
@@ -228,11 +232,8 @@ class TestOutOfCoreEngine:
     def test_chunk_size_invariance(self, tiny_workload, tmp_path):
         results = []
         for i, rows in enumerate((31, 97, 10_000)):
-            store = ChunkStore(tmp_path / str(i))
-            store.write_table("yet", tiny_workload.yet.table,
-                              rows_per_chunk=rows)
-            res, _ = run_stored(tiny_workload.portfolio, store,
-                                tiny_workload.yet.n_trials)
+            store = write_stored(tmp_path / str(i), tiny_workload.yet, rows)
+            res, _ = run_stored(tiny_workload.portfolio, store)
             results.append(res.ylt_by_layer)
         for other in results[1:]:
             for lid, ylt in results[0].items():
@@ -244,21 +245,18 @@ class TestOutOfCoreEngine:
         """Whatever the chunk size, the in-memory answer — with every
         kernel path proved to have run in every block."""
         portfolio, yet = mixed_portfolio(), skewed_yet()
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", yet.table, rows_per_chunk=rows_per_chunk)
-        res, levels = run_stored(portfolio, store, 40)
+        store = write_stored(tmp_path, yet, rows_per_chunk)
+        res, levels = run_stored(portfolio, store)
         ref = assert_matches_vectorized(res, portfolio, yet)
         for lid, ylt in ref.ylt_by_layer.items():
             assert ylt.losses.any(), f"layer {lid} prices nothing"
         assert ref.details["routed"] == dict(
             dict.fromkeys(ref.details["routed"], 0),
             **{BY_EVENT: 2, BY_STREAM: 1, BY_PROFILE: MIN_TAIL_GROUP})
-        # a block ends with every chunk whose last row is in a later
-        # trial than the chunk before's, and with the table
-        ends = np.append(yet.trials[rows_per_chunk - 1::rows_per_chunk],
-                         yet.trials[-1])
-        n_blocks = np.count_nonzero(np.diff(ends, prepend=yet.trials[0])) + 1
-        assert levels["yet.store.blocks"] == n_blocks
+        # every chunk with rows is one block that routes them
+        n_blocks = sum(1 for chunk in store.iter_chunks("yet")
+                       if chunk.n_rows)
+        assert levels["yet.store.chunks_read"] >= n_blocks
         assert res.details["routed"] == {
             name: rows * n_blocks
             for name, rows in ref.details["routed"].items()}
@@ -270,61 +268,60 @@ class TestOutOfCoreEngine:
             self, counts, rows_per_chunk, seed):
         portfolio, yet = mixed_portfolio(), yet_of(counts, seed)
         with tempfile.TemporaryDirectory() as root:
-            store = ChunkStore(root)
-            store.write_table("yet", yet.table, rows_per_chunk=rows_per_chunk)
-            res, levels = run_stored(portfolio, store, len(counts))
+            store = write_stored(root, yet, rows_per_chunk)
+            res, levels = run_stored(portfolio, store)
         assert_matches_vectorized(res, portfolio, yet)
         assert levels["yet.store.rows_read"] == sum(counts)
 
     @pytest.mark.parametrize("span", [(0, 40), (5, 21), (20, 21), (38, 40)])
     def test_blocks_tile_the_span(self, tmp_path, span):
         """Blocks follow on from one another: laid end to end they are
-        the in-memory block of the span, its empty trials included."""
+        the in-memory block of the span, its empty trials included, and
+        each is bounded by the whole YET's longest trial."""
         yet = skewed_yet()
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", yet.table, rows_per_chunk=31)
+        store = write_stored(tmp_path, yet, 31)
         t0, t1 = span
         start, trials, events = 0, [], []
         def trial_column(segments):
             return np.repeat(segments.trial_ids, np.diff(segments.bounds))
 
-        for segments in StoredYet(store, "yet", 40).trial_blocks(t0, t1):
+        whole = yet.trial_block(t0, t1)
+        for segments in StoredYet(store, "yet").trial_blocks(t0, t1):
             assert segments.n_trials >= 1
+            assert segments.max_count == whole.max_count == 300
             trials.append(trial_column(segments) + start)
             events.append(segments.event_ids)
             start += segments.n_trials
         assert start == t1 - t0
-        whole = yet.trial_block(t0, t1)
         np.testing.assert_array_equal(np.concatenate(trials),
                                       trial_column(whole))
         np.testing.assert_array_equal(np.concatenate(events), whole.event_ids)
 
     def test_one_trial_is_one_block(self, tmp_path):
+        """A trial longer than the chunk bound is one chunk, alone; the
+        empty trials around it are chunks of no rows."""
         portfolio, yet = mixed_portfolio(), yet_of([0, 0, 0, 50, 0])
-        store = ChunkStore(tmp_path)
-        assert store.write_table("yet", yet.table, rows_per_chunk=7) == 8
-        res, levels = run_stored(portfolio, store, 5)
+        store = write_stored(tmp_path, yet, 7)
+        assert [c.n_rows for c in store.iter_chunks("yet")] == [0, 50, 0]
+        res, levels = run_stored(portfolio, store)
         assert_matches_vectorized(res, portfolio, yet)
-        assert levels["yet.store.blocks"] == 1
+        assert levels["yet.store.chunks_read"] == 3
         assert res.portfolio_ylt.losses[3] > 0.0
 
     def test_zero_row_chunk_is_skipped(self, tmp_path):
         portfolio, yet = mixed_portfolio(), yet_of([4, 6, 5])
-        t, e = yet.trials, yet.event_ids
-        store = stored_chunks(tmp_path, (t[:7], e[:7]), (t[:0], e[:0]),
-                              (t[7:], e[7:]))
-        res, levels = run_stored(portfolio, store, 3)
+        e = yet.event_ids
+        store = stored_chunks(tmp_path, yet.trial_offsets, e[:4], e[4:4], e[4:])
+        res, levels = run_stored(portfolio, store)
         assert_matches_vectorized(res, portfolio, yet)
         assert levels["yet.store.chunks_read"] == 3
         assert levels["yet.store.rows_read"] == 15
 
     def test_empty_table_prices_to_zero(self, tmp_path):
         """Nothing to route: the span is one zero-length block."""
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", ColumnTable(YET_SCHEMA), rows_per_chunk=10)
-        res, levels = run_stored(mixed_portfolio(), store, 6)
-        assert levels == {"yet.store.chunks_read": 1,
-                          "yet.store.rows_read": 0, "yet.store.blocks": 1}
+        store = write_stored(tmp_path, YetTable(ColumnTable(YET_SCHEMA), 6), 10)
+        res, levels = run_stored(mixed_portfolio(), store)
+        assert levels == {"yet.store.chunks_read": 1, "yet.store.rows_read": 0}
         assert not any(res.details["routed"].values())
         assert len(res.ylt_by_layer) == 3 + MIN_TAIL_GROUP
         for ylt in res.ylt_by_layer.values():
@@ -334,10 +331,10 @@ class TestOutOfCoreEngine:
         """Routing, the inline rate and what the pass read reach the
         engine's dispatcher's telemetry plane."""
         portfolio, yet = mixed_portfolio(), skewed_yet()
-        store = ChunkStore(tmp_path)
-        n_chunks = store.write_table("yet", yet.table, rows_per_chunk=97)
+        store = write_stored(tmp_path, yet, 97)
+        n_chunks = len(store.chunk_paths("yet"))
         engine = VectorizedEngine()
-        engine.run(portfolio, StoredYet(store, "yet", 40))
+        engine.run(portfolio, StoredYet(store, "yet"))
         metrics = engine.dispatcher.telemetry.snapshot()["metrics"]
         for name in (BY_EVENT, BY_STREAM, BY_PROFILE,
                      "dispatch.inline.lanes_per_second"):
@@ -348,9 +345,8 @@ class TestOutOfCoreEngine:
     def test_each_engine_takes_its_own_source(self, tiny_workload, tmp_path):
         """``vectorized`` reads either source; ``multicore`` reads a YET
         in memory, and says so before it looks for a pool."""
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
-        stored = StoredYet(store, "yet", tiny_workload.yet.n_trials)
+        stored = StoredYet.write(ChunkStore(tmp_path), "yet",
+                                 tiny_workload.yet, 100)
         with pytest.raises(EngineError, match="expected YetTable, got"):
             MulticoreEngine().run(tiny_workload.portfolio, stored)
         engine = VectorizedEngine()
@@ -364,42 +360,48 @@ class TestOutOfCoreEngine:
     def test_a_stored_yelt_is_refused(self, tiny_workload, tmp_path):
         """A YELT is the occurrence stream priced row by row; a stored
         YET is never in memory whole, so asking for one is an error."""
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
-        stored = StoredYet(store, "yet", tiny_workload.yet.n_trials)
+        stored = StoredYet.write(ChunkStore(tmp_path), "yet",
+                                 tiny_workload.yet, 100)
         with pytest.raises(EngineError, match="YELT"):
             VectorizedEngine().run(tiny_workload.portfolio, stored,
                                    emit_yelt=True)
         assert stored.cache_levels()["yet.store.chunks_read"] == 0
 
-    @pytest.mark.parametrize("chunks, complaint", [
-        ([([0, 2, 1], [1, 2, 3])], "chunk 0: rows step back in trial order"),
-        ([([0, 1], [1, 2]), ([0, 2], [3, 4])],
-         "chunk 1: rows step back in trial order"),
-        ([([0, 1], [1, 2]), ([1, 2], [3, -4])], "chunk 1: negative event id"),
-        ([([0.0, 1.7], [1.5, 2.9])],
-         "chunk 0: trial column is float64, not integer"),
-        ([([0, 1], [1, 2]), ([1, 2], [3.0, 4.5])],
+    @pytest.mark.parametrize("offsets, chunks, complaint", [
+        ([0, 2, 1, 3], [[1, 2, 3]],
+         "trial offsets: must start at 0 and never step back"),
+        ([1, 3, 5], [[1, 2], [3, 4]],
+         "trial offsets: must start at 0 and never step back"),
+        ([0.0, 1.5, 4.0], [[1, 2, 3, 4]],
+         "trial offsets: trial_offset column is float64, not integer"),
+        (None, [[1, 2]], "trial offsets: not stored"),
+        ([0, 2, 4, 6], [[1, 2], [3, 4]],
+         "trial offsets: end at row 6, past the rows stored"),
+        ([0, 2, 4], [[1, 2], [3, 4], [5]],
+         "chunk 2: ends at row 5, inside a trial or past the last"),
+        ([0, 2, 4], [[1], [2, 3, 4]],
+         "chunk 0: ends at row 1, inside a trial or past the last"),
+        ([0, 2, 4], [[1, 2], [3, -4]], "chunk 1: negative event id"),
+        ([0, 2, 4], [[1, 2], [3.0, 4.5]],
          "chunk 1: event_id column is float64, not integer"),
         # int64 on disk, int32 in a block: narrowed, never wrapped
-        ([([0, 1], [1, 2]), ([1, 2], [3, 2**31 + 1])],
+        ([0, 2, 4], [[1, 2], [3, 2**31 + 1]],
          "chunk 1: column 'event_id': values do not fit int32"),
-        ([([0, 2**32], [1, 2])],
-         "chunk 0: column 'trial': values do not fit int32"),
-    ], ids=["steps_back_in_chunk", "steps_back_across_carry",
-            "negative_event_id", "float_trials", "float_event_ids",
-            "event_id_past_int32", "trial_past_int32"])
-    def test_bad_stored_rows_rejected(self, tmp_path, chunks, complaint):
-        store = stored_chunks(tmp_path, *chunks)
+    ], ids=["steps_back_in_chunk", "offsets_start_past_0", "float_trials",
+            "offsets_missing", "offsets_end_past_rows",
+            "rows_past_offsets_end", "ends_inside_trial", "negative_event_id",
+            "float_event_ids", "event_id_past_int32"])
+    def test_bad_stored_rows_rejected(self, tmp_path, offsets, chunks,
+                                      complaint):
+        store = stored_chunks(tmp_path, offsets, *chunks)
         with pytest.raises(EngineError,
                            match=f"stored table 'yet', {complaint}"):
-            run_stored(mixed_portfolio(), store, 3)
+            run_stored(mixed_portfolio(), store)
 
-    def test_bad_n_trials_rejected(self, tiny_workload, tmp_path):
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
-        with pytest.raises(EngineError):
-            run_stored(tiny_workload.portfolio, store, 0)
+    def test_bad_n_trials_rejected(self, tmp_path):
+        store = stored_chunks(tmp_path, [0], [])
+        with pytest.raises(EngineError, match="n_trials must be in"):
+            run_stored(mixed_portfolio(), store)
 
     def test_wrong_table_rejected(self, tiny_workload, tmp_path):
         store = ChunkStore(tmp_path)
@@ -407,11 +409,34 @@ class TestOutOfCoreEngine:
             Schema([("x", np.int64)]), x=np.arange(10)
         )
         store.write_table("notyet", wrong, rows_per_chunk=5)
-        with pytest.raises(EngineError):
-            run_stored(tiny_workload.portfolio, store, 10, name="notyet")
+        with pytest.raises(EngineError, match="trial offsets: not stored"):
+            run_stored(tiny_workload.portfolio, store, name="notyet")
 
     def test_out_of_range_trials_rejected(self, tiny_workload, tmp_path):
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", tiny_workload.yet.table, rows_per_chunk=100)
-        with pytest.raises(EngineError):
-            run_stored(tiny_workload.portfolio, store, 2)  # too few trials
+        """Offsets of fewer trials than the chunks hold."""
+        yet = tiny_workload.yet
+        store = write_stored(tmp_path, yet, 100)
+        store.delete_table("yet.trial_offsets")
+        store.write_chunks("yet.trial_offsets",
+                           [column("trial_offset", yet.trial_offsets[:3])])
+        with pytest.raises(EngineError, match="chunk 0: .* past the last"):
+            run_stored(tiny_workload.portfolio, store)
+
+    def test_a_stored_yet_is_its_offsets_and_event_ids(self, tiny_workload,
+                                                       tmp_path):
+        """4 B per occurrence and 8 B per trial offset, besides one pack
+        header per chunk."""
+        yet = tiny_workload.yet
+        store = write_stored(tmp_path, yet, 97)
+
+        def header(name, dtype, n_rows):
+            values = np.zeros(n_rows, dtype)
+            return len(pack_table(column(name, values))) - values.nbytes
+
+        rows = [chunk.n_rows for chunk in store.iter_chunks("yet")]
+        assert len(rows) > 1 and sum(rows) == yet.n_occurrences
+        assert store.stored_bytes("yet") == 4 * yet.n_occurrences + sum(
+            header("event_id", np.int32, n) for n in rows)
+        assert store.stored_bytes("yet.trial_offsets") == (
+            8 * (yet.n_trials + 1)
+            + header("trial_offset", np.int64, yet.n_trials + 1))

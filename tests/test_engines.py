@@ -127,9 +127,8 @@ class TestEquivalence:
             pooled = engine.run(pf, yet)
         assert pooled.details["n_blocks"] == 2
         check(pooled)
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", yet.table, rows_per_chunk=2)
-        check(VectorizedEngine().run(pf, StoredYet(store, "yet", 4)))
+        check(VectorizedEngine().run(
+            pf, StoredYet.write(ChunkStore(tmp_path), "yet", yet, 2)))
 
     def test_yet_with_empty_trials(self, risk_session):
         """Trials with zero occurrences must appear as zero-loss years."""

@@ -20,8 +20,7 @@ Pool workers' counts do not reach the parent yet (ROADMAP item 8), so a
 pooled cell proves its route through the degraded-serial dispatcher,
 which sweeps the same spans in process and counts them.  A combination
 that cannot run is a row of :data:`EXCLUDED`, with its reason; no cell
-is skipped.  A cell that fails today is a strict xfail, a row of
-:data:`XFAILS` with its reason.  Hypothesis draws the seed of the books
+is skipped or expected to fail.  Hypothesis draws the seed of the books
 and terms (``derandomize=True``, so a failing cell reproduces from its
 id) and every cell runs on both :data:`SHAPES`.
 
@@ -95,8 +94,8 @@ SOURCES = {
                "patched to 7 (whole trials, at least one, per row buffer)",
     "raw": "raw sorted columns (PortfolioKernel.run)",
     "rawunsorted": "the same columns shuffled",
-    "stored1": "StoredYet, 1 row per chunk (vectorized)",
-    "stored97": "StoredYet, 97 rows per chunk",
+    "stored1": "StoredYet written at rows_per_chunk=1 (vectorized)",
+    "stored97": "StoredYet written at rows_per_chunk=97",
     "storedall": "StoredYet, one chunk",
     "mapreduce1": "MapReduceEngine(n_splits=1)",
     "mapreduce4": "MapReduceEngine(n_splits=4)",
@@ -135,16 +134,6 @@ EXCLUDED = (
      "changes: tolerance only (test_unsorted_trials_fall_back_to_block_sort)"),
 )
 
-#: Patterns, as in :data:`EXCLUDED`, of cells that fail today, and why:
-#: each is a strict xfail, so it must fail.
-XFAILS = (
-    ("straddle", "stored*", "*", "*",
-     "ROADMAP item 9(a): a stored YET's block is bounded by its own "
-     "longest trial, since the store does not record the YET's, so a "
-     "straddling row prices off the profile in a short block and on "
-     "lanes over the whole YET, an ulp apart"),
-)
-
 
 def _excluded(combo, rows=EXCLUDED) -> bool:
     return any(all(any(fnmatch.fnmatchcase(str(level), p)
@@ -175,11 +164,7 @@ class Cell:
 
 
 COMBOS = list(itertools.product(ROUTES, SOURCES, DISPATCHERS, BATCHES))
-CELLS = [pytest.param(Cell(*combo), marks=[
-             pytest.mark.xfail(strict=True, raises=AssertionError,
-                               reason=row[-1])
-             for row in XFAILS if _excluded(combo, [row])])
-         for combo in COMBOS if not _excluded(combo)]
+CELLS = [Cell(*combo) for combo in COMBOS if not _excluded(combo)]
 
 
 def test_every_exclusion_is_the_only_reason_for_some_combination():
@@ -352,20 +337,26 @@ DRAWS = st.tuples(st.integers(0, 7), st.booleans())
 # the rule of record, restated
 # ---------------------------------------------------------------------------
 
-def blocks_of(yet, spans) -> list:
-    """``(occurrences, bound)`` of each trial span swept: the bound is
-    the longest trial of the whole table, whatever piece of it the span
-    is (a span of the table or a MapReduce split)."""
-    counts = np.diff(yet.trial_offsets)
-    return [(int(counts[t0:t1].sum()), int(counts.max(initial=0)))
-            for t0, t1 in spans]
+def blocks_of(yet, sizes) -> list:
+    """``(occurrences, bound)`` of each block swept, from its size in
+    occurrences: the bound is the longest trial of the whole YET,
+    whatever piece of it the block is (a span of the table, a MapReduce
+    split or a stored chunk)."""
+    longest = int(np.diff(yet.trial_offsets).max(initial=0))
+    return [(int(n), longest) for n in sizes]
+
+
+def spans_of(yet, spans) -> list:
+    """:func:`blocks_of` the trial spans ``(t0, t1)``."""
+    offsets = yet.trial_offsets
+    return blocks_of(yet, [offsets[t1] - offsets[t0] for t0, t1 in spans])
 
 
 def expected_routes(kernel, blocks) -> dict:
     """Rows by route over the swept ``blocks``, by ``core/kernels.py``'s
     rule: rows sharing a stored book form a group when MIN_TAIL_GROUP
     do, and its rows inside the shift-mask bound at the block's bound
-    (:func:`blocks_of`; a stored block's own longest trial) take the
+    (:func:`blocks_of`: the whole YET's longest trial) take the
     profile while at least MIN_TAIL_GROUP of them do;
     every other row is a lane row — by events when at most 1/16 of its
     book's width pierce its retention (every row of a book whose id
@@ -440,16 +431,17 @@ class Substrates:
             store = ChunkStore(self.root / f"{shape}-{source}")
             rows = {"stored1": 1, "stored97": 97}.get(source,
                                                       yet.n_occurrences)
-            store.write_table("yet", yet.table, rows_per_chunk=rows)
+            StoredYet.write(store, "yet", yet, rows)
             self._stores[shape, source] = store
-        return StoredYet(self._stores[shape, source], "yet", yet.n_trials)
+        return StoredYet(self._stores[shape, source], "yet")
 
     @functools.lru_cache(maxsize=None)
     def stored_blocks(self, shape, source, spans) -> list:
         """What a pass over each span of the stored YET sweeps."""
         stored = self.stored(shape, source)
-        return [(seg.n_occurrences, seg.max_count) for t0, t1 in spans
-                for seg in stored.trial_blocks(t0, t1)]
+        return blocks_of(SHAPES[shape], [
+            seg.n_occurrences for t0, t1 in spans
+            for seg in stored.trial_blocks(t0, t1)])
 
     def close(self) -> None:
         for session in self._sessions.values():
@@ -478,7 +470,7 @@ def run_aggregate(cell, case, shape, subs):
         twin = Cell(cell.route, source, "degraded", cell.batch)
         _, routed, blocks = run_aggregate(twin, case, shape, subs)
         return ylts_of(result), routed, blocks
-    whole = blocks_of(yet, [(0, yet.n_trials)])
+    whole = spans_of(yet, [(0, yet.n_trials)])
     if source == "buffer7":
         kernel = PortfolioKernel.from_layers(portfolio)
         with mock.patch.object(TrialSegments, "block_occurrences", 7):
@@ -503,7 +495,7 @@ def run_aggregate(cell, case, shape, subs):
     elif source.startswith("mapreduce"):
         splits = int(source[len("mapreduce"):])
         result = MapReduceEngine(n_splits=splits).run(portfolio, yet)
-        blocks = blocks_of(yet, trial_spans(yet.n_trials, splits))
+        blocks = spans_of(yet, trial_spans(yet.n_trials, splits))
     elif source.startswith("device"):
         rows = source[len("device"):]
         result = DeviceEngine(max_rows_per_chunk=int(rows) if rows else None
@@ -513,7 +505,7 @@ def run_aggregate(cell, case, shape, subs):
         engine = (VectorizedEngine() if cell.dispatcher == "inline" else
                   MulticoreEngine.riding(subs.dispatcher(shape, "degraded")))
         result = engine.run(portfolio, yet)
-        blocks = blocks_of(yet, engine.dispatcher.spans(yet))
+        blocks = spans_of(yet, engine.dispatcher.spans(yet))
     return ylts_of(result), result.details["routed"], blocks
 
 
@@ -545,7 +537,7 @@ def run_quotes(cell, case, shape, subs):
         return ylts, routed, blocks
     after = routed()
     moved = {name: after[name] - before[name] for name in ROUTING_COUNTERS}
-    return ylts, moved, blocks_of(case.yet, service.dispatcher.spans(case.yet))
+    return ylts, moved, spans_of(case.yet, service.dispatcher.spans(case.yet))
 
 
 # ---------------------------------------------------------------------------

@@ -578,7 +578,9 @@ def test_engine_spec_and_planner_knobs_locked():
     assert keywords(ShmSlab.__init__) == ["capacity_bytes"]
     # Out-of-core is the vectorized engine over a stored source: no
     # parameter, and no door beside the host engines' ``run``.
-    assert keywords(StoredYet.__init__) == ["store", "table_name", "n_trials"]
+    assert keywords(StoredYet.__init__) == ["store", "table_name"]
+    assert keywords(StoredYet.write) == [
+        "store", "table_name", "yet", "rows_per_chunk"]
     assert not inspect.signature(VectorizedEngine).parameters
 
     def surface(cls):

@@ -297,9 +297,7 @@ class TestTransportParity:
         ``StoredYet`` cannot be: ``run`` and ``warmup`` refuse it with a
         typed error naming the open item, and stage or spawn nothing."""
         wl = small_portfolio_workload
-        store = ChunkStore(tmp_path)
-        store.write_table("yet", wl.yet.table, rows_per_chunk=97)
-        stored = StoredYet(store, "yet", wl.yet.n_trials)
+        stored = StoredYet.write(ChunkStore(tmp_path), "yet", wl.yet, 97)
         before = shm.active_segment_names()
         with PooledDispatcher(n_workers=2) as dispatcher:
             for call in (lambda: dispatcher.run(wl.portfolio.kernel(), stored),
