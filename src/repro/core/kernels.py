@@ -565,7 +565,10 @@ class PortfolioKernel:
         """Aggregate terms + participation over ``(L, n_trials)`` sums,
         into ``out`` when given (a new array otherwise)."""
         out = np.subtract(annual, self.agg_retention[:, None], out=out)
-        np.clip(out, 0.0, self.agg_limit[:, None], out=out)
+        # ``np.clip``'s answer, one bound at a time: faster than
+        # ``np.clip`` on the (L, n_trials) matrix.
+        np.maximum(out, 0.0, out=out)
+        np.minimum(out, self.agg_limit[:, None], out=out)
         out *= self.participation[:, None]
         return out
 
@@ -711,8 +714,8 @@ class PortfolioKernel:
     def _sweep_by_event(self, segments: TrialSegments,
                         rows: list) -> np.ndarray:
         """By-event ``rows`` as a ``(len(rows), n_trials)`` block: one
-        index read over every row's pierced events at once and one
-        ``bincount`` into ``row · n_trials + trial`` bins.
+        index read over every row's pierced events at once, then one
+        ``bincount`` per row over its run of the read's int32 trials.
 
         ``bincount`` adds in input order, and a row's occurrences arrive
         in (event, trial) order, so each ``(row, trial)`` bin sums
@@ -721,19 +724,17 @@ class PortfolioKernel:
         events, nets, ends = self._by_event_stack(tuple(rows))
         n_trials = segments.n_trials
         counts, trial = segments.event_index().occurrences(events)
-        bins = trial
-        if len(rows) > 1:
-            # Row i's occurrences are one contiguous run of the read.
-            # The int32 trials are added into the rows' intp offsets, so
-            # no pass widens them on the way to ``bincount``.
-            occ_ends = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=occ_ends[1:])
-            bins = np.repeat(np.arange(0, len(rows) * n_trials, n_trials),
-                             np.diff(occ_ends[ends], prepend=0))
-            bins += trial
-        sums = np.bincount(bins, weights=np.repeat(nets, counts),
-                           minlength=len(rows) * n_trials)
-        return sums.reshape(len(rows), n_trials)
+        weights = np.repeat(nets, counts)
+        # Row i's occurrences are one contiguous run of the read, from
+        # the zero-led running count of its events' occurrences.
+        occ_ends = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=occ_ends[1:])
+        bounds = occ_ends[np.concatenate(([0], ends))].tolist()
+        sums = np.empty((len(rows), n_trials))
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            sums[i] = np.bincount(trial[a:b], weights=weights[a:b],
+                                  minlength=n_trials)
+        return sums
 
     def _by_event_stack(self, rows: tuple):
         """``(events, nets, ends)`` of by-event ``rows``: their pierced

@@ -20,6 +20,7 @@ with its schema, validation, and the accessors the engines need:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -417,6 +418,11 @@ class BookProfiles:
                 "yet.profile.bytes": sum(p.nbytes for p in resident)}
 
 
+def _position_dtype(n: int) -> type:
+    """The narrowest signed type of every position in ``n`` entries."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
 def _key_dtype(entries: int, shift: int) -> type:
     """The narrowest signed type of every key ``high << shift | low``
     with ``high < entries`` and ``low < 2**shift``."""
@@ -517,11 +523,14 @@ class EventIndex:
         counts = ends[rank] - lo
         counts[~held] = 0
         # Run r's k-th occurrence sits at lo[r] + k, and is entry
-        # (cumsum - counts)[r] + k of the result.
+        # (cumsum - counts)[r] + k of the result.  Positions are int32
+        # while the index has fewer than 2**31 entries: half the bytes
+        # to repeat and to add.
         lo -= np.cumsum(counts) - counts
-        at = np.repeat(lo, counts)
-        at += np.arange(at.size)
-        return counts, keys[at]
+        at = np.repeat(lo.astype(_position_dtype(keys.size), copy=False),
+                       counts)
+        at += np.arange(at.size, dtype=at.dtype)
+        return counts, keys.take(at)
 
 
 def whole_trial_cuts(offsets: np.ndarray, bound: int) -> list[int]:
@@ -666,13 +675,16 @@ def _check_span(t_start: int, t_stop: int, n_trials: int) -> None:
             f"invalid trial range [{t_start}, {t_stop}) for {n_trials} trials")
 
 
-def trial_spans(n_trials: int, n_blocks: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def trial_spans(n_trials: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
     """``(t0, t1)`` spans cutting ``n_trials`` into ``min(n_blocks,
     n_trials)`` contiguous, near-equal, non-empty blocks of whole trials:
-    the pooled dispatcher's spans and the MapReduce engine's splits."""
+    the pooled dispatcher's spans and the MapReduce engine's splits.
+    Cut once per ``(n_trials, n_blocks)``: every later run over the same
+    trial count reads the cut it made."""
     bounds = np.linspace(0, n_trials, min(n_blocks, n_trials) + 1).astype(int)
-    return [(int(b0), int(b1))
-            for b0, b1 in zip(bounds[:-1], bounds[1:]) if b1 > b0]
+    return tuple((int(b0), int(b1))
+                 for b0, b1 in zip(bounds[:-1], bounds[1:]) if b1 > b0)
 
 
 @dataclass(frozen=True)
@@ -968,7 +980,8 @@ class StoredYet:
     Resident: the offsets plus one chunk.  Bad offsets, a chunk ending
     inside a trial, or event ids that are not non-negative int32 raise
     :class:`~repro.errors.EngineError` naming the table and the chunk.
-    :meth:`cache_levels` counts the last pass.
+    :meth:`cache_levels` counts the chunks and rows of the last pass:
+    one run, whatever its spans.
     """
 
     def __init__(self, store: ChunkStore, table_name: str) -> None:
@@ -1006,17 +1019,26 @@ class StoredYet:
         return cls(store, table_name)
 
     def cache_levels(self) -> dict:
-        """Flat ``yet.store.*`` levels of the last pass."""
+        """Flat ``yet.store.*`` levels of the last pass: every chunk (and
+        its rows) read since a span from trial 0 began one."""
         return {"yet.store.chunks_read": self.chunks_read,
                 "yet.store.rows_read": self.rows_read}
 
     def trial_blocks(self, t_start: int, t_stop: int):
         """Per chunk, the block of its trials in ``[t_start, t_stop)``,
         renumbered from the first (a chunk takes the empty trials after
-        its rows, so one of no rows may hold none, and yields nothing)."""
+        its rows, so one of no rows may hold none, and yields nothing).
+
+        A span ending before the last trial stops at the chunk holding
+        its last trial; one ending at the last trial reads every chunk,
+        and checks that the offsets end where the chunks do.  A span
+        from trial 0 starts a pass: :meth:`cache_levels` counts every
+        chunk read since, so a run's count covers all its spans."""
         _check_span(t_start, t_stop, self.n_trials)
         offsets, where = self.trial_offsets, f"stored table {self.table_name!r}"
-        self.chunks_read = self.rows_read = first = 0
+        if t_start == 0:
+            self.chunks_read = self.rows_read = 0
+        first = rows = 0
         for ordinal, chunk in enumerate(self.store.iter_chunks(self.table_name)):
             at = f"{where}, chunk {ordinal}"
             events = _stored_column(chunk, "event_id", _ID, at)
@@ -1024,9 +1046,10 @@ class StoredYet:
                 raise EngineError(f"{at}: negative event id")
             self.chunks_read += 1
             self.rows_read += events.size
-            last = int(np.searchsorted(offsets, self.rows_read, "right")) - 1
-            if offsets[last] != self.rows_read:
-                raise EngineError(f"{at}: ends at row {self.rows_read}, "
+            rows += events.size
+            last = int(np.searchsorted(offsets, rows, "right")) - 1
+            if offsets[last] != rows:
+                raise EngineError(f"{at}: ends at row {rows}, "
                                   f"inside a trial or past the last")
             a, b = max(first, t_start), min(last, t_stop)
             if a < b:
@@ -1036,6 +1059,8 @@ class StoredYet:
                 block.max_count = self.max_count
                 yield block
             first = last
+            if t_stop < self.n_trials and first >= t_stop:
+                return
         if first != self.n_trials:
             raise EngineError(f"{where}, trial offsets: end at row "
                               f"{self.n_occurrences}, past the rows stored")

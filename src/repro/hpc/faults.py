@@ -8,7 +8,7 @@ the equivalent story here — worker deaths, deadline overruns, corrupted
 payloads, and leaked shared-memory segments are injected on demand,
 deterministically, and the suite asserts the answers come back
 bit-identical anyway, and what recovery cost in counts (deaths,
-executor cycles, retries, YET stagings, kernel packs).
+worker replacements, retries, YET stagings, kernel packs).
 
 A :class:`FaultPlan` is a seeded list of :class:`FaultSpec` injections
 keyed by the pool's global task sequence number: *"kill the worker
@@ -275,8 +275,8 @@ def apply_fault(spec: FaultSpec, fn, *args):
     """Run ``fn(*args)`` under one injection (picklable task wrapper).
 
     ``kill`` exits the worker process hard (no cleanup, no exception —
-    the executor observes a vanished worker exactly as it would a
-    SIGKILL'd one); ``delay`` sleeps first, which is how deadline
+    the pool sees a vanished worker exactly as it would a SIGKILL'd
+    one); ``delay`` sleeps first, which is how deadline
     overruns are manufactured; ``poison`` raises
     :class:`PoisonedPayloadError` in place of running the task.
     """

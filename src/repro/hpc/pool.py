@@ -8,37 +8,59 @@ runs go to workers at all is the dispatcher's decision
 a degraded pool and a run on a host without shared memory in process —
 parallelism in this library never changes answers, only wall time.
 
-Worker processes are spawned lazily on first use and reused across
-calls; :meth:`WorkPool.close` (or the context manager) is the shutdown
-path.  A task names its whole input: a large payload rides each task as
+Placement
+---------
+The pool is ``n_workers`` forked processes, started lazily on first use
+and reused across calls; :meth:`WorkPool.close` (or the context
+manager) is the shutdown path.  Worker ``i`` owns a duplex pipe of its
+own and is pinned (``os.sched_setaffinity``) to CPU ``i mod k`` of the
+``k`` CPUs the parent may run on; where the host has no affinity call
+it runs unpinned.  :meth:`WorkPool.starmap` sends task ``i`` to worker
+``i mod n_workers``, one task in flight per worker, so a dispatcher's
+``n`` spans run one per worker every call — no shared queue can hand
+two spans to one worker — and, with no more workers than CPUs, no two
+workers share a CPU.  The calling thread sends each worker its task
+and then waits, on every busy worker's pipe and process sentinel at
+once, for the replies, which carry their task's index.
+
+A task names its whole input: a large payload rides each task as
 shared-memory handles (:mod:`repro.hpc.shm`), a few hundred bytes, which
 the worker attaches and keeps (see :mod:`repro.serve.dispatch`), so any
 worker, a fresh one after a death too, runs any task as it was
-submitted.
+submitted.  A forked worker closes its copies of every worker pipe's
+parent end (its own included), so the one process holding the parent
+end of a pipe is the parent, and a worker whose parent closed its pipe
+or died sees the end of it.
 
 Failure semantics
 -----------------
 Tasks submitted through :meth:`WorkPool.starmap` are **supervised**.  A
 call names only its deadline; the rest is decided here, as the module
 constants :data:`MAX_RETRIES`, :data:`BACKOFF_SECONDS`,
-:data:`BACKOFF_JITTER`, :data:`RETRYABLE` and :data:`DEGRADE_AFTER`:
+:data:`BACKOFF_JITTER`, :data:`RETRYABLE` and :data:`DEGRADE_AFTER`.
+Each attempt sends the tasks still pending and waits once, under the
+call's ``deadline_seconds``:
 
-- A worker death (``BrokenProcessPool``) loses only the tasks that had
-  not finished: the executor is cycled and the lost tasks, which name
-  their inputs, are resubmitted as they are after a jittered
-  exponential backoff.  Tasks must therefore be idempotent — every task
-  in this library is a pure function of its arguments, so re-execution
-  is the MapReduce recovery story applied to the in-node pool.
-- A batch that misses the call's ``deadline_seconds`` is treated as a
-  wedged pool: already-finished results are kept, the executor is shut
-  down without waiting, and only the unfinished tasks are resubmitted.
+- A worker death loses only that worker's unfinished tasks: the worker
+  is replaced in its own slot, on its own CPU, and its lost tasks,
+  which name their inputs, are resubmitted to the replacement as they
+  are after a jittered exponential backoff; the other workers' answers
+  are kept.  Tasks must therefore be idempotent — every task in this
+  library is a pure function of its arguments, so re-execution is the
+  MapReduce recovery story applied to the in-node pool.
+- A worker still busy when the deadline passes is wedged: it is killed
+  and replaced the same way, and only its unfinished tasks are
+  resubmitted.
 - Exceptions *raised by a task* are retried only when they are
   :data:`RETRYABLE` (transient-by-nature failures such as an injected
   :class:`~repro.hpc.faults.PoisonedPayloadError`); anything else is a
-  genuine error and propagates unchanged.
+  genuine error and propagates unchanged, once every task in flight has
+  replied (or been killed at the deadline), so no reply is left in a
+  pipe for the next call to read.
 - When one task exhausts :data:`MAX_RETRIES` the call fails terminally
   with a typed :class:`~repro.errors.ExecutionError` carrying the whole
-  failure chain — never a bare executor traceback.
+  failure chain — a death is a ``BrokenProcessPool`` there, a wedge a
+  ``TimeoutError``.
 - After :data:`DEGRADE_AFTER` *consecutive* terminal call failures the
   pool flips :attr:`PoolHealth.degraded`, and the pooled dispatcher
   sweeps every later run in process: answers stay bit-identical, wall
@@ -47,18 +69,23 @@ constants :data:`MAX_RETRIES`, :data:`BACKOFF_SECONDS`,
   path back to pooled execution.
 
 :attr:`WorkPool.health` (a :class:`PoolHealth`) records deaths, retries,
-timeouts, cycles, and the degraded flag for callers up the stack.
+timeouts, replacements, and the degraded flag for callers up the stack.
 Deterministic fault injection for all of the above lives in
 :mod:`repro.hpc.faults` and is consulted only when a plan is installed.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import itertools
+import multiprocessing
 import os
 import random
+import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError, ExecutionError
@@ -81,6 +108,16 @@ RETRYABLE = (faults.PoisonedPayloadError,)
 #: Consecutive terminal call failures before the pool degrades.
 DEGRADE_AFTER = 3
 
+#: Seconds :meth:`WorkPool.close` waits for a stopped worker to exit
+#: before killing it.
+_JOIN_SECONDS = 1.0
+
+_FORK = multiprocessing.get_context("fork")
+
+#: The parent end of every live worker's pipe, of every pool in this
+#: process: a forked worker closes its copies of them all (:func:`_serve`).
+_PARENT_ENDS: set = set()
+
 
 def available_parallelism() -> int:
     """Usable worker count on this host."""
@@ -88,6 +125,16 @@ def available_parallelism() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
+
+
+def _worker_cpus(n_workers: int) -> list:
+    """The CPU each worker slot is pinned to: ``i mod k`` of the ``k``
+    CPUs this process may run on, or ``None`` (unpinned) where the host
+    has no affinity call."""
+    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
+        return [None] * n_workers
+    cpus = sorted(os.sched_getaffinity(0))
+    return [cpus[i % len(cpus)] for i in range(n_workers)]
 
 
 class PoolHealth:
@@ -109,7 +156,8 @@ class PoolHealth:
     the state only.
     """
 
-    #: Registry counters, exported as ``pool.<name>``.
+    #: Registry counters, exported as ``pool.<name>``
+    #: (``executor_cycles`` counts the attempts that replaced a worker).
     _COUNTER_FIELDS = ("worker_deaths", "timeouts", "retries",
                        "task_faults", "executor_cycles", "calls",
                        "call_failures", "degraded_calls")
@@ -165,12 +213,71 @@ class PoolHealth:
         self.last_error = None
 
 
-def _noop(_i: int) -> None:
-    """Warm-up barrier task (see :meth:`WorkPool.ensure_started`)."""
+
+
+def _serve(conn, cpu: int | None) -> None:
+    """A worker's life: close the inherited parent ends, pin to ``cpu``,
+    then run each ``(index, fn, args)`` the pipe brings and reply
+    ``(index, True, result)`` or ``(index, False, exception)``, until
+    ``None`` or the end of the pipe."""
+    for end in _PARENT_ENDS:
+        end.close()
+    _PARENT_ENDS.clear()
+    if cpu is not None:
+        with contextlib.suppress(OSError):   # a CPU taken away since
+            os.sched_setaffinity(0, (cpu,))
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        index, fn, args = task
+        try:
+            reply = (index, True, fn(*args))
+        except Exception as exc:
+            reply = (index, False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:    # a result or an error that won't pickle
+            conn.send((index, False, RuntimeError(
+                f"task {index}'s reply did not pickle: {exc!r}")))
+
+
+class _Worker:
+    """One slot's forked process and the parent end of its pipe."""
+
+    __slots__ = ("process", "conn")
+
+    def __init__(self, cpu: int | None) -> None:
+        self.conn, child = _FORK.Pipe()
+        _PARENT_ENDS.add(self.conn)
+        try:
+            self.process = _FORK.Process(target=_serve, args=(child, cpu),
+                                         daemon=True)
+            self.process.start()
+        except BaseException:
+            self.retire()
+            raise
+        finally:
+            child.close()
+
+    def retire(self) -> None:
+        """Close the pipe and reap the process, killing it first if it
+        still runs (a worker wedged past a deadline, or one that would
+        not stop)."""
+        _PARENT_ENDS.discard(self.conn)
+        self.conn.close()
+        process = getattr(self, "process", None)
+        if process is not None and process.pid is not None:
+            if process.is_alive():
+                process.kill()
+            process.join()
 
 
 class WorkPool:
-    """Run tasks on worker processes, supervised.
+    """Run tasks on pinned worker processes, supervised.
 
     Parameters
     ----------
@@ -185,9 +292,9 @@ class WorkPool:
     -----
     Tasks must be picklable top-level callables, and idempotent:
     supervision re-executes lost tasks (see the module docstring's
-    failure semantics).  The process pool is created lazily on the
-    first call and reused until :meth:`close`;
-    ``with WorkPool(...) as pool:`` closes it on exit.
+    failure semantics).  The workers are forked on the first call and
+    reused until :meth:`close`; ``with WorkPool(...) as pool:`` closes
+    them on exit.  Calls from several threads take turns.
     """
 
     def __init__(self, n_workers: int | None = None, *,
@@ -199,25 +306,18 @@ class WorkPool:
         self._m_faults_injected = self.telemetry.counter(
             "pool.faults_injected")
         self._m_call_seconds = self.telemetry.histogram("pool.call.seconds")
-        self._executor: ProcessPoolExecutor | None = None
+        #: Slot ``i``'s CPU, fixed for the pool's life: a replacement
+        #: runs where the worker it replaces ran.
+        self._cpus = _worker_cpus(self.n_workers)
+        #: One :class:`_Worker` per slot (``None``: to be forked), or
+        #: ``None`` until the pool starts.
+        self._workers: list | None = None
+        self._lock = threading.Lock()
         #: Global task ordinal (fault plans key injections off this).
         self._task_seq = itertools.count()
         self._rng = random.Random(0)
 
     # -- lifecycle ---------------------------------------------------------
-
-    def _executor_handle(self) -> ProcessPoolExecutor:
-        """The persistent executor, (re)built lazily.
-
-        A broken executor (a worker died mid-task) is cycled, so a lost
-        worker costs one call, not the pool's lifetime.
-        """
-        if self._executor is not None and getattr(self._executor, "_broken",
-                                                  False):
-            self.close()
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-        return self._executor
 
     @property
     def started(self) -> bool:
@@ -226,20 +326,27 @@ class WorkPool:
         Planners read this to decide whether a pooled substrate still
         owes its spawn cost or is warm and effectively free to enter.
         """
-        return self._executor is not None
+        return self._workers is not None
+
+    def _start(self) -> list:
+        """The workers, forking any slot that has none (every slot on
+        first use, a dead or wedged worker's slot after it)."""
+        if self._workers is None:
+            self._workers = [None] * self.n_workers
+        for slot, worker in enumerate(self._workers):
+            if worker is None:
+                self._workers[slot] = _Worker(self._cpus[slot])
+        return self._workers
 
     def ensure_started(self) -> None:
-        """Pre-spawn the worker processes (idempotent warm-up).
+        """Fork the worker processes now (idempotent warm-up).
 
-        Worker spawn costs tens to hundreds of milliseconds — a
-        latency-sensitive caller (the serving layer's pooled dispatcher)
-        pays it here, outside any request's SLO window, instead of
-        inside the first batch.  The executor alone is not enough —
-        ``ProcessPoolExecutor`` forks lazily on submission — so a round
-        of no-op barrier tasks forces the processes to actually start
-        now.
+        A latency-sensitive caller (the serving layer's pooled
+        dispatcher) pays the fork here, outside any request's SLO
+        window, instead of inside the first batch.
         """
-        list(self._executor_handle().map(_noop, range(self.n_workers)))
+        with self._lock:
+            self._start()
 
     def reset_health(self) -> None:
         """Forget failure history and leave degraded mode (operator path
@@ -248,29 +355,20 @@ class WorkPool:
         self.health.reset()
 
     def close(self) -> None:
-        """Shut down worker processes (idempotent).
+        """Stop and reap the worker processes (idempotent).
 
-        A *broken* executor is shut down with ``wait=False`` and its
-        pending futures cancelled: there are no live workers left to
-        wait on, and joining a dead pool's manager thread while it still
-        holds queued work is how a session ``close()`` used to hang.
+        Every worker is told to stop at once, then each is joined; one
+        that has not exited within a second is killed.
         """
-        if self._executor is not None:
-            broken = bool(getattr(self._executor, "_broken", False))
-            self._executor.shutdown(wait=not broken, cancel_futures=broken)
-            self._executor = None
-
-    def _abandon_executor(self) -> None:
-        """Drop the executor without waiting (supervision's cycle path).
-
-        Used when the pool is broken *or wedged past a deadline*: a
-        worker stuck in a slow task must not be joined — the fresh
-        executor takes over and the stragglers exit when their queue
-        drains.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        with self._lock:
+            workers = [w for w in self._workers or () if w is not None]
+            self._workers = None
+            for worker in workers:
+                with contextlib.suppress(OSError):
+                    worker.conn.send(None)
+            for worker in workers:
+                worker.process.join(_JOIN_SECONDS)
+                worker.retire()
 
     def __enter__(self) -> "WorkPool":
         return self
@@ -280,29 +378,17 @@ class WorkPool:
 
     # -- supervised execution ----------------------------------------------
 
-    def _submit_one(self, executor, fn, args):
-        """Submit one task attempt, applying any scheduled fault."""
-        spec = None
-        plan = faults.active_plan()
-        if plan is not None:
-            spec = plan.take(next(self._task_seq))
-        if spec is not None:
-            self._m_faults_injected.inc()
-            self.telemetry.event("fault.injected", kind=spec.kind,
-                                 task_seq=spec.task_seq)
-            return executor.submit(faults.apply_fault, spec, fn, *args)
-        return executor.submit(fn, *args)
-
     def starmap(self, fn: Callable, arg_tuples: Iterable[tuple],
                 deadline_seconds: float | None = None) -> list:
-        """``[fn(*args) for args in arg_tuples]``, each task on a worker.
+        """``[fn(*args) for args in arg_tuples]``, task ``i`` on worker
+        ``i mod n_workers``.
 
         ``deadline_seconds`` bounds each attempt's wait (``None`` = no
-        deadline): a missed deadline keeps the finished results, cycles
-        the executor and resubmits the rest — a retry, not a terminal
-        failure, until a task's :data:`MAX_RETRIES` run out.  A cycle
-        resubmits only the unfinished tasks, so a lost worker costs one
-        re-execution of its in-flight tasks, never the whole batch.
+        deadline): a missed deadline keeps the finished results,
+        replaces the wedged workers and resubmits their tasks — a retry,
+        not a terminal failure, until a task's :data:`MAX_RETRIES` run
+        out.  A death likewise costs one re-execution of the dead
+        worker's unfinished tasks, never the whole batch.
         """
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ConfigurationError(
@@ -315,75 +401,143 @@ class WorkPool:
         self.health.count("calls")
         call_start = time.perf_counter()
         try:
-            for cycle in itertools.count():
-                executor = self._executor_handle()
-                submitted = []
-                infra: BaseException | None = None
-                for i in pending:
-                    attempts[i] += 1
-                    try:
-                        submitted.append(
-                            (i, self._submit_one(executor, fn, tuples[i])))
-                    except BrokenExecutor as exc:
-                        # Workers died during submission (e.g. killed at
-                        # init): everything unsubmitted is lost this
-                        # cycle, and only what is done already is kept.
-                        infra = exc
-                        break
-                done = wait([f for _, f in submitted],
-                            timeout=0.0 if infra else deadline_seconds).done
-                lost = pending[len(submitted):]
-                unfinished = 0
-                for i, future in submitted:
-                    if future not in done:
-                        future.cancel()
-                        unfinished += 1
-                        lost.append(i)
-                        continue
-                    try:
-                        results[i] = future.result()
-                    except BrokenExecutor as exc:
-                        infra = infra or exc
-                        lost.append(i)
-                    except RETRYABLE as exc:
-                        self.health.count("task_faults")
-                        failures.append(exc)
-                        lost.append(i)
-                    # any other exception is a genuine task error and
-                    # propagates as is: not supervision's to eat
-                if infra is not None:
-                    self.health.count("worker_deaths")
-                elif unfinished:
-                    self.health.count("timeouts")
-                    infra = TimeoutError(
-                        f"batch deadline of {deadline_seconds}s exceeded "
-                        f"with {unfinished} tasks unfinished")
-                if infra is not None:
-                    failures.append(infra)
-                pending = lost
-                if not pending:
-                    self.health.record_success()
-                    return results
-                exhausted = [i for i in pending if attempts[i] > MAX_RETRIES]
-                if exhausted:
-                    error = ExecutionError(
-                        f"{len(exhausted)} task(s) failed terminally after "
-                        f"{MAX_RETRIES} retr"
-                        f"{'y' if MAX_RETRIES == 1 else 'ies'} "
-                        f"(chain: {[type(f).__name__ for f in failures]})",
-                        attempts=max(attempts[i] for i in exhausted),
-                        failures=tuple(failures),
-                    )
-                    self.health.record_call_failure(error)
-                    if infra is not None:
-                        self._abandon_executor()
-                    raise error
-                self.health.count("retries", len(pending))
-                if infra is not None:
-                    # Worker death or wedged batch: cycle the executor.
-                    self.health.count("executor_cycles")
-                    self._abandon_executor()
-                time.sleep(min(BACKOFF_SECONDS * 2 ** cycle, 1.0)
-                           * (1.0 + BACKOFF_JITTER * self._rng.random()))
+            with self._lock:
+                for cycle in itertools.count():
+                    for i in pending:
+                        attempts[i] += 1
+                    pending = self._attempt(fn, tuples, pending, results,
+                                            failures, deadline_seconds)
+                    if not pending:
+                        self.health.record_success()
+                        return results
+                    exhausted = [i for i in pending
+                                 if attempts[i] > MAX_RETRIES]
+                    if exhausted:
+                        error = ExecutionError(
+                            f"{len(exhausted)} task(s) failed terminally "
+                            f"after {MAX_RETRIES} retr"
+                            f"{'y' if MAX_RETRIES == 1 else 'ies'} (chain: "
+                            f"{[type(f).__name__ for f in failures]})",
+                            attempts=max(attempts[i] for i in exhausted),
+                            failures=tuple(failures),
+                        )
+                        self.health.record_call_failure(error)
+                        raise error
+                    self.health.count("retries", len(pending))
+                    time.sleep(min(BACKOFF_SECONDS * 2 ** cycle, 1.0)
+                               * (1.0 + BACKOFF_JITTER * self._rng.random()))
         finally:
             self._m_call_seconds.observe(time.perf_counter() - call_start)
+
+    def _attempt(self, fn: Callable, tuples: list, pending: list,
+                 results: list, failures: list,
+                 deadline_seconds: float | None) -> list:
+        """One attempt at the ``pending`` tasks: each worker is sent its
+        tasks one at a time, and one wait on every busy worker's pipe and
+        sentinel collects the replies until all are in or the deadline
+        passes.  Fills ``results``, appends to ``failures`` what was
+        lost and why, and returns the lost task indices, sorted: those of
+        a dead or wedged worker (which is replaced) and the tasks that
+        raised a :data:`RETRYABLE` error.  A task's other error is raised
+        once nothing is left in flight."""
+        workers = self._start()
+        n = len(workers)
+        queues = [collections.deque() for _ in range(n)]
+        plan = faults.active_plan()
+        for i in pending:
+            task = (i, fn, tuples[i])
+            spec = None if plan is None else plan.take(next(self._task_seq))
+            if spec is not None:
+                self._m_faults_injected.inc()
+                self.telemetry.event("fault.injected", kind=spec.kind,
+                                     task_seq=spec.task_seq)
+                task = (i, faults.apply_fault, (spec, fn, *tuples[i]))
+            queues[i % n].append(task)
+        lost: list[int] = []
+        error: BaseException | None = None
+        busy: dict[int, int] = {}        # slot -> the index it is running
+        replaced = 0
+
+        def lose(slot: int) -> None:
+            # The worker goes; the next attempt forks its replacement,
+            # in its slot and so on its CPU.
+            nonlocal replaced
+            lost.append(busy.pop(slot))
+            lost.extend(task[0] for task in queues[slot])
+            queues[slot].clear()
+            workers[slot].retire()
+            workers[slot] = None
+            replaced += 1
+
+        def feed(slot: int) -> None:
+            # Once a task has raised, nothing more is sent.
+            if queues[slot] and error is None:
+                task = queues[slot].popleft()
+                busy[slot] = task[0]
+                try:
+                    workers[slot].conn.send(task)
+                except OSError as exc:   # the worker died between calls
+                    self.health.count("worker_deaths")
+                    failures.append(BrokenProcessPool(
+                        f"worker {slot} is gone: {exc}"))
+                    lose(slot)
+
+        end = (None if deadline_seconds is None
+               else time.monotonic() + deadline_seconds)
+        try:
+            for slot in range(n):
+                feed(slot)
+            while busy:
+                ready = set(wait(
+                    [w for slot in busy
+                     for w in (workers[slot].conn,
+                               workers[slot].process.sentinel)],
+                    None if end is None else max(0.0, end - time.monotonic())))
+                if not ready:
+                    break
+                for slot in list(busy):
+                    worker = workers[slot]
+                    if worker.conn in ready:
+                        try:
+                            index, ok, value = worker.conn.recv()
+                        except (EOFError, OSError):
+                            pass        # died: its sentinel is ready too
+                        else:
+                            del busy[slot]
+                            if ok:
+                                results[index] = value
+                            elif isinstance(value, RETRYABLE):
+                                self.health.count("task_faults")
+                                failures.append(value)
+                                lost.append(index)
+                            elif error is None:
+                                # Not supervision's to eat: raised
+                                # below, once every pipe is drained.
+                                error = value
+                            feed(slot)
+                            continue
+                    if worker.process.sentinel in ready or worker.conn in ready:
+                        lose(slot)
+                        self.health.count("worker_deaths")
+                        failures.append(BrokenProcessPool(
+                            f"worker {slot} (pid {worker.process.pid}) died "
+                            f"with exit code {worker.process.exitcode}"))
+        except BaseException:
+            # A task that would not pickle, or an interrupt: no busy
+            # worker's reply may reach the next call.
+            for slot in list(busy):
+                lose(slot)
+            raise
+        if busy:
+            # Past the deadline: every worker still busy is wedged.
+            self.health.count("timeouts")
+            failures.append(TimeoutError(
+                f"batch deadline of {deadline_seconds}s exceeded with "
+                f"{len(busy)} worker(s) busy"))
+            for slot in list(busy):
+                lose(slot)
+        if replaced:
+            self.health.count("executor_cycles")
+        if error is not None:
+            raise error
+        return sorted(lost)

@@ -7,14 +7,20 @@ one door from a kernel to an answer: a quote batch hands its dispatcher
 the stacked batch kernel, and the host engines (``vectorized`` /
 ``multicore``, one implementation — :mod:`repro.core.engines.host`)
 hand theirs the portfolio's.  A run is
-:func:`_sweep_trials` over the dispatcher's :meth:`~Dispatcher.spans`,
-and the two substrates differ in where the spans execute:
+:func:`_sweep_trials` over the dispatcher's :meth:`~Dispatcher.spans`
+(cut once per trial count: :func:`~repro.core.tables.trial_spans`
+keeps its cuts, so a warm run only looks them up), and the two
+substrates differ in where the spans execute:
 
 - :class:`InlineDispatcher` — one span, the whole trial set, on the
   calling thread.  Lowest latency; what a single-node service runs.
 - :class:`PooledDispatcher` — one span per
   :class:`~repro.hpc.pool.WorkPool` worker; the one pooled execution
-  path.  Its payload rides the zero-copy shared-memory data plane
+  path.  Span ``i`` runs on worker ``i``, which is pinned to a CPU of
+  its own and reached over a pipe of its own, every run: a pooled run
+  costs its slowest span plus one pipe round trip, and each worker
+  derives (and keeps) only its own span's index and profiles.  Its
+  payload rides the zero-copy shared-memory data plane
   (:mod:`repro.hpc.shm`), the one transport.  A block task names its
   whole input as handles, and a worker owns no segment: for each role
   a task names — the YET, the kernel, the output — it holds the one
@@ -52,9 +58,10 @@ and the two substrates differ in where the spans execute:
     lock once every block is in.  A worker holds its view of the matrix
     by the output handle, so a new shape or segment replaces it.  No
     block is pickled back or concatenated.  A worker killed mid-write is
-    rewritten by its retry (the bytes are the same); one abandoned past
-    a deadline may still write later, so a run in which
-    ``pool.timeouts`` moved leaves the output slab on a fresh segment.
+    rewritten by its replacement's retry (the bytes are the same); a
+    worker wedged past a deadline is killed the same way, and a run in
+    which ``pool.timeouts`` moved leaves the output slab on a fresh
+    segment all the same.
 
   Every other pooled run sweeps its spans in process, on the calling
   thread, with bit-identical results — the pool itself has no serial
@@ -71,8 +78,9 @@ Failure semantics
 -----------------
 Pooled batches run under the supervised :class:`~repro.hpc.pool.WorkPool`
 contract (see its module docstring): a worker death or deadline miss
-resubmits only the lost trial blocks — idempotent pure functions, so the
-final matrix is bit-identical to a fault-free run — and a terminal
+resubmits only the dead or wedged worker's trial blocks, to its
+replacement on the same CPU — idempotent pure functions, so the final
+matrix is bit-identical to a fault-free run — and a terminal
 failure surfaces as a typed :class:`~repro.errors.ExecutionError`
 carrying the whole failure chain.  A caller names only a per-run
 deadline, ``Dispatcher.run(kernel, yet, deadline_seconds=)`` (the
@@ -165,10 +173,10 @@ class Dispatcher:
         for in-process substrates, which have no workers to lose)."""
         return None
 
-    def spans(self, yet: YetTable | StoredYet) -> list[tuple[int, int]]:
+    def spans(self, yet: YetTable | StoredYet) -> tuple[tuple[int, int], ...]:
         """The trial-block decomposition a run over ``yet`` executes:
         ``(t0, t1)`` trial spans — in process, the whole trial set."""
-        return [(0, yet.n_trials)]
+        return ((0, yet.n_trials),)
 
     def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
             deadline_seconds: float | None = None) -> np.ndarray:
@@ -409,9 +417,9 @@ class PooledDispatcher(Dispatcher):
             self._stage(yet)
             self.pool.ensure_started()
 
-    def spans(self, yet: YetTable | StoredYet) -> list[tuple[int, int]]:
+    def spans(self, yet: YetTable | StoredYet) -> tuple[tuple[int, int], ...]:
         """One span per worker (capped by trial count), pooled or
-        degraded."""
+        degraded: span ``i`` runs on worker ``i``."""
         return trial_spans(yet.n_trials, self.pool.n_workers)
 
     def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
@@ -463,8 +471,8 @@ class PooledDispatcher(Dispatcher):
                 return output.attach().copy()
             finally:
                 if self.pool.health.totals["timeouts"] != timeouts:
-                    # A worker abandoned past its deadline may still
-                    # write: leave it a generation nobody reads.
+                    # A worker wedged past its deadline was killed where
+                    # it stood: the next run writes a fresh generation.
                     self._output.roll()
                 self._m_output_generations.set(self._output.generations)
 

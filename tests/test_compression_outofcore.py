@@ -27,6 +27,7 @@ from repro.data.schema import Schema
 from repro.data.serialization import pack_table
 from repro.data.store import ChunkStore
 from repro.errors import EngineError, StorageError
+from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 from repro.session import RiskSession
 
 
@@ -341,6 +342,26 @@ class TestOutOfCoreEngine:
             assert metrics[name] > 0, name
         assert metrics["yet.store.chunks_read"] == n_chunks
         assert metrics["yet.store.rows_read"] == yet.n_occurrences
+
+    def test_a_span_reads_up_to_its_last_trials_chunk(self, tmp_path):
+        """A degraded 4-worker run sweeps a 16-chunk stored YET in four
+        spans: each reads up to the chunk holding its last trial (4, 8,
+        12 and 16 chunks), and the run's levels count all 40 reads."""
+        portfolio, yet = mixed_portfolio(), yet_of(np.full(64, 5))
+        store = write_stored(tmp_path, yet, 20)
+        assert len(store.chunk_paths("yet")) == 16
+        stored = StoredYet(store, "yet")
+        with PooledDispatcher(n_workers=4) as dispatcher:
+            dispatcher.pool.health.degraded = True
+            assert len(dispatcher.spans(stored)) == 4
+            final = dispatcher.run(portfolio.kernel(), stored)
+            metrics = dispatcher.telemetry.snapshot()["metrics"]
+            assert not dispatcher.pool.started
+        np.testing.assert_array_equal(
+            final, InlineDispatcher().run(portfolio.kernel(), yet))
+        assert stored.cache_levels() == {"yet.store.chunks_read": 40,
+                                         "yet.store.rows_read": 40 * 20}
+        assert metrics["yet.store.chunks_read"] == 40
 
     def test_each_engine_takes_its_own_source(self, tiny_workload, tmp_path):
         """``vectorized`` reads either source; ``multicore`` reads a YET

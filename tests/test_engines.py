@@ -19,7 +19,7 @@ from repro.core.engines import (
     engine_class,
     get_engine,
 )
-from repro.core.tables import EltTable, YltTable
+from repro.core.tables import EltTable, EventIndex, YltTable
 from repro.core.terms import LayerTerms
 from repro.core.layer import Layer
 from repro.core.lookup import effective_width
@@ -547,6 +547,27 @@ class TestMapReduceEngine:
         assert sum(plane[name] for name in routed) == sum(routed.values())
         assert plane["kernel.lane_rows.by_event"] + plane[
             "kernel.lane_rows.by_stream"] > 0
+
+    def test_repeat_jobs_build_each_split_index_once(
+            self, small_portfolio_workload, monkeypatch):
+        """The engine keeps the splits of the DFS path it read: three
+        jobs over one YET at eight splits build eight event indexes, one
+        per split, not twenty-four, and answer alike."""
+        wl = small_portfolio_workload
+        built = []
+        build = EventIndex.__init__
+
+        def counted(index, segments):
+            built.append(segments.n_trials)
+            build(index, segments)
+
+        monkeypatch.setattr(EventIndex, "__init__", counted)
+        engine = MapReduceEngine(n_splits=8)
+        first = engine.run(wl.portfolio, wl.yet)
+        for _ in range(2):
+            _assert_layers_equal(engine.run(wl.portfolio, wl.yet), first)
+        assert len(built) == 8
+        assert sum(built) == wl.yet.n_trials
 
     def test_reused_object_id_reads_the_new_yet(self):
         """The DFS input is keyed by content: alternating two YETs that

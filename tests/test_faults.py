@@ -17,15 +17,18 @@ the pool's module constant.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
-from conftest import multicore
+from conftest import multicore, worker_probes
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc import pool as supervision
 from repro.hpc.faults import FaultPlan, FaultSpec, PoisonedPayloadError
 from repro.hpc.pool import WorkPool
+from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 
 pytestmark = pytest.mark.chaos
 
@@ -48,6 +51,11 @@ def _scale(factor, x):
 def _squares(*xs):
     """``_square``'s task tuples over ``xs``."""
     return [(x,) for x in xs]
+
+
+def _placement(yet):  # pragma: no cover - in a worker
+    """A worker's CPUs and the trial spans its YET copy keeps."""
+    return sorted(os.sched_getaffinity(0)), sorted(yet._spans)
 
 
 def _metrics(owner) -> dict:
@@ -154,9 +162,17 @@ class TestPoolRecovery:
     def test_poison_not_retryable_propagates(self, monkeypatch):
         monkeypatch.setattr(supervision, "RETRYABLE", ())
         with WorkPool(n_workers=2) as pool:
-            with faults.inject(FaultPlan.poison_task(0)):
+            pids = pool.starmap(os.getpid, [(), ()])
+            plan = FaultPlan([FaultSpec("poison", 0),
+                              FaultSpec("delay", 1, delay_seconds=0.2)])
+            with faults.inject(plan):
                 with pytest.raises(PoisonedPayloadError):
                     pool.starmap(_square, _squares(1, 2, 3))
+            # the error was raised once task 1, still running, replied:
+            # no worker was lost to it, and none of that call's replies
+            # reaches this one
+            assert pool.starmap(_square, _squares(4, 5, 6)) == [16, 25, 36]
+            assert pool.starmap(os.getpid, [(), ()]) == pids
 
     def test_orphan_is_reclaimable(self):
         with WorkPool(n_workers=2) as pool:
@@ -254,7 +270,7 @@ class TestEngineChaos:
                     baseline.ylt_by_layer[lid].losses,
                     recovered.ylt_by_layer[lid].losses)
             assert recovered.details["degraded"] is False
-            # recovery in counts, not ms: one death, one fresh executor,
+            # recovery in counts, not ms: one death, one replaced worker,
             # and the YET is not staged again: the resubmitted task names
             # the staged handles
             after = _metrics(engine.dispatcher.pool)
@@ -267,6 +283,33 @@ class TestEngineChaos:
             assert engine.dispatcher.payload_ships == ships
             if shm.shm_available():
                 assert shm.active_segment_names() == segments
+
+    def test_a_killed_workers_span_reruns_on_its_replacement_and_cpu(
+            self, small_portfolio_workload):
+        """The worker running span 1 dies: its replacement, in slot 1 on
+        slot 1's CPU, reruns span 1 alone — worker 0 and its span are
+        untouched — and the answer is bit-identical."""
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+        with PooledDispatcher(n_workers=2) as d:
+            clean = d.run(kernel, wl.yet)
+            spans = d.spans(wl.yet)
+            before = d.pool.starmap(os.getpid, [(), ()])
+            placed = worker_probes(d, _placement)
+            with faults.inject(FaultPlan.kill_task(1)) as plan:
+                recovered = d.run(kernel, wl.yet)
+            assert plan.exhausted
+            after = d.pool.starmap(os.getpid, [(), ()])
+            replaced = worker_probes(d, _placement)
+            metrics = _metrics(d)
+        np.testing.assert_array_equal(recovered, clean)
+        np.testing.assert_array_equal(recovered,
+                                      InlineDispatcher().run(kernel, wl.yet))
+        assert metrics["pool.worker_deaths"] == metrics["pool.retries"] == 1
+        assert after[0] == before[0] and after[1] != before[1]
+        assert replaced[after[0]] == placed[before[0]]
+        assert replaced[after[1]] == (placed[before[1]][0], [spans[1]])
+        assert placed[before[1]][1] == [spans[1]]
 
     def test_degraded_engine_matches_pooled_bitwise(
             self, small_portfolio_workload):

@@ -1,6 +1,8 @@
 """Tests for the pipeline cost model and the work pool."""
 
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -103,6 +105,10 @@ def _scale(factor, x):
     return factor * x
 
 
+def _pid_and_cpus():  # pragma: no cover - runs in a worker process
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
 def _die(x):  # pragma: no cover - runs in a worker process
     os._exit(13)
 
@@ -131,17 +137,63 @@ class TestWorkPool:
             with WorkPool(n_workers=n_workers) as pool:
                 assert pool.starmap(os.getpid, [()]) != [os.getpid()]
 
-    def test_parallel_paths_share_one_closeable_executor(self):
+    def test_parallel_paths_share_one_closeable_set_of_workers(self):
         with WorkPool(n_workers=2) as pool:
-            assert pool._executor is None  # lazy
+            assert not pool.started  # lazy
             assert pool.starmap(pow, [(2, 3), (3, 2), (2, 2)]) == [8, 9, 4]
-            first = pool._executor
-            assert first is not None
-            # every later call, whatever it maps, reuses the executor
+            pids = pool.starmap(os.getpid, [(), ()])
+            forked = {child.pid for child in multiprocessing.active_children()}
+            assert set(pids) <= forked and len(set(pids)) == 2
+            # every later call, whatever it maps, runs on the same workers
             assert pool.starmap(abs, [(-1,), (-2,), (-3,)]) == [1, 2, 3]
             assert pool.starmap(_scale, [(100, 4), (100, 5)]) == [400, 500]
-            assert pool._executor is first
-        assert pool._executor is None  # context manager closed it
+            assert pool.starmap(os.getpid, [(), ()]) == pids
+        assert not pool.started  # the context manager closed it
+        assert not set(pids) & {child.pid
+                                for child in multiprocessing.active_children()}
+
+    def test_task_i_runs_on_worker_i_pinned_to_cpu_i(self):
+        """Task ``i`` goes to worker ``i mod n``, pinned to CPU ``i mod
+        k`` of the parent's: over 100 warm 2-task calls, every call runs
+        on both workers, in slot order."""
+        cpus = sorted(os.sched_getaffinity(0))
+        with WorkPool(n_workers=2) as pool:
+            first = pool.starmap(_pid_and_cpus, [(), ()])
+            for _ in range(100):
+                placed = pool.starmap(_pid_and_cpus, [(), ()])
+                assert len({pid for pid, _ in placed}) == 2
+                assert placed == first
+        assert [cpu for _, cpu in first] == [[cpus[0]], [cpus[1 % len(cpus)]]]
+
+    def test_close_is_prompt_and_leaves_no_process(self):
+        """A stop message per pipe, then one join each: a worker holds no
+        other worker's pipe end, so none waits out the join timeout."""
+        with WorkPool(n_workers=2) as pool:
+            pids = set(pool.starmap(os.getpid, [(), (), ()]))
+            t0 = time.perf_counter()
+        assert time.perf_counter() - t0 < 1.0
+        assert not pids & {child.pid
+                           for child in multiprocessing.active_children()}
+
+    def test_a_worker_sees_the_end_of_its_pipe(self):
+        """Worker 1 was forked while worker 0's pipe was open, and closed
+        its copy of the parent end: when the parent closes that end,
+        worker 0 reads the end of its pipe and exits, stop message or
+        none."""
+        with WorkPool(n_workers=2) as pool:
+            pool.ensure_started()
+            first = pool._workers[0]
+            first.conn.close()
+            first.process.join(5.0)
+            assert first.process.exitcode == 0
+
+    def test_a_task_that_will_not_pickle_raises_and_leaves_no_reply(self):
+        """Task 1 cannot be sent while task 0 runs: the error is raised,
+        and no reply of this call reaches the next one."""
+        with WorkPool(n_workers=2) as pool:
+            with pytest.raises(AttributeError, match="pickle"):
+                pool.starmap(_scale, [(1, 2), (lambda: 0, 3)])
+            assert pool.starmap(_scale, [(2, 2), (2, 3), (2, 4)]) == [4, 6, 8]
 
     def test_broken_executor_recovers_on_next_call(self, monkeypatch):
         """A dead worker costs one call, not the pool's lifetime.

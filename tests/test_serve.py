@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import multiprocessing
+import os
 import threading
 import time
 import types
@@ -240,13 +242,14 @@ class TestDispatchers:
     def test_ensure_started_actually_spawns_workers(self):
         from repro.hpc.pool import WorkPool
 
+        before = set(multiprocessing.active_children())
         with WorkPool(2) as pool:
             pool.ensure_started()
-            assert pool._executor is not None
-            assert len(pool._executor._processes) >= 1, (
-                "warm-up must fork real workers, not just build the "
-                "executor object"
-            )
+            forked = set(multiprocessing.active_children()) - before
+            assert len(forked) == 2, "warm-up must fork real workers"
+            # and they are the workers the tasks then run on
+            assert set(pool.starmap(os.getpid, [(), ()])) == {
+                child.pid for child in forked}
 
 
 # ---------------------------------------------------------------------------

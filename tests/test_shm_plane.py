@@ -317,10 +317,10 @@ class TestTransportParity:
                 MulticoreEngine(transport=transport)
         PooledDispatcher(transport="shm").close()
 
-    def test_a_different_yet_keeps_the_executor_and_its_workers(
+    def test_a_different_yet_keeps_the_workers(
             self, small_portfolio_workload, rng):
         """A second trial set is staged once more and rides the next
-        tasks' handles: the executor and its worker processes stay."""
+        tasks' handles: the worker processes stay."""
         wl = small_portfolio_workload
         kernel = wl.portfolio.kernel()
         other = YetTable.simulate(np.arange(500, dtype=np.int64),
@@ -328,12 +328,10 @@ class TestTransportParity:
                                   mean_events_per_trial=15.0)
         with PooledDispatcher(n_workers=2) as d:
             d.run(kernel, wl.yet)
-            executor, ships = d.pool._executor, d.payload_ships
-            pids = set(executor._processes)
+            pids, ships = set(worker_probes(d, _worker_owned)), d.payload_ships
             np.testing.assert_array_equal(
                 d.run(kernel, other), InlineDispatcher().run(kernel, other))
-            assert d.pool._executor is executor
-            assert set(worker_probes(d, _worker_owned)) <= pids
+            assert set(worker_probes(d, _worker_owned)) == pids
             assert d.payload_ships == ships + 1
             metrics = d.telemetry.snapshot()["metrics"]
             assert metrics["pool.payload_ships"] == ships + 1
