@@ -19,10 +19,10 @@ how it cuts a run.
   (:class:`~repro.core.tables.StoredYet`, swept block by block by the
   same inline dispatcher — the out-of-core path).
 - ``multicore`` splits the trial range into one contiguous block per
-  pool worker — the YET decomposes perfectly by trial (no occurrence
+  processor — the YET decomposes perfectly by trial (no occurrence
   crosses a trial boundary, so aggregate terms are block-local) — and
-  each worker writes its ``(L, trials)`` columns into the dispatcher's
-  shared output.
+  the calling thread and each pool worker write their ``(L, trials)``
+  columns into the dispatcher's shared output.
 - ``mapreduce`` (:mod:`~repro.core.engines.mapreduce_engine`) replaces
   only :meth:`HostEngine._execute`: a MapReduce job whose map tasks are
   runs of its inline dispatcher over whole-trial splits.

@@ -691,19 +691,17 @@ def trial_spans(n_trials: int, n_blocks: int) -> tuple[tuple[int, int], ...]:
 class YetHandles:
     """Shared-memory descriptor of one YET (the zero-copy wire format).
 
-    Produced by :meth:`YetTable.to_shared`; pickles as one
-    :class:`~repro.hpc.shm.ShmArrayHandle` per :data:`YET_SCHEMA` column
-    (``arrays``, keyed by column name) plus the trial count — a few
-    hundred bytes for a table of any size, whose staged columns are
-    12 B per occurrence (three int32 columns).
-    :meth:`YetTable.from_handles` re-attaches it as views in a worker.
-    ``fingerprint`` rides along when the source table had already
-    computed it, so attached copies skip the content hash too.
+    Produced by :meth:`YetTable.to_shared`; pickles as two
+    :class:`~repro.hpc.shm.ShmArrayHandle`\\ s (``arrays``): the int64
+    ``trial_offsets`` and the int32 ``event_id`` column, the layout a
+    :class:`StoredYet` keeps on disk — plus the trial count.  A few
+    hundred bytes for a table of any size, whose staged arrays are 4 B
+    per occurrence plus 8 B per trial.  :meth:`YetTable.from_handles`
+    re-attaches it as views in a worker.
     """
 
     arrays: dict
     n_trials: int
-    fingerprint: str | None = None
 
 
 class YetTable:
@@ -713,19 +711,22 @@ class YetTable:
     ``n_trials`` is explicit because trial years with zero occurrences
     are legal and must survive round-trips (their annual loss is zero,
     which matters for quantiles).  The columns are 12 B per occurrence
-    (:data:`YET_SCHEMA`: int32 ``trial``, ``seq`` and ``event_id``).
+    (:data:`YET_SCHEMA`: int32 ``trial``, ``seq`` and ``event_id``).  A
+    :meth:`from_handles` copy holds the staged trial offsets and event
+    ids instead, and derives its trials, or its whole :attr:`table`, only
+    when they are read.
 
-    Beyond its columns a table keeps, each derived lazily (once per
-    worker for a :meth:`from_handles` copy), never pickled or shipped,
-    and dropped with it: the trial index (:attr:`trial_offsets`) and one
-    :class:`TrialSegments` per trial span it is swept over
+    Beyond its columns a table keeps, each derived lazily, never pickled
+    or shipped, and dropped with it: the trial index
+    (:attr:`trial_offsets`, staged with a :meth:`from_handles` copy) and
+    one :class:`TrialSegments` per trial span it is swept over
     (:meth:`trial_block`), each with what its sweeps derived — the
     span's event index and book profiles, over the span's rows alone.
     :meth:`cache_levels` reports them, summed over the spans.
     """
 
-    __slots__ = ("table", "n_trials", "_offsets", "_fingerprint",
-                 "index_builds", "_spans")
+    __slots__ = ("_table", "_trials", "_event_ids", "n_trials", "_offsets",
+                 "_fingerprint", "index_builds", "_spans")
 
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
@@ -742,15 +743,18 @@ class YetTable:
             # price a negative id as event 0; the event index keys on it.
             if table["event_id"].min() < 0:
                 raise ConfigurationError("YET event ids must be non-negative")
-        self.table = table
+        self._table = table
+        self._trials = trials
+        self._event_ids = table["event_id"]
         self.n_trials = int(n_trials)
         self._init_caches()
 
-    def _init_caches(self, fingerprint: str | None = None) -> None:
+    def _init_caches(self) -> None:
         self._offsets: np.ndarray | None = None
-        self._fingerprint = fingerprint
+        self._fingerprint: str | None = None
         #: Times the trial column was read to derive the trial index —
-        #: stays at 1 however many sweeps (or workers' tasks) use it.
+        #: stays at 1 however many sweeps use it, and at 0 for a
+        #: :meth:`from_handles` copy, which reads the staged offsets.
         self.index_builds = 0
         #: ``(t0, t1)`` → the :class:`TrialSegments` of trials ``[t0, t1)``.
         self._spans: dict[tuple[int, int], TrialSegments] = {}
@@ -805,16 +809,33 @@ class YetTable:
         return cls(table, n_trials)
 
     @property
+    def table(self) -> ColumnTable:
+        """The columns.  A :meth:`from_handles` copy derives them on
+        first read: its trials from the offsets, and ``seq`` as each
+        occurrence's position in its trial (rows are sorted by
+        ``(trial, seq)``, so that is the order ``seq`` gave)."""
+        if self._table is None:
+            starts = np.repeat(self._offsets[:-1], np.diff(self._offsets))
+            seq = np.arange(starts.size, dtype=np.int64) - starts
+            self._table = ColumnTable(YET_SCHEMA, {
+                "trial": self.trials, "seq": seq.astype(np.int32),
+                "event_id": self._event_ids})
+        return self._table
+
+    @property
     def n_occurrences(self) -> int:
-        return self.table.n_rows
+        return self._event_ids.size
 
     @property
     def trials(self) -> np.ndarray:
-        return self.table["trial"]
+        if self._trials is None:    # a from_handles copy: derived on first read
+            self._trials = np.repeat(np.arange(self.n_trials, dtype=_ID),
+                                     np.diff(self._offsets))
+        return self._trials
 
     @property
     def event_ids(self) -> np.ndarray:
-        return self.table["event_id"]
+        return self._event_ids
 
     @property
     def nbytes(self) -> int:
@@ -822,10 +843,11 @@ class YetTable:
 
     @property
     def trial_offsets(self) -> np.ndarray:
-        """Offsets such that trial ``t`` occupies rows ``[o[t], o[t+1])``."""
+        """Offsets such that trial ``t`` occupies rows ``[o[t], o[t+1])``
+        (int64)."""
         if self._offsets is None:
-            self._offsets = _cuts(self.table["trial"],
-                                  np.arange(self.n_trials + 1))
+            self._offsets = _cuts(self._trials, np.arange(
+                self.n_trials + 1)).astype(np.int64, copy=False)
             self.index_builds += 1
         return self._offsets
 
@@ -834,9 +856,10 @@ class YetTable:
         """The span of trials ``[t_start, t_stop)``, renumbered from 0:
         the argument of :meth:`PortfolioKernel.sweep_segments`.
 
-        The trial offsets are derived once per table — once per worker
-        for a :meth:`from_handles` copy — and a span is offset
-        arithmetic over them, so no sweep re-scans the trial column.
+        The trial offsets are derived once per table — a
+        :meth:`from_handles` copy reads the staged ones — and a span is
+        offset arithmetic over them, so no sweep re-scans the trial
+        column.
         The span is built once per range and kept, with the event index
         and book profiles its sweeps derive over its rows alone — so a
         pool worker indexes and profiles only its own span.  Its
@@ -878,10 +901,10 @@ class YetTable:
         if self._fingerprint is None:
             h = hashlib.blake2b(digest_size=16)
             h.update(np.int64(self.n_trials).tobytes())
-            h.update(self.trial_offsets.astype(np.int64, copy=False).data)
+            h.update(self.trial_offsets.data)
             # Through the buffer protocol — a paper-scale YET is
             # gigabytes, and ``tobytes`` would copy it all.
-            h.update(np.ascontiguousarray(self.table["event_id"]).data)
+            h.update(np.ascontiguousarray(self._event_ids).data)
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
@@ -900,42 +923,44 @@ class YetTable:
     # -- shared-memory transport -------------------------------------------
 
     def to_shared(self, arena) -> YetHandles:
-        """Place the table's columns in shared memory; returns the handles.
+        """Place the table's trial offsets and event ids in shared
+        memory; returns the handles.
 
         ``arena`` is a :class:`~repro.hpc.shm.SharedArena` (or anything
         with its ``place`` signature) that *owns* the resulting segment —
-        this table is copied into it once, and every worker that calls
+        the arrays are copied into it once, and every worker that calls
         :meth:`from_handles` on the result sees the same physical pages
         instead of a pickled replica.
 
-        All three columns travel, although the sweep paths read only
-        ``trial``/``event_id``: the handles are the YET's wire format
-        (the multi-node sharding axis will ship whole sub-YETs), so a
-        faithful round-trip is worth ``seq``'s third of the 12 B per
-        occurrence one staging copy costs.
+        Two arrays travel, the layout a :class:`StoredYet` keeps: the
+        int64 :attr:`trial_offsets` (8 B per trial) and the int32 event
+        ids (4 B per occurrence).  A sweep reads nothing else, so neither
+        ``seq`` nor the trial column is staged: a :meth:`from_handles`
+        copy derives its trials from the offsets if they are read.
         """
-        names = YET_SCHEMA.names
-        handles = arena.place(*(self.table[name] for name in names))
-        return YetHandles(
-            arrays=dict(zip(names, handles)),
-            n_trials=self.n_trials, fingerprint=self._fingerprint,
-        )
+        offsets, event_ids = arena.place(self.trial_offsets, self._event_ids)
+        return YetHandles(arrays={"trial_offsets": offsets,
+                                  "event_id": event_ids},
+                          n_trials=self.n_trials)
 
     @classmethod
     def from_handles(cls, handles: YetHandles) -> "YetTable":
-        """Re-attach a shared YET as zero-copy (read-only) column views.
+        """Re-attach a shared YET as zero-copy (read-only) views of its
+        trial offsets and event ids.
 
         Validation is skipped: the owning process validated the table
         when it was built, and the attach path runs in workers where an
         extra O(n) sortedness pass per process would tax exactly the
-        hot path this transport exists to thin.
+        hot path this transport exists to thin.  The staged offsets are
+        the copy's trial index, so it derives none (``index_builds``
+        stays 0).
         """
-        table = ColumnTable(YET_SCHEMA, {
-            name: h.attach() for name, h in handles.arrays.items()})
         yet = cls.__new__(cls)
-        yet.table = table
+        yet._table = yet._trials = None
+        yet._event_ids = handles.arrays["event_id"].attach()
         yet.n_trials = int(handles.n_trials)
-        yet._init_caches(handles.fingerprint)
+        yet._init_caches()
+        yet._offsets = handles.arrays["trial_offsets"].attach()
         return yet
 
     def slice_trials(self, t_start: int, t_stop: int) -> "YetTable":

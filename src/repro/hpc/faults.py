@@ -22,9 +22,12 @@ measurable.
 Wiring: :class:`~repro.hpc.pool.WorkPool` consults :func:`active_plan`
 per submitted task.  Nothing is consulted (one attribute read) unless a
 plan is installed (:func:`install` / :func:`inject`).  Every task the
-pool runs is on a worker; a run the pooled dispatcher sweeps in process
-(one span, or the degraded fallback) never reaches the pool and never
-injects — a ``kill`` there would take the caller down with it.
+pool runs is on a worker, and the ordinals count those tasks only: a
+pooled run of ``n`` processors sends ``n - 1``, for spans 1 to
+``n - 1``, while the caller sweeps span 0 itself.  The caller's share
+and a run the pooled dispatcher sweeps in process (one span, or the
+degraded fallback) never reach a plan — a ``kill`` there would take the
+caller down with it.
 """
 
 from __future__ import annotations

@@ -13,15 +13,19 @@ Placement
 The pool is ``n_workers`` forked processes, started lazily on first use
 and reused across calls; :meth:`WorkPool.close` (or the context
 manager) is the shutdown path.  Worker ``i`` owns a duplex pipe of its
-own and is pinned (``os.sched_setaffinity``) to CPU ``i mod k`` of the
-``k`` CPUs the parent may run on; where the host has no affinity call
-it runs unpinned.  :meth:`WorkPool.starmap` sends task ``i`` to worker
-``i mod n_workers``, one task in flight per worker, so a dispatcher's
-``n`` spans run one per worker every call — no shared queue can hand
-two spans to one worker — and, with no more workers than CPUs, no two
-workers share a CPU.  The calling thread sends each worker its task
-and then waits, on every busy worker's pipe and process sentinel at
-once, for the replies, which carry their task's index.
+own and is pinned (``os.sched_setaffinity``) to CPU ``(i + 1) mod k`` of
+the ``k`` CPUs the parent may run on: the first is left to the calling
+thread, which is never pinned and, in a pooled dispatcher's run, sweeps
+span 0 itself (:meth:`WorkPool.starmap`'s ``meanwhile``) while worker
+``i`` sweeps span ``i + 1`` — ``n`` processors, ``n - 1`` forks.  Where
+the host has no affinity call the workers run unpinned.
+:meth:`WorkPool.starmap` sends task ``i`` to worker ``i mod n_workers``,
+one task in flight per worker, so a dispatcher's spans run one per
+processor every call — no shared queue can hand two spans to one worker
+— and, with no more processors than CPUs, no two share a CPU.  The
+calling thread sends each worker its task, runs its own share, and then
+waits, on every busy worker's pipe and process sentinel at once, for the
+replies, which carry their task's index.
 
 A task names its whole input: a large payload rides each task as
 shared-memory handles (:mod:`repro.hpc.shm`), a few hundred bytes, which
@@ -56,7 +60,10 @@ call's ``deadline_seconds``:
   :class:`~repro.hpc.faults.PoisonedPayloadError`); anything else is a
   genuine error and propagates unchanged, once every task in flight has
   replied (or been killed at the deadline), so no reply is left in a
-  pipe for the next call to read.
+  pipe for the next call to read.  So does whatever the caller's own
+  share (``meanwhile``) raises; that share runs once, in the first
+  attempt, and is never resubmitted — only worker tasks are supervised,
+  and only they count as the task ordinals a fault plan names.
 - When one task exhausts :data:`MAX_RETRIES` the call fails terminally
   with a typed :class:`~repro.errors.ExecutionError` carrying the whole
   failure chain — a death is a ``BrokenProcessPool`` there, a wedge a
@@ -128,13 +135,13 @@ def available_parallelism() -> int:
 
 
 def _worker_cpus(n_workers: int) -> list:
-    """The CPU each worker slot is pinned to: ``i mod k`` of the ``k``
-    CPUs this process may run on, or ``None`` (unpinned) where the host
-    has no affinity call."""
+    """The CPU each worker slot is pinned to: ``(i + 1) mod k`` of the
+    ``k`` CPUs this process may run on — the first is the caller's — or
+    ``None`` (unpinned) where the host has no affinity call."""
     if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
         return [None] * n_workers
     cpus = sorted(os.sched_getaffinity(0))
-    return [cpus[i % len(cpus)] for i in range(n_workers)]
+    return [cpus[(i + 1) % len(cpus)] for i in range(n_workers)]
 
 
 class PoolHealth:
@@ -379,16 +386,21 @@ class WorkPool:
     # -- supervised execution ----------------------------------------------
 
     def starmap(self, fn: Callable, arg_tuples: Iterable[tuple],
-                deadline_seconds: float | None = None) -> list:
+                deadline_seconds: float | None = None,
+                meanwhile: Callable[[], None] | None = None) -> list:
         """``[fn(*args) for args in arg_tuples]``, task ``i`` on worker
         ``i mod n_workers``.
 
-        ``deadline_seconds`` bounds each attempt's wait (``None`` = no
-        deadline): a missed deadline keeps the finished results,
-        replaces the wedged workers and resubmits their tasks — a retry,
-        not a terminal failure, until a task's :data:`MAX_RETRIES` run
-        out.  A death likewise costs one re-execution of the dead
-        worker's unfinished tasks, never the whole batch.
+        ``deadline_seconds`` bounds each attempt, from its first send
+        (``None`` = no deadline): a missed deadline keeps the finished
+        results, replaces the wedged workers and resubmits their tasks —
+        a retry, not a terminal failure, until a task's
+        :data:`MAX_RETRIES` run out.  A death likewise costs one
+        re-execution of the dead worker's unfinished tasks, never the
+        whole batch.  ``meanwhile`` is the caller's own share: called
+        once on the calling thread as soon as the first attempt's tasks
+        are sent, before any reply is awaited; what it raises is raised
+        once every reply in flight is read.
         """
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ConfigurationError(
@@ -406,7 +418,9 @@ class WorkPool:
                     for i in pending:
                         attempts[i] += 1
                     pending = self._attempt(fn, tuples, pending, results,
-                                            failures, deadline_seconds)
+                                            failures, deadline_seconds,
+                                            meanwhile)
+                    meanwhile = None
                     if not pending:
                         self.health.record_success()
                         return results
@@ -431,14 +445,16 @@ class WorkPool:
 
     def _attempt(self, fn: Callable, tuples: list, pending: list,
                  results: list, failures: list,
-                 deadline_seconds: float | None) -> list:
+                 deadline_seconds: float | None,
+                 meanwhile: Callable[[], None] | None) -> list:
         """One attempt at the ``pending`` tasks: each worker is sent its
-        tasks one at a time, and one wait on every busy worker's pipe and
-        sentinel collects the replies until all are in or the deadline
-        passes.  Fills ``results``, appends to ``failures`` what was
-        lost and why, and returns the lost task indices, sorted: those of
-        a dead or wedged worker (which is replaced) and the tasks that
-        raised a :data:`RETRYABLE` error.  A task's other error is raised
+        tasks one at a time, ``meanwhile`` (if any) runs on the calling
+        thread, and one wait on every busy worker's pipe and sentinel
+        collects the replies until all are in or the deadline passes.
+        Fills ``results``, appends to ``failures`` what was lost and
+        why, and returns the lost task indices, sorted: those of a dead
+        or wedged worker (which is replaced) and the tasks that raised a
+        :data:`RETRYABLE` error.  A task's other error is raised
         once nothing is left in flight."""
         workers = self._start()
         n = len(workers)
@@ -487,6 +503,12 @@ class WorkPool:
         try:
             for slot in range(n):
                 feed(slot)
+            if meanwhile is not None:
+                try:
+                    meanwhile()
+                except Exception as exc:
+                    # Raised below, once no reply is left in a pipe.
+                    error = exc
             while busy:
                 ready = set(wait(
                     [w for slot in busy

@@ -14,59 +14,71 @@ substrates differ in where the spans execute:
 
 - :class:`InlineDispatcher` — one span, the whole trial set, on the
   calling thread.  Lowest latency; what a single-node service runs.
-- :class:`PooledDispatcher` — one span per
-  :class:`~repro.hpc.pool.WorkPool` worker; the one pooled execution
-  path.  Span ``i`` runs on worker ``i``, which is pinned to a CPU of
-  its own and reached over a pipe of its own, every run: a pooled run
-  costs its slowest span plus one pipe round trip, and each worker
-  derives (and keeps) only its own span's index and profiles.  Its
-  payload rides the zero-copy shared-memory data plane
-  (:mod:`repro.hpc.shm`), the one transport.  A block task names its
-  whole input as handles, and a worker owns no segment: for each role
-  a task names — the YET, the kernel, the output — it holds the one
-  payload its last task named, and when a task names another it drops
-  that payload and detaches the segments the new one does not share
-  (:func:`_hold`):
+- :class:`PooledDispatcher` — one span per processor of
+  ``n_workers``; the one pooled execution path.  The calling thread
+  sends spans 1 to ``n - 1`` to a :class:`~repro.hpc.pool.WorkPool` of
+  ``n - 1`` workers — span ``i`` on worker ``i - 1``, which is pinned to
+  a CPU of its own and reached over a pipe of its own, every run — and
+  then sweeps span 0 itself, unpinned, straight into the output slab: a
+  pooled run costs its slowest span plus one pipe round trip, ``n``
+  processors take ``n - 1`` forks, and each side derives (and keeps)
+  only its own span's index and profiles.  Its payload rides the
+  zero-copy shared-memory data plane (:mod:`repro.hpc.shm`), the one
+  transport.  A block task names its whole input — the ``(YET, kernel,
+  output)`` handles, pickled once per change of any of the three and
+  sent as those bytes, which a worker unpickles only when they differ
+  from its last task's — and a worker owns no segment: for each role a
+  task names it holds the one payload its last task named, and when a
+  task names another it drops that payload and detaches the segments
+  the new one does not share (:func:`_hold`):
 
-  * the *YET arrays* (the stable side of a serving workload) are staged
-    in one shared arena, once per content fingerprint, and ride every
-    task as handles beside the kernel's.  A worker holds the YET by
-    fingerprint, with what its sweeps derive — the trial offsets and one
-    :class:`~repro.core.tables.TrialSegments` per span it has swept
-    (:meth:`YetTable.trial_block`), each holding the event index and
-    book profiles built over that span's rows alone — so no worker sorts
-    or profiles the whole YET; a re-simulated but equal trial set stages
-    nothing and a different one costs one staging and one attach per
-    worker, the workers themselves kept and the old YET's pages let go;
+  * the *YET* (the stable side of a serving workload) is staged in one
+    shared arena as its int64 trial offsets and int32 event ids — 4 B
+    per occurrence plus 8 B per trial, the layout a
+    :class:`~repro.core.tables.StoredYet` keeps — and rides every task
+    as handles beside the kernel's.  The dispatcher holds the staged
+    table by object, and stages it without hashing it; another
+    ``YetTable`` is compared with it by content fingerprint, so a
+    re-simulated but equal trial set stages nothing, and a different
+    one costs one staging and one attach per worker, the workers
+    themselves kept and the old YET's pages let go.  A worker holds the
+    YET by its staging (the arena segment), with what its sweeps derive
+    — one :class:`~repro.core.tables.TrialSegments` per span it has
+    swept (:meth:`YetTable.trial_block`), each holding the event index
+    and book profiles built over that span's rows alone — so no process
+    sorts or profiles the whole YET, and no worker derives the trial
+    offsets: they are staged;
   * the *kernel* is written into one reusable
     :class:`~repro.hpc.shm.ShmSlab` once per kernel: the dispatcher
     holds the one kernel it last packed (compared by identity, held by a
-    strong reference — one entry, like the YET's one fingerprint) and
-    packs again only when a different kernel arrives, counted by the
+    strong reference — one entry, like the one staged YET) and packs
+    again only when a different kernel arrives, counted by the
     ``dispatch.slab.packs`` counter.  The handles carry a stamp that
     names the pack; a worker holds the kernel by stamp, with the caches
     its sweeps derive (pierced entries, net tables, masks), and lets an
     outgrown slab segment go at the first task naming its successor.
-    A repeated aggregate therefore ships ~1 KB of handles per task and
-    rebuilds nothing; a serving batch (a fresh stacked kernel) costs one
-    owner-side ``memcpy`` and one attach per worker.  A kernel is immutable once built, which is what lets
-    identity stand for content here;
+    A repeated aggregate therefore sends the same ~1 KB of bytes per
+    task and rebuilds nothing; a serving batch (a fresh stacked kernel)
+    costs one owner-side ``memcpy`` and one attach per worker.  A kernel
+    is immutable once built, which is what lets identity stand for
+    content here;
   * the *answer* comes back through a second slab: the dispatcher
     reserves the ``(L, n_trials)`` matrix there, each worker writes its
     trial span's columns, aggregate terms applied, straight into it and
-    returns nothing, and the dispatcher copies the matrix out under its
-    lock once every block is in.  A worker holds its view of the matrix
-    by the output handle, so a new shape or segment replaces it.  No
-    block is pickled back or concatenated.  A worker killed mid-write is
-    rewritten by its replacement's retry (the bytes are the same); a
-    worker wedged past a deadline is killed the same way, and a run in
-    which ``pool.timeouts`` moved leaves the output slab on a fresh
-    segment all the same.
+    returns nothing, the caller writes span 0's the same way, and the
+    dispatcher copies the matrix out under its lock once every block is
+    in.  A worker holds its view of the matrix by the output handle, so
+    a new shape or segment replaces it.  No block is pickled back or
+    concatenated.  A worker killed mid-write is rewritten by its
+    replacement's retry (the bytes are the same), and the caller's
+    columns are kept, never swept again; a worker wedged past a deadline
+    is killed the same way, and a run in which ``pool.timeouts`` moved
+    leaves the output slab on a fresh segment all the same.
 
   Every other pooled run sweeps its spans in process, on the calling
   thread, with bit-identical results — the pool itself has no serial
   path, so this is the one place a run stays in process: a run of one
-  span (a one-worker pool, or a one-trial YET) stages and spawns
+  span (a one-worker dispatcher, or a one-trial YET) stages and spawns
   nothing, and a run of more spans on a degraded pool or a host without
   shared memory runs the same loop as a counted fallback
   (``pool.degraded_calls``, ``n_procs == 1``).
@@ -80,7 +92,9 @@ Pooled batches run under the supervised :class:`~repro.hpc.pool.WorkPool`
 contract (see its module docstring): a worker death or deadline miss
 resubmits only the dead or wedged worker's trial blocks, to its
 replacement on the same CPU — idempotent pure functions, so the final
-matrix is bit-identical to a fault-free run — and a terminal
+matrix is bit-identical to a fault-free run; the caller's span 0 is
+swept once, and what it raises is raised once every worker's reply is
+read — and a terminal
 failure surfaces as a typed :class:`~repro.errors.ExecutionError`
 carrying the whole failure chain.  A caller names only a per-run
 deadline, ``Dispatcher.run(kernel, yet, deadline_seconds=)`` (the
@@ -106,7 +120,8 @@ gauge.  It exports, once per run, where the calling process's kernel
 priced its rows (:data:`~repro.core.kernels.ROUTING_COUNTERS`), what
 the YET keeps or read for them (``yet.cache_levels()``) and what the
 interned books hold (``layer.books.*``, :func:`~repro.core.layer.book_levels`) — inline,
-degraded or on a one-worker pool.  Pool workers count on their own
+degraded, on a one-worker dispatcher, or span 0 of a pooled run.  Pool
+workers count on their own
 copies; those counts do not come back yet (ROADMAP item 8: a pooled
 block task returns nothing, so its counts would be all it returns), and
 this is where they will arrive.
@@ -115,6 +130,7 @@ this is where they will arrive.
 from __future__ import annotations
 
 import functools
+import pickle
 import threading
 import time
 
@@ -126,7 +142,7 @@ from repro.core.tables import StoredYet, YetHandles, YetTable, trial_spans
 from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.hpc.cost_model import ThroughputEstimate
-from repro.hpc.pool import PoolHealth, WorkPool
+from repro.hpc.pool import PoolHealth, WorkPool, available_parallelism
 from repro.obs import Telemetry, as_telemetry
 
 __all__ = ["Dispatcher", "InlineDispatcher", "PooledDispatcher"]
@@ -254,6 +270,10 @@ def _sweep_trials(yet: YetTable | StoredYet, kernel: PortfolioKernel,
 #: the kernel, the output): ``{role: (key, handles, payload)}``.
 _held: dict[str, tuple] = {}
 
+#: A pool worker's last block-task payload: ``(bytes, what they unpickle
+#: to)``.
+_last_payload: tuple = (None, None)
+
 
 def _hold(role: str, key, handles: tuple, attach):
     """Worker: the ``role`` payload a task names by ``key``, built by
@@ -273,18 +293,24 @@ def _hold(role: str, key, handles: tuple, attach):
 
 
 def _attach_yet(handles: YetHandles) -> YetTable:
-    """Worker: the YET ``handles`` name, held by fingerprint."""
-    return _hold("yet", handles.fingerprint, tuple(handles.arrays.values()),
-                 lambda: YetTable.from_handles(handles))
+    """Worker: the YET ``handles`` name, held by its staging (the arena
+    segment its arrays live in: one per staging)."""
+    named = tuple(handles.arrays.values())
+    return _hold("yet", named, named, lambda: YetTable.from_handles(handles))
 
 
-def _sweep_trials_handles(yet_handles: YetHandles, kernel_handles,
-                          t0: int, t1: int, output) -> None:
-    """Worker: :func:`_sweep_trials` over the YET and the kernel the
-    handles name — each held as zero-copy views (the YET by fingerprint,
-    the kernel by stamp) — written straight into columns ``[t0, t1)``
-    of the dispatcher's ``output`` handle, held by the handle itself;
-    nothing comes back but completion (picklable task)."""
+def _sweep_trials_handles(payload: bytes, t0: int, t1: int) -> None:
+    """Worker: :func:`_sweep_trials` over trials ``[t0, t1)`` of the
+    YET and the kernel that ``payload`` — the pickled ``(YET, kernel,
+    output)`` handles — names, each held as zero-copy views (the YET by
+    its staging, the kernel by stamp), written straight into those
+    columns of the output, held by the handle itself; nothing comes
+    back but completion (picklable task).  The bytes are unpickled only
+    when they differ from the last task's."""
+    global _last_payload
+    if payload != _last_payload[0]:
+        _last_payload = (payload, pickle.loads(payload))
+    yet_handles, kernel_handles, output = _last_payload[1]
     kernel = _hold("kernel", kernel_handles.stamp,
                    tuple(kernel_handles.arrays.values()),
                    lambda: PortfolioKernel.from_handles(kernel_handles))
@@ -294,19 +320,24 @@ def _sweep_trials_handles(yet_handles: YetHandles, kernel_handles,
 
 
 class PooledDispatcher(Dispatcher):
-    """Trial-block decomposition over a persistent worker pool.
+    """Trial-block decomposition over the calling thread and a
+    persistent pool of ``n_workers - 1`` workers.
 
-    The YET is staged in a shared arena on first use and rides every
-    block task as handles, which the workers attach zero-copy and keep.
-    The staging is keyed by :meth:`YetTable.fingerprint`, so only a
+    ``n_workers`` is the processors a run uses (``None``: the host's
+    available parallelism): the caller sweeps span 0 itself while the
+    pool's workers sweep spans 1 to ``n_workers - 1``.  The YET is staged
+    in a shared arena on first use — its trial offsets and event ids —
+    and rides every block task as handles, which the workers attach
+    zero-copy and keep.  The staged YET is held by object: another
+    ``YetTable`` is compared by :meth:`YetTable.fingerprint`, so only a
     trial set with *different content* is staged again (counted by
     :attr:`payload_ships`), into a fresh arena, the old one freed at
-    once — swapping in an equal re-simulated YET costs nothing.  The
-    kernel travels as slab handles, packed once per kernel and attached
-    once per worker, and the answer returns through an output slab the
-    workers write.  A run of one span, a degraded pool and a host
-    without shared memory sweep in process instead; see the module
-    docstring.
+    once — swapping in an equal re-simulated YET costs one hash each and
+    ships nothing.  The kernel travels as slab handles, packed once per
+    kernel and attached once per worker, and the answer returns through
+    an output slab the workers and the caller write.  A run of one span,
+    a degraded pool and a host without shared memory sweep in process
+    instead; see the module docstring.
 
     ``transport`` accepts ``"shm"`` only, its default, and selects
     nothing: the keyword stays for callers that still pass it.
@@ -322,12 +353,18 @@ class PooledDispatcher(Dispatcher):
                 f"unknown transport {transport!r}; the one transport is "
                 "'shm'")
         super().__init__(telemetry)
-        #: The pool shares the dispatcher's telemetry plane.
-        self.pool = WorkPool(n_workers, telemetry=self.telemetry)
-        #: The staged YET's arena and handles (which carry its
-        #: fingerprint).  One arena: a run holds the lock from staging
-        #: through its last task, so no task outlives the YET it names
-        #: but one abandoned past a deadline, whose answer nobody reads.
+        #: Processors a pooled run uses: the caller and the pool's workers.
+        self.n_workers = max(1, n_workers if n_workers is not None
+                             else available_parallelism())
+        #: The pool shares the dispatcher's telemetry plane; a one-worker
+        #: dispatcher never starts it.
+        self.pool = WorkPool(max(1, self.n_workers - 1),
+                             telemetry=self.telemetry)
+        #: The staged YET, its arena and its handles.  One arena: a run
+        #: holds the lock from staging through its last task, so no task
+        #: outlives the YET it names but one abandoned past a deadline,
+        #: whose answer nobody reads.
+        self._yet: YetTable | None = None
         self._yet_arena: shm.SharedArena | None = None
         self._yet_handles: YetHandles | None = None
         self._m_payload_ships = self.telemetry.counter("pool.payload_ships")
@@ -336,6 +373,9 @@ class PooledDispatcher(Dispatcher):
         self._staged: tuple | None = None
         #: Where the workers write the ``(L, n_trials)`` answer.
         self._output: shm.ShmSlab | None = None
+        #: ``((yet, kernel, output handles), their pickle)``: the bytes
+        #: every block task sends until one of the three changes.
+        self._payload: tuple | None = None
         self._m_slab_generations = self.telemetry.gauge(
             "dispatch.slab.generations")
         self._m_slab_packs = self.telemetry.counter("dispatch.slab.packs")
@@ -352,8 +392,8 @@ class PooledDispatcher(Dispatcher):
     @property
     def payload_ships(self) -> int:
         """Times a YET was staged for the workers (the
-        ``pool.payload_ships`` counter): once per distinct fingerprint,
-        so a caller holding one trial set across runs sees 1."""
+        ``pool.payload_ships`` counter): once per distinct content, so a
+        caller holding one trial set across runs sees 1."""
         return int(self._m_payload_ships.value)
 
     @property
@@ -366,7 +406,7 @@ class PooledDispatcher(Dispatcher):
     def n_procs(self) -> int:  # type: ignore[override]
         # A degraded pool executes inline: admission control and the
         # planner must model serial throughput, not phantom workers.
-        return 1 if self.degraded else self.pool.n_workers
+        return 1 if self.degraded else self.n_workers
 
     @property
     def health(self) -> PoolHealth:
@@ -376,13 +416,13 @@ class PooledDispatcher(Dispatcher):
     @property
     def transport_active(self) -> str:
         """``"shm"`` when the data plane will carry the next batch;
-        ``"inline"`` when its spans run in process — a one-worker pool,
-        a degraded one, or a host without shared memory."""
+        ``"inline"`` when its spans run in process — a one-worker
+        dispatcher, a degraded pool, or a host without shared memory."""
         return "inline" if self.n_procs <= 1 else "shm"
 
     def _in_process(self, yet: YetTable | StoredYet) -> bool:
-        """Whether a run over ``yet`` sweeps on the calling thread: one
-        span (one worker or one trial), a degraded pool, or a host
+        """Whether a run over ``yet`` sweeps on the calling thread alone:
+        one span (one worker or one trial), a degraded pool, or a host
         without shared memory.  Any other run stages ``yet`` in shared
         memory, which only a ``YetTable`` can be: a stored YET is
         refused there, typed (its pooled splits are ROADMAP item
@@ -398,16 +438,20 @@ class PooledDispatcher(Dispatcher):
 
     def _stage(self, yet: YetTable) -> YetHandles:
         """The handles of ``yet`` staged in shared memory, staging it
-        (and freeing the YET staged before) unless its content is what
-        is staged.  The caller holds the lock."""
-        fp = yet.fingerprint()
-        if self._yet_handles is None or self._yet_handles.fingerprint != fp:
-            self._yet_handles = None
-            if self._yet_arena is not None:
-                self._yet_arena.close()
-            self._yet_arena = shm.SharedArena()
-            self._yet_handles = yet.to_shared(self._yet_arena)
-            self._m_payload_ships.inc()
+        (and freeing the YET staged before) unless it, or a table of
+        equal content, is what is staged: the first staging hashes
+        nothing, and a fingerprint is computed only to compare another
+        table with the staged one.  The caller holds the lock."""
+        if self._yet is not yet:
+            if (self._yet is None
+                    or self._yet.fingerprint() != yet.fingerprint()):
+                self._yet = self._yet_handles = None
+                if self._yet_arena is not None:
+                    self._yet_arena.close()
+                self._yet_arena = shm.SharedArena()
+                self._yet_handles = yet.to_shared(self._yet_arena)
+                self._m_payload_ships.inc()
+            self._yet = yet
         return self._yet_handles
 
     def warmup(self, yet: YetTable | StoredYet) -> None:
@@ -418,9 +462,10 @@ class PooledDispatcher(Dispatcher):
             self.pool.ensure_started()
 
     def spans(self, yet: YetTable | StoredYet) -> tuple[tuple[int, int], ...]:
-        """One span per worker (capped by trial count), pooled or
-        degraded: span ``i`` runs on worker ``i``."""
-        return trial_spans(yet.n_trials, self.pool.n_workers)
+        """One span per processor (capped by trial count), pooled or
+        degraded: span 0 runs on the caller, span ``i`` on worker
+        ``i - 1``."""
+        return trial_spans(yet.n_trials, self.n_workers)
 
     def run(self, kernel: PortfolioKernel, yet: YetTable | StoredYet,
             deadline_seconds: float | None = None) -> np.ndarray:
@@ -456,19 +501,26 @@ class PooledDispatcher(Dispatcher):
                 self._m_slab_packs.inc()
                 self._m_slab_generations.set(self._slab.generations)
             # Each worker writes its columns of the answer into the
-            # output slab and returns nothing; the answer is copied out
-            # once every block is in.
+            # output slab and returns nothing, the caller writes span
+            # 0's, and the answer is copied out once every block is in.
             if self._output is None:
                 self._output = shm.ShmSlab()
             output = self._output.reserve((kernel.n_layers, yet.n_trials))
+            named = (yet_handles, self._staged[1], output)
+            if self._payload is None or self._payload[0] != named:
+                self._payload = (named, pickle.dumps(named))
+            payload = self._payload[1]
+            answer = output.attach()
+            (t0, t1), rest = spans[0], spans[1:]
             timeouts = self.pool.health.totals["timeouts"]
             try:
                 self.pool.starmap(
                     _sweep_trials_handles,
-                    [(yet_handles, self._staged[1], t0, t1, output)
-                     for t0, t1 in spans],
-                    deadline_seconds=deadline_seconds)
-                return output.attach().copy()
+                    [(payload, a, b) for a, b in rest],
+                    deadline_seconds=deadline_seconds,
+                    meanwhile=lambda: _sweep_trials(
+                        yet, kernel, t0, t1, out=answer[:, t0:t1]))
+                return answer.copy()
             finally:
                 if self.pool.health.totals["timeouts"] != timeouts:
                     # A worker wedged past its deadline was killed where
@@ -479,7 +531,8 @@ class PooledDispatcher(Dispatcher):
     def close(self) -> None:
         self.pool.close()
         with self._lock:
-            self._staged = self._yet_handles = None
+            self._staged = self._yet_handles = self._yet = None
+            self._payload = None
             for owner in (self._slab, self._output, self._yet_arena):
                 if owner is not None:
                     owner.close()

@@ -12,19 +12,21 @@ constructible and runnable by name; they run as host NumPy, cannot win
 work from the host substrates, and are not something ``auto`` resolves
 to.
 
-The estimator is the same HPC cost model that sizes processor bursts at
-paper scale (:class:`~repro.hpc.cost_model.StageSpec`): a workload is
-``work_items`` layer-occurrence lanes, each substrate prices them at its
-per-processor throughput under Amdahl plus a communication term, and a
-cold pool is charged its startup cost (worker spawn, payload staging) —
-which is exactly why a session that keeps its substrate warm gets
-different, better plans than per-call entry points.  The throughput is
-the measured rate of the session's dispatcher for the row
+A workload is ``work_items`` layer-occurrence lanes.  A row whose
+session dispatcher has run is priced at what that dispatcher measured
 (:attr:`Dispatcher.throughput <repro.serve.dispatch.Dispatcher.throughput>`,
 fed by every aggregate and quote batch it runs — the rate serve
 admission sheds by), which :meth:`RiskSession.plan
-<repro.session.RiskSession.plan>` hands to :meth:`EnginePlanner.plan`;
-a row whose dispatcher has not run is priced at its seed.  The planner
+<repro.session.RiskSession.plan>` hands to :meth:`EnginePlanner.plan`:
+that rate is wall time per processor, everything a run cost included, so
+the row's runtime is ``lanes / (rate × processors)``, the inverse of
+:meth:`~repro.hpc.cost_model.ThroughputEstimate.observe`.  A row that
+has not run is priced by the HPC cost model that sizes processor bursts
+at paper scale (:class:`~repro.hpc.cost_model.StageSpec`): its seed
+per-processor throughput under Amdahl plus a communication term.  Either
+way a cold pool is charged its startup cost (worker spawn, payload
+staging) — which is exactly why a session that keeps its substrate warm
+gets different, better plans than per-call entry points.  The planner
 itself keeps no rate.
 
 Every decision is auditable: :meth:`ExecutionPlan.explain` renders the
@@ -57,8 +59,9 @@ class _Substrate:
     """One row of what ``auto`` prices.
 
     ``seed_rate`` is the lanes/s per processor a row is priced at until
-    its dispatcher has run (an order-of-magnitude prior), the next two
-    feed the :class:`~repro.hpc.cost_model.StageSpec`.
+    its dispatcher has run (an order-of-magnitude prior), and the next
+    two feed the :class:`~repro.hpc.cost_model.StageSpec` it is priced
+    through until then; a measured rate already holds what they model.
     ``pooled`` marks the row that runs on the session's worker pool: it
     is priced at the host's worker count, pays ``startup_seconds`` while
     the pool is cold, is ineligible on a single-core host and prices as
@@ -235,8 +238,9 @@ class EnginePlanner:
         """Price every substrate and choose the cheapest.
 
         ``rates`` maps a row's dispatcher name to its measured lanes/s
-        per processor; a row missing from it (or ``None``) is priced at
-        its seed.  ``pool_warm`` waives the pool's startup (the session
+        per processor, at which the row's lanes take ``lanes / (rate ×
+        processors)``; a row missing from it (or ``None``) is priced at
+        its seed through the cost model.  ``pool_warm`` waives the pool's startup (the session
         already paid it); ``pool_degraded`` prices the pooled substrate
         as the serial fallback it has become — one processor, no warm
         credit, noted in ``explain()`` — so a degraded pool is never
@@ -273,11 +277,16 @@ class EnginePlanner:
                 procs, note = 1, "pool degraded — priced as serial fallback"
             elif row.pooled and not pool_warm:
                 startup = row.startup_seconds
-            runtime = StageSpec(
-                row.engine, lanes, rate,
-                parallel_fraction=row.parallel_fraction,
-                comm_overhead_per_proc_s=row.comm_overhead_per_proc_s,
-            ).runtime_seconds(procs) if eligible else float("inf")
+            if not eligible:
+                runtime = float("inf")
+            elif measured is not None:
+                runtime = lanes / (rate * procs)
+            else:
+                runtime = StageSpec(
+                    row.engine, lanes, rate,
+                    parallel_fraction=row.parallel_fraction,
+                    comm_overhead_per_proc_s=row.comm_overhead_per_proc_s,
+                ).runtime_seconds(procs)
             estimates.append(EngineEstimate(
                 engine=row.engine, n_procs=procs,
                 throughput_per_proc=rate, calibrated=measured is not None,

@@ -75,7 +75,8 @@ class RiskSession:
         Optional default book for :meth:`aggregate` / :meth:`ep_curves`;
         per-call portfolios may always be passed explicitly.
     n_workers:
-        Worker processes for pooled substrates (``None`` = host
+        Processors for pooled substrates: the calling thread and
+        ``n_workers - 1`` worker processes (``None`` = host
         parallelism).
     transport:
         ``"shm"`` only, its default: pooled substrates ride the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import pickle
 import random
 
 import numpy as np
@@ -91,11 +92,10 @@ def _segments_mapped():  # pragma: no cover - in a worker
     return mapped
 
 
-def _mapped_after_a_block_task(yet_handles, kernel_handles, output,
-                               _yet):  # pragma: no cover - in a worker
+def _mapped_after_a_block_task(payload, _yet):  # pragma: no cover - in a worker
     from repro.serve import dispatch
 
-    dispatch._sweep_trials_handles(yet_handles, kernel_handles, 0, 1, output)
+    dispatch._sweep_trials_handles(payload, 0, 1)
     return _segments_mapped()
 
 
@@ -112,8 +112,9 @@ def worker_mappings(dispatcher) -> dict:
     yet_handles = dispatcher._yet_handles
     output = dispatcher._output.reserve((kernel.n_layers,
                                          yet_handles.n_trials))
+    payload = pickle.dumps((yet_handles, kernel_handles, output))
     return worker_probes(dispatcher, functools.partial(
-        _mapped_after_a_block_task, yet_handles, kernel_handles, output))
+        _mapped_after_a_block_task, payload))
 
 
 def pytest_addoption(parser):

@@ -335,27 +335,29 @@ class TestOneBuildPerYetAndBook:
             1, 1)
 
     def test_pooled_workers_build_once_per_span(self):
-        """Six batches, two spans: span i runs on worker i every time,
-        so each worker builds one profile, however many batches it
-        prices."""
+        """Six batches, two spans: span 0 runs on the caller and span 1
+        on the one worker every time, so each side builds one profile,
+        of its own span, however many batches it prices."""
         yet = random_yet(np.random.default_rng(23), n_trials=90, width=40)
         with PooledDispatcher(n_workers=2) as d:
             for batch in range(self.N_BATCHES):
                 d.run(PortfolioKernel.from_layers(
                     fresh_same_book_batch(7, start=batch)), yet)
             assert d.transport_active == "shm"
-            n_spans = len(d.spans(yet))
+            spans = d.spans(yet)
             seen = worker_probes(d, _worker_profile_builds)
-        assert n_spans == 2
-        assert sorted(seen.values()) == [1] * n_spans
-        # never built, or shipped, here
-        assert profile_levels(yet)["yet.profile.builds"] == 0
+        assert len(spans) == 2
+        assert list(seen.values()) == [1]
+        # the caller's span 0, built here once and never shipped
+        assert profile_levels(yet)["yet.profile.builds"] == 1
+        assert list(yet._spans) == [spans[0]]
 
     def test_a_pooled_worker_holds_its_own_spans_profile(self):
-        """A 2-worker batch of same-book quotes: each worker builds the
-        profile of the span it was handed, over that span's rows — its
-        ``yet.profile.bytes`` is the hand-computed size of its own
-        span's profile, never the whole YET's."""
+        """A 2-processor batch of same-book quotes: the worker builds the
+        profile of span 1, the caller that of span 0, each over its own
+        span's rows — each side's ``yet.profile.bytes`` is the
+        hand-computed size of its own span's profile, never the whole
+        YET's."""
         rng = np.random.default_rng(27)
         yet = random_yet(rng, n_trials=90, width=40)
         elt = book(rng)
@@ -381,9 +383,10 @@ class TestOneBuildPerYetAndBook:
         sizes = [hand_bytes(*span) for span in spans]
         whole = hand_bytes(0, yet.n_trials)
         assert whole not in sizes + [sum(sizes)]
-        for levels in seen.values():
-            assert levels in {(1, sizes[0]), (1, sizes[1]), (2, sum(sizes))}
-        assert profile_levels(yet)["yet.profile.builds"] == 0
+        assert list(seen.values()) == [(1, sizes[1])]
+        levels = profile_levels(yet)
+        assert (levels["yet.profile.builds"], levels["yet.profile.bytes"]) == (
+            1, sizes[0])
 
     def test_concurrent_sweeps_share_one_build(self):
         yet = random_yet(np.random.default_rng(24), n_trials=200, width=40)

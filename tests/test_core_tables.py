@@ -183,17 +183,26 @@ class TestYetWidth:
         self.assert_int32(yet)
         self.assert_int32(yet.slice_trials(100, 250))
 
-    def test_shm_round_trip_stages_12_bytes_per_occurrence(self):
+    def test_shm_round_trip_stages_4_b_per_occurrence_8_per_trial(self):
+        """The staged YET is its int64 trial offsets and int32 event ids;
+        the attached copy derives the same int32 columns from them
+        (``seq`` as each occurrence's place in its trial, which is what
+        ``simulate`` writes)."""
         from repro.hpc import shm
 
         yet = self.simulate()
         with shm.SharedArena() as arena:
-            again = YetTable.from_handles(yet.to_shared(arena))
+            handles = yet.to_shared(arena)
+            assert {name: np.dtype(h.dtype) for name, h
+                    in handles.arrays.items()} == {
+                "trial_offsets": np.int64, "event_id": np.int32}
+            staged = 4 * yet.n_occurrences + 8 * (yet.n_trials + 1)
+            assert sum(h.nbytes for h in handles.arrays.values()) == staged
+            # two arrays, each padded to the arena's 64 B alignment
+            assert staged <= arena.nbytes < staged + 2 * 64
+            again = YetTable.from_handles(handles)
             self.assert_int32(again)
             assert again.table.equals(yet.table)
-            # three columns, each padded to the arena's 64 B alignment
-            assert 12 * yet.n_occurrences <= arena.nbytes < (
-                12 * yet.n_occurrences + 3 * 64)
 
     def test_event_index_is_4_bytes_per_occurrence(self):
         yet = self.simulate()

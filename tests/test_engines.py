@@ -423,7 +423,9 @@ class TestMulticore:
         with pytest.raises(ConfigurationError):
             engine.dispatcher
         with multicore(4) as engine:
-            assert engine.dispatcher.pool.n_workers == 4
+            # four processors: the caller and three workers
+            assert engine.dispatcher.n_workers == 4
+            assert engine.dispatcher.pool.n_workers == 3
             assert not engine.dispatcher.pool.started
             engine.run(tiny_workload.portfolio, tiny_workload.yet)
             assert engine.dispatcher.pool.started

@@ -468,17 +468,42 @@ class TestIndexLifetime:
             for _ in range(self.N_SWEEPS):
                 d.run(kernel, yet)
             assert d.transport_active == "shm"
-            spans = set(d.spans(yet))
+            spans = d.spans(yet)
             seen = worker_probes(d, _worker_event_indexes)
         assert len(spans) == 2
-        # span i runs on worker i every time: each worker indexes its
-        # own span, once, by the span's rows alone — never the other
-        # worker's, never the whole YET's
-        sizes = [span_bytes(yet, *span) for span in sorted(spans)]
+        # span 0 runs on the caller and span 1 on the worker every time:
+        # each side indexes its own span, once, by the span's rows alone
+        # — never the other's, never the whole YET's
+        sizes = [span_bytes(yet, *span) for span in spans]
         assert ranked_bytes(yet) not in sizes + [sum(sizes)]
-        assert sorted(seen.values()) == sorted((1, size) for size in sizes)
-        # nothing was built, or shipped, here
-        assert yet.cache_levels()["yet.event_index.builds"] == 0
+        assert list(seen.values()) == [(1, sizes[1])]
+        levels = yet.cache_levels()
+        assert (levels["yet.event_index.builds"],
+                levels["yet.event_index.bytes"]) == (1, sizes[0])
+
+    def test_ten_pooled_runs_build_one_caller_index(self, monkeypatch):
+        """The caller sweeps span 0 of every pooled run: over ten runs
+        it builds one event index, of span 0's rows, and keeps it."""
+        portfolio, yet = by_event_workload(seed=75)
+        kernel = portfolio.kernel()
+        built = []
+        init = tables.EventIndex.__init__
+
+        def counted(index, segments):
+            built.append(segments.n_trials)
+            init(index, segments)
+
+        with PooledDispatcher(n_workers=2) as d:
+            d.warmup(yet)       # the worker forks before the count starts
+            monkeypatch.setattr(tables.EventIndex, "__init__", counted)
+            for _ in range(10):
+                d.run(kernel, yet)
+            spans = d.spans(yet)
+        (t0, t1), _ = spans
+        assert built == [t1 - t0]
+        assert list(yet._spans) == [(t0, t1)]
+        assert yet.cache_levels()["yet.event_index.bytes"] == span_bytes(
+            yet, t0, t1)
 
     def test_an_attached_copy_indexes_only_the_spans_it_sweeps(self):
         """In process, the worker's view: a ``from_handles`` copy swept

@@ -5,7 +5,10 @@ execution stack — pool, engine, dispatcher, pricing service — and
 asserts the recovery contract: answers bit-identical to a fault-free
 run, the ``pool.*`` metrics recording what happened, and plans fully
 consumed (a scheduled fault that never fired is a test that proved
-nothing).
+nothing).  A plan's ordinals count worker tasks only: a pooled run of
+``n`` processors sends ``n - 1`` of them, the caller sweeping span 0
+itself, so a scenario that needs two worker tasks in one run uses three
+processors.
 
 The ``chaos`` marker keeps the set addressable (``-m chaos`` /
 ``-m "not chaos"``); the tests themselves are tier-1 fast — tiny
@@ -159,6 +162,38 @@ class TestPoolRecovery:
             assert plan.exhausted
             assert _metrics(pool)["pool.task_faults"] == 1
 
+    def test_a_caller_error_is_raised_once_every_reply_is_read(self):
+        """The caller's own share raises while task 1 still runs: the
+        error is raised once its reply is read, no worker is lost, no
+        reply reaches the next call, and the share is never rerun."""
+        calls = []
+
+        def share():
+            calls.append(1)
+            raise ArithmeticError("the caller's share failed")
+
+        with WorkPool(n_workers=2) as pool:
+            pids = pool.starmap(os.getpid, [(), ()])
+            with faults.inject(FaultPlan.delay_task(1, 0.2)) as plan:
+                with pytest.raises(ArithmeticError):
+                    pool.starmap(_square, _squares(1, 2), meanwhile=share)
+            assert plan.exhausted and calls == [1]
+            assert pool.starmap(_square, _squares(3, 4)) == [9, 16]
+            assert pool.starmap(os.getpid, [(), ()]) == pids
+            assert _metrics(pool)["pool.worker_deaths"] == 0
+
+    def test_the_callers_share_runs_once_beside_a_retry(self):
+        """A killed worker's task is resubmitted; the caller's share,
+        run in the first attempt, is not."""
+        calls = []
+        with WorkPool(n_workers=2) as pool:
+            with faults.inject(FaultPlan.kill_task(1)) as plan:
+                got = pool.starmap(_square, _squares(1, 2),
+                                   meanwhile=lambda: calls.append(1))
+            assert plan.exhausted
+            assert got == [1, 4] and calls == [1]
+            assert _metrics(pool)["pool.retries"] == 1
+
     def test_poison_not_retryable_propagates(self, monkeypatch):
         monkeypatch.setattr(supervision, "RETRYABLE", ())
         with WorkPool(n_workers=2) as pool:
@@ -250,7 +285,7 @@ class TestEngineChaos:
     def test_multicore_run_bit_identical_under_kill(
             self, small_portfolio_workload):
         wl = small_portfolio_workload
-        with multicore(2) as engine:
+        with multicore(3) as engine:
             baseline = engine.run(wl.portfolio, wl.yet)
             before = _metrics(engine.dispatcher.pool)
             ships = engine.dispatcher.payload_ships
@@ -285,19 +320,32 @@ class TestEngineChaos:
                 assert shm.active_segment_names() == segments
 
     def test_a_killed_workers_span_reruns_on_its_replacement_and_cpu(
-            self, small_portfolio_workload):
-        """The worker running span 1 dies: its replacement, in slot 1 on
-        slot 1's CPU, reruns span 1 alone — worker 0 and its span are
-        untouched — and the answer is bit-identical."""
+            self, small_portfolio_workload, monkeypatch):
+        """Three processors: the caller sweeps span 0, worker ``i``
+        span ``i + 1``.  Worker 1, running span 2, dies: its
+        replacement, in slot 1 on slot 1's CPU, reruns span 2 alone —
+        worker 0 and its span are untouched, and the caller's span 0
+        columns are kept, swept once — and the answer is bit-identical."""
+        from repro.serve import dispatch
+
         wl = small_portfolio_workload
         kernel = wl.portfolio.kernel()
-        with PooledDispatcher(n_workers=2) as d:
+        with PooledDispatcher(n_workers=3) as d:
             clean = d.run(kernel, wl.yet)
             spans = d.spans(wl.yet)
             before = d.pool.starmap(os.getpid, [(), ()])
             placed = worker_probes(d, _placement)
+            swept = []
+            sweep = dispatch._sweep_trials
+
+            def counted(yet, kernel, t0, t1, out=None):
+                swept.append((t0, t1))
+                return sweep(yet, kernel, t0, t1, out=out)
+
+            monkeypatch.setattr(dispatch, "_sweep_trials", counted)
             with faults.inject(FaultPlan.kill_task(1)) as plan:
                 recovered = d.run(kernel, wl.yet)
+            monkeypatch.undo()
             assert plan.exhausted
             after = d.pool.starmap(os.getpid, [(), ()])
             replaced = worker_probes(d, _placement)
@@ -305,11 +353,41 @@ class TestEngineChaos:
         np.testing.assert_array_equal(recovered, clean)
         np.testing.assert_array_equal(recovered,
                                       InlineDispatcher().run(kernel, wl.yet))
+        assert swept == [spans[0]]          # in this process, once
         assert metrics["pool.worker_deaths"] == metrics["pool.retries"] == 1
         assert after[0] == before[0] and after[1] != before[1]
         assert replaced[after[0]] == placed[before[0]]
-        assert replaced[after[1]] == (placed[before[1]][0], [spans[1]])
-        assert placed[before[1]][1] == [spans[1]]
+        assert replaced[after[1]] == (placed[before[1]][0], [spans[2]])
+        assert placed[before[0]][1] == [spans[1]]
+        assert placed[before[1]][1] == [spans[2]]
+
+    def test_a_caller_error_is_raised_once_every_reply_is_read(
+            self, small_portfolio_workload, monkeypatch):
+        """The caller's own sweep of span 0 raises while worker 1's task
+        is still running: the error is raised once that reply is read,
+        no worker is lost to it, and the next run reads no stale reply."""
+        from repro.serve import dispatch
+
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+        with PooledDispatcher(n_workers=3) as d:
+            clean = d.run(kernel, wl.yet)
+            pids = d.pool.starmap(os.getpid, [(), ()])
+
+            def broken(*args, **kwargs):
+                raise ArithmeticError("the caller's sweep failed")
+
+            monkeypatch.setattr(dispatch, "_sweep_trials", broken)
+            plan = FaultPlan.delay_task(1, 0.3)
+            with faults.inject(plan):
+                with pytest.raises(ArithmeticError):
+                    d.run(kernel, wl.yet)
+            assert plan.exhausted
+            monkeypatch.undo()
+            np.testing.assert_array_equal(d.run(kernel, wl.yet), clean)
+            assert d.pool.starmap(os.getpid, [(), ()]) == pids
+            metrics = _metrics(d)
+        assert metrics["pool.worker_deaths"] == metrics["pool.retries"] == 0
 
     def test_degraded_engine_matches_pooled_bitwise(
             self, small_portfolio_workload):
@@ -362,9 +440,9 @@ class TestServingChaos:
         layers = list(wl.portfolio)
 
         inline_svc = pricing_service(wl.yet)
-        clean_svc = risk_session(wl.yet, n_workers=2).pricing_service(
+        clean_svc = risk_session(wl.yet, n_workers=3).pricing_service(
             engine="pooled")
-        chaos_svc = risk_session(wl.yet, n_workers=2).pricing_service(
+        chaos_svc = risk_session(wl.yet, n_workers=3).pricing_service(
             engine="pooled")
         try:
             inline_q = inline_svc.quote_many(layers)

@@ -136,7 +136,9 @@ class TestTrialSegments:
                                           getattr(carried, name))
         assert derived.max_count == carried.max_count
 
-    def test_index_is_derived_once_per_table_and_per_attached_copy(self):
+    def test_index_is_derived_once_and_staged_for_a_copy(self):
+        """A table derives its trial offsets once; a copy attached from
+        its staging reads the staged ones and derives none."""
         yet = make_yet([0, 0, 2], [1, 2, 3], n_trials=3)
         assert yet.index_builds == 0
         first, part = yet.trial_block(), yet.trial_block(1, 3)
@@ -150,7 +152,7 @@ class TestTrialSegments:
             for _ in range(3):
                 seg = attached.trial_block()
                 attached.trial_block(0, 2)
-            assert attached.index_builds == 1
+            assert attached.index_builds == 0
             np.testing.assert_array_equal(seg.bounds, first.bounds)
             del attached, seg
 
@@ -234,9 +236,9 @@ class TestTrialIndexOncePerWorker:
 
     def check(self, dispatcher):
         seen = worker_probes(dispatcher, _worker_index_builds)
-        # N sweeps, one derivation: never a second scan of the trial column
-        assert max(seen.values()) == 1
-        assert all(builds <= 1 for builds in seen.values())
+        # N sweeps, no derivation: a worker reads the staged offsets and
+        # never scans a trial column
+        assert set(seen.values()) == {0}
 
     def test_pooled_dispatcher(self, small_portfolio_workload):
         wl = small_portfolio_workload

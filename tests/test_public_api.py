@@ -246,7 +246,7 @@ def test_removed_names_stay_removed(tmp_path):
     assert list(inspect.signature(WorkPool).parameters) == [
         "n_workers", "telemetry"]
     assert list(inspect.signature(WorkPool.starmap).parameters) == [
-        "self", "fn", "arg_tuples", "deadline_seconds"]
+        "self", "fn", "arg_tuples", "deadline_seconds", "meanwhile"]
     from repro.core.tables import EventIndex, TrialSegments
 
     assert list(inspect.signature(TrialSegments).parameters) == [

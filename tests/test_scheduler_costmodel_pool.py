@@ -152,10 +152,11 @@ class TestWorkPool:
         assert not set(pids) & {child.pid
                                 for child in multiprocessing.active_children()}
 
-    def test_task_i_runs_on_worker_i_pinned_to_cpu_i(self):
-        """Task ``i`` goes to worker ``i mod n``, pinned to CPU ``i mod
-        k`` of the parent's: over 100 warm 2-task calls, every call runs
-        on both workers, in slot order."""
+    def test_task_i_runs_on_worker_i_on_the_cpu_after_i(self):
+        """Task ``i`` goes to worker ``i mod n``, pinned to CPU ``(i + 1)
+        mod k`` of the parent's (the first is the caller's): over 100
+        warm 2-task calls, every call runs on both workers, in slot
+        order."""
         cpus = sorted(os.sched_getaffinity(0))
         with WorkPool(n_workers=2) as pool:
             first = pool.starmap(_pid_and_cpus, [(), ()])
@@ -163,7 +164,8 @@ class TestWorkPool:
                 placed = pool.starmap(_pid_and_cpus, [(), ()])
                 assert len({pid for pid, _ in placed}) == 2
                 assert placed == first
-        assert [cpu for _, cpu in first] == [[cpus[0]], [cpus[1 % len(cpus)]]]
+        assert [cpu for _, cpu in first] == [[cpus[1 % len(cpus)]],
+                                             [cpus[2 % len(cpus)]]]
 
     def test_close_is_prompt_and_leaves_no_process(self):
         """A stop message per pipe, then one join each: a worker holds no

@@ -176,6 +176,42 @@ class TestPlanner:
                 comm_overhead_per_proc_s=0.01).runtime_seconds(n_workers)
             assert mc.startup_seconds == 0.35
 
+    def test_a_measured_row_is_priced_at_what_it_measured(self):
+        """A row whose dispatcher has run takes ``lanes / (rate x
+        procs)``, the inverse of ``ThroughputEstimate.observe``: no
+        Amdahl fraction or communication term on top of a wall-time
+        rate."""
+        shape = dict(n_trials=2_000, n_occurrences=200_000, n_layers=8)
+        lanes = 200_000 * 8
+        plan = EnginePlanner(n_workers=2).plan(
+            "aggregate", pool_warm=True,
+            rates={"inline": 4e8, "pooled": 2.5e8}, **shape)
+        est = {e.engine: e for e in plan.estimates}
+        assert est["vectorized"].runtime_seconds == lanes / 4e8
+        assert est["multicore"].runtime_seconds == lanes / (2.5e8 * 2)
+        assert plan.engine == "multicore"
+
+    def test_after_both_run_auto_picks_the_faster_measured_one(
+            self, small_portfolio_workload, risk_session):
+        wl = small_portfolio_workload
+        session = risk_session(wl.yet, wl.portfolio, n_workers=2)
+        session.aggregate(engine="vectorized")
+        session.aggregate(engine="multicore")
+        lanes = wl.portfolio.n_layers * wl.yet.n_occurrences
+        inline = session.dispatcher("inline")
+        pooled = session.dispatcher("pooled")
+        seconds = {
+            "vectorized": lanes / inline.throughput.rate,
+            "multicore": lanes / (pooled.throughput.rate * pooled.n_procs)}
+        plan = session.plan("aggregate")
+        assert plan.engine == min(seconds, key=seconds.get)
+        for est in plan.estimates:
+            assert est.calibrated
+            assert est.total_seconds == pytest.approx(seconds[est.engine])
+        (chosen,) = [line for line in plan.explain().splitlines()
+                     if line.startswith("  * ")]
+        assert plan.engine in chosen and "(measured)" in chosen
+
     def test_unpriced_engines_calibrate_nothing(self):
         """A rate is read for a row's dispatcher only: one for a name
         no row runs on prices nothing."""

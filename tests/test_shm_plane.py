@@ -27,13 +27,15 @@ Three invariant families:
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 import pickle
 import weakref
 
 import numpy as np
 import pytest
-from conftest import as_csr, multicore, worker_mappings, worker_probes
+from conftest import (as_csr, make_yet, multicore, worker_mappings,
+                      worker_probes)
 
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
@@ -130,7 +132,6 @@ class TestHandles:
 class TestRoundTrips:
     def test_yet_to_shared_from_handles(self, tiny_workload):
         yet = tiny_workload.yet
-        yet.fingerprint()   # cached → must ride the handles
         with shm.SharedArena() as arena:
             handles = pickle.loads(pickle.dumps(yet.to_shared(arena)))
             again = YetTable.from_handles(handles)
@@ -142,8 +143,8 @@ class TestRoundTrips:
                                           yet.trial_offsets)
 
     def test_an_attached_yet_hashes_as_its_source(self, tiny_workload):
-        """A copy attached before its source was hashed computes the
-        source's hash from the shared columns."""
+        """An attached copy computes its source's hash from the staged
+        offsets and event ids (the handles carry no hash)."""
         yet = YetTable(tiny_workload.yet.table, tiny_workload.yet.n_trials)
         with shm.SharedArena() as arena:
             again = YetTable.from_handles(yet.to_shared(arena))
@@ -200,8 +201,9 @@ class TestTransportParity:
             )
 
     def test_an_equal_yet_does_not_reship(self, rng):
-        """Staging keys on content fingerprint, not object identity:
-        an equal YET built a second time stages nothing."""
+        """The staged table is held by object and another compared with
+        it by content fingerprint: an equal YET built a second time
+        stages nothing."""
         ids = np.arange(500, dtype=np.int64)
         rates = np.full(500, 1.0 / 500)
         make = lambda: YetTable.simulate(ids, rates, 200,
@@ -352,7 +354,7 @@ class TestTransportParity:
         with PooledDispatcher(n_workers=2) as d:
             for yet in yets:
                 d.run(kernel, yet)
-                staged = d._yet_handles.arrays["trial"].segment
+                staged = d._yet_handles.arrays["event_id"].segment
                 assert {name for name in shm.active_segment_names() - before
                         if not name.startswith("repro-slab-")} == {staged}
                 _assert_workers_map_the_live_payloads(d)
@@ -371,6 +373,100 @@ class TestTransportParity:
 
 
 # ---------------------------------------------------------------------------
+# the caller's span, the staged bytes, the payload bytes (counts, no clock)
+# ---------------------------------------------------------------------------
+
+class TestCallerSweepsSpanZero:
+    """``n_workers`` is the processors a run uses: the caller sweeps
+    span 0 and ``n - 1`` forked workers the rest; the staged YET is its
+    trial offsets and event ids, staged without a hash."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_n_processors_fork_n_minus_1_workers(
+            self, small_portfolio_workload, risk_session, n):
+        wl = small_portfolio_workload
+        inline = risk_session(wl.yet, wl.portfolio).aggregate(
+            engine="vectorized")
+        before = {p.pid for p in multiprocessing.active_children()}
+        session = risk_session(wl.yet, wl.portfolio, n_workers=n)
+        result = session.aggregate(engine="multicore")
+        forked = {p.pid for p in multiprocessing.active_children()} - before
+        assert len(forked) == n - 1
+        assert result.details["n_workers"] == n
+        assert result.details["degraded"] is False
+        assert result.details["transport"] == ("shm" if n > 1 else "inline")
+        assert session.payload_ships == (1 if n > 1 else 0)
+        np.testing.assert_array_equal(result.portfolio_ylt.losses,
+                                      inline.portfolio_ylt.losses)
+        for lid, ylt in inline.ylt_by_layer.items():
+            np.testing.assert_array_equal(result.ylt_by_layer[lid].losses,
+                                          ylt.losses)
+
+    def test_the_arena_holds_trial_offsets_and_event_ids_only(self):
+        """15 trials and 64 occurrences: each array fills whole 64 B
+        lines, so the arena is exactly 4 B per occurrence plus 8 B per
+        offset."""
+        rng = np.random.default_rng(5)
+        yet = make_yet(np.sort(rng.integers(0, 15, 64)),
+                       rng.integers(0, 50, 64), n_trials=15)
+        kernel = PortfolioKernel.from_layers([_tiny_kernel_layer()],
+                                             layer_ids=[0])
+        with PooledDispatcher(n_workers=2) as d:
+            np.testing.assert_array_equal(
+                d.run(kernel, yet), InlineDispatcher().run(kernel, yet))
+            assert d._yet_arena.nbytes == 4 * 64 + 8 * (15 + 1)
+
+    def test_a_first_staging_hashes_nothing(self, small_portfolio_workload,
+                                            risk_session):
+        """A fresh session's first pooled run stages its YET unhashed;
+        an equal YET offered after is hashed, beside the staged one, to
+        find that it ships nothing."""
+        wl = small_portfolio_workload
+        yet = YetTable(wl.yet.table, wl.yet.n_trials)
+        session = risk_session(yet, wl.portfolio, n_workers=2)
+        first = session.aggregate(engine="multicore")
+        assert yet._fingerprint is None
+        assert session.payload_ships == 1
+        equal = YetTable(wl.yet.table, wl.yet.n_trials)
+        d = session.dispatcher("pooled")
+        again = d.run(wl.portfolio.kernel(), equal)
+        assert session.payload_ships == 1
+        assert yet._fingerprint == equal._fingerprint is not None
+        np.testing.assert_array_equal(
+            again, np.stack([first.ylt_by_layer[lid].losses
+                             for lid in first.ylt_by_layer]))
+
+    def test_warm_runs_send_one_payload_bytes_object(
+            self, small_portfolio_workload, monkeypatch):
+        """The ``(YET, kernel, output)`` handles are pickled once per
+        change: ten warm runs send one bytes object, and a new kernel
+        makes a new one."""
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+        with PooledDispatcher(n_workers=3) as d:
+            d.run(kernel, wl.yet)
+            sent = []
+            starmap = d.pool.starmap
+
+            def spy(fn, arg_tuples, **kwargs):
+                arg_tuples = list(arg_tuples)
+                sent.extend(args[0] for args in arg_tuples)
+                return starmap(fn, arg_tuples, **kwargs)
+
+            monkeypatch.setattr(d.pool, "starmap", spy)
+            for _ in range(10):
+                d.run(kernel, wl.yet)
+            assert len(sent) == 20
+            assert len({id(payload) for payload in sent}) == 1
+            assert isinstance(sent[0], bytes)
+            other = Portfolio(list(wl.portfolio)[:2]).kernel()
+            np.testing.assert_array_equal(
+                d.run(other, wl.yet), InlineDispatcher().run(other, wl.yet))
+            assert sent[-1] is not sent[0] and sent[-1] != sent[0]
+            assert pickle.loads(sent[-1])[1].stamp == d._staged[1].stamp
+
+
+# ---------------------------------------------------------------------------
 # a staged kernel: packed once, attached once per worker
 # ---------------------------------------------------------------------------
 
@@ -381,7 +477,7 @@ def _worker_owned(_yet):  # pragma: no cover - in a worker
 def _assert_workers_map_the_live_payloads(d):
     """Every worker maps exactly the staged YET's, the kernel slab's and
     the output slab's live segments, after a task naming all three."""
-    live = {d._yet_handles.arrays["trial"].segment: False,
+    live = {d._yet_handles.arrays["event_id"].segment: False,
             d._slab.segment_name: False, d._output.segment_name: False}
     for mapped in worker_mappings(d).values():
         assert mapped == live
@@ -509,7 +605,8 @@ class TestOutputSlab:
         wl = small_portfolio_workload
         first = wl.portfolio.kernel()
         second = Portfolio(list(wl.portfolio)[:2]).kernel()
-        with PooledDispatcher(n_workers=2, telemetry=telemetry) as d:
+        # three processors: worker tasks 0 and 1 per run, task 1 delayed
+        with PooledDispatcher(n_workers=3, telemetry=telemetry) as d:
             np.testing.assert_array_equal(
                 d.run(first, wl.yet), InlineDispatcher().run(first, wl.yet))
             stale = d._output.segment_name
