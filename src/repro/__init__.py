@@ -137,3 +137,7 @@ __all__ = [
     "RngHierarchy",
     "__version__",
 ]
+
+# Last, with the whole library imported and no input yet: fork the
+# process every pool worker is forked from (:mod:`repro.hpc.pool`).
+hpc.pool.fork_template()

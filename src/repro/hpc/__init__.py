@@ -22,9 +22,11 @@ large read-only payloads (the YET, stacked kernels) live in
 as ~100-byte handles instead of pickled replicas — the one transport;
 a host without shared memory runs pooled work in process as a counted
 degraded fallback.  The pool runs every task it is given on its workers
-(the pooled dispatcher decides which runs stay in process) and
-*supervises* them: a per-call deadline and the pool's own retry
-constants resubmit lost work idempotently,
+(the pooled dispatcher decides which runs stay in process), each forked
+by a small template process that ``import repro`` forks before any input
+exists, so no worker shares the caller's heap; and it *supervises* them:
+a per-call deadline and the pool's own retry constants resubmit lost
+work idempotently,
 :class:`~repro.hpc.pool.PoolHealth` records deaths/timeouts/degradation,
 and :mod:`repro.hpc.faults` injects deterministic failures for chaos
 testing.

@@ -10,48 +10,84 @@ parallelism in this library never changes answers, only wall time.
 
 Placement
 ---------
-The pool is ``n_workers`` forked processes, started lazily on first use
-and reused across calls; :meth:`WorkPool.close` (or the context
-manager) is the shutdown path.  Worker ``i`` owns a duplex pipe of its
-own and is pinned (``os.sched_setaffinity``) to CPU ``(i + 1) mod k`` of
-the ``k`` CPUs the parent may run on: the first is left to the calling
-thread, which is never pinned and, in a pooled dispatcher's run, sweeps
-span 0 itself (:meth:`WorkPool.starmap`'s ``meanwhile``) while worker
-``i`` sweeps span ``i + 1`` — ``n`` processors, ``n - 1`` forks.  Where
-the host has no affinity call the workers run unpinned.
+The pool is ``n_workers`` processes, started lazily on first use and
+reused across calls; :meth:`WorkPool.close` (or the context manager) is
+the shutdown path.  Worker ``i`` owns a duplex pipe of its own and is
+pinned (``os.sched_setaffinity``) to CPU ``(i + 1) mod k`` of the ``k``
+CPUs the parent may run on: the first is left to the calling thread,
+which is never pinned and, in a pooled dispatcher's run, sweeps span 0
+itself (:meth:`WorkPool.starmap`'s ``meanwhile``) while worker ``i``
+sweeps span ``i + 1`` — ``n`` processors, ``n - 1`` workers.  Where the
+host has no affinity call the workers run unpinned.
 :meth:`WorkPool.starmap` sends task ``i`` to worker ``i mod n_workers``,
 one task in flight per worker, so a dispatcher's spans run one per
 processor every call — no shared queue can hand two spans to one worker
 — and, with no more processors than CPUs, no two share a CPU.  The
 calling thread sends each worker its task, runs its own share, and then
-waits, on every busy worker's pipe and process sentinel at once, for the
-replies, which carry their task's index.
+waits, on every busy worker's pipe and pidfd at once, for the
+replies.
+
+Where workers come from
+-----------------------
+No worker is forked by the caller.  ``import repro`` ends by forking
+one small *template* process (:func:`fork_template`), after
+:mod:`repro.serve.dispatch` and the rest of the library are imported
+and before any YET, portfolio or shared-memory segment exists; every
+worker, a replacement too, is forked by the template, which sends the
+caller the parent end of the worker's pipe and a pidfd of the worker
+over a Unix socket (``socket.send_fds``).  So no worker shares the
+caller's heap, and the caller's writes after the forks (merges, the
+kernel build, its cold sweep of span 0) pay no copy-on-write.  Forking
+the template costs ``import repro`` ≈ 3.5 ms: on a 2-vCPU container
+``python -c "import repro"`` read 0.462 s before it and 0.478 s after
+(medians of 40 interleaved runs, inside their quartiles' spread).  A
+worker is the template's child: ``os.getppid()`` in a task is the
+template's pid, ``multiprocessing.active_children()`` lists no worker,
+and a worker's pid is read off the pool (``pool._workers[i].pid``).
+
+The template exits at the end of its socket — when its caller exits,
+however — and a worker at the end of its pipe, of which it holds the
+only copy of its end (the caller holds the only copy of the other), so
+no process outlives its caller.  A process that inherits a template it
+did not fork (a user's ``fork``, or a worker whose task opens a pool)
+leaves the inherited socket alone, the owner being checked by pid, and
+forks a template of its own on first use; so does a process whose
+template is gone, or one that imported the library while other threads
+ran (the fork is put off until a pool first starts).
+
+A worker finds a task's function as the caller would: it takes the
+caller's ``sys.path`` and working directory when it is forked, and a
+module half-imported when the template was forked (the one whose
+import of ``repro`` forked it: a test module, ``conftest``, a benchmark
+harness) is imported afresh in the worker when a task names it.  A
+worker sees each module as imported, not as the caller changed it since
+(a patched attribute).  A task defined in a script's ``__main__`` after
+that script's ``import repro`` cannot be found by a worker: the call
+raises the worker's ``AttributeError``; define such a task in an
+importable module.
 
 A task names its whole input: a large payload rides each task as
 shared-memory handles (:mod:`repro.hpc.shm`), a few hundred bytes, which
 the worker attaches and keeps (see :mod:`repro.serve.dispatch`), so any
 worker, a fresh one after a death too, runs any task as it was
-submitted.  A forked worker closes its copies of every worker pipe's
-parent end (its own included), so the one process holding the parent
-end of a pipe is the parent, and a worker whose parent closed its pipe
-or died sees the end of it.
+submitted.
 
 Failure semantics
 -----------------
 Tasks submitted through :meth:`WorkPool.starmap` are **supervised**.  A
 call names only its deadline; the rest is decided here, as the module
-constants :data:`MAX_RETRIES`, :data:`BACKOFF_SECONDS`,
-:data:`BACKOFF_JITTER`, :data:`RETRYABLE` and :data:`DEGRADE_AFTER`.
-Each attempt sends the tasks still pending and waits once, under the
-call's ``deadline_seconds``:
+constants :data:`MAX_RETRIES`, :data:`RETRYABLE` and
+:data:`DEGRADE_AFTER`.  Each attempt sends the tasks still pending and
+waits once, under the call's ``deadline_seconds``; the next attempt
+follows at once:
 
 - A worker death loses only that worker's unfinished tasks: the worker
-  is replaced in its own slot, on its own CPU, and its lost tasks,
-  which name their inputs, are resubmitted to the replacement as they
-  are after a jittered exponential backoff; the other workers' answers
-  are kept.  Tasks must therefore be idempotent — every task in this
-  library is a pure function of its arguments, so re-execution is the
-  MapReduce recovery story applied to the in-node pool.
+  is replaced in its own slot, on its own CPU, by the template, and its
+  lost tasks, which name their inputs, are resubmitted to the
+  replacement as they are; the other workers' answers are kept.  Tasks
+  must therefore be idempotent — every task in this library is a pure
+  function of its arguments, so re-execution is the MapReduce recovery
+  story applied to the in-node pool.
 - A worker still busy when the deadline passes is wedged: it is killed
   and replaced the same way, and only its unfinished tasks are
   resubmitted.
@@ -86,13 +122,15 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import multiprocessing
 import os
-import random
+import pickle
+import signal
+import socket
+import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import wait
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError, ExecutionError
@@ -103,12 +141,6 @@ __all__ = ["PoolHealth", "WorkPool", "available_parallelism"]
 
 #: Resubmissions allowed **per task** beyond its first attempt.
 MAX_RETRIES = 2
-#: Base of the exponential backoff between retry cycles (capped at 1 s).
-BACKOFF_SECONDS = 0.05
-#: Uniform jitter fraction added to each backoff sleep (decorrelates
-#: thundering-herd resubmission; drawn from the pool's own RNG, seeded,
-#: so a run's sleeps repeat).
-BACKOFF_JITTER = 0.25
 #: Exception classes raised *by tasks* that supervision retries.  A
 #: worker death and a missed deadline are always retried.
 RETRYABLE = (faults.PoisonedPayloadError,)
@@ -118,12 +150,10 @@ DEGRADE_AFTER = 3
 #: Seconds :meth:`WorkPool.close` waits for a stopped worker to exit
 #: before killing it.
 _JOIN_SECONDS = 1.0
-
-_FORK = multiprocessing.get_context("fork")
-
-#: The parent end of every live worker's pipe, of every pool in this
-#: process: a forked worker closes its copies of them all (:func:`_serve`).
-_PARENT_ENDS: set = set()
+#: Bytes a request to the template may take (``sys.path`` rides it).
+_REQUEST_BYTES = 1 << 20
+#: Descriptors received from the template are not inherited by ``exec``.
+_CLOEXEC = getattr(socket, "MSG_CMSG_CLOEXEC", 0)
 
 
 def available_parallelism() -> int:
@@ -220,67 +250,231 @@ class PoolHealth:
         self.last_error = None
 
 
-
-
-def _serve(conn, cpu: int | None) -> None:
-    """A worker's life: close the inherited parent ends, pin to ``cpu``,
-    then run each ``(index, fn, args)`` the pipe brings and reply
-    ``(index, True, result)`` or ``(index, False, exception)``, until
-    ``None`` or the end of the pipe."""
-    for end in _PARENT_ENDS:
-        end.close()
-    _PARENT_ENDS.clear()
+def _serve(conn: Connection, cpu: int | None) -> None:
+    """A worker's life: pin to ``cpu``, then run each ``(fn, args)`` the
+    pipe brings and reply ``(True, result)`` or ``(False, exception)``,
+    until ``None`` or the end of the pipe.  A task that will not unpickle
+    here (a function this process cannot find) is answered with the
+    error it raised, like a task that raised it."""
     if cpu is not None:
         with contextlib.suppress(OSError):   # a CPU taken away since
             os.sched_setaffinity(0, (cpu,))
     while True:
         try:
-            task = conn.recv()
+            message = conn.recv_bytes()
         except EOFError:
             return
-        if task is None:
-            return
-        index, fn, args = task
         try:
-            reply = (index, True, fn(*args))
+            task = pickle.loads(message)
         except Exception as exc:
-            reply = (index, False, exc)
+            reply = (False, exc)
+        else:
+            if task is None:
+                return
+            fn, args = task
+            try:
+                reply = (True, fn(*args))
+            except Exception as exc:
+                reply = (False, exc)
         try:
             conn.send(reply)
         except Exception as exc:    # a result or an error that won't pickle
-            conn.send((index, False, RuntimeError(
-                f"task {index}'s reply did not pickle: {exc!r}")))
+            conn.send((False, RuntimeError(
+                f"a task's reply did not pickle: {exc!r}")))
+
+
+def _live_forked(main: Callable, *args) -> None:
+    """Run ``main(*args)`` as the whole life of a process just forked:
+    it exits when ``main`` returns or raises, and never returns into
+    the frames it was forked in."""
+    code = 1
+    try:
+        main(*args)
+        code = 0
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            with contextlib.suppress(Exception):
+                stream.flush()
+        os._exit(code)
+
+
+def _worker_main(end: socket.socket, cpu: int | None, path: list,
+                 cwd: str) -> None:
+    """A worker just forked by the template: restore the default
+    ``SIGCHLD`` (a task may wait on processes of its own), take the
+    caller's ``sys.path`` and working directory, and serve ``end``."""
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    sys.path[:] = path
+    with contextlib.suppress(OSError):
+        os.chdir(cwd)
+    _serve(Connection(end.detach()), cpu)
+
+
+def _pidfd(pid: int) -> int | None:
+    """A pidfd of process ``pid``, or ``None``: the host has no pidfds,
+    or the process is gone already (the end of its pipe says so)."""
+    try:
+        return os.pidfd_open(pid)
+    except (AttributeError, OSError):
+        return None
+
+
+def _template_main(sock: socket.socket) -> None:
+    """The template's life: for each request on ``sock`` — the CPUs of
+    the workers to fork, and the caller's ``sys.path`` and working
+    directory — fork one worker per CPU and send the caller its pid,
+    the parent end of its pipe and a pidfd of it, one message each,
+    until the end of the socket.  The template holds no pipe end once
+    it is sent, so a worker inherits none but its own; the kernel reaps
+    the workers, and ``SIGINT`` is the caller's to act on."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    while True:
+        request = sock.recv(_REQUEST_BYTES)
+        if not request:
+            return
+        cpus, path, cwd = pickle.loads(request)
+        for cpu in cpus:
+            ours, theirs = socket.socketpair()
+            pid = os.fork()
+            if pid == 0:
+                sock.close()
+                ours.close()
+                _live_forked(_worker_main, theirs, cpu, path, cwd)
+            theirs.close()
+            pidfd = _pidfd(pid)
+            fds = [ours.fileno()] + ([] if pidfd is None else [pidfd])
+            socket.send_fds(sock, [str(pid).encode()], fds)
+            ours.close()
+            if pidfd is not None:
+                os.close(pidfd)
+
+
+def _half_imported() -> list:
+    """The modules whose code is running on this thread's stack, but for
+    ``__main__`` (a main module cannot be imported afresh) and
+    :mod:`repro` itself (its import is the one that forks the template)."""
+    names, frame = [], sys._getframe()
+    while frame is not None:
+        if frame.f_code.co_name == "<module>":
+            names.append(frame.f_globals.get("__name__"))
+        frame = frame.f_back
+    return [name for name in names if name != "__main__"
+            and name != "repro" and not str(name).startswith("repro.")]
+
+
+class _Template:
+    """A process's template: forked while the process held the imported
+    library only, and asked over a Unix socket to fork workers.  Forked
+    from frames that may be importing modules, it forgets those modules
+    first, so a worker imports one afresh when a task names it."""
+
+    def __init__(self) -> None:
+        global _TEMPLATE_LOCK
+        for stream in (sys.stdout, sys.stderr):   # or the child writes it too
+            with contextlib.suppress(Exception):
+                stream.flush()
+        self.owner = os.getpid()
+        self.sock, theirs = socket.socketpair(socket.AF_UNIX,
+                                              socket.SOCK_SEQPACKET)
+        half_imported = _half_imported()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _TEMPLATE_LOCK = threading.Lock()   # forked holding it, maybe
+            self.sock.close()
+            for name in half_imported:
+                sys.modules.pop(name, None)
+            _live_forked(_template_main, theirs)
+        theirs.close()
+
+    def fork_workers(self, cpus: list) -> list:
+        """One :class:`_Worker` per entry of ``cpus`` (a CPU, or
+        ``None`` for unpinned), forked by the template.  A failure
+        closes the socket: its replies could no longer be matched to
+        requests."""
+        workers = []
+        try:
+            self.sock.send(pickle.dumps((cpus, sys.path, os.getcwd())))
+            for _ in cpus:
+                pid, fds, _, _ = socket.recv_fds(self.sock, 32, 2, _CLOEXEC)
+                if not pid:
+                    raise ConnectionError("the worker template exited")
+                workers.append(_Worker(int(pid), Connection(fds[0]),
+                                       fds[1] if len(fds) > 1 else None))
+        except BaseException:
+            self.sock.close()
+            for worker in workers:
+                worker.retire()
+            raise
+        return workers
+
+
+#: This process's template (``None`` until forked); one it inherited is
+#: not its own (:attr:`_Template.owner`).
+_TEMPLATE: _Template | None = None
+_TEMPLATE_LOCK = threading.Lock()
+
+
+def fork_template() -> None:
+    """Fork this process's template now, unless another thread runs (a
+    fork is then put off until a pool first starts).  ``import repro``
+    calls this once, last, so the template holds the imported library
+    and nothing else."""
+    global _TEMPLATE
+    if threading.active_count() == 1:
+        with _TEMPLATE_LOCK, contextlib.suppress(OSError):
+            _TEMPLATE = _Template()
+
+
+def _fork_workers(cpus: list) -> list:
+    """Workers for ``cpus``, forked by this process's template; a fresh
+    template is forked first where the process has none of its own, or
+    once, where its template is gone."""
+    global _TEMPLATE
+    with _TEMPLATE_LOCK:
+        for retry in (False, True):
+            if (_TEMPLATE is None or _TEMPLATE.owner != os.getpid()
+                    or _TEMPLATE.sock.fileno() < 0):
+                _TEMPLATE = _Template()
+            try:
+                return _TEMPLATE.fork_workers(cpus)
+            except OSError:
+                if retry:
+                    raise
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(_TEMPLATE.pid, os.WNOHANG)
 
 
 class _Worker:
-    """One slot's forked process and the parent end of its pipe."""
+    """One slot's worker, as the template forked it: its pid, the parent
+    end of its pipe, and a pidfd of it (``None`` where the host has
+    none)."""
 
-    __slots__ = ("process", "conn")
+    __slots__ = ("pid", "conn", "pidfd")
 
-    def __init__(self, cpu: int | None) -> None:
-        self.conn, child = _FORK.Pipe()
-        _PARENT_ENDS.add(self.conn)
-        try:
-            self.process = _FORK.Process(target=_serve, args=(child, cpu),
-                                         daemon=True)
-            self.process.start()
-        except BaseException:
-            self.retire()
-            raise
-        finally:
-            child.close()
+    def __init__(self, pid: int, conn: Connection, pidfd: int | None) -> None:
+        self.pid, self.conn, self.pidfd = pid, conn, pidfd
+
+    @property
+    def sentinel(self):
+        """Ready once the worker has exited: its pidfd, or, where there
+        is none, the end of its pipe."""
+        return self.conn if self.pidfd is None else self.pidfd
 
     def retire(self) -> None:
-        """Close the pipe and reap the process, killing it first if it
-        still runs (a worker wedged past a deadline, or one that would
-        not stop)."""
-        _PARENT_ENDS.discard(self.conn)
+        """Kill the worker unless it has exited (one wedged past a
+        deadline, or one that would not stop), wait for its exit, and
+        close its pipe and pidfd."""
+        if not wait([self.sentinel], 0):
+            with contextlib.suppress(ProcessLookupError):
+                if self.pidfd is None:
+                    os.kill(self.pid, signal.SIGKILL)
+                else:
+                    signal.pidfd_send_signal(self.pidfd, signal.SIGKILL)
+            wait([self.sentinel])
         self.conn.close()
-        process = getattr(self, "process", None)
-        if process is not None and process.pid is not None:
-            if process.is_alive():
-                process.kill()
-            process.join()
+        if self.pidfd is not None:
+            os.close(self.pidfd)
 
 
 class WorkPool:
@@ -299,9 +493,13 @@ class WorkPool:
     -----
     Tasks must be picklable top-level callables, and idempotent:
     supervision re-executes lost tasks (see the module docstring's
-    failure semantics).  The workers are forked on the first call and
-    reused until :meth:`close`; ``with WorkPool(...) as pool:`` closes
-    them on exit.  Calls from several threads take turns.
+    failure semantics).  The workers are forked on the first call — by
+    the process's template, not by the caller — and reused until
+    :meth:`close`; ``with WorkPool(...) as pool:`` closes them on exit.
+    Calls from several threads take turns.  A task defined in a script's
+    ``__main__`` after its ``import repro`` cannot run: the workers'
+    template was forked before it existed, and the call raises the
+    worker's ``AttributeError`` (see the module docstring).
     """
 
     def __init__(self, n_workers: int | None = None, *,
@@ -322,7 +520,6 @@ class WorkPool:
         self._lock = threading.Lock()
         #: Global task ordinal (fault plans key injections off this).
         self._task_seq = itertools.count()
-        self._rng = random.Random(0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -340,13 +537,16 @@ class WorkPool:
         first use, a dead or wedged worker's slot after it)."""
         if self._workers is None:
             self._workers = [None] * self.n_workers
-        for slot, worker in enumerate(self._workers):
-            if worker is None:
-                self._workers[slot] = _Worker(self._cpus[slot])
+        missing = [slot for slot, worker in enumerate(self._workers)
+                   if worker is None]
+        if missing:
+            forked = _fork_workers([self._cpus[slot] for slot in missing])
+            for slot, worker in zip(missing, forked):
+                self._workers[slot] = worker
         return self._workers
 
     def ensure_started(self) -> None:
-        """Fork the worker processes now (idempotent warm-up).
+        """Start the worker processes now (idempotent warm-up).
 
         A latency-sensitive caller (the serving layer's pooled
         dispatcher) pays the fork here, outside any request's SLO
@@ -362,10 +562,11 @@ class WorkPool:
         self.health.reset()
 
     def close(self) -> None:
-        """Stop and reap the worker processes (idempotent).
+        """Stop the worker processes (idempotent).
 
-        Every worker is told to stop at once, then each is joined; one
-        that has not exited within a second is killed.
+        Every worker is told to stop at once, then each exit is waited
+        for; one that has not exited within a second is killed.  When
+        this returns, every worker has exited.
         """
         with self._lock:
             workers = [w for w in self._workers or () if w is not None]
@@ -374,7 +575,7 @@ class WorkPool:
                 with contextlib.suppress(OSError):
                     worker.conn.send(None)
             for worker in workers:
-                worker.process.join(_JOIN_SECONDS)
+                wait([worker.sentinel], _JOIN_SECONDS)
                 worker.retire()
 
     def __enter__(self) -> "WorkPool":
@@ -414,7 +615,7 @@ class WorkPool:
         call_start = time.perf_counter()
         try:
             with self._lock:
-                for cycle in itertools.count():
+                while True:
                     for i in pending:
                         attempts[i] += 1
                     pending = self._attempt(fn, tuples, pending, results,
@@ -438,8 +639,6 @@ class WorkPool:
                         self.health.record_call_failure(error)
                         raise error
                     self.health.count("retries", len(pending))
-                    time.sleep(min(BACKOFF_SECONDS * 2 ** cycle, 1.0)
-                               * (1.0 + BACKOFF_JITTER * self._rng.random()))
         finally:
             self._m_call_seconds.observe(time.perf_counter() - call_start)
 
@@ -491,7 +690,7 @@ class WorkPool:
                 task = queues[slot].popleft()
                 busy[slot] = task[0]
                 try:
-                    workers[slot].conn.send(task)
+                    workers[slot].conn.send(task[1:])
                 except OSError as exc:   # the worker died between calls
                     self.health.count("worker_deaths")
                     failures.append(BrokenProcessPool(
@@ -512,8 +711,7 @@ class WorkPool:
             while busy:
                 ready = set(wait(
                     [w for slot in busy
-                     for w in (workers[slot].conn,
-                               workers[slot].process.sentinel)],
+                     for w in (workers[slot].conn, workers[slot].sentinel)],
                     None if end is None else max(0.0, end - time.monotonic())))
                 if not ready:
                     break
@@ -521,11 +719,11 @@ class WorkPool:
                     worker = workers[slot]
                     if worker.conn in ready:
                         try:
-                            index, ok, value = worker.conn.recv()
+                            ok, value = worker.conn.recv()
                         except (EOFError, OSError):
                             pass        # died: its sentinel is ready too
                         else:
-                            del busy[slot]
+                            index = busy.pop(slot)
                             if ok:
                                 results[index] = value
                             elif isinstance(value, RETRYABLE):
@@ -538,12 +736,11 @@ class WorkPool:
                                 error = value
                             feed(slot)
                             continue
-                    if worker.process.sentinel in ready or worker.conn in ready:
+                    if worker.sentinel in ready or worker.conn in ready:
                         lose(slot)
                         self.health.count("worker_deaths")
                         failures.append(BrokenProcessPool(
-                            f"worker {slot} (pid {worker.process.pid}) died "
-                            f"with exit code {worker.process.exitcode}"))
+                            f"worker {slot} (pid {worker.pid}) died"))
         except BaseException:
             # A task that would not pickle, or an interrupt: no busy
             # worker's reply may reach the next call.

@@ -24,17 +24,17 @@ it without copies:
   segment, old one unlinked) when an array outgrows it.
 
 Attach side: a process maps a segment it did not create one way, by
-attaching a handle, and lets it go one way, :func:`detach`.  A forked
-child owns nothing: the mappings it inherits of its parent's segments
-are closed at fork, so every mapping a pool worker holds was attached
-by a task's handles.  Each process caches its mappings, so N handles
-into one segment map it once, and attached segments are *untracked*
-from the ``resource_tracker`` (ownership stays with the creating
-process; the tracker would otherwise unlink segments still in use when
-the first worker exits).  A pool worker detaches a payload's segments
-when a task names another payload in its place
-(:mod:`repro.serve.dispatch`), so a segment its owner has unlinked
-frees its pages then, not at worker exit.
+attaching a handle, and lets it go one way, :func:`detach`.  A pool
+worker owns nothing and inherits no mapping: it is forked by a template
+that predates every segment (:mod:`repro.hpc.pool`), so every mapping
+it holds was attached by a task's handles.  Each process caches its
+mappings, so N handles into one segment map it once, and attached
+segments are *untracked* from the ``resource_tracker`` (ownership stays
+with the creating process; the tracker would otherwise unlink segments
+still in use when the first worker exits).  A pool worker detaches a
+payload's segments when a task names another payload in its place
+(:mod:`repro.serve.dispatch`), so a segment its owner has unlinked frees
+its pages then, not at worker exit.
 
 Availability is probed once (:func:`shm_available`): hosts without a
 usable ``/dev/shm`` (or a ``shared_memory``-less Python) report
@@ -46,7 +46,6 @@ dispatcher there runs its spans in process, counted as a degraded call
 from __future__ import annotations
 
 import atexit
-import os
 import secrets
 import threading
 from dataclasses import dataclass
@@ -202,23 +201,6 @@ def detach(*handles: "ShmArrayHandle") -> None:
     with _ATTACHED_LOCK:
         for name in {handle.segment for handle in handles} & set(_ATTACHED):
             _unmap(name)
-
-
-def _own_nothing_after_fork() -> None:
-    """In a forked child: close the inherited mappings of the parent's
-    segments, keeping (as attached) any a live view pins, and start on
-    fresh locks.  The child owns nothing, so every other mapping it
-    holds is one a task's handles attached."""
-    global _OWNED_LOCK, _ATTACHED_LOCK
-    _OWNED_LOCK, _ATTACHED_LOCK = threading.Lock(), threading.Lock()
-    _ATTACHED.update(_OWNED)
-    _OWNED.clear()
-    for name in list(_ATTACHED):
-        _unmap(name)
-
-
-if hasattr(os, "register_at_fork"):  # POSIX; nothing forks elsewhere
-    os.register_at_fork(after_in_child=_own_nothing_after_fork)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ substrates differ in where the spans execute:
   a CPU of its own and reached over a pipe of its own, every run — and
   then sweeps span 0 itself, unpinned, straight into the output slab: a
   pooled run costs its slowest span plus one pipe round trip, ``n``
-  processors take ``n - 1`` forks, and each side derives (and keeps)
-  only its own span's index and profiles.  Its payload rides the
+  processors take ``n - 1`` workers — forked by the pool's template,
+  not by the caller, so the caller's heap (its YET, its kernel, its
+  span 0's caches) is shared with no worker — and each side derives
+  (and keeps) only its own span's index and profiles.  Its payload rides the
   zero-copy shared-memory data plane (:mod:`repro.hpc.shm`), the one
   transport.  A block task names its whole input — the ``(YET, kernel,
   output)`` handles, pickled once per change of any of the three and

@@ -7,10 +7,16 @@ import functools
 import os
 import pickle
 import random
+import select
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.bench.workloads import build_layer_workload, build_portfolio_workload
 from repro.core.layer import Layer
 from repro.core.tables import YET_SCHEMA, EltTable, YetTable
@@ -57,6 +63,40 @@ def as_csr(layer: Layer) -> Layer:
     weights = None if layer.weights is None else (*layer.weights, 1.0)
     return Layer(layer.layer_id, csr_elts(layer.elts), layer.terms,
                  weights=weights)
+
+
+def python_c(script: str) -> subprocess.CompletedProcess:
+    """``python -c script`` (dedented) in a fresh interpreter that imports
+    this checkout's ``repro``; its stdout is captured as text, and it
+    must exit within a minute."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]),
+         *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=env, stdout=subprocess.PIPE, text=True,
+                          timeout=60)
+
+
+def worker_pids(pool) -> list:
+    """The pids of ``pool``'s live workers, in slot order, off the pool's
+    own record (a worker is its template's child, not the caller's)."""
+    return [worker.pid for worker in pool._workers or () if worker is not None]
+
+
+def exited(pid: int, timeout: float = 0.0) -> bool:
+    """Whether process ``pid`` has exited — a zombie has — waiting up to
+    ``timeout`` seconds for it: read off a pidfd, which works for a
+    process that is not this one's child."""
+    try:
+        pidfd = os.pidfd_open(pid)
+    except ProcessLookupError:
+        return True
+    try:
+        return bool(select.select([pidfd], [], [], timeout)[0])
+    finally:
+        os.close(pidfd)
+
 
 def _probe_in_worker(probe, yet_handles):  # pragma: no cover - in a worker
     from repro.serve import dispatch
@@ -185,16 +225,6 @@ def no_leaked_shm_segments():
     assert not leaked, (
         f"shared-memory segments leaked by the suite: {sorted(leaked)}"
     )
-
-
-@pytest.fixture(autouse=True)
-def _chaos_retries_without_backoff(request, monkeypatch):
-    """A ``chaos`` test retries without the pool's backoff sleeps: its
-    recovery is asserted in counts, never in wall time."""
-    if request.node.get_closest_marker("chaos") is not None:
-        from repro.hpc import pool
-
-        monkeypatch.setattr(pool, "BACKOFF_SECONDS", 0.0)
 
 
 @pytest.fixture()

@@ -12,8 +12,8 @@ processors.
 
 The ``chaos`` marker keeps the set addressable (``-m chaos`` /
 ``-m "not chaos"``); the tests themselves are tier-1 fast — tiny
-workloads, and no backoff sleeps (a ``conftest`` fixture zeroes the
-pool's ``BACKOFF_SECONDS`` for every chaos test).  A test that needs
+workloads, and a retry follows its failed attempt at once, as shipped
+(the pool has no backoff sleep).  A test that needs
 another retry budget, degrade threshold or retryable set monkeypatches
 the pool's module constant.
 """

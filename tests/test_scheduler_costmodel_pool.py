@@ -1,14 +1,20 @@
 """Tests for the pipeline cost model and the work pool."""
 
-import multiprocessing
+import gc
 import os
+import resource
+import signal
 import time
 
 import pytest
+from conftest import exited, python_c, worker_pids
 
+from repro.core.tables import YetTable
 from repro.errors import AnalysisError, ConfigurationError
+from repro.hpc import pool as supervision
 from repro.hpc.cost_model import PipelineCostModel, StageSpec
 from repro.hpc.pool import WorkPool, available_parallelism
+from repro.serve.dispatch import InlineDispatcher
 
 
 class TestStageSpec:
@@ -142,15 +148,13 @@ class TestWorkPool:
             assert not pool.started  # lazy
             assert pool.starmap(pow, [(2, 3), (3, 2), (2, 2)]) == [8, 9, 4]
             pids = pool.starmap(os.getpid, [(), ()])
-            forked = {child.pid for child in multiprocessing.active_children()}
-            assert set(pids) <= forked and len(set(pids)) == 2
+            assert pids == worker_pids(pool) and len(set(pids)) == 2
             # every later call, whatever it maps, runs on the same workers
             assert pool.starmap(abs, [(-1,), (-2,), (-3,)]) == [1, 2, 3]
             assert pool.starmap(_scale, [(100, 4), (100, 5)]) == [400, 500]
             assert pool.starmap(os.getpid, [(), ()]) == pids
         assert not pool.started  # the context manager closed it
-        assert not set(pids) & {child.pid
-                                for child in multiprocessing.active_children()}
+        assert all(exited(pid) for pid in pids)
 
     def test_task_i_runs_on_worker_i_on_the_cpu_after_i(self):
         """Task ``i`` goes to worker ``i mod n``, pinned to CPU ``(i + 1)
@@ -168,26 +172,27 @@ class TestWorkPool:
                                              [cpus[2 % len(cpus)]]]
 
     def test_close_is_prompt_and_leaves_no_process(self):
-        """A stop message per pipe, then one join each: a worker holds no
-        other worker's pipe end, so none waits out the join timeout."""
+        """A stop message per pipe, then one wait each for the worker's
+        exit: a worker holds no other worker's pipe end, so none waits
+        out the join timeout, and once ``close`` returns every worker
+        has exited."""
         with WorkPool(n_workers=2) as pool:
             pids = set(pool.starmap(os.getpid, [(), (), ()]))
             t0 = time.perf_counter()
         assert time.perf_counter() - t0 < 1.0
-        assert not pids & {child.pid
-                           for child in multiprocessing.active_children()}
+        assert all(exited(pid) for pid in pids)
 
     def test_a_worker_sees_the_end_of_its_pipe(self):
-        """Worker 1 was forked while worker 0's pipe was open, and closed
-        its copy of the parent end: when the parent closes that end,
-        worker 0 reads the end of its pipe and exits, stop message or
-        none."""
+        """Worker 1 was forked after worker 0's pipe was sent, by a
+        template that holds no pipe end it has sent: when the parent
+        closes worker 0's end, worker 0 reads the end of its pipe and
+        exits, stop message or none."""
         with WorkPool(n_workers=2) as pool:
             pool.ensure_started()
             first = pool._workers[0]
             first.conn.close()
-            first.process.join(5.0)
-            assert first.process.exitcode == 0
+            assert exited(first.pid, 5.0)
+            assert not exited(pool._workers[1].pid)
 
     def test_a_task_that_will_not_pickle_raises_and_leaves_no_reply(self):
         """Task 1 cannot be sent while task 0 runs: the error is raised,
@@ -218,3 +223,104 @@ class TestWorkPool:
             assert snap["pool.call_failures"] == 1
             assert pool.starmap(_square, [(2,), (3,)]) == [4, 9]
             assert pool.health.consecutive_failures == 0
+
+
+def _nested_pool():  # pragma: no cover - runs in a worker process
+    """This worker's pid, the owner and pid of the template a pool opened
+    here forks its worker from, and that worker's parent."""
+    with WorkPool(n_workers=1) as inner:
+        parent = inner.starmap(os.getppid, [()])[0]
+    template = supervision._TEMPLATE
+    return os.getpid(), template.owner, template.pid, parent
+
+
+class TestWorkerTemplate:
+    """Every worker is forked by the template ``import repro`` forked,
+    never by the caller (parentage and counts, no clock)."""
+
+    def test_no_worker_is_the_callers_child(self):
+        """After ``ensure_started`` a task's parent is the template, not
+        the caller: the same template for two pools and for a killed
+        worker's replacement."""
+        template = supervision._TEMPLATE
+        assert template.owner == os.getpid() != template.pid
+        with WorkPool(n_workers=2) as first, WorkPool(n_workers=1) as second:
+            first.ensure_started()
+            second.ensure_started()
+            assert (first.starmap(os.getppid, [(), ()])
+                    + second.starmap(os.getppid, [()])) == [template.pid] * 3
+            killed = worker_pids(first)[0]
+            os.kill(killed, signal.SIGKILL)
+            assert exited(killed, 5.0)
+            assert first.starmap(os.getppid, [(), ()]) == [template.pid] * 2
+            assert first.health.totals["worker_deaths"] == 1
+            assert killed not in worker_pids(first)
+        assert supervision._TEMPLATE is template
+
+    def test_a_cold_sweep_after_the_forks_faults_no_page(
+            self, small_portfolio_workload):
+        """The caller's heap is shared with no process, so a cold sweep
+        right after the workers start writes its own pages: 0 minor
+        faults, where workers forked by the caller made that sweep
+        copy-on-write some 230-470 pages.  The collector is held off
+        the count: a collection writes every object it visits."""
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+
+        def cold_sweep():
+            InlineDispatcher().run(kernel,
+                                   YetTable(wl.yet.table, wl.yet.n_trials))
+
+        def minor_faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        cold_sweep()
+        cold_sweep()    # the allocator now holds every page a sweep takes
+        with WorkPool(n_workers=1) as pool:
+            pool.ensure_started()
+            gc.collect()
+            gc.disable()
+            try:
+                before = minor_faults()
+                cold_sweep()
+                faults = minor_faults() - before
+            finally:
+                gc.enable()
+        assert faults == 0
+
+    def test_after_close_no_worker_pid_is_alive(self):
+        """Every worker a pool ever had — one killed between calls and
+        its replacement too — has exited once ``close`` returns."""
+        with WorkPool(n_workers=2) as pool:
+            pids = pool.starmap(os.getpid, [(), ()])
+            os.kill(pids[0], signal.SIGKILL)
+            pids += pool.starmap(os.getpid, [(), ()])
+        assert len(set(pids)) == 3
+        assert all(exited(pid) for pid in pids)
+
+    def test_a_pool_in_a_worker_forks_a_template_of_its_own(self):
+        """A worker inherits its template's record but not its socket's
+        use: a pool opened in a task forks a template of the worker's
+        own, and that pool's worker is that template's child."""
+        with WorkPool(n_workers=1) as pool:
+            [(worker, owner, template, parent)] = pool.starmap(
+                _nested_pool, [()])
+        assert owner == worker != os.getpid()
+        assert parent == template != supervision._TEMPLATE.pid
+
+    def test_a_template_that_died_is_forked_afresh(self):
+        """A process whose template is gone forks a fresh one at the next
+        start, and its workers are that template's children."""
+        proc = python_c("""
+            import os, signal
+            from repro.hpc import pool as supervision
+
+            dead = supervision._TEMPLATE.pid
+            os.kill(dead, signal.SIGKILL)
+            with supervision.WorkPool(n_workers=1) as pool:
+                parent = pool.starmap(os.getppid, [()])[0]
+            print(dead, supervision._TEMPLATE.pid, parent)
+        """)
+        assert proc.returncode == 0
+        dead, template, parent = map(int, proc.stdout.split())
+        assert parent == template != dead

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import multiprocessing
 import os
 import threading
 import time
@@ -18,7 +17,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import make_yet
+from conftest import exited, make_yet, worker_pids
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,14 +241,13 @@ class TestDispatchers:
     def test_ensure_started_actually_spawns_workers(self):
         from repro.hpc.pool import WorkPool
 
-        before = set(multiprocessing.active_children())
         with WorkPool(2) as pool:
             pool.ensure_started()
-            forked = set(multiprocessing.active_children()) - before
-            assert len(forked) == 2, "warm-up must fork real workers"
+            forked = worker_pids(pool)
+            assert len(set(forked)) == 2, "warm-up must fork real workers"
+            assert not any(exited(pid) for pid in forked)
             # and they are the workers the tasks then run on
-            assert set(pool.starmap(os.getpid, [(), ()])) == {
-                child.pid for child in forked}
+            assert pool.starmap(os.getpid, [(), ()]) == forked
 
 
 # ---------------------------------------------------------------------------

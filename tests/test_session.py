@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 import pytest
-from conftest import multicore
+from conftest import exited, multicore, python_c, worker_pids
 
 from repro.core.engines import (
     Engine,
@@ -271,7 +271,9 @@ class TestSessionLifecycle:
     @pytest.mark.parametrize("name", ALL_ENGINES)
     def test_no_worker_outlives_a_closed_session(self, tiny_workload, name):
         """Whichever engine ran — by name, or an instance riding the
-        session's pool — the session's close leaves no child process."""
+        session's pool — the session's close leaves no worker process
+        (read off the pool's own record: a worker is its template's
+        child) and no child process."""
         import multiprocessing
 
         from repro.core.engines import MulticoreEngine
@@ -280,11 +282,48 @@ class TestSessionLifecycle:
         with RiskSession(tiny_workload.yet, tiny_workload.portfolio,
                          n_workers=2) as session:
             session.aggregate(engine=name, emit_yelt=True)
-            session.aggregate(
-                engine=MulticoreEngine.riding(session.dispatcher("pooled")))
+            pooled = session.dispatcher("pooled")
+            session.aggregate(engine=MulticoreEngine.riding(pooled))
+            pids = worker_pids(pooled.pool)
             if shm.shm_available():
-                assert set(multiprocessing.active_children()) - before
+                assert pids and not any(exited(pid) for pid in pids)
+        assert all(exited(pid) for pid in pids)
         assert set(multiprocessing.active_children()) <= before
+
+    @needs_shm
+    def test_a_session_left_open_leaves_no_process_at_exit(self):
+        """A process that opens a pooled session and exits without
+        closing it leaves no process behind: its template reads the end
+        of its socket and each worker the end of its pipe, so a reader
+        of its stdout reads the end of it, and every pid it printed has
+        exited.  A task its ``__main__`` defines after ``import repro``
+        is not found by a worker, and raises in the caller."""
+        proc = python_c("""
+            from repro.bench.workloads import build_layer_workload
+            from repro.hpc import pool as supervision
+            from repro.session import RiskSession
+
+            def late():
+                return 1
+
+            wl = build_layer_workload(
+                n_trials=200, mean_events_per_trial=25.0, n_elts=2,
+                elt_rows=150, catalog_events=500, seed=99)
+            session = RiskSession(wl.yet, wl.portfolio, n_workers=3)
+            session.aggregate(engine="multicore")
+            pool = session.dispatcher("pooled").pool
+            try:
+                pool.starmap(late, [()])
+            except AttributeError:
+                print("late: AttributeError")
+            print(supervision._TEMPLATE.pid, *(w.pid for w in pool._workers))
+        """)
+        assert proc.returncode == 0
+        late, pids = proc.stdout.splitlines()
+        assert late == "late: AttributeError"
+        pids = [int(pid) for pid in pids.split()]
+        assert len(set(pids)) == 3
+        assert all(exited(pid, 10.0) for pid in pids)
 
     @needs_shm
     def test_no_leaked_segments(self, tiny_workload):

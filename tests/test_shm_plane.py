@@ -27,7 +27,6 @@ Three invariant families:
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import os
 import pickle
 import weakref
@@ -35,7 +34,7 @@ import weakref
 import numpy as np
 import pytest
 from conftest import (as_csr, make_yet, multicore, worker_mappings,
-                      worker_probes)
+                      worker_pids, worker_probes)
 
 from repro.core.engines import MulticoreEngine, VectorizedEngine
 from repro.core.kernels import PortfolioKernel
@@ -361,9 +360,10 @@ class TestTransportParity:
         assert shm.active_segment_names() == before
 
     def test_a_worker_owns_no_segment(self, small_portfolio_workload):
-        """A forked worker inherits its parent's owner registry, and
-        lets it go at fork: it owns nothing, so nothing it does can
-        unlink its parent's segments, and what it maps a task attached."""
+        """A worker is forked by a template that predates every segment,
+        so it inherits no owner registry: it owns nothing, nothing it
+        does can unlink its parent's segments, and what it maps a task
+        attached."""
         wl = small_portfolio_workload
         with PooledDispatcher(n_workers=2) as d:
             d.run(wl.portfolio.kernel(), wl.yet)
@@ -387,11 +387,10 @@ class TestCallerSweepsSpanZero:
         wl = small_portfolio_workload
         inline = risk_session(wl.yet, wl.portfolio).aggregate(
             engine="vectorized")
-        before = {p.pid for p in multiprocessing.active_children()}
         session = risk_session(wl.yet, wl.portfolio, n_workers=n)
         result = session.aggregate(engine="multicore")
-        forked = {p.pid for p in multiprocessing.active_children()} - before
-        assert len(forked) == n - 1
+        forked = worker_pids(session.dispatcher("pooled").pool)
+        assert len(set(forked)) == n - 1
         assert result.details["n_workers"] == n
         assert result.details["degraded"] is False
         assert result.details["transport"] == ("shm" if n > 1 else "inline")
@@ -690,8 +689,9 @@ class TestSlabGenerationEviction:
     def test_workers_unmap_outgrown_generations(self):
         """A kernel that outgrows the slab rolls it to a fresh segment,
         and a worker lets the outgrown one go at its first task naming
-        the new kernel — the workers fork on the first run, so they
-        inherited the first segment before they attached it."""
+        the new kernel — every segment a worker maps, the first one
+        too, it attached off a task's handles: its template was forked
+        before any segment existed."""
         from repro.bench.workloads import build_portfolio_workload
 
         wl = build_portfolio_workload(
