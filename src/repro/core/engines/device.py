@@ -54,8 +54,10 @@ from repro.hpc.device import DeviceProperties
 
 __all__ = ["DeviceEngine"]
 
-#: Bytes per YET row resident on device: the ``trial`` and ``event_id``
-#: columns a sweep reads (``seq`` stays on the host).
+#: Bytes per YET row the transfer model moves to the device: an int32
+#: ``trial`` and ``event_id`` per occurrence.  A model of a row-format
+#: upload, not of what a :class:`YetTable` holds (4 B per occurrence +
+#: 8 B per trial); E5's ``h2d`` rows are priced by it.
 _YET_ROW_BYTES = YET_SCHEMA["trial"].itemsize + YET_SCHEMA["event_id"].itemsize
 
 

@@ -62,7 +62,9 @@ ELT_SCHEMA = Schema([
     ("sigma", np.float64),  # secondary-uncertainty std-dev of the loss
 ])
 
-# 12 B per occurrence.  Trials and event ids are below 2**31 (so is
+# The YET's input and view format, 12 B per occurrence: a ``YetTable`` is
+# built from it and derives it on read, but holds only the event ids and
+# the trial offsets.  Trials and event ids are below 2**31 (so is
 # ``n_trials``): ``ColumnTable.from_arrays`` refuses a wider value rather
 # than wrap it, and an ELT id at or above 2**31 matches no occurrence.
 YET_SCHEMA = Schema([
@@ -88,6 +90,16 @@ def _cuts(trials: np.ndarray, needles) -> np.ndarray:
     column's dtype: searchsorted casts both sides to a common dtype, so
     an int64 needle would copy an int32 column whole."""
     return np.searchsorted(trials, np.asarray(needles, dtype=trials.dtype))
+
+
+def _trial_offsets(trials: np.ndarray, n_trials: int) -> np.ndarray:
+    """The int64 offsets of a trial column sorted ascending: trial ``t``
+    occupies rows ``[o[t], o[t + 1])``.  Checks ``n_trials`` and that
+    every trial lies in ``[0, n_trials)``."""
+    _check_n_trials(n_trials)
+    if trials.size and (trials[0] < 0 or trials[-1] >= n_trials):
+        raise ConfigurationError(f"trial indices outside [0, {n_trials})")
+    return _cuts(trials, np.arange(n_trials + 1)).astype(np.int64, copy=False)
 
 
 YELT_SCHEMA = Schema([
@@ -623,10 +635,7 @@ class TrialSegments:
                            n_trials: int) -> "TrialSegments":
         """The span of a raw stream whose trial column is sorted
         ascending."""
-        _check_n_trials(n_trials)
-        if trials.size and (trials[0] < 0 or trials[-1] >= n_trials):
-            raise ConfigurationError(f"trial indices outside [0, {n_trials})")
-        return cls(_cuts(trials, np.arange(n_trials + 1)), event_ids)
+        return cls(_trial_offsets(trials, n_trials), event_ids)
 
     @property
     def n_occurrences(self) -> int:
@@ -707,61 +716,64 @@ class YetHandles:
 class YetTable:
     """Pre-simulated year-event table.
 
-    Rows are sorted by ``(trial, seq)`` and event ids are non-negative;
-    ``n_trials`` is explicit because trial years with zero occurrences
-    are legal and must survive round-trips (their annual loss is zero,
-    which matters for quantiles).  The columns are 12 B per occurrence
-    (:data:`YET_SCHEMA`: int32 ``trial``, ``seq`` and ``event_id``).  A
-    :meth:`from_handles` copy holds the staged trial offsets and event
-    ids instead, and derives its trials, or its whole :attr:`table`, only
-    when they are read.
+    Held as its trial offsets (int64, trial ``t`` occupies rows
+    ``[o[t], o[t+1])``) and its event ids (int32, non-negative, trial by
+    trial in occurrence order): 4 B per occurrence plus 8 B per trial,
+    the layout a :class:`StoredYet` keeps on disk and :meth:`to_shared`
+    stages.  ``n_trials`` is explicit because trial years with zero
+    occurrences are legal and must survive round-trips (their annual
+    loss is zero, which matters for quantiles).  The 12 B
+    :data:`YET_SCHEMA` columns are an input (the constructor) and a
+    view (:attr:`table`), never held; each occurrence's trial is derived
+    when :attr:`trials` is first read.
 
-    Beyond its columns a table keeps, each derived lazily, never pickled
-    or shipped, and dropped with it: the trial index
-    (:attr:`trial_offsets`, staged with a :meth:`from_handles` copy) and
-    one :class:`TrialSegments` per trial span it is swept over
+    Beyond that a table keeps, each derived lazily, never pickled or
+    shipped, and dropped with it: the :attr:`trials` column and one
+    :class:`TrialSegments` per trial span it is swept over
     (:meth:`trial_block`), each with what its sweeps derived — the
     span's event index and book profiles, over the span's rows alone.
-    :meth:`cache_levels` reports them, summed over the spans.
+    :meth:`cache_levels` reports the spans' levels, summed.
     """
 
-    __slots__ = ("_table", "_trials", "_event_ids", "n_trials", "_offsets",
-                 "_fingerprint", "index_builds", "_spans")
+    __slots__ = ("trial_offsets", "event_ids", "n_trials", "_trials",
+                 "_fingerprint", "_spans")
 
     def __init__(self, table: ColumnTable, n_trials: int) -> None:
         if table.schema != YET_SCHEMA:
             raise ConfigurationError("YET table must match YET_SCHEMA")
-        _check_n_trials(n_trials)
-        trials = table["trial"]
-        if trials.size:
-            # One pass for the order; sorted, the range is its two ends.
-            if (trials[1:] < trials[:-1]).any():
-                raise ConfigurationError("YET rows must be sorted by trial")
-            if trials[0] < 0 or trials[-1] >= n_trials:
-                raise ConfigurationError("YET trial indices out of range")
-            # Every dense gather clips ids into the table, which would
-            # price a negative id as event 0; the event index keys on it.
-            if table["event_id"].min() < 0:
-                raise ConfigurationError("YET event ids must be non-negative")
-        self._table = table
-        self._trials = trials
-        self._event_ids = table["event_id"]
-        self.n_trials = int(n_trials)
-        self._init_caches()
+        trials, event_ids = table["trial"], table["event_id"]
+        # One pass for the order; sorted, the range is its two ends.
+        if (trials[1:] < trials[:-1]).any():
+            raise ConfigurationError("YET rows must be sorted by trial")
+        # Every dense gather clips ids into the table, which would price
+        # a negative id as event 0; the event index keys on it.
+        if event_ids.size and event_ids.min() < 0:
+            raise ConfigurationError("YET event ids must be non-negative")
+        self._hold(_trial_offsets(trials, n_trials), event_ids, n_trials)
 
-    def _init_caches(self) -> None:
-        self._offsets: np.ndarray | None = None
+    @classmethod
+    def _of(cls, offsets: np.ndarray, event_ids: np.ndarray,
+            n_trials: int) -> "YetTable":
+        """A table over trial offsets and event ids that are already
+        checked: every builder but the constructor's ends here."""
+        yet = cls.__new__(cls)
+        yet._hold(offsets, event_ids, n_trials)
+        return yet
+
+    def _hold(self, offsets: np.ndarray, event_ids: np.ndarray,
+              n_trials: int) -> None:
+        self.trial_offsets = offsets
+        self.event_ids = event_ids
+        self.n_trials = int(n_trials)
+        self._trials: np.ndarray | None = None
         self._fingerprint: str | None = None
-        #: Times the trial column was read to derive the trial index —
-        #: stays at 1 however many sweeps use it, and at 0 for a
-        #: :meth:`from_handles` copy, which reads the staged offsets.
-        self.index_builds = 0
         #: ``(t0, t1)`` → the :class:`TrialSegments` of trials ``[t0, t1)``.
         self._spans: dict[tuple[int, int], TrialSegments] = {}
 
     def __reduce__(self):
-        # The columns alone: no cache is shipped.
-        return YetTable, (self.table, self.n_trials)
+        # The offsets and event ids alone: no cache is shipped.
+        return YetTable._of, (self.trial_offsets, self.event_ids,
+                              self.n_trials)
 
     @classmethod
     def simulate(
@@ -786,6 +798,8 @@ class YetTable:
         rates = np.asarray(rates, dtype=np.float64)
         if event_ids.size == 0 or event_ids.shape != rates.shape:
             raise ConfigurationError("event_ids and rates must be equal-length, non-empty")
+        if event_ids.min() < 0:
+            raise ConfigurationError("YET event ids must be non-negative")
         if (rates <= 0).any():
             raise ConfigurationError("rates must be positive")
         _check_n_trials(n_trials)
@@ -793,73 +807,61 @@ class YetTable:
         lam = mean_events_per_trial if mean_events_per_trial is not None else total_rate
         if lam <= 0:
             raise ConfigurationError("mean_events_per_trial must be positive")
-        counts = rng.poisson(lam=lam, size=n_trials)
-        total = int(counts.sum())
+        offsets = np.zeros(n_trials + 1, dtype=np.int64)
+        np.cumsum(rng.poisson(lam=lam, size=n_trials), out=offsets[1:])
         # Inverse-CDF event sampling (faster than rng.choice with p=).
         cdf = np.cumsum(rates)
         cdf /= cdf[-1]
-        picks = np.searchsorted(cdf, rng.random(total), side="right")
-        trial = np.repeat(np.arange(n_trials, dtype=_ID), counts)
-        # Sequence number within each trial: position minus trial start.
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        seq = (np.arange(total) - np.repeat(starts, counts)).astype(np.int32)
-        table = ColumnTable.from_arrays(
-            YET_SCHEMA, trial=trial, seq=seq, event_id=event_ids[picks]
-        )
-        return cls(table, n_trials)
+        picks = np.searchsorted(cdf, rng.random(int(offsets[-1])), side="right")
+        return cls._of(offsets, event_ids[picks], n_trials)
 
     @property
     def table(self) -> ColumnTable:
-        """The columns.  A :meth:`from_handles` copy derives them on
-        first read: its trials from the offsets, and ``seq`` as each
-        occurrence's position in its trial (rows are sorted by
-        ``(trial, seq)``, so that is the order ``seq`` gave)."""
-        if self._table is None:
-            starts = np.repeat(self._offsets[:-1], np.diff(self._offsets))
-            seq = np.arange(starts.size, dtype=np.int64) - starts
-            self._table = ColumnTable(YET_SCHEMA, {
-                "trial": self.trials, "seq": seq.astype(np.int32),
-                "event_id": self._event_ids})
-        return self._table
+        """The :data:`YET_SCHEMA` columns, 12 B per occurrence, derived
+        on every read and not kept: :attr:`trials`, ``seq`` as each
+        occurrence's position in its trial (the order the rows hold),
+        and the event ids.  Read by a few row-format consumers only —
+        the MapReduce engine's DFS splits, the end-to-end harness's
+        inputs and E12's chunk-compression rows; no sweep reads it."""
+        starts = np.repeat(self.trial_offsets[:-1], np.diff(self.trial_offsets))
+        seq = np.arange(starts.size, dtype=np.int64) - starts
+        return ColumnTable(YET_SCHEMA, {
+            "trial": self.trials, "seq": seq.astype(_ID),
+            "event_id": self.event_ids})
 
     @property
     def n_occurrences(self) -> int:
-        return self._event_ids.size
+        return self.event_ids.size
 
     @property
     def trials(self) -> np.ndarray:
-        if self._trials is None:    # a from_handles copy: derived on first read
+        """Each occurrence's trial (int32), derived from the offsets on
+        first read and kept: for YELT emission, the ``sequential``
+        oracle and sampled mode.  No sweep reads it."""
+        if self._trials is None:
             self._trials = np.repeat(np.arange(self.n_trials, dtype=_ID),
-                                     np.diff(self._offsets))
+                                     np.diff(self.trial_offsets))
         return self._trials
 
     @property
-    def event_ids(self) -> np.ndarray:
-        return self._event_ids
+    def trial_views(self) -> int:
+        """Times :attr:`trials` was derived: 0 until it is first read,
+        1 after, whatever sweeps ran."""
+        return int(self._trials is not None)
 
     @property
     def nbytes(self) -> int:
-        return self.table.nbytes
-
-    @property
-    def trial_offsets(self) -> np.ndarray:
-        """Offsets such that trial ``t`` occupies rows ``[o[t], o[t+1])``
-        (int64)."""
-        if self._offsets is None:
-            self._offsets = _cuts(self._trials, np.arange(
-                self.n_trials + 1)).astype(np.int64, copy=False)
-            self.index_builds += 1
-        return self._offsets
+        """What the table holds: 4 B per occurrence plus 8 B per trial
+        (and one)."""
+        return self.event_ids.nbytes + self.trial_offsets.nbytes
 
     def trial_block(self, t_start: int = 0, t_stop: int | None = None
                     ) -> TrialSegments:
         """The span of trials ``[t_start, t_stop)``, renumbered from 0:
         the argument of :meth:`PortfolioKernel.sweep_segments`.
 
-        The trial offsets are derived once per table — a
-        :meth:`from_handles` copy reads the staged ones — and a span is
-        offset arithmetic over them, so no sweep re-scans the trial
-        column.
+        A span is offset arithmetic over :attr:`trial_offsets`, so no
+        sweep reads a trial column.
         The span is built once per range and kept, with the event index
         and book profiles its sweeps derive over its rows alone — so a
         pool worker indexes and profiles only its own span.  Its
@@ -891,12 +893,9 @@ class YetTable:
         of the serving layer's content-addressed cache key, and what lets
         a re-simulated YET invalidate exactly the stale entries.
 
-        It hashes ``n_trials``, :attr:`trial_offsets` and the event ids.
-        Rows are sorted by trial, so the offsets and the trial column
-        determine each other (trial ``t`` is the ``offsets[t + 1] -
-        offsets[t]`` rows from ``offsets[t]``): hashing the offsets is
-        hashing the column, at 8 B per trial instead of 4 B per
-        occurrence.  The same event ids cut into other trials hash apart.
+        It hashes ``n_trials``, :attr:`trial_offsets` and the event ids:
+        what the table holds.  The same event ids cut into other trials
+        hash apart.
         """
         if self._fingerprint is None:
             h = hashlib.blake2b(digest_size=16)
@@ -904,7 +903,7 @@ class YetTable:
             h.update(self.trial_offsets.data)
             # Through the buffer protocol — a paper-scale YET is
             # gigabytes, and ``tobytes`` would copy it all.
-            h.update(np.ascontiguousarray(self._event_ids).data)
+            h.update(np.ascontiguousarray(self.event_ids).data)
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
@@ -913,7 +912,7 @@ class YetTable:
 
     def cache_levels(self) -> dict:
         """Flat ``yet.profile.*`` / ``yet.event_index.*`` levels, summed
-        over the kept spans: what the table keeps beyond its columns."""
+        over the kept spans: what the table keeps beyond its arrays."""
         levels = dict.fromkeys(_SPAN_LEVELS, 0)
         for span in list(self._spans.values()):
             for name, level in span.cache_levels().items():
@@ -931,14 +930,8 @@ class YetTable:
         the arrays are copied into it once, and every worker that calls
         :meth:`from_handles` on the result sees the same physical pages
         instead of a pickled replica.
-
-        Two arrays travel, the layout a :class:`StoredYet` keeps: the
-        int64 :attr:`trial_offsets` (8 B per trial) and the int32 event
-        ids (4 B per occurrence).  A sweep reads nothing else, so neither
-        ``seq`` nor the trial column is staged: a :meth:`from_handles`
-        copy derives its trials from the offsets if they are read.
         """
-        offsets, event_ids = arena.place(self.trial_offsets, self._event_ids)
+        offsets, event_ids = arena.place(self.trial_offsets, self.event_ids)
         return YetHandles(arrays={"trial_offsets": offsets,
                                   "event_id": event_ids},
                           n_trials=self.n_trials)
@@ -951,30 +944,18 @@ class YetTable:
         Validation is skipped: the owning process validated the table
         when it was built, and the attach path runs in workers where an
         extra O(n) sortedness pass per process would tax exactly the
-        hot path this transport exists to thin.  The staged offsets are
-        the copy's trial index, so it derives none (``index_builds``
-        stays 0).
+        hot path this transport exists to thin.
         """
-        yet = cls.__new__(cls)
-        yet._table = yet._trials = None
-        yet._event_ids = handles.arrays["event_id"].attach()
-        yet.n_trials = int(handles.n_trials)
-        yet._init_caches()
-        yet._offsets = handles.arrays["trial_offsets"].attach()
-        return yet
+        return cls._of(handles.arrays["trial_offsets"].attach(),
+                       handles.arrays["event_id"].attach(), handles.n_trials)
 
     def slice_trials(self, t_start: int, t_stop: int) -> "YetTable":
-        """Sub-YET covering trials ``[t_start, t_stop)`` (renumbered to 0)."""
+        """Sub-YET covering trials ``[t_start, t_stop)`` (renumbered to
+        0), over a view of this table's event ids."""
         _check_span(t_start, t_stop, self.n_trials)
-        o = self.trial_offsets
-        sub = self.table.slice(int(o[t_start]), int(o[t_stop]))
-        renumbered = ColumnTable.from_arrays(
-            YET_SCHEMA,
-            trial=sub["trial"] - t_start,
-            seq=sub["seq"],
-            event_id=sub["event_id"],
-        )
-        return YetTable(renumbered, t_stop - t_start)
+        o = self.trial_offsets[t_start:t_stop + 1]
+        return self._of(o - o[0], self.event_ids[int(o[0]):int(o[-1])],
+                        t_stop - t_start)
 
 
 def _stored_column(table: ColumnTable, name: str, dtype, where: str):

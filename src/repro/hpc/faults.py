@@ -3,21 +3,20 @@
 Recovery code that is never exercised is recovery code that does not
 work.  The MapReduce sibling of the source paper leans on task
 re-execution as its whole fault-tolerance story; this module is the
-harness that lets the chaos suite (``tests/test_faults.py``) *prove*
-the equivalent story here — worker deaths, deadline overruns, corrupted
-payloads, and leaked shared-memory segments are injected on demand,
-deterministically, and the suite asserts the answers come back
-bit-identical anyway, and what recovery cost in counts (deaths,
-worker replacements, retries, YET stagings, kernel packs).
+harness that lets the chaos suite (``tests/test_faults.py``) *prove* the
+equivalent story here — worker deaths, deadline overruns and leaked
+shared-memory segments are injected on demand, deterministically, and
+the suite asserts the answers come back bit-identical anyway, and what
+recovery cost in counts (deaths, worker replacements, retries, YET
+stagings, kernel packs).
 
 A :class:`FaultPlan` is a seeded list of :class:`FaultSpec` injections
 keyed by the pool's global task sequence number: *"kill the worker
-running task 3"*, *"delay task 7 by 50 ms"*, *"poison task 2's
-payload"*.  Injections are consumed **parent-side** at submission time
-(:meth:`FaultPlan.take`), so a resubmitted task — which draws a fresh
-sequence number — runs clean unless the plan says otherwise: one
-``kill`` means exactly one death, which is what makes recovery latency
-measurable.
+running task 3"*, *"delay task 7 by 50 ms"*.  Injections are consumed
+**parent-side** at submission time (:meth:`FaultPlan.take`), so a
+resubmitted task — which draws a fresh sequence number — runs clean
+unless the plan says otherwise: one ``kill`` means exactly one death,
+which is what makes recovery latency measurable.
 
 Wiring: :class:`~repro.hpc.pool.WorkPool` consults :func:`active_plan`
 per submitted task.  Nothing is consulted (one attribute read) unless a
@@ -38,13 +37,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 
 __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "PoisonedPayloadError",
     "active_plan",
     "apply_fault",
     "clear",
@@ -53,22 +51,10 @@ __all__ = [
 ]
 
 #: Injection kinds a plan understands.
-FAULT_KINDS = ("kill", "delay", "poison", "orphan")
+FAULT_KINDS = ("kill", "delay", "orphan")
 
 #: Exit code of a fault-killed worker (distinctive in core-dump triage).
 KILL_EXIT_CODE = 23
-
-
-class PoisonedPayloadError(ReproError):
-    """A task's payload arrived corrupted (injected by a fault plan).
-
-    Stands in for the real-world failure class of a truncated or
-    bit-flipped pickle: the task fails *cleanly* in the worker (unlike a
-    kill, the process survives).  Retryable: it is listed in
-    :data:`repro.hpc.pool.RETRYABLE` — corruption in flight is
-    transient by nature, and the resubmitted payload is re-pickled from
-    the intact parent-side object.
-    """
 
 
 @dataclass(frozen=True)
@@ -155,11 +141,6 @@ class FaultPlan:
         """Plan delaying ``task_seq`` by ``delay_seconds``."""
         return cls([FaultSpec("delay", task_seq,
                               delay_seconds=delay_seconds)], **kwargs)
-
-    @classmethod
-    def poison_task(cls, task_seq: int, **kwargs) -> "FaultPlan":
-        """Plan poisoning ``task_seq``'s payload."""
-        return cls([FaultSpec("poison", task_seq)], **kwargs)
 
     # -- consumption (parent-side) -----------------------------------------
 
@@ -280,15 +261,10 @@ def apply_fault(spec: FaultSpec, fn, *args):
     ``kill`` exits the worker process hard (no cleanup, no exception —
     the pool sees a vanished worker exactly as it would a SIGKILL'd
     one); ``delay`` sleeps first, which is how deadline
-    overruns are manufactured; ``poison`` raises
-    :class:`PoisonedPayloadError` in place of running the task.
+    overruns are manufactured.
     """
     if spec.kind == "kill":
         os._exit(KILL_EXIT_CODE)
     if spec.kind == "delay":
         time.sleep(spec.delay_seconds)
-    elif spec.kind == "poison":
-        raise PoisonedPayloadError(
-            f"injected payload corruption on task_seq={spec.task_seq}"
-        )
     return fn(*args)

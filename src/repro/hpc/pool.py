@@ -76,10 +76,9 @@ Failure semantics
 -----------------
 Tasks submitted through :meth:`WorkPool.starmap` are **supervised**.  A
 call names only its deadline; the rest is decided here, as the module
-constants :data:`MAX_RETRIES`, :data:`RETRYABLE` and
-:data:`DEGRADE_AFTER`.  Each attempt sends the tasks still pending and
-waits once, under the call's ``deadline_seconds``; the next attempt
-follows at once:
+constants :data:`MAX_RETRIES` and :data:`DEGRADE_AFTER`.  Each attempt
+sends the tasks still pending and waits once, under the call's
+``deadline_seconds``; the next attempt follows at once:
 
 - A worker death loses only that worker's unfinished tasks: the worker
   is replaced in its own slot, on its own CPU, by the template, and its
@@ -91,12 +90,10 @@ follows at once:
 - A worker still busy when the deadline passes is wedged: it is killed
   and replaced the same way, and only its unfinished tasks are
   resubmitted.
-- Exceptions *raised by a task* are retried only when they are
-  :data:`RETRYABLE` (transient-by-nature failures such as an injected
-  :class:`~repro.hpc.faults.PoisonedPayloadError`); anything else is a
-  genuine error and propagates unchanged, once every task in flight has
-  replied (or been killed at the deadline), so no reply is left in a
-  pipe for the next call to read.  So does whatever the caller's own
+- An exception *raised by a task* is a genuine error, never retried:
+  it propagates unchanged, once every task in flight has replied (or
+  been killed at the deadline), so no reply is left in a pipe for the
+  next call to read.  So does whatever the caller's own
   share (``meanwhile``) raises; that share runs once, in the first
   attempt, and is never resubmitted — only worker tasks are supervised,
   and only they count as the task ordinals a fault plan names.
@@ -139,11 +136,9 @@ from repro.obs import Telemetry
 
 __all__ = ["PoolHealth", "WorkPool", "available_parallelism"]
 
-#: Resubmissions allowed **per task** beyond its first attempt.
+#: Resubmissions allowed **per task** beyond its first attempt: a task
+#: is resubmitted when its worker died or missed the deadline.
 MAX_RETRIES = 2
-#: Exception classes raised *by tasks* that supervision retries.  A
-#: worker death and a missed deadline are always retried.
-RETRYABLE = (faults.PoisonedPayloadError,)
 #: Consecutive terminal call failures before the pool degrades.
 DEGRADE_AFTER = 3
 
@@ -196,8 +191,8 @@ class PoolHealth:
     #: Registry counters, exported as ``pool.<name>``
     #: (``executor_cycles`` counts the attempts that replaced a worker).
     _COUNTER_FIELDS = ("worker_deaths", "timeouts", "retries",
-                       "task_faults", "executor_cycles", "calls",
-                       "call_failures", "degraded_calls")
+                       "executor_cycles", "calls", "call_failures",
+                       "degraded_calls")
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._tel = telemetry if telemetry is not None else Telemetry()
@@ -652,8 +647,7 @@ class WorkPool:
         collects the replies until all are in or the deadline passes.
         Fills ``results``, appends to ``failures`` what was lost and
         why, and returns the lost task indices, sorted: those of a dead
-        or wedged worker (which is replaced) and the tasks that raised a
-        :data:`RETRYABLE` error.  A task's other error is raised
+        or wedged worker (which is replaced).  A task's error is raised
         once nothing is left in flight."""
         workers = self._start()
         n = len(workers)
@@ -726,10 +720,6 @@ class WorkPool:
                             index = busy.pop(slot)
                             if ok:
                                 results[index] = value
-                            elif isinstance(value, RETRYABLE):
-                                self.health.count("task_faults")
-                                failures.append(value)
-                                lost.append(index)
                             elif error is None:
                                 # Not supervision's to eat: raised
                                 # below, once every pipe is drained.

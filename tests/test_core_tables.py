@@ -1,7 +1,10 @@
 """Tests for the pipeline table types (ELT, YET, YELT, YLT, YELLT model)."""
 
+import pickle
+
 import numpy as np
 import pytest
+from conftest import make_yet
 
 from repro.core.tables import (
     ELT_SCHEMA,
@@ -162,32 +165,63 @@ def yet_schema():
 
 
 class TestYetWidth:
-    """A YET occurrence is 12 B of int32 columns (``trial``, ``seq``,
-    ``event_id``; 20 B with int64 ids), and every path that makes or
-    moves a YET keeps them int32; its event index adds 4 B per
-    occurrence (8 B with int64 keys) and 8 B per offset entry."""
+    """A YET holds its int64 trial offsets and int32 event ids and
+    nothing more: 4 B per occurrence plus 8 B per trial (and one),
+    however it was built or moved.  The 12 B int32 ``trial`` / ``seq``
+    / ``event_id`` columns are its input and view format, never held;
+    its event index adds 4 B per occurrence (8 B with int64 keys) and
+    8 B per offset entry."""
 
     def simulate(self):
         return YetTable.simulate(np.arange(50), np.full(50, 0.4), 300,
                                  np.random.default_rng(3),
                                  mean_events_per_trial=20.0)
 
-    def assert_int32(self, yet):
-        for name in ("trial", "seq", "event_id"):
-            assert yet.table[name].dtype == np.int32, name
-        assert yet.nbytes == 12 * yet.n_occurrences
+    def assert_held(self, yet):
+        held = [value for value in (getattr(yet, name)
+                                    for name in YetTable.__slots__)
+                if isinstance(value, np.ndarray)]
+        assert [a.dtype for a in held] == [np.int64, np.int32]
+        assert yet.trial_views == 0          # no trial column, no seq
+        assert yet.nbytes == 4 * yet.n_occurrences + 8 * (yet.n_trials + 1)
 
     def test_simulate_and_slice_trials(self):
         yet = self.simulate()
         assert yet.n_occurrences > 1000
-        self.assert_int32(yet)
-        self.assert_int32(yet.slice_trials(100, 250))
+        self.assert_held(yet)
+        sub = yet.slice_trials(100, 250)
+        self.assert_held(sub)
+        np.testing.assert_array_equal(
+            sub.trial_offsets, yet.trial_offsets[100:251]
+            - yet.trial_offsets[100])
+
+    def test_constructed_and_unpickled(self):
+        yet = make_yet([0, 0, 2, 2, 2], [4, 1, 1, 7, 3], n_trials=5)
+        self.assert_held(yet)
+        np.testing.assert_array_equal(yet.trial_offsets, [0, 2, 2, 5, 5, 5])
+        payload = pickle.dumps(self.simulate())
+        again = pickle.loads(payload)
+        self.assert_held(again)
+        assert again.fingerprint() == self.simulate().fingerprint()
+        assert len(payload) < again.nbytes + 1024
+
+    def test_the_view_is_the_int32_input_format(self):
+        """:attr:`YetTable.table` derives the 12 B columns, ``seq`` as
+        each occurrence's place in its trial, and builds an equal
+        table."""
+        yet = self.simulate()
+        view = yet.table
+        for name in ("trial", "seq", "event_id"):
+            assert view[name].dtype == np.int32, name
+        rebuilt = YetTable(view, yet.n_trials)
+        self.assert_held(rebuilt)
+        assert rebuilt.fingerprint() == yet.fingerprint()
+        assert rebuilt.table.equals(view)
 
     def test_shm_round_trip_stages_4_b_per_occurrence_8_per_trial(self):
         """The staged YET is its int64 trial offsets and int32 event ids;
-        the attached copy derives the same int32 columns from them
-        (``seq`` as each occurrence's place in its trial, which is what
-        ``simulate`` writes)."""
+        the attached copy holds them as they are, and derives the same
+        columns from them."""
         from repro.hpc import shm
 
         yet = self.simulate()
@@ -201,8 +235,9 @@ class TestYetWidth:
             # two arrays, each padded to the arena's 64 B alignment
             assert staged <= arena.nbytes < staged + 2 * 64
             again = YetTable.from_handles(handles)
-            self.assert_int32(again)
+            self.assert_held(again)
             assert again.table.equals(yet.table)
+            del again
 
     def test_event_index_is_4_bytes_per_occurrence(self):
         yet = self.simulate()
@@ -212,6 +247,10 @@ class TestYetWidth:
             4 * yet.n_occurrences + 8 * offsets)
 
     def test_ids_at_2_31_raise_at_construction(self):
+        """Ids and ``n_trials`` are below 2**31.  The accepted edge of
+        ``n_trials`` is pinned on its check: a table of 2**31 - 1 trials
+        holds 16 GiB of trial offsets."""
+        from repro.core.tables import _check_n_trials
         from repro.errors import SchemaError
 
         for column in ("trial", "event_id"):
@@ -224,7 +263,10 @@ class TestYetWidth:
                               np.random.default_rng(0))
         table = ColumnTable.from_arrays(yet_schema(), trial=[0], seq=[0],
                                         event_id=[2**31 - 1])
-        assert YetTable(table, 2**31 - 1).n_trials == 2**31 - 1
+        assert YetTable(table, 1).event_ids[0] == 2**31 - 1
+        _check_n_trials(2**31 - 1)
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            _check_n_trials(2**31)
         with pytest.raises(ConfigurationError, match="n_trials"):
             YetTable(table, 2**31)
 

@@ -634,6 +634,9 @@ class TestNegativeEventIds:
         with pytest.raises(ConfigurationError, match="non-negative"):
             make_yet([0, 0, 1], [1, -1, -5], n_trials=2)
         make_yet([0, 0, 1], [1, 0, 2], n_trials=2)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            YetTable.simulate([-1, 2], [0.5, 0.5], 10,
+                              np.random.default_rng(0))
 
     def test_raw_sweep_rejects_them(self):
         elt = EltTable.from_arrays([0, 1, 2], [100.0, 200.0, 300.0])

@@ -14,8 +14,8 @@ The ``chaos`` marker keeps the set addressable (``-m chaos`` /
 ``-m "not chaos"``); the tests themselves are tier-1 fast — tiny
 workloads, and a retry follows its failed attempt at once, as shipped
 (the pool has no backoff sleep).  A test that needs
-another retry budget, degrade threshold or retryable set monkeypatches
-the pool's module constant.
+another retry budget or degrade threshold monkeypatches the pool's
+module constant.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from conftest import multicore, worker_probes
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
 from repro.hpc import pool as supervision
-from repro.hpc.faults import FaultPlan, FaultSpec, PoisonedPayloadError
+from repro.hpc.faults import FaultPlan, FaultSpec
 from repro.hpc.pool import WorkPool
 from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
 
@@ -47,8 +47,8 @@ def _square(x):
     return x * x
 
 
-def _scale(factor, x):
-    return factor * x
+def _inverse(x):
+    return 1 / x
 
 
 def _squares(*xs):
@@ -85,7 +85,7 @@ class TestFaultPlan:
 
     def test_duplicate_seq_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan([FaultSpec("kill", 3), FaultSpec("poison", 3)])
+            FaultPlan([FaultSpec("kill", 3), FaultSpec("delay", 3)])
 
     def test_take_consumes_exactly_once(self):
         plan = FaultPlan.kill_task(2)
@@ -98,7 +98,7 @@ class TestFaultPlan:
 
     def test_install_and_clear_switch_the_active_plan(self):
         assert faults.active_plan() is None
-        plan = faults.install(FaultPlan.poison_task(0))
+        plan = faults.install(FaultPlan.kill_task(0))
         assert faults.active_plan() is plan
         faults.clear()
         assert faults.active_plan() is None
@@ -141,7 +141,7 @@ class TestPoolRecovery:
             assert not pool.health.degraded
             scraped = _metrics(pool)
             assert scraped["pool.worker_deaths"] >= 1
-            assert len(pool.health.totals) == 8
+            assert len(pool.health.totals) == 7
             for name, n in pool.health.totals.items():
                 assert scraped[f"pool.{name}"] == n, name
 
@@ -153,14 +153,6 @@ class TestPoolRecovery:
             assert got == [1, 4, 9, 16]
             assert plan.exhausted
             assert _metrics(pool)["pool.timeouts"] >= 1
-
-    def test_poison_retried_by_default_policy(self):
-        with WorkPool(n_workers=2) as pool:
-            with faults.inject(FaultPlan.poison_task(0)) as plan:
-                got = pool.starmap(_scale, [(10, 1), (10, 2), (10, 3)])
-            assert got == [10, 20, 30]
-            assert plan.exhausted
-            assert _metrics(pool)["pool.task_faults"] == 1
 
     def test_a_caller_error_is_raised_once_every_reply_is_read(self):
         """The caller's own share raises while task 1 still runs: the
@@ -194,20 +186,20 @@ class TestPoolRecovery:
             assert got == [1, 4] and calls == [1]
             assert _metrics(pool)["pool.retries"] == 1
 
-    def test_poison_not_retryable_propagates(self, monkeypatch):
-        monkeypatch.setattr(supervision, "RETRYABLE", ())
+    def test_a_task_error_propagates_once_every_reply_is_read(self):
+        """A task that raises its own error is not retried: the error is
+        raised once task 1, still running, replied; no worker is lost to
+        it, and none of that call's replies reaches the next call."""
         with WorkPool(n_workers=2) as pool:
             pids = pool.starmap(os.getpid, [(), ()])
-            plan = FaultPlan([FaultSpec("poison", 0),
-                              FaultSpec("delay", 1, delay_seconds=0.2)])
-            with faults.inject(plan):
-                with pytest.raises(PoisonedPayloadError):
-                    pool.starmap(_square, _squares(1, 2, 3))
-            # the error was raised once task 1, still running, replied:
-            # no worker was lost to it, and none of that call's replies
-            # reaches this one
+            with faults.inject(FaultPlan.delay_task(1, 0.2)) as plan:
+                with pytest.raises(ZeroDivisionError):
+                    pool.starmap(_inverse, [(0,), (2,), (4,)])
+            assert plan.exhausted
             assert pool.starmap(_square, _squares(4, 5, 6)) == [16, 25, 36]
             assert pool.starmap(os.getpid, [(), ()]) == pids
+            snap = _metrics(pool)
+            assert snap["pool.worker_deaths"] == snap["pool.retries"] == 0
 
     def test_orphan_is_reclaimable(self):
         with WorkPool(n_workers=2) as pool:

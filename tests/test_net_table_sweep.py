@@ -8,10 +8,12 @@ Three contracts:
   over every source and dispatcher is ``tests/test_equivalence_matrix.py``;
 - **decomposition invariance**: lane rows are ``np.array_equal`` however
   the trials are decomposed (whole, blocked, pooled, degraded serial);
-- **one trial index per table**: sweeps read the index a ``YetTable``
-  derives once — once per worker for an attached copy.
+- **no trial column**: sweeps read the trial offsets a ``YetTable``
+  holds (an attached copy, the staged ones), and derive no trial
+  column, in the parent or in a worker.
 """
 
+import pickle
 
 import numpy as np
 import pytest
@@ -119,7 +121,7 @@ class TestTrialSegments:
         np.testing.assert_array_equal(seg.bounds, [0, 1, 4])
         np.testing.assert_array_equal(seg.event_ids, [9, 7, 8, 9])
         assert (seg.n_trials, seg.max_count) == (4, 3)
-        assert yet.index_builds == 1
+        assert yet.trial_views == 0
         empty = yet.trial_block(5, 7)
         assert empty.n_occurrences == 0 and empty.event_ids.size == 0
         assert empty.trial_ids.size == 0
@@ -137,22 +139,21 @@ class TestTrialSegments:
         assert derived.max_count == carried.max_count
 
     def test_index_is_derived_once_and_staged_for_a_copy(self):
-        """A table derives its trial offsets once; a copy attached from
-        its staging reads the staged ones and derives none."""
+        """A table derives its trial offsets once, when it is built; a
+        copy attached from its staging holds the staged ones.  Neither
+        derives a trial column, however many spans it cuts."""
         yet = make_yet([0, 0, 2], [1, 2, 3], n_trials=3)
-        assert yet.index_builds == 0
         first, part = yet.trial_block(), yet.trial_block(1, 3)
         for _ in range(3):
             assert yet.trial_block() is first          # one span per range,
             assert yet.trial_block(1, 3) is part       # kept by the table
-        assert yet.index_builds == 1
+        assert yet.trial_views == 0
         with shm.SharedArena() as arena:
             attached = YetTable.from_handles(yet.to_shared(arena))
-            assert attached.index_builds == 0
             for _ in range(3):
                 seg = attached.trial_block()
                 attached.trial_block(0, 2)
-            assert attached.index_builds == 0
+            assert attached.trial_views == 0
             np.testing.assert_array_equal(seg.bounds, first.bounds)
             del attached, seg
 
@@ -224,38 +225,38 @@ class TestDecompositionInvariance:
 
 
 # ---------------------------------------------------------------------------
-# one trial index per worker
+# no trial column, in the parent or a worker
 # ---------------------------------------------------------------------------
 
-def _worker_index_builds(yet):  # pragma: no cover - runs in a worker
-    return yet.index_builds
+def _worker_trial_views(yet):  # pragma: no cover - runs in a worker
+    return yet.trial_views
 
 
 class TestTrialIndexOncePerWorker:
     N_SWEEPS = 6
 
-    def check(self, dispatcher):
-        seen = worker_probes(dispatcher, _worker_index_builds)
-        # N sweeps, no derivation: a worker reads the staged offsets and
-        # never scans a trial column
+    def check(self, dispatcher, yet):
+        seen = worker_probes(dispatcher, _worker_trial_views)
+        # N sweeps, no trial column: the caller's span and every
+        # worker's read the trial offsets alone
         assert set(seen.values()) == {0}
+        assert yet.trial_views == 0
 
     def test_pooled_dispatcher(self, small_portfolio_workload):
-        wl = small_portfolio_workload
-        kernel = wl.portfolio.kernel()
+        # a fresh copy: the fixture's other readers may derive its trials
+        yet = pickle.loads(pickle.dumps(small_portfolio_workload.yet))
+        kernel = small_portfolio_workload.portfolio.kernel()
         with PooledDispatcher(n_workers=2) as d:
             for _ in range(self.N_SWEEPS):
-                d.run(kernel, wl.yet)
+                d.run(kernel, yet)
             assert d.transport_active == "shm"
-            self.check(d)
-        # the parent's copy (a fixture other tests sweep too): the pool
-        # never makes it derive a second index, nor needs a first
-        assert wl.yet.index_builds <= 1
+            self.check(d, yet)
 
     def test_multicore_engine(self, small_portfolio_workload):
         wl = small_portfolio_workload
+        yet = pickle.loads(pickle.dumps(wl.yet))
         with multicore(2) as engine:
             for _ in range(self.N_SWEEPS):
-                result = engine.run(wl.portfolio, wl.yet)
+                result = engine.run(wl.portfolio, yet)
             assert result.details["transport"] == "shm"
-            self.check(engine.dispatcher)
+            self.check(engine.dispatcher, yet)
