@@ -45,6 +45,20 @@ worker is the template's child: ``os.getppid()`` in a task is the
 template's pid, ``multiprocessing.active_children()`` lists no worker,
 and a worker's pid is read off the pool (``pool._workers[i].pid``).
 
+A worker may be forked with one *first call*
+(:meth:`WorkPool.ensure_started`'s ``first``): a pickled ``(fn, args)``
+that the caller sends the template beside the CPUs, that the template
+forwards as those bytes (it never unpickles one, so it maps nothing a
+call names), and that the worker makes, pinned, before it reads its
+pipe — while the caller goes on.  The pooled dispatcher's warm-up sends
+each worker the event index of its span to build this way, so the
+worker's first block task finds it built (see
+:meth:`repro.serve.dispatch.PooledDispatcher.warmup`).  A first call
+answers no one: what it returns is dropped, and what it raises is
+swallowed and not counted yet (ROADMAP item 8(a)) — the worker serves on
+and its first task does the work itself.  A task sent meanwhile waits in
+the pipe for the call to end.  A replacement makes no first call.
+
 The template exits at the end of its socket — when its caller exits,
 however — and a worker at the end of its pipe, of which it holds the
 only copy of its end (the caller holds the only copy of the other), so
@@ -245,15 +259,22 @@ class PoolHealth:
         self.last_error = None
 
 
-def _serve(conn: Connection, cpu: int | None) -> None:
-    """A worker's life: pin to ``cpu``, then run each ``(fn, args)`` the
-    pipe brings and reply ``(True, result)`` or ``(False, exception)``,
-    until ``None`` or the end of the pipe.  A task that will not unpickle
-    here (a function this process cannot find) is answered with the
-    error it raised, like a task that raised it."""
+def _serve(conn: Connection, cpu: int | None, first: bytes | None) -> None:
+    """A worker's life: pin to ``cpu``, make the ``first`` call (pickled
+    ``(fn, args)``, if any), then run each ``(fn, args)`` the pipe
+    brings and reply ``(True, result)`` or ``(False, exception)``, until
+    ``None`` or the end of the pipe.  A task that will not unpickle here
+    (a function this process cannot find) is answered with the error it
+    raised, like a task that raised it.  The first call has no caller to
+    answer: what it returns is dropped, and what it raises is
+    swallowed."""
     if cpu is not None:
         with contextlib.suppress(OSError):   # a CPU taken away since
             os.sched_setaffinity(0, (cpu,))
+    if first is not None:
+        with contextlib.suppress(Exception):
+            fn, args = pickle.loads(first)
+            fn(*args)
     while True:
         try:
             message = conn.recv_bytes()
@@ -293,16 +314,17 @@ def _live_forked(main: Callable, *args) -> None:
         os._exit(code)
 
 
-def _worker_main(end: socket.socket, cpu: int | None, path: list,
-                 cwd: str) -> None:
+def _worker_main(end: socket.socket, cpu: int | None, first: bytes | None,
+                 path: list, cwd: str) -> None:
     """A worker just forked by the template: restore the default
     ``SIGCHLD`` (a task may wait on processes of its own), take the
-    caller's ``sys.path`` and working directory, and serve ``end``."""
+    caller's ``sys.path`` and working directory, and serve ``end``,
+    making the ``first`` call before it reads a task."""
     signal.signal(signal.SIGCHLD, signal.SIG_DFL)
     sys.path[:] = path
     with contextlib.suppress(OSError):
         os.chdir(cwd)
-    _serve(Connection(end.detach()), cpu)
+    _serve(Connection(end.detach()), cpu, first)
 
 
 def _pidfd(pid: int) -> int | None:
@@ -316,26 +338,29 @@ def _pidfd(pid: int) -> int | None:
 
 def _template_main(sock: socket.socket) -> None:
     """The template's life: for each request on ``sock`` — the CPUs of
-    the workers to fork, and the caller's ``sys.path`` and working
-    directory — fork one worker per CPU and send the caller its pid,
-    the parent end of its pipe and a pidfd of it, one message each,
-    until the end of the socket.  The template holds no pipe end once
-    it is sent, so a worker inherits none but its own; the kernel reaps
-    the workers, and ``SIGINT`` is the caller's to act on."""
+    the workers to fork, each one's first call (pickled, or ``None``),
+    and the caller's ``sys.path`` and working directory — fork one
+    worker per CPU and send the caller its pid, the parent end of its
+    pipe and a pidfd of it, one message each, until the end of the
+    socket.  A first call reaches its worker as the bytes it came in:
+    the template never unpickles one, so it maps nothing a call names.
+    The template holds no pipe end once it is sent, so a worker inherits
+    none but its own; the kernel reaps the workers, and ``SIGINT`` is
+    the caller's to act on."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     while True:
         request = sock.recv(_REQUEST_BYTES)
         if not request:
             return
-        cpus, path, cwd = pickle.loads(request)
-        for cpu in cpus:
+        cpus, firsts, path, cwd = pickle.loads(request)
+        for cpu, first in zip(cpus, firsts):
             ours, theirs = socket.socketpair()
             pid = os.fork()
             if pid == 0:
                 sock.close()
                 ours.close()
-                _live_forked(_worker_main, theirs, cpu, path, cwd)
+                _live_forked(_worker_main, theirs, cpu, first, path, cwd)
             theirs.close()
             pidfd = _pidfd(pid)
             fds = [ours.fileno()] + ([] if pidfd is None else [pidfd])
@@ -382,14 +407,15 @@ class _Template:
             _live_forked(_template_main, theirs)
         theirs.close()
 
-    def fork_workers(self, cpus: list) -> list:
+    def fork_workers(self, cpus: list, firsts: list) -> list:
         """One :class:`_Worker` per entry of ``cpus`` (a CPU, or
-        ``None`` for unpinned), forked by the template.  A failure
-        closes the socket: its replies could no longer be matched to
-        requests."""
+        ``None`` for unpinned), forked by the template, each making the
+        first call of its entry of ``firsts``.  A failure closes the
+        socket: its replies could no longer be matched to requests."""
         workers = []
         try:
-            self.sock.send(pickle.dumps((cpus, sys.path, os.getcwd())))
+            self.sock.send(pickle.dumps((cpus, firsts, sys.path,
+                                         os.getcwd())))
             for _ in cpus:
                 pid, fds, _, _ = socket.recv_fds(self.sock, 32, 2, _CLOEXEC)
                 if not pid:
@@ -421,10 +447,11 @@ def fork_template() -> None:
             _TEMPLATE = _Template()
 
 
-def _fork_workers(cpus: list) -> list:
-    """Workers for ``cpus``, forked by this process's template; a fresh
-    template is forked first where the process has none of its own, or
-    once, where its template is gone."""
+def _fork_workers(cpus: list, firsts: list) -> list:
+    """Workers for ``cpus``, forked by this process's template, each
+    making the first call of its entry of ``firsts``; a fresh template
+    is forked first where the process has none of its own, or once,
+    where its template is gone."""
     global _TEMPLATE
     with _TEMPLATE_LOCK:
         for retry in (False, True):
@@ -432,7 +459,7 @@ def _fork_workers(cpus: list) -> list:
                     or _TEMPLATE.sock.fileno() < 0):
                 _TEMPLATE = _Template()
             try:
-                return _TEMPLATE.fork_workers(cpus)
+                return _TEMPLATE.fork_workers(cpus, firsts)
             except OSError:
                 if retry:
                     raise
@@ -488,9 +515,12 @@ class WorkPool:
     -----
     Tasks must be picklable top-level callables, and idempotent:
     supervision re-executes lost tasks (see the module docstring's
-    failure semantics).  The workers are forked on the first call — by
-    the process's template, not by the caller — and reused until
-    :meth:`close`; ``with WorkPool(...) as pool:`` closes them on exit.
+    failure semantics).  The workers are forked on the first call, or
+    by :meth:`ensure_started` — by the process's template, not by the
+    caller — and reused until :meth:`close`; ``with WorkPool(...) as
+    pool:`` closes them on exit.  :meth:`ensure_started` can give each
+    worker it forks one first call, made before the worker's first task
+    (the pooled dispatcher's warm-up indexes each worker's span so).
     Calls from several threads take turns.  A task defined in a script's
     ``__main__`` after its ``import repro`` cannot run: the workers'
     template was forked before it existed, and the call raises the
@@ -527,28 +557,41 @@ class WorkPool:
         """
         return self._workers is not None
 
-    def _start(self) -> list:
+    def _start(self, firsts: list | tuple = ()) -> list:
         """The workers, forking any slot that has none (every slot on
-        first use, a dead or wedged worker's slot after it)."""
+        first use, a dead or wedged worker's slot after it); a slot
+        forked here makes ``firsts[slot]`` (a pickled call), where there
+        is one, before its first task."""
         if self._workers is None:
             self._workers = [None] * self.n_workers
         missing = [slot for slot, worker in enumerate(self._workers)
                    if worker is None]
         if missing:
-            forked = _fork_workers([self._cpus[slot] for slot in missing])
+            forked = _fork_workers(
+                [self._cpus[slot] for slot in missing],
+                [firsts[slot] if slot < len(firsts) else None
+                 for slot in missing])
             for slot, worker in zip(missing, forked):
                 self._workers[slot] = worker
         return self._workers
 
-    def ensure_started(self) -> None:
+    def ensure_started(self, first: Iterable[tuple] = ()) -> None:
         """Start the worker processes now (idempotent warm-up).
 
         A latency-sensitive caller (the serving layer's pooled
         dispatcher) pays the fork here, outside any request's SLO
         window, instead of inside the first batch.
+
+        ``first`` gives each worker forked now one first call: worker
+        ``i`` makes the ``i``-th ``(fn, args)``, pinned, before it reads
+        its pipe, so its first task finds done what the call did.  A
+        worker already live makes none, and so does a replacement forked
+        later; what a call raises is swallowed and not counted until
+        ROADMAP item 8(a) (see the module docstring).
         """
+        firsts = [pickle.dumps(call) for call in first]
         with self._lock:
-            self._start()
+            self._start(firsts)
 
     def reset_health(self) -> None:
         """Forget failure history and leave degraded mode (operator path

@@ -147,8 +147,13 @@ class RiskSession:
         return self._closed
 
     def warmup(self, engine: str = "pooled") -> None:
-        """Pay substrate startup now (worker spawn, YET staging) so the
-        first workload's latency is pure compute.  No-op for inline."""
+        """Pay substrate startup now (YET staging, worker spawn) so the
+        first workload's latency is pure compute.  A pooled warm-up
+        forks each worker with its span's event index to build, which
+        it does while the caller goes on (see
+        :meth:`~repro.serve.dispatch.PooledDispatcher.warmup`); a run
+        with no by-event row leaves that index unread.  No-op for
+        inline."""
         self._check_open()
         with self.telemetry.span("session.stage", engine=str(engine)):
             self.dispatcher(engine).warmup(self.yet)

@@ -116,11 +116,12 @@ def worker_probes(dispatcher, probe, n_tasks=8) -> dict:
     return seen
 
 
-def _segments_mapped():  # pragma: no cover - in a worker
-    """``{segment name: deleted?}`` over the shared-memory segments this
-    process maps (``/proc/self/maps``; the pool's semaphores aside)."""
+def segments_mapped(pid="self"):
+    """``{segment name: deleted?}`` over the shared-memory segments
+    process ``pid`` maps (``/proc/<pid>/maps``; the pool's semaphores
+    aside); test modules import it from here."""
     mapped = {}
-    with open("/proc/self/maps") as maps:
+    with open(f"/proc/{pid}/maps") as maps:
         for line in maps:
             path = line.rstrip("\n").split(maxsplit=5)[5:]
             if path and path[0].startswith("/dev/shm/"):
@@ -136,7 +137,7 @@ def _mapped_after_a_block_task(payload, _yet):  # pragma: no cover - in a worker
     from repro.serve import dispatch
 
     dispatch._sweep_trials_handles(payload, 0, 1)
-    return _segments_mapped()
+    return segments_mapped()
 
 
 def worker_mappings(dispatcher) -> dict:

@@ -37,8 +37,9 @@ from repro.core.layer import Layer
 from repro.core.lookup import fits_direct
 from repro.core.portfolio import Portfolio
 from repro.core import tables
-from repro.core.tables import EltTable, TrialSegments, YetTable
+from repro.core.tables import EltTable, StoredYet, TrialSegments, YetTable
 from repro.core.terms import LayerTerms
+from repro.data.store import ChunkStore
 from repro.errors import ConfigurationError
 from repro.hpc import shm
 from repro.serve import CachePolicy
@@ -432,6 +433,21 @@ def _worker_event_indexes(yet):  # pragma: no cover - in a worker
     return levels["yet.event_index.builds"], levels["yet.event_index.bytes"]
 
 
+#: A worker's weak references to the keys of the span indexes its first
+#: :func:`_worker_index_kept` probe read.
+_FIRST_READ: list = []
+
+
+def _worker_index_kept(yet):  # pragma: no cover - in a worker
+    """Whether the worker's YET copy holds the very span indexes (their
+    keys the same arrays) this worker's first call of this probe read."""
+    keys = [span._index.keys for span in yet._spans.values()]
+    if not _FIRST_READ:
+        _FIRST_READ.extend(map(weakref.ref, keys))
+    return len(keys) == len(_FIRST_READ) and all(
+        ref() is key for ref, key in zip(_FIRST_READ, keys))
+
+
 class TestIndexLifetime:
     N_SWEEPS = 6
 
@@ -480,6 +496,50 @@ class TestIndexLifetime:
         levels = yet.cache_levels()
         assert (levels["yet.event_index.builds"],
                 levels["yet.event_index.bytes"]) == (1, sizes[0])
+
+    def test_warmup_indexes_each_workers_span_before_any_run(self):
+        """``warmup`` forks the worker with a first call that builds its
+        span's index: the worker holds it before any run, and after ten
+        runs holds the same index object — its block tasks found it
+        built and built none of their own."""
+        portfolio, yet = by_event_workload(seed=76)
+        kernel = portfolio.kernel()
+        with PooledDispatcher(n_workers=2) as d:
+            d.warmup(yet)
+            spans = d.spans(yet)
+            first = worker_probes(d, _worker_event_indexes)
+            assert list(first.values()) == [(1, span_bytes(yet, *spans[1]))]
+            assert list(worker_probes(d, _worker_index_kept).values()) == [
+                True]
+            for _ in range(10):
+                d.run(kernel, yet)
+            assert worker_probes(d, _worker_event_indexes) == first
+            assert list(worker_probes(d, _worker_index_kept).values()) == [
+                True]
+        # the caller indexed span 0 only, in its runs
+        assert yet.cache_levels()["yet.event_index.bytes"] == span_bytes(
+            yet, *spans[0])
+
+    def test_warmup_stages_and_forks_nothing_for_a_run_in_process(
+            self, tmp_path):
+        """A one-worker dispatcher and a degraded pool sweep in process,
+        and a ``StoredYet`` is refused: ``warmup`` stages, forks and
+        indexes nothing for any of them."""
+        _, yet = by_event_workload(seed=76)
+        stored = StoredYet.write(ChunkStore(tmp_path), "yet", yet, 97)
+        before = shm.active_segment_names()
+        with PooledDispatcher(n_workers=1) as one, \
+                PooledDispatcher(n_workers=2) as degraded, \
+                PooledDispatcher(n_workers=2) as refusing:
+            degraded.pool.health.degraded = True
+            one.warmup(yet)
+            degraded.warmup(yet)
+            with pytest.raises(ConfigurationError, match=r"9\(b\)"):
+                refusing.warmup(stored)
+            for d in (one, degraded, refusing):
+                assert not d.pool.started and d.payload_ships == 0
+            assert shm.active_segment_names() == before
+        assert yet.cache_levels()["yet.event_index.builds"] == 0
 
     def test_ten_pooled_runs_build_one_caller_index(self, monkeypatch):
         """The caller sweeps span 0 of every pooled run: over ten runs

@@ -21,10 +21,11 @@ module constant.
 from __future__ import annotations
 
 import os
+import signal
 
 import numpy as np
 import pytest
-from conftest import multicore, worker_probes
+from conftest import exited, multicore, worker_probes
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.hpc import faults, shm
@@ -310,6 +311,29 @@ class TestEngineChaos:
             assert engine.dispatcher.payload_ships == ships
             if shm.shm_available():
                 assert shm.active_segment_names() == segments
+
+    def test_a_worker_killed_after_warmup_is_replaced(
+            self, small_portfolio_workload):
+        """Killed through its pidfd after ``warmup`` — its first call
+        made or not — and before the first run: the run is the inline
+        answer, one death is counted, and the replacement, which makes
+        no first call, serves the next run."""
+        wl = small_portfolio_workload
+        kernel = wl.portfolio.kernel()
+        inline = InlineDispatcher().run(kernel, wl.yet)
+        with PooledDispatcher(n_workers=2) as d:
+            d.warmup(wl.yet)
+            (worker,) = d.pool._workers
+            if worker.pidfd is None:
+                pytest.skip("no pidfds on this host")
+            signal.pidfd_send_signal(worker.pidfd, signal.SIGKILL)
+            assert exited(worker.pid, 5.0)
+            assert np.array_equal(d.run(kernel, wl.yet), inline)
+            assert d.pool.health.totals["worker_deaths"] == 1
+            (replacement,) = d.pool._workers
+            assert replacement.pid != worker.pid
+            assert np.array_equal(d.run(kernel, wl.yet), inline)
+            assert d.pool.health.totals["worker_deaths"] == 1
 
     def test_a_killed_workers_span_reruns_on_its_replacement_and_cpu(
             self, small_portfolio_workload, monkeypatch):

@@ -247,6 +247,8 @@ def test_removed_names_stay_removed(tmp_path):
         "n_workers", "telemetry"]
     assert list(inspect.signature(WorkPool.starmap).parameters) == [
         "self", "fn", "arg_tuples", "deadline_seconds", "meanwhile"]
+    assert list(inspect.signature(WorkPool.ensure_started).parameters) == [
+        "self", "first"]
     from repro.core.tables import EventIndex, TrialSegments
 
     assert list(inspect.signature(TrialSegments).parameters) == [

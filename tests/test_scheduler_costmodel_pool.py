@@ -1,20 +1,23 @@
 """Tests for the pipeline cost model and the work pool."""
 
 import gc
+import operator
 import os
 import resource
 import signal
 import time
 
 import pytest
-from conftest import exited, python_c, worker_pids
+from conftest import exited, python_c, segments_mapped, worker_pids
 
 from repro.core.tables import YetTable
 from repro.errors import AnalysisError, ConfigurationError
 from repro.hpc import pool as supervision
+from repro.hpc import shm
 from repro.hpc.cost_model import PipelineCostModel, StageSpec
 from repro.hpc.pool import WorkPool, available_parallelism
-from repro.serve.dispatch import InlineDispatcher
+from repro.serve.dispatch import InlineDispatcher, PooledDispatcher
+from repro.session import RiskSession
 
 
 class TestStageSpec:
@@ -324,3 +327,76 @@ class TestWorkerTemplate:
         assert proc.returncode == 0
         dead, template, parent = map(int, proc.stdout.split())
         assert parent == template != dead
+
+
+#: A worker's record of the first calls it made.
+_MARKS: list = []
+
+
+def _mark(value):  # pragma: no cover - runs in a worker process
+    _MARKS.append((value, sorted(os.sched_getaffinity(0))))
+
+
+def _marks():  # pragma: no cover - runs in a worker process
+    return list(_MARKS), sorted(os.sched_getaffinity(0))
+
+
+class TestFirstCall:
+    """``ensure_started(first=...)``: each worker forked then makes its
+    one call, pinned, before its first task; a worker already live and a
+    replacement make none, and what the call raises is no one's error
+    (no clock)."""
+
+    def test_each_worker_forked_makes_its_own_call_before_any_task(self):
+        with WorkPool(n_workers=2) as pool:
+            pool.ensure_started(first=[(_mark, ("a",)), (_mark, ("b",))])
+            pool.ensure_started(first=[(_mark, ("again",))] * 2)
+            (marks_a, cpus_a), (marks_b, cpus_b) = pool.starmap(
+                _marks, [(), ()])
+            # made once, on the CPU the worker's tasks run on
+            assert (marks_a, marks_b) == ([("a", cpus_a)], [("b", cpus_b)])
+            killed = worker_pids(pool)[0]
+            os.kill(killed, signal.SIGKILL)
+            assert exited(killed, 5.0)
+            after = pool.starmap(_marks, [(), ()])
+            assert pool.health.totals["worker_deaths"] == 1
+        assert [marks for marks, _ in after] == [[], marks_b]
+
+    def test_a_first_call_that_raises_leaves_the_worker_serving(self):
+        """A call that raises is swallowed in the worker, and a slot the
+        list does not reach makes none."""
+        with WorkPool(n_workers=2) as pool:
+            pool.ensure_started(first=[(operator.truediv, (1, 0))])
+            assert pool.starmap(operator.add, [(1, 2), (3, 4)]) == [3, 7]
+            assert pool.starmap(_marks, [(), ()])[1][0] == []
+            assert pool.health.totals["worker_deaths"] == 0
+            assert pool.health.totals["retries"] == 0
+
+    def test_a_session_closed_right_after_warmup_leaves_nothing(
+            self, small_portfolio_workload):
+        """Closed while the workers' first calls may still run: every
+        worker has exited, no segment is left, and ``close`` took less
+        than the wait it allows a worker."""
+        wl = small_portfolio_workload
+        before = shm.active_segment_names()
+        session = RiskSession(wl.yet, wl.portfolio, n_workers=3)
+        session.warmup("pooled")
+        pids = worker_pids(session.dispatcher("pooled").pool)
+        start = time.monotonic()
+        session.close()
+        assert time.monotonic() - start < supervision._JOIN_SECONDS
+        assert len(pids) == 2 and all(exited(pid) for pid in pids)
+        assert shm.active_segment_names() == before
+
+    def test_the_template_maps_no_segment_after_a_pooled_warmup(
+            self, small_portfolio_workload):
+        """The template forwards a first call as bytes: it never runs
+        one, so it maps none of the segments the calls name."""
+        template = supervision._TEMPLATE
+        if not os.path.exists(f"/proc/{template.pid}/maps"):
+            pytest.skip("no /proc/<pid>/maps on this host")
+        wl = small_portfolio_workload
+        with PooledDispatcher(n_workers=2) as pooled:
+            pooled.warmup(wl.yet)
+            assert pooled.pool.starmap(os.getppid, [()]) == [template.pid]
+            assert segments_mapped(template.pid) == {}

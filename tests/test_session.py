@@ -499,10 +499,13 @@ class TestStagedPayload:
         the one place it lives."""
         wl = small_portfolio_workload
         session = risk_session(wl.yet, wl.portfolio, n_workers=2)
+        # quoted before any run, so the serving plan is priced at its
+        # seeds (a cold pool's start-up dominates) and not at the wall
+        # time of a cold run: the quotes ride the inline dispatcher
+        session.quote_many(_candidates(wl.portfolio, 3))
         session.aggregate(engine="multicore")
         session.aggregate(engine="multicore")
         session.aggregate()
-        session.quote_many(_candidates(wl.portfolio, 3))
         session.ep_curves()
         metrics = session.telemetry.snapshot()["metrics"]
         assert metrics["session.stages"] == 1
